@@ -172,7 +172,15 @@ impl Tracer {
 
     /// Microseconds since the process-local monotonic epoch.
     pub fn now_us(&self) -> u64 {
-        self.epoch.elapsed().as_micros() as u64
+        self.instant_us(Instant::now())
+    }
+
+    /// `at` on the tracer clock: whole microseconds since the epoch (0 for
+    /// instants before it). Monotone in `at`, so intervals whose ends are
+    /// all converted here nest in microseconds exactly as they nest in time
+    /// — which separately floored start and duration values do not.
+    pub fn instant_us(&self, at: Instant) -> u64 {
+        at.saturating_duration_since(self.epoch).as_micros() as u64
     }
 
     /// Record a pre-built span (remote-span ingestion, synthesized spans
@@ -256,7 +264,7 @@ impl Tracer {
                 span_id,
                 parent_id,
                 name,
-                start_us: self.now_us(),
+                start_us: self.instant_us(start),
                 attrs: Vec::new(),
             }),
         }
@@ -465,13 +473,17 @@ impl Drop for SpanGuard {
         if let Some(active) = self.active.take() {
             pop_current(active.span_id);
             let t = tracer();
+            // Both ends come from the tracer clock: a duration floored on its
+            // own (`Instant::elapsed`) can put a parent's recorded end 1 µs
+            // before its child's.
+            let end_us = t.now_us();
             t.push(SpanRecord {
                 trace_id: active.trace_id,
                 span_id: active.span_id,
                 parent_id: active.parent_id,
                 name: active.name.to_string(),
                 start_us: active.start_us,
-                duration_us: self.start.elapsed().as_micros() as u64,
+                duration_us: end_us.saturating_sub(active.start_us),
                 attrs: active.attrs,
             });
         }
@@ -765,6 +777,36 @@ mod tests {
         assert_eq!(forest.len(), 1);
         assert_eq!(forest[0].children.len(), 1);
         assert_eq!(forest[0].children[0].record.name, "worker");
+    }
+
+    #[test]
+    fn tightly_nested_spans_never_escape_their_parent() {
+        let _gate = exclusive();
+        set_enabled(true);
+        for round in 0..10_000 {
+            tracer().clear();
+            let trace_id;
+            {
+                let parent = span_root("parent");
+                trace_id = parent.context().unwrap().trace_id;
+                // Declared last, so it closes first — as close to the
+                // parent's own close as two drops can be.
+                let _child = span("child");
+            }
+            let spans = tracer().trace(trace_id);
+            let parent = spans.iter().find(|s| s.name == "parent").unwrap();
+            let child = spans.iter().find(|s| s.name == "child").unwrap();
+            assert!(
+                parent.start_us <= child.start_us && child.end_us() <= parent.end_us(),
+                "round {round}: child [{}..{}] escapes parent [{}..{}]",
+                child.start_us,
+                child.end_us(),
+                parent.start_us,
+                parent.end_us()
+            );
+        }
+        set_enabled(false);
+        tracer().clear();
     }
 
     #[test]

@@ -13,9 +13,12 @@
 //!    strategies), and the single shared `CUT` body
 //!    ([`atlas_core::cut_from_source`]) runs locally over a
 //!    [`atlas_core::CutSource`] whose kernels scatter to the shards;
-//! 3. **distances** — contingency tables of candidate-map pairs are counted
-//!    per segment and summed cell-wise (exact `u64` adds), then scored
-//!    locally with [`atlas_core::metric_of`];
+//! 3. **distances** — computed at the coordinator, not pushed down: after
+//!    the cut phase every candidate region is already here as a folded
+//!    bitmap over the live rows (the product merge needs them), so the
+//!    pairwise matrix is the engine's own
+//!    [`atlas_core::distance_matrix_with_pool`] over them — the call
+//!    [`atlas_core::Atlas::explore`] makes, with no round-trip;
 //! 4. **clustering, merging, ranking** — run locally on the folded inputs,
 //!    byte-for-byte the engine's own implementations.
 //!
@@ -58,8 +61,8 @@ use crate::resilience::{
     RetryPolicy,
 };
 use crate::wire::frames::{
-    bitmap_from_json, contingency_from_json, dtype_from_name, get_index, get_items, get_str,
-    hex_f64, hex_f64s, parse_hex_f64s, sketch_from_json, summary_from_json,
+    bitmap_from_json, dtype_from_name, get_index, get_items, get_str, hex_f64, hex_f64s,
+    parse_hex_f64s, sketch_from_json, summary_from_json,
 };
 use crate::wire::Json;
 use atlas_columnar::{
@@ -67,13 +70,13 @@ use atlas_columnar::{
     DataType,
 };
 use atlas_core::{
-    cluster_maps_with_pool, cut_from_source, enforce_region_cap, metric_of, product_maps,
-    rank_maps, AtlasConfig, AtlasError, CutSource, DistanceMatrix, MapResult, MergeStrategy,
+    cluster_maps_with_pool, cut_from_source, distance_matrix_with_pool, enforce_region_cap,
+    product_maps, rank_maps, AtlasConfig, AtlasError, CutSource, MapResult, MergeStrategy,
     NumericCutStrategy, PhaseTimings, ThreadPool,
 };
 use atlas_query::{to_sql, ConjunctiveQuery};
 use atlas_stats::quantile::quantile;
-use atlas_stats::{ContingencyTable, GkSketch};
+use atlas_stats::GkSketch;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeSet, HashMap};
@@ -316,10 +319,6 @@ struct ShardSlot {
 /// counts, schema fields) — unanimity across shards is required at connect.
 type MetaView = (usize, usize, Vec<usize>, Vec<(String, DataType)>);
 
-/// Gathered contingency counts: candidate-map pair → (rows, cols, cell
-/// counts summed across segments).
-type PairCounts = HashMap<(usize, usize), (usize, usize, Vec<u64>)>;
-
 /// How one shard call failed, before rendering into an [`AtlasError`].
 enum CallFail {
     /// The shard failed past its retries; the message already names the
@@ -466,9 +465,12 @@ fn adopt_shard_spans(reply: &mut Json, parent: atlas_obs::SpanContext, call_star
         .collect();
     let lo = records.iter().map(|r| r.start_us).min().unwrap_or(0);
     let hi = records.iter().map(|r| r.end_us()).max().unwrap_or(lo);
-    let now = tracer.now_us();
-    let call_start_us = now.saturating_sub(call_started.elapsed().as_micros() as u64);
-    let anchor = now.saturating_sub(hi.saturating_sub(lo)).max(call_start_us);
+    // Anchor on the tracer clock the call span itself is recorded on, so the
+    // adopted spans sit inside it to the microsecond.
+    let anchor = tracer
+        .now_us()
+        .saturating_sub(hi.saturating_sub(lo))
+        .max(tracer.instant_us(call_started));
     for mut record in records {
         record.trace_id = parent.trace_id;
         record.parent_id = match fresh.get(&record.parent_id) {
@@ -812,12 +814,13 @@ impl Coordinator {
                     Some(left) => left.min(self.options.shard_timeout),
                 },
             };
-            let call_started = Instant::now();
             let mut call_span = atlas_obs::span("shard.call");
             call_span.attr("shard", shard);
             call_span.attr("path", path);
             call_span.attr("attempt", failures + 1);
             call_span.attr("mode", if failures == 0 { "primary" } else { "retry" });
+            // Taken inside the span: adopted shard spans are clamped to it.
+            let call_started = Instant::now();
             match self.attempt(slot, path, &payload, budget, deadline) {
                 Ok(mut json) => {
                     if let Some(ctx) = call_span.context() {
@@ -1104,14 +1107,21 @@ impl Coordinator {
                 message: format!("shard {} misbehaved on {path}: {message}", slot.addr),
             }
         };
-        let items = match get_items(&reply, "partials") {
-            Ok(items) => items,
-            Err(e) => return Err(semantic(e)),
+        // The reply is owned: move the partials (and the ~0.25 MB hex runs
+        // inside them) out instead of cloning each one.
+        let items = match reply {
+            Json::Obj(members) => members.into_iter().find(|(key, _)| key == "partials"),
+            _ => None,
+        };
+        let Some((_, Json::Arr(items))) = items else {
+            return Err(semantic(
+                "missing or non-array member \"partials\"".to_string(),
+            ));
         };
         let mut list = Vec::with_capacity(items.len());
         for partial in items {
-            match get_index(partial, "segment") {
-                Ok(segment) => list.push((segment, partial.clone())),
+            match get_index(&partial, "segment") {
+                Ok(segment) => list.push((segment, partial)),
                 Err(e) => return Err(semantic(e)),
             }
         }
@@ -1268,60 +1278,6 @@ impl Coordinator {
             .map(|&a| a.to_string())
             .zip(folded)
             .collect())
-    }
-
-    /// Scatter the contingency-table counts of every candidate-map pair and
-    /// sum them cell-wise (exact integer adds across segments).
-    fn fetch_pair_counts(
-        &self,
-        ctx: &ExploreCtx,
-        maps: &[atlas_core::DataMap],
-    ) -> Result<PairCounts, AtlasError> {
-        let map_sqls: Vec<Json> = maps
-            .iter()
-            .map(|map| {
-                Json::array(
-                    map.regions
-                        .iter()
-                        .map(|region| Json::from(to_sql(&region.query)))
-                        .collect(),
-                )
-            })
-            .collect();
-        let partials = self.scatter(ctx, "/shard/contingency", |segments| {
-            Json::object(vec![
-                ("dataset", Json::from(self.dataset.as_str())),
-                ("maps", Json::array(map_sqls.clone())),
-                (
-                    "segments",
-                    Json::array(segments.iter().map(|&s| Json::from(s)).collect()),
-                ),
-            ])
-        })?;
-        let mut folded: PairCounts = HashMap::new();
-        for partial in &partials {
-            for pair in get_items(partial, "pairs").map_err(dist_err)? {
-                let a = get_index(pair, "a").map_err(dist_err)?;
-                let b = get_index(pair, "b").map_err(dist_err)?;
-                let (rows, cols, counts) = contingency_from_json(pair).map_err(dist_err)?;
-                match folded.get_mut(&(a, b)) {
-                    None => {
-                        folded.insert((a, b), (rows, cols, counts));
-                    }
-                    Some((acc_rows, acc_cols, acc)) => {
-                        if (*acc_rows, *acc_cols) != (rows, cols) || acc.len() != counts.len() {
-                            return Err(dist_err(format!(
-                                "contingency dimensions of pair ({a}, {b}) differ across segments"
-                            )));
-                        }
-                        for (cell, add) in acc.iter_mut().zip(&counts) {
-                            *cell += add;
-                        }
-                    }
-                }
-            }
-        }
-        Ok(folded)
     }
 
     /// The live segment list (ascending global indices) once `dead` shards
@@ -1567,32 +1523,12 @@ impl Coordinator {
         }
         self.check_deadline(ctx, "distances")?;
 
-        // Distances from segment-summed contingency tables, then the
+        // Distances over the folded candidate bitmaps — the engine's own
+        // call on the live row space, so no shard is asked — then the
         // engine's own clustering.
         let clustering_span = atlas_obs::span("phase.clustering");
-        let mut matrix = DistanceMatrix::zeros(maps.len());
-        if maps.len() > 1 {
-            let mut pair_counts = self.fetch_pair_counts(ctx, &maps)?;
-            for i in 0..maps.len() {
-                for j in (i + 1)..maps.len() {
-                    let (rows, cols, counts) = pair_counts.remove(&(i, j)).ok_or_else(|| {
-                        dist_err(format!("no contingency counts for pair ({i}, {j})"))
-                    })?;
-                    // lint: slice-index-ok (i and j are loop-bounded by maps.len())
-                    if rows != maps[i].num_regions() || cols != maps[j].num_regions() {
-                        return Err(dist_err(format!(
-                            "contingency of pair ({i}, {j}) is {rows}x{cols}, maps have {}x{} regions",
-                            // lint: slice-index-ok (same loop-bounded i and j)
-                            maps[i].num_regions(),
-                            // lint: slice-index-ok (same loop-bounded i and j)
-                            maps[j].num_regions()
-                        )));
-                    }
-                    let table = ContingencyTable::from_counts(rows, cols, counts);
-                    matrix.set(i, j, metric_of(&table, self.config.distance));
-                }
-            }
-        }
+        let matrix =
+            distance_matrix_with_pool(&maps, ctx.live_rows, self.config.distance, &self.pool);
         let clusters = cluster_maps_with_pool(&matrix, &self.config.clustering, &self.pool)?;
         let clustering_ms = clustering_span.finish_ms();
         self.check_deadline(ctx, "merge")?;

@@ -56,8 +56,6 @@ pub enum Endpoint {
     ShardCategories,
     /// `POST /shard/select`
     ShardSelect,
-    /// `POST /shard/contingency`
-    ShardContingency,
     /// `POST /shard/inject`
     ShardInject,
     /// `POST /distributed/explore`
@@ -71,7 +69,7 @@ pub enum Endpoint {
 }
 
 /// All endpoints, in reporting order.
-pub const ENDPOINTS: [Endpoint; 23] = [
+pub const ENDPOINTS: [Endpoint; 22] = [
     Endpoint::CreateSession,
     Endpoint::Explore,
     Endpoint::Drill,
@@ -89,7 +87,6 @@ pub const ENDPOINTS: [Endpoint; 23] = [
     Endpoint::ShardValues,
     Endpoint::ShardCategories,
     Endpoint::ShardSelect,
-    Endpoint::ShardContingency,
     Endpoint::ShardInject,
     Endpoint::DistExplore,
     Endpoint::DebugTraces,
@@ -118,7 +115,6 @@ impl Endpoint {
             Endpoint::ShardValues => "shard_values",
             Endpoint::ShardCategories => "shard_categories",
             Endpoint::ShardSelect => "shard_select",
-            Endpoint::ShardContingency => "shard_contingency",
             Endpoint::ShardInject => "shard_inject",
             Endpoint::DistExplore => "dist_explore",
             Endpoint::DebugTraces => "debug_traces",
@@ -149,12 +145,11 @@ impl Endpoint {
             Endpoint::ShardValues => 14,
             Endpoint::ShardCategories => 15,
             Endpoint::ShardSelect => 16,
-            Endpoint::ShardContingency => 17,
-            Endpoint::ShardInject => 18,
-            Endpoint::DistExplore => 19,
-            Endpoint::DebugTraces => 20,
-            Endpoint::DebugTrace => 21,
-            Endpoint::Other => 22,
+            Endpoint::ShardInject => 17,
+            Endpoint::DistExplore => 18,
+            Endpoint::DebugTraces => 19,
+            Endpoint::DebugTrace => 20,
+            Endpoint::Other => 21,
         }
     }
 }

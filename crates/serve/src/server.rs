@@ -446,17 +446,17 @@ fn record_past_interval(
     let Some(ctx) = parent.context() else {
         return;
     };
+    // Both ends go through the tracer clock, so the interval nests under
+    // (or abuts) the spans around it exactly as the instants did.
     let tracer = atlas_obs::tracer();
-    let start_us = tracer
-        .now_us()
-        .saturating_sub(earlier.elapsed().as_micros() as u64);
+    let start_us = tracer.instant_us(earlier);
     tracer.record(atlas_obs::SpanRecord {
         trace_id: ctx.trace_id,
         span_id: tracer.alloc_id(),
         parent_id: ctx.span_id,
         name: name.to_string(),
         start_us,
-        duration_us: later.saturating_duration_since(earlier).as_micros() as u64,
+        duration_us: tracer.instant_us(later).saturating_sub(start_us),
         attrs: Vec::new(),
     });
 }

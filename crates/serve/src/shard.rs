@@ -5,15 +5,24 @@
 //! the `POST /shard/*` endpoints. The coordinator assigns each shard a set of
 //! **global segment indices** and pushes the row-touching work of an explore
 //! down to them: working-set evaluation, per-column summaries, quantile
-//! sketches, numeric value runs, category counts, region partitioning, and
-//! contingency-table counting. Every answer is **per segment**, so the
-//! coordinator can fold partials in ascending global segment order and obtain
-//! bit-identical results no matter how segments were assigned to shards.
+//! sketches, numeric value runs, category counts and region partitioning.
+//! (Map distances are *not* pushed down: the coordinator already holds every
+//! candidate region as a folded bitmap and counts contingency tables itself.)
+//! Every answer is **per segment**, so the coordinator can fold partials in
+//! ascending global segment order and obtain bit-identical results no matter
+//! how segments were assigned to shards.
 //!
 //! Shards are stateless with respect to the partitioning: requests carry the
 //! segment indices and the (restricted SQL) queries, and the shard evaluates
 //! them against cached single-segment views of its registry datasets. The
 //! cache is keyed by dataset generation, so appends invalidate it naturally.
+//! Each cached view also remembers, once asked, the answers that do not
+//! depend on the query whenever the working set covers the whole segment —
+//! the column summaries and the category counts — so a whole-table explore
+//! scans them once per generation instead of once per request. There is no
+//! capacity and no knob: the answers live and die with the generation's
+//! views, and a working set that cuts through a segment is computed as
+//! before, segment by segment.
 //!
 //! `POST /shard/inject` is a fault-injection hook for tests. The legacy form
 //! `{"delay_ms": N, "times": M}` delays the next M shard answers; the plan
@@ -30,16 +39,17 @@ use crate::http::{self, Request, Response};
 use crate::metrics::Endpoint;
 use crate::registry::{Dataset, Registry};
 use crate::wire::frames::{
-    bitmap_to_json, contingency_to_json, get_items, get_str, hex_f64s, parse_hex_f64,
-    parse_hex_f64s, sketch_to_json, summary_to_json,
+    bitmap_to_json, get_items, get_str, hex_f64s, parse_hex_f64, parse_hex_f64s, sketch_to_json,
+    summary_to_json,
 };
 use crate::wire::{self, Json};
-use atlas_columnar::{Bitmap, DataType, Table};
+use atlas_columnar::{Bitmap, DataType, SummaryParts, Table};
 use atlas_core::AtlasError;
 use atlas_query::{parse_query, ConjunctiveQuery};
-use atlas_stats::{ContingencyTable, GkSketch};
+use atlas_stats::GkSketch;
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 /// How a shard endpoint answers: a normal HTTP response, raw bytes written
@@ -79,19 +89,42 @@ enum Fault {
     Kill,
 }
 
-/// Per-server shard state: the single-segment table cache plus the
+/// Per-server shard state: the single-segment view cache plus the
 /// fault-injection knobs.
 #[derive(Default)]
 pub(crate) struct ShardState {
-    /// dataset name → (generation, one single-segment table per global
-    /// segment, in segment order).
-    tables: Mutex<HashMap<String, SegmentTables>>,
+    /// dataset name → (generation, one view per global segment, in segment
+    /// order).
+    tables: Mutex<HashMap<String, SegmentViews>>,
     inject: Mutex<InjectState>,
 }
 
 /// One dataset's cached push-down view: the generation it was built from
-/// and one single-segment table per global segment, in segment order.
-type SegmentTables = (usize, Arc<Vec<Arc<Table>>>);
+/// and one [`SegmentView`] per global segment, in segment order.
+type SegmentViews = (usize, Arc<Vec<SegmentView>>);
+
+/// One global segment as the data endpoints see it: a single-segment table
+/// (named after the dataset so shipped queries parse against it) plus the
+/// whole-segment answers computed so far. Each answer sits in its own
+/// `OnceLock`, so the first request to need one fills it without holding the
+/// cache mutex and a concurrent worker on another segment is not serialised
+/// behind the scan.
+struct SegmentView {
+    table: Table,
+    /// [`summarize`] under the all-rows selection.
+    summaries: OnceLock<Vec<SummaryParts>>,
+    /// `category_counts` under the all-rows selection, one slot per schema
+    /// column, filled for the columns that were asked about.
+    categories: Vec<OnceLock<Vec<(String, usize)>>>,
+}
+
+impl SegmentView {
+    /// Whether a segment-local working set selects every row, i.e. whether
+    /// the whole-segment answers are the answers for it.
+    fn covered_by(&self, local: &Bitmap) -> bool {
+        local.count() == self.table.num_rows()
+    }
+}
 
 #[derive(Default)]
 struct InjectState {
@@ -171,40 +204,40 @@ impl ShardState {
         }
     }
 
-    /// The dataset's segments as cached single-segment tables (one per global
-    /// segment, named after the dataset so shipped queries parse against
-    /// them), rebuilt when the dataset generation moves.
-    fn segment_tables(&self, dataset: &Dataset) -> Result<Arc<Vec<Arc<Table>>>, AtlasError> {
+    /// The dataset's segments as cached views (one per global segment),
+    /// rebuilt — whole-segment answers included — when the dataset generation
+    /// moves.
+    fn segment_views(&self, dataset: &Dataset) -> Result<Arc<Vec<SegmentView>>, AtlasError> {
         let (engine, generation) = dataset.snapshot();
         let mut cache = match self.tables.lock() {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
         };
-        if let Some((cached_generation, tables)) = cache.get(dataset.name()) {
+        if let Some((cached_generation, views)) = cache.get(dataset.name()) {
             if *cached_generation == generation {
-                return Ok(Arc::clone(tables));
+                return Ok(Arc::clone(views));
             }
         }
         let table = engine.table();
-        let tables: Vec<Arc<Table>> = table
+        let views: Vec<SegmentView> = table
             .segments()
             .iter()
             .map(|segment| {
-                Table::from_segments(
+                let table = Table::from_segments(
                     dataset.name(),
                     table.schema().clone(),
                     vec![Arc::clone(segment)],
-                )
-                .map(Arc::new)
-                .map_err(AtlasError::from)
+                )?;
+                Ok(SegmentView {
+                    categories: (0..table.num_columns()).map(|_| OnceLock::new()).collect(),
+                    summaries: OnceLock::new(),
+                    table,
+                })
             })
-            .collect::<Result<_, _>>()?;
-        let tables = Arc::new(tables);
-        cache.insert(
-            dataset.name().to_string(),
-            (generation, Arc::clone(&tables)),
-        );
-        Ok(tables)
+            .collect::<Result<_, AtlasError>>()?;
+        let views = Arc::new(views);
+        cache.insert(dataset.name().to_string(), (generation, Arc::clone(&views)));
+        Ok(views)
     }
 }
 
@@ -218,7 +251,6 @@ pub(crate) fn endpoint_of(action: &str) -> Option<Endpoint> {
         "values" => Endpoint::ShardValues,
         "categories" => Endpoint::ShardCategories,
         "select" => Endpoint::ShardSelect,
-        "contingency" => Endpoint::ShardContingency,
         "inject" => Endpoint::ShardInject,
         _ => return None,
     })
@@ -249,15 +281,19 @@ pub(crate) fn handle(
         Preamble::Proceed => None,
     };
     let shard_span = shard_span(endpoint, request);
-    let mut response = answer(registry, state, endpoint, &body);
-    if let Some(span) = shard_span {
-        let trace_id = span.context().map(|ctx| ctx.trace_id);
-        // Close the root before snapshotting so it is in the ring.
-        drop(span);
-        if let Some(trace_id) = trace_id {
-            embed_shard_spans(&mut response, trace_id);
+    let outcome = answer(registry, state, endpoint, &body);
+    // Close the request's root span before snapshotting so it is in the ring.
+    let trace_id = shard_span.and_then(|span| span.context().map(|ctx| ctx.trace_id));
+    let response = match outcome {
+        Ok(mut reply) => {
+            if let Some(trace_id) = trace_id {
+                append_shard_spans(&mut reply, trace_id);
+            }
+            // The one place a data reply is encoded, spans or not.
+            Response::json(200, &reply)
         }
-    }
+        Err(response) => response,
+    };
     match truncate {
         None => Reply::Normal(response),
         Some(keep_per_mille) => {
@@ -291,57 +327,47 @@ fn shard_span(endpoint: Endpoint, request: &Request) -> Option<atlas_obs::SpanGu
     Some(span)
 }
 
-/// Append this shard request's recorded spans to a successful answer as a
-/// top-level `"spans"` member, for the coordinator to reassemble. Non-200
-/// answers (and non-JSON bodies) travel unchanged.
-fn embed_shard_spans(response: &mut Response, trace_id: u64) {
-    if response.status != 200 {
-        return;
-    }
+/// Append this shard request's recorded spans to a successful reply as a
+/// top-level `"spans"` member, for the coordinator to reassemble. Error
+/// answers travel unchanged.
+fn append_shard_spans(reply: &mut Json, trace_id: u64) {
     let spans = atlas_obs::tracer().trace(trace_id);
     if spans.is_empty() {
         return;
     }
-    let Ok(text) = std::str::from_utf8(&response.body) else {
-        return;
-    };
-    let Ok(mut body) = wire::parse(text) else {
-        return;
-    };
-    if let Json::Obj(members) = &mut body {
+    if let Json::Obj(members) = reply {
         members.push(("spans".to_string(), crate::trace::spans_to_json(&spans)));
-        response.body = body.encode().into_bytes();
     }
 }
 
-/// Compute the real answer of one shard data endpoint.
-fn answer(registry: &Registry, state: &ShardState, endpoint: Endpoint, body: &Json) -> Response {
-    let dataset = match resolve_dataset(registry, body) {
-        Ok(dataset) => dataset,
-        Err(response) => return response,
-    };
+/// Compute the real answer of one shard data endpoint: the reply object of
+/// a `200`, or the error response.
+fn answer(
+    registry: &Registry,
+    state: &ShardState,
+    endpoint: Endpoint,
+    body: &Json,
+) -> Result<Json, Response> {
+    let dataset = resolve_dataset(registry, body)?;
     if endpoint == Endpoint::ShardMeta {
-        return meta(dataset);
+        return Ok(meta(dataset));
     }
-    let tables = match state.segment_tables(dataset) {
-        Ok(tables) => tables,
-        Err(error) => return crate::server::error_response(&error),
-    };
+    let views = state
+        .segment_views(dataset)
+        .map_err(|error| crate::server::error_response(&error))?;
     let run = match endpoint {
-        Endpoint::ShardWorking => working(&tables, body),
-        Endpoint::ShardSummaries => summaries(&tables, body),
-        Endpoint::ShardSketches => sketches(&tables, body),
-        Endpoint::ShardValues => values(&tables, body),
-        Endpoint::ShardCategories => categories(&tables, body),
-        Endpoint::ShardSelect => select(&tables, body),
-        Endpoint::ShardContingency => contingency(&tables, body),
-        _ => return Response::error(404, "unknown shard endpoint"),
+        Endpoint::ShardWorking => working(&views, body),
+        Endpoint::ShardSummaries => summaries(&views, body),
+        Endpoint::ShardSketches => sketches(&views, body),
+        Endpoint::ShardValues => values(&views, body),
+        Endpoint::ShardCategories => categories(&views, body),
+        Endpoint::ShardSelect => select(&views, body),
+        _ => return Err(Response::error(404, "unknown shard endpoint")),
     };
-    match run {
-        Ok(response) => response,
-        Err(Fail::Frame(message)) => Response::error(400, message),
-        Err(Fail::Engine(error)) => crate::server::error_response(&error),
-    }
+    run.map_err(|fail| match fail {
+        Fail::Frame(message) => Response::error(400, message),
+        Fail::Engine(error) => crate::server::error_response(&error),
+    })
 }
 
 /// Why a shard request failed: a malformed frame (the coordinator's fault,
@@ -462,58 +488,55 @@ fn parse_fault(entry: &Json) -> Result<Fault, String> {
     })
 }
 
-fn meta(dataset: &Dataset) -> Response {
+fn meta(dataset: &Dataset) -> Json {
     let (engine, generation) = dataset.snapshot();
     let table = engine.table();
-    Response::json(
-        200,
-        &Json::object(vec![
-            ("dataset", Json::from(dataset.name())),
-            ("generation", Json::from(generation)),
-            ("num_rows", Json::from(table.num_rows())),
-            (
-                "segments",
-                Json::array(
-                    table
-                        .segments()
-                        .iter()
-                        .map(|s| Json::from(s.num_rows()))
-                        .collect(),
-                ),
+    Json::object(vec![
+        ("dataset", Json::from(dataset.name())),
+        ("generation", Json::from(generation)),
+        ("num_rows", Json::from(table.num_rows())),
+        (
+            "segments",
+            Json::array(
+                table
+                    .segments()
+                    .iter()
+                    .map(|s| Json::from(s.num_rows()))
+                    .collect(),
             ),
-            (
-                "fields",
-                Json::array(
-                    table
-                        .schema()
-                        .fields()
-                        .iter()
-                        .map(|f| {
-                            Json::object(vec![
-                                ("name", Json::from(f.name.as_str())),
-                                ("dtype", Json::from(f.dtype.name())),
-                            ])
-                        })
-                        .collect(),
-                ),
+        ),
+        (
+            "fields",
+            Json::array(
+                table
+                    .schema()
+                    .fields()
+                    .iter()
+                    .map(|f| {
+                        Json::object(vec![
+                            ("name", Json::from(f.name.as_str())),
+                            ("dtype", Json::from(f.dtype.name())),
+                        ])
+                    })
+                    .collect(),
             ),
-        ]),
-    )
+        ),
+    ])
 }
 
 /// The common preamble of the data endpoints: the parsed query plus the
 /// requested global segment indices, validated against the segment count.
 fn query_and_segments(
-    tables: &[Arc<Table>],
+    views: &[SegmentView],
     body: &Json,
 ) -> Result<(ConjunctiveQuery, Vec<usize>), Fail> {
     let sql = get_str(body, "sql")?;
     let query = parse_query(sql).map_err(AtlasError::from)?;
-    let segments = segment_list(tables, body)?;
+    let segments = segment_list(views, body)?;
     Ok((query, segments))
 }
 
-fn segment_list(tables: &[Arc<Table>], body: &Json) -> Result<Vec<usize>, Fail> {
+fn segment_list(views: &[SegmentView], body: &Json) -> Result<Vec<usize>, Fail> {
     let items = get_items(body, "segments")?;
     items
         .iter()
@@ -521,10 +544,10 @@ fn segment_list(tables: &[Arc<Table>], body: &Json) -> Result<Vec<usize>, Fail> 
             let idx = item
                 .index()
                 .ok_or_else(|| "non-integral segment index".to_string())?;
-            if idx >= tables.len() {
+            if idx >= views.len() {
                 return Err(Fail::Frame(format!(
                     "segment {idx} out of range (dataset has {})",
-                    tables.len()
+                    views.len()
                 )));
             }
             Ok(idx)
@@ -538,53 +561,63 @@ fn local_working(query: &ConjunctiveQuery, table: &Table) -> Result<Bitmap, Atla
     Ok(atlas_query::evaluate(query, table)?)
 }
 
-fn partials_response(partials: Vec<Json>) -> Response {
-    Response::json(
-        200,
-        &Json::object(vec![("partials", Json::array(partials))]),
-    )
+fn partials_reply(partials: Vec<Json>) -> Json {
+    Json::object(vec![("partials", Json::array(partials))])
 }
 
-fn working(tables: &[Arc<Table>], body: &Json) -> Result<Response, Fail> {
-    let (query, segments) = query_and_segments(tables, body)?;
+fn working(views: &[SegmentView], body: &Json) -> Result<Json, Fail> {
+    let (query, segments) = query_and_segments(views, body)?;
     let mut partials = Vec::with_capacity(segments.len());
     for seg in segments {
-        // lint: slice-index-ok (segment_list rejected indices >= tables.len())
-        let local = local_working(&query, &tables[seg])?;
+        // lint: slice-index-ok (segment_list rejected indices >= views.len())
+        let local = local_working(&query, &views[seg].table)?;
         partials.push(Json::object(vec![
             ("segment", Json::from(seg)),
             ("count", Json::from(local.count())),
             ("bitmap", bitmap_to_json(&local)),
         ]));
     }
-    Ok(partials_response(partials))
+    Ok(partials_reply(partials))
 }
 
-fn summaries(tables: &[Arc<Table>], body: &Json) -> Result<Response, Fail> {
-    let (query, segments) = query_and_segments(tables, body)?;
+/// The mergeable summary parts of every column (schema order) over the
+/// selected rows of a single-segment table.
+fn summarize(table: &Table, sel: &Bitmap) -> Vec<SummaryParts> {
+    table
+        .columns()
+        .iter()
+        .map(|view| view.summary(sel).to_parts())
+        .collect()
+}
+
+fn summaries(views: &[SegmentView], body: &Json) -> Result<Json, Fail> {
+    let (query, segments) = query_and_segments(views, body)?;
     let mut partials = Vec::with_capacity(segments.len());
     for seg in segments {
-        // lint: slice-index-ok (segment_list rejected indices >= tables.len())
-        let table = &tables[seg];
-        let local = local_working(&query, table)?;
-        let columns = table
-            .schema()
-            .fields()
-            .iter()
-            .map(|field| {
-                let view = table.column(&field.name).map_err(AtlasError::from)?;
-                Ok(summary_to_json(&view.summary(&local).to_parts()))
-            })
-            .collect::<Result<Vec<_>, Fail>>()?;
+        // lint: slice-index-ok (segment_list rejected indices >= views.len())
+        let view = &views[seg];
+        let local = local_working(&query, &view.table)?;
+        let parts = if view.covered_by(&local) {
+            Cow::Borrowed(
+                view.summaries
+                    .get_or_init(|| summarize(&view.table, &local))
+                    .as_slice(),
+            )
+        } else {
+            Cow::Owned(summarize(&view.table, &local))
+        };
         partials.push(Json::object(vec![
             ("segment", Json::from(seg)),
-            ("columns", Json::array(columns)),
+            (
+                "columns",
+                Json::array(parts.iter().map(summary_to_json).collect()),
+            ),
         ]));
     }
-    Ok(partials_response(partials))
+    Ok(partials_reply(partials))
 }
 
-fn sketches(tables: &[Arc<Table>], body: &Json) -> Result<Response, Fail> {
+fn sketches(views: &[SegmentView], body: &Json) -> Result<Json, Fail> {
     let epsilon = parse_hex_f64(get_str(body, "epsilon")?)?;
     if !(epsilon > 0.0 && epsilon < 0.5) {
         return Err(Fail::Frame(format!(
@@ -595,11 +628,11 @@ fn sketches(tables: &[Arc<Table>], body: &Json) -> Result<Response, Fail> {
         .iter()
         .map(|a| a.str().ok_or_else(|| "non-string attribute".to_string()))
         .collect::<Result<_, _>>()?;
-    let segments = segment_list(tables, body)?;
+    let segments = segment_list(views, body)?;
     let mut partials = Vec::with_capacity(segments.len());
     for seg in segments {
-        // lint: slice-index-ok (segment_list rejected indices >= tables.len())
-        let table = &tables[seg];
+        // lint: slice-index-ok (segment_list rejected indices >= views.len())
+        let table = &views[seg].table;
         // Profile sketches cover the **whole** segment (they are only ever
         // consulted for working sets that cover the table).
         let full = Bitmap::new_full(table.num_rows());
@@ -622,16 +655,16 @@ fn sketches(tables: &[Arc<Table>], body: &Json) -> Result<Response, Fail> {
             ("sketches", Json::array(sketches)),
         ]));
     }
-    Ok(partials_response(partials))
+    Ok(partials_reply(partials))
 }
 
-fn values(tables: &[Arc<Table>], body: &Json) -> Result<Response, Fail> {
-    let (query, segments) = query_and_segments(tables, body)?;
+fn values(views: &[SegmentView], body: &Json) -> Result<Json, Fail> {
+    let (query, segments) = query_and_segments(views, body)?;
     let attribute = get_str(body, "attribute")?;
     let mut partials = Vec::with_capacity(segments.len());
     for seg in segments {
-        // lint: slice-index-ok (segment_list rejected indices >= tables.len())
-        let table = &tables[seg];
+        // lint: slice-index-ok (segment_list rejected indices >= views.len())
+        let table = &views[seg].table;
         let local = local_working(&query, table)?;
         let view = table.column(attribute).map_err(AtlasError::from)?;
         partials.push(Json::object(vec![
@@ -642,24 +675,36 @@ fn values(tables: &[Arc<Table>], body: &Json) -> Result<Response, Fail> {
             ),
         ]));
     }
-    Ok(partials_response(partials))
+    Ok(partials_reply(partials))
 }
 
-fn categories(tables: &[Arc<Table>], body: &Json) -> Result<Response, Fail> {
-    let (query, segments) = query_and_segments(tables, body)?;
+fn categories(views: &[SegmentView], body: &Json) -> Result<Json, Fail> {
+    let (query, segments) = query_and_segments(views, body)?;
     let attribute = get_str(body, "attribute")?;
     let mut partials = Vec::with_capacity(segments.len());
     for seg in segments {
-        // lint: slice-index-ok (segment_list rejected indices >= tables.len())
-        let table = &tables[seg];
-        let local = local_working(&query, table)?;
-        let view = table.column(attribute).map_err(AtlasError::from)?;
-        let counts = view
-            .category_counts(&local)
-            .into_iter()
-            .map(|(value, count)| Json::array(vec![Json::from(value), Json::from(count)]))
+        // lint: slice-index-ok (segment_list rejected indices >= views.len())
+        let view = &views[seg];
+        let local = local_working(&query, &view.table)?;
+        let column = view.table.column(attribute).map_err(AtlasError::from)?;
+        let slot = view
+            .table
+            .schema()
+            .index_of(attribute)
+            .ok()
+            .and_then(|idx| view.categories.get(idx));
+        let counts = match slot {
+            Some(slot) if view.covered_by(&local) => Cow::Borrowed(
+                slot.get_or_init(|| column.category_counts(&local))
+                    .as_slice(),
+            ),
+            _ => Cow::Owned(column.category_counts(&local)),
+        };
+        let counts = counts
+            .iter()
+            .map(|(value, count)| Json::array(vec![Json::from(value.as_str()), Json::from(*count)]))
             .collect();
-        let dictionary = view
+        let dictionary = column
             .dictionary()
             .into_iter()
             .map(Json::from)
@@ -670,11 +715,11 @@ fn categories(tables: &[Arc<Table>], body: &Json) -> Result<Response, Fail> {
             ("dictionary", Json::array(dictionary)),
         ]));
     }
-    Ok(partials_response(partials))
+    Ok(partials_reply(partials))
 }
 
-fn select(tables: &[Arc<Table>], body: &Json) -> Result<Response, Fail> {
-    let (query, segments) = query_and_segments(tables, body)?;
+fn select(views: &[SegmentView], body: &Json) -> Result<Json, Fail> {
+    let (query, segments) = query_and_segments(views, body)?;
     let attribute = get_str(body, "attribute")?;
     enum Partition {
         Ranges(Vec<(f64, f64)>),
@@ -712,8 +757,8 @@ fn select(tables: &[Arc<Table>], body: &Json) -> Result<Response, Fail> {
     };
     let mut partials = Vec::with_capacity(segments.len());
     for seg in segments {
-        // lint: slice-index-ok (segment_list rejected indices >= tables.len())
-        let table = &tables[seg];
+        // lint: slice-index-ok (segment_list rejected indices >= views.len())
+        let table = &views[seg].table;
         let local = local_working(&query, table)?;
         let view = table.column(attribute).map_err(AtlasError::from)?;
         let regions = match &partition {
@@ -728,66 +773,5 @@ fn select(tables: &[Arc<Table>], body: &Json) -> Result<Response, Fail> {
             ),
         ]));
     }
-    Ok(partials_response(partials))
-}
-
-fn contingency(tables: &[Arc<Table>], body: &Json) -> Result<Response, Fail> {
-    let maps: Vec<Vec<ConjunctiveQuery>> = get_items(body, "maps")?
-        .iter()
-        .map(|map| {
-            map.items()
-                .ok_or_else(|| "non-array map".to_string())?
-                .iter()
-                .map(|sql| {
-                    let sql = sql
-                        .str()
-                        .ok_or_else(|| "non-string region SQL".to_string())?;
-                    parse_query(sql).map_err(|e| Fail::Engine(e.into()))
-                })
-                .collect::<Result<Vec<_>, Fail>>()
-        })
-        .collect::<Result<_, Fail>>()?;
-    let segments = segment_list(tables, body)?;
-    let mut partials = Vec::with_capacity(segments.len());
-    for seg in segments {
-        // lint: slice-index-ok (segment_list rejected indices >= tables.len())
-        let table = &tables[seg];
-        // Region selections restricted to this segment, rebuilt from the
-        // shipped region queries (region queries evaluate to exactly the
-        // kernel-computed extents — pinned by the cut-primitive tests).
-        let selections: Vec<Vec<Bitmap>> = maps
-            .iter()
-            .map(|regions| {
-                regions
-                    .iter()
-                    .map(|query| local_working(query, table))
-                    .collect::<Result<_, _>>()
-            })
-            .collect::<Result<_, AtlasError>>()?;
-        let mut pairs = Vec::new();
-        for i in 0..selections.len() {
-            for j in (i + 1)..selections.len() {
-                // lint: slice-index-ok (i and j are loop-bounded by selections.len())
-                let rows: Vec<&Bitmap> = selections[i].iter().collect();
-                // lint: slice-index-ok (i and j are loop-bounded by selections.len())
-                let cols: Vec<&Bitmap> = selections[j].iter().collect();
-                let partial = ContingencyTable::from_selections(&rows, &cols);
-                let mut members: Vec<(String, Json)> = vec![
-                    ("a".to_string(), Json::from(i)),
-                    ("b".to_string(), Json::from(j)),
-                ];
-                if let Json::Obj(fields) =
-                    contingency_to_json(partial.num_rows(), partial.num_cols(), partial.counts())
-                {
-                    members.extend(fields);
-                }
-                pairs.push(Json::object(members));
-            }
-        }
-        partials.push(Json::object(vec![
-            ("segment", Json::from(seg)),
-            ("pairs", Json::array(pairs)),
-        ]));
-    }
-    Ok(partials_response(partials))
+    Ok(partials_reply(partials))
 }

@@ -7,9 +7,15 @@
 //! floating-point value that participates in a fold (summary moments,
 //! sketch entries, split bounds) travels as its IEEE-754 **bit pattern** in
 //! fixed-width hex, never as a decimal rendering. Bulk payloads (bitmap
-//! words, numeric value runs, contingency counts) are single concatenated
-//! hex strings: dense, allocation-friendly, and immune to JSON number
-//! precision limits (`u64` counts above 2⁵³ survive).
+//! words, numeric value runs, sketch entries) are single concatenated hex
+//! strings: dense, allocation-friendly, and immune to JSON number precision
+//! limits (`u64` words above 2⁵³ survive).
+//!
+//! An explore ships the working set and every candidate region as bitmaps
+//! (~21 per step, 250 kB of hex each at 1M rows), so the hex run is the hot
+//! path of the whole coordinator↔shard exchange: digits are written
+//! arithmetically and read through one 256-entry lookup per digit, 16 per
+//! word — no formatter, no `from_str_radix`, one allocation per run.
 //!
 //! Decoding is defensive — these frames cross sockets. Every accessor
 //! returns `Result<_, String>` with a field-naming message; truncated hex
@@ -21,10 +27,71 @@ use crate::wire::Json;
 use atlas_columnar::{Bitmap, DataType, DistinctValues, SummaryParts};
 use atlas_stats::GkSketch;
 
+/// Marks a byte that is not a hex digit in [`HEX_VALUES`]. Real digit values
+/// stay below 16, so OR-ing the looked-up values of a chunk and testing the
+/// high nibble finds a bad byte without a branch per digit.
+const NOT_HEX: u8 = 0xff;
+
+/// The value of `byte` as a hex digit (either case), [`NOT_HEX`] otherwise.
+const fn hex_value(byte: u8) -> u8 {
+    match byte {
+        b'0'..=b'9' => byte - b'0',
+        b'a'..=b'f' => byte - b'a' + 10,
+        b'A'..=b'F' => byte - b'A' + 10,
+        _ => NOT_HEX,
+    }
+}
+
+/// [`hex_value`] of every byte, so decoding is one lookup per digit.
+const HEX_VALUES: [u8; 256] = {
+    let mut table = [NOT_HEX; 256];
+    let mut byte = 0usize;
+    while byte < 256 {
+        // lint: slice-index-ok (byte < 256 == table.len() by the loop bound)
+        table[byte] = hex_value(byte as u8);
+        byte += 1;
+    }
+    table
+};
+
+/// The lower-case hex digit of a nibble.
+fn hex_digit(nibble: u8) -> u8 {
+    let nibble = nibble & 0x0f;
+    if nibble < 10 {
+        b'0' + nibble
+    } else {
+        b'a' + (nibble - 10)
+    }
+}
+
+/// Encode words as one concatenated run of 16 lower-case hex digits each,
+/// without going through a formatter.
+fn hex_words(words: impl ExactSizeIterator<Item = u64>) -> String {
+    let mut out = Vec::with_capacity(words.len() * 16);
+    for word in words {
+        let digits: [u8; 16] = std::array::from_fn(|i| hex_digit((word >> (60 - 4 * i)) as u8));
+        out.extend_from_slice(&digits);
+    }
+    // Every byte is an ASCII hex digit, so the conversion cannot fail.
+    String::from_utf8(out).unwrap_or_default()
+}
+
+/// Decode one 16-digit chunk; `None` when any byte is not a hex digit.
+fn parse_hex_word(chunk: &[u8]) -> Option<u64> {
+    let mut word = 0u64;
+    let mut seen = 0u8;
+    for &byte in chunk {
+        // lint: slice-index-ok (any u8 indexes the 256-entry table)
+        let value = HEX_VALUES[usize::from(byte)];
+        seen |= value;
+        word = (word << 4) | u64::from(value & 0x0f);
+    }
+    (seen & 0xf0 == 0).then_some(word)
+}
+
 /// Encode an `f64` as its 16-hex-digit IEEE-754 bit pattern.
 pub fn hex_f64(x: f64) -> String {
-    // lint: wire-float-ok (this IS the hex-bit codec; it formats the u64 bit pattern, not the float)
-    format!("{:016x}", x.to_bits())
+    hex_words(std::iter::once(x.to_bits()))
 }
 
 /// Decode a 16-hex-digit bit pattern back into the exact `f64`.
@@ -35,22 +102,19 @@ pub fn parse_hex_f64(text: &str) -> Result<f64, String> {
             text.len()
         ));
     }
-    u64::from_str_radix(text, 16)
+    parse_hex_word(text.as_bytes())
         .map(f64::from_bits)
-        .map_err(|_| "invalid hex in f64 bit pattern".to_string())
+        .ok_or_else(|| "invalid hex in f64 bit pattern".to_string())
 }
 
 /// Encode a slice of `u64`s as one concatenated hex run (16 digits each).
 pub fn hex_u64s(values: &[u64]) -> String {
-    let mut out = String::with_capacity(values.len() * 16);
-    for v in values {
-        out.push_str(&format!("{v:016x}"));
-    }
-    out
+    hex_words(values.iter().copied())
 }
 
 /// Decode a concatenated hex run back into `u64`s. The run length must be a
-/// multiple of 16 — a truncated body is an error, never a silent short read.
+/// multiple of 16 — a truncated body is an error, never a silent short read —
+/// and every byte a hex digit (either case).
 pub fn parse_hex_u64s(text: &str) -> Result<Vec<u64>, String> {
     if !text.len().is_multiple_of(16) {
         return Err(format!(
@@ -58,25 +122,16 @@ pub fn parse_hex_u64s(text: &str) -> Result<Vec<u64>, String> {
             text.len()
         ));
     }
-    if !text.bytes().all(|b| b.is_ascii_hexdigit()) {
-        return Err("hex run contains a non-hex character".to_string());
-    }
-    (0..text.len() / 16)
-        .map(|i| {
-            // lint: slice-index-ok (len is a multiple of 16 and all-ASCII, checked above)
-            u64::from_str_radix(&text[i * 16..(i + 1) * 16], 16)
-                .map_err(|_| "invalid hex chunk".to_string())
-        })
-        .collect()
+    text.as_bytes()
+        .chunks_exact(16)
+        .map(parse_hex_word)
+        .collect::<Option<Vec<u64>>>()
+        .ok_or_else(|| "hex run contains a non-hex character".to_string())
 }
 
 /// Encode a slice of `f64`s as one concatenated bit-pattern hex run.
 pub fn hex_f64s(values: &[f64]) -> String {
-    let mut out = String::with_capacity(values.len() * 16);
-    for v in values {
-        out.push_str(&hex_f64(*v));
-    }
-    out
+    hex_words(values.iter().map(|x| x.to_bits()))
 }
 
 /// Decode a concatenated bit-pattern hex run back into the exact `f64`s.
@@ -258,16 +313,15 @@ pub fn summary_from_json(value: &Json) -> Result<SummaryParts, String> {
 /// entries as one hex run of 48-digit `(value bits, g, delta)` triples.
 pub fn sketch_to_json(sketch: &GkSketch) -> Json {
     let (epsilon, count, since_compress, entries) = sketch.to_parts();
-    let mut run = String::with_capacity(entries.len() * 48);
-    for (value, g, delta) in &entries {
-        run.push_str(&hex_f64(*value));
-        run.push_str(&format!("{g:016x}{delta:016x}"));
-    }
+    let words: Vec<u64> = entries
+        .iter()
+        .flat_map(|&(value, g, delta)| [value.to_bits(), g, delta])
+        .collect();
     Json::object(vec![
         ("epsilon", Json::from(hex_f64(epsilon))),
         ("count", Json::from(count)),
         ("since_compress", Json::from(since_compress)),
-        ("entries", Json::from(run)),
+        ("entries", Json::from(hex_u64s(&words))),
     ])
 }
 
@@ -300,36 +354,96 @@ pub fn sketch_from_json(value: &Json) -> Result<GkSketch, String> {
     ))
 }
 
-/// Encode one partial contingency table: dimensions plus the `u64` count
-/// matrix as a hex run (counts above 2⁵³ survive JSON intact this way).
-pub fn contingency_to_json(rows: usize, cols: usize, counts: &[u64]) -> Json {
-    Json::object(vec![
-        ("rows", Json::from(rows)),
-        ("cols", Json::from(cols)),
-        ("counts", Json::from(hex_u64s(counts))),
-    ])
-}
-
-/// Decode a partial contingency table; the count run must be exactly
-/// `rows × cols` entries.
-pub fn contingency_from_json(value: &Json) -> Result<(usize, usize, Vec<u64>), String> {
-    let rows = get_index(value, "rows")?;
-    let cols = get_index(value, "cols")?;
-    let counts = parse_hex_u64s(get_str(value, "counts")?)?;
-    if counts.len() != rows * cols {
-        return Err(format!(
-            "contingency payload of {rows}×{cols} needs {} counts, got {}",
-            rows * cols,
-            counts.len()
-        ));
-    }
-    Ok((rows, cols, counts))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::wire;
+    use proptest::prelude::*;
+
+    /// The codec this module replaced, kept as the reference the table
+    /// codec must agree with: one `format!` per word out, one
+    /// `from_str_radix` per 16-digit chunk in.
+    fn reference_hex_u64s(values: &[u64]) -> String {
+        values.iter().map(|v| format!("{v:016x}")).collect()
+    }
+
+    fn reference_parse_hex_u64s(text: &str) -> Option<Vec<u64>> {
+        if !text.len().is_multiple_of(16) || !text.bytes().all(|b| b.is_ascii_hexdigit()) {
+            return None;
+        }
+        (0..text.len() / 16)
+            .map(|i| u64::from_str_radix(&text[i * 16..(i + 1) * 16], 16).ok())
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn hex_runs_round_trip_and_match_the_reference(
+            values in proptest::collection::vec(any::<u64>(), 0..80),
+        ) {
+            let run = hex_u64s(&values);
+            prop_assert_eq!(&run, &reference_hex_u64s(&values));
+            prop_assert_eq!(parse_hex_u64s(&run).unwrap(), values.clone());
+            // Upper- and mixed-case digits decode to the same words.
+            let mixed: String = run
+                .chars()
+                .enumerate()
+                .map(|(i, c)| if i % 3 == 0 { c.to_ascii_uppercase() } else { c })
+                .collect();
+            prop_assert_eq!(parse_hex_u64s(&mixed).unwrap(), values.clone());
+            prop_assert_eq!(parse_hex_u64s(&run.to_ascii_uppercase()).unwrap(), values);
+        }
+
+        #[test]
+        fn decoding_agrees_with_the_reference_at_every_length_and_case(
+            text in "[0-9a-fA-F]{0,50}",
+        ) {
+            prop_assert_eq!(parse_hex_u64s(&text).ok(), reference_parse_hex_u64s(&text));
+        }
+
+        #[test]
+        fn one_bad_byte_anywhere_rejects_the_run(
+            values in proptest::collection::vec(any::<u64>(), 1..20),
+            at in 0usize..320,
+            bad in prop_oneof![Just('+'), Just('g'), Just('G'), Just(' '), Just('/'), Just(':'), Just('@'), Just('`')],
+        ) {
+            let mut run = hex_u64s(&values).into_bytes();
+            let at = at % run.len();
+            run[at] = bad as u8;
+            let run = String::from_utf8(run).unwrap();
+            prop_assert!(parse_hex_u64s(&run).is_err());
+            prop_assert!(reference_parse_hex_u64s(&run).is_none());
+        }
+    }
+
+    #[test]
+    fn hex_decoding_keeps_every_rejection() {
+        let word = "0123456789abcdef";
+        // `from_str_radix` alone would take a leading '+'; the run must not.
+        assert!(parse_hex_u64s("+123456789abcdef").is_err());
+        assert!(parse_hex_f64("+123456789abcdef").is_err());
+        assert!(parse_hex_u64s("0123456789abcdeg").is_err());
+        // A non-ASCII scalar that keeps the byte length at 16.
+        assert!(parse_hex_u64s("0123456789abcd\u{e9}").is_err());
+        assert!(parse_hex_f64("0123456789abcd\u{e9}").is_err());
+        // Lengths 15 and 17 name the truncation.
+        for bad in [&word[..15], "0123456789abcdef0"] {
+            let err = parse_hex_u64s(bad).unwrap_err();
+            assert!(err.contains("multiple of 16"), "{err}");
+        }
+        // A wrong word count for the declared bitmap length.
+        let short = Json::object(vec![
+            ("len", Json::from(65usize)),
+            ("words", Json::from(hex_u64s(&[1]))),
+        ]);
+        assert!(bitmap_from_json(&short).unwrap_err().contains("needs 2"));
+        assert_eq!(
+            parse_hex_u64s("0123456789ABCDEF").unwrap(),
+            [0x0123_4567_89ab_cdef]
+        );
+    }
 
     #[test]
     fn f64_bit_patterns_round_trip_exactly() {
@@ -485,21 +599,6 @@ mod tests {
             members[3].1 = Json::from(hex_u64s(&[1, 2]));
         }
         assert!(sketch_from_json(&frame).is_err());
-    }
-
-    #[test]
-    fn contingency_payloads_round_trip_above_the_f64_integer_range() {
-        // 2^53 + 1 is not representable as an f64 — a JSON number would
-        // silently round it; the hex run must not.
-        let counts = vec![(1u64 << 53) + 1, 0, u64::MAX, 7];
-        let encoded = contingency_to_json(2, 2, &counts).encode();
-        let (rows, cols, back) = contingency_from_json(&wire::parse(&encoded).unwrap()).unwrap();
-        assert_eq!((rows, cols), (2, 2));
-        assert_eq!(back, counts);
-
-        // Count runs with the wrong cardinality are rejected.
-        let short = contingency_to_json(2, 2, &counts[..3]);
-        assert!(contingency_from_json(&short).is_err());
     }
 
     #[test]

@@ -197,21 +197,36 @@ fn write_number(out: &mut String, x: f64) {
     }
 }
 
+/// True for the bytes a JSON string cannot hold verbatim: the quote, the
+/// backslash and the C0 controls. All three are ASCII, so they never occur
+/// inside a multi-byte UTF-8 scalar and always sit on a char boundary.
+fn needs_escape(byte: u8) -> bool {
+    byte == b'"' || byte == b'\\' || byte < 0x20
+}
+
 fn write_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{8}' => out.push_str("\\b"),
-            '\u{c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    // Copy each escape-free run in one `push_str`; an escape-free string (a
+    // 250 kB hex run, say) is a single copy.
+    let mut rest = s;
+    while let Some(at) = rest.bytes().position(needs_escape) {
+        let (plain, tail) = rest.split_at(at);
+        out.push_str(plain);
+        let mut chars = tail.chars();
+        match chars.next() {
+            Some('"') => out.push_str("\\\""),
+            Some('\\') => out.push_str("\\\\"),
+            Some('\n') => out.push_str("\\n"),
+            Some('\r') => out.push_str("\\r"),
+            Some('\t') => out.push_str("\\t"),
+            Some('\u{8}') => out.push_str("\\b"),
+            Some('\u{c}') => out.push_str("\\f"),
+            Some(c) => out.push_str(&format!("\\u{:04x}", c as u32)),
+            None => {}
         }
+        rest = chars.as_str();
     }
+    out.push_str(rest);
     out.push('"');
 }
 
@@ -287,6 +302,7 @@ impl std::error::Error for JsonError {}
 /// input is an error.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -300,6 +316,9 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
+    /// The input, for copying string runs without re-validating UTF-8.
+    text: &'a str,
+    /// `text.as_bytes()`.
     bytes: &'a [u8],
     pos: usize,
 }
@@ -467,19 +486,18 @@ impl Parser<'_> {
                     return Err(self.error("unescaped control character in string"))
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the bytes
-                    // are valid UTF-8; find the char boundary).
-                    let start = self.pos;
-                    let mut end = start + 1;
-                    // lint: slice-index-ok (end < bytes.len() is checked in the same condition)
-                    while end < self.bytes.len() && (self.bytes[end] & 0xC0) == 0x80 {
-                        end += 1;
-                    }
-                    // lint: slice-index-ok (start < len because a byte was peeked; end <= len by the loop bound)
-                    let slice = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| self.error("invalid UTF-8"))?;
-                    out.push_str(slice);
-                    self.pos = end;
+                    // Copy the whole run up to the next quote, backslash or
+                    // control byte at once. Those delimiters are ASCII, so
+                    // the run starts and ends on char boundaries of the
+                    // (already valid) input and needs no second validation.
+                    let rest = self
+                        .text
+                        .get(self.pos..)
+                        .ok_or_else(|| self.error("invalid UTF-8"))?;
+                    let run = rest.bytes().position(needs_escape).unwrap_or(rest.len());
+                    let (plain, _) = rest.split_at(run);
+                    out.push_str(plain);
+                    self.pos += run;
                 }
             }
         }
@@ -649,6 +667,94 @@ mod tests {
             "01x",
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    #[test]
+    fn string_runs_split_exactly_at_escapes_and_multibyte_scalars() {
+        // (wire form, decoded form): escapes at the start, at the end, back
+        // to back, and hard against multi-byte UTF-8 on either side.
+        for (wire, decoded) in [
+            (r#""""#, ""),
+            (r#""plain""#, "plain"),
+            (r#""\\lead""#, "\\lead"),
+            (r#""trail\n""#, "trail\n"),
+            (r#""\"\\\"""#, "\"\\\""),
+            (r#""a\tb\tc""#, "a\tb\tc"),
+            (r#""é\né""#, "é\né"),
+            (r#""\\🦀\\""#, "\\🦀\\"),
+            (r#""日本\"語\"""#, "日本\"語\""),
+            (r#""x\u0001y""#, "x\u{1}y"),
+            (r#""\b\f""#, "\u{8}\u{c}"),
+        ] {
+            let parsed = parse(wire).unwrap();
+            assert_eq!(parsed.str(), Some(decoded), "{wire}");
+            assert_eq!(parsed.encode(), wire, "{decoded:?}");
+        }
+        // Escapes the encoder never emits still decode across run borders.
+        assert_eq!(parse(r#""é\u00e9\/é""#).unwrap().str(), Some("éé/é"));
+        assert_eq!(parse(r#""a\ud83e\udd80b""#).unwrap().str(), Some("a🦀b"));
+        // A long escape-free run (the shape of a hex frame) is one copy.
+        let run = "0123456789abcdef".repeat(4096);
+        let wire = format!("\"{run}\"");
+        assert_eq!(parse(&wire).unwrap().str(), Some(run.as_str()));
+        assert_eq!(Json::from(run).encode(), wire);
+    }
+
+    #[test]
+    fn string_errors_keep_their_byte_positions() {
+        for (bad, position, message) in [
+            // A raw control byte in the middle of a run, and after é.
+            (
+                "\"abc\u{1}def\"",
+                4,
+                "unescaped control character in string",
+            ),
+            ("\"é\ndef\"", 3, "unescaped control character in string"),
+            (
+                "[\"ok\",\"a\tb\"]",
+                8,
+                "unescaped control character in string",
+            ),
+            // Unterminated: the position is the end of the input.
+            ("\"abc", 4, "unterminated string"),
+            ("\"é", 3, "unterminated string"),
+            ("\"abc\\\"", 6, "unterminated string"),
+            ("{\"key", 5, "unterminated string"),
+            // A bad escape right after a run.
+            ("\"ab\\q\"", 4, "invalid escape sequence"),
+            ("\"é\\u12\"", 5, "truncated \\u escape"),
+            ("\"é\\ud800x\"", 9, "unpaired high surrogate"),
+        ] {
+            let err = parse(bad).unwrap_err();
+            assert_eq!(
+                (err.position, err.message.as_str()),
+                (position, message),
+                "{bad:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn encoding_a_parsed_document_reproduces_it() {
+        // The compact documents of the tests above: parse then encode is the
+        // identity on them, byte for byte.
+        for text in [
+            "null",
+            "true",
+            "false",
+            "0",
+            "-1",
+            "3.25",
+            "\"hi\"",
+            r#"{"zeta":1,"alpha":"x","flag":true}"#,
+            r#"{"a":[1,[2,{"b":[]}],null]}"#,
+            r#"{"name":"atlas","points":[1,2],"empty":{}}"#,
+            r#""line1\nline2\t\"quoted\" \\slash\\ 🦀 \u0001 ok""#,
+            r#"{"len":130,"words":"8000000000000001000000000000000100000000000000002"}"#,
+            r#"{"k\"ey":"v\\al","π":["é\n"]}"#,
+        ] {
+            assert_eq!(parse(text).unwrap().encode(), text);
         }
     }
 

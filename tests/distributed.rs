@@ -1,7 +1,8 @@
 //! The distributed scatter-gather acceptance suite: shard servers holding
 //! subsets of a table's segments, a [`Coordinator`] that pushes candidate
-//! generation and contingency counting down to them, and the property the
-//! whole design hangs on — **the shard layout is invisible in the answer**.
+//! generation down to them (and computes map distances itself, over the
+//! folded candidate bitmaps), and the property the whole design hangs on —
+//! **the shard layout is invisible in the answer**.
 //!
 //! * Random tables under random segment→shard assignments (empty shards and
 //!   a single mega-shard included) explore bit-for-bit identically to the
@@ -19,7 +20,7 @@ use atlas::datagen::CensusConfig;
 use atlas::prelude::*;
 use atlas::serve::wire::Json;
 use atlas::serve::{
-    Client, Coordinator, DatasetOptions, Registry, ServeConfig, Server, ServerHandle,
+    Client, Coordinator, DatasetOptions, ExploreMode, Registry, ServeConfig, Server, ServerHandle,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -412,6 +413,136 @@ fn distributed_explore_endpoint_matches_in_process() {
 
     front.shutdown();
     for handle in shard_handles {
+        handle.shutdown();
+    }
+}
+
+/// Shards remember whole-segment answers (column summaries, category
+/// counts) per dataset generation. Explore the whole table so they are
+/// remembered, append a batch to every shard, reconnect, explore again: the
+/// answer is the local engine's over the **extended** table — nothing
+/// remembered for the old generation leaks into the new one, and the new
+/// segments are served.
+#[test]
+fn whole_segment_answers_do_not_outlive_their_generation() {
+    let table = census_table(6_000, 1_000);
+    let config = product_config();
+    let reference = Atlas::new(Arc::clone(&table), config.clone()).unwrap();
+    let (handles, addrs) = boot_shards("census", &table, &config, 2);
+    let whole = ConjunctiveQuery::all("census");
+    let filtered = parse_query("SELECT * FROM census WHERE age BETWEEN 25 AND 60").unwrap();
+
+    let before =
+        Coordinator::connect(&addrs, "census", config.clone(), Duration::from_secs(10)).unwrap();
+    // Twice: the second pass is answered from what the first remembered.
+    assert_agree(&reference, &before, &whole);
+    assert_agree(&reference, &before, &whole);
+    assert_agree(&reference, &before, &filtered);
+
+    // The same header-less CSV batch goes to both shards …
+    let batch = CensusGenerator::with_rows(900, 1234).generate();
+    let mut csv = Vec::new();
+    atlas::columnar::csv::write_csv(&batch, &mut csv).unwrap();
+    let text = String::from_utf8(csv).unwrap();
+    let body = text.split_once('\n').unwrap().1;
+    for handle in &handles {
+        let reply = Client::new(handle.addr())
+            .request(
+                "POST",
+                "/datasets/census/rows",
+                Some(("text/csv", body.as_bytes())),
+            )
+            .unwrap();
+        assert_eq!(reply.status, 200, "{:?}", reply.body_text());
+    }
+    // … and through the same CSV path into the in-process engine.
+    let options = atlas::columnar::csv::CsvOptions {
+        has_header: false,
+        ..atlas::columnar::csv::CsvOptions::default()
+    };
+    let parsed = atlas::columnar::csv::read_csv(
+        "census",
+        body.as_bytes(),
+        Some(table.schema().clone()),
+        &options,
+    )
+    .unwrap();
+    let mut extended = reference;
+    for segment in parsed.segments() {
+        extended = extended.append(Arc::clone(segment)).unwrap();
+    }
+    assert_eq!(extended.table().num_rows(), 6_900);
+
+    let after =
+        Coordinator::connect(&addrs, "census", config.clone(), Duration::from_secs(10)).unwrap();
+    assert_eq!(after.generation(), before.generation() + 1);
+    assert_eq!(after.num_rows(), 6_900);
+    assert!(after.num_segments() > before.num_segments());
+    assert_agree(&extended, &after, &whole);
+    assert_agree(&extended, &after, &whole);
+    assert_agree(&extended, &after, &filtered);
+
+    for handle in handles {
+        handle.shutdown();
+    }
+}
+
+/// A working set that covers some segments entirely and cuts through others
+/// folds remembered whole-segment partials and freshly computed ones in one
+/// pass — bit-identical to the local engine, in strict mode and in degraded
+/// mode with one shard dropped.
+#[test]
+fn covered_and_cut_segments_fold_together() {
+    // x runs −150..150 over six 50-row segments, so `x BETWEEN −75 AND 75`
+    // misses segments 0 and 5, cuts through 1 and 4, and covers 2 and 3.
+    let numeric: Vec<f64> = (0..300).map(|i| f64::from(i) - 150.0).collect();
+    let table = build_table(&numeric, &[0, 1, 2, 3, 1, 0, 3], &[], 50);
+    assert_eq!(table.num_segments(), 6);
+    let config = product_config();
+    let reference = Atlas::new(Arc::clone(&table), config.clone()).unwrap();
+    let (mut handles, addrs) = boot_shards("t", &table, &config, 2);
+    let coordinator = Coordinator::connect(&addrs, "t", config.clone(), Duration::from_secs(10))
+        .unwrap()
+        .with_assignment(vec![vec![0, 2, 4], vec![1, 3, 5]])
+        .unwrap();
+
+    let whole = ConjunctiveQuery::all("t");
+    let band = ConjunctiveQuery::all("t").and(Predicate::range("x", -75.0, 75.0));
+    // Cold (nothing remembered yet), then after a whole-table explore has
+    // filled every segment's answers, then once more.
+    assert_agree(&reference, &coordinator, &band);
+    assert_agree(&reference, &coordinator, &whole);
+    assert_agree(&reference, &coordinator, &band);
+    assert_agree(&reference, &coordinator, &band);
+
+    // Drop shard 1: segments 0 (missed), 2 (covered) and 4 (cut) survive.
+    handles.remove(1).shutdown();
+    let survivors = Table::from_segments(
+        "t",
+        table.schema().clone(),
+        [0, 2, 4]
+            .iter()
+            .map(|&s| Arc::clone(&table.segments()[s]))
+            .collect(),
+    )
+    .unwrap();
+    let local = Atlas::new(Arc::new(survivors), config)
+        .unwrap()
+        .explore(&band)
+        .unwrap();
+    let degraded = coordinator
+        .explore_resilient(
+            &band,
+            ExploreMode::Degraded {
+                max_failed_shards: 1,
+            },
+            None,
+        )
+        .unwrap();
+    assert_eq!(degraded.coverage.missing_segments, vec![1, 3, 5]);
+    assert_identical(&local, &degraded.result);
+
+    for handle in handles {
         handle.shutdown();
     }
 }

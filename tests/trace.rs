@@ -280,6 +280,54 @@ fn distributed_explore_reassembles_one_trace_tree() {
     rig.shutdown();
 }
 
+/// Map distances are computed at the coordinator from the folded candidate
+/// bitmaps: the push-down endpoint that used to count contingency tables is
+/// gone, and the clustering phase of a distributed explore issues no shard
+/// call at all (every `shard.call` hangs under the query or candidates
+/// phase).
+#[test]
+fn the_clustering_phase_calls_no_shard() {
+    let _gate = gate();
+    let rig = rig();
+    let gone = Client::new(rig.handles[0].addr())
+        .post_json(
+            "/shard/contingency",
+            &Json::object(vec![("dataset", Json::from("census"))]),
+        )
+        .unwrap();
+    assert_eq!(gone.status, 404, "{:?}", gone.body_text());
+    let _traced = Traced::begin();
+    let coordinator = rig.coordinator(calm_options());
+    obs::tracer().clear();
+    let root = obs::span_root("test.explore");
+    let trace_id = root.context().expect("tracing is enabled").trace_id;
+    coordinator
+        .explore(&ConjunctiveQuery::all("census"))
+        .unwrap();
+    drop(root);
+
+    let spans = obs::tracer().trace(trace_id);
+    let by_id: HashMap<u64, &obs::SpanRecord> = spans.iter().map(|s| (s.span_id, s)).collect();
+    let clustering = spans
+        .iter()
+        .find(|s| s.name == "phase.clustering")
+        .expect("the clustering phase is traced");
+    let calls: Vec<_> = spans.iter().filter(|s| s.name == "shard.call").collect();
+    assert!(!calls.is_empty());
+    for call in calls {
+        let parent = by_id[&call.parent_id];
+        assert!(
+            matches!(parent.name.as_str(), "phase.query" | "phase.candidates"),
+            "shard.call on {:?} hangs under '{}'",
+            call.attr("path"),
+            parent.name
+        );
+        assert_ne!(call.parent_id, clustering.span_id);
+        assert_ne!(call.attr("path"), Some("/shard/contingency"));
+    }
+    rig.shutdown();
+}
+
 /// Seeded faults on both shards — one transient 500 (retried), one
 /// straggler (hedged) — still reassemble into a single tree whose extra
 /// children are labeled `mode=retry` / `mode=hedge`, with the answer
