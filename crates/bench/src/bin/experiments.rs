@@ -48,7 +48,7 @@ fn main() {
                 path = Some(arg.as_str());
             }
         }
-        bench_smoke(path.unwrap_or("BENCH_PR9.json"), gate);
+        bench_smoke(path.unwrap_or("BENCH_PR15.json"), gate);
         return;
     }
     // `load-smoke [path]` — the serving-throughput mode: boots `atlas-serve`
@@ -612,15 +612,39 @@ fn ms(x: f64) -> Json {
     Json::Num((x * 1000.0).round() / 1000.0)
 }
 
+/// A run's phase timings as report fields, every key prefixed with `prefix`.
+fn timings_fields(prefix: &str, t: &PhaseTimings) -> Vec<(String, Json)> {
+    [
+        ("query_ms", t.query_ms),
+        ("candidates_ms", t.candidates_ms),
+        ("clustering_ms", t.clustering_ms),
+        ("merge_ms", t.merge_ms),
+        ("rank_ms", t.rank_ms),
+        ("total_ms", t.total_ms),
+    ]
+    .into_iter()
+    .map(|(phase, x)| (format!("{prefix}{phase}"), ms(x)))
+    .collect()
+}
+
 fn timings_value(t: &PhaseTimings) -> Json {
-    Json::object(vec![
-        ("query_ms", ms(t.query_ms)),
-        ("candidates_ms", ms(t.candidates_ms)),
-        ("clustering_ms", ms(t.clustering_ms)),
-        ("merge_ms", ms(t.merge_ms)),
-        ("rank_ms", ms(t.rank_ms)),
-        ("total_ms", ms(t.total_ms)),
-    ])
+    Json::object(timings_fields("", t))
+}
+
+/// The fastest (by total time) of `repeats` explorations of `query` — the
+/// steady-state figure CI cares about.
+fn best_explore(engine: &Atlas, query: &ConjunctiveQuery, repeats: usize) -> atlas_core::MapResult {
+    let mut best: Option<atlas_core::MapResult> = None;
+    for _ in 0..repeats {
+        let result = engine.explore(query).expect("exploration succeeds");
+        if best
+            .as_ref()
+            .is_none_or(|b| result.timings.total_ms < b.timings.total_ms)
+        {
+            best = Some(result);
+        }
+    }
+    best.expect("at least one exploration ran")
 }
 
 /// One bench-smoke scale point: explore the census at `rows` with the fast
@@ -650,22 +674,8 @@ fn smoke_scale_point(rows: usize, repeats: usize) -> Json {
         .build()
         .expect("valid config");
 
-    let best_of = |engine: &Atlas| {
-        let mut best: Option<atlas_core::MapResult> = None;
-        for _ in 0..repeats {
-            let result = engine.explore(&query).expect("exploration succeeds");
-            if best
-                .as_ref()
-                .is_none_or(|b| result.timings.total_ms < b.timings.total_ms)
-            {
-                best = Some(result);
-            }
-        }
-        best.expect("at least one exploration ran")
-    };
-
-    let parallel_result = best_of(&atlas);
-    let sequential_result = best_of(&sequential);
+    let parallel_result = best_explore(&atlas, &query, repeats);
+    let sequential_result = best_explore(&sequential, &query, repeats);
 
     // The parallelism knob must not change the answer: same maps, same
     // attribute groups, same region populations, bit-identical scores.
@@ -693,6 +703,38 @@ fn smoke_scale_point(rows: usize, repeats: usize) -> Json {
         ("explore_seq", timings_value(&sequential_result.timings)),
         ("maps", Json::from(parallel_result.num_maps())),
     ])
+}
+
+/// The default-configuration scale point: `AtlasConfig::default()` is the
+/// paper's own setting (two-way median cuts, composition merge), so this is
+/// the point that times order-statistic selection, composed regions and —
+/// through the filtered explore, whose working set misses the profile —
+/// subset summaries. Phase keys carry a `default_full_` / `default_filter_`
+/// prefix so the gate's by-name lookup cannot confuse them with the fast
+/// points'.
+fn smoke_default_point(rows: usize, repeats: usize) -> Json {
+    let table = census(rows);
+    let atlas = Atlas::builder(table)
+        .config(AtlasConfig::default())
+        .build()
+        .expect("valid config");
+    let filter_sql = "SELECT * FROM census WHERE age BETWEEN 30 AND 50";
+    let filter = atlas_query::parse_query(filter_sql).expect("filter parses");
+    let full = best_explore(&atlas, &ConjunctiveQuery::all("census"), repeats);
+    let filtered = best_explore(&atlas, &filter, repeats);
+
+    let mut pairs = vec![
+        ("rows".to_string(), Json::from(rows)),
+        ("config".to_string(), Json::from("default")),
+        ("filter".to_string(), Json::from(filter_sql)),
+        (
+            "filter_rows".to_string(),
+            Json::from(filtered.working_set_size),
+        ),
+    ];
+    pairs.extend(timings_fields("default_full_", &full.timings));
+    pairs.extend(timings_fields("default_filter_", &filtered.timings));
+    Json::object(pairs)
 }
 
 /// The best wall-clock of `repeats` runs of `f`, in milliseconds, together
@@ -922,7 +964,7 @@ fn find_number(value: &Json, key: &str) -> Option<f64> {
 /// Print a phase-by-phase delta table against the most recent previous
 /// `BENCH_*.json`, so CI logs show the perf trajectory at a glance.
 fn print_phase_deltas(previous_path: &str, previous: &Json, current: &Json) {
-    println!("\nphase deltas vs {previous_path} (headline 20k-row point):");
+    println!("\nphase deltas vs {previous_path} (headline point of each phase):");
     println!("| phase | previous ms | current ms | delta |");
     println!("|-------|-------------|------------|-------|");
     for phase in GATED_PHASES {
@@ -940,8 +982,10 @@ fn print_phase_deltas(previous_path: &str, previous: &Json, current: &Json) {
 }
 
 /// The CI perf-trajectory smoke run: the prepared-engine census workload at
-/// three scales (20k, 100k and 1M rows), each explored both sequentially
-/// (`parallelism = 1`) and with the default parallelism, plus the
+/// three scales (20k, 100k and 1M rows) under the fast configuration, each
+/// explored both sequentially (`parallelism = 1`) and with the default
+/// parallelism, plus one 1M-row point under the default configuration
+/// (whole table and one filter), plus the
 /// segmented-storage numbers — streaming CSV ingest throughput and
 /// append-vs-rebuild preparation — plus per-kernel partition timings
 /// (word-parallel vs the `ATLAS_FORCE_SCALAR` reference, 1M-row point
@@ -955,6 +999,7 @@ fn bench_smoke(path: &str, gate: Option<f64>) {
         .iter()
         .map(|&(rows, repeats)| smoke_scale_point(rows, repeats))
         .collect();
+    let default_config = smoke_default_point(1_000_000, 3);
     let ingest = smoke_ingest(200_000);
     let append = smoke_append(1_000_000);
     // 1M-row point first: `find_number` takes the first occurrence, so the
@@ -963,7 +1008,7 @@ fn bench_smoke(path: &str, gate: Option<f64>) {
 
     let report = Json::object(vec![
         ("experiment", Json::from("bench_smoke")),
-        ("pr", Json::from(9usize)),
+        ("pr", pr_of(path).map_or(Json::Null, Json::from)),
         ("dataset", Json::from("census")),
         ("config", Json::from("fast")),
         (
@@ -975,6 +1020,7 @@ fn bench_smoke(path: &str, gate: Option<f64>) {
             Json::from(atlas_columnar::default_segment_rows()),
         ),
         ("scale", Json::array(scales)),
+        ("default_config", default_config),
         ("kernels", kernels),
         ("ingest", ingest),
         ("append", append),
@@ -993,11 +1039,26 @@ fn bench_smoke(path: &str, gate: Option<f64>) {
     }
 }
 
+/// The PR number a report file is named after (`BENCH_PR15.json` → 15);
+/// `None` for any other name (CI writes `BENCH_CI.json`).
+fn pr_of(path: &str) -> Option<usize> {
+    std::path::Path::new(path)
+        .file_name()?
+        .to_str()?
+        .strip_prefix("BENCH_PR")?
+        .strip_suffix(".json")?
+        .parse()
+        .ok()
+}
+
 /// The phases the delta table and the regression gate look at — the headline
-/// (first-found) figure for each: the 20k-row point for the explore phases,
-/// the 1M-row point for the per-kernel partition timings (their report
-/// section lists 1M first).
-const GATED_PHASES: [&str; 10] = [
+/// (first-found) figure for each: the 20k-row point for the fast-config
+/// explore phases, the 1M-row default-config point for the `default_*`
+/// phases, the 1M-row point for the per-kernel partition timings (their
+/// report section lists 1M first). A phase one of the two reports lacks is
+/// skipped, so a report gates cleanly against one written before a phase
+/// existed.
+const GATED_PHASES: [&str; 16] = [
     "query_ms",
     "candidates_ms",
     "clustering_ms",
@@ -1005,6 +1066,12 @@ const GATED_PHASES: [&str; 10] = [
     "rank_ms",
     "total_ms",
     "build_ms",
+    "default_full_candidates_ms",
+    "default_full_merge_ms",
+    "default_full_total_ms",
+    "default_filter_candidates_ms",
+    "default_filter_merge_ms",
+    "default_filter_total_ms",
     "select_ranges_ms",
     "select_in_groups_ms",
     "contingency_ms",

@@ -6,7 +6,7 @@
 //! region descriptions.
 
 use crate::bitmap::Bitmap;
-use crate::column::{Column, NULL_CODE};
+use crate::column::{Column, PrimitiveColumn, NULL_CODE};
 use crate::value::DataType;
 use std::collections::HashSet;
 
@@ -204,37 +204,33 @@ impl ColumnSummary {
                 let DistinctSet::Ints(distinct) = &mut out.distinct else {
                     unreachable!("int columns use int distinct sets");
                 };
-                let mut welford = Welford::new();
-                sel.for_each_one_in(offset, end, |idx| match values.get(idx - offset) {
-                    Some(x) => {
-                        out.non_null += 1;
+                let (nulls, welford) = scan_numeric(
+                    values,
+                    sel,
+                    offset,
+                    |x| x as u64,
+                    |x| x as f64,
+                    |x| {
                         distinct.insert(x);
-                        welford.push(x as f64);
-                    }
-                    None => out.nulls += 1,
-                });
-                out.mean = welford.mean;
-                out.m2 = welford.m2;
-                out.min = welford.min;
-                out.max = welford.max;
+                    },
+                );
+                out.set_numeric(nulls, welford);
             }
             Column::Float(values) => {
                 let DistinctSet::Floats(distinct) = &mut out.distinct else {
                     unreachable!("float columns use float distinct sets");
                 };
-                let mut welford = Welford::new();
-                sel.for_each_one_in(offset, end, |idx| match values.get(idx - offset) {
-                    Some(x) => {
-                        out.non_null += 1;
+                let (nulls, welford) = scan_numeric(
+                    values,
+                    sel,
+                    offset,
+                    f64::to_bits,
+                    |x| x,
+                    |x| {
                         distinct.insert(x.to_bits());
-                        welford.push(x);
-                    }
-                    None => out.nulls += 1,
-                });
-                out.mean = welford.mean;
-                out.m2 = welford.m2;
-                out.min = welford.min;
-                out.max = welford.max;
+                    },
+                );
+                out.set_numeric(nulls, welford);
             }
             Column::Str(d) => {
                 // Track distinct codes locally (one indexed flag per row),
@@ -283,6 +279,15 @@ impl ColumnSummary {
             }
         }
         out
+    }
+
+    fn set_numeric(&mut self, nulls: usize, welford: Welford) {
+        self.non_null = welford.count;
+        self.nulls = nulls;
+        self.mean = welford.mean;
+        self.m2 = welford.m2;
+        self.min = welford.min;
+        self.max = welford.max;
     }
 
     /// The column type this summary describes.
@@ -480,6 +485,76 @@ impl ColumnStats {
     }
 }
 
+/// Scan the rows of `sel` that fall in a numeric column's global row range
+/// `offset..offset + column.len()`, in row order: count the NULLs, push every
+/// value through Welford, and call `insert` for every value that may be new
+/// to the caller's distinct set — each distinct value at least once, repeats
+/// only as often as they slip past the [`RecentKeys`] filter (`key` gives the
+/// 64-bit identity the set distinguishes values by).
+fn scan_numeric<T: Copy + Default>(
+    column: &PrimitiveColumn<T>,
+    sel: &Bitmap,
+    offset: usize,
+    key: impl Fn(T) -> u64,
+    to_f64: impl Fn(T) -> f64,
+    mut insert: impl FnMut(T),
+) -> (usize, Welford) {
+    let end = offset + column.len();
+    let mut nulls = 0usize;
+    let mut welford = Welford::new();
+    let mut recent = RecentKeys::new();
+    let mut push = |x: T| {
+        if !recent.replace(key(x)) {
+            insert(x);
+        }
+        welford.push(to_f64(x));
+    };
+    sel.for_each_one_in(offset, end, |idx| match column.get(idx - offset) {
+        Some(x) => push(x),
+        None => nulls += 1,
+    });
+    (nulls, welford)
+}
+
+/// A direct-mapped memo of the keys most recently handed to a distinct set,
+/// so that a repeat of a recent key skips the set's hash-and-probe.
+///
+/// Real columns are either low-cardinality (ages, hours, one-decimal
+/// measurements — nearly every row repeats a resident key) or near-unique
+/// (every row misses and pays one extra compare). The memo never decides
+/// membership: a miss only means "insert, the set will deduplicate".
+struct RecentKeys {
+    slots: [u64; 1 << RecentKeys::LOG2_SLOTS],
+}
+
+impl RecentKeys {
+    const LOG2_SLOTS: u32 = 10;
+
+    /// Fibonacci hashing: the top bits of the product mix every bit of the
+    /// key, so small integers and floats differing only in a few mantissa
+    /// bits spread over the slots alike.
+    const fn slot_of(key: u64) -> usize {
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - Self::LOG2_SLOTS)) as usize
+    }
+
+    fn new() -> Self {
+        // A fresh slot must not claim a key it was never given, so each
+        // starts out holding a key that lives elsewhere: key 0 lives in slot
+        // 0, key 1 does not.
+        const { assert!(RecentKeys::slot_of(0) == 0 && RecentKeys::slot_of(1) != 0) };
+        let mut slots = [0; 1 << Self::LOG2_SLOTS];
+        slots[0] = 1;
+        RecentKeys { slots }
+    }
+
+    /// Make `key` resident in its slot; true if it already was.
+    #[inline]
+    fn replace(&mut self, key: u64) -> bool {
+        let slot = &mut self.slots[Self::slot_of(key)];
+        std::mem::replace(slot, key) == key
+    }
+}
+
 /// Online mean/variance/min/max accumulator (Welford's algorithm).
 #[derive(Debug, Clone, Default)]
 struct Welford {
@@ -509,6 +584,177 @@ impl Welford {
 mod tests {
     use super::*;
     use crate::column::DictColumn;
+    use crate::{Field, Schema, TableBuilder};
+    use proptest::prelude::*;
+
+    /// The row-at-a-time definition [`ColumnSummary::compute`] must
+    /// reproduce: every selected non-NULL value goes into a plain `HashSet`
+    /// and through the same Welford update, in row order.
+    fn reference_summary(column: &Column, sel: &Bitmap, offset: usize) -> ColumnSummary {
+        let mut out = ColumnSummary::empty(column.data_type());
+        let mut welford = Welford::new();
+        let mut nulls = 0;
+        for local in 0..column.len() {
+            if offset + local >= sel.len() || !sel.get(offset + local) {
+                continue;
+            }
+            match (column, &mut out.distinct) {
+                (Column::Int(p), DistinctSet::Ints(distinct)) => match p.get(local) {
+                    Some(x) => {
+                        distinct.insert(x);
+                        welford.push(x as f64);
+                    }
+                    None => nulls += 1,
+                },
+                (Column::Float(p), DistinctSet::Floats(distinct)) => match p.get(local) {
+                    Some(x) => {
+                        distinct.insert(x.to_bits());
+                        welford.push(x);
+                    }
+                    None => nulls += 1,
+                },
+                _ => unreachable!("numeric columns only"),
+            }
+        }
+        out.set_numeric(nulls, welford);
+        out
+    }
+
+    /// `SummaryParts` compared by bit pattern (`==` on `f64` would let
+    /// `-0.0`/`0.0` mix-ups through).
+    fn parts_bits(
+        parts: &SummaryParts,
+    ) -> (
+        usize,
+        usize,
+        u64,
+        u64,
+        Option<u64>,
+        Option<u64>,
+        &DistinctValues,
+    ) {
+        (
+            parts.non_null,
+            parts.nulls,
+            parts.mean.to_bits(),
+            parts.m2.to_bits(),
+            parts.min.map(f64::to_bits),
+            parts.max.map(f64::to_bits),
+            &parts.distinct,
+        )
+    }
+
+    /// Cardinalities of one, about the [`RecentKeys`] slot count, and far
+    /// above it.
+    fn cardinality() -> impl Strategy<Value = i64> {
+        prop_oneof![Just(1i64), 900i64..1200, Just(1i64 << 40)]
+    }
+
+    /// Rows as `(raw value, null roll, selected)`; `raw % cardinality` picks
+    /// the value.
+    fn rows() -> impl Strategy<Value = Vec<(i64, u8, bool)>> {
+        proptest::collection::vec((0i64..i64::MAX, 0u8..10, any::<bool>()), 0..3000)
+    }
+
+    /// An Int or Float column over the rows (one in ten NULL), with both
+    /// zeros among the float values.
+    fn numeric_column(rows: &[(i64, u8, bool)], cardinality: i64, float: bool) -> Column {
+        let value = |&(raw, null_roll, _): &(i64, u8, bool)| {
+            (null_roll != 0).then_some(raw % cardinality - 3)
+        };
+        if float {
+            let lanes: Vec<Option<f64>> = rows
+                .iter()
+                .map(|row| {
+                    value(row).map(|v| match v {
+                        0 if row.0 % 2 == 0 => -0.0,
+                        v => v as f64 / 10.0,
+                    })
+                })
+                .collect();
+            Column::Float(lanes.into())
+        } else {
+            Column::Int(rows.iter().map(value).collect::<Vec<_>>().into())
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn numeric_summary_matches_the_row_at_a_time_reference(
+            rows in rows(),
+            cardinality in cardinality(),
+            float in any::<bool>(),
+            offset in 0usize..200,
+            skip_head in 0usize..70,
+            skip_tail in 0usize..70,
+            beyond in 0usize..70,
+        ) {
+            let column = numeric_column(&rows, cardinality, float);
+            // A table-wide selection: rows before and after the segment are
+            // selected too, and the segment's own rows start and end mid-word.
+            let end = offset + rows.len();
+            let mut sel = Bitmap::new_full(end + beyond);
+            for (local, &(_, _, selected)) in rows.iter().enumerate() {
+                let inside = local >= skip_head && local + skip_tail < rows.len();
+                if !(inside && selected) {
+                    sel.clear(offset + local);
+                }
+            }
+            let computed = ColumnSummary::compute(&column, &sel, offset).to_parts();
+            let reference = reference_summary(&column, &sel, offset).to_parts();
+            prop_assert_eq!(parts_bits(&computed), parts_bits(&reference));
+        }
+
+        #[test]
+        fn segment_folds_match_table_column_stats(
+            rows in rows(),
+            cardinality in cardinality(),
+            float in any::<bool>(),
+        ) {
+            let column = numeric_column(&rows, cardinality, float);
+            let dtype = column.data_type();
+            let sel = Bitmap::from_indices(
+                rows.len(),
+                rows.iter().enumerate().filter(|(_, row)| row.2).map(|(i, _)| i),
+            );
+            let mut layouts = Vec::new();
+            for segments in [1usize, 3, 16] {
+                let schema = Schema::new(vec![Field::nullable("x", dtype)]).unwrap();
+                let mut b = TableBuilder::new("t", schema)
+                    .with_segment_rows(rows.len().div_ceil(segments).max(1));
+                for row in 0..rows.len() {
+                    b.push_row(&[column.value(row)]).unwrap();
+                }
+                let table = b.build().unwrap();
+                let mut folded = ColumnSummary::empty(dtype);
+                for (idx, segment) in table.segments().iter().enumerate() {
+                    folded.merge_from(&reference_summary(
+                        segment.column(0),
+                        &sel,
+                        table.segment_offset(idx),
+                    ));
+                }
+                let stats = table.column_stats("x", &sel).unwrap();
+                prop_assert_eq!(&stats, &folded.to_stats());
+                prop_assert_eq!(
+                    parts_bits(&table.column("x").unwrap().summary(&sel).to_parts()),
+                    parts_bits(&folded.to_parts())
+                );
+                layouts.push(stats);
+            }
+            // Counts, extrema and the exact distinct count do not depend on
+            // the layout (the moments do, in the last bits).
+            for stats in &layouts[1..] {
+                prop_assert_eq!(stats.non_null_count, layouts[0].non_null_count);
+                prop_assert_eq!(stats.null_count, layouts[0].null_count);
+                prop_assert_eq!(stats.distinct_count, layouts[0].distinct_count);
+                prop_assert_eq!(stats.min, layouts[0].min);
+                prop_assert_eq!(stats.max, layouts[0].max);
+            }
+        }
+    }
 
     #[test]
     fn int_stats() {

@@ -23,7 +23,7 @@ use crate::profile::TableProfile;
 use crate::region::Region;
 use atlas_columnar::{Bitmap, ColumnStats, DataType, Table};
 use atlas_query::{ConjunctiveQuery, Predicate};
-use atlas_stats::quantile::quantiles;
+use atlas_stats::quantile::quantiles_in_place;
 use atlas_stats::{kmeans_1d, GkSketch};
 
 /// How to split an ordinal (numeric) attribute.
@@ -285,31 +285,12 @@ pub fn cut_from_source<S: CutSource>(
 
     let regions = match dtype {
         DataType::Int | DataType::Float => {
-            let splits = match config.numeric {
-                // Equi-width splits depend only on min/max, which the caller's
-                // statistics already hold: no value materialisation at all.
-                NumericCutStrategy::EquiWidth => equi_width_splits(
-                    stats.min.unwrap_or(0.0),
-                    stats.max.unwrap_or(0.0),
-                    config.num_splits,
-                ),
-                _ => {
-                    let values = source.numeric_values(attribute)?;
-                    numeric_splits(&values, config, sketch)?
-                }
-            };
+            let (min, max) = (stats.min.unwrap_or(0.0), stats.max.unwrap_or(0.0));
+            let splits = numeric_splits(source, attribute, config, min, max, sketch)?;
             if splits.is_empty() {
                 return Ok(None);
             }
-            numeric_regions(
-                source,
-                parent_query,
-                attribute,
-                dtype,
-                stats.min.unwrap_or(0.0),
-                stats.max.unwrap_or(0.0),
-                &splits,
-            )?
+            numeric_regions(source, parent_query, attribute, dtype, min, max, &splits)?
         }
         DataType::Str | DataType::Bool => {
             if stats.distinct_count > config.max_categories {
@@ -331,35 +312,40 @@ pub fn cut_from_source<S: CutSource>(
     Ok(Some(map))
 }
 
-/// Compute the interior split points for a numeric attribute.
+/// Compute the interior split points for a numeric attribute whose working
+/// set spans `[min, max]` (the caller's statistics — the same bounds
+/// [`numeric_regions`] closes the outer regions with).
 ///
 /// `prebuilt_sketch` is a quantile sketch of the working set's values (from a
 /// [`crate::profile::TableProfile`]); when present, the `SketchMedian`
 /// strategy queries it instead of building a fresh sketch.
-fn numeric_splits(
-    values: &[f64],
+fn numeric_splits<S: CutSource>(
+    source: &S,
+    attribute: &str,
     config: &CutConfig,
+    min: f64,
+    max: f64,
     prebuilt_sketch: Option<&GkSketch>,
 ) -> Result<Vec<f64>> {
-    if values.is_empty() {
-        return Ok(Vec::new());
-    }
     let k = config.num_splits;
+    // Each strategy fetches the values only if it reads them: equi-width
+    // splits depend on min/max alone and a prebuilt sketch stands in for the
+    // values it summarises.
+    let values = || source.numeric_values(attribute);
     let splits: Vec<f64> = match config.numeric {
-        NumericCutStrategy::EquiWidth => {
-            let min = values.iter().cloned().fold(f64::INFINITY, f64::min);
-            let max = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            return Ok(equi_width_splits(min, max, k));
-        }
+        NumericCutStrategy::EquiWidth => equi_width_splits(min, max, k),
         NumericCutStrategy::Median => {
-            // One sort for all k−1 quantiles instead of one sort per quantile.
+            // The buffer is this call's own, so the k−1 order statistics are
+            // selected in place: no sort, no second copy of the working set.
+            // Only this arm may permute — GK insertion below depends on the
+            // values arriving in global row order.
             let ps: Vec<f64> = (1..k).map(|i| i as f64 / k as f64).collect();
-            quantiles(values, &ps).unwrap_or_default()
+            quantiles_in_place(&mut values()?, &ps).unwrap_or_default()
         }
-        NumericCutStrategy::KMeans { max_iterations } => kmeans_1d(values, k, max_iterations)
+        NumericCutStrategy::KMeans { max_iterations } => kmeans_1d(&values()?, k, max_iterations)
             .map(|r| r.splits)
             .unwrap_or_default(),
-        NumericCutStrategy::NaturalBreaks => atlas_stats::breaks::natural_breaks(values, k)
+        NumericCutStrategy::NaturalBreaks => atlas_stats::breaks::natural_breaks(&values()?, k)
             .map(|r| r.splits)
             .unwrap_or_default(),
         NumericCutStrategy::SketchMedian { epsilon } => {
@@ -368,7 +354,7 @@ fn numeric_splits(
                 Some(prebuilt) if prebuilt.epsilon() <= epsilon => prebuilt,
                 _ => {
                     let mut s = GkSketch::new(epsilon);
-                    s.extend(values);
+                    s.extend(&values()?);
                     fresh = s;
                     &fresh
                 }
@@ -383,8 +369,6 @@ fn numeric_splits(
         }
     };
     // Deduplicate and drop degenerate splits (outside the observed range).
-    let min = values.iter().cloned().fold(f64::INFINITY, f64::min);
-    let max = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
     let mut cleaned: Vec<f64> = Vec::with_capacity(splits.len());
     for s in splits {
         if s >= min && s < max && cleaned.last().is_none_or(|&last| s > last) {
@@ -874,5 +858,117 @@ mod tests {
         let labels = map.region_labels(20);
         assert_eq!(labels[0], crate::map::NO_REGION);
         assert_eq!(labels[5], crate::map::NO_REGION);
+    }
+
+    /// 1 000 rows in a scrambled order: a heavily tied integer column and a
+    /// near-unique float column.
+    fn scrambled_table() -> Table {
+        let schema = Schema::new(vec![
+            Field::new("tied", DataType::Int),
+            Field::new("measure", DataType::Float),
+        ])
+        .unwrap();
+        let mut b = TableBuilder::new("scrambled", schema);
+        for i in 0..1000u64 {
+            let tied = (i * 7919 % 13) as i64;
+            let measure = (i * 2_654_435_761 % 10_007) as f64 / 7.0;
+            b.push_row(&[Value::Int(tied), Value::Float(measure)])
+                .unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    /// The interior split points of a numeric cut (every region's upper
+    /// bound but the last) and the region sizes.
+    fn splits_and_counts(map: &DataMap, attribute: &str) -> (Vec<f64>, Vec<u64>) {
+        let mut his: Vec<f64> = map
+            .regions
+            .iter()
+            .map(
+                |r| match &r.query.predicate_on(attribute).expect("cut predicate").set {
+                    atlas_query::PredicateSet::Range { hi, .. } => *hi,
+                    _ => panic!("expected a range predicate"),
+                },
+            )
+            .collect();
+        his.pop();
+        (his, map.region_counts())
+    }
+
+    #[test]
+    fn median_cuts_match_a_sort_based_split() {
+        let t = scrambled_table();
+        let working = t.full_selection();
+        let q = ConjunctiveQuery::all("scrambled");
+        for attribute in ["tied", "measure"] {
+            for k in [2usize, 4] {
+                // The definition: sort the values, read the k−1 interpolated
+                // order statistics, keep those strictly inside the range.
+                let mut sorted = t.column(attribute).unwrap().numeric_values_where(&working);
+                sorted.sort_by(f64::total_cmp);
+                let (min, max) = (sorted[0], sorted[sorted.len() - 1]);
+                let mut expected: Vec<f64> = Vec::new();
+                for i in 1..k {
+                    let s = atlas_stats::quantile::quantile_sorted(&sorted, i as f64 / k as f64);
+                    if s >= min && s < max && expected.last().is_none_or(|&last| s > last) {
+                        expected.push(s);
+                    }
+                }
+                let mut counts = vec![0u64; expected.len() + 1];
+                for x in &sorted {
+                    counts[expected.iter().filter(|&&s| *x > s).count()] += 1;
+                }
+
+                let cfg = CutConfig {
+                    num_splits: k,
+                    ..CutConfig::default()
+                };
+                let map = cut_attribute(&t, &working, &q, attribute, &cfg)
+                    .unwrap()
+                    .unwrap();
+                let (splits, region_counts) = splits_and_counts(&map, attribute);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&splits), bits(&expected), "{attribute}, k = {k}");
+                assert_eq!(region_counts, counts, "{attribute}, k = {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn order_dependent_strategies_see_the_values_in_row_order() {
+        // Split points and region sizes pinned from the commit before the
+        // median cut started selecting in place. A Greenwald–Khanna sketch
+        // depends on insertion order, so a permuted buffer leaking out of
+        // the `Median` arm would move them.
+        let t = scrambled_table();
+        let working = t.full_selection();
+        let q = ConjunctiveQuery::all("scrambled");
+        let pinned: [(NumericCutStrategy, usize, &[f64], &[u64]); 2] = [
+            (
+                NumericCutStrategy::SketchMedian { epsilon: 0.05 },
+                4,
+                &[384.57142857142856, 683.1428571428571, 1023.8571428571429],
+                &[269, 208, 238, 285],
+            ),
+            (
+                NumericCutStrategy::KMeans { max_iterations: 30 },
+                3,
+                &[477.82579720077916, 954.399578210189],
+                &[334, 332, 334],
+            ),
+        ];
+        for (numeric, num_splits, splits, counts) in pinned {
+            let cfg = CutConfig {
+                numeric,
+                num_splits,
+                ..CutConfig::default()
+            };
+            let map = cut_attribute(&t, &working, &q, "measure", &cfg)
+                .unwrap()
+                .unwrap();
+            let (got_splits, got_counts) = splits_and_counts(&map, "measure");
+            assert_eq!(got_splits, splits, "{numeric:?}");
+            assert_eq!(got_counts, counts, "{numeric:?}");
+        }
     }
 }
