@@ -757,6 +757,12 @@ fn best_of_ms<T>(repeats: usize, mut f: impl FnMut() -> T) -> (f64, T) {
 /// over the dictionary `education` column, and the contingency word fold over
 /// their region bitmaps. Each figure is the best of `repeats` runs, and the
 /// two paths' outputs are asserted bit-identical before anything is reported.
+///
+/// The summary scan under every cut is timed beside them: whole-column
+/// `column_stats` of `age` and `height_cm` (few distinct values: counted
+/// summaries) and of a near-unique float (a plain distinct set), plus one
+/// `Median` `cut_attribute` of `age` over a scattered half of the rows — the
+/// re-cut a filtered or composed explore repeats per region.
 fn smoke_kernels(rows: usize, repeats: usize) -> Json {
     let table = census(rows);
     let sel = table.full_selection();
@@ -825,10 +831,38 @@ fn smoke_kernels(rows: usize, repeats: usize) -> Json {
     });
     assert_eq!(fold, fold_ref, "contingency fold must be bit-identical");
 
+    let stats_ms = |table: &atlas_columnar::Table, column: &str| {
+        let all = table.full_selection();
+        best_of_ms(repeats, || {
+            table.column_stats(column, &all).expect("column")
+        })
+        .0
+    };
+    let near_unique = wide_numeric(rows, 1);
+    let half = Bitmap::from_fn(rows, |row| {
+        (row as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 63 == 0
+    });
+    let (median_cut_ms, cut) = best_of_ms(repeats, || {
+        let all = ConjunctiveQuery::all("census");
+        cut_attribute(&table, &half, &all, "age", &CutConfig::default()).expect("age is a column")
+    });
+    assert_eq!(cut.map(|map| map.num_regions()), Some(2));
+
     let speedup =
         |word: f64, scalar: f64| Json::Num((scalar / word.max(1e-9) * 10.0).round() / 10.0);
     Json::object(vec![
         ("rows", Json::from(rows)),
+        ("column_stats_age_ms", ms(stats_ms(&table, "age"))),
+        (
+            "column_stats_height_cm_ms",
+            ms(stats_ms(&table, "height_cm")),
+        ),
+        (
+            "column_stats_near_unique_ms",
+            ms(stats_ms(&near_unique, "a0")),
+        ),
+        ("median_cut_age_half_rows", Json::from(half.count())),
+        ("median_cut_age_half_ms", ms(median_cut_ms)),
         ("select_ranges_ms", ms(ranges_ms)),
         ("select_ranges_scalar_ms", ms(ranges_scalar_ms)),
         (
@@ -1054,11 +1088,11 @@ fn pr_of(path: &str) -> Option<usize> {
 /// The phases the delta table and the regression gate look at — the headline
 /// (first-found) figure for each: the 20k-row point for the fast-config
 /// explore phases, the 1M-row default-config point for the `default_*`
-/// phases, the 1M-row point for the per-kernel partition timings (their
-/// report section lists 1M first). A phase one of the two reports lacks is
+/// phases, the 1M-row point for the per-kernel partition and summary-scan
+/// timings (their report section lists 1M first). A phase one of the two reports lacks is
 /// skipped, so a report gates cleanly against one written before a phase
 /// existed.
-const GATED_PHASES: [&str; 16] = [
+const GATED_PHASES: [&str; 20] = [
     "query_ms",
     "candidates_ms",
     "clustering_ms",
@@ -1075,6 +1109,10 @@ const GATED_PHASES: [&str; 16] = [
     "select_ranges_ms",
     "select_in_groups_ms",
     "contingency_ms",
+    "column_stats_age_ms",
+    "column_stats_height_cm_ms",
+    "column_stats_near_unique_ms",
+    "median_cut_age_half_ms",
 ];
 
 /// Noise floor for the regression gate: phases faster than this in the

@@ -4,23 +4,173 @@
 //! range, categorical cardinality), to detect high-cardinality "code-like"
 //! columns that should be skipped (Section 5.2 of the paper), and to report
 //! region descriptions.
+//!
+//! A numeric summary is a **counted value set**: one pass over the selected
+//! rows counts each distinct value in a small exact counter — no hash-set
+//! probe, no floating-point update per row — and the distinct count, `min`
+//! and `max` are read off the counts afterwards. The counts are the column's
+//! whole distribution over the selection: they add exactly under
+//! [`ColumnSummary::merge_from`], travel in [`SummaryParts`], and surface as
+//! [`ColumnStats::value_counts`], from which the median cut reads its split
+//! points instead of gathering and selecting the rows a second time. The
+//! counter is bounded: a summary that meets more distinct values than it
+//! holds (coordinates, identifiers) **degrades for good** to a plain distinct
+//! set without counts. Whether a summary is counted depends only on how many
+//! distinct values it covers, never on the segment layout or merge order.
+//!
+//! `min` and `max` come from the value set, not from a row-order fold, so
+//! they are layout-independent too: the extremes of the non-NaN values under
+//! [`f64::total_cmp`], which puts `-0.0` below `+0.0` (a selection of just
+//! the two zeros has `min = -0.0`, `max = +0.0`). NaNs are values (non-NULL,
+//! distinct by payload) but never an extreme, unless there is nothing else:
+//! then `min`/`max` are the `total_cmp`-smallest/-largest NaN.
 
 use crate::bitmap::Bitmap;
 use crate::column::{Column, PrimitiveColumn, NULL_CODE};
+use crate::kernels;
 use crate::value::DataType;
 use std::collections::HashSet;
+
+/// Exact occurrence counts of up to [`ValueCounts::CAPACITY`] distinct 64-bit
+/// keys. The open-addressed table starts unallocated and grows with the keys
+/// it holds, so counting costs O(rows + distinct keys) whatever the capacity.
+#[derive(Debug, Clone, Default)]
+struct ValueCounts {
+    /// `(key, count)` slots — none yet, or a power of two of them, at most
+    /// half occupied. A zero count marks a free slot.
+    slots: Vec<(u64, u64)>,
+    /// `64 − log2(slots.len())` once there are slots.
+    shift: u32,
+    /// Occupied slots.
+    len: usize,
+}
+
+impl ValueCounts {
+    /// The most keys the counter holds (its largest table, half full).
+    const CAPACITY: usize = 1 << 10;
+
+    /// Count `n > 0` more occurrences of `key`. False — and nothing changes —
+    /// when the key is new and the counter already holds `CAPACITY` keys.
+    #[inline]
+    fn add(&mut self, key: u64, n: u64) -> bool {
+        // Fibonacci hashing: the top bits of the product mix every bit of the
+        // key, so small integers and floats differing only in a few mantissa
+        // bits spread over the slots alike.
+        let mut at = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize;
+        let mask = self.slots.len().wrapping_sub(1);
+        loop {
+            at &= mask;
+            match self.slots.get_mut(at) {
+                Some((resident, count)) if *count != 0 => {
+                    if *resident == key {
+                        *count = count.saturating_add(n);
+                        return true;
+                    }
+                    at += 1;
+                }
+                // A free slot, or no table yet: the key is new.
+                _ => return self.insert(at, key, n),
+            }
+        }
+    }
+
+    /// The rare half of [`ValueCounts::add`]: `key` is not in the table and
+    /// `at` is the free slot its probe ended on.
+    #[cold]
+    fn insert(&mut self, at: usize, key: u64, n: u64) -> bool {
+        if self.len * 2 < self.slots.len() {
+            self.slots[at] = (key, n);
+            self.len += 1;
+            return true;
+        }
+        if self.len >= Self::CAPACITY {
+            return false;
+        }
+        // Four times the slots, then every old entry and the new one again.
+        let slots = (self.slots.len() * 4).clamp(16, 2 * Self::CAPACITY);
+        let old = std::mem::replace(&mut self.slots, vec![(0, 0); slots]);
+        self.shift = u64::BITS - slots.trailing_zeros();
+        self.len = 0;
+        let mut entries = old.into_iter().chain([(key, n)]).filter(|e| e.1 != 0);
+        entries.all(|(key, n)| self.add(key, n))
+    }
+
+    /// The `(key, count)` pairs, in no particular order.
+    fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.slots.iter().copied().filter(|&(_, n)| n != 0)
+    }
+}
+
+/// The distinct values of a numeric summary as 64-bit keys (see
+/// [`DistinctValues::Numbers`]): counted while a [`ValueCounts`] holds them
+/// all, a plain set from the first key it cannot take.
+#[derive(Debug, Clone)]
+enum NumericSet {
+    Counted(ValueCounts),
+    Plain(HashSet<u64>),
+}
+
+impl NumericSet {
+    /// Record `n > 0` occurrences of `key` (a plain set ignores `n`).
+    #[inline]
+    fn add(&mut self, key: u64, n: u64) {
+        if let NumericSet::Counted(counts) = self {
+            if counts.add(key, n) {
+                return;
+            }
+        }
+        self.make_plain().insert(key);
+    }
+
+    /// Forget the counts, if any are left.
+    fn make_plain(&mut self) -> &mut HashSet<u64> {
+        if let NumericSet::Counted(counts) = self {
+            *self = NumericSet::Plain(counts.iter().map(|(key, _)| key).collect());
+        }
+        match self {
+            NumericSet::Plain(set) => set,
+            NumericSet::Counted(_) => unreachable!("just made plain"),
+        }
+    }
+
+    /// Counts add; a side without counts leaves the union without them.
+    fn union_with(&mut self, other: &NumericSet) {
+        match other {
+            NumericSet::Counted(counts) => counts.iter().for_each(|(key, n)| self.add(key, n)),
+            NumericSet::Plain(set) => self.make_plain().extend(set.iter().copied()),
+        }
+    }
+}
+
+/// The numeric value a [`NumericSet`] key of a `dtype` column stands for.
+fn key_value(dtype: DataType, key: u64) -> f64 {
+    match dtype {
+        DataType::Int => key as i64 as f64,
+        _ => f64::from_bits(key),
+    }
+}
+
+/// `(min, max)` under the rule of the module docs: `total_cmp` order, a NaN
+/// losing to any number at either end.
+fn extremes(values: impl IntoIterator<Item = f64>) -> Option<(f64, f64)> {
+    let ends = values.into_iter().map(|x| (x, x));
+    ends.reduce(|(min, max), (x, _)| {
+        let below = x.is_nan().cmp(&min.is_nan()).then(x.total_cmp(&min));
+        let above = max.is_nan().cmp(&x.is_nan()).then(x.total_cmp(&max));
+        (
+            if below.is_lt() { x } else { min },
+            if above.is_gt() { x } else { max },
+        )
+    })
+}
 
 /// The distinct non-NULL values seen by a [`ColumnSummary`], kept in a form
 /// that merges exactly across segments (a plain count cannot: segments share
 /// values, so distinct counts are not additive).
 #[derive(Debug, Clone)]
 enum DistinctSet {
-    /// Distinct integers.
-    Ints(HashSet<i64>),
-    /// Distinct floats, keyed by bit pattern (matching the historical
-    /// `ColumnStats` semantics: `-0.0` and `0.0` count separately, NaNs by
-    /// payload).
-    Floats(HashSet<u64>),
+    /// Distinct integers or floats.
+    Numeric(NumericSet),
     /// Distinct strings. Segments intern their dictionaries independently, so
     /// cross-segment identity has to go through the string itself.
     Strs(HashSet<String>),
@@ -36,15 +186,12 @@ enum DistinctSet {
 /// The distinct non-NULL values of a [`ColumnSummary`] in a serialisable,
 /// deterministic form (sorted vectors instead of hash sets), produced by
 /// [`ColumnSummary::to_parts`] and consumed by [`ColumnSummary::from_parts`].
-///
-/// Floats travel as IEEE-754 bit patterns so `-0.0`/`0.0` and NaN payloads
-/// keep the distinct-count semantics of the in-memory set.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DistinctValues {
-    /// Distinct integers, sorted ascending.
-    Ints(Vec<i64>),
-    /// Distinct float bit patterns, sorted ascending as `u64`.
-    Floats(Vec<u64>),
+    /// Distinct numeric values as 64-bit keys, sorted ascending: integers by
+    /// `as u64`, floats by IEEE-754 bit pattern, so `-0.0`/`0.0` and NaN
+    /// payloads keep the distinct-count semantics of the in-memory set.
+    Numbers(Vec<u64>),
     /// Distinct strings, sorted lexicographically.
     Strs(Vec<String>),
     /// Whether `true` / `false` have been seen.
@@ -58,9 +205,8 @@ pub enum DistinctValues {
 
 /// The serialisable decomposition of a [`ColumnSummary`]: every field a
 /// remote peer needs to rebuild a summary that merges and collapses exactly
-/// like the original. Floating-point state (`mean`, `m2`, `min`, `max`)
-/// must travel bit-exactly for the rebuilt summary to fold bit-identically.
-#[derive(Debug, Clone, PartialEq)]
+/// like the original.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SummaryParts {
     /// Data type of the summarised column.
     pub dtype: DataType,
@@ -68,64 +214,69 @@ pub struct SummaryParts {
     pub non_null: usize,
     /// Number of NULL rows seen.
     pub nulls: usize,
-    /// Welford mean of the numeric values (0 for non-numeric columns).
-    pub mean: f64,
-    /// Welford sum of squared deviations (0 for non-numeric columns).
-    pub m2: f64,
-    /// Minimum numeric value, if any.
-    pub min: Option<f64>,
-    /// Maximum numeric value, if any.
-    pub max: Option<f64>,
     /// The distinct non-NULL values, in deterministic order.
     pub distinct: DistinctValues,
-}
-
-impl DistinctSet {
-    fn to_values(&self) -> DistinctValues {
-        match self {
-            DistinctSet::Ints(s) => {
-                let mut v: Vec<i64> = s.iter().copied().collect();
-                v.sort_unstable();
-                DistinctValues::Ints(v)
-            }
-            DistinctSet::Floats(s) => {
-                let mut v: Vec<u64> = s.iter().copied().collect();
-                v.sort_unstable();
-                DistinctValues::Floats(v)
-            }
-            DistinctSet::Strs(s) => {
-                let mut v: Vec<String> = s.iter().cloned().collect();
-                v.sort_unstable();
-                DistinctValues::Strs(v)
-            }
-            DistinctSet::Bools { t, f } => DistinctValues::Bools { t: *t, f: *f },
-        }
-    }
-
-    fn from_values(values: DistinctValues) -> Self {
-        match values {
-            DistinctValues::Ints(v) => DistinctSet::Ints(v.into_iter().collect()),
-            DistinctValues::Floats(v) => DistinctSet::Floats(v.into_iter().collect()),
-            DistinctValues::Strs(v) => DistinctSet::Strs(v.into_iter().collect()),
-            DistinctValues::Bools { t, f } => DistinctSet::Bools { t, f },
-        }
-    }
+    /// How often each of the [`DistinctValues::Numbers`] occurs, position by
+    /// position (all positive, summing to `non_null`): `Some` for a counted
+    /// summary, `None` for a degraded or non-numeric one.
+    pub counts: Option<Vec<u64>>,
 }
 
 impl DistinctSet {
     fn new(dtype: DataType) -> Self {
         match dtype {
-            DataType::Int => DistinctSet::Ints(HashSet::new()),
-            DataType::Float => DistinctSet::Floats(HashSet::new()),
+            DataType::Int | DataType::Float => {
+                DistinctSet::Numeric(NumericSet::Counted(ValueCounts::default()))
+            }
             DataType::Str => DistinctSet::Strs(HashSet::new()),
             DataType::Bool => DistinctSet::Bools { t: false, f: false },
         }
     }
 
+    fn to_values(&self) -> (DistinctValues, Option<Vec<u64>>) {
+        match self {
+            DistinctSet::Numeric(NumericSet::Counted(counts)) => {
+                let mut pairs: Vec<(u64, u64)> = counts.iter().collect();
+                pairs.sort_unstable();
+                let (keys, counts) = pairs.into_iter().unzip();
+                (DistinctValues::Numbers(keys), Some(counts))
+            }
+            DistinctSet::Numeric(NumericSet::Plain(set)) => {
+                let mut keys: Vec<u64> = set.iter().copied().collect();
+                keys.sort_unstable();
+                (DistinctValues::Numbers(keys), None)
+            }
+            DistinctSet::Strs(s) => {
+                let mut v: Vec<String> = s.iter().cloned().collect();
+                v.sort_unstable();
+                (DistinctValues::Strs(v), None)
+            }
+            DistinctSet::Bools { t, f } => (DistinctValues::Bools { t: *t, f: *f }, None),
+        }
+    }
+
+    /// Counts that are not one per value are not counts of these values: the
+    /// set is rebuilt plain.
+    fn from_values(values: DistinctValues, counts: Option<Vec<u64>>) -> Self {
+        match values {
+            DistinctValues::Numbers(keys) => DistinctSet::Numeric(match counts {
+                Some(counts) if counts.len() == keys.len() => {
+                    let mut set = NumericSet::Counted(ValueCounts::default());
+                    let pairs = keys.into_iter().zip(counts);
+                    pairs.for_each(|(key, n)| set.add(key, n));
+                    set
+                }
+                _ => NumericSet::Plain(keys.into_iter().collect()),
+            }),
+            DistinctValues::Strs(v) => DistinctSet::Strs(v.into_iter().collect()),
+            DistinctValues::Bools { t, f } => DistinctSet::Bools { t, f },
+        }
+    }
+
     fn len(&self) -> usize {
         match self {
-            DistinctSet::Ints(s) => s.len(),
-            DistinctSet::Floats(s) => s.len(),
+            DistinctSet::Numeric(NumericSet::Counted(counts)) => counts.len,
+            DistinctSet::Numeric(NumericSet::Plain(set)) => set.len(),
             DistinctSet::Strs(s) => s.len(),
             DistinctSet::Bools { t, f } => usize::from(*t) + usize::from(*f),
         }
@@ -133,8 +284,7 @@ impl DistinctSet {
 
     fn union_with(&mut self, other: &DistinctSet) {
         match (self, other) {
-            (DistinctSet::Ints(a), DistinctSet::Ints(b)) => a.extend(b.iter().copied()),
-            (DistinctSet::Floats(a), DistinctSet::Floats(b)) => a.extend(b.iter().copied()),
+            (DistinctSet::Numeric(a), DistinctSet::Numeric(b)) => a.union_with(b),
             (DistinctSet::Strs(a), DistinctSet::Strs(b)) => {
                 for s in b {
                     if !a.contains(s.as_str()) {
@@ -153,24 +303,19 @@ impl DistinctSet {
 
 /// The **mergeable** form of [`ColumnStats`]: everything a segment contributes
 /// to the statistics of the whole column, in a representation where two
-/// summaries combine exactly (counts add, min/max fold, mean/variance merge by
-/// Chan's parallel formula, and distinct values union as a real set).
+/// summaries combine exactly (row counts and value counts add, distinct
+/// values union as a real set, and min/max are read off that set).
 ///
 /// This is what makes profiles incremental: a prepared engine keeps one
 /// `ColumnSummary` per column, and appending a segment merges the new
-/// segment's summary instead of rescanning the table. Merging is
-/// left-associative over segments in row order, so an appended profile is
+/// segment's summary instead of rescanning the table. Nothing in a summary
+/// depends on the order its parts were merged in, so an appended profile is
 /// bit-for-bit the profile a from-scratch rebuild would produce.
 #[derive(Debug, Clone)]
 pub struct ColumnSummary {
     dtype: DataType,
     non_null: usize,
     nulls: usize,
-    // Welford state of the numeric values (zeroed for non-numeric columns).
-    mean: f64,
-    m2: f64,
-    min: Option<f64>,
-    max: Option<f64>,
     distinct: DistinctSet,
 }
 
@@ -182,10 +327,6 @@ impl ColumnSummary {
             dtype,
             non_null: 0,
             nulls: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: None,
-            max: None,
             distinct: DistinctSet::new(dtype),
         }
     }
@@ -195,43 +336,20 @@ impl ColumnSummary {
     ///
     /// `sel` is a **table-wide** selection; the summary visits only this
     /// segment's slice of it, so per-segment summaries can be computed
-    /// independently (and in parallel) and then folded in segment order.
+    /// independently (and in parallel) and then merged.
     pub fn compute(column: &Column, sel: &Bitmap, offset: usize) -> Self {
         let mut out = ColumnSummary::empty(column.data_type());
+        out.accumulate(column, sel, offset);
+        out
+    }
+
+    /// [`ColumnSummary::compute`] straight into `self`: the same summary as
+    /// merging the segment's own would give, without building that one.
+    pub fn accumulate(&mut self, column: &Column, sel: &Bitmap, offset: usize) {
         let end = offset + column.len();
         match column {
-            Column::Int(values) => {
-                let DistinctSet::Ints(distinct) = &mut out.distinct else {
-                    unreachable!("int columns use int distinct sets");
-                };
-                let (nulls, welford) = scan_numeric(
-                    values,
-                    sel,
-                    offset,
-                    |x| x as u64,
-                    |x| x as f64,
-                    |x| {
-                        distinct.insert(x);
-                    },
-                );
-                out.set_numeric(nulls, welford);
-            }
-            Column::Float(values) => {
-                let DistinctSet::Floats(distinct) = &mut out.distinct else {
-                    unreachable!("float columns use float distinct sets");
-                };
-                let (nulls, welford) = scan_numeric(
-                    values,
-                    sel,
-                    offset,
-                    f64::to_bits,
-                    |x| x,
-                    |x| {
-                        distinct.insert(x.to_bits());
-                    },
-                );
-                out.set_numeric(nulls, welford);
-            }
+            Column::Int(values) => self.scan_numeric(values, sel, offset, |x| x as u64),
+            Column::Float(values) => self.scan_numeric(values, sel, offset, f64::to_bits),
             Column::Str(d) => {
                 // Track distinct codes locally (one indexed flag per row),
                 // then resolve the seen codes to strings once.
@@ -243,13 +361,13 @@ impl ColumnSummary {
                     }
                     let code = d.code(local);
                     if code == NULL_CODE {
-                        out.nulls += 1;
+                        self.nulls += 1;
                     } else {
-                        out.non_null += 1;
+                        self.non_null += 1;
                         seen[code as usize] = true;
                     }
                 });
-                let DistinctSet::Strs(distinct) = &mut out.distinct else {
+                let DistinctSet::Strs(distinct) = &mut self.distinct else {
                     unreachable!("string columns use string distinct sets");
                 };
                 for (code, seen) in seen.into_iter().enumerate() {
@@ -262,32 +380,41 @@ impl ColumnSummary {
                 }
             }
             Column::Bool(values) => {
-                let DistinctSet::Bools { t, f } = &mut out.distinct else {
+                let DistinctSet::Bools { t, f } = &mut self.distinct else {
                     unreachable!("bool columns use bool distinct sets");
                 };
                 sel.for_each_one_in(offset, end, |idx| match values.get(idx - offset) {
                     Some(true) => {
-                        out.non_null += 1;
+                        self.non_null += 1;
                         *t = true;
                     }
                     Some(false) => {
-                        out.non_null += 1;
+                        self.non_null += 1;
                         *f = true;
                     }
-                    None => out.nulls += 1,
+                    None => self.nulls += 1,
                 });
             }
         }
-        out
     }
 
-    fn set_numeric(&mut self, nulls: usize, welford: Welford) {
-        self.non_null = welford.count;
-        self.nulls = nulls;
-        self.mean = welford.mean;
-        self.m2 = welford.m2;
-        self.min = welford.min;
-        self.max = welford.max;
+    /// The numeric arm of [`ColumnSummary::accumulate`]: count the selected
+    /// values by `key`, the 64-bit identity the set distinguishes them by.
+    fn scan_numeric<T: Copy + Default>(
+        &mut self,
+        column: &PrimitiveColumn<T>,
+        sel: &Bitmap,
+        offset: usize,
+        key: impl Fn(T) -> u64,
+    ) {
+        let DistinctSet::Numeric(set) = &mut self.distinct else {
+            unreachable!("numeric columns use numeric distinct sets");
+        };
+        let (values, validity) = (column.values(), column.validity());
+        self.nulls += kernels::for_each_selected_value(values, validity, offset, sel, |x| {
+            self.non_null += 1;
+            set.add(key(x), 1);
+        });
     }
 
     /// The column type this summary describes.
@@ -295,32 +422,11 @@ impl ColumnSummary {
         self.dtype
     }
 
-    /// Merge `other` — the summary of the rows **after** this summary's rows —
-    /// into `self`. Counts add, min/max fold, distinct values union, and the
-    /// numeric moments combine with Chan's parallel-Welford formula.
+    /// Merge `other` — the summary of a disjoint set of rows of the same
+    /// column — into `self`: row counts and value counts add, distinct values
+    /// union. A side without value counts leaves the result without them.
     pub fn merge_from(&mut self, other: &ColumnSummary) {
         debug_assert_eq!(self.dtype, other.dtype, "summaries of one column only");
-        if other.non_null > 0 {
-            let n_a = self.non_null as f64;
-            let n_b = other.non_null as f64;
-            if self.non_null == 0 {
-                self.mean = other.mean;
-                self.m2 = other.m2;
-            } else {
-                let delta = other.mean - self.mean;
-                let n = n_a + n_b;
-                self.mean += delta * n_b / n;
-                self.m2 += other.m2 + delta * delta * n_a * n_b / n;
-            }
-            self.min = match (self.min, other.min) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-            self.max = match (self.max, other.max) {
-                (Some(a), Some(b)) => Some(a.max(b)),
-                (a, b) => a.or(b),
-            };
-        }
         self.non_null += other.non_null;
         self.nulls += other.nulls;
         self.distinct.union_with(&other.distinct);
@@ -334,15 +440,13 @@ impl ColumnSummary {
     /// original, so per-segment summaries computed on a remote shard fold on
     /// a coordinator exactly as if they had been computed locally.
     pub fn to_parts(&self) -> SummaryParts {
+        let (distinct, counts) = self.distinct.to_values();
         SummaryParts {
             dtype: self.dtype,
             non_null: self.non_null,
             nulls: self.nulls,
-            mean: self.mean,
-            m2: self.m2,
-            min: self.min,
-            max: self.max,
-            distinct: self.distinct.to_values(),
+            distinct,
+            counts,
         }
     }
 
@@ -353,28 +457,35 @@ impl ColumnSummary {
             dtype: parts.dtype,
             non_null: parts.non_null,
             nulls: parts.nulls,
-            mean: parts.mean,
-            m2: parts.m2,
-            min: parts.min,
-            max: parts.max,
-            distinct: DistinctSet::from_values(parts.distinct),
+            distinct: DistinctSet::from_values(parts.distinct, parts.counts),
         }
     }
 
     /// Collapse the summary into the public [`ColumnStats`] form. The distinct
-    /// count is exact (it comes from the merged value set).
+    /// count is exact and the extremes are those of the merged value set,
+    /// which costs one pass over its distinct values.
     pub fn to_stats(&self) -> ColumnStats {
-        let numeric = matches!(self.dtype, DataType::Int | DataType::Float);
-        let has_values = numeric && self.non_null > 0;
+        let value = |key| key_value(self.dtype, key);
+        let (ends, value_counts) = match &self.distinct {
+            DistinctSet::Numeric(NumericSet::Counted(counts)) => {
+                let mut pairs: Vec<_> = counts.iter().map(|(key, n)| (value(key), n)).collect();
+                pairs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+                (extremes(pairs.iter().map(|pair| pair.0)), Some(pairs))
+            }
+            DistinctSet::Numeric(NumericSet::Plain(set)) => {
+                (extremes(set.iter().map(|&key| value(key))), None)
+            }
+            _ => (None, None),
+        };
+        let (min, max) = ends.unzip();
         ColumnStats {
             dtype: self.dtype,
             non_null_count: self.non_null,
             null_count: self.nulls,
             distinct_count: self.distinct.len(),
-            min: self.min,
-            max: self.max,
-            mean: has_values.then_some(self.mean),
-            variance: has_values.then_some(self.m2 / self.non_null as f64),
+            min,
+            max,
+            value_counts,
         }
     }
 }
@@ -390,14 +501,18 @@ pub struct ColumnStats {
     pub null_count: usize,
     /// Number of distinct non-NULL values among the selected rows.
     pub distinct_count: usize,
-    /// Minimum numeric value (numeric columns only).
+    /// Minimum numeric value (numeric columns only; the module docs state the
+    /// rule for `±0.0` and NaN).
     pub min: Option<f64>,
     /// Maximum numeric value (numeric columns only).
     pub max: Option<f64>,
-    /// Mean of the numeric values (numeric columns only).
-    pub mean: Option<f64>,
-    /// Population variance of the numeric values (numeric columns only).
-    pub variance: Option<f64>,
+    /// Every distinct numeric value among the selected rows with the number
+    /// of rows holding it, ascending by [`f64::total_cmp`]: the exact
+    /// distribution, from which any order statistic or moment follows without
+    /// the rows. `None` for non-numeric columns and for summaries with too
+    /// many distinct values to count (see the module docs). Integers beyond
+    /// 2⁵³ that share an `f64` appear as adjacent equal values.
+    pub value_counts: Option<Vec<(f64, u64)>>,
 }
 
 impl ColumnStats {
@@ -410,45 +525,25 @@ impl ColumnStats {
         ColumnSummary::compute(column, sel, 0).to_stats()
     }
 
-    /// Merge the statistics of two disjoint row sets of the **same column**
-    /// (`self` covering the earlier rows).
+    /// Merge the statistics of two disjoint row sets of the **same column**.
     ///
-    /// Counts, min/max, mean and variance merge exactly; `distinct_count`
-    /// merges as the `a + b` **upper bound**, because a plain count cannot
-    /// know how many values the two sides share. Callers that need the exact
-    /// merged distinct count (the engine's table profile does) merge
+    /// Row counts and min/max merge exactly; `distinct_count` merges as the
+    /// `a + b` **upper bound** (a plain count cannot know how many values the
+    /// two sides share) and the result carries no `value_counts`. Callers
+    /// that need either (the engine's table profile does) merge
     /// [`ColumnSummary`]s instead, which carry the value sets.
     pub fn merge(&self, other: &ColumnStats) -> ColumnStats {
         debug_assert_eq!(self.dtype, other.dtype, "statistics of one column only");
-        let n_a = self.non_null_count as f64;
-        let n_b = other.non_null_count as f64;
-        let (mean, variance) = match (self.mean.zip(self.variance), other.mean.zip(other.variance))
-        {
-            (Some((ma, va)), Some((mb, vb))) => {
-                let n = n_a + n_b;
-                let delta = mb - ma;
-                let mean = ma + delta * n_b / n;
-                let m2 = va * n_a + vb * n_b + delta * delta * n_a * n_b / n;
-                (Some(mean), Some(m2 / n))
-            }
-            (a, b) => {
-                let one = a.or(b);
-                (one.map(|(m, _)| m), one.map(|(_, v)| v))
-            }
-        };
-        let fold = |a: Option<f64>, b: Option<f64>, pick: fn(f64, f64) -> f64| match (a, b) {
-            (Some(x), Some(y)) => Some(pick(x, y)),
-            (x, y) => x.or(y),
-        };
+        let ends = [self.min, self.max, other.min, other.max];
+        let (min, max) = extremes(ends.into_iter().flatten()).unzip();
         ColumnStats {
             dtype: self.dtype,
             non_null_count: self.non_null_count + other.non_null_count,
             null_count: self.null_count + other.null_count,
             distinct_count: self.distinct_count + other.distinct_count,
-            min: fold(self.min, other.min, f64::min),
-            max: fold(self.max, other.max, f64::max),
-            mean,
-            variance,
+            min,
+            max,
+            value_counts: None,
         }
     }
 
@@ -485,181 +580,107 @@ impl ColumnStats {
     }
 }
 
-/// Scan the rows of `sel` that fall in a numeric column's global row range
-/// `offset..offset + column.len()`, in row order: count the NULLs, push every
-/// value through Welford, and call `insert` for every value that may be new
-/// to the caller's distinct set — each distinct value at least once, repeats
-/// only as often as they slip past the [`RecentKeys`] filter (`key` gives the
-/// 64-bit identity the set distinguishes values by).
-fn scan_numeric<T: Copy + Default>(
-    column: &PrimitiveColumn<T>,
-    sel: &Bitmap,
-    offset: usize,
-    key: impl Fn(T) -> u64,
-    to_f64: impl Fn(T) -> f64,
-    mut insert: impl FnMut(T),
-) -> (usize, Welford) {
-    let end = offset + column.len();
-    let mut nulls = 0usize;
-    let mut welford = Welford::new();
-    let mut recent = RecentKeys::new();
-    let mut push = |x: T| {
-        if !recent.replace(key(x)) {
-            insert(x);
-        }
-        welford.push(to_f64(x));
-    };
-    sel.for_each_one_in(offset, end, |idx| match column.get(idx - offset) {
-        Some(x) => push(x),
-        None => nulls += 1,
-    });
-    (nulls, welford)
-}
-
-/// A direct-mapped memo of the keys most recently handed to a distinct set,
-/// so that a repeat of a recent key skips the set's hash-and-probe.
-///
-/// Real columns are either low-cardinality (ages, hours, one-decimal
-/// measurements — nearly every row repeats a resident key) or near-unique
-/// (every row misses and pays one extra compare). The memo never decides
-/// membership: a miss only means "insert, the set will deduplicate".
-struct RecentKeys {
-    slots: [u64; 1 << RecentKeys::LOG2_SLOTS],
-}
-
-impl RecentKeys {
-    const LOG2_SLOTS: u32 = 10;
-
-    /// Fibonacci hashing: the top bits of the product mix every bit of the
-    /// key, so small integers and floats differing only in a few mantissa
-    /// bits spread over the slots alike.
-    const fn slot_of(key: u64) -> usize {
-        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - Self::LOG2_SLOTS)) as usize
-    }
-
-    fn new() -> Self {
-        // A fresh slot must not claim a key it was never given, so each
-        // starts out holding a key that lives elsewhere: key 0 lives in slot
-        // 0, key 1 does not.
-        const { assert!(RecentKeys::slot_of(0) == 0 && RecentKeys::slot_of(1) != 0) };
-        let mut slots = [0; 1 << Self::LOG2_SLOTS];
-        slots[0] = 1;
-        RecentKeys { slots }
-    }
-
-    /// Make `key` resident in its slot; true if it already was.
-    #[inline]
-    fn replace(&mut self, key: u64) -> bool {
-        let slot = &mut self.slots[Self::slot_of(key)];
-        std::mem::replace(slot, key) == key
-    }
-}
-
-/// Online mean/variance/min/max accumulator (Welford's algorithm).
-#[derive(Debug, Clone, Default)]
-struct Welford {
-    count: usize,
-    mean: f64,
-    m2: f64,
-    min: Option<f64>,
-    max: Option<f64>,
-}
-
-impl Welford {
-    fn new() -> Self {
-        Welford::default()
-    }
-
-    fn push(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = Some(self.min.map_or(x, |m| m.min(x)));
-        self.max = Some(self.max.map_or(x, |m| m.max(x)));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::column::DictColumn;
     use crate::{Field, Schema, TableBuilder};
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
-    /// The row-at-a-time definition [`ColumnSummary::compute`] must
-    /// reproduce: every selected non-NULL value goes into a plain `HashSet`
-    /// and through the same Welford update, in row order.
-    fn reference_summary(column: &Column, sel: &Bitmap, offset: usize) -> ColumnSummary {
-        let mut out = ColumnSummary::empty(column.data_type());
-        let mut welford = Welford::new();
+    /// The row-at-a-time definition a numeric summary must reproduce, sharing
+    /// nothing with the counter: every selected non-NULL value tallied in a
+    /// `BTreeMap` by key, the counts kept exactly when the distinct values
+    /// fit the counter, and beside the parts `min` and `max` by the module
+    /// docs' rule off a sorted copy of the values.
+    fn reference_parts(
+        column: &Column,
+        sel: &Bitmap,
+        offset: usize,
+    ) -> (SummaryParts, Option<f64>, Option<f64>) {
+        let mut tally: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut values: Vec<f64> = Vec::new();
         let mut nulls = 0;
         for local in 0..column.len() {
             if offset + local >= sel.len() || !sel.get(offset + local) {
                 continue;
             }
-            match (column, &mut out.distinct) {
-                (Column::Int(p), DistinctSet::Ints(distinct)) => match p.get(local) {
-                    Some(x) => {
-                        distinct.insert(x);
-                        welford.push(x as f64);
-                    }
-                    None => nulls += 1,
-                },
-                (Column::Float(p), DistinctSet::Floats(distinct)) => match p.get(local) {
-                    Some(x) => {
-                        distinct.insert(x.to_bits());
-                        welford.push(x);
-                    }
-                    None => nulls += 1,
-                },
+            let keyed = match column {
+                Column::Int(p) => p.get(local).map(|x| (x as u64, x as f64)),
+                Column::Float(p) => p.get(local).map(|x| (x.to_bits(), x)),
                 _ => unreachable!("numeric columns only"),
+            };
+            match keyed {
+                Some((key, value)) => {
+                    *tally.entry(key).or_default() += 1;
+                    values.push(value);
+                }
+                None => nulls += 1,
             }
         }
-        out.set_numeric(nulls, welford);
-        out
+        let mut ranked: Vec<f64> = values.iter().copied().filter(|x| !x.is_nan()).collect();
+        if ranked.is_empty() {
+            ranked = values.clone();
+        }
+        ranked.sort_by(f64::total_cmp);
+        let counted = tally.len() <= ValueCounts::CAPACITY;
+        let parts = SummaryParts {
+            dtype: column.data_type(),
+            non_null: values.len(),
+            nulls,
+            distinct: DistinctValues::Numbers(tally.keys().copied().collect()),
+            counts: counted.then(|| tally.values().copied().collect()),
+        };
+        (parts, ranked.first().copied(), ranked.last().copied())
     }
 
-    /// `SummaryParts` compared by bit pattern (`==` on `f64` would let
-    /// `-0.0`/`0.0` mix-ups through).
-    fn parts_bits(
-        parts: &SummaryParts,
+    /// `ColumnStats` with its floats as bit patterns (a NaN among the values
+    /// makes `==` on the struct false against itself).
+    #[allow(clippy::type_complexity)]
+    fn stats_bits(
+        stats: &ColumnStats,
     ) -> (
         usize,
         usize,
-        u64,
-        u64,
+        usize,
         Option<u64>,
         Option<u64>,
-        &DistinctValues,
+        Option<Vec<(u64, u64)>>,
     ) {
+        let counts = stats.value_counts.as_ref();
         (
-            parts.non_null,
-            parts.nulls,
-            parts.mean.to_bits(),
-            parts.m2.to_bits(),
-            parts.min.map(f64::to_bits),
-            parts.max.map(f64::to_bits),
-            &parts.distinct,
+            stats.non_null_count,
+            stats.null_count,
+            stats.distinct_count,
+            stats.min.map(f64::to_bits),
+            stats.max.map(f64::to_bits),
+            counts.map(|pairs| pairs.iter().map(|&(x, n)| (x.to_bits(), n)).collect()),
         )
     }
 
-    /// Cardinalities of one, about the [`RecentKeys`] slot count, and far
+    /// Cardinalities of one, of the census columns, straddling the counter's
+    /// capacity (about 4 700 selected values are drawn from these), and far
     /// above it.
     fn cardinality() -> impl Strategy<Value = i64> {
-        prop_oneof![Just(1i64), 900i64..1200, Just(1i64 << 40)]
+        prop_oneof![
+            Just(1i64),
+            Just(70i64),
+            Just(700i64),
+            950i64..1150,
+            Just(1i64 << 40)
+        ]
     }
 
-    /// Rows as `(raw value, null roll, selected)`; `raw % cardinality` picks
-    /// the value.
-    fn rows() -> impl Strategy<Value = Vec<(i64, u8, bool)>> {
-        proptest::collection::vec((0i64..i64::MAX, 0u8..10, any::<bool>()), 0..3000)
+    /// Rows as `(raw value, null roll, selection roll)`; `raw % cardinality`
+    /// picks the value, a zero roll makes the row NULL / unselected.
+    fn rows() -> impl Strategy<Value = Vec<(i64, u8, u8)>> {
+        proptest::collection::vec((0i64..i64::MAX, 0u8..10, 0u8..8), 0..6000)
     }
 
-    /// An Int or Float column over the rows (one in ten NULL), with both
-    /// zeros among the float values.
-    fn numeric_column(rows: &[(i64, u8, bool)], cardinality: i64, float: bool) -> Column {
-        let value = |&(raw, null_roll, _): &(i64, u8, bool)| {
+    /// An Int or Float column over the rows (one in ten NULL); the float
+    /// values include both zeros and NaNs of both signs.
+    fn numeric_column(rows: &[(i64, u8, u8)], cardinality: i64, float: bool) -> Column {
+        let value = |&(raw, null_roll, _): &(i64, u8, u8)| {
             (null_roll != 0).then_some(raw % cardinality - 3)
         };
         if float {
@@ -668,6 +689,8 @@ mod tests {
                 .map(|row| {
                     value(row).map(|v| match v {
                         0 if row.0 % 2 == 0 => -0.0,
+                        5 => f64::NAN,
+                        6 => -f64::NAN,
                         v => v as f64 / 10.0,
                     })
                 })
@@ -696,15 +719,38 @@ mod tests {
             // selected too, and the segment's own rows start and end mid-word.
             let end = offset + rows.len();
             let mut sel = Bitmap::new_full(end + beyond);
-            for (local, &(_, _, selected)) in rows.iter().enumerate() {
+            for (local, &(_, _, sel_roll)) in rows.iter().enumerate() {
                 let inside = local >= skip_head && local + skip_tail < rows.len();
-                if !(inside && selected) {
+                if !(inside && sel_roll != 0) {
                     sel.clear(offset + local);
                 }
             }
-            let computed = ColumnSummary::compute(&column, &sel, offset).to_parts();
-            let reference = reference_summary(&column, &sel, offset).to_parts();
-            prop_assert_eq!(parts_bits(&computed), parts_bits(&reference));
+            let summary = ColumnSummary::compute(&column, &sel, offset);
+            let (reference, min, max) = reference_parts(&column, &sel, offset);
+            prop_assert_eq!(&summary.to_parts(), &reference);
+
+            // The public form: exact distinct count, extremes by the stated
+            // rule, and the counts as the run lengths of the sorted values.
+            let stats = summary.to_stats();
+            let DistinctValues::Numbers(keys) = &reference.distinct else { unreachable!() };
+            prop_assert_eq!(stats.distinct_count, keys.len());
+            prop_assert_eq!(stats.min.map(f64::to_bits), min.map(f64::to_bits));
+            prop_assert_eq!(stats.max.map(f64::to_bits), max.map(f64::to_bits));
+            let mut sorted = column.numeric_values_where(&{
+                let mut local = Bitmap::new_empty(rows.len());
+                sel.for_each_one_in(offset, end, |idx| local.set(idx - offset));
+                local
+            });
+            sorted.sort_by(f64::total_cmp);
+            let mut runs: Vec<(u64, u64)> = Vec::new();
+            for x in sorted {
+                match runs.last_mut() {
+                    Some((bits, n)) if *bits == x.to_bits() => *n += 1,
+                    _ => runs.push((x.to_bits(), 1)),
+                }
+            }
+            let counted = stats_bits(&stats).5;
+            prop_assert_eq!(counted, reference.counts.is_some().then_some(runs));
         }
 
         #[test]
@@ -717,9 +763,12 @@ mod tests {
             let dtype = column.data_type();
             let sel = Bitmap::from_indices(
                 rows.len(),
-                rows.iter().enumerate().filter(|(_, row)| row.2).map(|(i, _)| i),
+                rows.iter().enumerate().filter(|(_, row)| row.2 != 0).map(|(i, _)| i),
             );
-            let mut layouts = Vec::new();
+            // Nothing in a summary depends on the layout — extremes and
+            // whether it stayed counted included — so every layout must
+            // reproduce the reference over the unsplit column.
+            let (reference, min, max) = reference_parts(&column, &sel, 0);
             for segments in [1usize, 3, 16] {
                 let schema = Schema::new(vec![Field::nullable("x", dtype)]).unwrap();
                 let mut b = TableBuilder::new("t", schema)
@@ -728,32 +777,125 @@ mod tests {
                     b.push_row(&[column.value(row)]).unwrap();
                 }
                 let table = b.build().unwrap();
-                let mut folded = ColumnSummary::empty(dtype);
-                for (idx, segment) in table.segments().iter().enumerate() {
-                    folded.merge_from(&reference_summary(
-                        segment.column(0),
-                        &sel,
-                        table.segment_offset(idx),
-                    ));
-                }
+                let summary = table.column("x").unwrap().summary(&sel);
+                prop_assert_eq!(&summary.to_parts(), &reference);
+                let rebuilt = ColumnSummary::from_parts(reference.clone());
                 let stats = table.column_stats("x", &sel).unwrap();
-                prop_assert_eq!(&stats, &folded.to_stats());
-                prop_assert_eq!(
-                    parts_bits(&table.column("x").unwrap().summary(&sel).to_parts()),
-                    parts_bits(&folded.to_parts())
-                );
-                layouts.push(stats);
-            }
-            // Counts, extrema and the exact distinct count do not depend on
-            // the layout (the moments do, in the last bits).
-            for stats in &layouts[1..] {
-                prop_assert_eq!(stats.non_null_count, layouts[0].non_null_count);
-                prop_assert_eq!(stats.null_count, layouts[0].null_count);
-                prop_assert_eq!(stats.distinct_count, layouts[0].distinct_count);
-                prop_assert_eq!(stats.min, layouts[0].min);
-                prop_assert_eq!(stats.max, layouts[0].max);
+                prop_assert_eq!(stats_bits(&stats), stats_bits(&rebuilt.to_stats()));
+                prop_assert_eq!(stats.min.map(f64::to_bits), min.map(f64::to_bits));
+                prop_assert_eq!(stats.max.map(f64::to_bits), max.map(f64::to_bits));
             }
         }
+    }
+
+    #[test]
+    fn zeros_and_nans_follow_the_stated_min_max_rule() {
+        let stats = |values: &[f64]| {
+            let lanes: Vec<Option<f64>> = values.iter().copied().map(Some).collect();
+            ColumnStats::compute(
+                &Column::Float(lanes.into()),
+                &Bitmap::new_full(values.len()),
+            )
+        };
+        let bits = |s: &ColumnStats| (s.min.map(f64::to_bits), s.max.map(f64::to_bits));
+        // Both zeros, in either row order: −0.0 is the minimum, +0.0 the maximum.
+        for zeros in [[0.0, -0.0], [-0.0, 0.0]] {
+            let s = stats(&zeros);
+            assert_eq!(
+                bits(&s),
+                (Some((-0.0f64).to_bits()), Some(0.0f64.to_bits()))
+            );
+            assert_eq!(s.distinct_count, 2);
+        }
+        // NaNs of either sign are values but never an extreme …
+        let s = stats(&[f64::NAN, 2.0, -f64::NAN, -1.0, f64::NAN]);
+        assert_eq!((s.min, s.max), (Some(-1.0), Some(2.0)));
+        assert_eq!((s.non_null_count, s.distinct_count), (5, 4));
+        // … unless nothing else is there: then the total order picks.
+        let s = stats(&[f64::NAN, -f64::NAN]);
+        assert_eq!(
+            bits(&s),
+            (Some((-f64::NAN).to_bits()), Some(f64::NAN.to_bits()))
+        );
+    }
+
+    #[test]
+    fn the_counter_degrades_past_its_capacity_and_never_comes_back() {
+        let ints = |range: std::ops::Range<i64>| {
+            let lanes: Vec<Option<i64>> = range.flat_map(|x| [Some(x), Some(x)]).collect();
+            let len = lanes.len();
+            ColumnSummary::compute(&Column::Int(lanes.into()), &Bitmap::new_full(len), 0)
+        };
+        let capacity = ValueCounts::CAPACITY as i64;
+        // Exactly the capacity: still counted, every value twice.
+        let full = ints(0..capacity);
+        let stats = full.to_stats();
+        let counts = stats.value_counts.as_ref().expect("counted at capacity");
+        assert_eq!(counts.len(), ValueCounts::CAPACITY);
+        assert!(counts.iter().all(|&(_, n)| n == 2));
+        assert!(counts.windows(2).all(|w| w[0].0 < w[1].0));
+        // One value more: a plain set, same exact statistics otherwise.
+        let over = ints(0..capacity + 1).to_stats();
+        assert_eq!(over.value_counts, None);
+        assert_eq!(over.distinct_count, ValueCounts::CAPACITY + 1);
+        assert_eq!((over.min, over.max), (Some(0.0), Some(capacity as f64)));
+        // Counted halves whose union fits add their counts …
+        let mut merged = ints(0..capacity / 2);
+        merged.merge_from(&ints(capacity / 4..capacity));
+        let counts = merged.to_stats().value_counts.expect("union fits");
+        assert_eq!(counts.len(), ValueCounts::CAPACITY);
+        let doubled = counts.iter().filter(|&&(_, n)| n == 4).count();
+        assert_eq!(doubled, ValueCounts::CAPACITY / 4);
+        // … a union that does not fit degrades, and stays degraded whatever
+        // is merged into it or it is merged into.
+        merged.merge_from(&ints(capacity..capacity + 1));
+        assert_eq!(merged.to_stats().value_counts, None);
+        assert_eq!(merged.to_stats().distinct_count, ValueCounts::CAPACITY + 1);
+        let mut small = ints(0..3);
+        small.merge_from(&merged);
+        assert_eq!(small.to_parts().counts, None);
+        assert_eq!(small.to_stats().distinct_count, ValueCounts::CAPACITY + 1);
+        assert_eq!(
+            small.to_stats().non_null_count,
+            merged.to_stats().non_null_count + 6
+        );
+    }
+
+    #[test]
+    fn colliding_keys_probe_around_the_end_of_the_table() {
+        // Keys whose home is the last slot of the largest table: every probe
+        // sequence wraps, through every table size on the way up.
+        let shift = u64::BITS - (2 * ValueCounts::CAPACITY).trailing_zeros();
+        let last = (2 * ValueCounts::CAPACITY - 1) as u64;
+        let colliding: Vec<u64> = (0u64..)
+            .filter(|key| key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift == last)
+            .take(300)
+            .collect();
+        let mut counts = ValueCounts::default();
+        for round in 1..=3u64 {
+            for (i, &key) in colliding.iter().enumerate() {
+                assert!(counts.add(key, i as u64 + 1));
+                assert_eq!(counts.len, if round == 1 { i + 1 } else { 300 });
+            }
+        }
+        let mut pairs: Vec<(u64, u64)> = counts.iter().collect();
+        pairs.sort_unstable();
+        let expected: Vec<(u64, u64)> = colliding
+            .iter()
+            .enumerate()
+            .map(|(i, &key)| (key, 3 * (i as u64 + 1)))
+            .collect();
+        assert_eq!(pairs, expected);
+        // Full is full: a resident key still counts, a new one is refused and
+        // changes nothing.
+        for key in (1u64 << 40..).take(ValueCounts::CAPACITY - 300) {
+            assert!(counts.add(key, 1));
+        }
+        assert_eq!(counts.len, ValueCounts::CAPACITY);
+        assert!(counts.add(colliding[0], 1));
+        assert!(!counts.add(u64::MAX, 1));
+        assert_eq!(counts.iter().count(), ValueCounts::CAPACITY);
+        assert!(counts.slots.len() == 2 * ValueCounts::CAPACITY);
     }
 
     #[test]
@@ -765,8 +907,10 @@ mod tests {
         assert_eq!(stats.distinct_count, 4);
         assert_eq!(stats.min, Some(1.0));
         assert_eq!(stats.max, Some(4.0));
-        assert!((stats.mean.unwrap() - 2.5).abs() < 1e-12);
-        assert!((stats.variance.unwrap() - 1.25).abs() < 1e-12);
+        assert_eq!(
+            stats.value_counts,
+            Some(vec![(1.0, 1), (2.0, 1), (3.0, 1), (4.0, 1)])
+        );
         assert!((stats.null_fraction() - 0.2).abs() < 1e-12);
     }
 
@@ -778,7 +922,7 @@ mod tests {
         assert_eq!(stats.non_null_count, 2);
         assert_eq!(stats.min, Some(10.0));
         assert_eq!(stats.max, Some(40.0));
-        assert!((stats.mean.unwrap() - 25.0).abs() < 1e-12);
+        assert_eq!(stats.value_counts, Some(vec![(10.0, 1), (40.0, 1)]));
     }
 
     #[test]
@@ -810,35 +954,27 @@ mod tests {
         assert_eq!(stats.null_count, 1);
         assert_eq!(stats.distinct_count, 2);
         assert_eq!(stats.min, None);
+        assert_eq!(stats.value_counts, None);
     }
 
     #[test]
     fn summaries_merge_exactly_across_splits() {
-        // Split a column at arbitrary points; the folded summary must agree
-        // with the single-pass statistics on everything, including the exact
-        // distinct count (values are shared across the split).
+        // Split a column at arbitrary points; the folded summary must equal
+        // the single-pass statistics on everything, value counts included
+        // (values are shared across the split).
         let values: Vec<Option<i64>> = (0..200)
             .map(|i| if i % 9 == 0 { None } else { Some(i % 13) })
             .collect();
         let whole = Column::Int(values.clone().into());
         let reference = ColumnStats::compute(&whole, &Bitmap::new_full(200));
+        assert_eq!(reference.distinct_count, 13);
         for split in [1usize, 63, 64, 65, 100, 199] {
             let left = Column::Int(values[..split].to_vec().into());
             let right = Column::Int(values[split..].to_vec().into());
             let sel = Bitmap::new_full(200);
             let mut folded = ColumnSummary::compute(&left, &sel, 0);
             folded.merge_from(&ColumnSummary::compute(&right, &sel, split));
-            let merged = folded.to_stats();
-            assert_eq!(merged.non_null_count, reference.non_null_count);
-            assert_eq!(merged.null_count, reference.null_count);
-            assert_eq!(
-                merged.distinct_count, reference.distinct_count,
-                "split {split}"
-            );
-            assert_eq!(merged.min, reference.min);
-            assert_eq!(merged.max, reference.max);
-            assert!((merged.mean.unwrap() - reference.mean.unwrap()).abs() < 1e-9);
-            assert!((merged.variance.unwrap() - reference.variance.unwrap()).abs() < 1e-9);
+            assert_eq!(folded.to_stats(), reference, "split {split}");
         }
     }
 
@@ -886,6 +1022,20 @@ mod tests {
             fold_b.merge_from(&more);
             assert_eq!(fold_a.to_parts(), fold_b.to_parts());
         }
+        // Numeric keys travel in ascending `u64` order with their counts.
+        let parts = ColumnSummary::compute(&cols[0], &Bitmap::new_full(5), 0).to_parts();
+        assert_eq!(
+            parts.distinct,
+            DistinctValues::Numbers(vec![3, 11, -7i64 as u64])
+        );
+        assert_eq!(parts.counts, Some(vec![2, 1, 1]));
+        // Counts that are not one per value are dropped, not misapplied.
+        let lopsided = ColumnSummary::from_parts(SummaryParts {
+            counts: Some(vec![4]),
+            ..parts
+        });
+        assert_eq!(lopsided.to_parts().counts, None);
+        assert_eq!(lopsided.to_stats().distinct_count, 3);
         // Strings deduplicate by value across rebuilt dictionaries.
         let mut d = DictColumn::new();
         for s in ["b", "a", "b", "c"] {
@@ -923,16 +1073,16 @@ mod tests {
         assert_eq!(merged.null_count, reference.null_count);
         assert_eq!(merged.min, reference.min);
         assert_eq!(merged.max, reference.max);
-        assert!((merged.mean.unwrap() - reference.mean.unwrap()).abs() < 1e-12);
-        assert!((merged.variance.unwrap() - reference.variance.unwrap()).abs() < 1e-9);
-        // distinct merges as the a + b upper bound (2 is shared).
+        // distinct merges as the a + b upper bound (2 is shared), and the
+        // counts do not survive a merge of plain statistics.
         assert_eq!(merged.distinct_count, 4);
         assert_eq!(reference.distinct_count, 3);
-        // Merging with an all-NULL side keeps the non-NULL side's moments.
+        assert_eq!(merged.value_counts, None);
+        // Merging with an all-NULL side keeps the non-NULL side's extremes.
         let nulls =
             ColumnStats::compute(&Column::Int(vec![None, None].into()), &Bitmap::new_full(2));
         let kept = a.merge(&nulls);
-        assert_eq!(kept.mean, a.mean);
+        assert_eq!((kept.min, kept.max), (a.min, a.max));
         assert_eq!(kept.null_count, 3);
     }
 
@@ -942,7 +1092,8 @@ mod tests {
         let stats = ColumnStats::compute(&col, &Bitmap::new_empty(2));
         assert_eq!(stats.non_null_count, 0);
         assert_eq!(stats.distinct_count, 0);
-        assert_eq!(stats.mean, None);
+        assert_eq!(stats.min, None);
+        assert_eq!(stats.value_counts, Some(Vec::new()));
         assert_eq!(stats.null_fraction(), 0.0);
         assert_eq!(stats.distinct_ratio(), 0.0);
     }

@@ -914,23 +914,42 @@ fn gather_numeric<T: Copy>(
     to_f64: impl Fn(T) -> f64,
     out: &mut Vec<f64>,
 ) {
+    for_each_selected_value(values, validity, offset, sel, |x| out.push(to_f64(x)));
+}
+
+/// Visit, in row order, the selected non-NULL values of a primitive part
+/// whose local row 0 sits at global row `offset`, and return how many
+/// selected rows of the part are NULL. Validity is consulted a word at a
+/// time and dense words skip the per-bit walk. (Exact either way — not
+/// path-gated.)
+#[inline]
+pub(crate) fn for_each_selected_value<T: Copy>(
+    values: &[T],
+    validity: &Bitmap,
+    offset: usize,
+    sel: &Bitmap,
+    mut visit: impl FnMut(T),
+) -> usize {
     let end = offset + values.len();
-    for_each_sel_word(sel, offset, end, |w, mut cand| {
+    let mut nulls = 0;
+    for_each_sel_word(sel, offset, end, |w, cand| {
         let base = w * WORD_BITS;
-        cand &= validity_word(validity, offset, base);
-        if cand == u64::MAX && base >= offset && base + WORD_BITS <= end {
+        let valid = cand & validity_word(validity, offset, base);
+        nulls += (cand ^ valid).count_ones() as usize;
+        if valid == u64::MAX && base >= offset && base + WORD_BITS <= end {
             for &x in &values[base - offset..base - offset + WORD_BITS] {
-                out.push(to_f64(x));
+                visit(x);
             }
         } else {
-            let mut bits = cand;
+            let mut bits = valid;
             while bits != 0 {
                 let b = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                out.push(to_f64(values[base + b - offset]));
+                visit(values[base + b - offset]);
             }
         }
     });
+    nulls
 }
 
 /// Per-code selected-row counts for one dictionary part: `counts` has

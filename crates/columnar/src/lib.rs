@@ -32,8 +32,8 @@
 //!   segment-sealing [`TableBuilder`] or streamed from CSV.
 //! * [`Catalog`] — a named collection of tables.
 //! * [`ColumnStats`] — per-column summary statistics (min/max, nulls, exact
-//!   distinct counts, mean/variance for numeric columns), with
-//!   [`colstats::ColumnSummary`] as the exactly-mergeable form.
+//!   distinct counts, per-value counts for low-cardinality numeric columns),
+//!   with [`colstats::ColumnSummary`] as the exactly-mergeable form.
 //!
 //! The partition/selection hot path runs word-parallel kernels (64 rows per
 //! step — see [`kernels`]); `ATLAS_FORCE_SCALAR=1` routes it through the

@@ -203,8 +203,7 @@ impl Table {
     }
 
     /// Compute summary statistics for the named column over the selected rows
-    /// (one [`crate::colstats::ColumnSummary`] per segment, folded in row
-    /// order).
+    /// (every segment scanned into one [`crate::colstats::ColumnSummary`]).
     pub fn column_stats(&self, name: &str, sel: &Bitmap) -> Result<ColumnStats> {
         Ok(self.column(name)?.stats(sel))
     }
@@ -214,10 +213,10 @@ impl Table {
     /// segment stats are already materialised, and at most one scan per
     /// segment ever.
     ///
-    /// Counts, min/max, mean and variance are exact; `distinct_count` is the
-    /// `merge` upper bound (segments may share values). Use
-    /// [`Table::column_stats`] with a full selection when the distinct count
-    /// must be exact.
+    /// Row counts and min/max are exact; `distinct_count` is the `merge`
+    /// upper bound (segments may share values) and there are no
+    /// `value_counts`. Use [`Table::column_stats`] with a full selection when
+    /// either must be exact.
     pub fn quick_column_stats(&self, name: &str) -> Result<ColumnStats> {
         let idx = self.schema.index_of(name)?;
         let dtype = self.schema.fields()[idx].dtype;
@@ -417,10 +416,15 @@ mod tests {
         assert_eq!(quick.null_count, exact.null_count);
         assert_eq!(quick.min, exact.min);
         assert_eq!(quick.max, exact.max);
-        assert!((quick.mean.unwrap() - exact.mean.unwrap()).abs() < 1e-12);
-        // distinct is an upper bound: 2 is shared between the segments.
+        // distinct is an upper bound: 2 is shared between the segments —
+        // and only the scanned statistics carry the value counts.
         assert_eq!(exact.distinct_count, 3);
         assert_eq!(quick.distinct_count, 4);
+        assert_eq!(quick.value_counts, None);
+        assert_eq!(
+            exact.value_counts,
+            Some(vec![(1.0, 1), (2.0, 2), (10.0, 1)])
+        );
         // Unknown columns error; empty tables fold to zeroes.
         assert!(t.quick_column_stats("zzz").is_err());
         let empty = TableBuilder::new("e", schema).build().unwrap();

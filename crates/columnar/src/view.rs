@@ -124,12 +124,14 @@ impl<'a> ColumnView<'a> {
         column.numeric(row - offset)
     }
 
-    /// Summary statistics over the selected rows: one mergeable
-    /// [`ColumnSummary`] per segment, folded in row order.
+    /// Summary statistics over the selected rows: every segment scanned into
+    /// one [`ColumnSummary`] — what merging per-segment summaries gives
+    /// (a summary does not depend on how its rows were grouped), without the
+    /// per-segment value sets.
     pub fn summary(&self, sel: &Bitmap) -> ColumnSummary {
         let mut acc = ColumnSummary::empty(self.dtype);
         for (offset, column) in self.parts() {
-            acc.merge_from(&ColumnSummary::compute(column, sel, offset));
+            acc.accumulate(column, sel, offset);
         }
         acc
     }
@@ -172,8 +174,7 @@ impl<'a> ColumnView<'a> {
                 distinct_count: distinct.len(),
                 min: None,
                 max: None,
-                mean: None,
-                variance: None,
+                value_counts: None,
             };
         }
         self.summary(sel).to_stats()

@@ -15,6 +15,17 @@
 //!
 //! Following the paper's performance-over-accuracy argument, the default
 //! number of partitions is **two**.
+//!
+//! Every cut starts from the [`ColumnStats`] of the working set, and for the
+//! median strategy those statistics are usually all it needs: a numeric
+//! column with few enough distinct values is summarised as a counted value
+//! set ([`ColumnStats::value_counts`]), and the order statistics are read off
+//! the counts ([`quantiles_of_counts`]) — bit for bit what sorting the values
+//! would give, without fetching them. Only a column with too many distinct
+//! values to count (and the strategies that need the values in row order)
+//! goes back to [`CutSource::numeric_values`]. The rule lives in the one cut
+//! body, [`cut_from_source`], so local cuts, composition re-cuts and the
+//! distributed coordinator's cuts all follow it.
 
 use crate::error::{AtlasError, Result};
 use crate::map::DataMap;
@@ -23,7 +34,7 @@ use crate::profile::TableProfile;
 use crate::region::Region;
 use atlas_columnar::{Bitmap, ColumnStats, DataType, Table};
 use atlas_query::{ConjunctiveQuery, Predicate};
-use atlas_stats::quantile::quantiles_in_place;
+use atlas_stats::quantile::{quantiles_in_place, quantiles_of_counts};
 use atlas_stats::{kmeans_1d, GkSketch};
 
 /// How to split an ordinal (numeric) attribute.
@@ -286,7 +297,7 @@ pub fn cut_from_source<S: CutSource>(
     let regions = match dtype {
         DataType::Int | DataType::Float => {
             let (min, max) = (stats.min.unwrap_or(0.0), stats.max.unwrap_or(0.0));
-            let splits = numeric_splits(source, attribute, config, min, max, sketch)?;
+            let splits = numeric_splits(source, attribute, config, stats, sketch)?;
             if splits.is_empty() {
                 return Ok(None);
             }
@@ -312,8 +323,8 @@ pub fn cut_from_source<S: CutSource>(
     Ok(Some(map))
 }
 
-/// Compute the interior split points for a numeric attribute whose working
-/// set spans `[min, max]` (the caller's statistics — the same bounds
+/// Compute the interior split points for a numeric attribute from the
+/// caller's statistics of the working set (whose `min`/`max` are the bounds
 /// [`numeric_regions`] closes the outer regions with).
 ///
 /// `prebuilt_sketch` is a quantile sketch of the working set's values (from a
@@ -323,24 +334,30 @@ fn numeric_splits<S: CutSource>(
     source: &S,
     attribute: &str,
     config: &CutConfig,
-    min: f64,
-    max: f64,
+    stats: &ColumnStats,
     prebuilt_sketch: Option<&GkSketch>,
 ) -> Result<Vec<f64>> {
     let k = config.num_splits;
+    let (min, max) = (stats.min.unwrap_or(0.0), stats.max.unwrap_or(0.0));
     // Each strategy fetches the values only if it reads them: equi-width
-    // splits depend on min/max alone and a prebuilt sketch stands in for the
-    // values it summarises.
+    // splits depend on min/max alone, counted statistics already hold the
+    // distribution the order statistics are read from, and a prebuilt sketch
+    // stands in for the values it summarises.
     let values = || source.numeric_values(attribute);
     let splits: Vec<f64> = match config.numeric {
         NumericCutStrategy::EquiWidth => equi_width_splits(min, max, k),
         NumericCutStrategy::Median => {
-            // The buffer is this call's own, so the k−1 order statistics are
-            // selected in place: no sort, no second copy of the working set.
-            // Only this arm may permute — GK insertion below depends on the
-            // values arriving in global row order.
             let ps: Vec<f64> = (1..k).map(|i| i as f64 / k as f64).collect();
-            quantiles_in_place(&mut values()?, &ps).unwrap_or_default()
+            match &stats.value_counts {
+                Some(counts) => quantiles_of_counts(counts, &ps),
+                // Too many distinct values to have been counted. The buffer
+                // is this call's own, so the k−1 order statistics are
+                // selected in place: no sort, no second copy of the working
+                // set. Only this arm may permute — GK insertion below depends
+                // on the values arriving in global row order.
+                None => quantiles_in_place(&mut values()?, &ps),
+            }
+            .unwrap_or_default()
         }
         NumericCutStrategy::KMeans { max_iterations } => kmeans_1d(&values()?, k, max_iterations)
             .map(|r| r.splits)

@@ -2,21 +2,25 @@
 //! segment** and folded, so profiles are incremental.
 //!
 //! Every call to [`crate::engine::Atlas::explore`] needs per-column summary
-//! statistics (distinct counts, min/max, null masks) to decide which
-//! attributes are cuttable and where to cut them. A [`TableProfile`] computes
-//! them **once** when the engine is built and shares them (behind an `Arc`)
-//! across every subsequent exploration — the "anticipative computation"
-//! spirit of Section 5.1 applied to the engine's own metadata.
+//! statistics (distinct counts, min/max, null masks, and — for numeric
+//! columns with few enough distinct values — the count of every value, which
+//! is all a median cut reads) to decide which attributes are cuttable and
+//! where to cut them. A [`TableProfile`] computes them **once** when the
+//! engine is built and shares them (behind an `Arc`) across every subsequent
+//! exploration — the "anticipative computation" spirit of Section 5.1
+//! applied to the engine's own metadata — so a whole-table median cut of a
+//! counted column touches no row before it partitions them.
 //!
 //! With segmented storage the profile is also **mergeable**: every column is
 //! profiled as one [`ColumnSummary`] per segment (one pool task per
 //! (segment, column) pair, so building scales across segments and columns
-//! alike), folded left-to-right in row order. The folded summaries stay in the profile, so appending a segment
-//! ([`TableProfile::merge_segment`], driven by
-//! [`crate::engine::Atlas::append`]) only profiles the **new** rows and
-//! merges — no whole-table rebuild — and produces bit-for-bit the profile a
-//! from-scratch rebuild of the extended table would (the fold is
-//! left-associative either way).
+//! alike), folded left-to-right in row order. The folded summaries stay in
+//! the profile, so appending a segment ([`TableProfile::merge_segment`],
+//! driven by [`crate::engine::Atlas::append`]) only profiles the **new** rows
+//! and merges — no whole-table rebuild — and produces bit-for-bit the profile
+//! a from-scratch rebuild of the extended table would (summaries do not
+//! depend on the merge order, and the sketch fold is left-associative either
+//! way).
 //!
 //! The profile also keeps a one-pass Greenwald–Khanna quantile sketch per
 //! numeric column (built per segment and merged with [`GkSketch::merge`]), so
@@ -45,7 +49,8 @@ use std::sync::OnceLock;
 pub struct ColumnProfile {
     /// The column name.
     pub name: String,
-    /// Full-table summary statistics (distinct count, min/max, mean/variance).
+    /// Full-table summary statistics (row and distinct counts, min/max, and
+    /// the per-value counts of a numeric column that has few enough values).
     pub stats: ColumnStats,
     /// A quantile sketch of the column values (numeric columns only, and only
     /// when the profile was built with a sketch epsilon).
@@ -67,7 +72,8 @@ pub struct ColumnProfile {
     /// The mergeable form of `stats` (the fold of the per-segment summaries),
     /// kept so [`TableProfile::merge_segment`] can extend the profile without
     /// rescanning existing segments. This retains the column's exact
-    /// distinct-value set for the engine's lifetime — `O(distinct)` memory,
+    /// distinct-value set (with a count per value while the summary is
+    /// counted) for the engine's lifetime — `O(distinct)` memory,
     /// which is what buys exact (and append-invariant) distinct counts
     /// without rescans; identifier-like columns pay the most.
     summary: ColumnSummary,
@@ -145,9 +151,8 @@ fn merge_column_segment(
     sketch_epsilon: Option<f64>,
 ) -> ColumnProfile {
     let local_full = Bitmap::new_full(column.len());
-    let part = ColumnSummary::compute(column, &local_full, 0);
     let mut summary = profile.summary.clone();
-    summary.merge_from(&part);
+    summary.accumulate(column, &local_full, 0);
     let mut category_counts = profile.category_counts.clone();
     merge_category_counts(
         &mut category_counts,
@@ -486,12 +491,7 @@ mod tests {
                 assert_eq!(a.stats.max, b.stats.max);
                 assert_eq!(a.non_null, b.non_null);
                 assert_eq!(a.category_counts, b.category_counts);
-                // Mean/variance merge numerically (Chan's formula), not
-                // bitwise — but stay within floating-point slack.
-                match (a.stats.mean, b.stats.mean) {
-                    (Some(x), Some(y)) => assert!((x - y).abs() < 1e-9),
-                    (x, y) => assert_eq!(x, y),
-                }
+                assert_eq!(a.stats.value_counts, b.stats.value_counts);
             }
         }
     }

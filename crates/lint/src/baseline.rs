@@ -11,19 +11,29 @@
 //!   records the smaller number (CI prints a reminder so burn-down progress
 //!   is captured, but a stale-high baseline never fails the build).
 //!
-//! The committed baseline is **empty**: every rule runs clean on the
-//! workspace today. The machinery exists so a future rule (or a stricter
+//! The committed baseline holds **no findings**: every rule runs clean on
+//! the workspace today. The machinery exists so a future rule (or a stricter
 //! version of an existing one) can land with its legacy findings baselined
 //! and burned down over time.
+//!
+//! What it does hold is the workspace's **waiver count**, as one
+//! `*<TAB>waivers<TAB>count` line: a waiver silences a finding with a proof
+//! in prose, so their number ratchets the same way — a run with more waivers
+//! than the baseline records fails, fewer is a reminder to tighten.
 
 use crate::diag::Diagnostic;
 use std::collections::BTreeMap;
 
-/// Per-(file, rule) allowance loaded from a baseline file.
+/// Per-(file, rule) allowance loaded from a baseline file, plus the
+/// workspace-wide waiver allowance when the file records one.
 #[derive(Debug, Default, Clone)]
 pub struct Baseline {
     counts: BTreeMap<(String, String), usize>,
+    waivers: Option<usize>,
 }
+
+/// The (file, rule) pair of the waiver-count line.
+const WAIVERS_KEY: (&str, &str) = ("*", "waivers");
 
 /// The result of applying a baseline to a run's diagnostics.
 #[derive(Debug)]
@@ -42,6 +52,7 @@ impl Baseline {
     /// not die on its own config).
     pub fn parse(text: &str) -> Baseline {
         let mut counts = BTreeMap::new();
+        let mut waivers = None;
         for line in text.lines() {
             let line = line.trim();
             if line.is_empty() || line.starts_with('#') {
@@ -51,16 +62,35 @@ impl Baseline {
             if let (Some(file), Some(rule), Some(count)) =
                 (parts.next(), parts.next(), parts.next())
             {
-                if let Ok(count) = count.trim().parse::<usize>() {
-                    counts.insert((file.to_string(), rule.to_string()), count);
+                match count.trim().parse::<usize>() {
+                    Ok(count) if (file, rule) == WAIVERS_KEY => waivers = Some(count),
+                    Ok(count) => {
+                        counts.insert((file.to_string(), rule.to_string()), count);
+                    }
+                    Err(_) => {}
                 }
             }
         }
-        Baseline { counts }
+        Baseline { counts, waivers }
     }
 
-    /// Serialize diagnostics as a fresh baseline.
-    pub fn render(diags: &[Diagnostic]) -> String {
+    /// Hold the workspace's current waiver count against the recorded one:
+    /// `Err` (the message to fail with) when it rose, `Ok(true)` when it fell
+    /// and the ratchet can be tightened. A baseline without a waiver line
+    /// tolerates any count.
+    pub fn check_waivers(&self, current: usize) -> Result<bool, String> {
+        match self.waivers {
+            Some(allowed) if current > allowed => Err(format!(
+                "{current} `// lint:` waivers, the baseline allows {allowed}: put the proof in \
+                 a type (checked access, an iterator, a newtype index) instead of a new waiver"
+            )),
+            Some(allowed) => Ok(current < allowed),
+            None => Ok(false),
+        }
+    }
+
+    /// Serialize diagnostics and the waiver count as a fresh baseline.
+    pub fn render(diags: &[Diagnostic], waivers: usize) -> String {
         let mut counts: BTreeMap<(String, String), usize> = BTreeMap::new();
         for d in diags {
             *counts
@@ -74,6 +104,8 @@ impl Baseline {
         for ((file, rule), count) in counts {
             out.push_str(&format!("{file}\t{rule}\t{count}\n"));
         }
+        let (file, rule) = WAIVERS_KEY;
+        out.push_str(&format!("{file}\t{rule}\t{waivers}\n"));
         out
     }
 
@@ -156,11 +188,27 @@ mod tests {
             diag("b.rs", 2, "slice-index"),
             diag("a.rs", 3, "panic-path"),
         ];
-        let text = Baseline::render(&diags);
+        let text = Baseline::render(&diags, 7);
         let base = Baseline::parse(&text);
         let applied = base.apply(&diags);
         assert!(applied.fresh.is_empty());
         assert_eq!(applied.absorbed, 3);
+        assert!(
+            applied.tightenable.is_empty(),
+            "the waiver line is no finding"
+        );
+        assert_eq!(base.check_waivers(7), Ok(false));
+    }
+
+    #[test]
+    fn the_waiver_count_only_ratchets_down() {
+        let base = Baseline::parse("# header\n*\twaivers\t64\n");
+        assert_eq!(base.check_waivers(64), Ok(false));
+        assert_eq!(base.check_waivers(60), Ok(true), "fewer: tighten");
+        let err = base.check_waivers(65).unwrap_err();
+        assert!(err.contains("65") && err.contains("64"), "{err}");
+        // No waiver line (an older baseline): nothing to hold the count to.
+        assert_eq!(Baseline::parse("").check_waivers(1_000), Ok(false));
     }
 
     #[test]

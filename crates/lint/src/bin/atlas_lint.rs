@@ -7,9 +7,10 @@
 //! Lints every `.rs` file under ROOT (default: the current directory),
 //! applies the ratchet baseline (default: `ROOT/lint-baseline.txt` when it
 //! exists), prints diagnostics, and exits non-zero when any non-baselined
-//! finding remains. `--write-baseline` rewrites the baseline from the
-//! current findings instead of failing — the only sanctioned way to absorb
-//! legacy debt; there is deliberately no `--fix`.
+//! finding remains or the workspace carries more `// lint:` waivers than the
+//! baseline records. `--write-baseline` rewrites the baseline from the
+//! current findings and waiver count instead of failing — the only
+//! sanctioned way to absorb legacy debt; there is deliberately no `--fix`.
 
 use atlas_lint::baseline::Baseline;
 use atlas_lint::diag::to_json;
@@ -69,8 +70,8 @@ fn parse_args() -> Options {
 
 fn main() -> ExitCode {
     let opts = parse_args();
-    let diags = match atlas_lint::lint_workspace(&opts.root) {
-        Ok(diags) => diags,
+    let (diags, waivers) = match atlas_lint::survey_workspace(&opts.root) {
+        Ok(report) => (report.diags, report.waivers),
         Err(err) => {
             eprintln!("atlas-lint: cannot walk {}: {err}", opts.root.display());
             return ExitCode::from(2);
@@ -83,7 +84,7 @@ fn main() -> ExitCode {
         .unwrap_or_else(|| opts.root.join("lint-baseline.txt"));
 
     if opts.write_baseline {
-        let text = Baseline::render(&diags);
+        let text = Baseline::render(&diags, waivers);
         if let Err(err) = std::fs::write(&baseline_path, &text) {
             eprintln!(
                 "atlas-lint: cannot write {}: {err}",
@@ -92,7 +93,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
         eprintln!(
-            "atlas-lint: wrote {} entries to {}",
+            "atlas-lint: wrote {} entries and {waivers} waiver(s) to {}",
             diags.len(),
             baseline_path.display()
         );
@@ -126,7 +127,23 @@ fn main() -> ExitCode {
         }
     }
 
-    if applied.fresh.is_empty() {
+    let waivers_hold = match baseline.check_waivers(waivers) {
+        Ok(tightenable) => {
+            if tightenable {
+                eprintln!(
+                    "atlas-lint: note: {waivers} waiver(s), fewer than the baseline records; \
+                     run --write-baseline to tighten the ratchet"
+                );
+            }
+            true
+        }
+        Err(message) => {
+            eprintln!("atlas-lint: {message}");
+            false
+        }
+    };
+
+    if applied.fresh.is_empty() && waivers_hold {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

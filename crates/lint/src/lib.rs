@@ -28,11 +28,14 @@ use std::path::{Path, PathBuf};
 /// workspace-relative, `/`-separated path used for rule scoping and
 /// diagnostics.
 pub fn lint_source(path: &str, text: &str) -> Vec<Diagnostic> {
-    let file = SourceFile::parse(path, text);
+    lint_parsed(&SourceFile::parse(path, text))
+}
+
+fn lint_parsed(file: &SourceFile) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for rule in rules::all_rules() {
         if rule.applies_to(&file.path) {
-            out.extend(rule.check(&file));
+            out.extend(rule.check(file));
         }
     }
     out.sort();
@@ -74,17 +77,31 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> 
     Ok(())
 }
 
-/// Lint every workspace `.rs` file under `root`. Returns all findings,
-/// sorted by (file, line, rule).
-pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
-    let mut out = Vec::new();
+/// What one walk over the workspace `.rs` files under a root finds.
+#[derive(Debug, Default)]
+pub struct WorkspaceReport {
+    /// All findings, sorted by (file, line, rule).
+    pub diags: Vec<Diagnostic>,
+    /// How many `// lint: <key> (reason)` waivers the files carry. Each one
+    /// is a bounds or ordering proof kept in prose instead of in a type, so
+    /// the count is baselined like the findings are: it may fall, never rise
+    /// (see [`baseline::Baseline::check_waivers`]).
+    pub waivers: usize,
+}
+
+/// Lint every workspace `.rs` file under `root` and count its waivers, each
+/// file read and tokenized once.
+pub fn survey_workspace(root: &Path) -> std::io::Result<WorkspaceReport> {
+    let mut report = WorkspaceReport::default();
     for rel in collect_workspace_files(root)? {
         let text = std::fs::read_to_string(root.join(&rel))?;
         let rel_str = rel.to_string_lossy().replace('\\', "/");
-        out.extend(lint_source(&rel_str, &text));
+        let file = SourceFile::parse(&rel_str, &text);
+        report.diags.extend(lint_parsed(&file));
+        report.waivers += file.waiver_sites().len();
     }
-    out.sort();
-    Ok(out)
+    report.diags.sort();
+    Ok(report)
 }
 
 #[cfg(test)]

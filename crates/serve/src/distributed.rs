@@ -1198,11 +1198,12 @@ impl Coordinator {
         self.fold_bitmaps(ctx, &bitmaps)
     }
 
-    /// Scatter the per-column summaries of the working set and fold them in
-    /// ascending segment order — exactly the fold of
-    /// [`atlas_columnar::ColumnView::summary`] and of the engine's table
-    /// profile, so the collapsed [`ColumnStats`] match the local path bit
-    /// for bit.
+    /// Scatter the per-column summaries of the working set and merge them —
+    /// a summary does not depend on how its rows were grouped, so the
+    /// collapsed [`ColumnStats`] (value counts included, which is what lets
+    /// a median cut skip the `/shard/values` round) match what
+    /// [`atlas_columnar::ColumnView::summary`] and the engine's table profile
+    /// compute locally bit for bit.
     fn fetch_summaries(
         &self,
         ctx: &ExploreCtx,

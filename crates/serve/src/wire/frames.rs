@@ -4,12 +4,21 @@
 //! counts rides the codecs here. The design constraint is **bit-exactness**:
 //! a distributed explore must produce the same ranked maps — score bits,
 //! region SQL, tuple counts — as the in-process engine, so every
-//! floating-point value that participates in a fold (summary moments,
+//! floating-point value that participates in a fold (summary extremes,
 //! sketch entries, split bounds) travels as its IEEE-754 **bit pattern** in
 //! fixed-width hex, never as a decimal rendering. Bulk payloads (bitmap
 //! words, numeric value runs, sketch entries) are single concatenated hex
 //! strings: dense, allocation-friendly, and immune to JSON number precision
 //! limits (`u64` words above 2⁵³ survive).
+//!
+//! Column summaries are the one frame whose exactness is integral rather
+//! than floating-point: row counts, the distinct values as 64-bit keys, and —
+//! for a *counted* summary — how often each value occurs. The counts are
+//! what the coordinator's median cuts read their split points from, so they
+//! are held to the invariants of a real summary on the way in (one positive
+//! count per value, values strictly ascending, counts summing to the
+//! non-NULL rows); a summary with too many distinct values travels as the
+//! plain value run it always was.
 //!
 //! An explore ships the working set and every candidate region as bitmaps
 //! (~21 per step, 250 kB of hex each at 1M rows), so the hex run is the hot
@@ -200,22 +209,27 @@ pub fn bitmap_from_json(value: &Json) -> Result<Bitmap, String> {
     Ok(Bitmap::from_words(len, words))
 }
 
-/// Encode the mergeable parts of a column summary. Moments, min and max
-/// travel as bit patterns; distinct values by kind (`i64`s and float bit
-/// patterns as hex runs, strings and booleans natively).
+/// Encode the mergeable parts of a column summary: row counts as plain
+/// numbers, distinct values by kind (`i64`s and float bit patterns as one hex
+/// run — with, for a counted summary, a parallel `counts` run of how often
+/// each occurs — strings and booleans natively). Min and max do not travel:
+/// the receiver reads them off the folded value set.
 pub fn summary_to_json(parts: &SummaryParts) -> Json {
     let distinct = match &parts.distinct {
-        DistinctValues::Ints(values) => {
-            let bits: Vec<u64> = values.iter().map(|&v| v as u64).collect();
-            Json::object(vec![
-                ("kind", Json::from("ints")),
-                ("values", Json::from(hex_u64s(&bits))),
-            ])
+        DistinctValues::Numbers(keys) => {
+            let kind = match parts.dtype {
+                DataType::Int => "ints",
+                _ => "floats",
+            };
+            let mut members = vec![
+                ("kind", Json::from(kind)),
+                ("values", Json::from(hex_u64s(keys))),
+            ];
+            if let Some(counts) = &parts.counts {
+                members.push(("counts", Json::from(hex_u64s(counts))));
+            }
+            Json::object(members)
         }
-        DistinctValues::Floats(bits) => Json::object(vec![
-            ("kind", Json::from("floats")),
-            ("values", Json::from(hex_u64s(bits))),
-        ]),
         DistinctValues::Strs(values) => Json::object(vec![
             ("kind", Json::from("strs")),
             (
@@ -233,49 +247,65 @@ pub fn summary_to_json(parts: &SummaryParts) -> Json {
         ("dtype", Json::from(parts.dtype.name())),
         ("non_null", Json::from(parts.non_null)),
         ("nulls", Json::from(parts.nulls)),
-        ("mean", Json::from(hex_f64(parts.mean))),
-        ("m2", Json::from(hex_f64(parts.m2))),
-        (
-            "min",
-            parts
-                .min
-                .map(|x| Json::from(hex_f64(x)))
-                .unwrap_or(Json::Null),
-        ),
-        (
-            "max",
-            parts
-                .max
-                .map(|x| Json::from(hex_f64(x)))
-                .unwrap_or(Json::Null),
-        ),
         ("distinct", distinct),
     ])
 }
 
-fn optional_hex_f64(value: &Json, key: &str) -> Result<Option<f64>, String> {
-    match value.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(Json::Str(text)) => parse_hex_f64(text).map(Some),
-        Some(_) => Err(format!("member \"{key}\" must be a hex string or null")),
+/// Decode the optional `counts` run of a numeric distinct set, holding it to
+/// what [`atlas_columnar::ColumnSummary::to_parts`] produces: one positive
+/// count per value, the values strictly ascending, the counts summing to
+/// `non_null`. A run of the wrong length is refused before it is decoded.
+fn counts_from_json(
+    distinct: &Json,
+    keys: &[u64],
+    non_null: usize,
+) -> Result<Option<Vec<u64>>, String> {
+    let run = match distinct.get("counts") {
+        None | Some(Json::Null) => return Ok(None),
+        Some(run) => run
+            .str()
+            .ok_or_else(|| "member \"counts\" must be a hex string or null".to_string())?,
+    };
+    if run.len() / 16 != keys.len() || !run.len().is_multiple_of(16) {
+        return Err(format!(
+            "{} distinct values but a counts run of {} hex digits",
+            keys.len(),
+            run.len()
+        ));
     }
+    let counts = parse_hex_u64s(run)?;
+    if counts.contains(&0) {
+        return Err("a counted distinct value has a zero count".to_string());
+    }
+    if !keys.is_sorted_by(|a, b| a < b) {
+        return Err("counted distinct values are not strictly ascending".to_string());
+    }
+    let total = counts.iter().try_fold(0u64, |sum, &n| sum.checked_add(n));
+    if total != u64::try_from(non_null).ok() {
+        return Err(format!(
+            "value counts do not sum to the {non_null} non-NULL rows"
+        ));
+    }
+    Ok(Some(counts))
 }
 
-/// Decode column-summary parts produced by [`summary_to_json`].
+/// Decode column-summary parts produced by [`summary_to_json`]. The distinct
+/// kind must be the one the `dtype` calls for: summaries of mismatched kinds
+/// cannot be merged.
 pub fn summary_from_json(value: &Json) -> Result<SummaryParts, String> {
     let dtype = dtype_from_name(get_str(value, "dtype")?)?;
+    let non_null = get_index(value, "non_null")?;
     let distinct_json = value
         .get("distinct")
         .ok_or_else(|| "missing member \"distinct\"".to_string())?;
-    let distinct = match get_str(distinct_json, "kind")? {
-        "ints" => DistinctValues::Ints(
-            parse_hex_u64s(get_str(distinct_json, "values")?)?
-                .into_iter()
-                .map(|bits| bits as i64)
-                .collect(),
-        ),
-        "floats" => DistinctValues::Floats(parse_hex_u64s(get_str(distinct_json, "values")?)?),
-        "strs" => DistinctValues::Strs(
+    let mut counts = None;
+    let distinct = match (get_str(distinct_json, "kind")?, dtype) {
+        ("ints", DataType::Int) | ("floats", DataType::Float) => {
+            let keys = parse_hex_u64s(get_str(distinct_json, "values")?)?;
+            counts = counts_from_json(distinct_json, &keys, non_null)?;
+            DistinctValues::Numbers(keys)
+        }
+        ("strs", DataType::Str) => DistinctValues::Strs(
             get_items(distinct_json, "values")?
                 .iter()
                 .map(|v| {
@@ -285,7 +315,7 @@ pub fn summary_from_json(value: &Json) -> Result<SummaryParts, String> {
                 })
                 .collect::<Result<_, _>>()?,
         ),
-        "bools" => DistinctValues::Bools {
+        ("bools", DataType::Bool) => DistinctValues::Bools {
             t: distinct_json
                 .get("t")
                 .and_then(Json::bool)
@@ -295,17 +325,19 @@ pub fn summary_from_json(value: &Json) -> Result<SummaryParts, String> {
                 .and_then(Json::bool)
                 .ok_or_else(|| "missing boolean member \"f\"".to_string())?,
         },
-        other => return Err(format!("unknown distinct kind '{other}'")),
+        (kind, _) => {
+            return Err(format!(
+                "distinct kind '{kind}' is not the kind of a {} column",
+                dtype.name()
+            ))
+        }
     };
     Ok(SummaryParts {
         dtype,
-        non_null: get_index(value, "non_null")?,
+        non_null,
         nulls: get_index(value, "nulls")?,
-        mean: parse_hex_f64(get_str(value, "mean")?)?,
-        m2: parse_hex_f64(get_str(value, "m2")?)?,
-        min: optional_hex_f64(value, "min")?,
-        max: optional_hex_f64(value, "max")?,
         distinct,
+        counts,
     })
 }
 
@@ -358,6 +390,7 @@ pub fn sketch_from_json(value: &Json) -> Result<GkSketch, String> {
 mod tests {
     use super::*;
     use crate::wire;
+    use atlas_columnar::{Column, ColumnSummary};
     use proptest::prelude::*;
 
     /// The codec this module replaced, kept as the reference the table
@@ -499,39 +532,43 @@ mod tests {
 
     #[test]
     fn summaries_round_trip_bit_for_bit_including_nan_distincts() {
-        let parts = SummaryParts {
+        let floats = vec![0, f64::NAN.to_bits(), (-0.0f64).to_bits()];
+        let plain = SummaryParts {
             dtype: DataType::Float,
             non_null: 7,
             nulls: 2,
-            mean: 0.1 + 0.2,
-            m2: 1e-300,
-            min: Some(-0.0),
-            max: Some(f64::MAX),
-            distinct: DistinctValues::Floats(vec![0, (-0.0f64).to_bits(), f64::NAN.to_bits()]),
+            distinct: DistinctValues::Numbers(floats),
+            counts: None,
         };
-        let encoded = summary_to_json(&parts).encode();
-        let back = summary_from_json(&wire::parse(&encoded).unwrap()).unwrap();
-        assert_eq!(back, parts);
+        let counted = SummaryParts {
+            counts: Some(vec![4, 1, 2]),
+            ..plain.clone()
+        };
+        let ints = SummaryParts {
+            dtype: DataType::Int,
+            distinct: DistinctValues::Numbers(vec![0, i64::MAX as u64, i64::MIN as u64, u64::MAX]),
+            counts: Some(vec![1, 1, 1, 4]),
+            ..plain.clone()
+        };
+        for parts in [plain, counted, ints] {
+            let encoded = summary_to_json(&parts).encode();
+            let back = summary_from_json(&wire::parse(&encoded).unwrap()).unwrap();
+            assert_eq!(back, parts);
+        }
 
-        for distinct in [
-            DistinctValues::Ints(vec![i64::MIN, -1, 0, i64::MAX]),
-            DistinctValues::Strs(vec!["a\"b".into(), "π".into()]),
-            DistinctValues::Bools { t: true, f: false },
+        for (dtype, distinct) in [
+            (
+                DataType::Str,
+                DistinctValues::Strs(vec!["a\"b".into(), "π".into()]),
+            ),
+            (DataType::Bool, DistinctValues::Bools { t: true, f: false }),
         ] {
-            let dtype = match &distinct {
-                DistinctValues::Ints(_) => DataType::Int,
-                DistinctValues::Strs(_) => DataType::Str,
-                _ => DataType::Bool,
-            };
             let parts = SummaryParts {
                 dtype,
                 non_null: 4,
                 nulls: 0,
-                mean: 0.0,
-                m2: 0.0,
-                min: None,
-                max: None,
                 distinct,
+                counts: None,
             };
             let encoded = summary_to_json(&parts).encode();
             let back = summary_from_json(&wire::parse(&encoded).unwrap()).unwrap();
@@ -539,39 +576,164 @@ mod tests {
         }
     }
 
+    /// A counted three-value integer summary frame (`1 × 2, 5 × 1, 9 × 3`).
+    fn counted_frame() -> Json {
+        summary_to_json(&SummaryParts {
+            dtype: DataType::Int,
+            non_null: 6,
+            nulls: 0,
+            distinct: DistinctValues::Numbers(vec![1, 5, 9]),
+            counts: Some(vec![2, 1, 3]),
+        })
+    }
+
+    /// `frame` with `member` (of the top level, or of its `distinct` object)
+    /// replaced.
+    fn with_member(frame: &Json, member: &str, replacement: Json) -> Json {
+        let Json::Obj(members) = frame else {
+            unreachable!("summary frames are objects")
+        };
+        let replaced = members.iter().map(|(k, v)| match k.as_str() {
+            k if k == member => (k.to_string(), replacement.clone()),
+            "distinct" => (k.clone(), with_member(v, member, replacement.clone())),
+            _ => (k.clone(), v.clone()),
+        });
+        Json::Obj(replaced.collect())
+    }
+
     #[test]
     fn summary_decoding_rejects_malformed_frames() {
-        let good = summary_to_json(&SummaryParts {
-            dtype: DataType::Int,
-            non_null: 1,
-            nulls: 0,
-            mean: 1.0,
-            m2: 0.0,
-            min: Some(1.0),
-            max: Some(1.0),
-            distinct: DistinctValues::Ints(vec![1]),
-        });
-        // Drop or corrupt one member at a time.
+        let good = counted_frame();
+        assert!(summary_from_json(&good).is_ok());
+        // Corrupt one member at a time.
         for (key, replacement) in [
             ("dtype", Json::from("decimal")),
-            ("mean", Json::from("123")),
+            // Well-formed, but not the kind of column the distinct set is of:
+            // the fold would meet summaries it cannot merge.
+            ("dtype", Json::from("float")),
+            ("dtype", Json::from("str")),
+            ("nulls", Json::from("0")),
             ("non_null", Json::from(-1i64)),
-            ("distinct", Json::object(vec![("kind", Json::from("sets"))])),
+            ("kind", Json::from("sets")),
+            ("kind", Json::from("bools")),
+            ("values", Json::from("12")),
+            ("distinct", Json::Null),
         ] {
-            let Json::Obj(mut members) = good.clone() else {
-                unreachable!()
-            };
-            for (k, v) in &mut members {
-                if k == key {
-                    *v = replacement.clone();
-                }
-            }
             assert!(
-                summary_from_json(&Json::Obj(members)).is_err(),
+                summary_from_json(&with_member(&good, key, replacement)).is_err(),
                 "corrupt {key} must be rejected"
             );
         }
         assert!(summary_from_json(&Json::Null).is_err());
+    }
+
+    #[test]
+    fn a_counts_run_of_another_length_than_the_values_is_rejected() {
+        for counts in [
+            hex_u64s(&[2, 4]),
+            hex_u64s(&[2, 1, 2, 1]),
+            String::new(),
+            // 47 and 49 digits: three values' worth, give or take one.
+            hex_u64s(&[2, 1, 3])[1..].to_string(),
+            hex_u64s(&[2, 1, 3]) + "0",
+        ] {
+            let frame = with_member(&counted_frame(), "counts", Json::from(counts.as_str()));
+            let err = summary_from_json(&frame).unwrap_err();
+            assert!(err.contains("3 distinct values"), "{counts}: {err}");
+        }
+        // Not a run at all.
+        let frame = with_member(&counted_frame(), "counts", Json::from(6usize));
+        assert!(summary_from_json(&frame)
+            .unwrap_err()
+            .contains("hex string"));
+        // An explicit null is the plain form.
+        let frame = with_member(&counted_frame(), "counts", Json::Null);
+        assert_eq!(summary_from_json(&frame).unwrap().counts, None);
+    }
+
+    #[test]
+    fn a_zero_count_is_rejected() {
+        let frame = with_member(
+            &with_member(&counted_frame(), "counts", Json::from(hex_u64s(&[2, 0, 3]))),
+            "non_null",
+            Json::from(5usize),
+        );
+        let err = summary_from_json(&frame).unwrap_err();
+        assert!(err.contains("zero count"), "{err}");
+    }
+
+    #[test]
+    fn counted_values_that_do_not_ascend_strictly_are_rejected() {
+        for values in [[1u64, 9, 5], [1, 5, 5], [5, 1, 9]] {
+            let frame = with_member(&counted_frame(), "values", Json::from(hex_u64s(&values)));
+            let err = summary_from_json(&frame).unwrap_err();
+            assert!(err.contains("strictly ascending"), "{values:?}: {err}");
+            // A plain set is a set however it is listed.
+            let plain = with_member(&frame, "counts", Json::Null);
+            assert!(summary_from_json(&plain).is_ok());
+        }
+    }
+
+    #[test]
+    fn counts_that_do_not_sum_to_the_non_null_rows_are_rejected() {
+        for counts in [
+            [2u64, 1, 2],
+            [2, 1, 4],
+            [u64::MAX, 1, 6],
+            [1 << 63, 1 << 63, 6],
+        ] {
+            let frame = with_member(&counted_frame(), "counts", Json::from(hex_u64s(&counts)));
+            let err = summary_from_json(&frame).unwrap_err();
+            assert!(err.contains("do not sum"), "{counts:?}: {err}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Counted and plain numeric summaries alike: `to_parts` → JSON text
+        /// → `from_parts` gives a summary that collapses and merges exactly
+        /// like the one that was sent, value counts included.
+        #[test]
+        fn numeric_summaries_survive_the_wire_counts_included(
+            raws in proptest::collection::vec(0u64..u64::MAX, 0..2500),
+            cardinality in prop_oneof![Just(1u64), Just(70u64), 900u64..1200, Just(1u64 << 40)],
+            float in any::<bool>(),
+            split in 0usize..2500,
+        ) {
+            let column = |raws: &[u64]| {
+                let values = raws.iter().map(|raw| (raw % 11 != 0).then_some(raw % cardinality));
+                if float {
+                    let lanes: Vec<Option<f64>> = values
+                        .map(|v| v.map(|v| if v == 3 { -0.0 } else { v as f64 / 4.0 }))
+                        .collect();
+                    Column::Float(lanes.into())
+                } else {
+                    let lanes: Vec<Option<i64>> = values.map(|v| v.map(|v| v as i64 - 5)).collect();
+                    Column::Int(lanes.into())
+                }
+            };
+            let summarize = |raws: &[u64]| {
+                ColumnSummary::compute(&column(raws), &Bitmap::new_full(raws.len()), 0)
+            };
+            let (head, tail) = raws.split_at(split.min(raws.len()));
+            let sent = summarize(head);
+            let parts = sent.to_parts();
+            let text = summary_to_json(&parts).encode();
+            let received = summary_from_json(&wire::parse(&text).unwrap()).unwrap();
+            prop_assert_eq!(&received, &parts);
+
+            let rebuilt = ColumnSummary::from_parts(received);
+            prop_assert_eq!(rebuilt.to_parts(), parts);
+            prop_assert_eq!(rebuilt.to_stats(), sent.to_stats());
+            // … and folds with the next segment's summary like the original.
+            let next = summarize(tail);
+            let (mut local, mut remote) = (sent, rebuilt);
+            local.merge_from(&next);
+            remote.merge_from(&next);
+            prop_assert_eq!(remote.to_parts(), local.to_parts());
+            prop_assert_eq!(remote.to_stats(), local.to_stats());
+        }
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! The borrowing forms ([`quantile`], [`quantiles`], [`median`],
 //! [`equi_depth_splits`]) leave their input slice untouched (they select on a
 //! copy); [`quantiles_in_place`] permutes the caller's buffer instead of
-//! copying it.
+//! copying it, and [`quantiles_of_counts`] reads the same order statistics
+//! off a table of distinct values and their counts, without the values.
 
 /// The `p`-quantile (0 ≤ p ≤ 1) of `values`, using linear interpolation
 /// between order statistics. Returns `None` for an empty slice.
@@ -63,6 +64,38 @@ pub fn quantile_sorted(sorted: &[f64], p: f64) -> f64 {
     } else {
         interpolate(sorted[lo], sorted[hi], frac)
     }
+}
+
+/// [`quantiles`] of a multiset given as `(value, occurrences)` pairs in
+/// ascending [`f64::total_cmp`] order: what expanding every pair into that
+/// many copies and reading [`quantile_sorted`] off the result would return,
+/// bit for bit, in O(pairs) per quantile and without the expansion. `None`
+/// when the occurrences sum to zero (or past `usize`).
+pub fn quantiles_of_counts(counts: &[(f64, u64)], ps: &[f64]) -> Option<Vec<f64>> {
+    let n = counts
+        .iter()
+        .try_fold(0u64, |n, &(_, c)| n.checked_add(c))?;
+    let n = usize::try_from(n).ok().filter(|&n| n > 0)?;
+    // The value at a sorted position: the first whose running count passes it.
+    let at = |pos: usize| {
+        let mut seen = 0u64;
+        let passed = counts.iter().find(|pair| {
+            seen += pair.1;
+            seen > pos as u64
+        });
+        passed.map(|pair| pair.0)
+    };
+    ps.iter()
+        .map(|&p| {
+            let (lo, hi, frac) = rank(n, p);
+            let at_lo = at(lo)?;
+            Some(if lo == hi {
+                at_lo
+            } else {
+                interpolate(at_lo, at(hi)?, frac)
+            })
+        })
+        .collect()
 }
 
 /// `quantile_sorted(sort(values), p)` for every `p` of `ps`, by selection:
@@ -228,6 +261,49 @@ mod tests {
                 bits(&expected)
             );
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn counts_match_the_expanded_sort_bit_for_bit(
+            values in proptest::collection::vec((adversarial_value(), 0u64..40), 0..300),
+            ps in proptest::collection::vec(adversarial_p(), 0..7),
+        ) {
+            // Distinct values (by bit pattern) in `total_cmp` order, some of
+            // them with a zero count.
+            let mut counts = values;
+            counts.sort_by(|a, b| a.0.total_cmp(&b.0));
+            counts.dedup_by_key(|pair| pair.0.to_bits());
+            let expanded: Vec<f64> = counts
+                .iter()
+                .flat_map(|&(x, n)| std::iter::repeat_n(x, n as usize))
+                .collect();
+            let got = quantiles_of_counts(&counts, &ps);
+            if expanded.is_empty() {
+                prop_assert!(got.is_none());
+            } else {
+                let expected: Vec<f64> =
+                    ps.iter().map(|&p| quantile_sorted(&expanded, p)).collect();
+                prop_assert_eq!(bits(&got.unwrap()), bits(&expected));
+                // And so the selection on the expanded values agrees too.
+                prop_assert_eq!(bits(&quantiles(&expanded, &ps).unwrap()), bits(&expected));
+            }
+        }
+    }
+
+    #[test]
+    fn counts_that_cannot_be_a_population_yield_none() {
+        assert!(quantiles_of_counts(&[], &[0.5]).is_none());
+        assert!(quantiles_of_counts(&[(1.0, 0), (2.0, 0)], &[0.5]).is_none());
+        assert!(quantiles_of_counts(&[(1.0, u64::MAX), (2.0, 1)], &[0.5]).is_none());
+        // Interpolation between two counted values, and inside one.
+        let counts = [(1.0, 2), (4.0, 2)];
+        assert_eq!(
+            quantiles_of_counts(&counts, &[0.0, 0.5, 1.0, 0.25]),
+            Some(vec![1.0, 2.5, 4.0, 1.0])
+        );
     }
 
     #[test]

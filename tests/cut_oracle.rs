@@ -1,0 +1,235 @@
+//! A row-at-a-time oracle for the numeric `CUT` (paper §3.2; README section
+//! map: `cut.rs`), proptested against [`atlas::core::cut_attribute`].
+//!
+//! Every other bit-identity suite compares the engine with itself — scalar vs
+//! word-parallel, one thread vs many, one layout vs another — through the
+//! same summary, quantile and cut code on both sides. The oracle here shares
+//! none of it: the working set is a `Vec<Option<f64>>`, order statistics come
+//! from `sort_by(f64::total_cmp)`, the distinct count from a `BTreeSet`, and
+//! a row's region from one comparison per split. What it shares with the
+//! engine is the *definition*: linear interpolation between order statistics
+//! at `p·(n−1)`, equi-width points at `min + i·(max−min)/k`, splits kept when
+//! strictly increasing inside `[min, max)`, constant and identifier-like
+//! columns skipped, empty regions dropped.
+//!
+//! The columns are the ones the counted summaries have to get right: NULLs,
+//! heavy ties, both zeros, cardinalities of 1, ~70 and ~700 (the census
+//! columns), cardinalities straddling the value counter's capacity (where a
+//! summary degrades to a plain distinct set and the median goes back to
+//! selecting over the gathered values), and near-unique values — as Int and
+//! as Float, over random working sets and 1-, 3- and 16-segment layouts.
+
+use atlas::core::cut_attribute;
+use atlas::prelude::*;
+use proptest::prelude::*;
+use std::collections::BTreeSet;
+
+/// The oracle's cut: the non-empty regions as `(upper bound bits, rows)`, or
+/// `None` when the column is not cut.
+fn oracle_cut(
+    working_rows: &[Option<f64>],
+    is_int: bool,
+    strategy: NumericCutStrategy,
+    k: usize,
+) -> Option<Vec<(u64, u64)>> {
+    let mut sorted: Vec<f64> = working_rows.iter().flatten().copied().collect();
+    sorted.sort_by(f64::total_cmp);
+    let n = sorted.len();
+    let distinct: BTreeSet<u64> = sorted.iter().map(|x| x.to_bits()).collect();
+    if distinct.len() < 2 {
+        return None;
+    }
+    // Identifier-like: an integer column whose values almost never repeat.
+    if is_int && n >= 16 && distinct.len() as f64 / n as f64 > 0.95 {
+        return None;
+    }
+    let (min, max) = (sorted[0], sorted[n - 1]);
+    let candidates: Vec<f64> = (1..k)
+        .map(|i| match strategy {
+            NumericCutStrategy::Median => {
+                let pos = (i as f64 / k as f64) * (n - 1) as f64;
+                let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+                if lo == hi {
+                    sorted[lo]
+                } else {
+                    let frac = pos - lo as f64;
+                    sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+                }
+            }
+            NumericCutStrategy::EquiWidth => min + (max - min) / k as f64 * i as f64,
+            other => unreachable!("the oracle does not know {other:?}"),
+        })
+        .collect();
+    let mut splits: Vec<f64> = Vec::new();
+    for s in candidates {
+        if s >= min && s < max && splits.last().is_none_or(|&last| s > last) {
+            splits.push(s);
+        }
+    }
+    if splits.is_empty() {
+        return None;
+    }
+    // Region `r` holds the values above exactly `r` of the splits.
+    let mut counts = vec![0u64; splits.len() + 1];
+    for x in working_rows.iter().flatten() {
+        counts[splits.iter().filter(|&&s| *x > s).count()] += 1;
+    }
+    let regions: Vec<(u64, u64)> = splits
+        .iter()
+        .chain([&max])
+        .map(|hi| hi.to_bits())
+        .zip(counts)
+        .filter(|&(_, rows)| rows > 0)
+        .collect();
+    (regions.len() >= 2).then_some(regions)
+}
+
+/// The engine's cut in the oracle's terms.
+fn engine_cut(
+    table: &Table,
+    working: &Bitmap,
+    strategy: NumericCutStrategy,
+    k: usize,
+) -> Option<Vec<(u64, u64)>> {
+    let config = CutConfig {
+        num_splits: k,
+        numeric: strategy,
+        ..CutConfig::default()
+    };
+    let map = cut_attribute(table, working, &ConjunctiveQuery::all("t"), "x", &config)
+        .expect("x is a column of t")?;
+    assert!(map.regions_are_disjoint());
+    let regions = map.regions.iter().map(|region| {
+        match &region.query.predicate_on("x").expect("cut predicate").set {
+            PredicateSet::Range { hi, .. } => (hi.to_bits(), region.count() as u64),
+            other => panic!("expected a range predicate, got {other:?}"),
+        }
+    });
+    Some(regions.collect())
+}
+
+/// Rows as `(raw value, null roll, working-set roll)`: `raw % cardinality`
+/// picks the value, a zero roll makes the row NULL / leaves it out.
+fn rows() -> impl Strategy<Value = Vec<(u64, u8, u8)>> {
+    proptest::collection::vec((0u64..u64::MAX, 0u8..10, 0u8..8), 0..6000)
+}
+
+/// One, the census cardinalities, a band around the 1 024 values a summary
+/// can count (about 4 700 working-set values are drawn from it, so both
+/// sides of the capacity occur), and near-unique.
+fn cardinality() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        Just(1u64),
+        Just(70u64),
+        Just(700u64),
+        950u64..1150,
+        Just(1u64 << 40)
+    ]
+}
+
+/// The column's values: integers around zero, or — as floats — tenths with
+/// both zeros among them.
+fn values(rows: &[(u64, u8, u8)], cardinality: u64, float: bool) -> Vec<Option<f64>> {
+    rows.iter()
+        .map(|&(raw, null_roll, _)| {
+            let v = (raw % cardinality) as i64 - 3;
+            (null_roll != 0).then_some(match (float, v) {
+                (false, v) => v as f64,
+                (true, 0) if raw % 2 == 0 => -0.0,
+                (true, v) => v as f64 / 10.0,
+            })
+        })
+        .collect()
+}
+
+fn table_of(column: &[Option<f64>], float: bool, segments: usize) -> Table {
+    let dtype = if float {
+        DataType::Float
+    } else {
+        DataType::Int
+    };
+    let schema = Schema::new(vec![Field::nullable("x", dtype)]).unwrap();
+    let mut builder =
+        TableBuilder::new("t", schema).with_segment_rows(column.len().div_ceil(segments).max(1));
+    for value in column {
+        let value = match value {
+            None => Value::Null,
+            Some(x) if float => Value::Float(*x),
+            Some(x) => Value::Int(*x as i64),
+        };
+        builder.push_row(&[value]).unwrap();
+    }
+    builder.build().unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    #[test]
+    fn numeric_cuts_match_the_row_at_a_time_oracle(
+        rows in rows(),
+        cardinality in cardinality(),
+        float in any::<bool>(),
+        equi_width_k in 2usize..=4,
+    ) {
+        let column = values(&rows, cardinality, float);
+        let working = Bitmap::from_indices(
+            rows.len(),
+            rows.iter().enumerate().filter(|(_, row)| row.2 != 0).map(|(i, _)| i),
+        );
+        let working_rows: Vec<Option<f64>> = column
+            .iter()
+            .zip(&rows)
+            .filter(|(_, row)| row.2 != 0)
+            .map(|(value, _)| *value)
+            .collect();
+        let cuts = [
+            (NumericCutStrategy::Median, 2),
+            (NumericCutStrategy::Median, 3),
+            (NumericCutStrategy::Median, 4),
+            (NumericCutStrategy::EquiWidth, equi_width_k),
+        ];
+        for segments in [1usize, 3, 16] {
+            let table = table_of(&column, float, segments);
+            for (strategy, k) in cuts {
+                prop_assert_eq!(
+                    engine_cut(&table, &working, strategy, k),
+                    oracle_cut(&working_rows, !float, strategy, k),
+                    "{:?}, k = {}, {} segment(s), cardinality {}, float {}",
+                    strategy, k, segments, cardinality, float
+                );
+            }
+        }
+    }
+}
+
+/// The straddle the proptest reaches only statistically, pinned: one value
+/// under, at, and over the counter's capacity cut identically, by counts on
+/// one side and by selection over the gathered values on the other.
+#[test]
+fn cuts_agree_on_both_sides_of_the_counter_capacity() {
+    for distinct in [1023u64, 1024, 1025, 1026] {
+        for float in [false, true] {
+            // Three copies of each value (so an Int column is not
+            // identifier-like), scrambled.
+            let rows: Vec<(u64, u8, u8)> = (0..distinct * 3)
+                .map(|i| (i.wrapping_mul(2_654_435_761) % distinct, 1, 1))
+                .collect();
+            let column = values(&rows, distinct, float);
+            let counted = distinct <= 1024;
+            for segments in [1usize, 16] {
+                let table = table_of(&column, float, segments);
+                let working = table.full_selection();
+                let stats = table.column_stats("x", &working).unwrap();
+                assert_eq!(stats.distinct_count as u64, distinct);
+                assert_eq!(stats.value_counts.is_some(), counted, "{distinct}");
+                for k in 2..=4 {
+                    let strategy = NumericCutStrategy::Median;
+                    let oracle = oracle_cut(&column, !float, strategy, k);
+                    assert!(oracle.is_some());
+                    assert_eq!(engine_cut(&table, &working, strategy, k), oracle);
+                }
+            }
+        }
+    }
+}

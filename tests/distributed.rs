@@ -671,3 +671,133 @@ fn process_shards_match_and_their_death_is_detected() {
         other => panic!("expected a Distributed error, got {other:?}"),
     }
 }
+
+/// The census plus `reading`, a float column with a different value in every
+/// row — more distinct values than a column summary counts.
+fn census_with_a_near_unique_column(rows: usize, segment_rows: usize) -> Arc<Table> {
+    let census = census_table(rows, segment_rows);
+    let mut fields = census.schema().fields().to_vec();
+    fields.push(Field::new("reading", DataType::Float));
+    let mut builder =
+        TableBuilder::new("census", Schema::new(fields).unwrap()).with_segment_rows(segment_rows);
+    for row in 0..census.num_rows() {
+        let mut values = census.row(row).unwrap();
+        values.push(Value::Float((row * 7919 % rows) as f64 * 0.37 - 400.0));
+        builder.push_row(&values).unwrap();
+    }
+    Arc::new(builder.build().unwrap())
+}
+
+/// How many `POST /shard/values` requests the shards have served so far.
+fn values_requests(shards: &[ServerHandle]) -> u64 {
+    shards
+        .iter()
+        .map(|shard| {
+            let by_endpoint = shard.metrics().snapshot(Vec::new());
+            let count = by_endpoint
+                .get("requests_by_endpoint")
+                .and_then(|counts| counts.get("shard_values"))
+                .and_then(Json::num)
+                .expect("shard_values counter");
+            count as u64
+        })
+        .sum()
+}
+
+/// A median cut of a counted column reads its split off the folded value
+/// counts, so the default (`Median`) configuration explores the census over
+/// two shards — strict and degraded, bit-identical to the local engine —
+/// without one `/shard/values` round; a column with too many distinct values
+/// to count still ships its values, once per cut.
+#[test]
+fn counted_columns_are_cut_without_shipping_their_values() {
+    let table = census_with_a_near_unique_column(6_000, 1_000);
+    assert_eq!(table.num_segments(), 6);
+    let every_column = product_config();
+    assert_eq!(every_column.cut.numeric, NumericCutStrategy::Median);
+    let census_columns = AtlasConfig {
+        attributes: Some(
+            CensusGenerator::schema()
+                .fields()
+                .iter()
+                .map(|field| field.name.clone())
+                .collect(),
+        ),
+        ..product_config()
+    };
+    let (mut handles, addrs) = boot_shards("census", &table, &every_column, 2);
+    let connect = |config: &AtlasConfig| {
+        Coordinator::connect(&addrs, "census", config.clone(), Duration::from_secs(10))
+            .unwrap()
+            .with_assignment(vec![vec![0, 2, 4], vec![1, 3, 5]])
+            .unwrap()
+    };
+    let whole = ConjunctiveQuery::all("census");
+    let filtered = parse_query("SELECT * FROM census WHERE age >= 30").unwrap();
+
+    // age, hours_per_week, height_cm (and the categorical columns): no
+    // values cross the wire, whole table or subset.
+    let reference = Atlas::new(Arc::clone(&table), census_columns.clone()).unwrap();
+    let coordinator = connect(&census_columns);
+    for query in [&whole, &filtered] {
+        let local = reference.explore(query).unwrap();
+        for attribute in ["age", "hours_per_week", "height_cm"] {
+            assert!(
+                local.maps.iter().any(|ranked| ranked
+                    .map
+                    .source_attributes
+                    .iter()
+                    .any(|a| a == attribute)),
+                "{attribute} must have been cut"
+            );
+        }
+        assert_identical(&local, &coordinator.explore(query).unwrap());
+    }
+    assert_eq!(values_requests(&handles), 0);
+
+    // With `reading` in play its cut — and only its cut — fetches values:
+    // one round to each of the two shards per explore.
+    let reference = Atlas::new(Arc::clone(&table), every_column.clone()).unwrap();
+    let with_reading = connect(&every_column);
+    for query in [&whole, &filtered] {
+        assert_agree(&reference, &with_reading, query);
+    }
+    assert_eq!(values_requests(&handles), 4);
+
+    // Degraded: shard 1 is gone, the surviving segments fold as a table of
+    // their own, still without a values round.
+    handles.remove(1).shutdown();
+    let survivors = Table::from_segments(
+        "census",
+        table.schema().clone(),
+        [0, 2, 4]
+            .iter()
+            .map(|&s| Arc::clone(&table.segments()[s]))
+            .collect(),
+    )
+    .unwrap();
+    let local = Atlas::new(Arc::new(survivors), census_columns)
+        .unwrap()
+        .explore(&filtered)
+        .unwrap();
+    let degraded = coordinator
+        .explore_resilient(
+            &filtered,
+            ExploreMode::Degraded {
+                max_failed_shards: 1,
+            },
+            None,
+        )
+        .unwrap();
+    assert_eq!(degraded.coverage.missing_segments, vec![1, 3, 5]);
+    assert_identical(&local, &degraded.result);
+    assert_eq!(
+        values_requests(&handles),
+        2,
+        "shard 0's two rounds for `reading`"
+    );
+
+    for handle in handles {
+        handle.shutdown();
+    }
+}
