@@ -11,18 +11,14 @@ use atlas_core::baselines::{
 };
 use atlas_core::cut::{cut_attribute, CutConfig, NumericCutStrategy};
 use atlas_core::{
-    cluster_maps, distance_matrix, generate_candidates, AnytimeAtlas, AnytimeConfig, Atlas,
-    AtlasConfig, ClusteringConfig, DataMap, Linkage, MapDistanceMetric, MergeStrategy,
-    PhaseTimings,
+    cluster_maps, distance_matrix, generate_candidates, Atlas, AtlasConfig, ClusteringConfig,
+    DataMap, ExploreOptions, Linkage, MapDistanceMetric, MergeStrategy, PhaseTimings,
 };
 use atlas_datagen::CensusGenerator;
 use atlas_explorer::{MapQuality, ReadabilityReport};
 use atlas_query::ConjunctiveQuery;
 use atlas_serve::wire::Json;
-use atlas_serve::{
-    Client, Coordinator, CoordinatorOptions, DatasetOptions, Registry, RetryPolicy, ServeConfig,
-    Server, ServerHandle,
-};
+use atlas_serve::{Coordinator, DatasetOptions, Registry, ServeConfig, Server};
 use atlas_stats::adjusted_rand_index;
 use atlas_stats::quantile::quantile;
 use atlas_stats::ContingencyTable;
@@ -48,23 +44,7 @@ fn main() {
                 path = Some(arg.as_str());
             }
         }
-        bench_smoke(path.unwrap_or("BENCH_PR15.json"), gate);
-        return;
-    }
-    // `load-smoke [path]` — the serving-throughput mode: boots `atlas-serve`
-    // on an ephemeral port and drives it with a closed-loop load generator.
-    if raw_args.first().map(String::as_str) == Some("load-smoke") {
-        let path = raw_args.get(1).map_or("BENCH_PR5.json", String::as_str);
-        load_smoke(path);
-        return;
-    }
-    // `dist-smoke [path]` — the distributed scatter-gather mode: in-process
-    // shard servers over one shared 1M-row census, a coordinator explore at
-    // N ∈ {1, 2, 4} shards, every answer checked bit-identical against the
-    // in-process engine.
-    if raw_args.first().map(String::as_str) == Some("dist-smoke") {
-        let path = raw_args.get(1).map_or("BENCH_PR8.json", String::as_str);
-        dist_smoke(path);
+        bench_smoke(path.unwrap_or("BENCH_CI.json"), gate);
         return;
     }
     // `trace-smoke [path]` — enable tracing, run a two-shard distributed
@@ -371,23 +351,18 @@ fn e7_anytime() {
     println!("|-----------|--------|--------------|--------------------------|-------------------------|");
     let table = census(500_000);
     let query = ConjunctiveQuery::all("census");
-    let exact = Atlas::with_defaults(Arc::clone(&table))
-        .expect("valid config")
-        .explore(&query)
-        .expect("exact exploration");
+    let atlas = Atlas::with_defaults(table).expect("valid config");
+    let exact = atlas.explore(&query).expect("exact exploration");
     let exact_best = exact.best().expect("exact map");
     let exact_covers = exact_best.map.covers(exact.working_set_size);
-    let anytime = AnytimeAtlas::new(
-        Arc::clone(&table),
-        AnytimeConfig {
-            initial_sample: 1_000,
-            growth_factor: 4.0,
-            budget: std::time::Duration::from_secs(120),
-            ..AnytimeConfig::default()
-        },
-    )
-    .expect("valid config");
-    let outcome = anytime.run(&query).expect("anytime run succeeds");
+    let options = ExploreOptions {
+        initial_sample: 1_000,
+        growth_factor: 4.0,
+        ..ExploreOptions::budgeted(Duration::from_secs(120))
+    };
+    let outcome = atlas
+        .explore_anytime(&query, options)
+        .expect("anytime run succeeds");
     for (i, iteration) in outcome.iterations.iter().enumerate() {
         let best = iteration.result.best().expect("a map per iteration");
         let covers = best.map.covers(iteration.result.working_set_size);
@@ -1185,458 +1160,6 @@ fn write_report_with_deltas(path: &str, report: &Json) -> Option<(String, Json)>
         print_phase_deltas(previous_path, previous_report, report);
     }
     previous
-}
-
-/// Boot a load-test server: the 100k census behind `server_threads` workers,
-/// engine parallelism pinned to 1 (so worker threads are the only scaling
-/// dimension) and the shared result cache disabled (so every request does
-/// real engine work — the honest configuration for a throughput number).
-fn boot_load_server(rows: usize, server_threads: usize) -> ServerHandle {
-    let mut registry = Registry::new();
-    registry
-        .add_table(
-            "census",
-            census(rows),
-            DatasetOptions {
-                config: AtlasConfig::fast().with_parallelism(1),
-                cache_capacity: 0,
-            },
-        )
-        .expect("census registers");
-    let config = ServeConfig {
-        queue_depth: 512,
-        ..ServeConfig::default()
-    }
-    .with_threads(server_threads);
-    Server::start(registry, config).expect("server binds an ephemeral port")
-}
-
-/// The query mix of the load generator: distinct conjunctive range scans so
-/// requests exercise the engine instead of replaying one hot result.
-fn load_query(i: usize) -> String {
-    let k = i % 16;
-    format!(
-        "SELECT * FROM census WHERE age BETWEEN {} AND {}",
-        17 + k,
-        52 + 2 * k
-    )
-}
-
-/// Failed requests of one load run, by kind: read/connect timeouts,
-/// admission-control refusals (503), and everything else. `retry_after_honored`
-/// counts the 503s whose `Retry-After` hint the generator actually waited on.
-#[derive(Default)]
-struct ErrorTally {
-    timeouts: usize,
-    overloaded_503: usize,
-    other: usize,
-    retry_after_honored: usize,
-}
-
-impl ErrorTally {
-    fn total(&self) -> usize {
-        self.timeouts + self.overloaded_503 + self.other
-    }
-
-    fn merge(&mut self, other: &ErrorTally) {
-        self.timeouts += other.timeouts;
-        self.overloaded_503 += other.overloaded_503;
-        self.other += other.other;
-        self.retry_after_honored += other.retry_after_honored;
-    }
-
-    fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("timeouts", Json::from(self.timeouts)),
-            ("overloaded_503", Json::from(self.overloaded_503)),
-            ("other", Json::from(self.other)),
-        ])
-    }
-}
-
-/// One closed-loop measurement: `clients` threads, each with its own session,
-/// issuing explores back-to-back for `duration`. Returns the point as JSON
-/// plus the achieved requests/second.
-fn load_point(
-    addr: std::net::SocketAddr,
-    server_threads: usize,
-    clients: usize,
-    duration: Duration,
-) -> (Json, f64) {
-    // Create every session (and warm up) serially *before* the barrier
-    // exists: a panic past a barrier rendezvous would deadlock the other
-    // client threads; failing here fails the run immediately instead.
-    let sessions: Vec<String> = (0..clients)
-        .map(|c| {
-            let client = Client::new(addr);
-            let token = client.create_session("census").expect("session opens");
-            for i in 0..2 {
-                let _ = client.post_text(&format!("/sessions/{token}/explore"), &load_query(c + i));
-            }
-            token
-        })
-        .collect();
-    let barrier = std::sync::Barrier::new(clients);
-    let mut all_latencies: Vec<f64> = Vec::new();
-    let mut max_elapsed = 0.0f64;
-    let mut tally = ErrorTally::default();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = sessions
-            .iter()
-            .enumerate()
-            .map(|(c, token)| {
-                let barrier = &barrier;
-                scope.spawn(move || {
-                    let client = Client::new(addr);
-                    let explore_path = format!("/sessions/{token}/explore");
-                    barrier.wait();
-                    let started = Instant::now();
-                    let mut latencies = Vec::new();
-                    let mut tally = ErrorTally::default();
-                    let mut i = c; // desynchronise the query mix across clients
-                    while started.elapsed() < duration {
-                        let sent = Instant::now();
-                        match client.post_text(&explore_path, &load_query(i)) {
-                            Ok(reply) if reply.status == 200 => {
-                                latencies.push(sent.elapsed().as_secs_f64() * 1000.0);
-                            }
-                            Ok(reply) if reply.status == 503 => {
-                                tally.overloaded_503 += 1;
-                                let hint = reply
-                                    .headers
-                                    .iter()
-                                    .find(|(name, _)| name == "retry-after")
-                                    .and_then(|(_, value)| value.parse::<u64>().ok());
-                                if let Some(seconds) = hint {
-                                    // Honour the hint, capped so a short smoke
-                                    // run cannot stall on a long back-off.
-                                    let wait = Duration::from_secs(seconds)
-                                        .min(duration.saturating_sub(started.elapsed()))
-                                        .min(Duration::from_millis(250));
-                                    std::thread::sleep(wait);
-                                    tally.retry_after_honored += 1;
-                                }
-                            }
-                            Ok(_) => tally.other += 1,
-                            Err(e)
-                                if matches!(
-                                    e.kind(),
-                                    std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock
-                                ) =>
-                            {
-                                tally.timeouts += 1;
-                            }
-                            Err(_) => tally.other += 1,
-                        }
-                        i += 1;
-                    }
-                    (latencies, started.elapsed().as_secs_f64(), tally)
-                })
-            })
-            .collect();
-        for handle in handles {
-            let (latencies, elapsed, thread_tally) = handle.join().expect("client thread");
-            all_latencies.extend(latencies);
-            max_elapsed = max_elapsed.max(elapsed);
-            tally.merge(&thread_tally);
-        }
-    });
-    let requests = all_latencies.len();
-    let rps = requests as f64 / max_elapsed.max(1e-9);
-    let p = |q: f64| quantile(&all_latencies, q).map(ms).unwrap_or(Json::Null);
-    let point = Json::object(vec![
-        ("server_threads", Json::from(server_threads)),
-        ("clients", Json::from(clients)),
-        ("requests", Json::from(requests)),
-        ("errors", Json::from(tally.total())),
-        ("error_taxonomy", tally.to_json()),
-        ("retry_after_honored", Json::from(tally.retry_after_honored)),
-        ("elapsed_ms", ms(max_elapsed * 1000.0)),
-        ("rps", Json::Num((rps * 10.0).round() / 10.0)),
-        ("p50_ms", p(0.50)),
-        ("p95_ms", p(0.95)),
-        ("p99_ms", p(0.99)),
-    ]);
-    (point, rps)
-}
-
-/// The serving-throughput smoke run: boot `atlas-serve` over the 100k-row
-/// census and drive it with a closed-loop generator at 1, 4 and N client
-/// threads against 1 and N server threads, recording throughput and
-/// p50/p95/p99 latency per point, plus the cold-start time (dataset
-/// generation + engine preparation + bind until `/healthz` answers). The
-/// thread-scaling headline is honest about the hardware: `cores` is recorded
-/// next to it (a 1-core container cannot speed up CPU-bound explores by
-/// adding workers).
-fn load_smoke(path: &str) {
-    const ROWS: usize = 100_000;
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let max_threads = ServeConfig::default_threads().max(4);
-    let duration = Duration::from_millis(1500);
-
-    // Cold start: everything between "nothing is running" and a green
-    // health check.
-    let cold_started = Instant::now();
-    let handle = boot_load_server(ROWS, max_threads);
-    let client = Client::new(handle.addr());
-    loop {
-        if let Ok(reply) = client.get("/healthz") {
-            if reply.status == 200 {
-                break;
-            }
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    let cold_start_ms = cold_started.elapsed().as_secs_f64() * 1000.0;
-    handle.shutdown();
-
-    let mut client_counts = vec![1usize, 4, max_threads];
-    client_counts.dedup();
-    let mut points = Vec::new();
-    let rps_at = |server_threads: usize, points: &mut Vec<Json>| -> f64 {
-        let handle = boot_load_server(ROWS, server_threads);
-        let mut best = 0.0f64;
-        for &clients in &client_counts {
-            let (point, rps) = load_point(handle.addr(), server_threads, clients, duration);
-            println!(
-                "load-smoke: {} server thread(s), {clients} client(s): {}",
-                server_threads,
-                point.encode()
-            );
-            points.push(point);
-            best = best.max(rps);
-        }
-        handle.shutdown();
-        best
-    };
-    let rps_one = rps_at(1, &mut points);
-    let rps_many = rps_at(max_threads, &mut points);
-
-    let report = Json::object(vec![
-        ("experiment", Json::from("load_smoke")),
-        ("pr", Json::from(5usize)),
-        ("dataset", Json::from("census")),
-        ("rows", Json::from(ROWS)),
-        (
-            "config",
-            Json::from("fast, engine parallelism 1, result cache off"),
-        ),
-        ("cores", Json::from(cores)),
-        ("cold_start_ms", ms(cold_start_ms)),
-        (
-            "scaling",
-            Json::object(vec![
-                ("server_threads", Json::from(max_threads)),
-                (
-                    "rps_1_server_thread",
-                    Json::Num((rps_one * 10.0).round() / 10.0),
-                ),
-                (
-                    "rps_n_server_threads",
-                    Json::Num((rps_many * 10.0).round() / 10.0),
-                ),
-                (
-                    "speedup",
-                    Json::Num((rps_many / rps_one.max(1e-9) * 100.0).round() / 100.0),
-                ),
-            ]),
-        ),
-        ("points", Json::array(points)),
-        // The explore-phase trajectory keeps the delta table comparable with
-        // the earlier BENCH_*.json reports (headline 20k point first).
-        (
-            "scale",
-            Json::array(vec![
-                smoke_scale_point(20_000, 3),
-                smoke_scale_point(100_000, 3),
-            ]),
-        ),
-    ]);
-    write_report_with_deltas(path, &report);
-}
-
-/// Assert two explorations returned the same ranked maps bit-for-bit:
-/// score bits, source attributes, region SQL and region counts.
-fn assert_bit_identical(a: &atlas_core::MapResult, b: &atlas_core::MapResult) {
-    assert_eq!(a.num_maps(), b.num_maps(), "map counts differ");
-    assert_eq!(a.working_set_size, b.working_set_size);
-    for (ra, rb) in a.maps.iter().zip(b.maps.iter()) {
-        assert_eq!(ra.score.to_bits(), rb.score.to_bits(), "score bits differ");
-        assert_eq!(ra.map.source_attributes, rb.map.source_attributes);
-        assert_eq!(ra.map.num_regions(), rb.map.num_regions());
-        for (qa, qb) in ra.map.regions.iter().zip(rb.map.regions.iter()) {
-            assert_eq!(
-                atlas_query::to_sql(&qa.query),
-                atlas_query::to_sql(&qb.query)
-            );
-            assert_eq!(qa.count(), qb.count());
-        }
-    }
-}
-
-/// The distributed scatter-gather smoke run: four in-process shard servers
-/// sharing one 1M-row census table, a coordinator exploring through
-/// N ∈ {1, 2, 4} of them, every distributed answer checked **bit-identical**
-/// (score bits, region SQL, counts) against the in-process engine before
-/// its wall time is recorded. The fast preset (equi-width cuts, product
-/// merge) keeps the candidate stage statistics-only, which is the intended
-/// scatter shape: summaries and contingency counts travel, values do not.
-fn dist_smoke(path: &str) {
-    const ROWS: usize = 1_000_000;
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let config = AtlasConfig::fast().with_parallelism(cores.min(4));
-    let table = census(ROWS);
-    let query = ConjunctiveQuery::all("census");
-
-    let prepare_started = Instant::now();
-    let reference = Atlas::new(Arc::clone(&table), config.clone()).expect("engine builds");
-    let prepare_ms = prepare_started.elapsed().as_secs_f64() * 1000.0;
-    let local_started = Instant::now();
-    let local = reference.explore(&query).expect("local explore");
-    let local_ms = local_started.elapsed().as_secs_f64() * 1000.0;
-
-    // Four shard servers booted once over the shared table; each point
-    // connects a coordinator to the first N of them.
-    let mut handles = Vec::new();
-    let mut addrs = Vec::new();
-    for _ in 0..4 {
-        let mut registry = Registry::new();
-        registry
-            .add_table(
-                "census",
-                Arc::clone(&table),
-                DatasetOptions {
-                    config: config.clone(),
-                    cache_capacity: 0,
-                },
-            )
-            .expect("census registers");
-        let handle = Server::start(registry, ServeConfig::default().with_threads(2))
-            .expect("server binds an ephemeral port");
-        addrs.push(handle.addr().to_string());
-        handles.push(handle);
-    }
-
-    // The resilience counters recorded next to every point's latency: how
-    // many shard calls were retried, hedged (and whether the hedge won),
-    // refused by an open circuit, or cut short by a deadline.
-    let taxonomy = |coordinator: &Coordinator| {
-        let metrics = coordinator.metrics();
-        Json::object(vec![
-            ("retries", Json::from(metrics.retries())),
-            ("hedges_launched", Json::from(metrics.hedges_launched())),
-            ("hedges_won", Json::from(metrics.hedges_won())),
-            (
-                "skipped_open_circuit",
-                Json::from(metrics.skipped_open_circuit()),
-            ),
-            ("deadline_exceeded", Json::from(metrics.deadline_exceeded())),
-            (
-                "circuits_opened",
-                Json::from(
-                    coordinator
-                        .circuit_states()
-                        .iter()
-                        .map(|(_, _, opened)| *opened as usize)
-                        .sum::<usize>(),
-                ),
-            ),
-        ])
-    };
-
-    let mut points = Vec::new();
-    for shards in [1usize, 2, 4] {
-        let coordinator = Coordinator::connect(
-            &addrs[..shards],
-            "census",
-            config.clone(),
-            Duration::from_secs(120),
-        )
-        .expect("coordinator connects");
-        let started = Instant::now();
-        let result = coordinator.explore(&query).expect("distributed explore");
-        let explore_ms = started.elapsed().as_secs_f64() * 1000.0;
-        assert_bit_identical(&local, &result);
-        println!(
-            "dist-smoke: {shards} shard(s): {explore_ms:.0} ms \
-             (local {local_ms:.0} ms, fan-out {})",
-            coordinator.metrics().fan_out()
-        );
-        points.push(Json::object(vec![
-            ("shards", Json::from(shards)),
-            ("explore_ms", ms(explore_ms)),
-            ("fan_out", Json::from(coordinator.metrics().fan_out())),
-            ("error_taxonomy", taxonomy(&coordinator)),
-        ]));
-    }
-
-    // One faulted point: two transient 500s armed on the first shard; the
-    // retry policy rides them out and the answer must stay bit-identical.
-    let options = CoordinatorOptions {
-        shard_timeout: Duration::from_secs(120),
-        retry: RetryPolicy::default().with_max_attempts(3),
-        ..CoordinatorOptions::default()
-    };
-    let coordinator = Coordinator::connect_with(&addrs, "census", config.clone(), options)
-        .expect("coordinator connects");
-    let inject = Client::new(handles[0].addr());
-    let plan = Json::object(vec![(
-        "plan",
-        Json::array(vec![
-            Json::object(vec![
-                ("fault", Json::from("error")),
-                ("status", Json::from(500usize)),
-            ]),
-            Json::object(vec![
-                ("fault", Json::from("error")),
-                ("status", Json::from(500usize)),
-            ]),
-        ]),
-    )]);
-    let armed = inject.post_json("/shard/inject", &plan).expect("plan arms");
-    assert_eq!(armed.status, 200, "fault plan must arm");
-    let started = Instant::now();
-    let result = coordinator.explore(&query).expect("faulted explore");
-    let explore_ms = started.elapsed().as_secs_f64() * 1000.0;
-    assert_bit_identical(&local, &result);
-    let retries = coordinator.metrics().retries();
-    assert!(
-        retries >= 2,
-        "both injected 500s must be retried, saw {retries}"
-    );
-    println!("dist-smoke: 4 shard(s), 2 injected 500s: {explore_ms:.0} ms ({retries} retries)");
-    points.push(Json::object(vec![
-        ("shards", Json::from(4usize)),
-        (
-            "injected_faults",
-            Json::from("2 transient 500s on one shard"),
-        ),
-        ("explore_ms", ms(explore_ms)),
-        ("fan_out", Json::from(coordinator.metrics().fan_out())),
-        ("error_taxonomy", taxonomy(&coordinator)),
-    ]));
-
-    for handle in handles {
-        handle.shutdown();
-    }
-
-    let report = Json::object(vec![
-        ("experiment", Json::from("dist_smoke")),
-        ("pr", Json::from(8usize)),
-        ("dataset", Json::from("census")),
-        ("rows", Json::from(ROWS)),
-        (
-            "config",
-            Json::from("fast (equi-width cuts, product merge), shard servers in-process"),
-        ),
-        ("cores", Json::from(cores)),
-        ("segments", Json::from(table.segments().len())),
-        ("prepare_ms", ms(prepare_ms)),
-        ("local_explore_ms", ms(local_ms)),
-        ("bit_identical", Json::from(true)),
-        ("points", Json::array(points)),
-    ]);
-    write_report_with_deltas(path, &report);
 }
 
 /// The trace-smoke harness: a two-shard distributed explore with tracing on,

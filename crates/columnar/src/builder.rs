@@ -111,10 +111,9 @@ impl TableBuilder {
     }
 
     /// Seal the open segment (a no-op when it holds no rows): its columns
-    /// become an immutable [`Segment`] with per-column statistics, and the
-    /// builder starts a fresh one. Called automatically every
-    /// [`TableBuilder::segment_rows`] rows; calling it directly places a
-    /// segment boundary at the current row.
+    /// become an immutable [`Segment`], and the builder starts a fresh one.
+    /// Called automatically every [`TableBuilder::segment_rows`] rows; calling
+    /// it directly places a segment boundary at the current row.
     pub fn seal_segment(&mut self) -> Result<()> {
         if self.current_rows == 0 {
             return Ok(());

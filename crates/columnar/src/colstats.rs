@@ -26,7 +26,7 @@
 //! then `min`/`max` are the `total_cmp`-smallest/-largest NaN.
 
 use crate::bitmap::Bitmap;
-use crate::column::{Column, PrimitiveColumn, NULL_CODE};
+use crate::column::{Column, PrimitiveColumn};
 use crate::kernels;
 use crate::value::DataType;
 use std::collections::HashSet;
@@ -150,18 +150,25 @@ fn key_value(dtype: DataType, key: u64) -> f64 {
     }
 }
 
-/// `(min, max)` under the rule of the module docs: `total_cmp` order, a NaN
-/// losing to any number at either end.
+/// The `(min, max)` of `ends` and one more value `x`, under the rule of the
+/// module docs: `total_cmp` order, a NaN losing to any number at either end.
+pub(crate) fn widen(ends: Option<(f64, f64)>, x: f64) -> (f64, f64) {
+    let Some((min, max)) = ends else {
+        return (x, x);
+    };
+    let below = x.is_nan().cmp(&min.is_nan()).then(x.total_cmp(&min));
+    let above = max.is_nan().cmp(&x.is_nan()).then(x.total_cmp(&max));
+    (
+        if below.is_lt() { x } else { min },
+        if above.is_gt() { x } else { max },
+    )
+}
+
+/// `(min, max)` of the values under that rule.
 fn extremes(values: impl IntoIterator<Item = f64>) -> Option<(f64, f64)> {
-    let ends = values.into_iter().map(|x| (x, x));
-    ends.reduce(|(min, max), (x, _)| {
-        let below = x.is_nan().cmp(&min.is_nan()).then(x.total_cmp(&min));
-        let above = max.is_nan().cmp(&x.is_nan()).then(x.total_cmp(&max));
-        (
-            if below.is_lt() { x } else { min },
-            if above.is_gt() { x } else { max },
-        )
-    })
+    values
+        .into_iter()
+        .fold(None, |ends, x| Some(widen(ends, x)))
 }
 
 /// The distinct non-NULL values seen by a [`ColumnSummary`], kept in a form
@@ -346,54 +353,32 @@ impl ColumnSummary {
     /// [`ColumnSummary::compute`] straight into `self`: the same summary as
     /// merging the segment's own would give, without building that one.
     pub fn accumulate(&mut self, column: &Column, sel: &Bitmap, offset: usize) {
-        let end = offset + column.len();
         match column {
             Column::Int(values) => self.scan_numeric(values, sel, offset, |x| x as u64),
             Column::Float(values) => self.scan_numeric(values, sel, offset, f64::to_bits),
             Column::Str(d) => {
-                // Track distinct codes locally (one indexed flag per row),
-                // then resolve the seen codes to strings once.
-                let mut seen = vec![false; d.cardinality()];
-                sel.for_each_one_in(offset, end, |idx| {
-                    let local = idx - offset;
-                    if local >= d.len() {
-                        return;
-                    }
-                    let code = d.code(local);
-                    if code == NULL_CODE {
-                        self.nulls += 1;
-                    } else {
-                        self.non_null += 1;
-                        seen[code as usize] = true;
-                    }
-                });
                 let DistinctSet::Strs(distinct) = &mut self.distinct else {
                     unreachable!("string columns use string distinct sets");
                 };
-                for (code, seen) in seen.into_iter().enumerate() {
-                    if seen {
-                        let value = &d.dictionary()[code];
-                        if !distinct.contains(value.as_str()) {
-                            distinct.insert(value.clone());
-                        }
+                // The rows are counted by code; only the values some selected
+                // row holds are resolved to strings, once each.
+                let (non_null, nulls) = kernels::count_values_part(d, offset, sel, |value| {
+                    if !distinct.contains(value) {
+                        distinct.insert(value.to_string());
                     }
-                }
+                });
+                self.non_null += non_null;
+                self.nulls += nulls;
             }
-            Column::Bool(values) => {
+            Column::Bool(_) => {
                 let DistinctSet::Bools { t, f } = &mut self.distinct else {
                     unreachable!("bool columns use bool distinct sets");
                 };
-                sel.for_each_one_in(offset, end, |idx| match values.get(idx - offset) {
-                    Some(true) => {
-                        self.non_null += 1;
-                        *t = true;
-                    }
-                    Some(false) => {
-                        self.non_null += 1;
-                        *f = true;
-                    }
-                    None => self.nulls += 1,
-                });
+                let (trues, falses, nulls) = kernels::count_bools_part(column, offset, sel);
+                self.non_null += trues + falses;
+                self.nulls += nulls;
+                *t |= trues > 0;
+                *f |= falses > 0;
             }
         }
     }
@@ -518,33 +503,11 @@ pub struct ColumnStats {
 impl ColumnStats {
     /// Compute statistics for `column` over the rows selected by `sel`.
     ///
-    /// This is the single-segment form of the canonical statistics kernel:
-    /// segmented tables compute one [`ColumnSummary`] per segment and fold
-    /// them in row order, which for one segment is exactly this.
+    /// This is the one-part case of the statistics scan: a table scans every
+    /// segment into one [`ColumnSummary`], which for one segment is exactly
+    /// this.
     pub fn compute(column: &Column, sel: &Bitmap) -> ColumnStats {
         ColumnSummary::compute(column, sel, 0).to_stats()
-    }
-
-    /// Merge the statistics of two disjoint row sets of the **same column**.
-    ///
-    /// Row counts and min/max merge exactly; `distinct_count` merges as the
-    /// `a + b` **upper bound** (a plain count cannot know how many values the
-    /// two sides share) and the result carries no `value_counts`. Callers
-    /// that need either (the engine's table profile does) merge
-    /// [`ColumnSummary`]s instead, which carry the value sets.
-    pub fn merge(&self, other: &ColumnStats) -> ColumnStats {
-        debug_assert_eq!(self.dtype, other.dtype, "statistics of one column only");
-        let ends = [self.min, self.max, other.min, other.max];
-        let (min, max) = extremes(ends.into_iter().flatten()).unzip();
-        ColumnStats {
-            dtype: self.dtype,
-            non_null_count: self.non_null_count + other.non_null_count,
-            null_count: self.null_count + other.null_count,
-            distinct_count: self.distinct_count + other.distinct_count,
-            min,
-            max,
-            value_counts: None,
-        }
     }
 
     /// Fraction of selected rows that are NULL, in `[0, 1]`.
@@ -584,7 +547,7 @@ impl ColumnStats {
 mod tests {
     use super::*;
     use crate::column::DictColumn;
-    use crate::{Field, Schema, TableBuilder};
+    use crate::{ColumnView, Field, Schema, TableBuilder};
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
@@ -736,7 +699,7 @@ mod tests {
             prop_assert_eq!(stats.distinct_count, keys.len());
             prop_assert_eq!(stats.min.map(f64::to_bits), min.map(f64::to_bits));
             prop_assert_eq!(stats.max.map(f64::to_bits), max.map(f64::to_bits));
-            let mut sorted = column.numeric_values_where(&{
+            let mut sorted = ColumnView::of_column("x", &column).numeric_values_where(&{
                 let mut local = Bitmap::new_empty(rows.len());
                 sel.for_each_one_in(offset, end, |idx| local.set(idx - offset));
                 local
@@ -1052,38 +1015,6 @@ mod tests {
             ColumnSummary::from_parts(parts).to_stats(),
             summary.to_stats()
         );
-    }
-
-    #[test]
-    fn column_stats_merge_is_exact_except_distinct() {
-        let a = ColumnStats::compute(
-            &Column::Int(vec![Some(1), Some(2), None].into()),
-            &Bitmap::new_full(3),
-        );
-        let b = ColumnStats::compute(
-            &Column::Int(vec![Some(2), Some(10)].into()),
-            &Bitmap::new_full(2),
-        );
-        let merged = a.merge(&b);
-        let reference = ColumnStats::compute(
-            &Column::Int(vec![Some(1), Some(2), None, Some(2), Some(10)].into()),
-            &Bitmap::new_full(5),
-        );
-        assert_eq!(merged.non_null_count, reference.non_null_count);
-        assert_eq!(merged.null_count, reference.null_count);
-        assert_eq!(merged.min, reference.min);
-        assert_eq!(merged.max, reference.max);
-        // distinct merges as the a + b upper bound (2 is shared), and the
-        // counts do not survive a merge of plain statistics.
-        assert_eq!(merged.distinct_count, 4);
-        assert_eq!(reference.distinct_count, 3);
-        assert_eq!(merged.value_counts, None);
-        // Merging with an all-NULL side keeps the non-NULL side's extremes.
-        let nulls =
-            ColumnStats::compute(&Column::Int(vec![None, None].into()), &Bitmap::new_full(2));
-        let kept = a.merge(&nulls);
-        assert_eq!((kept.min, kept.max), (a.min, a.max));
-        assert_eq!(kept.null_count, 3);
     }
 
     #[test]

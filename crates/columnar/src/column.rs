@@ -1,8 +1,13 @@
 //! Typed columns with null masks and dictionary encoding for strings.
+//!
+//! A [`Column`] **stores**: it is built, measured and read a row at a time
+//! here, and nothing in this module takes a selection. Every scan goes through
+//! [`crate::ColumnView`] — a lone column is its one-part case,
+//! [`crate::ColumnView::of_column`] — whose per-part bodies live in
+//! [`crate::kernels`].
 
 use crate::bitmap::Bitmap;
 use crate::error::{ColumnarError, Result};
-use crate::kernels;
 use crate::value::{DataType, Value};
 use std::collections::HashMap;
 
@@ -351,284 +356,20 @@ impl Column {
             _ => None,
         }
     }
-
-    /// Collect the non-NULL numeric values for the rows selected by `sel`.
-    ///
-    /// Non-numeric columns return an empty vector. This is the main scan kernel
-    /// the `CUT` primitive relies on.
-    pub fn numeric_values_where(&self, sel: &Bitmap) -> Vec<f64> {
-        let mut out = Vec::with_capacity(sel.count().min(self.len()));
-        kernels::numeric_values_part(self, 0, sel, &mut out);
-        out
-    }
-
-    /// Select the rows whose numeric value lies in `[lo, hi]` (inclusive),
-    /// restricted to `sel`. NULLs never match. Non-numeric columns return an
-    /// empty selection.
-    ///
-    /// Runs the word-parallel range kernel (see [`crate::kernels`]): the
-    /// selection is walked word-by-word, validity comes from the null-mask
-    /// words, and dense 64-row blocks classify with lane-wise compares.
-    pub fn select_range(&self, sel: &Bitmap, lo: f64, hi: f64) -> Bitmap {
-        let mut out = Bitmap::new_empty(sel.len());
-        let bounds = [(lo, hi)];
-        let spec = kernels::resolve_ranges(self.data_type(), &bounds);
-        kernels::select_ranges_part(self, 0, sel, &bounds, &spec, std::slice::from_mut(&mut out));
-        out
-    }
-
-    /// Select the rows whose categorical value is in `values`, restricted to
-    /// `sel`. For boolean columns the values `"true"` / `"false"` are honoured.
-    /// NULLs never match. Numeric columns match on the decimal rendering of the
-    /// value, so set predicates degrade gracefully on integers.
-    pub fn select_in<S: AsRef<str>>(&self, sel: &Bitmap, values: &[S]) -> Bitmap {
-        self.select_in_iter(sel, values.iter().map(S::as_ref))
-    }
-
-    /// [`Column::select_in`] over a borrowed value iterator (no value-set
-    /// clone required).
-    ///
-    /// The value set is resolved **once**, before the scan: to dictionary
-    /// codes for string columns (membership is then one indexed load per row,
-    /// never a string comparison), to native `i64`s for integer columns, and
-    /// to rendered-string sets for float columns. The scan itself is the fused
-    /// word-by-word filter of [`Bitmap::filter_ones_in_into`].
-    pub fn select_in_iter<'v, I>(&self, sel: &Bitmap, values: I) -> Bitmap
-    where
-        I: IntoIterator<Item = &'v str>,
-    {
-        let mut out = Bitmap::new_empty(sel.len());
-        match self {
-            Column::Str(d) => {
-                // Resolve the value set to sorted dictionary codes once: the
-                // setup cost is O(|values| log |values|) regardless of the
-                // dictionary's cardinality, and each row is one binary search
-                // over the (typically tiny) code set — never a string compare.
-                let mut codes: Vec<u32> = values.into_iter().filter_map(|v| d.code_of(v)).collect();
-                if codes.is_empty() {
-                    return out;
-                }
-                codes.sort_unstable();
-                sel.filter_ones_in_into(0, d.len(), &mut out, |idx| {
-                    let code = d.code(idx);
-                    code != NULL_CODE && codes.binary_search(&code).is_ok()
-                });
-            }
-            Column::Bool(v) => {
-                let mut want_true = false;
-                let mut want_false = false;
-                for s in values {
-                    want_true |= s.eq_ignore_ascii_case("true");
-                    want_false |= s.eq_ignore_ascii_case("false");
-                }
-                sel.filter_ones_in_into(0, v.len(), &mut out, |idx| match v.get(idx) {
-                    Some(true) => want_true,
-                    Some(false) => want_false,
-                    None => false,
-                });
-            }
-            Column::Int(v) => {
-                // Parse the value set once; the round-trip check keeps the
-                // semantics of decimal-rendering equality (e.g. "007" or "+7"
-                // still never match the value 7).
-                let wanted: Vec<i64> = values
-                    .into_iter()
-                    .filter_map(|s| s.parse::<i64>().ok().filter(|x| x.to_string() == s))
-                    .collect();
-                if wanted.is_empty() {
-                    return out;
-                }
-                sel.filter_ones_in_into(0, v.len(), &mut out, |idx| match v.get(idx) {
-                    Some(x) => wanted.contains(&x),
-                    None => false,
-                });
-            }
-            Column::Float(v) => {
-                let wanted: std::collections::HashSet<&str> = values.into_iter().collect();
-                if wanted.is_empty() {
-                    return out;
-                }
-                sel.filter_ones_in_into(0, v.len(), &mut out, |idx| match v.get(idx) {
-                    Some(x) => wanted.contains(x.to_string().as_str()),
-                    None => false,
-                });
-            }
-        }
-        out
-    }
-
-    /// Partition the selected rows into one selection per numeric range, in a
-    /// **single pass** over the column (instead of one
-    /// [`Column::select_range`] scan per region).
-    ///
-    /// `bounds` are inclusive `[lo, hi]` intervals and must be pairwise
-    /// disjoint (each row is assigned to the first interval containing its
-    /// value — for disjoint intervals, the only one). NULLs fall into no
-    /// region; non-numeric columns return all-empty selections.
-    ///
-    /// This is a word-parallel kernel — 64 rows per step, see
-    /// [`crate::kernels`]; `ATLAS_FORCE_SCALAR=1` selects the one-row-at-a-
-    /// time reference implementation.
-    pub fn select_ranges(&self, sel: &Bitmap, bounds: &[(f64, f64)]) -> Vec<Bitmap> {
-        let mut out: Vec<Bitmap> = bounds
-            .iter()
-            .map(|_| Bitmap::new_empty(sel.len()))
-            .collect();
-        let spec = kernels::resolve_ranges(self.data_type(), bounds);
-        kernels::select_ranges_part(self, 0, sel, bounds, &spec, &mut out);
-        out
-    }
-
-    /// Partition the selected rows into one selection per value group, in a
-    /// **single pass** over the column (instead of one [`Column::select_in`]
-    /// scan per group).
-    ///
-    /// Groups must be pairwise disjoint value sets. String columns resolve
-    /// every group to dictionary codes once and then classify through the
-    /// code→group table (sorted dictionaries whose groups are contiguous
-    /// code ranges classify by lane-wise range compares instead); boolean
-    /// columns honour `"true"` / `"false"`; numeric columns resolve a
-    /// combined value→group map and classify in the same single pass.
-    pub fn select_in_groups(&self, sel: &Bitmap, groups: &[Vec<String>]) -> Vec<Bitmap> {
-        let mut out: Vec<Bitmap> = groups
-            .iter()
-            .map(|_| Bitmap::new_empty(sel.len()))
-            .collect();
-        let spec = kernels::resolve_groups(self.data_type(), groups);
-        kernels::select_in_groups_part(self, 0, sel, groups, &spec, &mut out);
-        out
-    }
-
-    /// The rows holding a non-NULL value, as a bitmap over the column's rows
-    /// (the inverted null mask). Primitive columns return their validity mask
-    /// directly; dictionary columns assemble it a word at a time.
-    pub fn non_null_mask(&self) -> Bitmap {
-        match self {
-            Column::Int(v) => v.validity().clone(),
-            Column::Float(v) => v.validity().clone(),
-            Column::Str(d) => Bitmap::from_fn(d.len(), |idx| d.code(idx) != NULL_CODE),
-            Column::Bool(v) => v.validity().clone(),
-        }
-    }
-
-    /// The distinct categorical values of the rows selected by `sel`, ordered
-    /// by decreasing frequency (ties broken by first appearance).
-    ///
-    /// Numeric columns return an empty vector.
-    pub fn categories_by_frequency(&self, sel: &Bitmap) -> Vec<(String, usize)> {
-        match self {
-            Column::Str(d) => {
-                let mut counts: Vec<usize> = vec![0; d.cardinality() + 1];
-                kernels::count_codes_part(d, 0, sel, &mut counts);
-                let mut pairs: Vec<(String, usize)> = counts
-                    .into_iter()
-                    .take(d.cardinality())
-                    .enumerate()
-                    .filter(|&(_, n)| n > 0)
-                    .map(|(code, n)| (d.dictionary()[code].clone(), n))
-                    .collect();
-                pairs.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
-                pairs
-            }
-            Column::Bool(v) => {
-                let mut t = 0usize;
-                let mut f = 0usize;
-                sel.for_each_one_in(0, v.len(), |idx| {
-                    if v.validity().get(idx) {
-                        if v.values()[idx] {
-                            t += 1;
-                        } else {
-                            f += 1;
-                        }
-                    }
-                });
-                let mut pairs = Vec::new();
-                if t > 0 {
-                    pairs.push(("true".to_string(), t));
-                }
-                if f > 0 {
-                    pairs.push(("false".to_string(), f));
-                }
-                pairs.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
-                pairs
-            }
-            _ => Vec::new(),
-        }
-    }
-
-    /// The raw per-category counts of this segment column over the rows of
-    /// `sel` (a **global** selection; `offset` is the segment's starting
-    /// row): one `(value, count)` pair per distinct value in first-appearance
-    /// (dictionary) order, *including zero counts*. This is the per-segment
-    /// precursor of [`crate::ColumnView::category_counts`]; per-segment
-    /// vectors fold in row order with [`crate::merge_category_counts`] into
-    /// exactly the whole-column vector. Numeric columns return an empty
-    /// vector.
-    pub fn category_counts(&self, sel: &Bitmap, offset: usize) -> Vec<(String, usize)> {
-        match self {
-            Column::Str(d) => {
-                // The extra trailing slot absorbs NULL lanes (see
-                // `count_codes_part`); only the real codes are reported.
-                let mut counts: Vec<usize> = vec![0; d.cardinality() + 1];
-                kernels::count_codes_part(d, offset, sel, &mut counts);
-                d.dictionary()
-                    .iter()
-                    .zip(counts)
-                    .map(|(value, n)| (value.clone(), n))
-                    .collect()
-            }
-            Column::Bool(v) => {
-                let mut t = 0usize;
-                let mut f = 0usize;
-                sel.for_each_one_in(offset, offset + v.len(), |idx| match v.get(idx - offset) {
-                    Some(true) => t += 1,
-                    Some(false) => f += 1,
-                    None => {}
-                });
-                vec![("true".to_string(), t), ("false".to_string(), f)]
-            }
-            _ => Vec::new(),
-        }
-    }
-
-    /// Minimum and maximum of the non-NULL numeric values selected by `sel`.
-    pub fn numeric_min_max(&self, sel: &Bitmap) -> Option<(f64, f64)> {
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        let mut seen = false;
-        match self {
-            Column::Int(v) => sel.for_each_one_in(0, v.len(), |idx| {
-                if v.validity().get(idx) {
-                    let x = v.values()[idx] as f64;
-                    min = min.min(x);
-                    max = max.max(x);
-                    seen = true;
-                }
-            }),
-            Column::Float(v) => sel.for_each_one_in(0, v.len(), |idx| {
-                if v.validity().get(idx) {
-                    let x = v.values()[idx];
-                    min = min.min(x);
-                    max = max.max(x);
-                    seen = true;
-                }
-            }),
-            _ => return None,
-        }
-        if seen {
-            Some((min, max))
-        } else {
-            None
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::view::ColumnView;
 
     fn int_col(values: &[Option<i64>]) -> Column {
         Column::Int(values.to_vec().into())
+    }
+
+    /// The one-part view a lone column is scanned through.
+    fn view(column: &Column) -> ColumnView<'_> {
+        ColumnView::of_column("c", column)
     }
 
     #[test]
@@ -724,7 +465,8 @@ mod tests {
 
     #[test]
     fn numeric_scan_kernels() {
-        let col = int_col(&[Some(10), Some(20), None, Some(30), Some(40)]);
+        let column = int_col(&[Some(10), Some(20), None, Some(30), Some(40)]);
+        let col = view(&column);
         let all = Bitmap::new_full(5);
         assert_eq!(col.numeric_values_where(&all), vec![10.0, 20.0, 30.0, 40.0]);
         let sel = Bitmap::from_indices(5, [0, 2, 3]);
@@ -741,7 +483,8 @@ mod tests {
         for s in ["bsc", "msc", "bsc", "phd"] {
             d.push(Some(s));
         }
-        let col = Column::Str(d);
+        let column = Column::Str(d);
+        let col = view(&column);
         let all = Bitmap::new_full(4);
         let hit = col.select_in(&all, &["bsc".to_string(), "phd".to_string()]);
         assert_eq!(hit.to_indices(), vec![0, 2, 3]);
@@ -750,12 +493,12 @@ mod tests {
 
         let b = Column::Bool(vec![Some(true), Some(false), None, Some(true)].into());
         let allb = Bitmap::new_full(4);
-        let hit = b.select_in(&allb, &["true".to_string()]);
+        let hit = view(&b).select_in(&allb, &["true".to_string()]);
         assert_eq!(hit.to_indices(), vec![0, 3]);
 
         let i = int_col(&[Some(1), Some(2), Some(3)]);
         let alli = Bitmap::new_full(3);
-        let hit = i.select_in(&alli, &["2".to_string()]);
+        let hit = view(&i).select_in(&alli, &["2".to_string()]);
         assert_eq!(hit.to_indices(), vec![1]);
     }
 
@@ -765,14 +508,15 @@ mod tests {
         for s in ["a", "b", "b", "c", "b", "a"] {
             d.push(Some(s));
         }
-        let col = Column::Str(d);
+        let column = Column::Str(d);
+        let col = view(&column);
         let all = Bitmap::new_full(col.len());
         let freq = col.categories_by_frequency(&all);
         assert_eq!(freq[0], ("b".to_string(), 3));
         assert_eq!(freq[1], ("a".to_string(), 2));
         assert_eq!(freq[2], ("c".to_string(), 1));
         // numeric columns: empty
-        assert!(int_col(&[Some(1)])
+        assert!(view(&int_col(&[Some(1)]))
             .categories_by_frequency(&Bitmap::new_full(1))
             .is_empty());
     }
@@ -780,7 +524,9 @@ mod tests {
     #[test]
     fn select_range_ignores_nan_values() {
         // NaN never satisfies an inclusive range, whatever the bounds.
-        let col = Column::Float(vec![Some(1.0), Some(f64::NAN), Some(2.0), None, Some(3.0)].into());
+        let column =
+            Column::Float(vec![Some(1.0), Some(f64::NAN), Some(2.0), None, Some(3.0)].into());
+        let col = view(&column);
         let all = Bitmap::new_full(5);
         let hit = col.select_range(&all, f64::NEG_INFINITY, f64::INFINITY);
         assert_eq!(hit.to_indices(), vec![0, 2, 4]);
@@ -795,7 +541,8 @@ mod tests {
     fn select_range_with_inverted_bounds_selects_nothing() {
         // (lo, hi) with lo > hi is an empty interval under the inclusive
         // semantics — pinned so the per-segment kernels keep it.
-        let col = int_col(&[Some(1), Some(2), Some(3)]);
+        let column = int_col(&[Some(1), Some(2), Some(3)]);
+        let col = view(&column);
         let all = Bitmap::new_full(3);
         assert!(col.select_range(&all, 3.0, 1.0).is_all_clear());
         // Degenerate single-point interval still matches.
@@ -808,7 +555,8 @@ mod tests {
 
     #[test]
     fn select_range_on_restricted_selection() {
-        let col = Column::Float(vec![Some(1.0), Some(2.0), Some(3.0), Some(4.0)].into());
+        let column = Column::Float(vec![Some(1.0), Some(2.0), Some(3.0), Some(4.0)].into());
+        let col = view(&column);
         let sel = Bitmap::from_indices(4, [1, 2]);
         let hit = col.select_range(&sel, 0.0, 10.0);
         assert_eq!(hit.to_indices(), vec![1, 2]);
@@ -819,7 +567,8 @@ mod tests {
         // The satellite fix: numeric group partitioning used to run one
         // select_in scan per group; the single-pass kernel must keep the
         // same results for disjoint groups.
-        let col = int_col(&[Some(1), Some(2), Some(3), None, Some(4), Some(2)]);
+        let column = int_col(&[Some(1), Some(2), Some(3), None, Some(4), Some(2)]);
+        let col = view(&column);
         let all = Bitmap::new_full(6);
         let groups = vec![
             vec!["1".to_string(), "4".to_string()],
@@ -838,7 +587,7 @@ mod tests {
         let f = Column::Float(vec![Some(1.5), Some(2.5), None, Some(1.5)].into());
         let allf = Bitmap::new_full(4);
         let fg = vec![vec!["1.5".to_string()], vec!["2.5".to_string()]];
-        let got = f.select_in_groups(&allf, &fg);
+        let got = view(&f).select_in_groups(&allf, &fg);
         assert_eq!(got[0].to_indices(), vec![0, 3]);
         assert_eq!(got[1].to_indices(), vec![1]);
     }

@@ -10,10 +10,6 @@ pub type Result<T> = std::result::Result<T, ColumnarError>;
 pub enum ColumnarError {
     /// A column with the given name does not exist in the schema.
     UnknownColumn(String),
-    /// A table with the given name does not exist in the catalog.
-    UnknownTable(String),
-    /// A table with the given name already exists in the catalog.
-    DuplicateTable(String),
     /// Two columns (or a column and a schema) disagree on length.
     LengthMismatch {
         /// The expected number of rows.
@@ -72,8 +68,6 @@ impl fmt::Display for ColumnarError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ColumnarError::UnknownColumn(name) => write!(f, "unknown column: {name}"),
-            ColumnarError::UnknownTable(name) => write!(f, "unknown table: {name}"),
-            ColumnarError::DuplicateTable(name) => write!(f, "table already exists: {name}"),
             ColumnarError::LengthMismatch { expected, found } => {
                 write!(
                     f,

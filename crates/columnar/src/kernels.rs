@@ -1,9 +1,16 @@
 //! Word-parallel partition kernels.
 //!
 //! The `CUT` hot loop is "partition the selected rows of one column into k
-//! disjoint selections" — by numeric range ([`crate::Column::select_ranges`])
-//! or by categorical group ([`crate::Column::select_in_groups`]). The kernels
-//! here process **64 rows per step** instead of one:
+//! disjoint selections" — by numeric range
+//! ([`crate::ColumnView::select_ranges`]) or by categorical group
+//! ([`crate::ColumnView::select_in_groups`]). This module holds every body
+//! that looks inside a [`Column`] to scan it (the summary scan,
+//! [`crate::ColumnSummary::accumulate`], is the one exception): each `*_part`
+//! function scans **one part** — one segment-local column sitting at a row
+//! offset of the selection — and [`crate::ColumnView`] walks a column's parts
+//! in row order. A new column encoding is taught to this module and to
+//! `accumulate`, nowhere else. The partition kernels process **64 rows per
+//! step** instead of one:
 //!
 //! * the selection bitmap is walked word-at-a-time (all-zero words are
 //!   skipped, boundary words are masked — `for_each_sel_word`);
@@ -497,9 +504,10 @@ pub(crate) fn resolve_groups(dtype: DataType, groups: &[Vec<String>]) -> GroupsS
             }
         }
         DataType::Int => {
-            // Parse each value once with the round-trip check of `select_in`
-            // ("007" never matches 7); on duplicate values across groups the
-            // first group wins (groups are disjoint by contract).
+            // Parse each value once; the round-trip check keeps set
+            // predicates matching on the decimal rendering ("007" or "+7"
+            // never match 7). On duplicate values across groups the first
+            // group wins (groups are disjoint by contract).
             let mut map: Vec<(i64, u32)> = Vec::new();
             for (g, group) in groups.iter().enumerate() {
                 for s in group {
@@ -530,18 +538,25 @@ pub(crate) fn resolve_groups(dtype: DataType, groups: &[Vec<String>]) -> GroupsS
 /// group", and the extra trailing slot absorbs `NULL_CODE` lanes (indexed as
 /// `min(code, cardinality)`), so the kernel loop needs no null branch.
 /// Later groups overwrite earlier ones on duplicate values, matching the
-/// scalar path (groups are disjoint by contract).
-pub(crate) fn dict_group_table(d: &DictColumn, groups: &[Vec<String>]) -> Vec<u32> {
-    let no_group = groups.len() as u32;
-    let mut table = vec![no_group; d.cardinality() + 1];
-    for (g, group) in groups.iter().enumerate() {
-        for value in group {
-            if let Some(code) = d.code_of(value) {
-                table[code as usize] = g as u32;
-            }
-        }
+/// scalar path (groups are disjoint by contract). `None` when no value of any
+/// group is in the dictionary: no row of the part can land in a group.
+pub(crate) fn dict_group_table(d: &DictColumn, groups: &[Vec<String>]) -> Option<Vec<u32>> {
+    let resolved: Vec<(u32, u32)> = groups
+        .iter()
+        .enumerate()
+        .flat_map(|(g, group)| {
+            let codes = group.iter().filter_map(|value| d.code_of(value));
+            codes.map(move |code| (code, g as u32))
+        })
+        .collect();
+    if resolved.is_empty() {
+        return None;
     }
-    table
+    let mut table = vec![groups.len() as u32; d.cardinality() + 1];
+    for (code, g) in resolved {
+        table[code as usize] = g;
+    }
+    Some(table)
 }
 
 /// If every code belongs to a group and the code→group table is
@@ -568,7 +583,9 @@ fn contiguous_range_starts(table: &[u32], num_groups: usize) -> Option<Vec<u32>>
 }
 
 /// Partition one segment-local column over its global row range into `out`
-/// (one bitmap per group, global coordinates).
+/// (one bitmap per group, global coordinates). A part in which no value of
+/// any group can occur — none is in its dictionary, or none parses as the
+/// column's type — is not scanned.
 pub(crate) fn select_in_groups_part(
     column: &Column,
     offset: usize,
@@ -583,7 +600,9 @@ pub(crate) fn select_in_groups_part(
     observe_dispatch("select_in_groups", path);
     match (column, spec) {
         (Column::Str(d), GroupsSpec::Str) => {
-            let table = dict_group_table(d, groups);
+            let Some(table) = dict_group_table(d, groups) else {
+                return;
+            };
             if scalar {
                 groups_scalar_codes(d.codes(), offset, sel, &table, out);
             } else {
@@ -596,7 +615,7 @@ pub(crate) fn select_in_groups_part(
                 true_group,
                 false_group,
             },
-        ) => {
+        ) if true_group.or(false_group).is_some() => {
             if scalar {
                 groups_scalar_bool(
                     p.values(),
@@ -619,7 +638,7 @@ pub(crate) fn select_in_groups_part(
                 );
             }
         }
-        (Column::Int(p), GroupsSpec::Int(map)) => {
+        (Column::Int(p), GroupsSpec::Int(map)) if !map.is_empty() => {
             let lookup = |x: i64| {
                 map.binary_search_by(|probe| probe.0.cmp(&x))
                     .ok()
@@ -631,10 +650,9 @@ pub(crate) fn select_in_groups_part(
                 groups_word_keyed(p.values(), p.validity(), offset, sel, lookup, out);
             }
         }
-        (Column::Float(p), GroupsSpec::Float(map)) => {
-            // Set predicates on floats match on the decimal rendering, same
-            // as `select_in` — a degraded edge case kept for completeness,
-            // now in a single pass instead of one pass per group.
+        (Column::Float(p), GroupsSpec::Float(map)) if !map.is_empty() => {
+            // Set predicates on floats match on the decimal rendering — a
+            // degraded edge case kept for completeness.
             let lookup = |x: f64| {
                 let rendered = x.to_string();
                 map.binary_search_by(|probe| probe.0.as_str().cmp(rendered.as_str()))
@@ -887,34 +905,39 @@ fn groups_word_keyed<T: Copy>(
 }
 
 // ---------------------------------------------------------------------------
-// Numeric gather (numeric_values_where)
+// Value walks (numeric_values_where, numeric_min_max, counts, null masks)
 // ---------------------------------------------------------------------------
 
-/// Append the non-null numeric values selected by `sel` within this part's
-/// global row range, in row order. All-ones candidate words push their 64
-/// lanes without per-bit iteration. (Exact either way — not path-gated.)
+/// Visit as `f64`, in row order, the non-NULL numeric values selected by
+/// `sel` within this part's global row range (nothing for a non-numeric
+/// part). (Exact either way — not path-gated.)
+#[inline]
+pub(crate) fn for_each_numeric_part(
+    column: &Column,
+    offset: usize,
+    sel: &Bitmap,
+    mut visit: impl FnMut(f64),
+) {
+    match column {
+        Column::Int(p) => {
+            for_each_selected_value(p.values(), p.validity(), offset, sel, |x| visit(x as f64));
+        }
+        Column::Float(p) => {
+            for_each_selected_value(p.values(), p.validity(), offset, sel, visit);
+        }
+        _ => {}
+    }
+}
+
+/// Append the non-NULL numeric values selected by `sel` within this part's
+/// global row range, in row order.
 pub(crate) fn numeric_values_part(
     column: &Column,
     offset: usize,
     sel: &Bitmap,
     out: &mut Vec<f64>,
 ) {
-    match column {
-        Column::Int(p) => gather_numeric(p.values(), p.validity(), offset, sel, |x| x as f64, out),
-        Column::Float(p) => gather_numeric(p.values(), p.validity(), offset, sel, |x| x, out),
-        _ => {}
-    }
-}
-
-fn gather_numeric<T: Copy>(
-    values: &[T],
-    validity: &Bitmap,
-    offset: usize,
-    sel: &Bitmap,
-    to_f64: impl Fn(T) -> f64,
-    out: &mut Vec<f64>,
-) {
-    for_each_selected_value(values, validity, offset, sel, |x| out.push(to_f64(x)));
+    for_each_numeric_part(column, offset, sel, |x| out.push(x));
 }
 
 /// Visit, in row order, the selected non-NULL values of a primitive part
@@ -952,21 +975,43 @@ pub(crate) fn for_each_selected_value<T: Copy>(
     nulls
 }
 
-/// Per-code selected-row counts for one dictionary part: `counts` has
-/// `cardinality + 1` slots, the last absorbing NULL lanes. Dense candidate
-/// words count all 64 lanes without per-bit iteration. (Exact either way —
-/// not path-gated.)
-pub(crate) fn count_codes_part(d: &DictColumn, offset: usize, sel: &Bitmap, counts: &mut [usize]) {
+/// The selected `(true, false, NULL)` row counts of one boolean part (zeros
+/// for any other part).
+pub(crate) fn count_bools_part(
+    column: &Column,
+    offset: usize,
+    sel: &Bitmap,
+) -> (usize, usize, usize) {
+    let Column::Bool(p) = column else {
+        return (0, 0, 0);
+    };
+    let (mut trues, mut falses) = (0, 0);
+    let nulls = for_each_selected_value(p.values(), p.validity(), offset, sel, |b| {
+        trues += usize::from(b);
+        falses += usize::from(!b);
+    });
+    (trues, falses, nulls)
+}
+
+/// Per-code selected-row counts for one dictionary part, one slot per code
+/// and a last one that absorbs the NULL lanes. Dense candidate words count
+/// all 64 lanes without per-bit iteration. (Exact either way — not
+/// path-gated.)
+pub(crate) fn count_codes_part(d: &DictColumn, offset: usize, sel: &Bitmap) -> Vec<usize> {
     let codes = d.codes();
     let card = d.cardinality();
-    debug_assert_eq!(counts.len(), card + 1);
+    // Two tallies per slot, taken in turn: neighbouring rows often hold the
+    // same code, and back-to-back increments of one counter wait on each
+    // other's store.
+    let mut tallies = vec![[0usize; 2]; card + 1];
     let end = offset + codes.len();
     for_each_sel_word(sel, offset, end, |w, cand| {
         let base = w * WORD_BITS;
         let full = base >= offset && base + WORD_BITS <= end;
         if full && cand == u64::MAX {
-            for &code in &codes[base - offset..base - offset + WORD_BITS] {
-                counts[(code as usize).min(card)] += 1;
+            for pair in codes[base - offset..base - offset + WORD_BITS].chunks_exact(2) {
+                tallies[(pair[0] as usize).min(card)][0] += 1;
+                tallies[(pair[1] as usize).min(card)][1] += 1;
             }
         } else {
             let mut bits = cand;
@@ -974,10 +1019,46 @@ pub(crate) fn count_codes_part(d: &DictColumn, offset: usize, sel: &Bitmap, coun
                 let b = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 let code = codes[base + b - offset];
-                counts[(code as usize).min(card)] += 1;
+                tallies[(code as usize).min(card)][b & 1] += 1;
             }
         }
     });
+    tallies.into_iter().map(|[a, b]| a + b).collect()
+}
+
+/// The selected `(non-NULL, NULL)` row counts of one dictionary part, read
+/// off [`count_codes_part`]; `seen` is called, in dictionary order, with
+/// every value at least one selected row holds.
+pub(crate) fn count_values_part<'d>(
+    d: &'d DictColumn,
+    offset: usize,
+    sel: &Bitmap,
+    mut seen: impl FnMut(&'d str),
+) -> (usize, usize) {
+    let counts = count_codes_part(d, offset, sel);
+    let (&nulls, by_code) = counts.split_last().expect("the NULL slot is always there");
+    let mut non_null = 0;
+    for (value, &n) in d.dictionary().iter().zip(by_code) {
+        if n > 0 {
+            non_null += n;
+            seen(value);
+        }
+    }
+    (non_null, nulls)
+}
+
+/// OR the non-NULL rows of one part into `out` at the part's offset.
+/// Primitive parts copy their validity mask a word at a time when the offset
+/// is word-aligned; dictionary parts assemble theirs from the codes.
+pub(crate) fn non_null_mask_part(column: &Column, offset: usize, out: &mut Bitmap) {
+    match column {
+        Column::Int(p) => out.or_shifted(p.validity(), offset),
+        Column::Float(p) => out.or_shifted(p.validity(), offset),
+        Column::Bool(p) => out.or_shifted(p.validity(), offset),
+        Column::Str(d) => out.fill_range_from_fn(offset, offset + d.len(), |idx| {
+            d.code(idx - offset) != NULL_CODE
+        }),
+    }
 }
 
 #[cfg(test)]
@@ -1043,6 +1124,22 @@ mod tests {
         assert_eq!(contiguous_range_starts(&[1, 0, 1, 2], 2), None);
         // Empty dictionaries disqualify.
         assert_eq!(contiguous_range_starts(&[1], 1), None);
+    }
+
+    #[test]
+    fn a_part_holding_no_group_value_gets_no_table_and_no_scan() {
+        let mut d = DictColumn::new();
+        for s in ["a", "b", "a"] {
+            d.push(Some(s));
+        }
+        let group = |values: &[&str]| values.iter().map(|v| v.to_string()).collect::<Vec<_>>();
+        // Without a table `select_in_groups_part` returns before its scan.
+        assert_eq!(dict_group_table(&d, &[group(&["z"]), group(&[])]), None);
+        assert_eq!(dict_group_table(&d, &[]), None);
+        // One resolving value is enough: code 1 → group 1, the rest (and the
+        // NULL slot) → "no group".
+        let table = dict_group_table(&d, &[group(&["z"]), group(&["b"])]);
+        assert_eq!(table, Some(vec![2, 1, 2]));
     }
 
     #[test]

@@ -7,13 +7,22 @@
 //! exposes per-column statistics.
 //!
 //! Storage is **segmented**: a [`Table`] is an ordered list of immutable
-//! [`Segment`]s (contiguous row ranges, each with its own columns and
-//! seal-time [`ColumnStats`]), shared individually by `Arc`. Appending data
-//! creates a new table that reuses every existing segment, so continuously
-//! ingesting workloads extend state instead of invalidating it. All scan
-//! kernels ([`ColumnView`]) operate per-segment in global row coordinates and
-//! are bit-for-bit independent of the segment layout; the layout is
-//! controlled by `ATLAS_SEGMENT_ROWS` ([`segment::default_segment_rows`]).
+//! [`Segment`]s (contiguous row ranges, each with its own columns), shared
+//! individually by `Arc`. Appending data creates a new table that reuses
+//! every existing segment, so continuously ingesting workloads extend state
+//! instead of invalidating it. All scan kernels ([`ColumnView`]) operate
+//! per-segment in global row coordinates and are bit-for-bit independent of
+//! the segment layout; the layout is controlled by `ATLAS_SEGMENT_ROWS`
+//! ([`segment::default_segment_rows`]).
+//!
+//! ## One scan surface
+//!
+//! [`Column`] **stores** (`push`, `value`, `len`, `null_count`, …; nothing on
+//! it takes a selection), [`kernels`] **scans one part** (one segment-local
+//! column at a row offset of the selection), and [`ColumnView`] **is the
+//! method set** — over a table's segments, or over one column as the one-part
+//! case ([`ColumnView::of_column`]). A new column encoding is taught to
+//! `kernels.rs` and [`ColumnSummary::accumulate`] only.
 //!
 //! ## Key types
 //!
@@ -21,8 +30,7 @@
 //!   floats, dictionary-encoded strings, booleans).
 //! * [`Column`] — a typed segment-local column with a null mask; string columns
 //!   are dictionary-encoded ([`column::DictColumn`]).
-//! * [`Segment`] — an immutable row range: one column per field plus
-//!   per-column statistics.
+//! * [`Segment`] — an immutable row range: one column per field.
 //! * [`ColumnView`] — one schema column across every segment of a table; all
 //!   selection / partition / statistics kernels live here.
 //! * [`Bitmap`] — a packed selection vector over the table's global rows,
@@ -30,10 +38,10 @@
 //! * [`Schema`] / [`Field`] — relation schemas.
 //! * [`Table`] — an immutable relation (schema + segments), built through a
 //!   segment-sealing [`TableBuilder`] or streamed from CSV.
-//! * [`Catalog`] — a named collection of tables.
 //! * [`ColumnStats`] — per-column summary statistics (min/max, nulls, exact
 //!   distinct counts, per-value counts for low-cardinality numeric columns),
-//!   with [`colstats::ColumnSummary`] as the exactly-mergeable form.
+//!   with [`colstats::ColumnSummary`] as the exactly-mergeable form — the
+//!   only way statistics of two row sets combine.
 //!
 //! The partition/selection hot path runs word-parallel kernels (64 rows per
 //! step — see [`kernels`]); `ATLAS_FORCE_SCALAR=1` routes it through the
@@ -43,7 +51,6 @@
 
 pub mod bitmap;
 pub mod builder;
-pub mod catalog;
 pub mod colstats;
 pub mod column;
 pub mod csv;
@@ -58,7 +65,6 @@ pub mod view;
 
 pub use bitmap::Bitmap;
 pub use builder::TableBuilder;
-pub use catalog::Catalog;
 pub use colstats::{ColumnStats, ColumnSummary, DistinctValues, SummaryParts};
 pub use column::{Column, PrimitiveColumn};
 pub use error::{ColumnarError, Result};

@@ -1,11 +1,13 @@
 //! Immutable row-range segments of a [`crate::Table`].
 //!
 //! A segment is a horizontal slice of a relation: one column per schema field,
-//! all of the same length, with per-column [`ColumnStats`] available on
-//! demand (computed lazily, cached for the segment's lifetime). Segments are **immutable** and shared by `Arc`, so
+//! all of the same length. Segments are **immutable** and shared by `Arc`, so
 //! appending data to a table never touches (or copies) the rows already
 //! ingested: a new table is the old segment list plus one new segment, and
-//! engine-side statistics extend by merging the new segment's summaries.
+//! engine-side statistics extend by merging the new segment's summaries. A
+//! segment holds no statistics of its own: sealing is a pure move, and
+//! [`crate::ColumnSummary`] — scanned per segment, merged exactly — is the
+//! only way statistics combine.
 //!
 //! The segment size is a storage-layout knob, not a semantics knob: every scan
 //! kernel walks the segments in row order and assembles results in global row
@@ -17,13 +19,10 @@
 //! split points may shift with the chunking, within the same ε rank-error
 //! envelope.
 
-use crate::bitmap::Bitmap;
-use crate::colstats::{ColumnStats, ColumnSummary};
 use crate::column::Column;
 use crate::error::{ColumnarError, Result};
 use crate::schema::Schema;
 use std::fmt;
-use std::sync::OnceLock;
 
 /// The default number of rows per segment: the `ATLAS_SEGMENT_ROWS`
 /// environment variable if set to a positive integer, 65 536 otherwise
@@ -40,38 +39,20 @@ pub fn default_segment_rows() -> usize {
     }
 }
 
-/// One immutable row-range of a table: a column per schema field plus the
-/// per-column statistics of those rows.
+/// One immutable row-range of a table: a column per schema field.
 #[derive(Debug, Clone)]
 pub struct Segment {
     columns: Vec<Column>,
     num_rows: usize,
-    /// Per-column statistics, computed on first access (sealing itself stays
-    /// a pure move, so hot ingest paths — streaming CSV, joins,
-    /// `materialize` — never pay for statistics nobody reads).
-    stats: OnceLock<Vec<ColumnStats>>,
 }
 
 impl Segment {
     /// Seal a segment from columns matching `schema`. All columns must have
     /// the same length and the schema's types; violations are reported with
     /// the offending column's name.
-    ///
-    /// Per-column [`ColumnStats`] are the segment's *introspection* surface
-    /// (fast `null_count`, per-segment min/max for users and future
-    /// pruning); they are computed lazily on first access and cached for the
-    /// segment's lifetime. Engine profiles deliberately do **not** reuse
-    /// them: a profile's summaries must be foldable (they carry
-    /// distinct-value sets the sealed form drops to stay small), so
-    /// preparing an engine scans each segment itself — the price of keeping
-    /// segments lean while profiles stay exactly mergeable.
     pub fn new(schema: &Schema, columns: Vec<Column>) -> Result<Self> {
         let num_rows = validate_columns(schema, &columns)?;
-        Ok(Segment {
-            columns,
-            num_rows,
-            stats: OnceLock::new(),
-        })
+        Ok(Segment { columns, num_rows })
     }
 
     /// Number of rows in this segment.
@@ -100,26 +81,6 @@ impl Segment {
     /// Panics if `idx` is out of range.
     pub fn column(&self, idx: usize) -> &Column {
         &self.columns[idx]
-    }
-
-    /// The statistics of every column, in schema order (computed on first
-    /// access, cached afterwards).
-    pub fn stats(&self) -> &[ColumnStats] {
-        self.stats.get_or_init(|| {
-            let full = Bitmap::new_full(self.num_rows);
-            self.columns
-                .iter()
-                .map(|c| ColumnSummary::compute(c, &full, 0).to_stats())
-                .collect()
-        })
-    }
-
-    /// The statistics of the column at schema position `idx`.
-    ///
-    /// # Panics
-    /// Panics if `idx` is out of range.
-    pub fn column_stats(&self, idx: usize) -> &ColumnStats {
-        &self.stats()[idx]
     }
 }
 
@@ -182,7 +143,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_are_computed_lazily_and_cached() {
+    fn a_sealed_segment_reports_its_shape() {
         let ages = Column::Int(vec![Some(20), None, Some(40)].into());
         let mut d = DictColumn::new();
         for n in ["ann", "bob", "ann"] {
@@ -192,11 +153,7 @@ mod tests {
         assert_eq!(seg.num_rows(), 3);
         assert_eq!(seg.num_columns(), 2);
         assert!(!seg.is_empty());
-        assert_eq!(seg.column_stats(0).non_null_count, 2);
-        assert_eq!(seg.column_stats(0).null_count, 1);
-        assert_eq!(seg.column_stats(0).min, Some(20.0));
-        assert_eq!(seg.column_stats(1).distinct_count, 2);
-        assert_eq!(seg.stats().len(), 2);
+        assert_eq!(seg.column(0).null_count(), 1);
         assert_eq!(seg.to_string(), "segment [3 rows x 2 columns]");
     }
 

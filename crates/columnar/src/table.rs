@@ -208,29 +208,6 @@ impl Table {
         Ok(self.column(name)?.stats(sel))
     }
 
-    /// Whole-column statistics folded from the segments' **cached** per-
-    /// segment statistics via [`ColumnStats::merge`] — no row scan when the
-    /// segment stats are already materialised, and at most one scan per
-    /// segment ever.
-    ///
-    /// Row counts and min/max are exact; `distinct_count` is the `merge`
-    /// upper bound (segments may share values) and there are no
-    /// `value_counts`. Use [`Table::column_stats`] with a full selection when
-    /// either must be exact.
-    pub fn quick_column_stats(&self, name: &str) -> Result<ColumnStats> {
-        let idx = self.schema.index_of(name)?;
-        let dtype = self.schema.fields()[idx].dtype;
-        let mut acc: Option<ColumnStats> = None;
-        for segment in &self.segments {
-            let stats = segment.column_stats(idx);
-            acc = Some(match acc {
-                Some(folded) => folded.merge(stats),
-                None => stats.clone(),
-            });
-        }
-        Ok(acc.unwrap_or_else(|| crate::colstats::ColumnSummary::empty(dtype).to_stats()))
-    }
-
     /// Materialise a row as a vector of values (mostly for display / tests).
     pub fn row(&self, row: usize) -> Result<Vec<Value>> {
         if row >= self.num_rows {
@@ -392,43 +369,6 @@ mod tests {
         let stats = t.column_stats("age", &t.full_selection()).unwrap();
         assert_eq!(stats.non_null_count, 3);
         assert_eq!(stats.null_count, 1);
-    }
-
-    #[test]
-    fn quick_column_stats_fold_segment_stats() {
-        // A 3-segment table with a value shared across segments.
-        let schema = Schema::new(vec![Field::new("x", DataType::Int)]).unwrap();
-        let seg = |values: Vec<Option<i64>>| {
-            Arc::new(Segment::new(&schema, vec![Column::Int(values.into())]).unwrap())
-        };
-        let t = Table::from_segments(
-            "t",
-            schema.clone(),
-            vec![
-                seg(vec![Some(1), Some(2), None]),
-                seg(vec![Some(2), Some(10)]),
-            ],
-        )
-        .unwrap();
-        let quick = t.quick_column_stats("x").unwrap();
-        let exact = t.column_stats("x", &t.full_selection()).unwrap();
-        assert_eq!(quick.non_null_count, exact.non_null_count);
-        assert_eq!(quick.null_count, exact.null_count);
-        assert_eq!(quick.min, exact.min);
-        assert_eq!(quick.max, exact.max);
-        // distinct is an upper bound: 2 is shared between the segments —
-        // and only the scanned statistics carry the value counts.
-        assert_eq!(exact.distinct_count, 3);
-        assert_eq!(quick.distinct_count, 4);
-        assert_eq!(quick.value_counts, None);
-        assert_eq!(
-            exact.value_counts,
-            Some(vec![(1.0, 1), (2.0, 2), (10.0, 1)])
-        );
-        // Unknown columns error; empty tables fold to zeroes.
-        assert!(t.quick_column_stats("zzz").is_err());
-        let empty = TableBuilder::new("e", schema).build().unwrap();
-        assert_eq!(empty.quick_column_stats("x").unwrap().non_null_count, 0);
     }
 
     #[test]

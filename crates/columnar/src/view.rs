@@ -1,16 +1,22 @@
-//! Table-spanning column views over segmented storage.
+//! Column views: the one method set every scan goes through.
+//!
+//! The rule of the crate: a [`Column`] **stores**, [`crate::kernels`] **scans
+//! one part**, and [`ColumnView`] **is the method set** — range/set selection,
+//! one-pass partitioning, frequency counting, min/max, null masks, summary
+//! statistics. A new column encoding is taught to `kernels.rs` and to
+//! [`ColumnSummary::accumulate`] only; nothing here looks inside a column.
 //!
 //! A [`ColumnView`] is what [`crate::Table::column`] hands out: a lightweight
 //! (`Copy`) handle addressing one schema column across every segment of a
-//! table. It exposes the same scan kernels the monolithic `Column` offers —
-//! range/set selection, one-pass partitioning, frequency counting, min/max,
-//! null masks — but each kernel walks the segments **in row order**, operating
-//! on the segment's slice of the table-wide selection bitmap
-//! ([`Bitmap::for_each_one_in`] / [`Bitmap::filter_ones_in_into`]) and
-//! assembling results in global row coordinates. Every kernel on this type
-//! is therefore bit-for-bit independent of the segment layout. (Quantile
-//! *sketches*, which live in the engine profile rather than here, are the
-//! one ε-approximate exception — see `atlas-stats::gk`.)
+//! table. Each kernel walks the segments **in row order**, operating on the
+//! segment's slice of the table-wide selection bitmap and assembling results
+//! in global row coordinates, so every kernel on this type is bit-for-bit
+//! independent of the segment layout. (Quantile *sketches*, which live in the
+//! engine profile rather than here, are the one ε-approximate exception — see
+//! `atlas-stats::gk`.) A lone segment-local column is the one-part case
+//! ([`ColumnView::of_column`]), addressed in its own row coordinates: what a
+//! per-segment task computes there folds, in row order, into exactly what the
+//! table-wide view computes.
 //!
 //! String columns are dictionary-encoded **per segment**: each kernel resolves
 //! its value set against each segment's dictionary (one cheap lookup per
@@ -19,7 +25,7 @@
 //! single table-wide dictionary would have produced.
 
 use crate::bitmap::Bitmap;
-use crate::colstats::{ColumnStats, ColumnSummary};
+use crate::colstats::{widen, ColumnStats, ColumnSummary};
 use crate::column::{Column, NULL_CODE};
 use crate::error::{ColumnarError, Result};
 use crate::kernels;
@@ -27,26 +33,52 @@ use crate::table::Table;
 use crate::value::{DataType, Value};
 use std::collections::{HashMap, HashSet};
 
-/// A view of one column across every segment of a [`Table`].
+/// A view of one column: across every segment of a [`Table`], or over one
+/// segment-local [`Column`].
 #[derive(Clone, Copy)]
 pub struct ColumnView<'a> {
-    table: &'a Table,
-    col: usize,
+    name: &'a str,
     dtype: DataType,
+    len: usize,
+    source: Source<'a>,
+}
+
+/// Where the parts of a view are.
+#[derive(Clone, Copy)]
+enum Source<'a> {
+    /// The schema column at this position in every segment of the table, each
+    /// at its segment's global offset.
+    Table(&'a Table, usize),
+    /// One column, at offset 0.
+    Column(&'a Column),
 }
 
 impl<'a> ColumnView<'a> {
     pub(crate) fn new(table: &'a Table, col: usize) -> Self {
+        let field = &table.schema.fields()[col];
         ColumnView {
-            table,
-            col,
-            dtype: table.schema.fields()[col].dtype,
+            name: &field.name,
+            dtype: field.dtype,
+            len: table.num_rows,
+            source: Source::Table(table, col),
+        }
+    }
+
+    /// A view of one segment-local column in that column's own row
+    /// coordinates: the one-part case of a table-wide view, with the same
+    /// kernels over selections of `column.len()` rows. Nothing is copied.
+    pub fn of_column(name: &'a str, column: &'a Column) -> Self {
+        ColumnView {
+            name,
+            dtype: column.data_type(),
+            len: column.len(),
+            source: Source::Column(column),
         }
     }
 
     /// The column name.
     pub fn name(&self) -> &'a str {
-        &self.table.schema.fields()[self.col].name
+        self.name
     }
 
     /// The data type of the column.
@@ -56,28 +88,39 @@ impl<'a> ColumnView<'a> {
 
     /// Number of rows (the table's row count).
     pub fn len(&self) -> usize {
-        self.table.num_rows
+        self.len
     }
 
     /// True if the column holds no rows.
     pub fn is_empty(&self) -> bool {
-        self.table.num_rows == 0
+        self.len == 0
+    }
+
+    fn num_parts(&self) -> usize {
+        match self.source {
+            Source::Table(table, _) => table.segments.len(),
+            Source::Column(_) => 1,
+        }
     }
 
     /// The column's segment-local parts, in row order, as
     /// `(global_offset, column)` pairs.
     pub fn parts(&self) -> impl Iterator<Item = (usize, &'a Column)> + '_ {
-        self.table
-            .segments
-            .iter()
-            .zip(self.table.offsets.iter())
-            .map(move |(segment, &offset)| (offset, &segment.columns()[self.col]))
+        (0..self.num_parts()).map(|idx| match self.source {
+            Source::Table(table, col) => (table.offsets[idx], table.segments[idx].column(col)),
+            Source::Column(column) => (0, column),
+        })
     }
 
     /// The segment-local column containing global `row`, with its offset.
     fn part_of(&self, row: usize) -> (usize, &'a Column) {
-        let (offset, segment) = self.table.segment_of(row);
-        (offset, &segment.columns()[self.col])
+        match self.source {
+            Source::Table(table, col) => {
+                let (offset, segment) = table.segment_of(row);
+                (offset, segment.column(col))
+            }
+            Source::Column(column) => (0, column),
+        }
     }
 
     /// The value at `row` as a dynamically-typed [`Value`].
@@ -109,13 +152,9 @@ impl<'a> ColumnView<'a> {
         column.is_null(row - offset)
     }
 
-    /// Number of NULL entries, served from the segments' cached statistics.
+    /// Number of NULL entries: the parts' own counts, no value is read.
     pub fn null_count(&self) -> usize {
-        self.table
-            .segments
-            .iter()
-            .map(|s| s.column_stats(self.col).null_count)
-            .sum()
+        self.parts().map(|(_, column)| column.null_count()).sum()
     }
 
     /// Numeric view of the value at `row` (`None` for NULL or non-numeric).
@@ -138,46 +177,35 @@ impl<'a> ColumnView<'a> {
 
     /// [`ColumnView::summary`] collapsed into the public statistics form.
     ///
-    /// String columns take a transient fast path: cross-segment distinct
-    /// values are deduplicated through a set of `&str` **borrowed from the
-    /// segment dictionaries**, so the per-query statistics of a drill-down
-    /// working set allocate nothing per distinct value (the owned value sets
-    /// of [`ColumnSummary`] are only materialised when a summary is retained,
-    /// as the engine's table profile does).
+    /// String columns take a transient fast path: the same per-part code
+    /// counts, with cross-segment distinct values deduplicated through a set
+    /// of `&str` **borrowed from the segment dictionaries**, so the per-query
+    /// statistics of a drill-down working set allocate nothing per distinct
+    /// value (the owned value sets of [`ColumnSummary`] are only materialised
+    /// when a summary is retained, as the engine's table profile does).
     pub fn stats(&self, sel: &Bitmap) -> ColumnStats {
-        if self.dtype == DataType::Str {
-            let mut non_null = 0usize;
-            let mut nulls = 0usize;
-            let mut distinct: HashSet<&str> = HashSet::new();
-            for (offset, column) in self.parts() {
-                let d = column.as_dict().expect("schema says string column");
-                let mut seen = vec![false; d.cardinality()];
-                sel.for_each_one_in(offset, offset + d.len(), |idx| {
-                    let code = d.code(idx - offset);
-                    if code == NULL_CODE {
-                        nulls += 1;
-                    } else {
-                        non_null += 1;
-                        seen[code as usize] = true;
-                    }
-                });
-                for (code, seen) in seen.into_iter().enumerate() {
-                    if seen {
-                        distinct.insert(d.dictionary()[code].as_str());
-                    }
-                }
-            }
-            return ColumnStats {
-                dtype: DataType::Str,
-                non_null_count: non_null,
-                null_count: nulls,
-                distinct_count: distinct.len(),
-                min: None,
-                max: None,
-                value_counts: None,
-            };
+        if self.dtype != DataType::Str {
+            return self.summary(sel).to_stats();
         }
-        self.summary(sel).to_stats()
+        let (mut non_null_count, mut null_count) = (0, 0);
+        let mut distinct: HashSet<&str> = HashSet::new();
+        for (offset, column) in self.parts() {
+            let d = column.as_dict().expect("schema says string column");
+            let (non_null, nulls) = kernels::count_values_part(d, offset, sel, |value| {
+                distinct.insert(value);
+            });
+            non_null_count += non_null;
+            null_count += nulls;
+        }
+        ColumnStats {
+            dtype: DataType::Str,
+            non_null_count,
+            null_count,
+            distinct_count: distinct.len(),
+            min: None,
+            max: None,
+            value_counts: None,
+        }
     }
 
     /// Collect the non-NULL numeric values for the rows selected by `sel`, in
@@ -196,27 +224,10 @@ impl<'a> ColumnView<'a> {
 
     /// Select the rows whose numeric value lies in `[lo, hi]` (inclusive),
     /// restricted to `sel`. NULLs never match. Non-numeric columns return an
-    /// empty selection.
-    ///
-    /// Word-parallel kernel (see [`crate::kernels`]): each segment walks its
-    /// slice of the selection word by word, validity comes from the null-mask
-    /// words, and dense 64-row blocks classify with lane-wise compares
-    /// assembled directly into the shared output bitmap.
+    /// empty selection. The one-bound case of [`ColumnView::select_ranges`].
     pub fn select_range(&self, sel: &Bitmap, lo: f64, hi: f64) -> Bitmap {
-        let mut out = Bitmap::new_empty(sel.len());
-        let bounds = [(lo, hi)];
-        let spec = kernels::resolve_ranges(self.dtype, &bounds);
-        for (offset, column) in self.parts() {
-            kernels::select_ranges_part(
-                column,
-                offset,
-                sel,
-                &bounds,
-                &spec,
-                std::slice::from_mut(&mut out),
-            );
-        }
-        out
+        let mut regions = self.select_ranges(sel, &[(lo, hi)]);
+        regions.pop().expect("one selection per bound")
     }
 
     /// Select the rows whose categorical value is in `values`, restricted to
@@ -228,94 +239,16 @@ impl<'a> ColumnView<'a> {
         self.select_in_iter(sel, values.iter().map(S::as_ref))
     }
 
-    /// [`ColumnView::select_in`] over a borrowed value iterator (no value-set
-    /// clone required).
-    ///
-    /// The value set is resolved once per segment — to that segment's
-    /// dictionary codes for string columns (membership is then one indexed
-    /// load per row, never a string comparison) — and once overall for the
-    /// other types.
+    /// [`ColumnView::select_in`] over a borrowed value iterator: the one-group
+    /// case of [`ColumnView::select_in_groups`]. A segment whose dictionary
+    /// holds none of the values is not scanned.
     pub fn select_in_iter<'v, I>(&self, sel: &Bitmap, values: I) -> Bitmap
     where
         I: IntoIterator<Item = &'v str>,
     {
-        let mut out = Bitmap::new_empty(sel.len());
-        match self.dtype {
-            DataType::Str => {
-                let values: Vec<&str> = values.into_iter().collect();
-                for (offset, column) in self.parts() {
-                    let d = column.as_dict().expect("schema says string column");
-                    let mut codes: Vec<u32> = values.iter().filter_map(|v| d.code_of(v)).collect();
-                    if codes.is_empty() {
-                        continue;
-                    }
-                    codes.sort_unstable();
-                    let end = offset + d.len();
-                    sel.filter_ones_in_into(offset, end, &mut out, |idx| {
-                        let code = d.code(idx - offset);
-                        code != NULL_CODE && codes.binary_search(&code).is_ok()
-                    });
-                }
-            }
-            DataType::Bool => {
-                let mut want_true = false;
-                let mut want_false = false;
-                for s in values {
-                    want_true |= s.eq_ignore_ascii_case("true");
-                    want_false |= s.eq_ignore_ascii_case("false");
-                }
-                for (offset, column) in self.parts() {
-                    let Column::Bool(v) = column else { continue };
-                    let end = offset + v.len();
-                    sel.filter_ones_in_into(offset, end, &mut out, |idx| {
-                        match v.get(idx - offset) {
-                            Some(true) => want_true,
-                            Some(false) => want_false,
-                            None => false,
-                        }
-                    });
-                }
-            }
-            DataType::Int => {
-                // Parse the value set once; the round-trip check keeps the
-                // semantics of decimal-rendering equality (e.g. "007" or "+7"
-                // still never match the value 7).
-                let wanted: Vec<i64> = values
-                    .into_iter()
-                    .filter_map(|s| s.parse::<i64>().ok().filter(|x| x.to_string() == s))
-                    .collect();
-                if wanted.is_empty() {
-                    return out;
-                }
-                for (offset, column) in self.parts() {
-                    let Column::Int(v) = column else { continue };
-                    let end = offset + v.len();
-                    sel.filter_ones_in_into(offset, end, &mut out, |idx| {
-                        match v.get(idx - offset) {
-                            Some(x) => wanted.contains(&x),
-                            None => false,
-                        }
-                    });
-                }
-            }
-            DataType::Float => {
-                let wanted: HashSet<&str> = values.into_iter().collect();
-                if wanted.is_empty() {
-                    return out;
-                }
-                for (offset, column) in self.parts() {
-                    let Column::Float(v) = column else { continue };
-                    let end = offset + v.len();
-                    sel.filter_ones_in_into(offset, end, &mut out, |idx| {
-                        match v.get(idx - offset) {
-                            Some(x) => wanted.contains(x.to_string().as_str()),
-                            None => false,
-                        }
-                    });
-                }
-            }
-        }
-        out
+        let group: Vec<String> = values.into_iter().map(str::to_string).collect();
+        let mut regions = self.select_in_groups(sel, std::slice::from_ref(&group));
+        regions.pop().expect("one selection per group")
     }
 
     /// Partition the selected rows into one selection per numeric range, in a
@@ -365,26 +298,12 @@ impl<'a> ColumnView<'a> {
         out
     }
 
-    /// The rows holding a non-NULL value, as a bitmap over the table's rows
+    /// The rows holding a non-NULL value, as a bitmap over the view's rows
     /// (the inverted null mask), assembled a word at a time per segment.
     pub fn non_null_mask(&self) -> Bitmap {
         let mut out = Bitmap::new_empty(self.len());
         for (offset, column) in self.parts() {
-            let end = offset + column.len();
-            match column {
-                Column::Int(v) => {
-                    out.fill_range_from_fn(offset, end, |idx| v.validity().get(idx - offset))
-                }
-                Column::Float(v) => {
-                    out.fill_range_from_fn(offset, end, |idx| v.validity().get(idx - offset))
-                }
-                Column::Bool(v) => {
-                    out.fill_range_from_fn(offset, end, |idx| v.validity().get(idx - offset))
-                }
-                Column::Str(d) => {
-                    out.fill_range_from_fn(offset, end, |idx| d.code(idx - offset) != NULL_CODE)
-                }
-            }
+            kernels::non_null_mask_part(column, offset, &mut out);
         }
         out
     }
@@ -420,16 +339,13 @@ impl<'a> ColumnView<'a> {
                 let mut index: HashMap<String, usize> = HashMap::new();
                 for (offset, column) in self.parts() {
                     let d = column.as_dict().expect("schema says string column");
-                    // The extra trailing slot absorbs NULL lanes (see
-                    // `count_codes_part`); only the real codes are merged.
-                    let mut counts = vec![0usize; d.cardinality() + 1];
-                    kernels::count_codes_part(d, offset, sel, &mut counts);
-                    for (code, value) in d.dictionary().iter().enumerate() {
+                    let counts = kernels::count_codes_part(d, offset, sel);
+                    for (value, &count) in d.dictionary().iter().zip(&counts) {
                         match index.get(value.as_str()) {
-                            Some(&pos) => order[pos].1 += counts[code],
+                            Some(&pos) => order[pos].1 += count,
                             None => {
                                 index.insert(value.clone(), order.len());
-                                order.push((value.clone(), counts[code]));
+                                order.push((value.clone(), count));
                             }
                         }
                     }
@@ -437,16 +353,11 @@ impl<'a> ColumnView<'a> {
                 order
             }
             DataType::Bool => {
-                let mut t = 0usize;
-                let mut f = 0usize;
+                let (mut t, mut f) = (0, 0);
                 for (offset, column) in self.parts() {
-                    let Column::Bool(v) = column else { continue };
-                    let end = offset + v.len();
-                    sel.for_each_one_in(offset, end, |idx| match v.get(idx - offset) {
-                        Some(true) => t += 1,
-                        Some(false) => f += 1,
-                        None => {}
-                    });
+                    let (trues, falses, _) = kernels::count_bools_part(column, offset, sel);
+                    t += trues;
+                    f += falses;
                 }
                 vec![("true".to_string(), t), ("false".to_string(), f)]
             }
@@ -454,36 +365,16 @@ impl<'a> ColumnView<'a> {
         }
     }
 
-    /// Minimum and maximum of the non-NULL numeric values selected by `sel`.
+    /// Minimum and maximum of the non-NULL numeric values selected by `sel`,
+    /// by the rule [`ColumnStats::min`] follows (see [`crate::colstats`]): the
+    /// extremes of the non-NaN values, a NaN only when nothing else is
+    /// selected. `None` when no value is, and for non-numeric columns.
     pub fn numeric_min_max(&self, sel: &Bitmap) -> Option<(f64, f64)> {
-        if !matches!(self.dtype, DataType::Int | DataType::Float) {
-            return None;
-        }
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        let mut seen = false;
+        let mut ends = None;
         for (offset, column) in self.parts() {
-            let end = offset + column.len();
-            match column {
-                Column::Int(v) => sel.for_each_one_in(offset, end, |idx| {
-                    if let Some(x) = v.get(idx - offset) {
-                        let x = x as f64;
-                        min = min.min(x);
-                        max = max.max(x);
-                        seen = true;
-                    }
-                }),
-                Column::Float(v) => sel.for_each_one_in(offset, end, |idx| {
-                    if let Some(x) = v.get(idx - offset) {
-                        min = min.min(x);
-                        max = max.max(x);
-                        seen = true;
-                    }
-                }),
-                _ => {}
-            }
+            kernels::for_each_numeric_part(column, offset, sel, |x| ends = Some(widen(ends, x)));
         }
-        seen.then_some((min, max))
+        ends
     }
 
     /// The distinct values of a string column in **global first-appearance
@@ -584,7 +475,7 @@ impl std::fmt::Debug for ColumnView<'_> {
             .field("name", &self.name())
             .field("dtype", &self.dtype)
             .field("len", &self.len())
-            .field("segments", &self.table.num_segments())
+            .field("segments", &self.num_parts())
             .finish()
     }
 }
@@ -593,7 +484,9 @@ impl std::fmt::Debug for ColumnView<'_> {
 mod tests {
     use super::*;
     use crate::builder::TableBuilder;
+    use crate::kernels::{with_kernel_path, KernelPath};
     use crate::schema::{Field, Schema};
+    use proptest::prelude::*;
 
     /// A mixed-type table built with a tiny segment size so every kernel
     /// crosses segment boundaries (including unaligned ones: 7 rows per
@@ -688,6 +581,26 @@ mod tests {
                 );
                 assert_eq!(a.numeric_min_max(&sel), b.numeric_min_max(&sel));
                 assert_eq!(a.null_count(), b.null_count());
+                assert_eq!(b.null_count(), rows - b.non_null_mask().count());
+                // The profile's contract: what each segment's one-part view
+                // computes in the segment's own row coordinates folds, in row
+                // order, into the table-wide answer.
+                let mut summary = ColumnSummary::empty(b.data_type());
+                let mut mask = Bitmap::new_empty(rows);
+                let mut values = Vec::new();
+                let mut counts = Vec::new();
+                for (offset, column) in b.parts() {
+                    let part = ColumnView::of_column(name, column);
+                    let local = Bitmap::from_fn(part.len(), |row| sel.get(offset + row));
+                    summary.merge_from(&part.summary(&local));
+                    mask.or_shifted(&part.non_null_mask(), offset);
+                    values.extend(part.numeric_values_where(&local));
+                    merge_category_counts(&mut counts, &part.category_counts(&local));
+                }
+                assert_eq!(summary.to_parts(), b.summary(&sel).to_parts(), "{name}");
+                assert_eq!(mask, b.non_null_mask(), "{name}");
+                assert_eq!(values, b.numeric_values_where(&sel), "{name}");
+                assert_eq!(counts, b.category_counts(&sel), "{name}");
                 let sa = a.stats(&sel);
                 let sb = b.stats(&sel);
                 assert_eq!(sa.non_null_count, sb.non_null_count);
@@ -804,6 +717,154 @@ mod tests {
             let parts = col.select_ranges(&all, &[(3.0, 2.0), (2.0, 3.0)]);
             assert!(parts[0].is_all_clear());
             assert_eq!(parts[1].to_indices(), vec![2, 3]);
+        }
+    }
+
+    #[test]
+    fn numeric_min_max_follows_the_summary_rule() {
+        // One min/max rule in the crate: whatever `stats` says, bit for bit —
+        // the extremes of the non-NaN values, a NaN only when nothing else is
+        // selected (that case used to come back as `(inf, -inf)`).
+        let bits = |ends: Option<(f64, f64)>| ends.map(|(lo, hi)| (lo.to_bits(), hi.to_bits()));
+        for segment_rows in [1usize, 3] {
+            let schema = Schema::new(vec![Field::nullable("v", DataType::Float)]).unwrap();
+            let mut b = TableBuilder::new("t", schema).with_segment_rows(segment_rows);
+            let nan = Value::Float(f64::NAN);
+            let rows = [
+                nan.clone(),
+                nan,
+                Value::Null,
+                Value::Null,
+                Value::Float(0.0),
+                Value::Float(-0.0),
+                Value::Float(2.0),
+                Value::Float(-1.0),
+            ];
+            for v in rows {
+                b.push_row(&[v]).unwrap();
+            }
+            let t = b.build().unwrap();
+            let col = t.column("v").unwrap();
+            let nan_only = Bitmap::from_indices(8, [0, 1]);
+            let (lo, hi) = col.numeric_min_max(&nan_only).expect("NaNs are values");
+            assert!(lo.is_nan() && hi.is_nan(), "segment_rows={segment_rows}");
+            assert_eq!(col.numeric_min_max(&Bitmap::from_indices(8, [2, 3])), None);
+            let zeros = col.numeric_min_max(&Bitmap::from_indices(8, [4, 5]));
+            assert_eq!(bits(zeros), bits(Some((-0.0, 0.0))));
+            let mixed = Bitmap::from_indices(8, [0, 2, 6, 7]);
+            assert_eq!(col.numeric_min_max(&mixed), Some((-1.0, 2.0)));
+            for sel in [nan_only, mixed, t.full_selection(), t.empty_selection()] {
+                let stats = col.stats(&sel);
+                assert_eq!(
+                    bits(col.numeric_min_max(&sel)),
+                    bits(stats.min.zip(stats.max))
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn values_no_segment_holds_select_nothing() {
+        // Segments whose dictionary has none of the values are skipped, not
+        // scanned (`kernels::dict_group_table` pins that half); the answer is
+        // that of the segments that do hold one.
+        let t = segmented_table(200, 7);
+        let all = t.full_selection();
+        let c = t.column("c").unwrap();
+        assert!(c.select_in(&all, &["mauve"]).is_all_clear());
+        assert!(c.select_in(&all, &[] as &[&str]).is_all_clear());
+        let groups = [vec!["mauve".to_string()], vec!["red".to_string()]];
+        let parts = c.select_in_groups(&all, &groups);
+        assert!(parts[0].is_all_clear());
+        assert_eq!(parts[1], c.select_in(&all, &["red", "mauve"]));
+        assert_eq!(parts[1].count(), 80);
+        // Values that do not parse as the column's type match no row either.
+        for name in ["x", "f", "b"] {
+            let col = t.column(name).unwrap();
+            assert!(col.select_in(&all, &["mauve", "007", "+7"]).is_all_clear());
+        }
+    }
+
+    /// What `select_in` means, one row at a time: a non-NULL row matches when
+    /// its rendering is one of the values (booleans case-insensitively).
+    fn select_in_oracle(col: ColumnView<'_>, sel: &Bitmap, values: &[&str]) -> Bitmap {
+        Bitmap::from_fn(sel.len(), |row| {
+            sel.get(row)
+                && match col.value(row) {
+                    Value::Null => false,
+                    Value::Bool(b) => {
+                        let rendered = if b { "true" } else { "false" };
+                        values.iter().any(|v| v.eq_ignore_ascii_case(rendered))
+                    }
+                    Value::Str(s) => values.contains(&s.as_str()),
+                    Value::Int(x) => values.contains(&x.to_string().as_str()),
+                    Value::Float(x) => values.contains(&x.to_string().as_str()),
+                }
+        })
+    }
+
+    /// Values present in the generated columns, absent from them, and
+    /// look-alikes that must not match (`"007"` / `"+7"` are not 7).
+    const VALUE_POOL: [&str; 16] = [
+        "7", "007", "+7", "-2", "3", "1.5", "2", "NaN", "cat0", "cat3", "cat9", "TRUE", "tRuE",
+        "false", "", "inf",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn select_in_is_the_one_group_case_of_select_in_groups(
+            rows in proptest::collection::vec(
+                (
+                    proptest::option::weighted(0.85, -3i64..10),
+                    proptest::option::weighted(0.85, -4i64..16),
+                    proptest::option::weighted(0.85, 0u8..5),
+                    proptest::option::weighted(0.85, any::<bool>()),
+                ),
+                1..200,
+            ),
+            picks in proptest::collection::vec(0usize..VALUE_POOL.len(), 0..6),
+            sel_bits in proptest::collection::vec(any::<bool>(), 1..200),
+            layout in 0usize..3,
+        ) {
+            let schema = Schema::new(vec![
+                Field::nullable("i", DataType::Int),
+                Field::nullable("f", DataType::Float),
+                Field::nullable("c", DataType::Str),
+                Field::nullable("b", DataType::Bool),
+            ])
+            .unwrap();
+            let segment_rows = [usize::MAX, 7, 64][layout];
+            let mut builder = TableBuilder::new("t", schema).with_segment_rows(segment_rows);
+            for &(i, f, c, b) in &rows {
+                // Halves (1.5 renders "1.5", 2.0 renders "2") and one NaN.
+                let f = f.map(|k| if k == 15 { f64::NAN } else { k as f64 / 2.0 });
+                builder
+                    .push_row(&[
+                        i.map_or(Value::Null, Value::Int),
+                        f.map_or(Value::Null, Value::Float),
+                        c.map_or(Value::Null, |c| Value::Str(format!("cat{c}"))),
+                        b.map_or(Value::Null, Value::Bool),
+                    ])
+                    .unwrap();
+            }
+            let table = builder.build().unwrap();
+            // Duplicates come with the picks; no pick is the empty value set.
+            let values: Vec<&str> = picks.iter().map(|&p| VALUE_POOL[p]).collect();
+            let group: Vec<String> = values.iter().map(|v| v.to_string()).collect();
+            // The last selected row is wherever the bits end — mid-word, mostly.
+            let sel = Bitmap::from_fn(rows.len(), |row| sel_bits.get(row) == Some(&true));
+            for path in [KernelPath::WordParallel, KernelPath::Scalar] {
+                with_kernel_path(path, || {
+                    for col in table.columns() {
+                        let hit = col.select_in(&sel, &values);
+                        let grouped = col.select_in_groups(&sel, std::slice::from_ref(&group));
+                        prop_assert_eq!(&hit, &grouped[0], "{} {:?}", col.name(), path);
+                        prop_assert_eq!(&hit, &select_in_oracle(col, &sel, &values));
+                    }
+                });
+            }
         }
     }
 }

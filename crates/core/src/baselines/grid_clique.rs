@@ -87,7 +87,8 @@ impl CutStrategy for GridCut {
         let Some((min, max)) = column.numeric_min_max(working) else {
             return Ok(None);
         };
-        if max <= min {
+        // One value — or, when the ends are NaN, nothing but NaNs.
+        if max <= min || min.is_nan() {
             return Ok(None);
         }
         let width = (max - min) / self.intervals as f64;

@@ -36,3 +36,43 @@ pub use full_product::FullProductBaseline;
 pub use grid_clique::{DenseProductMerge, GridCliqueBaseline, GridCliqueConfig, GridCut};
 pub use random_map::{RandomCut, RandomMapBaseline, RandomMapConfig};
 pub use single_attribute::SingleAttributeBaseline;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pipeline::{CutStrategy, PipelineContext};
+    use atlas_columnar::{Bitmap, DataType, Field, Schema, TableBuilder, Value};
+    use atlas_query::ConjunctiveQuery;
+
+    #[test]
+    fn a_nan_only_working_set_is_not_cut() {
+        // `numeric_min_max` reports NaN ends there, and neither a split point
+        // nor a grid can be drawn between those (`gen_range` would panic).
+        let schema = Schema::new(vec![Field::new("x", DataType::Float)]).unwrap();
+        let mut b = TableBuilder::new("t", schema);
+        for x in [f64::NAN, 1.0, f64::NAN, 2.0] {
+            b.push_row(&[Value::Float(x)]).unwrap();
+        }
+        let table = b.build().unwrap();
+        let random = RandomCut::new(1);
+        let grid = GridCut {
+            intervals: 4,
+            density_threshold: 0.1,
+        };
+        let ctx = PipelineContext {
+            table: &table,
+            profile: &crate::TableProfile::empty(4),
+            cut_config: &crate::CutConfig::default(),
+            cut_strategy: &random,
+            drop_empty_regions: true,
+            pool: crate::ThreadPool::sequential(),
+        };
+        let query = ConjunctiveQuery::all("t");
+        let nans = Bitmap::from_indices(4, [0, 2]);
+        assert!(random.cut(&ctx, &nans, &query, "x").unwrap().is_none());
+        assert!(grid.cut(&ctx, &nans, &query, "x").unwrap().is_none());
+        // With a number in reach the NaNs are ignored and the cut goes ahead.
+        let mixed = Bitmap::from_indices(4, [0, 1, 3]);
+        assert!(random.cut(&ctx, &mixed, &query, "x").unwrap().is_some());
+    }
+}

@@ -82,7 +82,8 @@ impl CutStrategy for RandomCut {
                 let Some((min, max)) = column.numeric_min_max(working) else {
                     return Ok(None);
                 };
-                if max <= min {
+                // One value — or, when the ends are NaN, nothing but NaNs.
+                if max <= min || min.is_nan() {
                     return Ok(None);
                 }
                 let split = rng.gen_range(min..max);

@@ -1020,6 +1020,70 @@ mod tests {
     }
 
     #[test]
+    fn zero_budget_still_produces_one_iteration() {
+        let atlas = Atlas::with_defaults(survey(2_000)).unwrap();
+        let options = ExploreOptions {
+            initial_sample: 64,
+            ..ExploreOptions::budgeted(Duration::ZERO)
+        };
+        let outcome = atlas
+            .explore_anytime(&ConjunctiveQuery::all("survey"), options)
+            .unwrap();
+        assert_eq!(outcome.iterations.len(), 1);
+        assert!(!outcome.reached_full_data);
+        assert_eq!(outcome.iterations[0].sample_size, 64);
+        assert_eq!(outcome.iterations[0].result.working_set_size, 64);
+        assert_eq!(outcome.working_set_size, 2_000);
+    }
+
+    #[test]
+    fn small_working_set_is_used_in_full_immediately() {
+        let atlas = Atlas::with_defaults(survey(50)).unwrap();
+        let outcome = atlas
+            .explore_anytime(&ConjunctiveQuery::all("survey"), ExploreOptions::default())
+            .unwrap();
+        assert_eq!(outcome.iterations.len(), 1);
+        assert!(outcome.reached_full_data);
+        assert_eq!(outcome.best().unwrap().sample_size, 50);
+    }
+
+    #[test]
+    fn approximate_maps_converge_to_the_exact_ones() {
+        let atlas = Atlas::with_defaults(survey(6_000)).unwrap();
+        let options = ExploreOptions {
+            initial_sample: 200,
+            growth_factor: 3.0,
+            ..ExploreOptions::exhaustive()
+        };
+        let outcome = atlas
+            .explore_anytime(&ConjunctiveQuery::all("survey"), options)
+            .unwrap();
+        assert!(outcome.reached_full_data);
+        let first = &outcome.iterations[0].result;
+        let exact = &outcome.best().unwrap().result;
+        // The first 200-row sample already finds the top grouping attributes
+        // of the full data …
+        let attributes = |result: &MapResult| {
+            let mut attributes = result.best().unwrap().map.source_attributes.clone();
+            attributes.sort();
+            attributes
+        };
+        assert_eq!(attributes(first), attributes(exact));
+        // … and covers within sampling noise of the exact ones. A 200-row
+        // sample cannot promise the exact region structure (the clustering
+        // may split one region the full data merges), so the counts may
+        // differ by one and covers are compared only when they agree.
+        let approx_covers = first.best().unwrap().map.covers(first.working_set_size);
+        let exact_covers = exact.best().unwrap().map.covers(exact.working_set_size);
+        assert!(approx_covers.len().abs_diff(exact_covers.len()) <= 1);
+        if approx_covers.len() == exact_covers.len() {
+            for (a, e) in approx_covers.iter().zip(&exact_covers) {
+                assert!((a - e).abs() < 0.15, "approx {a} vs exact {e}");
+            }
+        }
+    }
+
+    #[test]
     fn explore_iter_validates_options_and_working_sets() {
         let table = survey(100);
         let atlas = Atlas::with_defaults(Arc::clone(&table)).unwrap();

@@ -40,16 +40,14 @@
 //!
 //! The sampling-based anytime refinement of Section 5.1 runs through the same
 //! engine ([`engine::Atlas::explore_iter`] /
-//! [`engine::Atlas::explore_anytime`], driven by [`config::ExploreOptions`]);
-//! [`anytime::AnytimeAtlas`] is a thin convenience wrapper. [`baselines`]
-//! provides the comparison systems used by the evaluation (exhaustive
-//! product, random maps, single-attribute maps and a grid-density
+//! [`engine::Atlas::explore_anytime`], driven by [`config::ExploreOptions`]).
+//! [`baselines`] provides the comparison systems used by the evaluation
+//! (exhaustive product, random maps, single-attribute maps and a grid-density
 //! subspace-clustering stand-in), each expressed as alternative stage-trait
 //! implementations rather than separate pipelines.
 
 #![warn(missing_docs)]
 
-pub mod anytime;
 pub mod baselines;
 pub mod candidates;
 pub mod cluster;
@@ -66,7 +64,6 @@ pub mod profile;
 pub mod rank;
 pub mod region;
 
-pub use anytime::{AnytimeAtlas, AnytimeConfig};
 pub use candidates::{generate_candidates, generate_candidates_in_context, CandidateSet};
 pub use cluster::{
     cluster_maps, cluster_maps_with_pool, slink, ClusteringConfig, Dendrogram, Linkage, MergeStep,

@@ -13,14 +13,15 @@
 //!
 //! With segmented storage the profile is also **mergeable**: every column is
 //! profiled as one [`ColumnSummary`] per segment (one pool task per
-//! (segment, column) pair, so building scales across segments and columns
-//! alike), folded left-to-right in row order. The folded summaries stay in
-//! the profile, so appending a segment ([`TableProfile::merge_segment`],
-//! driven by [`crate::engine::Atlas::append`]) only profiles the **new** rows
-//! and merges — no whole-table rebuild — and produces bit-for-bit the profile
-//! a from-scratch rebuild of the extended table would (summaries do not
-//! depend on the merge order, and the sketch fold is left-associative either
-//! way).
+//! (segment, column) pair, each scanning its column through the one-part
+//! [`ColumnView`] — segments keep no statistics of their own — so building
+//! scales across segments and columns alike), folded left-to-right in row
+//! order. The folded summaries stay in the profile, so appending a segment
+//! ([`TableProfile::merge_segment`], driven by
+//! [`crate::engine::Atlas::append`]) only profiles the **new** rows and
+//! merges — no whole-table rebuild — and produces bit-for-bit the profile a
+//! from-scratch rebuild of the extended table would (summaries do not depend
+//! on the merge order, and the sketch fold is left-associative either way).
 //!
 //! The profile also keeps a one-pass Greenwald–Khanna quantile sketch per
 //! numeric column (built per segment and merged with [`GkSketch::merge`]), so
@@ -35,8 +36,8 @@
 
 use crate::error::Result;
 use atlas_columnar::{
-    merge_category_counts, rank_categories_by_frequency, Bitmap, Column, ColumnStats,
-    ColumnSummary, DataType, Segment, Table,
+    merge_category_counts, rank_categories_by_frequency, Bitmap, ColumnStats, ColumnSummary,
+    ColumnView, DataType, Segment, Table,
 };
 use atlas_stats::GkSketch;
 use minirayon::ThreadPool;
@@ -110,33 +111,27 @@ struct SegmentColumnProfile {
     category_counts: Vec<(String, usize)>,
 }
 
-/// Profile one column of one segment.
+/// Profile one column of one segment, through its one-part view (the
+/// segment's own row coordinates).
 fn profile_segment_column(
-    column: &Column,
-    offset: usize,
-    full: &Bitmap,
+    column: ColumnView<'_>,
     sketch_epsilon: Option<f64>,
 ) -> SegmentColumnProfile {
-    let summary = ColumnSummary::compute(column, full, offset);
-    let sketch = match (column.data_type(), sketch_epsilon) {
-        (DataType::Int | DataType::Float, Some(epsilon)) => {
-            let mut sketch = GkSketch::new(epsilon);
-            let local = Bitmap::new_full(column.len());
-            sketch.extend(&column.numeric_values_where(&local));
-            Some(sketch)
-        }
-        _ => None,
-    };
+    let full = Bitmap::new_full(column.len());
+    let sketch = empty_sketch(column.data_type(), sketch_epsilon).map(|mut sketch| {
+        sketch.extend(&column.numeric_values_where(&full));
+        sketch
+    });
     SegmentColumnProfile {
-        summary,
+        summary: column.summary(&full),
         non_null: column.non_null_mask(),
         sketch,
-        category_counts: column.category_counts(full, offset),
+        category_counts: column.category_counts(&full),
     }
 }
 
-/// The sketch a freshly-built profile starts a numeric column with (merging
-/// segment sketches into it in row order).
+/// The sketch a numeric column starts from — in a freshly-built profile,
+/// merging segment sketches into it in row order, and in each segment.
 fn empty_sketch(dtype: DataType, sketch_epsilon: Option<f64>) -> Option<GkSketch> {
     match (dtype, sketch_epsilon) {
         (DataType::Int | DataType::Float, Some(epsilon)) => Some(GkSketch::new(epsilon)),
@@ -144,34 +139,26 @@ fn empty_sketch(dtype: DataType, sketch_epsilon: Option<f64>) -> Option<GkSketch
     }
 }
 
-/// Extend a numeric-column non-NULL mask and sketch with one more segment.
+/// Extend one column's profile with one more segment's column.
 fn merge_column_segment(
     profile: &ColumnProfile,
-    column: &Column,
+    column: ColumnView<'_>,
     sketch_epsilon: Option<f64>,
 ) -> ColumnProfile {
-    let local_full = Bitmap::new_full(column.len());
+    let part = profile_segment_column(column, sketch_epsilon);
     let mut summary = profile.summary.clone();
-    summary.accumulate(column, &local_full, 0);
+    summary.merge_from(&part.summary);
     let mut category_counts = profile.category_counts.clone();
-    merge_category_counts(
-        &mut category_counts,
-        &column.category_counts(&local_full, 0),
-    );
-    let sketch = profile.sketch.as_ref().map(|existing| {
-        let mut merged = existing.clone();
-        if let Some(epsilon) = sketch_epsilon {
-            let mut part_sketch = GkSketch::new(epsilon);
-            part_sketch.extend(&column.numeric_values_where(&local_full));
-            merged.merge(&part_sketch);
-        }
-        merged
-    });
+    merge_category_counts(&mut category_counts, &part.category_counts);
+    let mut sketch = profile.sketch.clone();
+    if let (Some(acc), Some(part)) = (&mut sketch, &part.sketch) {
+        acc.merge(part);
+    }
     ColumnProfile {
         name: profile.name.clone(),
         stats: summary.to_stats(),
         sketch,
-        non_null: profile.non_null.concat(&column.non_null_mask()),
+        non_null: profile.non_null.concat(&part.non_null),
         category_counts,
         summary,
     }
@@ -200,7 +187,6 @@ impl TableProfile {
     /// count — and identical to incrementally appending the same segments
     /// one by one.
     pub fn build_with_pool(table: &Table, sketch_epsilon: Option<f64>, pool: &ThreadPool) -> Self {
-        let full = table.full_selection();
         let fields = table.schema().fields();
         let num_columns = fields.len();
         let tasks: Vec<(usize, usize)> = (0..table.num_segments())
@@ -214,13 +200,10 @@ impl TableProfile {
             let mut task_span = atlas_obs::span_in(parent, "profile.column");
             task_span.attr("segment", seg);
             // lint: slice-index-ok (col < num_columns == fields.len() by task construction)
-            task_span.attr("column", &fields[col].name);
-            profile_segment_column(
-                table.segments()[seg].column(col),
-                table.segment_offset(seg),
-                &full,
-                sketch_epsilon,
-            )
+            let name = &fields[col].name;
+            task_span.attr("column", name);
+            let column = table.segments()[seg].column(col);
+            profile_segment_column(ColumnView::of_column(name, column), sketch_epsilon)
         });
         let columns = fields
             .iter()
@@ -297,7 +280,8 @@ impl TableProfile {
             .iter()
             .enumerate()
             .map(|(col, profile)| {
-                merge_column_segment(profile, segment.column(col), self.sketch_epsilon)
+                let column = ColumnView::of_column(&profile.name, segment.column(col));
+                merge_column_segment(profile, column, self.sketch_epsilon)
             })
             .collect();
         TableProfile {

@@ -2,8 +2,7 @@
 //!
 //! One connection per request (`Connection: close`) keeps the client fair
 //! under a single-worker server and trivially correct; it is what the
-//! integration tests, the quickstart example, and the `load-smoke` closed-
-//! loop generator in `atlas-bench` drive the server with.
+//! integration tests and the quickstart example drive the server with.
 
 use crate::http::{self, ClientResponse, HttpError};
 use crate::wire::Json;

@@ -1,11 +1,8 @@
-//! Equi-width and equi-depth histograms.
+//! Equi-width histograms.
 //!
 //! The simplest cutting strategy in the paper is equi-width binning of an
-//! ordinal attribute ("fast and intuitive"); equi-depth binning is the
-//! quantile-based alternative. Both are thin wrappers that compute bin edges
-//! plus per-bin counts.
-
-use crate::quantile::quantile_sorted;
+//! ordinal attribute ("fast and intuitive"): bin edges plus per-bin counts.
+//! The server's latency report (`atlas-serve::metrics`) is built on it.
 
 /// An equi-width histogram over a numeric sample.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,67 +81,6 @@ impl EquiWidthHistogram {
     }
 }
 
-/// An equi-depth (quantile) histogram over a numeric sample.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EquiDepthHistogram {
-    /// Bin edges, at most `num_bins + 1` of them (duplicate quantiles are
-    /// collapsed).
-    pub edges: Vec<f64>,
-    /// Number of observations per bin.
-    pub counts: Vec<usize>,
-}
-
-impl EquiDepthHistogram {
-    /// Build an equi-depth histogram with (at most) `num_bins` bins.
-    pub fn build(values: &[f64], num_bins: usize) -> Option<Self> {
-        if values.is_empty() || num_bins == 0 {
-            return None;
-        }
-        let mut sorted = values.to_vec();
-        sorted.sort_by(|a, b| a.total_cmp(b));
-        let mut edges = vec![sorted[0]];
-        for i in 1..num_bins {
-            let q = quantile_sorted(&sorted, i as f64 / num_bins as f64);
-            if q > *edges.last().expect("edges never empty") {
-                edges.push(q);
-            }
-        }
-        let last = sorted[sorted.len() - 1];
-        if last > *edges.last().expect("edges never empty") || edges.len() == 1 {
-            edges.push(last);
-        }
-        let nbins = edges.len() - 1;
-        let mut counts = vec![0usize; nbins.max(1)];
-        for &v in &sorted {
-            // Upper-inclusive bins: bin i covers (edges[i], edges[i+1]] except
-            // bin 0 which also includes its lower edge.
-            let mut bin = edges.partition_point(|&e| e < v);
-            bin = bin.saturating_sub(1).min(nbins.saturating_sub(1));
-            counts[bin] += 1;
-        }
-        Some(EquiDepthHistogram { edges, counts })
-    }
-
-    /// Number of bins.
-    pub fn num_bins(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Total number of observations.
-    pub fn total(&self) -> usize {
-        self.counts.iter().sum()
-    }
-
-    /// The interior split points (edges without the outermost two).
-    pub fn split_points(&self) -> Vec<f64> {
-        if self.edges.len() <= 2 {
-            Vec::new()
-        } else {
-            self.edges[1..self.edges.len() - 1].to_vec()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,36 +113,5 @@ mod tests {
     fn equi_width_rejects_bad_input() {
         assert!(EquiWidthHistogram::build(&[], 3).is_none());
         assert!(EquiWidthHistogram::build(&[1.0], 0).is_none());
-    }
-
-    #[test]
-    fn equi_depth_balances_counts() {
-        // A heavily skewed sample: equi-depth should still balance the counts.
-        let mut v: Vec<f64> = (0..90).map(|x| x as f64 / 100.0).collect();
-        v.extend((0..10).map(|x| 1000.0 + x as f64));
-        let h = EquiDepthHistogram::build(&v, 4).unwrap();
-        assert_eq!(h.total(), 100);
-        let max = *h.counts.iter().max().unwrap();
-        let min = *h.counts.iter().min().unwrap();
-        assert!(
-            max - min <= 10,
-            "counts should be roughly balanced: {:?}",
-            h.counts
-        );
-    }
-
-    #[test]
-    fn equi_depth_collapses_ties() {
-        let v = vec![1.0; 40];
-        let h = EquiDepthHistogram::build(&v, 4).unwrap();
-        assert_eq!(h.num_bins(), 1);
-        assert_eq!(h.total(), 40);
-        assert!(h.split_points().is_empty());
-    }
-
-    #[test]
-    fn equi_depth_rejects_bad_input() {
-        assert!(EquiDepthHistogram::build(&[], 3).is_none());
-        assert!(EquiDepthHistogram::build(&[1.0], 0).is_none());
     }
 }

@@ -14,10 +14,8 @@
 //!   approximate it on large columns ([`quantile`], [`gk`]).
 //! * **One-dimensional clustering** — the alternative cutting strategy that
 //!   maximises within-partition homogeneity ([`kmeans1d`], [`breaks`]).
-//! * **Sampling** — the anytime variant draws repeated samples
-//!   ([`reservoir`]).
-//! * **Histograms and descriptive statistics** — for equi-width cuts and
-//!   reporting ([`histogram`], [`describe`]).
+//! * **Histograms** — equi-width binning; the server's latency report uses it
+//!   ([`histogram`]).
 //! * **Agreement scores** — the evaluation compares recovered partitions to
 //!   planted ground truth (ARI, purity, NMI) ([`agreement`]).
 
@@ -26,23 +24,19 @@
 pub mod agreement;
 pub mod breaks;
 pub mod contingency;
-pub mod describe;
 pub mod entropy;
 pub mod gk;
 pub mod histogram;
 pub mod kmeans1d;
 pub mod quantile;
-pub mod reservoir;
 
 pub use agreement::{adjusted_rand_index, normalized_mutual_information, purity, rand_index};
 pub use contingency::ContingencyTable;
-pub use describe::Describe;
 pub use entropy::{
     entropy_of_counts, entropy_of_selections, joint_entropy, mutual_information, normalized_vi,
     variation_of_information,
 };
 pub use gk::GkSketch;
-pub use histogram::{EquiDepthHistogram, EquiWidthHistogram};
+pub use histogram::EquiWidthHistogram;
 pub use kmeans1d::{kmeans_1d, KMeans1dResult};
 pub use quantile::{median, quantiles};
-pub use reservoir::ReservoirSampler;

@@ -155,15 +155,14 @@ pub use atlas_stats as stats;
 /// The most commonly used types, re-exported flat for convenience.
 pub mod prelude {
     pub use atlas_columnar::{
-        default_segment_rows, Bitmap, Catalog, Column, ColumnStats, ColumnSummary, ColumnView,
-        DataType, Field, Schema, Segment, Table, TableBuilder, Value,
+        default_segment_rows, Bitmap, Column, ColumnStats, ColumnSummary, ColumnView, DataType,
+        Field, Schema, Segment, Table, TableBuilder, Value,
     };
     pub use atlas_core::{
-        AnytimeAtlas, AnytimeConfig, AnytimeIteration, AnytimeResult, Atlas, AtlasBuilder,
-        AtlasConfig, CachedAtlas, CategoricalCutStrategy, CutConfig, CutStrategy, DataMap,
-        ExploreOptions, MapDistance, MapDistanceMetric, MapResult, MergePolicy, MergeStrategy,
-        NumericCutStrategy, PhaseTimings, PipelineContext, ProfileStats, RankedMap, Ranker, Region,
-        TableProfile,
+        AnytimeIteration, AnytimeResult, Atlas, AtlasBuilder, AtlasConfig, CachedAtlas,
+        CategoricalCutStrategy, CutConfig, CutStrategy, DataMap, ExploreOptions, MapDistance,
+        MapDistanceMetric, MapResult, MergePolicy, MergeStrategy, NumericCutStrategy, PhaseTimings,
+        PipelineContext, ProfileStats, RankedMap, Ranker, Region, TableProfile,
     };
     pub use atlas_datagen::{CensusGenerator, MixtureGenerator, OrdersGenerator, SdssGenerator};
     pub use atlas_explorer::{render_map, render_result, MapQuality, ReadabilityReport, Session};

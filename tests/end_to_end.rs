@@ -177,17 +177,16 @@ age,sex,salary\n\
 #[test]
 fn anytime_engine_converges_to_the_exact_result() {
     let table = Arc::new(CensusGenerator::with_rows(30_000, 77).generate());
-    let anytime = AnytimeAtlas::new(
-        Arc::clone(&table),
-        AnytimeConfig {
-            initial_sample: 500,
-            growth_factor: 8.0,
-            budget: std::time::Duration::from_secs(60),
-            ..AnytimeConfig::default()
-        },
-    )
-    .unwrap();
-    let outcome = anytime.run(&ConjunctiveQuery::all("census")).unwrap();
+    let options = ExploreOptions {
+        initial_sample: 500,
+        growth_factor: 8.0,
+        budget: Some(std::time::Duration::from_secs(60)),
+        ..ExploreOptions::default()
+    };
+    let outcome = Atlas::with_defaults(Arc::clone(&table))
+        .unwrap()
+        .explore_anytime(&ConjunctiveQuery::all("census"), options)
+        .unwrap();
     assert!(outcome.reached_full_data);
     assert!(outcome.iterations.len() >= 2);
     // The final iteration equals what the plain engine computes.
