@@ -43,7 +43,6 @@ use atlas_stats::GkSketch;
 use minirayon::ThreadPool;
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
 /// Pre-computed statistics of one column over the full table.
 #[derive(Debug, Clone)]
@@ -383,17 +382,9 @@ impl TableProfile {
     }
 }
 
-/// Record one profile-cache lookup: bump the process-wide counter behind the
-/// `/metrics` exposition (the per-profile atomics above stay the per-dataset
-/// source of truth) and attach a trace event when tracing is enabled.
+/// Attach one profile-cache lookup to the current trace (the per-profile
+/// atomics above are the counters `/metrics` reports).
 fn observe_cache(outcome: &'static str, attribute: &str) {
-    static HITS: OnceLock<&'static atlas_obs::Counter> = OnceLock::new();
-    static MISSES: OnceLock<&'static atlas_obs::Counter> = OnceLock::new();
-    let counter = match outcome {
-        "hit" => HITS.get_or_init(|| atlas_obs::counter("profile.cache.hit")),
-        _ => MISSES.get_or_init(|| atlas_obs::counter("profile.cache.miss")),
-    };
-    counter.add(1);
     if atlas_obs::enabled() {
         atlas_obs::event(
             "profile.cache",

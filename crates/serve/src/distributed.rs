@@ -56,6 +56,7 @@
 
 use crate::client::Client;
 use crate::http::{ClientResponse, DEADLINE_HEADER, TRACE_HEADER};
+use crate::metrics::CoordinatorMetrics;
 use crate::resilience::{
     CircuitBreaker, CircuitConfig, CircuitState, Coverage, Deadline, ExploreMode, HedgePolicy,
     RetryPolicy,
@@ -75,19 +76,15 @@ use atlas_core::{
     NumericCutStrategy, PhaseTimings, ThreadPool,
 };
 use atlas_query::{to_sql, ConjunctiveQuery};
-use atlas_stats::quantile::quantile;
 use atlas_stats::GkSketch;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeSet, HashMap};
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// How many recent shard-call latencies feed the percentile hedge delay.
-const LATENCY_RING: usize = 512;
 
 /// Fault-policy knobs of a [`Coordinator`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -131,178 +128,6 @@ pub struct DistributedResult {
     pub result: MapResult,
     /// Exactly which segments and rows the answer covers.
     pub coverage: Coverage,
-}
-
-/// Scatter counters of one [`Coordinator`].
-///
-/// `fan_out` counts shard calls issued (one per shard with assigned
-/// segments per scatter round), `retries` counts repeat attempts after a
-/// retryable failure; all counters are monotone over the coordinator's
-/// lifetime.
-#[derive(Debug)]
-pub struct CoordinatorMetrics {
-    fan_out: AtomicU64,
-    retries: AtomicU64,
-    hedges_launched: AtomicU64,
-    hedges_won: AtomicU64,
-    skipped_open_circuit: AtomicU64,
-    deadline_exceeded: AtomicU64,
-    degraded_explores: AtomicU64,
-    per_shard: Vec<ShardLatency>,
-    /// Recent shard-call latencies (ms), a bounded ring feeding
-    /// [`HedgePolicy::Percentile`].
-    recent: Mutex<RecentLatencies>,
-}
-
-#[derive(Debug)]
-struct RecentLatencies {
-    samples: Vec<f64>,
-    next: usize,
-}
-
-#[derive(Debug)]
-struct ShardLatency {
-    addr: String,
-    requests: AtomicU64,
-    total_micros: AtomicU64,
-    max_micros: AtomicU64,
-}
-
-impl CoordinatorMetrics {
-    fn new(addrs: &[String]) -> CoordinatorMetrics {
-        CoordinatorMetrics {
-            fan_out: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            hedges_launched: AtomicU64::new(0),
-            hedges_won: AtomicU64::new(0),
-            skipped_open_circuit: AtomicU64::new(0),
-            deadline_exceeded: AtomicU64::new(0),
-            degraded_explores: AtomicU64::new(0),
-            per_shard: addrs
-                .iter()
-                .map(|addr| ShardLatency {
-                    addr: addr.clone(),
-                    requests: AtomicU64::new(0),
-                    total_micros: AtomicU64::new(0),
-                    max_micros: AtomicU64::new(0),
-                })
-                .collect(),
-            recent: Mutex::new(RecentLatencies {
-                samples: Vec::new(),
-                next: 0,
-            }),
-        }
-    }
-
-    /// Total shard calls issued across all scatter rounds.
-    pub fn fan_out(&self) -> u64 {
-        self.fan_out.load(Ordering::Relaxed)
-    }
-
-    /// Total repeat attempts after a retryable failure.
-    pub fn retries(&self) -> u64 {
-        self.retries.load(Ordering::Relaxed)
-    }
-
-    /// Total hedged (duplicated) reads launched at straggling shards.
-    pub fn hedges_launched(&self) -> u64 {
-        self.hedges_launched.load(Ordering::Relaxed)
-    }
-
-    /// Hedged reads that answered before the primary attempt.
-    pub fn hedges_won(&self) -> u64 {
-        self.hedges_won.load(Ordering::Relaxed)
-    }
-
-    /// Shard calls refused locally because the shard's circuit was open.
-    pub fn skipped_open_circuit(&self) -> u64 {
-        self.skipped_open_circuit.load(Ordering::Relaxed)
-    }
-
-    /// Explores that failed with [`AtlasError::Deadline`].
-    pub fn deadline_exceeded(&self) -> u64 {
-        self.deadline_exceeded.load(Ordering::Relaxed)
-    }
-
-    /// Explores answered degraded (at least one shard dropped).
-    pub fn degraded_explores(&self) -> u64 {
-        self.degraded_explores.load(Ordering::Relaxed)
-    }
-
-    fn record(&self, shard: usize, elapsed: Duration) {
-        // lint: slice-index-ok (callers index 0..shards.len(); per_shard is built one slot per shard)
-        let lat = &self.per_shard[shard];
-        let micros = elapsed.as_micros() as u64;
-        lat.requests.fetch_add(1, Ordering::Relaxed);
-        lat.total_micros.fetch_add(micros, Ordering::Relaxed);
-        lat.max_micros.fetch_max(micros, Ordering::Relaxed);
-        let ms = micros as f64 / 1000.0;
-        let mut recent = match self.recent.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        if recent.samples.len() < LATENCY_RING {
-            recent.samples.push(ms);
-        } else {
-            let slot = recent.next;
-            // lint: slice-index-ok (next always wraps below LATENCY_RING == samples.len())
-            recent.samples[slot] = ms;
-        }
-        recent.next = (recent.next + 1) % LATENCY_RING;
-    }
-
-    /// The recent shard-call latencies, in milliseconds (bounded window).
-    fn recent_latencies(&self) -> Vec<f64> {
-        match self.recent.lock() {
-            Ok(guard) => guard.samples.clone(),
-            Err(poisoned) => poisoned.into_inner().samples.clone(),
-        }
-    }
-
-    /// A JSON snapshot: fan-out, retries, hedges, circuit skips, and
-    /// per-shard request latency.
-    pub fn snapshot(&self) -> Json {
-        Json::object(vec![
-            ("fan_out", Json::from(self.fan_out())),
-            ("retries", Json::from(self.retries())),
-            ("hedges_launched", Json::from(self.hedges_launched())),
-            ("hedges_won", Json::from(self.hedges_won())),
-            (
-                "skipped_open_circuit",
-                Json::from(self.skipped_open_circuit()),
-            ),
-            ("deadline_exceeded", Json::from(self.deadline_exceeded())),
-            ("degraded_explores", Json::from(self.degraded_explores())),
-            (
-                "shards",
-                Json::array(
-                    self.per_shard
-                        .iter()
-                        .map(|lat| {
-                            let requests = lat.requests.load(Ordering::Relaxed);
-                            let total = lat.total_micros.load(Ordering::Relaxed);
-                            let mean_ms = if requests == 0 {
-                                0.0
-                            } else {
-                                total as f64 / requests as f64 / 1000.0
-                            };
-                            Json::object(vec![
-                                ("addr", Json::from(lat.addr.as_str())),
-                                ("requests", Json::from(requests)),
-                                ("mean_ms", Json::from(mean_ms)),
-                                (
-                                    "max_ms",
-                                    Json::from(
-                                        lat.max_micros.load(Ordering::Relaxed) as f64 / 1000.0,
-                                    ),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
 }
 
 #[derive(Debug)]
@@ -640,7 +465,8 @@ impl Coordinator {
         &self.options
     }
 
-    /// Every shard's `(addr, circuit state, times opened)`.
+    /// Every shard's `(addr, circuit state, times opened)` — what `/metrics`
+    /// and `/healthz` report circuits from.
     pub fn circuit_states(&self) -> Vec<(String, CircuitState, u64)> {
         self.shards
             .iter()
@@ -652,33 +478,6 @@ impl Coordinator {
                 )
             })
             .collect()
-    }
-
-    /// The counter snapshot extended with per-shard circuit state — what
-    /// `/metrics` serves for each connected coordinator.
-    pub fn metrics_snapshot(&self) -> Json {
-        let mut snapshot = self.metrics.snapshot();
-        let circuits: Vec<Json> = self
-            .shards
-            .iter()
-            .map(|slot| {
-                Json::object(vec![
-                    ("addr", Json::from(slot.addr.as_str())),
-                    ("state", Json::from(slot.breaker.state().label())),
-                    ("opened_total", Json::from(slot.breaker.opened_total())),
-                ])
-            })
-            .collect();
-        let opened: u64 = self
-            .shards
-            .iter()
-            .map(|slot| slot.breaker.opened_total())
-            .sum();
-        if let Json::Obj(members) = &mut snapshot {
-            members.push(("circuit_open_total".to_string(), Json::from(opened)));
-            members.push(("circuits".to_string(), Json::array(circuits)));
-        }
-        snapshot
     }
 
     /// Fetch `/shard/meta` from every shard and adopt their (unanimous) view
@@ -746,15 +545,6 @@ impl Coordinator {
         let delay = match self.options.hedge {
             HedgePolicy::Off => return None,
             HedgePolicy::After(delay) => delay,
-            HedgePolicy::Percentile { q, floor } => {
-                let samples = self.metrics.recent_latencies();
-                match quantile(&samples, q.clamp(0.0, 1.0)) {
-                    Some(ms) if ms.is_finite() && ms >= 0.0 => {
-                        Duration::from_secs_f64(ms / 1000.0).max(floor)
-                    }
-                    _ => floor,
-                }
-            }
         };
         (delay < budget).then_some(delay)
     }

@@ -21,9 +21,10 @@
 //! * [`sessions`] — token-addressed [`atlas_explorer::Session`]s with TTL
 //!   eviction, so `submit_sql` / `drill_down` / `back` work over the wire
 //!   exactly as in-process;
-//! * [`metrics`] — request counters and a latency histogram
-//!   (`atlas_stats::histogram`) behind `GET /metrics`, in JSON or the
-//!   Prometheus text format by `Accept` negotiation;
+//! * [`metrics`] — everything the server says about itself: request
+//!   counters, the recent-latency window, coordinator and per-shard
+//!   counters, and the one walk that renders `GET /metrics` (JSON or the
+//!   Prometheus text format by `Accept` negotiation) and `GET /healthz`;
 //! * [`trace`] — span ↔ JSON conversion for `GET /debug/traces`, the
 //!   `?trace=1` inline tree, and shard span propagation (`atlas_obs`);
 //! * [`server`] — accept loop, worker pool (`ATLAS_SERVE_THREADS`),
@@ -61,8 +62,8 @@ pub mod trace;
 pub mod wire;
 
 pub use client::Client;
-pub use distributed::{Coordinator, CoordinatorMetrics, CoordinatorOptions, DistributedResult};
-pub use metrics::ServerMetrics;
+pub use distributed::{Coordinator, CoordinatorOptions, DistributedResult};
+pub use metrics::{CoordinatorMetrics, ServerMetrics};
 pub use registry::{DatasetOptions, Registry};
 pub use resilience::{
     CircuitConfig, CircuitState, Coverage, Deadline, ExploreMode, HedgePolicy, RetryPolicy,

@@ -161,9 +161,8 @@ impl RetryPolicy {
 /// When a hedged (duplicated) read is launched at a straggling shard.
 ///
 /// Shard endpoints are idempotent reads, so duplicating a slow request is
-/// safe: the first success wins and the loser's answer is discarded. The
-/// delay before hedging is either fixed or derived from the coordinator's
-/// recent shard-latency distribution.
+/// safe: the first success wins and the loser's answer is discarded
+/// (`hedges_launched` / `hedges_won` in `/metrics` say whether it pays).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum HedgePolicy {
     /// Never hedge (the default).
@@ -171,15 +170,6 @@ pub enum HedgePolicy {
     Off,
     /// Hedge any attempt still unanswered after a fixed delay.
     After(Duration),
-    /// Hedge after the `q`-quantile of recently observed shard latencies
-    /// (floored at `floor`, which also covers the cold start before any
-    /// latency was observed).
-    Percentile {
-        /// The latency quantile in `[0, 1]` after which to hedge.
-        q: f64,
-        /// Lower bound on the hedge delay.
-        floor: Duration,
-    },
 }
 
 /// Circuit-breaker tuning of one shard slot.

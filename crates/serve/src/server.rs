@@ -22,7 +22,7 @@
 //! | `GET /datasets` | — | served datasets + cache stats |
 //! | `POST /datasets/:name/rows` | header-less CSV rows | incremental append |
 //! | `GET /healthz` | — | liveness |
-//! | `GET /metrics` | — | counters, latency percentiles + histogram |
+//! | `GET /metrics` | — | the server's self-report ([`crate::metrics`]): JSON, or Prometheus text by `Accept` |
 //!
 //! Errors use `{"error": message}` bodies; `atlas_core::AtlasError` maps to
 //! `4xx` when [`atlas_core::AtlasError::is_user_error`] holds and `5xx`
@@ -30,7 +30,7 @@
 
 use crate::distributed::{Coordinator, CoordinatorOptions};
 use crate::http::{self, HttpError, Request, Response};
-use crate::metrics::{Endpoint, ServerMetrics};
+use crate::metrics::{self, Endpoint, ServerMetrics};
 use crate::registry::{Dataset, Registry};
 use crate::resilience::{CircuitConfig, Deadline, ExploreMode, HedgePolicy, RetryPolicy};
 use crate::sessions::{SessionManager, WireSession};
@@ -510,20 +510,23 @@ fn handle_connection(shared: &Shared, stream: TcpStream, admitted: Instant) {
         ) {
             Ok(request) => request,
             Err(HttpError::Closed | HttpError::Idle | HttpError::Io(_)) => return,
-            Err(HttpError::Malformed(message)) => {
-                let _ = http::write_response(&mut writer, &Response::error(400, message), false);
-                return;
-            }
-            Err(HttpError::BodyTooLarge { limit }) => {
-                let _ = http::write_response(
-                    &mut writer,
-                    &Response::error(413, format!("body exceeds the {limit}-byte limit")),
-                    false,
+            Err(refused @ (HttpError::Malformed(_) | HttpError::BodyTooLarge { .. })) => {
+                // The request never parsed, so there is no `request` span:
+                // it counts under `other` with the time spent reading it.
+                let response = match refused {
+                    HttpError::Malformed(message) => Response::error(400, message),
+                    too_large => Response::error(413, too_large.to_string()),
+                };
+                shared.metrics.record(
+                    Endpoint::Other,
+                    response.status,
+                    parse_started.elapsed().as_secs_f64() * 1000.0,
                 );
+                let _ = http::write_response(&mut writer, &response, false);
                 return;
             }
         };
-        let started = Instant::now();
+        let parsed = Instant::now();
         // The request's trace root: every span the handlers open below
         // (session locks, the engine's pipeline phases, kernel events on the
         // worker's context) nests under it, and the queue wait, parse time
@@ -534,7 +537,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream, admitted: Instant) {
         if first_request {
             record_past_interval(&request_span, "queue.wait", admitted, picked_up);
         }
-        record_past_interval(&request_span, "request.parse", parse_started, started);
+        record_past_interval(&request_span, "request.parse", parse_started, parsed);
         first_request = false;
         let keep_alive = request.wants_keep_alive() && !shared.shutting_down();
         // A non-numeric deadline header is ignored rather than rejected: the
@@ -550,11 +553,9 @@ fn handle_connection(shared: &Shared, stream: TcpStream, admitted: Instant) {
             // the admission queue): answer 504 with the work-done metadata
             // instead of starting work that cannot finish in time.
             let response = error_response(&d.error("admission queue"));
-            shared.metrics.record(
-                Endpoint::Other,
-                response.status,
-                started.elapsed().as_secs_f64() * 1000.0,
-            );
+            shared
+                .metrics
+                .record(Endpoint::Other, response.status, request_span.elapsed_ms());
             if http::write_response(&mut writer, &response, keep_alive).is_err() || !keep_alive {
                 return;
             }
@@ -576,11 +577,9 @@ fn handle_connection(shared: &Shared, stream: TcpStream, admitted: Instant) {
             crate::shard::Reply::Hangup => return,
         };
         request_span.attr("status", response.status);
-        shared.metrics.record(
-            endpoint,
-            response.status,
-            started.elapsed().as_secs_f64() * 1000.0,
-        );
+        shared
+            .metrics
+            .record(endpoint, response.status, request_span.elapsed_ms());
         let write_started = Instant::now();
         let write_result = http::write_response(&mut writer, &response, keep_alive);
         record_past_interval(
@@ -641,8 +640,14 @@ fn route(
     let segments = request.path_segments();
     let method = request.method.as_str();
     match (method, segments.as_slice()) {
-        ("GET", ["healthz"]) => (Endpoint::Healthz, healthz(shared).into()),
-        ("GET", ["metrics"]) => (Endpoint::Metrics, metrics(shared, request).into()),
+        ("GET", ["healthz"]) => (
+            Endpoint::Healthz,
+            metrics::healthz(&components(shared)).into(),
+        ),
+        ("GET", ["metrics"]) => (
+            Endpoint::Metrics,
+            metrics::metrics(&components(shared), request).into(),
+        ),
         ("GET", ["debug", "traces"]) => (Endpoint::DebugTraces, debug_traces().into()),
         ("GET", ["debug", "traces", id]) => (Endpoint::DebugTrace, debug_trace(id).into()),
         ("GET", ["datasets"]) => (Endpoint::Datasets, datasets(shared).into()),
@@ -696,249 +701,28 @@ fn route(
     }
 }
 
-fn healthz(shared: &Shared) -> Response {
-    let (ring_spans, ring_capacity) = atlas_obs::tracer().occupancy();
-    let mut members = vec![
-        ("status".to_string(), Json::from("ok")),
-        (
-            "uptime_seconds".to_string(),
-            Json::Num(shared.metrics.uptime_seconds()),
-        ),
-        (
-            "build".to_string(),
-            Json::object(vec![
-                ("version", Json::from(env!("CARGO_PKG_VERSION"))),
-                (
-                    "profile",
-                    Json::from(if cfg!(debug_assertions) {
-                        "debug"
-                    } else {
-                        "release"
-                    }),
-                ),
-            ]),
-        ),
-        (
-            "trace".to_string(),
-            Json::object(vec![
-                ("enabled", Json::from(atlas_obs::enabled())),
-                ("ring_spans", Json::from(ring_spans)),
-                ("ring_capacity", Json::from(ring_capacity)),
-            ]),
-        ),
-        (
-            "datasets".to_string(),
-            Json::array(
-                shared
-                    .registry
-                    .datasets()
-                    .iter()
-                    .map(|d| Json::from(d.name()))
-                    .collect(),
-            ),
-        ),
-        ("threads".to_string(), Json::from(shared.config.threads)),
-    ];
-    let coordinators = match shared.coordinators.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    if !coordinators.is_empty() {
-        // Shard health at a glance: the circuit state of every shard this
-        // server coordinates, per dataset.
-        let mut entries: Vec<(String, Json)> = coordinators
-            .iter() // lint: nondeterministic-ok (entries are sorted by dataset name below)
-            .map(|(dataset, (_, coordinator))| {
-                (
-                    dataset.clone(),
-                    Json::array(
-                        coordinator
-                            .circuit_states()
-                            .into_iter()
-                            .map(|(addr, state, opened_total)| {
-                                Json::object(vec![
-                                    ("shard", Json::from(addr)),
-                                    ("state", Json::from(state.label())),
-                                    ("opened_total", Json::from(opened_total)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                )
-            })
-            .collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        members.push(("circuits".to_string(), Json::object(entries)));
-    }
-    drop(coordinators);
-    Response::json(200, &Json::Obj(members))
-}
-
-/// The obs-layer additions shared by both `/metrics` formats, as JSON
-/// members: per-dataset profile-cache hits/misses, the process-wide
-/// `atlas_obs` counters (kernel dispatch paths, cache tallies), and the
-/// tracer ring occupancy.
-fn obs_extra_json(shared: &Shared) -> Vec<(String, Json)> {
-    let (ring_spans, ring_capacity) = atlas_obs::tracer().occupancy();
-    vec![
-        (
-            "profile_cache".to_string(),
-            Json::object(
-                shared
-                    .registry
-                    .datasets()
-                    .iter()
-                    .map(|d| {
-                        let stats = d.snapshot().0.profile_stats();
-                        (
-                            d.name().to_string(),
-                            Json::object(vec![
-                                ("hits", Json::from(stats.hits)),
-                                ("misses", Json::from(stats.misses)),
-                            ]),
-                        )
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "counters".to_string(),
-            Json::object(
-                atlas_obs::counters()
-                    .into_iter()
-                    .map(|(name, value)| (name.to_string(), Json::from(value)))
-                    .collect(),
-            ),
-        ),
-        (
-            "trace".to_string(),
-            Json::object(vec![
-                ("enabled", Json::from(atlas_obs::enabled())),
-                ("ring_spans", Json::from(ring_spans)),
-                ("ring_capacity", Json::from(ring_capacity)),
-            ]),
-        ),
-    ]
-}
-
-/// The same obs-layer additions as Prometheus samples. Counter names follow
-/// the workspace convention `family.label.label`, which maps onto labelled
-/// families here: `kernel.<op>.<path>` → `atlas_kernel_dispatch_total`,
-/// `profile.cache.<outcome>` → `atlas_profile_cache_total`; anything else
-/// falls back to a generic `atlas_counter_total{name=…}`.
-fn obs_extra_prometheus(shared: &Shared) -> Vec<crate::metrics::PromSample> {
-    use crate::metrics::PromSample;
-    let mut samples = Vec::new();
-    for dataset in shared.registry.datasets() {
-        let stats = dataset.snapshot().0.profile_stats();
-        for (outcome, value) in [("hit", stats.hits), ("miss", stats.misses)] {
-            samples.push(PromSample::counter(
-                "atlas_profile_cache_dataset_total",
-                vec![
-                    ("dataset", dataset.name().to_string()),
-                    ("outcome", outcome.to_string()),
-                ],
-                value as u64,
-            ));
-        }
-    }
-    for (name, value) in atlas_obs::counters() {
-        let parts: Vec<&str> = name.split('.').collect();
-        let sample = match parts.as_slice() {
-            ["kernel", op, path] => PromSample::counter(
-                "atlas_kernel_dispatch_total",
-                vec![("op", op.to_string()), ("path", path.to_string())],
-                value,
-            ),
-            ["profile", "cache", outcome] => PromSample::counter(
-                "atlas_profile_cache_total",
-                vec![("outcome", outcome.to_string())],
-                value,
-            ),
-            _ => PromSample::counter(
-                "atlas_counter_total",
-                vec![("name", name.to_string())],
-                value,
-            ),
+/// What `GET /healthz` and `GET /metrics` report on, for [`crate::metrics`]
+/// to render. The coordinators are cloned out of their lock (sorted by
+/// dataset name), so rendering holds no server lock.
+fn components(shared: &Shared) -> metrics::Components<'_> {
+    let mut coordinators: Vec<(String, Arc<Coordinator>)> = {
+        let connected = match shared.coordinators.lock() {
+            Ok(guard) => guard,
+            Err(poisoned) => poisoned.into_inner(),
         };
-        samples.push(sample);
-    }
-    let (ring_spans, ring_capacity) = atlas_obs::tracer().occupancy();
-    samples.push(PromSample::gauge(
-        "atlas_trace_enabled",
-        Vec::new(),
-        if atlas_obs::enabled() { 1.0 } else { 0.0 },
-    ));
-    samples.push(PromSample::gauge(
-        "atlas_trace_ring_spans",
-        Vec::new(),
-        ring_spans as f64,
-    ));
-    samples.push(PromSample::gauge(
-        "atlas_trace_ring_capacity",
-        Vec::new(),
-        ring_capacity as f64,
-    ));
-    samples
-}
-
-fn metrics(shared: &Shared, request: &Request) -> Response {
-    // Content negotiation: Prometheus scrapers ask for text; everything that
-    // spoke the JSON report before keeps getting it (no `Accept`, `*/*`, or
-    // an explicit `application/json`).
-    let wants_text = request
-        .header("accept")
-        .is_some_and(|accept| accept.contains("text/plain") || accept.contains("openmetrics"));
-    if wants_text {
-        return Response::text(200, shared.metrics.prometheus(obs_extra_prometheus(shared)));
-    }
-    let sessions = shared.sessions.counters();
-    let mut extra = vec![
-        (
-            "sessions".to_string(),
-            Json::object(vec![
-                ("live", Json::from(sessions.live)),
-                ("created", Json::from(sessions.created)),
-                ("evicted", Json::from(sessions.evicted)),
-            ]),
-        ),
-        (
-            "result_cache".to_string(),
-            Json::object(
-                shared
-                    .registry
-                    .datasets()
-                    .iter()
-                    .map(|d| {
-                        let stats = d.cache_stats();
-                        (
-                            d.name().to_string(),
-                            Json::object(vec![
-                                ("hits", Json::from(stats.hits)),
-                                ("misses", Json::from(stats.misses)),
-                                ("evicted", Json::from(stats.evicted)),
-                            ]),
-                        )
-                    })
-                    .collect(),
-            ),
-        ),
-    ];
-    let coordinators = match shared.coordinators.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
+        connected
+            .iter() // lint: nondeterministic-ok (sorted by dataset name on the next statement)
+            .map(|(dataset, (_, coordinator))| (dataset.clone(), Arc::clone(coordinator)))
+            .collect()
     };
-    if !coordinators.is_empty() {
-        let mut entries: Vec<(String, Json)> = coordinators
-            .iter() // lint: nondeterministic-ok (entries are sorted by dataset name two lines down)
-            .map(|(dataset, (_, coordinator))| (dataset.clone(), coordinator.metrics_snapshot()))
-            .collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        extra.push(("distributed".to_string(), Json::object(entries)));
+    coordinators.sort_by(|a, b| a.0.cmp(&b.0));
+    metrics::Components {
+        metrics: &shared.metrics,
+        sessions: &shared.sessions,
+        registry: &shared.registry,
+        coordinators,
+        threads: shared.config.threads,
     }
-    drop(coordinators);
-    extra.extend(obs_extra_json(shared));
-    Response::json(200, &shared.metrics.snapshot(extra))
 }
 
 /// Cap on the roots listed by `GET /debug/traces` (newest first).

@@ -473,3 +473,61 @@ fn an_empty_registry_refuses_to_start_and_shutdown_is_clean() {
     assert_eq!(client.get("/healthz").unwrap().status, 200);
     handle.shutdown();
 }
+
+/// Requests that never parse are still requests: the `400` for a garbage
+/// request line and the `413` for an over-limit `Content-Length` each count
+/// once under `responses.client_error_4xx` and `requests_by_endpoint.other`.
+#[test]
+fn malformed_and_oversized_requests_are_counted() {
+    use std::io::{Read, Write};
+    let mut registry = Registry::new();
+    registry
+        .add_table(
+            "census",
+            Arc::new(CensusGenerator::with_rows(200, 1).generate()),
+            DatasetOptions::default(),
+        )
+        .unwrap();
+    let config = ServeConfig {
+        max_body_bytes: 64,
+        ..ServeConfig::default()
+    }
+    .with_threads(1);
+    let handle = Server::start(registry, config).unwrap();
+    let counted = || {
+        let report = handle.metrics().snapshot(Vec::new());
+        let read = |section: &str, key: &str| {
+            report
+                .get(section)
+                .and_then(|members| members.get(key))
+                .and_then(Json::num)
+                .unwrap_or_else(|| panic!("{section}.{key} is reported"))
+        };
+        (
+            read("responses", "client_error_4xx"),
+            read("requests_by_endpoint", "other"),
+        )
+    };
+    assert_eq!(counted(), (0.0, 0.0));
+
+    for (step, (bytes, status)) in [
+        (b"garbage\r\n\r\n".as_slice(), "HTTP/1.1 400"),
+        (
+            b"POST /sessions HTTP/1.1\r\nContent-Length: 100000\r\n\r\n".as_slice(),
+            "HTTP/1.1 413",
+        ),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let mut stream = std::net::TcpStream::connect(handle.addr()).unwrap();
+        stream.write_all(bytes).unwrap();
+        let mut reply = Vec::new();
+        stream.read_to_end(&mut reply).unwrap();
+        let reply = String::from_utf8_lossy(&reply);
+        assert!(reply.starts_with(status), "got: {reply}");
+        let seen = (step + 1) as f64;
+        assert_eq!(counted(), (seen, seen), "after {status}");
+    }
+    handle.shutdown();
+}

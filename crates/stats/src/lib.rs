@@ -14,8 +14,6 @@
 //!   approximate it on large columns ([`quantile`], [`gk`]).
 //! * **One-dimensional clustering** — the alternative cutting strategy that
 //!   maximises within-partition homogeneity ([`kmeans1d`], [`breaks`]).
-//! * **Histograms** — equi-width binning; the server's latency report uses it
-//!   ([`histogram`]).
 //! * **Agreement scores** — the evaluation compares recovered partitions to
 //!   planted ground truth (ARI, purity, NMI) ([`agreement`]).
 
@@ -26,7 +24,6 @@ pub mod breaks;
 pub mod contingency;
 pub mod entropy;
 pub mod gk;
-pub mod histogram;
 pub mod kmeans1d;
 pub mod quantile;
 
@@ -37,6 +34,5 @@ pub use entropy::{
     variation_of_information,
 };
 pub use gk::GkSketch;
-pub use histogram::EquiWidthHistogram;
 pub use kmeans1d::{kmeans_1d, KMeans1dResult};
 pub use quantile::{median, quantiles};

@@ -149,7 +149,7 @@ pub use atlas_obs as obs;
 pub use atlas_query as query;
 /// The HTTP/JSON exploration server and the distributed scatter-gather path.
 pub use atlas_serve as serve;
-/// Statistical kernels: quantiles, histograms, sketches, dependence metrics.
+/// Statistical kernels: quantiles, sketches, dependence metrics.
 pub use atlas_stats as stats;
 
 /// The most commonly used types, re-exported flat for convenience.

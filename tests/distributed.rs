@@ -801,3 +801,257 @@ fn counted_columns_are_cut_without_shipping_their_values() {
         handle.shutdown();
     }
 }
+
+/// Boot a front server over `addrs` that also serves `table` itself (with a
+/// small result cache, so session steps move those counters too).
+fn boot_front(
+    table: &Arc<Table>,
+    config: &AtlasConfig,
+    addrs: &[String],
+    mut serve_config: ServeConfig,
+) -> ServerHandle {
+    let mut registry = Registry::new();
+    registry
+        .add_table(
+            "census",
+            Arc::clone(table),
+            DatasetOptions {
+                config: config.clone(),
+                cache_capacity: 8,
+            },
+        )
+        .unwrap();
+    serve_config.shards = addrs.to_vec();
+    Server::start(registry, serve_config.with_threads(2)).unwrap()
+}
+
+/// Both `/metrics` formats of one server: the JSON report and the Prometheus
+/// text exposition.
+fn both_reports(front: &ServerHandle) -> (Json, String) {
+    let json = Client::new(front.addr())
+        .get("/metrics")
+        .unwrap()
+        .json()
+        .expect("the default /metrics is JSON");
+    let text = Client::new(front.addr())
+        .with_header("Accept", "text/plain")
+        .get("/metrics")
+        .unwrap();
+    assert_eq!(text.status, 200);
+    (json, text.body_text().unwrap().to_string())
+}
+
+/// The value of the one text sample `family{labels…}`.
+fn text_value(text: &str, family: &str, labels: &[(&str, &str)]) -> f64 {
+    let labels: Vec<String> = labels.iter().map(|(k, v)| format!("{k}=\"{v}\"")).collect();
+    let prefix = format!("{family}{{{}}} ", labels.join(","));
+    text.lines()
+        .find_map(|line| line.strip_prefix(&prefix))
+        .unwrap_or_else(|| panic!("no `{prefix}` line in:\n{text}"))
+        .parse()
+        .unwrap()
+}
+
+/// The text exposition is not a subset of the JSON report: after one
+/// distributed explore and one session step, every number of the JSON
+/// `sessions`, `result_cache`, `distributed` and `profile_cache` sections is
+/// a sample of an `atlas_<section>…` family in the text body.
+#[test]
+fn every_number_of_the_json_report_is_in_the_text_exposition() {
+    let table = census_table(6_000, 1_500);
+    let config = product_config();
+    let (shard_handles, addrs) = boot_shards("census", &table, &config, 2);
+    let front = boot_front(&table, &config, &addrs, ServeConfig::default());
+    let client = Client::new(front.addr());
+    let sql = "SELECT * FROM census WHERE age >= 30";
+    assert_eq!(
+        client
+            .post_text("/distributed/explore", sql)
+            .unwrap()
+            .status,
+        200
+    );
+    let token = client.create_session("census").unwrap();
+    let step = client
+        .post_text(&format!("/sessions/{token}/explore"), sql)
+        .unwrap();
+    assert_eq!(step.status, 200);
+
+    fn numbers(json: &Json, path: &mut Vec<String>, out: &mut Vec<(Vec<String>, f64)>) {
+        if let Some(members) = json.entries() {
+            for (key, inner) in members {
+                path.push(key.clone());
+                numbers(inner, path, out);
+                path.pop();
+            }
+        } else if let Some(value) = json.num() {
+            out.push((path.clone(), value));
+        }
+    }
+    // The two formats name things by their own conventions (`hits` vs
+    // `outcome="hit"`, `shards.<addr>` vs `shard="<addr>"`), so a JSON
+    // number is matched to the sample line that carries every name on its
+    // path, singular or plural, in the family name or as a label value.
+    let stem = |key: &str| -> String {
+        key.strip_suffix("es")
+            .or_else(|| key.strip_suffix('s'))
+            .unwrap_or(key)
+            .to_string()
+    };
+    let (json, text) = both_reports(&front);
+    for section in ["sessions", "result_cache", "distributed", "profile_cache"] {
+        let mut found = Vec::new();
+        numbers(
+            json.get(section).expect(section),
+            &mut Vec::new(),
+            &mut found,
+        );
+        assert!(!found.is_empty(), "{section} reports numbers");
+        for (path, value) in found {
+            let reported = text.lines().any(|line| {
+                line.starts_with(&format!("atlas_{section}"))
+                    && path.iter().all(|key| line.contains(&stem(key)))
+                    && line
+                        .rsplit(' ')
+                        .next()
+                        .and_then(|v| v.parse::<f64>().ok())
+                        .is_some_and(|v| v == value)
+            });
+            assert!(
+                reported,
+                "{section}.{} = {value} is missing from:\n{text}",
+                path.join(".")
+            );
+        }
+    }
+    let census = |section: &str, key: &str| {
+        let leaf = json.get(section)?.get("census")?.get(key)?;
+        leaf.num()
+    };
+    assert!(census("distributed", "fan_out").unwrap() > 0.0);
+    assert_eq!(census("result_cache", "misses"), Some(1.0));
+    assert_eq!(
+        json.get("sessions").unwrap().get("live").unwrap().num(),
+        Some(1.0)
+    );
+
+    front.shutdown();
+    for handle in shard_handles {
+        handle.shutdown();
+    }
+}
+
+/// Name the broken shard from the server's own report: once a killed shard
+/// has opened its circuit, `/metrics` (both formats) and `/healthz` show the
+/// open circuit under that shard's address, the calls skipped because of it,
+/// and the traffic the healthy shard answered.
+#[test]
+fn an_open_circuit_shows_in_metrics_and_healthz() {
+    let table = census_table(4_000, 1_000);
+    let config = product_config();
+    let (shard_handles, addrs) = boot_shards("census", &table, &config, 2);
+    let serve_config = ServeConfig {
+        circuit: atlas::serve::CircuitConfig {
+            failure_threshold: 1,
+            cool_down: Duration::from_secs(60),
+        },
+        ..ServeConfig::default()
+    };
+    let front = boot_front(&table, &config, &addrs, serve_config);
+    let client = Client::new(front.addr());
+    let explore = || {
+        client
+            .post_text("/distributed/explore", "SELECT * FROM census")
+            .unwrap()
+    };
+    assert_eq!(explore().status, 200, "the healthy explore connects");
+
+    // Kill shard 1 (it hangs up on everything until re-armed), then explore
+    // until its circuit is open and a call has been refused because of it.
+    let armed = Client::new(shard_handles[1].addr())
+        .post_json(
+            "/shard/inject",
+            &Json::object(vec![(
+                "plan",
+                Json::array(vec![Json::object(vec![("fault", Json::from("kill"))])]),
+            )]),
+        )
+        .unwrap();
+    assert_eq!(armed.status, 200);
+    let (healthy, broken) = (addrs[0].as_str(), addrs[1].as_str());
+    let mut refused = false;
+    for _ in 0..5 {
+        let reply = explore();
+        assert_eq!(reply.status, 500);
+        if reply.json().unwrap().encode().contains("circuit open") {
+            refused = true;
+            break;
+        }
+    }
+    assert!(refused, "the open circuit refuses the shard up front");
+
+    let (json, text) = both_reports(&front);
+    let report = json.get("distributed").unwrap().get("census").unwrap();
+    let number = |json: &Json, path: &[&str]| {
+        path.iter()
+            .try_fold(json, |at, key| at.get(key))
+            .and_then(Json::num)
+            .unwrap_or_else(|| panic!("{path:?} is a number of {}", json.encode()))
+    };
+    let circuit = report.get("circuits").unwrap().get(broken).unwrap();
+    assert_eq!(circuit.get("state").unwrap().str(), Some("open"));
+    assert_eq!(number(circuit, &["opened_total"]), 1.0);
+    let intact = report.get("circuits").unwrap().get(healthy).unwrap();
+    assert_eq!(intact.get("state").unwrap().str(), Some("closed"));
+    assert_eq!(number(report, &["circuit_open_total"]), 1.0);
+    assert!(number(report, &["skipped_open_circuit"]) >= 1.0);
+    assert!(number(report, &["shards", healthy, "requests"]) > 0.0);
+    assert!(number(report, &["shards", healthy, "max_ms"]) > 0.0);
+    assert!(
+        number(report, &["shards", healthy, "mean_ms"])
+            <= number(report, &["shards", healthy, "max_ms"])
+    );
+
+    let labels = |shard| [("dataset", "census"), ("shard", shard)];
+    let mut open = labels(broken).to_vec();
+    open.push(("state", "open"));
+    assert_eq!(
+        text_value(&text, "atlas_distributed_circuit_state", &open),
+        1.0
+    );
+    assert_eq!(
+        text_value(
+            &text,
+            "atlas_distributed_circuit_opened_total",
+            &labels(broken)
+        ),
+        1.0
+    );
+    assert!(
+        text_value(
+            &text,
+            "atlas_distributed_skipped_open_circuit_total",
+            &[("dataset", "census")]
+        ) >= 1.0
+    );
+    assert!(
+        text_value(
+            &text,
+            "atlas_distributed_shard_requests_total",
+            &labels(healthy)
+        ) > 0.0
+    );
+
+    let health = client.get("/healthz").unwrap().json().unwrap();
+    let circuits = health.get("circuits").unwrap().get("census").unwrap();
+    let circuit = circuits.get(broken).unwrap();
+    assert_eq!(circuit.get("state").unwrap().str(), Some("open"));
+    assert_eq!(number(circuit, &["opened_total"]), 1.0);
+    let intact = circuits.get(healthy).unwrap();
+    assert_eq!(intact.get("state").unwrap().str(), Some("closed"));
+
+    front.shutdown();
+    for handle in shard_handles {
+        handle.shutdown();
+    }
+}
