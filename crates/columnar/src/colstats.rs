@@ -18,6 +18,19 @@
 //! set without counts. Whether a summary is counted depends only on how many
 //! distinct values it covers, never on the segment layout or merge order.
 //!
+//! A string or boolean summary is counted the same way, by category: the one
+//! walk that counts the selected rows per dictionary code
+//! (`kernels::count_codes_part`) keeps those counts — every value of every
+//! dictionary walked, **zero counts included**, in first-appearance order,
+//! which makes the order the column's and not the selection's. They add under
+//! [`ColumnSummary::merge_from`] (in row order: a later part appends the
+//! values it is first to hold), travel in [`SummaryParts`], and surface as
+//! [`ColumnStats::category_counts`], from which a categorical cut reads its
+//! frequency ranking and its dictionary order instead of walking the column a
+//! second time. The same bound applies: a column whose dictionaries hold more
+//! values than the counter (names, codes) keeps the plain set of the values
+//! some selected row holds, and nothing is cloned per dictionary entry.
+//!
 //! `min` and `max` come from the value set, not from a row-order fold, so
 //! they are layout-independent too: the extremes of the non-NaN values under
 //! [`f64::total_cmp`], which puts `-0.0` below `+0.0` (a selection of just
@@ -26,10 +39,12 @@
 //! then `min`/`max` are the `total_cmp`-smallest/-largest NaN.
 
 use crate::bitmap::Bitmap;
-use crate::column::{Column, PrimitiveColumn};
+use crate::column::{Column, DictColumn, PrimitiveColumn};
 use crate::kernels;
 use crate::value::DataType;
-use std::collections::HashSet;
+use std::borrow::Borrow;
+use std::collections::{HashMap, HashSet};
+use std::hash::Hash;
 
 /// Exact occurrence counts of up to [`ValueCounts::CAPACITY`] distinct 64-bit
 /// keys. The open-addressed table starts unallocated and grows with the keys
@@ -171,6 +186,137 @@ fn extremes(values: impl IntoIterator<Item = f64>) -> Option<(f64, f64)> {
         .fold(None, |ends, x| Some(widen(ends, x)))
 }
 
+/// The categorical values of a string column under a selection: counted while
+/// the dictionaries walked hold few enough values, the plain set of the values
+/// some selected row holds from the first one too many (for good, like
+/// [`NumericSet`]).
+///
+/// `S` is how a value is held: a `String` in a [`ColumnSummary`], which is
+/// kept, merged and sent; a `&str` borrowed from the segment dictionaries in
+/// the statistics of one query ([`crate::ColumnView::stats`]), which so
+/// allocate nothing per distinct value of a name-like column.
+#[derive(Debug, Clone)]
+pub(crate) enum CategorySet<S> {
+    /// Every value of every dictionary walked, with its selected-row count
+    /// (zeros included), in first-appearance order; `index` finds a value's
+    /// position in `order`.
+    Counted {
+        order: Vec<(S, usize)>,
+        index: HashMap<S, usize>,
+    },
+    Plain(HashSet<S>),
+}
+
+impl<S: Borrow<str> + Hash + Eq> CategorySet<S> {
+    /// The most values counted — the numeric counter's bound.
+    const CAPACITY: usize = ValueCounts::CAPACITY;
+
+    pub(crate) fn new() -> Self {
+        CategorySet::Counted {
+            order: Vec::new(),
+            index: HashMap::new(),
+        }
+    }
+
+    /// Record that `n` more selected rows hold `value` (`n` may be zero: the
+    /// value is in a dictionary that was walked).
+    pub(crate) fn add<'v>(&mut self, value: &'v str, n: usize)
+    where
+        S: From<&'v str>,
+    {
+        if let CategorySet::Counted { order, index } = self {
+            if let Some(&at) = index.get(value) {
+                if let Some((_, count)) = order.get_mut(at) {
+                    *count += n;
+                }
+                return;
+            }
+            if order.len() < Self::CAPACITY {
+                index.insert(S::from(value), order.len());
+                order.push((S::from(value), n));
+                return;
+            }
+        }
+        let plain = self.make_plain();
+        if n > 0 && !plain.contains(value) {
+            plain.insert(S::from(value));
+        }
+    }
+
+    /// Count the selected rows of one dictionary part (local row 0 at global
+    /// row `offset`) into the set; the `(non-NULL, NULL)` selected rows of
+    /// the part. A dictionary that alone is more than the counter holds is
+    /// not counted into it first.
+    pub(crate) fn count_part<'d>(
+        &mut self,
+        d: &'d DictColumn,
+        offset: usize,
+        sel: &Bitmap,
+    ) -> (usize, usize)
+    where
+        S: From<&'d str>,
+    {
+        if d.cardinality() > Self::CAPACITY {
+            self.make_plain();
+        }
+        kernels::count_values_part(d, offset, sel, |value, n| self.add(value, n))
+    }
+
+    /// Forget the counts, if any are left.
+    fn make_plain(&mut self) -> &mut HashSet<S> {
+        if let CategorySet::Counted { order, .. } = self {
+            let held = std::mem::take(order).into_iter().filter(|(_, n)| *n > 0);
+            *self = CategorySet::Plain(held.map(|(value, _)| value).collect());
+        }
+        match self {
+            CategorySet::Plain(set) => set,
+            CategorySet::Counted { .. } => unreachable!("just made plain"),
+        }
+    }
+
+    /// How many values some selected row holds.
+    pub(crate) fn distinct_len(&self) -> usize {
+        match self {
+            CategorySet::Counted { order, .. } => order.iter().filter(|(_, n)| *n > 0).count(),
+            CategorySet::Plain(set) => set.len(),
+        }
+    }
+
+    /// The counts in their [`ColumnStats::category_counts`] form, while there
+    /// are any.
+    pub(crate) fn category_counts(&self) -> Option<Vec<(String, usize)>> {
+        match self {
+            CategorySet::Counted { order, .. } => Some(
+                order
+                    .iter()
+                    .map(|(value, n)| (value.borrow().to_string(), *n))
+                    .collect(),
+            ),
+            CategorySet::Plain(_) => None,
+        }
+    }
+}
+
+impl CategorySet<String> {
+    /// Counts add, a later side appending the values it is first to hold; a
+    /// side without counts leaves the union without them.
+    fn union_with(&mut self, other: &CategorySet<String>) {
+        match other {
+            CategorySet::Counted { order, .. } => {
+                order.iter().for_each(|(value, n)| self.add(value, *n));
+            }
+            CategorySet::Plain(set) => {
+                let plain = self.make_plain();
+                for value in set {
+                    if !plain.contains(value.as_str()) {
+                        plain.insert(value.clone());
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// The distinct non-NULL values seen by a [`ColumnSummary`], kept in a form
 /// that merges exactly across segments (a plain count cannot: segments share
 /// values, so distinct counts are not additive).
@@ -178,15 +324,15 @@ fn extremes(values: impl IntoIterator<Item = f64>) -> Option<(f64, f64)> {
 enum DistinctSet {
     /// Distinct integers or floats.
     Numeric(NumericSet),
-    /// Distinct strings. Segments intern their dictionaries independently, so
-    /// cross-segment identity has to go through the string itself.
-    Strs(HashSet<String>),
-    /// Whether `true` / `false` have been seen.
+    /// Strings by category. Segments intern their dictionaries independently,
+    /// so cross-segment identity has to go through the string itself.
+    Strs(CategorySet<String>),
+    /// How many selected rows are `true` / `false`.
     Bools {
-        /// `true` seen.
-        t: bool,
-        /// `false` seen.
-        f: bool,
+        /// `true` rows.
+        t: usize,
+        /// `false` rows.
+        f: usize,
     },
 }
 
@@ -199,14 +345,18 @@ pub enum DistinctValues {
     /// `as u64`, floats by IEEE-754 bit pattern, so `-0.0`/`0.0` and NaN
     /// payloads keep the distinct-count semantics of the in-memory set.
     Numbers(Vec<u64>),
-    /// Distinct strings, sorted lexicographically.
+    /// Strings. With [`SummaryParts::counts`]: every value of every
+    /// dictionary walked, unselected ones included, in first-appearance
+    /// order. Without: the values some selected row holds, sorted
+    /// lexicographically.
     Strs(Vec<String>),
-    /// Whether `true` / `false` have been seen.
+    /// How many selected rows are `true` / `false` (both counts add up to
+    /// [`SummaryParts::non_null`]).
     Bools {
-        /// `true` seen.
-        t: bool,
-        /// `false` seen.
-        f: bool,
+        /// `true` rows.
+        t: usize,
+        /// `false` rows.
+        f: usize,
     },
 }
 
@@ -223,9 +373,10 @@ pub struct SummaryParts {
     pub nulls: usize,
     /// The distinct non-NULL values, in deterministic order.
     pub distinct: DistinctValues,
-    /// How often each of the [`DistinctValues::Numbers`] occurs, position by
-    /// position (all positive, summing to `non_null`): `Some` for a counted
-    /// summary, `None` for a degraded or non-numeric one.
+    /// How many selected rows hold each of the [`DistinctValues::Numbers`]
+    /// (all positive) or [`DistinctValues::Strs`] (zeros included), position
+    /// by position and summing to `non_null`: `Some` for a counted summary,
+    /// `None` for a degraded or boolean one.
     pub counts: Option<Vec<u64>>,
 }
 
@@ -235,8 +386,8 @@ impl DistinctSet {
             DataType::Int | DataType::Float => {
                 DistinctSet::Numeric(NumericSet::Counted(ValueCounts::default()))
             }
-            DataType::Str => DistinctSet::Strs(HashSet::new()),
-            DataType::Bool => DistinctSet::Bools { t: false, f: false },
+            DataType::Str => DistinctSet::Strs(CategorySet::new()),
+            DataType::Bool => DistinctSet::Bools { t: 0, f: 0 },
         }
     }
 
@@ -253,8 +404,12 @@ impl DistinctSet {
                 keys.sort_unstable();
                 (DistinctValues::Numbers(keys), None)
             }
-            DistinctSet::Strs(s) => {
-                let mut v: Vec<String> = s.iter().cloned().collect();
+            DistinctSet::Strs(CategorySet::Counted { order, .. }) => {
+                let (values, counts) = order.iter().map(|(v, n)| (v.clone(), *n as u64)).unzip();
+                (DistinctValues::Strs(values), Some(counts))
+            }
+            DistinctSet::Strs(CategorySet::Plain(set)) => {
+                let mut v: Vec<String> = set.iter().cloned().collect();
                 v.sort_unstable();
                 (DistinctValues::Strs(v), None)
             }
@@ -275,7 +430,15 @@ impl DistinctSet {
                 }
                 _ => NumericSet::Plain(keys.into_iter().collect()),
             }),
-            DistinctValues::Strs(v) => DistinctSet::Strs(v.into_iter().collect()),
+            DistinctValues::Strs(values) => DistinctSet::Strs(match counts {
+                Some(counts) if counts.len() == values.len() => {
+                    let mut set = CategorySet::new();
+                    let pairs = values.iter().zip(counts);
+                    pairs.for_each(|(value, n)| set.add(value, n as usize));
+                    set
+                }
+                _ => CategorySet::Plain(values.into_iter().collect()),
+            }),
             DistinctValues::Bools { t, f } => DistinctSet::Bools { t, f },
         }
     }
@@ -284,24 +447,18 @@ impl DistinctSet {
         match self {
             DistinctSet::Numeric(NumericSet::Counted(counts)) => counts.len,
             DistinctSet::Numeric(NumericSet::Plain(set)) => set.len(),
-            DistinctSet::Strs(s) => s.len(),
-            DistinctSet::Bools { t, f } => usize::from(*t) + usize::from(*f),
+            DistinctSet::Strs(set) => set.distinct_len(),
+            DistinctSet::Bools { t, f } => usize::from(*t > 0) + usize::from(*f > 0),
         }
     }
 
     fn union_with(&mut self, other: &DistinctSet) {
         match (self, other) {
             (DistinctSet::Numeric(a), DistinctSet::Numeric(b)) => a.union_with(b),
-            (DistinctSet::Strs(a), DistinctSet::Strs(b)) => {
-                for s in b {
-                    if !a.contains(s.as_str()) {
-                        a.insert(s.clone());
-                    }
-                }
-            }
+            (DistinctSet::Strs(a), DistinctSet::Strs(b)) => a.union_with(b),
             (DistinctSet::Bools { t, f }, DistinctSet::Bools { t: ot, f: of }) => {
-                *t |= *ot;
-                *f |= *of;
+                *t += *ot;
+                *f += *of;
             }
             _ => unreachable!("distinct sets of mismatched column types are never merged"),
         }
@@ -315,9 +472,11 @@ impl DistinctSet {
 ///
 /// This is what makes profiles incremental: a prepared engine keeps one
 /// `ColumnSummary` per column, and appending a segment merges the new
-/// segment's summary instead of rescanning the table. Nothing in a summary
-/// depends on the order its parts were merged in, so an appended profile is
-/// bit-for-bit the profile a from-scratch rebuild would produce.
+/// segment's summary instead of rescanning the table. No number in a summary
+/// depends on the order its parts were merged in; the one thing that does is
+/// the order string categories are listed in (first appearance), so parts are
+/// merged in row order — as a from-scratch rebuild scans them, which makes an
+/// appended profile bit-for-bit the profile that rebuild would produce.
 #[derive(Debug, Clone)]
 pub struct ColumnSummary {
     dtype: DataType,
@@ -360,13 +519,7 @@ impl ColumnSummary {
                 let DistinctSet::Strs(distinct) = &mut self.distinct else {
                     unreachable!("string columns use string distinct sets");
                 };
-                // The rows are counted by code; only the values some selected
-                // row holds are resolved to strings, once each.
-                let (non_null, nulls) = kernels::count_values_part(d, offset, sel, |value| {
-                    if !distinct.contains(value) {
-                        distinct.insert(value.to_string());
-                    }
-                });
+                let (non_null, nulls) = distinct.count_part(d, offset, sel);
                 self.non_null += non_null;
                 self.nulls += nulls;
             }
@@ -377,8 +530,8 @@ impl ColumnSummary {
                 let (trues, falses, nulls) = kernels::count_bools_part(column, offset, sel);
                 self.non_null += trues + falses;
                 self.nulls += nulls;
-                *t |= trues > 0;
-                *f |= falses > 0;
+                *t += trues;
+                *f += falses;
             }
         }
     }
@@ -408,8 +561,10 @@ impl ColumnSummary {
     }
 
     /// Merge `other` — the summary of a disjoint set of rows of the same
-    /// column — into `self`: row counts and value counts add, distinct values
-    /// union. A side without value counts leaves the result without them.
+    /// column, **after** the rows of `self` — into `self`: row counts and
+    /// value counts add, distinct values union, string categories `other` is
+    /// first to hold append. A side without value counts leaves the result
+    /// without them.
     pub fn merge_from(&mut self, other: &ColumnSummary) {
         debug_assert_eq!(self.dtype, other.dtype, "summaries of one column only");
         self.non_null += other.non_null;
@@ -462,6 +617,11 @@ impl ColumnSummary {
             }
             _ => (None, None),
         };
+        let category_counts = match &self.distinct {
+            DistinctSet::Strs(set) => set.category_counts(),
+            DistinctSet::Bools { t, f } => Some(bool_category_counts(*t, *f)),
+            DistinctSet::Numeric(_) => None,
+        };
         let (min, max) = ends.unzip();
         ColumnStats {
             dtype: self.dtype,
@@ -471,8 +631,14 @@ impl ColumnSummary {
             min,
             max,
             value_counts,
+            category_counts,
         }
     }
+}
+
+/// The [`ColumnStats::category_counts`] of a boolean column.
+pub(crate) fn bool_category_counts(trues: usize, falses: usize) -> Vec<(String, usize)> {
+    vec![("true".to_string(), trues), ("false".to_string(), falses)]
 }
 
 /// Summary statistics of one column restricted to a selection.
@@ -498,6 +664,16 @@ pub struct ColumnStats {
     /// many distinct values to count (see the module docs). Integers beyond
     /// 2⁵³ that share an `f64` appear as adjacent equal values.
     pub value_counts: Option<Vec<(f64, u64)>>,
+    /// Every categorical value with the number of selected rows holding it —
+    /// [`crate::ColumnView::category_counts`], obtained by the statistics walk
+    /// itself: one pair per value of the column's dictionaries, **zero counts
+    /// included**, in global first-appearance order (`true`, `false` for a
+    /// boolean column), the counts summing to `non_null_count`. A categorical
+    /// cut ranks ([`crate::rank_categories_by_frequency`]) and orders its
+    /// groups from these. `None` for numeric columns and for string columns
+    /// whose dictionaries hold too many values to count (see the module
+    /// docs).
+    pub category_counts: Option<Vec<(String, usize)>>,
 }
 
 impl ColumnStats {
@@ -825,6 +1001,67 @@ mod tests {
     }
 
     #[test]
+    fn the_category_counter_has_the_same_bound_and_degrades_the_same_way() {
+        let column = |range: std::ops::Range<usize>| {
+            let mut d = DictColumn::new();
+            for i in range.clone().chain(range) {
+                d.push(Some(&format!("v{i}")));
+            }
+            Column::Str(d)
+        };
+        let all = |range: std::ops::Range<usize>| {
+            let column = column(range);
+            ColumnSummary::compute(&column, &Bitmap::new_full(column.len()), 0)
+        };
+        let capacity = ValueCounts::CAPACITY;
+        // Exactly the capacity: still counted, in dictionary order.
+        let counts = all(0..capacity).to_stats().category_counts;
+        let counts = counts.expect("counted at capacity");
+        assert_eq!(counts.len(), capacity);
+        assert_eq!(counts[0], ("v0".to_string(), 2));
+        assert_eq!(counts[capacity - 1], (format!("v{}", capacity - 1), 2));
+        // One value more: the plain set, the same exact statistics otherwise.
+        let over = all(0..capacity + 1).to_stats();
+        assert_eq!(over.category_counts, None);
+        assert_eq!(over.distinct_count, capacity + 1);
+        assert_eq!(over.non_null_count, 2 * capacity + 2);
+        // The bound is on the dictionaries walked, not on the selection: one
+        // selected row of a long dictionary is not counted either.
+        let long = column(0..capacity + 1);
+        let one = ColumnSummary::compute(&long, &Bitmap::from_indices(long.len(), [3]), 0);
+        assert_eq!(one.to_stats().category_counts, None);
+        assert_eq!(one.to_stats().distinct_count, 1);
+        assert_eq!(
+            one.to_parts().distinct,
+            DistinctValues::Strs(vec!["v3".into()])
+        );
+        // Counted parts whose union fits add their counts, the later part
+        // appending what it is first to hold …
+        let mut merged = all(0..capacity / 2);
+        merged.merge_from(&all(capacity / 4..capacity));
+        let counts = merged.to_stats().category_counts.expect("union fits");
+        assert_eq!(counts.len(), capacity);
+        assert_eq!(counts.iter().filter(|(_, n)| *n == 4).count(), capacity / 4);
+        assert!(counts
+            .iter()
+            .enumerate()
+            .all(|(i, (v, _))| *v == format!("v{i}")));
+        // … a union that does not fit degrades, and stays degraded whatever
+        // is merged into it or it is merged into.
+        merged.merge_from(&all(capacity..capacity + 1));
+        assert_eq!(merged.to_stats().category_counts, None);
+        assert_eq!(merged.to_stats().distinct_count, capacity + 1);
+        let mut small = all(0..3);
+        small.merge_from(&merged);
+        assert_eq!(small.to_parts().counts, None);
+        assert_eq!(small.to_stats().distinct_count, capacity + 1);
+        assert_eq!(
+            small.to_stats().non_null_count,
+            merged.to_stats().non_null_count + 6
+        );
+    }
+
+    #[test]
     fn colliding_keys_probe_around_the_end_of_the_table() {
         // Keys whose home is the last slot of the largest table: every probe
         // sequence wraps, through every table size on the way up.
@@ -918,6 +1155,18 @@ mod tests {
         assert_eq!(stats.distinct_count, 2);
         assert_eq!(stats.min, None);
         assert_eq!(stats.value_counts, None);
+        assert_eq!(
+            stats.category_counts,
+            Some(vec![("true".to_string(), 2), ("false".to_string(), 1)])
+        );
+        // A value no selected row holds is listed with a zero and is not
+        // distinct.
+        let stats = ColumnStats::compute(&col, &Bitmap::from_indices(4, [0, 2, 3]));
+        assert_eq!(stats.distinct_count, 1);
+        assert_eq!(
+            stats.category_counts,
+            Some(vec![("true".to_string(), 2), ("false".to_string(), 0)])
+        );
     }
 
     #[test]
@@ -999,21 +1248,36 @@ mod tests {
         });
         assert_eq!(lopsided.to_parts().counts, None);
         assert_eq!(lopsided.to_stats().distinct_count, 3);
-        // Strings deduplicate by value across rebuilt dictionaries.
+        // Strings travel in dictionary order with a count each — the value no
+        // selected row holds included — and deduplicate by value across
+        // rebuilt dictionaries.
         let mut d = DictColumn::new();
         for s in ["b", "a", "b", "c"] {
             d.push(Some(s));
         }
         let col = Column::Str(d);
-        let summary = ColumnSummary::compute(&col, &Bitmap::new_full(4), 0);
+        let summary = ColumnSummary::compute(&col, &Bitmap::from_indices(4, [0, 2, 3]), 0);
         let parts = summary.to_parts();
         assert_eq!(
             parts.distinct,
-            DistinctValues::Strs(vec!["a".into(), "b".into(), "c".into()])
+            DistinctValues::Strs(vec!["b".into(), "a".into(), "c".into()])
         );
+        assert_eq!(parts.counts, Some(vec![2, 0, 1]));
+        assert_eq!(summary.to_stats().distinct_count, 2);
         assert_eq!(
-            ColumnSummary::from_parts(parts).to_stats(),
+            ColumnSummary::from_parts(parts.clone()).to_stats(),
             summary.to_stats()
+        );
+        // Without its counts a string set is the plain set of its values.
+        let plain = ColumnSummary::from_parts(SummaryParts {
+            counts: None,
+            ..parts
+        });
+        assert_eq!(plain.to_stats().category_counts, None);
+        assert_eq!(plain.to_stats().distinct_count, 3);
+        assert_eq!(
+            plain.to_parts().distinct,
+            DistinctValues::Strs(vec!["a".into(), "b".into(), "c".into()])
         );
     }
 

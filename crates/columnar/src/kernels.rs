@@ -1027,22 +1027,21 @@ pub(crate) fn count_codes_part(d: &DictColumn, offset: usize, sel: &Bitmap) -> V
 }
 
 /// The selected `(non-NULL, NULL)` row counts of one dictionary part, read
-/// off [`count_codes_part`]; `seen` is called, in dictionary order, with
-/// every value at least one selected row holds.
+/// off [`count_codes_part`]; `counted` is called, in dictionary order, with
+/// every value of the dictionary and how many selected rows hold it (zero for
+/// a value no selected row holds).
 pub(crate) fn count_values_part<'d>(
     d: &'d DictColumn,
     offset: usize,
     sel: &Bitmap,
-    mut seen: impl FnMut(&'d str),
+    mut counted: impl FnMut(&'d str, usize),
 ) -> (usize, usize) {
     let counts = count_codes_part(d, offset, sel);
     let (&nulls, by_code) = counts.split_last().expect("the NULL slot is always there");
     let mut non_null = 0;
     for (value, &n) in d.dictionary().iter().zip(by_code) {
-        if n > 0 {
-            non_null += n;
-            seen(value);
-        }
+        non_null += n;
+        counted(value, n);
     }
     (non_null, nulls)
 }

@@ -25,7 +25,7 @@
 //! single table-wide dictionary would have produced.
 
 use crate::bitmap::Bitmap;
-use crate::colstats::{widen, ColumnStats, ColumnSummary};
+use crate::colstats::{bool_category_counts, widen, CategorySet, ColumnStats, ColumnSummary};
 use crate::column::{Column, NULL_CODE};
 use crate::error::{ColumnarError, Result};
 use crate::kernels;
@@ -163,10 +163,9 @@ impl<'a> ColumnView<'a> {
         column.numeric(row - offset)
     }
 
-    /// Summary statistics over the selected rows: every segment scanned into
-    /// one [`ColumnSummary`] — what merging per-segment summaries gives
-    /// (a summary does not depend on how its rows were grouped), without the
-    /// per-segment value sets.
+    /// Summary statistics over the selected rows: every segment scanned, in
+    /// row order, into one [`ColumnSummary`] — what merging per-segment
+    /// summaries in that order gives, without the per-segment value sets.
     pub fn summary(&self, sel: &Bitmap) -> ColumnSummary {
         let mut acc = ColumnSummary::empty(self.dtype);
         for (offset, column) in self.parts() {
@@ -175,25 +174,25 @@ impl<'a> ColumnView<'a> {
         acc
     }
 
-    /// [`ColumnView::summary`] collapsed into the public statistics form.
+    /// [`ColumnView::summary`] collapsed into the public statistics form —
+    /// category counts included, so a categorical cut needs no second walk of
+    /// the column ([`ColumnStats::category_counts`]).
     ///
     /// String columns take a transient fast path: the same per-part code
-    /// counts, with cross-segment distinct values deduplicated through a set
-    /// of `&str` **borrowed from the segment dictionaries**, so the per-query
-    /// statistics of a drill-down working set allocate nothing per distinct
-    /// value (the owned value sets of [`ColumnSummary`] are only materialised
-    /// when a summary is retained, as the engine's table profile does).
+    /// counts, folded into a category set of `&str` **borrowed from the
+    /// segment dictionaries**, so the per-query statistics of a drill-down
+    /// working set allocate nothing per distinct value of a name-like column
+    /// (the owned value sets of [`ColumnSummary`] are only materialised when a
+    /// summary is retained, as the engine's table profile does).
     pub fn stats(&self, sel: &Bitmap) -> ColumnStats {
         if self.dtype != DataType::Str {
             return self.summary(sel).to_stats();
         }
         let (mut non_null_count, mut null_count) = (0, 0);
-        let mut distinct: HashSet<&str> = HashSet::new();
+        let mut categories: CategorySet<&str> = CategorySet::new();
         for (offset, column) in self.parts() {
             let d = column.as_dict().expect("schema says string column");
-            let (non_null, nulls) = kernels::count_values_part(d, offset, sel, |value| {
-                distinct.insert(value);
-            });
+            let (non_null, nulls) = categories.count_part(d, offset, sel);
             non_null_count += non_null;
             null_count += nulls;
         }
@@ -201,10 +200,11 @@ impl<'a> ColumnView<'a> {
             dtype: DataType::Str,
             non_null_count,
             null_count,
-            distinct_count: distinct.len(),
+            distinct_count: categories.distinct_len(),
             min: None,
             max: None,
             value_counts: None,
+            category_counts: categories.category_counts(),
         }
     }
 
@@ -328,6 +328,10 @@ impl<'a> ColumnView<'a> {
     /// vector into the final frequency ranking — which is how a distributed
     /// coordinator reproduces the local ranking bit for bit from per-shard
     /// counts. Numeric columns return an empty vector.
+    ///
+    /// [`ColumnView::stats`] already holds this vector
+    /// ([`ColumnStats::category_counts`]) for every column whose dictionaries
+    /// fit its counter; a separate walk is only for the columns past it.
     pub fn category_counts(&self, sel: &Bitmap) -> Vec<(String, usize)> {
         match self.dtype {
             DataType::Str => {
@@ -359,7 +363,7 @@ impl<'a> ColumnView<'a> {
                     t += trues;
                     f += falses;
                 }
-                vec![("true".to_string(), t), ("false".to_string(), f)]
+                bool_category_counts(t, f)
             }
             _ => Vec::new(),
         }
@@ -782,6 +786,115 @@ mod tests {
         for name in ["x", "f", "b"] {
             let col = t.column(name).unwrap();
             assert!(col.select_in(&all, &["mauve", "007", "+7"]).is_all_clear());
+        }
+    }
+
+    /// The statistics of a categorical column before they kept the category
+    /// counts, one row at a time: the selected `(non-NULL, NULL, distinct)`
+    /// counts.
+    fn categorical_reference(col: ColumnView<'_>, sel: &Bitmap) -> (usize, usize, usize) {
+        let (mut non_null, mut nulls) = (0, 0);
+        let mut distinct: HashSet<String> = HashSet::new();
+        for row in sel.iter_ones() {
+            match col.value(row) {
+                Value::Null => nulls += 1,
+                value => {
+                    non_null += 1;
+                    distinct.insert(value.to_string());
+                }
+            }
+        }
+        (non_null, nulls, distinct.len())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The statistics walk keeps the counts a categorical cut used to
+        /// fetch with a second walk: ranked, they are
+        /// `categories_by_frequency` — ties in first-appearance order
+        /// included — for every segment layout, through the retained summary
+        /// and through per-segment summaries folded in row order over the
+        /// parts form, and the row counts are what they always were. Past the
+        /// counter's bound (values are drawn from up to 4 096) the statistics
+        /// are the distinct-only form, whatever the layout.
+        #[test]
+        fn categorical_stats_hold_the_counts_a_frequency_ranking_is_made_of(
+            rows in proptest::collection::vec(
+                (
+                    proptest::option::weighted(0.9, 0u32..1 << 20),
+                    proptest::option::weighted(0.9, any::<bool>()),
+                    any::<bool>(),
+                ),
+                1..2600,
+            ),
+            cardinality in prop_oneof![Just(1u32), Just(2u32), Just(9u32), Just(40u32), 900u32..1300, Just(4096u32)],
+            skew in 1u32..4,
+        ) {
+            let schema = Schema::new(vec![
+                Field::nullable("c", DataType::Str),
+                Field::nullable("b", DataType::Bool),
+            ])
+            .unwrap();
+            let sel = Bitmap::from_fn(rows.len(), |row| rows[row].2);
+            let mut unsplit: Vec<ColumnStats> = Vec::new();
+            for segments in 1usize..=5 {
+                let segment_rows = rows.len().div_ceil(segments).max(1);
+                let mut builder =
+                    TableBuilder::new("t", schema.clone()).with_segment_rows(segment_rows);
+                for &(c, b, _) in &rows {
+                    // Skewed draws: ties and a clear ranking both occur.
+                    let c = c.map(|raw| (raw % cardinality) / skew);
+                    builder
+                        .push_row(&[
+                            c.map_or(Value::Null, |c| Value::Str(format!("v{c}"))),
+                            b.map_or(Value::Null, Value::Bool),
+                        ])
+                        .unwrap();
+                }
+                let table = builder.build().unwrap();
+                for (at, col) in table.columns().into_iter().enumerate() {
+                    let stats = col.stats(&sel);
+                    let (non_null, nulls, distinct) = categorical_reference(col, &sel);
+                    prop_assert_eq!(stats.non_null_count, non_null);
+                    prop_assert_eq!(stats.null_count, nulls);
+                    prop_assert_eq!(stats.distinct_count, distinct);
+
+                    let walked = col.category_counts(&sel);
+                    let counted = col.data_type() == DataType::Bool || walked.len() <= 1024;
+                    prop_assert_eq!(&stats.category_counts, &counted.then_some(walked));
+                    if let Some(counts) = &stats.category_counts {
+                        prop_assert_eq!(
+                            rank_categories_by_frequency(counts.clone()),
+                            col.categories_by_frequency(&sel)
+                        );
+                        if col.data_type() == DataType::Str {
+                            let order: Vec<String> =
+                                counts.iter().map(|(value, _)| value.clone()).collect();
+                            prop_assert_eq!(order, col.dictionary());
+                        }
+                    }
+
+                    // The retained summary, and the shard-to-coordinator
+                    // fold: each part's own summary over its own rows, sent
+                    // as parts, merged in row order.
+                    prop_assert_eq!(&col.summary(&sel).to_stats(), &stats);
+                    let mut folded = ColumnSummary::empty(col.data_type());
+                    for (offset, column) in col.parts() {
+                        let part = ColumnView::of_column(col.name(), column);
+                        let local = Bitmap::from_fn(part.len(), |row| sel.get(offset + row));
+                        let sent = part.summary(&local).to_parts();
+                        folded.merge_from(&ColumnSummary::from_parts(sent));
+                    }
+                    prop_assert_eq!(&folded.to_stats(), &stats);
+
+                    // Nothing above depends on the layout.
+                    match unsplit.get(at) {
+                        Some(first) => prop_assert_eq!(first, &stats, "{} segments", segments),
+                        None => unsplit.push(stats),
+                    }
+                }
+            }
         }
     }
 

@@ -23,16 +23,20 @@
 //! the counts ([`quantiles_of_counts`]) — bit for bit what sorting the values
 //! would give, without fetching them. Only a column with too many distinct
 //! values to count (and the strategies that need the values in row order)
-//! goes back to [`CutSource::numeric_values`]. The rule lives in the one cut
-//! body, [`cut_from_source`], so local cuts, composition re-cuts and the
-//! distributed coordinator's cuts all follow it.
+//! goes back to [`CutSource::numeric_values`]. A categorical cut reads the
+//! same statistics first: the walk that counted the selected rows kept the
+//! count of every category ([`ColumnStats::category_counts`]), so the
+//! frequency ranking and the dictionary order are read off it, and only a
+//! column with more values than that counter holds goes back to
+//! [`CutSource::categories_by_frequency`] and [`CutSource::dictionary`]. The
+//! rule lives in the one cut body, [`cut_from_source`], so local cuts,
+//! composition re-cuts and the distributed coordinator's cuts all follow it.
 
 use crate::error::{AtlasError, Result};
 use crate::map::DataMap;
 use crate::pipeline::PipelineContext;
-use crate::profile::TableProfile;
 use crate::region::Region;
-use atlas_columnar::{Bitmap, ColumnStats, DataType, Table};
+use atlas_columnar::{rank_categories_by_frequency, Bitmap, ColumnStats, DataType, Table};
 use atlas_query::{ConjunctiveQuery, Predicate};
 use atlas_stats::quantile::{quantiles_in_place, quantiles_of_counts};
 use atlas_stats::{kmeans_1d, GkSketch};
@@ -128,7 +132,11 @@ impl CutConfig {
 /// baked in.
 ///
 /// Every row-touching kernel `CUT` needs goes through this trait; the split
-/// selection, grouping, and region-assembly logic above it is pure. The two
+/// selection, grouping, and region-assembly logic above it is pure, and reads
+/// the caller's [`ColumnStats`] before it asks the source: a cut calls
+/// [`CutSource::numeric_values`], [`CutSource::categories_by_frequency`] and
+/// [`CutSource::dictionary`] only for a column whose statistics carry no
+/// counts, so a counted column costs its source one partition call. The two
 /// implementations are [`TableCutSource`] (an in-process table — both
 /// [`cut_attribute`] and the prepared engine route through it) and the serve
 /// crate's remote source, which scatters each call to shard servers holding
@@ -148,10 +156,12 @@ pub trait CutSource {
     /// (the [`atlas_columnar::ColumnView::select_ranges`] kernel).
     fn select_ranges(&self, attribute: &str, bounds: &[(f64, f64)]) -> Result<Vec<Bitmap>>;
     /// The distinct categorical values of the working set by decreasing
-    /// frequency (ties in global first-appearance order).
+    /// frequency (ties in global first-appearance order). Asked only when the
+    /// statistics carry no [`ColumnStats::category_counts`].
     fn categories_by_frequency(&self, attribute: &str) -> Result<Vec<(String, usize)>>;
     /// The global first-appearance dictionary of a string column (empty for
-    /// other types).
+    /// other types). Asked only when the statistics carry no
+    /// [`ColumnStats::category_counts`].
     fn dictionary(&self, attribute: &str) -> Result<Vec<String>>;
     /// Partition the working set by disjoint value groups in one fused pass
     /// (the [`atlas_columnar::ColumnView::select_in_groups`] kernel).
@@ -162,26 +172,12 @@ pub trait CutSource {
 pub struct TableCutSource<'a> {
     table: &'a Table,
     working: &'a Bitmap,
-    profile: Option<&'a TableProfile>,
 }
 
 impl<'a> TableCutSource<'a> {
     /// A source over the `working` rows of `table`.
     pub fn new(table: &'a Table, working: &'a Bitmap) -> Self {
-        TableCutSource {
-            table,
-            working,
-            profile: None,
-        }
-    }
-
-    /// Serve whole-table category frequencies from a prepared engine's
-    /// [`TableProfile`] instead of re-scanning the column (see
-    /// [`TableProfile::categories_for`] — rankings are bit-identical either
-    /// way, subsets still scan on the fly).
-    pub fn with_profile(mut self, profile: &'a TableProfile) -> Self {
-        self.profile = Some(profile);
-        self
+        TableCutSource { table, working }
     }
 }
 
@@ -205,13 +201,10 @@ impl CutSource for TableCutSource<'_> {
     }
 
     fn categories_by_frequency(&self, attribute: &str) -> Result<Vec<(String, usize)>> {
-        match self.profile {
-            Some(profile) => profile.categories_for(self.table, attribute, self.working),
-            None => Ok(self
-                .table
-                .column(attribute)?
-                .categories_by_frequency(self.working)),
-        }
+        Ok(self
+            .table
+            .column(attribute)?
+            .categories_by_frequency(self.working))
     }
 
     fn dictionary(&self, attribute: &str) -> Result<Vec<String>> {
@@ -248,10 +241,11 @@ pub fn cut_attribute(
     cut_from_source(&source, parent_query, attribute, config, &stats, None)
 }
 
-/// [`cut_attribute`] inside a prepared engine: statistics (and, for
-/// sketch-based strategies, the quantile sketch itself) come from the
-/// engine's [`crate::profile::TableProfile`] instead of being recomputed, so
-/// whole-table explorations never re-scan columns for metadata.
+/// [`cut_attribute`] inside a prepared engine: statistics — value and
+/// category counts included — and, for sketch-based strategies, the quantile
+/// sketch itself come from the engine's [`crate::profile::TableProfile`]
+/// instead of being recomputed, so whole-table explorations never re-scan
+/// columns for metadata.
 pub(crate) fn cut_attribute_in_context(
     ctx: &PipelineContext<'_>,
     working: &Bitmap,
@@ -260,7 +254,7 @@ pub(crate) fn cut_attribute_in_context(
 ) -> Result<Option<DataMap>> {
     let stats = ctx.profile.stats_for(ctx.table, attribute, working)?;
     let sketch = ctx.profile.sketch_for(attribute, working);
-    let source = TableCutSource::new(ctx.table, working).with_profile(ctx.profile);
+    let source = TableCutSource::new(ctx.table, working);
     cut_from_source(
         &source,
         parent_query,
@@ -307,7 +301,7 @@ pub fn cut_from_source<S: CutSource>(
             if stats.distinct_count > config.max_categories {
                 return Ok(None);
             }
-            let groups = categorical_groups(source, attribute, config)?;
+            let groups = categorical_groups(source, attribute, config, stats)?;
             if groups.len() < 2 {
                 return Ok(None);
             }
@@ -475,12 +469,21 @@ fn next_lower_bound(dtype: DataType, hi: f64) -> f64 {
 }
 
 /// Group the categorical values of the working set into `num_splits` groups.
+///
+/// The frequency ranking and the dictionary order are read off the caller's
+/// statistics when they carry the category counts (the way a median cut reads
+/// [`ColumnStats::value_counts`]); the source is asked only when they do not.
 fn categorical_groups<S: CutSource>(
     source: &S,
     attribute: &str,
     config: &CutConfig,
+    stats: &ColumnStats,
 ) -> Result<Vec<Vec<String>>> {
-    let mut freq = source.categories_by_frequency(attribute)?;
+    let counts = stats.category_counts.as_deref();
+    let mut freq = match counts {
+        Some(counts) => rank_categories_by_frequency(counts.to_vec()),
+        None => source.categories_by_frequency(attribute)?,
+    };
     if freq.len() < 2 {
         return Ok(Vec::new());
     }
@@ -491,16 +494,18 @@ fn categorical_groups<S: CutSource>(
         CategoricalCutStrategy::Alphabetic => {
             freq.sort_by(|a, b| a.0.cmp(&b.0));
         }
+        // Boolean columns have no dictionary: the frequency order stands.
+        CategoricalCutStrategy::DictionaryOrder if stats.dtype != DataType::Str => {}
         CategoricalCutStrategy::DictionaryOrder => {
-            // Global first-appearance order, merged across segments (for
-            // boolean columns there is no dictionary and the frequency order
-            // stands, as before).
-            let order = source.dictionary(attribute)?;
-            if !order.is_empty() {
-                freq.sort_by_key(|(value, _)| {
-                    order.iter().position(|d| d == value).unwrap_or(usize::MAX)
-                });
-            }
+            // Global first-appearance order, merged across segments — the
+            // order the counts are listed in.
+            let order: Vec<String> = match counts {
+                Some(counts) => counts.iter().map(|(value, _)| value.clone()).collect(),
+                None => source.dictionary(attribute)?,
+            };
+            freq.sort_by_key(|(value, _)| {
+                order.iter().position(|d| d == value).unwrap_or(usize::MAX)
+            });
         }
     }
     let k = config.num_splits.min(freq.len());

@@ -2,13 +2,13 @@
 //! segment** and folded, so profiles are incremental.
 //!
 //! Every call to [`crate::engine::Atlas::explore`] needs per-column summary
-//! statistics (distinct counts, min/max, null masks, and — for numeric
-//! columns with few enough distinct values — the count of every value, which
-//! is all a median cut reads) to decide which attributes are cuttable and
-//! where to cut them. A [`TableProfile`] computes them **once** when the
-//! engine is built and shares them (behind an `Arc`) across every subsequent
-//! exploration — the "anticipative computation" spirit of Section 5.1
-//! applied to the engine's own metadata — so a whole-table median cut of a
+//! statistics (distinct counts, min/max, null masks, and — for columns with
+//! few enough distinct values — the count of every value, which is all a
+//! median cut or a categorical cut reads) to decide which attributes are
+//! cuttable and where to cut them. A [`TableProfile`] computes them **once**
+//! when the engine is built and shares them (behind an `Arc`) across every
+//! subsequent exploration — the "anticipative computation" spirit of Section
+//! 5.1 applied to the engine's own metadata — so a whole-table cut of a
 //! counted column touches no row before it partitions them.
 //!
 //! With segmented storage the profile is also **mergeable**: every column is
@@ -20,8 +20,8 @@
 //! ([`TableProfile::merge_segment`], driven by
 //! [`crate::engine::Atlas::append`]) only profiles the **new** rows and
 //! merges — no whole-table rebuild — and produces bit-for-bit the profile a
-//! from-scratch rebuild of the extended table would (summaries do not depend
-//! on the merge order, and the sketch fold is left-associative either way).
+//! from-scratch rebuild of the extended table would (both fold the summaries
+//! and the sketches left to right in row order).
 //!
 //! The profile also keeps a one-pass Greenwald–Khanna quantile sketch per
 //! numeric column (built per segment and merged with [`GkSketch::merge`]), so
@@ -35,10 +35,7 @@
 //! benchmarks ([`TableProfile::counters`]).
 
 use crate::error::Result;
-use atlas_columnar::{
-    merge_category_counts, rank_categories_by_frequency, Bitmap, ColumnStats, ColumnSummary,
-    ColumnView, DataType, Segment, Table,
-};
+use atlas_columnar::{Bitmap, ColumnStats, ColumnSummary, ColumnView, DataType, Segment, Table};
 use atlas_stats::GkSketch;
 use minirayon::ThreadPool;
 use std::borrow::Cow;
@@ -50,7 +47,9 @@ pub struct ColumnProfile {
     /// The column name.
     pub name: String,
     /// Full-table summary statistics (row and distinct counts, min/max, and
-    /// the per-value counts of a numeric column that has few enough values).
+    /// the per-value counts of a numeric or categorical column that has few
+    /// enough values — what whole-table median and categorical cuts read
+    /// instead of the column).
     pub stats: ColumnStats,
     /// A quantile sketch of the column values (numeric columns only, and only
     /// when the profile was built with a sketch epsilon).
@@ -61,14 +60,6 @@ pub struct ColumnProfile {
     /// stages reach through [`crate::pipeline::PipelineContext::profile`]
     /// (e.g. to intersect a working set with the non-NULL rows directly).
     pub non_null: Bitmap,
-    /// Full-table per-category counts of a categorical column, one
-    /// `(value, count)` pair per distinct value in global first-appearance
-    /// order *including zero counts* (the mergeable
-    /// [`atlas_columnar::ColumnView::category_counts`] form; empty for
-    /// numeric columns). Cached so whole-table categorical cuts rank
-    /// frequencies without re-scanning the column on every exploration —
-    /// served through [`TableProfile::categories_for`].
-    pub category_counts: Vec<(String, usize)>,
     /// The mergeable form of `stats` (the fold of the per-segment summaries),
     /// kept so [`TableProfile::merge_segment`] can extend the profile without
     /// rescanning existing segments. This retains the column's exact
@@ -107,7 +98,6 @@ struct SegmentColumnProfile {
     summary: ColumnSummary,
     non_null: Bitmap,
     sketch: Option<GkSketch>,
-    category_counts: Vec<(String, usize)>,
 }
 
 /// Profile one column of one segment, through its one-part view (the
@@ -125,7 +115,6 @@ fn profile_segment_column(
         summary: column.summary(&full),
         non_null: column.non_null_mask(),
         sketch,
-        category_counts: column.category_counts(&full),
     }
 }
 
@@ -147,8 +136,6 @@ fn merge_column_segment(
     let part = profile_segment_column(column, sketch_epsilon);
     let mut summary = profile.summary.clone();
     summary.merge_from(&part.summary);
-    let mut category_counts = profile.category_counts.clone();
-    merge_category_counts(&mut category_counts, &part.category_counts);
     let mut sketch = profile.sketch.clone();
     if let (Some(acc), Some(part)) = (&mut sketch, &part.sketch) {
         acc.merge(part);
@@ -158,7 +145,6 @@ fn merge_column_segment(
         stats: summary.to_stats(),
         sketch,
         non_null: profile.non_null.concat(&part.non_null),
-        category_counts,
         summary,
     }
 }
@@ -215,12 +201,10 @@ impl TableProfile {
                 // segment offset (one linear pass, whole-word ORs on
                 // word-aligned boundaries).
                 let mut non_null = Bitmap::new_empty(table.num_rows());
-                let mut category_counts: Vec<(String, usize)> = Vec::new();
                 for seg in 0..table.num_segments() {
                     let partial = &partials[seg * num_columns + col];
                     summary.merge_from(&partial.summary);
                     non_null.or_shifted(&partial.non_null, table.segment_offset(seg));
-                    merge_category_counts(&mut category_counts, &partial.category_counts);
                     if let (Some(acc), Some(part)) = (&mut sketch, &partial.sketch) {
                         acc.merge(part);
                     }
@@ -230,7 +214,6 @@ impl TableProfile {
                     stats: summary.to_stats(),
                     sketch,
                     non_null,
-                    category_counts,
                     summary,
                 }
             })
@@ -343,36 +326,6 @@ impl TableProfile {
         self.column(attribute)?.sketch.as_ref()
     }
 
-    /// The distinct categorical values of `attribute` over `working` by
-    /// decreasing frequency (ties in global first-appearance order) — the
-    /// [`atlas_columnar::ColumnView::categories_by_frequency`] contract.
-    /// Whole-table working sets are served by ranking the profile's cached
-    /// raw counts (a hit: `O(distinct)` work instead of a column scan);
-    /// subsets and unknown columns re-scan on the fly (a miss). Both paths
-    /// run the same merge-and-rank code over the same per-segment counts, so
-    /// the ranking is bit-for-bit identical either way.
-    pub fn categories_for(
-        &self,
-        table: &Table,
-        attribute: &str,
-        working: &Bitmap,
-    ) -> Result<Vec<(String, usize)>> {
-        if self.covers(working) {
-            if let Some(profile) = self.column(attribute) {
-                if matches!(profile.stats.dtype, DataType::Str | DataType::Bool) {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    observe_cache("hit", attribute);
-                    return Ok(rank_categories_by_frequency(
-                        profile.category_counts.clone(),
-                    ));
-                }
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        observe_cache("miss", attribute);
-        Ok(table.column(attribute)?.categories_by_frequency(working))
-    }
-
     /// A snapshot of the hit/miss counters.
     pub fn counters(&self) -> ProfileStats {
         ProfileStats {
@@ -465,7 +418,7 @@ mod tests {
                 assert_eq!(a.stats.min, b.stats.min);
                 assert_eq!(a.stats.max, b.stats.max);
                 assert_eq!(a.non_null, b.non_null);
-                assert_eq!(a.category_counts, b.category_counts);
+                assert_eq!(a.stats.category_counts, b.stats.category_counts);
                 assert_eq!(a.stats.value_counts, b.stats.value_counts);
             }
         }
@@ -486,7 +439,6 @@ mod tests {
             assert_eq!(a.name, b.name);
             assert_eq!(a.stats, b.stats, "appended profile must equal rebuild");
             assert_eq!(a.non_null, b.non_null);
-            assert_eq!(a.category_counts, b.category_counts);
             assert_eq!(a.sketch.is_some(), b.sketch.is_some());
             if let (Some(sa), Some(sb)) = (&a.sketch, &b.sketch) {
                 assert_eq!(sa.count(), sb.count());
@@ -550,7 +502,6 @@ mod tests {
             assert_eq!(a.name, b.name, "schema order is preserved");
             assert_eq!(a.stats, b.stats);
             assert_eq!(a.non_null, b.non_null);
-            assert_eq!(a.category_counts, b.category_counts);
             assert_eq!(a.sketch.is_some(), b.sketch.is_some());
             if let (Some(sa), Some(sb)) = (&a.sketch, &b.sketch) {
                 assert_eq!(sa.median(), sb.median());
@@ -563,31 +514,32 @@ mod tests {
         let t = table_with_segment_rows(32);
         let profile = TableProfile::build(&t, None);
         let full = t.full_selection();
-        // Raw cached counts include zeros in first-appearance order and match
-        // the view's mergeable precursor exactly.
-        assert_eq!(
-            profile.column("c").unwrap().category_counts,
-            t.column("c").unwrap().category_counts(&full)
-        );
-        assert!(profile.column("x").unwrap().category_counts.is_empty());
-        // The ranked form is bit-identical to the on-demand scan, served as a
-        // hit for whole-table working sets.
-        let cached = profile.categories_for(&t, "c", &full).unwrap();
-        assert_eq!(
-            cached,
-            t.column("c").unwrap().categories_by_frequency(&full)
-        );
-        assert_eq!(profile.counters(), ProfileStats { hits: 1, misses: 0 });
-        // Numeric columns and subset working sets fall back to the scan.
-        assert!(profile.categories_for(&t, "x", &full).unwrap().is_empty());
+        let c = t.column("c").unwrap();
+        // The profiled statistics carry the view's mergeable counts — zeros
+        // included, first-appearance order — and numeric columns none.
+        let profiled = |name: &str| profile.column(name).unwrap().stats.category_counts.clone();
+        assert_eq!(profiled("c"), Some(c.category_counts(&full)));
+        assert_eq!(profiled("x"), None);
+        // Whole-table working sets are served the profiled counts (a hit),
+        // subsets get them from the one statistics walk (a miss); ranked,
+        // either is bit-identical to the on-demand scan.
         let subset = Bitmap::from_indices(100, 0..50);
-        let sub = profile.categories_for(&t, "c", &subset).unwrap();
-        assert_eq!(sub, t.column("c").unwrap().categories_by_frequency(&subset));
-        assert_eq!(profile.counters(), ProfileStats { hits: 1, misses: 2 });
-        // Empty profiles always scan.
+        for working in [&full, &subset] {
+            let stats = profile.stats_for(&t, "c", working).unwrap();
+            let counts = stats
+                .category_counts
+                .clone()
+                .expect("two values are counted");
+            assert_eq!(
+                atlas_columnar::rank_categories_by_frequency(counts),
+                c.categories_by_frequency(working)
+            );
+        }
+        assert_eq!(profile.counters(), ProfileStats { hits: 1, misses: 1 });
+        // Empty profiles always scan, to the same counts.
         let empty = TableProfile::empty(t.num_rows());
-        let scanned = empty.categories_for(&t, "c", &full).unwrap();
-        assert_eq!(scanned, cached);
+        let scanned = empty.stats_for(&t, "c", &full).unwrap();
+        assert_eq!(scanned.category_counts, profiled("c"));
         assert_eq!(empty.counters(), ProfileStats { hits: 0, misses: 1 });
     }
 

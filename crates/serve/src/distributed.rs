@@ -12,7 +12,11 @@
 //!    order (plus merged Greenwald–Khanna sketches for sketch-based cut
 //!    strategies), and the single shared `CUT` body
 //!    ([`atlas_core::cut_from_source`]) runs locally over a
-//!    [`atlas_core::CutSource`] whose kernels scatter to the shards;
+//!    [`atlas_core::CutSource`] whose kernels scatter to the shards. The
+//!    folded summaries hold the value counts a median cut reads and the
+//!    category counts a categorical cut reads, so a cut of a counted column
+//!    scatters one round — its partition — and an explore of `c` such
+//!    columns makes `2 + c` round trips;
 //! 3. **distances** — computed at the coordinator, not pushed down: after
 //!    the cut phase every candidate region is already here as a folded
 //!    bitmap over the live rows (the product merge needs them), so the
@@ -988,10 +992,11 @@ impl Coordinator {
         self.fold_bitmaps(ctx, &bitmaps)
     }
 
-    /// Scatter the per-column summaries of the working set and merge them —
-    /// a summary does not depend on how its rows were grouped, so the
-    /// collapsed [`ColumnStats`] (value counts included, which is what lets
-    /// a median cut skip the `/shard/values` round) match what
+    /// Scatter the per-column summaries of the working set and merge them in
+    /// ascending segment order — the order a local scan walks the segments
+    /// in, so the collapsed [`ColumnStats`] (value counts and category counts
+    /// included, which is what lets a median cut skip the `/shard/values`
+    /// round and a categorical cut the `/shard/categories` one) match what
     /// [`atlas_columnar::ColumnView::summary`] and the engine's table profile
     /// compute locally bit for bit.
     fn fetch_summaries(
@@ -1451,7 +1456,9 @@ impl Coordinator {
 /// exactly what the in-process [`atlas_core::TableCutSource`] computes.
 struct RemoteSource<'a> {
     coordinator: &'a Coordinator,
-    /// The working-set SQL every kernel re-evaluates shard-side.
+    /// The working-set SQL, printed once per explore: every round carries
+    /// these very bytes, which is what lets a shard evaluate them on the
+    /// first round and recognise them on the others.
     sql: &'a str,
     /// The live-set and failure context of the running explore pass.
     ctx: &'a ExploreCtx<'a>,
@@ -1544,7 +1551,9 @@ impl CutSource for RemoteSource<'_> {
 
 impl RemoteSource<'_> {
     /// Scatter `/shard/categories`: per segment, the zero-inclusive category
-    /// counts (first-appearance order) and the segment dictionary.
+    /// counts (first-appearance order) and the segment dictionary. Only a
+    /// column with more values than a summary counts is asked about here;
+    /// for every other the folded summaries already hold both.
     #[allow(clippy::type_complexity)]
     fn fetch_categories(
         &self,

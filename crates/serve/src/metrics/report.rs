@@ -15,6 +15,7 @@ use crate::http::{Request, Response};
 use crate::registry::Registry;
 use crate::resilience::CircuitState;
 use crate::sessions::SessionManager;
+use crate::shard::ShardState;
 use crate::wire::Json;
 use std::sync::Arc;
 
@@ -172,6 +173,8 @@ pub(crate) struct Components<'a> {
     pub metrics: &'a ServerMetrics,
     pub sessions: &'a SessionManager,
     pub registry: &'a Registry,
+    /// The server's shard role.
+    pub shard: &'a ShardState,
     /// The connected coordinators, sorted by dataset name.
     pub coordinators: Vec<(String, Arc<Coordinator>)>,
     /// Worker threads serving connections.
@@ -221,8 +224,8 @@ fn circuit_samples(
 }
 
 /// Everything `/metrics` reports beyond the request counters: one visit to
-/// the sessions, each dataset's caches, each coordinator, the process-wide
-/// `atlas_obs` counters and the tracer ring.
+/// the sessions, each dataset's caches, the shard role, each coordinator, the
+/// process-wide `atlas_obs` counters and the tracer ring.
 fn walk(parts: &Components) -> Vec<Sample> {
     let mut out = Vec::new();
     let sessions = parts.sessions.counters();
@@ -258,6 +261,18 @@ fn walk(parts: &Components) -> Vec<Sample> {
                 Value::Counter(count as u64),
             ));
         }
+    }
+    // Segment-local working sets the shard endpoints evaluated from their SQL
+    // and found remembered: an explore costs each of its segments one
+    // evaluation and a reuse per further call.
+    let (evaluated, reused) = parts.shard.working_set_counts();
+    for (key, count) in [("evaluated", evaluated), ("reused", reused)] {
+        out.push(Sample::new(
+            &["shard", "working_sets", key],
+            "atlas_shard_working_sets_total",
+            &[("outcome", key)],
+            Value::Counter(count),
+        ));
     }
     for (dataset, coordinator) in &parts.coordinators {
         out.extend(coordinator.metrics().samples(dataset));

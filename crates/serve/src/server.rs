@@ -720,6 +720,7 @@ fn components(shared: &Shared) -> metrics::Components<'_> {
         metrics: &shared.metrics,
         sessions: &shared.sessions,
         registry: &shared.registry,
+        shard: &shared.shard,
         coordinators,
         threads: shared.config.threads,
     }

@@ -4,8 +4,10 @@
 //! A shard server is an ordinary `atlas-serve` process; every server answers
 //! the `POST /shard/*` endpoints. The coordinator assigns each shard a set of
 //! **global segment indices** and pushes the row-touching work of an explore
-//! down to them: working-set evaluation, per-column summaries, quantile
-//! sketches, numeric value runs, category counts and region partitioning.
+//! down to them: working-set evaluation, per-column summaries (value and
+//! category counts included), quantile sketches, region partitioning, and —
+//! for the columns with more values than a summary counts — numeric value
+//! runs and category counts.
 //! (Map distances are *not* pushed down: the coordinator already holds every
 //! candidate region as a folded bitmap and counts contingency tables itself.)
 //! Every answer is **per segment**, so the coordinator can fold partials in
@@ -16,13 +18,28 @@
 //! segment indices and the (restricted SQL) queries, and the shard evaluates
 //! them against cached single-segment views of its registry datasets. The
 //! cache is keyed by dataset generation, so appends invalidate it naturally.
-//! Each cached view also remembers, once asked, the answers that do not
-//! depend on the query whenever the working set covers the whole segment —
-//! the column summaries and the category counts — so a whole-table explore
-//! scans them once per generation instead of once per request. There is no
-//! capacity and no knob: the answers live and die with the generation's
-//! views, and a working set that cuts through a segment is computed as
-//! before, segment by segment.
+//! Each cached view also remembers two answers, once asked:
+//!
+//! * the column summaries under the all-rows selection — the one answer that
+//!   does not depend on the query whenever the working set covers the whole
+//!   segment (it holds the category counts too) — so a whole-table explore
+//!   scans a segment once per generation instead of once per request;
+//! * the **last working set**: the SQL text as it was sent, and the segment's
+//!   rows it selects. A coordinator prints the SQL of an explore once and
+//!   sends those bytes with every call, so the first call (`/shard/working`)
+//!   evaluates and every later one — the other rounds, and any retry, hedge
+//!   or repeat of a truncated answer — finds the rows already there, without
+//!   parsing the query or counting the bitmap again ([`working_sets`], the
+//!   one function every data handler gets its rows from).
+//!
+//! There is no capacity and no knob: the answers live and die with the
+//! generation's views, and a working set that cuts through a segment has its
+//! summaries computed as before, segment by segment. The working set is one
+//! entry per view on purpose and not a cache: it exists to stop one explore
+//! from asking a segment the same question on every round, it is replaced by
+//! the next different SQL, and explores that interleave with different SQL
+//! simply evaluate as often as they did before it existed — correctly, since
+//! an entry is only ever returned for the text it was evaluated from.
 //!
 //! `POST /shard/inject` is a fault-injection hook for tests. The legacy form
 //! `{"delay_ms": N, "times": M}` delays the next M shard answers; the plan
@@ -45,11 +62,12 @@ use crate::wire::frames::{
 use crate::wire::{self, Json};
 use atlas_columnar::{Bitmap, DataType, SummaryParts, Table};
 use atlas_core::AtlasError;
-use atlas_query::{parse_query, ConjunctiveQuery};
+use atlas_query::parse_query;
 use atlas_stats::GkSketch;
 use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 /// How a shard endpoint answers: a normal HTTP response, raw bytes written
@@ -89,14 +107,18 @@ enum Fault {
     Kill,
 }
 
-/// Per-server shard state: the single-segment view cache plus the
-/// fault-injection knobs.
+/// Per-server shard state: the single-segment view cache, the
+/// fault-injection knobs, and how often a working set was evaluated or found.
 #[derive(Default)]
 pub(crate) struct ShardState {
     /// dataset name → (generation, one view per global segment, in segment
     /// order).
     tables: Mutex<HashMap<String, SegmentViews>>,
     inject: Mutex<InjectState>,
+    /// Segment-local working sets evaluated from their SQL …
+    working_evaluated: AtomicU64,
+    /// … and answered from the one a view remembered.
+    working_reused: AtomicU64,
 }
 
 /// One dataset's cached push-down view: the generation it was built from
@@ -104,25 +126,54 @@ pub(crate) struct ShardState {
 type SegmentViews = (usize, Arc<Vec<SegmentView>>);
 
 /// One global segment as the data endpoints see it: a single-segment table
-/// (named after the dataset so shipped queries parse against it) plus the
-/// whole-segment answers computed so far. Each answer sits in its own
-/// `OnceLock`, so the first request to need one fills it without holding the
-/// cache mutex and a concurrent worker on another segment is not serialised
-/// behind the scan.
+/// (named after the dataset so shipped queries parse against it) plus the two
+/// answers it remembers (see the module docs). Neither is filled under the
+/// cache mutex, so a concurrent worker on another segment is not serialised
+/// behind a scan.
 struct SegmentView {
     table: Table,
     /// [`summarize`] under the all-rows selection.
     summaries: OnceLock<Vec<SummaryParts>>,
-    /// `category_counts` under the all-rows selection, one slot per schema
-    /// column, filled for the columns that were asked about.
-    categories: Vec<OnceLock<Vec<(String, usize)>>>,
+    /// The SQL text last evaluated on this segment, and its answer.
+    working: Mutex<Option<(String, Working)>>,
+}
+
+/// A segment-local working set: the rows a query selects, in the segment's
+/// own row indices, and how many they are.
+#[derive(Clone)]
+struct Working {
+    rows: Arc<Bitmap>,
+    count: usize,
 }
 
 impl SegmentView {
-    /// Whether a segment-local working set selects every row, i.e. whether
-    /// the whole-segment answers are the answers for it.
-    fn covered_by(&self, local: &Bitmap) -> bool {
-        local.count() == self.table.num_rows()
+    /// Whether a working set selects every row of the segment, i.e. whether
+    /// the whole-segment summaries are the summaries for it.
+    fn covered_by(&self, working: &Working) -> bool {
+        working.count == self.table.num_rows()
+    }
+
+    fn working_slot(&self) -> MutexGuard<'_, Option<(String, Working)>> {
+        // An entry is replaced whole, so a poisoned lock still guards a valid
+        // one.
+        match self.working.lock() {
+            Ok(guard) => guard,
+            Err(poisoned) => poisoned.into_inner(),
+        }
+    }
+
+    /// The remembered working set, if it is the one `sql` selects.
+    fn remembered(&self, sql: &str) -> Option<Working> {
+        match &*self.working_slot() {
+            Some((text, working)) if text == sql => Some(working.clone()),
+            _ => None,
+        }
+    }
+
+    /// Remember `working` as what `sql` selects, in place of whatever was
+    /// remembered before.
+    fn remember(&self, sql: &str, working: &Working) {
+        *self.working_slot() = Some((sql.to_string(), working.clone()));
     }
 }
 
@@ -204,8 +255,17 @@ impl ShardState {
         }
     }
 
+    /// How many segment-local working sets this server `(evaluated, reused)`
+    /// so far — what `/metrics` reports.
+    pub(crate) fn working_set_counts(&self) -> (u64, u64) {
+        (
+            self.working_evaluated.load(Ordering::Relaxed),
+            self.working_reused.load(Ordering::Relaxed),
+        )
+    }
+
     /// The dataset's segments as cached views (one per global segment),
-    /// rebuilt — whole-segment answers included — when the dataset generation
+    /// rebuilt — remembered answers included — when the dataset generation
     /// moves.
     fn segment_views(&self, dataset: &Dataset) -> Result<Arc<Vec<SegmentView>>, AtlasError> {
         let (engine, generation) = dataset.snapshot();
@@ -229,8 +289,8 @@ impl ShardState {
                     vec![Arc::clone(segment)],
                 )?;
                 Ok(SegmentView {
-                    categories: (0..table.num_columns()).map(|_| OnceLock::new()).collect(),
                     summaries: OnceLock::new(),
+                    working: Mutex::new(None),
                     table,
                 })
             })
@@ -280,8 +340,8 @@ pub(crate) fn handle(
         Preamble::TruncateAnswer(keep_per_mille) => Some(keep_per_mille),
         Preamble::Proceed => None,
     };
-    let shard_span = shard_span(endpoint, request);
-    let outcome = answer(registry, state, endpoint, &body);
+    let mut shard_span = shard_span(endpoint, request);
+    let outcome = answer(registry, state, endpoint, &body, shard_span.as_mut());
     // Close the request's root span before snapshotting so it is in the ring.
     let trace_id = shard_span.and_then(|span| span.context().map(|ctx| ctx.trace_id));
     let response = match outcome {
@@ -341,12 +401,15 @@ fn append_shard_spans(reply: &mut Json, trace_id: u64) {
 }
 
 /// Compute the real answer of one shard data endpoint: the reply object of
-/// a `200`, or the error response.
+/// a `200`, or the error response. `span` is the request's `shard.request`
+/// span when it is traced; an endpoint that works on a working set tags it
+/// with how the rows were come by.
 fn answer(
     registry: &Registry,
     state: &ShardState,
     endpoint: Endpoint,
     body: &Json,
+    span: Option<&mut atlas_obs::SpanGuard>,
 ) -> Result<Json, Response> {
     let dataset = resolve_dataset(registry, body)?;
     if endpoint == Endpoint::ShardMeta {
@@ -355,13 +418,17 @@ fn answer(
     let views = state
         .segment_views(dataset)
         .map_err(|error| crate::server::error_response(&error))?;
+    // Every handler of a working set gets it from the one function.
+    let on_working_sets = |handler: fn(&[SegmentWorking], &Json) -> Result<Json, Fail>| {
+        working_sets(state, &views, body, span).and_then(|sets| handler(&sets, body))
+    };
     let run = match endpoint {
-        Endpoint::ShardWorking => working(&views, body),
-        Endpoint::ShardSummaries => summaries(&views, body),
+        Endpoint::ShardWorking => on_working_sets(|sets, _| Ok(working(sets))),
+        Endpoint::ShardSummaries => on_working_sets(|sets, _| Ok(summaries(sets))),
         Endpoint::ShardSketches => sketches(&views, body),
-        Endpoint::ShardValues => values(&views, body),
-        Endpoint::ShardCategories => categories(&views, body),
-        Endpoint::ShardSelect => select(&views, body),
+        Endpoint::ShardValues => on_working_sets(values),
+        Endpoint::ShardCategories => on_working_sets(categories),
+        Endpoint::ShardSelect => on_working_sets(select),
         _ => return Err(Response::error(404, "unknown shard endpoint")),
     };
     run.map_err(|fail| match fail {
@@ -524,19 +591,12 @@ fn meta(dataset: &Dataset) -> Json {
     ])
 }
 
-/// The common preamble of the data endpoints: the parsed query plus the
-/// requested global segment indices, validated against the segment count.
-fn query_and_segments(
-    views: &[SegmentView],
+/// The requested global segment indices, each resolved to its view (an index
+/// past the dataset's segments is the coordinator's mistake).
+fn segment_list<'v>(
+    views: &'v [SegmentView],
     body: &Json,
-) -> Result<(ConjunctiveQuery, Vec<usize>), Fail> {
-    let sql = get_str(body, "sql")?;
-    let query = parse_query(sql).map_err(AtlasError::from)?;
-    let segments = segment_list(views, body)?;
-    Ok((query, segments))
-}
-
-fn segment_list(views: &[SegmentView], body: &Json) -> Result<Vec<usize>, Fail> {
+) -> Result<Vec<(usize, &'v SegmentView)>, Fail> {
     let items = get_items(body, "segments")?;
     items
         .iter()
@@ -544,40 +604,87 @@ fn segment_list(views: &[SegmentView], body: &Json) -> Result<Vec<usize>, Fail> 
             let idx = item
                 .index()
                 .ok_or_else(|| "non-integral segment index".to_string())?;
-            if idx >= views.len() {
-                return Err(Fail::Frame(format!(
+            match views.get(idx) {
+                Some(view) => Ok((idx, view)),
+                None => Err(Fail::Frame(format!(
                     "segment {idx} out of range (dataset has {})",
                     views.len()
-                )));
+                ))),
             }
-            Ok(idx)
         })
         .collect()
 }
 
-/// Evaluate the shipped query on one single-segment table: the bitmap of the
-/// working set's rows restricted to that segment, in segment-local indices.
-fn local_working(query: &ConjunctiveQuery, table: &Table) -> Result<Bitmap, AtlasError> {
-    Ok(atlas_query::evaluate(query, table)?)
+/// One requested segment of a data request: its global index, its view, and
+/// the rows of it the shipped query selects.
+type SegmentWorking<'v> = (usize, &'v SegmentView, Working);
+
+/// The common preamble of the endpoints that work on a working set, and the
+/// only place one is evaluated: per requested segment, the rows the shipped
+/// query selects — the remembered ones when the SQL is, byte for byte, what
+/// the view evaluated last, freshly evaluated (and remembered in their place)
+/// otherwise. The query is parsed when the first segment needs evaluating, so
+/// a request that finds every segment's rows parses nothing.
+fn working_sets<'v>(
+    state: &ShardState,
+    views: &'v [SegmentView],
+    body: &Json,
+    span: Option<&mut atlas_obs::SpanGuard>,
+) -> Result<Vec<SegmentWorking<'v>>, Fail> {
+    let sql = get_str(body, "sql")?;
+    let segments = segment_list(views, body)?;
+    let mut query = None;
+    let (mut evaluated, mut reused) = (0u64, 0u64);
+    let mut sets = Vec::with_capacity(segments.len());
+    for (seg, view) in segments {
+        let working = match view.remembered(sql) {
+            Some(working) => {
+                reused += 1;
+                working
+            }
+            None => {
+                let query = match &query {
+                    Some(parsed) => parsed,
+                    None => query.insert(parse_query(sql).map_err(AtlasError::from)?),
+                };
+                let rows = atlas_query::evaluate(query, &view.table).map_err(AtlasError::from)?;
+                let working = Working {
+                    count: rows.count(),
+                    rows: Arc::new(rows),
+                };
+                view.remember(sql, &working);
+                evaluated += 1;
+                working
+            }
+        };
+        sets.push((seg, view, working));
+    }
+    state
+        .working_evaluated
+        .fetch_add(evaluated, Ordering::Relaxed);
+    state.working_reused.fetch_add(reused, Ordering::Relaxed);
+    if let Some(span) = span {
+        span.attr(
+            "working",
+            if evaluated > 0 { "evaluated" } else { "reused" },
+        );
+    }
+    Ok(sets)
 }
 
 fn partials_reply(partials: Vec<Json>) -> Json {
     Json::object(vec![("partials", Json::array(partials))])
 }
 
-fn working(views: &[SegmentView], body: &Json) -> Result<Json, Fail> {
-    let (query, segments) = query_and_segments(views, body)?;
-    let mut partials = Vec::with_capacity(segments.len());
-    for seg in segments {
-        // lint: slice-index-ok (segment_list rejected indices >= views.len())
-        let local = local_working(&query, &views[seg].table)?;
-        partials.push(Json::object(vec![
-            ("segment", Json::from(seg)),
-            ("count", Json::from(local.count())),
-            ("bitmap", bitmap_to_json(&local)),
-        ]));
-    }
-    Ok(partials_reply(partials))
+fn working(sets: &[SegmentWorking]) -> Json {
+    let partials = sets.iter().map(|(seg, _, working)| {
+        Json::object(vec![
+            ("segment", Json::from(*seg)),
+            ("count", Json::from(working.count)),
+            ("bitmap", bitmap_to_json(&working.rows)),
+        ])
+    });
+    partials_reply(partials.collect())
 }
 
 /// The mergeable summary parts of every column (schema order) over the
@@ -590,31 +697,26 @@ fn summarize(table: &Table, sel: &Bitmap) -> Vec<SummaryParts> {
         .collect()
 }
 
-fn summaries(views: &[SegmentView], body: &Json) -> Result<Json, Fail> {
-    let (query, segments) = query_and_segments(views, body)?;
-    let mut partials = Vec::with_capacity(segments.len());
-    for seg in segments {
-        // lint: slice-index-ok (segment_list rejected indices >= views.len())
-        let view = &views[seg];
-        let local = local_working(&query, &view.table)?;
-        let parts = if view.covered_by(&local) {
+fn summaries(sets: &[SegmentWorking]) -> Json {
+    let partials = sets.iter().map(|(seg, view, working)| {
+        let parts = if view.covered_by(working) {
             Cow::Borrowed(
                 view.summaries
-                    .get_or_init(|| summarize(&view.table, &local))
+                    .get_or_init(|| summarize(&view.table, &working.rows))
                     .as_slice(),
             )
         } else {
-            Cow::Owned(summarize(&view.table, &local))
+            Cow::Owned(summarize(&view.table, &working.rows))
         };
-        partials.push(Json::object(vec![
-            ("segment", Json::from(seg)),
+        Json::object(vec![
+            ("segment", Json::from(*seg)),
             (
                 "columns",
                 Json::array(parts.iter().map(summary_to_json).collect()),
             ),
-        ]));
-    }
-    Ok(partials_reply(partials))
+        ])
+    });
+    partials_reply(partials.collect())
 }
 
 fn sketches(views: &[SegmentView], body: &Json) -> Result<Json, Fail> {
@@ -630,9 +732,8 @@ fn sketches(views: &[SegmentView], body: &Json) -> Result<Json, Fail> {
         .collect::<Result<_, _>>()?;
     let segments = segment_list(views, body)?;
     let mut partials = Vec::with_capacity(segments.len());
-    for seg in segments {
-        // lint: slice-index-ok (segment_list rejected indices >= views.len())
-        let table = &views[seg].table;
+    for (seg, view) in segments {
+        let table = &view.table;
         // Profile sketches cover the **whole** segment (they are only ever
         // consulted for working sets that cover the table).
         let full = Bitmap::new_full(table.num_rows());
@@ -658,51 +759,34 @@ fn sketches(views: &[SegmentView], body: &Json) -> Result<Json, Fail> {
     Ok(partials_reply(partials))
 }
 
-fn values(views: &[SegmentView], body: &Json) -> Result<Json, Fail> {
-    let (query, segments) = query_and_segments(views, body)?;
+fn values(sets: &[SegmentWorking], body: &Json) -> Result<Json, Fail> {
     let attribute = get_str(body, "attribute")?;
-    let mut partials = Vec::with_capacity(segments.len());
-    for seg in segments {
-        // lint: slice-index-ok (segment_list rejected indices >= views.len())
-        let table = &views[seg].table;
-        let local = local_working(&query, table)?;
-        let view = table.column(attribute).map_err(AtlasError::from)?;
+    let mut partials = Vec::with_capacity(sets.len());
+    for (seg, view, working) in sets {
+        let column = view.table.column(attribute).map_err(AtlasError::from)?;
         partials.push(Json::object(vec![
-            ("segment", Json::from(seg)),
+            ("segment", Json::from(*seg)),
             (
                 "values",
-                Json::from(hex_f64s(&view.numeric_values_where(&local))),
+                Json::from(hex_f64s(&column.numeric_values_where(&working.rows))),
             ),
         ]));
     }
     Ok(partials_reply(partials))
 }
 
-fn categories(views: &[SegmentView], body: &Json) -> Result<Json, Fail> {
-    let (query, segments) = query_and_segments(views, body)?;
+/// The category counts and dictionary of one column, for the columns whose
+/// summaries hold no counts (more values than a summary counts): every other
+/// categorical cut reads them off `/shard/summaries`.
+fn categories(sets: &[SegmentWorking], body: &Json) -> Result<Json, Fail> {
     let attribute = get_str(body, "attribute")?;
-    let mut partials = Vec::with_capacity(segments.len());
-    for seg in segments {
-        // lint: slice-index-ok (segment_list rejected indices >= views.len())
-        let view = &views[seg];
-        let local = local_working(&query, &view.table)?;
+    let mut partials = Vec::with_capacity(sets.len());
+    for (seg, view, working) in sets {
         let column = view.table.column(attribute).map_err(AtlasError::from)?;
-        let slot = view
-            .table
-            .schema()
-            .index_of(attribute)
-            .ok()
-            .and_then(|idx| view.categories.get(idx));
-        let counts = match slot {
-            Some(slot) if view.covered_by(&local) => Cow::Borrowed(
-                slot.get_or_init(|| column.category_counts(&local))
-                    .as_slice(),
-            ),
-            _ => Cow::Owned(column.category_counts(&local)),
-        };
-        let counts = counts
-            .iter()
-            .map(|(value, count)| Json::array(vec![Json::from(value.as_str()), Json::from(*count)]))
+        let counts = column
+            .category_counts(&working.rows)
+            .into_iter()
+            .map(|(value, count)| Json::array(vec![Json::from(value), Json::from(count)]))
             .collect();
         let dictionary = column
             .dictionary()
@@ -710,7 +794,7 @@ fn categories(views: &[SegmentView], body: &Json) -> Result<Json, Fail> {
             .map(Json::from)
             .collect::<Vec<_>>();
         partials.push(Json::object(vec![
-            ("segment", Json::from(seg)),
+            ("segment", Json::from(*seg)),
             ("counts", Json::array(counts)),
             ("dictionary", Json::array(dictionary)),
         ]));
@@ -718,8 +802,7 @@ fn categories(views: &[SegmentView], body: &Json) -> Result<Json, Fail> {
     Ok(partials_reply(partials))
 }
 
-fn select(views: &[SegmentView], body: &Json) -> Result<Json, Fail> {
-    let (query, segments) = query_and_segments(views, body)?;
+fn select(sets: &[SegmentWorking], body: &Json) -> Result<Json, Fail> {
     let attribute = get_str(body, "attribute")?;
     enum Partition {
         Ranges(Vec<(f64, f64)>),
@@ -755,18 +838,15 @@ fn select(views: &[SegmentView], body: &Json) -> Result<Json, Fail> {
         }
         other => return Err(Fail::Frame(format!("unknown partition kind '{other}'"))),
     };
-    let mut partials = Vec::with_capacity(segments.len());
-    for seg in segments {
-        // lint: slice-index-ok (segment_list rejected indices >= views.len())
-        let table = &views[seg].table;
-        let local = local_working(&query, table)?;
-        let view = table.column(attribute).map_err(AtlasError::from)?;
+    let mut partials = Vec::with_capacity(sets.len());
+    for (seg, view, working) in sets {
+        let column = view.table.column(attribute).map_err(AtlasError::from)?;
         let regions = match &partition {
-            Partition::Ranges(bounds) => view.select_ranges(&local, bounds),
-            Partition::Groups(groups) => view.select_in_groups(&local, groups),
+            Partition::Ranges(bounds) => column.select_ranges(&working.rows, bounds),
+            Partition::Groups(groups) => column.select_in_groups(&working.rows, groups),
         };
         partials.push(Json::object(vec![
-            ("segment", Json::from(seg)),
+            ("segment", Json::from(*seg)),
             (
                 "regions",
                 Json::array(regions.iter().map(bitmap_to_json).collect()),

@@ -12,13 +12,16 @@
 //! limits (`u64` words above 2⁵³ survive).
 //!
 //! Column summaries are the one frame whose exactness is integral rather
-//! than floating-point: row counts, the distinct values as 64-bit keys, and —
-//! for a *counted* summary — how often each value occurs. The counts are
-//! what the coordinator's median cuts read their split points from, so they
-//! are held to the invariants of a real summary on the way in (one positive
-//! count per value, values strictly ascending, counts summing to the
-//! non-NULL rows); a summary with too many distinct values travels as the
-//! plain value run it always was.
+//! than floating-point: row counts, the distinct values (numbers as 64-bit
+//! keys), and — for a *counted* summary — how many selected rows hold each
+//! value. The counts are what the coordinator's cuts read from — a median
+//! cut its split points, a categorical cut its frequency ranking and
+//! dictionary order — so they are held to the invariants of a real summary
+//! on the way in: one count per value and the counts summing to the non-NULL
+//! rows, for numbers positive counts of strictly ascending values, for
+//! strings (listed in dictionary order, unselected values with a zero) no
+//! value twice. A summary with too many distinct values travels as the plain
+//! value list it always was.
 //!
 //! An explore ships the working set and every candidate region as bitmaps
 //! (~21 per step, 250 kB of hex each at 1M rows), so the hex run is the hot
@@ -35,6 +38,7 @@
 use crate::wire::Json;
 use atlas_columnar::{Bitmap, DataType, DistinctValues, SummaryParts};
 use atlas_stats::GkSketch;
+use std::collections::HashSet;
 
 /// Marks a byte that is not a hex digit in [`HEX_VALUES`]. Real digit values
 /// stay below 16, so OR-ing the looked-up values of a chunk and testing the
@@ -211,9 +215,10 @@ pub fn bitmap_from_json(value: &Json) -> Result<Bitmap, String> {
 
 /// Encode the mergeable parts of a column summary: row counts as plain
 /// numbers, distinct values by kind (`i64`s and float bit patterns as one hex
-/// run — with, for a counted summary, a parallel `counts` run of how often
-/// each occurs — strings and booleans natively). Min and max do not travel:
-/// the receiver reads them off the folded value set.
+/// run, strings natively, booleans as their two row counts) — with, for a
+/// counted numeric or string summary, a parallel `counts` run of how many
+/// rows hold each. Min and max do not travel: the receiver reads them off the
+/// folded value set.
 pub fn summary_to_json(parts: &SummaryParts) -> Json {
     let distinct = match &parts.distinct {
         DistinctValues::Numbers(keys) => {
@@ -230,13 +235,19 @@ pub fn summary_to_json(parts: &SummaryParts) -> Json {
             }
             Json::object(members)
         }
-        DistinctValues::Strs(values) => Json::object(vec![
-            ("kind", Json::from("strs")),
-            (
-                "values",
-                Json::array(values.iter().map(|s| Json::from(s.as_str())).collect()),
-            ),
-        ]),
+        DistinctValues::Strs(values) => {
+            let mut members = vec![
+                ("kind", Json::from("strs")),
+                (
+                    "values",
+                    Json::array(values.iter().map(|s| Json::from(s.as_str())).collect()),
+                ),
+            ];
+            if let Some(counts) = &parts.counts {
+                members.push(("counts", Json::from(hex_u64s(counts))));
+            }
+            Json::object(members)
+        }
         DistinctValues::Bools { t, f } => Json::object(vec![
             ("kind", Json::from("bools")),
             ("t", Json::from(*t)),
@@ -251,13 +262,14 @@ pub fn summary_to_json(parts: &SummaryParts) -> Json {
     ])
 }
 
-/// Decode the optional `counts` run of a numeric distinct set, holding it to
-/// what [`atlas_columnar::ColumnSummary::to_parts`] produces: one positive
-/// count per value, the values strictly ascending, the counts summing to
-/// `non_null`. A run of the wrong length is refused before it is decoded.
+/// Decode the optional `counts` run of a distinct set of `listed` values,
+/// holding it to what every counted summary
+/// ([`atlas_columnar::ColumnSummary::to_parts`]) keeps: one count per value,
+/// the counts summing to `non_null`. A run of the wrong length is refused
+/// before it is decoded.
 fn counts_from_json(
     distinct: &Json,
-    keys: &[u64],
+    listed: usize,
     non_null: usize,
 ) -> Result<Option<Vec<u64>>, String> {
     let run = match distinct.get("counts") {
@@ -266,20 +278,13 @@ fn counts_from_json(
             .str()
             .ok_or_else(|| "member \"counts\" must be a hex string or null".to_string())?,
     };
-    if run.len() / 16 != keys.len() || !run.len().is_multiple_of(16) {
+    if run.len() / 16 != listed || !run.len().is_multiple_of(16) {
         return Err(format!(
-            "{} distinct values but a counts run of {} hex digits",
-            keys.len(),
+            "{listed} distinct values but a counts run of {} hex digits",
             run.len()
         ));
     }
     let counts = parse_hex_u64s(run)?;
-    if counts.contains(&0) {
-        return Err("a counted distinct value has a zero count".to_string());
-    }
-    if !keys.is_sorted_by(|a, b| a < b) {
-        return Err("counted distinct values are not strictly ascending".to_string());
-    }
     let total = counts.iter().try_fold(0u64, |sum, &n| sum.checked_add(n));
     if total != u64::try_from(non_null).ok() {
         return Err(format!(
@@ -302,29 +307,51 @@ pub fn summary_from_json(value: &Json) -> Result<SummaryParts, String> {
     let distinct = match (get_str(distinct_json, "kind")?, dtype) {
         ("ints", DataType::Int) | ("floats", DataType::Float) => {
             let keys = parse_hex_u64s(get_str(distinct_json, "values")?)?;
-            counts = counts_from_json(distinct_json, &keys, non_null)?;
+            counts = counts_from_json(distinct_json, keys.len(), non_null)?;
+            // Counted numbers: every value is held by some row, and they
+            // travel in ascending key order.
+            if let Some(counts) = &counts {
+                if counts.contains(&0) {
+                    return Err("a counted distinct value has a zero count".to_string());
+                }
+                if !keys.is_sorted_by(|a, b| a < b) {
+                    return Err("counted distinct values are not strictly ascending".to_string());
+                }
+            }
             DistinctValues::Numbers(keys)
         }
-        ("strs", DataType::Str) => DistinctValues::Strs(
-            get_items(distinct_json, "values")?
+        ("strs", DataType::Str) => {
+            let values: Vec<String> = get_items(distinct_json, "values")?
                 .iter()
                 .map(|v| {
                     v.str()
                         .map(String::from)
                         .ok_or_else(|| "non-string distinct value".to_string())
                 })
-                .collect::<Result<_, _>>()?,
-        ),
-        ("bools", DataType::Bool) => DistinctValues::Bools {
-            t: distinct_json
-                .get("t")
-                .and_then(Json::bool)
-                .ok_or_else(|| "missing boolean member \"t\"".to_string())?,
-            f: distinct_json
-                .get("f")
-                .and_then(Json::bool)
-                .ok_or_else(|| "missing boolean member \"f\"".to_string())?,
-        },
+                .collect::<Result<_, _>>()?;
+            counts = counts_from_json(distinct_json, values.len(), non_null)?;
+            // Counted strings: dictionary order, zeros allowed, and — what the
+            // order means — no value listed twice.
+            if counts.is_some() {
+                let mut seen = HashSet::with_capacity(values.len());
+                if let Some(twice) = values.iter().find(|value| !seen.insert(value.as_str())) {
+                    return Err(format!("counted distinct value '{twice}' is listed twice"));
+                }
+            }
+            DistinctValues::Strs(values)
+        }
+        ("bools", DataType::Bool) => {
+            let (t, f) = (
+                get_index(distinct_json, "t")?,
+                get_index(distinct_json, "f")?,
+            );
+            if t.checked_add(f) != Some(non_null) {
+                return Err(format!(
+                    "value counts do not sum to the {non_null} non-NULL rows"
+                ));
+            }
+            DistinctValues::Bools { t, f }
+        }
         (kind, _) => {
             return Err(format!(
                 "distinct kind '{kind}' is not the kind of a {} column",
@@ -556,19 +583,18 @@ mod tests {
             assert_eq!(back, parts);
         }
 
-        for (dtype, distinct) in [
-            (
-                DataType::Str,
-                DistinctValues::Strs(vec!["a\"b".into(), "π".into()]),
-            ),
-            (DataType::Bool, DistinctValues::Bools { t: true, f: false }),
+        let strs = DistinctValues::Strs(vec!["a\"b".into(), "π".into(), String::new()]);
+        for (dtype, distinct, counts) in [
+            (DataType::Str, strs.clone(), None),
+            (DataType::Str, strs, Some(vec![3, 0, 1])),
+            (DataType::Bool, DistinctValues::Bools { t: 4, f: 0 }, None),
         ] {
             let parts = SummaryParts {
                 dtype,
                 non_null: 4,
                 nulls: 0,
                 distinct,
-                counts: None,
+                counts,
             };
             let encoded = summary_to_json(&parts).encode();
             let back = summary_from_json(&wire::parse(&encoded).unwrap()).unwrap();
@@ -688,6 +714,93 @@ mod tests {
         }
     }
 
+    /// A counted three-value string summary frame in dictionary order
+    /// (`"b" × 2, "a" × 0, "c" × 4`).
+    fn counted_strs_frame() -> Json {
+        summary_to_json(&SummaryParts {
+            dtype: DataType::Str,
+            non_null: 6,
+            nulls: 1,
+            distinct: DistinctValues::Strs(vec!["b".into(), "a".into(), "c".into()]),
+            counts: Some(vec![2, 0, 4]),
+        })
+    }
+
+    #[test]
+    fn hostile_counted_string_frames_get_the_errors_of_their_numeric_twins() {
+        let good = counted_strs_frame();
+        let parts = summary_from_json(&good).unwrap();
+        assert_eq!(parts.counts, Some(vec![2, 0, 4]), "a zero count is a fact");
+        let strs = |values: &[&str]| Json::array(values.iter().map(|v| Json::from(*v)).collect());
+        // A counts run of another length than the values.
+        for counts in [
+            hex_u64s(&[2, 4]),
+            hex_u64s(&[2, 0, 3, 1]),
+            String::new(),
+            hex_u64s(&[2, 0, 4])[1..].to_string(),
+            hex_u64s(&[2, 0, 4]) + "0",
+        ] {
+            let frame = with_member(&good, "counts", Json::from(counts.as_str()));
+            let err = summary_from_json(&frame).unwrap_err();
+            assert!(err.contains("3 distinct values"), "{counts}: {err}");
+        }
+        let frame = with_member(&good, "values", strs(&["b", "a"]));
+        let err = summary_from_json(&frame).unwrap_err();
+        assert!(err.contains("2 distinct values"), "{err}");
+        let frame = with_member(&good, "counts", Json::from(6usize));
+        assert!(summary_from_json(&frame)
+            .unwrap_err()
+            .contains("hex string"));
+        // A value listed twice: the counts have no order to be in.
+        for values in [["b", "b", "c"], ["b", "a", "b"], ["", "a", ""]] {
+            let frame = with_member(&good, "values", strs(&values));
+            let err = summary_from_json(&frame).unwrap_err();
+            assert!(err.contains("listed twice"), "{values:?}: {err}");
+            // A plain set is a set however it is listed.
+            let plain = with_member(&frame, "counts", Json::Null);
+            assert_eq!(summary_from_json(&plain).unwrap().counts, None);
+        }
+        // Counts that do not sum to the non-NULL rows.
+        for counts in [
+            [2u64, 0, 3],
+            [2, 1, 4],
+            [u64::MAX, 1, 6],
+            [1 << 63, 1 << 63, 6],
+        ] {
+            let frame = with_member(&good, "counts", Json::from(hex_u64s(&counts)));
+            let err = summary_from_json(&frame).unwrap_err();
+            assert!(err.contains("do not sum"), "{counts:?}: {err}");
+        }
+        // A value that is not a string, counted or not.
+        let mixed = Json::array(vec![Json::from("b"), Json::from(7usize), Json::from("c")]);
+        for frame in [
+            with_member(&good, "values", mixed.clone()),
+            with_member(&with_member(&good, "values", mixed), "counts", Json::Null),
+        ] {
+            let err = summary_from_json(&frame).unwrap_err();
+            assert!(err.contains("non-string distinct value"), "{err}");
+        }
+        // Boolean row counts are held to the same sum.
+        let bools = summary_to_json(&SummaryParts {
+            dtype: DataType::Bool,
+            non_null: 5,
+            nulls: 0,
+            distinct: DistinctValues::Bools { t: 3, f: 2 },
+            counts: None,
+        });
+        assert!(summary_from_json(&bools).is_ok());
+        for (key, replacement) in [
+            ("t", Json::from(2usize)),
+            ("f", Json::from(usize::MAX)),
+            ("non_null", Json::from(6usize)),
+        ] {
+            let err = summary_from_json(&with_member(&bools, key, replacement)).unwrap_err();
+            assert!(err.contains("do not sum"), "{key}: {err}");
+        }
+        let flags = with_member(&bools, "t", Json::Bool(true));
+        assert!(summary_from_json(&flags).unwrap_err().contains("\"t\""));
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -727,6 +840,47 @@ mod tests {
             prop_assert_eq!(rebuilt.to_parts(), parts);
             prop_assert_eq!(rebuilt.to_stats(), sent.to_stats());
             // … and folds with the next segment's summary like the original.
+            let next = summarize(tail);
+            let (mut local, mut remote) = (sent, rebuilt);
+            local.merge_from(&next);
+            remote.merge_from(&next);
+            prop_assert_eq!(remote.to_parts(), local.to_parts());
+            prop_assert_eq!(remote.to_stats(), local.to_stats());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The string twin: a summary with category counts (or, past the
+        /// counter, without) crosses the wire and then collapses and folds
+        /// with the next segment's like the one that was sent.
+        #[test]
+        fn string_summaries_survive_the_wire_counts_included(
+            raws in proptest::collection::vec(0u32..1 << 20, 0..2500),
+            cardinality in prop_oneof![Just(1u32), Just(9u32), 900u32..1200, Just(1u32 << 12)],
+            split in 0usize..2500,
+        ) {
+            let summarize = |raws: &[u32]| {
+                let mut d = atlas_columnar::column::DictColumn::new();
+                for raw in raws {
+                    let value = (raw % 11 != 0).then(|| format!("v\"{}", raw % cardinality));
+                    d.push(value.as_deref());
+                }
+                // Two rows in three selected: zero counts occur.
+                let sel = Bitmap::from_fn(raws.len(), |row| row % 3 != 1);
+                ColumnSummary::compute(&Column::Str(d), &sel, 0)
+            };
+            let (head, tail) = raws.split_at(split.min(raws.len()));
+            let sent = summarize(head);
+            let parts = sent.to_parts();
+            let text = summary_to_json(&parts).encode();
+            let received = summary_from_json(&wire::parse(&text).unwrap()).unwrap();
+            prop_assert_eq!(&received, &parts);
+
+            let rebuilt = ColumnSummary::from_parts(received);
+            prop_assert_eq!(rebuilt.to_parts(), parts);
+            prop_assert_eq!(rebuilt.to_stats(), sent.to_stats());
             let next = summarize(tail);
             let (mut local, mut remote) = (sent, rebuilt);
             local.merge_from(&next);

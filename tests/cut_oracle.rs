@@ -1,5 +1,6 @@
-//! A row-at-a-time oracle for the numeric `CUT` (paper §3.2; README section
-//! map: `cut.rs`), proptested against [`atlas::core::cut_attribute`].
+//! A row-at-a-time oracle for `CUT` (paper §3.2; README section map:
+//! `cut.rs`), proptested against [`atlas::core::cut_attribute`]: the numeric
+//! cut first, the categorical cut in the second half of the file.
 //!
 //! Every other bit-identity suite compares the engine with itself — scalar vs
 //! word-parallel, one thread vs many, one layout vs another — through the
@@ -228,6 +229,215 @@ fn cuts_agree_on_both_sides_of_the_counter_capacity() {
                     let oracle = oracle_cut(&column, !float, strategy, k);
                     assert!(oracle.is_some());
                     assert_eq!(engine_cut(&table, &working, strategy, k), oracle);
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The categorical `CUT` (second slice of the oracle)
+// ---------------------------------------------------------------------------
+//
+// The engine ranks a string column's categories from the counts its
+// statistics walk keeps (per dictionary code, folded across segments); the
+// oracle below tallies a `Vec<Option<String>>` into a `BTreeMap`, finds each
+// value's first appearance with `position`, and assigns rows to regions with
+// `contains`. The shared definition: values some working-set row holds,
+// ordered by the strategy (decreasing frequency with ties in first-appearance
+// order over the whole column; alphabetic; first appearance), grouped greedily
+// into at most `k` contiguous groups — the open group closes, unless it is
+// the last, once its cover reaches `⌈total / k⌉`, or once it is non-empty and
+// only as many values are left as groups — constant, identifier-like and
+// over-40-value columns skipped, empty regions dropped.
+
+/// The oracle's categorical cut: the non-empty regions as `(values of the
+/// group, rows)`, or `None` when the column is not cut. `column` is every row
+/// (first appearance is a property of the column), `in_working` marks the
+/// working set.
+fn oracle_categorical_cut(
+    column: &[Option<String>],
+    in_working: &[bool],
+    strategy: CategoricalCutStrategy,
+    k: usize,
+) -> Option<Vec<(Vec<String>, u64)>> {
+    let working_rows: Vec<&String> = column
+        .iter()
+        .zip(in_working)
+        .filter(|(_, inside)| **inside)
+        .filter_map(|(value, _)| value.as_ref())
+        .collect();
+    let mut tally: std::collections::BTreeMap<&String, u64> = std::collections::BTreeMap::new();
+    for value in &working_rows {
+        *tally.entry(value).or_default() += 1;
+    }
+    let n = working_rows.len();
+    if tally.len() < 2 || tally.len() > 40 {
+        return None;
+    }
+    if n >= 16 && tally.len() as f64 / n as f64 > 0.95 {
+        return None;
+    }
+    let first_appearance =
+        |value: &String| column.iter().position(|row| row.as_ref() == Some(value));
+    // Alphabetic is the map's own order.
+    let mut ordered: Vec<(&String, u64)> = tally.into_iter().collect();
+    match strategy {
+        CategoricalCutStrategy::Alphabetic => {}
+        CategoricalCutStrategy::DictionaryOrder => {
+            ordered.sort_by_key(|(value, _)| first_appearance(value));
+        }
+        CategoricalCutStrategy::Frequency => {
+            ordered
+                .sort_by_key(|(value, rows)| (std::cmp::Reverse(*rows), first_appearance(value)));
+        }
+    }
+    let k = k.min(ordered.len());
+    let target = (n as u64).div_ceil(k as u64);
+    let mut groups: Vec<Vec<String>> = vec![Vec::new()];
+    let mut cover = 0u64;
+    for (at, (value, rows)) in ordered.iter().enumerate() {
+        let values_left = ordered.len() - at;
+        let groups_left = k - (groups.len() - 1);
+        let open = groups.last_mut().expect("there is always an open group");
+        let squeezed = !open.is_empty() && values_left == groups_left;
+        open.push((*value).clone());
+        cover += rows;
+        if groups.len() < k && (cover >= target || squeezed) {
+            groups.push(Vec::new());
+            cover = 0;
+        }
+    }
+    groups.retain(|group| !group.is_empty());
+    if groups.len() < 2 {
+        return None;
+    }
+    let regions: Vec<(Vec<String>, u64)> = groups
+        .into_iter()
+        .map(|mut group| {
+            let rows = working_rows.iter().filter(|v| group.contains(v)).count();
+            group.sort();
+            (group, rows as u64)
+        })
+        .filter(|(_, rows)| *rows > 0)
+        .collect();
+    (regions.len() >= 2).then_some(regions)
+}
+
+/// The engine's categorical cut in the oracle's terms.
+fn engine_categorical_cut(
+    table: &Table,
+    working: &Bitmap,
+    strategy: CategoricalCutStrategy,
+    k: usize,
+) -> Option<Vec<(Vec<String>, u64)>> {
+    let config = CutConfig {
+        num_splits: k,
+        categorical: strategy,
+        ..CutConfig::default()
+    };
+    let map = cut_attribute(table, working, &ConjunctiveQuery::all("t"), "c", &config)
+        .expect("c is a column of t")?;
+    assert!(map.regions_are_disjoint());
+    let regions = map.regions.iter().map(|region| {
+        match &region.query.predicate_on("c").expect("cut predicate").set {
+            PredicateSet::Values(values) => {
+                (values.iter().cloned().collect(), region.count() as u64)
+            }
+            other => panic!("expected a value-set predicate, got {other:?}"),
+        }
+    });
+    Some(regions.collect())
+}
+
+fn string_table_of(column: &[Option<String>], segments: usize) -> Table {
+    let schema = Schema::new(vec![Field::nullable("c", DataType::Str)]).unwrap();
+    let mut builder =
+        TableBuilder::new("t", schema).with_segment_rows(column.len().div_ceil(segments).max(1));
+    for value in column {
+        let value = value.clone().map_or(Value::Null, Value::Str);
+        builder.push_row(&[value]).unwrap();
+    }
+    builder.build().unwrap()
+}
+
+const CATEGORICAL_STRATEGIES: [CategoricalCutStrategy; 3] = [
+    CategoricalCutStrategy::Frequency,
+    CategoricalCutStrategy::Alphabetic,
+    CategoricalCutStrategy::DictionaryOrder,
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// Binary and census-sized columns, the 40-value limit from both sides,
+    /// and name-like columns; few rows (ties everywhere) to a few thousand.
+    #[test]
+    fn categorical_cuts_match_the_row_at_a_time_oracle(
+        rows in proptest::collection::vec((0u64..u64::MAX, 0u8..10, 0u8..8), 0..3000),
+        cardinality in prop_oneof![
+            Just(1u64), Just(2u64), Just(5u64), 38u64..44, Just(300u64), Just(1u64 << 40)
+        ],
+        skew in 1u64..4,
+        keep in prop_oneof![Just(usize::MAX), 2usize..60],
+    ) {
+        // Names whose alphabetic, first-appearance and frequency orders all
+        // differ; `keep` shortens the column so that small tallies tie.
+        let column: Vec<Option<String>> = rows
+            .iter()
+            .take(keep)
+            .map(|&(raw, null_roll, _)| {
+                (null_roll != 0).then(|| format!("n{}", (raw % cardinality / skew * 7919) % 10_007))
+            })
+            .collect();
+        let in_working: Vec<bool> = rows.iter().take(keep).map(|row| row.2 != 0).collect();
+        let working = Bitmap::from_fn(column.len(), |row| in_working[row]);
+        for segments in [1usize, 3, 16] {
+            let table = string_table_of(&column, segments);
+            for strategy in CATEGORICAL_STRATEGIES {
+                for k in 2usize..=4 {
+                    prop_assert_eq!(
+                        engine_categorical_cut(&table, &working, strategy, k),
+                        oracle_categorical_cut(&column, &in_working, strategy, k),
+                        "{:?}, k = {}, {} segment(s), cardinality {}",
+                        strategy, k, segments, cardinality
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// A cut reads its categories off the statistics while the column's
+/// dictionaries fit the counter and asks the source when they do not; a
+/// working set of a few values inside a column of one value under, at and
+/// over the capacity cuts identically on both sides.
+#[test]
+fn categorical_cuts_agree_on_both_sides_of_the_counter_capacity() {
+    for values in [1023usize, 1024, 1025, 1100] {
+        // 300 rows over five common values, then every other value once.
+        let column: Vec<Option<String>> = (0..300)
+            .map(|i| Some(format!("common{}", (i * i + i / 7) % 5)))
+            .chain((5..values).map(|i| Some(format!("rare{i}"))))
+            .collect();
+        let in_working: Vec<bool> = (0..column.len())
+            .map(|row| row < 300 && row % 4 != 1)
+            .collect();
+        let working = Bitmap::from_fn(column.len(), |row| in_working[row]);
+        for segments in [1usize, 16] {
+            let table = string_table_of(&column, segments);
+            let stats = table.column_stats("c", &working).unwrap();
+            assert_eq!(stats.distinct_count, 5);
+            assert_eq!(stats.category_counts.is_some(), values <= 1024, "{values}");
+            for strategy in CATEGORICAL_STRATEGIES {
+                for k in 2..=4 {
+                    let oracle = oracle_categorical_cut(&column, &in_working, strategy, k);
+                    assert!(oracle.is_some());
+                    assert_eq!(
+                        engine_categorical_cut(&table, &working, strategy, k),
+                        oracle,
+                        "{strategy:?}, k = {k}, {values} values, {segments} segment(s)"
+                    );
                 }
             }
         }

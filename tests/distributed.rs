@@ -1055,3 +1055,287 @@ fn an_open_circuit_shows_in_metrics_and_healthz() {
         handle.shutdown();
     }
 }
+
+/// How many segment-local working sets the shards `(evaluated, reused)` so
+/// far, summed over their `GET /metrics` reports.
+fn working_set_counts(shards: &[ServerHandle]) -> (u64, u64) {
+    let mut totals = (0, 0);
+    for shard in shards {
+        let report = Client::new(shard.addr())
+            .get("/metrics")
+            .unwrap()
+            .json()
+            .expect("the default /metrics is JSON");
+        let count = |key: &str| {
+            report
+                .get("shard")
+                .and_then(|shard| shard.get("working_sets"))
+                .and_then(|sets| sets.get(key))
+                .and_then(Json::num)
+                .unwrap_or_else(|| panic!("no shard.working_sets.{key} in {}", report.encode()))
+                as u64
+        };
+        totals.0 += count("evaluated");
+        totals.1 += count("reused");
+    }
+    totals
+}
+
+/// The shard calls of `coordinator` so far that carried a working set: all
+/// of them but the metadata probe `connect` sent each shard.
+fn working_set_calls(coordinator: &Coordinator) -> u64 {
+    coordinator.metrics().fan_out() - coordinator.assignment().len() as u64
+}
+
+/// A shard evaluates the working set of an explore once per segment — on the
+/// first call that carries its SQL — and every later call of the explore
+/// finds the rows remembered. One filtered explore over 2 shards × 2 segments
+/// of the census: 9 calls to each shard (`/shard/working`, `/shard/summaries`
+/// and one `/shard/select` per cut column — the categorical cuts read their
+/// counts off the summaries, so `/shard/categories` is not among them), 4
+/// evaluations, 4 × 8 reuses, read from the shards' own `/metrics` in both
+/// formats.
+#[test]
+fn a_shard_evaluates_a_working_set_once_per_segment_per_explore() {
+    let table = census_table(4_000, 1_000);
+    let config = product_config();
+    let reference = Atlas::new(Arc::clone(&table), config.clone()).unwrap();
+    let (handles, addrs) = boot_shards("census", &table, &config, 2);
+    let coordinator =
+        Coordinator::connect(&addrs, "census", config, Duration::from_secs(10)).unwrap();
+    assert_eq!(coordinator.assignment(), vec![vec![0, 1], vec![2, 3]]);
+    assert_eq!(working_set_counts(&handles), (0, 0));
+
+    let filtered = parse_query("SELECT * FROM census WHERE age BETWEEN 25 AND 60").unwrap();
+    assert_agree(&reference, &coordinator, &filtered);
+    let calls_per_shard = working_set_calls(&coordinator) / 2;
+    assert_eq!(calls_per_shard, 9, "working + summaries + 7 selects");
+    assert_eq!(working_set_counts(&handles), (4, 4 * (calls_per_shard - 1)));
+    assert_eq!(
+        categories_requests(&handles),
+        0.0,
+        "no counted column asks for its categories"
+    );
+
+    // The same explore again finds every segment's rows on its first call
+    // too; another SQL takes their place.
+    assert_agree(&reference, &coordinator, &filtered);
+    assert_eq!(
+        working_set_counts(&handles),
+        (4, 4 * (2 * calls_per_shard - 1))
+    );
+    assert_agree(&reference, &coordinator, &ConjunctiveQuery::all("census"));
+    assert_agree(&reference, &coordinator, &filtered);
+    let calls = working_set_calls(&coordinator) / 2;
+    assert_eq!(calls, 4 * calls_per_shard);
+    assert_eq!(working_set_counts(&handles), (12, 4 * calls - 12));
+
+    let (json, text) = both_reports(&handles[0]);
+    let sets = json.get("shard").unwrap().get("working_sets").unwrap();
+    assert_eq!(sets.get("evaluated").unwrap().num(), Some(6.0));
+    for outcome in ["evaluated", "reused"] {
+        assert_eq!(
+            text_value(
+                &text,
+                "atlas_shard_working_sets_total",
+                &[("outcome", outcome)]
+            ),
+            sets.get(outcome).unwrap().num().unwrap()
+        );
+    }
+
+    for handle in handles {
+        handle.shutdown();
+    }
+}
+
+/// Append `batch` to every shard's `census` through `POST /datasets/:name/rows`
+/// and, through the same CSV path, to the in-process engine.
+fn append_everywhere(handles: &[ServerHandle], reference: Atlas, batch: &Table) -> Atlas {
+    let mut csv = Vec::new();
+    atlas::columnar::csv::write_csv(batch, &mut csv).unwrap();
+    let text = String::from_utf8(csv).unwrap();
+    let body = text.split_once('\n').unwrap().1;
+    for handle in handles {
+        let reply = Client::new(handle.addr())
+            .request(
+                "POST",
+                "/datasets/census/rows",
+                Some(("text/csv", body.as_bytes())),
+            )
+            .unwrap();
+        assert_eq!(reply.status, 200, "{:?}", reply.body_text());
+    }
+    let options = atlas::columnar::csv::CsvOptions {
+        has_header: false,
+        ..atlas::columnar::csv::CsvOptions::default()
+    };
+    let schema = reference.table().schema().clone();
+    let parsed =
+        atlas::columnar::csv::read_csv("census", body.as_bytes(), Some(schema), &options).unwrap();
+    let mut extended = reference;
+    for segment in parsed.segments() {
+        extended = extended.append(Arc::clone(segment)).unwrap();
+    }
+    extended
+}
+
+/// The remembered working set dies with its generation. Explore a filter,
+/// append rows that match it to every shard, reconnect and explore the *same
+/// SQL* again: the answer is the local engine's over the appended table — the
+/// new rows are in it — and the shards evaluated every segment of the new
+/// generation afresh instead of answering from what the old one remembered.
+#[test]
+fn a_remembered_working_set_does_not_outlive_its_generation() {
+    let table = census_table(6_000, 1_000);
+    let config = product_config();
+    let reference = Atlas::new(Arc::clone(&table), config.clone()).unwrap();
+    let (handles, addrs) = boot_shards("census", &table, &config, 2);
+    let filtered = parse_query("SELECT * FROM census WHERE age BETWEEN 25 AND 60").unwrap();
+
+    let before =
+        Coordinator::connect(&addrs, "census", config.clone(), Duration::from_secs(10)).unwrap();
+    assert_agree(&reference, &before, &filtered);
+    let matched_before = reference.explore(&filtered).unwrap().working_set_size;
+    let (evaluated, reused) = working_set_counts(&handles);
+    assert_eq!(evaluated, 6, "one evaluation per segment");
+    assert!(reused > 0, "the later rounds found the rows remembered");
+
+    let batch = CensusGenerator::with_rows(900, 1234).generate();
+    let extended = append_everywhere(&handles, reference, &batch);
+    let after =
+        Coordinator::connect(&addrs, "census", config.clone(), Duration::from_secs(10)).unwrap();
+    assert_eq!(after.generation(), before.generation() + 1);
+    assert_eq!(after.num_segments(), 7);
+    let local = extended.explore(&filtered).unwrap();
+    assert!(
+        local.working_set_size > matched_before,
+        "appended rows match the filter"
+    );
+    assert_identical(&local, &after.explore(&filtered).unwrap());
+    assert_eq!(
+        working_set_counts(&handles).0,
+        evaluated + 7,
+        "every view of the new generation evaluates once"
+    );
+
+    for handle in handles {
+        handle.shutdown();
+    }
+}
+
+/// One remembered working set per segment, two explorers: two coordinators on
+/// two threads explore *different* SQL against the same two shards, starting
+/// each of 20 rounds together, so the calls of one keep replacing what the
+/// other's left behind. Every reply is bit-identical to the local engine — an
+/// entry is only ever returned for the text it was evaluated from — and the
+/// shards account for every segment of every call as evaluated or reused.
+#[test]
+fn interleaved_explores_of_different_sql_stay_correct() {
+    let table = census_table(6_000, 1_000);
+    let config = product_config();
+    let reference = Atlas::new(Arc::clone(&table), config.clone()).unwrap();
+    let (handles, addrs) = boot_shards("census", &table, &config, 2);
+    let queries = [
+        "SELECT * FROM census WHERE age BETWEEN 25 AND 60",
+        "SELECT * FROM census WHERE hours_per_week >= 30 AND sex = 'Female'",
+    ];
+    let start = std::sync::Barrier::new(queries.len());
+    let calls: u64 = std::thread::scope(|scope| {
+        let explorers: Vec<_> = queries
+            .iter()
+            .map(|sql| {
+                let (reference, addrs, config, start) = (&reference, &addrs, &config, &start);
+                scope.spawn(move || {
+                    let query = parse_query(sql).unwrap();
+                    let expected = reference.explore(&query).unwrap();
+                    let coordinator = Coordinator::connect(
+                        addrs,
+                        "census",
+                        config.clone(),
+                        Duration::from_secs(10),
+                    )
+                    .unwrap();
+                    for _ in 0..20 {
+                        start.wait();
+                        assert_identical(&expected, &coordinator.explore(&query).unwrap());
+                    }
+                    assert_eq!(coordinator.metrics().retries(), 0);
+                    working_set_calls(&coordinator)
+                })
+            })
+            .collect();
+        explorers
+            .into_iter()
+            .map(|explorer| explorer.join().expect("an explorer panicked"))
+            .sum()
+    });
+
+    // Three segments per shard, each evaluated at least once per SQL.
+    let (evaluated, reused) = working_set_counts(&handles);
+    assert_eq!(evaluated + reused, 3 * calls);
+    assert!(evaluated >= 2 * 6, "{evaluated} evaluations");
+
+    for handle in handles {
+        handle.shutdown();
+    }
+}
+
+/// How many `POST /shard/categories` requests the shards have served so far.
+fn categories_requests(shards: &[ServerHandle]) -> f64 {
+    shards
+        .iter()
+        .map(|shard| {
+            let report = shard.metrics().snapshot(Vec::new());
+            let by_endpoint = report.get("requests_by_endpoint").unwrap();
+            by_endpoint.get("shard_categories").unwrap().num().unwrap()
+        })
+        .sum()
+}
+
+/// The `DictionaryOrder` strategy costs no round trip of its own: the folded
+/// summaries list a column's categories in dictionary order, so the cut asks
+/// no shard for the dictionary — or for the counts, under any strategy.
+/// Whole-table, filtered and drill queries over two shards are bit-identical
+/// to the local engine under every categorical strategy, and each explore
+/// calls a shard once for the working set, once for the summaries and once
+/// per column it partitions.
+#[test]
+fn dictionary_order_cuts_make_no_round_trip_of_their_own() {
+    let table = census_table(6_000, 1_000);
+    let (handles, addrs) = boot_shards("census", &table, &product_config(), 2);
+    let queries = [
+        "SELECT * FROM census",
+        "SELECT * FROM census WHERE age BETWEEN 25 AND 60",
+        "SELECT * FROM census WHERE age BETWEEN 25 AND 60 AND education IN ('MSc', 'PhD')",
+    ];
+    for categorical in [
+        CategoricalCutStrategy::Frequency,
+        CategoricalCutStrategy::Alphabetic,
+        CategoricalCutStrategy::DictionaryOrder,
+    ] {
+        let mut config = product_config();
+        config.cut.categorical = categorical;
+        let reference = Atlas::new(Arc::clone(&table), config.clone()).unwrap();
+        let coordinator =
+            Coordinator::connect(&addrs, "census", config, Duration::from_secs(10)).unwrap();
+        for sql in queries {
+            let query = parse_query(sql).unwrap();
+            let before = coordinator.metrics().fan_out();
+            let local = reference.explore(&query).unwrap();
+            assert_identical(&local, &coordinator.explore(&query).unwrap());
+            let partitioned = table.num_columns() - local.skipped_attributes.len();
+            assert!(partitioned >= 5, "{sql}: {:?}", local.skipped_attributes);
+            assert_eq!(
+                coordinator.metrics().fan_out() - before,
+                2 * (2 + partitioned as u64),
+                "{categorical:?}, {sql}"
+            );
+        }
+    }
+    assert_eq!(categories_requests(&handles), 0.0);
+
+    for handle in handles {
+        handle.shutdown();
+    }
+}

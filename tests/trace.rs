@@ -576,3 +576,48 @@ fn metrics_negotiates_prometheus_text() {
     assert!(text.contains("atlas_trace_ring_capacity"), "{text}");
     handle.shutdown();
 }
+
+/// A trace says which call of an explore paid for the working set: the
+/// `shard.request` span of `/shard/working` is tagged `working=evaluated`,
+/// and those of every later round — and of the repeat of a call whose first
+/// answer was an injected `500` — `working=reused`.
+#[test]
+fn shard_request_spans_say_whether_the_working_set_was_evaluated_or_reused() {
+    let _gate = gate();
+    let rig = rig();
+    let query = parse_query("SELECT * FROM census WHERE age BETWEEN 25 AND 60").unwrap();
+    let expected = rig.reference.explore(&query).unwrap();
+
+    let _traced = Traced::begin();
+    let coordinator = rig.coordinator(calm_options());
+    // Shard 1 answers its second data call — `/shard/summaries` — with a
+    // synthetic 500 once; the coordinator asks again.
+    rig.arm(
+        1,
+        vec![
+            Json::object(vec![("fault", Json::from("none"))]),
+            error_fault(503),
+        ],
+    );
+    obs::tracer().clear();
+    let root = obs::span_root("test.explore");
+    let trace_id = root.context().expect("tracing is enabled").trace_id;
+    let result = coordinator.explore(&query).unwrap();
+    drop(root);
+    assert_identical(&expected, &result);
+    assert_eq!(coordinator.metrics().retries(), 1);
+
+    let spans = obs::tracer().trace(trace_id);
+    let requests: Vec<_> = spans.iter().filter(|s| s.name == "shard.request").collect();
+    assert_eq!(requests.len(), 2 * 9, "two shards, nine rounds");
+    for request in requests {
+        let expected = match request.attr("endpoint") {
+            Some("shard_working") => "evaluated",
+            Some("shard_summaries" | "shard_select") => "reused",
+            other => panic!("unexpected shard endpoint {other:?}"),
+        };
+        assert_eq!(request.attr("working"), Some(expected));
+    }
+    assert_single_tree(&spans);
+    rig.shutdown();
+}
