@@ -27,24 +27,29 @@ use std::time::{Duration, Instant};
 
 fn main() {
     let raw_args: Vec<String> = std::env::args().skip(1).collect();
-    // `bench-smoke [path] [--gate <pct>]` — the CI perf-trajectory mode —
-    // writes a small JSON report instead of printing the experiment tables.
-    // With `--gate`, the run fails (exit 1) if any phase regressed by more
-    // than `<pct>` percent against the most recent committed bench-smoke
-    // report.
+    // `bench-smoke [path] [--gate <pct>] [--served <runs>]` — the CI
+    // perf-trajectory mode — writes a small JSON report instead of printing
+    // the experiment tables. With `--gate`, the run fails (exit 1) if any
+    // phase regressed by more than `<pct>` percent against the most recent
+    // committed bench-smoke report. With `--served`, the report gains a
+    // `served` section summarising the named file of `BENCHMARK.json`
+    // harness runs (see `served_section`).
     if raw_args.first().map(String::as_str) == Some("bench-smoke") {
         let mut path = None;
         let mut gate = None;
+        let mut served = None;
         let mut rest = raw_args[1..].iter();
         while let Some(arg) = rest.next() {
             if arg == "--gate" {
                 let pct = rest.next().expect("--gate takes a percentage");
                 gate = Some(pct.parse::<f64>().expect("--gate takes a number"));
+            } else if arg == "--served" {
+                served = Some(rest.next().expect("--served takes a file").as_str());
             } else {
                 path = Some(arg.as_str());
             }
         }
-        bench_smoke(path.unwrap_or("BENCH_CI.json"), gate);
+        bench_smoke(path.unwrap_or("BENCH_CI.json"), gate, served);
         return;
     }
     // `trace-smoke [path]` — enable tracing, run a two-shard distributed
@@ -712,6 +717,53 @@ fn smoke_default_point(rows: usize, repeats: usize) -> Json {
     Json::object(pairs)
 }
 
+/// The sky-survey scale point (ROADMAP item 1a): eight near-unique `Float`
+/// columns, the class of table no census point reaches. Both configurations,
+/// whole table and one filter, phases split like [`smoke_default_point`];
+/// every key carries an `sdss_<config>_` prefix so the gate's by-name lookup
+/// cannot confuse it with a census point.
+fn smoke_sdss_point(rows: usize, repeats: usize) -> Json {
+    let table = Arc::new(atlas_datagen::SdssGenerator::with_rows(rows, 2013).generate());
+    let filter_sql = "SELECT * FROM photo_obj WHERE mag_r BETWEEN 15 AND 20";
+    let filter = atlas_query::parse_query(filter_sql).expect("filter parses");
+    let mut pairs = vec![
+        ("rows".to_string(), Json::from(rows)),
+        ("dataset".to_string(), Json::from("sdss")),
+        ("filter".to_string(), Json::from(filter_sql)),
+        (
+            "filter_rows".to_string(),
+            Json::from(
+                atlas_query::evaluate(&filter, &table)
+                    .expect("filter evaluates")
+                    .count(),
+            ),
+        ),
+    ];
+    // Building profiles the table and reads no configuration: one figure.
+    let mut build_ms = f64::INFINITY;
+    for (name, config) in [
+        ("fast", AtlasConfig::fast()),
+        ("default", AtlasConfig::default()),
+    ] {
+        let (config_build_ms, atlas) = best_of_ms(repeats, || {
+            Atlas::builder(Arc::clone(&table))
+                .config(config.clone())
+                .build()
+                .expect("valid config")
+        });
+        build_ms = build_ms.min(config_build_ms);
+        let full = best_explore(&atlas, &ConjunctiveQuery::all("photo_obj"), repeats);
+        let filtered = best_explore(&atlas, &filter, repeats);
+        pairs.extend(timings_fields(&format!("sdss_{name}_full_"), &full.timings));
+        pairs.extend(timings_fields(
+            &format!("sdss_{name}_filter_"),
+            &filtered.timings,
+        ));
+    }
+    pairs.push(("sdss_build_ms".to_string(), ms(build_ms)));
+    Json::object(pairs)
+}
+
 /// The best wall-clock of `repeats` runs of `f`, in milliseconds, together
 /// with the last value `f` produced (every run computes the same answer).
 fn best_of_ms<T>(repeats: usize, mut f: impl FnMut() -> T) -> (f64, T) {
@@ -792,6 +844,31 @@ fn smoke_kernels(rows: usize, repeats: usize) -> Json {
         "select_in_groups must be bit-identical"
     );
 
+    // The same partition over a dictionary of 200 codes: past the 64 codes a
+    // membership word can hold, the kernel gathers group slots instead.
+    let wide = wide_dictionary(rows, WIDE_DICTIONARY_CODES);
+    let wide_column = wide.column("c").expect("one column");
+    let wide_groups: Vec<Vec<String>> = (0..2)
+        .map(|g| {
+            let codes = (g..WIDE_DICTIONARY_CODES).step_by(2);
+            codes.map(|code| format!("v{code}")).collect()
+        })
+        .collect();
+    let (wide_ms, wide_grouped) = best_of_ms(repeats, || {
+        with_kernel_path(KernelPath::WordParallel, || {
+            wide_column.select_in_groups(&sel, &wide_groups)
+        })
+    });
+    let (wide_scalar_ms, wide_ref) = best_of_ms(repeats, || {
+        with_kernel_path(KernelPath::Scalar, || {
+            wide_column.select_in_groups(&sel, &wide_groups)
+        })
+    });
+    assert_eq!(
+        wide_grouped, wide_ref,
+        "select_in_groups must be bit-identical past 64 codes"
+    );
+
     let ra: Vec<&Bitmap> = ranges.iter().collect();
     let rb: Vec<&Bitmap> = grouped.iter().collect();
     let (contingency_ms, fold) = best_of_ms(repeats, || {
@@ -850,6 +927,16 @@ fn smoke_kernels(rows: usize, repeats: usize) -> Json {
             "select_in_groups_speedup",
             speedup(groups_ms, groups_scalar_ms),
         ),
+        (
+            "select_in_groups_wide_codes",
+            Json::from(WIDE_DICTIONARY_CODES),
+        ),
+        ("select_in_groups_wide_ms", ms(wide_ms)),
+        ("select_in_groups_wide_scalar_ms", ms(wide_scalar_ms)),
+        (
+            "select_in_groups_wide_speedup",
+            speedup(wide_ms, wide_scalar_ms),
+        ),
         ("contingency_ms", ms(contingency_ms)),
         ("contingency_scalar_ms", ms(contingency_scalar_ms)),
         (
@@ -857,6 +944,21 @@ fn smoke_kernels(rows: usize, repeats: usize) -> Json {
             speedup(contingency_ms, contingency_scalar_ms),
         ),
     ])
+}
+
+const WIDE_DICTIONARY_CODES: usize = 200;
+
+/// One string column of `rows` pseudo-random draws from `codes` values.
+fn wide_dictionary(rows: usize, codes: usize) -> atlas_columnar::Table {
+    use atlas_columnar::{DataType, Field, Schema, TableBuilder, Value};
+    let schema = Schema::new(vec![Field::new("c", DataType::Str)]).expect("valid schema");
+    let mut builder = TableBuilder::new("wide", schema);
+    for row in 0..rows as u64 {
+        let draw = row.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32;
+        let value = Value::Str(format!("v{}", draw % codes as u64));
+        builder.push_row(&[value]).expect("row matches schema");
+    }
+    builder.build().expect("generated table is valid")
 }
 
 /// Segmented-storage smoke: streaming CSV ingest throughput. A census CSV is
@@ -994,28 +1096,29 @@ fn print_phase_deltas(previous_path: &str, previous: &Json, current: &Json) {
 /// three scales (20k, 100k and 1M rows) under the fast configuration, each
 /// explored both sequentially (`parallelism = 1`) and with the default
 /// parallelism, plus one 1M-row point under the default configuration
-/// (whole table and one filter), plus the
-/// segmented-storage numbers — streaming CSV ingest throughput and
+/// (whole table and one filter), plus a 1M-row sky-survey point under both
+/// configurations, plus the segmented-storage numbers — streaming CSV ingest throughput and
 /// append-vs-rebuild preparation — plus per-kernel partition timings
 /// (word-parallel vs the `ATLAS_FORCE_SCALAR` reference, 1M-row point
 /// first so the gate reads it) — reported as JSON. When an earlier
 /// `BENCH_*.json` is present, a phase-by-phase delta table is printed so CI
 /// logs show the trajectory. With `gate`, any phase above the 1 ms noise
 /// floor that regressed by more than the given percentage fails the run.
-fn bench_smoke(path: &str, gate: Option<f64>) {
+fn bench_smoke(path: &str, gate: Option<f64>, served: Option<&str>) {
     let scale_points = [(20_000usize, 5usize), (100_000, 5), (1_000_000, 2)];
     let scales: Vec<Json> = scale_points
         .iter()
         .map(|&(rows, repeats)| smoke_scale_point(rows, repeats))
         .collect();
     let default_config = smoke_default_point(1_000_000, 3);
+    let sdss = smoke_sdss_point(1_000_000, 3);
     let ingest = smoke_ingest(200_000);
     let append = smoke_append(1_000_000);
     // 1M-row point first: `find_number` takes the first occurrence, so the
     // delta table and the gate track the large-scale kernel figures.
     let kernels = Json::array(vec![smoke_kernels(1_000_000, 5), smoke_kernels(100_000, 7)]);
 
-    let report = Json::object(vec![
+    let mut sections = vec![
         ("experiment", Json::from("bench_smoke")),
         ("pr", pr_of(path).map_or(Json::Null, Json::from)),
         ("dataset", Json::from("census")),
@@ -1030,10 +1133,15 @@ fn bench_smoke(path: &str, gate: Option<f64>) {
         ),
         ("scale", Json::array(scales)),
         ("default_config", default_config),
+        ("sdss", sdss),
         ("kernels", kernels),
         ("ingest", ingest),
         ("append", append),
-    ]);
+    ];
+    if let Some(runs) = served {
+        sections.push(("served", served_section(runs)));
+    }
+    let report = Json::object(sections);
     let previous = write_report_with_deltas(path, &report);
     if let (Some(limit_pct), Some((previous_path, previous_report))) = (gate, previous) {
         let regressions = phase_regressions(&previous_report, &report, limit_pct);
@@ -1046,6 +1154,140 @@ fn bench_smoke(path: &str, gate: Option<f64>) {
         }
         println!("\nbench gate passed vs {previous_path} (limit {limit_pct:+.0}%)");
     }
+}
+
+/// The `served` section of a report: what a client of the server saw, parent
+/// commit against this one. `path` names a file of JSON lines, one per run of
+/// the `BENCHMARK.json` harness: `{"workload", "seed", "side": "parent" |
+/// "change", "traced": bool, "record": <the run's last output line>}`. Per
+/// workload, and per end-to-end metric `BENCHMARK.json` declares, the
+/// untraced runs of the seeds both sides ran give each side's quartiles and
+/// median and the number of pairs the change won; a traced pair, if there is
+/// one, lists every per-layer metric side by side.
+fn served_section(path: &str) -> Json {
+    let read = |file: &str| std::fs::read_to_string(file).unwrap_or_else(|e| panic!("{file}: {e}"));
+    let declared =
+        atlas_serve::wire::parse(&read("BENCHMARK.json")).expect("BENCHMARK.json parses");
+    let runs: Vec<Json> = read(path)
+        .lines()
+        .filter(|line| !line.trim().is_empty())
+        .map(|line| atlas_serve::wire::parse(line).expect("one JSON run per line"))
+        .collect();
+    let text = |run: &Json, key: &str| run.get(key).and_then(Json::str).map(str::to_string);
+    let traced = |run: &Json| run.get("traced").and_then(Json::bool) == Some(true);
+    let seed = |run: &Json| {
+        run.get("seed")
+            .and_then(Json::num)
+            .expect("a run has a seed")
+    };
+    let metric = |run: &Json, name: &str| {
+        let metrics = run.get("record").and_then(|record| record.get("metrics"));
+        metrics?.get(name)?.get("value")?.num()
+    };
+
+    let mut workloads: Vec<String> = Vec::new();
+    for run in &runs {
+        let workload = text(run, "workload").expect("a run names its workload");
+        if !workloads.contains(&workload) {
+            workloads.push(workload);
+        }
+    }
+    let sections = workloads.iter().map(|workload| {
+        let side = |name: &str, with_trace: bool| -> Vec<&Json> {
+            let mut of_side: Vec<&Json> = runs
+                .iter()
+                .filter(|run| text(run, "workload").as_deref() == Some(workload))
+                .filter(|run| text(run, "side").as_deref() == Some(name))
+                .filter(|run| traced(run) == with_trace)
+                .collect();
+            of_side.sort_by(|a, b| seed(a).total_cmp(&seed(b)));
+            of_side
+        };
+        let (parent, change) = (side("parent", false), side("change", false));
+        let pairs: Vec<(&Json, &Json)> = parent
+            .iter()
+            .filter_map(|p| Some((*p, *change.iter().find(|c| seed(c) == seed(p))?)))
+            .collect();
+        let summary = |values: &[f64]| {
+            let q = |p: f64| quantile(values, p).map_or(Json::Null, ms);
+            Json::object(vec![("q1", q(0.25)), ("median", q(0.5)), ("q3", q(0.75))])
+        };
+        let failed = |of_side: Vec<&Json>| {
+            let steps = of_side.into_iter().map(|run| {
+                let record = run.get("record").expect("a run has a record");
+                assert_eq!(record.get("correct").and_then(Json::bool), Some(true));
+                record.get("failed").and_then(Json::num).expect("failed")
+            });
+            Json::Num(steps.sum())
+        };
+        let metrics = declared
+            .get("end_to_end")
+            .and_then(Json::items)
+            .expect("end_to_end");
+        let metrics = metrics.iter().map(|decl| {
+            let name = decl.get("name").and_then(Json::str).expect("metric name");
+            let lower = decl.get("better").and_then(Json::str) == Some("lower");
+            let values: Vec<(f64, f64)> = pairs
+                .iter()
+                .filter_map(|(p, c)| Some((metric(p, name)?, metric(c, name)?)))
+                .collect();
+            let wins = values
+                .iter()
+                .filter(|&&(p, c)| if lower { c < p } else { c > p })
+                .count();
+            let (p, c): (Vec<f64>, Vec<f64>) = values.into_iter().unzip();
+            let fields = vec![
+                ("unit", decl.get("unit").cloned().unwrap_or(Json::Null)),
+                ("better", decl.get("better").cloned().unwrap_or(Json::Null)),
+                ("parent", summary(&p)),
+                ("change", summary(&c)),
+                ("change_better_pairs", Json::from(wins)),
+            ];
+            (name.to_string(), Json::object(fields))
+        });
+        let mut fields = vec![
+            ("workload", Json::from(workload.as_str())),
+            ("pairs", Json::from(pairs.len())),
+            (
+                "seeds",
+                Json::array(pairs.iter().map(|(p, _)| Json::Num(seed(p))).collect()),
+            ),
+            (
+                "failed_steps",
+                Json::object(vec![
+                    ("parent", failed(pairs.iter().map(|pair| pair.0).collect())),
+                    ("change", failed(pairs.iter().map(|pair| pair.1).collect())),
+                ]),
+            ),
+            ("metrics", Json::object(metrics.collect())),
+        ];
+        if let (Some(p), Some(c)) = (side("parent", true).first(), side("change", true).first()) {
+            let layers = declared
+                .get("per_layer")
+                .and_then(Json::items)
+                .expect("per_layer");
+            let layers = layers.iter().filter_map(|decl| {
+                let name = decl.get("name").and_then(Json::str)?;
+                let both = vec![
+                    ("parent", ms(metric(p, name)?)),
+                    ("change", ms(metric(c, name)?)),
+                ];
+                Some((name.to_string(), Json::object(both)))
+            });
+            fields.push(("traced_seed", Json::Num(seed(p))));
+            fields.push(("traced", Json::object(layers.collect())));
+        }
+        Json::object(fields)
+    });
+    Json::object(vec![
+        (
+            "source",
+            Json::from(
+                "BENCHMARK.json harness, --seconds 30, one process per run, sides alternating",
+            ),
+        ),
+        ("workloads", Json::array(sections.collect())),
+    ])
 }
 
 /// The PR number a report file is named after (`BENCH_PR15.json` → 15);
@@ -1063,11 +1305,11 @@ fn pr_of(path: &str) -> Option<usize> {
 /// The phases the delta table and the regression gate look at — the headline
 /// (first-found) figure for each: the 20k-row point for the fast-config
 /// explore phases, the 1M-row default-config point for the `default_*`
-/// phases, the 1M-row point for the per-kernel partition and summary-scan
-/// timings (their report section lists 1M first). A phase one of the two reports lacks is
-/// skipped, so a report gates cleanly against one written before a phase
-/// existed.
-const GATED_PHASES: [&str; 20] = [
+/// phases, the 1M-row sky-survey point for the `sdss_*` ones, the 1M-row
+/// point for the per-kernel partition and summary-scan timings (their report
+/// section lists 1M first). A phase one of the two reports lacks is skipped,
+/// so a report gates cleanly against one written before a phase existed.
+const GATED_PHASES: [&str; 26] = [
     "query_ms",
     "candidates_ms",
     "clustering_ms",
@@ -1083,6 +1325,12 @@ const GATED_PHASES: [&str; 20] = [
     "default_filter_total_ms",
     "select_ranges_ms",
     "select_in_groups_ms",
+    "select_in_groups_wide_ms",
+    "sdss_build_ms",
+    "sdss_fast_full_total_ms",
+    "sdss_fast_filter_total_ms",
+    "sdss_default_full_total_ms",
+    "sdss_default_filter_total_ms",
     "contingency_ms",
     "column_stats_age_ms",
     "column_stats_height_cm_ms",

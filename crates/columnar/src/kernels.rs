@@ -19,9 +19,11 @@
 //!   `Option`;
 //! * a dense 64-row block is classified branchlessly: numeric range checks
 //!   compile to lane-wise compares over the raw `i64`/`f64` value slices, and
-//!   dictionary codes go through a precomputed code→group table (or, for
-//!   sorted dictionaries whose groups are contiguous code ranges, a handful
-//!   of lane-wise compares against the range starts);
+//!   dictionary codes fold one lane mask per group the same way — a
+//!   dictionary of fewer than 64 codes turns the code→group table into one
+//!   membership word per group and a lane is `(member >> code) & 1`
+//!   (`member_mask_64`); a larger one gathers each lane's group through the
+//!   table first and a lane is a byte compare (`eq_mask_64`);
 //! * one output word per region is assembled in a register and written with
 //!   the word-level writer [`Bitmap::or_word`] — no per-row `Bitmap::set`.
 //!
@@ -559,27 +561,57 @@ pub(crate) fn dict_group_table(d: &DictColumn, groups: &[Vec<String>]) -> Option
     Some(table)
 }
 
-/// If every code belongs to a group and the code→group table is
-/// non-decreasing (a sorted dictionary partitioned into contiguous code
-/// *ranges*), the per-lane table lookup can become `starts.len()` lane-wise
-/// compares: group = |{s ∈ starts : code ≥ s}|. Returns the range starts, or
-/// `None` when the layout (or a group count past [`DENSE_LANES`]/8) doesn't
-/// qualify.
-fn contiguous_range_starts(table: &[u32], num_groups: usize) -> Option<Vec<u32>> {
+/// One membership word per group for a dictionary of fewer than 64 codes: bit
+/// `c` of `members[g]` is set iff code `c` belongs to group `g`. Built from
+/// the code→group table, so a value listed in two groups lands where the
+/// table put it. Bit 63 is never set — it is where `NULL_CODE` lanes land.
+fn group_members(table: &[u32], num_groups: usize) -> Vec<u64> {
     let card = table.len() - 1; // last slot is the NULL sentinel
-    if card == 0 || num_groups == 0 || num_groups > 8 {
-        return None;
+    debug_assert!(card < WORD_BITS);
+    let mut members = vec![0u64; num_groups];
+    for (code, &g) in table[..card].iter().enumerate() {
+        if let Some(member) = members.get_mut(g as usize) {
+            *member |= 1u64 << code;
+        }
     }
-    let codes = &table[..card];
-    let no_group = num_groups as u32;
-    if codes.contains(&no_group) || codes.windows(2).any(|w| w[0] > w[1]) {
-        return None;
+    members
+}
+
+/// The plain lane fold behind [`member_mask_64`]: the same shape as
+/// [`range_mask_64_fold`] with the two compares replaced by a variable shift
+/// into the membership word. Codes clamp to bit 63, which no group of a
+/// < 64-code dictionary owns, so `NULL_CODE` lanes need no branch.
+#[inline(always)]
+fn member_mask_64_fold(lanes: &[u32; WORD_BITS], member: u64) -> u64 {
+    let mut m = 0u64;
+    for (b, &code) in lanes.iter().enumerate() {
+        m |= ((member >> code.min(WORD_BITS as u32 - 1)) & 1) << b;
     }
-    Some(
-        (1..num_groups as u32)
-            .map(|g| codes.partition_point(|&t| t < g) as u32)
-            .collect(),
-    )
+    m
+}
+
+/// The AVX2 compilation of [`member_mask_64_fold`] (`vpsrlvq` shifts four
+/// lanes per instruction; baseline x86-64 has no per-lane variable shift).
+/// Identical safe Rust, as for [`range_mask_64_avx2`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn member_mask_64_avx2(lanes: &[u32; WORD_BITS], member: u64) -> u64 {
+    member_mask_64_fold(lanes, member)
+}
+
+/// Branchless membership mask of one full 64-lane block of dictionary codes:
+/// bit `b` is set iff bit `min(lanes[b], 63)` of `member` is. Dispatched like
+/// [`range_mask_64`].
+#[inline(always)]
+fn member_mask_64(lanes: &[u32; WORD_BITS], member: u64) -> u64 {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `member_mask_64_avx2` is ordinary safe Rust whose only
+        // precondition is a CPU that executes AVX2 instructions, which the
+        // runtime detection above just confirmed.
+        return unsafe { member_mask_64_avx2(lanes, member) };
+    }
+    member_mask_64_fold(lanes, member)
 }
 
 /// Partition one segment-local column over its global row range into `out`
@@ -691,10 +723,33 @@ fn groups_scalar_codes(
     });
 }
 
-/// Word-parallel dictionary-code grouping: per selection word, classify every
-/// candidate lane through the code→group table (or range-start compares for
-/// contiguous layouts), OR its bit into a per-group accumulator, and flush
-/// one word per non-empty group.
+/// Equality mask of one 64-lane block of gathered group slots: bit `b` is set
+/// iff `slots[b] == g`. The byte compare vectorises on baseline x86-64, and
+/// each eight 0/1 bytes become eight bits with one multiply (byte `i`'s low
+/// bit is carried to bit `56 + i`; no two partial products meet), so this
+/// fold needs no AVX2 twin.
+#[inline]
+fn eq_mask_64(slots: &[u8; WORD_BITS], g: u8) -> u64 {
+    let mut eq = [0u8; WORD_BITS];
+    for (e, &slot) in eq.iter_mut().zip(slots) {
+        *e = (slot == g) as u8;
+    }
+    let mut m = 0u64;
+    for (k, chunk) in eq.chunks_exact(8).enumerate() {
+        let bytes = u64::from_le_bytes(chunk.try_into().expect("chunks of exactly 8"));
+        m |= (bytes.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * k);
+    }
+    m
+}
+
+/// Word-parallel dictionary-code grouping. A dense 64-row block yields one
+/// output word per group from a lane fold, masked with the candidate word:
+/// for a dictionary of fewer than 64 codes each group is a membership word
+/// and the fold is [`member_mask_64`]; a larger dictionary first gathers
+/// every lane's group through the code→group table into a byte per lane and
+/// the fold is [`eq_mask_64`] (group indices past a byte — more than 255
+/// groups — take the sparse walk for every word). Sparse words walk their set
+/// bits through the table into per-group accumulators.
 fn groups_word_codes(
     codes: &[u32],
     offset: usize,
@@ -704,45 +759,33 @@ fn groups_word_codes(
 ) {
     let card = table.len() - 1;
     let num_groups = out.len();
-    let starts = contiguous_range_starts(table, num_groups);
-    // Four 16-lane accumulator *stripes* per group plus a trash slot for "no
-    // group" (which the NULL sentinel also maps to): stripe `q` of group `g`
-    // lives at `accs[g * 4 + q]` and holds lane bits `[16q, 16q + 16)`. A
-    // single accumulator per group serialises dense blocks on a 64-deep
-    // store-forwarding chain whenever consecutive lanes land in the same
-    // group (the common case); four interleaved stripes cut the chain to 16.
-    // Dense blocks classify all 64 lanes branch-free and mask candidates at
-    // flush time; the sparse walk touches stripe 0 only.
-    let mut accs = vec![0u64; 4 * (num_groups + 1)];
+    let members = (card < WORD_BITS).then(|| group_members(table, num_groups));
+    let foldable = members.is_some() || num_groups <= usize::from(u8::MAX);
+    let mut slots = [0u8; WORD_BITS];
+    // The sparse walk's accumulators, plus a trash slot for "no group" (which
+    // the NULL sentinel also maps to).
+    let mut accs = vec![0u64; num_groups + 1];
     let end = offset + codes.len();
     for_each_sel_word(sel, offset, end, |w, cand| {
         let base = w * WORD_BITS;
         let full = base >= offset && base + WORD_BITS <= end;
-        if full && cand.count_ones() >= DENSE_LANES {
+        if full && foldable && cand.count_ones() >= DENSE_LANES {
             let lanes: &[u32; WORD_BITS] = codes[base - offset..base - offset + WORD_BITS]
                 .try_into()
                 .expect("full word has exactly WORD_BITS lanes");
-            if let Some(starts) = &starts {
-                for b in 0..WORD_BITS / 4 {
-                    for q in 0..4 {
-                        let code = lanes[q * 16 + b];
-                        let mut g = 0u32;
-                        for &s in starts {
-                            g += (code >= s) as u32;
-                        }
-                        // NULL_CODE compares past every range start, so gate
-                        // the bit on validity instead of re-routing the lane.
-                        let valid = (code != NULL_CODE) as u64;
-                        accs[g as usize * 4 + q] |= valid << (q * 16 + b);
-                    }
+            if members.is_none() {
+                for (slot, &code) in slots.iter_mut().zip(lanes) {
+                    *slot = table[(code as usize).min(card)] as u8;
                 }
-            } else {
-                for b in 0..WORD_BITS / 4 {
-                    for q in 0..4 {
-                        let code = lanes[q * 16 + b];
-                        let g = table[(code as usize).min(card)] as usize;
-                        accs[g * 4 + q] |= 1u64 << (q * 16 + b);
-                    }
+            }
+            for (g, region) in out.iter_mut().enumerate() {
+                let m = cand
+                    & match &members {
+                        Some(members) => member_mask_64(lanes, members[g]),
+                        None => eq_mask_64(&slots, g as u8),
+                    };
+                if m != 0 {
+                    region.or_word(w, m);
                 }
             }
         } else {
@@ -751,16 +794,15 @@ fn groups_word_codes(
                 let b = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 let code = codes[base + b - offset];
-                let g = table[(code as usize).min(card)] as usize;
-                accs[g * 4] |= 1u64 << b;
+                accs[table[(code as usize).min(card)] as usize] |= 1u64 << b;
             }
-        }
-        for g in 0..=num_groups {
-            let m = (accs[g * 4] | accs[g * 4 + 1] | accs[g * 4 + 2] | accs[g * 4 + 3]) & cand;
-            accs[g * 4..g * 4 + 4].fill(0);
-            if m != 0 && g < num_groups {
-                out[g].or_word(w, m);
+            for (acc, region) in accs.iter_mut().zip(out.iter_mut()) {
+                if *acc != 0 {
+                    region.or_word(w, *acc);
+                    *acc = 0;
+                }
             }
+            accs[num_groups] = 0;
         }
     });
 }
@@ -1111,21 +1153,6 @@ mod tests {
     }
 
     #[test]
-    fn contiguous_range_starts_detects_sorted_layouts() {
-        // table has the trailing NULL sentinel slot (= num_groups).
-        assert_eq!(
-            contiguous_range_starts(&[0, 0, 1, 1, 1, 2, 3], 3),
-            Some(vec![2, 5])
-        );
-        // A hole (ungrouped code) disqualifies.
-        assert_eq!(contiguous_range_starts(&[0, 3, 1, 1, 3], 3), None);
-        // Non-monotone tables disqualify.
-        assert_eq!(contiguous_range_starts(&[1, 0, 1, 2], 2), None);
-        // Empty dictionaries disqualify.
-        assert_eq!(contiguous_range_starts(&[1], 1), None);
-    }
-
-    #[test]
     fn a_part_holding_no_group_value_gets_no_table_and_no_scan() {
         let mut d = DictColumn::new();
         for s in ["a", "b", "a"] {
@@ -1139,6 +1166,73 @@ mod tests {
         // NULL slot) → "no group".
         let table = dict_group_table(&d, &[group(&["z"]), group(&["b"])]);
         assert_eq!(table, Some(vec![2, 1, 2]));
+    }
+
+    /// Deterministic pseudo-random words for the fold tests (xorshift64).
+    fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    #[test]
+    fn group_members_follow_the_table() {
+        // Codes 0 and 3 → group 0, code 1 → group 1, code 2 ungrouped; the
+        // trailing slot is the NULL sentinel.
+        assert_eq!(group_members(&[0, 1, 2, 0, 2], 2), vec![0b1001, 0b0010]);
+        assert_eq!(group_members(&[1], 1), vec![0]);
+    }
+
+    #[test]
+    fn member_fold_and_its_avx2_compilation_agree_with_a_per_lane_loop() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for round in 0..200 {
+            // Small dictionaries, codes up to the 63 clamp, and NULL lanes.
+            let card = [2u64, 4, 30, 63][round % 4];
+            let mut lanes = [0u32; WORD_BITS];
+            for lane in lanes.iter_mut() {
+                let draw = xorshift(&mut state);
+                *lane = match draw % 11 {
+                    0 => NULL_CODE,
+                    1 => 63 + (draw >> 8) as u32 % 200,
+                    _ => ((draw >> 8) % card) as u32,
+                };
+            }
+            let member = xorshift(&mut state) & (u64::MAX >> 1);
+            let mut expected = 0u64;
+            for (b, &code) in lanes.iter().enumerate() {
+                if code < 63 && (member >> code) & 1 == 1 {
+                    expected |= 1u64 << b;
+                }
+            }
+            assert_eq!(member_mask_64_fold(&lanes, member), expected);
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: the CPU executes AVX2, as just detected.
+                assert_eq!(unsafe { member_mask_64_avx2(&lanes, member) }, expected);
+            }
+            assert_eq!(member_mask_64(&lanes, member), expected);
+        }
+    }
+
+    #[test]
+    fn eq_mask_packs_every_lane_into_its_own_bit() {
+        let mut state = 0xD1B5_4A32_D192_ED03u64;
+        for _ in 0..200 {
+            let mut slots = [0u8; WORD_BITS];
+            for slot in slots.iter_mut() {
+                *slot = (xorshift(&mut state) % 5) as u8 * 51;
+            }
+            for g in [0u8, 51, 255, 7] {
+                let mut expected = 0u64;
+                for (b, &slot) in slots.iter().enumerate() {
+                    expected |= u64::from(slot == g) << b;
+                }
+                assert_eq!(eq_mask_64(&slots, g), expected);
+            }
+        }
+        assert_eq!(eq_mask_64(&[9; WORD_BITS], 9), u64::MAX);
     }
 
     #[test]

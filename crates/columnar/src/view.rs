@@ -282,8 +282,9 @@ impl<'a> ColumnView<'a> {
     ///
     /// Groups must be pairwise disjoint value sets. String columns resolve
     /// every group against each segment's dictionary once (a code→group
-    /// table, or lane-wise range compares when the dictionary is sorted and
-    /// the groups are contiguous code ranges); boolean columns honour
+    /// table; for a dictionary of fewer than 64 codes, one membership word
+    /// per group, against which 64 rows are classified by a vectorised lane
+    /// fold); boolean columns honour
     /// `"true"` / `"false"`; numeric columns resolve a combined value→group
     /// map once and classify in the same single pass (no per-group rescans).
     pub fn select_in_groups(&self, sel: &Bitmap, groups: &[Vec<String>]) -> Vec<Bitmap> {

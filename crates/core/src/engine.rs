@@ -372,16 +372,23 @@ impl Atlas {
         let clustering_ms = phase_span.finish_ms();
 
         // Step 3: merge each cluster into a representative map, one pool task
-        // per cluster, results assembled in cluster order.
+        // per cluster, results assembled in cluster order. Clusters partition
+        // the candidates, so each takes its maps rather than copying them.
         let phase_span = atlas_obs::span("phase.merge");
         let parent = atlas_obs::current();
-        let merge_results = self.pool.par_map(&clusters, |cluster| {
+        let mut maps: Vec<Option<DataMap>> = candidates.maps.into_iter().map(Some).collect();
+        let cluster_members: Vec<Vec<DataMap>> = clusters
+            .iter()
+            .map(|cluster| cluster.iter().filter_map(|&idx| maps[idx].take()).collect())
+            .collect();
+        debug_assert!(
+            maps.iter().all(Option::is_none)
+                && clusters.iter().map(Vec::len).sum::<usize>() == maps.len(),
+            "every candidate belongs to exactly one cluster"
+        );
+        let merge_results = self.pool.par_map(&cluster_members, |members| {
             let _trace = atlas_obs::with_context(parent);
-            let members: Vec<DataMap> = cluster
-                .iter()
-                .map(|&idx| candidates.maps[idx].clone())
-                .collect();
-            self.merge.merge(&ctx, &members, &working)
+            self.merge.merge(&ctx, members, &working)
         });
         let mut merged: Vec<DataMap> = Vec::with_capacity(clusters.len());
         for result in merge_results {

@@ -96,6 +96,12 @@ pub trait MapDistance: fmt::Debug + Send + Sync {
 }
 
 /// Step 3 — combine the maps of one cluster into a representative map.
+///
+/// The engine merges clusters as tasks of `ctx.pool`, and an implementation
+/// may split its own work across the same pool (nested scopes are fine: a
+/// waiting task helps drain the queue). Whatever it splits, it must assemble
+/// in input order and report the first error in input order, so the merged
+/// map does not depend on the pool's thread count.
 pub trait MergePolicy: fmt::Debug + Send + Sync {
     /// A short human-readable name (used in reports and benchmarks).
     fn name(&self) -> &str;
@@ -191,6 +197,11 @@ impl MergePolicy for ProductMerge {
 /// the first map on the attributes of the other maps, through the engine's
 /// [`CutStrategy`], so split points adapt locally. Regions whose local cut
 /// fails are kept whole, so composition never loses coverage.
+///
+/// For each further attribute the current regions are re-cut as one
+/// `ctx.pool` task each — the regions are disjoint and every cut reads only
+/// its own — and the sub-regions are assembled in region order, so the map is
+/// the same at every thread count; a one-thread pool is a plain in-order loop.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CompositionMerge;
 
@@ -208,25 +219,30 @@ impl MergePolicy for CompositionMerge {
         if members.is_empty() {
             return Ok(None);
         }
+        // Pool workers inherit the dispatching thread's span context, as in
+        // candidate generation, so kernel events attach under `phase.merge`.
+        let parent = atlas_obs::current();
         let mut result = members[0].clone();
         for other in &members[1..] {
             let Some(attribute) = other.source_attributes.first().cloned() else {
                 continue;
             };
+            let cuts = ctx.pool.par_map(&result.regions, |region| {
+                let _trace = atlas_obs::with_context(parent);
+                ctx.cut_strategy
+                    .cut(ctx, &region.selection, &region.query, &attribute)
+            });
             let mut regions = Vec::new();
-            for region in &result.regions {
-                let sub =
-                    ctx.cut_strategy
-                        .cut(ctx, &region.selection, &region.query, &attribute)?;
-                match sub {
+            for (region, sub) in result.regions.into_iter().zip(cuts) {
+                match sub? {
                     Some(sub) => regions.extend(sub.regions),
-                    None => regions.push(region.clone()),
+                    None => regions.push(region),
                 }
             }
             if ctx.drop_empty_regions {
                 regions.retain(|r| !r.is_empty());
             }
-            let mut attributes = result.source_attributes.clone();
+            let mut attributes = result.source_attributes;
             if !attributes.contains(&attribute) {
                 attributes.push(attribute);
             }

@@ -443,3 +443,257 @@ fn categorical_cuts_agree_on_both_sides_of_the_counter_capacity() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Composition (paper §3.3, Definition 4; README section map: `pipeline.rs`)
+// ---------------------------------------------------------------------------
+//
+// `M1 ∘ M2 ∘ …` by nested loops over rows: the regions of the first map are
+// the naive `CUT` of its attribute over the working set; for every further
+// attribute of the cluster, every current region — in order — is replaced by
+// the naive `CUT` of that attribute over the region's own rows, a region whose
+// local cut fails is kept whole, and empty regions never appear (the naive
+// cuts above do not return them). The oracle holds a region as its row
+// indices plus, per attribute, what bounds it: a range's upper bound or a
+// value set — the same terms the two `CUT` oracles above compare in; lower
+// bounds are the engine's rendering of a split and are not modelled here
+// either. It is compared with `CompositionMerge` region for region: bounds,
+// rows (so counts too) and order, through `compose_maps` (no profile, no
+// pool) and through a pooled context, where regions are re-cut as pool tasks.
+
+enum OracleColumn {
+    Numeric {
+        values: Vec<Option<f64>>,
+        is_int: bool,
+    },
+    Categorical(Vec<Option<String>>),
+}
+
+#[derive(Debug, Clone, PartialEq)]
+enum Bound {
+    UpTo(u64),
+    Among(Vec<String>),
+}
+
+/// One region in the oracle's terms: per attribute what bounds it (if
+/// anything), and its rows.
+type OracleRegion = (Vec<Option<Bound>>, Vec<usize>);
+
+/// The file's naive `CUT` (two-way median / frequency grouping, the default
+/// configuration) of one column over `rows`: the bound and rows of each
+/// region, in region order.
+fn oracle_cut_rows(column: &OracleColumn, rows: &[usize]) -> Option<Vec<(Bound, Vec<usize>)>> {
+    match column {
+        OracleColumn::Numeric { values, is_int } => {
+            let working_rows: Vec<Option<f64>> = rows.iter().map(|&row| values[row]).collect();
+            let regions = oracle_cut(&working_rows, *is_int, NumericCutStrategy::Median, 2)?;
+            // A value belongs to the first region whose upper bound holds it.
+            let mut members = vec![Vec::new(); regions.len()];
+            for &row in rows {
+                if let Some(x) = values[row] {
+                    let region = regions
+                        .iter()
+                        .position(|&(hi, _)| x <= f64::from_bits(hi))
+                        .expect("the last upper bound is the maximum");
+                    members[region].push(row);
+                }
+            }
+            let cut = regions.iter().zip(members).map(|(&(hi, count), rows)| {
+                assert_eq!(rows.len() as u64, count, "the oracle disagrees with itself");
+                (Bound::UpTo(hi), rows)
+            });
+            Some(cut.collect())
+        }
+        OracleColumn::Categorical(values) => {
+            let mut in_working = vec![false; values.len()];
+            for &row in rows {
+                in_working[row] = true;
+            }
+            let strategy = CategoricalCutStrategy::Frequency;
+            let regions = oracle_categorical_cut(values, &in_working, strategy, 2)?;
+            let cut = regions.into_iter().map(|(group, count)| {
+                let inside =
+                    |row: &&usize| values[**row].as_ref().is_some_and(|v| group.contains(v));
+                let rows: Vec<usize> = rows.iter().filter(inside).copied().collect();
+                assert_eq!(rows.len() as u64, count, "the oracle disagrees with itself");
+                (Bound::Among(group), rows)
+            });
+            Some(cut.collect())
+        }
+    }
+}
+
+/// The attributes that cut over the working set (the candidates), and their
+/// composition in attribute order — `None` when no attribute cuts.
+fn oracle_composition(
+    columns: &[OracleColumn],
+    working: &[usize],
+) -> (Vec<usize>, Option<Vec<OracleRegion>>) {
+    let members: Vec<usize> = (0..columns.len())
+        .filter(|&attribute| oracle_cut_rows(&columns[attribute], working).is_some())
+        .collect();
+    let Some((&first, rest)) = members.split_first() else {
+        return (members, None);
+    };
+    let bounded = |bounds: &[Option<Bound>], attribute: usize, bound: Bound| {
+        let mut bounds = bounds.to_vec();
+        bounds[attribute] = Some(bound);
+        bounds
+    };
+    let unbounded = vec![None; columns.len()];
+    let mut regions: Vec<OracleRegion> = oracle_cut_rows(&columns[first], working)
+        .expect("a member cuts")
+        .into_iter()
+        .map(|(bound, rows)| (bounded(&unbounded, first, bound), rows))
+        .collect();
+    for &attribute in rest {
+        let mut next = Vec::new();
+        for (bounds, rows) in regions {
+            match oracle_cut_rows(&columns[attribute], &rows) {
+                Some(subs) => next.extend(
+                    subs.into_iter()
+                        .map(|(bound, rows)| (bounded(&bounds, attribute, bound), rows)),
+                ),
+                None => next.push((bounds, rows)),
+            }
+        }
+        regions = next;
+    }
+    (members, Some(regions))
+}
+
+/// A composed engine map in the oracle's terms (attribute `a` is column
+/// `a{a}`).
+fn engine_regions(map: &DataMap, attributes: usize) -> Vec<OracleRegion> {
+    assert!(map.regions_are_disjoint());
+    map.regions
+        .iter()
+        .map(|region| {
+            let bounds = (0..attributes).map(|attribute| {
+                let predicate = region.query.predicate_on(&format!("a{attribute}"))?;
+                Some(match &predicate.set {
+                    PredicateSet::Range { hi, .. } => Bound::UpTo(hi.to_bits()),
+                    PredicateSet::Values(values) => Bound::Among(values.iter().cloned().collect()),
+                })
+            });
+            (bounds.collect(), region.selection.to_indices())
+        })
+        .collect()
+}
+
+fn composition_table(columns: &[OracleColumn], segments: usize) -> Table {
+    let fields = columns.iter().enumerate().map(|(attribute, column)| {
+        let dtype = match column {
+            OracleColumn::Numeric { is_int: true, .. } => DataType::Int,
+            OracleColumn::Numeric { is_int: false, .. } => DataType::Float,
+            OracleColumn::Categorical(_) => DataType::Str,
+        };
+        Field::nullable(format!("a{attribute}"), dtype)
+    });
+    let rows = match &columns[0] {
+        OracleColumn::Numeric { values, .. } => values.len(),
+        OracleColumn::Categorical(values) => values.len(),
+    };
+    let mut builder = TableBuilder::new("t", Schema::new(fields.collect()).unwrap())
+        .with_segment_rows(rows.div_ceil(segments).max(1));
+    for row in 0..rows {
+        let values: Vec<Value> = columns
+            .iter()
+            .map(|column| match column {
+                OracleColumn::Numeric { values, is_int } => match values[row] {
+                    None => Value::Null,
+                    Some(x) if *is_int => Value::Int(x as i64),
+                    Some(x) => Value::Float(x),
+                },
+                OracleColumn::Categorical(values) => {
+                    values[row].clone().map_or(Value::Null, Value::Str)
+                }
+            })
+            .collect();
+        builder.push_row(&values).unwrap();
+    }
+    builder.build().unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// Clusters of two and three attributes, numeric (Int and Float) and
+    /// categorical members in every order, NULLs in every column, binary to
+    /// near-unique cardinalities (so some members do not cut at all, and many
+    /// regions are too uniform or too small to re-cut), random working sets,
+    /// one and three segments.
+    #[test]
+    fn composition_matches_nested_loops_over_rows(
+        rows in proptest::collection::vec(
+            ((0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX), 0u8..250, 0u8..8),
+            0..400,
+        ),
+        kinds in proptest::collection::vec(0usize..3, 2..4),
+        cardinalities in proptest::collection::vec(
+            prop_oneof![Just(1u64), Just(2u64), Just(3u64), Just(6u64), Just(70u64), Just(1u64 << 40)],
+            3,
+        ),
+    ) {
+        let columns: Vec<OracleColumn> = kinds
+            .iter()
+            .enumerate()
+            .map(|(attribute, &kind)| {
+                let cell = |&((r0, r1, r2), null_roll, _): &((u64, u64, u64), u8, u8)| {
+                    let raw = [r0, r1, r2][attribute] % cardinalities[attribute];
+                    // About one row in seven is NULL, a different seventh per attribute.
+                    (!(null_roll as usize + attribute).is_multiple_of(7)).then_some(raw)
+                };
+                match kind {
+                    0 => OracleColumn::Numeric {
+                        values: rows.iter().map(|row| cell(row).map(|raw| raw as i64 as f64 - 3.0)).collect(),
+                        is_int: true,
+                    },
+                    1 => OracleColumn::Numeric {
+                        values: rows.iter().map(|row| cell(row).map(|raw| (raw as i64 - 3) as f64 / 10.0)).collect(),
+                        is_int: false,
+                    },
+                    _ => OracleColumn::Categorical(
+                        rows.iter().map(|row| cell(row).map(|raw| format!("n{}", raw * 7919 % 10_007))).collect(),
+                    ),
+                }
+            })
+            .collect();
+        let working_rows: Vec<usize> = (0..rows.len()).filter(|&row| rows[row].2 != 0).collect();
+        let working = Bitmap::from_indices(rows.len(), working_rows.iter().copied());
+        let (member_attributes, oracle) = oracle_composition(&columns, &working_rows);
+
+        let config = CutConfig::default();
+        let all = ConjunctiveQuery::all("t");
+        let pool = atlas::core::ThreadPool::new(3);
+        for segments in [1usize, 3] {
+            let table = composition_table(&columns, segments);
+            let mut members = Vec::new();
+            for attribute in 0..columns.len() {
+                let name = format!("a{attribute}");
+                let cut = cut_attribute(&table, &working, &all, &name, &config).expect("a column of t");
+                prop_assert_eq!(cut.is_some(), member_attributes.contains(&attribute), "{}", name);
+                members.extend(cut);
+            }
+            let sequential = atlas::core::compose_maps(&members, &table, &config, true).unwrap();
+            let profile = TableProfile::build(&table, None);
+            let ctx = PipelineContext {
+                table: &table,
+                profile: &profile,
+                cut_config: &config,
+                cut_strategy: &atlas::core::PaperCut,
+                drop_empty_regions: true,
+                pool: &pool,
+            };
+            let pooled = atlas::core::CompositionMerge.merge(&ctx, &members, &working).unwrap();
+            for (path, composed) in [("compose_maps", sequential), ("pooled", pooled)] {
+                prop_assert_eq!(
+                    composed.as_ref().map(|map| engine_regions(map, columns.len())),
+                    oracle.clone(),
+                    "{}, {} segment(s), kinds {:?}, cardinalities {:?}",
+                    path, segments, kinds, cardinalities
+                );
+            }
+        }
+    }
+}

@@ -119,3 +119,72 @@ fn census_explore_is_identical_across_thread_counts() {
         assert_identical(&reference, &result);
     }
 }
+
+/// Composition re-cuts the regions of a cluster as pool tasks; which thread
+/// cut which region must never show. The table has a three-attribute cluster
+/// (`x`, `y` and `c` move together, so regions re-cut twice, and `c` is
+/// constant inside most of them) and a two-attribute one whose first cut
+/// isolates a single row — a region too small to re-cut, kept whole beside a
+/// sibling whose local cut fails for another reason.
+#[test]
+fn composed_regions_are_identical_across_thread_counts() {
+    let schema = Schema::new(vec![
+        Field::new("x", DataType::Float),
+        Field::new("y", DataType::Float),
+        Field::new("c", DataType::Str),
+        Field::new("p", DataType::Int),
+        Field::new("q", DataType::Int),
+    ])
+    .unwrap();
+    let mut builder = TableBuilder::new("t", schema);
+    let rows = 600u64;
+    for i in 0..rows {
+        let x = (i.wrapping_mul(2_654_435_761) % 2000) as f64 - 1000.0;
+        let p = if i == 17 { 9 } else { 5 };
+        builder
+            .push_row(&[
+                Value::Float(x),
+                Value::Float(2.0 * x + (i % 5) as f64),
+                Value::Str(if x < 0.0 { "neg" } else { "pos" }.to_string()),
+                Value::Int(p),
+                Value::Int(p + 10),
+            ])
+            .unwrap();
+    }
+    let table = Arc::new(builder.build().unwrap());
+    let explore = |threads: usize, query: &ConjunctiveQuery| {
+        Atlas::new(
+            Arc::clone(&table),
+            AtlasConfig::default().with_parallelism(threads),
+        )
+        .unwrap()
+        .explore(query)
+        .unwrap()
+    };
+
+    let whole = ConjunctiveQuery::all("t");
+    let reference = explore(1, &whole);
+    let attributes_of = |result: &MapResult| -> Vec<Vec<String>> {
+        let maps = result.maps.iter();
+        maps.map(|ranked| ranked.map.source_attributes.clone())
+            .collect()
+    };
+    assert!(
+        attributes_of(&reference).contains(&vec!["x".to_string(), "y".into(), "c".into()]),
+        "{:?}",
+        attributes_of(&reference)
+    );
+    let lonely = reference
+        .maps
+        .iter()
+        .find(|ranked| ranked.map.source_attributes == ["p", "q"])
+        .expect("p and q cluster");
+    assert_eq!(lonely.map.region_counts(), vec![rows - 1, 1]);
+
+    let drill = whole.clone().and(Predicate::range("x", -400.0, 900.0));
+    let drilled = explore(1, &drill);
+    for threads in [2usize, 3, 8] {
+        assert_identical(&reference, &explore(threads, &whole));
+        assert_identical(&drilled, &explore(threads, &drill));
+    }
+}

@@ -228,3 +228,112 @@ proptest! {
         prop_assert_eq!(word, scalar);
     }
 }
+
+/// A one-column string table whose first `card` rows hold the `card` distinct
+/// values in order (so a single-segment layout has a dictionary of exactly
+/// `card` codes) and whose remaining rows are drawn from them, NULLs mixed in.
+fn dictionary_table(card: usize, tail: &[Option<u32>], segment_rows: usize) -> Table {
+    let schema = Schema::new(vec![Field::new("c", DataType::Str)]).unwrap();
+    let mut builder = TableBuilder::new("t", schema).with_segment_rows(segment_rows);
+    let head = (0..card).map(Some);
+    let tail = tail.iter().map(|code| code.map(|c| c as usize % card));
+    for code in head.chain(tail) {
+        let value = code.map_or(Value::Null, |c| Value::Str(format!("v{c}")));
+        builder.push_row(&[value]).unwrap();
+    }
+    builder.build().unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Both sides of the 64-code line: dictionaries of fewer than 64 codes
+    /// fold membership words, larger ones gather group slots, and every
+    /// answer is the scalar reference's — with NULL lanes, groups naming
+    /// values no dictionary holds, a value listed in two groups, an empty
+    /// group, dense / half-dense / under-16-lane / empty selection words, and
+    /// every segment layout (per-segment dictionaries then sit on either side
+    /// of the line within one column).
+    #[test]
+    fn dictionary_grouping_is_bit_identical_on_both_sides_of_the_64_code_line(
+        card in prop_oneof![
+            Just(1usize), Just(2usize), Just(62usize), Just(63usize),
+            Just(64usize), Just(65usize), Just(200usize)
+        ],
+        tail in proptest::collection::vec(proptest::option::weighted(0.85, 0u32..1000), 64..400),
+        num_groups in 1usize..9,
+        group_of_code in proptest::collection::vec(0usize..10, 1..40),
+        twice in 0usize..1000,
+        emptied in 0usize..8,
+        sel_bits in proptest::collection::vec(any::<bool>(), 1..300),
+        sel_kind in 0usize..4,
+        segment_rows in prop_oneof![Just(usize::MAX), Just(7usize), Just(64usize), Just(100usize)],
+    ) {
+        let table = dictionary_table(card, &tail, segment_rows);
+        let rows = table.num_rows();
+        let sel = match sel_kind {
+            0 => Bitmap::new_full(rows),
+            1 => Bitmap::from_fn(rows, |i| sel_bits[i % sel_bits.len()]),
+            2 => Bitmap::from_fn(rows, |i| i % 5 == 0),
+            _ => Bitmap::new_empty(rows),
+        };
+
+        // Codes are dealt to the groups (slots past `num_groups` stay
+        // ungrouped); every group also names a value no row holds, one value
+        // is listed in two groups, and one group is emptied afterwards.
+        let mut groups: Vec<Vec<String>> = vec![Vec::new(); num_groups];
+        for code in 0..card {
+            if let Some(group) = groups.get_mut(group_of_code[code % group_of_code.len()]) {
+                group.push(format!("v{code}"));
+            }
+        }
+        for (g, group) in groups.iter_mut().enumerate() {
+            group.push(format!("absent{g}"));
+        }
+        let twice = format!("v{}", twice % card);
+        groups[0].push(twice.clone());
+        groups[num_groups - 1].push(twice);
+        if num_groups > 1 {
+            groups[emptied % num_groups].clear();
+        }
+
+        let column = table.column("c").unwrap();
+        let run = || {
+            let singles: Vec<Bitmap> = groups.iter().map(|g| column.select_in(&sel, g)).collect();
+            (column.select_in_groups(&sel, &groups), singles)
+        };
+        let word = with_kernel_path(KernelPath::WordParallel, run);
+        let scalar = with_kernel_path(KernelPath::Scalar, run);
+        prop_assert_eq!(&word.0, &scalar.0, "select_in_groups");
+        prop_assert_eq!(&word.1, &scalar.1, "select_in");
+
+        let single_segment = dictionary_table(card, &tail, usize::MAX);
+        let relaid = with_kernel_path(KernelPath::WordParallel, || {
+            single_segment.column("c").unwrap().select_in_groups(&sel, &groups)
+        });
+        prop_assert_eq!(&word.0, &relaid, "layout transparency");
+    }
+}
+
+/// More groups than a gathered byte slot can name: the word path must still
+/// agree with the scalar reference (it walks set bits instead of folding).
+#[test]
+fn more_groups_than_a_byte_can_name_stay_bit_identical() {
+    let card = 300;
+    let tail: Vec<Option<u32>> = (0..200).map(|i| (i % 9 != 0).then_some(i * 7)).collect();
+    let table = dictionary_table(card, &tail, usize::MAX);
+    let sel = table.full_selection();
+    let groups: Vec<Vec<String>> = (0..card).map(|c| vec![format!("v{c}")]).collect();
+    let column = table.column("c").unwrap();
+    let word = with_kernel_path(KernelPath::WordParallel, || {
+        column.select_in_groups(&sel, &groups)
+    });
+    let scalar = with_kernel_path(KernelPath::Scalar, || {
+        column.select_in_groups(&sel, &groups)
+    });
+    assert_eq!(word, scalar);
+    assert_eq!(
+        word.iter().map(Bitmap::count).sum::<usize>(),
+        sel.count() - 23
+    );
+}
