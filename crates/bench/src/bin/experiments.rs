@@ -5,7 +5,7 @@
 //! A subset can be selected by id: `… --bin experiments e1 e4 e7`.
 
 use atlas_bench::{census, mixture, wide_numeric};
-use atlas_columnar::{with_kernel_path, Bitmap, KernelPath};
+use atlas_columnar::{with_kernel_path, Bitmap, Column, ColumnView, KernelPath};
 use atlas_core::baselines::{
     FullProductBaseline, GridCliqueBaseline, RandomMapBaseline, SingleAttributeBaseline,
 };
@@ -790,6 +790,17 @@ fn best_of_ms<T>(repeats: usize, mut f: impl FnMut() -> T) -> (f64, T) {
 /// summaries) and of a near-unique float (a plain distinct set), plus one
 /// `Median` `cut_attribute` of `age` over a scattered half of the rows — the
 /// re-cut a filtered or composed explore repeats per region.
+///
+/// Since PR 22 a sealed numeric column with few distinct values holds
+/// dictionary codes, so every numeric point above measures **coded** lanes
+/// (`age`: `u8`, `height_cm`: `u16`). Each gets a `_plain_` twin over the same
+/// rows in an unsealed lone column — what the kernel cost before, and still
+/// costs on columns that stay plain — plus: the two-way partition at a 23 %
+/// selection (`select_ranges_23pct_*`), the span compare alone at both code
+/// widths (`span_mask_*`), `select_ranges` over a plain near-unique float at
+/// 6 / 12 / 23 / 50 % density (the measurement behind `RANGE_DENSE_LANES`),
+/// the seal pass per column (`seal_*_ms`), and what each census column weighs
+/// per row plain and sealed (`bytes_per_row`).
 fn smoke_kernels(rows: usize, repeats: usize) -> Json {
     let table = census(rows);
     let sel = table.full_selection();
@@ -900,14 +911,73 @@ fn smoke_kernels(rows: usize, repeats: usize) -> Json {
     });
     assert_eq!(cut.map(|map| map.num_regions()), Some(2));
 
+    // The same rows in unsealed lone columns: plain lanes.
+    let height = table.column("height_cm").expect("census has height_cm");
+    let (age_plain, height_plain) = (plain_copy(&age), plain_copy(&height));
+    let age_plain_view = ColumnView::of_column("age", &age_plain);
+    let height_plain_view = ColumnView::of_column("height_cm", &height_plain);
+    let view_stats_ms = |view: &ColumnView<'_>| best_of_ms(repeats, || view.stats(&sel)).0;
+    let (ranges_plain_ms, ranges_plain) =
+        best_of_ms(repeats, || age_plain_view.select_ranges(&sel, &bounds));
+    assert_eq!(ranges, ranges_plain, "coded and plain lanes must agree");
+
+    // The paper's two-way cut at the 23 % the filtered explore selects, and
+    // the span compare by itself: two spans over every word of the table.
+    let two_way = |view: &ColumnView<'_>, sel: &Bitmap| {
+        let (lo, hi) = view.numeric_min_max(sel).expect("numeric column");
+        let mid = (lo + hi) / 2.0;
+        vec![(lo, mid), (mid + 1e-9, hi)]
+    };
+    let at_23pct = scattered(rows, 23);
+    let age_halves = two_way(&age, &sel);
+    let height_halves = two_way(&height, &sel);
+    let (ranges_23_ms, coded_23) =
+        best_of_ms(repeats, || age.select_ranges(&at_23pct, &age_halves));
+    let (ranges_23_plain_ms, plain_23) = best_of_ms(repeats, || {
+        age_plain_view.select_ranges(&at_23pct, &age_halves)
+    });
+    assert_eq!(
+        coded_23, plain_23,
+        "coded and plain lanes must agree at 23 %"
+    );
+    let span_u8_ms = best_of_ms(repeats, || age.select_ranges(&sel, &age_halves)).0;
+    let span_u16_ms = best_of_ms(repeats, || height.select_ranges(&sel, &height_halves)).0;
+    let span_plain_ms = best_of_ms(repeats, || {
+        height_plain_view.select_ranges(&sel, &height_halves)
+    })
+    .0;
+
+    // Plain lanes are what near-unique columns keep: the dense/sparse choice
+    // of `ranges_word` (RANGE_DENSE_LANES) at four selection densities.
+    let near_unique_view = near_unique.column("a0").expect("one column");
+    let near_unique_halves = vec![(0.0, 499.999_999), (500.0, 1000.0)];
+    let near_unique_points = [6u64, 12, 23, 50].map(|pct| {
+        let sel = scattered(rows, pct);
+        let point = best_of_ms(repeats, || {
+            near_unique_view.select_ranges(&sel, &near_unique_halves)
+        });
+        (
+            format!("select_ranges_near_unique_{pct}pct_ms"),
+            ms(point.0),
+        )
+    });
+
     let speedup =
         |word: f64, scalar: f64| Json::Num((scalar / word.max(1e-9) * 10.0).round() / 10.0);
-    Json::object(vec![
+    let fields = vec![
         ("rows", Json::from(rows)),
         ("column_stats_age_ms", ms(stats_ms(&table, "age"))),
         (
+            "column_stats_age_plain_ms",
+            ms(view_stats_ms(&age_plain_view)),
+        ),
+        (
             "column_stats_height_cm_ms",
             ms(stats_ms(&table, "height_cm")),
+        ),
+        (
+            "column_stats_height_cm_plain_ms",
+            ms(view_stats_ms(&height_plain_view)),
         ),
         (
             "column_stats_near_unique_ms",
@@ -916,6 +986,7 @@ fn smoke_kernels(rows: usize, repeats: usize) -> Json {
         ("median_cut_age_half_rows", Json::from(half.count())),
         ("median_cut_age_half_ms", ms(median_cut_ms)),
         ("select_ranges_ms", ms(ranges_ms)),
+        ("select_ranges_plain_ms", ms(ranges_plain_ms)),
         ("select_ranges_scalar_ms", ms(ranges_scalar_ms)),
         (
             "select_ranges_speedup",
@@ -943,7 +1014,105 @@ fn smoke_kernels(rows: usize, repeats: usize) -> Json {
             "contingency_speedup",
             speedup(contingency_ms, contingency_scalar_ms),
         ),
-    ])
+        ("select_ranges_23pct_rows", Json::from(at_23pct.count())),
+        ("select_ranges_23pct_ms", ms(ranges_23_ms)),
+        ("select_ranges_23pct_plain_ms", ms(ranges_23_plain_ms)),
+        ("span_mask_u8_ms", ms(span_u8_ms)),
+        ("span_mask_u16_ms", ms(span_u16_ms)),
+        ("span_mask_plain_ms", ms(span_plain_ms)),
+    ];
+    let mut fields: Vec<(String, Json)> = fields
+        .into_iter()
+        .map(|(key, value)| (key.to_string(), value))
+        .collect();
+    fields.extend(near_unique_points);
+    fields.extend(smoke_seal(&table, &near_unique, repeats));
+    fields.push(("bytes_per_row".to_string(), bytes_per_row(&table)));
+    Json::object(fields)
+}
+
+/// A pseudo-random selection of about `pct` percent of `rows` rows.
+fn scattered(rows: usize, pct: u64) -> Bitmap {
+    Bitmap::from_fn(rows, |row| {
+        ((row as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) % 100 < pct
+    })
+}
+
+/// The rows of a table column in one unsealed column: plain lanes for a
+/// numeric column, whatever its sealed parts hold.
+fn plain_copy(view: &ColumnView<'_>) -> Column {
+    let mut column = Column::new_empty(view.data_type());
+    for (_, part) in view.parts() {
+        for row in 0..part.len() {
+            column.push(&part.value(row)).expect("same type");
+        }
+    }
+    column
+}
+
+/// What sealing costs per column of `rows` values: one `Segment::new` over one
+/// whole plain column of the census — `age` (`seal_encode_ms`, coded as `u8`),
+/// `height_cm` (`seal_encode_u16_ms`) — and over a near-unique float
+/// (`seal_bailout_ms`), which leaves the pass at its 1 025th distinct value.
+fn smoke_seal(
+    census: &atlas_columnar::Table,
+    near_unique: &atlas_columnar::Table,
+    repeats: usize,
+) -> Vec<(String, Json)> {
+    use atlas_columnar::{Field, Schema, Segment};
+    let seal_ms = |view: ColumnView<'_>| {
+        let schema =
+            Schema::new(vec![Field::nullable(view.name(), view.data_type())]).expect("one field");
+        let plain = plain_copy(&view);
+        // The copies are made outside the timing; sealing consumes one each.
+        let mut copies: Vec<Column> = (0..repeats).map(|_| plain.clone()).collect();
+        let seal = || Segment::new(&schema, vec![copies.pop().expect("a copy per run")]);
+        let (best, segment) = best_of_ms(repeats, seal);
+        let sealed = segment.expect("the column matches its schema");
+        (best, sealed.column(0).encoding().name())
+    };
+    let mut fields = Vec::new();
+    for (key, encoding, view) in [
+        ("seal_encode_ms", "u8", census.column("age")),
+        ("seal_encode_u16_ms", "u16", census.column("height_cm")),
+        ("seal_bailout_ms", "plain", near_unique.column("a0")),
+    ] {
+        let (best, sealed_as) = seal_ms(view.expect("a column of the fixture"));
+        assert_eq!(sealed_as, encoding, "{key}");
+        fields.push((key.to_string(), ms(best)));
+    }
+    fields
+}
+
+/// Per column of `table`: how many parts the seal stored under each encoding,
+/// and the heap bytes per row of the plain (unsealed) column against the
+/// sealed parts.
+fn bytes_per_row(table: &atlas_columnar::Table) -> Json {
+    let per_row = |bytes: usize| ms(bytes as f64 / table.num_rows().max(1) as f64);
+    let columns = table.columns().into_iter().map(|view| {
+        let mut parts: Vec<(String, usize)> = Vec::new();
+        let mut sealed_bytes = 0;
+        let mut plain_bytes = 0;
+        for (_, part) in view.parts() {
+            let name = part.encoding().name();
+            match parts.iter_mut().find(|(seen, _)| seen == name) {
+                Some((_, n)) => *n += 1,
+                None => parts.push((name.to_string(), 1)),
+            }
+            sealed_bytes += part.heap_bytes();
+            plain_bytes += plain_copy(&ColumnView::of_column(view.name(), part)).heap_bytes();
+        }
+        let fields = vec![
+            (
+                "parts".to_string(),
+                Json::object(parts.into_iter().map(|(k, n)| (k, Json::from(n))).collect()),
+            ),
+            ("plain".to_string(), per_row(plain_bytes)),
+            ("sealed".to_string(), per_row(sealed_bytes)),
+        ];
+        (view.name().to_string(), Json::object(fields))
+    });
+    Json::object(columns.collect())
 }
 
 const WIDE_DICTIONARY_CODES: usize = 200;
@@ -1309,7 +1478,7 @@ fn pr_of(path: &str) -> Option<usize> {
 /// point for the per-kernel partition and summary-scan timings (their report
 /// section lists 1M first). A phase one of the two reports lacks is skipped,
 /// so a report gates cleanly against one written before a phase existed.
-const GATED_PHASES: [&str; 26] = [
+const GATED_PHASES: [&str; 28] = [
     "query_ms",
     "candidates_ms",
     "clustering_ms",
@@ -1324,6 +1493,8 @@ const GATED_PHASES: [&str; 26] = [
     "default_filter_merge_ms",
     "default_filter_total_ms",
     "select_ranges_ms",
+    "select_ranges_plain_ms",
+    "seal_encode_ms",
     "select_in_groups_ms",
     "select_in_groups_wide_ms",
     "sdss_build_ms",

@@ -8,7 +8,12 @@
 //! A numeric summary is a **counted value set**: one pass over the selected
 //! rows counts each distinct value in a small exact counter — no hash-set
 //! probe, no floating-point update per row — and the distinct count, `min`
-//! and `max` are read off the counts afterwards. The counts are the column's
+//! and `max` are read off the counts afterwards. A part stored as dictionary
+//! codes ([`crate::column`]) is counted per code, direct-address like a string
+//! column, and each dictionary entry some selected row holds enters the
+//! counter once with its count: the counter re-discovers nothing a sealed
+//! segment already knows, and holds the same set either way. The counts are
+//! the column's
 //! whole distribution over the selection: they add exactly under
 //! [`ColumnSummary::merge_from`], travel in [`SummaryParts`], and surface as
 //! [`ColumnStats::value_counts`], from which the median cut reads its split
@@ -39,7 +44,7 @@
 //! then `min`/`max` are the `total_cmp`-smallest/-largest NaN.
 
 use crate::bitmap::Bitmap;
-use crate::column::{Column, DictColumn, PrimitiveColumn};
+use crate::column::{Column, DictColumn, Lanes, Numeric, PrimitiveColumn, MAX_CODED_VALUES};
 use crate::kernels;
 use crate::value::DataType;
 use std::borrow::Borrow;
@@ -61,8 +66,10 @@ struct ValueCounts {
 }
 
 impl ValueCounts {
-    /// The most keys the counter holds (its largest table, half full).
-    const CAPACITY: usize = 1 << 10;
+    /// The most keys the counter holds (its largest table, half full) — also
+    /// the most entries a coded column's dictionary holds, so one coded part
+    /// never overflows an empty counter.
+    const CAPACITY: usize = MAX_CODED_VALUES;
 
     /// Count `n > 0` more occurrences of `key`. False — and nothing changes —
     /// when the key is new and the counter already holds `CAPACITY` keys.
@@ -513,8 +520,8 @@ impl ColumnSummary {
     /// merging the segment's own would give, without building that one.
     pub fn accumulate(&mut self, column: &Column, sel: &Bitmap, offset: usize) {
         match column {
-            Column::Int(values) => self.scan_numeric(values, sel, offset, |x| x as u64),
-            Column::Float(values) => self.scan_numeric(values, sel, offset, f64::to_bits),
+            Column::Int(values) => self.scan_numeric(values, sel, offset),
+            Column::Float(values) => self.scan_numeric(values, sel, offset),
             Column::Str(d) => {
                 let DistinctSet::Strs(distinct) = &mut self.distinct else {
                     unreachable!("string columns use string distinct sets");
@@ -537,22 +544,42 @@ impl ColumnSummary {
     }
 
     /// The numeric arm of [`ColumnSummary::accumulate`]: count the selected
-    /// values by `key`, the 64-bit identity the set distinguishes them by.
-    fn scan_numeric<T: Copy + Default>(
+    /// values by [`Numeric::key`], the 64-bit identity the set distinguishes
+    /// them by. Plain lanes are counted a row at a time; a coded part
+    /// already knows its distinct values, so its rows are counted per code
+    /// (direct-address, no hash probe) and each dictionary entry some
+    /// selected row holds enters the set once, with its count — the same set,
+    /// bit for bit, whichever way a part is stored.
+    fn scan_numeric<T: Numeric>(
         &mut self,
         column: &PrimitiveColumn<T>,
         sel: &Bitmap,
         offset: usize,
-        key: impl Fn(T) -> u64,
     ) {
         let DistinctSet::Numeric(set) = &mut self.distinct else {
             unreachable!("numeric columns use numeric distinct sets");
         };
-        let (values, validity) = (column.values(), column.validity());
-        self.nulls += kernels::for_each_selected_value(values, validity, offset, sel, |x| {
-            self.non_null += 1;
-            set.add(key(x), 1);
-        });
+        let validity = column.validity();
+        match column.lanes() {
+            Lanes::Plain(values) => {
+                self.nulls +=
+                    kernels::for_each_selected_value(values, validity, offset, sel, |x| {
+                        self.non_null += 1;
+                        set.add(x.key(), 1);
+                    });
+            }
+            Lanes::Coded { dict, codes } => {
+                let counts = kernels::count_coded_part(codes, dict.len(), validity, offset, sel);
+                let (&nulls, by_code) = counts.split_last().expect("the NULL slot is always there");
+                self.nulls += nulls;
+                for (x, &n) in dict.iter().zip(by_code) {
+                    if n > 0 {
+                        self.non_null += n;
+                        set.add(x.key(), n as u64);
+                    }
+                }
+            }
+        }
     }
 
     /// The column type this summary describes.
@@ -608,8 +635,13 @@ impl ColumnSummary {
         let value = |key| key_value(self.dtype, key);
         let (ends, value_counts) = match &self.distinct {
             DistinctSet::Numeric(NumericSet::Counted(counts)) => {
-                let mut pairs: Vec<_> = counts.iter().map(|(key, n)| (value(key), n)).collect();
-                pairs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+                // By value, equal values (integers beyond 2⁵³ sharing an
+                // `f64`) by key: the order is the value set's, not that of
+                // the counter's slots, which depends on insertion order.
+                let mut keyed: Vec<_> = counts.iter().collect();
+                keyed
+                    .sort_unstable_by(|a, b| value(a.0).total_cmp(&value(b.0)).then(a.0.cmp(&b.0)));
+                let pairs: Vec<_> = keyed.into_iter().map(|(key, n)| (value(key), n)).collect();
                 (extremes(pairs.iter().map(|pair| pair.0)), Some(pairs))
             }
             DistinctSet::Numeric(NumericSet::Plain(set)) => {

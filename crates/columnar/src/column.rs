@@ -1,29 +1,209 @@
-//! Typed columns with null masks and dictionary encoding for strings.
+//! Typed columns with null masks, dictionary encoding for strings and code
+//! lanes for counted numerics.
 //!
 //! A [`Column`] **stores**: it is built, measured and read a row at a time
 //! here, and nothing in this module takes a selection. Every scan goes through
 //! [`crate::ColumnView`] — a lone column is its one-part case,
 //! [`crate::ColumnView::of_column`] — whose per-part bodies live in
 //! [`crate::kernels`].
+//!
+//! A numeric column has **one representation at a time**, chosen from the data
+//! where the column becomes immutable ([`crate::Segment::new`]). While it is
+//! open (being pushed to) it is *plain*: one 8-byte lane per row. Sealing
+//! re-stores a column whose non-NULL values hold few distinct 64-bit keys —
+//! the statistics counter's own identity (`x as u64`, `f64::to_bits`, so
+//! `±0.0` and NaN payloads stay distinct) — as a **sorted dictionary**
+//! (`i64` order / [`f64::total_cmp`]) plus one `u8` (up to 256 entries) or
+//! `u16` code lane per row, and drops the 8-byte lanes. "Few" is two
+//! constants, not knobs: at most `MAX_CODED_VALUES` (1 024) entries (what the
+//! statistics counter holds) and at most a quarter of the rows (so the
+//! dictionary never outweighs the lanes it replaces: a coded column costs at
+//! most 4 bytes per row against 8). Everything else — near-unique
+//! measurements, identifiers, short segments of a wide-ranged column — stays
+//! plain. Reading a row decodes `dict[code]`; the kernels of
+//! [`crate::kernels`] and the statistics of [`crate::colstats`] resolve the
+//! dictionary once per part instead, and are the only other code that sees
+//! the lanes.
 
 use crate::bitmap::Bitmap;
 use crate::error::{ColumnarError, Result};
 use crate::value::{DataType, Value};
+use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::mem::{size_of, size_of_val};
 
 /// Sentinel code used for NULL entries in dictionary-encoded columns.
 pub const NULL_CODE: u32 = u32::MAX;
 
-/// A primitive column: a dense value vector plus a packed validity bitmap.
+/// The most distinct values a coded numeric column holds: the capacity of the
+/// statistics counter (`colstats`), so a coded part never degrades a counted
+/// summary on its own.
+pub(crate) const MAX_CODED_VALUES: usize = 1 << 10;
+
+/// A coded column holds at most one distinct value per this many rows.
+const ROWS_PER_CODED_VALUE: usize = 4;
+
+/// How a column holds its values in memory ([`Column::encoding`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Encoding {
+    /// One full-width lane per row (open columns, booleans, and sealed
+    /// numerics with too many distinct values to code).
+    Plain,
+    /// A string column: `u32` codes into a first-appearance dictionary.
+    Dict,
+    /// A sealed numeric column: `u8` codes into a sorted dictionary.
+    CodedU8,
+    /// A sealed numeric column: `u16` codes into a sorted dictionary.
+    CodedU16,
+}
+
+impl Encoding {
+    /// A short stable label (`plain`, `dict`, `u8`, `u16`) for reports.
+    pub fn name(self) -> &'static str {
+        match self {
+            Encoding::Plain => "plain",
+            Encoding::Dict => "dict",
+            Encoding::CodedU8 => "u8",
+            Encoding::CodedU16 => "u16",
+        }
+    }
+}
+
+/// The value lanes of a [`PrimitiveColumn`]. NULL rows hold `T::default()`
+/// (plain) or code 0 (coded); the validity mask says which rows those are.
+#[derive(Debug, Clone)]
+pub(crate) enum Lanes<T> {
+    /// One value per row.
+    Plain(Vec<T>),
+    /// One code per row into `dict`: the distinct non-NULL values, ascending
+    /// in the type's total order ([`Numeric::order`]), so a value range is a
+    /// code span.
+    Coded {
+        /// The distinct non-NULL values, sorted.
+        dict: Vec<T>,
+        /// The per-row codes.
+        codes: Codes,
+    },
+}
+
+/// The code lanes of a coded column, as narrow as its dictionary allows.
+#[derive(Debug, Clone)]
+pub(crate) enum Codes {
+    /// Dictionaries of up to 256 entries.
+    U8(Vec<u8>),
+    /// Larger dictionaries (up to [`MAX_CODED_VALUES`] entries).
+    U16(Vec<u16>),
+}
+
+impl Codes {
+    /// The code at `row`. Panics when out of bounds.
+    fn at(&self, row: usize) -> usize {
+        match self {
+            Codes::U8(codes) => usize::from(codes[row]),
+            Codes::U16(codes) => usize::from(codes[row]),
+        }
+    }
+}
+
+/// A numeric lane type: the 64-bit key its values are told apart by — the
+/// identity the statistics counter (`colstats`) and the seal pass share — and
+/// the total order a coded dictionary is sorted in.
+pub(crate) trait Numeric: Copy + Default {
+    /// The key: distinct values ⇔ distinct keys.
+    fn key(self) -> u64;
+    /// The value a key stands for.
+    fn from_key(key: u64) -> Self;
+    /// A total order consistent with `<=` wherever `<=` orders two values.
+    fn order(a: &Self, b: &Self) -> Ordering;
+}
+
+impl Numeric for i64 {
+    fn key(self) -> u64 {
+        self as u64
+    }
+    fn from_key(key: u64) -> Self {
+        key as i64
+    }
+    fn order(a: &Self, b: &Self) -> Ordering {
+        a.cmp(b)
+    }
+}
+
+impl Numeric for f64 {
+    fn key(self) -> u64 {
+        self.to_bits()
+    }
+    fn from_key(key: u64) -> Self {
+        f64::from_bits(key)
+    }
+    fn order(a: &Self, b: &Self) -> Ordering {
+        a.total_cmp(b)
+    }
+}
+
+/// The seal pass's key → provisional code table: open addressing over a fixed
+/// power-of-two slot array at most half full, Fibonacci-hashed like the
+/// statistics counter. Provisional codes are first-appearance ranks plus one
+/// (0 is what NULL lanes hold).
+struct SealTable {
+    /// `(key, provisional code)`; code 0 marks a free slot.
+    slots: Vec<(u64, u16)>,
+    /// The keys in first-appearance order: `keys[code - 1]`.
+    keys: Vec<u64>,
+    /// The most keys taken.
+    limit: usize,
+}
+
+impl SealTable {
+    const SLOTS: usize = 2 * MAX_CODED_VALUES;
+    const SHIFT: u32 = u64::BITS - Self::SLOTS.trailing_zeros();
+
+    fn new(limit: usize) -> Self {
+        SealTable {
+            slots: vec![(0, 0); Self::SLOTS],
+            keys: Vec::new(),
+            limit: limit.min(MAX_CODED_VALUES),
+        }
+    }
+
+    /// The provisional code of `key`; `None` when it is one key too many.
+    #[inline]
+    fn code_of(&mut self, key: u64) -> Option<u16> {
+        let mut at = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> Self::SHIFT) as usize;
+        loop {
+            let (resident, code) = self.slots[at];
+            if code == 0 {
+                if self.keys.len() >= self.limit {
+                    return None;
+                }
+                self.keys.push(key);
+                let code = self.keys.len() as u16;
+                self.slots[at] = (key, code);
+                return Some(code);
+            }
+            if resident == key {
+                return Some(code);
+            }
+            at = (at + 1) & (Self::SLOTS - 1);
+        }
+    }
+}
+
+/// A primitive column: one value lane per row plus a packed validity bitmap.
 ///
-/// NULL rows hold `T::default()` in the value vector and a zero bit in the
-/// validity mask. Splitting values from nullness is what lets the partition
-/// kernels run word-parallel: 64 validity bits load in one shift-and-or
-/// ([`Bitmap::word_at`]) and the value lanes are a plain `&[T]` slice that
-/// classification loops read without per-row `Option` unwrapping.
-#[derive(Debug, Clone, PartialEq)]
+/// NULL rows hold a filler lane and a zero bit in the validity mask.
+/// Splitting values from nullness is what lets the partition kernels run
+/// word-parallel: 64 validity bits load in one shift-and-or
+/// ([`Bitmap::word_at`]) and the lanes are a plain slice that classification
+/// loops read without per-row `Option` unwrapping. An open column holds its
+/// values as they are; a sealed numeric column with few distinct values holds
+/// dictionary codes instead (see the module docs) — never both.
+///
+/// Equality is logical: two columns are equal when they hold the same rows,
+/// however each stores them.
+#[derive(Debug, Clone)]
 pub struct PrimitiveColumn<T> {
-    values: Vec<T>,
+    lanes: Lanes<T>,
     validity: Bitmap,
 }
 
@@ -31,24 +211,30 @@ impl<T: Copy + Default> PrimitiveColumn<T> {
     /// Create an empty column.
     pub fn new() -> Self {
         PrimitiveColumn {
-            values: Vec::new(),
+            lanes: Lanes::Plain(Vec::new()),
             validity: Bitmap::new_empty(0),
         }
     }
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.validity.len()
     }
 
     /// True if the column holds no rows.
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.len() == 0
     }
 
-    /// Append a value (`None` = NULL).
+    /// Append a value (`None` = NULL). Columns are pushed to while open; a
+    /// sealed column that was coded is first decoded back to plain lanes.
     pub fn push(&mut self, value: Option<T>) {
-        self.values.push(value.unwrap_or_default());
+        if let Lanes::Coded { .. } = self.lanes {
+            *self = self.slice(0, self.len());
+        }
+        if let Lanes::Plain(values) = &mut self.lanes {
+            values.push(value.unwrap_or_default());
+        }
         self.validity.push(value.is_some());
     }
 
@@ -57,14 +243,36 @@ impl<T: Copy + Default> PrimitiveColumn<T> {
     /// # Panics
     /// Panics if `row` is out of bounds.
     pub fn get(&self, row: usize) -> Option<T> {
-        let x = self.values[row];
-        self.validity.get(row).then_some(x)
+        match &self.lanes {
+            Lanes::Plain(values) => {
+                let x = values[row];
+                self.validity.get(row).then_some(x)
+            }
+            Lanes::Coded { dict, codes } => {
+                let code = codes.at(row);
+                self.validity.get(row).then(|| dict[code])
+            }
+        }
     }
 
-    /// The dense value lanes (NULL rows hold `T::default()`; consult
-    /// [`PrimitiveColumn::validity`] before trusting a lane).
-    pub fn values(&self) -> &[T] {
-        &self.values
+    /// The lanes as stored — for the scan kernels and the statistics walk,
+    /// which resolve a dictionary once per part instead of once per row.
+    pub(crate) fn lanes(&self) -> &Lanes<T> {
+        &self.lanes
+    }
+
+    /// The dense value lanes of a plain column (NULL rows hold
+    /// `T::default()`; consult [`PrimitiveColumn::validity`] before trusting a
+    /// lane). Boolean columns are always plain; numeric scans match on
+    /// [`PrimitiveColumn::lanes`] instead.
+    ///
+    /// # Panics
+    /// Panics on a coded column.
+    pub(crate) fn values(&self) -> &[T] {
+        match &self.lanes {
+            Lanes::Plain(values) => values,
+            Lanes::Coded { .. } => panic!("a coded column has no value lanes"),
+        }
     }
 
     /// The validity mask: bit `i` set ⇔ row `i` is non-NULL.
@@ -74,7 +282,7 @@ impl<T: Copy + Default> PrimitiveColumn<T> {
 
     /// Number of NULL entries.
     pub fn null_count(&self) -> usize {
-        self.values.len() - self.validity.count()
+        self.len() - self.validity.count()
     }
 
     /// Iterate the rows as `Option<T>`.
@@ -82,20 +290,127 @@ impl<T: Copy + Default> PrimitiveColumn<T> {
         (0..self.len()).map(|row| self.get(row))
     }
 
-    /// Copy the rows `start..end` into a new column.
+    /// Copy the rows `start..end` into a new (plain) column.
     ///
     /// # Panics
     /// Panics if the range is out of bounds.
     pub fn slice(&self, start: usize, end: usize) -> Self {
-        let values = self.values[start..end].to_vec();
+        let values = match &self.lanes {
+            Lanes::Plain(values) => values[start..end].to_vec(),
+            Lanes::Coded { dict, codes } => (start..end)
+                .map(|row| dict.get(codes.at(row)).copied().unwrap_or_default())
+                .collect(),
+        };
         let len = end - start;
         let words = (0..len.div_ceil(64))
             .map(|k| self.validity.word_at(start + k * 64))
             .collect();
         PrimitiveColumn {
-            values,
+            lanes: Lanes::Plain(values),
             validity: Bitmap::from_words(len, words),
         }
+    }
+
+    /// How the lanes are held.
+    fn encoding(&self) -> Encoding {
+        match &self.lanes {
+            Lanes::Plain(_) => Encoding::Plain,
+            Lanes::Coded {
+                codes: Codes::U8(_),
+                ..
+            } => Encoding::CodedU8,
+            Lanes::Coded {
+                codes: Codes::U16(_),
+                ..
+            } => Encoding::CodedU16,
+        }
+    }
+
+    /// Bytes of column data held: lanes (and dictionary) plus the validity
+    /// words.
+    fn heap_bytes(&self) -> usize {
+        let lanes = match &self.lanes {
+            Lanes::Plain(values) => size_of_val(values.as_slice()),
+            Lanes::Coded { dict, codes } => {
+                size_of_val(dict.as_slice())
+                    + match codes {
+                        Codes::U8(codes) => size_of_val(codes.as_slice()),
+                        Codes::U16(codes) => size_of_val(codes.as_slice()),
+                    }
+            }
+        };
+        lanes + size_of_val(self.validity.words())
+    }
+}
+
+/// Choose a numeric column's sealed representation (see the module docs): coded
+/// when the non-NULL values hold at most [`MAX_CODED_VALUES`] distinct
+/// keys and at most one per [`ROWS_PER_CODED_VALUE`] rows, unchanged
+/// otherwise. One hash pass: each row's provisional first-appearance code
+/// goes straight into the code lanes while the keys are collected — the
+/// pass stops at the first key too many, so a near-unique column leaves
+/// after about a thousand rows — then the keys are sorted and the lanes
+/// remapped through a table of at most 1 025 entries.
+fn seal_numeric<T: Numeric>(column: PrimitiveColumn<T>) -> PrimitiveColumn<T> {
+    let Lanes::Plain(values) = &column.lanes else {
+        return column;
+    };
+    let mut table = SealTable::new(values.len() / ROWS_PER_CODED_VALUE);
+    // NULL lanes keep provisional code 0.
+    let mut provisional = vec![0u16; values.len()];
+    let words = column.validity.words();
+    for ((chunk, codes), &valid) in values.chunks(64).zip(provisional.chunks_mut(64)).zip(words) {
+        if valid == u64::MAX {
+            for (&x, code) in chunk.iter().zip(codes) {
+                let Some(first_seen) = table.code_of(x.key()) else {
+                    return column;
+                };
+                *code = first_seen;
+            }
+        } else {
+            let mut bits = valid;
+            while bits != 0 {
+                let lane = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let Some(first_seen) = table.code_of(chunk[lane].key()) else {
+                    return column;
+                };
+                codes[lane] = first_seen;
+            }
+        }
+    }
+    // The dictionary: the keys' values in order, each with its provisional
+    // code, from which the provisional → final table follows (0 stays 0).
+    let mut entries: Vec<(T, u16)> = table
+        .keys
+        .iter()
+        .map(|&key| T::from_key(key))
+        .zip(1..)
+        .collect();
+    entries.sort_unstable_by(|a, b| T::order(&a.0, &b.0));
+    let mut remap = vec![0u16; entries.len() + 1];
+    for (rank, &(_, first_seen)) in entries.iter().enumerate() {
+        remap[usize::from(first_seen)] = rank as u16;
+    }
+    let dict: Vec<T> = entries.into_iter().map(|(value, _)| value).collect();
+    let codes = if dict.len() <= usize::from(u8::MAX) + 1 {
+        let narrow = provisional.iter().map(|&p| remap[usize::from(p)] as u8);
+        Codes::U8(narrow.collect())
+    } else {
+        for p in &mut provisional {
+            *p = remap[usize::from(*p)];
+        }
+        Codes::U16(provisional)
+    };
+    PrimitiveColumn {
+        lanes: Lanes::Coded { dict, codes },
+        validity: column.validity,
+    }
+}
+
+impl<T: Copy + Default + PartialEq> PartialEq for PrimitiveColumn<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.validity == other.validity && self.iter().eq(other.iter())
     }
 }
 
@@ -204,6 +519,14 @@ impl DictColumn {
     pub fn cardinality(&self) -> usize {
         self.dict.len()
     }
+
+    /// Bytes of column data held: the codes, and each value twice (dictionary
+    /// and lookup index) with its `String` header and index slot.
+    fn heap_bytes(&self) -> usize {
+        let per_entry = 2 * size_of::<String>() + size_of::<u32>();
+        let strings: usize = self.dict.iter().map(|s| 2 * s.len()).sum();
+        size_of_val(self.codes.as_slice()) + self.dict.len() * per_entry + strings
+    }
 }
 
 impl Default for DictColumn {
@@ -214,9 +537,11 @@ impl Default for DictColumn {
 
 /// A typed column of values with NULL support.
 ///
-/// Numeric and boolean columns store dense value lanes plus a validity
-/// bitmap ([`PrimitiveColumn`]); string columns are dictionary encoded
-/// (see [`DictColumn`]).
+/// Numeric and boolean columns store one lane per row plus a validity bitmap
+/// ([`PrimitiveColumn`]) — full-width values, or for a sealed numeric column
+/// with few distinct values narrow codes into a sorted dictionary; string
+/// columns are dictionary encoded (see [`DictColumn`]). Equality is logical
+/// (row values), whatever the encoding.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Column {
     /// 64-bit integer column.
@@ -354,6 +679,41 @@ impl Column {
         match self {
             Column::Str(d) => Some(d),
             _ => None,
+        }
+    }
+
+    /// The column in its sealed representation: a numeric column with few
+    /// distinct values re-stored as a sorted dictionary plus code lanes (see
+    /// the module docs), anything else as it is. [`crate::Segment::new`] is
+    /// the one caller — the point where every column becomes immutable.
+    pub(crate) fn seal(self) -> Self {
+        match self {
+            Column::Int(v) => Column::Int(seal_numeric(v)),
+            Column::Float(v) => Column::Float(seal_numeric(v)),
+            other => other,
+        }
+    }
+
+    /// How the column holds its values.
+    pub fn encoding(&self) -> Encoding {
+        match self {
+            Column::Int(v) => v.encoding(),
+            Column::Float(v) => v.encoding(),
+            Column::Bool(v) => v.encoding(),
+            Column::Str(_) => Encoding::Dict,
+        }
+    }
+
+    /// The bytes of column data on the heap: lanes, dictionaries and validity
+    /// words (a string column's lookup index is estimated from its entry
+    /// count; allocator slack is not counted). What a report calls the
+    /// column's resident size.
+    pub fn heap_bytes(&self) -> usize {
+        match self {
+            Column::Int(v) => v.heap_bytes(),
+            Column::Float(v) => v.heap_bytes(),
+            Column::Bool(v) => v.heap_bytes(),
+            Column::Str(d) => d.heap_bytes(),
         }
     }
 }
@@ -590,5 +950,97 @@ mod tests {
         let got = view(&f).select_in_groups(&allf, &fg);
         assert_eq!(got[0].to_indices(), vec![0, 3]);
         assert_eq!(got[1].to_indices(), vec![1]);
+    }
+
+    /// The sealed form of a lone numeric column.
+    fn sealed(values: Vec<Option<i64>>) -> Column {
+        Column::Int(values.into()).seal()
+    }
+
+    #[test]
+    fn sealing_codes_few_distinct_values_and_leaves_the_rest_plain() {
+        // 12 rows, 3 distinct values (a quarter of the rows): coded, the
+        // dictionary sorted, NULL lanes on code 0.
+        let rows: Vec<Option<i64>> = [7, -2, 7, 40, -2, 7, 40, 7, -2, 7, 40, 7]
+            .into_iter()
+            .enumerate()
+            .map(|(i, x)| (i != 4).then_some(x))
+            .collect();
+        let plain = Column::Int(rows.clone().into());
+        assert_eq!(plain.encoding(), Encoding::Plain);
+        let coded = plain.clone().seal();
+        assert_eq!(coded.encoding(), Encoding::CodedU8);
+        let Column::Int(p) = &coded else {
+            unreachable!("sealing keeps the type")
+        };
+        let Lanes::Coded {
+            dict,
+            codes: Codes::U8(codes),
+        } = p.lanes()
+        else {
+            panic!("expected u8 codes, got {:?}", p.lanes());
+        };
+        assert_eq!(dict, &[-2, 7, 40]);
+        assert_eq!(codes, &[1, 0, 1, 2, 0, 1, 2, 1, 0, 1, 2, 1]);
+        // Equality is logical, rows decode, and the coded form is lighter.
+        assert_eq!(coded, plain);
+        assert_eq!(p.iter().collect::<Vec<_>>(), rows);
+        assert_eq!((coded.null_count(), coded.len()), (1, 12));
+        assert!(coded.heap_bytes() < plain.heap_bytes());
+        // One distinct value more than a quarter of the rows: plain.
+        let mut four = rows.clone();
+        four[0] = Some(8);
+        assert_eq!(sealed(four).encoding(), Encoding::Plain);
+        // A value only NULL rows would hold never enters the dictionary.
+        assert_eq!(sealed(vec![None; 9]).encoding(), Encoding::CodedU8);
+        assert_eq!(sealed(vec![None; 9]).value(3), Value::Null);
+        // Sealing what is sealed changes nothing; slices come back plain.
+        assert_eq!(coded.clone().seal().encoding(), Encoding::CodedU8);
+        assert_eq!(p.slice(2, 9).iter().collect::<Vec<_>>(), rows[2..9]);
+        assert_eq!(p.slice(2, 9).encoding(), Encoding::Plain);
+    }
+
+    #[test]
+    fn code_width_follows_the_dictionary_and_the_pass_stops_one_key_past_it() {
+        let column = |distinct: i64| -> Vec<Option<i64>> {
+            (0..4 * distinct + 3)
+                .map(|i| Some(i * 7 % distinct))
+                .collect()
+        };
+        assert_eq!(sealed(column(256)).encoding(), Encoding::CodedU8);
+        assert_eq!(sealed(column(257)).encoding(), Encoding::CodedU16);
+        let at_capacity = sealed(column(MAX_CODED_VALUES as i64));
+        assert_eq!(at_capacity.encoding(), Encoding::CodedU16);
+        assert_eq!(at_capacity, Column::Int(column(1024).into()));
+        assert_eq!(sealed(column(1025)).encoding(), Encoding::Plain);
+        // Floats key on their bits: both zeros and two NaNs are four values,
+        // ordered by `total_cmp`.
+        let specials = [0.0, -0.0, f64::NAN, -f64::NAN];
+        let rows: Vec<Option<f64>> = (0..16).map(|i| Some(specials[i % 4])).collect();
+        let Column::Float(p) = Column::Float(rows.clone().into()).seal() else {
+            unreachable!("sealing keeps the type")
+        };
+        let Lanes::Coded { dict, .. } = p.lanes() else {
+            panic!("four values in sixteen rows are coded");
+        };
+        let bits: Vec<u64> = dict.iter().map(|x| x.to_bits()).collect();
+        let expected = [-f64::NAN, -0.0, 0.0, f64::NAN].map(f64::to_bits);
+        assert_eq!(bits, expected);
+        let decoded: Vec<Option<u64>> = p.iter().map(|x| x.map(f64::to_bits)).collect();
+        let original: Vec<Option<u64>> = rows.iter().map(|x| x.map(f64::to_bits)).collect();
+        assert_eq!(decoded, original);
+    }
+
+    #[test]
+    fn pushing_to_a_coded_column_reopens_it() {
+        let mut column = sealed((0..40).map(|i| Some(i % 5)).collect());
+        assert_eq!(column.encoding(), Encoding::CodedU8);
+        column.push(&Value::Int(99)).unwrap();
+        column.push(&Value::Null).unwrap();
+        assert_eq!(column.encoding(), Encoding::Plain);
+        assert_eq!(column.len(), 42);
+        assert_eq!(column.value(39), Value::Int(4));
+        assert_eq!(column.value(40), Value::Int(99));
+        assert_eq!(column.value(41), Value::Null);
     }
 }

@@ -456,4 +456,50 @@ mod tests {
         let err = read_csv_str("t", &text, None, &opts).unwrap_err();
         assert!(matches!(err, ColumnarError::Csv { line: 4, .. }));
     }
+
+    #[test]
+    fn coded_columns_round_trip_byte_for_byte() {
+        // CSV → table → CSV over columns the seal codes: a `u8` integer
+        // column with NULLs, a `u16` float column that holds both zeros, and
+        // a near-unique float that stays plain — in segments that cut the
+        // rows at a non-word boundary. What is written is what was read.
+        use crate::column::Encoding;
+        let mut text = String::from("age,height,reading\n");
+        for i in 0..3_000u64 {
+            let age = if i % 17 == 0 {
+                String::new()
+            } else {
+                (18 + i * 7 % 60).to_string()
+            };
+            let height = match i % 400 {
+                0 => "-0".to_string(),
+                1 => "0".to_string(),
+                k => format!("{}", 140.0 + k as f64 / 4.0),
+            };
+            let reading = i as f64 * 1.000_123 + 0.5;
+            text.push_str(&format!("{age},{height},{reading}\n"));
+        }
+        let schema = Schema::new(vec![
+            Field::nullable("age", DataType::Int),
+            Field::new("height", DataType::Float),
+            Field::new("reading", DataType::Float),
+        ])
+        .unwrap();
+        let opts = CsvOptions {
+            segment_rows: Some(1_700),
+            ..CsvOptions::default()
+        };
+        let table = read_csv_str("t", &text, Some(schema), &opts).unwrap();
+        let encodings = |name: &str| -> Vec<Encoding> {
+            let column = table.column(name).unwrap();
+            column.parts().map(|(_, part)| part.encoding()).collect()
+        };
+        assert_eq!(encodings("age"), [Encoding::CodedU8, Encoding::CodedU8]);
+        // 400 heights are few among 1 700 rows and too many among 1 300.
+        assert_eq!(encodings("height"), [Encoding::CodedU16, Encoding::Plain]);
+        assert_eq!(encodings("reading"), [Encoding::Plain, Encoding::Plain]);
+        let mut out = Vec::new();
+        write_csv(&table, &mut out).unwrap();
+        assert_eq!(String::from_utf8(out).unwrap(), text);
+    }
 }

@@ -9,8 +9,12 @@
 //! function scans **one part** — one segment-local column sitting at a row
 //! offset of the selection — and [`crate::ColumnView`] walks a column's parts
 //! in row order. A new column encoding is taught to this module and to
-//! `accumulate`, nowhere else. The partition kernels process **64 rows per
-//! step** instead of one:
+//! `accumulate`, nowhere else — as the coded numeric column was (a sorted
+//! dictionary plus `u8`/`u16` code lanes, [`crate::column`]): its arms are
+//! `partition_codes`, `count_coded_part` and the decoding walk of
+//! `for_each_numeric_part` here, one arm of `scan_numeric` there, and no
+//! caller of [`crate::ColumnView`] can tell. The partition kernels process
+//! **64 rows per step** instead of one:
 //!
 //! * the selection bitmap is walked word-at-a-time (all-zero words are
 //!   skipped, boundary words are masked — `for_each_sel_word`);
@@ -18,8 +22,11 @@
 //!   shift-and-or per 64 rows — [`Bitmap::word_at`]), never from a per-row
 //!   `Option`;
 //! * a dense 64-row block is classified branchlessly: numeric range checks
-//!   compile to lane-wise compares over the raw `i64`/`f64` value slices, and
-//!   dictionary codes fold one lane mask per group the same way — a
+//!   compile to lane-wise compares over the raw `i64`/`f64` value slices — or,
+//!   on a coded column, the bounds are resolved against the sorted dictionary
+//!   once per part and a region is a **code span**, 64 lanes in two AVX2
+//!   compares — and dictionary codes fold one lane mask per group the same
+//!   way — a
 //!   dictionary of fewer than 64 codes turns the code→group table into one
 //!   membership word per group and a lane is `(member >> code) & 1`
 //!   (`member_mask_64`); a larger one gathers each lane's group through the
@@ -29,8 +36,13 @@
 //!
 //! An all-ones selection word (the common case when exploring the whole
 //! table) takes the dense path with no per-bit iteration at all; sparse words
-//! fall back to a set-bit loop so heavily drilled-down selections don't pay
-//! for lanes they never read.
+//! of **plain** lanes fall back to a set-bit loop so heavily drilled-down
+//! selections don't pay for lanes they never read — below
+//! `RANGE_DENSE_LANES` (4) candidates for a range partition, whose walk
+//! branches per bound, and below `GROUP_DENSE_LANES` (16) for the group
+//! folds, whose walk is a table lookup; both constants carry their measured
+//! crossover. Coded lanes never walk a full word: a span compare over 64
+//! one- or two-byte codes is cheaper than visiting two set bits.
 //!
 //! Integer range bounds arrive as `f64`s. The scalar semantics are
 //! `(x as f64) ∈ [lo, hi]`; because `i64 → f64` conversion is monotone, the
@@ -44,14 +56,17 @@
 //! Every word-parallel kernel keeps its pre-existing one-row-at-a-time
 //! implementation as a *reference*: set `ATLAS_FORCE_SCALAR=1` (or any
 //! non-empty value other than `0`) to route all partition kernels through it,
-//! or use [`with_kernel_path`] to pin a path for the current thread. Both
-//! paths are **bit-identical** by contract — the property tests in
-//! `tests/partition_kernels.rs` compare them on adversarial inputs (word
+//! or use [`with_kernel_path`] to pin a path for the current thread. The
+//! numeric references read each row through the column's decoding accessor
+//! ([`PrimitiveColumn::get`]), so they share no lane code with the kernels
+//! whatever the encoding. Both paths are **bit-identical** by contract — the
+//! property tests in `tests/partition_kernels.rs` compare them, and coded
+//! against plain storage of the same rows, on adversarial inputs (word
 //! boundaries, trailing partial words, NaN/inverted bounds, all-null
-//! columns, every segment layout).
+//! columns, both sides of the `u8`/`u16`/plain lines, every segment layout).
 
 use crate::bitmap::Bitmap;
-use crate::column::{Column, DictColumn, NULL_CODE};
+use crate::column::{Codes, Column, DictColumn, Lanes, PrimitiveColumn, NULL_CODE};
 use crate::value::DataType;
 use std::cell::Cell;
 use std::sync::OnceLock;
@@ -59,9 +74,24 @@ use std::sync::OnceLock;
 const WORD_BITS: usize = 64;
 
 /// Minimum number of candidate lanes in a word for the branchless 64-lane
-/// classification to beat the per-set-bit loop. Below this, a drilled-down
-/// selection touches only the lanes it actually selected.
-const DENSE_LANES: u32 = 16;
+/// range classification of **plain** lanes ([`ranges_word`]) to beat the
+/// per-set-bit loop. Below this, a drilled-down selection touches only the
+/// lanes it actually selected. The walk costs ~5.7 ns per row (a data-
+/// dependent branch per bound) against ~30 ns for classifying a whole word
+/// into two regions, so the crossover is low: swept in-process over 1M
+/// near-unique `f64` rows, thresholds 1–32, a two-way partition at 6 / 12 /
+/// 23 % density costs 0.60 / 0.52 / 0.50 ms at 4 against 0.89 / 1.33 / 1.39
+/// at the 16 this constant used to be, and a four-way one 1.16 / 1.20 / 1.12
+/// against 1.28 / 1.95 / 2.18 (2–3 wins the two-way sweep by a hair, 4–8 the
+/// four-way). Coded lanes have no such threshold: see [`partition_codes`].
+const RANGE_DENSE_LANES: u32 = 4;
+
+/// The same threshold for the dictionary-code and boolean group folds
+/// ([`groups_word_codes`], [`groups_word_bool`]), whose set-bit walk is one
+/// table lookup per row and no branch: the crossover sits higher. The same
+/// sweep over a 16-code and a 200-code dictionary puts it at 6–12 lanes for
+/// two groups and 16–24 for four, so 16 stays.
+const GROUP_DENSE_LANES: u32 = 16;
 
 /// Which implementation the partition kernels run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -319,45 +349,31 @@ pub(crate) fn select_ranges_part(
     let scalar = path == KernelPath::Scalar;
     observe_dispatch("select_ranges", path);
     match (column, spec) {
-        (Column::Int(p), _) if scalar => ranges_scalar(
-            p.values(),
-            p.validity(),
-            offset,
-            sel,
-            bounds,
-            |x| x as f64,
-            out,
-        ),
-        (Column::Float(p), _) if scalar => {
-            ranges_scalar(p.values(), p.validity(), offset, sel, bounds, |x| x, out)
-        }
-        (Column::Int(p), RangesSpec::Int(ibounds)) => {
-            ranges_word(p.values(), p.validity(), offset, sel, ibounds, out)
-        }
-        (Column::Float(p), RangesSpec::Float) => {
-            ranges_word(p.values(), p.validity(), offset, sel, bounds, out)
-        }
+        (Column::Int(p), _) if scalar => ranges_scalar(p, offset, sel, bounds, |x| x as f64, out),
+        (Column::Float(p), _) if scalar => ranges_scalar(p, offset, sel, bounds, |x| x, out),
+        (Column::Int(p), RangesSpec::Int(ibounds)) => ranges_lanes(p, offset, sel, ibounds, out),
+        (Column::Float(p), RangesSpec::Float) => ranges_lanes(p, offset, sel, bounds, out),
         _ => {}
     }
 }
 
-/// The pre-PR reference: per selected row, unwrap nullness, convert to `f64`,
-/// linear-scan the bounds, `set` the hit.
-fn ranges_scalar<T: Copy>(
-    values: &[T],
-    validity: &Bitmap,
+/// The pre-PR reference: per selected row, read the value through the
+/// column's decoding accessor (so it shares no lane code with the kernels,
+/// whatever the encoding), convert to `f64`, linear-scan the bounds, `set`
+/// the hit.
+fn ranges_scalar<T: Copy + Default>(
+    column: &PrimitiveColumn<T>,
     offset: usize,
     sel: &Bitmap,
     bounds: &[(f64, f64)],
     to_f64: impl Fn(T) -> f64,
     out: &mut [Bitmap],
 ) {
-    sel.for_each_one_in(offset, offset + values.len(), |idx| {
-        let local = idx - offset;
-        if !validity.get(local) {
+    sel.for_each_one_in(offset, offset + column.len(), |idx| {
+        let Some(x) = column.get(idx - offset) else {
             return;
-        }
-        let x = to_f64(values[local]);
+        };
+        let x = to_f64(x);
         for (region, &(lo, hi)) in out.iter_mut().zip(bounds) {
             if x >= lo && x <= hi {
                 region.set(idx);
@@ -410,6 +426,29 @@ fn range_mask_64<T: Copy + PartialOrd>(lanes: &[T; WORD_BITS], lo: T, hi: T) -> 
     range_mask_64_fold(lanes, lo, hi)
 }
 
+/// The word-parallel range partition of one numeric part, by how it is
+/// stored: plain lanes compare every value against the bounds
+/// ([`ranges_word`]); coded lanes classify each **dictionary entry** once —
+/// the row loop's own predicate, first matching bound wins — and partition
+/// the rows by code ([`partition_codes`]).
+fn ranges_lanes<T: Copy + Default + PartialOrd>(
+    column: &PrimitiveColumn<T>,
+    offset: usize,
+    sel: &Bitmap,
+    bounds: &[(T, T)],
+    out: &mut [Bitmap],
+) {
+    let validity = column.validity();
+    match column.lanes() {
+        Lanes::Plain(values) => ranges_word(values, validity, offset, sel, bounds, out),
+        Lanes::Coded { dict, codes } => {
+            let first_match = |x: T| bounds.iter().position(|&(lo, hi)| x >= lo && x <= hi);
+            let region_of = code_regions(dict, first_match);
+            partition_coded(codes, validity, offset, sel, &region_of, out);
+        }
+    }
+}
+
 /// Word-parallel range partition: per selection word, mask validity in one
 /// shift-and-or, then either classify all 64 lanes branchlessly (dense) or
 /// walk the set bits (sparse). `first-match` semantics are preserved by
@@ -433,7 +472,7 @@ fn ranges_word<T: Copy + PartialOrd>(
             return;
         }
         let full = base >= offset && base + WORD_BITS <= end;
-        if full && cand.count_ones() >= DENSE_LANES {
+        if full && cand.count_ones() >= RANGE_DENSE_LANES {
             let lanes: &[T; WORD_BITS] = values[base - offset..base - offset + WORD_BITS]
                 .try_into()
                 .expect("full word has exactly WORD_BITS lanes");
@@ -462,6 +501,285 @@ fn ranges_word<T: Copy + PartialOrd>(
                     }
                 }
             }
+        }
+    });
+}
+
+// ---------------------------------------------------------------------------
+// Coded numeric lanes (sorted dictionary + u8 / u16 codes)
+// ---------------------------------------------------------------------------
+
+/// A lane of dictionary codes: `u8` / `u16` into the sorted dictionary of a
+/// coded numeric column (where a value range is a code span), `u32` into a
+/// string column's.
+pub(crate) trait CodeLane: Copy + PartialOrd {
+    /// The code as a dictionary index.
+    fn index(self) -> usize;
+    /// The code of dictionary entry `index` (which the lane type can name).
+    fn code(index: usize) -> Self;
+}
+
+impl CodeLane for u8 {
+    fn index(self) -> usize {
+        usize::from(self)
+    }
+    fn code(index: usize) -> Self {
+        index as u8
+    }
+}
+
+impl CodeLane for u16 {
+    fn index(self) -> usize {
+        usize::from(self)
+    }
+    fn code(index: usize) -> Self {
+        index as u16
+    }
+}
+
+impl CodeLane for u32 {
+    fn index(self) -> usize {
+        self as usize
+    }
+    fn code(index: usize) -> Self {
+        index as u32
+    }
+}
+
+/// The span mask of one full 64-lane block of `u8` codes — bit `b` is set iff
+/// `first <= lanes[b] <= last` (`first <= last`) — in AVX2: `x ∈ [first,
+/// last]` ⇔ `x − first <= last − first` in wrapping unsigned bytes ⇔
+/// `min(x − first, last − first) == x − first`; two 32-byte halves, a
+/// subtract, a minimum, a compare and a movemask each. The portable body and
+/// test reference is [`range_mask_64_fold`], which LLVM does not narrow to
+/// byte lanes on its own (0.40 ms per 1M rows under `avx2` against 0.05) —
+/// hence the explicit intrinsics.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn span_mask_u8_avx2(lanes: &[u8; WORD_BITS], first: u8, last: u8) -> u64 {
+    use std::arch::x86_64::*;
+    let lo = _mm256_set1_epi8(first as i8);
+    let width = _mm256_set1_epi8(last.wrapping_sub(first) as i8);
+    let half = |at: usize| {
+        // SAFETY: `at + 32 <= 64`, so the unaligned 32-byte load stays inside
+        // the block.
+        let x = unsafe { _mm256_loadu_si256(lanes.as_ptr().add(at).cast()) };
+        let x = _mm256_sub_epi8(x, lo);
+        let inside = _mm256_cmpeq_epi8(_mm256_min_epu8(x, width), x);
+        u64::from(_mm256_movemask_epi8(inside) as u32)
+    };
+    half(0) | half(32) << 32
+}
+
+/// [`span_mask_u8_avx2`] over `u16` codes: the same compare on four 16-lane
+/// quarters, each pair packed to bytes (`packs` interleaves the two 128-bit
+/// halves, `permute4x64` puts them back in lane order) for one movemask per
+/// 32 lanes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn span_mask_u16_avx2(lanes: &[u16; WORD_BITS], first: u16, last: u16) -> u64 {
+    use std::arch::x86_64::*;
+    let lo = _mm256_set1_epi16(first as i16);
+    let width = _mm256_set1_epi16(last.wrapping_sub(first) as i16);
+    let quarter = |at: usize| {
+        // SAFETY: `at + 16 <= 64` lanes, so the unaligned 32-byte load stays
+        // inside the block.
+        let x = unsafe { _mm256_loadu_si256(lanes.as_ptr().add(at).cast()) };
+        let x = _mm256_sub_epi16(x, lo);
+        _mm256_cmpeq_epi16(_mm256_min_epu16(x, width), x)
+    };
+    let half = |at: usize| {
+        let packed = _mm256_packs_epi16(quarter(at), quarter(at + 16));
+        let ordered = _mm256_permute4x64_epi64::<0b11_01_10_00>(packed);
+        u64::from(_mm256_movemask_epi8(ordered) as u32)
+    };
+    half(0) | half(32) << 32
+}
+
+/// "No region" in a code → region table.
+const NO_REGION: u32 = u32::MAX;
+
+/// Resolve a partition against a dictionary instead of against the rows: the
+/// region (if any) of every dictionary entry, by the predicate the row loop
+/// would apply to the value.
+fn code_regions<T: Copy>(dict: &[T], region_of: impl Fn(T) -> Option<usize>) -> Vec<u32> {
+    dict.iter()
+        .map(|&x| region_of(x).map_or(NO_REGION, |g| g as u32))
+        .collect()
+}
+
+/// The regions of a code → region table as code spans `(region, first,
+/// last)`, empty regions left out — when every region's entries are one run
+/// of codes, which on a sorted dictionary is every partition into disjoint
+/// value ranges. `None` when some region has a hole (overlapping bounds under
+/// first-match-wins, value groups).
+fn code_spans<C: CodeLane>(region_of: &[u32], num_regions: usize) -> Option<Vec<(usize, C, C)>> {
+    // (first code, last code, codes) per region.
+    let mut runs = vec![(0usize, 0usize, 0usize); num_regions];
+    for (code, &g) in region_of.iter().enumerate() {
+        if let Some(run) = runs.get_mut(g as usize) {
+            if run.2 == 0 {
+                run.0 = code;
+            }
+            run.1 = code;
+            run.2 += 1;
+        }
+    }
+    let mut spans = Vec::with_capacity(num_regions);
+    for (g, &(first, last, codes)) in runs.iter().enumerate() {
+        if codes != 0 && codes != last + 1 - first {
+            return None;
+        }
+        if codes != 0 {
+            spans.push((g, C::code(first), C::code(last)));
+        }
+    }
+    Some(spans)
+}
+
+/// [`partition_codes`] at the width the codes are stored in, with the span
+/// mask this CPU runs: the AVX2 compilation when it has it (chosen once per
+/// part, so the masks inline into the word loop), the portable fold
+/// otherwise. Bit-identical either way (`span_masks_agree_…` pins it).
+fn partition_coded(
+    codes: &Codes,
+    validity: &Bitmap,
+    offset: usize,
+    sel: &Bitmap,
+    region_of: &[u32],
+    out: &mut [Bitmap],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: `partition_coded_avx2` is safe Rust whose only precondition
+        // is a CPU that executes AVX2 instructions, which the runtime
+        // detection above just confirmed.
+        return unsafe { partition_coded_avx2(codes, validity, offset, sel, region_of, out) };
+    }
+    match codes {
+        Codes::U8(codes) => partition_codes(
+            codes,
+            validity,
+            offset,
+            sel,
+            region_of,
+            out,
+            range_mask_64_fold,
+        ),
+        Codes::U16(codes) => partition_codes(
+            codes,
+            validity,
+            offset,
+            sel,
+            region_of,
+            out,
+            range_mask_64_fold,
+        ),
+    }
+}
+
+/// The AVX2 compilation of [`partition_coded`]'s word loop.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn partition_coded_avx2(
+    codes: &Codes,
+    validity: &Bitmap,
+    offset: usize,
+    sel: &Bitmap,
+    region_of: &[u32],
+    out: &mut [Bitmap],
+) {
+    match codes {
+        Codes::U8(codes) => {
+            let mask = |lanes: &[u8; WORD_BITS], a, b| span_mask_u8_avx2(lanes, a, b);
+            partition_codes(codes, validity, offset, sel, region_of, out, mask);
+        }
+        Codes::U16(codes) => {
+            let mask = |lanes: &[u16; WORD_BITS], a, b| span_mask_u16_avx2(lanes, a, b);
+            partition_codes(codes, validity, offset, sel, region_of, out, mask);
+        }
+    }
+}
+
+/// Partition one coded part by a code → region table (`region_of[code]`,
+/// [`NO_REGION`] for none), OR-ing each selected non-NULL row into its
+/// region's bitmap. A part none of whose entries has a region is not scanned.
+///
+/// Every full 64-row word with a candidate is classified branchlessly,
+/// whatever its density — a span compare costs less than walking two set
+/// bits, so there is no dense/sparse choice to make on code lanes: one
+/// `span_mask(lanes, first, last)` per region when the regions are code spans
+/// ([`code_spans`]), its word OR-ed in unconditionally (at a few candidates
+/// per word "any hit?" is a coin the branch predictor loses); else the lanes'
+/// regions gathered into a byte each and one [`eq_mask_64`] per region
+/// (region indices past a byte walk set bits instead). Only the partial words
+/// at the part's edges walk their set bits. `inline(always)` so each caller
+/// stamps out a copy under its own instruction set.
+#[inline(always)]
+fn partition_codes<C: CodeLane>(
+    codes: &[C],
+    validity: &Bitmap,
+    offset: usize,
+    sel: &Bitmap,
+    region_of: &[u32],
+    out: &mut [Bitmap],
+    span_mask: impl Fn(&[C; WORD_BITS], C, C) -> u64,
+) {
+    if region_of.iter().all(|&g| g == NO_REGION) {
+        return;
+    }
+    let num_regions = out.len();
+    let spans = code_spans::<C>(region_of, num_regions);
+    // NO_REGION truncates to 255, which no region of at most 255 is.
+    let slot_of: Option<Vec<u8>> = (spans.is_none() && num_regions <= usize::from(u8::MAX))
+        .then(|| region_of.iter().map(|&g| g as u8).collect());
+    let mut slots = [0u8; WORD_BITS];
+    // The set-bit walk's accumulators, plus a trash slot for "no region".
+    let mut accs = vec![0u64; num_regions + 1];
+    let end = offset + codes.len();
+    for_each_sel_word(sel, offset, end, |w, mut cand| {
+        let base = w * WORD_BITS;
+        cand &= validity_word(validity, offset, base);
+        if cand == 0 {
+            return;
+        }
+        let full = base >= offset && base + WORD_BITS <= end;
+        if full && (spans.is_some() || slot_of.is_some()) {
+            let lanes: &[C; WORD_BITS] = codes[base - offset..base - offset + WORD_BITS]
+                .try_into()
+                .expect("full word has exactly WORD_BITS lanes");
+            if let Some(spans) = &spans {
+                for &(g, first, last) in spans {
+                    out[g].or_word(w, cand & span_mask(lanes, first, last));
+                }
+            } else if let Some(slot_of) = &slot_of {
+                for (slot, &code) in slots.iter_mut().zip(lanes) {
+                    *slot = slot_of[code.index()];
+                }
+                for (g, region) in out.iter_mut().enumerate() {
+                    let m = cand & eq_mask_64(&slots, g as u8);
+                    if m != 0 {
+                        region.or_word(w, m);
+                    }
+                }
+            }
+        } else {
+            let mut bits = cand;
+            while bits != 0 {
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let g = region_of[codes[base + b - offset].index()];
+                accs[(g as usize).min(num_regions)] |= 1u64 << b;
+            }
+            for (acc, region) in accs.iter_mut().zip(out.iter_mut()) {
+                if *acc != 0 {
+                    region.or_word(w, *acc);
+                    *acc = 0;
+                }
+            }
+            accs[num_regions] = 0;
         }
     });
 }
@@ -676,11 +994,7 @@ pub(crate) fn select_in_groups_part(
                     .ok()
                     .map(|pos| map[pos].1 as usize)
             };
-            if scalar {
-                groups_scalar_keyed(p.values(), p.validity(), offset, sel, lookup, out);
-            } else {
-                groups_word_keyed(p.values(), p.validity(), offset, sel, lookup, out);
-            }
+            groups_keyed(p, offset, sel, scalar, lookup, out);
         }
         (Column::Float(p), GroupsSpec::Float(map)) if !map.is_empty() => {
             // Set predicates on floats match on the decimal rendering — a
@@ -691,13 +1005,35 @@ pub(crate) fn select_in_groups_part(
                     .ok()
                     .map(|pos| map[pos].1 as usize)
             };
-            if scalar {
-                groups_scalar_keyed(p.values(), p.validity(), offset, sel, lookup, out);
-            } else {
-                groups_word_keyed(p.values(), p.validity(), offset, sel, lookup, out);
-            }
+            groups_keyed(p, offset, sel, scalar, lookup, out);
         }
         _ => {}
+    }
+}
+
+/// Keyed (numeric) grouping of one part, by path and by how it is stored:
+/// the scalar reference reads rows through the decoding accessor; plain lanes
+/// look every row's value up ([`groups_word_keyed`]); coded lanes look each
+/// **dictionary entry** up once (a float renders once per entry, not once per
+/// row) and partition the rows by code ([`partition_codes`]).
+fn groups_keyed<T: Copy + Default>(
+    column: &PrimitiveColumn<T>,
+    offset: usize,
+    sel: &Bitmap,
+    scalar: bool,
+    lookup: impl Fn(T) -> Option<usize>,
+    out: &mut [Bitmap],
+) {
+    if scalar {
+        return groups_scalar_keyed(column, offset, sel, lookup, out);
+    }
+    let validity = column.validity();
+    match column.lanes() {
+        Lanes::Plain(values) => groups_word_keyed(values, validity, offset, sel, lookup, out),
+        Lanes::Coded { dict, codes } => {
+            let region_of = code_regions(dict, lookup);
+            partition_coded(codes, validity, offset, sel, &region_of, out);
+        }
     }
 }
 
@@ -769,7 +1105,7 @@ fn groups_word_codes(
     for_each_sel_word(sel, offset, end, |w, cand| {
         let base = w * WORD_BITS;
         let full = base >= offset && base + WORD_BITS <= end;
-        if full && foldable && cand.count_ones() >= DENSE_LANES {
+        if full && foldable && cand.count_ones() >= GROUP_DENSE_LANES {
             let lanes: &[u32; WORD_BITS] = codes[base - offset..base - offset + WORD_BITS]
                 .try_into()
                 .expect("full word has exactly WORD_BITS lanes");
@@ -852,7 +1188,7 @@ fn groups_word_bool(
             return;
         }
         let full = base >= offset && base + WORD_BITS <= end;
-        let tmask = if full && cand.count_ones() >= DENSE_LANES {
+        let tmask = if full && cand.count_ones() >= GROUP_DENSE_LANES {
             // Plain lane fold over a fixed-size block — LLVM turns the
             // byte-compare + movemask pattern into vector code on its own.
             let lanes: &[bool; WORD_BITS] = values[base - offset..base - offset + WORD_BITS]
@@ -889,21 +1225,16 @@ fn groups_word_bool(
 }
 
 /// Scalar reference for keyed (numeric) grouping: one pass, one key lookup
-/// per selected non-null row.
-fn groups_scalar_keyed<T: Copy>(
-    values: &[T],
-    validity: &Bitmap,
+/// per selected non-null row, read through the decoding accessor.
+fn groups_scalar_keyed<T: Copy + Default>(
+    column: &PrimitiveColumn<T>,
     offset: usize,
     sel: &Bitmap,
     lookup: impl Fn(T) -> Option<usize>,
     out: &mut [Bitmap],
 ) {
-    sel.for_each_one_in(offset, offset + values.len(), |idx| {
-        let local = idx - offset;
-        if !validity.get(local) {
-            return;
-        }
-        if let Some(g) = lookup(values[local]) {
+    sel.for_each_one_in(offset, offset + column.len(), |idx| {
+        if let Some(g) = column.get(idx - offset).and_then(&lookup) {
             out[g].set(idx);
         }
     });
@@ -961,13 +1292,34 @@ pub(crate) fn for_each_numeric_part(
     mut visit: impl FnMut(f64),
 ) {
     match column {
-        Column::Int(p) => {
-            for_each_selected_value(p.values(), p.validity(), offset, sel, |x| visit(x as f64));
-        }
-        Column::Float(p) => {
-            for_each_selected_value(p.values(), p.validity(), offset, sel, visit);
-        }
+        Column::Int(p) => for_each_value(p, offset, sel, |x| visit(x as f64)),
+        Column::Float(p) => for_each_value(p, offset, sel, visit),
         _ => {}
+    }
+}
+
+/// [`for_each_selected_value`] over one numeric part however it is stored: a
+/// coded part walks its code lanes and decodes `dict[code]` per visited row.
+#[inline]
+fn for_each_value<T: Copy + Default>(
+    column: &PrimitiveColumn<T>,
+    offset: usize,
+    sel: &Bitmap,
+    mut visit: impl FnMut(T),
+) {
+    let validity = column.validity();
+    match column.lanes() {
+        Lanes::Plain(values) => {
+            for_each_selected_value(values, validity, offset, sel, visit);
+        }
+        Lanes::Coded { dict, codes } => match codes {
+            Codes::U8(codes) => {
+                for_each_selected_value(codes, validity, offset, sel, |c| visit(dict[c.index()]));
+            }
+            Codes::U16(codes) => {
+                for_each_selected_value(codes, validity, offset, sel, |c| visit(dict[c.index()]));
+            }
+        },
     }
 }
 
@@ -1040,32 +1392,67 @@ pub(crate) fn count_bools_part(
 /// all 64 lanes without per-bit iteration. (Exact either way — not
 /// path-gated.)
 pub(crate) fn count_codes_part(d: &DictColumn, offset: usize, sel: &Bitmap) -> Vec<usize> {
-    let codes = d.codes();
-    let card = d.cardinality();
+    count_lanes(d.codes(), d.cardinality(), None, offset, sel)
+}
+
+/// [`count_codes_part`] for one coded numeric part: a slot per entry of its
+/// sorted dictionary and a last one for the selected NULL rows.
+pub(crate) fn count_coded_part(
+    codes: &Codes,
+    card: usize,
+    validity: &Bitmap,
+    offset: usize,
+    sel: &Bitmap,
+) -> Vec<usize> {
+    match codes {
+        Codes::U8(codes) => count_lanes(codes, card, Some(validity), offset, sel),
+        Codes::U16(codes) => count_lanes(codes, card, Some(validity), offset, sel),
+    }
+}
+
+/// Direct-address selected-row counts over code lanes: `card + 1` slots, the
+/// last for NULLs. A string dictionary marks NULL lanes with [`NULL_CODE`],
+/// which clamps into that slot; a coded numeric part marks them in `validity`
+/// and their lanes hold code 0.
+fn count_lanes<C: CodeLane>(
+    codes: &[C],
+    card: usize,
+    validity: Option<&Bitmap>,
+    offset: usize,
+    sel: &Bitmap,
+) -> Vec<usize> {
     // Two tallies per slot, taken in turn: neighbouring rows often hold the
     // same code, and back-to-back increments of one counter wait on each
     // other's store.
     let mut tallies = vec![[0usize; 2]; card + 1];
+    // NULL lanes counted as code 0 by the dense words.
+    let mut dense_nulls = 0;
     let end = offset + codes.len();
     for_each_sel_word(sel, offset, end, |w, cand| {
         let base = w * WORD_BITS;
+        let valid = validity.map_or(u64::MAX, |mask| validity_word(mask, offset, base));
         let full = base >= offset && base + WORD_BITS <= end;
         if full && cand == u64::MAX {
             for pair in codes[base - offset..base - offset + WORD_BITS].chunks_exact(2) {
-                tallies[(pair[0] as usize).min(card)][0] += 1;
-                tallies[(pair[1] as usize).min(card)][1] += 1;
+                tallies[pair[0].index().min(card)][0] += 1;
+                tallies[pair[1].index().min(card)][1] += 1;
             }
+            dense_nulls += (!valid).count_ones() as usize;
         } else {
-            let mut bits = cand;
+            tallies[card][0] += (cand & !valid).count_ones() as usize;
+            let mut bits = cand & valid;
             while bits != 0 {
                 let b = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 let code = codes[base + b - offset];
-                tallies[(code as usize).min(card)][b & 1] += 1;
+                tallies[code.index().min(card)][b & 1] += 1;
             }
         }
     });
-    tallies.into_iter().map(|[a, b]| a + b).collect()
+    let mut counts: Vec<usize> = tallies.into_iter().map(|[a, b]| a + b).collect();
+    counts[0] -= dense_nulls;
+    counts[card] += dense_nulls;
+    counts
 }
 
 /// The selected `(non-NULL, NULL)` row counts of one dictionary part, read
@@ -1265,5 +1652,83 @@ mod tests {
         // Empty and inverted ranges are no-ops.
         for_each_sel_word(&sel, 5, 5, |_, _| panic!("empty range"));
         for_each_sel_word(&sel, 300, 400, |_, _| panic!("past the end"));
+    }
+
+    /// The span mask of one lane type against a per-lane loop: the portable
+    /// fold and `avx2` (the AVX2 body, where the CPU has it), over random
+    /// blocks and spans that touch both ends of the type.
+    fn check_span_masks<C: CodeLane + std::fmt::Debug>(
+        max: u64,
+        lane: impl Fn(u64) -> C,
+        avx2: impl Fn(&[C; WORD_BITS], C, C) -> Option<u64>,
+    ) {
+        let mut state = 0xA076_1D64_78BD_642Fu64;
+        for round in 0..300u64 {
+            // Lanes spread over the whole type, or crowded around its ends.
+            let lanes: [C; WORD_BITS] = std::array::from_fn(|_| {
+                let draw = xorshift(&mut state);
+                lane(match round % 3 {
+                    0 => draw % (max + 1),
+                    1 => draw % 4,
+                    _ => max - draw % 4,
+                })
+            });
+            let a = xorshift(&mut state) % (max + 1);
+            let b = xorshift(&mut state) % (max + 1);
+            let spans = [
+                (a.min(b), a.max(b)),
+                (0, a),
+                (a, max),
+                (0, max),
+                (0, 0),
+                (max, max),
+                (a, a),
+            ];
+            for (first, last) in spans {
+                let (first, last) = (lane(first), lane(last));
+                let mut expected = 0u64;
+                for (bit, &x) in lanes.iter().enumerate() {
+                    expected |= u64::from(x >= first && x <= last) << bit;
+                }
+                assert_eq!(range_mask_64_fold(&lanes, first, last), expected);
+                if let Some(mask) = avx2(&lanes, first, last) {
+                    assert_eq!(mask, expected, "{lanes:?} in [{first:?}, {last:?}]");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn span_masks_agree_with_the_portable_fold_at_both_widths() {
+        #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+        fn avx2_u8(lanes: &[u8; WORD_BITS], first: u8, last: u8) -> Option<u64> {
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: the CPU executes AVX2, as just detected.
+                return Some(unsafe { span_mask_u8_avx2(lanes, first, last) });
+            }
+            None
+        }
+        #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+        fn avx2_u16(lanes: &[u16; WORD_BITS], first: u16, last: u16) -> Option<u64> {
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: the CPU executes AVX2, as just detected.
+                return Some(unsafe { span_mask_u16_avx2(lanes, first, last) });
+            }
+            None
+        }
+        check_span_masks(u64::from(u8::MAX), |x| x as u8, avx2_u8);
+        check_span_masks(u64::from(u16::MAX), |x| x as u16, avx2_u16);
+    }
+
+    #[test]
+    fn code_spans_are_found_only_when_every_region_is_one_run() {
+        // Regions 0 and 2 are runs, region 1 is empty, entry 4 has no region.
+        let spans = code_spans::<u8>(&[0, 0, 2, 2, NO_REGION], 3);
+        assert_eq!(spans, Some(vec![(0, 0u8, 1u8), (2, 2, 3)]));
+        // A hole in region 0 (overlapping bounds under first-match-wins).
+        assert_eq!(code_spans::<u8>(&[0, 1, 0], 2), None);
+        assert_eq!(code_spans::<u16>(&[NO_REGION; 3], 2), Some(Vec::new()));
     }
 }

@@ -29,8 +29,11 @@
 //! * [`Value`] / [`DataType`] — the scalar type system (64-bit integers, 64-bit
 //!   floats, dictionary-encoded strings, booleans).
 //! * [`Column`] — a typed segment-local column with a null mask; string columns
-//!   are dictionary-encoded ([`column::DictColumn`]).
-//! * [`Segment`] — an immutable row range: one column per field.
+//!   are dictionary-encoded ([`column::DictColumn`]), and a sealed numeric
+//!   column with few distinct values holds a sorted dictionary plus `u8` /
+//!   `u16` code lanes instead of 8-byte values ([`Encoding`], [`mod@column`]).
+//! * [`Segment`] — an immutable row range: one column per field; sealing one
+//!   is where each column's representation is chosen.
 //! * [`ColumnView`] — one schema column across every segment of a table; all
 //!   selection / partition / statistics kernels live here.
 //! * [`Bitmap`] — a packed selection vector over the table's global rows,
@@ -66,7 +69,7 @@ pub mod view;
 pub use bitmap::Bitmap;
 pub use builder::TableBuilder;
 pub use colstats::{ColumnStats, ColumnSummary, DistinctValues, SummaryParts};
-pub use column::{Column, PrimitiveColumn};
+pub use column::{Column, Encoding, PrimitiveColumn};
 pub use error::{ColumnarError, Result};
 pub use join::hash_join;
 pub use kernels::{active_kernel_path, force_scalar, with_kernel_path, KernelPath};

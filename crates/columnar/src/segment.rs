@@ -5,9 +5,16 @@
 //! appending data to a table never touches (or copies) the rows already
 //! ingested: a new table is the old segment list plus one new segment, and
 //! engine-side statistics extend by merging the new segment's summaries. A
-//! segment holds no statistics of its own: sealing is a pure move, and
-//! [`crate::ColumnSummary`] — scanned per segment, merged exactly — is the
-//! only way statistics combine.
+//! segment holds no statistics of its own — [`crate::ColumnSummary`], scanned
+//! per segment and merged exactly, is the only way statistics combine — but
+//! sealing is where storage is decided: [`Segment::new`] is the one point at
+//! which every column becomes immutable (the builder's seal, `Table::new`'s
+//! chunking, CSV ingest and row appends all end there), so it is where a
+//! numeric column with few distinct values trades its 8-byte lanes for a
+//! sorted dictionary and `u8`/`u16` codes (one hash pass per numeric value;
+//! see [`crate::column`]). The choice is per column per segment, from that
+//! segment's data alone: one table column may mix coded and plain parts, and
+//! no answer depends on which is which.
 //!
 //! The segment size is a storage-layout knob, not a semantics knob: every scan
 //! kernel walks the segments in row order and assembles results in global row
@@ -49,9 +56,11 @@ pub struct Segment {
 impl Segment {
     /// Seal a segment from columns matching `schema`. All columns must have
     /// the same length and the schema's types; violations are reported with
-    /// the offending column's name.
+    /// the offending column's name. Each column takes its sealed
+    /// representation here (see the module docs).
     pub fn new(schema: &Schema, columns: Vec<Column>) -> Result<Self> {
         let num_rows = validate_columns(schema, &columns)?;
+        let columns = columns.into_iter().map(Column::seal).collect();
         Ok(Segment { columns, num_rows })
     }
 

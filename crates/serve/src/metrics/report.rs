@@ -17,6 +17,7 @@ use crate::resilience::CircuitState;
 use crate::sessions::SessionManager;
 use crate::shard::ShardState;
 use crate::wire::Json;
+use atlas_columnar::{DataType, Encoding};
 use std::sync::Arc;
 
 /// What a [`Sample`] measured.
@@ -224,8 +225,8 @@ fn circuit_samples(
 }
 
 /// Everything `/metrics` reports beyond the request counters: one visit to
-/// the sessions, each dataset's caches, the shard role, each coordinator, the
-/// process-wide `atlas_obs` counters and the tracer ring.
+/// the sessions, each dataset's caches and storage, the shard role, each
+/// coordinator, the process-wide `atlas_obs` counters and the tracer ring.
 fn walk(parts: &Components) -> Vec<Sample> {
     let mut out = Vec::new();
     let sessions = parts.sessions.counters();
@@ -246,7 +247,8 @@ fn walk(parts: &Components) -> Vec<Sample> {
     }
     for dataset in parts.registry.datasets() {
         let name = dataset.name();
-        let (result, profile) = (dataset.cache_stats(), dataset.snapshot().0.profile_stats());
+        let engine = dataset.snapshot().0;
+        let (result, profile) = (dataset.cache_stats(), engine.profile_stats());
         for (section, key, outcome, count) in [
             ("result_cache", "hits", "hit", result.hits),
             ("result_cache", "misses", "miss", result.misses),
@@ -259,6 +261,39 @@ fn walk(parts: &Components) -> Vec<Sample> {
                 &format!("atlas_{section}_total"),
                 &[("dataset", name), ("outcome", outcome)],
                 Value::Counter(count as u64),
+            ));
+        }
+        // How the dataset is stored: per column, its segment-local parts by
+        // encoding — a sealed numeric column is dictionary codes (`u8` /
+        // `u16`) where it has few distinct values and plain 8-byte lanes
+        // where it does not, decided per segment — and the heap bytes held.
+        for column in engine.table().columns() {
+            let encodings: &[Encoding] = match column.data_type() {
+                DataType::Str => &[Encoding::Dict],
+                DataType::Bool => &[Encoding::Plain],
+                _ => &[Encoding::Plain, Encoding::CodedU8, Encoding::CodedU16],
+            };
+            for &encoding in encodings {
+                let count = column
+                    .parts()
+                    .filter(|(_, part)| part.encoding() == encoding);
+                out.push(Sample::new(
+                    &["storage", name, column.name(), "parts", encoding.name()],
+                    "atlas_storage_parts",
+                    &[
+                        ("dataset", name),
+                        ("column", column.name()),
+                        ("encoding", encoding.name()),
+                    ],
+                    Value::Gauge(count.count() as f64),
+                ));
+            }
+            let bytes: usize = column.parts().map(|(_, part)| part.heap_bytes()).sum();
+            out.push(Sample::new(
+                &["storage", name, column.name(), "resident_bytes"],
+                "atlas_storage_resident_bytes",
+                &[("dataset", name), ("column", column.name())],
+                Value::Gauge(bytes as f64),
             ));
         }
     }

@@ -235,6 +235,82 @@ fn cuts_agree_on_both_sides_of_the_counter_capacity() {
     }
 }
 
+/// One column whose segments the seal stores four ways — `u8` codes, `u16`
+/// codes, plain lanes, and an all-NULL segment with an empty dictionary —
+/// cut like the oracle says, over whole and scattered working sets: the
+/// statistics fold coded and plain parts into one value set and the partition
+/// compares codes in some segments and values in others.
+#[test]
+fn cuts_match_the_oracle_on_a_column_that_mixes_encodings() {
+    use atlas::columnar::Encoding;
+    for float in [false, true] {
+        // (rows, distinct values) per segment; `None` = all NULL.
+        let layout = [
+            (400u64, Some(20u64)),
+            (2_000, Some(400)),
+            (300, Some(1 << 40)),
+            (40, None),
+        ];
+        let mut column: Vec<Option<f64>> = Vec::new();
+        let dtype = if float {
+            DataType::Float
+        } else {
+            DataType::Int
+        };
+        let schema = Schema::new(vec![Field::nullable("x", dtype)]).unwrap();
+        let mut builder = TableBuilder::new("t", schema).with_segment_rows(usize::MAX);
+        for (segment, &(rows, distinct)) in layout.iter().enumerate() {
+            for i in 0..rows {
+                let draw = (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15 + segment as u64) >> 20;
+                let cell = distinct.filter(|_| i % 13 != 0).map(|d| {
+                    let v = (draw % d) as i64 % 100_000 - 7;
+                    if float {
+                        v as f64 / 10.0
+                    } else {
+                        v as f64
+                    }
+                });
+                builder
+                    .push_row(&[match cell {
+                        None => Value::Null,
+                        Some(x) if float => Value::Float(x),
+                        Some(x) => Value::Int(x as i64),
+                    }])
+                    .unwrap();
+                column.push(cell);
+            }
+            builder.seal_segment().unwrap();
+        }
+        let table = builder.build().unwrap();
+        let encodings: Vec<Encoding> = table
+            .column("x")
+            .unwrap()
+            .parts()
+            .map(|(_, part)| part.encoding())
+            .collect();
+        assert_eq!(
+            encodings,
+            [
+                Encoding::CodedU8,
+                Encoding::CodedU16,
+                Encoding::Plain,
+                Encoding::CodedU8
+            ]
+        );
+        let scattered = Bitmap::from_fn(column.len(), |row| (row * 7) % 11 < 4);
+        for working in [table.full_selection(), scattered] {
+            let rows: Vec<Option<f64>> = working.iter_ones().map(|row| column[row]).collect();
+            for strategy in [NumericCutStrategy::Median, NumericCutStrategy::EquiWidth] {
+                for k in 2..=4 {
+                    let oracle = oracle_cut(&rows, !float, strategy, k);
+                    assert!(oracle.is_some(), "{strategy:?} k={k} float={float}");
+                    assert_eq!(engine_cut(&table, &working, strategy, k), oracle);
+                }
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // The categorical `CUT` (second slice of the oracle)
 // ---------------------------------------------------------------------------

@@ -337,3 +337,282 @@ fn more_groups_than_a_byte_can_name_stay_bit_identical() {
         sel.count() - 23
     );
 }
+
+// ---------------------------------------------------------------------------
+// Coded ≡ plain ≡ scalar: the sealed representation of a numeric column
+// ---------------------------------------------------------------------------
+
+use atlas::columnar::{Column, ColumnView, Encoding, SummaryParts};
+
+/// The `k`-th value of the pool a generated column draws from. The first
+/// slots are the values a sorted dictionary has to get right — both zeros,
+/// NaNs of both signs and two payloads, the infinities; integers beyond 2⁵³
+/// that share an `f64`, and the ends of the type — the rest are evenly spaced
+/// with gaps a bound can fall into.
+fn pool_value(float: bool, k: usize) -> Value {
+    if float {
+        Value::Float(match k {
+            0 => -0.0,
+            1 => 0.0,
+            2 => f64::NAN,
+            3 => -f64::NAN,
+            4 => f64::from_bits(0x7ff8_0000_0000_0001),
+            5 => f64::from_bits(0xfff8_0000_0000_0001),
+            6 => f64::INFINITY,
+            7 => f64::NEG_INFINITY,
+            k => (k as f64 - 500.0) / 4.0,
+        })
+    } else {
+        Value::Int(match k {
+            0 => 1 << 60,
+            1 => (1 << 60) + 1,
+            2 => (1 << 60) + 2,
+            3 => -(1 << 60) - 1,
+            4 => i64::MAX,
+            5 => i64::MIN,
+            k => (k as i64 - 500) * 3,
+        })
+    }
+}
+
+fn pool_f64(float: bool, k: usize) -> f64 {
+    match pool_value(float, k) {
+        Value::Float(x) => x,
+        Value::Int(x) => x as f64,
+        _ => unreachable!("numeric pool"),
+    }
+}
+
+/// splitmix64: the deterministic draws behind the body of a generated column.
+fn mix(seed: u64, i: u64) -> u64 {
+    let mut z = seed.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Everything the kernels say about one column under the current kernel
+/// path, floats as bit patterns (NaNs and signed zeros must survive).
+struct Observed {
+    summaries: Vec<SummaryParts>,
+    stats: Vec<String>,
+    ranges: Vec<Vec<Bitmap>>,
+    singles: Vec<Bitmap>,
+    members: Vec<Bitmap>,
+    grouped: Vec<Vec<Bitmap>>,
+    gathered: Vec<Vec<u64>>,
+    min_max: Vec<Option<(u64, u64)>>,
+    non_null: Bitmap,
+    values: Vec<Option<u64>>,
+}
+
+impl Observed {
+    /// The first field in which `self` and `other` differ, if any — a failed
+    /// case names the kernel instead of printing thousands of rows.
+    fn first_difference(&self, other: &Observed) -> Option<&'static str> {
+        [
+            ("summary", self.summaries != other.summaries),
+            ("stats", self.stats != other.stats),
+            ("select_ranges", self.ranges != other.ranges),
+            ("select_range", self.singles != other.singles),
+            ("select_in", self.members != other.members),
+            ("select_in_groups", self.grouped != other.grouped),
+            ("numeric_values_where", self.gathered != other.gathered),
+            ("numeric_min_max", self.min_max != other.min_max),
+            ("non_null_mask", self.non_null != other.non_null),
+            ("value", self.values != other.values),
+        ]
+        .into_iter()
+        .find_map(|(kernel, differs)| differs.then_some(kernel))
+    }
+}
+
+fn observe(
+    col: ColumnView<'_>,
+    sels: &[Bitmap],
+    bounds: &[(f64, f64)],
+    values: &[String],
+    groups: &[Vec<String>],
+) -> Observed {
+    let bits = |x: f64| x.to_bits();
+    let stats = |sel: &Bitmap| {
+        let s = col.stats(sel);
+        let counts = s.value_counts.map(|pairs| {
+            let pairs = pairs.into_iter().map(|(x, n)| (bits(x), n));
+            pairs.collect::<Vec<_>>()
+        });
+        let ends = (s.min.map(bits), s.max.map(bits));
+        let rows = (s.non_null_count, s.null_count, s.distinct_count);
+        format!("{rows:?} {ends:?} {counts:?} {:?}", s.category_counts)
+    };
+    Observed {
+        summaries: sels.iter().map(|s| col.summary(s).to_parts()).collect(),
+        stats: sels.iter().map(stats).collect(),
+        ranges: sels.iter().map(|s| col.select_ranges(s, bounds)).collect(),
+        singles: sels
+            .iter()
+            .flat_map(|s| bounds.iter().map(|&(lo, hi)| col.select_range(s, lo, hi)))
+            .collect(),
+        members: sels.iter().map(|s| col.select_in(s, values)).collect(),
+        grouped: sels
+            .iter()
+            .map(|s| col.select_in_groups(s, groups))
+            .collect(),
+        gathered: sels
+            .iter()
+            .map(|s| col.numeric_values_where(s).into_iter().map(bits).collect())
+            .collect(),
+        min_max: sels
+            .iter()
+            .map(|s| col.numeric_min_max(s).map(|(lo, hi)| (bits(lo), bits(hi))))
+            .collect(),
+        non_null: col.non_null_mask(),
+        values: (0..col.len())
+            .map(|row| match col.value(row) {
+                Value::Null => None,
+                Value::Int(x) => Some(x as u64),
+                Value::Float(x) => Some(bits(x)),
+                other => unreachable!("numeric column holds {other:?}"),
+            })
+            .collect(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// Sealing chooses a representation; no answer may depend on it. The same
+    /// rows are held three ways — a lone unsealed column (plain lanes, the
+    /// reference), and tables sealed at five segment sizes, which code the
+    /// whole column, none of it, or some parts and not others — and every
+    /// kernel must say the same thing about all of them on both kernel paths:
+    /// on each side of the `u8`/`u16` and coded/plain lines, with the values
+    /// a sorted dictionary must order (`±0.0`, NaNs, `±∞`, integers sharing
+    /// an `f64`), NULL-heavy and all-NULL columns, bounds that are inverted,
+    /// NaN, overlapping or between two entries, and selections from dense to
+    /// empty that leave partial words at both ends of the parts.
+    #[test]
+    fn coded_plain_and_scalar_agree_at_every_edge(
+        distinct in prop_oneof![
+            Just(1usize), Just(2usize), Just(255usize), Just(256usize), Just(257usize),
+            Just(1023usize), Just(1024usize), Just(1025usize)
+        ],
+        float in any::<bool>(),
+        seed in any::<u64>(),
+        tail in 1usize..300,
+        null_mode in 0usize..4,
+        bound_picks in proptest::collection::vec(
+            ((0usize..1100, -2i32..3), (0usize..1100, -2i32..3), 0usize..8),
+            1..4,
+        ),
+        group_of in proptest::collection::vec(0usize..5, 1..40),
+    ) {
+        // Every pool value once, scrambled, then draws: four rows per value
+        // and a ragged tail, so the single-segment layout is within the size
+        // rule and the last word is partial.
+        let rows = 4 * distinct + tail;
+        let null_pct = [0u64, 10, 90, 100][null_mode];
+        let cells: Vec<Value> = (0..rows)
+            .map(|i| {
+                if mix(seed ^ 1, i as u64) % 100 < null_pct {
+                    return Value::Null;
+                }
+                let k = if i < distinct {
+                    (i * 7919) % distinct
+                } else {
+                    (mix(seed, i as u64) % distinct as u64) as usize
+                };
+                pool_value(float, k)
+            })
+            .collect();
+        let dtype = if float { DataType::Float } else { DataType::Int };
+        let mut plain = Column::new_empty(dtype);
+        for cell in &cells {
+            plain.push(cell).unwrap();
+        }
+        prop_assert_eq!(plain.encoding(), Encoding::Plain);
+
+        let sels = [
+            Bitmap::new_full(rows),
+            Bitmap::from_fn(rows, |i| mix(seed ^ 2, i as u64) % 100 < 23),
+            Bitmap::from_fn(rows, |i| i % 23 == 0),
+            Bitmap::new_empty(rows),
+            Bitmap::from_fn(rows, |i| (3..rows.saturating_sub(2)).contains(&i) && i % 5 != 0),
+        ];
+        // Bounds off the pool: on an entry, just below or above it, halfway
+        // to the next — in either order, so inverted and overlapping lists
+        // occur — plus NaN and infinite ends.
+        let bounds: Vec<(f64, f64)> = bound_picks
+            .iter()
+            .map(|&((lo, lo_off), (hi, hi_off), special)| {
+                let at = |k: usize, off: i32| pool_f64(float, 8 + k % distinct.max(9)) + f64::from(off) * 0.125;
+                match special {
+                    0 => (f64::NAN, at(hi, hi_off)),
+                    1 => (f64::NEG_INFINITY, at(hi, hi_off)),
+                    2 => (at(lo, lo_off), f64::INFINITY),
+                    _ => (at(lo, lo_off), at(hi, hi_off)),
+                }
+            })
+            .collect();
+        // Rendered pool values dealt to four groups (slot 4 = ungrouped), one
+        // value listed twice, and look-alikes that must never match.
+        let render = |k: usize| match pool_value(float, k % distinct) {
+            Value::Float(x) => x.to_string(),
+            Value::Int(x) => x.to_string(),
+            _ => unreachable!("numeric pool"),
+        };
+        let mut groups: Vec<Vec<String>> = vec![Vec::new(); 4];
+        for (k, &g) in group_of.iter().enumerate() {
+            if let Some(group) = groups.get_mut(g) {
+                group.push(render(k * 31));
+            }
+        }
+        groups[0].push(render(7));
+        groups[3].push(render(7));
+        groups[1].extend(["007".to_string(), "+7".to_string(), "1e0".to_string()]);
+        let values: Vec<String> = groups[0].iter().chain(&groups[1]).cloned().collect();
+
+        let run = |col: ColumnView<'_>| {
+            let word = with_kernel_path(KernelPath::WordParallel, || {
+                observe(col, &sels, &bounds, &values, &groups)
+            });
+            let scalar = with_kernel_path(KernelPath::Scalar, || {
+                observe(col, &sels, &bounds, &values, &groups)
+            });
+            (word, scalar)
+        };
+        let (reference, reference_scalar) = run(ColumnView::of_column("x", &plain));
+        prop_assert_eq!(reference.first_difference(&reference_scalar), None, "plain: scalar");
+
+        let schema = Schema::new(vec![Field::nullable("x", dtype)]).unwrap();
+        for segment_rows in [usize::MAX, 7, 64, 100, 1024] {
+            let mut builder =
+                TableBuilder::new("t", schema.clone()).with_segment_rows(segment_rows);
+            for cell in &cells {
+                builder.push_row(std::slice::from_ref(cell)).unwrap();
+            }
+            let table = builder.build().unwrap();
+            let col = table.column("x").unwrap();
+            if segment_rows == usize::MAX {
+                // The seal rule itself: entries a `u8` can name, entries a
+                // `u16` must, one value too many.
+                let held = match null_mode {
+                    3 => 0,
+                    0 => distinct,
+                    _ => col.stats(&sels[0]).distinct_count,
+                };
+                let expected = match held {
+                    0..=256 => Encoding::CodedU8,
+                    257..=1024 => Encoding::CodedU16,
+                    _ => Encoding::Plain,
+                };
+                let encodings: Vec<Encoding> = col.parts().map(|(_, c)| c.encoding()).collect();
+                prop_assert_eq!(encodings, vec![expected], "{} distinct", held);
+            }
+            let (word, scalar) = run(col);
+            let layout = segment_rows;
+            prop_assert_eq!(word.first_difference(&reference), None, "{} rows: word", layout);
+            prop_assert_eq!(scalar.first_difference(&reference), None, "{} rows: scalar", layout);
+        }
+    }
+}

@@ -248,3 +248,53 @@ fn streamed_csv_explores_identically() {
         .unwrap();
     assert_identical(&a, &b);
 }
+
+/// One table whose segments hold the same columns under different encodings
+/// — the first half of `x` and `y` draws from a dozen values (coded when
+/// sealed on its own), the second half is near-unique (plain), and the
+/// single-segment reference holds too many distinct values to code at all —
+/// explores bit-for-bit like that reference, whole table and drill-down.
+#[test]
+fn explore_is_bit_identical_over_segments_that_mix_encodings() {
+    use atlas::columnar::Encoding;
+    let numeric: Vec<f64> = (0..1_200u64)
+        .map(|i| {
+            let draw = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+            if i < 600 {
+                (draw % 12) as f64 * 50.0 - 300.0
+            } else {
+                (draw % 2_000_000) as f64 / 1_000.0 - 1_000.0
+            }
+        })
+        .collect();
+    let categories = [0u8, 1, 2, 3, 1, 0, 2];
+    let reference = build_table(&numeric, &categories, &[], usize::MAX);
+    let mixed = build_table(&numeric, &categories, &[599], usize::MAX);
+    let encodings = |table: &Table| -> Vec<Encoding> {
+        let x = table.column("x").unwrap();
+        x.parts().map(|(_, part)| part.encoding()).collect()
+    };
+    assert_eq!(encodings(&reference), [Encoding::Plain]);
+    assert_eq!(encodings(&mixed), [Encoding::CodedU8, Encoding::Plain]);
+
+    let drill = ConjunctiveQuery::all("t").and(Predicate::range("x", -250.0, 400.0));
+    for merge in [MergeStrategy::Product, MergeStrategy::Composition] {
+        let config = AtlasConfig {
+            merge,
+            ..AtlasConfig::default()
+        };
+        for query in [ConjunctiveQuery::all("t"), drill.clone()] {
+            let single = Atlas::new(Arc::clone(&reference), config.clone().with_parallelism(1))
+                .unwrap()
+                .explore(&query)
+                .unwrap();
+            for parallelism in [1usize, 3] {
+                let engine = Atlas::new(
+                    Arc::clone(&mixed),
+                    config.clone().with_parallelism(parallelism),
+                );
+                assert_identical(&single, &engine.unwrap().explore(&query).unwrap());
+            }
+        }
+    }
+}

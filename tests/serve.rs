@@ -284,3 +284,108 @@ fn a_session_surviving_an_append_refreshes_its_current_step() {
     assert_eq!(step.get("working_set_size").unwrap().num(), Some(1_250.0));
     handle.shutdown();
 }
+
+/// `/metrics` says how each dataset is stored — per column, how many of its
+/// segment-local parts hold plain lanes, `u8` codes or `u16` codes, and the
+/// heap bytes they weigh — in both formats, and an appended segment shows up
+/// as one more part per column under whatever encoding its own rows earned.
+#[test]
+fn metrics_report_how_each_column_is_stored() {
+    use atlas::columnar::Encoding;
+    let table = Arc::new(CensusGenerator::with_rows(4_000, 42).generate());
+    let mut registry = Registry::new();
+    let options = DatasetOptions {
+        config: AtlasConfig::fast(),
+        cache_capacity: 4,
+    };
+    registry
+        .add_table("census", Arc::clone(&table), options)
+        .unwrap();
+    let handle = Server::start(registry, ServeConfig::default().with_threads(2)).unwrap();
+    let client = Client::new(handle.addr());
+
+    // What the report must say, read off a table directly.
+    let expected = |table: &Table, column: &str, encoding: Encoding| {
+        let view = table.column(column).unwrap();
+        let parts = view.parts().filter(|(_, part)| part.encoding() == encoding);
+        parts.count() as f64
+    };
+    let reported = |column: &str, leaf: &[&str]| {
+        let metrics = client.get("/metrics").unwrap().json().unwrap();
+        let mut at = metrics.get("storage").unwrap().get("census").unwrap();
+        for key in [column].iter().chain(leaf) {
+            at = at.get(key).unwrap_or_else(|| panic!("{column}: no {key}"));
+        }
+        at.num().unwrap()
+    };
+    for field in table.schema().fields() {
+        let encodings: &[Encoding] = match field.dtype {
+            DataType::Str => &[Encoding::Dict],
+            DataType::Bool => &[Encoding::Plain],
+            _ => &[Encoding::Plain, Encoding::CodedU8, Encoding::CodedU16],
+        };
+        for &encoding in encodings {
+            assert_eq!(
+                reported(&field.name, &["parts", encoding.name()]),
+                expected(&table, &field.name, encoding),
+                "{} {}",
+                field.name,
+                encoding.name()
+            );
+        }
+    }
+    // Seventy-odd ages: every part is byte codes, under half the weight of
+    // the eight-byte lanes they replaced (dictionaries included, at any
+    // segment size CI runs).
+    let segments = table.num_segments() as f64;
+    assert_eq!(reported("age", &["parts", "u8"]), segments);
+    assert_eq!(reported("age", &["parts", "plain"]), 0.0);
+    let age_bytes = reported("age", &["resident_bytes"]);
+    assert!(
+        age_bytes > 4_000.0 && age_bytes < 4.0 * 4_000.0,
+        "{age_bytes}"
+    );
+
+    // One appended 1 024-row segment: one more part per column.
+    let batch = CensusGenerator::with_rows(1_024, 1234).generate();
+    let mut csv = Vec::new();
+    atlas::columnar::csv::write_csv(&batch, &mut csv).unwrap();
+    let text = String::from_utf8(csv).unwrap();
+    let body = text.split_once('\n').unwrap().1;
+    let reply = client
+        .request(
+            "POST",
+            "/datasets/census/rows",
+            Some(("text/csv", body.as_bytes())),
+        )
+        .unwrap();
+    assert_eq!(reply.status, 200, "{:?}", reply.body_text());
+    assert_eq!(reported("age", &["parts", "u8"]), segments + 1.0);
+    let parts_of = |column: &str| -> f64 {
+        let encodings = ["plain", "u8", "u16"];
+        encodings
+            .iter()
+            .map(|e| reported(column, &["parts", e]))
+            .sum()
+    };
+    assert_eq!(parts_of("height_cm"), segments + 1.0);
+    assert!(reported("age", &["resident_bytes"]) > age_bytes + 1_024.0);
+
+    // The text exposition carries the same samples.
+    let text = Client::new(handle.addr())
+        .with_header("Accept", "text/plain")
+        .get("/metrics")
+        .unwrap();
+    let text = text.body_text().unwrap().to_string();
+    assert!(text.contains("# TYPE atlas_storage_parts gauge"), "{text}");
+    let line = format!(
+        "atlas_storage_parts{{dataset=\"census\",column=\"age\",encoding=\"u8\"}} {}",
+        segments + 1.0
+    );
+    assert!(text.contains(&line), "{line}\n{text}");
+    assert!(
+        text.contains("atlas_storage_resident_bytes{dataset=\"census\",column=\"age\"}"),
+        "{text}"
+    );
+    handle.shutdown();
+}
