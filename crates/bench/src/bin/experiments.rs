@@ -781,8 +781,8 @@ fn best_of_ms<T>(repeats: usize, mut f: impl FnMut() -> T) -> (f64, T) {
 /// Per-kernel timings for the word-parallel partition kernels (PR 9) against
 /// the one-row-at-a-time scalar reference that `ATLAS_FORCE_SCALAR=1`
 /// selects: `select_ranges` over the integer `age` column, `select_in_groups`
-/// over the dictionary `education` column, and the contingency word fold over
-/// their region bitmaps. Each figure is the best of `repeats` runs, and the
+/// over the string `education` column (4 values on `u8` lanes since PR 23),
+/// and the contingency word fold over their region bitmaps. Each figure is the best of `repeats` runs, and the
 /// two paths' outputs are asserted bit-identical before anything is reported.
 ///
 /// The summary scan under every cut is timed beside them: whole-column
@@ -855,8 +855,15 @@ fn smoke_kernels(rows: usize, repeats: usize) -> Json {
         "select_in_groups must be bit-identical"
     );
 
-    // The same partition over a dictionary of 200 codes: past the 64 codes a
-    // membership word can hold, the kernel gathers group slots instead.
+    // A two-value column: each group is one code, so a code span.
+    let sex = table.column("sex").expect("census has sex");
+    let sexes: Vec<Vec<String>> = sex.dictionary().into_iter().map(|v| vec![v]).collect();
+    let span_groups_ms = best_of_ms(repeats, || sex.select_in_groups(&sel, &sexes)).0;
+
+    // The same partition over a dictionary of 200 codes, its two groups
+    // interleaved: no group is a run of codes, so the kernel gathers a region
+    // slot per lane (as it does for `education`; a two-value column's groups
+    // are code spans).
     let wide = wide_dictionary(rows, WIDE_DICTIONARY_CODES);
     let wide_column = wide.column("c").expect("one column");
     let wide_groups: Vec<Vec<String>> = (0..2)
@@ -877,7 +884,7 @@ fn smoke_kernels(rows: usize, repeats: usize) -> Json {
     });
     assert_eq!(
         wide_grouped, wide_ref,
-        "select_in_groups must be bit-identical past 64 codes"
+        "select_in_groups must be bit-identical over 200 codes"
     );
 
     let ra: Vec<&Bitmap> = ranges.iter().collect();
@@ -998,6 +1005,7 @@ fn smoke_kernels(rows: usize, repeats: usize) -> Json {
             "select_in_groups_speedup",
             speedup(groups_ms, groups_scalar_ms),
         ),
+        ("select_in_groups_span_ms", ms(span_groups_ms)),
         (
             "select_in_groups_wide_codes",
             Json::from(WIDE_DICTIONARY_CODES),

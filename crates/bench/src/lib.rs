@@ -1,34 +1,24 @@
 //! # atlas-bench
 //!
-//! Shared fixtures for the Criterion benchmarks and the experiment harness
+//! Fixtures of the `experiments` binary
 //! (`cargo run -p atlas-bench --bin experiments --release`).
 //!
 //! The paper ("Fast Cartography for Data Explorers", VLDB 2013) is a vision
-//! paper without result tables; EXPERIMENTS.md and DESIGN.md define the
-//! experiment suite E1–E10 that turns each figure and each measurable claim
-//! into a quantitative, reproducible check. The benchmarks in `benches/`
-//! measure the latency side (one bench target per experiment family); the
-//! `experiments` binary prints the quality/behaviour tables.
+//! paper without result tables; the experiment suite E1–E10 turns each figure
+//! and each measurable claim into a quantitative, reproducible check, and the
+//! `experiments` binary prints those quality/behaviour tables. The latency
+//! side is its `bench-smoke` report (the committed `BENCH_*.json` files) and
+//! the `benchmark/` harness.
 
 #![warn(missing_docs)]
 
 use atlas_columnar::Table;
-use atlas_datagen::{CensusGenerator, MixtureGenerator, OrdersGenerator, SdssGenerator};
+use atlas_datagen::{CensusGenerator, MixtureGenerator};
 use std::sync::Arc;
 
-/// The default census fixture used across benchmarks.
+/// The default census fixture.
 pub fn census(rows: usize) -> Arc<Table> {
     Arc::new(CensusGenerator::with_rows(rows, 42).generate())
-}
-
-/// The default sky-survey fixture used across benchmarks.
-pub fn sky(rows: usize) -> Arc<Table> {
-    Arc::new(SdssGenerator::with_rows(rows, 42).generate())
-}
-
-/// The default orders fixture used across benchmarks.
-pub fn orders(rows: usize) -> Arc<Table> {
-    Arc::new(OrdersGenerator::with_rows(rows, 42).generate())
 }
 
 /// A mixture fixture with planted clusters, returning the table and labels.
@@ -69,8 +59,6 @@ mod tests {
     #[test]
     fn fixtures_have_expected_shapes() {
         assert_eq!(census(100).num_rows(), 100);
-        assert_eq!(sky(50).num_rows(), 50);
-        assert_eq!(orders(70).num_rows(), 70);
         let (table, labels) = mixture(120, 3);
         assert_eq!(table.num_rows(), 120);
         assert_eq!(labels.len(), 120);

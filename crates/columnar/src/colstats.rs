@@ -25,7 +25,8 @@
 //!
 //! A string or boolean summary is counted the same way, by category: the one
 //! walk that counts the selected rows per dictionary code
-//! (`kernels::count_codes_part`) keeps those counts — every value of every
+//! (`kernels::count_coded_part`, the body coded numerics are counted by)
+//! keeps those counts — every value of every
 //! dictionary walked, **zero counts included**, in first-appearance order,
 //! which makes the order the column's and not the selection's. They add under
 //! [`ColumnSummary::merge_from`] (in row order: a later part appends the
@@ -44,7 +45,7 @@
 //! then `min`/`max` are the `total_cmp`-smallest/-largest NaN.
 
 use crate::bitmap::Bitmap;
-use crate::column::{Column, DictColumn, Lanes, Numeric, PrimitiveColumn, MAX_CODED_VALUES};
+use crate::column::{Column, Lanes, Numeric, PrimitiveColumn, MAX_CODED_VALUES};
 use crate::kernels;
 use crate::value::DataType;
 use std::borrow::Borrow;
@@ -250,23 +251,23 @@ impl<S: Borrow<str> + Hash + Eq> CategorySet<S> {
         }
     }
 
-    /// Count the selected rows of one dictionary part (local row 0 at global
+    /// Count the selected rows of one string part (local row 0 at global
     /// row `offset`) into the set; the `(non-NULL, NULL)` selected rows of
     /// the part. A dictionary that alone is more than the counter holds is
     /// not counted into it first.
     pub(crate) fn count_part<'d>(
         &mut self,
-        d: &'d DictColumn,
+        column: &'d Column,
         offset: usize,
         sel: &Bitmap,
     ) -> (usize, usize)
     where
         S: From<&'d str>,
     {
-        if d.cardinality() > Self::CAPACITY {
+        if kernels::dictionary_part(column).len() > Self::CAPACITY {
             self.make_plain();
         }
-        kernels::count_values_part(d, offset, sel, |value, n| self.add(value, n))
+        kernels::count_values_part(column, offset, sel, |value, n| self.add(value, n))
     }
 
     /// Forget the counts, if any are left.
@@ -522,11 +523,11 @@ impl ColumnSummary {
         match column {
             Column::Int(values) => self.scan_numeric(values, sel, offset),
             Column::Float(values) => self.scan_numeric(values, sel, offset),
-            Column::Str(d) => {
+            Column::Str(_) => {
                 let DistinctSet::Strs(distinct) = &mut self.distinct else {
                     unreachable!("string columns use string distinct sets");
                 };
-                let (non_null, nulls) = distinct.count_part(d, offset, sel);
+                let (non_null, nulls) = distinct.count_part(column, offset, sel);
                 self.non_null += non_null;
                 self.nulls += nulls;
             }

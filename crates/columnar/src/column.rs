@@ -1,5 +1,5 @@
-//! Typed columns with null masks, dictionary encoding for strings and code
-//! lanes for counted numerics.
+//! Typed columns with null masks; one dictionary-coded representation for
+//! strings and for counted numerics.
 //!
 //! A [`Column`] **stores**: it is built, measured and read a row at a time
 //! here, and nothing in this module takes a selection. Every scan goes through
@@ -24,6 +24,17 @@
 //! [`crate::kernels`] and the statistics of [`crate::colstats`] resolve the
 //! dictionary once per part instead, and are the only other code that sees
 //! the lanes.
+//!
+//! A string column ([`DictColumn`]) stores **the same three things** — a
+//! dictionary, one code lane per row (`Codes`) and a validity bitmap, NULL
+//! lanes holding code 0 — and differs in the dictionary's order only: first
+//! appearance (the order the paper's "order in which the user gives them"
+//! heuristic reads) instead of sorted. It is coded from its first row: while
+//! open it interns through a lookup index into `u32` lanes, and sealing
+//! narrows the lanes to the width its dictionary size allows (`u8` up to 256
+//! entries, `u16` up to 65 536, `u32` past that) and drops the index. So every
+//! kernel that reads code lanes reads one type, at the narrowest width the
+//! data allows, with one NULL convention.
 
 use crate::bitmap::Bitmap;
 use crate::error::{ColumnarError, Result};
@@ -31,9 +42,6 @@ use crate::value::{DataType, Value};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::mem::{size_of, size_of_val};
-
-/// Sentinel code used for NULL entries in dictionary-encoded columns.
-pub const NULL_CODE: u32 = u32::MAX;
 
 /// The most distinct values a coded numeric column holds: the capacity of the
 /// statistics counter (`colstats`), so a coded part never degrades a counted
@@ -46,25 +54,34 @@ const ROWS_PER_CODED_VALUE: usize = 4;
 /// How a column holds its values in memory ([`Column::encoding`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Encoding {
-    /// One full-width lane per row (open columns, booleans, and sealed
-    /// numerics with too many distinct values to code).
+    /// One full-width lane per row (open numeric columns, booleans, and
+    /// sealed numerics with too many distinct values to code).
     Plain,
-    /// A string column: `u32` codes into a first-appearance dictionary.
-    Dict,
-    /// A sealed numeric column: `u8` codes into a sorted dictionary.
+    /// `u8` codes into a dictionary of up to 256 entries.
     CodedU8,
-    /// A sealed numeric column: `u16` codes into a sorted dictionary.
+    /// `u16` codes into a dictionary of up to 65 536 entries.
     CodedU16,
+    /// `u32` codes: a string column that is open, or whose dictionary is
+    /// larger still.
+    CodedU32,
 }
 
 impl Encoding {
-    /// A short stable label (`plain`, `dict`, `u8`, `u16`) for reports.
+    /// Every encoding, in the order reports list them.
+    pub const ALL: [Encoding; 4] = [
+        Encoding::Plain,
+        Encoding::CodedU8,
+        Encoding::CodedU16,
+        Encoding::CodedU32,
+    ];
+
+    /// A short stable label (`plain`, `u8`, `u16`, `u32`) for reports.
     pub fn name(self) -> &'static str {
         match self {
             Encoding::Plain => "plain",
-            Encoding::Dict => "dict",
             Encoding::CodedU8 => "u8",
             Encoding::CodedU16 => "u16",
+            Encoding::CodedU32 => "u32",
         }
     }
 }
@@ -86,21 +103,60 @@ pub(crate) enum Lanes<T> {
     },
 }
 
-/// The code lanes of a coded column, as narrow as its dictionary allows.
+/// The code lanes of a coded column — the only code-lane type there is — as
+/// narrow as a sealed column's dictionary allows.
 #[derive(Debug, Clone)]
 pub(crate) enum Codes {
     /// Dictionaries of up to 256 entries.
     U8(Vec<u8>),
-    /// Larger dictionaries (up to [`MAX_CODED_VALUES`] entries).
+    /// Dictionaries of up to 65 536 entries.
     U16(Vec<u16>),
+    /// An open string column, or a string dictionary larger still.
+    U32(Vec<u32>),
 }
 
+/// Evaluate `$body` with `$lanes` bound to the code slice of `$codes`, at
+/// whichever width it is stored.
+macro_rules! at_each_width {
+    ($codes:expr, $lanes:ident => $body:expr) => {
+        match $codes {
+            $crate::column::Codes::U8($lanes) => $body,
+            $crate::column::Codes::U16($lanes) => $body,
+            $crate::column::Codes::U32($lanes) => $body,
+        }
+    };
+}
+pub(crate) use at_each_width;
+
 impl Codes {
+    /// The `u32` lanes of an open column (each code below `entries`) at the
+    /// narrowest width that names `entries` dictionary entries.
+    fn narrowest(open: Vec<u32>, entries: usize) -> Codes {
+        if entries <= usize::from(u8::MAX) + 1 {
+            Codes::U8(open.iter().map(|&code| code as u8).collect())
+        } else if entries <= usize::from(u16::MAX) + 1 {
+            Codes::U16(open.iter().map(|&code| code as u16).collect())
+        } else {
+            Codes::U32(open)
+        }
+    }
+
     /// The code at `row`. Panics when out of bounds.
     fn at(&self, row: usize) -> usize {
+        at_each_width!(self, codes => codes[row] as usize)
+    }
+
+    /// The bytes the lanes take.
+    fn heap_bytes(&self) -> usize {
+        at_each_width!(self, codes => size_of_val(codes.as_slice()))
+    }
+
+    /// The encoding label of the width.
+    fn encoding(&self) -> Encoding {
         match self {
-            Codes::U8(codes) => usize::from(codes[row]),
-            Codes::U16(codes) => usize::from(codes[row]),
+            Codes::U8(_) => Encoding::CodedU8,
+            Codes::U16(_) => Encoding::CodedU16,
+            Codes::U32(_) => Encoding::CodedU32,
         }
     }
 }
@@ -315,14 +371,7 @@ impl<T: Copy + Default> PrimitiveColumn<T> {
     fn encoding(&self) -> Encoding {
         match &self.lanes {
             Lanes::Plain(_) => Encoding::Plain,
-            Lanes::Coded {
-                codes: Codes::U8(_),
-                ..
-            } => Encoding::CodedU8,
-            Lanes::Coded {
-                codes: Codes::U16(_),
-                ..
-            } => Encoding::CodedU16,
+            Lanes::Coded { codes, .. } => codes.encoding(),
         }
     }
 
@@ -331,13 +380,7 @@ impl<T: Copy + Default> PrimitiveColumn<T> {
     fn heap_bytes(&self) -> usize {
         let lanes = match &self.lanes {
             Lanes::Plain(values) => size_of_val(values.as_slice()),
-            Lanes::Coded { dict, codes } => {
-                size_of_val(dict.as_slice())
-                    + match codes {
-                        Codes::U8(codes) => size_of_val(codes.as_slice()),
-                        Codes::U16(codes) => size_of_val(codes.as_slice()),
-                    }
-            }
+            Lanes::Coded { dict, codes } => size_of_val(dict.as_slice()) + codes.heap_bytes(),
         };
         lanes + size_of_val(self.validity.words())
     }
@@ -430,79 +473,92 @@ impl<T: Copy + Default> From<Vec<Option<T>>> for PrimitiveColumn<T> {
     }
 }
 
-/// A dictionary-encoded categorical column.
+/// A dictionary-coded string column: a dictionary in first-appearance order
+/// (which the query layer uses for the "order in which the user gives them"
+/// cutting heuristic of the paper), one code lane per row and a validity
+/// bitmap — what a coded numeric column stores (see the module docs), NULL
+/// lanes on code 0 likewise.
 ///
-/// Values are stored as `u32` codes into `dict`; NULLs are stored as
-/// [`NULL_CODE`]. The dictionary preserves first-appearance order, which the
-/// query layer uses for the "order in which the user gives them" cutting
-/// heuristic of the paper.
-#[derive(Debug, Clone, PartialEq)]
+/// An open column interns through a lookup index into `u32` lanes; the sealed
+/// form ([`crate::Segment::new`]) holds the narrowest lanes its dictionary
+/// allows and no index. Pushing to a sealed column reopens it.
+///
+/// Equality is logical: two columns are equal when they hold the same rows,
+/// whatever each interned and at whatever width.
+#[derive(Debug, Clone)]
 pub struct DictColumn {
     dict: Vec<String>,
-    codes: Vec<u32>,
-    index: HashMap<String, u32>,
+    codes: Codes,
+    validity: Bitmap,
+    /// value → code while the column is open; `None` once sealed.
+    index: Option<HashMap<String, u32>>,
 }
 
 impl DictColumn {
-    /// Create an empty dictionary column.
+    /// Create an empty (open) dictionary column.
     pub fn new() -> Self {
         DictColumn {
             dict: Vec::new(),
-            codes: Vec::new(),
-            index: HashMap::new(),
+            codes: Codes::U32(Vec::new()),
+            validity: Bitmap::new_empty(0),
+            index: Some(HashMap::new()),
         }
     }
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.codes.len()
+        self.validity.len()
     }
 
     /// True if the column holds no rows.
     pub fn is_empty(&self) -> bool {
-        self.codes.is_empty()
+        self.len() == 0
     }
 
-    /// Append a value, interning it in the dictionary.
+    /// Append a value (`None` = NULL), interning it in the dictionary. A
+    /// sealed column is reopened first.
     pub fn push(&mut self, value: Option<&str>) {
-        match value {
-            None => self.codes.push(NULL_CODE),
-            Some(s) => {
-                let code = self.intern(s);
-                self.codes.push(code);
-            }
-        }
+        let (dict, codes, index) = self.open();
+        codes.push(value.map_or(0, |s| intern_in(dict, index, s)));
+        self.validity.push(value.is_some());
     }
 
-    /// Intern a string, returning its code (without appending a row).
+    /// Intern a string, returning its code (without appending a row). A
+    /// sealed column is reopened first.
     pub fn intern(&mut self, s: &str) -> u32 {
-        if let Some(&code) = self.index.get(s) {
-            return code;
-        }
-        let code = self.dict.len() as u32;
-        self.dict.push(s.to_string());
-        self.index.insert(s.to_string(), code);
-        code
+        let (dict, _, index) = self.open();
+        intern_in(dict, index, s)
     }
 
-    /// The code stored at `row` ([`NULL_CODE`] for NULL).
-    pub fn code(&self, row: usize) -> u32 {
-        self.codes[row]
+    /// What an open column is pushed through — dictionary, `u32` lanes and
+    /// lookup index — reopening a sealed one: its lanes widen and its index
+    /// is rebuilt.
+    fn open(&mut self) -> (&mut Vec<String>, &mut Vec<u32>, &mut HashMap<String, u32>) {
+        if self.index.is_none() {
+            let sealed = std::mem::replace(&mut self.codes, Codes::U32(Vec::new()));
+            self.codes = Codes::U32(match sealed {
+                Codes::U8(codes) => codes.into_iter().map(u32::from).collect(),
+                Codes::U16(codes) => codes.into_iter().map(u32::from).collect(),
+                Codes::U32(codes) => codes,
+            });
+        }
+        let index = self.index.get_or_insert_with(|| {
+            let coded = self.dict.iter().cloned().zip(0u32..);
+            coded.collect()
+        });
+        match &mut self.codes {
+            Codes::U32(codes) => (&mut self.dict, codes, index),
+            _ => unreachable!("an open column holds u32 lanes"),
+        }
     }
 
     /// The string at `row`, or `None` for NULL.
+    ///
+    /// # Panics
+    /// Panics if `row` is out of bounds.
     pub fn get(&self, row: usize) -> Option<&str> {
-        let c = self.codes[row];
-        if c == NULL_CODE {
-            None
-        } else {
-            Some(self.dict[c as usize].as_str())
-        }
-    }
-
-    /// Look up the code of a string, if it is present in the dictionary.
-    pub fn code_of(&self, s: &str) -> Option<u32> {
-        self.index.get(s).copied()
+        let code = self.codes.at(row);
+        self.validity.get(row).then(|| self.dict[code].as_str())
     }
 
     /// The distinct values in first-appearance order.
@@ -510,22 +566,69 @@ impl DictColumn {
         &self.dict
     }
 
-    /// The raw code vector.
-    pub fn codes(&self) -> &[u32] {
-        &self.codes
-    }
-
-    /// The number of distinct non-NULL values.
+    /// The number of dictionary entries.
     pub fn cardinality(&self) -> usize {
         self.dict.len()
     }
 
-    /// Bytes of column data held: the codes, and each value twice (dictionary
-    /// and lookup index) with its `String` header and index slot.
+    /// The code lanes as stored — for the scan kernels, as
+    /// [`PrimitiveColumn::lanes`].
+    pub(crate) fn codes(&self) -> &Codes {
+        &self.codes
+    }
+
+    /// The validity mask: bit `i` set ⇔ row `i` is non-NULL.
+    pub fn validity(&self) -> &Bitmap {
+        &self.validity
+    }
+
+    /// Number of NULL entries.
+    pub fn null_count(&self) -> usize {
+        self.len() - self.validity.count()
+    }
+
+    /// The sealed form: the narrowest lanes the dictionary allows, no index.
+    fn seal(self) -> Self {
+        let codes = match self.codes {
+            Codes::U32(open) if self.index.is_some() => Codes::narrowest(open, self.dict.len()),
+            sealed => sealed,
+        };
+        DictColumn {
+            codes,
+            index: None,
+            ..self
+        }
+    }
+
+    /// Bytes of column data held: the lanes, the validity words and each
+    /// value with its `String` header — twice, plus an index slot, while the
+    /// lookup index of an open column holds a copy.
     fn heap_bytes(&self) -> usize {
-        let per_entry = 2 * size_of::<String>() + size_of::<u32>();
-        let strings: usize = self.dict.iter().map(|s| 2 * s.len()).sum();
-        size_of_val(self.codes.as_slice()) + self.dict.len() * per_entry + strings
+        let strings: usize = self.dict.iter().map(String::len).sum();
+        let entries = strings + self.dict.len() * size_of::<String>();
+        let index = self
+            .index
+            .as_ref()
+            .map_or(0, |_| entries + self.dict.len() * size_of::<u32>());
+        self.codes.heap_bytes() + size_of_val(self.validity.words()) + entries + index
+    }
+}
+
+/// The code of `s` in an open column's dictionary, entered last if it is new.
+fn intern_in(dict: &mut Vec<String>, index: &mut HashMap<String, u32>, s: &str) -> u32 {
+    if let Some(&code) = index.get(s) {
+        return code;
+    }
+    let code = dict.len() as u32;
+    dict.push(s.to_string());
+    index.insert(s.to_string(), code);
+    code
+}
+
+impl PartialEq for DictColumn {
+    fn eq(&self, other: &Self) -> bool {
+        self.validity == other.validity
+            && (0..self.len()).all(|row| self.get(row) == other.get(row))
     }
 }
 
@@ -537,11 +640,12 @@ impl Default for DictColumn {
 
 /// A typed column of values with NULL support.
 ///
-/// Numeric and boolean columns store one lane per row plus a validity bitmap
-/// ([`PrimitiveColumn`]) — full-width values, or for a sealed numeric column
-/// with few distinct values narrow codes into a sorted dictionary; string
-/// columns are dictionary encoded (see [`DictColumn`]). Equality is logical
-/// (row values), whatever the encoding.
+/// Every column stores one lane per row plus a validity bitmap: numeric and
+/// boolean columns ([`PrimitiveColumn`]) full-width values or — a sealed
+/// numeric column with few distinct values — narrow codes into a sorted
+/// dictionary; string columns ([`DictColumn`]) always codes, into a
+/// first-appearance dictionary. Equality is logical (row values), whatever the
+/// encoding.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Column {
     /// 64-bit integer column.
@@ -660,7 +764,7 @@ impl Column {
         match self {
             Column::Int(v) => v.null_count(),
             Column::Float(v) => v.null_count(),
-            Column::Str(d) => d.codes().iter().filter(|&&c| c == NULL_CODE).count(),
+            Column::Str(d) => d.null_count(),
             Column::Bool(v) => v.null_count(),
         }
     }
@@ -674,22 +778,17 @@ impl Column {
         }
     }
 
-    /// Access the dictionary column if this is a string column.
-    pub fn as_dict(&self) -> Option<&DictColumn> {
-        match self {
-            Column::Str(d) => Some(d),
-            _ => None,
-        }
-    }
-
-    /// The column in its sealed representation: a numeric column with few
-    /// distinct values re-stored as a sorted dictionary plus code lanes (see
-    /// the module docs), anything else as it is. [`crate::Segment::new`] is
-    /// the one caller — the point where every column becomes immutable.
+    /// The column in its sealed representation (see the module docs): a
+    /// numeric column with few distinct values re-stored as a sorted
+    /// dictionary plus code lanes, a string column's lanes narrowed to the
+    /// width its dictionary allows and its lookup index dropped, anything else
+    /// as it is. [`crate::Segment::new`] is the one caller — the point where
+    /// every column becomes immutable.
     pub(crate) fn seal(self) -> Self {
         match self {
             Column::Int(v) => Column::Int(seal_numeric(v)),
             Column::Float(v) => Column::Float(seal_numeric(v)),
+            Column::Str(d) => Column::Str(d.seal()),
             other => other,
         }
     }
@@ -700,13 +799,13 @@ impl Column {
             Column::Int(v) => v.encoding(),
             Column::Float(v) => v.encoding(),
             Column::Bool(v) => v.encoding(),
-            Column::Str(_) => Encoding::Dict,
+            Column::Str(d) => d.codes.encoding(),
         }
     }
 
     /// The bytes of column data on the heap: lanes, dictionaries and validity
-    /// words (a string column's lookup index is estimated from its entry
-    /// count; allocator slack is not counted). What a report calls the
+    /// words (an open string column's lookup index is estimated from its
+    /// entry count; allocator slack is not counted). What a report calls the
     /// column's resident size.
     pub fn heap_bytes(&self) -> usize {
         match self {
@@ -778,9 +877,14 @@ mod tests {
         assert_eq!(d.get(0), Some("a"));
         assert_eq!(d.get(2), Some("a"));
         assert_eq!(d.get(3), None);
-        assert_eq!(d.code(0), d.code(2));
-        assert_eq!(d.code_of("b"), Some(1));
-        assert_eq!(d.code_of("zzz"), None);
+        assert_eq!(d.null_count(), 1);
+        // One code per value, NULL lanes on code 0 and out of the validity mask.
+        let Codes::U32(codes) = d.codes() else {
+            panic!("an open column holds u32 lanes, got {:?}", d.codes());
+        };
+        assert_eq!(codes, &[0, 1, 0, 0]);
+        assert_eq!(d.validity().to_indices(), vec![0, 1, 2]);
+        assert_eq!(d.intern("b"), 1);
         assert_eq!(d.dictionary(), &["a".to_string(), "b".to_string()]);
     }
 
@@ -798,7 +902,7 @@ mod tests {
         let mut s = Column::new_empty(DataType::Str);
         s.push(&Value::Str("x".into())).unwrap();
         assert_eq!(s.value(0), Value::Str("x".into()));
-        assert!(s.as_dict().is_some());
+        assert_eq!(s.data_type(), DataType::Str);
 
         // Int into Float column is widened.
         let mut f = Column::new_empty(DataType::Float);
@@ -1042,5 +1146,96 @@ mod tests {
         assert_eq!(column.value(39), Value::Int(4));
         assert_eq!(column.value(40), Value::Int(99));
         assert_eq!(column.value(41), Value::Null);
+    }
+
+    /// A string column over `values` (`None` = NULL), open.
+    fn str_col<'a>(values: impl IntoIterator<Item = Option<&'a str>>) -> DictColumn {
+        let mut d = DictColumn::new();
+        for value in values {
+            d.push(value);
+        }
+        d
+    }
+
+    #[test]
+    fn string_equality_is_by_rows_whatever_was_interned_and_at_whatever_width() {
+        let rows = [Some("b"), None, Some("a"), Some("b"), None];
+        let open = Column::Str(str_col(rows));
+        let sealed = open.clone().seal();
+        assert_eq!(
+            (open.encoding(), sealed.encoding()),
+            (Encoding::CodedU32, Encoding::CodedU8)
+        );
+        assert_eq!(open, sealed);
+        assert!(sealed.heap_bytes() < open.heap_bytes());
+        // A value no row holds, interned first: other codes, the same rows.
+        let mut other = DictColumn::new();
+        other.intern("zzz");
+        other.intern("a");
+        for value in rows {
+            other.push(value);
+        }
+        assert_eq!(other.dictionary(), ["zzz", "a", "b"]);
+        assert_eq!(Column::Str(other.clone()), open);
+        assert_eq!(Column::Str(other).seal(), sealed);
+        // A NULL is not the first value, though both lanes hold code 0.
+        let differing = [Some("b"), Some("b"), Some("a"), Some("b"), None];
+        assert_ne!(Column::Str(str_col(differing)), open);
+        assert_ne!(Column::Str(str_col(differing)).seal(), sealed);
+        assert_ne!(Column::Str(str_col(rows[..4].iter().copied())), open);
+    }
+
+    #[test]
+    fn sealed_string_lanes_are_as_narrow_as_the_dictionary_allows() {
+        let column = |distinct: usize| {
+            let values: Vec<String> = (0..distinct + 7)
+                .map(|i| format!("v{}", i % distinct))
+                .collect();
+            let nulls = [None, None];
+            Column::Str(str_col(
+                values.iter().map(|v| Some(v.as_str())).chain(nulls),
+            ))
+        };
+        for (distinct, encoding) in [
+            (1, Encoding::CodedU8),
+            (256, Encoding::CodedU8),
+            (257, Encoding::CodedU16),
+            (65_536, Encoding::CodedU16),
+            (65_537, Encoding::CodedU32),
+        ] {
+            let open = column(distinct);
+            let sealed = open.clone().seal();
+            assert_eq!(sealed.encoding(), encoding, "{distinct} values");
+            assert_eq!(sealed, open);
+            assert_eq!((sealed.null_count(), sealed.len()), (2, distinct + 9));
+            let wrapped = format!("v{}", 3 % distinct);
+            assert_eq!(sealed.value(distinct + 3), Value::Str(wrapped));
+            assert_eq!(sealed.value(distinct + 8), Value::Null);
+            // Sealing what is sealed changes nothing.
+            assert_eq!(sealed.clone().seal().encoding(), encoding);
+        }
+        // No value at all: byte lanes over an empty dictionary.
+        let empty = Column::Str(str_col([None, None, None])).seal();
+        assert_eq!(empty.encoding(), Encoding::CodedU8);
+        assert_eq!((empty.null_count(), empty.value(1)), (3, Value::Null));
+    }
+
+    #[test]
+    fn pushing_to_a_sealed_string_column_reopens_it() {
+        let mut column = Column::Str(str_col([Some("x"), None, Some("y")])).seal();
+        assert_eq!(column.encoding(), Encoding::CodedU8);
+        column.push(&Value::Null).unwrap();
+        assert_eq!(column.encoding(), Encoding::CodedU32);
+        column.push(&Value::Str("y".into())).unwrap();
+        column.push(&Value::Str("z".into())).unwrap();
+        let Column::Str(d) = &column else {
+            unreachable!("pushing keeps the type")
+        };
+        assert_eq!(d.dictionary(), ["x", "y", "z"]);
+        let rows: Vec<Option<&str>> = (0..d.len()).map(|row| d.get(row)).collect();
+        assert_eq!(
+            rows,
+            [Some("x"), None, Some("y"), None, Some("y"), Some("z")]
+        );
     }
 }

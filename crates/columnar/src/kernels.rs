@@ -9,12 +9,13 @@
 //! function scans **one part** — one segment-local column sitting at a row
 //! offset of the selection — and [`crate::ColumnView`] walks a column's parts
 //! in row order. A new column encoding is taught to this module and to
-//! `accumulate`, nowhere else — as the coded numeric column was (a sorted
-//! dictionary plus `u8`/`u16` code lanes, [`crate::column`]): its arms are
-//! `partition_codes`, `count_coded_part` and the decoding walk of
-//! `for_each_numeric_part` here, one arm of `scan_numeric` there, and no
-//! caller of [`crate::ColumnView`] can tell. The partition kernels process
-//! **64 rows per step** instead of one:
+//! `accumulate`, nowhere else — as the coded column was (a dictionary plus
+//! the narrowest of `u8` / `u16` / `u32` code lanes and a validity mask,
+//! [`crate::column`]: every string column, and a sealed numeric column with
+//! few distinct values): `partition_codes` and `count_lanes` are the only
+//! bodies that read a code lane, whatever the column's type, and no caller of
+//! [`crate::ColumnView`] can tell. The partition kernels process **64 rows
+//! per step** instead of one:
 //!
 //! * the selection bitmap is walked word-at-a-time (all-zero words are
 //!   skipped, boundary words are masked — `for_each_sel_word`);
@@ -22,15 +23,13 @@
 //!   shift-and-or per 64 rows — [`Bitmap::word_at`]), never from a per-row
 //!   `Option`;
 //! * a dense 64-row block is classified branchlessly: numeric range checks
-//!   compile to lane-wise compares over the raw `i64`/`f64` value slices — or,
-//!   on a coded column, the bounds are resolved against the sorted dictionary
-//!   once per part and a region is a **code span**, 64 lanes in two AVX2
-//!   compares — and dictionary codes fold one lane mask per group the same
-//!   way — a
-//!   dictionary of fewer than 64 codes turns the code→group table into one
-//!   membership word per group and a lane is `(member >> code) & 1`
-//!   (`member_mask_64`); a larger one gathers each lane's group through the
-//!   table first and a lane is a byte compare (`eq_mask_64`);
+//!   compile to lane-wise compares over the raw `i64`/`f64` value slices; on
+//!   a coded column the partition — value ranges or value groups — is
+//!   resolved against the dictionary once per part (`code_regions`) and the
+//!   rows are partitioned by code: where every region is a **code span**
+//!   (ranges over a sorted dictionary, groups that are runs of a string
+//!   dictionary) 64 lanes are two AVX2 compares per region, otherwise each
+//!   lane's region is gathered into a byte and a region is a byte compare;
 //! * one output word per region is assembled in a register and written with
 //!   the word-level writer [`Bitmap::or_word`] — no per-row `Bitmap::set`.
 //!
@@ -39,10 +38,11 @@
 //! of **plain** lanes fall back to a set-bit loop so heavily drilled-down
 //! selections don't pay for lanes they never read — below
 //! `RANGE_DENSE_LANES` (4) candidates for a range partition, whose walk
-//! branches per bound, and below `GROUP_DENSE_LANES` (16) for the group
-//! folds, whose walk is a table lookup; both constants carry their measured
-//! crossover. Coded lanes never walk a full word: a span compare over 64
-//! one- or two-byte codes is cheaper than visiting two set bits.
+//! branches per bound, and below `GROUP_DENSE_LANES` (16) for the gathered
+//! and boolean group folds, whose walk is a table lookup; both constants
+//! carry their measured crossover. Code spans never walk a full word: a span
+//! compare over 64 one- or two-byte codes is cheaper than visiting two set
+//! bits.
 //!
 //! Integer range bounds arrive as `f64`s. The scalar semantics are
 //! `(x as f64) ∈ [lo, hi]`; because `i64 → f64` conversion is monotone, the
@@ -57,18 +57,19 @@
 //! implementation as a *reference*: set `ATLAS_FORCE_SCALAR=1` (or any
 //! non-empty value other than `0`) to route all partition kernels through it,
 //! or use [`with_kernel_path`] to pin a path for the current thread. The
-//! numeric references read each row through the column's decoding accessor
-//! ([`PrimitiveColumn::get`]), so they share no lane code with the kernels
-//! whatever the encoding. Both paths are **bit-identical** by contract — the
+//! numeric and string references read each row through the column's decoding
+//! accessor (`get`), so they share no lane code with the kernels whatever the
+//! encoding. Both paths are **bit-identical** by contract — the
 //! property tests in `tests/partition_kernels.rs` compare them, and coded
 //! against plain storage of the same rows, on adversarial inputs (word
 //! boundaries, trailing partial words, NaN/inverted bounds, all-null
 //! columns, both sides of the `u8`/`u16`/plain lines, every segment layout).
 
 use crate::bitmap::Bitmap;
-use crate::column::{Codes, Column, DictColumn, Lanes, PrimitiveColumn, NULL_CODE};
+use crate::column::{at_each_width, Codes, Column, Lanes, PrimitiveColumn};
 use crate::value::DataType;
 use std::cell::Cell;
+use std::collections::HashMap;
 use std::sync::OnceLock;
 
 const WORD_BITS: usize = 64;
@@ -83,14 +84,23 @@ const WORD_BITS: usize = 64;
 /// 23 % density costs 0.60 / 0.52 / 0.50 ms at 4 against 0.89 / 1.33 / 1.39
 /// at the 16 this constant used to be, and a four-way one 1.16 / 1.20 / 1.12
 /// against 1.28 / 1.95 / 2.18 (2–3 wins the two-way sweep by a hair, 4–8 the
-/// four-way). Coded lanes have no such threshold: see [`partition_codes`].
+/// four-way). Code spans have no such threshold: see [`partition_codes`].
 const RANGE_DENSE_LANES: u32 = 4;
 
-/// The same threshold for the dictionary-code and boolean group folds
-/// ([`groups_word_codes`], [`groups_word_bool`]), whose set-bit walk is one
-/// table lookup per row and no branch: the crossover sits higher. The same
-/// sweep over a 16-code and a 200-code dictionary puts it at 6–12 lanes for
-/// two groups and 16–24 for four, so 16 stays.
+/// The same threshold for the folds whose set-bit walk is one table lookup
+/// per row and no branch — the gathered classification of [`partition_codes`]
+/// and [`groups_word_bool`] — where the crossover sits higher. Swept
+/// in-process for the gather over 1M rows of narrow lanes, thresholds 0–24,
+/// two groups, at 100 / 50 / 23 / 12 / 6 / 3 / 1 % density (64 … 0.6
+/// candidates per word): a 4-code `u8` column costs 0.49 / 0.51 / 0.55 /
+/// 0.51 / 0.57 / 0.61 / 0.48 ms with no threshold, 0.49 / 0.49 / 0.49 / 0.50 /
+/// 0.47 / 0.30 / 0.20 at 4, 0.47 / 0.49 / 0.47 / 0.32 / 0.27 / 0.27 / 0.16 at
+/// 16 and 0.50 / 0.58 / 0.59 / 0.36 / 0.37 / 0.37 / 0.22 at 24; 200 codes
+/// (`u8`) and 1 000 (`u16`) read the same way (0.62 / 0.40 / 0.34 / 0.19 and
+/// 0.94 / 0.73 / 0.64 / 0.54 at 16 for 100 / 12 / 3 / 1 %, against 0.63 /
+/// 0.66 / 0.75 / 0.48 and 0.97 / 0.95 / 1.06 / 0.77 without). 12–16 wins, so
+/// 16 stays. Code **spans** take no threshold: two byte compares per region
+/// are flat at 0.12–0.13 ms from 100 % down to 3 %.
 const GROUP_DENSE_LANES: u32 = 16;
 
 /// Which implementation the partition kernels run.
@@ -442,7 +452,7 @@ fn ranges_lanes<T: Copy + Default + PartialOrd>(
     match column.lanes() {
         Lanes::Plain(values) => ranges_word(values, validity, offset, sel, bounds, out),
         Lanes::Coded { dict, codes } => {
-            let first_match = |x: T| bounds.iter().position(|&(lo, hi)| x >= lo && x <= hi);
+            let first_match = |&x: &T| bounds.iter().position(|&(lo, hi)| x >= lo && x <= hi);
             let region_of = code_regions(dict, first_match);
             partition_coded(codes, validity, offset, sel, &region_of, out);
         }
@@ -506,12 +516,10 @@ fn ranges_word<T: Copy + PartialOrd>(
 }
 
 // ---------------------------------------------------------------------------
-// Coded numeric lanes (sorted dictionary + u8 / u16 codes)
+// Coded lanes (dictionary + u8 / u16 / u32 codes)
 // ---------------------------------------------------------------------------
 
-/// A lane of dictionary codes: `u8` / `u16` into the sorted dictionary of a
-/// coded numeric column (where a value range is a code span), `u32` into a
-/// string column's.
+/// A lane of dictionary codes, at one of the widths [`Codes`] stores.
 pub(crate) trait CodeLane: Copy + PartialOrd {
     /// The code as a dictionary index.
     fn index(self) -> usize;
@@ -604,9 +612,9 @@ const NO_REGION: u32 = u32::MAX;
 /// Resolve a partition against a dictionary instead of against the rows: the
 /// region (if any) of every dictionary entry, by the predicate the row loop
 /// would apply to the value.
-fn code_regions<T: Copy>(dict: &[T], region_of: impl Fn(T) -> Option<usize>) -> Vec<u32> {
+fn code_regions<T>(dict: &[T], region_of: impl Fn(&T) -> Option<usize>) -> Vec<u32> {
     dict.iter()
-        .map(|&x| region_of(x).map_or(NO_REGION, |g| g as u32))
+        .map(|x| region_of(x).map_or(NO_REGION, |g| g as u32))
         .collect()
 }
 
@@ -639,9 +647,9 @@ fn code_spans<C: CodeLane>(region_of: &[u32], num_regions: usize) -> Option<Vec<
     Some(spans)
 }
 
-/// [`partition_codes`] at the width the codes are stored in, with the span
-/// mask this CPU runs: the AVX2 compilation when it has it (chosen once per
-/// part, so the masks inline into the word loop), the portable fold
+/// [`partition_codes`] at the width the codes are stored in, with the lane
+/// masks this CPU runs: the AVX2 compilation when it has it (chosen once per
+/// part, so the masks inline into the word loop), the portable folds
 /// otherwise. Bit-identical either way (`span_masks_agree_…` pins it).
 fn partition_coded(
     codes: &Codes,
@@ -658,29 +666,16 @@ fn partition_coded(
         // detection above just confirmed.
         return unsafe { partition_coded_avx2(codes, validity, offset, sel, region_of, out) };
     }
-    match codes {
-        Codes::U8(codes) => partition_codes(
-            codes,
-            validity,
-            offset,
-            sel,
-            region_of,
-            out,
-            range_mask_64_fold,
-        ),
-        Codes::U16(codes) => partition_codes(
-            codes,
-            validity,
-            offset,
-            sel,
-            region_of,
-            out,
-            range_mask_64_fold,
-        ),
-    }
+    at_each_width!(codes, codes => {
+        let span = range_mask_64_fold;
+        partition_codes(codes, validity, offset, sel, region_of, out, span, eq_mask_64)
+    })
 }
 
-/// The AVX2 compilation of [`partition_coded`]'s word loop.
+/// The AVX2 compilation of [`partition_coded`]'s word loop. A gathered slot
+/// equal to `g` is a byte lane in the span `[g, g]`; four-byte code lanes need
+/// no intrinsics (under `avx2` the portable fold compiles to the vector
+/// compare).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn partition_coded_avx2(
@@ -691,33 +686,53 @@ fn partition_coded_avx2(
     region_of: &[u32],
     out: &mut [Bitmap],
 ) {
+    let slot = |slots: &[u8; WORD_BITS], g| span_mask_u8_avx2(slots, g, g);
     match codes {
         Codes::U8(codes) => {
-            let mask = |lanes: &[u8; WORD_BITS], a, b| span_mask_u8_avx2(lanes, a, b);
-            partition_codes(codes, validity, offset, sel, region_of, out, mask);
+            let span = |lanes: &[u8; WORD_BITS], a, b| span_mask_u8_avx2(lanes, a, b);
+            partition_codes(codes, validity, offset, sel, region_of, out, span, slot);
         }
         Codes::U16(codes) => {
-            let mask = |lanes: &[u16; WORD_BITS], a, b| span_mask_u16_avx2(lanes, a, b);
-            partition_codes(codes, validity, offset, sel, region_of, out, mask);
+            let span = |lanes: &[u16; WORD_BITS], a, b| span_mask_u16_avx2(lanes, a, b);
+            partition_codes(codes, validity, offset, sel, region_of, out, span, slot);
+        }
+        Codes::U32(codes) => {
+            let span = range_mask_64_fold;
+            partition_codes(codes, validity, offset, sel, region_of, out, span, slot);
         }
     }
 }
 
-/// Partition one coded part by a code → region table (`region_of[code]`,
-/// [`NO_REGION`] for none), OR-ing each selected non-NULL row into its
-/// region's bitmap. A part none of whose entries has a region is not scanned.
+/// How [`partition_codes`] classifies a full 64-row word of one part.
+enum WordClass<C> {
+    /// Every region is one run of codes ([`code_spans`]): a span compare each.
+    Spans(Vec<(usize, C, C)>),
+    /// Regions with holes, at most 255 of them: `slot_of[code]` is the
+    /// code's region as a byte ([`NO_REGION`] truncates to 255, which no
+    /// region of at most 255 is), gathered per lane and compared per region.
+    Slots(Vec<u8>),
+    /// More regions than a byte names: every word walks its set bits.
+    Walk,
+}
+
+/// Partition one coded part — numeric or string — by a code → region table
+/// (`region_of[code]`, [`NO_REGION`] for none), OR-ing each selected non-NULL
+/// row into its region's bitmap. A part none of whose entries has a region is
+/// not scanned.
 ///
-/// Every full 64-row word with a candidate is classified branchlessly,
-/// whatever its density — a span compare costs less than walking two set
-/// bits, so there is no dense/sparse choice to make on code lanes: one
-/// `span_mask(lanes, first, last)` per region when the regions are code spans
-/// ([`code_spans`]), its word OR-ed in unconditionally (at a few candidates
-/// per word "any hit?" is a coin the branch predictor loses); else the lanes'
-/// regions gathered into a byte each and one [`eq_mask_64`] per region
-/// (region indices past a byte walk set bits instead). Only the partial words
-/// at the part's edges walk their set bits. `inline(always)` so each caller
-/// stamps out a copy under its own instruction set.
+/// When the regions are code spans — value ranges over a sorted dictionary,
+/// value groups that happen to be runs (every two-value string column) — every
+/// full 64-row word with a candidate takes one `span_mask(lanes, first, last)`
+/// per region, whatever its density: a span compare costs less than walking
+/// two set bits, and its word is OR-ed in unconditionally (at a few candidates
+/// per word "any hit?" is a coin the branch predictor loses). Otherwise a word
+/// of at least [`GROUP_DENSE_LANES`] candidates gathers its lanes' regions
+/// into a byte each and takes one `slot_mask(slots, region)` per region.
+/// Sparser words, and the partial words at the part's edges, walk their set
+/// bits. `inline(always)` so each caller stamps out a copy under its own
+/// instruction set.
 #[inline(always)]
+#[allow(clippy::too_many_arguments)]
 fn partition_codes<C: CodeLane>(
     codes: &[C],
     validity: &Bitmap,
@@ -726,15 +741,19 @@ fn partition_codes<C: CodeLane>(
     region_of: &[u32],
     out: &mut [Bitmap],
     span_mask: impl Fn(&[C; WORD_BITS], C, C) -> u64,
+    slot_mask: impl Fn(&[u8; WORD_BITS], u8) -> u64,
 ) {
     if region_of.iter().all(|&g| g == NO_REGION) {
         return;
     }
     let num_regions = out.len();
-    let spans = code_spans::<C>(region_of, num_regions);
-    // NO_REGION truncates to 255, which no region of at most 255 is.
-    let slot_of: Option<Vec<u8>> = (spans.is_none() && num_regions <= usize::from(u8::MAX))
-        .then(|| region_of.iter().map(|&g| g as u8).collect());
+    let class = match code_spans::<C>(region_of, num_regions) {
+        Some(spans) => WordClass::Spans(spans),
+        None if num_regions <= usize::from(u8::MAX) => {
+            WordClass::Slots(region_of.iter().map(|&g| g as u8).collect())
+        }
+        None => WordClass::Walk,
+    };
     let mut slots = [0u8; WORD_BITS];
     // The set-bit walk's accumulators, plus a trash slot for "no region".
     let mut accs = vec![0u64; num_regions + 1];
@@ -745,41 +764,43 @@ fn partition_codes<C: CodeLane>(
         if cand == 0 {
             return;
         }
-        let full = base >= offset && base + WORD_BITS <= end;
-        if full && (spans.is_some() || slot_of.is_some()) {
-            let lanes: &[C; WORD_BITS] = codes[base - offset..base - offset + WORD_BITS]
-                .try_into()
-                .expect("full word has exactly WORD_BITS lanes");
-            if let Some(spans) = &spans {
+        // The word's 64 lanes, when all of them are this part's.
+        let lanes: Option<&[C; WORD_BITS]> = base
+            .checked_sub(offset)
+            .and_then(|at| codes[at..].first_chunk());
+        match (&class, lanes) {
+            (WordClass::Spans(spans), Some(lanes)) => {
                 for &(g, first, last) in spans {
                     out[g].or_word(w, cand & span_mask(lanes, first, last));
                 }
-            } else if let Some(slot_of) = &slot_of {
+            }
+            (WordClass::Slots(slot_of), Some(lanes)) if cand.count_ones() >= GROUP_DENSE_LANES => {
                 for (slot, &code) in slots.iter_mut().zip(lanes) {
                     *slot = slot_of[code.index()];
                 }
                 for (g, region) in out.iter_mut().enumerate() {
-                    let m = cand & eq_mask_64(&slots, g as u8);
+                    let m = cand & slot_mask(&slots, g as u8);
                     if m != 0 {
                         region.or_word(w, m);
                     }
                 }
             }
-        } else {
-            let mut bits = cand;
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let g = region_of[codes[base + b - offset].index()];
-                accs[(g as usize).min(num_regions)] |= 1u64 << b;
-            }
-            for (acc, region) in accs.iter_mut().zip(out.iter_mut()) {
-                if *acc != 0 {
-                    region.or_word(w, *acc);
-                    *acc = 0;
+            _ => {
+                let mut bits = cand;
+                while bits != 0 {
+                    let b = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let g = region_of[codes[base + b - offset].index()];
+                    accs[(g as usize).min(num_regions)] |= 1u64 << b;
                 }
+                for (acc, region) in accs.iter_mut().zip(out.iter_mut()) {
+                    if *acc != 0 {
+                        region.or_word(w, *acc);
+                        *acc = 0;
+                    }
+                }
+                accs[num_regions] = 0;
             }
-            accs[num_regions] = 0;
         }
     });
 }
@@ -788,12 +809,11 @@ fn partition_codes<C: CodeLane>(
 // Group partitioning (select_in_groups)
 // ---------------------------------------------------------------------------
 
-/// Pre-resolved form of a `select_in_groups` group list for one column type.
-/// String groups resolve per segment (each segment has its own dictionary);
-/// the other types resolve once.
-pub(crate) enum GroupsSpec {
-    /// Resolved per part against each segment dictionary.
-    Str,
+/// Pre-resolved form of a `select_in_groups` group list for one column type:
+/// which group a value falls into. A value listed in more than one group
+/// (groups are disjoint by contract) belongs to the **first** — one rule for
+/// every type.
+pub(crate) enum GroupsSpec<'g> {
     /// Which group (if any) `true` / `false` fall into.
     Bool {
         /// Group index selecting `true` rows.
@@ -801,17 +821,17 @@ pub(crate) enum GroupsSpec {
         /// Group index selecting `false` rows.
         false_group: Option<usize>,
     },
-    /// `(value, group)` pairs sorted by value (first group wins duplicates).
+    /// `(value, group)` pairs sorted by value.
     Int(Vec<(i64, u32)>),
-    /// `(rendered value, group)` pairs sorted by string.
-    Float(Vec<(String, u32)>),
+    /// The group of each value as written: a string column holds the value
+    /// itself, a float column a value that renders so.
+    Written(HashMap<&'g str, u32>),
 }
 
 /// Resolve `groups` once per (type, group-list) — shared across the segments
 /// of a [`crate::ColumnView`] walk.
-pub(crate) fn resolve_groups(dtype: DataType, groups: &[Vec<String>]) -> GroupsSpec {
+pub(crate) fn resolve_groups(dtype: DataType, groups: &[Vec<String>]) -> GroupsSpec<'_> {
     match dtype {
-        DataType::Str => GroupsSpec::Str,
         DataType::Bool => {
             let group_of = |value: &str| {
                 groups
@@ -826,8 +846,7 @@ pub(crate) fn resolve_groups(dtype: DataType, groups: &[Vec<String>]) -> GroupsS
         DataType::Int => {
             // Parse each value once; the round-trip check keeps set
             // predicates matching on the decimal rendering ("007" or "+7"
-            // never match 7). On duplicate values across groups the first
-            // group wins (groups are disjoint by contract).
+            // never match 7).
             let mut map: Vec<(i64, u32)> = Vec::new();
             for (g, group) in groups.iter().enumerate() {
                 for s in group {
@@ -840,96 +859,16 @@ pub(crate) fn resolve_groups(dtype: DataType, groups: &[Vec<String>]) -> GroupsS
             map.dedup_by_key(|&mut (x, _)| x);
             GroupsSpec::Int(map)
         }
-        DataType::Float => {
-            let mut map: Vec<(String, u32)> = Vec::new();
+        DataType::Str | DataType::Float => {
+            let mut map: HashMap<&str, u32> = HashMap::new();
             for (g, group) in groups.iter().enumerate() {
                 for s in group {
-                    map.push((s.clone(), g as u32));
+                    map.entry(s).or_insert(g as u32);
                 }
             }
-            map.sort_by(|a, b| (a.0.as_str(), a.1).cmp(&(b.0.as_str(), b.1)));
-            map.dedup_by(|a, b| a.0 == b.0);
-            GroupsSpec::Float(map)
+            GroupsSpec::Written(map)
         }
     }
-}
-
-/// code → group table for one segment dictionary: `groups.len()` means "no
-/// group", and the extra trailing slot absorbs `NULL_CODE` lanes (indexed as
-/// `min(code, cardinality)`), so the kernel loop needs no null branch.
-/// Later groups overwrite earlier ones on duplicate values, matching the
-/// scalar path (groups are disjoint by contract). `None` when no value of any
-/// group is in the dictionary: no row of the part can land in a group.
-pub(crate) fn dict_group_table(d: &DictColumn, groups: &[Vec<String>]) -> Option<Vec<u32>> {
-    let resolved: Vec<(u32, u32)> = groups
-        .iter()
-        .enumerate()
-        .flat_map(|(g, group)| {
-            let codes = group.iter().filter_map(|value| d.code_of(value));
-            codes.map(move |code| (code, g as u32))
-        })
-        .collect();
-    if resolved.is_empty() {
-        return None;
-    }
-    let mut table = vec![groups.len() as u32; d.cardinality() + 1];
-    for (code, g) in resolved {
-        table[code as usize] = g;
-    }
-    Some(table)
-}
-
-/// One membership word per group for a dictionary of fewer than 64 codes: bit
-/// `c` of `members[g]` is set iff code `c` belongs to group `g`. Built from
-/// the code→group table, so a value listed in two groups lands where the
-/// table put it. Bit 63 is never set — it is where `NULL_CODE` lanes land.
-fn group_members(table: &[u32], num_groups: usize) -> Vec<u64> {
-    let card = table.len() - 1; // last slot is the NULL sentinel
-    debug_assert!(card < WORD_BITS);
-    let mut members = vec![0u64; num_groups];
-    for (code, &g) in table[..card].iter().enumerate() {
-        if let Some(member) = members.get_mut(g as usize) {
-            *member |= 1u64 << code;
-        }
-    }
-    members
-}
-
-/// The plain lane fold behind [`member_mask_64`]: the same shape as
-/// [`range_mask_64_fold`] with the two compares replaced by a variable shift
-/// into the membership word. Codes clamp to bit 63, which no group of a
-/// < 64-code dictionary owns, so `NULL_CODE` lanes need no branch.
-#[inline(always)]
-fn member_mask_64_fold(lanes: &[u32; WORD_BITS], member: u64) -> u64 {
-    let mut m = 0u64;
-    for (b, &code) in lanes.iter().enumerate() {
-        m |= ((member >> code.min(WORD_BITS as u32 - 1)) & 1) << b;
-    }
-    m
-}
-
-/// The AVX2 compilation of [`member_mask_64_fold`] (`vpsrlvq` shifts four
-/// lanes per instruction; baseline x86-64 has no per-lane variable shift).
-/// Identical safe Rust, as for [`range_mask_64_avx2`].
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn member_mask_64_avx2(lanes: &[u32; WORD_BITS], member: u64) -> u64 {
-    member_mask_64_fold(lanes, member)
-}
-
-/// Branchless membership mask of one full 64-lane block of dictionary codes:
-/// bit `b` is set iff bit `min(lanes[b], 63)` of `member` is. Dispatched like
-/// [`range_mask_64`].
-#[inline(always)]
-fn member_mask_64(lanes: &[u32; WORD_BITS], member: u64) -> u64 {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: `member_mask_64_avx2` is ordinary safe Rust whose only
-        // precondition is a CPU that executes AVX2 instructions, which the
-        // runtime detection above just confirmed.
-        return unsafe { member_mask_64_avx2(lanes, member) };
-    }
-    member_mask_64_fold(lanes, member)
 }
 
 /// Partition one segment-local column over its global row range into `out`
@@ -940,23 +879,21 @@ pub(crate) fn select_in_groups_part(
     column: &Column,
     offset: usize,
     sel: &Bitmap,
-    groups: &[Vec<String>],
-    spec: &GroupsSpec,
+    spec: &GroupsSpec<'_>,
     out: &mut [Bitmap],
 ) {
-    debug_assert_eq!(groups.len(), out.len());
     let path = active_kernel_path();
     let scalar = path == KernelPath::Scalar;
     observe_dispatch("select_in_groups", path);
     match (column, spec) {
-        (Column::Str(d), GroupsSpec::Str) => {
-            let Some(table) = dict_group_table(d, groups) else {
-                return;
-            };
+        (Column::Str(d), GroupsSpec::Written(map)) if !map.is_empty() => {
+            let group_of = |value: &str| map.get(value).map(|&g| g as usize);
             if scalar {
-                groups_scalar_codes(d.codes(), offset, sel, &table, out);
+                let group_of_row = |row| group_of(d.get(row)?);
+                groups_scalar(d.len(), offset, sel, group_of_row, out);
             } else {
-                groups_word_codes(d.codes(), offset, sel, &table, out);
+                let region_of = code_regions(d.dictionary(), |value| group_of(value));
+                partition_coded(d.codes(), d.validity(), offset, sel, &region_of, out);
             }
         }
         (
@@ -996,15 +933,10 @@ pub(crate) fn select_in_groups_part(
             };
             groups_keyed(p, offset, sel, scalar, lookup, out);
         }
-        (Column::Float(p), GroupsSpec::Float(map)) if !map.is_empty() => {
+        (Column::Float(p), GroupsSpec::Written(map)) if !map.is_empty() => {
             // Set predicates on floats match on the decimal rendering — a
             // degraded edge case kept for completeness.
-            let lookup = |x: f64| {
-                let rendered = x.to_string();
-                map.binary_search_by(|probe| probe.0.as_str().cmp(rendered.as_str()))
-                    .ok()
-                    .map(|pos| map[pos].1 as usize)
-            };
+            let lookup = |x: f64| map.get(x.to_string().as_str()).map(|&g| g as usize);
             groups_keyed(p, offset, sel, scalar, lookup, out);
         }
         _ => {}
@@ -1025,38 +957,17 @@ fn groups_keyed<T: Copy + Default>(
     out: &mut [Bitmap],
 ) {
     if scalar {
-        return groups_scalar_keyed(column, offset, sel, lookup, out);
+        let group_of_row = |row| column.get(row).and_then(&lookup);
+        return groups_scalar(column.len(), offset, sel, group_of_row, out);
     }
     let validity = column.validity();
     match column.lanes() {
         Lanes::Plain(values) => groups_word_keyed(values, validity, offset, sel, lookup, out),
         Lanes::Coded { dict, codes } => {
-            let region_of = code_regions(dict, lookup);
+            let region_of = code_regions(dict, |&x| lookup(x));
             partition_coded(codes, validity, offset, sel, &region_of, out);
         }
     }
-}
-
-/// Scalar reference for dictionary-code grouping (the pre-PR per-row loop,
-/// routed through the same code→group table as the word path).
-fn groups_scalar_codes(
-    codes: &[u32],
-    offset: usize,
-    sel: &Bitmap,
-    table: &[u32],
-    out: &mut [Bitmap],
-) {
-    let card = table.len() - 1;
-    let no_group = out.len();
-    sel.for_each_one_in(offset, offset + codes.len(), |idx| {
-        let code = codes[idx - offset];
-        if code != NULL_CODE {
-            let g = table[(code as usize).min(card)] as usize;
-            if g != no_group {
-                out[g].set(idx);
-            }
-        }
-    });
 }
 
 /// Equality mask of one 64-lane block of gathered group slots: bit `b` is set
@@ -1076,71 +987,6 @@ fn eq_mask_64(slots: &[u8; WORD_BITS], g: u8) -> u64 {
         m |= (bytes.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * k);
     }
     m
-}
-
-/// Word-parallel dictionary-code grouping. A dense 64-row block yields one
-/// output word per group from a lane fold, masked with the candidate word:
-/// for a dictionary of fewer than 64 codes each group is a membership word
-/// and the fold is [`member_mask_64`]; a larger dictionary first gathers
-/// every lane's group through the code→group table into a byte per lane and
-/// the fold is [`eq_mask_64`] (group indices past a byte — more than 255
-/// groups — take the sparse walk for every word). Sparse words walk their set
-/// bits through the table into per-group accumulators.
-fn groups_word_codes(
-    codes: &[u32],
-    offset: usize,
-    sel: &Bitmap,
-    table: &[u32],
-    out: &mut [Bitmap],
-) {
-    let card = table.len() - 1;
-    let num_groups = out.len();
-    let members = (card < WORD_BITS).then(|| group_members(table, num_groups));
-    let foldable = members.is_some() || num_groups <= usize::from(u8::MAX);
-    let mut slots = [0u8; WORD_BITS];
-    // The sparse walk's accumulators, plus a trash slot for "no group" (which
-    // the NULL sentinel also maps to).
-    let mut accs = vec![0u64; num_groups + 1];
-    let end = offset + codes.len();
-    for_each_sel_word(sel, offset, end, |w, cand| {
-        let base = w * WORD_BITS;
-        let full = base >= offset && base + WORD_BITS <= end;
-        if full && foldable && cand.count_ones() >= GROUP_DENSE_LANES {
-            let lanes: &[u32; WORD_BITS] = codes[base - offset..base - offset + WORD_BITS]
-                .try_into()
-                .expect("full word has exactly WORD_BITS lanes");
-            if members.is_none() {
-                for (slot, &code) in slots.iter_mut().zip(lanes) {
-                    *slot = table[(code as usize).min(card)] as u8;
-                }
-            }
-            for (g, region) in out.iter_mut().enumerate() {
-                let m = cand
-                    & match &members {
-                        Some(members) => member_mask_64(lanes, members[g]),
-                        None => eq_mask_64(&slots, g as u8),
-                    };
-                if m != 0 {
-                    region.or_word(w, m);
-                }
-            }
-        } else {
-            let mut bits = cand;
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let code = codes[base + b - offset];
-                accs[table[(code as usize).min(card)] as usize] |= 1u64 << b;
-            }
-            for (acc, region) in accs.iter_mut().zip(out.iter_mut()) {
-                if *acc != 0 {
-                    region.or_word(w, *acc);
-                    *acc = 0;
-                }
-            }
-            accs[num_groups] = 0;
-        }
-    });
 }
 
 /// Scalar reference for boolean grouping (the pre-PR per-row loop).
@@ -1224,17 +1070,19 @@ fn groups_word_bool(
     });
 }
 
-/// Scalar reference for keyed (numeric) grouping: one pass, one key lookup
-/// per selected non-null row, read through the decoding accessor.
-fn groups_scalar_keyed<T: Copy + Default>(
-    column: &PrimitiveColumn<T>,
+/// Scalar reference for value grouping, numeric or string: one pass, one
+/// lookup per selected row — `group_of_row` reads the row through the
+/// column's decoding accessor (NULL rows have no group), so the reference
+/// shares no lane code with the kernels.
+fn groups_scalar(
+    len: usize,
     offset: usize,
     sel: &Bitmap,
-    lookup: impl Fn(T) -> Option<usize>,
+    group_of_row: impl Fn(usize) -> Option<usize>,
     out: &mut [Bitmap],
 ) {
-    sel.for_each_one_in(offset, offset + column.len(), |idx| {
-        if let Some(g) = column.get(idx - offset).and_then(&lookup) {
+    sel.for_each_one_in(offset, offset + len, |idx| {
+        if let Some(g) = group_of_row(idx - offset) {
             out[g].set(idx);
         }
     });
@@ -1312,14 +1160,9 @@ fn for_each_value<T: Copy + Default>(
         Lanes::Plain(values) => {
             for_each_selected_value(values, validity, offset, sel, visit);
         }
-        Lanes::Coded { dict, codes } => match codes {
-            Codes::U8(codes) => {
-                for_each_selected_value(codes, validity, offset, sel, |c| visit(dict[c.index()]));
-            }
-            Codes::U16(codes) => {
-                for_each_selected_value(codes, validity, offset, sel, |c| visit(dict[c.index()]));
-            }
-        },
+        Lanes::Coded { dict, codes } => at_each_width!(codes, codes => {
+            for_each_selected_value(codes, validity, offset, sel, |c| visit(dict[c.index()]));
+        }),
     }
 }
 
@@ -1387,16 +1230,9 @@ pub(crate) fn count_bools_part(
     (trues, falses, nulls)
 }
 
-/// Per-code selected-row counts for one dictionary part, one slot per code
-/// and a last one that absorbs the NULL lanes. Dense candidate words count
-/// all 64 lanes without per-bit iteration. (Exact either way — not
-/// path-gated.)
-pub(crate) fn count_codes_part(d: &DictColumn, offset: usize, sel: &Bitmap) -> Vec<usize> {
-    count_lanes(d.codes(), d.cardinality(), None, offset, sel)
-}
-
-/// [`count_codes_part`] for one coded numeric part: a slot per entry of its
-/// sorted dictionary and a last one for the selected NULL rows.
+/// Per-code selected-row counts of one coded part — numeric or string: a
+/// slot per dictionary entry and a last one for the selected NULL rows.
+/// (Exact either way — not path-gated.)
 pub(crate) fn count_coded_part(
     codes: &Codes,
     card: usize,
@@ -1404,20 +1240,16 @@ pub(crate) fn count_coded_part(
     offset: usize,
     sel: &Bitmap,
 ) -> Vec<usize> {
-    match codes {
-        Codes::U8(codes) => count_lanes(codes, card, Some(validity), offset, sel),
-        Codes::U16(codes) => count_lanes(codes, card, Some(validity), offset, sel),
-    }
+    at_each_width!(codes, codes => count_lanes(codes, card, validity, offset, sel))
 }
 
 /// Direct-address selected-row counts over code lanes: `card + 1` slots, the
-/// last for NULLs. A string dictionary marks NULL lanes with [`NULL_CODE`],
-/// which clamps into that slot; a coded numeric part marks them in `validity`
-/// and their lanes hold code 0.
+/// last for NULLs, which `validity` marks (their lanes hold code 0). Dense
+/// candidate words count all 64 lanes without per-bit iteration.
 fn count_lanes<C: CodeLane>(
     codes: &[C],
     card: usize,
-    validity: Option<&Bitmap>,
+    validity: &Bitmap,
     offset: usize,
     sel: &Bitmap,
 ) -> Vec<usize> {
@@ -1430,12 +1262,12 @@ fn count_lanes<C: CodeLane>(
     let end = offset + codes.len();
     for_each_sel_word(sel, offset, end, |w, cand| {
         let base = w * WORD_BITS;
-        let valid = validity.map_or(u64::MAX, |mask| validity_word(mask, offset, base));
+        let valid = validity_word(validity, offset, base);
         let full = base >= offset && base + WORD_BITS <= end;
         if full && cand == u64::MAX {
             for pair in codes[base - offset..base - offset + WORD_BITS].chunks_exact(2) {
-                tallies[pair[0].index().min(card)][0] += 1;
-                tallies[pair[1].index().min(card)][1] += 1;
+                tallies[pair[0].index()][0] += 1;
+                tallies[pair[1].index()][1] += 1;
             }
             dense_nulls += (!valid).count_ones() as usize;
         } else {
@@ -1445,7 +1277,7 @@ fn count_lanes<C: CodeLane>(
                 let b = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 let code = codes[base + b - offset];
-                tallies[code.index().min(card)][b & 1] += 1;
+                tallies[code.index()][b & 1] += 1;
             }
         }
     });
@@ -1455,17 +1287,20 @@ fn count_lanes<C: CodeLane>(
     counts
 }
 
-/// The selected `(non-NULL, NULL)` row counts of one dictionary part, read
-/// off [`count_codes_part`]; `counted` is called, in dictionary order, with
-/// every value of the dictionary and how many selected rows hold it (zero for
-/// a value no selected row holds).
+/// The selected `(non-NULL, NULL)` row counts of one string part (zeros for
+/// any other part), read off [`count_coded_part`]; `counted` is called, in
+/// dictionary order, with every value of the dictionary and how many selected
+/// rows hold it (zero for a value no selected row holds).
 pub(crate) fn count_values_part<'d>(
-    d: &'d DictColumn,
+    column: &'d Column,
     offset: usize,
     sel: &Bitmap,
     mut counted: impl FnMut(&'d str, usize),
 ) -> (usize, usize) {
-    let counts = count_codes_part(d, offset, sel);
+    let Column::Str(d) = column else {
+        return (0, 0);
+    };
+    let counts = count_coded_part(d.codes(), d.cardinality(), d.validity(), offset, sel);
     let (&nulls, by_code) = counts.split_last().expect("the NULL slot is always there");
     let mut non_null = 0;
     for (value, &n) in d.dictionary().iter().zip(by_code) {
@@ -1475,18 +1310,39 @@ pub(crate) fn count_values_part<'d>(
     (non_null, nulls)
 }
 
-/// OR the non-NULL rows of one part into `out` at the part's offset.
-/// Primitive parts copy their validity mask a word at a time when the offset
-/// is word-aligned; dictionary parts assemble theirs from the codes.
+/// OR the non-NULL rows of one part — its validity mask — into `out` at the
+/// part's offset, a word at a time.
 pub(crate) fn non_null_mask_part(column: &Column, offset: usize, out: &mut Bitmap) {
+    let validity = match column {
+        Column::Int(p) => p.validity(),
+        Column::Float(p) => p.validity(),
+        Column::Bool(p) => p.validity(),
+        Column::Str(d) => d.validity(),
+    };
+    out.or_shifted(validity, offset);
+}
+
+/// The dictionary of one string part, in its first-appearance order (empty
+/// for any other part).
+pub(crate) fn dictionary_part(column: &Column) -> &[String] {
     match column {
-        Column::Int(p) => out.or_shifted(p.validity(), offset),
-        Column::Float(p) => out.or_shifted(p.validity(), offset),
-        Column::Bool(p) => out.or_shifted(p.validity(), offset),
-        Column::Str(d) => out.fill_range_from_fn(offset, offset + d.len(), |idx| {
-            d.code(idx - offset) != NULL_CODE
-        }),
+        Column::Str(d) => d.dictionary(),
+        _ => &[],
     }
+}
+
+/// Label the non-NULL rows of one string part: `labels[row] =
+/// label_of_code[code of row]`, one label per dictionary entry; NULL rows
+/// keep what `labels` holds. Nothing is written for any other part.
+pub(crate) fn category_codes_part(column: &Column, label_of_code: &[u32], labels: &mut [u32]) {
+    let Column::Str(d) = column else {
+        return;
+    };
+    at_each_width!(d.codes(), codes => {
+        d.validity().for_each_one_in(0, codes.len(), |row| {
+            labels[row] = label_of_code[codes[row].index()];
+        });
+    });
 }
 
 #[cfg(test)]
@@ -1540,19 +1396,26 @@ mod tests {
     }
 
     #[test]
-    fn a_part_holding_no_group_value_gets_no_table_and_no_scan() {
-        let mut d = DictColumn::new();
-        for s in ["a", "b", "a"] {
-            d.push(Some(s));
-        }
+    fn a_part_holding_no_group_value_has_no_region_and_no_scan() {
         let group = |values: &[&str]| values.iter().map(|v| v.to_string()).collect::<Vec<_>>();
-        // Without a table `select_in_groups_part` returns before its scan.
-        assert_eq!(dict_group_table(&d, &[group(&["z"]), group(&[])]), None);
-        assert_eq!(dict_group_table(&d, &[]), None);
-        // One resolving value is enough: code 1 → group 1, the rest (and the
-        // NULL slot) → "no group".
-        let table = dict_group_table(&d, &[group(&["z"]), group(&["b"])]);
-        assert_eq!(table, Some(vec![2, 1, 2]));
+        let dict = group(&["a", "b"]);
+        let regions = |groups: &[Vec<String>]| {
+            let GroupsSpec::Written(map) = resolve_groups(DataType::Str, groups) else {
+                panic!("string groups resolve to written values");
+            };
+            code_regions(&dict, |value| map.get(value.as_str()).map(|&g| g as usize))
+        };
+        // With no entry in a region `partition_codes` returns before its scan.
+        assert_eq!(
+            regions(&[group(&["z"]), group(&[])]),
+            [NO_REGION, NO_REGION]
+        );
+        assert_eq!(regions(&[]), [NO_REGION, NO_REGION]);
+        // One resolving value is enough: code 1 → group 1. A value listed
+        // twice belongs to the first group that lists it.
+        assert_eq!(regions(&[group(&["z"]), group(&["b"])]), [NO_REGION, 1]);
+        let twice = [group(&["z"]), group(&["b", "a"]), group(&["a"])];
+        assert_eq!(regions(&twice), [1, 1]);
     }
 
     /// Deterministic pseudo-random words for the fold tests (xorshift64).
@@ -1561,46 +1424,6 @@ mod tests {
         *state ^= *state >> 7;
         *state ^= *state << 17;
         *state
-    }
-
-    #[test]
-    fn group_members_follow_the_table() {
-        // Codes 0 and 3 → group 0, code 1 → group 1, code 2 ungrouped; the
-        // trailing slot is the NULL sentinel.
-        assert_eq!(group_members(&[0, 1, 2, 0, 2], 2), vec![0b1001, 0b0010]);
-        assert_eq!(group_members(&[1], 1), vec![0]);
-    }
-
-    #[test]
-    fn member_fold_and_its_avx2_compilation_agree_with_a_per_lane_loop() {
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        for round in 0..200 {
-            // Small dictionaries, codes up to the 63 clamp, and NULL lanes.
-            let card = [2u64, 4, 30, 63][round % 4];
-            let mut lanes = [0u32; WORD_BITS];
-            for lane in lanes.iter_mut() {
-                let draw = xorshift(&mut state);
-                *lane = match draw % 11 {
-                    0 => NULL_CODE,
-                    1 => 63 + (draw >> 8) as u32 % 200,
-                    _ => ((draw >> 8) % card) as u32,
-                };
-            }
-            let member = xorshift(&mut state) & (u64::MAX >> 1);
-            let mut expected = 0u64;
-            for (b, &code) in lanes.iter().enumerate() {
-                if code < 63 && (member >> code) & 1 == 1 {
-                    expected |= 1u64 << b;
-                }
-            }
-            assert_eq!(member_mask_64_fold(&lanes, member), expected);
-            #[cfg(target_arch = "x86_64")]
-            if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: the CPU executes AVX2, as just detected.
-                assert_eq!(unsafe { member_mask_64_avx2(&lanes, member) }, expected);
-            }
-            assert_eq!(member_mask_64(&lanes, member), expected);
-        }
     }
 
     #[test]

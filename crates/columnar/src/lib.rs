@@ -28,10 +28,12 @@
 //!
 //! * [`Value`] / [`DataType`] — the scalar type system (64-bit integers, 64-bit
 //!   floats, dictionary-encoded strings, booleans).
-//! * [`Column`] — a typed segment-local column with a null mask; string columns
-//!   are dictionary-encoded ([`column::DictColumn`]), and a sealed numeric
-//!   column with few distinct values holds a sorted dictionary plus `u8` /
-//!   `u16` code lanes instead of 8-byte values ([`Encoding`], [`mod@column`]).
+//! * [`Column`] — a typed segment-local column with a null mask. There is one
+//!   dictionary-coded representation — a dictionary, the narrowest of `u8` /
+//!   `u16` / `u32` code lanes and the null mask — which every string column
+//!   holds ([`column::DictColumn`], first-appearance dictionary) and a sealed
+//!   numeric column with few distinct values takes instead of 8-byte values
+//!   (sorted dictionary) ([`Encoding`], [`mod@column`]).
 //! * [`Segment`] — an immutable row range: one column per field; sealing one
 //!   is where each column's representation is chosen.
 //! * [`ColumnView`] — one schema column across every segment of a table; all

@@ -11,10 +11,12 @@
 //! which every column becomes immutable (the builder's seal, `Table::new`'s
 //! chunking, CSV ingest and row appends all end there), so it is where a
 //! numeric column with few distinct values trades its 8-byte lanes for a
-//! sorted dictionary and `u8`/`u16` codes (one hash pass per numeric value;
-//! see [`crate::column`]). The choice is per column per segment, from that
-//! segment's data alone: one table column may mix coded and plain parts, and
-//! no answer depends on which is which.
+//! sorted dictionary and `u8`/`u16` codes (one hash pass per numeric value),
+//! and where a string column's `u32` code lanes narrow to what its dictionary
+//! needs and its lookup index goes (see [`crate::column`]). The choice is per
+//! column per segment, from that segment's data alone: one table column may
+//! mix coded and plain parts, or code widths, and no answer depends on which
+//! is which.
 //!
 //! The segment size is a storage-layout knob, not a semantics knob: every scan
 //! kernel walks the segments in row order and assembles results in global row

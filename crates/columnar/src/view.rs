@@ -19,14 +19,14 @@
 //! table-wide view computes.
 //!
 //! String columns are dictionary-encoded **per segment**: each kernel resolves
-//! its value set against each segment's dictionary (one cheap lookup per
-//! segment, never a per-row string comparison), and the merged first-appearance
+//! its value set against each segment's dictionary (one lookup per dictionary
+//! entry, never a per-row string comparison), and the merged first-appearance
 //! order over all segments — [`ColumnView::dictionary`] — matches the order a
 //! single table-wide dictionary would have produced.
 
 use crate::bitmap::Bitmap;
 use crate::colstats::{bool_category_counts, widen, CategorySet, ColumnStats, ColumnSummary};
-use crate::column::{Column, NULL_CODE};
+use crate::column::Column;
 use crate::error::{ColumnarError, Result};
 use crate::kernels;
 use crate::table::Table;
@@ -191,8 +191,7 @@ impl<'a> ColumnView<'a> {
         let (mut non_null_count, mut null_count) = (0, 0);
         let mut categories: CategorySet<&str> = CategorySet::new();
         for (offset, column) in self.parts() {
-            let d = column.as_dict().expect("schema says string column");
-            let (non_null, nulls) = categories.count_part(d, offset, sel);
+            let (non_null, nulls) = categories.count_part(column, offset, sel);
             non_null_count += non_null;
             null_count += nulls;
         }
@@ -280,13 +279,14 @@ impl<'a> ColumnView<'a> {
     /// **single pass** over the column (instead of one
     /// [`ColumnView::select_in`] scan per group).
     ///
-    /// Groups must be pairwise disjoint value sets. String columns resolve
-    /// every group against each segment's dictionary once (a code→group
-    /// table; for a dictionary of fewer than 64 codes, one membership word
-    /// per group, against which 64 rows are classified by a vectorised lane
-    /// fold); boolean columns honour
-    /// `"true"` / `"false"`; numeric columns resolve a combined value→group
-    /// map once and classify in the same single pass (no per-group rescans).
+    /// Groups must be pairwise disjoint value sets; a value listed in more
+    /// than one belongs to the **first** group that lists it, whatever the
+    /// column type. The groups resolve once into a value→group map; a part
+    /// stored as dictionary codes — every string part, a sealed numeric part
+    /// with few distinct values — looks each dictionary entry up once and
+    /// partitions its rows by code, 64 at a time; boolean columns honour
+    /// `"true"` / `"false"`; plain numeric parts look every row up in the same
+    /// single pass (no per-group rescans).
     pub fn select_in_groups(&self, sel: &Bitmap, groups: &[Vec<String>]) -> Vec<Bitmap> {
         let mut out: Vec<Bitmap> = groups
             .iter()
@@ -294,7 +294,7 @@ impl<'a> ColumnView<'a> {
             .collect();
         let spec = kernels::resolve_groups(self.dtype, groups);
         for (offset, column) in self.parts() {
-            kernels::select_in_groups_part(column, offset, sel, groups, &spec, &mut out);
+            kernels::select_in_groups_part(column, offset, sel, &spec, &mut out);
         }
         out
     }
@@ -341,19 +341,17 @@ impl<'a> ColumnView<'a> {
                 // exactly in the order a shared dictionary would have interned
                 // them.
                 let mut order: Vec<(String, usize)> = Vec::new();
-                let mut index: HashMap<String, usize> = HashMap::new();
+                let mut index: HashMap<&str, usize> = HashMap::new();
                 for (offset, column) in self.parts() {
-                    let d = column.as_dict().expect("schema says string column");
-                    let counts = kernels::count_codes_part(d, offset, sel);
-                    for (value, &count) in d.dictionary().iter().zip(&counts) {
-                        match index.get(value.as_str()) {
+                    kernels::count_values_part(column, offset, sel, |value, count| {
+                        match index.get(value) {
                             Some(&pos) => order[pos].1 += count,
                             None => {
-                                index.insert(value.clone(), order.len());
-                                order.push((value.clone(), count));
+                                index.insert(value, order.len());
+                                order.push((value.to_string(), count));
                             }
                         }
-                    }
+                    });
                 }
                 order
             }
@@ -390,12 +388,10 @@ impl<'a> ColumnView<'a> {
             return Vec::new();
         }
         let mut order: Vec<String> = Vec::new();
-        let mut seen: HashSet<String> = HashSet::new();
+        let mut seen: HashSet<&str> = HashSet::new();
         for (_, column) in self.parts() {
-            let d = column.as_dict().expect("schema says string column");
-            for value in d.dictionary() {
-                if !seen.contains(value.as_str()) {
-                    seen.insert(value.clone());
+            for value in kernels::dictionary_part(column) {
+                if seen.insert(value) {
                     order.push(value.clone());
                 }
             }
@@ -404,37 +400,26 @@ impl<'a> ColumnView<'a> {
     }
 
     /// Per-row codes of a string column against the merged global dictionary
-    /// ([`ColumnView::dictionary`] order), with [`NULL_CODE`] for NULLs — the
-    /// label vector clustering-quality metrics consume. Non-string columns
-    /// return an empty vector.
+    /// ([`ColumnView::dictionary`] order) — the label vector clustering-quality
+    /// metrics consume. A NULL row gets the label `u32::MAX`, which no
+    /// dictionary entry has: NULLs form a class of their own. Non-string
+    /// columns return an empty vector.
     pub fn category_codes(&self) -> Vec<u32> {
         if self.dtype != DataType::Str {
             return Vec::new();
         }
-        let mut out = vec![NULL_CODE; self.len()];
-        let mut global: HashMap<String, u32> = HashMap::new();
+        let mut out = vec![u32::MAX; self.len()];
+        let mut global: HashMap<&str, u32> = HashMap::new();
         for (offset, column) in self.parts() {
-            let d = column.as_dict().expect("schema says string column");
             // Segment code → global code, resolved once per segment.
-            let translate: Vec<u32> = d
-                .dictionary()
+            let translate: Vec<u32> = kernels::dictionary_part(column)
                 .iter()
                 .map(|value| {
-                    if let Some(&code) = global.get(value.as_str()) {
-                        code
-                    } else {
-                        let code = global.len() as u32;
-                        global.insert(value.clone(), code);
-                        code
-                    }
+                    let next = global.len() as u32;
+                    *global.entry(value).or_insert(next)
                 })
                 .collect();
-            for local in 0..d.len() {
-                let code = d.code(local);
-                if code != NULL_CODE {
-                    out[offset + local] = translate[code as usize];
-                }
-            }
+            kernels::category_codes_part(column, &translate, &mut out[offset..]);
         }
         out
     }
@@ -771,8 +756,8 @@ mod tests {
     #[test]
     fn values_no_segment_holds_select_nothing() {
         // Segments whose dictionary has none of the values are skipped, not
-        // scanned (`kernels::dict_group_table` pins that half); the answer is
-        // that of the segments that do hold one.
+        // scanned (a `kernels` unit test pins that half); the answer is that
+        // of the segments that do hold one.
         let t = segmented_table(200, 7);
         let all = t.full_selection();
         let c = t.column("c").unwrap();

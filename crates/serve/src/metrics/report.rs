@@ -17,7 +17,7 @@ use crate::resilience::CircuitState;
 use crate::sessions::SessionManager;
 use crate::shard::ShardState;
 use crate::wire::Json;
-use atlas_columnar::{DataType, Encoding};
+use atlas_columnar::Encoding;
 use std::sync::Arc;
 
 /// What a [`Sample`] measured.
@@ -264,16 +264,12 @@ fn walk(parts: &Components) -> Vec<Sample> {
             ));
         }
         // How the dataset is stored: per column, its segment-local parts by
-        // encoding — a sealed numeric column is dictionary codes (`u8` /
-        // `u16`) where it has few distinct values and plain 8-byte lanes
-        // where it does not, decided per segment — and the heap bytes held.
+        // encoding — dictionary codes at the width the part's dictionary
+        // allows (every string part; a numeric part with few distinct
+        // values) or plain lanes, decided per segment — and the heap bytes
+        // held.
         for column in engine.table().columns() {
-            let encodings: &[Encoding] = match column.data_type() {
-                DataType::Str => &[Encoding::Dict],
-                DataType::Bool => &[Encoding::Plain],
-                _ => &[Encoding::Plain, Encoding::CodedU8, Encoding::CodedU16],
-            };
-            for &encoding in encodings {
+            for encoding in Encoding::ALL {
                 let count = column
                     .parts()
                     .filter(|(_, part)| part.encoding() == encoding);

@@ -233,13 +233,24 @@ proptest! {
 /// values in order (so a single-segment layout has a dictionary of exactly
 /// `card` codes) and whose remaining rows are drawn from them, NULLs mixed in.
 fn dictionary_table(card: usize, tail: &[Option<u32>], segment_rows: usize) -> Table {
-    let schema = Schema::new(vec![Field::new("c", DataType::Str)]).unwrap();
-    let mut builder = TableBuilder::new("t", schema).with_segment_rows(segment_rows);
+    string_table(&dictionary_cells(card, tail), segment_rows)
+}
+
+/// The rows of [`dictionary_table`].
+fn dictionary_cells(card: usize, tail: &[Option<u32>]) -> Vec<Value> {
     let head = (0..card).map(Some);
     let tail = tail.iter().map(|code| code.map(|c| c as usize % card));
-    for code in head.chain(tail) {
-        let value = code.map_or(Value::Null, |c| Value::Str(format!("v{c}")));
-        builder.push_row(&[value]).unwrap();
+    head.chain(tail)
+        .map(|code| code.map_or(Value::Null, |c| Value::Str(format!("v{c}"))))
+        .collect()
+}
+
+/// A one-column string table over `cells`.
+fn string_table(cells: &[Value], segment_rows: usize) -> Table {
+    let schema = Schema::new(vec![Field::nullable("c", DataType::Str)]).unwrap();
+    let mut builder = TableBuilder::new("t", schema).with_segment_rows(segment_rows);
+    for cell in cells {
+        builder.push_row(std::slice::from_ref(cell)).unwrap();
     }
     builder.build().unwrap()
 }
@@ -613,6 +624,333 @@ proptest! {
             let layout = segment_rows;
             prop_assert_eq!(word.first_difference(&reference), None, "{} rows: word", layout);
             prop_assert_eq!(scalar.first_difference(&reference), None, "{} rows: scalar", layout);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Sealed string ≡ open string ≡ scalar: one coded representation for strings
+// ---------------------------------------------------------------------------
+
+/// Everything the kernels say about one string column under the current
+/// kernel path.
+#[derive(PartialEq)]
+struct ObservedStrings {
+    summaries: Vec<SummaryParts>,
+    stats: Vec<String>,
+    counts: Vec<Vec<(String, usize)>>,
+    grouped: Vec<Vec<Bitmap>>,
+    members: Vec<Vec<Bitmap>>,
+    non_null: Bitmap,
+    dictionary: Vec<String>,
+    codes: Vec<u32>,
+    values: Vec<Value>,
+}
+
+impl ObservedStrings {
+    fn first_difference(&self, other: &ObservedStrings) -> Option<&'static str> {
+        [
+            ("summary", self.summaries != other.summaries),
+            ("stats", self.stats != other.stats),
+            ("category_counts", self.counts != other.counts),
+            ("select_in_groups", self.grouped != other.grouped),
+            ("select_in", self.members != other.members),
+            ("non_null_mask", self.non_null != other.non_null),
+            ("dictionary", self.dictionary != other.dictionary),
+            ("category_codes", self.codes != other.codes),
+            ("value", self.values != other.values),
+        ]
+        .into_iter()
+        .find_map(|(kernel, differs)| differs.then_some(kernel))
+    }
+}
+
+fn observe_strings(
+    col: ColumnView<'_>,
+    sels: &[Bitmap],
+    groups: &[Vec<String>],
+) -> ObservedStrings {
+    let members = |sel: &Bitmap| groups.iter().map(|g| col.select_in(sel, g)).collect();
+    ObservedStrings {
+        summaries: sels.iter().map(|s| col.summary(s).to_parts()).collect(),
+        stats: sels.iter().map(|s| format!("{:?}", col.stats(s))).collect(),
+        counts: sels.iter().map(|s| col.category_counts(s)).collect(),
+        grouped: sels
+            .iter()
+            .map(|s| col.select_in_groups(s, groups))
+            .collect(),
+        members: sels.iter().map(members).collect(),
+        non_null: col.non_null_mask(),
+        dictionary: col.dictionary(),
+        codes: col.category_codes(),
+        values: (0..col.len()).map(|row| col.value(row)).collect(),
+    }
+}
+
+/// Hold one string column three ways — a lone open column (`u32` lanes, the
+/// lookup index still there), tables sealed at every layout of
+/// [`dictionary_table`] (whose per-segment dictionaries land on either side
+/// of the width lines), and both of them through the scalar reference — and
+/// require one answer from every kernel; `select_in_groups` and
+/// `category_codes` are also held to a row-at-a-time definition that shares
+/// nothing with them (a value belongs to the first group that lists it; a
+/// label is the value's first-appearance rank, `u32::MAX` for NULL).
+fn check_string_column(cells: &[Value], sels: &[Bitmap], groups: &[Vec<String>]) {
+    let rows = cells.len();
+    let mut open = Column::new_empty(DataType::Str);
+    for cell in cells {
+        open.push(cell).unwrap();
+    }
+    assert_eq!(open.encoding(), Encoding::CodedU32);
+
+    let run = |col: ColumnView<'_>| {
+        let word = with_kernel_path(KernelPath::WordParallel, || {
+            observe_strings(col, sels, groups)
+        });
+        let scalar = with_kernel_path(KernelPath::Scalar, || observe_strings(col, sels, groups));
+        (word, scalar)
+    };
+    let (reference, reference_scalar) = run(ColumnView::of_column("c", &open));
+    assert_eq!(
+        reference.first_difference(&reference_scalar),
+        None,
+        "open: scalar"
+    );
+
+    // The definitions, by rows.
+    let text = |cell: &Value| match cell {
+        Value::Str(s) => Some(s.clone()),
+        _ => None,
+    };
+    let mut first_seen: Vec<String> = Vec::new();
+    let mut rank: std::collections::BTreeMap<String, u32> = Default::default();
+    let labels: Vec<u32> = cells
+        .iter()
+        .map(|cell| match text(cell) {
+            None => u32::MAX,
+            Some(s) => *rank.entry(s.clone()).or_insert_with(|| {
+                first_seen.push(s);
+                first_seen.len() as u32 - 1
+            }),
+        })
+        .collect();
+    assert_eq!(reference.codes, labels, "category_codes");
+    assert_eq!(reference.dictionary, first_seen, "dictionary");
+    let mut group_of_value: std::collections::BTreeMap<&str, usize> = Default::default();
+    for (g, group) in groups.iter().enumerate() {
+        for value in group {
+            group_of_value.entry(value).or_insert(g);
+        }
+    }
+    let group_of_row: Vec<Option<usize>> = cells
+        .iter()
+        .map(|cell| group_of_value.get(text(cell)?.as_str()).copied())
+        .collect();
+    for (sel, grouped) in sels.iter().zip(&reference.grouped) {
+        for (g, region) in grouped.iter().enumerate() {
+            let expected =
+                Bitmap::from_fn(rows, |row| sel.get(row) && group_of_row[row] == Some(g));
+            assert_eq!(region, &expected, "group {g} by rows");
+        }
+    }
+    let nulls = cells.iter().filter(|cell| text(cell).is_none()).count();
+    assert_eq!(reference.non_null.count(), rows - nulls);
+
+    for segment_rows in [usize::MAX, 7, 64, 100] {
+        let table = string_table(cells, segment_rows);
+        let col = table.column("c").unwrap();
+        if segment_rows == usize::MAX {
+            // The seal rule: the narrowest lane that names every entry.
+            let expected = match first_seen.len() {
+                0..=256 => Encoding::CodedU8,
+                257..=65_536 => Encoding::CodedU16,
+                _ => Encoding::CodedU32,
+            };
+            let encodings: Vec<Encoding> = col.parts().map(|(_, c)| c.encoding()).collect();
+            assert_eq!(encodings, [expected], "{} entries", first_seen.len());
+        }
+        let (word, scalar) = run(col);
+        let layout = segment_rows;
+        assert_eq!(
+            word.first_difference(&reference),
+            None,
+            "{layout} rows: word"
+        );
+        assert_eq!(
+            scalar.first_difference(&reference),
+            None,
+            "{layout} rows: scalar"
+        );
+    }
+}
+
+/// Codes dealt to `num_groups` groups as in
+/// `dictionary_grouping_is_bit_identical_on_both_sides_of_the_64_code_line`:
+/// slots past `num_groups` stay ungrouped, every group names a value no row
+/// holds, one value is listed in two groups, one group is emptied.
+fn dealt_groups(
+    card: usize,
+    num_groups: usize,
+    group_of_code: &[usize],
+    twice: usize,
+    emptied: usize,
+) -> Vec<Vec<String>> {
+    let mut groups: Vec<Vec<String>> = vec![Vec::new(); num_groups];
+    for code in 0..card {
+        if let Some(group) = groups.get_mut(group_of_code[code % group_of_code.len()]) {
+            group.push(format!("v{code}"));
+        }
+    }
+    for (g, group) in groups.iter_mut().enumerate() {
+        group.push(format!("absent{g}"));
+    }
+    let twice = format!("v{}", twice % card);
+    groups[0].push(twice.clone());
+    groups[num_groups - 1].push(twice);
+    if num_groups > 2 {
+        groups[1 + emptied % (num_groups - 2)].clear();
+    }
+    groups
+}
+
+fn string_selections(rows: usize, bits: &[bool]) -> [Bitmap; 5] {
+    [
+        Bitmap::new_full(rows),
+        Bitmap::from_fn(rows, |i| bits[i % bits.len()]),
+        Bitmap::from_fn(rows, |i| i % 23 == 0),
+        Bitmap::new_empty(rows),
+        Bitmap::from_fn(rows, |i| {
+            (3..rows.saturating_sub(2)).contains(&i) && i % 5 != 0
+        }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// Dictionaries on each side of the 64-code line the retired membership
+    /// fold drew and of the `u8` / `u16` width line, NULL lanes (which hold
+    /// code 0 like the first value's rows), all-NULL columns, dense to empty
+    /// selections.
+    #[test]
+    fn sealed_open_and_scalar_strings_agree_on_each_side_of_every_width_line(
+        card in prop_oneof![
+            Just(1usize), Just(2usize), Just(63usize), Just(64usize),
+            Just(255usize), Just(256usize), Just(257usize)
+        ],
+        tail in proptest::collection::vec(proptest::option::weighted(0.85, 0u32..100_000), 64..400),
+        num_groups in 1usize..9,
+        group_of_code in proptest::collection::vec(0usize..10, 1..40),
+        twice in 0usize..1000,
+        emptied in 0usize..8,
+        sel_bits in proptest::collection::vec(any::<bool>(), 1..300),
+        all_null in proptest::option::weighted(0.1, Just(())),
+    ) {
+        let mut cells = dictionary_cells(card, &tail);
+        if all_null.is_some() {
+            cells.fill(Value::Null);
+        }
+        let groups = dealt_groups(card, num_groups, &group_of_code, twice, emptied);
+        check_string_column(&cells, &string_selections(cells.len(), &sel_bits), &groups);
+    }
+}
+
+/// One entry past what a `u16` lane names: the sealed single-segment part
+/// keeps `u32` lanes, the smaller layouts seal narrower ones.
+#[test]
+fn a_dictionary_past_65_536_entries_keeps_u32_lanes_and_the_same_answers() {
+    let card = 65_537;
+    let tail: Vec<Option<u32>> = (0..300u32)
+        .map(|i| (i % 9 != 0).then_some(i.wrapping_mul(2_654_435_761)))
+        .collect();
+    let cells = dictionary_cells(card, &tail);
+    let groups = dealt_groups(card, 3, &[0, 5, 1, 2, 7], 65_536, 0);
+    let sels = string_selections(cells.len(), &[true, false, true, true, false, false, true]);
+    check_string_column(&cells, &sels[..2], &groups);
+}
+
+/// The duplicate-value rule, stated once: a value listed in two groups
+/// belongs to the **first** group that lists it — for every column type, on
+/// both kernel paths, open or sealed. (Strings used to give it to the last one.)
+#[test]
+fn a_value_listed_in_two_groups_lands_in_the_first() {
+    let group = |values: &[&str]| values.iter().map(|v| v.to_string()).collect::<Vec<_>>();
+    // Per type: the rows, the groups (one value listed in groups 0 and 2,
+    // another in 1 and 2), and the rows each group must select.
+    let cases = [
+        (
+            DataType::Str,
+            ["a", "b", "c", "a", "d", "b"]
+                .map(|s| Value::Str(s.into()))
+                .to_vec(),
+            vec![
+                group(&["a"]),
+                group(&["b", "c"]),
+                group(&["c", "a", "d", "b"]),
+            ],
+            [vec![0, 3], vec![1, 2, 5], vec![4]],
+        ),
+        (
+            DataType::Int,
+            [1, 2, 3, 1, 4, 2].map(Value::Int).to_vec(),
+            vec![
+                group(&["1"]),
+                group(&["2", "3"]),
+                group(&["3", "1", "4", "2"]),
+            ],
+            [vec![0, 3], vec![1, 2, 5], vec![4]],
+        ),
+        (
+            DataType::Float,
+            [1.5, 2.0, 3.5, 1.5, 4.0, 2.0].map(Value::Float).to_vec(),
+            vec![
+                group(&["1.5"]),
+                group(&["2", "3.5"]),
+                group(&["3.5", "1.5", "4", "2"]),
+            ],
+            [vec![0, 3], vec![1, 2, 5], vec![4]],
+        ),
+        (
+            DataType::Bool,
+            [true, false, true, false].map(Value::Bool).to_vec(),
+            vec![
+                group(&["true"]),
+                group(&["false", "TRUE"]),
+                group(&["true", "false"]),
+            ],
+            [vec![0, 2], vec![1, 3], vec![]],
+        ),
+    ];
+    for (dtype, cells, groups, expected) in cases {
+        // Enough copies of the rows that full words, and so the word-parallel
+        // classifications, are reached; NULLs in between.
+        let repeats = 40;
+        let mut open = Column::new_empty(dtype);
+        let schema = Schema::new(vec![Field::nullable("x", dtype)]).unwrap();
+        let mut builder = TableBuilder::new("t", schema);
+        let stride = cells.len() + 1;
+        for _ in 0..repeats {
+            for cell in cells.iter().chain([&Value::Null]) {
+                open.push(cell).unwrap();
+                builder.push_row(std::slice::from_ref(cell)).unwrap();
+            }
+        }
+        let sealed = builder.build().unwrap();
+        let rows = repeats * stride;
+        let all = Bitmap::new_full(rows);
+        let expected: Vec<Bitmap> = expected
+            .iter()
+            .map(|local| Bitmap::from_fn(rows, |row| local.contains(&(row % stride))))
+            .collect();
+        let views = [
+            ColumnView::of_column("x", &open),
+            sealed.column("x").unwrap(),
+        ];
+        for view in views {
+            for path in [KernelPath::WordParallel, KernelPath::Scalar] {
+                let got = with_kernel_path(path, || view.select_in_groups(&all, &groups));
+                assert_eq!(got, expected, "{dtype:?} {path:?}");
+            }
         }
     }
 }

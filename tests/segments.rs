@@ -25,27 +25,40 @@ fn build_table(
     seals: &[usize],
     segment_rows: usize,
 ) -> Arc<Table> {
-    let schema = Schema::new(vec![
+    build_tagged_table(numeric, categories, seals, segment_rows, None)
+}
+
+/// [`build_table`] with, if `tag` is given, a fifth string column `e` holding
+/// `tag(row)`.
+fn build_tagged_table(
+    numeric: &[f64],
+    categories: &[u8],
+    seals: &[usize],
+    segment_rows: usize,
+    tag: Option<fn(usize) -> String>,
+) -> Arc<Table> {
+    let mut fields = vec![
         Field::new("x", DataType::Float),
         Field::new("y", DataType::Float),
         Field::new("c", DataType::Str),
         Field::new("d", DataType::Str),
-    ])
-    .unwrap();
+    ];
+    fields.extend(tag.map(|_| Field::new("e", DataType::Str)));
+    let schema = Schema::new(fields).unwrap();
     let mut builder = TableBuilder::new("t", schema).with_segment_rows(segment_rows);
     for (i, &x) in numeric.iter().enumerate() {
         let c = categories[i % categories.len()] % 4;
         // y depends on c, d depends on x's sign: dependencies to discover.
         let y = f64::from(c) * 100.0 + x / 10.0;
         let d = if x >= 0.0 { "pos" } else { "neg" };
-        builder
-            .push_row(&[
-                Value::Float(x),
-                Value::Float(y),
-                Value::Str(format!("cat{c}")),
-                Value::Str(d.to_string()),
-            ])
-            .unwrap();
+        let mut row = vec![
+            Value::Float(x),
+            Value::Float(y),
+            Value::Str(format!("cat{c}")),
+            Value::Str(d.to_string()),
+        ];
+        row.extend(tag.map(|tag| Value::Str(tag(i))));
+        builder.push_row(&row).unwrap();
         if seals.contains(&i) {
             builder.seal_segment().unwrap();
         }
@@ -252,8 +265,11 @@ fn streamed_csv_explores_identically() {
 /// One table whose segments hold the same columns under different encodings
 /// — the first half of `x` and `y` draws from a dozen values (coded when
 /// sealed on its own), the second half is near-unique (plain), and the
-/// single-segment reference holds too many distinct values to code at all —
-/// explores bit-for-bit like that reference, whole table and drill-down.
+/// single-segment reference holds too many distinct values to code at all;
+/// the string column `e` holds three values in the first half (byte codes)
+/// and three hundred in the second (`u16` codes, as in the reference) —
+/// explores bit-for-bit like that reference, whole table and drill-downs,
+/// one of which narrows `e` to values whose codes differ in every part.
 #[test]
 fn explore_is_bit_identical_over_segments_that_mix_encodings() {
     use atlas::columnar::Encoding;
@@ -268,26 +284,40 @@ fn explore_is_bit_identical_over_segments_that_mix_encodings() {
         })
         .collect();
     let categories = [0u8, 1, 2, 3, 1, 0, 2];
-    let reference = build_table(&numeric, &categories, &[], usize::MAX);
-    let mixed = build_table(&numeric, &categories, &[599], usize::MAX);
-    let encodings = |table: &Table| -> Vec<Encoding> {
-        let x = table.column("x").unwrap();
-        x.parts().map(|(_, part)| part.encoding()).collect()
+    let tag: fn(usize) -> String = |i| format!("tag{}", if i < 600 { i % 3 } else { i % 300 });
+    let reference = build_tagged_table(&numeric, &categories, &[], usize::MAX, Some(tag));
+    let mixed = build_tagged_table(&numeric, &categories, &[599], usize::MAX, Some(tag));
+    let encodings = |table: &Table, column: &str| -> Vec<Encoding> {
+        let view = table.column(column).unwrap();
+        view.parts().map(|(_, part)| part.encoding()).collect()
     };
-    assert_eq!(encodings(&reference), [Encoding::Plain]);
-    assert_eq!(encodings(&mixed), [Encoding::CodedU8, Encoding::Plain]);
+    assert_eq!(encodings(&reference, "x"), [Encoding::Plain]);
+    assert_eq!(encodings(&mixed, "x"), [Encoding::CodedU8, Encoding::Plain]);
+    assert_eq!(encodings(&reference, "e"), [Encoding::CodedU16]);
+    assert_eq!(
+        encodings(&mixed, "e"),
+        [Encoding::CodedU8, Encoding::CodedU16]
+    );
 
     let drill = ConjunctiveQuery::all("t").and(Predicate::range("x", -250.0, 400.0));
+    let tags = ["tag2", "tag0", "tag299", "tag57", "tag1"];
+    let tagged = ConjunctiveQuery::all("t").and(Predicate::values("e", tags));
     for merge in [MergeStrategy::Product, MergeStrategy::Composition] {
         let config = AtlasConfig {
             merge,
             ..AtlasConfig::default()
         };
-        for query in [ConjunctiveQuery::all("t"), drill.clone()] {
+        for query in [ConjunctiveQuery::all("t"), drill.clone(), tagged.clone()] {
             let single = Atlas::new(Arc::clone(&reference), config.clone().with_parallelism(1))
                 .unwrap()
                 .explore(&query)
                 .unwrap();
+            if query.predicate_on("e").is_some() {
+                let cut_on_e = |ranked: &atlas::core::RankedMap| {
+                    ranked.map.source_attributes.iter().any(|a| a == "e")
+                };
+                assert!(single.maps.iter().any(cut_on_e), "the narrowed `e` is cut");
+            }
             for parallelism in [1usize, 3] {
                 let engine = Atlas::new(
                     Arc::clone(&mixed),

@@ -286,7 +286,7 @@ fn a_session_surviving_an_append_refreshes_its_current_step() {
 }
 
 /// `/metrics` says how each dataset is stored — per column, how many of its
-/// segment-local parts hold plain lanes, `u8` codes or `u16` codes, and the
+/// segment-local parts hold plain lanes, `u8`, `u16` or `u32` codes, and the
 /// heap bytes they weigh — in both formats, and an appended segment shows up
 /// as one more part per column under whatever encoding its own rows earned.
 #[test]
@@ -319,12 +319,7 @@ fn metrics_report_how_each_column_is_stored() {
         at.num().unwrap()
     };
     for field in table.schema().fields() {
-        let encodings: &[Encoding] = match field.dtype {
-            DataType::Str => &[Encoding::Dict],
-            DataType::Bool => &[Encoding::Plain],
-            _ => &[Encoding::Plain, Encoding::CodedU8, Encoding::CodedU16],
-        };
-        for &encoding in encodings {
+        for encoding in Encoding::ALL {
             assert_eq!(
                 reported(&field.name, &["parts", encoding.name()]),
                 expected(&table, &field.name, encoding),
@@ -362,13 +357,12 @@ fn metrics_report_how_each_column_is_stored() {
     assert_eq!(reply.status, 200, "{:?}", reply.body_text());
     assert_eq!(reported("age", &["parts", "u8"]), segments + 1.0);
     let parts_of = |column: &str| -> f64 {
-        let encodings = ["plain", "u8", "u16"];
-        encodings
-            .iter()
-            .map(|e| reported(column, &["parts", e]))
-            .sum()
+        let parts = Encoding::ALL.map(|e| reported(column, &["parts", e.name()]));
+        parts.iter().sum()
     };
     assert_eq!(parts_of("height_cm"), segments + 1.0);
+    // Strings are codes like the numerics: two sexes fit a byte lane.
+    assert_eq!(reported("sex", &["parts", "u8"]), segments + 1.0);
     assert!(reported("age", &["resident_bytes"]) > age_bytes + 1_024.0);
 
     // The text exposition carries the same samples.
