@@ -50,17 +50,6 @@ impl Bitmap {
         bm
     }
 
-    /// Build a bitmap from a boolean slice (`true` = selected).
-    pub fn from_bools(bools: &[bool]) -> Self {
-        let mut bm = Bitmap::new_empty(bools.len());
-        for (i, &b) in bools.iter().enumerate() {
-            if b {
-                bm.set(i);
-            }
-        }
-        bm
-    }
-
     /// Rebuild a bitmap over `len` rows from its packed word vector (the
     /// exact inverse of [`Bitmap::words`], e.g. after a wire transfer).
     ///
@@ -247,31 +236,6 @@ impl Bitmap {
         }
     }
 
-    /// Build the sub-selection of this bitmap whose set bits satisfy `keep`.
-    ///
-    /// The fused filter kernel behind `Column::select_range` /
-    /// `Column::select_in`: output words are assembled directly (no per-bit
-    /// bounds checks or index arithmetic on the result), and all-zero input
-    /// words are skipped a whole `u64` at a time.
-    #[inline]
-    pub fn filter_ones(&self, mut keep: impl FnMut(usize) -> bool) -> Bitmap {
-        let mut out = Bitmap::new_empty(self.len);
-        for (word_idx, (&word, out_word)) in self.words.iter().zip(out.words.iter_mut()).enumerate()
-        {
-            let mut bits = word;
-            let mut acc = 0u64;
-            while bits != 0 {
-                let bit = bits.trailing_zeros();
-                if keep(word_idx * WORD_BITS + bit as usize) {
-                    acc |= 1u64 << bit;
-                }
-                bits &= bits - 1;
-            }
-            *out_word = acc;
-        }
-        out
-    }
-
     /// [`Bitmap::for_each_one`] restricted to the half-open row range
     /// `start..end`: call `f` with the index of every set bit inside the
     /// range, in increasing order.
@@ -307,82 +271,6 @@ impl Bitmap {
         }
     }
 
-    /// [`Bitmap::filter_ones`] restricted to `start..end`, OR-accumulating the
-    /// kept bits into `out` (which must range over the same number of rows).
-    ///
-    /// Segmented scan kernels call this once per segment with the segment's
-    /// global row range: each call assembles whole output words and only the
-    /// (at most two) boundary words of adjacent segments touch the same word,
-    /// which the OR handles without coordination.
-    ///
-    /// # Panics
-    /// Panics if `out` ranges over a different number of rows.
-    #[inline]
-    pub fn filter_ones_in_into(
-        &self,
-        start: usize,
-        end: usize,
-        out: &mut Bitmap,
-        mut keep: impl FnMut(usize) -> bool,
-    ) {
-        assert_eq!(self.len, out.len, "bitmap length mismatch");
-        let end = end.min(self.len);
-        if start >= end {
-            return;
-        }
-        let first_word = start / WORD_BITS;
-        let last_word = (end - 1) / WORD_BITS;
-        for word_idx in first_word..=last_word {
-            let mut bits = self.words[word_idx];
-            if word_idx == first_word {
-                bits &= !0u64 << (start % WORD_BITS);
-            }
-            if word_idx == last_word {
-                let rem = end - word_idx * WORD_BITS;
-                if rem < WORD_BITS {
-                    bits &= (1u64 << rem) - 1;
-                }
-            }
-            let mut acc = 0u64;
-            while bits != 0 {
-                let bit = bits.trailing_zeros();
-                if keep(word_idx * WORD_BITS + bit as usize) {
-                    acc |= 1u64 << bit;
-                }
-                bits &= bits - 1;
-            }
-            out.words[word_idx] |= acc;
-        }
-    }
-
-    /// Set every bit of `start..end` for which `f(idx)` holds, assembling
-    /// whole words at a time (the range form of [`Bitmap::from_fn`], used to
-    /// build table-wide masks one segment at a time).
-    pub fn fill_range_from_fn(
-        &mut self,
-        start: usize,
-        end: usize,
-        mut f: impl FnMut(usize) -> bool,
-    ) {
-        let end = end.min(self.len);
-        if start >= end {
-            return;
-        }
-        let first_word = start / WORD_BITS;
-        let last_word = (end - 1) / WORD_BITS;
-        for word_idx in first_word..=last_word {
-            let lo = start.max(word_idx * WORD_BITS);
-            let hi = end.min((word_idx + 1) * WORD_BITS);
-            let mut acc = 0u64;
-            for idx in lo..hi {
-                if f(idx) {
-                    acc |= 1u64 << (idx % WORD_BITS);
-                }
-            }
-            self.words[word_idx] |= acc;
-        }
-    }
-
     /// Build a bitmap over `len` rows from a per-row predicate, assembling
     /// whole words at a time (the fused form of [`Bitmap::from_indices`] for
     /// dense constructions like null masks).
@@ -402,27 +290,11 @@ impl Bitmap {
         bm
     }
 
-    /// A bitmap over `self.len() + other.len()` rows: this bitmap's bits
-    /// followed by `other`'s. Used to extend table-wide masks when a segment
-    /// is appended; word-aligned boundaries (the common case — the default
-    /// segment size is a multiple of 64) are a plain word copy.
-    pub fn concat(&self, other: &Bitmap) -> Bitmap {
-        let mut out = Bitmap::new_empty(self.len + other.len);
-        out.words[..self.words.len()].copy_from_slice(&self.words);
-        if self.len.is_multiple_of(WORD_BITS) {
-            out.words[self.words.len()..].copy_from_slice(&other.words);
-        } else {
-            other.for_each_one(|idx| out.set(self.len + idx));
-        }
-        out
-    }
-
     /// OR `other`'s bits into this bitmap starting at row `offset` (which
-    /// must leave `other` entirely inside `self`). The in-place counterpart
-    /// of [`Bitmap::concat`] for assembling a table-wide mask from
-    /// per-segment masks in **one linear pass**: word-aligned offsets (the
-    /// common case) OR whole words, unaligned offsets fall back to per-bit
-    /// sets.
+    /// must leave `other` entirely inside `self`) — how a table-wide mask is
+    /// assembled from per-segment masks in **one linear pass**: word-aligned
+    /// offsets (the common case) OR whole words, unaligned offsets fall back
+    /// to per-bit sets.
     ///
     /// # Panics
     /// Panics if `offset + other.len()` exceeds this bitmap's length.
@@ -602,12 +474,10 @@ mod tests {
     }
 
     #[test]
-    fn from_indices_and_bools() {
+    fn from_indices_ignores_out_of_range_indices() {
         let bm = Bitmap::from_indices(10, [1, 3, 5, 99]);
         assert_eq!(bm.to_indices(), vec![1, 3, 5]);
-        let bm2 = Bitmap::from_bools(&[false, true, false, true]);
-        assert_eq!(bm2.to_indices(), vec![1, 3]);
-        assert_eq!(bm2.len(), 4);
+        assert_eq!(bm.len(), 10);
     }
 
     #[test]
@@ -681,23 +551,11 @@ mod tests {
     }
 
     #[test]
-    fn filter_ones_builds_the_kept_subselection() {
-        let bm = Bitmap::from_indices(200, [0, 5, 63, 64, 100, 150, 199]);
-        let kept = bm.filter_ones(|idx| idx % 2 == 0);
-        assert_eq!(kept.to_indices(), vec![0, 64, 100, 150]);
-        assert_eq!(kept.len(), 200);
-        // Filtering nothing or everything round-trips.
-        assert_eq!(bm.filter_ones(|_| true), bm);
-        assert!(bm.filter_ones(|_| false).is_all_clear());
-    }
-
-    #[test]
-    fn from_fn_matches_from_bools() {
+    fn from_fn_matches_from_indices() {
         for len in [0usize, 1, 64, 65, 130] {
-            let bools: Vec<bool> = (0..len).map(|i| i % 3 == 1).collect();
             assert_eq!(
-                Bitmap::from_fn(len, |i| bools[i]),
-                Bitmap::from_bools(&bools),
+                Bitmap::from_fn(len, |i| i % 3 == 1),
+                Bitmap::from_indices(len, (0..len).filter(|i| i % 3 == 1)),
                 "len={len}"
             );
         }
@@ -727,24 +585,15 @@ mod tests {
             vec![0, 64, 128, 192, 300],
         ] {
             let mut assembled = Vec::new();
-            let mut filtered = Bitmap::new_empty(300);
             for pair in splits.windows(2) {
                 bm.for_each_one_in(pair[0], pair[1], |idx| assembled.push(idx));
-                bm.filter_ones_in_into(pair[0], pair[1], &mut filtered, |idx| idx % 2 == 0);
             }
-            assert_eq!(assembled, bm.iter_ones().collect::<Vec<_>>());
             assert_eq!(
-                filtered,
-                bm.filter_ones(|idx| idx % 2 == 0),
+                assembled,
+                bm.iter_ones().collect::<Vec<_>>(),
                 "splits {splits:?}"
             );
         }
-        // fill_range_from_fn over covering splits equals from_fn.
-        let mut filled = Bitmap::new_empty(300);
-        for pair in [0usize, 50, 64, 129, 300].windows(2) {
-            filled.fill_range_from_fn(pair[0], pair[1], |idx| idx % 5 == 1);
-        }
-        assert_eq!(filled, Bitmap::from_fn(300, |idx| idx % 5 == 1));
         // Out-of-range ends are clamped.
         let mut clamped = Vec::new();
         bm.for_each_one_in(290, 10_000, |idx| clamped.push(idx));
@@ -752,37 +601,18 @@ mod tests {
     }
 
     #[test]
-    fn concat_joins_aligned_and_unaligned_bitmaps() {
-        // Word-aligned left side takes the copy fast path.
-        let a = Bitmap::from_indices(128, [0, 63, 64, 127]);
-        let b = Bitmap::from_indices(70, [0, 69]);
-        let joined = a.concat(&b);
-        assert_eq!(joined.len(), 198);
-        assert_eq!(joined.to_indices(), vec![0, 63, 64, 127, 128, 197]);
-        // Unaligned left side shifts bit by bit.
-        let a = Bitmap::from_indices(70, [1, 69]);
-        let joined = a.concat(&b);
-        assert_eq!(joined.len(), 140);
-        assert_eq!(joined.to_indices(), vec![1, 69, 70, 139]);
-        // Empty sides are identities.
-        assert_eq!(Bitmap::new_empty(0).concat(&b), b);
-        assert_eq!(b.concat(&Bitmap::new_empty(0)), b);
-    }
-
-    #[test]
     fn or_shifted_assembles_masks_at_aligned_and_unaligned_offsets() {
         let part_a = Bitmap::from_indices(64, [0, 63]);
         let part_b = Bitmap::from_indices(70, [1, 69]);
-        // Aligned offsets (whole-word OR) reproduce concat.
+        // Aligned offsets OR whole words.
         let mut assembled = Bitmap::new_empty(134);
         assembled.or_shifted(&part_a, 0);
         assembled.or_shifted(&part_b, 64);
-        assert_eq!(assembled, part_a.concat(&part_b));
+        assert_eq!(assembled.to_indices(), vec![0, 63, 65, 133]);
         // Unaligned offset falls back to per-bit sets.
         let mut assembled = Bitmap::new_empty(134);
         assembled.or_shifted(&part_b, 0);
         assembled.or_shifted(&part_a, 70);
-        assert_eq!(assembled, part_b.concat(&part_a));
         assert_eq!(assembled.to_indices(), vec![1, 69, 70, 133]);
     }
 
@@ -794,14 +624,13 @@ mod tests {
     }
 
     #[test]
-    fn push_matches_from_bools() {
+    fn push_matches_from_fn() {
         for len in [0usize, 1, 63, 64, 65, 130] {
-            let bools: Vec<bool> = (0..len).map(|i| i % 3 != 1).collect();
             let mut pushed = Bitmap::new_empty(0);
-            for &b in &bools {
-                pushed.push(b);
+            for i in 0..len {
+                pushed.push(i % 3 != 1);
             }
-            assert_eq!(pushed, Bitmap::from_bools(&bools), "len={len}");
+            assert_eq!(pushed, Bitmap::from_fn(len, |i| i % 3 != 1), "len={len}");
             assert_eq!(pushed.words().len(), len.div_ceil(WORD_BITS));
         }
     }

@@ -160,6 +160,10 @@ impl NumericSet {
     fn union_with(&mut self, other: &NumericSet) {
         match other {
             NumericSet::Counted(counts) => counts.iter().for_each(|(key, n)| self.add(key, n)),
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "folds into another set: a union holds the same keys in whatever order they arrive"
+            )]
             NumericSet::Plain(set) => self.make_plain().extend(set.iter().copied()),
         }
     }
@@ -315,6 +319,10 @@ impl CategorySet<String> {
             }
             CategorySet::Plain(set) => {
                 let plain = self.make_plain();
+                #[expect(
+                    clippy::iter_over_hash_type,
+                    reason = "folds into another set: a union holds the same values in whatever order they arrive"
+                )]
                 for value in set {
                     if !plain.contains(value.as_str()) {
                         plain.insert(value.clone());
@@ -408,6 +416,10 @@ impl DistinctSet {
                 (DistinctValues::Numbers(keys), Some(counts))
             }
             DistinctSet::Numeric(NumericSet::Plain(set)) => {
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "sorted on the next line, and keys are distinct"
+                )]
                 let mut keys: Vec<u64> = set.iter().copied().collect();
                 keys.sort_unstable();
                 (DistinctValues::Numbers(keys), None)
@@ -417,6 +429,10 @@ impl DistinctSet {
                 (DistinctValues::Strs(values), Some(counts))
             }
             DistinctSet::Strs(CategorySet::Plain(set)) => {
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "sorted on the next line, and values are distinct"
+                )]
                 let mut v: Vec<String> = set.iter().cloned().collect();
                 v.sort_unstable();
                 (DistinctValues::Strs(v), None)
@@ -645,6 +661,10 @@ impl ColumnSummary {
                 let pairs: Vec<_> = keyed.into_iter().map(|(key, n)| (value(key), n)).collect();
                 (extremes(pairs.iter().map(|pair| pair.0)), Some(pairs))
             }
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "folds into a minimum and a maximum under f64::total_cmp, which no order of arrival changes"
+            )]
             DistinctSet::Numeric(NumericSet::Plain(set)) => {
                 (extremes(set.iter().map(|&key| value(key))), None)
             }

@@ -1310,18 +1310,6 @@ pub(crate) fn count_values_part<'d>(
     (non_null, nulls)
 }
 
-/// OR the non-NULL rows of one part — its validity mask — into `out` at the
-/// part's offset, a word at a time.
-pub(crate) fn non_null_mask_part(column: &Column, offset: usize, out: &mut Bitmap) {
-    let validity = match column {
-        Column::Int(p) => p.validity(),
-        Column::Float(p) => p.validity(),
-        Column::Bool(p) => p.validity(),
-        Column::Str(d) => d.validity(),
-    };
-    out.or_shifted(validity, offset);
-}
-
 /// The dictionary of one string part, in its first-appearance order (empty
 /// for any other part).
 pub(crate) fn dictionary_part(column: &Column) -> &[String] {

@@ -299,16 +299,6 @@ impl<'a> ColumnView<'a> {
         out
     }
 
-    /// The rows holding a non-NULL value, as a bitmap over the view's rows
-    /// (the inverted null mask), assembled a word at a time per segment.
-    pub fn non_null_mask(&self) -> Bitmap {
-        let mut out = Bitmap::new_empty(self.len());
-        for (offset, column) in self.parts() {
-            kernels::non_null_mask_part(column, offset, &mut out);
-        }
-        out
-    }
-
     /// The distinct categorical values of the rows selected by `sel`, ordered
     /// by decreasing frequency (ties broken by first appearance over the
     /// whole column — the order a single table-wide dictionary would give).
@@ -564,31 +554,26 @@ mod tests {
                         ]
                     )
                 );
-                assert_eq!(a.non_null_mask(), b.non_null_mask(), "{name}");
                 assert_eq!(
                     a.categories_by_frequency(&sel),
                     b.categories_by_frequency(&sel)
                 );
                 assert_eq!(a.numeric_min_max(&sel), b.numeric_min_max(&sel));
                 assert_eq!(a.null_count(), b.null_count());
-                assert_eq!(b.null_count(), rows - b.non_null_mask().count());
                 // The profile's contract: what each segment's one-part view
                 // computes in the segment's own row coordinates folds, in row
                 // order, into the table-wide answer.
                 let mut summary = ColumnSummary::empty(b.data_type());
-                let mut mask = Bitmap::new_empty(rows);
                 let mut values = Vec::new();
                 let mut counts = Vec::new();
                 for (offset, column) in b.parts() {
                     let part = ColumnView::of_column(name, column);
                     let local = Bitmap::from_fn(part.len(), |row| sel.get(offset + row));
                     summary.merge_from(&part.summary(&local));
-                    mask.or_shifted(&part.non_null_mask(), offset);
                     values.extend(part.numeric_values_where(&local));
                     merge_category_counts(&mut counts, &part.category_counts(&local));
                 }
                 assert_eq!(summary.to_parts(), b.summary(&sel).to_parts(), "{name}");
-                assert_eq!(mask, b.non_null_mask(), "{name}");
                 assert_eq!(values, b.numeric_values_where(&sel), "{name}");
                 assert_eq!(counts, b.category_counts(&sel), "{name}");
                 let sa = a.stats(&sel);

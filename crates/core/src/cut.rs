@@ -27,10 +27,10 @@
 //! same statistics first: the walk that counted the selected rows kept the
 //! count of every category ([`ColumnStats::category_counts`]), so the
 //! frequency ranking and the dictionary order are read off it, and only a
-//! column with more values than that counter holds goes back to
-//! [`CutSource::categories_by_frequency`] and [`CutSource::dictionary`]. The
-//! rule lives in the one cut body, [`cut_from_source`], so local cuts,
-//! composition re-cuts and the distributed coordinator's cuts all follow it.
+//! column with more values than that counter holds asks the source for the
+//! same vector ([`CutSource::category_counts`]). The rule lives in the one
+//! cut body, [`cut_from_source`], so local cuts, composition re-cuts and the
+//! distributed coordinator's cuts all follow it.
 
 use crate::error::{AtlasError, Result};
 use crate::map::DataMap;
@@ -134,12 +134,11 @@ impl CutConfig {
 /// Every row-touching kernel `CUT` needs goes through this trait; the split
 /// selection, grouping, and region-assembly logic above it is pure, and reads
 /// the caller's [`ColumnStats`] before it asks the source: a cut calls
-/// [`CutSource::numeric_values`], [`CutSource::categories_by_frequency`] and
-/// [`CutSource::dictionary`] only for a column whose statistics carry no
-/// counts, so a counted column costs its source one partition call. The two
-/// implementations are [`TableCutSource`] (an in-process table — both
-/// [`cut_attribute`] and the prepared engine route through it) and the serve
-/// crate's remote source, which scatters each call to shard servers holding
+/// [`CutSource::numeric_values`] and [`CutSource::category_counts`] only for
+/// a column whose statistics carry no counts, so a counted column costs its
+/// source one partition call. The two implementations are
+/// [`TableCutSource`] (an in-process table — both [`cut_attribute`] and the
+/// prepared engine route through it) and the serve crate's remote source, which scatters each call to shard servers holding
 /// disjoint segment subsets and folds their answers. A source that
 /// reproduces the kernel outputs reproduces the local cut **bit for bit**,
 /// because [`cut_from_source`] is the only cut body.
@@ -155,14 +154,12 @@ pub trait CutSource {
     /// Partition the working set by first-matching range in one fused pass
     /// (the [`atlas_columnar::ColumnView::select_ranges`] kernel).
     fn select_ranges(&self, attribute: &str, bounds: &[(f64, f64)]) -> Result<Vec<Bitmap>>;
-    /// The distinct categorical values of the working set by decreasing
-    /// frequency (ties in global first-appearance order). Asked only when the
-    /// statistics carry no [`ColumnStats::category_counts`].
-    fn categories_by_frequency(&self, attribute: &str) -> Result<Vec<(String, usize)>>;
-    /// The global first-appearance dictionary of a string column (empty for
-    /// other types). Asked only when the statistics carry no
-    /// [`ColumnStats::category_counts`].
-    fn dictionary(&self, attribute: &str) -> Result<Vec<String>>;
+    /// How many working-set rows hold each categorical value of the column:
+    /// one pair per distinct value in global first-appearance order, zero
+    /// counts included ([`atlas_columnar::ColumnView::category_counts`]) — the
+    /// vector [`ColumnStats::category_counts`] holds, asked for only when the
+    /// statistics do not.
+    fn category_counts(&self, attribute: &str) -> Result<Vec<(String, usize)>>;
     /// Partition the working set by disjoint value groups in one fused pass
     /// (the [`atlas_columnar::ColumnView::select_in_groups`] kernel).
     fn select_in_groups(&self, attribute: &str, groups: &[Vec<String>]) -> Result<Vec<Bitmap>>;
@@ -200,15 +197,8 @@ impl CutSource for TableCutSource<'_> {
             .select_ranges(self.working, bounds))
     }
 
-    fn categories_by_frequency(&self, attribute: &str) -> Result<Vec<(String, usize)>> {
-        Ok(self
-            .table
-            .column(attribute)?
-            .categories_by_frequency(self.working))
-    }
-
-    fn dictionary(&self, attribute: &str) -> Result<Vec<String>> {
-        Ok(self.table.column(attribute)?.dictionary())
+    fn category_counts(&self, attribute: &str) -> Result<Vec<(String, usize)>> {
+        Ok(self.table.column(attribute)?.category_counts(self.working))
     }
 
     fn select_in_groups(&self, attribute: &str, groups: &[Vec<String>]) -> Result<Vec<Bitmap>> {
@@ -470,20 +460,24 @@ fn next_lower_bound(dtype: DataType, hi: f64) -> f64 {
 
 /// Group the categorical values of the working set into `num_splits` groups.
 ///
-/// The frequency ranking and the dictionary order are read off the caller's
-/// statistics when they carry the category counts (the way a median cut reads
-/// [`ColumnStats::value_counts`]); the source is asked only when they do not.
+/// The frequency ranking and the dictionary order are read off one vector of
+/// category counts: the caller's statistics when they carry it (the way a
+/// median cut reads [`ColumnStats::value_counts`]), the source's otherwise.
 fn categorical_groups<S: CutSource>(
     source: &S,
     attribute: &str,
     config: &CutConfig,
     stats: &ColumnStats,
 ) -> Result<Vec<Vec<String>>> {
-    let counts = stats.category_counts.as_deref();
-    let mut freq = match counts {
-        Some(counts) => rank_categories_by_frequency(counts.to_vec()),
-        None => source.categories_by_frequency(attribute)?,
+    let asked;
+    let counts = match stats.category_counts.as_deref() {
+        Some(counts) => counts,
+        None => {
+            asked = source.category_counts(attribute)?;
+            &asked
+        }
     };
+    let mut freq = rank_categories_by_frequency(counts.to_vec());
     if freq.len() < 2 {
         return Ok(Vec::new());
     }
@@ -499,12 +493,9 @@ fn categorical_groups<S: CutSource>(
         CategoricalCutStrategy::DictionaryOrder => {
             // Global first-appearance order, merged across segments — the
             // order the counts are listed in.
-            let order: Vec<String> = match counts {
-                Some(counts) => counts.iter().map(|(value, _)| value.clone()).collect(),
-                None => source.dictionary(attribute)?,
-            };
             freq.sort_by_key(|(value, _)| {
-                order.iter().position(|d| d == value).unwrap_or(usize::MAX)
+                let listed = counts.iter().position(|(d, _)| d == value);
+                listed.unwrap_or(usize::MAX)
             });
         }
     }

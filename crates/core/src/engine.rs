@@ -1,7 +1,7 @@
 //! The end-to-end Atlas engine.
 //!
 //! [`Atlas::builder`] assembles a **prepared** engine: per-column statistics
-//! (quantile sketches, distinct counts, null masks) are computed once at
+//! (quantile sketches, distinct counts, null counts) are computed once at
 //! build time and shared — behind `Arc`s — across every subsequent
 //! exploration, and each of the four pipeline steps of Section 3 is a
 //! pluggable trait object ([`crate::pipeline`]). The engine is `Send + Sync`,
@@ -260,16 +260,15 @@ impl Atlas {
     ///
     /// The segment (which must match the table's schema) is appended to the
     /// segment list **without copying existing data**, and the engine
-    /// re-prepares by profiling only the new rows and merging their summaries,
-    /// sketches and null masks into the existing profile
+    /// re-prepares by profiling only the new rows and merging their summaries
+    /// and sketches into the existing profile
     /// ([`TableProfile::merge_segment`]) — never by rebuilding from scratch.
     /// The resulting engine is bit-for-bit identical to
     /// `Atlas::builder(extended_table)` with the same configuration.
     ///
     /// Cost: the new segment is scanned once, and the retained profile state
-    /// is carried over — which clones each column's exact distinct-value set
-    /// and extends its null mask, so an append is
-    /// `O(segment rows + distinct values + table rows / 64)` per column.
+    /// is carried over — which clones each column's exact distinct-value set,
+    /// so an append is `O(segment rows + distinct values)` per column.
     /// That is far below a rebuild's full rescan on ordinary columns (the
     /// 1M-row census benchmark prepares ~60× faster), but the distinct-set
     /// clone means identifier-like columns (almost every value unique) keep

@@ -2,7 +2,7 @@
 //! segment** and folded, so profiles are incremental.
 //!
 //! Every call to [`crate::engine::Atlas::explore`] needs per-column summary
-//! statistics (distinct counts, min/max, null masks, and — for columns with
+//! statistics (distinct counts, min/max, null counts, and — for columns with
 //! few enough distinct values — the count of every value, which is all a
 //! median cut or a categorical cut reads) to decide which attributes are
 //! cuttable and where to cut them. A [`TableProfile`] computes them **once**
@@ -54,12 +54,6 @@ pub struct ColumnProfile {
     /// A quantile sketch of the column values (numeric columns only, and only
     /// when the profile was built with a sketch epsilon).
     pub sketch: Option<GkSketch>,
-    /// The rows holding a non-NULL value (the column's null mask, inverted).
-    /// The paper's own stages derive null information from [`ColumnStats`];
-    /// the materialised mask is part of the profile surface custom pipeline
-    /// stages reach through [`crate::pipeline::PipelineContext::profile`]
-    /// (e.g. to intersect a working set with the non-NULL rows directly).
-    pub non_null: Bitmap,
     /// The mergeable form of `stats` (the fold of the per-segment summaries),
     /// kept so [`TableProfile::merge_segment`] can extend the profile without
     /// rescanning existing segments. This retains the column's exact
@@ -91,12 +85,10 @@ pub struct TableProfile {
     misses: AtomicUsize,
 }
 
-/// The per-segment contribution of one column: its mergeable summary, its
-/// segment-local non-NULL mask, and — for numeric columns of sketching
-/// profiles — its quantile sketch.
+/// The per-segment contribution of one column: its mergeable summary and —
+/// for numeric columns of sketching profiles — its quantile sketch.
 struct SegmentColumnProfile {
     summary: ColumnSummary,
-    non_null: Bitmap,
     sketch: Option<GkSketch>,
 }
 
@@ -113,7 +105,6 @@ fn profile_segment_column(
     });
     SegmentColumnProfile {
         summary: column.summary(&full),
-        non_null: column.non_null_mask(),
         sketch,
     }
 }
@@ -144,7 +135,6 @@ fn merge_column_segment(
         name: profile.name.clone(),
         stats: summary.to_stats(),
         sketch,
-        non_null: profile.non_null.concat(&part.non_null),
         summary,
     }
 }
@@ -184,7 +174,7 @@ impl TableProfile {
         let partials = pool.par_map(&tasks, |&(seg, col)| {
             let mut task_span = atlas_obs::span_in(parent, "profile.column");
             task_span.attr("segment", seg);
-            // lint: slice-index-ok (col < num_columns == fields.len() by task construction)
+            // col < num_columns == fields.len() by task construction.
             let name = &fields[col].name;
             task_span.attr("column", name);
             let column = table.segments()[seg].column(col);
@@ -196,15 +186,9 @@ impl TableProfile {
             .map(|(col, field)| {
                 let mut summary = ColumnSummary::empty(field.dtype);
                 let mut sketch = empty_sketch(field.dtype, sketch_epsilon);
-                // Null masks are computed inside the parallel tasks; the fold
-                // ORs each one into a preallocated table-wide mask at its
-                // segment offset (one linear pass, whole-word ORs on
-                // word-aligned boundaries).
-                let mut non_null = Bitmap::new_empty(table.num_rows());
                 for seg in 0..table.num_segments() {
                     let partial = &partials[seg * num_columns + col];
                     summary.merge_from(&partial.summary);
-                    non_null.or_shifted(&partial.non_null, table.segment_offset(seg));
                     if let (Some(acc), Some(part)) = (&mut sketch, &partial.sketch) {
                         acc.merge(part);
                     }
@@ -213,7 +197,6 @@ impl TableProfile {
                     name: field.name.clone(),
                     stats: summary.to_stats(),
                     sketch,
-                    non_null,
                     summary,
                 }
             })
@@ -244,7 +227,7 @@ impl TableProfile {
     }
 
     /// The profile of the table extended by `segment`: only the **new** rows
-    /// are profiled (summaries, sketch, null mask of the segment), then
+    /// are profiled (summaries and sketch of the segment), then
     /// merged column by column into the existing fold — the incremental
     /// re-preparation behind [`crate::engine::Atlas::append`]. Because the
     /// fold is left-associative in row order, the result is bit-for-bit the
@@ -390,9 +373,9 @@ mod tests {
             let fresh = t.column_stats(name, &t.full_selection()).unwrap();
             assert_eq!(cached, &fresh, "column {name}");
         }
-        // Null mask: column n has 25 NULLs.
-        assert_eq!(profile.column("n").unwrap().non_null.count(), 75);
-        assert_eq!(profile.column("x").unwrap().non_null.count(), 100);
+        // Column n has 25 NULLs.
+        assert_eq!(profile.column("n").unwrap().stats.non_null_count, 75);
+        assert_eq!(profile.column("x").unwrap().stats.non_null_count, 100);
         // Sketches exist for numeric columns only.
         assert!(profile.column("x").unwrap().sketch.is_some());
         assert!(profile.column("c").unwrap().sketch.is_none());
@@ -417,7 +400,6 @@ mod tests {
                 assert_eq!(a.stats.distinct_count, b.stats.distinct_count);
                 assert_eq!(a.stats.min, b.stats.min);
                 assert_eq!(a.stats.max, b.stats.max);
-                assert_eq!(a.non_null, b.non_null);
                 assert_eq!(a.stats.category_counts, b.stats.category_counts);
                 assert_eq!(a.stats.value_counts, b.stats.value_counts);
             }
@@ -438,7 +420,6 @@ mod tests {
         for (a, b) in appended.columns().iter().zip(rebuilt.columns()) {
             assert_eq!(a.name, b.name);
             assert_eq!(a.stats, b.stats, "appended profile must equal rebuild");
-            assert_eq!(a.non_null, b.non_null);
             assert_eq!(a.sketch.is_some(), b.sketch.is_some());
             if let (Some(sa), Some(sb)) = (&a.sketch, &b.sketch) {
                 assert_eq!(sa.count(), sb.count());
@@ -501,7 +482,6 @@ mod tests {
         for (a, b) in pooled.columns().iter().zip(sequential.columns()) {
             assert_eq!(a.name, b.name, "schema order is preserved");
             assert_eq!(a.stats, b.stats);
-            assert_eq!(a.non_null, b.non_null);
             assert_eq!(a.sketch.is_some(), b.sketch.is_some());
             if let (Some(sa), Some(sb)) = (&a.sketch, &b.sketch) {
                 assert_eq!(sa.median(), sb.median());

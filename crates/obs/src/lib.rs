@@ -18,7 +18,7 @@
 //!
 //! Trace and span ids come from one per-process atomic counter — never from
 //! wall-clock time or an RNG — so enabling tracing cannot perturb any
-//! bit-identity invariant, and the `atlas-lint` determinism rules hold.
+//! bit-identity invariant.
 //! Timestamps are microseconds on a monotonic clock relative to a per-process
 //! epoch ([`Tracer::now_us`]); they appear only inside trace output, never in
 //! query answers.
@@ -194,7 +194,7 @@ impl Tracer {
 
     fn push(&self, record: SpanRecord) {
         let shard = (record.span_id as usize) % RING_SHARDS;
-        // lint: slice-index-ok (shard < RING_SHARDS == shards.len() by the modulo)
+        // shard < RING_SHARDS == shards.len() by the modulo.
         let mut ring = lock_ignore_poison(&self.shards[shard]);
         if ring.len() >= self.shard_capacity {
             ring.pop_front();

@@ -70,10 +70,7 @@ use crate::wire::frames::{
     parse_hex_f64s, sketch_from_json, summary_from_json,
 };
 use crate::wire::Json;
-use atlas_columnar::{
-    merge_category_counts, rank_categories_by_frequency, Bitmap, ColumnStats, ColumnSummary,
-    DataType,
-};
+use atlas_columnar::{merge_category_counts, Bitmap, ColumnStats, ColumnSummary, DataType};
 use atlas_core::{
     cluster_maps_with_pool, cut_from_source, distance_matrix_with_pool, enforce_region_cap,
     product_maps, rank_maps, AtlasConfig, AtlasError, CutSource, MapResult, MergeStrategy,
@@ -489,7 +486,7 @@ impl Coordinator {
     fn fetch_meta(&mut self) -> Result<(), AtlasError> {
         let body = Json::object(vec![("dataset", Json::from(self.dataset.as_str()))]);
         let mut agreed: Option<MetaView> = None;
-        for idx in 0..self.shards.len() {
+        for (idx, slot) in self.shards.iter().enumerate() {
             let reply = self
                 .call_with(idx, "/shard/meta", &body, None)
                 .map_err(|fail| self.render_call_fail(idx, "/shard/meta", fail))?;
@@ -518,9 +515,7 @@ impl Coordinator {
                     return Err(dist_err(format!(
                         "shard {} disagrees about dataset '{}' (generation, rows, \
                          segmentation or schema)",
-                        // lint: slice-index-ok (idx enumerates self.shards)
-                        self.shards[idx].addr,
-                        self.dataset
+                        slot.addr, self.dataset
                     )));
                 }
             }
@@ -555,7 +550,7 @@ impl Coordinator {
 
     /// Render a [`CallFail`] into the typed error a caller surfaces.
     fn render_call_fail(&self, shard: usize, path: &str, fail: CallFail) -> AtlasError {
-        // lint: slice-index-ok (callers index 0..shards.len())
+        #[expect(clippy::indexing_slicing, reason = "callers index 0..shards.len()")]
         let addr = &self.shards[shard].addr;
         match fail {
             CallFail::Shard { message } => dist_err(message),
@@ -578,7 +573,7 @@ impl Coordinator {
         body: &Json,
         deadline: Option<&Deadline>,
     ) -> Result<Json, CallFail> {
-        // lint: slice-index-ok (callers index 0..shards.len())
+        #[expect(clippy::indexing_slicing, reason = "callers index 0..shards.len()")]
         let slot = &self.shards[shard];
         if !slot.breaker.admit() {
             self.metrics
@@ -798,23 +793,24 @@ impl Coordinator {
                 return Err(self.stash(ctx, ExploreFail::Fatal(d.error(path))));
             }
         }
-        let live: Vec<usize> = (0..self.shards.len())
-            .filter(|i| !ctx.dead.contains(i))
-            // lint: slice-index-ok (i ranges over 0..shards.len())
-            .filter(|&i| !self.shards[i].segments.is_empty())
+        let live: Vec<(usize, &ShardSlot)> = self
+            .shards
+            .iter()
+            .enumerate()
+            .filter(|(i, slot)| !ctx.dead.contains(i) && !slot.segments.is_empty())
             .collect();
         // Scatter threads inherit the dispatching phase span, so shard.call
         // spans parent under the phase that issued them.
         let parent = atlas_obs::current();
-        let replies: Vec<(usize, Result<Json, CallFail>)> = std::thread::scope(|scope| {
+        // One reply per entry of `live`, in its order.
+        let replies: Vec<Result<Json, CallFail>> = std::thread::scope(|scope| {
             let handles: Vec<_> = live
                 .iter()
-                .map(|&idx| {
+                .map(|&(idx, slot)| {
                     let body_of = &body_of;
                     let handle = scope.spawn(move || {
                         let _trace = atlas_obs::with_context(parent);
-                        // lint: slice-index-ok (idx comes from live, a subset of 0..shards.len())
-                        let body = body_of(&self.shards[idx].segments);
+                        let body = body_of(&slot.segments);
                         self.call_with(idx, path, &body, ctx.deadline)
                     });
                     (idx, handle)
@@ -823,31 +819,26 @@ impl Coordinator {
             handles
                 .into_iter()
                 .map(|(idx, handle)| {
-                    let reply = handle.join().unwrap_or_else(|_| {
+                    handle.join().unwrap_or_else(|_| {
                         Err(CallFail::Shard {
                             message: format!("scatter thread for shard {idx} panicked"),
                         })
-                    });
-                    (idx, reply)
+                    })
                 })
                 .collect()
         });
         let mut gathered: Vec<(usize, Json)> = Vec::with_capacity(ctx.live.len());
         let mut first_fail: Option<(usize, String)> = None;
         let mut deadline_hit = false;
-        for (shard, reply) in replies {
-            match reply.and_then(|json| self.shard_partials(shard, path, json)) {
+        for (&(shard, slot), reply) in live.iter().zip(replies) {
+            match reply.and_then(|json| Self::shard_partials(slot, path, json)) {
                 Ok(mut list) => gathered.append(&mut list),
                 Err(CallFail::Deadline) => deadline_hit = true,
                 Err(CallFail::CircuitOpen) => {
                     if first_fail.as_ref().is_none_or(|(s, _)| shard < *s) {
                         first_fail = Some((
                             shard,
-                            format!(
-                                "shard {} refused on {path}: circuit open",
-                                // lint: slice-index-ok (shard came from live, a subset of 0..shards.len())
-                                self.shards[shard].addr
-                            ),
+                            format!("shard {} refused on {path}: circuit open", slot.addr),
                         ));
                     }
                 }
@@ -888,13 +879,10 @@ impl Coordinator {
     /// segments assigned to it. A mismatch is a shard-attributable failure
     /// (and counts against its circuit breaker).
     fn shard_partials(
-        &self,
-        shard: usize,
+        slot: &ShardSlot,
         path: &str,
         reply: Json,
     ) -> Result<Vec<(usize, Json)>, CallFail> {
-        // lint: slice-index-ok (shard came from live, a subset of 0..shards.len())
-        let slot = &self.shards[shard];
         let semantic = |message: String| {
             slot.breaker.record_failure();
             CallFail::Shard {
@@ -954,13 +942,15 @@ impl Coordinator {
     ) -> Result<Bitmap, AtlasError> {
         let mut folded = Bitmap::new_empty(ctx.live_rows);
         for (segment, bitmap) in partials {
-            // lint: slice-index-ok (scatter validated segment against the assignment)
-            if bitmap.len() != self.segment_rows[*segment] {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "scatter validated segment against the assignment"
+            )]
+            let expected = self.segment_rows[*segment];
+            if bitmap.len() != expected {
                 return Err(dist_err(format!(
-                    "segment {segment} bitmap has {} rows, expected {}",
+                    "segment {segment} bitmap has {} rows, expected {expected}",
                     bitmap.len(),
-                    // lint: slice-index-ok (same scatter-validated segment)
-                    self.segment_rows[*segment]
                 )));
             }
             let Some(offset) = ctx.offset_of(*segment) else {
@@ -1092,16 +1082,14 @@ impl Coordinator {
 
     /// Exact coverage of an answer that dropped the `dead` shards.
     fn coverage(&self, dead: &BTreeSet<usize>) -> Coverage {
-        let mut missing: Vec<usize> = dead
-            .iter()
-            // lint: slice-index-ok (dead holds indices of self.shards)
-            .flat_map(|&i| self.shards[i].segments.iter().copied())
+        let dead_slots = || dead.iter().filter_map(|&i| self.shards.get(i));
+        let mut missing: Vec<usize> = dead_slots()
+            .flat_map(|slot| slot.segments.iter().copied())
             .collect();
         missing.sort_unstable();
         let missing_rows: usize = missing
             .iter()
-            // lint: slice-index-ok (assignments are validated partitions of 0..segment_rows.len())
-            .map(|&s| self.segment_rows[s])
+            .filter_map(|&s| self.segment_rows.get(s))
             .sum();
         let rows_answered = self.num_rows.saturating_sub(missing_rows);
         let segments_answered = self.segment_rows.len().saturating_sub(missing.len());
@@ -1111,11 +1099,7 @@ impl Coordinator {
             missing_segments: missing,
             rows_total: self.num_rows,
             rows_answered,
-            failed_shards: dead
-                .iter()
-                // lint: slice-index-ok (dead holds indices of self.shards)
-                .map(|&i| self.shards[i].addr.clone())
-                .collect(),
+            failed_shards: dead_slots().map(|slot| slot.addr.clone()).collect(),
             columns: self
                 .fields
                 .iter()
@@ -1221,9 +1205,12 @@ impl Coordinator {
         }
         let mut offsets = Vec::with_capacity(live.len());
         let mut live_rows = 0usize;
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "live segments come from validated assignments"
+        )]
         for &segment in &live {
             offsets.push(live_rows);
-            // lint: slice-index-ok (live segments come from validated assignments)
             live_rows += self.segment_rows[segment];
         }
         let ctx = ExploreCtx {
@@ -1334,8 +1321,11 @@ impl Coordinator {
         // degraded answer matches a local explore over the same segments.
         let merge_span = atlas_obs::span("phase.merge");
         let products = self.pool.par_map(&clusters, |cluster| {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "clusters partition 0..maps.len(): the matrix was built with maps.len() points"
+            )]
             let members: Vec<atlas_core::DataMap> =
-                // lint: slice-index-ok (clusters partition 0..maps.len() — the matrix was built with maps.len() points)
                 cluster.iter().map(|&idx| maps[idx].clone()).collect();
             product_maps(&members, self.config.drop_empty_regions)
         });
@@ -1437,8 +1427,7 @@ impl Coordinator {
             };
             for (acc, region) in folded.iter_mut().zip(regions) {
                 let bitmap = bitmap_from_json(region).map_err(dist_err)?;
-                // lint: slice-index-ok (ctx.live holds validated segment indices)
-                if bitmap.len() != self.segment_rows[segment] {
+                if self.segment_rows.get(segment) != Some(&bitmap.len()) {
                     return Err(dist_err(format!(
                         "segment {segment} region bitmap has the wrong length"
                     )));
@@ -1506,26 +1495,41 @@ impl CutSource for RemoteSource<'_> {
         )
     }
 
-    fn categories_by_frequency(&self, attribute: &str) -> Result<Vec<(String, usize)>, AtlasError> {
-        let partials = self.fetch_categories(attribute)?;
+    /// Scatter `/shard/categories` and fold the per-segment zero-inclusive
+    /// counts in segment order, which is global first-appearance order. Only
+    /// a column with more values than a summary counts is asked about here;
+    /// for every other the folded summaries already hold the vector.
+    fn category_counts(&self, attribute: &str) -> Result<Vec<(String, usize)>, AtlasError> {
+        let partials = self
+            .coordinator
+            .scatter(self.ctx, "/shard/categories", |segments| {
+                self.coordinator.data_body(
+                    self.sql,
+                    segments,
+                    vec![("attribute", Json::from(attribute))],
+                )
+            })?;
         let mut folded: Vec<(String, usize)> = Vec::new();
-        for (counts, _) in &partials {
-            merge_category_counts(&mut folded, counts);
+        for partial in &partials {
+            let counts = get_items(partial, "counts")
+                .map_err(dist_err)?
+                .iter()
+                .map(|pair| {
+                    let Some([value, count]) = pair.items() else {
+                        return Err(dist_err("category count is not a pair"));
+                    };
+                    let value = value
+                        .str()
+                        .ok_or_else(|| dist_err("category value is not a string"))?;
+                    let count = count
+                        .index()
+                        .ok_or_else(|| dist_err("category count is not integral"))?;
+                    Ok((value.to_string(), count))
+                })
+                .collect::<Result<Vec<_>, AtlasError>>()?;
+            merge_category_counts(&mut folded, &counts);
         }
-        Ok(rank_categories_by_frequency(folded))
-    }
-
-    fn dictionary(&self, attribute: &str) -> Result<Vec<String>, AtlasError> {
-        let partials = self.fetch_categories(attribute)?;
-        let mut dictionary: Vec<String> = Vec::new();
-        for (_, segment_dictionary) in partials {
-            for value in segment_dictionary {
-                if !dictionary.contains(&value) {
-                    dictionary.push(value);
-                }
-            }
-        }
-        Ok(dictionary)
+        Ok(folded)
     }
 
     fn select_in_groups(
@@ -1546,61 +1550,5 @@ impl CutSource for RemoteSource<'_> {
             vec![("kind", Json::from("groups")), ("groups", groups_json)],
             groups.len(),
         )
-    }
-}
-
-impl RemoteSource<'_> {
-    /// Scatter `/shard/categories`: per segment, the zero-inclusive category
-    /// counts (first-appearance order) and the segment dictionary. Only a
-    /// column with more values than a summary counts is asked about here;
-    /// for every other the folded summaries already hold both.
-    #[allow(clippy::type_complexity)]
-    fn fetch_categories(
-        &self,
-        attribute: &str,
-    ) -> Result<Vec<(Vec<(String, usize)>, Vec<String>)>, AtlasError> {
-        let partials = self
-            .coordinator
-            .scatter(self.ctx, "/shard/categories", |segments| {
-                self.coordinator.data_body(
-                    self.sql,
-                    segments,
-                    vec![("attribute", Json::from(attribute))],
-                )
-            })?;
-        partials
-            .iter()
-            .map(|partial| {
-                let counts = get_items(partial, "counts")
-                    .map_err(dist_err)?
-                    .iter()
-                    .map(|pair| {
-                        let items = pair
-                            .items()
-                            .filter(|items| items.len() == 2)
-                            .ok_or_else(|| dist_err("category count is not a pair"))?;
-                        // lint: slice-index-ok (the filter above admits only len == 2)
-                        let value = items[0]
-                            .str()
-                            .ok_or_else(|| dist_err("category value is not a string"))?;
-                        // lint: slice-index-ok (the filter above admits only len == 2)
-                        let count = items[1]
-                            .index()
-                            .ok_or_else(|| dist_err("category count is not integral"))?;
-                        Ok((value.to_string(), count))
-                    })
-                    .collect::<Result<Vec<_>, AtlasError>>()?;
-                let dictionary = get_items(partial, "dictionary")
-                    .map_err(dist_err)?
-                    .iter()
-                    .map(|v| {
-                        v.str()
-                            .map(String::from)
-                            .ok_or_else(|| dist_err("dictionary value is not a string"))
-                    })
-                    .collect::<Result<Vec<_>, AtlasError>>()?;
-                Ok((counts, dictionary))
-            })
-            .collect()
     }
 }

@@ -153,7 +153,10 @@ fn read_full<R: BufRead>(
 ) -> Result<(), HttpError> {
     let mut filled = 0usize;
     while filled < buf.len() {
-        // lint: slice-index-ok (filled < buf.len() is the loop condition; [n..] at n <= len is valid)
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "filled < buf.len() is the loop condition; [n..] at n <= len is valid"
+        )]
         match reader.read(&mut buf[filled..]) {
             Ok(0) => {
                 return Err(if filled == 0 && at_message_start {
@@ -196,7 +199,6 @@ fn read_line<R: BufRead>(
             deadline,
             at_message_start && line.is_empty(),
         )?;
-        // lint: slice-index-ok (byte is a [u8; 1]; index 0 always exists)
         if byte[0] == b'\n' {
             if line.last() == Some(&b'\r') {
                 line.pop();
@@ -204,7 +206,7 @@ fn read_line<R: BufRead>(
             return String::from_utf8(line)
                 .map_err(|_| HttpError::Malformed("non-UTF-8 header line".to_string()));
         }
-        line.push(byte[0]); // lint: slice-index-ok (byte is a [u8; 1]; index 0 always exists)
+        line.push(byte[0]);
         if line.len() > MAX_LINE_BYTES {
             return Err(HttpError::Malformed("header line too long".to_string()));
         }
@@ -625,7 +627,6 @@ mod tests {
         // Every proper prefix is a typed error: `Closed` when the peer
         // vanished before a single byte, `Malformed` anywhere mid-message.
         for cut in 0..wire.len() {
-            // lint: slice-index-ok (cut < wire.len() by the loop bound)
             let truncated = &wire[..cut];
             let mut reader = BufReader::new(truncated);
             let result = read_response(&mut reader, 1024, None);
@@ -642,7 +643,6 @@ mod tests {
         let raw: &[u8] = b"POST /sessions/x/explore HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello";
         assert!(parse_bytes(raw).is_ok());
         for cut in 0..raw.len() {
-            // lint: slice-index-ok (cut < raw.len() by the loop bound)
             let result = parse_bytes(&raw[..cut]);
             match (cut, result) {
                 (0, Err(HttpError::Closed)) => {}

@@ -111,8 +111,11 @@ impl Endpoint {
     }
 
     /// This endpoint's entry in a table laid out like [`ENDPOINTS`].
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a discriminant is below the variant count, which is ENDPOINTS.len(): the table lists every variant once, in declaration order"
+    )]
     fn slot<T>(self, table: &[T; ENDPOINTS.len()]) -> &T {
-        // lint: slice-index-ok (a discriminant is below the variant count, which is ENDPOINTS.len(): the table lists every variant once, in declaration order)
         &table[self as usize]
     }
 }
@@ -392,7 +395,10 @@ impl CoordinatorMetrics {
 
     /// Record one finished call to shard number `shard` (retries included).
     pub(crate) fn record(&self, shard: usize, elapsed: Duration) {
-        // lint: slice-index-ok (callers index 0..shards.len(); per_shard is built one slot per shard)
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "callers index 0..shards.len(); per_shard is built one slot per shard"
+        )]
         let lat = &self.per_shard[shard];
         let micros = elapsed.as_micros() as u64;
         lat.requests.fetch_add(1, Ordering::Relaxed);

@@ -130,8 +130,10 @@ impl Dataset {
     /// generation must apply to catch up).
     pub fn pending_segments(&self, from: usize) -> Vec<Arc<Segment>> {
         let state = self.lock();
-        // lint: slice-index-ok (the start is clamped to appended.len(); [n..] at n <= len is valid)
-        state.appended[from.min(state.appended.len())..]
+        state
+            .appended
+            .get(from..)
+            .unwrap_or_default()
             .iter()
             .map(Arc::clone)
             .collect()

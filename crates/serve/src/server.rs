@@ -38,7 +38,7 @@ use crate::wire::{self, Json};
 use atlas_core::{AtlasError, MapResult};
 use atlas_explorer::Session;
 use atlas_query::{parse_query, to_compact, to_sql};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -179,7 +179,7 @@ struct Shared {
     /// Per-dataset scatter-gather coordinators, connected lazily on the
     /// first `/distributed/explore` request and re-connected when the
     /// dataset generation moves (always empty when `config.shards` is).
-    coordinators: Mutex<HashMap<String, (usize, Arc<Coordinator>)>>,
+    coordinators: Mutex<BTreeMap<String, (usize, Arc<Coordinator>)>>,
 }
 
 impl Shared {
@@ -232,7 +232,7 @@ impl Server {
             registry,
             config: config.clone(),
             shard: crate::shard::ShardState::default(),
-            coordinators: Mutex::new(HashMap::new()),
+            coordinators: Mutex::new(BTreeMap::new()),
         });
 
         let workers = (0..config.threads.max(1))
@@ -705,17 +705,16 @@ fn route(
 /// to render. The coordinators are cloned out of their lock (sorted by
 /// dataset name), so rendering holds no server lock.
 fn components(shared: &Shared) -> metrics::Components<'_> {
-    let mut coordinators: Vec<(String, Arc<Coordinator>)> = {
+    let coordinators: Vec<(String, Arc<Coordinator>)> = {
         let connected = match shared.coordinators.lock() {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
         };
         connected
-            .iter() // lint: nondeterministic-ok (sorted by dataset name on the next statement)
+            .iter()
             .map(|(dataset, (_, coordinator))| (dataset.clone(), Arc::clone(coordinator)))
             .collect()
     };
-    coordinators.sort_by(|a, b| a.0.cmp(&b.0));
     metrics::Components {
         metrics: &shared.metrics,
         sessions: &shared.sessions,

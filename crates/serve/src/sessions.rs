@@ -113,7 +113,10 @@ impl SessionManager {
         while sessions.len() >= self.max_sessions {
             // Evict the least recently used session. Entries whose lock is
             // held are in use right now and are skipped.
-            // lint: nondeterministic-ok (feeds lru_victim's total order, so the pick is iteration-order independent)
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "feeds lru_victim's total order, so the pick is iteration-order independent"
+            )]
             let victim = lru_victim(sessions.iter().filter_map(|(token, slot)| {
                 slot.try_lock().ok().map(|s| (token.clone(), s.last_used))
             }));
@@ -158,8 +161,12 @@ impl SessionManager {
     /// Drop every session idle longer than the TTL; returns how many went.
     pub fn evict_expired(&self) -> usize {
         let mut sessions = self.lock();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "every expired session is removed; the set is order independent"
+        )]
         let expired: Vec<String> = sessions
-            .iter() // lint: nondeterministic-ok (every expired session is removed; the set is order independent)
+            .iter()
             .filter_map(|(token, slot)| {
                 let session = slot.try_lock().ok()?;
                 (session.last_used.elapsed() > self.ttl).then(|| token.clone())

@@ -775,7 +775,8 @@ fn values(sets: &[SegmentWorking], body: &Json) -> Result<Json, Fail> {
     Ok(partials_reply(partials))
 }
 
-/// The category counts and dictionary of one column, for the columns whose
+/// The zero-inclusive category counts of one column, in first-appearance
+/// order (so they list the dictionary too), for the columns whose
 /// summaries hold no counts (more values than a summary counts): every other
 /// categorical cut reads them off `/shard/summaries`.
 fn categories(sets: &[SegmentWorking], body: &Json) -> Result<Json, Fail> {
@@ -788,15 +789,9 @@ fn categories(sets: &[SegmentWorking], body: &Json) -> Result<Json, Fail> {
             .into_iter()
             .map(|(value, count)| Json::array(vec![Json::from(value), Json::from(count)]))
             .collect();
-        let dictionary = column
-            .dictionary()
-            .into_iter()
-            .map(Json::from)
-            .collect::<Vec<_>>();
         partials.push(Json::object(vec![
             ("segment", Json::from(*seg)),
             ("counts", Json::array(counts)),
-            ("dictionary", Json::array(dictionary)),
         ]));
     }
     Ok(partials_reply(partials))
@@ -812,11 +807,11 @@ fn select(sets: &[SegmentWorking], body: &Json) -> Result<Json, Fail> {
         "ranges" => {
             // Bounds travel as one hex run of (lo, hi) bit-pattern pairs.
             let flat = parse_hex_f64s(get_str(body, "bounds")?)?;
-            if flat.len() % 2 != 0 {
+            let (pairs, rest) = flat.as_chunks::<2>();
+            if !rest.is_empty() {
                 return Err(Fail::Frame("odd number of range bounds".to_string()));
             }
-            // lint: slice-index-ok (chunks_exact(2) yields exactly two elements per chunk)
-            Partition::Ranges(flat.chunks_exact(2).map(|c| (c[0], c[1])).collect())
+            Partition::Ranges(pairs.iter().map(|&[lo, hi]| (lo, hi)).collect())
         }
         "groups" => {
             let groups = get_items(body, "groups")?

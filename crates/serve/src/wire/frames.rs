@@ -59,8 +59,11 @@ const fn hex_value(byte: u8) -> u8 {
 const HEX_VALUES: [u8; 256] = {
     let mut table = [NOT_HEX; 256];
     let mut byte = 0usize;
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "byte < 256 == table.len() by the loop bound"
+    )]
     while byte < 256 {
-        // lint: slice-index-ok (byte < 256 == table.len() by the loop bound)
         table[byte] = hex_value(byte as u8);
         byte += 1;
     }
@@ -94,7 +97,10 @@ fn parse_hex_word(chunk: &[u8]) -> Option<u64> {
     let mut word = 0u64;
     let mut seen = 0u8;
     for &byte in chunk {
-        // lint: slice-index-ok (any u8 indexes the 256-entry table)
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "any u8 indexes the 256-entry table"
+        )]
         let value = HEX_VALUES[usize::from(byte)];
         seen |= value;
         word = (word << 4) | u64::from(value & 0x0f);
@@ -397,13 +403,13 @@ pub fn sketch_from_json(value: &Json) -> Result<GkSketch, String> {
     let count = get_index(value, "count")? as u64;
     let since_compress = get_index(value, "since_compress")? as u64;
     let words = parse_hex_u64s(get_str(value, "entries")?)?;
-    if !words.len().is_multiple_of(3) {
+    let (triples, rest) = words.as_chunks::<3>();
+    if !rest.is_empty() {
         return Err("sketch entry run is not a multiple of 48 hex digits".to_string());
     }
-    let entries = words
-        .chunks_exact(3)
-        // lint: slice-index-ok (chunks_exact(3) yields exactly three elements per chunk)
-        .map(|chunk| (f64::from_bits(chunk[0]), chunk[1], chunk[2]))
+    let entries = triples
+        .iter()
+        .map(|&[value, g, delta]| (f64::from_bits(value), g, delta))
         .collect();
     Ok(GkSketch::from_parts(
         epsilon,
@@ -617,7 +623,7 @@ mod tests {
     /// replaced.
     fn with_member(frame: &Json, member: &str, replacement: Json) -> Json {
         let Json::Obj(members) = frame else {
-            unreachable!("summary frames are objects")
+            panic!("summary frames are objects")
         };
         let replaced = members.iter().map(|(k, v)| match k.as_str() {
             k if k == member => (k.to_string(), replacement.clone()),

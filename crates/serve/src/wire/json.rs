@@ -133,11 +133,17 @@ impl Json {
             Json::Num(x) => write_number(out, *x),
             Json::Str(s) => write_string(out, s),
             Json::Arr(items) => write_seq(out, indent, level, '[', ']', items.len(), |out, i| {
-                // lint: slice-index-ok (write_seq calls back with i < the len it was given)
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "write_seq calls back with i < the len it was given"
+                )]
                 items[i].write(out, indent, level + 1);
             }),
             Json::Obj(pairs) => write_seq(out, indent, level, '{', '}', pairs.len(), |out, i| {
-                // lint: slice-index-ok (write_seq calls back with i < the len it was given)
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "write_seq calls back with i < the len it was given"
+                )]
                 let (key, value) = &pairs[i];
                 write_string(out, key);
                 out.push(':');
@@ -190,7 +196,9 @@ fn write_seq(
 /// print as `null` because JSON has no representation for them.
 fn write_number(out: &mut String, x: f64) {
     if x.is_finite() {
-        // lint: wire-float-ok (this IS the shortest-round-trip codec; Rust's Display is grisu/ryū-exact)
+        // This IS the shortest-round-trip codec: Rust's `Display` prints the
+        // fewest digits that parse back to the same bits. A precision spec
+        // here (or anywhere in wire/) would truncate; CI greps for one.
         out.push_str(&format!("{x}"));
     } else {
         out.push_str("null");
@@ -351,7 +359,8 @@ impl Parser<'_> {
     }
 
     fn eat_literal(&mut self, literal: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(literal.as_bytes()) {
+        let rest = self.bytes.get(self.pos..).unwrap_or_default();
+        if rest.starts_with(literal.as_bytes()) {
             self.pos += literal.len();
             Ok(value)
         } else {
@@ -504,13 +513,11 @@ impl Parser<'_> {
     }
 
     fn hex4(&mut self) -> Result<u16, JsonError> {
-        // After this check the indexing below cannot go out of bounds.
-        if self.pos + 4 > self.bytes.len() {
-            return Err(self.error("truncated \\u escape"));
-        }
-        // lint: slice-index-ok (pos + 4 <= bytes.len() was just checked)
-        let text = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| self.error("invalid \\u escape"))?;
+        let digits = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| self.error("truncated \\u escape"))?;
+        let text = std::str::from_utf8(digits).map_err(|_| self.error("invalid \\u escape"))?;
         let unit = u16::from_str_radix(text, 16).map_err(|_| self.error("invalid \\u escape"))?;
         self.pos += 4;
         Ok(unit)
@@ -551,9 +558,10 @@ impl Parser<'_> {
                 return Err(self.error("expected a digit in the exponent"));
             }
         }
-        // lint: slice-index-ok (pos only advances past peeked bytes, so start <= pos <= len)
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.error("invalid number"))?;
+        // `pos` only advances past peeked bytes, so start <= pos <= len and
+        // the range always exists; an empty text is "invalid number" anyway.
+        let digits = self.bytes.get(start..self.pos).unwrap_or_default();
+        let text = std::str::from_utf8(digits).map_err(|_| self.error("invalid number"))?;
         let x: f64 = text.parse().map_err(|_| self.error("invalid number"))?;
         Ok(Json::Num(x))
     }

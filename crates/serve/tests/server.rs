@@ -8,6 +8,10 @@ use atlas_serve::{Client, DatasetOptions, Registry, ServeConfig, Server, ServerH
 use std::sync::Arc;
 use std::time::Duration;
 
+#[expect(
+    clippy::unwrap_used,
+    reason = "a test helper: allow-unwrap-in-tests covers #[test] fns and #[cfg(test)] modules, not the other fns of an integration-test file"
+)]
 fn boot(rows: usize, cache: usize, threads: usize) -> (ServerHandle, Client) {
     let mut registry = Registry::new();
     registry

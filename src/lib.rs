@@ -32,7 +32,7 @@
 //! let table = Arc::new(CensusGenerator::with_rows(5_000, 42).generate());
 //!
 //! // 2. Build a *prepared* engine: per-column statistics (quantile
-//! //    sketches, distinct counts, null masks) are computed once, here,
+//! //    sketches, distinct counts, null counts) are computed once, here,
 //! //    and shared by every subsequent exploration. The engine is
 //! //    `Send + Sync`, so one `Arc<Atlas>` can serve many threads.
 //! let atlas = Atlas::builder(Arc::clone(&table)).build().unwrap();

@@ -672,33 +672,50 @@ fn process_shards_match_and_their_death_is_detected() {
     }
 }
 
-/// The census plus `reading`, a float column with a different value in every
-/// row — more distinct values than a column summary counts.
-fn census_with_a_near_unique_column(rows: usize, segment_rows: usize) -> Arc<Table> {
+/// The census plus one more column, `extra`, holding `value_of(row)`.
+fn census_with_a_column(
+    rows: usize,
+    segment_rows: usize,
+    extra: Field,
+    value_of: impl Fn(usize) -> Value,
+) -> Arc<Table> {
     let census = census_table(rows, segment_rows);
     let mut fields = census.schema().fields().to_vec();
-    fields.push(Field::new("reading", DataType::Float));
+    fields.push(extra);
     let mut builder =
         TableBuilder::new("census", Schema::new(fields).unwrap()).with_segment_rows(segment_rows);
     for row in 0..census.num_rows() {
         let mut values = census.row(row).unwrap();
-        values.push(Value::Float((row * 7919 % rows) as f64 * 0.37 - 400.0));
+        values.push(value_of(row));
         builder.push_row(&values).unwrap();
     }
     Arc::new(builder.build().unwrap())
 }
 
-/// How many `POST /shard/values` requests the shards have served so far.
-fn values_requests(shards: &[ServerHandle]) -> u64 {
+/// The census plus `reading`, a float column with a different value in every
+/// row — more distinct values than a column summary counts.
+fn census_with_a_near_unique_column(rows: usize, segment_rows: usize) -> Arc<Table> {
+    census_with_a_column(
+        rows,
+        segment_rows,
+        Field::new("reading", DataType::Float),
+        |row| Value::Float((row * 7919 % rows) as f64 * 0.37 - 400.0),
+    )
+}
+
+/// How many requests the shards have served so far on the endpoint that
+/// reports as `label` (`requests_by_endpoint.<label>` of each shard's
+/// self-report, summed).
+fn endpoint_requests(shards: &[ServerHandle], label: &str) -> u64 {
     shards
         .iter()
         .map(|shard| {
             let by_endpoint = shard.metrics().snapshot(Vec::new());
             let count = by_endpoint
                 .get("requests_by_endpoint")
-                .and_then(|counts| counts.get("shard_values"))
+                .and_then(|counts| counts.get(label))
                 .and_then(Json::num)
-                .expect("shard_values counter");
+                .expect("endpoint counter");
             count as u64
         })
         .sum()
@@ -753,7 +770,7 @@ fn counted_columns_are_cut_without_shipping_their_values() {
         }
         assert_identical(&local, &coordinator.explore(query).unwrap());
     }
-    assert_eq!(values_requests(&handles), 0);
+    assert_eq!(endpoint_requests(&handles, "shard_values"), 0);
 
     // With `reading` in play its cut — and only its cut — fetches values:
     // one round to each of the two shards per explore.
@@ -762,7 +779,7 @@ fn counted_columns_are_cut_without_shipping_their_values() {
     for query in [&whole, &filtered] {
         assert_agree(&reference, &with_reading, query);
     }
-    assert_eq!(values_requests(&handles), 4);
+    assert_eq!(endpoint_requests(&handles, "shard_values"), 4);
 
     // Degraded: shard 1 is gone, the surviving segments fold as a table of
     // their own, still without a values round.
@@ -792,7 +809,7 @@ fn counted_columns_are_cut_without_shipping_their_values() {
     assert_eq!(degraded.coverage.missing_segments, vec![1, 3, 5]);
     assert_identical(&local, &degraded.result);
     assert_eq!(
-        values_requests(&handles),
+        endpoint_requests(&handles, "shard_values"),
         2,
         "shard 0's two rounds for `reading`"
     );
@@ -1112,8 +1129,8 @@ fn a_shard_evaluates_a_working_set_once_per_segment_per_explore() {
     assert_eq!(calls_per_shard, 9, "working + summaries + 7 selects");
     assert_eq!(working_set_counts(&handles), (4, 4 * (calls_per_shard - 1)));
     assert_eq!(
-        categories_requests(&handles),
-        0.0,
+        endpoint_requests(&handles, "shard_categories"),
+        0,
         "no counted column asks for its categories"
     );
 
@@ -1281,18 +1298,6 @@ fn interleaved_explores_of_different_sql_stay_correct() {
     }
 }
 
-/// How many `POST /shard/categories` requests the shards have served so far.
-fn categories_requests(shards: &[ServerHandle]) -> f64 {
-    shards
-        .iter()
-        .map(|shard| {
-            let report = shard.metrics().snapshot(Vec::new());
-            let by_endpoint = report.get("requests_by_endpoint").unwrap();
-            by_endpoint.get("shard_categories").unwrap().num().unwrap()
-        })
-        .sum()
-}
-
 /// The `DictionaryOrder` strategy costs no round trip of its own: the folded
 /// summaries list a column's categories in dictionary order, so the cut asks
 /// no shard for the dictionary — or for the counts, under any strategy.
@@ -1333,8 +1338,91 @@ fn dictionary_order_cuts_make_no_round_trip_of_their_own() {
             );
         }
     }
-    assert_eq!(categories_requests(&handles), 0.0);
+    assert_eq!(endpoint_requests(&handles, "shard_categories"), 0);
 
+    for handle in handles {
+        handle.shutdown();
+    }
+}
+
+/// The census plus `city`, a string column of 1 500 distinct values (four
+/// rows each) — more than a column summary counts, few enough per row that
+/// it is no identifier.
+fn census_with_a_wide_string_column(rows: usize, segment_rows: usize) -> Arc<Table> {
+    census_with_a_column(
+        rows,
+        segment_rows,
+        Field::new("city", DataType::Str),
+        |row| Value::Str(format!("city{:04}", row * 7 % 1_500)),
+    )
+}
+
+/// The fallback a categorical cut keeps for a column past the counter: its
+/// statistics carry no category counts, so the cut asks the source for them
+/// — one `/shard/categories` round, whose zero-inclusive first-appearance
+/// counts are ranking and dictionary order both. The whole table holds more
+/// values than a cut takes (`max_categories`), so `city` is skipped without
+/// a round; drilled to 40 of its 1 500 values it is cut, and under every
+/// categorical strategy 1–3 shards are bit-identical to the local engine.
+#[test]
+fn a_categorical_cut_past_the_counter_folds_shard_categories() {
+    let table = census_with_a_wide_string_column(6_000, 1_000);
+    let whole = ConjunctiveQuery::all("census");
+    let forty = (0..40).map(|i| format!("city{:04}", i * 37));
+    let drilled = whole.clone().and(Predicate::values("city", forty));
+    for shards in 1..=3usize {
+        let (handles, addrs) = boot_shards("census", &table, &product_config(), shards);
+        for categorical in [
+            CategoricalCutStrategy::Frequency,
+            CategoricalCutStrategy::Alphabetic,
+            CategoricalCutStrategy::DictionaryOrder,
+        ] {
+            let mut config = product_config();
+            config.cut.categorical = categorical;
+            assert_eq!(config.cut.max_categories, 40);
+            let reference = Atlas::new(Arc::clone(&table), config.clone()).unwrap();
+            let coordinator =
+                Coordinator::connect(&addrs, "census", config, Duration::from_secs(10)).unwrap();
+            for (query, rounds) in [(&whole, 0), (&drilled, shards as u64)] {
+                let before = endpoint_requests(&handles, "shard_categories");
+                let local = reference.explore(query).unwrap();
+                let cuts_city = local
+                    .maps
+                    .iter()
+                    .any(|ranked| ranked.map.source_attributes.iter().any(|a| a == "city"));
+                assert_eq!(cuts_city, rounds > 0, "{categorical:?}");
+                assert_identical(&local, &coordinator.explore(query).unwrap());
+                assert_eq!(
+                    endpoint_requests(&handles, "shard_categories") - before,
+                    rounds,
+                    "one round per explore that cuts `city` ({categorical:?})"
+                );
+            }
+        }
+        for handle in handles {
+            handle.shutdown();
+        }
+    }
+}
+
+/// The other fallback endpoint: under `SketchMedian` a whole-table explore
+/// cuts every numeric column at the quantiles of the per-segment sketches
+/// folded in segment order — `/shard/sketches` — which is the fold the local
+/// profile makes, so two shards are bit-identical to the local engine.
+#[test]
+fn sketch_median_cuts_fold_shard_sketches() {
+    let table = census_table(6_000, 1_000);
+    let mut config = product_config();
+    config.cut.numeric = NumericCutStrategy::SketchMedian { epsilon: 0.01 };
+    let reference = Atlas::new(Arc::clone(&table), config.clone()).unwrap();
+    let (handles, addrs) = boot_shards("census", &table, &config, 2);
+    let coordinator = Coordinator::connect(&addrs, "census", config, Duration::from_secs(10))
+        .unwrap()
+        .with_assignment(vec![vec![0, 2, 4], vec![1, 3, 5]])
+        .unwrap();
+    assert_agree(&reference, &coordinator, &ConjunctiveQuery::all("census"));
+    assert_eq!(endpoint_requests(&handles, "shard_sketches"), 2);
+    assert_eq!(endpoint_requests(&handles, "shard_values"), 0);
     for handle in handles {
         handle.shutdown();
     }

@@ -203,7 +203,6 @@ proptest! {
             let a = full.column(column).expect("profiled column");
             let b = folded.column(column).expect("profiled column");
             prop_assert_eq!(&a.stats, &b.stats, "stats of '{}' must be bit-equal", column);
-            prop_assert_eq!(&a.non_null, &b.non_null);
             match (&a.sketch, &b.sketch) {
                 (None, None) => {}
                 (Some(sa), Some(sb)) => {

@@ -413,7 +413,6 @@ struct Observed {
     grouped: Vec<Vec<Bitmap>>,
     gathered: Vec<Vec<u64>>,
     min_max: Vec<Option<(u64, u64)>>,
-    non_null: Bitmap,
     values: Vec<Option<u64>>,
 }
 
@@ -430,7 +429,6 @@ impl Observed {
             ("select_in_groups", self.grouped != other.grouped),
             ("numeric_values_where", self.gathered != other.gathered),
             ("numeric_min_max", self.min_max != other.min_max),
-            ("non_null_mask", self.non_null != other.non_null),
             ("value", self.values != other.values),
         ]
         .into_iter()
@@ -477,7 +475,6 @@ fn observe(
             .iter()
             .map(|s| col.numeric_min_max(s).map(|(lo, hi)| (bits(lo), bits(hi))))
             .collect(),
-        non_null: col.non_null_mask(),
         values: (0..col.len())
             .map(|row| match col.value(row) {
                 Value::Null => None,
@@ -641,7 +638,6 @@ struct ObservedStrings {
     counts: Vec<Vec<(String, usize)>>,
     grouped: Vec<Vec<Bitmap>>,
     members: Vec<Vec<Bitmap>>,
-    non_null: Bitmap,
     dictionary: Vec<String>,
     codes: Vec<u32>,
     values: Vec<Value>,
@@ -655,7 +651,6 @@ impl ObservedStrings {
             ("category_counts", self.counts != other.counts),
             ("select_in_groups", self.grouped != other.grouped),
             ("select_in", self.members != other.members),
-            ("non_null_mask", self.non_null != other.non_null),
             ("dictionary", self.dictionary != other.dictionary),
             ("category_codes", self.codes != other.codes),
             ("value", self.values != other.values),
@@ -680,7 +675,6 @@ fn observe_strings(
             .map(|s| col.select_in_groups(s, groups))
             .collect(),
         members: sels.iter().map(members).collect(),
-        non_null: col.non_null_mask(),
         dictionary: col.dictionary(),
         codes: col.category_codes(),
         values: (0..col.len()).map(|row| col.value(row)).collect(),
@@ -754,7 +748,8 @@ fn check_string_column(cells: &[Value], sels: &[Bitmap], groups: &[Vec<String>])
         }
     }
     let nulls = cells.iter().filter(|cell| text(cell).is_none()).count();
-    assert_eq!(reference.non_null.count(), rows - nulls);
+    let held = reference.values.iter().filter(|v| **v != Value::Null);
+    assert_eq!(held.count(), rows - nulls);
 
     for segment_rows in [usize::MAX, 7, 64, 100] {
         let table = string_table(cells, segment_rows);
