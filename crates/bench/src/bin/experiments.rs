@@ -800,7 +800,8 @@ fn best_of_ms<T>(repeats: usize, mut f: impl FnMut() -> T) -> (f64, T) {
 /// widths (`span_mask_*`), `select_ranges` over a plain near-unique float at
 /// 6 / 12 / 23 / 50 % density (the measurement behind `RANGE_DENSE_LANES`),
 /// the seal pass per column (`seal_*_ms`), and what each census column weighs
-/// per row plain and sealed (`bytes_per_row`).
+/// per row plain and sealed (`bytes_per_row`). The wire frames of a
+/// distributed explore ride along (`frame_*`, see [`smoke_frames`]).
 fn smoke_kernels(rows: usize, repeats: usize) -> Json {
     let table = census(rows);
     let sel = table.full_selection();
@@ -1034,9 +1035,41 @@ fn smoke_kernels(rows: usize, repeats: usize) -> Json {
         .map(|(key, value)| (key.to_string(), value))
         .collect();
     fields.extend(near_unique_points);
+    let near_unique_values = near_unique_view.numeric_values_where(&sel);
+    fields.extend(smoke_frames(&sel, &near_unique_values, repeats));
     fields.extend(smoke_seal(&table, &near_unique, repeats));
     fields.push(("bytes_per_row".to_string(), bytes_per_row(&table)));
     Json::object(fields)
+}
+
+/// The wire frames a distributed explore moves most of, out and back: the
+/// whole-table bitmap (`bitmap_to_json(..).encode()`; `wire::parse` +
+/// `bitmap_from_json`), ~15 of which cross per explore, and the numeric value
+/// run a `/shard/values` reply carries (`wire::parse` + `parse_hex_f64s`).
+/// The decoded frames are asserted equal to what was sent.
+fn smoke_frames(sel: &Bitmap, values: &[f64], repeats: usize) -> Vec<(String, Json)> {
+    use atlas_serve::wire::{self, frames};
+    let (encode_ms, frame) = best_of_ms(repeats, || frames::bitmap_to_json(sel).encode());
+    let (decode_ms, decoded) = best_of_ms(repeats, || {
+        let json = wire::parse(&frame).expect("the frame parses");
+        frames::bitmap_from_json(&json).expect("the frame decodes")
+    });
+    assert_eq!(&decoded, sel, "the bitmap frame round-trips");
+    let run = Json::object(vec![("values", Json::from(frames::hex_f64s(values)))]).encode();
+    let (run_ms, decoded) = best_of_ms(repeats, || {
+        let json = wire::parse(&run).expect("the frame parses");
+        let hex = frames::get_str(&json, "values").expect("a value run");
+        frames::parse_hex_f64s(hex).expect("the run decodes")
+    });
+    let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&decoded), bits(values), "the value run round-trips");
+    vec![
+        ("frame_bitmap_bytes".to_string(), Json::from(frame.len())),
+        ("frame_bitmap_encode_ms".to_string(), ms(encode_ms)),
+        ("frame_bitmap_decode_ms".to_string(), ms(decode_ms)),
+        ("frame_f64_run_values".to_string(), Json::from(values.len())),
+        ("frame_f64_run_decode_ms".to_string(), ms(run_ms)),
+    ]
 }
 
 /// A pseudo-random selection of about `pct` percent of `rows` rows.
@@ -1483,10 +1516,11 @@ fn pr_of(path: &str) -> Option<usize> {
 /// (first-found) figure for each: the 20k-row point for the fast-config
 /// explore phases, the 1M-row default-config point for the `default_*`
 /// phases, the 1M-row sky-survey point for the `sdss_*` ones, the 1M-row
-/// point for the per-kernel partition and summary-scan timings (their report
-/// section lists 1M first). A phase one of the two reports lacks is skipped,
-/// so a report gates cleanly against one written before a phase existed.
-const GATED_PHASES: [&str; 28] = [
+/// point for the per-kernel partition and summary-scan timings and the wire
+/// frames (their report section lists 1M first). A phase one of the two
+/// reports lacks is skipped, so a report gates cleanly against one written
+/// before a phase existed.
+const GATED_PHASES: [&str; 31] = [
     "query_ms",
     "candidates_ms",
     "clustering_ms",
@@ -1515,6 +1549,9 @@ const GATED_PHASES: [&str; 28] = [
     "column_stats_height_cm_ms",
     "column_stats_near_unique_ms",
     "median_cut_age_half_ms",
+    "frame_bitmap_encode_ms",
+    "frame_bitmap_decode_ms",
+    "frame_f64_run_decode_ms",
 ];
 
 /// Noise floor for the regression gate: phases faster than this in the

@@ -132,19 +132,11 @@ impl Json {
             Json::Bool(false) => out.push_str("false"),
             Json::Num(x) => write_number(out, *x),
             Json::Str(s) => write_string(out, s),
-            Json::Arr(items) => write_seq(out, indent, level, '[', ']', items.len(), |out, i| {
-                #[expect(
-                    clippy::indexing_slicing,
-                    reason = "write_seq calls back with i < the len it was given"
-                )]
-                items[i].write(out, indent, level + 1);
+            Json::Arr(items) => write_seq(out, indent, level, ['[', ']'], items, |out, item| {
+                item.write(out, indent, level + 1);
             }),
-            Json::Obj(pairs) => write_seq(out, indent, level, '{', '}', pairs.len(), |out, i| {
-                #[expect(
-                    clippy::indexing_slicing,
-                    reason = "write_seq calls back with i < the len it was given"
-                )]
-                let (key, value) = &pairs[i];
+            Json::Obj(pairs) => write_seq(out, indent, level, ['{', '}'], pairs, |out, pair| {
+                let (key, value) = pair;
                 write_string(out, key);
                 out.push(':');
                 if indent.is_some() {
@@ -156,37 +148,34 @@ impl Json {
     }
 }
 
-fn write_seq(
+/// Write `items` between the `brackets`, comma-separated, each on a line of
+/// its own when indenting; an empty sequence is just the two brackets.
+fn write_seq<I: IntoIterator>(
     out: &mut String,
     indent: Option<usize>,
     level: usize,
-    open: char,
-    close: char,
-    len: usize,
-    mut item: impl FnMut(&mut String, usize),
+    [open, close]: [char; 2],
+    items: I,
+    mut write_item: impl FnMut(&mut String, I::Item),
 ) {
-    out.push(open);
-    if len == 0 {
-        out.push(close);
-        return;
-    }
-    for i in 0..len {
-        if i > 0 {
-            out.push(',');
-        }
+    let newline = |out: &mut String, level: usize| {
         if let Some(width) = indent {
             out.push('\n');
-            for _ in 0..width * (level + 1) {
-                out.push(' ');
-            }
+            out.extend(std::iter::repeat_n(' ', width * level));
         }
-        item(out, i);
+    };
+    out.push(open);
+    let mut empty = true;
+    for item in items {
+        if !empty {
+            out.push(',');
+        }
+        empty = false;
+        newline(out, level + 1);
+        write_item(out, item);
     }
-    if let Some(width) = indent {
-        out.push('\n');
-        for _ in 0..width * level {
-            out.push(' ');
-        }
+    if !empty {
+        newline(out, level);
     }
     out.push(close);
 }
@@ -205,11 +194,53 @@ fn write_number(out: &mut String, x: f64) {
     }
 }
 
-/// True for the bytes a JSON string cannot hold verbatim: the quote, the
-/// backslash and the C0 controls. All three are ASCII, so they never occur
-/// inside a multi-byte UTF-8 scalar and always sit on a char boundary.
-fn needs_escape(byte: u8) -> bool {
-    byte == b'"' || byte == b'\\' || byte < 0x20
+/// `byte` in each of the eight byte lanes of a word — the constant of the
+/// word-at-a-time (SWAR) scans here and in [`super::frames`].
+pub(super) const fn lanes(byte: u8) -> u64 {
+    0x0101_0101_0101_0101 * byte as u64
+}
+
+/// The bytes of `word` a JSON string cannot hold verbatim — the quote, the
+/// backslash and the C0 controls — as the top bits of their lanes, read
+/// little-endian so the lowest flagged lane is the first byte that needs an
+/// escape. That lowest lane is always exact; lanes above it may be flagged by
+/// its borrow.
+fn escapes(word: [u8; 8]) -> u64 {
+    // The zero-lane trick: `(x - lanes(n)) & !x` tops a lane below `n`.
+    let below = |x: u64, n: u8| x.wrapping_sub(lanes(n)) & !x;
+    let x = u64::from_le_bytes(word);
+    (below(x ^ lanes(b'"'), 1) | below(x ^ lanes(b'\\'), 1) | below(x, 0x20)) & lanes(0x80)
+}
+
+/// The offset of the first byte of `bytes` that needs an escape. The three
+/// kinds are ASCII, so they never occur inside a multi-byte UTF-8 scalar
+/// and the offset is always a char boundary.
+fn first_escape(bytes: &[u8]) -> Option<usize> {
+    // Skip escape-free stretches 32 bytes per step, then find the word that
+    // hits; the tail is padded with spaces, which need no escape.
+    let (blocks, _) = bytes.as_chunks::<32>();
+    let clean = blocks
+        .iter()
+        .take_while(|block| {
+            let (words, _) = block.as_chunks::<8>();
+            words.iter().fold(0, |any, &word| any | escapes(word)) == 0
+        })
+        .count()
+        * 32;
+    let (words, tail) = bytes.get(clean..).unwrap_or_default().as_chunks::<8>();
+    let mut last = [b' '; 8];
+    last.iter_mut()
+        .zip(tail)
+        .for_each(|(lane, &byte)| *lane = byte);
+    words
+        .iter()
+        .copied()
+        .chain([last])
+        .enumerate()
+        .find_map(|(i, word)| {
+            let hits = escapes(word);
+            (hits != 0).then(|| clean + i * 8 + hits.trailing_zeros() as usize / 8)
+        })
 }
 
 fn write_string(out: &mut String, s: &str) {
@@ -217,7 +248,7 @@ fn write_string(out: &mut String, s: &str) {
     // Copy each escape-free run in one `push_str`; an escape-free string (a
     // 250 kB hex run, say) is a single copy.
     let mut rest = s;
-    while let Some(at) = rest.bytes().position(needs_escape) {
+    while let Some(at) = first_escape(rest.as_bytes()) {
         let (plain, tail) = rest.split_at(at);
         out.push_str(plain);
         let mut chars = tail.chars();
@@ -503,7 +534,7 @@ impl Parser<'_> {
                         .text
                         .get(self.pos..)
                         .ok_or_else(|| self.error("invalid UTF-8"))?;
-                    let run = rest.bytes().position(needs_escape).unwrap_or(rest.len());
+                    let run = first_escape(rest.as_bytes()).unwrap_or(rest.len());
                     let (plain, _) = rest.split_at(run);
                     out.push_str(plain);
                     self.pos += run;
@@ -570,6 +601,92 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The per-byte test the word-at-a-time [`first_escape`] replaced, kept
+    /// as its oracle.
+    fn needs_escape(byte: u8) -> bool {
+        byte == b'"' || byte == b'\\' || byte < 0x20
+    }
+
+    /// A string's wire form, written one char at a time.
+    fn per_char_encoding(s: &str) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                '\u{8}' => out.push_str("\\b"),
+                '\u{c}' => out.push_str("\\f"),
+                c if c < ' ' => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn the_first_escape_is_found_at_every_alignment() {
+        let escapes = ['"', '\\'].into_iter().chain((0..0x20u8).map(char::from));
+        let plain = ['\u{7f}', 'é', '€', '🦀', '\u{80}', 'a'];
+        // Past two 32-byte blocks: the skip, the word search and the tail.
+        for at in 0..72 {
+            // The byte before the hit is ASCII or the end of a scalar.
+            for lead in ["a".repeat(at), "é".repeat(at / 2) + &"a".repeat(at % 2)] {
+                for c in escapes.clone().chain(plain) {
+                    for tail in ["", "x", "\"", "abcdefghij\\", "é\n", "🦀🦀🦀"] {
+                        let s = format!("{lead}{c}{tail}");
+                        let expected = s.bytes().position(needs_escape);
+                        assert_eq!(first_escape(s.as_bytes()), expected, "{s:?}");
+                        if c.is_ascii() && needs_escape(c as u8) {
+                            assert_eq!(expected, Some(at), "{s:?}");
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(first_escape(b""), None);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random text heavy in escapes, DEL and multi-byte scalars: the scan
+        /// agrees with the per-byte one from every char boundary on, the
+        /// encoder writes what a per-char encoder writes, and the parser gives
+        /// the text back, as a value and as a key.
+        #[test]
+        fn strings_agree_with_the_per_byte_references_and_round_trip(
+            scalars in proptest::collection::vec(
+                prop_oneof![
+                    6 => 0x20u32..0x7f,
+                    2 => 0u32..0x20,
+                    1 => Just(0x22u32),
+                    1 => Just(0x5cu32),
+                    1 => Just(0x7fu32),
+                    1 => 0x80u32..0x800,
+                    1 => 0x800u32..0xd800,
+                    1 => 0x10000u32..0x11_0000,
+                ],
+                0..64,
+            ),
+        ) {
+            let text: String = scalars.into_iter().filter_map(char::from_u32).collect();
+            for (at, _) in text.char_indices() {
+                let rest = &text.as_bytes()[at..];
+                prop_assert_eq!(first_escape(rest), rest.iter().position(|&b| needs_escape(b)));
+            }
+            let encoded = Json::from(text.as_str()).encode();
+            prop_assert_eq!(&encoded, &per_char_encoding(&text));
+            prop_assert_eq!(parse(&encoded).unwrap().str(), Some(text.as_str()));
+            let object = Json::object(vec![(text.clone(), Json::from(text.as_str()))]);
+            prop_assert_eq!(parse(&object.encode()).unwrap(), object);
+        }
+    }
 
     #[test]
     fn scalars_round_trip() {
