@@ -23,6 +23,11 @@
 //! unsophisticated otherwise, as the paper leaves "deciding what to compute"
 //! open; keying and the eviction policy are the two obvious extension points.
 //!
+//! Cached answers are immutable and shared: the cache holds each result as an
+//! `Arc<MapResult>` and hands out the `Arc`, so a hit costs a reference count,
+//! not a copy of every region bitmap, and whoever keeps the answer (an
+//! exploration history) shares the cache's allocation.
+//!
 //! The raw [`CachedAtlas::lookup`] / [`CachedAtlas::insert_result`] pair
 //! exists for front-ends (such as `atlas-serve`) that hold the cache behind a
 //! lock and must not keep it locked while the engine computes a miss.
@@ -53,7 +58,7 @@ pub struct CacheStats {
 pub struct CachedAtlas {
     engine: Atlas,
     capacity: usize,
-    cache: HashMap<String, MapResult>,
+    cache: HashMap<String, Arc<MapResult>>,
     insertion_order: VecDeque<String>,
     stats: CacheStats,
 }
@@ -134,7 +139,7 @@ impl CachedAtlas {
         }
     }
 
-    fn insert(&mut self, key: String, result: MapResult) {
+    fn insert(&mut self, key: String, result: Arc<MapResult>) {
         if let Some(slot) = self.cache.get_mut(&key) {
             *slot = result;
             self.touch(&key);
@@ -156,7 +161,7 @@ impl CachedAtlas {
         let key = Self::key(&query);
         if !self.cache.contains_key(&key) {
             let result = self.engine.explore(&query)?;
-            self.insert(key, result);
+            self.insert(key, Arc::new(result));
             self.stats.prefetched += 1;
         }
         Ok(())
@@ -167,13 +172,13 @@ impl CachedAtlas {
     /// that hold the cache behind a lock use this to release the lock while
     /// the engine computes, then store the outcome with
     /// [`CachedAtlas::insert_result`].
-    pub fn lookup(&mut self, query: &ConjunctiveQuery) -> Option<MapResult> {
+    pub fn lookup(&mut self, query: &ConjunctiveQuery) -> Option<Arc<MapResult>> {
         self.lookup_key(&Self::key(query))
     }
 
-    fn lookup_key(&mut self, key: &str) -> Option<MapResult> {
+    fn lookup_key(&mut self, key: &str) -> Option<Arc<MapResult>> {
         if let Some(result) = self.cache.get(key) {
-            let result = result.clone();
+            let result = Arc::clone(result);
             self.stats.hits += 1;
             self.touch(key);
             return Some(result);
@@ -186,18 +191,18 @@ impl CachedAtlas {
     /// [`CachedAtlas::lookup`]). The result must come from an engine
     /// answering over the same table snapshot as [`CachedAtlas::engine`],
     /// otherwise later hits would disagree with fresh explorations.
-    pub fn insert_result(&mut self, query: &ConjunctiveQuery, result: MapResult) {
-        self.insert(Self::key(query), result);
+    pub fn insert_result(&mut self, query: &ConjunctiveQuery, result: impl Into<Arc<MapResult>>) {
+        self.insert(Self::key(query), result.into());
     }
 
     /// Answer a query, from the cache when possible.
-    pub fn explore(&mut self, query: &ConjunctiveQuery) -> Result<MapResult> {
+    pub fn explore(&mut self, query: &ConjunctiveQuery) -> Result<Arc<MapResult>> {
         let key = Self::key(query);
         if let Some(result) = self.lookup_key(&key) {
             return Ok(result);
         }
-        let result = self.engine.explore(query)?;
-        self.insert(key, result.clone());
+        let result = Arc::new(self.engine.explore(query)?);
+        self.insert(key, Arc::clone(&result));
         Ok(result)
     }
 
@@ -220,7 +225,7 @@ impl CachedAtlas {
                 continue;
             }
             if let Ok(region_result) = self.engine.explore(&region.query) {
-                self.insert(key, region_result);
+                self.insert(key, Arc::new(region_result));
                 self.stats.prefetched += 1;
                 computed += 1;
             }
@@ -384,6 +389,24 @@ mod tests {
                 ..CacheStats::default()
             }
         );
+    }
+
+    #[test]
+    fn lookups_of_one_key_share_one_answer() {
+        let mut cached = CachedAtlas::new(table(1_500), AtlasConfig::default(), 4).unwrap();
+        let query = ConjunctiveQuery::all("t");
+        let answered = cached.explore(&query).unwrap();
+        let first = cached.lookup(&query).expect("a hit");
+        let second = cached.lookup(&query).expect("a hit");
+        assert!(Arc::ptr_eq(&first, &second), "two hits share one answer");
+        assert!(
+            Arc::ptr_eq(&first, &answered),
+            "… with the miss that stored it"
+        );
+        // A shared answer stored from outside is the one handed out.
+        let shared = Arc::new(cached.engine().explore(&query).unwrap());
+        cached.insert_result(&query, Arc::clone(&shared));
+        assert!(Arc::ptr_eq(&cached.lookup(&query).unwrap(), &shared));
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //!
 //! * [`session::Session`] — an exploration session over one table: submit a
 //!   query, receive ranked maps, *drill down* into a region (its query becomes
-//!   the next user query), go *back*, or ask for the next-best map.
+//!   the next user query), go *back*, or ask for the next-best map. Its
+//!   [`session::History`] — the steps and the answers they showed — also
+//!   stands alone, for front-ends that answer steps elsewhere.
 //! * [`render`] — plain-text and Markdown rendering of maps and results, in
 //!   the style of the paper's figures.
 //! * [`metrics`] — readability and quality metrics used by the evaluation:
@@ -28,4 +30,4 @@ pub mod session;
 pub use explain::{explain_region, explain_selection, AttributeInsight, InsightKind};
 pub use metrics::{MapQuality, ReadabilityReport};
 pub use render::{render_map, render_result, render_result_markdown};
-pub use session::{ExplorationStep, Session};
+pub use session::{ExplorationStep, History, Session};

@@ -2,11 +2,12 @@
 //!
 //! The user submits a query; Atlas answers with a handful of maps; the user
 //! either drills down into one region (its query becomes the new user query)
-//! or asks for a new map. A [`Session`] records that history so the user can
-//! also go back.
+//! or asks for a new map. A [`History`] records what each step showed, so the
+//! user can drill into it or go back; a [`Session`] is a history beside the
+//! engine that answers its steps.
 
-use atlas_columnar::{Segment, Table};
-use atlas_core::{Atlas, AtlasConfig, MapResult, Result};
+use atlas_columnar::Table;
+use atlas_core::{Atlas, AtlasConfig, AtlasError, MapResult, Result};
 use atlas_query::ConjunctiveQuery;
 use std::sync::Arc;
 
@@ -16,8 +17,9 @@ use std::sync::Arc;
 pub struct ExplorationStep {
     /// The query submitted at this step.
     pub query: ConjunctiveQuery,
-    /// The result Atlas returned.
-    pub result: MapResult,
+    /// The result Atlas returned. Answers are immutable and shared: a step
+    /// holds the same allocation as the result cache that served it.
+    pub result: Arc<MapResult>,
 }
 
 impl ExplorationStep {
@@ -27,11 +29,95 @@ impl ExplorationStep {
     }
 }
 
-/// An interactive exploration session over a single table.
+/// The steps of an exploration, oldest first: what was asked and what was
+/// shown. A step keeps the result it was answered with, so a drill always
+/// addresses a region of a reply the user saw. Answering is the caller's
+/// business — a [`Session`] asks its engine, a serving front-end its
+/// dataset's current snapshot through a shared result cache.
+#[derive(Debug, Clone, Default)]
+pub struct History {
+    steps: Vec<ExplorationStep>,
+}
+
+impl History {
+    /// An empty history.
+    pub fn new() -> Self {
+        History::default()
+    }
+
+    /// Every retained step, oldest first.
+    pub fn steps(&self) -> &[ExplorationStep] {
+        &self.steps
+    }
+
+    /// The current (latest) step, if any.
+    pub fn current(&self) -> Option<&ExplorationStep> {
+        self.steps.last()
+    }
+
+    /// Exploration depth (number of retained steps).
+    pub fn depth(&self) -> usize {
+        self.steps.len()
+    }
+
+    /// Append a step: `result` is what answering `query` showed. The caller
+    /// is responsible for the result actually answering `query`.
+    pub fn record(
+        &mut self,
+        query: ConjunctiveQuery,
+        result: impl Into<Arc<MapResult>>,
+    ) -> &ExplorationStep {
+        self.steps.push(ExplorationStep {
+            query,
+            result: result.into(),
+        });
+        self.steps.last().expect("step was just pushed")
+    }
+
+    /// The query a drill-down on (`map_idx`, `region_idx`) of the current
+    /// step submits: that region's query. Errors name the missing index and
+    /// leave the history untouched.
+    pub fn drill_query(&self, map_idx: usize, region_idx: usize) -> Result<ConjunctiveQuery> {
+        let step = self.current().ok_or_else(|| {
+            AtlasError::InvalidConfig("cannot drill down before submitting a query".to_string())
+        })?;
+        let map = step.result.maps.get(map_idx).ok_or_else(|| {
+            AtlasError::InvalidConfig(format!("no map #{map_idx} in current step"))
+        })?;
+        let region = map.map.regions.get(region_idx).ok_or_else(|| {
+            AtlasError::InvalidConfig(format!("no region #{region_idx} in map #{map_idx}"))
+        })?;
+        Ok(region.query.clone())
+    }
+
+    /// Bound the history to its `max_depth` most recent steps, discarding
+    /// the oldest ones (long-lived front-end sessions would otherwise grow
+    /// without limit). The current step is never discarded; `back`
+    /// afterwards walks only the retained steps. Returns how many steps
+    /// were discarded.
+    pub fn trim(&mut self, max_depth: usize) -> usize {
+        let excess = self.steps.len().saturating_sub(max_depth.max(1));
+        self.steps.drain(..excess);
+        excess
+    }
+
+    /// Go back one step, returning the step that was abandoned.
+    pub fn back(&mut self) -> Option<ExplorationStep> {
+        self.steps.pop()
+    }
+
+    /// Clear the history.
+    pub fn reset(&mut self) {
+        self.steps.clear();
+    }
+}
+
+/// An interactive exploration session over a single table: a [`History`]
+/// whose steps the session's own engine answers.
 #[derive(Debug, Clone)]
 pub struct Session {
     engine: Atlas,
-    steps: Vec<ExplorationStep>,
+    history: History,
 }
 
 impl Session {
@@ -48,7 +134,7 @@ impl Session {
     pub fn with_engine(engine: Atlas) -> Self {
         Session {
             engine,
-            steps: Vec::new(),
+            history: History::new(),
         }
     }
 
@@ -62,67 +148,50 @@ impl Session {
         &self.engine
     }
 
-    /// The exploration history, oldest step first.
-    pub fn history(&self) -> &[ExplorationStep] {
-        &self.steps
+    /// The exploration history.
+    pub fn history(&self) -> &History {
+        &self.history
     }
 
     /// The current (latest) step, if any.
     pub fn current(&self) -> Option<&ExplorationStep> {
-        self.steps.last()
+        self.history.current()
     }
 
     /// Exploration depth (number of steps taken).
     pub fn depth(&self) -> usize {
-        self.steps.len()
+        self.history.depth()
     }
 
     /// Submit a query: Atlas answers it with maps and the step is recorded.
     pub fn submit(&mut self, query: ConjunctiveQuery) -> Result<&ExplorationStep> {
         let result = self.engine.explore(&query)?;
-        self.steps.push(ExplorationStep { query, result });
-        Ok(self.steps.last().expect("step was just pushed"))
+        Ok(self.history.record(query, result))
     }
 
     /// Submit a query written in the restricted SQL syntax.
     pub fn submit_sql(&mut self, sql: &str) -> Result<&ExplorationStep> {
-        let mut query = atlas_query::parse_query(sql).map_err(atlas_core::AtlasError::Query)?;
+        let mut query = atlas_query::parse_query(sql).map_err(AtlasError::Query)?;
         if query.table.is_empty() {
             query.table = self.engine.table().name().to_string();
         }
         self.submit(query)
     }
 
-    /// Record a step whose result was computed externally — by a shared
-    /// result cache (`atlas_core::CachedAtlas`), a remote worker, or any
-    /// other front-end that routes explorations around the session's own
-    /// engine. The step joins the history exactly as if
-    /// [`Session::submit`] had produced it, so `drill_down`/`back` keep
-    /// working; the caller is responsible for the result actually answering
-    /// `query` over this session's table snapshot.
-    pub fn record(&mut self, query: ConjunctiveQuery, result: MapResult) -> &ExplorationStep {
-        self.steps.push(ExplorationStep { query, result });
-        self.steps.last().expect("step was just pushed")
+    /// Record a step whose result was computed elsewhere (a shared result
+    /// cache such as `atlas_core::CachedAtlas`, a remote worker); see
+    /// [`History::record`].
+    pub fn record(
+        &mut self,
+        query: ConjunctiveQuery,
+        result: impl Into<Arc<MapResult>>,
+    ) -> &ExplorationStep {
+        self.history.record(query, result)
     }
 
-    /// The query a drill-down on (`map_idx`, `region_idx`) would submit,
-    /// without submitting it. Errors mirror [`Session::drill_down`] and leave
-    /// the history untouched.
+    /// See [`History::drill_query`].
     pub fn drill_query(&self, map_idx: usize, region_idx: usize) -> Result<ConjunctiveQuery> {
-        let step = self.current().ok_or_else(|| {
-            atlas_core::AtlasError::InvalidConfig(
-                "cannot drill down before submitting a query".to_string(),
-            )
-        })?;
-        let map = step.result.maps.get(map_idx).ok_or_else(|| {
-            atlas_core::AtlasError::InvalidConfig(format!("no map #{map_idx} in current step"))
-        })?;
-        let region = map.map.regions.get(region_idx).ok_or_else(|| {
-            atlas_core::AtlasError::InvalidConfig(format!(
-                "no region #{region_idx} in map #{map_idx}"
-            ))
-        })?;
-        Ok(region.query.clone())
+        self.history.drill_query(map_idx, region_idx)
     }
 
     /// Drill down: take region `region_idx` of map `map_idx` of the current
@@ -133,69 +202,38 @@ impl Session {
         self.submit(query)
     }
 
-    /// Ingest newly arrived data mid-session: append `segment` to the
-    /// engine's table (the engine re-prepares incrementally, merging only the
-    /// new segment's statistics — see [`Atlas::append`]) and, when a step is
-    /// on screen, re-run its query over the extended table so the current
-    /// view reflects the new rows. The refreshed result **replaces** the
-    /// current step (history depth is unchanged); earlier steps keep the
-    /// results their snapshots produced.
-    pub fn append_segment(
-        &mut self,
-        segment: impl Into<Arc<Segment>>,
-    ) -> Result<Option<&ExplorationStep>> {
-        let engine = self.engine.append(segment)?;
-        self.adopt_engine(engine)
-    }
-
     /// Switch the session onto an already prepared engine over a newer
-    /// snapshot of the same logical table — e.g. the shared engine a serving
-    /// front-end re-prepared once for all sessions (cheaper than every
-    /// session re-profiling the same segments through
-    /// [`Session::append_segment`]). As with an append, the current step's
-    /// query is re-run over the new snapshot and its result **replaces** the
-    /// step on screen; earlier steps keep their historical results. An error
-    /// (e.g. the current query not evaluating on the new engine's table)
-    /// leaves engine and history untouched.
+    /// snapshot of the same logical table (e.g. one [`Atlas::append`]
+    /// re-prepared incrementally) and re-answer the step on screen with it:
+    /// the refreshed result **replaces** the current step (depth is
+    /// unchanged), earlier steps keep the results their snapshots produced.
+    /// An error (e.g. the current query not evaluating on the new engine's
+    /// table) leaves engine and history untouched.
+    ///
+    /// This is the in-process way to follow a growing table. No serving
+    /// front-end calls it: a wire session holds only a [`History`], and each
+    /// new step runs on the dataset's current snapshot, so the steps a
+    /// client was shown never change under it.
     pub fn adopt_engine(&mut self, engine: Atlas) -> Result<Option<&ExplorationStep>> {
-        // Compute the refreshed result *before* touching the session, so an
-        // error leaves engine and history untouched.
-        let refreshed = match self.steps.last() {
+        let refreshed = match self.history.current() {
             Some(current) => Some(engine.explore(&current.query)?),
             None => None,
         };
         self.engine = engine;
-        let Some(result) = refreshed else {
-            return Ok(None);
-        };
-        let current = self.steps.last_mut().expect("refreshed implies a step");
-        current.result = result;
-        Ok(Some(self.steps.last().expect("a step was just refreshed")))
-    }
-
-    /// Bound the history to its `max_depth` most recent steps, discarding
-    /// the oldest ones (long-lived front-end sessions would otherwise grow
-    /// without limit — every step retains a full [`MapResult`]). The current
-    /// step is never discarded; `back` afterwards walks only the retained
-    /// steps. Returns how many steps were discarded.
-    pub fn trim_history(&mut self, max_depth: usize) -> usize {
-        let max_depth = max_depth.max(1);
-        if self.steps.len() <= max_depth {
-            return 0;
-        }
-        let excess = self.steps.len() - max_depth;
-        self.steps.drain(..excess);
-        excess
+        Ok(match (refreshed, self.history.back()) {
+            (Some(result), Some(current)) => Some(self.history.record(current.query, result)),
+            _ => None,
+        })
     }
 
     /// Go back one step, returning the step that was abandoned.
     pub fn back(&mut self) -> Option<ExplorationStep> {
-        self.steps.pop()
+        self.history.back()
     }
 
     /// Reset the session, clearing the history.
     pub fn reset(&mut self) {
-        self.steps.clear();
+        self.history.reset();
     }
 }
 
@@ -209,6 +247,23 @@ mod tests {
         Session::with_defaults(table).unwrap()
     }
 
+    /// One census batch with a different seed, as one segment of the
+    /// session's table schema, appended to the session's engine.
+    fn grown_engine(session: &Session, rows: usize, seed: u64) -> Atlas {
+        let batch = CensusGenerator::with_rows(rows, seed).generate();
+        let mut b = atlas_columnar::TableBuilder::new("census", batch.schema().clone())
+            .with_segment_rows(usize::MAX);
+        for row in 0..batch.num_rows() {
+            b.push_row(&batch.row(row).unwrap()).unwrap();
+        }
+        let (_, segments) = b.build_segments().unwrap();
+        assert_eq!(segments.len(), 1);
+        session
+            .engine()
+            .append(segments.into_iter().next().unwrap())
+            .unwrap()
+    }
+
     #[test]
     fn submit_and_history() {
         let mut session = census_session();
@@ -219,7 +274,7 @@ mod tests {
         assert!(step.result.num_maps() >= 1);
         assert_eq!(session.depth(), 1);
         assert!(session.current().is_some());
-        assert_eq!(session.history().len(), 1);
+        assert_eq!(session.history().steps().len(), 1);
     }
 
     #[test]
@@ -275,11 +330,14 @@ mod tests {
     fn out_of_range_drill_errors_name_the_missing_index_and_keep_history_intact() {
         let mut session = census_session();
         session.submit(ConjunctiveQuery::all("census")).unwrap();
-        let before: Vec<String> = session
-            .history()
-            .iter()
-            .map(|s| atlas_query::to_sql(&s.query))
-            .collect();
+        let sqls = |session: &Session| -> Vec<String> {
+            let steps = session.history().steps();
+            steps
+                .iter()
+                .map(|s| atlas_query::to_sql(&s.query))
+                .collect()
+        };
+        let before = sqls(&session);
 
         let err = session.drill_down(42, 0).unwrap_err();
         assert!(err.to_string().contains("map #42"), "{err}");
@@ -289,12 +347,11 @@ mod tests {
         // An index one past the end fails exactly like a huge one.
         assert!(session.drill_down(num_maps, 0).is_err());
 
-        let after: Vec<String> = session
-            .history()
-            .iter()
-            .map(|s| atlas_query::to_sql(&s.query))
-            .collect();
-        assert_eq!(before, after, "failed drills must not rewrite history");
+        assert_eq!(
+            before,
+            sqls(&session),
+            "failed drills must not rewrite history"
+        );
         // The session is still usable: a valid drill works afterwards.
         assert!(session.drill_down(0, 0).is_ok());
         assert_eq!(session.depth(), 2);
@@ -346,23 +403,34 @@ mod tests {
                 .submit(ConjunctiveQuery::all("census"))
                 .expect("whole-table query always works");
         }
-        let depth = session.depth();
+        // Cloning a history copies pointers to the answers, not the answers.
+        let mut history = session.history().clone();
+        let depth = history.depth();
         assert!(depth >= 4);
-        let current_sql = atlas_query::to_sql(&session.current().unwrap().query);
+        assert!(Arc::ptr_eq(
+            &history.current().unwrap().result,
+            &session.current().unwrap().result
+        ));
+        let current_sql = atlas_query::to_sql(&history.current().unwrap().query);
 
-        assert_eq!(session.trim_history(depth + 1), 0, "under the cap: no-op");
-        let discarded = session.trim_history(2);
+        assert_eq!(history.trim(depth + 1), 0, "under the cap: no-op");
+        let discarded = history.trim(2);
         assert_eq!(discarded, depth - 2);
-        assert_eq!(session.depth(), 2);
+        assert_eq!(history.depth(), 2);
         assert_eq!(
-            atlas_query::to_sql(&session.current().unwrap().query),
+            atlas_query::to_sql(&history.current().unwrap().query),
             current_sql,
             "the step on screen survives trimming"
         );
         // A zero cap still keeps the current step.
-        assert_eq!(session.trim_history(0), 1);
-        assert_eq!(session.depth(), 1);
-        assert!(session.current().is_some());
+        assert_eq!(history.trim(0), 1);
+        assert_eq!(history.depth(), 1);
+        assert!(history.current().is_some());
+        assert_eq!(
+            session.depth(),
+            depth,
+            "the session's own history is untouched"
+        );
     }
 
     #[test]
@@ -371,11 +439,15 @@ mod tests {
         let query = ConjunctiveQuery::all("census");
         // Compute the result outside the session (as a shared server-side
         // cache would) and record it.
-        let result = session.engine().explore(&query).unwrap();
+        let result = Arc::new(session.engine().explore(&query).unwrap());
         let expected_maps = result.num_maps();
-        session.record(query.clone(), result);
+        session.record(query.clone(), Arc::clone(&result));
         assert_eq!(session.depth(), 1);
         assert_eq!(session.current().unwrap().query, query);
+        assert!(
+            Arc::ptr_eq(&session.current().unwrap().result, &result),
+            "recording a shared answer shares it"
+        );
 
         // drill_query mirrors drill_down's lookups without touching history.
         let drill = session.drill_query(0, 0).unwrap();
@@ -390,6 +462,23 @@ mod tests {
     }
 
     #[test]
+    fn a_history_needs_no_engine() {
+        let session = census_session();
+        let query = ConjunctiveQuery::all("census");
+        let mut history = History::new();
+        assert!(history.drill_query(0, 0).is_err());
+        history.record(query.clone(), session.engine().explore(&query).unwrap());
+        let region = &history.current().unwrap().result.maps[0].map.regions[0];
+        assert_eq!(history.drill_query(0, 0).unwrap(), region.query);
+        assert!(history.drill_query(0, 1_000).is_err());
+        assert_eq!(history.depth(), 1);
+        assert_eq!(history.back().unwrap().query, query);
+        history.record(query.clone(), session.engine().explore(&query).unwrap());
+        history.reset();
+        assert_eq!(history.depth(), 0);
+    }
+
+    #[test]
     fn bad_sql_is_reported() {
         let mut session = census_session();
         assert!(session.submit_sql("SELECT age FROM census").is_err());
@@ -397,82 +486,42 @@ mod tests {
     }
 
     #[test]
-    fn append_segment_refreshes_the_current_step_in_place() {
-        let mut session = census_session();
-        session.submit(ConjunctiveQuery::all("census")).unwrap();
-        assert_eq!(session.current().unwrap().working_set_size(), 2000);
-
-        // New data arrives: a fresh census batch with a different seed,
-        // re-packaged as one segment of the session's table schema.
-        let batch = CensusGenerator::with_rows(500, 9).generate();
-        let mut b = atlas_columnar::TableBuilder::new("census", batch.schema().clone())
-            .with_segment_rows(usize::MAX);
-        for row in 0..batch.num_rows() {
-            b.push_row(&batch.row(row).unwrap()).unwrap();
-        }
-        let (_, segments) = b.build_segments().unwrap();
-        assert_eq!(segments.len(), 1);
-
-        let refreshed = session
-            .append_segment(segments.into_iter().next().unwrap())
-            .unwrap()
-            .expect("a step was on screen");
-        assert_eq!(refreshed.working_set_size(), 2500, "the view sees new rows");
-        assert_eq!(session.depth(), 1, "refresh replaces, never stacks");
-        assert_eq!(session.engine().table().num_rows(), 2500);
-    }
-
-    #[test]
-    fn append_segment_before_any_step_only_extends_the_engine() {
-        let mut session = census_session();
-        let batch = CensusGenerator::with_rows(100, 5).generate();
-        let mut b = atlas_columnar::TableBuilder::new("census", batch.schema().clone())
-            .with_segment_rows(usize::MAX);
-        for row in 0..batch.num_rows() {
-            b.push_row(&batch.row(row).unwrap()).unwrap();
-        }
-        let (_, segments) = b.build_segments().unwrap();
-        let refreshed = session
-            .append_segment(segments.into_iter().next().unwrap())
-            .unwrap();
-        assert!(refreshed.is_none());
-        assert_eq!(session.engine().table().num_rows(), 2100);
-        assert_eq!(session.depth(), 0);
-    }
-
-    #[test]
     fn adopt_engine_refreshes_the_current_step_without_re_profiling() {
         let mut session = census_session();
         session.submit(ConjunctiveQuery::all("census")).unwrap();
-        assert_eq!(session.current().unwrap().working_set_size(), 2000);
+        session.drill_down(0, 0).unwrap();
+        let first = Arc::clone(&session.history().steps()[0].result);
+        let drilled = session.current().unwrap().clone();
 
-        // A front-end re-prepared the shared engine once (append path); the
-        // session adopts it instead of re-profiling the segment itself.
-        let batch = CensusGenerator::with_rows(400, 13).generate();
-        let mut b = atlas_columnar::TableBuilder::new("census", batch.schema().clone())
-            .with_segment_rows(usize::MAX);
-        for row in 0..batch.num_rows() {
-            b.push_row(&batch.row(row).unwrap()).unwrap();
-        }
-        let (_, segments) = b.build_segments().unwrap();
-        let shared = session
-            .engine()
-            .append(segments.into_iter().next().unwrap())
-            .unwrap();
-
+        // The engine was re-prepared once, outside the session (append
+        // path); the session adopts it instead of re-profiling the segment.
+        let grown = grown_engine(&session, 400, 13);
         let refreshed = session
-            .adopt_engine(shared)
+            .adopt_engine(grown)
             .unwrap()
             .expect("a step was on screen");
-        assert_eq!(refreshed.working_set_size(), 2400);
-        assert_eq!(session.depth(), 1, "refresh replaces, never stacks");
+        assert_eq!(refreshed.query, drilled.query);
+        assert!(refreshed.working_set_size() > drilled.working_set_size());
+        assert_eq!(session.depth(), 2, "refresh replaces, never stacks");
         assert_eq!(session.engine().table().num_rows(), 2400);
+        // Earlier steps keep the results their snapshot produced.
+        assert!(Arc::ptr_eq(&session.history().steps()[0].result, &first));
+        assert_eq!(first.working_set_size, 2000);
+        // Going back shows the whole-table step as answered, and the next
+        // step runs on the adopted engine.
+        session.back();
+        assert_eq!(session.current().unwrap().working_set_size(), 2000);
+        let step = session.submit(ConjunctiveQuery::all("census")).unwrap();
+        assert_eq!(step.working_set_size(), 2400);
+    }
 
-        // Adopting with no step on screen only swaps the engine.
-        let mut fresh = census_session();
-        let engine = fresh.engine().clone();
-        assert!(fresh.adopt_engine(engine).unwrap().is_none());
-        assert_eq!(fresh.depth(), 0);
+    #[test]
+    fn adopt_engine_before_any_step_only_swaps_the_engine() {
+        let mut session = census_session();
+        let grown = grown_engine(&session, 100, 5);
+        assert!(session.adopt_engine(grown).unwrap().is_none());
+        assert_eq!(session.engine().table().num_rows(), 2100);
+        assert_eq!(session.depth(), 0);
     }
 
     #[test]

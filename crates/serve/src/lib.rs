@@ -16,11 +16,11 @@
 //! * [`wire`] — the hand-rolled JSON encoder/decoder; numbers round-trip
 //!   bit-for-bit, so ranked-map scores survive the wire exactly;
 //! * [`registry`] — datasets loaded at boot (CSV or the seeded generators),
-//!   one prepared `Arc<Atlas>` each, plus a bounded LRU result cache and the
-//!   incremental-append log;
-//! * [`sessions`] — token-addressed [`atlas_explorer::Session`]s with TTL
-//!   eviction, so `submit_sql` / `drill_down` / `back` work over the wire
-//!   exactly as in-process;
+//!   one prepared `Arc<Atlas>` each, plus a bounded LRU cache of shared
+//!   answers and incremental appends;
+//! * [`sessions`] — token-addressed [`atlas_explorer::History`]s with TTL
+//!   eviction, so explore / drill / back work over the wire as a `Session`
+//!   does in-process, each step answered on the dataset's current snapshot;
 //! * [`metrics`] — everything the server says about itself: request
 //!   counters, the recent-latency window, coordinator and per-shard
 //!   counters, and the one walk that renders `GET /metrics` (JSON or the

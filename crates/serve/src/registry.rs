@@ -8,13 +8,14 @@
 //! * a bounded **shared result cache** ([`atlas_core::CachedAtlas`], LRU):
 //!   identical queries from different sessions are answered from memory, and
 //!   the hit/miss/eviction counters feed `/metrics`;
-//! * an **append log**: `POST /datasets/:name/rows` re-prepares the engine
-//!   incrementally ([`Atlas::append`], profiling only the new rows) and logs
-//!   the segment so live sessions can catch up through
-//!   `Session::append_segment` on their next request.
+//! * **incremental appends**: `POST /datasets/:name/rows` re-prepares the
+//!   engine once ([`Atlas::append`], profiling only the new rows), swaps it
+//!   in and bumps the dataset generation. Sessions hold no engine, so there
+//!   is nothing to catch up: their next step runs on the new snapshot, and
+//!   the steps they already showed stay as answered.
 
 use crate::wire::Json;
-use atlas_columnar::{csv::CsvOptions, Schema, Segment, Table};
+use atlas_columnar::{csv::CsvOptions, Schema, Table};
 use atlas_core::{Atlas, AtlasConfig, CacheStats, CachedAtlas, MapResult, Result};
 use atlas_datagen::{CensusGenerator, OrdersGenerator, SdssGenerator};
 use atlas_query::ConjunctiveQuery;
@@ -56,9 +57,9 @@ pub struct AppendOutcome {
 struct DatasetState {
     engine: Arc<Atlas>,
     cache: Option<CachedAtlas>,
-    /// Every segment appended since boot, in order. Sessions remember how
-    /// many they have applied and catch up lazily.
-    appended: Vec<Arc<Segment>>,
+    /// Segments appended since boot: what `/datasets` and append replies
+    /// report, and what tells a cached distributed coordinator it is stale.
+    generation: usize,
     /// Cache counters accumulated from cache generations retired by appends
     /// (an append invalidates the cache: its results describe the old
     /// snapshot).
@@ -66,7 +67,7 @@ struct DatasetState {
 }
 
 /// One served dataset: a name, a prepared engine, a shared result cache, and
-/// the append log.
+/// a generation counter.
 pub struct Dataset {
     name: String,
     options: DatasetOptions,
@@ -96,7 +97,7 @@ impl Dataset {
             state: Mutex::new(DatasetState {
                 engine,
                 cache,
-                appended: Vec::new(),
+                generation: 0,
                 retired: CacheStats::default(),
             }),
             append_lock: Mutex::new(()),
@@ -123,26 +124,15 @@ impl Dataset {
     /// hold the dataset lock.
     pub fn snapshot(&self) -> (Arc<Atlas>, usize) {
         let state = self.lock();
-        (Arc::clone(&state.engine), state.appended.len())
+        (Arc::clone(&state.engine), state.generation)
     }
 
-    /// The segments appended after generation `from` (what a session at that
-    /// generation must apply to catch up).
-    pub fn pending_segments(&self, from: usize) -> Vec<Arc<Segment>> {
-        let state = self.lock();
-        state
-            .appended
-            .get(from..)
-            .unwrap_or_default()
-            .iter()
-            .map(Arc::clone)
-            .collect()
-    }
-
-    /// Answer a query through the shared result cache: probe under the lock,
-    /// compute a miss outside it, store the outcome. Returns the result and
-    /// whether it was served from the cache.
-    pub fn explore(&self, query: &ConjunctiveQuery) -> (Result<MapResult>, bool) {
+    /// Answer a query on the current snapshot through the shared result
+    /// cache: probe under the lock, compute a miss outside it, store the
+    /// outcome. Returns the shared, immutable answer — the cache's own
+    /// allocation on a hit, the one the cache keeps on a miss — and whether
+    /// it was served from the cache.
+    pub fn explore_shared(&self, query: &ConjunctiveQuery) -> (Result<Arc<MapResult>>, bool) {
         let engine = {
             let mut state = self.lock();
             if let Some(cache) = state.cache.as_mut() {
@@ -152,18 +142,25 @@ impl Dataset {
             }
             Arc::clone(&state.engine)
         };
-        let result = engine.explore(query);
+        let result = engine.explore(query).map(Arc::new);
         if let Ok(result) = &result {
             let mut state = self.lock();
             // An append may have swapped the engine while this miss computed;
             // caching the stale result would poison later hits.
             if Arc::ptr_eq(&state.engine, &engine) {
                 if let Some(cache) = state.cache.as_mut() {
-                    cache.insert_result(query, result.clone());
+                    cache.insert_result(query, Arc::clone(result));
                 }
             }
         }
         (result, false)
+    }
+
+    /// [`Dataset::explore_shared`], answered by value: a copy of the shared
+    /// answer, for in-process callers that want to own one.
+    pub fn explore(&self, query: &ConjunctiveQuery) -> (Result<MapResult>, bool) {
+        let (result, cache_hit) = self.explore_shared(query);
+        (result.map(Arc::unwrap_or_clone), cache_hit)
     }
 
     /// Append rows sent as CSV (no header line; columns and types must match
@@ -180,13 +177,13 @@ impl Dataset {
         };
         let base = Arc::clone(&self.lock().engine);
         let batch = parse_csv_batch(&self.name, body, base.table().schema().clone())?;
-        let segments: Vec<Arc<Segment>> = batch.segments().to_vec();
+        let segments = batch.segments();
         let appended_rows = batch.num_rows();
 
         // Re-prepare incrementally off the snapshot (the append lock
         // guarantees it is still the current engine).
         let mut engine = (*base).clone();
-        for segment in &segments {
+        for segment in segments {
             engine = engine.append(Arc::clone(segment))?;
         }
         let engine = Arc::new(engine);
@@ -194,7 +191,7 @@ impl Dataset {
         let mut state = self.lock();
         debug_assert!(Arc::ptr_eq(&state.engine, &base));
         state.engine = Arc::clone(&engine);
-        state.appended.extend(segments.iter().map(Arc::clone));
+        state.generation += segments.len();
         if let Some(old) = state.cache.take() {
             add_stats(&mut state.retired, old.stats());
             state.cache = Some(CachedAtlas::from_engine(
@@ -206,7 +203,7 @@ impl Dataset {
             appended_rows,
             appended_segments: segments.len(),
             total_rows: engine.table().num_rows(),
-            generation: state.appended.len(),
+            generation: state.generation,
         })
     }
 
@@ -237,7 +234,7 @@ impl Dataset {
             ("rows", Json::from(table.num_rows())),
             ("columns", Json::from(table.num_columns())),
             ("segments", Json::from(table.num_segments())),
-            ("generation", Json::from(state.appended.len())),
+            ("generation", Json::from(state.generation)),
             (
                 "attributes",
                 Json::array(
@@ -400,6 +397,10 @@ mod tests {
         assert_eq!(a.num_maps(), b.num_maps());
         let stats = dataset.cache_stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
+        // What the server records is the cache's own answer, not a copy.
+        let (hit_a, _) = dataset.explore_shared(&query);
+        let (hit_b, _) = dataset.explore_shared(&query);
+        assert!(Arc::ptr_eq(&hit_a.unwrap(), &hit_b.unwrap()));
     }
 
     #[test]
@@ -433,9 +434,9 @@ mod tests {
         let outcome = dataset.append_csv(&body).unwrap();
         assert_eq!(outcome.appended_rows, 500);
         assert_eq!(outcome.total_rows, 2_500);
+        assert_eq!(outcome.generation, outcome.appended_segments);
         assert!(outcome.generation >= 1);
-        assert_eq!(dataset.pending_segments(0).len(), outcome.generation);
-        assert!(dataset.pending_segments(outcome.generation).is_empty());
+        assert_eq!(dataset.snapshot().1, outcome.generation);
 
         // The swap retired the old cache but kept its counters.
         let (result, hit) = dataset.explore(&query);

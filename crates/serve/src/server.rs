@@ -36,8 +36,7 @@ use crate::resilience::{CircuitConfig, Deadline, ExploreMode, HedgePolicy, Retry
 use crate::sessions::{SessionManager, WireSession};
 use crate::wire::{self, Json};
 use atlas_core::{AtlasError, MapResult};
-use atlas_explorer::Session;
-use atlas_query::{parse_query, to_compact, to_sql};
+use atlas_query::{parse_query, to_compact, to_sql, ConjunctiveQuery};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -966,12 +965,9 @@ fn create_session(shared: &Shared, request: &Request) -> Response {
         },
     };
     let (engine, generation) = dataset.snapshot();
-    let session = Session::with_engine((*engine).clone());
     let table = engine.table();
     let (rows, columns) = (table.num_rows(), table.num_columns());
-    let token = shared
-        .sessions
-        .create(dataset.name().to_string(), session, generation);
+    let token = shared.sessions.create(dataset.name());
     Response::json(
         201,
         &Json::object(vec![
@@ -984,23 +980,8 @@ fn create_session(shared: &Shared, request: &Request) -> Response {
     )
 }
 
-/// Catch a session up with segments appended since its last request: adopt
-/// the dataset's current engine — already re-prepared incrementally, once,
-/// by the append endpoint — and refresh the step on screen
-/// ([`Session::adopt_engine`]). Sessions never re-profile segments the
-/// dataset has profiled.
-fn catch_up(wire_session: &mut WireSession, dataset: &Dataset) -> Result<(), AtlasError> {
-    let (engine, generation) = dataset.snapshot();
-    if wire_session.applied_generation < generation {
-        wire_session.session.adopt_engine((*engine).clone())?;
-        wire_session.applied_generation = generation;
-    }
-    Ok(())
-}
-
 /// Shared preamble of the session endpoints: resolve the token, lock the
-/// session, find its dataset, and catch up on appended segments; then run
-/// the action.
+/// session and find its dataset; then run the action.
 fn with_session(
     shared: &Shared,
     token: &str,
@@ -1023,10 +1004,30 @@ fn with_session(
     let Some(dataset) = shared.registry.get(&wire_session.dataset) else {
         return Response::error(500, "session references an unknown dataset");
     };
-    if let Err(error) = catch_up(&mut wire_session, dataset) {
-        return error_response(&error);
-    }
     action(&mut wire_session, dataset)
+}
+
+/// One explore or drill step: answer `query` on the dataset's current
+/// snapshot (through its shared result cache), record the shared answer in
+/// the session's history, and render the reply. The reply's depth is the
+/// history's after the cap trimmed it — the depth `/history` reports.
+fn answer_step(
+    shared: &Shared,
+    wire_session: &mut WireSession,
+    dataset: &Dataset,
+    query: ConjunctiveQuery,
+) -> Result<Json, AtlasError> {
+    let (result, cache_hit) = dataset.explore_shared(&query);
+    let result = result?;
+    let history = &mut wire_session.history;
+    history.record(query, Arc::clone(&result));
+    history.trim(shared.config.max_history_depth);
+    Ok(map_result_json(
+        dataset.name(),
+        &result,
+        cache_hit,
+        history.depth(),
+    ))
 }
 
 /// Whether the request opted into an inline span tree (`?trace=1`).
@@ -1083,17 +1084,9 @@ fn explore(shared: &Shared, token: &str, request: &Request) -> Response {
         if query.table.is_empty() {
             query.table = dataset.name().to_string();
         }
-        let (result, cache_hit) = dataset.explore(&query);
-        match result {
+        match answer_step(shared, wire_session, dataset, query) {
             Err(error) => error_response(&error),
-            Ok(result) => {
-                let mut response = map_result_json(dataset.name(), &result, cache_hit, {
-                    wire_session.session.depth() + 1
-                });
-                wire_session.session.record(query, result);
-                wire_session
-                    .session
-                    .trim_history(shared.config.max_history_depth);
+            Ok(mut response) => {
                 if trace_requested {
                     attach_trace(&mut response);
                 }
@@ -1125,32 +1118,22 @@ fn drill(shared: &Shared, token: &str, request: &Request) -> Response {
         }
     };
     with_session(shared, token, |wire_session, dataset| {
-        let query = match wire_session.session.drill_query(map_idx, region_idx) {
+        let query = match wire_session.history.drill_query(map_idx, region_idx) {
             Ok(query) => query,
             Err(error) => return Response::error(400, error.to_string()),
         };
-        let (result, cache_hit) = dataset.explore(&query);
-        match result {
+        match answer_step(shared, wire_session, dataset, query) {
             Err(error) => error_response(&error),
-            Ok(result) => {
-                let response = map_result_json(dataset.name(), &result, cache_hit, {
-                    wire_session.session.depth() + 1
-                });
-                wire_session.session.record(query, result);
-                wire_session
-                    .session
-                    .trim_history(shared.config.max_history_depth);
-                Response::json(200, &response)
-            }
+            Ok(response) => Response::json(200, &response),
         }
     })
 }
 
 fn back(shared: &Shared, token: &str) -> Response {
     with_session(shared, token, |wire_session, _| {
-        let popped = wire_session.session.back();
+        let popped = wire_session.history.back();
         let current = wire_session
-            .session
+            .history
             .current()
             .map(|step| Json::from(to_sql(&step.query)))
             .unwrap_or(Json::Null);
@@ -1158,7 +1141,7 @@ fn back(shared: &Shared, token: &str) -> Response {
             200,
             &Json::object(vec![
                 ("popped", Json::from(popped.is_some())),
-                ("depth", Json::from(wire_session.session.depth())),
+                ("depth", Json::from(wire_session.history.depth())),
                 ("current", current),
             ]),
         )
@@ -1168,8 +1151,8 @@ fn back(shared: &Shared, token: &str) -> Response {
 fn history(shared: &Shared, token: &str) -> Response {
     with_session(shared, token, |wire_session, dataset| {
         let steps: Vec<Json> = wire_session
-            .session
-            .history()
+            .history
+            .steps()
             .iter()
             .map(|step| {
                 Json::object(vec![
@@ -1190,7 +1173,7 @@ fn history(shared: &Shared, token: &str) -> Response {
             200,
             &Json::object(vec![
                 ("dataset", Json::from(dataset.name())),
-                ("depth", Json::from(wire_session.session.depth())),
+                ("depth", Json::from(wire_session.history.depth())),
                 ("steps", Json::array(steps)),
             ]),
         )

@@ -1,33 +1,33 @@
-//! Token-addressed exploration sessions with TTL eviction.
+//! Token-addressed exploration histories with TTL eviction.
 //!
-//! Every `POST /sessions` creates an [`atlas_explorer::Session`] riding a
-//! cheap clone of the dataset's prepared engine (the statistics profile is
-//! shared through `Arc`s) and hands back an opaque token. Requests address
-//! the session by token; a session idle longer than the TTL is evicted on
-//! the next sweep, and when the table is full the least recently used
-//! session makes room — the server never grows without bound.
+//! Every `POST /sessions` creates a [`WireSession`] — the dataset it
+//! explores and an [`atlas_explorer::History`] of what each step showed — and
+//! hands back an opaque token. A wire session owns no engine: each explore or
+//! drill runs on the dataset's current snapshot (through its shared result
+//! cache), so after an append the next step sees the new rows while the
+//! history keeps every step as it was answered. Requests address the session
+//! by token; a session idle longer than the TTL is evicted on the next sweep,
+//! and when the table is full the least recently used session makes room —
+//! the server never grows without bound.
 //!
 //! Sessions are stored behind per-session mutexes, so two requests for the
 //! *same* token serialise while requests for different tokens proceed in
 //! parallel.
 
-use atlas_explorer::Session;
+use atlas_explorer::History;
 use std::collections::hash_map::RandomState;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// A live wire session: the exploration state plus catch-up bookkeeping.
+/// A live wire session: what a client explores and what it was shown.
 pub struct WireSession {
     /// The dataset this session explores.
     pub dataset: String,
-    /// The exploration session (history, drill-down, append refresh).
-    pub session: Session,
-    /// How many of the dataset's appended segments this session has applied
-    /// (see `Dataset::pending_segments`).
-    pub applied_generation: usize,
+    /// The steps answered so far, each as the client saw it.
+    pub history: History,
     /// Last time a request touched this session.
     pub last_used: Instant,
 }
@@ -47,7 +47,7 @@ pub struct SessionCounters {
 pub struct SessionManager {
     ttl: Duration,
     max_sessions: usize,
-    sessions: Mutex<HashMap<String, Arc<Mutex<WireSession>>>>,
+    sessions: Mutex<BTreeMap<String, Arc<Mutex<WireSession>>>>,
     counter: AtomicU64,
     created: AtomicU64,
     evicted: AtomicU64,
@@ -63,7 +63,7 @@ impl SessionManager {
         SessionManager {
             ttl,
             max_sessions: max_sessions.max(1),
-            sessions: Mutex::new(HashMap::new()),
+            sessions: Mutex::new(BTreeMap::new()),
             counter: AtomicU64::new(1),
             created: AtomicU64::new(0),
             evicted: AtomicU64::new(0),
@@ -74,7 +74,7 @@ impl SessionManager {
         }
     }
 
-    fn lock(&self) -> MutexGuard<'_, HashMap<String, Arc<Mutex<WireSession>>>> {
+    fn lock(&self) -> MutexGuard<'_, BTreeMap<String, Arc<Mutex<WireSession>>>> {
         match self.sessions.lock() {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
@@ -95,28 +95,18 @@ impl SessionManager {
     /// Register a new session over `dataset`, returning its token. Evicts
     /// expired sessions first; if the table is still full, the least recently
     /// used session is evicted to make room.
-    pub fn create(
-        &self,
-        dataset: impl Into<String>,
-        session: Session,
-        applied_generation: usize,
-    ) -> String {
+    pub fn create(&self, dataset: impl Into<String>) -> String {
         self.evict_expired();
         let token = self.next_token();
         let wire = Arc::new(Mutex::new(WireSession {
             dataset: dataset.into(),
-            session,
-            applied_generation,
+            history: History::new(),
             last_used: Instant::now(),
         }));
         let mut sessions = self.lock();
         while sessions.len() >= self.max_sessions {
             // Evict the least recently used session. Entries whose lock is
             // held are in use right now and are skipped.
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "feeds lru_victim's total order, so the pick is iteration-order independent"
-            )]
             let victim = lru_victim(sessions.iter().filter_map(|(token, slot)| {
                 slot.try_lock().ok().map(|s| (token.clone(), s.last_used))
             }));
@@ -161,23 +151,16 @@ impl SessionManager {
     /// Drop every session idle longer than the TTL; returns how many went.
     pub fn evict_expired(&self) -> usize {
         let mut sessions = self.lock();
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "every expired session is removed; the set is order independent"
-        )]
-        let expired: Vec<String> = sessions
-            .iter()
-            .filter_map(|(token, slot)| {
-                let session = slot.try_lock().ok()?;
-                (session.last_used.elapsed() > self.ttl).then(|| token.clone())
-            })
-            .collect();
-        for token in &expired {
-            sessions.remove(token);
-        }
-        self.evicted
-            .fetch_add(expired.len() as u64, Ordering::Relaxed);
-        expired.len()
+        let before = sessions.len();
+        // A busy session (lock held by a concurrent request) is by
+        // definition not expired.
+        sessions.retain(|_, slot| {
+            slot.try_lock()
+                .map_or(true, |session| session.last_used.elapsed() <= self.ttl)
+        });
+        let expired = before - sessions.len();
+        self.evicted.fetch_add(expired as u64, Ordering::Relaxed);
+        expired
     }
 
     /// Current counters.
@@ -193,11 +176,10 @@ impl SessionManager {
 /// Pick the LRU eviction victim under a **total** order: ties on `last_used`
 /// (coarse clocks make same-instant sessions routine) break by token.
 ///
-/// The candidates come out of a `HashMap`, whose iteration order is
-/// randomized per process; `min_by_key` keeps the *first* minimum it sees,
-/// so without the token tie-break the evicted session would depend on hash
-/// order — a live determinism bug, since eviction changes which tokens later
-/// requests can still resolve.
+/// The session table walks its candidates in token order, so the smallest
+/// token would win a tie anyway; the explicit tie-break keeps the pick a
+/// function of the candidates alone, whatever order they arrive in —
+/// eviction decides which tokens later requests can still resolve.
 fn lru_victim(candidates: impl Iterator<Item = (String, Instant)>) -> Option<String> {
     candidates
         .min_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(&b.0)))
@@ -207,20 +189,12 @@ fn lru_victim(candidates: impl Iterator<Item = (String, Instant)>) -> Option<Str
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atlas_core::{Atlas, AtlasConfig};
-    use atlas_datagen::CensusGenerator;
-
-    fn session() -> Session {
-        let table = Arc::new(CensusGenerator::with_rows(300, 5).generate());
-        let engine = Atlas::new(table, AtlasConfig::fast()).unwrap();
-        Session::with_engine(engine)
-    }
 
     #[test]
     fn tokens_are_unique_and_resolvable() {
         let manager = SessionManager::new(Duration::from_secs(60), 16);
-        let a = manager.create("census", session(), 0);
-        let b = manager.create("census", session(), 0);
+        let a = manager.create("census");
+        let b = manager.create("census");
         assert_ne!(a, b);
         assert!(manager.get(&a).is_some());
         assert!(manager.get(&b).is_some());
@@ -232,7 +206,7 @@ mod tests {
     #[test]
     fn ttl_eviction_removes_idle_sessions() {
         let manager = SessionManager::new(Duration::from_millis(30), 16);
-        let token = manager.create("census", session(), 0);
+        let token = manager.create("census");
         assert!(manager.get(&token).is_some());
         std::thread::sleep(Duration::from_millis(60));
         // Either path notices the expiry: an explicit sweep or a lookup.
@@ -245,7 +219,7 @@ mod tests {
     #[test]
     fn lookup_of_an_expired_token_evicts_it() {
         let manager = SessionManager::new(Duration::from_millis(30), 16);
-        let token = manager.create("census", session(), 0);
+        let token = manager.create("census");
         std::thread::sleep(Duration::from_millis(60));
         assert!(manager.get(&token).is_none());
         assert_eq!(manager.counters().evicted, 1);
@@ -254,12 +228,12 @@ mod tests {
     #[test]
     fn capacity_evicts_the_least_recently_used_session() {
         let manager = SessionManager::new(Duration::from_secs(60), 2);
-        let a = manager.create("census", session(), 0);
-        let b = manager.create("census", session(), 0);
+        let a = manager.create("census");
+        let b = manager.create("census");
         // Touch `a` so `b` becomes the LRU victim.
         std::thread::sleep(Duration::from_millis(5));
         assert!(manager.get(&a).is_some());
-        let c = manager.create("census", session(), 0);
+        let c = manager.create("census");
         assert!(manager.get(&a).is_some(), "recently used survives");
         assert!(manager.get(&b).is_none(), "LRU session was evicted");
         assert!(manager.get(&c).is_some());
@@ -268,7 +242,7 @@ mod tests {
 
     #[test]
     fn lru_victim_tie_break_does_not_depend_on_iteration_order() {
-        // Regression: ties on `last_used` used to be broken by HashMap
+        // Regression: ties on `last_used` were once broken by HashMap
         // iteration order, so the evicted session varied per process.
         let now = Instant::now();
         let forward = [("s2".to_string(), now), ("s1".to_string(), now)];
@@ -285,7 +259,7 @@ mod tests {
     #[test]
     fn remove_is_idempotent() {
         let manager = SessionManager::new(Duration::from_secs(60), 4);
-        let token = manager.create("census", session(), 0);
+        let token = manager.create("census");
         assert!(manager.remove(&token));
         assert!(!manager.remove(&token));
         assert!(manager.get(&token).is_none());

@@ -147,6 +147,61 @@ fn the_full_exploration_loop_works_over_the_wire() {
 }
 
 #[test]
+fn a_reply_reports_the_depth_history_reports_once_the_cap_trims() {
+    let mut registry = Registry::new();
+    registry
+        .add_table(
+            "census",
+            Arc::new(CensusGenerator::with_rows(800, 11).generate()),
+            DatasetOptions {
+                config: AtlasConfig::fast(),
+                cache_capacity: 8,
+            },
+        )
+        .unwrap();
+    let config = ServeConfig {
+        max_history_depth: 2,
+        ..ServeConfig::default()
+    }
+    .with_threads(2);
+    let handle = Server::start(registry, config).unwrap();
+    let client = Client::new(handle.addr());
+    let token = client.create_session("census").unwrap();
+    let depth_of = |reply: &Json| reply.get("depth").unwrap().num().unwrap();
+
+    let mut depths = Vec::new();
+    for sql in [
+        "SELECT * FROM census",
+        "age BETWEEN 17 AND 40",
+        "sex IN ('Male')",
+    ] {
+        let reply = client
+            .post_text(&format!("/sessions/{token}/explore"), sql)
+            .unwrap();
+        assert_eq!(reply.status, 200, "{:?}", reply.body_text());
+        depths.push(depth_of(&reply.json().unwrap()));
+    }
+    let drill = client
+        .post_json(
+            &format!("/sessions/{token}/drill"),
+            &Json::object(vec![("map", Json::from(0usize))]),
+        )
+        .unwrap();
+    assert_eq!(drill.status, 200, "{:?}", drill.body_text());
+    depths.push(depth_of(&drill.json().unwrap()));
+    assert_eq!(depths, [1.0, 2.0, 2.0, 2.0]);
+
+    let history = client
+        .get(&format!("/sessions/{token}/history"))
+        .unwrap()
+        .json()
+        .unwrap();
+    assert_eq!(depth_of(&history), 2.0);
+    assert_eq!(history.get("steps").unwrap().items().unwrap().len(), 2);
+    handle.shutdown();
+}
+
+#[test]
 fn identical_queries_hit_the_shared_cache_across_sessions() {
     let (handle, client) = boot(1_500, 8, 2);
     let a = client.create_session("census").unwrap();

@@ -61,7 +61,7 @@ fn main() {
     println!("query now: {}", to_sql(&step.query));
 
     println!("\nexploration path:");
-    for (depth, visited) in session.history().iter().enumerate() {
+    for (depth, visited) in session.history().steps().iter().enumerate() {
         println!(
             "  depth {depth}: {} tuples — {}",
             visited.working_set_size(),

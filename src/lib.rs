@@ -92,8 +92,10 @@
 //! assert_eq!(engine.explore(&query).unwrap().working_set_size, 3_000);
 //! ```
 //!
-//! The same path serves live sessions
-//! ([`Session::append_segment`](explorer::Session::append_segment)) and the
+//! The same path serves the server's append endpoint (one re-preparation per
+//! batch; every session's next step runs on the new engine), an in-process
+//! session following a growing table
+//! ([`Session::adopt_engine`](explorer::Session::adopt_engine)), and the
 //! streaming CSV reader ([`columnar::csv::read_csv`]), whose parser working
 //! state (buffered text, open segment) is bounded by the segment size, not
 //! the file size.

@@ -1,0 +1,185 @@
+//! The committed answer digest: one `u64` over what the engine answers across
+//! a fixed matrix, held to a committed constant.
+//!
+//! * Tables: the census and the sky survey (`photo_obj`) at 10 k rows.
+//! * Configurations: `default`, `fast`, product merge over median cuts, each
+//!   numeric cut (equi-width, k-means, natural breaks — the quadratic one on
+//!   a smaller table; `Median` is the default's) and each categorical cut.
+//! * Steps: the whole table, a filter, and a drill into region (0, 0) of the
+//!   filtered answer.
+//! * Threads: 1, 2 and 8. Shards: `fast` through 1–3 in-process shard servers.
+//!
+//! Per answer the digest folds the score bits, each region's SQL and count,
+//! and a hash of its selection words. CI runs this suite plain and under
+//! `ATLAS_SEGMENT_ROWS=1024`, `ATLAS_FORCE_SCALAR=1` and
+//! `ATLAS_PARALLELISM=1`, so the one constant pins layout, kernel and thread
+//! identity against the committed answers, not only within one run. A change
+//! that moves answers on purpose updates [`DIGEST`] in the same diff and says
+//! why. `SketchMedian` stays out: its split points depend on the segment
+//! layout by design.
+
+use atlas::datagen::CensusConfig;
+use atlas::prelude::*;
+use atlas::serve::Coordinator;
+use std::sync::Arc;
+use std::time::Duration;
+
+/// What the matrix below answered when it was committed.
+const DIGEST: u64 = 0x0fc3_9aa1_e5fe_eb55;
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a, fixed across processes, platforms and toolchains.
+struct Digest(u64);
+
+impl Digest {
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn word(&mut self, word: u64) {
+        self.bytes(&word.to_le_bytes());
+    }
+
+    /// One answer — or the error that replaced it.
+    fn answer(&mut self, answer: &atlas::core::Result<MapResult>) {
+        let result = match answer {
+            Ok(result) => result,
+            Err(error) => return self.bytes(error.to_string().as_bytes()),
+        };
+        self.word(result.working_set_size as u64);
+        for ranked in &result.maps {
+            self.word(ranked.score.to_bits());
+            for region in &ranked.map.regions {
+                self.bytes(to_sql(&region.query).as_bytes());
+                self.word(region.count() as u64);
+                let mut words = Digest(FNV_OFFSET);
+                region.selection.words().iter().for_each(|&w| words.word(w));
+                self.word(words.0);
+            }
+        }
+    }
+}
+
+fn with_cut(numeric: NumericCutStrategy, categorical: CategoricalCutStrategy) -> AtlasConfig {
+    AtlasConfig {
+        cut: CutConfig {
+            numeric,
+            categorical,
+            ..CutConfig::default()
+        },
+        ..AtlasConfig::default()
+    }
+}
+
+/// Every configuration but natural breaks, which runs on smaller tables.
+fn configs() -> Vec<AtlasConfig> {
+    use CategoricalCutStrategy::{Alphabetic, DictionaryOrder, Frequency};
+    vec![
+        AtlasConfig::default(),
+        AtlasConfig::fast(),
+        AtlasConfig {
+            merge: MergeStrategy::Product,
+            ..AtlasConfig::default()
+        },
+        with_cut(NumericCutStrategy::EquiWidth, Frequency),
+        with_cut(NumericCutStrategy::KMeans { max_iterations: 50 }, Frequency),
+        with_cut(NumericCutStrategy::Median, Alphabetic),
+        with_cut(NumericCutStrategy::Median, DictionaryOrder),
+    ]
+}
+
+/// The whole table, `filter`, and region (0, 0) of the filtered answer, as
+/// `explore` answers them.
+fn walk(
+    digest: &mut Digest,
+    table: &str,
+    filter: &str,
+    explore: impl Fn(&ConjunctiveQuery) -> atlas::core::Result<MapResult>,
+) {
+    digest.answer(&explore(&ConjunctiveQuery::all(table)));
+    let filtered = explore(&parse_query(filter).unwrap());
+    digest.answer(&filtered);
+    let drill = filtered
+        .ok()
+        .and_then(|result| Some(result.maps.first()?.map.regions.first()?.query.clone()));
+    if let Some(drill) = drill {
+        digest.answer(&explore(&drill));
+    }
+}
+
+/// The in-process part: every configuration at 1, 2 and 8 threads.
+fn in_process(digest: &mut Digest, table: &Arc<Table>, filter: &str, configs: &[AtlasConfig]) {
+    for config in configs {
+        for threads in [1, 2, 8] {
+            let engine =
+                Atlas::new(Arc::clone(table), config.clone().with_parallelism(threads)).unwrap();
+            walk(digest, table.name(), filter, |query| engine.explore(query));
+        }
+    }
+}
+
+/// The distributed part: `fast` over 1–3 shard servers holding a census
+/// with a pinned 2 000-row segment layout.
+fn sharded(digest: &mut Digest) {
+    let table = Arc::new(
+        CensusGenerator::new(CensusConfig {
+            rows: 10_000,
+            seed: 42,
+            segment_rows: Some(2_000),
+            ..CensusConfig::default()
+        })
+        .generate(),
+    );
+    let config = AtlasConfig::fast();
+    for shards in 1..=3 {
+        let handles: Vec<ServerHandle> = (0..shards)
+            .map(|_| {
+                let mut registry = Registry::new();
+                let options = DatasetOptions {
+                    config: config.clone(),
+                    cache_capacity: 0,
+                };
+                registry
+                    .add_table("census", Arc::clone(&table), options)
+                    .unwrap();
+                Server::start(registry, ServeConfig::default().with_threads(2)).unwrap()
+            })
+            .collect();
+        let addrs: Vec<String> = handles.iter().map(|h| h.addr().to_string()).collect();
+        let coordinator =
+            Coordinator::connect(&addrs, "census", config.clone(), Duration::from_secs(30))
+                .unwrap();
+        walk(digest, "census", CENSUS_FILTER, |query| {
+            coordinator.explore(query)
+        });
+        handles.into_iter().for_each(ServerHandle::shutdown);
+    }
+}
+
+const CENSUS_FILTER: &str = "SELECT * FROM census WHERE age BETWEEN 25 AND 60";
+const SKY_FILTER: &str = "SELECT * FROM photo_obj WHERE mag_r BETWEEN 15 AND 20";
+
+#[test]
+fn answers_hash_to_the_committed_digest() {
+    let census = |rows| Arc::new(CensusGenerator::with_rows(rows, 42).generate());
+    let sky = |rows| Arc::new(SdssGenerator::with_rows(rows, 2013).generate());
+    let natural_breaks = [with_cut(
+        NumericCutStrategy::NaturalBreaks,
+        CategoricalCutStrategy::Frequency,
+    )];
+
+    let mut digest = Digest(FNV_OFFSET);
+    in_process(&mut digest, &census(10_000), CENSUS_FILTER, &configs());
+    in_process(&mut digest, &sky(10_000), SKY_FILTER, &configs());
+    in_process(&mut digest, &census(1_500), CENSUS_FILTER, &natural_breaks);
+    in_process(&mut digest, &sky(1_000), SKY_FILTER, &natural_breaks);
+    sharded(&mut digest);
+    assert_eq!(
+        digest.0, DIGEST,
+        "the answers moved: {:#018x} (update DIGEST only for a change that moves answers on purpose)",
+        digest.0
+    );
+}

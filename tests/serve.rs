@@ -7,7 +7,7 @@
 
 use atlas::prelude::*;
 use atlas::serve::wire::Json;
-use atlas::serve::{Client, DatasetOptions, Registry, ServeConfig, Server};
+use atlas::serve::{Client, DatasetOptions, Registry, ServeConfig, Server, ServerHandle};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::thread;
@@ -177,11 +177,7 @@ fn concurrent_wire_explorations_are_bit_identical_to_in_process_results() {
     concurrent_round(addr, &expected, 4_000);
 
     // Mid-test append: POST a fresh batch as header-less CSV …
-    let batch = CensusGenerator::with_rows(900, 1234).generate();
-    let mut csv = Vec::new();
-    atlas::columnar::csv::write_csv(&batch, &mut csv).unwrap();
-    let text = String::from_utf8(csv).unwrap();
-    let body = text.split_once('\n').unwrap().1.to_string();
+    let body = csv_batch(900, 1234);
     let client = Client::new(addr);
     let reply = client
         .request(
@@ -198,21 +194,7 @@ fn concurrent_wire_explorations_are_bit_identical_to_in_process_results() {
 
     // … mirror it in-process through the same CSV path (identical segment
     // boundaries), re-preparing incrementally with `Atlas::append` …
-    let opts = atlas::columnar::csv::CsvOptions {
-        has_header: false,
-        ..atlas::columnar::csv::CsvOptions::default()
-    };
-    let parsed = atlas::columnar::csv::read_csv(
-        "census",
-        body.as_bytes(),
-        Some(table.schema().clone()),
-        &opts,
-    )
-    .unwrap();
-    let mut appended = reference;
-    for segment in parsed.segments() {
-        appended = appended.append(Arc::clone(segment)).unwrap();
-    }
+    let appended = append_in_process(reference, &body);
     assert_eq!(appended.table().num_rows(), 4_900);
 
     // … and round 2: the same eight-thread mix must now match the appended
@@ -231,38 +213,44 @@ fn concurrent_wire_explorations_are_bit_identical_to_in_process_results() {
     handle.shutdown();
 }
 
-#[test]
-fn a_session_surviving_an_append_refreshes_its_current_step() {
-    // One session explores, rows arrive over the wire, and the session's
-    // next request sees the refreshed state (Session::append_segment runs
-    // server-side on catch-up).
-    let table = Arc::new(CensusGenerator::with_rows(1_000, 7).generate());
-    let mut registry = Registry::new();
-    registry
-        .add_table(
-            "census",
-            Arc::clone(&table),
-            DatasetOptions {
-                config: AtlasConfig::fast(),
-                cache_capacity: 8,
-            },
-        )
-        .unwrap();
-    let handle = Server::start(registry, ServeConfig::default().with_threads(2)).unwrap();
-    let client = Client::new(handle.addr());
-    let token = client.create_session("census").unwrap();
-    client
-        .post_text(
-            &format!("/sessions/{token}/explore"),
-            "SELECT * FROM census",
-        )
-        .unwrap();
-
-    let batch = CensusGenerator::with_rows(250, 8).generate();
+/// `rows` census rows from `seed`, rendered as the header-less CSV body of
+/// `POST /datasets/census/rows`.
+fn csv_batch(rows: usize, seed: u64) -> String {
+    let batch = CensusGenerator::with_rows(rows, seed).generate();
     let mut csv = Vec::new();
     atlas::columnar::csv::write_csv(&batch, &mut csv).unwrap();
     let text = String::from_utf8(csv).unwrap();
-    let body = text.split_once('\n').unwrap().1;
+    text.split_once('\n').unwrap().1.to_string()
+}
+
+/// `engine` with the rows of a CSV body appended in-process, through the
+/// path the server takes (identical segment boundaries, `Atlas::append`).
+fn append_in_process(engine: Atlas, body: &str) -> Atlas {
+    let opts = atlas::columnar::csv::CsvOptions {
+        has_header: false,
+        ..atlas::columnar::csv::CsvOptions::default()
+    };
+    let schema = engine.table().schema().clone();
+    let parsed =
+        atlas::columnar::csv::read_csv("census", body.as_bytes(), Some(schema), &opts).unwrap();
+    parsed.segments().iter().fold(engine, |engine, segment| {
+        engine.append(Arc::clone(segment)).unwrap()
+    })
+}
+
+fn serve_census(table: &Arc<Table>, config: AtlasConfig, cache_capacity: usize) -> ServerHandle {
+    let mut registry = Registry::new();
+    let options = DatasetOptions {
+        config,
+        cache_capacity,
+    };
+    registry
+        .add_table("census", Arc::clone(table), options)
+        .unwrap();
+    Server::start(registry, ServeConfig::default().with_threads(2)).unwrap()
+}
+
+fn post_rows(client: &Client, body: &str) {
     let reply = client
         .request(
             "POST",
@@ -270,18 +258,102 @@ fn a_session_surviving_an_append_refreshes_its_current_step() {
             Some(("text/csv", body.as_bytes())),
         )
         .unwrap();
-    assert_eq!(reply.status, 200);
+    assert_eq!(reply.status, 200, "{:?}", reply.body_text());
+}
 
-    // The history endpoint triggers catch-up; the recorded step now reflects
-    // the extended table (refresh replaces, never stacks).
+fn history_steps(client: &Client, token: &str) -> Vec<Json> {
     let history = client
         .get(&format!("/sessions/{token}/history"))
         .unwrap()
         .json()
         .unwrap();
-    assert_eq!(history.get("depth").unwrap().num(), Some(1.0));
-    let step = &history.get("steps").unwrap().items().unwrap()[0];
-    assert_eq!(step.get("working_set_size").unwrap().num(), Some(1_250.0));
+    history.get("steps").unwrap().items().unwrap().to_vec()
+}
+
+#[test]
+fn a_session_surviving_an_append_keeps_its_steps_as_answered() {
+    // One session explores, rows arrive over the wire: the step already
+    // shown stays as it was answered, and the next step sees the new rows.
+    let table = Arc::new(CensusGenerator::with_rows(1_000, 7).generate());
+    let handle = serve_census(&table, AtlasConfig::fast(), 8);
+    let client = Client::new(handle.addr());
+    let token = client.create_session("census").unwrap();
+    let explore = format!("/sessions/{token}/explore");
+    client.post_text(&explore, "SELECT * FROM census").unwrap();
+    post_rows(&client, &csv_batch(250, 8));
+
+    let steps = history_steps(&client, &token);
+    assert_eq!(steps.len(), 1);
+    let size = |step: &Json| step.get("working_set_size").unwrap().num();
+    assert_eq!(size(&steps[0]), Some(1_000.0));
+
+    let reply = client.post_text(&explore, "SELECT * FROM census").unwrap();
+    assert_eq!(size(&reply.json().unwrap()), Some(1_250.0));
+    let steps = history_steps(&client, &token);
+    assert_eq!(
+        steps.iter().map(size).collect::<Vec<_>>(),
+        [Some(1_000.0), Some(1_250.0)]
+    );
+    handle.shutdown();
+}
+
+#[test]
+fn a_drill_after_another_clients_append_addresses_the_region_it_was_shown() {
+    let table = Arc::new(CensusGenerator::with_rows(1_000, 7).generate());
+    let config = AtlasConfig::default();
+    let handle = serve_census(&table, config.clone(), 0);
+    let explorer = Client::new(handle.addr());
+    let token = explorer.create_session("census").unwrap();
+    let shown = explorer
+        .post_text(
+            &format!("/sessions/{token}/explore"),
+            "SELECT * FROM census",
+        )
+        .unwrap()
+        .json()
+        .unwrap();
+    let region = &shown.get("maps").unwrap().items().unwrap()[0]
+        .get("regions")
+        .unwrap()
+        .items()
+        .unwrap()[0];
+    let region_sql = region.get("sql").unwrap().str().unwrap().to_string();
+    let shown_count = region.get("count").unwrap().num().unwrap();
+
+    // Another client appends while the explorer looks at the map …
+    let body = csv_batch(3_000, 99);
+    post_rows(&Client::new(handle.addr()), &body);
+
+    // … and the explorer drills into region (0, 0) of the reply it saw.
+    let drilled = explorer
+        .post_json(
+            &format!("/sessions/{token}/drill"),
+            &Json::object(vec![
+                ("map", Json::from(0usize)),
+                ("region", Json::from(0usize)),
+            ]),
+        )
+        .unwrap();
+    assert_eq!(drilled.status, 200, "{:?}", drilled.body_text());
+    let drilled = drilled.json().unwrap();
+    let steps = history_steps(&explorer, &token);
+    assert_eq!(steps.len(), 2);
+    assert_eq!(
+        steps[1].get("sql").unwrap().str(),
+        Some(region_sql.as_str())
+    );
+
+    // The drill ran on the grown table: it counts the appended rows, and
+    // it is bit-identical to the same drill in-process.
+    let grown = append_in_process(Atlas::new(Arc::clone(&table), config).unwrap(), &body);
+    let expected = grown.explore(&parse_query(&region_sql).unwrap()).unwrap();
+    let drilled_size = drilled.get("working_set_size").unwrap().num().unwrap();
+    assert_eq!(drilled_size, expected.working_set_size as f64);
+    assert!(
+        drilled_size > shown_count,
+        "{drilled_size} vs {shown_count}"
+    );
+    assert_eq!(signature_of_wire(&drilled), signature_of_result(&expected));
     handle.shutdown();
 }
 
