@@ -918,6 +918,12 @@ fn smoke_kernels(rows: usize, repeats: usize) -> Json {
         cut_attribute(&table, &half, &all, "age", &CutConfig::default()).expect("age is a column")
     });
     assert_eq!(cut.map(|map| map.num_regions()), Some(2));
+    // The walk that cut starts with: what a composition saves per region it
+    // derives instead.
+    let stats_half_ms = best_of_ms(repeats, || {
+        table.column_stats("age", &half).expect("age is a column")
+    })
+    .0;
 
     // The same rows in unsealed lone columns: plain lanes.
     let height = table.column("height_cm").expect("census has height_cm");
@@ -992,6 +998,7 @@ fn smoke_kernels(rows: usize, repeats: usize) -> Json {
             ms(stats_ms(&near_unique, "a0")),
         ),
         ("median_cut_age_half_rows", Json::from(half.count())),
+        ("column_stats_age_half_ms", ms(stats_half_ms)),
         ("median_cut_age_half_ms", ms(median_cut_ms)),
         ("select_ranges_ms", ms(ranges_ms)),
         ("select_ranges_plain_ms", ms(ranges_plain_ms)),
@@ -1520,7 +1527,7 @@ fn pr_of(path: &str) -> Option<usize> {
 /// frames (their report section lists 1M first). A phase one of the two
 /// reports lacks is skipped, so a report gates cleanly against one written
 /// before a phase existed.
-const GATED_PHASES: [&str; 31] = [
+const GATED_PHASES: [&str; 32] = [
     "query_ms",
     "candidates_ms",
     "clustering_ms",
@@ -1548,6 +1555,7 @@ const GATED_PHASES: [&str; 31] = [
     "column_stats_age_ms",
     "column_stats_height_cm_ms",
     "column_stats_near_unique_ms",
+    "column_stats_age_half_ms",
     "median_cut_age_half_ms",
     "frame_bitmap_encode_ms",
     "frame_bitmap_decode_ms",

@@ -770,13 +770,104 @@ impl ColumnStats {
     pub fn looks_like_identifier(&self) -> bool {
         self.dtype != DataType::Float && self.non_null_count >= 16 && self.distinct_ratio() > 0.95
     }
+
+    /// The statistics of the rows `self` counts and `part` does not, where
+    /// `part` describes a sub-selection of `self`'s rows of the same column:
+    /// exactly what a walk of those remaining rows returns. Counts subtract;
+    /// a value no remaining row holds leaves [`ColumnStats::value_counts`]
+    /// but keeps its zero in [`ColumnStats::category_counts`], which stays in
+    /// its first-appearance order; the distinct count, `min` and `max` are
+    /// read off the remaining counts by the rules of the module docs.
+    ///
+    /// `None` whenever that cannot be guaranteed: either side without counts
+    /// (a degraded summary), a count of `part` above `self`'s, a value of
+    /// `part` that `self` lacks, or adjacent equal values — integers beyond
+    /// 2⁵³ that share an `f64` no longer say which key a count belongs to.
+    pub fn without(&self, part: &ColumnStats) -> Option<ColumnStats> {
+        if self.dtype != part.dtype {
+            return None;
+        }
+        let non_null_count = self.non_null_count.checked_sub(part.non_null_count)?;
+        let null_count = self.null_count.checked_sub(part.null_count)?;
+        let mut left = ColumnStats {
+            dtype: self.dtype,
+            non_null_count,
+            null_count,
+            distinct_count: 0,
+            min: None,
+            max: None,
+            value_counts: None,
+            category_counts: None,
+        };
+        let held: u64 = match self.dtype {
+            DataType::Int | DataType::Float => {
+                let counts =
+                    value_counts_without(self.value_counts.as_ref()?, part.value_counts.as_ref()?)?;
+                (left.min, left.max) = extremes(counts.iter().map(|pair| pair.0)).unzip();
+                left.distinct_count = counts.len();
+                let held = counts.iter().map(|pair| pair.1).sum();
+                left.value_counts = Some(counts);
+                held
+            }
+            DataType::Str | DataType::Bool => {
+                let (whole, part) = (
+                    self.category_counts.as_ref()?,
+                    part.category_counts.as_ref()?,
+                );
+                if whole.len() != part.len() {
+                    return None;
+                }
+                let mut counts = Vec::with_capacity(whole.len());
+                for ((value, n), (same, m)) in whole.iter().zip(part) {
+                    if value != same {
+                        return None;
+                    }
+                    counts.push((value.clone(), n.checked_sub(*m)?));
+                }
+                left.distinct_count = counts.iter().filter(|pair| pair.1 > 0).count();
+                let held = counts.iter().map(|pair| pair.1 as u64).sum();
+                left.category_counts = Some(counts);
+                held
+            }
+        };
+        (held == non_null_count as u64).then_some(left)
+    }
+}
+
+/// `whole`'s value counts less `part`'s, zeros dropped; `None` when `part`
+/// holds a value `whole` lacks or more of one, or when either side lists two
+/// equal values.
+fn value_counts_without(whole: &[(f64, u64)], part: &[(f64, u64)]) -> Option<Vec<(f64, u64)>> {
+    let shares_a_value = |pairs: &[(f64, u64)]| {
+        pairs
+            .windows(2)
+            .any(|w| w[0].0.to_bits() == w[1].0.to_bits())
+    };
+    if shares_a_value(whole) || shares_a_value(part) {
+        return None;
+    }
+    // Both ascend by `total_cmp`, under which values are equal exactly when
+    // their bits are: one merge walk pairs them up.
+    let mut part = part.iter().peekable();
+    let mut out = Vec::with_capacity(whole.len());
+    for &(x, n) in whole {
+        let taken = part
+            .next_if(|pair| pair.0.to_bits() == x.to_bits())
+            .map_or(0, |pair| pair.1);
+        match n.checked_sub(taken)? {
+            0 => {}
+            left => out.push((x, left)),
+        }
+    }
+    // A value of `part` no pair of `whole` matched stays unconsumed.
+    part.next().is_none().then_some(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::column::DictColumn;
-    use crate::{ColumnView, Field, Schema, TableBuilder};
+    use crate::{ColumnView, Field, Schema, TableBuilder, Value};
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
@@ -978,6 +1069,106 @@ mod tests {
                 prop_assert_eq!(stats.max.map(f64::to_bits), max.map(f64::to_bits));
             }
         }
+    }
+
+    /// One column of each type over `(raw, null roll, …)` rows, `raw %
+    /// cardinality` picking the value: floats with both zeros, NaNs of both
+    /// signs and another payload, and both infinities.
+    fn mixed_table(rows: &[(i64, u8, u8, u8)], cardinality: i64, segments: usize) -> crate::Table {
+        let schema = Schema::new(vec![
+            Field::nullable("i", DataType::Int),
+            Field::nullable("f", DataType::Float),
+            Field::nullable("s", DataType::Str),
+            Field::nullable("b", DataType::Bool),
+        ])
+        .unwrap();
+        let segment_rows = rows.len().div_ceil(segments).max(1);
+        let mut b = TableBuilder::new("t", schema).with_segment_rows(segment_rows);
+        for &(raw, null_roll, _, _) in rows {
+            let v = raw % cardinality - 3;
+            let f = match v {
+                0 if raw % 2 == 0 => -0.0,
+                5 => f64::NAN,
+                6 => -f64::NAN,
+                7 => f64::from_bits(0x7ff8_0000_0000_0001),
+                8 => f64::INFINITY,
+                9 => f64::NEG_INFINITY,
+                v => v as f64 / 10.0,
+            };
+            let row = if null_roll == 0 {
+                [Value::Null, Value::Null, Value::Null, Value::Null]
+            } else {
+                [
+                    Value::Int(v),
+                    Value::Float(f),
+                    Value::Str(format!("v{v}")),
+                    Value::Bool(v % 3 == 0),
+                ]
+            };
+            b.push_row(&row).unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// `without` is the walk of the rows it leaves: for nested random
+        /// selections of every column type, coded and plain parts on both
+        /// sides of the `u8` (256) and counter (1 024) lines, every segment
+        /// layout — and `None` exactly when a side carries no counts.
+        #[test]
+        fn without_equals_walking_the_rows_left(
+            rows in proptest::collection::vec((0i64..i64::MAX, 0u8..10, 0u8..8, 0u8..3), 0..4000),
+            cardinality in prop_oneof![
+                Just(1i64),
+                Just(12i64),
+                250i64..262,
+                1000i64..1050,
+                Just(1i64 << 40)
+            ],
+            segments in 1usize..=4,
+        ) {
+            let table = mixed_table(&rows, cardinality, segments);
+            let outer = Bitmap::from_fn(rows.len(), |row| rows[row].2 != 0);
+            let inner = Bitmap::from_fn(rows.len(), |row| rows[row].2 != 0 && rows[row].3 == 0);
+            let left = outer.and_not(&inner);
+            for col in table.columns() {
+                let (whole, part) = (col.stats(&outer), col.stats(&inner));
+                let counted = whole.value_counts.is_some() || whole.category_counts.is_some();
+                match whole.without(&part) {
+                    Some(derived) => {
+                        let walked = col.stats(&left);
+                        prop_assert!(counted, "{}", col.name());
+                        prop_assert_eq!(stats_bits(&derived), stats_bits(&walked), "{}", col.name());
+                        prop_assert_eq!(&derived.category_counts, &walked.category_counts);
+                    }
+                    None => prop_assert!(!counted, "{} declined with counts", col.name()),
+                }
+                // The other way round `part` would hold more than it has.
+                if left.count() > 0 {
+                    prop_assert!(part.without(&whole).is_none(), "{}", col.name());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn without_declines_integers_sharing_an_f64() {
+        // 2⁵³ and 2⁵³ + 1 are one `f64`: the counts no longer say which.
+        let big = 1i64 << 53;
+        let column = Column::Int(vec![Some(big), Some(big + 1), Some(1), Some(big)].into());
+        let whole = ColumnStats::compute(&column, &Bitmap::new_full(4));
+        assert_eq!(whole.distinct_count, 3);
+        let part = ColumnStats::compute(&column, &Bitmap::from_indices(4, [0]));
+        assert_eq!(whole.without(&part), None);
+        // Without the shared value the same subtraction is exact.
+        let whole = ColumnStats::compute(&column, &Bitmap::from_indices(4, [0, 2, 3]));
+        let left = ColumnStats::compute(&column, &Bitmap::from_indices(4, [2, 3]));
+        assert_eq!(whole.without(&part).as_ref(), Some(&left));
+        // A value `part` holds and `whole` lacks is not subtracted either.
+        let whole = ColumnStats::compute(&column, &Bitmap::from_indices(4, [0, 3]));
+        assert_eq!(whole.without(&left), None);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use crate::cut::CutConfig;
 use crate::map::DataMap;
-use crate::pipeline::{PaperCut, PipelineContext};
+use crate::pipeline::{AttributeStats, PaperCut, PipelineContext};
 use crate::profile::TableProfile;
 use crate::Result;
 use atlas_columnar::{Bitmap, Table};
@@ -44,7 +44,8 @@ impl CandidateSet {
 }
 
 /// Generate the candidate maps for a working set through a pipeline context:
-/// one [`crate::pipeline::CutStrategy::cut`] call per considered attribute.
+/// one [`crate::pipeline::CutStrategy::cut_with_stats`] call — by default
+/// [`crate::pipeline::CutStrategy::cut`] — per considered attribute.
 ///
 /// `attributes` restricts the candidate generation to a subset of columns; if
 /// `None`, every column of the table is considered.
@@ -60,6 +61,21 @@ pub fn generate_candidates_in_context(
     parent_query: &ConjunctiveQuery,
     attributes: Option<&[String]>,
 ) -> Result<CandidateSet> {
+    cut_candidates(ctx, working, parent_query, attributes).map(|(candidates, _)| candidates)
+}
+
+/// [`generate_candidates_in_context`] through
+/// [`crate::pipeline::CutStrategy::cut_with_stats`], also returning the
+/// statistics over `working` the cuts read, by attribute, in schema order —
+/// what an explore hands its merge phase
+/// ([`crate::pipeline::MergePolicy::merge_with_stats`]). A strategy that
+/// reads none returns none.
+pub(crate) fn cut_candidates<'a>(
+    ctx: &PipelineContext<'a>,
+    working: &Bitmap,
+    parent_query: &ConjunctiveQuery,
+    attributes: Option<&[String]>,
+) -> Result<(CandidateSet, Vec<AttributeStats<'a>>)> {
     let names: Vec<String> = match attributes {
         Some(list) => list.to_vec(),
         None => ctx
@@ -75,17 +91,26 @@ pub fn generate_candidates_in_context(
     let parent = atlas_obs::current();
     let cuts = ctx.pool.par_map(&names, |name| {
         let _trace = atlas_obs::with_context(parent);
-        ctx.cut_strategy.cut(ctx, working, parent_query, name)
+        let mut stats = None;
+        let cut = ctx
+            .cut_strategy
+            .cut_with_stats(ctx, working, parent_query, name, &mut stats);
+        (cut, stats)
     });
     let mut maps = Vec::with_capacity(names.len());
     let mut skipped = Vec::new();
-    for (name, cut) in names.into_iter().zip(cuts) {
-        match cut? {
+    let mut held = Vec::new();
+    for (name, (cut, stats)) in names.into_iter().zip(cuts) {
+        let cut = cut?;
+        if let Some(stats) = stats {
+            held.push((name.clone(), stats));
+        }
+        match cut {
             Some(map) => maps.push(map),
             None => skipped.push(name),
         }
     }
-    Ok(CandidateSet { maps, skipped })
+    Ok((CandidateSet { maps, skipped }, held))
 }
 
 /// Standalone candidate generation with the paper's `CUT` strategy: profiles

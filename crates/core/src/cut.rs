@@ -40,6 +40,7 @@ use atlas_columnar::{rank_categories_by_frequency, Bitmap, ColumnStats, DataType
 use atlas_query::{ConjunctiveQuery, Predicate};
 use atlas_stats::quantile::{quantiles_in_place, quantiles_of_counts};
 use atlas_stats::{kmeans_1d, GkSketch};
+use std::borrow::Cow;
 
 /// How to split an ordinal (numeric) attribute.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -235,14 +236,20 @@ pub fn cut_attribute(
 /// category counts included — and, for sketch-based strategies, the quantile
 /// sketch itself come from the engine's [`crate::profile::TableProfile`]
 /// instead of being recomputed, so whole-table explorations never re-scan
-/// columns for metadata.
-pub(crate) fn cut_attribute_in_context(
-    ctx: &PipelineContext<'_>,
+/// columns for metadata. Statistics the caller already holds in `stats` are
+/// read instead of the profile's; otherwise the ones read are left there
+/// ([`crate::pipeline::CutStrategy::cut_with_stats`]).
+pub(crate) fn cut_attribute_in_context<'a>(
+    ctx: &PipelineContext<'a>,
     working: &Bitmap,
     parent_query: &ConjunctiveQuery,
     attribute: &str,
+    stats: &mut Option<Cow<'a, ColumnStats>>,
 ) -> Result<Option<DataMap>> {
-    let stats = ctx.profile.stats_for(ctx.table, attribute, working)?;
+    let stats: &ColumnStats = match stats {
+        Some(held) => held,
+        None => stats.insert(ctx.profile.stats_for(ctx.table, attribute, working)?),
+    };
     let sketch = ctx.profile.sketch_for(attribute, working);
     let source = TableCutSource::new(ctx.table, working);
     cut_from_source(
@@ -250,7 +257,7 @@ pub(crate) fn cut_attribute_in_context(
         parent_query,
         attribute,
         ctx.cut_config,
-        &stats,
+        stats,
         sketch,
     )
 }

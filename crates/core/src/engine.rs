@@ -13,7 +13,7 @@
 //! return per-phase timings (the paper's "quasi-real time" requirement is a
 //! first-class concern, so the engine measures itself).
 
-use crate::candidates::{generate_candidates_in_context, CandidateSet};
+use crate::candidates::{cut_candidates, generate_candidates_in_context, CandidateSet};
 use crate::cluster::cluster_maps_with_pool;
 use crate::config::{AtlasConfig, ExploreOptions, MergeStrategy};
 use crate::cut::NumericCutStrategy;
@@ -239,12 +239,14 @@ impl Atlas {
         &self.profile
     }
 
-    /// Hit/miss counters of the statistics profile. Whole-table candidate
-    /// generation is served from the build-time profile (hits); statistics
-    /// over proper subsets — drill-down queries, anytime samples, and the
-    /// per-region re-cuts of composition merging — are computed on the fly
-    /// (misses). With a merge policy that never re-cuts (e.g.
-    /// [`MergeStrategy::Product`]), repeated whole-table explorations
+    /// Hit/miss/derived counters of the statistics profile. Whole-table
+    /// candidate generation is served from the build-time profile (hits);
+    /// statistics over proper subsets — drill-down queries, anytime samples,
+    /// and the per-region re-cuts of composition merging — are computed on
+    /// the fly (misses), except that a composition's first re-cut derives
+    /// its largest region's statistics from the working set's, which the
+    /// candidate cuts read (derived). With a merge policy that never re-cuts
+    /// (e.g. [`MergeStrategy::Product`]), repeated whole-table explorations
     /// recompute no statistics at all.
     pub fn profile_stats(&self) -> ProfileStats {
         self.profile.counters()
@@ -351,9 +353,11 @@ impl Atlas {
 
         let ctx = self.context();
 
-        // Step 1: candidate maps.
+        // Step 1: candidate maps, and the working set's statistics the cuts
+        // read, which the merge phase re-reads and which die with the
+        // explore.
         let phase_span = atlas_obs::span("phase.candidates");
-        let candidates = generate_candidates_in_context(
+        let (candidates, working_stats) = cut_candidates(
             &ctx,
             &working,
             user_query,
@@ -387,12 +391,18 @@ impl Atlas {
         );
         let merge_results = self.pool.par_map(&cluster_members, |members| {
             let _trace = atlas_obs::with_context(parent);
-            self.merge.merge(&ctx, members, &working)
+            self.merge
+                .merge_with_stats(&ctx, members, &working, &working_stats)
         });
         let mut merged: Vec<DataMap> = Vec::with_capacity(clusters.len());
         for result in merge_results {
             if let Some(map) = result? {
-                merged.push(self.enforce_constraints(map));
+                merged.push(enforce_region_cap_within(
+                    map,
+                    user_query,
+                    self.config.max_regions_per_map,
+                    self.table.num_rows(),
+                ));
             }
         }
         let merge_ms = phase_span.finish_ms();
@@ -489,26 +499,22 @@ impl Atlas {
             working_set_size,
         })
     }
-
-    /// Enforce the readability constraints of Section 2 on a merged map: if it
-    /// has more than `max_regions_per_map` regions, keep the largest ones and
-    /// fold the rest into a single remainder region (whose query is the
-    /// disjunction-free parent query — it is reported as "other tuples").
-    fn enforce_constraints(&self, map: DataMap) -> DataMap {
-        enforce_region_cap(map, self.config.max_regions_per_map, self.table.num_rows())
-    }
 }
 
 /// The readability constraint of Section 2 as a standalone transform: if the
 /// map has more than `max_regions_per_map` regions, keep the largest ones and
-/// fold the rest into a single remainder region over the parent query.
+/// fold the rest into a single remainder region — "other tuples" — whose
+/// query is `user_query`, the query the map breaks down: the remainder is the
+/// working set minus the kept regions, so its query keeps the user's
+/// predicates and adds none.
 ///
 /// This is exactly the post-merge step [`Atlas::explore`] applies to every
 /// cluster's merged map; it is exposed so a remote coordinator running the
 /// merge phase locally produces bit-identical maps. `num_rows` is the number
 /// of rows of the underlying table (the length of the remainder bitmap).
-pub fn enforce_region_cap(
+pub fn enforce_region_cap_within(
     mut map: DataMap,
+    user_query: &ConjunctiveQuery,
     max_regions_per_map: usize,
     num_rows: usize,
 ) -> DataMap {
@@ -524,18 +530,20 @@ pub fn enforce_region_cap(
         for region in &tail {
             remainder_selection.union_with(&region.selection);
         }
-        // The remainder region keeps only the parent predicates (it is the
-        // working set minus the kept regions), so its query stays simple.
-        let parent_query = tail[0].query.clone();
         map.regions.push(crate::region::Region::new(
-            ConjunctiveQuery {
-                table: parent_query.table,
-                predicates: Vec::new(),
-            },
+            user_query.clone(),
             remainder_selection,
         ));
     }
     map
+}
+
+/// [`enforce_region_cap_within`] for a map of the whole table: the
+/// remainder's query is the table's, with no predicate.
+pub fn enforce_region_cap(map: DataMap, max_regions_per_map: usize, num_rows: usize) -> DataMap {
+    let table = map.regions.first().map(|r| r.query.table.clone());
+    let whole_table = ConjunctiveQuery::all(table.unwrap_or_default());
+    enforce_region_cap_within(map, &whole_table, max_regions_per_map, num_rows)
 }
 
 /// One iteration of the anytime loop.

@@ -78,16 +78,16 @@ pub use distance::{
     MapDistanceMetric,
 };
 pub use engine::{
-    enforce_region_cap, AnytimeIteration, AnytimeResult, Atlas, AtlasBuilder, ExploreIter,
-    MapResult, PhaseTimings,
+    enforce_region_cap, enforce_region_cap_within, AnytimeIteration, AnytimeResult, Atlas,
+    AtlasBuilder, ExploreIter, MapResult, PhaseTimings,
 };
 pub use error::{AtlasError, Result};
 pub use map::DataMap;
 pub use merge::{compose_maps, product_maps};
 pub use minirayon::ThreadPool;
 pub use pipeline::{
-    CompositionMerge, CutStrategy, EntropyRanker, MapDistance, MergePolicy, PaperCut,
-    PipelineContext, ProductMerge, Ranker, ViDistance,
+    AttributeStats, CompositionMerge, CutStrategy, EntropyRanker, MapDistance, MergePolicy,
+    PaperCut, PipelineContext, ProductMerge, Ranker, ViDistance,
 };
 pub use precompute::{CacheStats, CachedAtlas};
 pub use profile::{ColumnProfile, ProfileStats, TableProfile};

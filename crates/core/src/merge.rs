@@ -84,8 +84,9 @@ pub fn compose_maps(
         drop_empty_regions: drop_empty,
         pool: minirayon::ThreadPool::sequential(),
     };
-    // Composition never reads the working set; any bitmap satisfies the
-    // merge-policy signature.
+    // The working set is unknown here. Composition reads it only to derive a
+    // region's statistics from the working set's, which an empty profile
+    // never holds, so an empty selection makes it walk every region.
     CompositionMerge.merge(&ctx, maps, &table.empty_selection())
 }
 

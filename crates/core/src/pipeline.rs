@@ -27,9 +27,12 @@ use crate::map::DataMap;
 use crate::merge::product_maps;
 use crate::profile::TableProfile;
 use crate::rank::{rank_maps, RankedMap};
-use atlas_columnar::{Bitmap, Table};
+use crate::region::Region;
+use atlas_columnar::{Bitmap, ColumnStats, Table};
 use atlas_query::ConjunctiveQuery;
 use minirayon::ThreadPool;
+use std::borrow::Cow;
+use std::cmp::Reverse;
 use std::fmt;
 
 /// Everything a pipeline stage may need: the table, its pre-computed
@@ -81,7 +84,31 @@ pub trait CutStrategy: fmt::Debug + Send + Sync {
         parent_query: &ConjunctiveQuery,
         attribute: &str,
     ) -> Result<Option<DataMap>>;
+
+    /// [`CutStrategy::cut`] beside the statistics of `attribute` over
+    /// `working`. When `stats` holds them — derived by a composition, or read
+    /// by an earlier cut of the same working set — they are exactly what a
+    /// walk of `working` returns, and a strategy that reads statistics uses
+    /// them instead of walking; when it is empty, such a strategy leaves the
+    /// statistics it read there, for the caller to keep for the rest of the
+    /// explore. The default ignores `stats` and calls [`CutStrategy::cut`].
+    fn cut_with_stats<'a>(
+        &self,
+        ctx: &PipelineContext<'a>,
+        working: &Bitmap,
+        parent_query: &ConjunctiveQuery,
+        attribute: &str,
+        stats: &mut Option<Cow<'a, ColumnStats>>,
+    ) -> Result<Option<DataMap>> {
+        let _ = stats;
+        self.cut(ctx, working, parent_query, attribute)
+    }
 }
+
+/// The statistics of one attribute over an explore's working set, beside the
+/// attribute's name: what a candidate cut read and an explore holds until it
+/// ends ([`MergePolicy::merge_with_stats`]).
+pub type AttributeStats<'a> = (String, Cow<'a, ColumnStats>);
 
 /// Step 2 — the dependency distance between candidate maps.
 pub trait MapDistance: fmt::Debug + Send + Sync {
@@ -117,6 +144,22 @@ pub trait MergePolicy: fmt::Debug + Send + Sync {
         members: &[DataMap],
         working: &Bitmap,
     ) -> Result<Option<DataMap>>;
+
+    /// [`MergePolicy::merge`] inside an explore that holds `stats`: the
+    /// statistics over `working` of the attributes its candidate cuts read
+    /// ([`CutStrategy::cut_with_stats`]), by attribute name. They live as
+    /// long as the explore. The default ignores them and calls
+    /// [`MergePolicy::merge`].
+    fn merge_with_stats(
+        &self,
+        ctx: &PipelineContext<'_>,
+        members: &[DataMap],
+        working: &Bitmap,
+        stats: &[AttributeStats<'_>],
+    ) -> Result<Option<DataMap>> {
+        let _ = stats;
+        self.merge(ctx, members, working)
+    }
 }
 
 /// Step 4 — order the merged maps for presentation.
@@ -130,8 +173,9 @@ pub trait Ranker: fmt::Debug + Send + Sync {
 
 /// The paper's `CUT` primitive (Definition 1): median / k-means / sketch
 /// splits for ordinal attributes, frequency-balanced grouping for categorical
-/// ones, driven by [`CutConfig`]. Statistics come from the engine's
-/// [`TableProfile`], so whole-table explorations never re-scan columns.
+/// ones, driven by [`CutConfig`]. Statistics come from the caller when it
+/// holds them, else from the engine's [`TableProfile`], so whole-table
+/// explorations never re-scan columns.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PaperCut;
 
@@ -147,7 +191,18 @@ impl CutStrategy for PaperCut {
         parent_query: &ConjunctiveQuery,
         attribute: &str,
     ) -> Result<Option<DataMap>> {
-        cut_attribute_in_context(ctx, working, parent_query, attribute)
+        cut_attribute_in_context(ctx, working, parent_query, attribute, &mut None)
+    }
+
+    fn cut_with_stats<'a>(
+        &self,
+        ctx: &PipelineContext<'a>,
+        working: &Bitmap,
+        parent_query: &ConjunctiveQuery,
+        attribute: &str,
+        stats: &mut Option<Cow<'a, ColumnStats>>,
+    ) -> Result<Option<DataMap>> {
+        cut_attribute_in_context(ctx, working, parent_query, attribute, stats)
     }
 }
 
@@ -202,35 +257,63 @@ impl MergePolicy for ProductMerge {
 /// `ctx.pool` task each — the regions are disjoint and every cut reads only
 /// its own — and the sub-regions are assembled in region order, so the map is
 /// the same at every thread count; a one-thread pool is a plain in-order loop.
+///
+/// The first re-cut knows more than the cut of one region does. The regions of
+/// the first map usually partition the working set (they miss only the rows
+/// whose first attribute is NULL), and the caller usually holds the working
+/// set's statistics of the attribute they are re-cut on: the profile's for a
+/// whole-table working set, the candidate cut's otherwise
+/// ([`MergePolicy::merge_with_stats`]). Then every region's statistics but
+/// the largest one's are walked, and the largest region's are the working
+/// set's minus the others' ([`ColumnStats::without`]) — the same statistics,
+/// bit for bit, for one walk fewer; they reach the cut through
+/// [`CutStrategy::cut_with_stats`]. A later re-cut, a first map that does not
+/// partition the working set, and a summary too large to subtract exactly
+/// walk every region.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CompositionMerge;
 
-impl MergePolicy for CompositionMerge {
-    fn name(&self) -> &str {
-        "composition"
-    }
-
-    fn merge(
-        &self,
+impl CompositionMerge {
+    /// The composition, with `held(attribute)` the statistics of `attribute`
+    /// over `working` the caller holds, if any.
+    fn compose<'s>(
         ctx: &PipelineContext<'_>,
         members: &[DataMap],
-        _working: &Bitmap,
+        working: &Bitmap,
+        held: impl Fn(&str) -> Option<&'s ColumnStats>,
     ) -> Result<Option<DataMap>> {
-        if members.is_empty() {
+        let Some((first, others)) = members.split_first() else {
             return Ok(None);
-        }
+        };
         // Pool workers inherit the dispatching thread's span context, as in
         // candidate generation, so kernel events attach under `phase.merge`.
         let parent = atlas_obs::current();
-        let mut result = members[0].clone();
-        for other in &members[1..] {
+        let mut result = first.clone();
+        let mut first_recut = true;
+        for other in others {
             let Some(attribute) = other.source_attributes.first().cloned() else {
                 continue;
             };
-            let cuts = ctx.pool.par_map(&result.regions, |region| {
+            let whole = if first_recut { held(&attribute) } else { None };
+            first_recut = false;
+            let stats = match whole {
+                Some(whole) => partition_stats(ctx, &result.regions, working, &attribute, whole)?,
+                None => Vec::new(),
+            };
+            let cuts = ctx.pool.par_map_indexed(result.regions.len(), 1, |at| {
                 let _trace = atlas_obs::with_context(parent);
-                ctx.cut_strategy
-                    .cut(ctx, &region.selection, &region.query, &attribute)
+                let region = &result.regions[at];
+                let (selection, query) = (&region.selection, &region.query);
+                match stats.get(at) {
+                    Some(stats) => ctx.cut_strategy.cut_with_stats(
+                        ctx,
+                        selection,
+                        query,
+                        &attribute,
+                        &mut Some(Cow::Borrowed(&**stats)),
+                    ),
+                    None => ctx.cut_strategy.cut(ctx, selection, query, &attribute),
+                }
             });
             let mut regions = Vec::new();
             for (region, sub) in result.regions.into_iter().zip(cuts) {
@@ -249,6 +332,87 @@ impl MergePolicy for CompositionMerge {
             result = DataMap::new(regions, attributes);
         }
         Ok(Some(result))
+    }
+}
+
+/// The statistics of `attribute` over each of `regions`, given `whole`, its
+/// statistics over `working`: every region but the largest walked (one pool
+/// task each), the largest derived as `whole` minus the others — or walked
+/// too, should the subtraction decline. Empty unless the regions partition
+/// `working`, which their counts summing to its count and their union being
+/// it prove.
+fn partition_stats<'a>(
+    ctx: &PipelineContext<'a>,
+    regions: &[Region],
+    working: &Bitmap,
+    attribute: &str,
+    whole: &ColumnStats,
+) -> Result<Vec<Cow<'a, ColumnStats>>> {
+    let total: usize = regions.iter().map(Region::count).sum();
+    let covered = || {
+        let mut union = Bitmap::new_empty(working.len());
+        regions.iter().for_each(|r| union.union_with(&r.selection));
+        union == *working
+    };
+    let largest = (0..regions.len()).max_by_key(|&at| (regions[at].count(), Reverse(at)));
+    let Some(largest) = largest.filter(|_| total == working.count() && covered()) else {
+        return Ok(Vec::new());
+    };
+    let walk = |at: usize| {
+        ctx.profile
+            .stats_for(ctx.table, attribute, &regions[at].selection)
+    };
+    let parent = atlas_obs::current();
+    let walked = ctx.pool.par_map_indexed(regions.len(), 1, |at| {
+        let _trace = atlas_obs::with_context(parent);
+        (at != largest).then(|| walk(at)).transpose()
+    });
+    let mut stats: Vec<Option<Cow<'a, ColumnStats>>> = walked.into_iter().collect::<Result<_>>()?;
+    let derived = stats
+        .iter()
+        .flatten()
+        .try_fold(whole.clone(), |left, part| left.without(part));
+    stats[largest] = Some(match derived {
+        Some(derived) => {
+            ctx.profile.count_derived(attribute);
+            Cow::Owned(derived)
+        }
+        None => walk(largest)?,
+    });
+    Ok(stats.into_iter().flatten().collect())
+}
+
+impl MergePolicy for CompositionMerge {
+    fn name(&self) -> &str {
+        "composition"
+    }
+
+    /// Outside an explore, the one holder of a working set's statistics is
+    /// the profile, for a whole-table working set.
+    fn merge(
+        &self,
+        ctx: &PipelineContext<'_>,
+        members: &[DataMap],
+        working: &Bitmap,
+    ) -> Result<Option<DataMap>> {
+        let whole_table = ctx.profile.covers(working);
+        CompositionMerge::compose(ctx, members, working, |attribute| {
+            let profiled = ctx.profile.column(attribute).filter(|_| whole_table);
+            profiled.map(|profile| &profile.stats)
+        })
+    }
+
+    fn merge_with_stats(
+        &self,
+        ctx: &PipelineContext<'_>,
+        members: &[DataMap],
+        working: &Bitmap,
+        stats: &[AttributeStats<'_>],
+    ) -> Result<Option<DataMap>> {
+        CompositionMerge::compose(ctx, members, working, |attribute| {
+            let held = stats.iter().find(|(name, _)| name == attribute);
+            held.map(|(_, stats)| &**stats)
+        })
     }
 }
 

@@ -30,9 +30,13 @@
 //!
 //! Statistics served from the profile are counted as `hits`; working sets that
 //! are proper subsets of the table (drill-down queries, anytime samples,
-//! composition re-cuts) still require fresh statistics and are counted as
-//! `misses`. The counters make cache behaviour observable in tests and
-//! benchmarks ([`TableProfile::counters`]).
+//! composition re-cuts) still require fresh statistics — a walk of their rows
+//! — and are counted as `misses`. One kind of subset needs neither: when a
+//! composition re-cuts regions that partition the working set it holds the
+//! statistics of, the largest region's statistics are the working set's minus
+//! the other regions' ([`atlas_columnar::ColumnStats::without`]), and are
+//! counted as `derived`. The counters make cache behaviour observable in tests
+//! and benchmarks ([`TableProfile::counters`]).
 
 use crate::error::Result;
 use atlas_columnar::{Bitmap, ColumnStats, ColumnSummary, ColumnView, DataType, Segment, Table};
@@ -72,6 +76,9 @@ pub struct ProfileStats {
     /// Statistics requests that had to be computed on the fly (subset working
     /// sets and unknown columns).
     pub misses: usize,
+    /// Region statistics a composition derived from statistics it held
+    /// instead of walking the region.
+    pub derived: usize,
 }
 
 /// Per-column statistics of a table, computed once and shared by every
@@ -83,6 +90,7 @@ pub struct TableProfile {
     sketch_epsilon: Option<f64>,
     hits: AtomicUsize,
     misses: AtomicUsize,
+    derived: AtomicUsize,
 }
 
 /// The per-segment contribution of one column: its mergeable summary and —
@@ -207,6 +215,7 @@ impl TableProfile {
             sketch_epsilon,
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
+            derived: AtomicUsize::new(0),
         }
     }
 
@@ -223,6 +232,7 @@ impl TableProfile {
             sketch_epsilon: None,
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
+            derived: AtomicUsize::new(0),
         }
     }
 
@@ -255,6 +265,7 @@ impl TableProfile {
             sketch_epsilon: self.sketch_epsilon,
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
+            derived: AtomicUsize::new(0),
         }
     }
 
@@ -309,11 +320,19 @@ impl TableProfile {
         self.column(attribute)?.sketch.as_ref()
     }
 
-    /// A snapshot of the hit/miss counters.
+    /// Count one region's statistics of `attribute` as derived rather than
+    /// walked.
+    pub(crate) fn count_derived(&self, attribute: &str) {
+        self.derived.fetch_add(1, Ordering::Relaxed);
+        observe_cache("derived", attribute);
+    }
+
+    /// A snapshot of the hit/miss/derived counters.
     pub fn counters(&self) -> ProfileStats {
         ProfileStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
+            derived: self.derived.load(Ordering::Relaxed),
         }
     }
 }
@@ -465,7 +484,14 @@ mod tests {
         let full = t.full_selection();
         let stats = profile.stats_for(&t, "x", &full).unwrap();
         assert_eq!(stats.non_null_count, 100);
-        assert_eq!(profile.counters(), ProfileStats { hits: 0, misses: 1 });
+        assert_eq!(
+            profile.counters(),
+            ProfileStats {
+                hits: 0,
+                misses: 1,
+                derived: 0
+            }
+        );
         assert!(profile.sketch_for("x", &full).is_none());
     }
 
@@ -515,12 +541,26 @@ mod tests {
                 c.categories_by_frequency(working)
             );
         }
-        assert_eq!(profile.counters(), ProfileStats { hits: 1, misses: 1 });
+        assert_eq!(
+            profile.counters(),
+            ProfileStats {
+                hits: 1,
+                misses: 1,
+                derived: 0
+            }
+        );
         // Empty profiles always scan, to the same counts.
         let empty = TableProfile::empty(t.num_rows());
         let scanned = empty.stats_for(&t, "c", &full).unwrap();
         assert_eq!(scanned.category_counts, profiled("c"));
-        assert_eq!(empty.counters(), ProfileStats { hits: 0, misses: 1 });
+        assert_eq!(
+            empty.counters(),
+            ProfileStats {
+                hits: 0,
+                misses: 1,
+                derived: 0
+            }
+        );
     }
 
     #[test]

@@ -72,7 +72,7 @@ use crate::wire::frames::{
 use crate::wire::Json;
 use atlas_columnar::{merge_category_counts, Bitmap, ColumnStats, ColumnSummary, DataType};
 use atlas_core::{
-    cluster_maps_with_pool, cut_from_source, distance_matrix_with_pool, enforce_region_cap,
+    cluster_maps_with_pool, cut_from_source, distance_matrix_with_pool, enforce_region_cap_within,
     product_maps, rank_maps, AtlasConfig, AtlasError, CutSource, MapResult, MergeStrategy,
     NumericCutStrategy, PhaseTimings, ThreadPool,
 };
@@ -1331,8 +1331,9 @@ impl Coordinator {
         });
         let mut merged = Vec::with_capacity(products.len());
         for product in products.into_iter().flatten() {
-            merged.push(enforce_region_cap(
+            merged.push(enforce_region_cap_within(
                 product,
+                &query,
                 self.config.max_regions_per_map,
                 ctx.live_rows,
             ));

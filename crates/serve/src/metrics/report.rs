@@ -255,6 +255,7 @@ fn walk(parts: &Components) -> Vec<Sample> {
             ("result_cache", "evicted", "evicted", result.evicted),
             ("profile_cache", "hits", "hit", profile.hits),
             ("profile_cache", "misses", "miss", profile.misses),
+            ("profile_cache", "derived", "derived", profile.derived),
         ] {
             out.push(Sample::new(
                 &[section, name, key],

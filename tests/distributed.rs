@@ -248,6 +248,48 @@ fn census_100k_is_bit_identical_at_1_2_4_shards() {
     }
 }
 
+/// A filtered product explore the region cap folds — four-way cuts, at most
+/// six regions a map — is bit-identical at 1–3 shards, the remainder region
+/// included: its query is the user's, locally and at the coordinator.
+#[test]
+fn a_capped_filtered_explore_is_bit_identical_at_1_2_3_shards() {
+    let table = Arc::new(
+        CensusGenerator::new(CensusConfig {
+            rows: 20_000,
+            seed: 7,
+            segment_rows: Some(2_500),
+            ..CensusConfig::default()
+        })
+        .generate(),
+    );
+    let config = AtlasConfig {
+        cut: CutConfig {
+            num_splits: 4,
+            ..CutConfig::default()
+        },
+        max_regions_per_map: 6,
+        ..product_config()
+    };
+    let reference = Atlas::new(Arc::clone(&table), config.clone()).unwrap();
+    let query = parse_query("SELECT * FROM census WHERE age BETWEEN 30 AND 50").unwrap();
+    let local = reference.explore(&query).unwrap();
+    let mut regions = local.maps.iter().flat_map(|m| &m.map.regions);
+    assert!(
+        regions.any(|r| r.query == query),
+        "the cap folds a remainder"
+    );
+    for shards in 1..=3 {
+        let (handles, addrs) = boot_shards("census", &table, &config, shards);
+        let coordinator =
+            Coordinator::connect(&addrs, "census", config.clone(), Duration::from_secs(30))
+                .unwrap();
+        assert_identical(&local, &coordinator.explore(&query).unwrap());
+        for handle in handles {
+            handle.shutdown();
+        }
+    }
+}
+
 /// The composition operator is refused up front: its cluster merge re-cuts
 /// regions against local storage, which the coordinator cannot push down.
 #[test]

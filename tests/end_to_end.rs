@@ -47,6 +47,44 @@ fn census_exploration_reproduces_the_figure_2_behaviour() {
         .any(|a| a == "eye_color"));
 }
 
+/// The region cap folds the smallest regions of a map into one remainder,
+/// "the working set minus the kept regions": its SQL is the user's query, so
+/// drilling into it explores the filtered rows, not the whole table. Every
+/// other region's SQL selects exactly its rows.
+#[test]
+fn the_remainder_region_keeps_the_users_filter() {
+    let table = Arc::new(CensusGenerator::with_rows(20_000, 7).generate());
+    let config = AtlasConfig {
+        cut: CutConfig {
+            num_splits: 4,
+            numeric: NumericCutStrategy::Median,
+            ..CutConfig::default()
+        },
+        merge: MergeStrategy::Product,
+        max_regions_per_map: 6,
+        ..AtlasConfig::default()
+    };
+    let atlas = Atlas::new(Arc::clone(&table), config).unwrap();
+    let query = parse_query("SELECT * FROM census WHERE age BETWEEN 30 AND 50").unwrap();
+    let result = atlas.explore(&query).unwrap();
+    assert_eq!(result.working_set_size, 6_948);
+    let mut remainders = 0;
+    for ranked in &result.maps {
+        for region in &ranked.map.regions {
+            let sql = to_sql(&region.query);
+            let selected = atlas::query::evaluate(&parse_query(&sql).unwrap(), &table).unwrap();
+            if region.query == query {
+                remainders += 1;
+                assert_eq!(selected, result.working_set, "{sql}");
+                assert!(region.selection.and_not(&selected).is_all_clear());
+            } else {
+                assert_eq!(selected, region.selection, "{sql}");
+            }
+        }
+    }
+    assert!(remainders > 0, "the cap folds at least one map");
+}
+
 #[test]
 fn sql_round_trip_drill_down_matches_programmatic_drill_down() {
     // Every region of a result can be rendered to SQL, parsed back, and

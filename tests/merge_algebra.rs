@@ -11,11 +11,17 @@
 //! * `TableProfile::build` on the whole table equals any prefix build
 //!   extended segment-by-segment with `merge_segment` — stats bit-equal,
 //!   sketch answers bit-equal.
+//! * The subtraction the other way: a composition that derives its largest
+//!   region's statistics as the working set's minus the other regions'
+//!   answers bit for bit what walking every region answers, and it derives
+//!   exactly where the regions partition the working set.
 
 use atlas::columnar::{
     Bitmap, ColumnStats, ColumnSummary, DataType, Field, Schema, TableBuilder, Value,
 };
-use atlas::core::TableProfile;
+use atlas::core::{CutStrategy, DataMap, PaperCut, PipelineContext, ProfileStats, TableProfile};
+use atlas::datagen::CensusConfig;
+use atlas::prelude::*;
 use atlas::stats::GkSketch;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -220,3 +226,197 @@ proptest! {
         }
     }
 }
+
+/// `PaperCut` without its statistics-reading half: the default
+/// `cut_with_stats` ignores what a composition holds and calls `cut`, which
+/// walks every region.
+#[derive(Debug)]
+struct WalkEveryRegion;
+
+impl CutStrategy for WalkEveryRegion {
+    fn name(&self) -> &str {
+        "walk-every-region"
+    }
+
+    fn cut(
+        &self,
+        ctx: &PipelineContext<'_>,
+        working: &Bitmap,
+        parent_query: &ConjunctiveQuery,
+        attribute: &str,
+    ) -> atlas::core::Result<Option<DataMap>> {
+        PaperCut.cut(ctx, working, parent_query, attribute)
+    }
+}
+
+/// Four attributes that depend on `x` and one that does not. With `nulls`,
+/// each of the four dependent ones is NULL on its own eleventh of the rows.
+fn dependent_table(rows: usize, nulls: bool) -> Arc<Table> {
+    let schema = Schema::new(vec![
+        Field::nullable("x", DataType::Int),
+        Field::nullable("y", DataType::Float),
+        Field::nullable("z", DataType::Str),
+        Field::nullable("v", DataType::Int),
+        Field::new("e", DataType::Str),
+    ])
+    .unwrap();
+    let mut builder = TableBuilder::new("t", schema).with_segment_rows(1_000);
+    for i in 0..rows {
+        let x = (i * 37 % 101) as i64;
+        let null = |k: usize| nulls && (i + k).is_multiple_of(11);
+        let or_null = |k: usize, value: Value| if null(k) { Value::Null } else { value };
+        builder
+            .push_row(&[
+                or_null(0, Value::Int(x)),
+                or_null(1, Value::Float(x as f64 * 2.0 + (i * 13 % 7) as f64 / 10.0)),
+                or_null(
+                    2,
+                    Value::Str(
+                        if x + ((i % 5) as i64) < 52 {
+                            "lo"
+                        } else {
+                            "hi"
+                        }
+                        .into(),
+                    ),
+                ),
+                or_null(3, Value::Int(x / 10 + (i % 3) as i64)),
+                Value::Str(["a", "b", "c"][i / 7 % 3].into()),
+            ])
+            .unwrap();
+    }
+    Arc::new(builder.build().unwrap())
+}
+
+/// Explore `sql` on `table` with the paper's cut and with
+/// [`WalkEveryRegion`]: the answers must be bit-identical. Returns what each
+/// engine's profile counted.
+fn derive_and_walk(
+    table: &Arc<Table>,
+    config: &AtlasConfig,
+    sql: &str,
+) -> (ProfileStats, ProfileStats) {
+    let query = parse_query(sql).unwrap();
+    let deriving = Atlas::new(Arc::clone(table), config.clone()).unwrap();
+    let walking = Atlas::builder(Arc::clone(table))
+        .config(config.clone())
+        .cut_strategy(WalkEveryRegion)
+        .build()
+        .unwrap();
+    let (a, b) = (
+        deriving.explore(&query).unwrap(),
+        walking.explore(&query).unwrap(),
+    );
+    assert_eq!(a.num_maps(), b.num_maps(), "{sql}");
+    for (ra, rb) in a.maps.iter().zip(&b.maps) {
+        assert_eq!(ra.score.to_bits(), rb.score.to_bits(), "{sql}");
+        assert_eq!(ra.map.source_attributes, rb.map.source_attributes);
+        assert_eq!(ra.map.num_regions(), rb.map.num_regions());
+        for (qa, qb) in ra.map.regions.iter().zip(&rb.map.regions) {
+            assert_eq!(to_sql(&qa.query), to_sql(&qb.query), "{sql}");
+            assert_eq!(qa.selection, qb.selection, "{sql}");
+        }
+    }
+    let walked = walking.profile_stats();
+    assert_eq!(
+        walked.derived, 0,
+        "a strategy that reads no statistics derives none"
+    );
+    (deriving.profile_stats(), walked)
+}
+
+/// Clusters of two, three and four maps, 1 / 2 / 8 threads, whole table and
+/// a filter: deriving the largest region's statistics answers what walking
+/// every region answers, for one walk fewer per composition. With NULLs in
+/// every attribute a composition could start from, no first map partitions
+/// the whole table, and every region is walked.
+#[test]
+fn composition_derives_what_walking_every_region_finds() {
+    for nulls in [false, true] {
+        let table = dependent_table(3_000, nulls);
+        for members in [2usize, 3, 4] {
+            let mut config = AtlasConfig {
+                max_new_predicates: members.max(3),
+                max_regions_per_map: 16,
+                ..AtlasConfig::default()
+            };
+            config.clustering.max_cluster_size = members;
+            for threads in [1, 2, 8] {
+                let config = config.clone().with_parallelism(threads);
+                let (derived, walked) = derive_and_walk(&table, &config, "SELECT * FROM t");
+                let case = format!("nulls {nulls}, {members} members, {threads} threads");
+                assert_eq!(derived.hits, walked.hits, "{case}");
+                // Each derivation is one walk fewer, nothing else moves.
+                assert_eq!(derived.misses + derived.derived, walked.misses, "{case}");
+                assert_eq!(derived.derived > 0, !nulls, "{case}");
+                derive_and_walk(&table, &config, "SELECT * FROM t WHERE e IN ('a', 'b')");
+            }
+        }
+    }
+}
+
+/// The counts the composition's saving is made of, on the paper's own
+/// configuration: a whole-table census explore walks the statistics of three
+/// regions and derives three (walking all six before), and a filtered one
+/// walks two and derives two (four before) beside the candidate cuts' seven.
+/// With NULLs in the census, the compositions that start from a column with
+/// NULLs walk every region.
+#[test]
+fn a_census_explore_derives_one_region_per_composition() {
+    let census = |null_fraction| {
+        Arc::new(
+            CensusGenerator::new(CensusConfig {
+                rows: 20_000,
+                seed: 42,
+                null_fraction,
+                ..CensusConfig::default()
+            })
+            .generate(),
+        )
+    };
+    let table = census(0.0);
+    let config = AtlasConfig::default().with_parallelism(1);
+    let (full, walked) = derive_and_walk(&table, &config, "SELECT * FROM census");
+    assert_eq!(
+        full,
+        ProfileStats {
+            hits: 7,
+            misses: 3,
+            derived: 3
+        }
+    );
+    assert_eq!(walked.misses, 6);
+    let filter = "SELECT * FROM census WHERE age BETWEEN 30 AND 50";
+    let (filtered, walked) = derive_and_walk(&table, &config, filter);
+    assert_eq!(
+        filtered,
+        ProfileStats {
+            hits: 0,
+            misses: 7 + 2,
+            derived: 2
+        }
+    );
+    assert_eq!(walked.misses, 7 + 4);
+
+    // A cluster's first map is its first attribute in candidate order: listed
+    // first, the two columns with NULLs start their compositions, and only
+    // `education` ∘ `salary` derives.
+    let nulls_first = AtlasConfig {
+        attributes: Some(NULLS_FIRST.map(String::from).to_vec()),
+        ..config
+    };
+    let (with_nulls, walked) = derive_and_walk(&census(0.05), &nulls_first, "SELECT * FROM census");
+    assert_eq!(with_nulls.misses + with_nulls.derived, walked.misses);
+    assert_eq!((with_nulls.misses, with_nulls.derived), (5, 1));
+}
+
+/// The census columns, the two with NULLs first.
+const NULLS_FIRST: [&str; 7] = [
+    "hours_per_week",
+    "height_cm",
+    "age",
+    "sex",
+    "education",
+    "salary",
+    "eye_color",
+];
