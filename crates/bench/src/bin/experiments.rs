@@ -1,5 +1,5 @@
 //! The experiment harness: reproduces every experiment of EXPERIMENTS.md
-//! (E1–E10) and prints one table per experiment.
+//! (E1–E9) and prints one table per experiment.
 //!
 //! Run with: `cargo run -p atlas-bench --release --bin experiments`
 //! A subset can be selected by id: `… --bin experiments e1 e4 e7`.
@@ -93,9 +93,6 @@ fn main() {
     if wants("e9") {
         e9_splits_ablation();
     }
-    if wants("e10") {
-        e10_sketch_ablation();
-    }
 }
 
 /// E1 — Figures 1 & 2: several alternative maps of the same census data, with
@@ -155,14 +152,10 @@ fn e2_cut_strategies() {
     let column = table.column("height_cm").expect("column exists");
     let values = column.numeric_values_where(&working);
     let total_variance = variance(&values);
-    let strategies: [(&str, NumericCutStrategy); 4] = [
+    let strategies: [(&str, NumericCutStrategy); 3] = [
         ("equi_width", NumericCutStrategy::EquiWidth),
         ("median", NumericCutStrategy::Median),
         ("kmeans", NumericCutStrategy::KMeans { max_iterations: 30 }),
-        (
-            "gk_sketch(1%)",
-            NumericCutStrategy::SketchMedian { epsilon: 0.01 },
-        ),
     ];
     for (name, strategy) in strategies {
         let config = CutConfig {
@@ -531,42 +524,6 @@ fn e9_splits_ablation() {
             .max()
             .unwrap_or(0);
         println!("| {splits} | {exact} | {candidate_ms:.1} | {end_to_end_ms:.1} | {max_regions} |");
-    }
-    println!();
-}
-
-/// E10 — Section 5.1: exact median vs Greenwald–Khanna sketch inside CUT.
-fn e10_sketch_ablation() {
-    println!("## E10 — exact median vs GK sketch: split-point error and speedup");
-    println!("| rows | exact (ms) | sketch (ms) | speedup | split rank error |");
-    println!("|------|------------|-------------|---------|------------------|");
-    for rows in [50_000usize, 200_000, 1_000_000] {
-        let table = census(rows);
-        let working = table.full_selection();
-        let column = table.column("height_cm").expect("column exists");
-        let values = column.numeric_values_where(&working);
-
-        let start = Instant::now();
-        let exact_median = quantile(&values, 0.5).expect("non-empty");
-        let exact_ms = start.elapsed().as_secs_f64() * 1000.0;
-
-        let start = Instant::now();
-        let mut sketch = atlas_stats::GkSketch::new(0.01);
-        sketch.extend(&values);
-        let approx_median = sketch.median().expect("non-empty");
-        let sketch_ms = start.elapsed().as_secs_f64() * 1000.0;
-
-        let mut sorted = values.clone();
-        sorted.sort_by(|a, b| a.total_cmp(b));
-        let rank_exact =
-            sorted.partition_point(|&v| v <= exact_median) as f64 / sorted.len() as f64;
-        let rank_approx =
-            sorted.partition_point(|&v| v <= approx_median) as f64 / sorted.len() as f64;
-        println!(
-            "| {rows} | {exact_ms:.1} | {sketch_ms:.1} | {:.2}x | {:.4} |",
-            exact_ms / sketch_ms.max(1e-9),
-            (rank_exact - rank_approx).abs()
-        );
     }
     println!();
 }

@@ -4,7 +4,7 @@
 //! (`cargo run -p atlas-bench --bin experiments --release`).
 //!
 //! The paper ("Fast Cartography for Data Explorers", VLDB 2013) is a vision
-//! paper without result tables; the experiment suite E1–E10 turns each figure
+//! paper without result tables; the experiment suite E1–E9 turns each figure
 //! and each measurable claim into a quantitative, reproducible check, and the
 //! `experiments` binary prints those quality/behaviour tables. The latency
 //! side is its `bench-smoke` report (the committed `BENCH_*.json` files) and

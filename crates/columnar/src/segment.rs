@@ -21,12 +21,9 @@
 //! The segment size is a storage-layout knob, not a semantics knob: every scan
 //! kernel walks the segments in row order and assembles results in global row
 //! coordinates, so query answers are bit-for-bit identical at every segment
-//! size for every **exact** kernel and cut strategy — the default pipeline
-//! end to end (the property `tests/segments.rs` pins). The one deliberate
-//! exception is the ε-approximate `SketchMedian` cut strategy: its quantile
-//! sketch is a fold of per-segment sketches, so its (already approximate)
-//! split points may shift with the chunking, within the same ε rank-error
-//! envelope.
+//! size for every kernel and every cut strategy — the pipeline end to end
+//! (the property `tests/segments.rs` pins). There is no exception: every
+//! median is exact, so no split point depends on the chunking.
 
 use crate::column::Column;
 use crate::error::{ColumnarError, Result};

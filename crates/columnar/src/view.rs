@@ -11,12 +11,10 @@
 //! table. Each kernel walks the segments **in row order**, operating on the
 //! segment's slice of the table-wide selection bitmap and assembling results
 //! in global row coordinates, so every kernel on this type is bit-for-bit
-//! independent of the segment layout. (Quantile *sketches*, which live in the
-//! engine profile rather than here, are the one ε-approximate exception — see
-//! `atlas-stats::gk`.) A lone segment-local column is the one-part case
-//! ([`ColumnView::of_column`]), addressed in its own row coordinates: what a
-//! per-segment task computes there folds, in row order, into exactly what the
-//! table-wide view computes.
+//! independent of the segment layout. A lone segment-local column is the
+//! one-part case ([`ColumnView::of_column`]), addressed in its own row
+//! coordinates: what a per-segment task computes there folds, in row order,
+//! into exactly what the table-wide view computes.
 //!
 //! String columns are dictionary-encoded **per segment**: each kernel resolves
 //! its value set against each segment's dictionary (one lookup per dictionary

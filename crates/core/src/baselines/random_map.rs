@@ -325,7 +325,7 @@ mod tests {
     fn random_cut_is_a_usable_cut_strategy() {
         // RandomCut plugs into the pipeline traits like any other strategy.
         let t = table();
-        let profile = TableProfile::build(&t, Some(TableProfile::DEFAULT_SKETCH_EPSILON));
+        let profile = TableProfile::build(&t);
         let strategy = RandomCut::new(99);
         let cut_config = CutConfig::default();
         let ctx = PipelineContext {

@@ -216,7 +216,8 @@ impl ExploreOptions {
 
     /// Validate the options.
     pub fn validate(&self) -> Result<()> {
-        if self.growth_factor <= 1.0 {
+        // NaN compares false both ways: reject anything not above 1.
+        if self.growth_factor.is_nan() || self.growth_factor <= 1.0 {
             return Err(AtlasError::InvalidConfig(
                 "growth_factor must be greater than 1".to_string(),
             ));
@@ -305,11 +306,13 @@ mod tests {
             ExploreOptions::budgeted(Duration::from_millis(20)).budget,
             Some(Duration::from_millis(20))
         );
-        let bad_growth = ExploreOptions {
-            growth_factor: 1.0,
-            ..ExploreOptions::default()
-        };
-        assert!(bad_growth.validate().is_err());
+        for growth_factor in [1.0, f64::NAN] {
+            let bad_growth = ExploreOptions {
+                growth_factor,
+                ..ExploreOptions::default()
+            };
+            assert!(bad_growth.validate().is_err(), "{growth_factor}");
+        }
         let bad_sample = ExploreOptions {
             initial_sample: 0,
             ..ExploreOptions::default()

@@ -2,13 +2,14 @@
 //!
 //! `CUT_k(Q)` takes a query `Q` and splits the range covered by its `k`-th
 //! attribute into disjoint sub-ranges, producing a one-attribute map. The
-//! paper discusses several cutting strategies; all of them are implemented
-//! here and selected through [`CutConfig`]:
+//! paper discusses several cutting strategies; they are implemented here and
+//! selected through [`CutConfig`]:
 //!
 //! * ordinal attributes — equi-width binning, median / equi-depth splits,
-//!   1-D k-means (the "maximise intra-cluster homogeneity" option), exact
-//!   natural breaks, or a Greenwald–Khanna sketch-approximated median
-//!   (Section 5.1's one-pass optimisation);
+//!   1-D k-means (the "maximise intra-cluster homogeneity" option), or exact
+//!   natural breaks. Section 5.1 proposes approximating the median with a
+//!   one-pass quantile sketch; here every median is exact, read off counts or
+//!   selected in place, so no split depends on the segment layout;
 //! * categorical attributes — grouping values in frequency order, alphabetic
 //!   order, or first-appearance ("the order in which the user gives them")
 //!   order, balanced by cover.
@@ -38,8 +39,8 @@ use crate::pipeline::PipelineContext;
 use crate::region::Region;
 use atlas_columnar::{rank_categories_by_frequency, Bitmap, ColumnStats, DataType, Table};
 use atlas_query::{ConjunctiveQuery, Predicate};
+use atlas_stats::kmeans_1d;
 use atlas_stats::quantile::{quantiles_in_place, quantiles_of_counts};
-use atlas_stats::{kmeans_1d, GkSketch};
 use std::borrow::Cow;
 
 /// How to split an ordinal (numeric) attribute.
@@ -56,16 +57,6 @@ pub enum NumericCutStrategy {
     },
     /// Exact minimum-variance partition (Fisher–Jenks natural breaks).
     NaturalBreaks,
-    /// Approximate equal-population bins using a Greenwald–Khanna sketch
-    /// (one-pass, Section 5.1 of the paper). ε-approximate by design — and,
-    /// on segmented tables, the engine's sketch is a fold of per-segment
-    /// sketches, so split points may shift slightly with the segment layout
-    /// (within the same ε rank-error envelope); the exact strategies are
-    /// layout-independent bit for bit.
-    SketchMedian {
-        /// Sketch error bound (rank error as a fraction of the population).
-        epsilon: f64,
-    },
 }
 
 /// How to group the values of a categorical attribute.
@@ -117,13 +108,6 @@ impl CutConfig {
             return Err(AtlasError::InvalidConfig(
                 "num_splits must be at least 2".to_string(),
             ));
-        }
-        if let NumericCutStrategy::SketchMedian { epsilon } = self.numeric {
-            if !(epsilon > 0.0 && epsilon < 0.5) {
-                return Err(AtlasError::InvalidConfig(
-                    "sketch epsilon must be in (0, 0.5)".to_string(),
-                ));
-            }
         }
         Ok(())
     }
@@ -229,15 +213,15 @@ pub fn cut_attribute(
 ) -> Result<Option<DataMap>> {
     let stats = table.column_stats(attribute, working)?;
     let source = TableCutSource::new(table, working);
-    cut_from_source(&source, parent_query, attribute, config, &stats, None)
+    cut_from_source(&source, parent_query, attribute, config, &stats)
 }
 
 /// [`cut_attribute`] inside a prepared engine: statistics — value and
-/// category counts included — and, for sketch-based strategies, the quantile
-/// sketch itself come from the engine's [`crate::profile::TableProfile`]
-/// instead of being recomputed, so whole-table explorations never re-scan
-/// columns for metadata. Statistics the caller already holds in `stats` are
-/// read instead of the profile's; otherwise the ones read are left there
+/// category counts included — come from the engine's
+/// [`crate::profile::TableProfile`] instead of being recomputed, so
+/// whole-table explorations never re-scan columns for metadata. Statistics
+/// the caller already holds in `stats` are read instead of the profile's;
+/// otherwise the ones read are left there
 /// ([`crate::pipeline::CutStrategy::cut_with_stats`]).
 pub(crate) fn cut_attribute_in_context<'a>(
     ctx: &PipelineContext<'a>,
@@ -250,31 +234,19 @@ pub(crate) fn cut_attribute_in_context<'a>(
         Some(held) => held,
         None => stats.insert(ctx.profile.stats_for(ctx.table, attribute, working)?),
     };
-    let sketch = ctx.profile.sketch_for(attribute, working);
     let source = TableCutSource::new(ctx.table, working);
-    cut_from_source(
-        &source,
-        parent_query,
-        attribute,
-        ctx.cut_config,
-        stats,
-        sketch,
-    )
+    cut_from_source(&source, parent_query, attribute, ctx.cut_config, stats)
 }
 
 /// The body of the `CUT` primitive over an abstract [`CutSource`], with the
 /// per-column statistics supplied by the caller (fresh, from a profile, or
 /// folded from per-shard summaries).
-///
-/// `sketch` is an optional prebuilt quantile sketch of the working set's
-/// values (only consulted by the `SketchMedian` strategy).
 pub fn cut_from_source<S: CutSource>(
     source: &S,
     parent_query: &ConjunctiveQuery,
     attribute: &str,
     config: &CutConfig,
     stats: &ColumnStats,
-    sketch: Option<&GkSketch>,
 ) -> Result<Option<DataMap>> {
     config.validate()?;
     let dtype = source.data_type(attribute)?;
@@ -288,7 +260,7 @@ pub fn cut_from_source<S: CutSource>(
     let regions = match dtype {
         DataType::Int | DataType::Float => {
             let (min, max) = (stats.min.unwrap_or(0.0), stats.max.unwrap_or(0.0));
-            let splits = numeric_splits(source, attribute, config, stats, sketch)?;
+            let splits = numeric_splits(source, attribute, config, stats)?;
             if splits.is_empty() {
                 return Ok(None);
             }
@@ -317,23 +289,17 @@ pub fn cut_from_source<S: CutSource>(
 /// Compute the interior split points for a numeric attribute from the
 /// caller's statistics of the working set (whose `min`/`max` are the bounds
 /// [`numeric_regions`] closes the outer regions with).
-///
-/// `prebuilt_sketch` is a quantile sketch of the working set's values (from a
-/// [`crate::profile::TableProfile`]); when present, the `SketchMedian`
-/// strategy queries it instead of building a fresh sketch.
 fn numeric_splits<S: CutSource>(
     source: &S,
     attribute: &str,
     config: &CutConfig,
     stats: &ColumnStats,
-    prebuilt_sketch: Option<&GkSketch>,
 ) -> Result<Vec<f64>> {
     let k = config.num_splits;
     let (min, max) = (stats.min.unwrap_or(0.0), stats.max.unwrap_or(0.0));
     // Each strategy fetches the values only if it reads them: equi-width
-    // splits depend on min/max alone, counted statistics already hold the
-    // distribution the order statistics are read from, and a prebuilt sketch
-    // stands in for the values it summarises.
+    // splits depend on min/max alone, and counted statistics already hold the
+    // distribution the order statistics are read from.
     let values = || source.numeric_values(attribute);
     let splits: Vec<f64> = match config.numeric {
         NumericCutStrategy::EquiWidth => equi_width_splits(min, max, k),
@@ -344,8 +310,7 @@ fn numeric_splits<S: CutSource>(
                 // Too many distinct values to have been counted. The buffer
                 // is this call's own, so the k−1 order statistics are
                 // selected in place: no sort, no second copy of the working
-                // set. Only this arm may permute — GK insertion below depends
-                // on the values arriving in global row order.
+                // set.
                 None => quantiles_in_place(&mut values()?, &ps),
             }
             .unwrap_or_default()
@@ -356,25 +321,6 @@ fn numeric_splits<S: CutSource>(
         NumericCutStrategy::NaturalBreaks => atlas_stats::breaks::natural_breaks(&values()?, k)
             .map(|r| r.splits)
             .unwrap_or_default(),
-        NumericCutStrategy::SketchMedian { epsilon } => {
-            let fresh;
-            let sketch = match prebuilt_sketch {
-                Some(prebuilt) if prebuilt.epsilon() <= epsilon => prebuilt,
-                _ => {
-                    let mut s = GkSketch::new(epsilon);
-                    s.extend(&values()?);
-                    fresh = s;
-                    &fresh
-                }
-            };
-            let mut out = Vec::with_capacity(k - 1);
-            for i in 1..k {
-                if let Some(q) = sketch.query(i as f64 / k as f64) {
-                    out.push(q);
-                }
-            }
-            out
-        }
     };
     // Deduplicate and drop degenerate splits (outside the observed range).
     let mut cleaned: Vec<f64> = Vec::with_capacity(splits.len());
@@ -613,11 +559,6 @@ mod tests {
             ..CutConfig::default()
         };
         assert!(matches!(bad.validate(), Err(AtlasError::InvalidConfig(_))));
-        let bad_eps = CutConfig {
-            numeric: NumericCutStrategy::SketchMedian { epsilon: 0.9 },
-            ..CutConfig::default()
-        };
-        assert!(bad_eps.validate().is_err());
     }
 
     #[test]
@@ -648,7 +589,6 @@ mod tests {
             NumericCutStrategy::Median,
             NumericCutStrategy::KMeans { max_iterations: 30 },
             NumericCutStrategy::NaturalBreaks,
-            NumericCutStrategy::SketchMedian { epsilon: 0.01 },
         ];
         for strategy in strategies {
             let cfg = CutConfig {
@@ -957,38 +897,22 @@ mod tests {
     #[test]
     fn order_dependent_strategies_see_the_values_in_row_order() {
         // Split points and region sizes pinned from the commit before the
-        // median cut started selecting in place. A Greenwald–Khanna sketch
-        // depends on insertion order, so a permuted buffer leaking out of
-        // the `Median` arm would move them.
+        // median cut started selecting in place: every strategy that reads
+        // the values fetches its own copy, so no permutation the `Median`
+        // arm leaves in its buffer reaches another cut.
         let t = scrambled_table();
         let working = t.full_selection();
         let q = ConjunctiveQuery::all("scrambled");
-        let pinned: [(NumericCutStrategy, usize, &[f64], &[u64]); 2] = [
-            (
-                NumericCutStrategy::SketchMedian { epsilon: 0.05 },
-                4,
-                &[384.57142857142856, 683.1428571428571, 1023.8571428571429],
-                &[269, 208, 238, 285],
-            ),
-            (
-                NumericCutStrategy::KMeans { max_iterations: 30 },
-                3,
-                &[477.82579720077916, 954.399578210189],
-                &[334, 332, 334],
-            ),
-        ];
-        for (numeric, num_splits, splits, counts) in pinned {
-            let cfg = CutConfig {
-                numeric,
-                num_splits,
-                ..CutConfig::default()
-            };
-            let map = cut_attribute(&t, &working, &q, "measure", &cfg)
-                .unwrap()
-                .unwrap();
-            let (got_splits, got_counts) = splits_and_counts(&map, "measure");
-            assert_eq!(got_splits, splits, "{numeric:?}");
-            assert_eq!(got_counts, counts, "{numeric:?}");
-        }
+        let cfg = CutConfig {
+            numeric: NumericCutStrategy::KMeans { max_iterations: 30 },
+            num_splits: 3,
+            ..CutConfig::default()
+        };
+        let map = cut_attribute(&t, &working, &q, "measure", &cfg)
+            .unwrap()
+            .unwrap();
+        let (splits, counts) = splits_and_counts(&map, "measure");
+        assert_eq!(splits, [477.82579720077916, 954.399578210189]);
+        assert_eq!(counts, [334, 332, 334]);
     }
 }

@@ -1,7 +1,7 @@
 //! The end-to-end Atlas engine.
 //!
 //! [`Atlas::builder`] assembles a **prepared** engine: per-column statistics
-//! (quantile sketches, distinct counts, null counts) are computed once at
+//! (distinct counts, null counts, value counts) are computed once at
 //! build time and shared — behind `Arc`s — across every subsequent
 //! exploration, and each of the four pipeline steps of Section 3 is a
 //! pluggable trait object ([`crate::pipeline`]). The engine is `Send + Sync`,
@@ -16,7 +16,6 @@
 use crate::candidates::{cut_candidates, generate_candidates_in_context, CandidateSet};
 use crate::cluster::cluster_maps_with_pool;
 use crate::config::{AtlasConfig, ExploreOptions, MergeStrategy};
-use crate::cut::NumericCutStrategy;
 use crate::error::{AtlasError, Result};
 use crate::map::DataMap;
 use crate::pipeline::{
@@ -158,17 +157,7 @@ impl AtlasBuilder {
     pub fn build(self) -> Result<Atlas> {
         self.config.validate()?;
         let pool = Arc::new(ThreadPool::new(self.config.parallelism));
-        // Quantile sketches are only ever queried by sketch-based cut
-        // strategies; skip building them otherwise.
-        let sketch_epsilon = match self.config.cut.numeric {
-            NumericCutStrategy::SketchMedian { epsilon } => Some(epsilon),
-            _ => None,
-        };
-        let profile = Arc::new(TableProfile::build_with_pool(
-            &self.table,
-            sketch_epsilon,
-            &pool,
-        ));
+        let profile = Arc::new(TableProfile::build_with_pool(&self.table, &pool));
         let merge = self.merge.unwrap_or_else(|| match self.config.merge {
             MergeStrategy::Product => Arc::new(ProductMerge) as Arc<dyn MergePolicy>,
             MergeStrategy::Composition => Arc::new(CompositionMerge) as Arc<dyn MergePolicy>,
@@ -263,7 +252,7 @@ impl Atlas {
     /// The segment (which must match the table's schema) is appended to the
     /// segment list **without copying existing data**, and the engine
     /// re-prepares by profiling only the new rows and merging their summaries
-    /// and sketches into the existing profile
+    /// into the existing profile
     /// ([`TableProfile::merge_segment`]) — never by rebuilding from scratch.
     /// The resulting engine is bit-for-bit identical to
     /// `Atlas::builder(extended_table)` with the same configuration.
@@ -1108,6 +1097,15 @@ mod tests {
         assert!(atlas
             .explore_iter(&ConjunctiveQuery::all("survey"), bad)
             .is_err());
+        let nan = ExploreOptions {
+            budget: None,
+            growth_factor: f64::NAN,
+            ..ExploreOptions::default()
+        };
+        assert!(matches!(
+            atlas.explore_anytime(&ConjunctiveQuery::all("survey"), nan),
+            Err(AtlasError::InvalidConfig(_))
+        ));
         let empty = ConjunctiveQuery::all("survey").and(Predicate::range("age", 500.0, 600.0));
         assert!(matches!(
             atlas.explore_iter(&empty, ExploreOptions::default()),

@@ -171,7 +171,7 @@ pub trait Ranker: fmt::Debug + Send + Sync {
     fn rank(&self, maps: Vec<DataMap>) -> Vec<RankedMap>;
 }
 
-/// The paper's `CUT` primitive (Definition 1): median / k-means / sketch
+/// The paper's `CUT` primitive (Definition 1): median / equi-width / k-means
 /// splits for ordinal attributes, frequency-balanced grouping for categorical
 /// ones, driven by [`CutConfig`]. Statistics come from the caller when it
 /// holds them, else from the engine's [`TableProfile`], so whole-table
@@ -463,7 +463,7 @@ mod tests {
         strategy: &dyn CutStrategy,
         f: impl FnOnce(&PipelineContext<'_>) -> T,
     ) -> T {
-        let profile = TableProfile::build(table, None);
+        let profile = TableProfile::build(table);
         let cut_config = CutConfig::default();
         let ctx = PipelineContext {
             table,

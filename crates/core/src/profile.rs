@@ -21,12 +21,9 @@
 //! [`crate::engine::Atlas::append`]) only profiles the **new** rows and
 //! merges — no whole-table rebuild — and produces bit-for-bit the profile a
 //! from-scratch rebuild of the extended table would (both fold the summaries
-//! and the sketches left to right in row order).
-//!
-//! The profile also keeps a one-pass Greenwald–Khanna quantile sketch per
-//! numeric column (built per segment and merged with [`GkSketch::merge`]), so
-//! sketch-based cut strategies never re-scan columns for whole-table
-//! explorations.
+//! left to right in row order). The profile holds summaries only: every
+//! median is exact, read off the counted values or selected from the working
+//! set's own values, so no statistic it serves depends on the segment layout.
 //!
 //! Statistics served from the profile are counted as `hits`; working sets that
 //! are proper subsets of the table (drill-down queries, anytime samples,
@@ -39,8 +36,7 @@
 //! and benchmarks ([`TableProfile::counters`]).
 
 use crate::error::Result;
-use atlas_columnar::{Bitmap, ColumnStats, ColumnSummary, ColumnView, DataType, Segment, Table};
-use atlas_stats::GkSketch;
+use atlas_columnar::{Bitmap, ColumnStats, ColumnSummary, ColumnView, Segment, Table};
 use minirayon::ThreadPool;
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -55,9 +51,6 @@ pub struct ColumnProfile {
     /// enough values — what whole-table median and categorical cuts read
     /// instead of the column).
     pub stats: ColumnStats,
-    /// A quantile sketch of the column values (numeric columns only, and only
-    /// when the profile was built with a sketch epsilon).
-    pub sketch: Option<GkSketch>,
     /// The mergeable form of `stats` (the fold of the per-segment summaries),
     /// kept so [`TableProfile::merge_segment`] can extend the profile without
     /// rescanning existing segments. This retains the column's exact
@@ -87,79 +80,33 @@ pub struct ProfileStats {
 pub struct TableProfile {
     num_rows: usize,
     columns: Vec<ColumnProfile>,
-    sketch_epsilon: Option<f64>,
     hits: AtomicUsize,
     misses: AtomicUsize,
     derived: AtomicUsize,
 }
 
-/// The per-segment contribution of one column: its mergeable summary and —
-/// for numeric columns of sketching profiles — its quantile sketch.
-struct SegmentColumnProfile {
-    summary: ColumnSummary,
-    sketch: Option<GkSketch>,
-}
-
-/// Profile one column of one segment, through its one-part view (the
+/// Summarise one column of one segment, through its one-part view (the
 /// segment's own row coordinates).
-fn profile_segment_column(
-    column: ColumnView<'_>,
-    sketch_epsilon: Option<f64>,
-) -> SegmentColumnProfile {
-    let full = Bitmap::new_full(column.len());
-    let sketch = empty_sketch(column.data_type(), sketch_epsilon).map(|mut sketch| {
-        sketch.extend(&column.numeric_values_where(&full));
-        sketch
-    });
-    SegmentColumnProfile {
-        summary: column.summary(&full),
-        sketch,
-    }
-}
-
-/// The sketch a numeric column starts from — in a freshly-built profile,
-/// merging segment sketches into it in row order, and in each segment.
-fn empty_sketch(dtype: DataType, sketch_epsilon: Option<f64>) -> Option<GkSketch> {
-    match (dtype, sketch_epsilon) {
-        (DataType::Int | DataType::Float, Some(epsilon)) => Some(GkSketch::new(epsilon)),
-        _ => None,
-    }
+fn summarise_segment_column(column: ColumnView<'_>) -> ColumnSummary {
+    column.summary(&Bitmap::new_full(column.len()))
 }
 
 /// Extend one column's profile with one more segment's column.
-fn merge_column_segment(
-    profile: &ColumnProfile,
-    column: ColumnView<'_>,
-    sketch_epsilon: Option<f64>,
-) -> ColumnProfile {
-    let part = profile_segment_column(column, sketch_epsilon);
+fn merge_column_segment(profile: &ColumnProfile, column: ColumnView<'_>) -> ColumnProfile {
     let mut summary = profile.summary.clone();
-    summary.merge_from(&part.summary);
-    let mut sketch = profile.sketch.clone();
-    if let (Some(acc), Some(part)) = (&mut sketch, &part.sketch) {
-        acc.merge(part);
-    }
+    summary.merge_from(&summarise_segment_column(column));
     ColumnProfile {
         name: profile.name.clone(),
         stats: summary.to_stats(),
-        sketch,
         summary,
     }
 }
 
 impl TableProfile {
-    /// The sketch accuracy used when the cut configuration does not request a
-    /// specific epsilon.
-    pub const DEFAULT_SKETCH_EPSILON: f64 = 0.005;
-
     /// Profile every column of the table: one mergeable summary per segment
-    /// per column (plus — when `sketch_epsilon` is set — a per-segment
-    /// quantile sketch for numeric columns), folded in row order. Pass `None`
-    /// when no stage will query sketches (the engine builder does so
-    /// automatically unless the cut strategy is sketch-based), saving a full
-    /// value materialisation per numeric column.
-    pub fn build(table: &Table, sketch_epsilon: Option<f64>) -> Self {
-        TableProfile::build_with_pool(table, sketch_epsilon, ThreadPool::sequential())
+    /// per column, folded in row order.
+    pub fn build(table: &Table) -> Self {
+        TableProfile::build_with_pool(table, ThreadPool::sequential())
     }
 
     /// [`TableProfile::build`] with one task per **(segment, column)** pair
@@ -169,7 +116,7 @@ impl TableProfile {
     /// and folded in row order: the result is identical at every thread
     /// count — and identical to incrementally appending the same segments
     /// one by one.
-    pub fn build_with_pool(table: &Table, sketch_epsilon: Option<f64>, pool: &ThreadPool) -> Self {
+    pub fn build_with_pool(table: &Table, pool: &ThreadPool) -> Self {
         let fields = table.schema().fields();
         let num_columns = fields.len();
         let tasks: Vec<(usize, usize)> = (0..table.num_segments())
@@ -186,25 +133,19 @@ impl TableProfile {
             let name = &fields[col].name;
             task_span.attr("column", name);
             let column = table.segments()[seg].column(col);
-            profile_segment_column(ColumnView::of_column(name, column), sketch_epsilon)
+            summarise_segment_column(ColumnView::of_column(name, column))
         });
         let columns = fields
             .iter()
             .enumerate()
             .map(|(col, field)| {
                 let mut summary = ColumnSummary::empty(field.dtype);
-                let mut sketch = empty_sketch(field.dtype, sketch_epsilon);
                 for seg in 0..table.num_segments() {
-                    let partial = &partials[seg * num_columns + col];
-                    summary.merge_from(&partial.summary);
-                    if let (Some(acc), Some(part)) = (&mut sketch, &partial.sketch) {
-                        acc.merge(part);
-                    }
+                    summary.merge_from(&partials[seg * num_columns + col]);
                 }
                 ColumnProfile {
                     name: field.name.clone(),
                     stats: summary.to_stats(),
-                    sketch,
                     summary,
                 }
             })
@@ -212,7 +153,6 @@ impl TableProfile {
         TableProfile {
             num_rows: table.num_rows(),
             columns,
-            sketch_epsilon,
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
             derived: AtomicUsize::new(0),
@@ -229,7 +169,6 @@ impl TableProfile {
         TableProfile {
             num_rows,
             columns: Vec::new(),
-            sketch_epsilon: None,
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
             derived: AtomicUsize::new(0),
@@ -237,7 +176,7 @@ impl TableProfile {
     }
 
     /// The profile of the table extended by `segment`: only the **new** rows
-    /// are profiled (summaries and sketch of the segment), then
+    /// are summarised, then
     /// merged column by column into the existing fold — the incremental
     /// re-preparation behind [`crate::engine::Atlas::append`]. Because the
     /// fold is left-associative in row order, the result is bit-for-bit the
@@ -256,13 +195,12 @@ impl TableProfile {
             .enumerate()
             .map(|(col, profile)| {
                 let column = ColumnView::of_column(&profile.name, segment.column(col));
-                merge_column_segment(profile, column, self.sketch_epsilon)
+                merge_column_segment(profile, column)
             })
             .collect();
         TableProfile {
             num_rows: self.num_rows + segment.num_rows(),
             columns,
-            sketch_epsilon: self.sketch_epsilon,
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
             derived: AtomicUsize::new(0),
@@ -308,16 +246,6 @@ impl TableProfile {
         self.misses.fetch_add(1, Ordering::Relaxed);
         observe_cache("miss", attribute);
         Ok(Cow::Owned(table.column_stats(attribute, working)?))
-    }
-
-    /// The pre-built quantile sketch of `attribute`, usable only when the
-    /// working set covers the whole table (a sketch of the full column says
-    /// nothing about an arbitrary subset).
-    pub fn sketch_for(&self, attribute: &str, working: &Bitmap) -> Option<&GkSketch> {
-        if !self.covers(working) {
-            return None;
-        }
-        self.column(attribute)?.sketch.as_ref()
     }
 
     /// Count one region's statistics of `attribute` as derived rather than
@@ -384,7 +312,7 @@ mod tests {
     #[test]
     fn profile_matches_on_demand_statistics() {
         let t = table();
-        let profile = TableProfile::build(&t, Some(TableProfile::DEFAULT_SKETCH_EPSILON));
+        let profile = TableProfile::build(&t);
         assert_eq!(profile.num_rows(), 100);
         assert_eq!(profile.columns().len(), 3);
         for name in ["x", "n", "c"] {
@@ -395,22 +323,15 @@ mod tests {
         // Column n has 25 NULLs.
         assert_eq!(profile.column("n").unwrap().stats.non_null_count, 75);
         assert_eq!(profile.column("x").unwrap().stats.non_null_count, 100);
-        // Sketches exist for numeric columns only.
-        assert!(profile.column("x").unwrap().sketch.is_some());
-        assert!(profile.column("c").unwrap().sketch.is_none());
-        // The sketch median is close to the true median (rank error εn plus
-        // the sketch's own value quantization).
-        let sketch = profile.column("x").unwrap().sketch.as_ref().unwrap();
-        assert!((sketch.median().unwrap() - 49.5).abs() <= 2.5);
     }
 
     #[test]
     fn segmented_profiles_match_single_segment_ones_on_everything_exact() {
-        let reference = TableProfile::build(&table(), None);
+        let reference = TableProfile::build(&table());
         for segment_rows in [7usize, 32, 64] {
             let t = table_with_segment_rows(segment_rows);
             assert!(t.num_segments() > 1);
-            let profile = TableProfile::build(&t, None);
+            let profile = TableProfile::build(&t);
             for (a, b) in profile.columns().iter().zip(reference.columns()) {
                 assert_eq!(a.name, b.name);
                 // Everything explore consumes is segmentation-invariant.
@@ -433,17 +354,12 @@ mod tests {
         assert_eq!(t.num_segments(), 4);
         let prefix =
             Table::from_segments("t", t.schema().clone(), t.segments()[..3].to_vec()).unwrap();
-        let appended = TableProfile::build(&prefix, Some(0.01)).merge_segment(&t.segments()[3]);
-        let rebuilt = TableProfile::build(&t, Some(0.01));
+        let appended = TableProfile::build(&prefix).merge_segment(&t.segments()[3]);
+        let rebuilt = TableProfile::build(&t);
         assert_eq!(appended.num_rows(), rebuilt.num_rows());
         for (a, b) in appended.columns().iter().zip(rebuilt.columns()) {
             assert_eq!(a.name, b.name);
             assert_eq!(a.stats, b.stats, "appended profile must equal rebuild");
-            assert_eq!(a.sketch.is_some(), b.sketch.is_some());
-            if let (Some(sa), Some(sb)) = (&a.sketch, &b.sketch) {
-                assert_eq!(sa.count(), sb.count());
-                assert_eq!(sa.median(), sb.median());
-            }
         }
         // Counters restart on the merged profile.
         assert_eq!(appended.counters(), ProfileStats::default());
@@ -456,7 +372,7 @@ mod tests {
     #[test]
     fn full_table_requests_hit_and_subsets_miss() {
         let t = table();
-        let profile = TableProfile::build(&t, Some(TableProfile::DEFAULT_SKETCH_EPSILON));
+        let profile = TableProfile::build(&t);
         assert_eq!(profile.counters(), ProfileStats::default());
 
         let full = t.full_selection();
@@ -470,11 +386,6 @@ mod tests {
         assert_eq!(profile.counters().hits, 1);
         assert_eq!(profile.counters().misses, 1);
         assert_eq!(fresh.non_null_count, 50);
-
-        // Sketches are only served for full-table working sets.
-        assert!(profile.sketch_for("x", &full).is_some());
-        assert!(profile.sketch_for("x", &subset).is_none());
-        assert!(profile.sketch_for("c", &full).is_none());
     }
 
     #[test]
@@ -492,33 +403,27 @@ mod tests {
                 derived: 0
             }
         );
-        assert!(profile.sketch_for("x", &full).is_none());
     }
 
     #[test]
     fn pooled_profile_build_matches_the_sequential_one() {
         // Multi-segment table so the pool actually has independent tasks.
         let t = table_with_segment_rows(16);
-        let sequential = TableProfile::build(&t, Some(TableProfile::DEFAULT_SKETCH_EPSILON));
+        let sequential = TableProfile::build(&t);
         let pool = ThreadPool::new(4);
-        let pooled =
-            TableProfile::build_with_pool(&t, Some(TableProfile::DEFAULT_SKETCH_EPSILON), &pool);
+        let pooled = TableProfile::build_with_pool(&t, &pool);
         assert_eq!(pooled.num_rows(), sequential.num_rows());
         assert_eq!(pooled.columns().len(), sequential.columns().len());
         for (a, b) in pooled.columns().iter().zip(sequential.columns()) {
             assert_eq!(a.name, b.name, "schema order is preserved");
             assert_eq!(a.stats, b.stats);
-            assert_eq!(a.sketch.is_some(), b.sketch.is_some());
-            if let (Some(sa), Some(sb)) = (&a.sketch, &b.sketch) {
-                assert_eq!(sa.median(), sb.median());
-            }
         }
     }
 
     #[test]
     fn cached_category_rankings_match_on_demand_ones() {
         let t = table_with_segment_rows(32);
-        let profile = TableProfile::build(&t, None);
+        let profile = TableProfile::build(&t);
         let full = t.full_selection();
         let c = t.column("c").unwrap();
         // The profiled statistics carry the view's mergeable counts — zeros
@@ -566,7 +471,7 @@ mod tests {
     #[test]
     fn unknown_columns_are_an_error() {
         let t = table();
-        let profile = TableProfile::build(&t, Some(TableProfile::DEFAULT_SKETCH_EPSILON));
+        let profile = TableProfile::build(&t);
         assert!(profile.stats_for(&t, "zzz", &t.full_selection()).is_err());
     }
 }

@@ -9,8 +9,7 @@
 //!    per-segment bitmaps are OR-folded at their global offsets;
 //! 2. **candidates** — per-column statistics come back as mergeable
 //!    [`atlas_columnar::ColumnSummary`] parts folded in ascending segment
-//!    order (plus merged Greenwald–Khanna sketches for sketch-based cut
-//!    strategies), and the single shared `CUT` body
+//!    order, and the single shared `CUT` body
 //!    ([`atlas_core::cut_from_source`]) runs locally over a
 //!    [`atlas_core::CutSource`] whose kernels scatter to the shards. The
 //!    folded summaries hold the value counts a median cut reads and the
@@ -66,18 +65,17 @@ use crate::resilience::{
     RetryPolicy,
 };
 use crate::wire::frames::{
-    bitmap_from_json, dtype_from_name, get_index, get_items, get_str, hex_f64, hex_f64s,
-    parse_hex_f64s, sketch_from_json, summary_from_json,
+    bitmap_from_json, dtype_from_name, get_index, get_items, get_str, hex_f64s, parse_hex_f64s,
+    summary_from_json,
 };
 use crate::wire::Json;
 use atlas_columnar::{merge_category_counts, Bitmap, ColumnStats, ColumnSummary, DataType};
 use atlas_core::{
     cluster_maps_with_pool, cut_from_source, distance_matrix_with_pool, enforce_region_cap_within,
     product_maps, rank_maps, AtlasConfig, AtlasError, CutSource, MapResult, MergeStrategy,
-    NumericCutStrategy, PhaseTimings, ThreadPool,
+    PhaseTimings, ThreadPool,
 };
 use atlas_query::{to_sql, ConjunctiveQuery};
-use atlas_stats::GkSketch;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeSet, HashMap};
@@ -1022,50 +1020,6 @@ impl Coordinator {
         Ok(folded)
     }
 
-    /// Scatter whole-segment quantile sketches of the numeric attributes and
-    /// merge them in ascending segment order — the table-profile fold.
-    fn fetch_sketches(
-        &self,
-        ctx: &ExploreCtx,
-        attributes: &[&str],
-        epsilon: f64,
-    ) -> Result<HashMap<String, GkSketch>, AtlasError> {
-        if attributes.is_empty() {
-            return Ok(HashMap::new());
-        }
-        let partials = self.scatter(ctx, "/shard/sketches", |segments| {
-            Json::object(vec![
-                ("dataset", Json::from(self.dataset.as_str())),
-                ("epsilon", Json::from(hex_f64(epsilon))),
-                (
-                    "attributes",
-                    Json::array(attributes.iter().map(|&a| Json::from(a)).collect()),
-                ),
-                (
-                    "segments",
-                    Json::array(segments.iter().map(|&s| Json::from(s)).collect()),
-                ),
-            ])
-        })?;
-        let mut folded: Vec<GkSketch> = attributes.iter().map(|_| GkSketch::new(epsilon)).collect();
-        for partial in &partials {
-            let sketches = get_items(partial, "sketches").map_err(dist_err)?;
-            if sketches.len() != attributes.len() {
-                return Err(dist_err(
-                    "sketches partial does not match the attribute list",
-                ));
-            }
-            for (acc, sketch) in folded.iter_mut().zip(sketches) {
-                acc.merge(&sketch_from_json(sketch).map_err(dist_err)?);
-            }
-        }
-        Ok(attributes
-            .iter()
-            .map(|&a| a.to_string())
-            .zip(folded)
-            .collect())
-    }
-
     /// The live segment list (ascending global indices) once `dead` shards
     /// are dropped.
     fn live_segments(&self, dead: &BTreeSet<usize>) -> Vec<usize> {
@@ -1259,31 +1213,12 @@ impl Coordinator {
         self.check_deadline(ctx, "candidates")?;
 
         // Candidate generation: folded stats + the shared CUT body over the
-        // scattering source. "Covering" compares against the *live* rows —
-        // the degraded table is the surviving segments.
+        // scattering source.
         let candidates_span = atlas_obs::span("phase.candidates");
-        let covering = working_count == ctx.live_rows;
         let summaries = self.fetch_summaries(ctx, &sql)?;
         let names: Vec<String> = match &self.config.attributes {
             Some(list) => list.clone(),
             None => self.fields.iter().map(|(name, _)| name.clone()).collect(),
-        };
-        // Prebuilt whole-table sketches are only consulted for covering
-        // working sets (the table-profile path of the local engine).
-        let sketches = match self.config.cut.numeric {
-            NumericCutStrategy::SketchMedian { epsilon } if covering => {
-                let numeric: Vec<&str> = names
-                    .iter()
-                    .filter(|name| {
-                        self.fields.iter().any(|(n, dtype)| {
-                            n == *name && matches!(dtype, DataType::Int | DataType::Float)
-                        })
-                    })
-                    .map(String::as_str)
-                    .collect();
-                self.fetch_sketches(ctx, &numeric, epsilon)?
-            }
-            _ => HashMap::new(),
         };
         let source = RemoteSource {
             coordinator: self,
@@ -1294,8 +1229,7 @@ impl Coordinator {
         let mut skipped = Vec::new();
         for name in &names {
             let stats = self.stats_of(&summaries, name)?;
-            let sketch = sketches.get(name.as_str());
-            match cut_from_source(&source, &query, name, &self.config.cut, &stats, sketch)? {
+            match cut_from_source(&source, &query, name, &self.config.cut, &stats)? {
                 Some(map) => maps.push(map),
                 None => skipped.push(name.clone()),
             }

@@ -56,8 +56,6 @@ pub enum Endpoint {
     ShardWorking,
     /// `POST /shard/summaries`
     ShardSummaries,
-    /// `POST /shard/sketches`
-    ShardSketches,
     /// `POST /shard/values`
     ShardValues,
     /// `POST /shard/categories`
@@ -79,7 +77,7 @@ pub enum Endpoint {
 /// Every endpoint with the label it reports under, in declaration order: an
 /// endpoint's position here is its discriminant, which is what lets
 /// [`Endpoint::slot`] index any table of this length (a test pins it).
-const ENDPOINTS: [(Endpoint, &str); 22] = [
+const ENDPOINTS: [(Endpoint, &str); 21] = [
     (Endpoint::CreateSession, "create_session"),
     (Endpoint::Explore, "explore"),
     (Endpoint::Drill, "drill"),
@@ -93,7 +91,6 @@ const ENDPOINTS: [(Endpoint, &str); 22] = [
     (Endpoint::ShardMeta, "shard_meta"),
     (Endpoint::ShardWorking, "shard_working"),
     (Endpoint::ShardSummaries, "shard_summaries"),
-    (Endpoint::ShardSketches, "shard_sketches"),
     (Endpoint::ShardValues, "shard_values"),
     (Endpoint::ShardCategories, "shard_categories"),
     (Endpoint::ShardSelect, "shard_select"),

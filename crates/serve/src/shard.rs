@@ -5,9 +5,9 @@
 //! the `POST /shard/*` endpoints. The coordinator assigns each shard a set of
 //! **global segment indices** and pushes the row-touching work of an explore
 //! down to them: working-set evaluation, per-column summaries (value and
-//! category counts included), quantile sketches, region partitioning, and —
-//! for the columns with more values than a summary counts — numeric value
-//! runs and category counts.
+//! category counts included), region partitioning, and — for the columns
+//! with more values than a summary counts — numeric value runs and category
+//! counts.
 //! (Map distances are *not* pushed down: the coordinator already holds every
 //! candidate region as a folded bitmap and counts contingency tables itself.)
 //! Every answer is **per segment**, so the coordinator can fold partials in
@@ -41,11 +41,10 @@
 //! simply evaluate as often as they did before it existed — correctly, since
 //! an entry is only ever returned for the text it was evaluated from.
 //!
-//! `POST /shard/inject` is a fault-injection hook for tests. The legacy form
-//! `{"delay_ms": N, "times": M}` delays the next M shard answers; the plan
-//! form `{"plan": [{"fault": …}, …]}` arms a deterministic fault plan where
-//! each subsequent shard request (the inject endpoint excepted) consumes the
-//! next entry: `delay`, `refuse` (hang up unanswered), `error` (a synthetic
+//! `POST /shard/inject` is a fault-injection hook for tests. Its one form,
+//! `{"plan": [{"fault": …}, …]}`, arms a deterministic fault plan where each
+//! subsequent shard request (the inject endpoint excepted) consumes the next
+//! entry: `delay`, `refuse` (hang up unanswered), `error` (a synthetic
 //! non-200), `truncate` (a prefix of the real answer), `garbage` (bytes that
 //! are not HTTP), `kill` (hang up on everything until the next inject), or
 //! `none` (answer normally). This is how the chaos suite drives every
@@ -56,14 +55,12 @@ use crate::http::{self, Request, Response};
 use crate::metrics::Endpoint;
 use crate::registry::{Dataset, Registry};
 use crate::wire::frames::{
-    bitmap_to_json, get_items, get_str, hex_f64s, parse_hex_f64, parse_hex_f64s, sketch_to_json,
-    summary_to_json,
+    bitmap_to_json, get_items, get_str, hex_f64s, parse_hex_f64s, summary_to_json,
 };
 use crate::wire::{self, Json};
-use atlas_columnar::{Bitmap, DataType, SummaryParts, Table};
+use atlas_columnar::{Bitmap, SummaryParts, Table};
 use atlas_core::AtlasError;
 use atlas_query::parse_query;
-use atlas_stats::GkSketch;
 use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -179,9 +176,6 @@ impl SegmentView {
 
 #[derive(Default)]
 struct InjectState {
-    /// Legacy knob: delay the next `times` answers by `delay_ms`.
-    delay_ms: u64,
-    times: u64,
     /// Armed fault plan; each request pops the front entry.
     plan: VecDeque<Fault>,
     /// Kill switch — a consumed [`Fault::Kill`] sets it; only the next
@@ -199,8 +193,8 @@ enum Preamble {
 }
 
 impl ShardState {
-    /// Consume one fault-plan entry (or the legacy delay) for a shard
-    /// request. Called once per request before any real work.
+    /// Consume one fault-plan entry for a shard request. Called once per
+    /// request before any real work.
     fn consume_fault(&self) -> Preamble {
         let decision = {
             let mut inject = match self.inject.lock() {
@@ -210,18 +204,7 @@ impl ShardState {
             if inject.dead {
                 return Preamble::Preempt(Reply::Hangup);
             }
-            match inject.plan.pop_front() {
-                Some(fault) => fault,
-                None => {
-                    // Legacy path: each armed "time" delays one answer.
-                    if inject.times > 0 {
-                        inject.times -= 1;
-                        Fault::Delay(inject.delay_ms)
-                    } else {
-                        Fault::None
-                    }
-                }
-            }
+            inject.plan.pop_front().unwrap_or(Fault::None)
         };
         match decision {
             Fault::None => Preamble::Proceed,
@@ -307,7 +290,6 @@ pub(crate) fn endpoint_of(action: &str) -> Option<Endpoint> {
         "meta" => Endpoint::ShardMeta,
         "working" => Endpoint::ShardWorking,
         "summaries" => Endpoint::ShardSummaries,
-        "sketches" => Endpoint::ShardSketches,
         "values" => Endpoint::ShardValues,
         "categories" => Endpoint::ShardCategories,
         "select" => Endpoint::ShardSelect,
@@ -425,7 +407,6 @@ fn answer(
     let run = match endpoint {
         Endpoint::ShardWorking => on_working_sets(|sets, _| Ok(working(sets))),
         Endpoint::ShardSummaries => on_working_sets(|sets, _| Ok(summaries(sets))),
-        Endpoint::ShardSketches => sketches(&views, body),
         Endpoint::ShardValues => on_working_sets(values),
         Endpoint::ShardCategories => on_working_sets(categories),
         Endpoint::ShardSelect => on_working_sets(select),
@@ -471,49 +452,32 @@ fn resolve_dataset<'a>(registry: &'a Registry, body: &Json) -> Result<&'a Datase
     }
 }
 
-/// Arm the fault machinery. Any inject call — either form — revives a
-/// killed shard and replaces whatever was armed before.
+/// Arm the fault machinery. Every inject call revives a killed shard and
+/// replaces whatever was armed before.
 fn inject(state: &ShardState, body: &Json) -> Response {
-    if let Some(items) = body.get("plan").and_then(Json::items) {
-        let mut plan = VecDeque::with_capacity(items.len());
-        for entry in items {
-            match parse_fault(entry) {
-                Ok(fault) => plan.push_back(fault),
-                Err(message) => return Response::error(400, message),
-            }
+    let items = match get_items(body, "plan") {
+        Ok(items) => items,
+        Err(message) => return Response::error(400, message),
+    };
+    let mut plan = VecDeque::with_capacity(items.len());
+    for entry in items {
+        match parse_fault(entry) {
+            Ok(fault) => plan.push_back(fault),
+            Err(message) => return Response::error(400, message),
         }
-        let armed = plan.len();
-        let mut inject = match state.inject.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        inject.dead = false;
-        inject.delay_ms = 0;
-        inject.times = 0;
-        inject.plan = plan;
-        return Response::json(
-            200,
-            &Json::object(vec![
-                ("armed", Json::from(armed)),
-                ("dead", Json::from(false)),
-            ]),
-        );
     }
-    let delay_ms = body.get("delay_ms").and_then(Json::index).unwrap_or(0) as u64;
-    let times = body.get("times").and_then(Json::index).unwrap_or(0) as u64;
+    let armed = plan.len();
     let mut inject = match state.inject.lock() {
         Ok(guard) => guard,
         Err(poisoned) => poisoned.into_inner(),
     };
     inject.dead = false;
-    inject.plan.clear();
-    inject.delay_ms = delay_ms;
-    inject.times = times;
+    inject.plan = plan;
     Response::json(
         200,
         &Json::object(vec![
-            ("delay_ms", Json::from(delay_ms)),
-            ("times", Json::from(times)),
+            ("armed", Json::from(armed)),
+            ("dead", Json::from(false)),
         ]),
     )
 }
@@ -717,46 +681,6 @@ fn summaries(sets: &[SegmentWorking]) -> Json {
         ])
     });
     partials_reply(partials.collect())
-}
-
-fn sketches(views: &[SegmentView], body: &Json) -> Result<Json, Fail> {
-    let epsilon = parse_hex_f64(get_str(body, "epsilon")?)?;
-    if !(epsilon > 0.0 && epsilon < 0.5) {
-        return Err(Fail::Frame(format!(
-            "sketch epsilon must be a finite value in (0, 0.5), got {epsilon}"
-        )));
-    }
-    let attributes: Vec<&str> = get_items(body, "attributes")?
-        .iter()
-        .map(|a| a.str().ok_or_else(|| "non-string attribute".to_string()))
-        .collect::<Result<_, _>>()?;
-    let segments = segment_list(views, body)?;
-    let mut partials = Vec::with_capacity(segments.len());
-    for (seg, view) in segments {
-        let table = &view.table;
-        // Profile sketches cover the **whole** segment (they are only ever
-        // consulted for working sets that cover the table).
-        let full = Bitmap::new_full(table.num_rows());
-        let sketches = attributes
-            .iter()
-            .map(|attribute| {
-                let view = table.column(attribute).map_err(AtlasError::from)?;
-                if !matches!(view.data_type(), DataType::Int | DataType::Float) {
-                    return Err(Fail::Frame(format!(
-                        "attribute '{attribute}' is not numeric"
-                    )));
-                }
-                let mut sketch = GkSketch::new(epsilon);
-                sketch.extend(&view.numeric_values_where(&full));
-                Ok(sketch_to_json(&sketch))
-            })
-            .collect::<Result<Vec<_>, Fail>>()?;
-        partials.push(Json::object(vec![
-            ("segment", Json::from(seg)),
-            ("sketches", Json::array(sketches)),
-        ]));
-    }
-    Ok(partials_reply(partials))
 }
 
 fn values(sets: &[SegmentWorking], body: &Json) -> Result<Json, Fail> {

@@ -4,12 +4,11 @@
 //! counts rides the codecs here. The design constraint is **bit-exactness**:
 //! a distributed explore must produce the same ranked maps — score bits,
 //! region SQL, tuple counts — as the in-process engine, so every
-//! floating-point value that participates in a fold (summary extremes,
-//! sketch entries, split bounds) travels as its IEEE-754 **bit pattern** in
-//! fixed-width hex, never as a decimal rendering. Bulk payloads (bitmap
-//! words, numeric value runs, sketch entries) are single concatenated hex
-//! strings: dense, allocation-friendly, and immune to JSON number precision
-//! limits (`u64` words above 2⁵³ survive).
+//! floating-point value that participates in a fold (summary extremes, split
+//! bounds) travels as its IEEE-754 **bit pattern** in fixed-width hex, never
+//! as a decimal rendering. Bulk payloads (bitmap words, numeric value runs)
+//! are single concatenated hex strings: dense, allocation-friendly, and
+//! immune to JSON number precision limits (`u64` words above 2⁵³ survive).
 //!
 //! Column summaries are the one frame whose exactness is integral rather
 //! than floating-point: row counts, the distinct values (numbers as 64-bit
@@ -42,13 +41,12 @@
 //! Decoding is defensive — these frames cross sockets. Every accessor
 //! returns `Result<_, String>` with a field-naming message; truncated hex
 //! runs, wrong-width chunks, unknown type names, and non-finite values in
-//! fields that must be finite (a sketch ε, a region bound) are rejected, not
+//! fields that must be finite (a region bound) are rejected, not
 //! propagated.
 
 use crate::wire::json::lanes;
 use crate::wire::Json;
 use atlas_columnar::{Bitmap, DataType, DistinctValues, SummaryParts};
-use atlas_stats::GkSketch;
 use std::collections::HashSet;
 
 /// The eight lower-case hex digits of `half`, most significant first.
@@ -105,24 +103,6 @@ fn hex_words(words: impl ExactSizeIterator<Item = u64>) -> String {
     }
     // Every byte is an ASCII hex digit, so the conversion cannot fail.
     String::from_utf8(out).unwrap_or_default()
-}
-
-/// Encode an `f64` as its 16-hex-digit IEEE-754 bit pattern.
-pub fn hex_f64(x: f64) -> String {
-    hex_words(std::iter::once(x.to_bits()))
-}
-
-/// Decode a 16-hex-digit bit pattern back into the exact `f64`.
-pub fn parse_hex_f64(text: &str) -> Result<f64, String> {
-    match text.as_bytes().as_chunks::<8>() {
-        ([high, low], []) => parse_hex_word(*high, *low)
-            .map(f64::from_bits)
-            .ok_or_else(|| "invalid hex in f64 bit pattern".to_string()),
-        _ => Err(format!(
-            "expected 16 hex digits for an f64 bit pattern, got {}",
-            text.len()
-        )),
-    }
 }
 
 /// Encode a slice of `u64`s as one concatenated hex run (16 digits each).
@@ -377,51 +357,6 @@ pub fn summary_from_json(value: &Json) -> Result<SummaryParts, String> {
     })
 }
 
-/// Encode a quantile sketch: ε as a bit pattern, counters as plain numbers,
-/// entries as one hex run of 48-digit `(value bits, g, delta)` triples.
-pub fn sketch_to_json(sketch: &GkSketch) -> Json {
-    let (epsilon, count, since_compress, entries) = sketch.to_parts();
-    let words: Vec<u64> = entries
-        .iter()
-        .flat_map(|&(value, g, delta)| [value.to_bits(), g, delta])
-        .collect();
-    Json::object(vec![
-        ("epsilon", Json::from(hex_f64(epsilon))),
-        ("count", Json::from(count)),
-        ("since_compress", Json::from(since_compress)),
-        ("entries", Json::from(hex_u64s(&words))),
-    ])
-}
-
-/// Decode a quantile sketch produced by [`sketch_to_json`]. A non-finite or
-/// out-of-range ε is rejected here: it would silently change every later
-/// compression decision.
-pub fn sketch_from_json(value: &Json) -> Result<GkSketch, String> {
-    let epsilon = parse_hex_f64(get_str(value, "epsilon")?)?;
-    if !(epsilon > 0.0 && epsilon < 0.5 && epsilon.is_finite()) {
-        return Err(format!(
-            "sketch epsilon must be a finite value in (0, 0.5), got {epsilon}"
-        ));
-    }
-    let count = get_index(value, "count")? as u64;
-    let since_compress = get_index(value, "since_compress")? as u64;
-    let words = parse_hex_u64s(get_str(value, "entries")?)?;
-    let (triples, rest) = words.as_chunks::<3>();
-    if !rest.is_empty() {
-        return Err("sketch entry run is not a multiple of 48 hex digits".to_string());
-    }
-    let entries = triples
-        .iter()
-        .map(|&[value, g, delta]| (f64::from_bits(value), g, delta))
-        .collect();
-    Ok(GkSketch::from_parts(
-        epsilon,
-        count,
-        since_compress,
-        entries,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -601,7 +536,7 @@ mod tests {
                 prop_assert!(parse_hex_u64s(&text).unwrap_err().contains("non-hex"));
                 prop_assert!(per_byte_parse_hex_u64s(text.as_bytes()).is_none());
                 if at + width <= 16 {
-                    prop_assert!(parse_hex_f64(&text[..16]).is_err());
+                    prop_assert!(parse_hex_f64s(&text[..16]).is_err());
                 }
             }
         }
@@ -612,11 +547,11 @@ mod tests {
         let word = "0123456789abcdef";
         // `from_str_radix` alone would take a leading '+'; the run must not.
         assert!(parse_hex_u64s("+123456789abcdef").is_err());
-        assert!(parse_hex_f64("+123456789abcdef").is_err());
+        assert!(parse_hex_f64s("+123456789abcdef").is_err());
         assert!(parse_hex_u64s("0123456789abcdeg").is_err());
         // A non-ASCII scalar that keeps the byte length at 16.
         assert!(parse_hex_u64s("0123456789abcd\u{e9}").is_err());
-        assert!(parse_hex_f64("0123456789abcd\u{e9}").is_err());
+        assert!(parse_hex_f64s("0123456789abcd\u{e9}").is_err());
         // Lengths 15 and 17 name the truncation.
         for bad in [&word[..15], "0123456789abcdef0"] {
             let err = parse_hex_u64s(bad).unwrap_err();
@@ -647,15 +582,16 @@ mod tests {
             f64::NEG_INFINITY,
             0.1 + 0.2,
         ] {
-            let back = parse_hex_f64(&hex_f64(x)).unwrap();
-            assert_eq!(back.to_bits(), x.to_bits());
+            let back = parse_hex_f64s(&hex_f64s(&[x])).unwrap();
+            assert_eq!(back.len(), 1);
+            assert_eq!(back[0].to_bits(), x.to_bits());
         }
     }
 
     #[test]
     fn truncated_and_corrupt_hex_runs_are_rejected() {
-        assert!(parse_hex_f64("abc").is_err());
-        assert!(parse_hex_f64("zzzzzzzzzzzzzzzz").is_err());
+        assert!(parse_hex_f64s("abc").is_err());
+        assert!(parse_hex_f64s("zzzzzzzzzzzzzzzz").is_err());
         assert!(parse_hex_u64s("0123456789abcdef0").is_err()); // 17 digits
         assert!(parse_hex_u64s("0123456789abcdeg").is_err()); // non-hex
         assert!(parse_hex_f64s("00").is_err());
@@ -1020,33 +956,6 @@ mod tests {
     }
 
     #[test]
-    fn sketches_round_trip_and_reject_bad_epsilon() {
-        let mut sketch = GkSketch::new(0.01);
-        sketch.extend(&(0..500).map(f64::from).collect::<Vec<_>>());
-        let encoded = sketch_to_json(&sketch).encode();
-        let back = sketch_from_json(&wire::parse(&encoded).unwrap()).unwrap();
-        assert_eq!(back.to_parts(), sketch.to_parts());
-        assert_eq!(back.query(0.5), sketch.query(0.5));
-
-        for bad_eps in [f64::NAN, f64::INFINITY, 0.0, -0.1, 0.5] {
-            let mut frame = sketch_to_json(&sketch);
-            if let Json::Obj(members) = &mut frame {
-                members[0].1 = Json::from(hex_f64(bad_eps));
-            }
-            assert!(
-                sketch_from_json(&frame).is_err(),
-                "epsilon {bad_eps} must be rejected"
-            );
-        }
-        // A truncated entry run (not a multiple of 3 words) is rejected.
-        let mut frame = sketch_to_json(&sketch);
-        if let Json::Obj(members) = &mut frame {
-            members[3].1 = Json::from(hex_u64s(&[1, 2]));
-        }
-        assert!(sketch_from_json(&frame).is_err());
-    }
-
-    #[test]
     fn deeply_nested_frame_bodies_hit_the_json_depth_limit() {
         let deep = "{\"a\":".repeat(200) + "1" + &"}".repeat(200);
         let err = wire::parse(&deep).unwrap_err();
@@ -1090,12 +999,6 @@ mod tests {
                 assert_eq!(summary_from_json(&summary_to_json(&parts)), Ok(parts));
                 accepted += 1;
             }
-            if let Ok(sketch) = sketch_from_json(value) {
-                let frame = sketch_to_json(&sketch).encode();
-                let back = sketch_from_json(&wire::parse(&frame).unwrap()).unwrap();
-                assert_eq!(sketch_to_json(&back).encode(), frame);
-                accepted += 1;
-            }
             if let Ok(run) = get_str(value, "values") {
                 if let Ok(values) = parse_hex_f64s(run) {
                     assert_eq!(hex_f64s(&values), run.to_ascii_lowercase());
@@ -1107,10 +1010,9 @@ mod tests {
     }
 
     /// One valid frame of the kind `kind` picks — a bitmap, a value run, four
-    /// summaries, a sketch — built from `bits` and `values`.
+    /// summaries — built from `bits` and `values`.
     fn sample_frame(kind: usize, bits: u64, values: &[u64]) -> String {
-        let floats: Vec<f64> = values.iter().map(|&v| (v % 1000) as f64 / 8.0).collect();
-        let frame = match kind % 7 {
+        let frame = match kind % 6 {
             0 => bitmap_to_json(&Bitmap::from_fn(values.len() * 23, |row| {
                 bits.rotate_left(row as u32) & 1 == 1
             })),
@@ -1124,18 +1026,13 @@ mod tests {
                 distinct: DistinctValues::Bools { t: 3, f: 2 },
                 counts: None,
             }),
-            5 => summary_to_json(&SummaryParts {
+            _ => summary_to_json(&SummaryParts {
                 dtype: DataType::Float,
                 non_null: values.len(),
                 nulls: 0,
                 distinct: DistinctValues::Numbers(values.to_vec()),
                 counts: None,
             }),
-            _ => {
-                let mut sketch = GkSketch::new(0.05);
-                sketch.extend(&floats);
-                sketch_to_json(&sketch)
-            }
         };
         frame.encode()
     }
@@ -1171,7 +1068,7 @@ mod tests {
     }
 
     /// Pieces of JSON and of the frames' vocabulary, for token soups.
-    const TOKENS: [&str; 32] = [
+    const TOKENS: [&str; 30] = [
         "{",
         "}",
         "[",
@@ -1190,8 +1087,6 @@ mod tests {
         "\"ints\"",
         "\"strs\"",
         "\"counts\":",
-        "\"epsilon\":",
-        "\"entries\":",
         "\"count\":",
         "\"0123456789abcdef\"",
         "\"3fa999999999999A\"",
@@ -1222,7 +1117,7 @@ mod tests {
 
         #[test]
         fn mutated_frames_get_typed_errors_from_the_wire_decoders(
-            kind in 0usize..7,
+            kind in 0usize..6,
             bits in any::<u64>(),
             values in proptest::collection::vec(any::<u64>(), 0..12),
             edits in proptest::collection::vec((0u8..=u8::MAX, 0usize..1 << 20, 0u8..=u8::MAX), 1..6),
@@ -1235,10 +1130,10 @@ mod tests {
 
     /// A fixed stream of frames of every kind — bitmaps, value runs, counted
     /// and plain summaries of every kind (strings with quotes, backslashes,
-    /// controls, DEL and multi-byte scalars), sketches — hashed (FNV-1a) into
-    /// one digest. The constant is what the parent commit's per-byte codecs
-    /// write for the same stream: the word-at-a-time codecs moved no byte on
-    /// the wire, so either build's shards and coordinators interoperate.
+    /// controls, DEL and multi-byte scalars) — hashed (FNV-1a) into one
+    /// digest. The constant is the digest the per-byte codecs wrote for this
+    /// stream: the word-at-a-time codecs moved no byte on the wire, so either
+    /// build's shards and coordinators interoperate.
     #[test]
     fn frames_hash_to_the_digest_the_per_byte_codecs_wrote() {
         let mut state = 0x5eed_u64;
@@ -1267,8 +1162,6 @@ mod tests {
                 })
                 .collect();
             let counts = (round % 2 == 0).then(|| words.iter().map(|w| w % 9).collect());
-            let mut sketch = GkSketch::new(0.01 + (round % 5) as f64 / 100.0);
-            sketch.extend(&words.iter().map(|&w| (w % 500) as f64).collect::<Vec<_>>());
             let frames = [
                 bitmap_to_json(&bitmap),
                 Json::object(vec![(
@@ -1305,7 +1198,6 @@ mod tests {
                     },
                     counts: None,
                 }),
-                sketch_to_json(&sketch),
             ];
             for frame in frames {
                 for byte in frame.encode().bytes().chain([b'\n']) {
@@ -1313,6 +1205,6 @@ mod tests {
                 }
             }
         }
-        assert_eq!(digest, 0x1c74_796e_dded_5a00, "{digest:#018x}");
+        assert_eq!(digest, 0x66d3_fce0_b1bd_5727, "{digest:#018x}");
     }
 }

@@ -285,6 +285,12 @@ fn errors_map_to_the_right_statuses() {
         .contains("map #99"));
     // Unknown routes and wrong methods.
     assert_eq!(client.get("/nope").unwrap().status, 404);
+    // Unknown shard actions; `sketches` is not a round (every median is
+    // exact).
+    for action in ["sketches", "nope"] {
+        let reply = client.post_text(&format!("/shard/{action}"), "{}").unwrap();
+        assert_eq!(reply.status, 404, "{action}");
+    }
     assert_eq!(client.get("/sessions/x/explore").unwrap().status, 405);
     // Malformed drill body → 400.
     let reply = client

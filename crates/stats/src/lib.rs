@@ -9,9 +9,10 @@
 //!   statistical dependency of their underlying variables, quantified with
 //!   mutual information or the Variation of Information ([`entropy`],
 //!   [`contingency`]).
-//! * **Quantiles and sketches** — the `CUT` primitive splits an attribute at
-//!   the median (or other quantiles); the paper proposes one-pass sketches to
-//!   approximate it on large columns ([`quantile`], [`gk`]).
+//! * **Quantiles** — the `CUT` primitive splits an attribute at the median (or
+//!   other quantiles). The paper proposes one-pass sketches to approximate
+//!   them on large columns; here they are exact, selected in O(n) or read off
+//!   counted values ([`quantile`]).
 //! * **One-dimensional clustering** — the alternative cutting strategy that
 //!   maximises within-partition homogeneity ([`kmeans1d`], [`breaks`]).
 //! * **Agreement scores** — the evaluation compares recovered partitions to
@@ -23,7 +24,6 @@ pub mod agreement;
 pub mod breaks;
 pub mod contingency;
 pub mod entropy;
-pub mod gk;
 pub mod kmeans1d;
 pub mod quantile;
 
@@ -33,6 +33,5 @@ pub use entropy::{
     entropy_of_counts, entropy_of_selections, joint_entropy, mutual_information, normalized_vi,
     variation_of_information,
 };
-pub use gk::GkSketch;
 pub use kmeans1d::{kmeans_1d, KMeans1dResult};
 pub use quantile::{median, quantiles};

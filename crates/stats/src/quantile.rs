@@ -3,9 +3,8 @@
 //! Every function here returns the order statistics a full
 //! `sort_by(f64::total_cmp)` of the input would put at the requested ranks —
 //! bit for bit, ties, `±0.0`, infinities and NaNs included — but finds them
-//! by selection in O(n) per rank instead of sorting. They are what the
-//! default median-based `CUT` splits on, and the reference the
-//! Greenwald–Khanna sketch ([`crate::gk`]) is validated against.
+//! by selection in O(n) per rank instead of sorting. They are what every
+//! median-based `CUT` splits on: the one median is the exact one.
 //!
 //! The borrowing forms ([`quantile`], [`quantiles`], [`median`],
 //! [`equi_depth_splits`]) leave their input slice untouched (they select on a

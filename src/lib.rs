@@ -15,7 +15,7 @@
 //! |--------|-------|----------|
 //! | [`obs`] | `atlas-obs` | span tracing, counters, Chrome trace export (zero-dependency) |
 //! | [`columnar`] | `atlas-columnar` | in-memory column store (tables, bitmaps, CSV, statistics) |
-//! | [`stats`] | `atlas-stats` | entropy / MI / VI, quantile sketches, 1-D clustering, agreement scores |
+//! | [`stats`] | `atlas-stats` | entropy / MI / VI, exact quantiles, 1-D clustering, agreement scores |
 //! | [`query`] | `atlas-query` | the conjunctive query language (AST, parser, printer, evaluation) |
 //! | [`core`] | `atlas-core` | the map-generation engine: CUT, clustering, merging, ranking, anytime, baselines |
 //! | [`datagen`] | `atlas-datagen` | seeded synthetic datasets (census, mixtures, sky survey, orders) |
@@ -31,8 +31,8 @@
 //! // 1. Get a table (here: the synthetic census of the paper's intro).
 //! let table = Arc::new(CensusGenerator::with_rows(5_000, 42).generate());
 //!
-//! // 2. Build a *prepared* engine: per-column statistics (quantile
-//! //    sketches, distinct counts, null counts) are computed once, here,
+//! // 2. Build a *prepared* engine: per-column statistics (distinct
+//! //    counts, null counts, value counts) are computed once, here,
 //! //    and shared by every subsequent exploration. The engine is
 //! //    `Send + Sync`, so one `Arc<Atlas>` can serve many threads.
 //! let atlas = Atlas::builder(Arc::clone(&table)).build().unwrap();
@@ -151,7 +151,7 @@ pub use atlas_obs as obs;
 pub use atlas_query as query;
 /// The HTTP/JSON exploration server and the distributed scatter-gather path.
 pub use atlas_serve as serve;
-/// Statistical kernels: quantiles, sketches, dependence metrics.
+/// Statistical kernels: exact quantiles, dependence metrics.
 pub use atlas_stats as stats;
 
 /// The most commonly used types, re-exported flat for convenience.

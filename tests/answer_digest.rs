@@ -2,9 +2,10 @@
 //! a fixed matrix, held to a committed constant.
 //!
 //! * Tables: the census and the sky survey (`photo_obj`) at 10 k rows.
-//! * Configurations: `default`, `fast`, product merge over median cuts, each
-//!   numeric cut (equi-width, k-means, natural breaks — the quadratic one on
-//!   a smaller table; `Median` is the default's) and each categorical cut.
+//! * Configurations: `default`, `fast`, product merge over median cuts, and
+//!   every cut strategy there is: each numeric cut (equi-width, k-means,
+//!   natural breaks — the quadratic one on a smaller table; `Median` is the
+//!   default's) and each categorical cut.
 //! * Steps: the whole table, a filter, and a drill into region (0, 0) of the
 //!   filtered answer.
 //! * Threads: 1, 2 and 8. Shards: `fast` through 1–3 in-process shard servers.
@@ -20,8 +21,7 @@
 //! `ATLAS_PARALLELISM=1`, so the one constant pins layout, kernel and thread
 //! identity against the committed answers, not only within one run. A change
 //! that moves answers on purpose updates [`DIGEST`] in the same diff and says
-//! why. `SketchMedian` stays out: its split points depend on the segment
-//! layout by design.
+//! why.
 
 use atlas::datagen::CensusConfig;
 use atlas::prelude::*;

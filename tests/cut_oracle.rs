@@ -752,7 +752,7 @@ proptest! {
                 members.extend(cut);
             }
             let sequential = atlas::core::compose_maps(&members, &table, &config, true).unwrap();
-            let profile = TableProfile::build(&table, None);
+            let profile = TableProfile::build(&table);
             let ctx = PipelineContext {
                 table: &table,
                 profile: &profile,

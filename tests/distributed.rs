@@ -317,15 +317,10 @@ fn killed_shard_surfaces_a_distributed_error() {
         Arc::new(Coordinator::connect(&addrs, "census", config, Duration::from_secs(2)).unwrap());
 
     // Slow every request on shard 1 by 100 ms so the explore is still
-    // mid-scatter when the shard dies.
+    // mid-scatter when the shard dies: a plan of more delays than the
+    // explore makes calls.
     let armed = Client::new(handles[1].addr())
-        .post_json(
-            "/shard/inject",
-            &Json::object(vec![
-                ("delay_ms", Json::from(100u64)),
-                ("times", Json::from(10_000u64)),
-            ]),
-        )
+        .post_json("/shard/inject", &delay_plan(100, 64))
         .unwrap();
     assert_eq!(armed.status, 200);
 
@@ -352,6 +347,13 @@ fn killed_shard_surfaces_a_distributed_error() {
     }
 }
 
+/// A `/shard/inject` plan that delays the shard's next `times` requests by
+/// `ms` each.
+fn delay_plan(ms: u64, times: usize) -> Json {
+    let delay = Json::object(vec![("fault", Json::from("delay")), ("ms", Json::from(ms))]);
+    Json::object(vec![("plan", Json::array(vec![delay; times]))])
+}
+
 /// A shard that answers its first request after the per-request timeout is
 /// retried exactly once, and the retried explore is still bit-identical.
 #[test]
@@ -366,13 +368,7 @@ fn slow_shard_trips_timeout_and_retries_once() {
     // One injected 1200 ms stall: the first data request to shard 0 times
     // out at 400 ms and the immediate retry sails through.
     let armed = Client::new(handles[0].addr())
-        .post_json(
-            "/shard/inject",
-            &Json::object(vec![
-                ("delay_ms", Json::from(1_200u64)),
-                ("times", Json::from(1u64)),
-            ]),
-        )
+        .post_json("/shard/inject", &delay_plan(1_200, 1))
         .unwrap();
     assert_eq!(armed.status, 200);
 
@@ -1444,28 +1440,5 @@ fn a_categorical_cut_past_the_counter_folds_shard_categories() {
         for handle in handles {
             handle.shutdown();
         }
-    }
-}
-
-/// The other fallback endpoint: under `SketchMedian` a whole-table explore
-/// cuts every numeric column at the quantiles of the per-segment sketches
-/// folded in segment order — `/shard/sketches` — which is the fold the local
-/// profile makes, so two shards are bit-identical to the local engine.
-#[test]
-fn sketch_median_cuts_fold_shard_sketches() {
-    let table = census_table(6_000, 1_000);
-    let mut config = product_config();
-    config.cut.numeric = NumericCutStrategy::SketchMedian { epsilon: 0.01 };
-    let reference = Atlas::new(Arc::clone(&table), config.clone()).unwrap();
-    let (handles, addrs) = boot_shards("census", &table, &config, 2);
-    let coordinator = Coordinator::connect(&addrs, "census", config, Duration::from_secs(10))
-        .unwrap()
-        .with_assignment(vec![vec![0, 2, 4], vec![1, 3, 5]])
-        .unwrap();
-    assert_agree(&reference, &coordinator, &ConjunctiveQuery::all("census"));
-    assert_eq!(endpoint_requests(&handles, "shard_sketches"), 2);
-    assert_eq!(endpoint_requests(&handles, "shard_values"), 0);
-    for handle in handles {
-        handle.shutdown();
     }
 }

@@ -1,16 +1,13 @@
 //! The merge algebra behind distributed scatter-gather: the coordinator
-//! folds per-shard partials — [`ColumnSummary`]s, [`GkSketch`]es, profile
-//! segments — and the fold must not care how the data was chunked or in
-//! which order the pieces arrive.
+//! folds per-shard partials — [`ColumnSummary`]s, profile segments — and
+//! the fold must not care how the data was chunked or in which order the
+//! pieces arrive.
 //!
 //! * `ColumnSummary::merge_from` is associative and order-invariant under
 //!   arbitrary fold trees: the counting fields (non-NULL, NULL, exact
 //!   distinct) and the extremes are *exactly* invariant.
-//! * `GkSketch::merge` keeps every queried quantile within twice the
-//!   per-sketch rank bound no matter the fold order.
 //! * `TableProfile::build` on the whole table equals any prefix build
-//!   extended segment-by-segment with `merge_segment` — stats bit-equal,
-//!   sketch answers bit-equal.
+//!   extended segment-by-segment with `merge_segment` — stats bit-equal.
 //! * The subtraction the other way: a composition that derives its largest
 //!   region's statistics as the working set's minus the other regions'
 //!   answers bit for bit what walking every region answers, and it derives
@@ -22,7 +19,6 @@ use atlas::columnar::{
 use atlas::core::{CutStrategy, DataMap, PaperCut, PipelineContext, ProfileStats, TableProfile};
 use atlas::datagen::CensusConfig;
 use atlas::prelude::*;
-use atlas::stats::GkSketch;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -118,54 +114,6 @@ proptest! {
         assert_stats_close(&ascending.to_stats(), &shuffled.to_stats());
     }
 
-    /// Folding per-chunk GK sketches in any order keeps every queried
-    /// quantile's rank error within twice the per-sketch bound.
-    #[test]
-    fn gk_sketch_merge_is_order_invariant(
-        values in proptest::collection::vec(-1e6..1e6f64, 8..300),
-        cuts in proptest::collection::vec(0usize..300, 0..6),
-        picks in proptest::collection::vec(0usize..64, 16),
-        epsilon in 0.02f64..0.2,
-    ) {
-        let chunks = chunks_of(&values, &cuts);
-        let mut parts: Vec<GkSketch> = chunks
-            .iter()
-            .map(|chunk| {
-                let mut sketch = GkSketch::new(epsilon);
-                sketch.extend(chunk);
-                sketch
-            })
-            .collect();
-
-        // Fold in the arbitrary order dictated by `picks`.
-        let mut step = 0;
-        while parts.len() > 1 {
-            let a = picks.get(step).copied().unwrap_or(0) % parts.len();
-            let mut left = parts.swap_remove(a);
-            let b = picks.get(step + 1).copied().unwrap_or(0) % parts.len();
-            let right = parts.swap_remove(b);
-            left.merge(&right);
-            parts.push(left);
-            step += 2;
-        }
-        let merged = parts.pop().unwrap();
-        prop_assert_eq!(merged.count(), values.len() as u64);
-
-        let mut sorted = values.clone();
-        sorted.sort_by(f64::total_cmp);
-        let n = sorted.len() as f64;
-        for p in [0.1, 0.25, 0.5, 0.75, 0.9] {
-            let answer = merged.query(p).expect("non-empty sketch");
-            let rank = sorted.iter().filter(|v| **v <= answer).count() as f64;
-            let target = p * n;
-            prop_assert!(
-                (rank - target).abs() <= 2.0 * epsilon * n + 1.0,
-                "p={} answer={} rank={} target={} n={}",
-                p, answer, rank, target, n
-            );
-        }
-    }
-
     /// `TableProfile::build` over the whole table is bit-identical to
     /// building over a prefix of segments and folding the rest in with
     /// `merge_segment` — the invariant `Atlas::append` (and the distributed
@@ -193,13 +141,13 @@ proptest! {
         let segments = table.segments();
         let prefix_len = 1 + (prefix_len - 1) % segments.len();
 
-        let full = TableProfile::build(&table, Some(0.05));
+        let full = TableProfile::build(&table);
         let prefix_table = Arc::new(atlas::columnar::Table::from_segments(
             "t",
             schema,
             segments[..prefix_len].to_vec(),
         ).unwrap());
-        let mut folded = TableProfile::build(&prefix_table, Some(0.05));
+        let mut folded = TableProfile::build(&prefix_table);
         for segment in &segments[prefix_len..] {
             folded = folded.merge_segment(segment);
         }
@@ -209,20 +157,6 @@ proptest! {
             let a = full.column(column).expect("profiled column");
             let b = folded.column(column).expect("profiled column");
             prop_assert_eq!(&a.stats, &b.stats, "stats of '{}' must be bit-equal", column);
-            match (&a.sketch, &b.sketch) {
-                (None, None) => {}
-                (Some(sa), Some(sb)) => {
-                    prop_assert_eq!(sa.count(), sb.count());
-                    for p in [0.25, 0.5, 0.75] {
-                        prop_assert_eq!(
-                            sa.query(p).map(f64::to_bits),
-                            sb.query(p).map(f64::to_bits),
-                            "sketch answers of '{}' must be bit-equal", column
-                        );
-                    }
-                }
-                other => panic!("sketch presence differs for '{column}': {other:?}"),
-            }
         }
     }
 }

@@ -1,19 +1,14 @@
 //! The segmentation contract of the storage engine: the segment layout is a
-//! physical detail that must never change an answer computed by an exact
-//! strategy (the default pipeline end to end; the ε-approximate
-//! `SketchMedian` cut is the documented exception — its per-segment sketch
-//! fold stays within ε but may shift split points with the layout).
+//! physical detail that must never change an answer, under any cut strategy
+//! (every median is exact, so there is no exception).
 //!
 //! * Random tables split at **random segment boundaries** explore bit-for-bit
 //!   identically to the single-segment table, at parallelism 1 and N — the
 //!   acceptance property of the segmented-storage refactor.
-//! * `GkSketch::merge` folds per-chunk sketches into a summary whose rank
-//!   error stays within twice the per-sketch bound.
 //! * `Atlas::append` + incremental profile merge answers exactly like a
 //!   from-scratch rebuild over the extended table.
 
 use atlas::prelude::*;
-use atlas::stats::GkSketch;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -137,40 +132,6 @@ proptest! {
         prop_assert_eq!(a.is_ok(), b.is_ok());
         if let (Ok(a), Ok(b)) = (a, b) {
             assert_identical(&a, &b);
-        }
-    }
-
-    /// Folding per-chunk GK sketches keeps every queried quantile's rank
-    /// within 2ε of exact (the merge bound for same-ε summaries).
-    #[test]
-    fn gk_sketch_merge_stays_within_twice_epsilon(
-        values in proptest::collection::vec(-1e6..1e6f64, 64..3000),
-        chunks in 2usize..6,
-        eps_idx in 0usize..3,
-    ) {
-        let eps = [0.02, 0.05, 0.1][eps_idx];
-        let chunk_len = values.len().div_ceil(chunks);
-        let mut folded = GkSketch::new(eps);
-        for chunk in values.chunks(chunk_len) {
-            let mut part = GkSketch::new(eps);
-            part.extend(chunk);
-            folded.merge(&part);
-        }
-        prop_assert_eq!(folded.count(), values.len() as u64);
-
-        let mut sorted = values.clone();
-        sorted.sort_by(|a, b| a.total_cmp(b));
-        let n = sorted.len() as f64;
-        for &p in &[0.1, 0.25, 0.5, 0.75, 0.9] {
-            let approx = folded.query(p).unwrap();
-            // Rank of the returned value (as an interval, to be fair to ties).
-            let lo = sorted.partition_point(|&v| v < approx) as f64 / n;
-            let hi = sorted.partition_point(|&v| v <= approx) as f64 / n;
-            let error = if p < lo { lo - p } else if p > hi { p - hi } else { 0.0 };
-            prop_assert!(
-                error <= 2.0 * eps + 1.0 / n,
-                "p={} error={} (eps={})", p, error, eps
-            );
         }
     }
 }
