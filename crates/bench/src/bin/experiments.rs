@@ -1000,7 +1000,13 @@ fn smoke_kernels(rows: usize, repeats: usize) -> Json {
         .collect();
     fields.extend(near_unique_points);
     let near_unique_values = near_unique_view.numeric_values_where(&sel);
-    fields.extend(smoke_frames(&sel, &near_unique_values, repeats));
+    let age_regions = age.select_ranges(&sel, &age_halves);
+    fields.extend(smoke_frames(
+        &sel,
+        &near_unique_values,
+        &age_regions,
+        repeats,
+    ));
     fields.extend(smoke_seal(&table, &near_unique, repeats));
     fields.push(("bytes_per_row".to_string(), bytes_per_row(&table)));
     Json::object(fields)
@@ -1008,10 +1014,18 @@ fn smoke_kernels(rows: usize, repeats: usize) -> Json {
 
 /// The wire frames a distributed explore moves most of, out and back: the
 /// whole-table bitmap (`bitmap_to_json(..).encode()`; `wire::parse` +
-/// `bitmap_from_json`), ~15 of which cross per explore, and the numeric value
-/// run a `/shard/values` reply carries (`wire::parse` + `parse_hex_f64s`).
-/// The decoded frames are asserted equal to what was sent.
-fn smoke_frames(sel: &Bitmap, values: &[f64], repeats: usize) -> Vec<(String, Json)> {
+/// `bitmap_from_json`), the `/shard/select` partial of a two-way partition of
+/// the working set `sel` (one region shipped, the other rebuilt from `sel`:
+/// `select_partial_to_json(..).encode()`; `wire::parse` +
+/// `select_partial_from_json`), and the numeric value run a `/shard/values`
+/// reply carries (`wire::parse` + `parse_hex_f64s`). The decoded frames are
+/// asserted equal to what was sent.
+fn smoke_frames(
+    sel: &Bitmap,
+    values: &[f64],
+    two_way: &[Bitmap],
+    repeats: usize,
+) -> Vec<(String, Json)> {
     use atlas_serve::wire::{self, frames};
     let (encode_ms, frame) = best_of_ms(repeats, || frames::bitmap_to_json(sel).encode());
     let (decode_ms, decoded) = best_of_ms(repeats, || {
@@ -1019,6 +1033,14 @@ fn smoke_frames(sel: &Bitmap, values: &[f64], repeats: usize) -> Vec<(String, Js
         frames::bitmap_from_json(&json).expect("the frame decodes")
     });
     assert_eq!(&decoded, sel, "the bitmap frame round-trips");
+    let (select_encode_ms, select) = best_of_ms(repeats, || {
+        frames::select_partial_to_json(0, sel, two_way).encode()
+    });
+    let (select_decode_ms, regions) = best_of_ms(repeats, || {
+        let json = wire::parse(&select).expect("the frame parses");
+        frames::select_partial_from_json(&json, sel, two_way.len()).expect("the frame decodes")
+    });
+    assert_eq!(regions, two_way, "the select frame round-trips");
     let run = Json::object(vec![("values", Json::from(frames::hex_f64s(values)))]).encode();
     let (run_ms, decoded) = best_of_ms(repeats, || {
         let json = wire::parse(&run).expect("the frame parses");
@@ -1031,6 +1053,9 @@ fn smoke_frames(sel: &Bitmap, values: &[f64], repeats: usize) -> Vec<(String, Js
         ("frame_bitmap_bytes".to_string(), Json::from(frame.len())),
         ("frame_bitmap_encode_ms".to_string(), ms(encode_ms)),
         ("frame_bitmap_decode_ms".to_string(), ms(decode_ms)),
+        ("frame_select_bytes".to_string(), Json::from(select.len())),
+        ("frame_select_encode_ms".to_string(), ms(select_encode_ms)),
+        ("frame_select_decode_ms".to_string(), ms(select_decode_ms)),
         ("frame_f64_run_values".to_string(), Json::from(values.len())),
         ("frame_f64_run_decode_ms".to_string(), ms(run_ms)),
     ]
@@ -1484,7 +1509,7 @@ fn pr_of(path: &str) -> Option<usize> {
 /// frames (their report section lists 1M first). A phase one of the two
 /// reports lacks is skipped, so a report gates cleanly against one written
 /// before a phase existed.
-const GATED_PHASES: [&str; 32] = [
+const GATED_PHASES: [&str; 34] = [
     "query_ms",
     "candidates_ms",
     "clustering_ms",
@@ -1516,6 +1541,8 @@ const GATED_PHASES: [&str; 32] = [
     "median_cut_age_half_ms",
     "frame_bitmap_encode_ms",
     "frame_bitmap_decode_ms",
+    "frame_select_encode_ms",
+    "frame_select_decode_ms",
     "frame_f64_run_decode_ms",
 ];
 

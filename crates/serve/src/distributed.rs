@@ -25,6 +25,27 @@
 //! 4. **clustering, merging, ranking** — run locally on the folded inputs,
 //!    byte-for-byte the engine's own implementations.
 //!
+//! ## Replies are decoded where they land
+//!
+//! Each scatter round runs one thread per shard, and that thread does more
+//! than wait: once its shard's reply is in, it checks that the partials cover
+//! exactly the shard's segments and decodes every partial — hex runs into
+//! [`Bitmap`]s, length and region-count checks, summaries into
+//! [`ColumnSummary`]s — through the decoder the round hands
+//! `Coordinator::scatter`. So decoding runs in parallel across shards and
+//! overlaps the slower shard's wire wait, and what is left after the barrier
+//! is the ordered fold: `or_shifted` / `merge_from` in ascending global
+//! segment order. A frame that fails to decode is that shard's failure — it
+//! counts against the shard's circuit breaker, names the shard and endpoint,
+//! and in degraded mode drops the shard like any other failure.
+//!
+//! The frames themselves (`crate::wire::frames`) ship no bitmap the
+//! coordinator can work out: a segment selected whole or not at all has no
+//! working bitmap, and the last region of a partition that is exactly the
+//! rest of the segment's working rows is left out. The coordinator keeps each
+//! live segment's working rows from the `/shard/working` round for the rest
+//! of the explore and rebuilds those regions from them.
+//!
 //! Every fold is deterministic (ascending global segment order) and every
 //! pushed-down kernel reproduces its local counterpart exactly, so the ranked
 //! maps are **bit-identical** — score bits, region SQL, region counts — to a
@@ -65,8 +86,8 @@ use crate::resilience::{
     RetryPolicy,
 };
 use crate::wire::frames::{
-    bitmap_from_json, dtype_from_name, get_index, get_items, get_str, hex_f64s, parse_hex_f64s,
-    summary_from_json,
+    dtype_from_name, get_index, get_items, get_str, hex_f64s, parse_hex_f64s,
+    select_partial_from_json, summary_from_json, working_partial_from_json,
 };
 use crate::wire::Json;
 use atlas_columnar::{merge_category_counts, Bitmap, ColumnStats, ColumnSummary, DataType};
@@ -129,14 +150,47 @@ pub struct DistributedResult {
     pub coverage: Coverage,
 }
 
+/// The position of one shard in its coordinator's list. Only
+/// [`ShardIndex::all`] makes them — the coordinator, once per shard at
+/// connect, and the per-shard metrics, which are laid out the same way — so
+/// an index is always in range of both.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct ShardIndex(usize);
+
+impl ShardIndex {
+    /// The indices of a list of `count` shards, in order.
+    pub(crate) fn all(count: usize) -> impl Iterator<Item = ShardIndex> {
+        (0..count).map(ShardIndex)
+    }
+
+    /// The position this index stands for.
+    pub(crate) fn get(self) -> usize {
+        self.0
+    }
+}
+
 #[derive(Debug)]
 struct ShardSlot {
+    index: ShardIndex,
     addr: String,
     client: Client,
     /// Global segment indices this shard answers for, ascending. May be
     /// empty, in which case the shard is skipped by every scatter.
     segments: Vec<usize>,
     breaker: CircuitBreaker,
+}
+
+impl ShardSlot {
+    /// What a failed call to this shard on `path` is reported as; every
+    /// message names the shard.
+    fn render_fail(&self, path: &str, fail: CallFail) -> String {
+        let addr = &self.addr;
+        match fail {
+            CallFail::Shard { message } => message,
+            CallFail::CircuitOpen => format!("shard {addr} refused on {path}: circuit open"),
+            CallFail::Deadline => format!("deadline expired while calling shard {addr} on {path}"),
+        }
+    }
 }
 
 /// A shard's `/shard/meta` view: (generation, total rows, per-segment row
@@ -165,8 +219,12 @@ enum AttemptFail {
 /// Why one explore pass failed — shard-attributable failures carry the
 /// shard index so degraded mode can drop it and re-run.
 enum ExploreFail {
-    /// One shard failed past its retries.
-    Shard { shard: usize, error: AtlasError },
+    /// One shard failed past its retries, or sent a frame that does not
+    /// decode.
+    Shard {
+        shard: ShardIndex,
+        error: AtlasError,
+    },
     /// A failure no shard-drop can fix (deadline, merge validation, local
     /// pipeline error).
     Fatal(AtlasError),
@@ -176,7 +234,7 @@ enum ExploreFail {
 /// (ascending global indices), and the first shard-attributable failure
 /// (stashed here because [`CutSource`] signatures only carry `AtlasError`).
 struct ExploreCtx<'a> {
-    dead: &'a BTreeSet<usize>,
+    dead: &'a BTreeSet<ShardIndex>,
     live: Vec<usize>,
     live_rows: usize,
     /// Row offset of each live segment in the compacted (live-rows-only)
@@ -188,15 +246,6 @@ struct ExploreCtx<'a> {
     offsets: Vec<usize>,
     deadline: Option<&'a Deadline>,
     failed: Mutex<Option<ExploreFail>>,
-}
-
-impl ExploreCtx<'_> {
-    /// The compacted row offset of a live segment (`None` when the segment
-    /// is not live).
-    fn offset_of(&self, segment: usize) -> Option<usize> {
-        let i = self.live.binary_search(&segment).ok()?;
-        self.offsets.get(i).copied()
-    }
 }
 
 /// The merging coordinator of a distributed exploration (see the module
@@ -356,8 +405,10 @@ impl Coordinator {
         }
         let shards: Vec<ShardSlot> = addrs
             .iter()
-            .map(|addr| {
+            .zip(ShardIndex::all(addrs.len()))
+            .map(|(addr, index)| {
                 Ok(ShardSlot {
+                    index,
                     addr: addr.clone(),
                     client: Client::new(resolve_addr(addr)?)
                         .with_timeout(options.shard_timeout)
@@ -484,10 +535,10 @@ impl Coordinator {
     fn fetch_meta(&mut self) -> Result<(), AtlasError> {
         let body = Json::object(vec![("dataset", Json::from(self.dataset.as_str()))]);
         let mut agreed: Option<MetaView> = None;
-        for (idx, slot) in self.shards.iter().enumerate() {
+        for slot in &self.shards {
             let reply = self
-                .call_with(idx, "/shard/meta", &body, None)
-                .map_err(|fail| self.render_call_fail(idx, "/shard/meta", fail))?;
+                .call_with(slot, "/shard/meta", &body, None)
+                .map_err(|fail| dist_err(slot.render_fail("/shard/meta", fail)))?;
             let generation = get_index(&reply, "generation").map_err(dist_err)?;
             let num_rows = get_index(&reply, "num_rows").map_err(dist_err)?;
             let segments = get_items(&reply, "segments")
@@ -546,33 +597,17 @@ impl Coordinator {
         (delay < budget).then_some(delay)
     }
 
-    /// Render a [`CallFail`] into the typed error a caller surfaces.
-    fn render_call_fail(&self, shard: usize, path: &str, fail: CallFail) -> AtlasError {
-        #[expect(clippy::indexing_slicing, reason = "callers index 0..shards.len()")]
-        let addr = &self.shards[shard].addr;
-        match fail {
-            CallFail::Shard { message } => dist_err(message),
-            CallFail::CircuitOpen => {
-                dist_err(format!("shard {addr} refused on {path}: circuit open"))
-            }
-            CallFail::Deadline => dist_err(format!(
-                "deadline expired while calling shard {addr} on {path}"
-            )),
-        }
-    }
-
     /// One shard call under the full fault policy: circuit-breaker
     /// admission, bounded retries with seeded-jitter backoff, optional
     /// hedging, and the request deadline capping every attempt and sleep.
     fn call_with(
         &self,
-        shard: usize,
+        slot: &ShardSlot,
         path: &str,
         body: &Json,
         deadline: Option<&Deadline>,
     ) -> Result<Json, CallFail> {
-        #[expect(clippy::indexing_slicing, reason = "callers index 0..shards.len()")]
-        let slot = &self.shards[shard];
+        let shard = slot.index.get();
         if !slot.breaker.admit() {
             self.metrics
                 .skipped_open_circuit
@@ -637,7 +672,7 @@ impl Coordinator {
                 }
             }
         };
-        self.metrics.record(shard, started.elapsed());
+        self.metrics.record(slot.index, started.elapsed());
         match &result {
             Ok(_) => slot.breaker.record_success(),
             Err(CallFail::Shard { .. }) => slot.breaker.record_failure(),
@@ -777,72 +812,69 @@ impl Coordinator {
     }
 
     /// Scatter one endpoint to every live shard with assigned segments (in
-    /// parallel, one thread per shard) and gather the `partials` arrays
-    /// sorted by ascending global segment index. The result holds exactly
-    /// one entry per live segment, in `ctx.live` order.
-    fn scatter(
+    /// parallel, one thread per shard), decode each of a shard's partials
+    /// with `decode(segment, partial)` on the thread that received the reply,
+    /// and gather the decoded partials sorted by ascending global segment
+    /// index: exactly one per live segment, in `ctx.live` order. A partial
+    /// that does not decode fails its shard, as a failed call does.
+    fn scatter<T: Send>(
         &self,
         ctx: &ExploreCtx,
         path: &str,
         body_of: impl Fn(&[usize]) -> Json + Sync,
-    ) -> Result<Vec<Json>, AtlasError> {
+        decode: impl Fn(usize, &Json) -> Result<T, String> + Sync,
+    ) -> Result<Vec<T>, AtlasError> {
         if let Some(d) = ctx.deadline {
             if d.expired() {
                 return Err(self.stash(ctx, ExploreFail::Fatal(d.error(path))));
             }
         }
-        let live: Vec<(usize, &ShardSlot)> = self
+        let live: Vec<&ShardSlot> = self
             .shards
             .iter()
-            .enumerate()
-            .filter(|(i, slot)| !ctx.dead.contains(i) && !slot.segments.is_empty())
+            .filter(|slot| !ctx.dead.contains(&slot.index) && !slot.segments.is_empty())
             .collect();
         // Scatter threads inherit the dispatching phase span, so shard.call
         // spans parent under the phase that issued them.
         let parent = atlas_obs::current();
-        // One reply per entry of `live`, in its order.
-        let replies: Vec<Result<Json, CallFail>> = std::thread::scope(|scope| {
+        // One answer per entry of `live`, in its order.
+        let answers: Vec<Result<Vec<(usize, T)>, CallFail>> = std::thread::scope(|scope| {
             let handles: Vec<_> = live
                 .iter()
-                .map(|&(idx, slot)| {
-                    let body_of = &body_of;
-                    let handle = scope.spawn(move || {
+                .map(|&slot| {
+                    let (body_of, decode) = (&body_of, &decode);
+                    scope.spawn(move || {
                         let _trace = atlas_obs::with_context(parent);
                         let body = body_of(&slot.segments);
-                        self.call_with(idx, path, &body, ctx.deadline)
-                    });
-                    (idx, handle)
+                        self.call_with(slot, path, &body, ctx.deadline)
+                            .and_then(|reply| Self::shard_partials(slot, path, reply, decode))
+                    })
                 })
                 .collect();
             handles
                 .into_iter()
-                .map(|(idx, handle)| {
+                .zip(&live)
+                .map(|(handle, slot)| {
                     handle.join().unwrap_or_else(|_| {
                         Err(CallFail::Shard {
-                            message: format!("scatter thread for shard {idx} panicked"),
+                            message: format!("scatter thread for shard {} panicked", slot.addr),
                         })
                     })
                 })
                 .collect()
         });
-        let mut gathered: Vec<(usize, Json)> = Vec::with_capacity(ctx.live.len());
-        let mut first_fail: Option<(usize, String)> = None;
+        let mut gathered: Vec<(usize, T)> = Vec::with_capacity(ctx.live.len());
+        // `live` is in shard order, so the first failure met is the
+        // lowest-numbered shard's.
+        let mut first_fail: Option<(ShardIndex, String)> = None;
         let mut deadline_hit = false;
-        for (&(shard, slot), reply) in live.iter().zip(replies) {
-            match reply.and_then(|json| Self::shard_partials(slot, path, json)) {
+        for (slot, answer) in live.iter().zip(answers) {
+            match answer {
                 Ok(mut list) => gathered.append(&mut list),
                 Err(CallFail::Deadline) => deadline_hit = true,
-                Err(CallFail::CircuitOpen) => {
-                    if first_fail.as_ref().is_none_or(|(s, _)| shard < *s) {
-                        first_fail = Some((
-                            shard,
-                            format!("shard {} refused on {path}: circuit open", slot.addr),
-                        ));
-                    }
-                }
-                Err(CallFail::Shard { message }) => {
-                    if first_fail.as_ref().is_none_or(|(s, _)| shard < *s) {
-                        first_fail = Some((shard, message));
+                Err(fail) => {
+                    if first_fail.is_none() {
+                        first_fail = Some((slot.index, slot.render_fail(path, fail)));
                     }
                 }
             }
@@ -862,8 +894,8 @@ impl Coordinator {
             return Err(self.stash(ctx, fail));
         }
         gathered.sort_by_key(|(segment, _)| *segment);
-        let segments: Vec<usize> = gathered.iter().map(|(segment, _)| *segment).collect();
-        if segments != ctx.live {
+        if !gathered.iter().map(|(segment, _)| segment).eq(&ctx.live) {
+            let segments: Vec<usize> = gathered.iter().map(|(segment, _)| *segment).collect();
             let fail = ExploreFail::Fatal(dist_err(format!(
                 "scatter on {path} gathered segments {segments:?}, expected {:?}",
                 ctx.live
@@ -873,22 +905,24 @@ impl Coordinator {
         Ok(gathered.into_iter().map(|(_, partial)| partial).collect())
     }
 
-    /// Validate one shard's reply: its `partials` must cover exactly the
-    /// segments assigned to it. A mismatch is a shard-attributable failure
-    /// (and counts against its circuit breaker).
-    fn shard_partials(
+    /// Validate and decode one shard's reply: its `partials` must cover
+    /// exactly the segments assigned to it, and each must decode. Either
+    /// failure is the shard's, names it and the endpoint, and counts against
+    /// its circuit breaker.
+    fn shard_partials<T>(
         slot: &ShardSlot,
         path: &str,
         reply: Json,
-    ) -> Result<Vec<(usize, Json)>, CallFail> {
+        decode: impl Fn(usize, &Json) -> Result<T, String>,
+    ) -> Result<Vec<(usize, T)>, CallFail> {
         let semantic = |message: String| {
             slot.breaker.record_failure();
             CallFail::Shard {
                 message: format!("shard {} misbehaved on {path}: {message}", slot.addr),
             }
         };
-        // The reply is owned: move the partials (and the ~0.25 MB hex runs
-        // inside them) out instead of cloning each one.
+        // The reply is owned: move the partials (and the hex runs inside
+        // them) out instead of cloning each one.
         let items = match reply {
             Json::Obj(members) => members.into_iter().find(|(key, _)| key == "partials"),
             _ => None,
@@ -913,7 +947,12 @@ impl Coordinator {
                 slot.segments
             )));
         }
-        Ok(list)
+        list.into_iter()
+            .map(|(segment, partial)| match decode(segment, &partial) {
+                Ok(decoded) => Ok((segment, decoded)),
+                Err(e) => Err(semantic(format!("segment {segment}: {e}"))),
+            })
+            .collect()
     }
 
     /// The request body shared by the per-working-set endpoints.
@@ -930,54 +969,59 @@ impl Coordinator {
         Json::object(members)
     }
 
-    /// Gather a per-segment bitmap member into one bitmap over the live
-    /// rows (the whole table in strict mode, the surviving rows renumbered
-    /// contiguously in degraded mode).
-    fn fold_bitmaps(
+    /// Scatter the working-set evaluation. Returns the working rows folded
+    /// into one bitmap over the live rows (the whole table in strict mode,
+    /// the surviving rows renumbered contiguously in degraded mode), and
+    /// each live segment's own (in `ctx.live` order), which the rest of the
+    /// explore rebuilds left-out regions from.
+    fn fetch_working(
         &self,
         ctx: &ExploreCtx,
-        partials: &[(usize, Bitmap)],
-    ) -> Result<Bitmap, AtlasError> {
+        sql: &str,
+    ) -> Result<(Bitmap, Vec<Bitmap>), AtlasError> {
+        let segments = self.scatter(
+            ctx,
+            "/shard/working",
+            |segments| self.data_body(sql, segments, Vec::new()),
+            |segment, partial| {
+                let rows = self.segment_rows.get(segment);
+                let rows = rows.ok_or_else(|| format!("segment {segment} is out of range"))?;
+                working_partial_from_json(partial, *rows)
+            },
+        )?;
         let mut folded = Bitmap::new_empty(ctx.live_rows);
-        for (segment, bitmap) in partials {
-            #[expect(
-                clippy::indexing_slicing,
-                reason = "scatter validated segment against the assignment"
-            )]
-            let expected = self.segment_rows[*segment];
-            if bitmap.len() != expected {
-                return Err(dist_err(format!(
-                    "segment {segment} bitmap has {} rows, expected {expected}",
-                    bitmap.len(),
-                )));
-            }
-            let Some(offset) = ctx.offset_of(*segment) else {
-                return Err(dist_err(format!("segment {segment} is not live")));
-            };
+        for (bitmap, &offset) in segments.iter().zip(&ctx.offsets) {
             folded.or_shifted(bitmap, offset);
         }
-        Ok(folded)
+        Ok((folded, segments))
     }
 
-    /// Scatter the working-set evaluation and fold the global bitmap (empty
-    /// at the segments of dropped shards in degraded mode).
-    fn fetch_working(&self, ctx: &ExploreCtx, sql: &str) -> Result<Bitmap, AtlasError> {
-        let partials = self.scatter(ctx, "/shard/working", |segments| {
-            self.data_body(sql, segments, Vec::new())
-        })?;
-        let bitmaps = partials
+    /// One `/shard/summaries` partial: a summary per schema column, each of
+    /// the column's type.
+    fn summaries_from_json(&self, partial: &Json) -> Result<Vec<ColumnSummary>, String> {
+        let columns = get_items(partial, "columns")?;
+        if columns.len() != self.fields.len() {
+            return Err(format!(
+                "{} column summaries, the schema has {} columns",
+                columns.len(),
+                self.fields.len()
+            ));
+        }
+        columns
             .iter()
-            .zip(&ctx.live)
-            .map(|(partial, &segment)| {
-                let bitmap = partial
-                    .get("bitmap")
-                    .ok_or_else(|| "partial without a bitmap".to_string())
-                    .and_then(bitmap_from_json)
-                    .map_err(dist_err)?;
-                Ok((segment, bitmap))
+            .zip(&self.fields)
+            .map(|(column, (name, dtype))| {
+                let parts = summary_from_json(column)?;
+                if parts.dtype != *dtype {
+                    return Err(format!(
+                        "the summary of {name} is of a {} column, the schema's of a {}",
+                        parts.dtype.name(),
+                        dtype.name()
+                    ));
+                }
+                Ok(ColumnSummary::from_parts(parts))
             })
-            .collect::<Result<Vec<_>, AtlasError>>()?;
-        self.fold_bitmaps(ctx, &bitmaps)
+            .collect()
     }
 
     /// Scatter the per-column summaries of the working set and merge them in
@@ -992,29 +1036,20 @@ impl Coordinator {
         ctx: &ExploreCtx,
         sql: &str,
     ) -> Result<Vec<ColumnSummary>, AtlasError> {
-        let partials = self.scatter(ctx, "/shard/summaries", |segments| {
-            self.data_body(sql, segments, Vec::new())
-        })?;
+        let partials = self.scatter(
+            ctx,
+            "/shard/summaries",
+            |segments| self.data_body(sql, segments, Vec::new()),
+            |_, partial| self.summaries_from_json(partial),
+        )?;
         let mut folded: Vec<ColumnSummary> = self
             .fields
             .iter()
             .map(|(_, dtype)| ColumnSummary::empty(*dtype))
             .collect();
         for partial in &partials {
-            let columns = get_items(partial, "columns").map_err(dist_err)?;
-            if columns.len() != self.fields.len() {
-                return Err(dist_err(format!(
-                    "summaries partial has {} columns, schema has {}",
-                    columns.len(),
-                    self.fields.len()
-                )));
-            }
-            for (acc, column) in folded.iter_mut().zip(columns) {
-                let parts = summary_from_json(column).map_err(dist_err)?;
-                if parts.dtype != acc.dtype() {
-                    return Err(dist_err("summary dtype does not match the schema"));
-                }
-                acc.merge_from(&ColumnSummary::from_parts(parts));
+            for (acc, summary) in folded.iter_mut().zip(partial) {
+                acc.merge_from(summary);
             }
         }
         Ok(folded)
@@ -1022,21 +1057,20 @@ impl Coordinator {
 
     /// The live segment list (ascending global indices) once `dead` shards
     /// are dropped.
-    fn live_segments(&self, dead: &BTreeSet<usize>) -> Vec<usize> {
+    fn live_segments(&self, dead: &BTreeSet<ShardIndex>) -> Vec<usize> {
         let mut live: Vec<usize> = self
             .shards
             .iter()
-            .enumerate()
-            .filter(|(i, _)| !dead.contains(i))
-            .flat_map(|(_, slot)| slot.segments.iter().copied())
+            .filter(|slot| !dead.contains(&slot.index))
+            .flat_map(|slot| slot.segments.iter().copied())
             .collect();
         live.sort_unstable();
         live
     }
 
     /// Exact coverage of an answer that dropped the `dead` shards.
-    fn coverage(&self, dead: &BTreeSet<usize>) -> Coverage {
-        let dead_slots = || dead.iter().filter_map(|&i| self.shards.get(i));
+    fn coverage(&self, dead: &BTreeSet<ShardIndex>) -> Coverage {
+        let dead_slots = || self.shards.iter().filter(|slot| dead.contains(&slot.index));
         let mut missing: Vec<usize> = dead_slots()
             .flat_map(|slot| slot.segments.iter().copied())
             .collect();
@@ -1095,14 +1129,14 @@ impl Coordinator {
                 max_failed_shards.min(self.shards.len().saturating_sub(1))
             }
         };
-        let mut dead: BTreeSet<usize> = BTreeSet::new();
+        let mut dead: BTreeSet<ShardIndex> = BTreeSet::new();
         if max_failed > 0 {
-            for (i, slot) in self.shards.iter().enumerate() {
+            for slot in &self.shards {
                 if dead.len() >= max_failed {
                     break;
                 }
                 if !slot.segments.is_empty() && slot.breaker.is_refusing() {
-                    dead.insert(i);
+                    dead.insert(slot.index);
                 }
             }
         }
@@ -1148,7 +1182,7 @@ impl Coordinator {
     fn explore_once(
         &self,
         query: &ConjunctiveQuery,
-        dead: &BTreeSet<usize>,
+        dead: &BTreeSet<ShardIndex>,
         deadline: Option<&Deadline>,
     ) -> Result<MapResult, ExploreFail> {
         let live = self.live_segments(dead);
@@ -1204,7 +1238,7 @@ impl Coordinator {
         let sql = to_sql(&query);
 
         let query_span = atlas_obs::span("phase.query");
-        let working = self.fetch_working(ctx, &sql)?;
+        let (working, segment_working) = self.fetch_working(ctx, &sql)?;
         let query_ms = query_span.finish_ms();
         let working_count = working.count();
         if working_count == 0 {
@@ -1224,6 +1258,7 @@ impl Coordinator {
             coordinator: self,
             sql: &sql,
             ctx,
+            working: &segment_working,
         };
         let mut maps = Vec::new();
         let mut skipped = Vec::new();
@@ -1329,49 +1364,6 @@ impl Coordinator {
             .map(|(_, dtype)| *dtype)
             .ok_or_else(|| dist_err(format!("unknown attribute '{attribute}'")))
     }
-
-    /// Scatter one region-partition kernel (`select_ranges` or
-    /// `select_in_groups`) and fold the per-segment region bitmaps into
-    /// table-wide ones.
-    fn fetch_regions(
-        &self,
-        ctx: &ExploreCtx,
-        sql: &str,
-        attribute: &str,
-        rest: Vec<(&str, Json)>,
-        expected: usize,
-    ) -> Result<Vec<Bitmap>, AtlasError> {
-        let partials = self.scatter(ctx, "/shard/select", |segments| {
-            let mut extra = vec![("attribute", Json::from(attribute))];
-            extra.extend(rest.iter().map(|(k, v)| (*k, v.clone())));
-            self.data_body(sql, segments, extra)
-        })?;
-        let mut folded: Vec<Bitmap> = (0..expected)
-            .map(|_| Bitmap::new_empty(ctx.live_rows))
-            .collect();
-        for (partial, &segment) in partials.iter().zip(&ctx.live) {
-            let regions = get_items(partial, "regions").map_err(dist_err)?;
-            if regions.len() != expected {
-                return Err(dist_err(format!(
-                    "segment {segment} answered {} regions, expected {expected}",
-                    regions.len()
-                )));
-            }
-            let Some(offset) = ctx.offset_of(segment) else {
-                return Err(dist_err(format!("segment {segment} is not live")));
-            };
-            for (acc, region) in folded.iter_mut().zip(regions) {
-                let bitmap = bitmap_from_json(region).map_err(dist_err)?;
-                if self.segment_rows.get(segment) != Some(&bitmap.len()) {
-                    return Err(dist_err(format!(
-                        "segment {segment} region bitmap has the wrong length"
-                    )));
-                }
-                acc.or_shifted(&bitmap, offset);
-            }
-        }
-        Ok(folded)
-    }
 }
 
 /// The scattering [`CutSource`]: every kernel of the shared `CUT` body
@@ -1386,6 +1378,59 @@ struct RemoteSource<'a> {
     sql: &'a str,
     /// The live-set and failure context of the running explore pass.
     ctx: &'a ExploreCtx<'a>,
+    /// Each live segment's working rows, in `ctx.live` order: what a
+    /// `/shard/select` partial's left-out last region is rebuilt from.
+    working: &'a [Bitmap],
+}
+
+impl RemoteSource<'_> {
+    /// Scatter one per-attribute round over the working set and decode each
+    /// partial on arrival.
+    fn scatter<T: Send>(
+        &self,
+        path: &str,
+        attribute: &str,
+        extra: &[(&str, Json)],
+        decode: impl Fn(usize, &Json) -> Result<T, String> + Sync,
+    ) -> Result<Vec<T>, AtlasError> {
+        let body_of = |segments: &[usize]| {
+            let mut members = vec![("attribute", Json::from(attribute))];
+            members.extend(extra.iter().map(|(key, value)| (*key, value.clone())));
+            self.coordinator.data_body(self.sql, segments, members)
+        };
+        self.coordinator.scatter(self.ctx, path, body_of, decode)
+    }
+
+    /// Scatter one region-partition kernel (`select_ranges` or
+    /// `select_in_groups`) of `expected` regions, rebuild each partial's
+    /// left-out last region from its segment's working rows on arrival, and
+    /// fold the per-segment region bitmaps into ones over the live rows.
+    fn regions(
+        &self,
+        attribute: &str,
+        partition: &[(&str, Json)],
+        expected: usize,
+    ) -> Result<Vec<Bitmap>, AtlasError> {
+        let working_of = |segment: usize| {
+            let position = self.ctx.live.binary_search(&segment).ok();
+            position
+                .and_then(|i| self.working.get(i))
+                .ok_or_else(|| format!("segment {segment} is not live"))
+        };
+        let partials =
+            self.scatter("/shard/select", attribute, partition, |segment, partial| {
+                select_partial_from_json(partial, working_of(segment)?, expected)
+            })?;
+        let mut folded: Vec<Bitmap> = (0..expected)
+            .map(|_| Bitmap::new_empty(self.ctx.live_rows))
+            .collect();
+        for (regions, &offset) in partials.iter().zip(&self.ctx.offsets) {
+            for (acc, region) in folded.iter_mut().zip(regions) {
+                acc.or_shifted(region, offset);
+            }
+        }
+        Ok(folded)
+    }
 }
 
 impl CutSource for RemoteSource<'_> {
@@ -1394,22 +1439,10 @@ impl CutSource for RemoteSource<'_> {
     }
 
     fn numeric_values(&self, attribute: &str) -> Result<Vec<f64>, AtlasError> {
-        let partials = self
-            .coordinator
-            .scatter(self.ctx, "/shard/values", |segments| {
-                self.coordinator.data_body(
-                    self.sql,
-                    segments,
-                    vec![("attribute", Json::from(attribute))],
-                )
-            })?;
-        let mut values = Vec::new();
-        for partial in &partials {
-            values.extend(
-                parse_hex_f64s(get_str(partial, "values").map_err(dist_err)?).map_err(dist_err)?,
-            );
-        }
-        Ok(values)
+        let partials = self.scatter("/shard/values", attribute, &[], |_, partial| {
+            parse_hex_f64s(get_str(partial, "values")?)
+        })?;
+        Ok(partials.concat())
     }
 
     fn select_ranges(
@@ -1418,16 +1451,11 @@ impl CutSource for RemoteSource<'_> {
         bounds: &[(f64, f64)],
     ) -> Result<Vec<Bitmap>, AtlasError> {
         let flat: Vec<f64> = bounds.iter().flat_map(|&(lo, hi)| [lo, hi]).collect();
-        self.coordinator.fetch_regions(
-            self.ctx,
-            self.sql,
-            attribute,
-            vec![
-                ("kind", Json::from("ranges")),
-                ("bounds", Json::from(hex_f64s(&flat))),
-            ],
-            bounds.len(),
-        )
+        let partition = [
+            ("kind", Json::from("ranges")),
+            ("bounds", Json::from(hex_f64s(&flat))),
+        ];
+        self.regions(attribute, &partition, bounds.len())
     }
 
     /// Scatter `/shard/categories` and fold the per-segment zero-inclusive
@@ -1435,34 +1463,26 @@ impl CutSource for RemoteSource<'_> {
     /// a column with more values than a summary counts is asked about here;
     /// for every other the folded summaries already hold the vector.
     fn category_counts(&self, attribute: &str) -> Result<Vec<(String, usize)>, AtlasError> {
-        let partials = self
-            .coordinator
-            .scatter(self.ctx, "/shard/categories", |segments| {
-                self.coordinator.data_body(
-                    self.sql,
-                    segments,
-                    vec![("attribute", Json::from(attribute))],
-                )
-            })?;
-        let mut folded: Vec<(String, usize)> = Vec::new();
-        for partial in &partials {
-            let counts = get_items(partial, "counts")
-                .map_err(dist_err)?
+        let partials = self.scatter("/shard/categories", attribute, &[], |_, partial| {
+            get_items(partial, "counts")?
                 .iter()
                 .map(|pair| {
                     let Some([value, count]) = pair.items() else {
-                        return Err(dist_err("category count is not a pair"));
+                        return Err("category count is not a pair".to_string());
                     };
                     let value = value
                         .str()
-                        .ok_or_else(|| dist_err("category value is not a string"))?;
+                        .ok_or_else(|| "category value is not a string".to_string())?;
                     let count = count
                         .index()
-                        .ok_or_else(|| dist_err("category count is not integral"))?;
+                        .ok_or_else(|| "category count is not integral".to_string())?;
                     Ok((value.to_string(), count))
                 })
-                .collect::<Result<Vec<_>, AtlasError>>()?;
-            merge_category_counts(&mut folded, &counts);
+                .collect::<Result<Vec<_>, String>>()
+        })?;
+        let mut folded: Vec<(String, usize)> = Vec::new();
+        for counts in &partials {
+            merge_category_counts(&mut folded, counts);
         }
         Ok(folded)
     }
@@ -1478,12 +1498,7 @@ impl CutSource for RemoteSource<'_> {
                 .map(|group| Json::array(group.iter().map(|v| Json::from(v.as_str())).collect()))
                 .collect(),
         );
-        self.coordinator.fetch_regions(
-            self.ctx,
-            self.sql,
-            attribute,
-            vec![("kind", Json::from("groups")), ("groups", groups_json)],
-            groups.len(),
-        )
+        let partition = [("kind", Json::from("groups")), ("groups", groups_json)];
+        self.regions(attribute, &partition, groups.len())
     }
 }

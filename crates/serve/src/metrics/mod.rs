@@ -18,6 +18,7 @@ mod report;
 pub(crate) use report::{healthz, metrics, Components};
 pub use report::{Sample, Value};
 
+use crate::distributed::ShardIndex;
 use crate::wire::Json;
 use atlas_stats::quantile::quantile;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -390,13 +391,13 @@ impl CoordinatorMetrics {
         self.degraded_explores.load(Ordering::Relaxed)
     }
 
-    /// Record one finished call to shard number `shard` (retries included).
-    pub(crate) fn record(&self, shard: usize, elapsed: Duration) {
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "callers index 0..shards.len(); per_shard is built one slot per shard"
-        )]
-        let lat = &self.per_shard[shard];
+    /// Record one finished call to `shard` (retries included). The per-shard
+    /// slots are laid out like the coordinator's shards, so every index it
+    /// hands out has one.
+    pub(crate) fn record(&self, shard: ShardIndex, elapsed: Duration) {
+        let Some(lat) = self.per_shard.get(shard.get()) else {
+            return;
+        };
         let micros = elapsed.as_micros() as u64;
         lat.requests.fetch_add(1, Ordering::Relaxed);
         lat.total_micros.fetch_add(micros, Ordering::Relaxed);
@@ -580,8 +581,9 @@ mod tests {
     #[test]
     fn shard_calls_accumulate_per_shard() {
         let metrics = CoordinatorMetrics::new(&["a:1".to_string(), "b:2".to_string()]);
-        metrics.record(1, Duration::from_millis(4));
-        metrics.record(1, Duration::from_millis(2));
+        let second = ShardIndex::all(2).nth(1).unwrap();
+        metrics.record(second, Duration::from_millis(4));
+        metrics.record(second, Duration::from_millis(2));
         let b = &metrics.per_shard[1];
         assert_eq!(b.requests.load(Ordering::Relaxed), 2);
         assert_eq!(b.total_micros.load(Ordering::Relaxed), 6_000);

@@ -45,17 +45,25 @@
 //! `{"plan": [{"fault": …}, …]}`, arms a deterministic fault plan where each
 //! subsequent shard request (the inject endpoint excepted) consumes the next
 //! entry: `delay`, `refuse` (hang up unanswered), `error` (a synthetic
-//! non-200), `truncate` (a prefix of the real answer), `garbage` (bytes that
-//! are not HTTP), `kill` (hang up on everything until the next inject), or
-//! `none` (answer normally). This is how the chaos suite drives every
-//! coordinator failure path without real packet loss — deterministically,
-//! from a seeded plan.
+//! non-200), `truncate` (a prefix of the real answer), `corrupt` (the real
+//! answer with its first bitmap frame one row longer than the segment — a
+//! `200` whose frame fails validation; an answer without a bitmap passes
+//! unchanged), `garbage` (bytes that are not HTTP), `kill` (hang up on
+//! everything until the next inject), or `none` (answer normally). This is
+//! how the chaos suite drives every coordinator failure path without real
+//! packet loss — deterministically, from a seeded plan.
+//!
+//! What the frames of `/shard/working` and `/shard/select` leave out — the
+//! bitmap of a segment selected whole or not at all, the last region when it
+//! is the rest of the working set — is decided in [`crate::wire::frames`],
+//! next to the decoder that fills it back in.
 
 use crate::http::{self, Request, Response};
 use crate::metrics::Endpoint;
 use crate::registry::{Dataset, Registry};
 use crate::wire::frames::{
-    bitmap_to_json, get_items, get_str, hex_f64s, parse_hex_f64s, summary_to_json,
+    get_items, get_str, hex_f64s, parse_hex_f64s, select_partial_to_json, summary_to_json,
+    working_partial_to_json,
 };
 use crate::wire::{self, Json};
 use atlas_columnar::{Bitmap, SummaryParts, Table};
@@ -98,6 +106,9 @@ enum Fault {
     /// Compute the real answer but send only `keep_per_mille`/1000 of its
     /// bytes, then close mid-body.
     Truncate(u16),
+    /// Compute the real answer and send it whole, its first bitmap frame
+    /// declaring one row more than it has.
+    Corrupt,
     /// Send bytes that are not HTTP.
     Garbage,
     /// Hang up now and on every later request until the next inject.
@@ -184,12 +195,20 @@ struct InjectState {
 }
 
 /// What the fault machinery decided before any real work: pass through
-/// (possibly after a delay), or preempt with a raw outcome.
+/// (possibly after a delay), preempt with a raw outcome, or tamper with the
+/// real answer once it is computed.
 enum Preamble {
     Proceed,
     Preempt(Reply),
-    /// Send a truncated prefix of the real answer (computed later).
-    TruncateAnswer(u16),
+    Tamper(Tamper),
+}
+
+/// How a computed answer is spoiled on its way out.
+enum Tamper {
+    /// Send this many thousandths of its bytes.
+    Truncate(u16),
+    /// Lengthen its first bitmap frame by one row.
+    Corrupt,
 }
 
 impl ShardState {
@@ -219,7 +238,8 @@ impl ShardState {
                 status,
                 "injected fault: synthetic shard error",
             ))),
-            Fault::Truncate(keep_per_mille) => Preamble::TruncateAnswer(keep_per_mille),
+            Fault::Truncate(keep_per_mille) => Preamble::Tamper(Tamper::Truncate(keep_per_mille)),
+            Fault::Corrupt => Preamble::Tamper(Tamper::Corrupt),
             Fault::Garbage => {
                 // Not an HTTP status line; the coordinator's parser must
                 // reject it with a typed error, never hang.
@@ -317,9 +337,9 @@ pub(crate) fn handle(
     if endpoint == Endpoint::ShardInject {
         return inject(state, &body).into();
     }
-    let truncate = match state.consume_fault() {
+    let tamper = match state.consume_fault() {
         Preamble::Preempt(reply) => return reply,
-        Preamble::TruncateAnswer(keep_per_mille) => Some(keep_per_mille),
+        Preamble::Tamper(tamper) => Some(tamper),
         Preamble::Proceed => None,
     };
     let mut shard_span = shard_span(endpoint, request);
@@ -328,6 +348,9 @@ pub(crate) fn handle(
     let trace_id = shard_span.and_then(|span| span.context().map(|ctx| ctx.trace_id));
     let response = match outcome {
         Ok(mut reply) => {
+            if let Some(Tamper::Corrupt) = tamper {
+                lengthen_first_bitmap(&mut reply);
+            }
             if let Some(trace_id) = trace_id {
                 append_shard_spans(&mut reply, trace_id);
             }
@@ -336,9 +359,9 @@ pub(crate) fn handle(
         }
         Err(response) => response,
     };
-    match truncate {
-        None => Reply::Normal(response),
-        Some(keep_per_mille) => {
+    match tamper {
+        None | Some(Tamper::Corrupt) => Reply::Normal(response),
+        Some(Tamper::Truncate(keep_per_mille)) => {
             let mut bytes = Vec::new();
             // Writing to a Vec cannot fail.
             let _ = http::write_response(&mut bytes, &response, false);
@@ -349,6 +372,31 @@ pub(crate) fn handle(
             bytes.truncate(keep);
             Reply::Raw(bytes)
         }
+    }
+}
+
+/// Add one row to the declared length of the first bitmap frame (an object
+/// with `len` and `words` members, depth first) in `reply`. Returns whether
+/// there was one.
+fn lengthen_first_bitmap(reply: &mut Json) -> bool {
+    match reply {
+        Json::Obj(members) => {
+            let is_bitmap = members.iter().any(|(key, _)| key == "words");
+            for (key, value) in members.iter_mut() {
+                match (key.as_str(), value.index()) {
+                    ("len", Some(len)) if is_bitmap => {
+                        *value = Json::from(len + 1);
+                        return true;
+                    }
+                    _ => {}
+                }
+            }
+            members
+                .iter_mut()
+                .any(|(_, value)| lengthen_first_bitmap(value))
+        }
+        Json::Arr(items) => items.iter_mut().any(lengthen_first_bitmap),
+        _ => false,
     }
 }
 
@@ -513,6 +561,7 @@ fn parse_fault(entry: &Json) -> Result<Fault, String> {
             }
             Fault::Truncate(keep as u16)
         }
+        "corrupt" => Fault::Corrupt,
         "garbage" => Fault::Garbage,
         "kill" => Fault::Kill,
         other => return Err(format!("unknown fault kind '{other}'")),
@@ -641,13 +690,9 @@ fn partials_reply(partials: Vec<Json>) -> Json {
 }
 
 fn working(sets: &[SegmentWorking]) -> Json {
-    let partials = sets.iter().map(|(seg, _, working)| {
-        Json::object(vec![
-            ("segment", Json::from(*seg)),
-            ("count", Json::from(working.count)),
-            ("bitmap", bitmap_to_json(&working.rows)),
-        ])
-    });
+    let partials = sets
+        .iter()
+        .map(|(seg, _, working)| working_partial_to_json(*seg, &working.rows, working.count));
     partials_reply(partials.collect())
 }
 
@@ -764,13 +809,7 @@ fn select(sets: &[SegmentWorking], body: &Json) -> Result<Json, Fail> {
             Partition::Ranges(bounds) => column.select_ranges(&working.rows, bounds),
             Partition::Groups(groups) => column.select_in_groups(&working.rows, groups),
         };
-        partials.push(Json::object(vec![
-            ("segment", Json::from(*seg)),
-            (
-                "regions",
-                Json::array(regions.iter().map(bitmap_to_json).collect()),
-            ),
-        ]));
+        partials.push(select_partial_to_json(*seg, &working.rows, &regions));
     }
     Ok(partials_reply(partials))
 }

@@ -22,9 +22,30 @@
 //! value twice. A summary with too many distinct values travels as the plain
 //! value list it always was.
 //!
-//! An explore ships the working set and every candidate region as bitmaps
-//! (~15 per whole-table census explore, 250 kB of hex each at 1M rows), so
-//! the hex run is the hot path of the whole coordinator↔shard exchange. It
+//! An explore ships the working set and the candidate regions as bitmaps
+//! (250 kB of hex per 1M rows each), but not the ones the coordinator can
+//! work out from what it already holds. The per-segment partials of
+//! `/shard/working` and `/shard/select` are encoded and decoded here, rule
+//! included, so neither side knows the format apart from the other:
+//!
+//! * a working partial carries its segment's `count`, and a bitmap only when
+//!   the count is neither 0 nor the segment's rows — a whole-table explore
+//!   ships no working bitmap at all;
+//! * a select partial carries its regions in partition order, except that
+//!   the last is left out, and `"rest": true` sent instead, when it is bit
+//!   for bit the working rows no other region holds. The coordinator keeps
+//!   every segment's working rows and rebuilds it. A partition that misses
+//!   working rows (NULLs, a value outside every bound) ships all its
+//!   regions, so the rule is exact by construction and independent of the
+//!   segment layout; a two-way cut of a census column ships one bitmap
+//!   instead of two.
+//!
+//! A coordinator that reads these partials reads the older ones too (every
+//! bitmap present, no `rest`); an older coordinator refuses the new ones with
+//! a typed error — a working partial without a bitmap, or "answered 1
+//! regions, expected 2" — never with a wrong map.
+//!
+//! The hex run is the hot path of the whole coordinator↔shard exchange. It
 //! is handled eight digits per `u64` step (SWAR): encoding spreads a half
 //! word's nibbles one to a byte lane in three shift-and-mask steps and adds
 //! `'0'` plus `0x27` on the lanes above 9; decoding range-checks eight bytes
@@ -200,6 +221,134 @@ pub fn bitmap_from_json(value: &Json) -> Result<Bitmap, String> {
         ));
     }
     Ok(Bitmap::from_words(len, words))
+}
+
+/// Encode one segment's `/shard/working` partial: how many of its rows the
+/// query selects and, unless that is none or all of them (the count then
+/// says which), the selection bitmap.
+pub fn working_partial_to_json(segment: usize, rows: &Bitmap, count: usize) -> Json {
+    let mut members = vec![
+        ("segment", Json::from(segment)),
+        ("count", Json::from(count)),
+    ];
+    if count != 0 && count != rows.len() {
+        members.push(("bitmap", bitmap_to_json(rows)));
+    }
+    Json::object(members)
+}
+
+/// Decode the working rows of a `/shard/working` partial of a segment of
+/// `rows` rows: the shipped bitmap, which must have the segment's length and
+/// hold `count` rows, or — without one — no rows or all of them, as the
+/// count says.
+pub fn working_partial_from_json(partial: &Json, rows: usize) -> Result<Bitmap, String> {
+    let count = get_index(partial, "count")?;
+    let Some(frame) = partial.get("bitmap") else {
+        return match count {
+            0 => Ok(Bitmap::new_empty(rows)),
+            all if all == rows => Ok(Bitmap::new_full(rows)),
+            _ => Err(format!(
+                "no working bitmap for {count} of the segment's {rows} rows"
+            )),
+        };
+    };
+    let bitmap = bitmap_from_json(frame)?;
+    if bitmap.len() != rows {
+        return Err(format!(
+            "working bitmap has {} rows, the segment {rows}",
+            bitmap.len()
+        ));
+    }
+    if bitmap.count() != count {
+        return Err(format!(
+            "working bitmap holds {} rows, its count says {count}",
+            bitmap.count()
+        ));
+    }
+    Ok(bitmap)
+}
+
+/// The working rows that none of `others` holds.
+fn rest_of(working: &Bitmap, others: &[Bitmap]) -> Bitmap {
+    let mut rest = working.clone();
+    for region in others {
+        rest.difference_with(region);
+    }
+    rest
+}
+
+/// Encode one segment's `/shard/select` partial: its region bitmaps over the
+/// segment, in partition order. When there are two or more and the last is,
+/// bit for bit, the working rows no other region holds, it is left out and
+/// `"rest": true` says so; the receiver, holding the working rows, rebuilds
+/// it. A partition that misses working rows — NULLs, a value outside every
+/// bound — ships every region.
+pub fn select_partial_to_json(segment: usize, working: &Bitmap, regions: &[Bitmap]) -> Json {
+    let same_length = |region: &Bitmap| region.len() == working.len();
+    let shipped = match regions.split_last() {
+        Some((last, others))
+            if !others.is_empty()
+                && regions.iter().all(same_length)
+                && rest_of(working, others) == *last =>
+        {
+            others
+        }
+        _ => regions,
+    };
+    let mut members = vec![
+        ("segment", Json::from(segment)),
+        (
+            "regions",
+            Json::array(shipped.iter().map(bitmap_to_json).collect()),
+        ),
+    ];
+    if shipped.len() < regions.len() {
+        members.push(("rest", Json::from(true)));
+    }
+    Json::object(members)
+}
+
+/// Decode the `expected` regions of a `/shard/select` partial of a segment
+/// whose working rows are `working`: every shipped bitmap has the segment's
+/// length, and a left-out last region (`"rest": true`, only ever beside at
+/// least one shipped region) is rebuilt as the working rows no shipped
+/// region holds.
+pub fn select_partial_from_json(
+    partial: &Json,
+    working: &Bitmap,
+    expected: usize,
+) -> Result<Vec<Bitmap>, String> {
+    let rest = match partial.get("rest") {
+        None => false,
+        Some(Json::Bool(rest)) => *rest,
+        Some(_) => return Err("member \"rest\" must be a boolean".to_string()),
+    };
+    let shipped = get_items(partial, "regions")?;
+    if rest && shipped.is_empty() {
+        return Err("\"rest\" without a shipped region".to_string());
+    }
+    let answered = shipped.len() + usize::from(rest);
+    if answered != expected {
+        return Err(format!("answered {answered} regions, expected {expected}"));
+    }
+    let mut regions = shipped
+        .iter()
+        .map(|frame| {
+            let region = bitmap_from_json(frame)?;
+            if region.len() != working.len() {
+                return Err(format!(
+                    "region bitmap has {} rows, the segment {}",
+                    region.len(),
+                    working.len()
+                ));
+            }
+            Ok(region)
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    if rest {
+        regions.push(rest_of(working, &regions));
+    }
+    Ok(regions)
 }
 
 /// Encode the mergeable parts of a column summary: row counts as plain
@@ -955,6 +1104,235 @@ mod tests {
         }
     }
 
+    /// `working`'s rows dealt into `n` regions: `label(row)` names a row's
+    /// region, or none (as a NULL is in none).
+    fn deal(working: &Bitmap, n: usize, label: impl Fn(usize) -> Option<usize>) -> Vec<Bitmap> {
+        (0..n)
+            .map(|k| {
+                Bitmap::from_fn(working.len(), |row| {
+                    working.get(row) && label(row) == Some(k)
+                })
+            })
+            .collect()
+    }
+
+    /// A `/shard/select` partial through encode → JSON text → decode: the
+    /// regions it decodes to, how many bitmaps it shipped, and whether it
+    /// left the last one out.
+    fn select_round_trip(working: &Bitmap, regions: &[Bitmap]) -> (Vec<Bitmap>, usize, bool) {
+        let text = select_partial_to_json(7, working, regions).encode();
+        let json = wire::parse(&text).unwrap();
+        assert_eq!(get_index(&json, "segment"), Ok(7));
+        let shipped = get_items(&json, "regions").unwrap().len();
+        let rest = json.get("rest") == Some(&Json::Bool(true));
+        let decoded = select_partial_from_json(&json, working, regions.len()).unwrap();
+        (decoded, shipped, rest)
+    }
+
+    #[test]
+    fn select_partials_round_trip_and_leave_out_only_the_rest() {
+        let rows = 1_000;
+        let working = Bitmap::from_fn(rows, |row| row % 7 != 3);
+        let (empty, full) = (Bitmap::new_empty(rows), Bitmap::new_full(rows));
+        let mut beyond = deal(&working, 2, |row| Some(row % 2));
+        beyond[1].set(3); // a row outside the working set
+        let overlapping = vec![
+            deal(&working, 1, |row| (row % 2 == 0).then_some(0)).remove(0),
+            working.clone(),
+        ];
+        let cases = [
+            (
+                "no NULLs",
+                &working,
+                deal(&working, 2, |row| Some(row % 2)),
+                (1, true),
+            ),
+            (
+                "NULLs",
+                &working,
+                deal(&working, 2, |row| (row % 11 != 0).then_some(row % 2)),
+                (2, false),
+            ),
+            (
+                "one region",
+                &working,
+                deal(&working, 1, |_| Some(0)),
+                (1, false),
+            ),
+            (
+                "four regions",
+                &working,
+                deal(&working, 4, |row| Some(row % 4)),
+                (3, true),
+            ),
+            (
+                "four regions, NULLs",
+                &working,
+                deal(&working, 4, |row| (row % 13 != 0).then_some(row % 4)),
+                (4, false),
+            ),
+            (
+                "an empty working set",
+                &empty,
+                deal(&empty, 2, |row| Some(row % 2)),
+                (1, true),
+            ),
+            (
+                "a working set filling its segment",
+                &full,
+                deal(&full, 3, |row| Some(row * 3 / rows)),
+                (2, true),
+            ),
+            (
+                "a last region beyond the working set",
+                &working,
+                beyond,
+                (2, false),
+            ),
+            ("overlapping regions", &working, overlapping, (2, false)),
+        ];
+        for (name, working, regions, expected) in cases {
+            let (decoded, shipped, rest) = select_round_trip(working, &regions);
+            assert_eq!(decoded, regions, "{name}");
+            assert_eq!((shipped, rest), expected, "{name}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Any segment, any working set, any number of regions, with or
+        /// without NULLs: the partial decodes to the regions sent, and the
+        /// last is left out exactly when it is the rest of the working set.
+        #[test]
+        fn select_partials_round_trip_at_any_density(
+            rows in 0usize..300,
+            seed in any::<u64>(),
+            n in 1usize..5,
+            nulls in any::<bool>(),
+        ) {
+            let hash = |salt: u64, row: usize| {
+                ((row as u64 ^ seed ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize
+            };
+            let working = Bitmap::from_fn(rows, |row| hash(1, row) % 3 != 0);
+            let regions = deal(&working, n, |row| {
+                let h = hash(2, row);
+                (!nulls || h % 17 != 0).then_some(h % n)
+            });
+            let (decoded, shipped, rest) = select_round_trip(&working, &regions);
+            prop_assert_eq!(&decoded, &regions);
+            let derivable = n >= 2 && rest_of(&working, &regions[..n - 1]) == regions[n - 1];
+            prop_assert_eq!(rest, derivable);
+            prop_assert_eq!(shipped, n - usize::from(rest));
+        }
+    }
+
+    /// `frame` with its top-level member `key` set to `value` (added when
+    /// absent).
+    fn with_top_member(frame: &Json, key: &str, value: Json) -> Json {
+        let Json::Obj(members) = frame else {
+            panic!("partials are objects")
+        };
+        let mut members: Vec<(String, Json)> =
+            members.iter().filter(|(k, _)| k != key).cloned().collect();
+        members.push((key.to_string(), value));
+        Json::Obj(members)
+    }
+
+    #[test]
+    fn hostile_select_partials_get_typed_errors() {
+        let working = Bitmap::from_fn(130, |row| row % 3 != 0);
+        let regions = deal(&working, 2, |row| Some(row % 2));
+        let good = select_partial_to_json(0, &working, &regions);
+        assert_eq!(good.get("rest"), Some(&Json::Bool(true)));
+        assert_eq!(select_partial_from_json(&good, &working, 2), Ok(regions));
+        let refuse = |partial: &Json, expected: usize, needle: &str| {
+            let err = select_partial_from_json(partial, &working, expected).unwrap_err();
+            assert!(err.contains(needle), "{needle}: {err}");
+        };
+        // `"rest": true` beside a full region count.
+        let with_null = deal(&working, 2, |row| (row != 1).then_some(row % 2));
+        let explicit = select_partial_to_json(0, &working, &with_null);
+        assert_eq!(explicit.get("rest"), None);
+        refuse(
+            &with_top_member(&explicit, "rest", Json::Bool(true)),
+            2,
+            "answered 3 regions, expected 2",
+        );
+        // A `rest` that is not a boolean.
+        for bad in [
+            Json::from(1usize),
+            Json::from("true"),
+            Json::Null,
+            Json::array(vec![]),
+        ] {
+            refuse(&with_top_member(&good, "rest", bad), 2, "must be a boolean");
+        }
+        // `rest` on a one-region answer, with no region shipped or with one.
+        let bare = with_top_member(&good, "regions", Json::array(vec![]));
+        refuse(&bare, 1, "without a shipped region");
+        refuse(&good, 1, "answered 2 regions, expected 1");
+        // The wrong number of regions, and regions of another length.
+        refuse(&good, 3, "answered 2 regions, expected 3");
+        refuse(&explicit, 1, "answered 2 regions, expected 1");
+        let err = select_partial_from_json(&good, &Bitmap::new_full(129), 2).unwrap_err();
+        assert!(err.contains("130 rows"), "{err}");
+        // No regions member at all.
+        let err = select_partial_from_json(
+            &Json::object(vec![("rest", Json::Bool(false))]),
+            &working,
+            2,
+        )
+        .unwrap_err();
+        assert!(err.contains("\"regions\""), "{err}");
+    }
+
+    #[test]
+    fn working_partials_ship_a_bitmap_only_when_the_count_cannot_say() {
+        let odd = Bitmap::from_fn(100, |row| row % 2 == 1);
+        for (working, ships) in [
+            (Bitmap::new_empty(100), false),
+            (Bitmap::new_full(100), false),
+            (odd.clone(), true),
+            (Bitmap::new_empty(0), false),
+        ] {
+            let text = working_partial_to_json(2, &working, working.count()).encode();
+            let json = wire::parse(&text).unwrap();
+            assert_eq!(json.get("bitmap").is_some(), ships, "{text}");
+            assert_eq!(working_partial_from_json(&json, working.len()), Ok(working));
+        }
+        let refuse = |partial: &Json, rows: usize, needle: &str| {
+            let err = working_partial_from_json(partial, rows).unwrap_err();
+            assert!(err.contains(needle), "{needle}: {err}");
+        };
+        // An omitted bitmap whose count is neither 0 nor the segment's rows.
+        for count in [1usize, 40, 99, 101] {
+            let omitted = Json::object(vec![
+                ("segment", Json::from(0usize)),
+                ("count", Json::from(count)),
+            ]);
+            refuse(&omitted, 100, "no working bitmap");
+        }
+        // A shipped bitmap of another length, or holding another count.
+        let shipped = working_partial_to_json(0, &odd, 50);
+        refuse(&shipped, 101, "has 100 rows");
+        refuse(
+            &with_top_member(&shipped, "count", Json::from(49usize)),
+            100,
+            "count says 49",
+        );
+        refuse(
+            &with_top_member(&shipped, "count", Json::from("50")),
+            100,
+            "\"count\"",
+        );
+        refuse(
+            &with_top_member(&shipped, "bitmap", Json::Null),
+            100,
+            "\"len\"",
+        );
+    }
+
     #[test]
     fn deeply_nested_frame_bodies_hit_the_json_depth_limit() {
         let deep = "{\"a\":".repeat(200) + "1" + &"}".repeat(200);
@@ -1005,14 +1383,55 @@ mod tests {
                     accepted += 1;
                 }
             }
+            for working in &fuzz_workings() {
+                let rows = working.len();
+                if let Ok(decoded) = working_partial_from_json(value, rows) {
+                    let again = working_partial_to_json(0, &decoded, decoded.count());
+                    assert_eq!(working_partial_from_json(&again, rows), Ok(decoded));
+                    accepted += 1;
+                }
+                for expected in 1..=3 {
+                    if let Ok(regions) = select_partial_from_json(value, working, expected) {
+                        let again = select_partial_to_json(0, working, &regions);
+                        assert_eq!(
+                            select_partial_from_json(&again, working, expected),
+                            Ok(regions)
+                        );
+                        accepted += 1;
+                    }
+                }
+            }
         }
         accepted
     }
 
+    /// The working sets the partial decoders are fuzzed against: a 92-row
+    /// segment selected in a pattern, whole and not at all, and a segment of
+    /// no rows.
+    fn fuzz_workings() -> [Bitmap; 4] {
+        [
+            Bitmap::from_fn(92, |row| row % 3 != 1),
+            Bitmap::new_full(92),
+            Bitmap::new_empty(92),
+            Bitmap::new_empty(0),
+        ]
+    }
+
     /// One valid frame of the kind `kind` picks — a bitmap, a value run, four
-    /// summaries — built from `bits` and `values`.
+    /// summaries, a select and a working partial — built from `bits` and
+    /// `values`.
     fn sample_frame(kind: usize, bits: u64, values: &[u64]) -> String {
-        let frame = match kind % 6 {
+        let [working, ..] = fuzz_workings();
+        let frame = match kind % 8 {
+            6 => {
+                // Two regions by `bits`, a NULL row in neither when bit 0 is set.
+                let regions = deal(&working, 2, |row| {
+                    (bits & 1 == 0 || row != 5)
+                        .then_some((bits.rotate_left(row as u32) & 1) as usize)
+                });
+                select_partial_to_json(values.len(), &working, &regions)
+            }
+            7 => working_partial_to_json(values.len(), &working, working.count()),
             0 => bitmap_to_json(&Bitmap::from_fn(values.len() * 23, |row| {
                 bits.rotate_left(row as u32) & 1 == 1
             })),
@@ -1068,7 +1487,7 @@ mod tests {
     }
 
     /// Pieces of JSON and of the frames' vocabulary, for token soups.
-    const TOKENS: [&str; 30] = [
+    const TOKENS: [&str; 34] = [
         "{",
         "}",
         "[",
@@ -1088,6 +1507,10 @@ mod tests {
         "\"strs\"",
         "\"counts\":",
         "\"count\":",
+        "\"regions\":",
+        "\"rest\":",
+        "\"bitmap\":",
+        "\"segment\":",
         "\"0123456789abcdef\"",
         "\"3fa999999999999A\"",
         "64",
@@ -1117,7 +1540,7 @@ mod tests {
 
         #[test]
         fn mutated_frames_get_typed_errors_from_the_wire_decoders(
-            kind in 0usize..6,
+            kind in 0usize..8,
             bits in any::<u64>(),
             values in proptest::collection::vec(any::<u64>(), 0..12),
             edits in proptest::collection::vec((0u8..=u8::MAX, 0usize..1 << 20, 0u8..=u8::MAX), 1..6),
@@ -1132,8 +1555,7 @@ mod tests {
     /// and plain summaries of every kind (strings with quotes, backslashes,
     /// controls, DEL and multi-byte scalars) — hashed (FNV-1a) into one
     /// digest. The constant is the digest the per-byte codecs wrote for this
-    /// stream: the word-at-a-time codecs moved no byte on the wire, so either
-    /// build's shards and coordinators interoperate.
+    /// stream: the word-at-a-time codecs moved no byte of these frames.
     #[test]
     fn frames_hash_to_the_digest_the_per_byte_codecs_wrote() {
         let mut state = 0x5eed_u64;

@@ -8,7 +8,10 @@
 //!   default's) and each categorical cut.
 //! * Steps: the whole table, a filter, and a drill into region (0, 0) of the
 //!   filtered answer.
-//! * Threads: 1, 2 and 8. Shards: `fast` through 1–3 in-process shard servers.
+//! * Threads: 1, 2 and 8. Shards: `fast` through 1–3 in-process shard
+//!   servers, over the census and over the census with NULLs — the one whose
+//!   `/shard/select` answers must ship every region, because a partition of
+//!   a column with NULLs misses rows of its working set.
 //! * Two gaps closed on purpose: a census with NULLs under `default`, whose
 //!   compositions can start from a map that misses the NULL rows (the one
 //!   kind of first map that does not partition its working set), and a table
@@ -30,7 +33,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// What the matrix below answered when it was committed.
-const DIGEST: u64 = 0xee65_12f7_7da4_4f36;
+const DIGEST: u64 = 0x1598_3712_9f34_df29;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
@@ -127,12 +130,20 @@ fn in_process(digest: &mut Digest, table: &Arc<Table>, filter: &str, configs: &[
 }
 
 /// The distributed part: `fast` over 1–3 shard servers holding a census
-/// with a pinned 2 000-row segment layout.
+/// with a pinned 2 000-row segment layout, then the same census with NULLs
+/// (so some partitions miss rows of their working set).
 fn sharded(digest: &mut Digest) {
+    for null_fraction in [0.0, 0.05] {
+        sharded_census(digest, null_fraction);
+    }
+}
+
+fn sharded_census(digest: &mut Digest, null_fraction: f64) {
     let table = Arc::new(
         CensusGenerator::new(CensusConfig {
             rows: 10_000,
             seed: 42,
+            null_fraction,
             segment_rows: Some(2_000),
             ..CensusConfig::default()
         })

@@ -50,6 +50,9 @@ enum Fault {
     Error(u16),
     /// Answer with only the first `keep_per_mille`/1000 of the bytes.
     Truncate(u16),
+    /// Answer `200` with the real reply, its first bitmap frame one row
+    /// longer than its segment.
+    Corrupt,
     /// Answer with bytes that are not HTTP at all.
     Garbage,
     /// Hang up now and on every later request (until re-armed).
@@ -72,6 +75,7 @@ impl Fault {
                 ("fault", Json::from("truncate")),
                 ("keep_per_mille", Json::from(u64::from(*keep))),
             ]),
+            Fault::Corrupt => Json::object(vec![("fault", Json::from("corrupt"))]),
             Fault::Garbage => Json::object(vec![("fault", Json::from("garbage"))]),
             Fault::Kill => Json::object(vec![("fault", Json::from("kill"))]),
         }
@@ -689,6 +693,62 @@ fn a_generous_deadline_is_invisible_in_the_answer() {
     assert_identical(&expected, &answer.result);
     assert!(answer.coverage.complete());
     assert_eq!(coordinator.metrics().deadline_exceeded(), 0);
+    for handle in rig.handles {
+        handle.shutdown();
+    }
+}
+
+/// A shard that answers `200` with a frame that does not decode — its first
+/// `/shard/select` region one row longer than the segment — is blamed like a
+/// shard whose call fails: in strict mode the typed error names the shard and
+/// the endpoint and the shard's breaker counts it (threshold 1: it opens),
+/// and in degraded mode the shard is dropped, the coverage names it, and the
+/// answer is the engine's over the surviving segments.
+#[test]
+fn a_corrupt_frame_is_blamed_on_the_shard_that_sent_it() {
+    let rig = chaos_rig();
+    let query = ConjunctiveQuery::all("census");
+    // `/shard/working` and `/shard/summaries` pass; the first `/shard/select`
+    // is corrupted.
+    let plan = [
+        Vec::new(),
+        vec![Fault::Delay(0), Fault::Delay(0), Fault::Corrupt],
+        Vec::new(),
+    ];
+
+    let mut options = chaos_options();
+    options.circuit = CircuitConfig {
+        failure_threshold: 1,
+        cool_down: Duration::from_secs(60),
+    };
+    let coordinator = rig.coordinator(options);
+    rig.arm(&plan);
+    match coordinator.explore(&query).unwrap_err() {
+        AtlasError::Distributed(message) => {
+            assert!(message.contains(&rig.addrs[1]), "{message}");
+            assert!(message.contains("/shard/select"), "{message}");
+            assert!(message.contains("301 rows"), "{message}");
+        }
+        other => panic!("expected a Distributed error, got {other:?}"),
+    }
+    assert_eq!(coordinator.circuit_states()[1].1, CircuitState::Open);
+    assert_eq!(coordinator.metrics().retries(), 0);
+
+    let coordinator = rig.coordinator(chaos_options());
+    rig.arm(&plan);
+    let answer = coordinator
+        .explore_resilient(
+            &query,
+            ExploreMode::Degraded {
+                max_failed_shards: 1,
+            },
+            None,
+        )
+        .unwrap();
+    assert_eq!(answer.coverage.failed_shards, vec![rig.addrs[1].clone()]);
+    assert_eq!(answer.coverage.missing_segments, vec![4, 5, 6]);
+    rig.assert_covers(&answer.result, &answer.coverage);
+    assert_eq!(coordinator.metrics().degraded_explores(), 1);
     for handle in rig.handles {
         handle.shutdown();
     }

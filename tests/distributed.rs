@@ -18,7 +18,7 @@
 use atlas::core::AtlasError;
 use atlas::datagen::CensusConfig;
 use atlas::prelude::*;
-use atlas::serve::wire::Json;
+use atlas::serve::wire::{frames, Json};
 use atlas::serve::{
     Client, Coordinator, DatasetOptions, ExploreMode, Registry, ServeConfig, Server, ServerHandle,
 };
@@ -1439,6 +1439,151 @@ fn a_categorical_cut_past_the_counter_folds_shard_categories() {
         }
         for handle in handles {
             handle.shutdown();
+        }
+    }
+}
+
+/// POST `body` to `path` on `shard` and return the reply's partials.
+fn partials_of(shard: &ServerHandle, path: &str, body: &Json) -> Vec<Json> {
+    let reply = Client::new(shard.addr()).post_json(path, body).unwrap();
+    assert_eq!(reply.status, 200, "{:?}", reply.json());
+    let reply = reply.json().unwrap();
+    reply.get("partials").unwrap().items().unwrap().to_vec()
+}
+
+/// A data request over every segment of `table` for the working set `sql`.
+fn request(table: &Table, sql: &str, extra: Vec<(&str, Json)>) -> Json {
+    let segments = (0..table.num_segments()).map(Json::from).collect();
+    let mut members = vec![
+        ("dataset", Json::from("census")),
+        ("sql", Json::from(sql)),
+        ("segments", Json::array(segments)),
+    ];
+    members.extend(extra);
+    Json::object(members)
+}
+
+/// A `/shard/select` request partitioning `attribute` by inclusive ranges.
+fn ranges_request(table: &Table, attribute: &str, bounds: &[(f64, f64)]) -> Json {
+    let flat: Vec<f64> = bounds.iter().flat_map(|&(lo, hi)| [lo, hi]).collect();
+    request(
+        table,
+        "SELECT * FROM census",
+        vec![
+            ("attribute", Json::from(attribute)),
+            ("kind", Json::from("ranges")),
+            ("bounds", Json::from(frames::hex_f64s(&flat))),
+        ],
+    )
+}
+
+/// How a `/shard/select` partial ships its regions: the bitmaps it carries,
+/// and whether it left the last one to the coordinator.
+fn shipped(partial: &Json) -> (usize, bool) {
+    let regions = partial.get("regions").unwrap().items().unwrap().len();
+    (regions, partial.get("rest") == Some(&Json::Bool(true)))
+}
+
+/// What the shards ship, read off real replies. On the census (no NULLs) a
+/// two-way cut ships one region and `"rest": true` per segment, a three-way
+/// cut two, and a whole-table `/shard/working` ships no bitmap at all, while
+/// a filter that cuts through the segments ships one each. A column with
+/// NULLs ships every region: its partition misses rows of the working set.
+/// Either way the coordinator rebuilds the same answer the engine computes.
+#[test]
+fn shards_ship_only_what_the_coordinator_cannot_work_out() {
+    let census = census_table(6_000, 1_000);
+    let with_nulls = Arc::new(
+        CensusGenerator::new(CensusConfig {
+            rows: 6_000,
+            seed: 42,
+            null_fraction: 0.05,
+            segment_rows: Some(1_000),
+            ..CensusConfig::default()
+        })
+        .generate(),
+    );
+    let config = AtlasConfig::fast();
+    let (handles, _) = boot_shards("census", &census, &config, 1);
+    let shard = &handles[0];
+
+    let whole = partials_of(
+        shard,
+        "/shard/working",
+        &request(&census, "SELECT * FROM census", vec![]),
+    );
+    assert_eq!(whole.len(), 6);
+    for partial in &whole {
+        assert_eq!(partial.get("count").and_then(Json::index), Some(1_000));
+        assert!(partial.get("bitmap").is_none(), "{partial}");
+    }
+    let filter = "SELECT * FROM census WHERE age BETWEEN 25 AND 60";
+    for partial in partials_of(shard, "/shard/working", &request(&census, filter, vec![])) {
+        assert!(partial.get("bitmap").is_some(), "{partial}");
+    }
+
+    let halves = ranges_request(&census, "age", &[(0.0, 40.0), (41.0, 200.0)]);
+    let thirds = ranges_request(&census, "age", &[(0.0, 30.0), (31.0, 50.0), (51.0, 200.0)]);
+    let sexes = request(
+        &census,
+        "SELECT * FROM census",
+        vec![
+            ("attribute", Json::from("sex")),
+            ("kind", Json::from("groups")),
+            (
+                "groups",
+                Json::array(vec![
+                    Json::array(vec![Json::from("Male")]),
+                    Json::array(vec![Json::from("Female")]),
+                ]),
+            ),
+        ],
+    );
+    for (body, expected) in [
+        (&halves, (1, true)),
+        (&thirds, (2, true)),
+        (&sexes, (1, true)),
+    ] {
+        let partials = partials_of(shard, "/shard/select", body);
+        assert_eq!(partials.len(), 6);
+        for partial in &partials {
+            assert_eq!(shipped(partial), expected, "{body}");
+        }
+    }
+    handles.into_iter().for_each(ServerHandle::shutdown);
+
+    let (handles, _) = boot_shards("census", &with_nulls, &config, 1);
+    let heights = ranges_request(
+        &with_nulls,
+        "height_cm",
+        &[(0.0, 170.0), (170.0f64.next_up(), 1_000.0)],
+    );
+    for partial in partials_of(&handles[0], "/shard/select", &heights) {
+        assert_eq!(
+            shipped(&partial),
+            (2, false),
+            "NULL heights are in no region"
+        );
+    }
+    // A column without NULLs in the same table still leaves its last region.
+    let ages = ranges_request(&with_nulls, "age", &[(0.0, 40.0), (41.0, 200.0)]);
+    for partial in partials_of(&handles[0], "/shard/select", &ages) {
+        assert_eq!(shipped(&partial), (1, true));
+    }
+    handles.into_iter().for_each(ServerHandle::shutdown);
+
+    // The answers are the engine's, over both tables and at 1–3 shards.
+    for table in [&census, &with_nulls] {
+        let reference = Atlas::new(Arc::clone(table), config.clone()).unwrap();
+        for n in 1..=3 {
+            let (handles, addrs) = boot_shards("census", table, &config, n);
+            let coordinator =
+                Coordinator::connect(&addrs, "census", config.clone(), Duration::from_secs(10))
+                    .unwrap();
+            for sql in ["SELECT * FROM census", filter] {
+                assert_agree(&reference, &coordinator, &parse_query(sql).unwrap());
+            }
+            handles.into_iter().for_each(ServerHandle::shutdown);
         }
     }
 }
