@@ -753,7 +753,9 @@ fn best_of_ms<T>(repeats: usize, mut f: impl FnMut() -> T) -> (f64, T) {
 /// (`age`: `u8`, `height_cm`: `u16`). Each gets a `_plain_` twin over the same
 /// rows in an unsealed lone column — what the kernel cost before, and still
 /// costs on columns that stay plain — plus: the two-way partition at a 23 %
-/// selection (`select_ranges_23pct_*`), the span compare alone at both code
+/// selection (`select_ranges_23pct_*`) and the statistics walk of `education`
+/// and `sex` at the same selection (`column_stats_*_23pct_ms`: few-valued
+/// parts, counted by entry masks), the span compare alone at both code
 /// widths (`span_mask_*`), `select_ranges` over a plain near-unique float at
 /// 6 / 12 / 23 / 50 % density (the measurement behind `RANGE_DENSE_LANES`),
 /// the seal pass per column (`seal_*_ms`), and what each census column weighs
@@ -911,6 +913,14 @@ fn smoke_kernels(rows: usize, repeats: usize) -> Json {
         coded_23, plain_23,
         "coded and plain lanes must agree at 23 %"
     );
+    // The statistics walk a filtered explore repeats per column, over two
+    // few-valued string columns (2 and 4 entries: counted by entry masks).
+    let stats_23pct_ms = |column: &str| {
+        best_of_ms(repeats, || {
+            table.column_stats(column, &at_23pct).expect("column")
+        })
+        .0
+    };
     let span_u8_ms = best_of_ms(repeats, || age.select_ranges(&sel, &age_halves)).0;
     let span_u16_ms = best_of_ms(repeats, || height.select_ranges(&sel, &height_halves)).0;
     let span_plain_ms = best_of_ms(repeats, || {
@@ -990,6 +1000,11 @@ fn smoke_kernels(rows: usize, repeats: usize) -> Json {
         ("select_ranges_23pct_rows", Json::from(at_23pct.count())),
         ("select_ranges_23pct_ms", ms(ranges_23_ms)),
         ("select_ranges_23pct_plain_ms", ms(ranges_23_plain_ms)),
+        (
+            "column_stats_education_23pct_ms",
+            ms(stats_23pct_ms("education")),
+        ),
+        ("column_stats_sex_23pct_ms", ms(stats_23pct_ms("sex"))),
         ("span_mask_u8_ms", ms(span_u8_ms)),
         ("span_mask_u16_ms", ms(span_u16_ms)),
         ("span_mask_plain_ms", ms(span_plain_ms)),

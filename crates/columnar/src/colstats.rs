@@ -24,9 +24,10 @@
 //! distinct values it covers, never on the segment layout or merge order.
 //!
 //! A string or boolean summary is counted the same way, by category: the one
-//! walk that counts the selected rows per dictionary code
-//! (`kernels::count_coded_part`, the body coded numerics are counted by)
-//! keeps those counts — every value of every
+//! pass that counts the selected rows per dictionary code
+//! (`kernels::count_coded_part`, the body coded numerics are counted by: a
+//! 64-row word of a part with a handful of entries is one popcount per entry,
+//! any other word a tally per row) keeps those counts — every value of every
 //! dictionary walked, **zero counts included**, in first-appearance order,
 //! which makes the order the column's and not the selection's. They add under
 //! [`ColumnSummary::merge_from`] (in row order: a later part appends the
@@ -564,9 +565,10 @@ impl ColumnSummary {
     /// values by [`Numeric::key`], the 64-bit identity the set distinguishes
     /// them by. Plain lanes are counted a row at a time; a coded part
     /// already knows its distinct values, so its rows are counted per code
-    /// (direct-address, no hash probe) and each dictionary entry some
-    /// selected row holds enters the set once, with its count — the same set,
-    /// bit for bit, whichever way a part is stored.
+    /// (no hash probe: a direct-address tally, or one popcount per entry per
+    /// 64-row word when the part has a handful of entries) and each
+    /// dictionary entry some selected row holds enters the set once, with its
+    /// count — the same set, bit for bit, whichever way a part is stored.
     fn scan_numeric<T: Numeric>(
         &mut self,
         column: &PrimitiveColumn<T>,

@@ -12,10 +12,10 @@
 //! `accumulate`, nowhere else — as the coded column was (a dictionary plus
 //! the narrowest of `u8` / `u16` / `u32` code lanes and a validity mask,
 //! [`crate::column`]: every string column, and a sealed numeric column with
-//! few distinct values): `partition_codes` and `count_lanes` are the only
-//! bodies that read a code lane, whatever the column's type, and no caller of
-//! [`crate::ColumnView`] can tell. The partition kernels process **64 rows
-//! per step** instead of one:
+//! few distinct values): `partition_codes` and `count_lanes` — its walk and
+//! its entry-mask count — are the only bodies that read a code lane, whatever
+//! the column's type, and no caller of [`crate::ColumnView`] can tell. The
+//! partition kernels process **64 rows per step** instead of one:
 //!
 //! * the selection bitmap is walked word-at-a-time (all-zero words are
 //!   skipped, boundary words are masked — `for_each_sel_word`);
@@ -30,6 +30,15 @@
 //!   (ranges over a sorted dictionary, groups that are runs of a string
 //!   dictionary) 64 lanes are two AVX2 compares per region, otherwise each
 //!   lane's region is gathered into a byte and a region is a byte compare;
+//! * a `u8`-coded part with a handful of entries — the paper's running
+//!   attributes, `sex`, `education`, `salary`, `eye_color` — is read through
+//!   one byte equality mask per entry: counting entry `c` over a word is
+//!   `popcount(live & (lane == c))`, and a partition whose regions are not
+//!   code spans ORs each entry's mask into its region; the largest group of
+//!   entries takes no mask (its rows are what the others leave). Which parts
+//!   mask is one measured constant shared by both kernels
+//!   (`MAX_ENTRY_MASKS`, beside `GROUP_DENSE_LANES`); a part's partial edge
+//!   words walk;
 //! * one output word per region is assembled in a register and written with
 //!   the word-level writer [`Bitmap::or_word`] — no per-row `Bitmap::set`.
 //!
@@ -59,7 +68,8 @@
 //! or use [`with_kernel_path`] to pin a path for the current thread. The
 //! numeric and string references read each row through the column's decoding
 //! accessor (`get`), so they share no lane code with the kernels whatever the
-//! encoding. Both paths are **bit-identical** by contract — the
+//! encoding; the per-code counts under it walk every word, so the entry masks
+//! are held to the walk. Both paths are **bit-identical** by contract — the
 //! property tests in `tests/partition_kernels.rs` compare them, and coded
 //! against plain storage of the same rows, on adversarial inputs (word
 //! boundaries, trailing partial words, NaN/inverted bounds, all-null
@@ -102,6 +112,32 @@ const RANGE_DENSE_LANES: u32 = 4;
 /// 16 stays. Code **spans** take no threshold: two byte compares per region
 /// are flat at 0.12–0.13 ms from 100 % down to 3 %.
 const GROUP_DENSE_LANES: u32 = 16;
+
+/// The one rule both code-lane kernels apply to a `u8`-coded part, decided
+/// once per part: its full 64-row words are read through one byte equality
+/// mask per dictionary entry it must tell apart — all but one entry when
+/// counting, the entries outside the largest group when partitioning — when
+/// they number at most `MAX_ENTRY_MASKS`; every other part keeps the walk it
+/// took before the masks. Swept in-process over a 1M-row string column of
+/// 2–34 uniformly drawn entries, two interleaved groups for the partition,
+/// best of 7: the masks cost 0.09 + 0.019 ms per mask for the counts and
+/// 0.12 + 0.017 for the partition, flat from 100 % down to 1 %, against
+/// these walks (ms) and crossovers (masks per word):
+///
+/// | density | 100 % | 50 % | 23 % | 12 % | 6 % | 3 % | 1 % |
+/// |---|---|---|---|---|---|---|---|
+/// | count walk | 0.51–0.65 | 0.75–0.91 | 0.46–0.62 | 0.33–0.42 | 0.25–0.33 | 0.21–0.27 | 0.14–0.19 |
+/// | crossover, count | ~20 | ~40 | ~21 | ~15 | ~11 | ~9 | ~3 |
+/// | crossover, partition | ~14 | ~16 | ~20 | ~14 | ~9 | ~4 | ~2 |
+///
+/// At 8 the masks win or tie from 100 % down to 3 % for the counts and down
+/// to 6 % for the partition, and lose at most ~0.05 / ~0.09 ms per 1M rows
+/// below that. The census's string columns (2–4 entries: 1–3 count masks,
+/// 1 partition mask) mask at every density; `age` and `hours_per_week`
+/// (70-odd entries) and the `u16` `height_cm` walk. Only a part of some 4–20
+/// masks has a faster body that turns on the density, and no workload has
+/// one.
+const MAX_ENTRY_MASKS: usize = 8;
 
 /// Which implementation the partition kernels run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -525,32 +561,49 @@ pub(crate) trait CodeLane: Copy + PartialOrd {
     fn index(self) -> usize;
     /// The code of dictionary entry `index` (which the lane type can name).
     fn code(index: usize) -> Self;
+    /// Whether the lanes are bytes, the one width the entry masks read
+    /// ([`MAX_ENTRY_MASKS`]).
+    const IS_BYTE: bool;
+    /// A block of these lanes as bytes, or `None` for wider codes.
+    fn bytes(lanes: &[Self; WORD_BITS]) -> Option<&[u8; WORD_BITS]>;
 }
 
 impl CodeLane for u8 {
+    const IS_BYTE: bool = true;
     fn index(self) -> usize {
         usize::from(self)
     }
     fn code(index: usize) -> Self {
         index as u8
     }
+    fn bytes(lanes: &[u8; WORD_BITS]) -> Option<&[u8; WORD_BITS]> {
+        Some(lanes)
+    }
 }
 
 impl CodeLane for u16 {
+    const IS_BYTE: bool = false;
     fn index(self) -> usize {
         usize::from(self)
     }
     fn code(index: usize) -> Self {
         index as u16
     }
+    fn bytes(_: &[u16; WORD_BITS]) -> Option<&[u8; WORD_BITS]> {
+        None
+    }
 }
 
 impl CodeLane for u32 {
+    const IS_BYTE: bool = false;
     fn index(self) -> usize {
         self as usize
     }
     fn code(index: usize) -> Self {
         index as u32
+    }
+    fn bytes(_: &[u32; WORD_BITS]) -> Option<&[u8; WORD_BITS]> {
+        None
     }
 }
 
@@ -710,9 +763,60 @@ enum WordClass<C> {
     /// Regions with holes, at most 255 of them: `slot_of[code]` is the
     /// code's region as a byte ([`NO_REGION`] truncates to 255, which no
     /// region of at most 255 is), gathered per lane and compared per region.
-    Slots(Vec<u8>),
+    /// A `u8`-coded part with few enough entries to mask
+    /// ([`MAX_ENTRY_MASKS`]) also has its [`EntryMasks`], which every full
+    /// word takes.
+    Slots {
+        slot_of: Vec<u8>,
+        masks: Option<EntryMasks>,
+    },
     /// More regions than a byte names: every word walks its set bits.
     Walk,
+}
+
+/// A region partition of a coded part as per-entry equality masks. The
+/// entries are grouped by where their rows go — a region, or the "no region"
+/// accumulator past the last one — and the largest group takes no mask: its
+/// rows are the candidates no mask claimed (every candidate is a non-NULL row
+/// holding some entry).
+struct EntryMasks {
+    /// `(code, accumulator)` of every entry outside the largest group.
+    masked: Vec<(u8, usize)>,
+    /// The largest group's accumulator.
+    rest: usize,
+}
+
+impl EntryMasks {
+    /// The masks of a code → region table with `num_regions` regions.
+    fn new(region_of: &[u32], num_regions: usize) -> Self {
+        let acc = |g: u32| (g as usize).min(num_regions);
+        let mut entries = vec![0usize; num_regions + 1];
+        for &g in region_of {
+            entries[acc(g)] += 1;
+        }
+        let rest = (0..=num_regions)
+            .max_by_key(|&slot| entries[slot])
+            .unwrap_or(num_regions);
+        let masked = region_of
+            .iter()
+            .enumerate()
+            .filter(|&(_, &g)| acc(g) != rest)
+            .map(|(code, &g)| (code as u8, acc(g)))
+            .collect();
+        EntryMasks { masked, rest }
+    }
+}
+
+/// OR every region's accumulated word into its bitmap at word `w`, clearing
+/// the accumulators (the "no region" one past the last region is never read).
+#[inline(always)]
+fn flush_regions(accs: &mut [u64], out: &mut [Bitmap], w: usize) {
+    for (acc, region) in accs.iter_mut().zip(out.iter_mut()) {
+        if *acc != 0 {
+            region.or_word(w, *acc);
+            *acc = 0;
+        }
+    }
 }
 
 /// Partition one coded part — numeric or string — by a code → region table
@@ -725,11 +829,14 @@ enum WordClass<C> {
 /// full 64-row word with a candidate takes one `span_mask(lanes, first, last)`
 /// per region, whatever its density: a span compare costs less than walking
 /// two set bits, and its word is OR-ed in unconditionally (at a few candidates
-/// per word "any hit?" is a coin the branch predictor loses). Otherwise a word
-/// of at least [`GROUP_DENSE_LANES`] candidates gathers its lanes' regions
-/// into a byte each and takes one `slot_mask(slots, region)` per region.
-/// Sparser words, and the partial words at the part's edges, walk their set
-/// bits. `inline(always)` so each caller stamps out a copy under its own
+/// per word "any hit?" is a coin the branch predictor loses). Otherwise a
+/// `u8`-coded part with few entries takes one `slot_mask(lanes, code)` per
+/// masked entry on every full word ([`EntryMasks`], [`MAX_ENTRY_MASKS`]) —
+/// `slot_mask` is the byte equality mask. Any other part gathers, on a word
+/// of at least [`GROUP_DENSE_LANES`] candidates, its lanes' regions into a
+/// byte each and takes one `slot_mask(slots, region)` per region. Sparser
+/// words, and the partial words at the part's edges, walk their set bits.
+/// `inline(always)` so each caller stamps out a copy under its own
 /// instruction set.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
@@ -749,13 +856,16 @@ fn partition_codes<C: CodeLane>(
     let num_regions = out.len();
     let class = match code_spans::<C>(region_of, num_regions) {
         Some(spans) => WordClass::Spans(spans),
-        None if num_regions <= usize::from(u8::MAX) => {
-            WordClass::Slots(region_of.iter().map(|&g| g as u8).collect())
-        }
+        None if num_regions <= usize::from(u8::MAX) => WordClass::Slots {
+            slot_of: region_of.iter().map(|&g| g as u8).collect(),
+            masks: C::IS_BYTE
+                .then(|| EntryMasks::new(region_of, num_regions))
+                .filter(|plan| plan.masked.len() <= MAX_ENTRY_MASKS),
+        },
         None => WordClass::Walk,
     };
     let mut slots = [0u8; WORD_BITS];
-    // The set-bit walk's accumulators, plus a trash slot for "no region".
+    // The set-bit walk's accumulators, plus one for "no region".
     let mut accs = vec![0u64; num_regions + 1];
     let end = offset + codes.len();
     for_each_sel_word(sel, offset, end, |w, mut cand| {
@@ -768,13 +878,31 @@ fn partition_codes<C: CodeLane>(
         let lanes: Option<&[C; WORD_BITS]> = base
             .checked_sub(offset)
             .and_then(|at| codes[at..].first_chunk());
-        match (&class, lanes) {
-            (WordClass::Spans(spans), Some(lanes)) => {
+        match (&class, lanes, lanes.and_then(C::bytes)) {
+            (WordClass::Spans(spans), Some(lanes), _) => {
                 for &(g, first, last) in spans {
                     out[g].or_word(w, cand & span_mask(lanes, first, last));
                 }
             }
-            (WordClass::Slots(slot_of), Some(lanes)) if cand.count_ones() >= GROUP_DENSE_LANES => {
+            (
+                WordClass::Slots {
+                    masks: Some(plan), ..
+                },
+                _,
+                Some(bytes),
+            ) => {
+                let mut rest = cand;
+                for &(code, acc) in &plan.masked {
+                    let m = cand & slot_mask(bytes, code);
+                    accs[acc] |= m;
+                    rest &= !m;
+                }
+                accs[plan.rest] |= rest;
+                flush_regions(&mut accs, out, w);
+            }
+            (WordClass::Slots { slot_of, .. }, Some(lanes), _)
+                if cand.count_ones() >= GROUP_DENSE_LANES =>
+            {
                 for (slot, &code) in slots.iter_mut().zip(lanes) {
                     *slot = slot_of[code.index()];
                 }
@@ -793,13 +921,7 @@ fn partition_codes<C: CodeLane>(
                     let g = region_of[codes[base + b - offset].index()];
                     accs[(g as usize).min(num_regions)] |= 1u64 << b;
                 }
-                for (acc, region) in accs.iter_mut().zip(out.iter_mut()) {
-                    if *acc != 0 {
-                        region.or_word(w, *acc);
-                        *acc = 0;
-                    }
-                }
-                accs[num_regions] = 0;
+                flush_regions(&mut accs, out, w);
             }
         }
     });
@@ -1231,8 +1353,9 @@ pub(crate) fn count_bools_part(
 }
 
 /// Per-code selected-row counts of one coded part — numeric or string: a
-/// slot per dictionary entry and a last one for the selected NULL rows.
-/// (Exact either way — not path-gated.)
+/// slot per dictionary entry and a last one for the selected NULL rows. The
+/// scalar reference path walks every word ([`count_lanes`] without masks),
+/// so `ATLAS_FORCE_SCALAR` holds the entry masks to the walk.
 pub(crate) fn count_coded_part(
     codes: &Codes,
     card: usize,
@@ -1240,18 +1363,63 @@ pub(crate) fn count_coded_part(
     offset: usize,
     sel: &Bitmap,
 ) -> Vec<usize> {
-    at_each_width!(codes, codes => count_lanes(codes, card, validity, offset, sel))
+    if force_scalar() {
+        return at_each_width!(codes, codes => {
+            count_lanes(codes, card, validity, offset, sel, NO_MASKS)
+        });
+    }
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("popcnt")
+    {
+        // SAFETY: `count_coded_avx2` is safe Rust whose only precondition is
+        // a CPU that executes AVX2 and POPCNT instructions, which the runtime
+        // detection above just confirmed.
+        return unsafe { count_coded_avx2(codes, card, validity, offset, sel) };
+    }
+    at_each_width!(codes, codes => {
+        count_lanes(codes, card, validity, offset, sel, Some(eq_mask_64))
+    })
 }
 
+/// The AVX2 compilation of [`count_coded_part`]'s word loop: the entry masks
+/// are byte spans `[code, code]`, and every count is one `popcnt`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,popcnt")]
+fn count_coded_avx2(
+    codes: &Codes,
+    card: usize,
+    validity: &Bitmap,
+    offset: usize,
+    sel: &Bitmap,
+) -> Vec<usize> {
+    let eq = |lanes: &[u8; WORD_BITS], code| span_mask_u8_avx2(lanes, code, code);
+    at_each_width!(codes, codes => count_lanes(codes, card, validity, offset, sel, Some(eq)))
+}
+
+/// [`count_lanes`] with the walk alone: the scalar reference.
+const NO_MASKS: Option<fn(&[u8; WORD_BITS], u8) -> u64> = None;
+
 /// Direct-address selected-row counts over code lanes: `card + 1` slots, the
-/// last for NULLs, which `validity` marks (their lanes hold code 0). Dense
-/// candidate words count all 64 lanes without per-bit iteration.
+/// last for NULLs, which `validity` marks (their lanes hold code 0).
+///
+/// With `eq_mask` (the byte equality mask), a full word of a `u8`-coded part
+/// of at most [`MAX_ENTRY_MASKS`] + 1 entries counts entry `c` as
+/// `popcount(live & (lane == c))` over its live (selected, non-NULL) lanes —
+/// every entry but the last, whose count is what the masks leave of the live
+/// lanes. Every other word walks: a word whose every lane is a candidate
+/// tallies all 64 lanes, a sparser or edge word visits its set bits. How many
+/// words took each body
+/// reaches `/metrics` (`kernel.count.{masked,walked}_words`), added once per
+/// part. `inline(always)` so each caller stamps out a copy under its own
+/// instruction set.
+#[inline(always)]
 fn count_lanes<C: CodeLane>(
     codes: &[C],
     card: usize,
     validity: &Bitmap,
     offset: usize,
     sel: &Bitmap,
+    eq_mask: Option<impl Fn(&[u8; WORD_BITS], u8) -> u64>,
 ) -> Vec<usize> {
     // Two tallies per slot, taken in turn: neighbouring rows often hold the
     // same code, and back-to-back increments of one counter wait on each
@@ -1259,32 +1427,73 @@ fn count_lanes<C: CodeLane>(
     let mut tallies = vec![[0usize; 2]; card + 1];
     // NULL lanes counted as code 0 by the dense words.
     let mut dense_nulls = 0;
+    // The entries the masks count; the last is the rest (an empty dictionary
+    // has no live lane). The whole part masks or walks.
+    let masks = card.saturating_sub(1);
+    let eq_mask = eq_mask.filter(|_| C::IS_BYTE && masks <= MAX_ENTRY_MASKS);
+    let (mut masked_words, mut walked_words) = (0u64, 0u64);
     let end = offset + codes.len();
     for_each_sel_word(sel, offset, end, |w, cand| {
         let base = w * WORD_BITS;
         let valid = validity_word(validity, offset, base);
-        let full = base >= offset && base + WORD_BITS <= end;
-        if full && cand == u64::MAX {
-            for pair in codes[base - offset..base - offset + WORD_BITS].chunks_exact(2) {
-                tallies[pair[0].index()][0] += 1;
-                tallies[pair[1].index()][1] += 1;
-            }
-            dense_nulls += (!valid).count_ones() as usize;
-        } else {
+        let live = cand & valid;
+        // The word's 64 lanes, when all of them are this part's.
+        let lanes: Option<&[C; WORD_BITS]> = base
+            .checked_sub(offset)
+            .and_then(|at| codes[at..].first_chunk());
+        if let (Some(eq), Some(bytes)) = (&eq_mask, lanes.and_then(C::bytes)) {
+            masked_words += 1;
             tallies[card][0] += (cand & !valid).count_ones() as usize;
-            let mut bits = cand & valid;
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let code = codes[base + b - offset];
-                tallies[code.index()][b & 1] += 1;
+            let mut rest = live.count_ones() as usize;
+            for (code, tally) in tallies[..masks].iter_mut().enumerate() {
+                let n = (live & eq(bytes, code as u8)).count_ones() as usize;
+                tally[0] += n;
+                rest -= n;
+            }
+            tallies[masks][0] += rest;
+            return;
+        }
+        walked_words += 1;
+        match lanes {
+            Some(lanes) if cand == u64::MAX => {
+                for pair in lanes.chunks_exact(2) {
+                    tallies[pair[0].index()][0] += 1;
+                    tallies[pair[1].index()][1] += 1;
+                }
+                dense_nulls += (!valid).count_ones() as usize;
+            }
+            _ => {
+                tallies[card][0] += (cand & !valid).count_ones() as usize;
+                let mut bits = live;
+                while bits != 0 {
+                    let b = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let code = codes[base + b - offset];
+                    tallies[code.index()][b & 1] += 1;
+                }
             }
         }
     });
+    observe_count_words(masked_words, walked_words);
     let mut counts: Vec<usize> = tallies.into_iter().map(|[a, b]| a + b).collect();
     counts[0] -= dense_nulls;
     counts[card] += dense_nulls;
     counts
+}
+
+/// Add one part's [`count_lanes`] words to the always-on counters (surfaced
+/// in `/metrics`): how many words the entry masks counted, how many the walk
+/// did.
+fn observe_count_words(masked: u64, walked: u64) {
+    static COUNTERS: OnceLock<[&'static atlas_obs::Counter; 2]> = OnceLock::new();
+    let [masked_words, walked_words] = COUNTERS.get_or_init(|| {
+        [
+            atlas_obs::counter("kernel.count.masked_words"),
+            atlas_obs::counter("kernel.count.walked_words"),
+        ]
+    });
+    masked_words.add(masked);
+    walked_words.add(walked);
 }
 
 /// The selected `(non-NULL, NULL)` row counts of one string part (zeros for

@@ -319,11 +319,17 @@ fn walk(parts: &Components) -> Vec<Sample> {
         circuit_samples(&mut out, &at, dataset, &circuits);
     }
     // Counter names follow the workspace convention `family.label.label`:
-    // `kernel.<op>.<path>` maps onto a labelled family, anything else falls
-    // back to a generic `atlas_counter_total{name=…}`.
+    // `kernel.count.<body>_words` (the 64-row words the per-code counts read
+    // through entry masks or walked) and `kernel.<op>.<path>` map onto
+    // labelled families, anything else falls back to a generic
+    // `atlas_counter_total{name=…}`.
     for (name, value) in atlas_obs::counters() {
         let segments: Vec<&str> = name.split('.').collect();
         let (family, labels) = match segments.as_slice() {
+            ["kernel", "count", words] => (
+                "atlas_kernel_count_words_total",
+                vec![("body", words.trim_end_matches("_words"))],
+            ),
             ["kernel", op, path] => (
                 "atlas_kernel_dispatch_total",
                 vec![("op", *op), ("path", *path)],

@@ -57,6 +57,52 @@ fn healthz_datasets_and_metrics_respond() {
     handle.shutdown();
 }
 
+/// `/metrics` says which body counted: a filtered census explore (23 % of
+/// the rows, which misses the profile) counts the 2–4-valued string columns
+/// through entry masks and the wide numeric ones (`age`, `hours_per_week`,
+/// `height_cm`) by the walk, so both word counters rise. The scalar
+/// reference path walks every word.
+#[test]
+fn metrics_say_which_body_counted_a_filtered_explore() {
+    let (handle, client) = boot(20_000, 0, 2);
+    let words = || {
+        let metrics = client.get("/metrics").unwrap().json().unwrap();
+        let counters = metrics.get("counters").unwrap();
+        let read = |key| counters.get(key).and_then(Json::num).unwrap_or(0.0);
+        (
+            read("kernel.count.masked_words"),
+            read("kernel.count.walked_words"),
+        )
+    };
+    let (masked, walked) = words();
+    let token = client.create_session("census").unwrap();
+    let reply = client
+        .post_text(
+            &format!("/sessions/{token}/explore"),
+            "age BETWEEN 30 AND 43",
+        )
+        .unwrap();
+    assert_eq!(reply.status, 200, "{:?}", reply.body_text());
+    let (masked_after, walked_after) = words();
+    assert!(walked_after > walked, "{walked} -> {walked_after}");
+    if atlas_columnar::force_scalar() {
+        assert_eq!(masked_after, masked);
+    } else {
+        assert!(masked_after > masked, "{masked} -> {masked_after}");
+    }
+
+    let text = Client::new(handle.addr())
+        .with_header("Accept", "text/plain")
+        .get("/metrics")
+        .unwrap();
+    let text = text.body_text().unwrap().to_string();
+    assert!(
+        text.contains("atlas_kernel_count_words_total{body=\"walked\"}"),
+        "{text}"
+    );
+    handle.shutdown();
+}
+
 #[test]
 fn the_full_exploration_loop_works_over_the_wire() {
     let (handle, client) = boot(2_000, 8, 2);

@@ -15,7 +15,8 @@
 //! * all-null columns and high null fractions;
 //! * every segment layout (single-segment, tiny unaligned segments, and the
 //!   64-row-aligned case) — the full suite also runs under
-//!   `ATLAS_SEGMENT_ROWS=1024` and `ATLAS_FORCE_SCALAR=1` in CI.
+//!   `ATLAS_SEGMENT_ROWS=1024`, `ATLAS_SEGMENT_ROWS=1000` (segment edges inside
+//!   a word) and `ATLAS_FORCE_SCALAR=1` in CI.
 
 use atlas::columnar::{
     with_kernel_path, Bitmap, DataType, Field, KernelPath, Schema, Table, TableBuilder, Value,
@@ -259,8 +260,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Both sides of the 64-code line: dictionaries of fewer than 64 codes
-    /// fold membership words, larger ones gather group slots, and every
-    /// answer is the scalar reference's — with NULL lanes, groups naming
+    /// fold membership words, larger ones gather group slots, and those of a
+    /// handful of entries take entry masks (both sides of 9 entries) — and
+    /// every answer is the scalar reference's — with NULL lanes, groups naming
     /// values no dictionary holds, a value listed in two groups, an empty
     /// group, dense / half-dense / under-16-lane / empty selection words, and
     /// every segment layout (per-segment dictionaries then sit on either side
@@ -268,8 +270,8 @@ proptest! {
     #[test]
     fn dictionary_grouping_is_bit_identical_on_both_sides_of_the_64_code_line(
         card in prop_oneof![
-            Just(1usize), Just(2usize), Just(62usize), Just(63usize),
-            Just(64usize), Just(65usize), Just(200usize)
+            Just(1usize), Just(2usize), Just(3usize), Just(9usize), Just(10usize),
+            Just(62usize), Just(63usize), Just(64usize), Just(65usize), Just(200usize)
         ],
         tail in proptest::collection::vec(proptest::option::weighted(0.85, 0u32..1000), 64..400),
         num_groups in 1usize..9,
@@ -353,7 +355,7 @@ fn more_groups_than_a_byte_can_name_stay_bit_identical() {
 // Coded ≡ plain ≡ scalar: the sealed representation of a numeric column
 // ---------------------------------------------------------------------------
 
-use atlas::columnar::{Column, ColumnView, Encoding, SummaryParts};
+use atlas::columnar::{Column, ColumnStats, ColumnView, Encoding, SummaryParts};
 
 /// The `k`-th value of the pool a generated column draws from. The first
 /// slots are the values a sorted dictionary has to get right — both zeros,
@@ -494,15 +496,18 @@ proptest! {
     /// reference), and tables sealed at five segment sizes, which code the
     /// whole column, none of it, or some parts and not others — and every
     /// kernel must say the same thing about all of them on both kernel paths:
-    /// on each side of the `u8`/`u16` and coded/plain lines, with the values
+    /// on each side of the `u8`/`u16` and coded/plain lines and of the
+    /// entry-mask line (9 entries is the most a count masks), with the values
     /// a sorted dictionary must order (`±0.0`, NaNs, `±∞`, integers sharing
     /// an `f64`), NULL-heavy and all-NULL columns, bounds that are inverted,
     /// NaN, overlapping or between two entries, and selections from dense to
-    /// empty that leave partial words at both ends of the parts.
+    /// empty — scattered 1 %, 6 % and 50 % ones among them — that leave
+    /// partial words at both ends of the parts.
     #[test]
     fn coded_plain_and_scalar_agree_at_every_edge(
         distinct in prop_oneof![
-            Just(1usize), Just(2usize), Just(255usize), Just(256usize), Just(257usize),
+            Just(1usize), Just(2usize), Just(3usize), Just(9usize), Just(10usize),
+            Just(255usize), Just(256usize), Just(257usize),
             Just(1023usize), Just(1024usize), Just(1025usize)
         ],
         float in any::<bool>(),
@@ -546,6 +551,9 @@ proptest! {
             Bitmap::from_fn(rows, |i| i % 23 == 0),
             Bitmap::new_empty(rows),
             Bitmap::from_fn(rows, |i| (3..rows.saturating_sub(2)).contains(&i) && i % 5 != 0),
+            Bitmap::from_fn(rows, |i| mix(seed ^ 3, i as u64) % 100 < 1),
+            Bitmap::from_fn(rows, |i| mix(seed ^ 3, i as u64) % 100 < 6),
+            Bitmap::from_fn(rows, |i| mix(seed ^ 3, i as u64) % 100 < 50),
         ];
         // Bounds off the pool: on an entry, just below or above it, halfway
         // to the next — in either order, so inverted and overlapping lists
@@ -685,10 +693,12 @@ fn observe_strings(
 /// lookup index still there), tables sealed at every layout of
 /// [`dictionary_table`] (whose per-segment dictionaries land on either side
 /// of the width lines), and both of them through the scalar reference — and
-/// require one answer from every kernel; `select_in_groups` and
-/// `category_codes` are also held to a row-at-a-time definition that shares
-/// nothing with them (a value belongs to the first group that lists it; a
-/// label is the value's first-appearance rank, `u32::MAX` for NULL).
+/// require one answer from every kernel; `select_in_groups`,
+/// `category_codes`, `category_counts` and `stats` are also held to a
+/// row-at-a-time definition that shares nothing with them (a value belongs to
+/// the first group that lists it; a label is the value's first-appearance
+/// rank, `u32::MAX` for NULL; a count is a tally of the selected rows' values,
+/// one per value in first-appearance order, zeros included).
 fn check_string_column(cells: &[Value], sels: &[Bitmap], groups: &[Vec<String>]) {
     let rows = cells.len();
     let mut open = Column::new_empty(DataType::Str);
@@ -747,9 +757,31 @@ fn check_string_column(cells: &[Value], sels: &[Bitmap], groups: &[Vec<String>])
             assert_eq!(region, &expected, "group {g} by rows");
         }
     }
-    let nulls = cells.iter().filter(|cell| text(cell).is_none()).count();
-    let held = reference.values.iter().filter(|v| **v != Value::Null);
-    assert_eq!(held.count(), rows - nulls);
+    for (s, sel) in sels.iter().enumerate() {
+        let mut tally = vec![0usize; first_seen.len()];
+        let mut selected_nulls = 0;
+        for row in (0..rows).filter(|&row| sel.get(row)) {
+            match text(&cells[row]) {
+                Some(value) => tally[rank[&value] as usize] += 1,
+                None => selected_nulls += 1,
+            }
+        }
+        let counts: Vec<(String, usize)> = first_seen.iter().cloned().zip(tally).collect();
+        assert_eq!(reference.counts[s], counts, "category_counts by rows");
+        let expected = ColumnStats {
+            dtype: DataType::Str,
+            non_null_count: counts.iter().map(|(_, n)| n).sum(),
+            null_count: selected_nulls,
+            distinct_count: counts.iter().filter(|(_, n)| *n > 0).count(),
+            min: None,
+            max: None,
+            value_counts: None,
+            // The counter holds at most 1 024 values.
+            category_counts: (counts.len() <= 1024).then_some(counts),
+        };
+        assert_eq!(reference.stats[s], format!("{expected:?}"), "stats by rows");
+    }
+    assert_eq!(reference.values, cells, "value");
 
     for segment_rows in [usize::MAX, 7, 64, 100] {
         let table = string_table(cells, segment_rows);
@@ -808,7 +840,11 @@ fn dealt_groups(
     groups
 }
 
-fn string_selections(rows: usize, bits: &[bool]) -> [Bitmap; 5] {
+/// Dense to empty selections, partial words at both ends, and scattered 1 %,
+/// 6 % and 50 % ones, whose words hold from none to most of their lanes.
+fn string_selections(rows: usize, bits: &[bool]) -> [Bitmap; 8] {
+    let scattered =
+        |pct: u64| Bitmap::from_fn(rows, |i| mix(bits.len() as u64, i as u64) % 100 < pct);
     [
         Bitmap::new_full(rows),
         Bitmap::from_fn(rows, |i| bits[i % bits.len()]),
@@ -817,21 +853,25 @@ fn string_selections(rows: usize, bits: &[bool]) -> [Bitmap; 5] {
         Bitmap::from_fn(rows, |i| {
             (3..rows.saturating_sub(2)).contains(&i) && i % 5 != 0
         }),
+        scattered(1),
+        scattered(6),
+        scattered(50),
     ]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// Dictionaries on each side of the 64-code line the retired membership
-    /// fold drew and of the `u8` / `u16` width line, NULL lanes (which hold
-    /// code 0 like the first value's rows), all-NULL columns, dense to empty
+    /// Dictionaries on each side of the entry-mask line (9 entries is the
+    /// most a count masks), of the 64-code line the retired membership fold
+    /// drew and of the `u8` / `u16` width line, NULL lanes (which hold code 0
+    /// like the first value's rows), all-NULL columns, dense to empty
     /// selections.
     #[test]
     fn sealed_open_and_scalar_strings_agree_on_each_side_of_every_width_line(
         card in prop_oneof![
-            Just(1usize), Just(2usize), Just(63usize), Just(64usize),
-            Just(255usize), Just(256usize), Just(257usize)
+            Just(1usize), Just(2usize), Just(3usize), Just(9usize), Just(10usize),
+            Just(63usize), Just(64usize), Just(255usize), Just(256usize), Just(257usize)
         ],
         tail in proptest::collection::vec(proptest::option::weighted(0.85, 0u32..100_000), 64..400),
         num_groups in 1usize..9,
