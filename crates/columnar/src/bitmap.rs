@@ -5,7 +5,9 @@
 //! Atlas manipulates these constantly (every `CUT` produces one bitmap per
 //! region, covers are bitmap cardinalities, region intersection for the product
 //! operator is a bitmap AND), so the representation is a packed `u64` word
-//! vector with the usual bit-twiddling kernels.
+//! vector with the usual bit-twiddling kernels. The two counting kernels
+//! ([`Bitmap::count`], [`Bitmap::intersection_count`]) run a `popcnt`
+//! compilation on CPUs that have the instruction.
 
 use std::fmt;
 
@@ -106,8 +108,19 @@ impl Bitmap {
     }
 
     /// The number of set bits (the *cover count* in Atlas terms).
+    ///
+    /// One `popcnt` instruction per word on a CPU that has it. Baseline
+    /// x86-64 has none, so the portable fold there is a software bit count;
+    /// it also runs on other targets and under `ATLAS_FORCE_SCALAR`.
     pub fn count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        #[cfg(target_arch = "x86_64")]
+        if hardware_popcount() {
+            // SAFETY: `count_popcnt` is safe Rust whose only precondition is
+            // a CPU that executes POPCNT, which `hardware_popcount` just
+            // confirmed at run time.
+            return unsafe { count_popcnt(&self.words) };
+        }
+        count_fold(&self.words)
     }
 
     /// The cover of this selection: fraction of rows selected, in `[0, 1]`.
@@ -201,13 +214,17 @@ impl Bitmap {
     }
 
     /// The number of set bits in the intersection, without materialising it.
+    /// Dispatches like [`Bitmap::count`].
     pub fn intersection_count(&self, other: &Bitmap) -> usize {
         assert_eq!(self.len, other.len, "bitmap length mismatch");
-        self.words
-            .iter()
-            .zip(other.words.iter())
-            .map(|(a, b)| (a & b).count_ones() as usize)
-            .sum()
+        #[cfg(target_arch = "x86_64")]
+        if hardware_popcount() {
+            // SAFETY: `intersection_count_popcnt` is safe Rust whose only
+            // precondition is a CPU that executes POPCNT, which
+            // `hardware_popcount` just confirmed at run time.
+            return unsafe { intersection_count_popcnt(&self.words, &other.words) };
+        }
+        intersection_count_fold(&self.words, &other.words)
     }
 
     /// Iterate over the indices of set bits, in increasing order.
@@ -387,6 +404,43 @@ impl Bitmap {
     }
 }
 
+/// True when [`Bitmap::count`] and [`Bitmap::intersection_count`] may run
+/// their `popcnt` compilation: the CPU has the instruction (the detection
+/// macro caches) and the scalar reference path is not in effect.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn hardware_popcount() -> bool {
+    std::arch::is_x86_feature_detected!("popcnt") && !crate::kernels::force_scalar()
+}
+
+#[inline(always)]
+fn count_fold(words: &[u64]) -> usize {
+    words.iter().map(|w| w.count_ones() as usize).sum()
+}
+
+#[inline(always)]
+fn intersection_count_fold(a: &[u64], b: &[u64]) -> usize {
+    a.iter()
+        .zip(b)
+        .map(|(a, b)| (a & b).count_ones() as usize)
+        .sum()
+}
+
+/// The `popcnt` compilation of [`count_fold`]: identical safe Rust, one
+/// instruction per word where baseline x86-64 emits a dozen.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "popcnt")]
+fn count_popcnt(words: &[u64]) -> usize {
+    count_fold(words)
+}
+
+/// The `popcnt` compilation of [`intersection_count_fold`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "popcnt")]
+fn intersection_count_popcnt(a: &[u64], b: &[u64]) -> usize {
+    intersection_count_fold(a, b)
+}
+
 impl fmt::Debug for Bitmap {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Bitmap(len={}, ones={})", self.len, self.count())
@@ -490,6 +544,27 @@ mod tests {
         assert_eq!(a.intersection_count(&b), 3);
         assert!(!a.is_disjoint(&b));
         assert!(a.is_disjoint(&Bitmap::new_empty(200)));
+    }
+
+    #[test]
+    fn hardware_and_software_popcounts_agree() {
+        use crate::kernels::{with_kernel_path, KernelPath};
+        for len in [0usize, 1, 63, 64, 65, 1000] {
+            let a = Bitmap::from_fn(len, |i| i % 3 == 0 || i % 7 == 1);
+            let b = Bitmap::from_fn(len, |i| i % 5 < 2);
+            let counts = || (a.count(), a.intersection_count(&b));
+            let expected = (
+                a.iter_ones().count(),
+                a.iter_ones().filter(|&i| b.get(i)).count(),
+            );
+            for path in [KernelPath::WordParallel, KernelPath::Scalar] {
+                assert_eq!(
+                    with_kernel_path(path, counts),
+                    expected,
+                    "{path:?} len={len}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -102,14 +102,14 @@ impl CutStrategy for GridCut {
             } else {
                 prev_float(min + width * (i + 1) as f64)
             };
-            let selection = column.select_range(working, lo, hi);
-            if selection.count() >= min_count {
-                // The predicate records the interval index as an integer
-                // range; exact bounds are recoverable from the selection.
-                let query = parent_query
-                    .clone()
-                    .and(Predicate::range(attribute, i as f64, i as f64));
-                regions.push(Region::new(query, selection));
+            // The predicate records the interval index as an integer range;
+            // exact bounds are recoverable from the selection.
+            let query = parent_query
+                .clone()
+                .and(Predicate::range(attribute, i as f64, i as f64));
+            let region = Region::new(query, column.select_range(working, lo, hi));
+            if region.count() >= min_count {
+                regions.push(region);
             }
         }
         if regions.is_empty() {

@@ -5,6 +5,16 @@
 //! falls into. Two maps are *related* when their variables are statistically
 //! dependent. The paper proposes mutual-information-based measures and singles
 //! out the Variation of Information (Meilă 2007) because it is a true metric.
+//!
+//! The clustering phase compares every pair of `n` candidates through the
+//! contingency table of their regions. The engine and the coordinator call
+//! [`distance_matrix_within`]: candidates cut from one working set partition
+//! it (unless their attribute has NULLs there), so of a pair's `r × c` cells
+//! only the `(r−1)(c−1)` head cells are intersected and the rest follow from
+//! the regions' stored counts — `O(n² · (r−1)(c−1) · rows/64)` word
+//! operations, one intersection per pair of two-region maps.
+//! [`distance_matrix_with_pool`] still counts all `r · c` cells; only the
+//! benchmark harness's staged replay reads that cost.
 
 use crate::map::DataMap;
 use atlas_columnar::Bitmap;
@@ -95,7 +105,10 @@ pub fn map_distance(a: &DataMap, b: &DataMap, table_rows: usize, metric: MapDist
     }
     let regions_a: Vec<&Bitmap> = a.regions.iter().map(|r| &r.selection).collect();
     let regions_b: Vec<&Bitmap> = b.regions.iter().map(|r| &r.selection).collect();
-    distance_from_selections(&regions_a, &regions_b, metric)
+    metric_of(
+        &ContingencyTable::from_selections(&regions_a, &regions_b),
+        metric,
+    )
 }
 
 /// True when every region bitmap across the given maps shares one common
@@ -118,16 +131,6 @@ fn fused_compatible<'a>(maps: impl IntoIterator<Item = &'a DataMap>, table_rows:
         }
     }
     true
-}
-
-/// The distance between two partitions given as per-region selection bitmaps.
-fn distance_from_selections(
-    regions_a: &[&Bitmap],
-    regions_b: &[&Bitmap],
-    metric: MapDistanceMetric,
-) -> f64 {
-    let table = ContingencyTable::from_selections(regions_a, regions_b);
-    metric_of(&table, metric)
 }
 
 /// The chosen dependency measure of a prebuilt contingency table.
@@ -162,6 +165,8 @@ pub fn distance_from_labels(
 /// Each pair is compared through the fused bitmap-contingency kernel of
 /// [`map_distance`], so the cost is `O(n² · regionsᵃ·regionsᵇ · rows/64)`
 /// word operations for `n` candidates — no label vectors are materialised.
+/// [`distance_matrix_within`] counts fewer cells when the maps' working set
+/// is known.
 pub fn distance_matrix(
     maps: &[DataMap],
     table_rows: usize,
@@ -171,13 +176,47 @@ pub fn distance_matrix(
 }
 
 /// [`distance_matrix`] with the upper triangle split row-blocked across a
-/// thread pool.
+/// thread pool: every cell of every pair's contingency table is counted.
 ///
 /// Results are written per row of the triangle and are **identical at every
 /// thread count** (each cell is a pure function of its two maps).
 pub fn distance_matrix_with_pool(
     maps: &[DataMap],
     table_rows: usize,
+    metric: MapDistanceMetric,
+    pool: &ThreadPool,
+) -> DistanceMatrix {
+    pairwise(maps, table_rows, None, metric, pool)
+}
+
+/// [`distance_matrix_with_pool`] over maps cut from a working set of
+/// `working_rows` rows — every region a subset of it, each map's regions
+/// pairwise disjoint, as the cut strategies produce them. The matrix is
+/// identical, bit for bit; the cost is `O(n² · (r−1)(c−1) · rows/64)`.
+///
+/// A map whose region counts sum to `working_rows` partitions the working
+/// set, so a pair of such maps is compared through
+/// [`ContingencyTable::from_partitions`]: only the `(r−1)(c−1)` head cells
+/// are intersected (one for two two-region maps, not four), and the rest
+/// come from the regions' stored counts. A pair with a map that misses rows
+/// of the working set — NULLs in its attribute — counts every cell.
+pub fn distance_matrix_within(
+    maps: &[DataMap],
+    table_rows: usize,
+    working_rows: usize,
+    metric: MapDistanceMetric,
+    pool: &ThreadPool,
+) -> DistanceMatrix {
+    pairwise(maps, table_rows, Some(working_rows), metric, pool)
+}
+
+/// The one body of [`distance_matrix_with_pool`] and
+/// [`distance_matrix_within`]: pairs of maps that each partition a working
+/// set of `working_rows` rows (when given) take the derived table.
+fn pairwise(
+    maps: &[DataMap],
+    table_rows: usize,
+    working_rows: Option<usize>,
     metric: MapDistanceMetric,
     pool: &ThreadPool,
 ) -> DistanceMatrix {
@@ -197,10 +236,27 @@ pub fn distance_matrix_with_pool(
         .iter()
         .map(|m| m.regions.iter().map(|r| &r.selection).collect())
         .collect();
+    let counts: Vec<Vec<u64>> = maps.iter().map(DataMap::region_counts).collect();
+    let partitions: Vec<bool> = counts
+        .iter()
+        .map(|c| working_rows.is_some_and(|rows| c.iter().sum::<u64>() == rows as u64))
+        .collect();
     // Row i of the upper triangle holds the distances (i, i+1..n).
     let rows: Vec<Vec<f64>> = pool.par_map_indexed(n, 1, |i| {
         ((i + 1)..n)
-            .map(|j| distance_from_selections(&regions[i], &regions[j], metric))
+            .map(|j| {
+                let table = if partitions[i] && partitions[j] {
+                    ContingencyTable::from_partitions(
+                        &regions[i],
+                        &counts[i],
+                        &regions[j],
+                        &counts[j],
+                    )
+                } else {
+                    ContingencyTable::from_selections(&regions[i], &regions[j])
+                };
+                metric_of(&table, metric)
+            })
             .collect()
     });
     triangle_to_matrix(n, rows)

@@ -359,7 +359,9 @@ impl Atlas {
 
         // Step 2: cluster dependent candidates.
         let phase_span = atlas_obs::span("phase.clustering");
-        let matrix = self.distance.matrix(&ctx, &candidates.maps);
+        let matrix = self
+            .distance
+            .matrix(&ctx, &candidates.maps, working_set_size);
         let clusters = cluster_maps_with_pool(&matrix, &self.config.clustering, &self.pool)?;
         let clustering_ms = phase_span.finish_ms();
 

@@ -1,8 +1,7 @@
 //! Data maps: small sets of queries that partition the working set.
 
 use crate::region::Region;
-use atlas_columnar::Bitmap;
-use atlas_stats::entropy_of_selections;
+use atlas_stats::entropy_of_counts;
 use std::fmt;
 
 /// Sentinel label for rows that belong to no region of a map (rows outside
@@ -58,10 +57,10 @@ impl DataMap {
 
     /// Entropy (bits) of the map's cover distribution — the ranking score of
     /// Section 3.4. Maps with many balanced regions score high; maps that
-    /// isolate a tiny outlier region score low. Computed straight from the
-    /// region bitmaps (word-level popcounts, no per-row materialisation).
+    /// isolate a tiny outlier region score low. Computed from the regions'
+    /// stored counts.
     pub fn entropy(&self) -> f64 {
-        entropy_of_selections(self.regions.iter().map(|r| &r.selection))
+        entropy_of_counts(&self.region_counts())
     }
 
     /// The maximum number of predicates over the map's region queries.
@@ -106,21 +105,6 @@ impl DataMap {
         true
     }
 
-    /// True if the regions exactly partition `working` (disjoint and their
-    /// union equals the working set). NULL values in cut attributes make maps
-    /// cover slightly less than the full working set, so callers usually check
-    /// [`DataMap::regions_are_disjoint`] plus a coverage lower bound instead.
-    pub fn is_partition_of(&self, working: &Bitmap) -> bool {
-        if !self.regions_are_disjoint() {
-            return false;
-        }
-        let mut union = Bitmap::new_empty(working.len());
-        for region in &self.regions {
-            union.union_with(&region.selection);
-        }
-        union == *working
-    }
-
     /// Drop regions that cover no tuples.
     pub fn drop_empty_regions(&mut self) {
         self.regions.retain(|r| !r.is_empty());
@@ -145,6 +129,7 @@ impl fmt::Display for DataMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use atlas_columnar::Bitmap;
     use atlas_query::{ConjunctiveQuery, Predicate};
 
     fn region(table_rows: usize, rows: &[usize], attr: &str) -> Region {
@@ -192,25 +177,22 @@ mod tests {
 
     #[test]
     fn labels_and_partition_checks() {
-        let working = Bitmap::from_indices(6, [0, 1, 2, 3, 4, 5]);
         let map = DataMap::new(
             vec![region(6, &[0, 1, 2], "a"), region(6, &[3, 4, 5], "a")],
             vec!["a".to_string()],
         );
         assert_eq!(map.region_labels(6), vec![0, 0, 0, 1, 1, 1]);
         assert!(map.regions_are_disjoint());
-        assert!(map.is_partition_of(&working));
 
         let overlapping = DataMap::new(
             vec![region(6, &[0, 1, 2], "a"), region(6, &[2, 3], "a")],
             vec!["a".to_string()],
         );
         assert!(!overlapping.regions_are_disjoint());
-        assert!(!overlapping.is_partition_of(&working));
 
         let partial = DataMap::new(vec![region(6, &[0, 1], "a")], vec!["a".to_string()]);
         assert!(partial.regions_are_disjoint());
-        assert!(!partial.is_partition_of(&working));
+        assert_eq!(partial.covered_count(), 2);
         assert_eq!(
             partial.region_labels(6),
             vec![0, 0, NO_REGION, NO_REGION, NO_REGION, NO_REGION]

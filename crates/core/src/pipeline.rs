@@ -21,7 +21,7 @@
 //! across threads behind an `Arc`.
 
 use crate::cut::{cut_attribute_in_context, CutConfig};
-use crate::distance::{distance_matrix_with_pool, DistanceMatrix, MapDistanceMetric};
+use crate::distance::{distance_matrix_within, DistanceMatrix, MapDistanceMetric};
 use crate::error::Result;
 use crate::map::DataMap;
 use crate::merge::product_maps;
@@ -115,11 +115,18 @@ pub trait MapDistance: fmt::Debug + Send + Sync {
     /// A short human-readable name (used in reports and benchmarks).
     fn name(&self) -> &str;
 
-    /// The pairwise distance matrix over a set of candidate maps.
+    /// The pairwise distance matrix over a set of candidate maps, each cut
+    /// by the engine's [`CutStrategy`] from a working set of `working_rows`
+    /// rows (so every region is a subset of it).
     ///
     /// Implementations may parallelise across `ctx.pool`; the result must not
     /// depend on the pool's thread count.
-    fn matrix(&self, ctx: &PipelineContext<'_>, maps: &[DataMap]) -> DistanceMatrix;
+    fn matrix(
+        &self,
+        ctx: &PipelineContext<'_>,
+        maps: &[DataMap],
+        working_rows: usize,
+    ) -> DistanceMatrix;
 }
 
 /// Step 3 — combine the maps of one cluster into a representative map.
@@ -223,8 +230,14 @@ impl MapDistance for ViDistance {
         }
     }
 
-    fn matrix(&self, ctx: &PipelineContext<'_>, maps: &[DataMap]) -> DistanceMatrix {
-        distance_matrix_with_pool(maps, ctx.table.num_rows(), self.metric, ctx.pool)
+    fn matrix(
+        &self,
+        ctx: &PipelineContext<'_>,
+        maps: &[DataMap],
+        working_rows: usize,
+    ) -> DistanceMatrix {
+        let rows = ctx.table.num_rows();
+        distance_matrix_within(maps, rows, working_rows, self.metric, ctx.pool)
     }
 }
 

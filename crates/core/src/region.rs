@@ -1,4 +1,12 @@
 //! Regions: one query of a data map, plus its extent.
+//!
+//! A region's size is read at every later step — the contingency tables of
+//! the map distance, the cover entropy of the ranking, the region cap, the
+//! composition's partition check, every served reply — so it is counted once,
+//! when the region is built, and stored beside the selection. A region's
+//! selection is never mutated after construction (nothing in the tree does),
+//! which is what keeps the stored count true; debug builds check it on every
+//! read.
 
 use atlas_columnar::Bitmap;
 use atlas_query::ConjunctiveQuery;
@@ -13,19 +21,32 @@ pub struct Region {
     /// engine verbatim for drill-down.
     pub query: ConjunctiveQuery,
     /// The rows of the table covered by this region (already intersected with
-    /// the working set).
+    /// the working set). Read-only after construction: [`Region::count`] is
+    /// taken from it once, in [`Region::new`].
     pub selection: Bitmap,
+    count: usize,
 }
 
 impl Region {
-    /// Create a region from a query and its selection.
+    /// Create a region from a query and its selection, counting the
+    /// selection once.
     pub fn new(query: ConjunctiveQuery, selection: Bitmap) -> Self {
-        Region { query, selection }
+        let count = selection.count();
+        Region {
+            query,
+            selection,
+            count,
+        }
     }
 
-    /// Number of tuples in the region.
+    /// Number of tuples in the region (stored, not recounted).
     pub fn count(&self) -> usize {
-        self.selection.count()
+        debug_assert_eq!(
+            self.count,
+            self.selection.count(),
+            "a region's selection changed after construction"
+        );
+        self.count
     }
 
     /// The cover of the region relative to a reference population size
@@ -47,7 +68,7 @@ impl Region {
 
     /// True if the region covers no tuples.
     pub fn is_empty(&self) -> bool {
-        self.selection.is_all_clear()
+        self.count() == 0
     }
 }
 
@@ -83,5 +104,14 @@ mod tests {
         let region = Region::new(ConjunctiveQuery::all("t"), Bitmap::new_empty(5));
         assert!(region.is_empty());
         assert_eq!(region.count(), 0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "changed after construction")]
+    fn a_mutated_selection_fails_the_debug_check() {
+        let mut region = Region::new(ConjunctiveQuery::all("t"), Bitmap::new_empty(5));
+        region.selection.set(2);
+        let _ = region.count();
     }
 }

@@ -20,8 +20,9 @@
 //!    the cut phase every candidate region is already here as a folded
 //!    bitmap over the live rows (the product merge needs them), so the
 //!    pairwise matrix is the engine's own
-//!    [`atlas_core::distance_matrix_with_pool`] over them — the call
-//!    [`atlas_core::Atlas::explore`] makes, with no round-trip;
+//!    [`atlas_core::distance_matrix_within`] over them and the working set's
+//!    count — the call [`atlas_core::Atlas::explore`] makes, with no
+//!    round-trip;
 //! 4. **clustering, merging, ranking** — run locally on the folded inputs,
 //!    byte-for-byte the engine's own implementations.
 //!
@@ -92,7 +93,7 @@ use crate::wire::frames::{
 use crate::wire::Json;
 use atlas_columnar::{merge_category_counts, Bitmap, ColumnStats, ColumnSummary, DataType};
 use atlas_core::{
-    cluster_maps_with_pool, cut_from_source, distance_matrix_with_pool, enforce_region_cap_within,
+    cluster_maps_with_pool, cut_from_source, distance_matrix_within, enforce_region_cap_within,
     product_maps, rank_maps, AtlasConfig, AtlasError, CutSource, MapResult, MergeStrategy,
     PhaseTimings, ThreadPool,
 };
@@ -1279,8 +1280,13 @@ impl Coordinator {
         // call on the live row space, so no shard is asked — then the
         // engine's own clustering.
         let clustering_span = atlas_obs::span("phase.clustering");
-        let matrix =
-            distance_matrix_with_pool(&maps, ctx.live_rows, self.config.distance, &self.pool);
+        let matrix = distance_matrix_within(
+            &maps,
+            ctx.live_rows,
+            working_count,
+            self.config.distance,
+            &self.pool,
+        );
         let clusters = cluster_maps_with_pool(&matrix, &self.config.clustering, &self.pool)?;
         let clustering_ms = clustering_span.finish_ms();
         self.check_deadline(ctx, "merge")?;

@@ -254,22 +254,31 @@ fn identical_queries_hit_the_shared_cache_across_sessions() {
     let b = client.create_session("census").unwrap();
     let first = client
         .post_text(&format!("/sessions/{a}/explore"), "SELECT * FROM census")
-        .unwrap()
-        .json()
         .unwrap();
-    assert_eq!(first.get("cache_hit").unwrap().bool(), Some(false));
     // Same query, different session, different predicate spelling order.
     let second = client
         .post_text(&format!("/sessions/{b}/explore"), "SELECT * FROM census")
-        .unwrap()
-        .json()
         .unwrap();
-    assert_eq!(second.get("cache_hit").unwrap().bool(), Some(true));
+    // The bytes on the wire, not a re-encoding: `maps` is the last member.
+    let maps_bytes = |text: &str| text[text.find("\"maps\":").unwrap()..].to_string();
     assert_eq!(
-        first.get("maps").unwrap().encode(),
-        second.get("maps").unwrap().encode(),
-        "cached replies are byte-identical"
+        maps_bytes(first.body_text().unwrap()),
+        maps_bytes(second.body_text().unwrap()),
+        "a cache hit serves the maps the miss stored, byte for byte"
     );
+    let (first, second) = (first.json().unwrap(), second.json().unwrap());
+    assert_eq!(first.get("cache_hit").unwrap().bool(), Some(false));
+    assert_eq!(second.get("cache_hit").unwrap().bool(), Some(true));
+    // Each region's cover is its stored count over the working set.
+    let working_set_size = second.get("working_set_size").unwrap().index().unwrap();
+    for map in second.get("maps").unwrap().items().unwrap() {
+        for region in map.get("regions").unwrap().items().unwrap() {
+            let count = region.get("count").unwrap().index().unwrap();
+            let cover = region.get("cover").unwrap().num().unwrap();
+            let expected = count as f64 / working_set_size as f64;
+            assert_eq!(cover.to_bits(), expected.to_bits(), "{region:?}");
+        }
+    }
     handle.shutdown();
 }
 

@@ -5,7 +5,10 @@
 //! paper). The dependency between two maps is computed from the contingency
 //! table of their two label vectors — or, much faster, directly from the
 //! region selection bitmaps via [`ContingencyTable::from_selections`], which
-//! never materialises a label per row.
+//! never materialises a label per row. When both maps partition one set (no
+//! NULL rows missing from either), [`ContingencyTable::from_partitions`]
+//! intersects only the `(r−1)(c−1)` head cells and completes the last row
+//! and column from the region counts.
 
 use atlas_columnar::Bitmap;
 
@@ -105,6 +108,66 @@ impl ContingencyTable {
                 }
             }
         }
+        ContingencyTable {
+            rows: r,
+            cols: c,
+            counts,
+            total,
+        }
+    }
+
+    /// [`ContingencyTable::from_selections`] for two **partitions of one
+    /// set**: each side's bitmaps are pairwise disjoint and both sides cover
+    /// the same rows, so `row_counts[i] = |rows[i]|` and
+    /// `col_counts[j] = |cols[j]|` sum to the same total.
+    ///
+    /// Then each row of the table sums to its region's count and each column
+    /// to its, so only the `(r−1)(c−1)` head cells are intersected: the last
+    /// column is `row_counts[i]` minus the row's head cells, and the last row
+    /// is `col_counts[j]` minus the column's cells above it. Integer
+    /// arithmetic, so the table is the one
+    /// [`ContingencyTable::from_selections`] counts, cell for cell — for two
+    /// two-region maps, one intersection instead of four. Under
+    /// `ATLAS_FORCE_SCALAR=1` the head cells are counted by the software
+    /// popcount fold.
+    ///
+    /// # Panics
+    /// Panics if a side has a different number of counts than bitmaps, if the
+    /// two sides' counts sum to different totals, or if the bitmaps do not
+    /// all range over the same number of rows.
+    pub fn from_partitions(
+        rows: &[&Bitmap],
+        row_counts: &[u64],
+        cols: &[&Bitmap],
+        col_counts: &[u64],
+    ) -> Self {
+        assert_eq!(rows.len(), row_counts.len(), "one count per row region");
+        assert_eq!(cols.len(), col_counts.len(), "one count per column region");
+        let total: u64 = row_counts.iter().sum();
+        assert_eq!(
+            total,
+            col_counts.iter().sum::<u64>(),
+            "both sides must partition one set"
+        );
+        let (r, c) = (rows.len(), cols.len());
+        if r == 0 || c == 0 {
+            return ContingencyTable::from_selections(rows, cols);
+        }
+        let mut counts = vec![0u64; r * c];
+        // What each column still holds for the rows not yet filled in.
+        let mut col_left = col_counts.to_vec();
+        let (head, last) = counts.split_at_mut((r - 1) * c);
+        for ((cells, row), &row_count) in head.chunks_exact_mut(c).zip(rows).zip(row_counts) {
+            let mut row_left = row_count;
+            for ((cell, col), left) in cells.iter_mut().zip(cols).zip(&mut col_left).take(c - 1) {
+                *cell = row.intersection_count(col) as u64;
+                row_left -= *cell;
+                *left -= *cell;
+            }
+            cells[c - 1] = row_left;
+            col_left[c - 1] -= row_left;
+        }
+        last.copy_from_slice(&col_left);
         ContingencyTable {
             rows: r,
             cols: c,
@@ -415,6 +478,55 @@ mod tests {
             word.normalized_vi().to_bits(),
             scalar.normalized_vi().to_bits()
         );
+    }
+
+    #[test]
+    fn from_partitions_matches_from_selections_on_both_paths() {
+        use atlas_columnar::{with_kernel_path, KernelPath};
+        // Every side partitions the same rows (not all of them: some are in
+        // no region, as NULLs are); the shapes run from 1×1 to 4×4, and the
+        // 4-region side has an empty region.
+        let n = 203;
+        let covered: Vec<usize> = (0..n).filter(|i| i % 11 != 4).collect();
+        let side = |k: usize, assign: &dyn Fn(usize) -> usize| -> Vec<Bitmap> {
+            (0..k)
+                .map(|g| {
+                    Bitmap::from_indices(n, covered.iter().copied().filter(|&i| assign(i) == g))
+                })
+                .collect()
+        };
+        let sides = [
+            side(1, &|_| 0),
+            side(2, &|i| i % 2),
+            side(3, &|i| (i / 5) % 3),
+            side(4, &|i| [0, 1, 3][(i * 7) % 3]),
+        ];
+        let count =
+            |side: &[&Bitmap]| -> Vec<u64> { side.iter().map(|bm| bm.count() as u64).collect() };
+        for a in &sides {
+            for b in &sides {
+                let ra: Vec<&Bitmap> = a.iter().collect();
+                let rb: Vec<&Bitmap> = b.iter().collect();
+                let (ca, cb) = (count(&ra), count(&rb));
+                let every_cell = ContingencyTable::from_selections(&ra, &rb);
+                for path in [KernelPath::WordParallel, KernelPath::Scalar] {
+                    let derived = with_kernel_path(path, || {
+                        ContingencyTable::from_partitions(&ra, &ca, &rb, &cb)
+                    });
+                    assert_eq!(derived, every_cell, "{}×{} {path:?}", ra.len(), rb.len());
+                }
+            }
+        }
+        let none = ContingencyTable::from_partitions(&[], &[], &[], &[]);
+        assert_eq!(none.total(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "partition one set")]
+    fn from_partitions_rejects_sides_of_different_totals() {
+        let a = Bitmap::from_indices(10, 0..5);
+        let b = Bitmap::from_indices(10, 0..6);
+        ContingencyTable::from_partitions(&[&a], &[5], &[&b], &[6]);
     }
 
     #[test]

@@ -43,22 +43,6 @@ pub fn entropy_of_counts(counts: &[u64]) -> f64 {
     h.max(0.0)
 }
 
-/// Shannon entropy (bits) of the population distribution of a set of
-/// selections — the entropy of "which region does a random selected row fall
-/// into".
-///
-/// This is the streaming form of [`entropy_of_counts`] for partitions given
-/// as bitmaps: cardinalities come from word-level popcounts, so no per-row
-/// labels or index vectors are materialised. The selections are assumed
-/// pairwise disjoint (true for the regions of any Atlas map).
-pub fn entropy_of_selections<'a, I>(regions: I) -> f64
-where
-    I: IntoIterator<Item = &'a atlas_columnar::Bitmap>,
-{
-    let counts: Vec<u64> = regions.into_iter().map(|r| r.count() as u64).collect();
-    entropy_of_counts(&counts)
-}
-
 /// Joint entropy `H(X, Y)` (bits) of two label vectors.
 pub fn joint_entropy(a: &[u32], b: &[u32], a_card: usize, b_card: usize) -> f64 {
     ContingencyTable::from_labels(a, b, a_card, b_card).joint_entropy()

@@ -30,8 +30,7 @@ pub mod quantile;
 pub use agreement::{adjusted_rand_index, normalized_mutual_information, purity, rand_index};
 pub use contingency::ContingencyTable;
 pub use entropy::{
-    entropy_of_counts, entropy_of_selections, joint_entropy, mutual_information, normalized_vi,
-    variation_of_information,
+    entropy_of_counts, joint_entropy, mutual_information, normalized_vi, variation_of_information,
 };
 pub use kmeans1d::{kmeans_1d, KMeans1dResult};
 pub use quantile::{median, quantiles};

@@ -6,6 +6,8 @@
 //!   non-NULL tuple of the working set, for every strategy and split count;
 //! * the Variation of Information is a metric on maps (symmetry, identity,
 //!   triangle inequality);
+//! * the distance matrix that derives contingency cells from region counts
+//!   equals the one that counts every cell, bit for bit;
 //! * the product operator's regions are exactly the non-empty pairwise
 //!   intersections, so the covered count never changes;
 //! * conjunctive queries round-trip through the SQL printer and parser;
@@ -149,6 +151,82 @@ proptest! {
         prop_assert!(d_ab >= 0.0);
         prop_assert!(d(&labels_a, &labels_a) < 1e-9);
         prop_assert!(d_ac <= d_ab + d_bc + 1e-9);
+    }
+
+    #[test]
+    fn derived_distance_matrix_equals_the_every_cell_matrix(
+        rows in proptest::collection::vec(
+            (
+                -1000.0..1000.0f64,
+                0u8..6,
+                proptest::option::weighted(0.8, -50i64..50),
+            ),
+            8..300,
+        ),
+        working_bits in proptest::collection::vec(any::<bool>(), 1..64),
+        whole_table in any::<bool>(),
+        splits in 2usize..5,
+        median in any::<bool>(),
+    ) {
+        use atlas::columnar::{with_kernel_path, KernelPath};
+        use atlas::core::{distance_matrix_with_pool, distance_matrix_within, ThreadPool};
+        // `n` holds NULLs, so its map misses rows of the working set and
+        // every pair it is in counts every cell.
+        let schema = Schema::new(vec![
+            Field::new("x", DataType::Float),
+            Field::new("c", DataType::Str),
+            Field::new("n", DataType::Int),
+        ])
+        .unwrap();
+        let mut builder = TableBuilder::new("t", schema);
+        for &(x, c, n) in &rows {
+            let n = n.map_or(Value::Null, Value::Int);
+            builder.push_row(&[Value::Float(x), Value::Str(format!("cat{c}")), n]).unwrap();
+        }
+        let table = builder.build().unwrap();
+        let working = if whole_table {
+            table.full_selection()
+        } else {
+            Bitmap::from_fn(rows.len(), |i| working_bits[i % working_bits.len()])
+        };
+        let config = CutConfig {
+            num_splits: splits,
+            numeric: if median { NumericCutStrategy::Median } else { NumericCutStrategy::EquiWidth },
+            skip_identifiers: false,
+            ..CutConfig::default()
+        };
+        let q = ConjunctiveQuery::all("t");
+        let maps: Vec<DataMap> = ["x", "c", "n", "x", "c"]
+            .iter()
+            .filter_map(|attribute| {
+                atlas::core::cut::cut_attribute(&table, &working, &q, attribute, &config).unwrap()
+            })
+            .collect();
+        let working_rows = working.count();
+        let (num_rows, metric) = (table.num_rows(), MapDistanceMetric::NormalizedVI);
+        // The kernel path is pinned per thread, so the one-thread pool is the
+        // run that holds the software popcount feeding the derived cells to
+        // the per-row every-cell reference.
+        for threads in [1usize, 2, 4] {
+            let pool = ThreadPool::new(threads);
+            for path in [KernelPath::WordParallel, KernelPath::Scalar] {
+                let (derived, every_cell) = with_kernel_path(path, || {
+                    (
+                        distance_matrix_within(&maps, num_rows, working_rows, metric, &pool),
+                        distance_matrix_with_pool(&maps, num_rows, metric, &pool),
+                    )
+                });
+                for i in 0..maps.len() {
+                    for j in 0..maps.len() {
+                        prop_assert_eq!(
+                            derived.get(i, j).to_bits(),
+                            every_cell.get(i, j).to_bits(),
+                            "cell ({i}, {j}), {threads} threads, {path:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
