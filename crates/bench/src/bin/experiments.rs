@@ -1,5 +1,6 @@
-//! The experiment harness: reproduces every experiment of EXPERIMENTS.md
-//! (E1–E9) and prints one table per experiment.
+//! The experiment harness: runs the paper's experiments E1–E9 (each
+//! function's doc names the figure or section it reproduces) and prints one
+//! table per experiment.
 //!
 //! Run with: `cargo run -p atlas-bench --release --bin experiments`
 //! A subset can be selected by id: `… --bin experiments e1 e4 e7`.
@@ -19,7 +20,6 @@ use atlas_explorer::{MapQuality, ReadabilityReport};
 use atlas_query::ConjunctiveQuery;
 use atlas_serve::wire::Json;
 use atlas_serve::{Coordinator, DatasetOptions, Registry, ServeConfig, Server};
-use atlas_stats::adjusted_rand_index;
 use atlas_stats::quantile::quantile;
 use atlas_stats::ContingencyTable;
 use std::sync::Arc;
@@ -65,7 +65,7 @@ fn main() {
     let wants = |id: &str| args.is_empty() || args.iter().any(|a| a == id);
 
     println!("# Atlas experiment harness");
-    println!("# (one section per experiment of EXPERIMENTS.md)\n");
+    println!("# (one section per experiment, E1–E9)\n");
     if wants("e1") {
         e1_alternative_maps();
     }
@@ -534,14 +534,6 @@ fn variance(values: &[f64]) -> f64 {
     }
     let mean = values.iter().sum::<f64>() / values.len() as f64;
     values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / values.len() as f64
-}
-
-/// The harness itself is exercised by an ARI sanity check so a broken metric
-/// pipeline cannot silently print nonsense.
-#[allow(dead_code)]
-fn sanity() {
-    let a = [0u32, 0, 1, 1];
-    assert!((adjusted_rand_index(&a, &a) - 1.0).abs() < 1e-9);
 }
 
 /// Round to 3 decimals so the JSON reports stay diff-friendly.

@@ -23,7 +23,11 @@
 //! set without counts. Whether a summary is counted depends only on how many
 //! distinct values it covers, never on the segment layout or merge order.
 //!
-//! A string or boolean summary is counted the same way, by category: the one
+//! A boolean summary is the same count over two values, kept as the `true` and
+//! `false` row counts: a boolean part is coded like a numeric one
+//! ([`crate::column`]) and walked by the same body.
+//!
+//! A string summary is counted the same way, by category: the one
 //! pass that counts the selected rows per dictionary code
 //! (`kernels::count_coded_part`, the body coded numerics are counted by: a
 //! 64-row word of a part with a handful of entries is one popcount per entry,
@@ -548,27 +552,26 @@ impl ColumnSummary {
                 self.non_null += non_null;
                 self.nulls += nulls;
             }
-            Column::Bool(_) => {
+            Column::Bool(values) => {
                 let DistinctSet::Bools { t, f } = &mut self.distinct else {
                     unreachable!("bool columns use bool distinct sets");
                 };
-                let (trues, falses, nulls) = kernels::count_bools_part(column, offset, sel);
-                self.non_null += trues + falses;
-                self.nulls += nulls;
-                *t += trues;
-                *f += falses;
+                self.nulls += count_by_value(values, sel, offset, |x, n| {
+                    self.non_null += n;
+                    if x {
+                        *t += n;
+                    } else {
+                        *f += n;
+                    }
+                });
             }
         }
     }
 
     /// The numeric arm of [`ColumnSummary::accumulate`]: count the selected
     /// values by [`Numeric::key`], the 64-bit identity the set distinguishes
-    /// them by. Plain lanes are counted a row at a time; a coded part
-    /// already knows its distinct values, so its rows are counted per code
-    /// (no hash probe: a direct-address tally, or one popcount per entry per
-    /// 64-row word when the part has a handful of entries) and each
-    /// dictionary entry some selected row holds enters the set once, with its
-    /// count — the same set, bit for bit, whichever way a part is stored.
+    /// them by ([`count_by_value`]) — the same set, bit for bit, whichever way
+    /// a part is stored.
     fn scan_numeric<T: Numeric>(
         &mut self,
         column: &PrimitiveColumn<T>,
@@ -578,27 +581,10 @@ impl ColumnSummary {
         let DistinctSet::Numeric(set) = &mut self.distinct else {
             unreachable!("numeric columns use numeric distinct sets");
         };
-        let validity = column.validity();
-        match column.lanes() {
-            Lanes::Plain(values) => {
-                self.nulls +=
-                    kernels::for_each_selected_value(values, validity, offset, sel, |x| {
-                        self.non_null += 1;
-                        set.add(x.key(), 1);
-                    });
-            }
-            Lanes::Coded { dict, codes } => {
-                let counts = kernels::count_coded_part(codes, dict.len(), validity, offset, sel);
-                let (&nulls, by_code) = counts.split_last().expect("the NULL slot is always there");
-                self.nulls += nulls;
-                for (x, &n) in dict.iter().zip(by_code) {
-                    if n > 0 {
-                        self.non_null += n;
-                        set.add(x.key(), n as u64);
-                    }
-                }
-            }
-        }
+        self.nulls += count_by_value(column, sel, offset, |x, n| {
+            self.non_null += n;
+            set.add(x.key(), n as u64);
+        });
     }
 
     /// The column type this summary describes.
@@ -674,7 +660,9 @@ impl ColumnSummary {
         };
         let category_counts = match &self.distinct {
             DistinctSet::Strs(set) => set.category_counts(),
-            DistinctSet::Bools { t, f } => Some(bool_category_counts(*t, *f)),
+            DistinctSet::Bools { t, f } => {
+                Some(vec![("true".to_string(), *t), ("false".to_string(), *f)])
+            }
             DistinctSet::Numeric(_) => None,
         };
         let (min, max) = ends.unzip();
@@ -691,9 +679,37 @@ impl ColumnSummary {
     }
 }
 
-/// The [`ColumnStats::category_counts`] of a boolean column.
-pub(crate) fn bool_category_counts(trues: usize, falses: usize) -> Vec<(String, usize)> {
-    vec![("true".to_string(), trues), ("false".to_string(), falses)]
+/// Count the selected rows of one numeric or boolean part (local row 0 at
+/// global row `offset`) by value: `counted(x, n)` for every value `x` that
+/// `n > 0` selected rows hold; returns how many selected rows are NULL. Plain
+/// lanes are counted a row at a time (`n = 1`); a coded part already knows
+/// its distinct values, so its rows are counted per code (no hash probe: a
+/// direct-address tally, or one popcount per entry per 64-row word when the
+/// part has a handful of entries) and each dictionary entry some selected
+/// row holds is reported once, with its count.
+#[inline]
+fn count_by_value<T: Copy + Default>(
+    column: &PrimitiveColumn<T>,
+    sel: &Bitmap,
+    offset: usize,
+    mut counted: impl FnMut(T, usize),
+) -> usize {
+    let validity = column.validity();
+    match column.lanes() {
+        Lanes::Plain(values) => {
+            kernels::for_each_selected_value(values, validity, offset, sel, |x| counted(x, 1))
+        }
+        Lanes::Coded { dict, codes } => {
+            let counts = kernels::count_coded_part(codes, dict.len(), validity, offset, sel);
+            let (&nulls, by_code) = counts.split_last().expect("the NULL slot is always there");
+            for (&x, &n) in dict.iter().zip(by_code) {
+                if n > 0 {
+                    counted(x, n);
+                }
+            }
+            nulls
+        }
+    }
 }
 
 /// Summary statistics of one column restricted to a selection.

@@ -1,5 +1,5 @@
 //! Typed columns with null masks; one dictionary-coded representation for
-//! strings and for counted numerics.
+//! strings, counted numerics and booleans.
 //!
 //! A [`Column`] **stores**: it is built, measured and read a row at a time
 //! here, and nothing in this module takes a selection. Every scan goes through
@@ -7,23 +7,26 @@
 //! [`crate::ColumnView::of_column`] — whose per-part bodies live in
 //! [`crate::kernels`].
 //!
-//! A numeric column has **one representation at a time**, chosen from the data
-//! where the column becomes immutable ([`crate::Segment::new`]). While it is
-//! open (being pushed to) it is *plain*: one 8-byte lane per row. Sealing
-//! re-stores a column whose non-NULL values hold few distinct 64-bit keys —
-//! the statistics counter's own identity (`x as u64`, `f64::to_bits`, so
-//! `±0.0` and NaN payloads stay distinct) — as a **sorted dictionary**
-//! (`i64` order / [`f64::total_cmp`]) plus one `u8` (up to 256 entries) or
-//! `u16` code lane per row, and drops the 8-byte lanes. "Few" is two
-//! constants, not knobs: at most `MAX_CODED_VALUES` (1 024) entries (what the
-//! statistics counter holds) and at most a quarter of the rows (so the
-//! dictionary never outweighs the lanes it replaces: a coded column costs at
-//! most 4 bytes per row against 8). Everything else — near-unique
-//! measurements, identifiers, short segments of a wide-ranged column — stays
-//! plain. Reading a row decodes `dict[code]`; the kernels of
-//! [`crate::kernels`] and the statistics of [`crate::colstats`] resolve the
-//! dictionary once per part instead, and are the only other code that sees
-//! the lanes.
+//! A numeric or boolean column has **one representation at a time**, chosen
+//! from the data where the column becomes immutable ([`crate::Segment::new`]).
+//! While it is open (being pushed to) it is *plain*: one full-width lane per
+//! row. Sealing re-stores a column whose non-NULL values hold few distinct
+//! 64-bit keys — the statistics counter's own identity (`x as u64`,
+//! `f64::to_bits`, so `±0.0` and NaN payloads stay distinct; `false` is 0 and
+//! `true` 1) — as a **sorted dictionary** (`i64` order / [`f64::total_cmp`] /
+//! `false < true`) plus one `u8` (up to 256 entries) or `u16` code lane per
+//! row, and drops the full-width lanes. "Few" is two constants, not knobs: at
+//! most `MAX_CODED_VALUES` (1 024) entries (what the statistics counter holds)
+//! and at most a quarter of the rows (so the dictionary never outweighs the
+//! lanes it replaces: a coded numeric column costs at most 4 bytes per row
+//! against 8). A boolean part of at least 8 rows is therefore always `u8`
+//! codes over a dictionary within `[false, true]`, and the kernels partition
+//! and count it as they do every other coded part. Everything else —
+//! near-unique measurements, identifiers, short segments of a wide-ranged
+//! column, a boolean tail of a few rows holding both values — stays plain.
+//! Reading a row decodes `dict[code]`; the kernels of [`crate::kernels`] and
+//! the statistics of [`crate::colstats`] resolve the dictionary once per part
+//! instead, and are the only other code that sees the lanes.
 //!
 //! A string column ([`DictColumn`]) stores **the same three things** — a
 //! dictionary, one code lane per row (`Codes`) and a validity bitmap, NULL
@@ -54,8 +57,8 @@ const ROWS_PER_CODED_VALUE: usize = 4;
 /// How a column holds its values in memory ([`Column::encoding`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Encoding {
-    /// One full-width lane per row (open numeric columns, booleans, and
-    /// sealed numerics with too many distinct values to code).
+    /// One full-width lane per row: an open numeric or boolean column, or a
+    /// sealed one with too many distinct values for its rows to code.
     Plain,
     /// `u8` codes into a dictionary of up to 256 entries.
     CodedU8,
@@ -161,9 +164,9 @@ impl Codes {
     }
 }
 
-/// A numeric lane type: the 64-bit key its values are told apart by — the
-/// identity the statistics counter (`colstats`) and the seal pass share — and
-/// the total order a coded dictionary is sorted in.
+/// A lane type a column may code: the 64-bit key its values are told apart
+/// by — the identity the statistics counter (`colstats`) and the seal pass
+/// share — and the total order a coded dictionary is sorted in.
 pub(crate) trait Numeric: Copy + Default {
     /// The key: distinct values ⇔ distinct keys.
     fn key(self) -> u64;
@@ -194,6 +197,18 @@ impl Numeric for f64 {
     }
     fn order(a: &Self, b: &Self) -> Ordering {
         a.total_cmp(b)
+    }
+}
+
+impl Numeric for bool {
+    fn key(self) -> u64 {
+        u64::from(self)
+    }
+    fn from_key(key: u64) -> Self {
+        key != 0
+    }
+    fn order(a: &Self, b: &Self) -> Ordering {
+        a.cmp(b)
     }
 }
 
@@ -252,7 +267,7 @@ impl SealTable {
 /// word-parallel: 64 validity bits load in one shift-and-or
 /// ([`Bitmap::word_at`]) and the lanes are a plain slice that classification
 /// loops read without per-row `Option` unwrapping. An open column holds its
-/// values as they are; a sealed numeric column with few distinct values holds
+/// values as they are; a sealed column with few distinct values holds
 /// dictionary codes instead (see the module docs) — never both.
 ///
 /// Equality is logical: two columns are equal when they hold the same rows,
@@ -317,20 +332,6 @@ impl<T: Copy + Default> PrimitiveColumn<T> {
         &self.lanes
     }
 
-    /// The dense value lanes of a plain column (NULL rows hold
-    /// `T::default()`; consult [`PrimitiveColumn::validity`] before trusting a
-    /// lane). Boolean columns are always plain; numeric scans match on
-    /// [`PrimitiveColumn::lanes`] instead.
-    ///
-    /// # Panics
-    /// Panics on a coded column.
-    pub(crate) fn values(&self) -> &[T] {
-        match &self.lanes {
-            Lanes::Plain(values) => values,
-            Lanes::Coded { .. } => panic!("a coded column has no value lanes"),
-        }
-    }
-
     /// The validity mask: bit `i` set ⇔ row `i` is non-NULL.
     pub fn validity(&self) -> &Bitmap {
         &self.validity
@@ -386,9 +387,9 @@ impl<T: Copy + Default> PrimitiveColumn<T> {
     }
 }
 
-/// Choose a numeric column's sealed representation (see the module docs): coded
-/// when the non-NULL values hold at most [`MAX_CODED_VALUES`] distinct
-/// keys and at most one per [`ROWS_PER_CODED_VALUE`] rows, unchanged
+/// Choose a numeric or boolean column's sealed representation (see the module
+/// docs): coded when the non-NULL values hold at most [`MAX_CODED_VALUES`]
+/// distinct keys and at most one per [`ROWS_PER_CODED_VALUE`] rows, unchanged
 /// otherwise. One hash pass: each row's provisional first-appearance code
 /// goes straight into the code lanes while the keys are collected — the
 /// pass stops at the first key too many, so a near-unique column leaves
@@ -641,11 +642,10 @@ impl Default for DictColumn {
 /// A typed column of values with NULL support.
 ///
 /// Every column stores one lane per row plus a validity bitmap: numeric and
-/// boolean columns ([`PrimitiveColumn`]) full-width values or — a sealed
-/// numeric column with few distinct values — narrow codes into a sorted
-/// dictionary; string columns ([`DictColumn`]) always codes, into a
-/// first-appearance dictionary. Equality is logical (row values), whatever the
-/// encoding.
+/// boolean columns ([`PrimitiveColumn`]) full-width values or — sealed with
+/// few distinct values — narrow codes into a sorted dictionary; string
+/// columns ([`DictColumn`]) always codes, into a first-appearance dictionary.
+/// Equality is logical (row values), whatever the encoding.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Column {
     /// 64-bit integer column.
@@ -779,17 +779,17 @@ impl Column {
     }
 
     /// The column in its sealed representation (see the module docs): a
-    /// numeric column with few distinct values re-stored as a sorted
-    /// dictionary plus code lanes, a string column's lanes narrowed to the
-    /// width its dictionary allows and its lookup index dropped, anything else
-    /// as it is. [`crate::Segment::new`] is the one caller — the point where
+    /// numeric or boolean column with few distinct values re-stored as a
+    /// sorted dictionary plus code lanes, anything else of those as it is, and
+    /// a string column's lanes narrowed to the width its dictionary allows and
+    /// its lookup index dropped. [`crate::Segment::new`] is the one caller — the point where
     /// every column becomes immutable.
     pub(crate) fn seal(self) -> Self {
         match self {
             Column::Int(v) => Column::Int(seal_numeric(v)),
             Column::Float(v) => Column::Float(seal_numeric(v)),
             Column::Str(d) => Column::Str(d.seal()),
-            other => other,
+            Column::Bool(v) => Column::Bool(seal_numeric(v)),
         }
     }
 
@@ -839,7 +839,10 @@ mod tests {
         assert_eq!(p.get(1), None);
         assert_eq!(p.get(2), Some(3));
         assert_eq!(p.null_count(), 1);
-        assert_eq!(p.values(), &[1, 0, 3]);
+        let Lanes::Plain(lanes) = p.lanes() else {
+            panic!("an open column holds plain lanes");
+        };
+        assert_eq!(lanes, &[1, 0, 3]);
         assert!(p.validity().get(0) && !p.validity().get(1));
         assert_eq!(p.iter().collect::<Vec<_>>(), vec![Some(1), None, Some(3)]);
     }

@@ -11,10 +11,12 @@
 //! in row order. A new column encoding is taught to this module and to
 //! `accumulate`, nowhere else — as the coded column was (a dictionary plus
 //! the narrowest of `u8` / `u16` / `u32` code lanes and a validity mask,
-//! [`crate::column`]: every string column, and a sealed numeric column with
-//! few distinct values): `partition_codes` and `count_lanes` — its walk and
-//! its entry-mask count — are the only bodies that read a code lane, whatever
-//! the column's type, and no caller of [`crate::ColumnView`] can tell. The
+//! [`crate::column`]: every string column, a sealed numeric column with few
+//! distinct values, every sealed boolean part of 8 rows or more):
+//! `partition_codes` and `count_lanes` — its walk and its entry-mask count —
+//! are the only bodies that read a code lane, whatever the column's type, and
+//! no caller of [`crate::ColumnView`] can tell. A boolean is a primitive like
+//! any other, with `false < true`: no kernel body is kept for it alone. The
 //! partition kernels process **64 rows per step** instead of one:
 //!
 //! * the selection bitmap is walked word-at-a-time (all-zero words are
@@ -48,10 +50,9 @@
 //! selections don't pay for lanes they never read — below
 //! `RANGE_DENSE_LANES` (4) candidates for a range partition, whose walk
 //! branches per bound, and below `GROUP_DENSE_LANES` (16) for the gathered
-//! and boolean group folds, whose walk is a table lookup; both constants
-//! carry their measured crossover. Code spans never walk a full word: a span
-//! compare over 64 one- or two-byte codes is cheaper than visiting two set
-//! bits.
+//! group fold, whose walk is a table lookup; both constants carry their
+//! measured crossover. Code spans never walk a full word: a span compare over
+//! 64 one- or two-byte codes is cheaper than visiting two set bits.
 //!
 //! Integer range bounds arrive as `f64`s. The scalar semantics are
 //! `(x as f64) ∈ [lo, hi]`; because `i64 → f64` conversion is monotone, the
@@ -66,10 +67,10 @@
 //! implementation as a *reference*: set `ATLAS_FORCE_SCALAR=1` (or any
 //! non-empty value other than `0`) to route all partition kernels through it,
 //! or use [`with_kernel_path`] to pin a path for the current thread. The
-//! numeric and string references read each row through the column's decoding
-//! accessor (`get`), so they share no lane code with the kernels whatever the
-//! encoding; the per-code counts under it walk every word, so the entry masks
-//! are held to the walk. Both paths are **bit-identical** by contract — the
+//! references read each row through the column's decoding accessor (`get`),
+//! so they share no lane code with the kernels whatever the encoding; the
+//! per-code counts under it walk every word, so the entry masks are held to
+//! the walk. Both paths are **bit-identical** by contract — the
 //! property tests in `tests/partition_kernels.rs` compare them, and coded
 //! against plain storage of the same rows, on adversarial inputs (word
 //! boundaries, trailing partial words, NaN/inverted bounds, all-null
@@ -97,9 +98,9 @@ const WORD_BITS: usize = 64;
 /// four-way). Code spans have no such threshold: see [`partition_codes`].
 const RANGE_DENSE_LANES: u32 = 4;
 
-/// The same threshold for the folds whose set-bit walk is one table lookup
-/// per row and no branch — the gathered classification of [`partition_codes`]
-/// and [`groups_word_bool`] — where the crossover sits higher. Swept
+/// The same threshold for the fold whose set-bit walk is one table lookup per
+/// row and no branch — the gathered classification of [`partition_codes`] —
+/// where the crossover sits higher. Swept
 /// in-process for the gather over 1M rows of narrow lanes, thresholds 0–24,
 /// two groups, at 100 / 50 / 23 / 12 / 6 / 3 / 1 % density (64 … 0.6
 /// candidates per word): a 4-code `u8` column costs 0.49 / 0.51 / 0.55 /
@@ -1025,27 +1026,8 @@ pub(crate) fn select_in_groups_part(
                 false_group,
             },
         ) if true_group.or(false_group).is_some() => {
-            if scalar {
-                groups_scalar_bool(
-                    p.values(),
-                    p.validity(),
-                    offset,
-                    sel,
-                    true_group,
-                    false_group,
-                    out,
-                );
-            } else {
-                groups_word_bool(
-                    p.values(),
-                    p.validity(),
-                    offset,
-                    sel,
-                    true_group,
-                    false_group,
-                    out,
-                );
-            }
+            let lookup = |x: bool| if x { true_group } else { false_group };
+            groups_keyed(p, offset, sel, scalar, lookup, out);
         }
         (Column::Int(p), GroupsSpec::Int(map)) if !map.is_empty() => {
             let lookup = |x: i64| {
@@ -1065,11 +1047,11 @@ pub(crate) fn select_in_groups_part(
     }
 }
 
-/// Keyed (numeric) grouping of one part, by path and by how it is stored:
-/// the scalar reference reads rows through the decoding accessor; plain lanes
-/// look every row's value up ([`groups_word_keyed`]); coded lanes look each
-/// **dictionary entry** up once (a float renders once per entry, not once per
-/// row) and partition the rows by code ([`partition_codes`]).
+/// Keyed (numeric or boolean) grouping of one part, by path and by how it is
+/// stored: the scalar reference reads rows through the decoding accessor;
+/// plain lanes look every row's value up ([`groups_word_keyed`]); coded lanes
+/// look each **dictionary entry** up once (a float renders once per entry,
+/// not once per row) and partition the rows by code ([`partition_codes`]).
 fn groups_keyed<T: Copy + Default>(
     column: &PrimitiveColumn<T>,
     offset: usize,
@@ -1111,87 +1093,6 @@ fn eq_mask_64(slots: &[u8; WORD_BITS], g: u8) -> u64 {
     m
 }
 
-/// Scalar reference for boolean grouping (the pre-PR per-row loop).
-fn groups_scalar_bool(
-    values: &[bool],
-    validity: &Bitmap,
-    offset: usize,
-    sel: &Bitmap,
-    true_group: Option<usize>,
-    false_group: Option<usize>,
-    out: &mut [Bitmap],
-) {
-    sel.for_each_one_in(offset, offset + values.len(), |idx| {
-        let local = idx - offset;
-        if !validity.get(local) {
-            return;
-        }
-        let target = if values[local] {
-            true_group
-        } else {
-            false_group
-        };
-        if let Some(g) = target {
-            out[g].set(idx);
-        }
-    });
-}
-
-/// Word-parallel boolean grouping: gather the true-lane mask for the block,
-/// then the two group words are single AND/AND-NOTs of the candidate mask.
-fn groups_word_bool(
-    values: &[bool],
-    validity: &Bitmap,
-    offset: usize,
-    sel: &Bitmap,
-    true_group: Option<usize>,
-    false_group: Option<usize>,
-    out: &mut [Bitmap],
-) {
-    let end = offset + values.len();
-    for_each_sel_word(sel, offset, end, |w, mut cand| {
-        let base = w * WORD_BITS;
-        cand &= validity_word(validity, offset, base);
-        if cand == 0 {
-            return;
-        }
-        let full = base >= offset && base + WORD_BITS <= end;
-        let tmask = if full && cand.count_ones() >= GROUP_DENSE_LANES {
-            // Plain lane fold over a fixed-size block — LLVM turns the
-            // byte-compare + movemask pattern into vector code on its own.
-            let lanes: &[bool; WORD_BITS] = values[base - offset..base - offset + WORD_BITS]
-                .try_into()
-                .expect("full word has exactly WORD_BITS lanes");
-            let mut t = 0u64;
-            for (b, &v) in lanes.iter().enumerate() {
-                t |= (v as u64) << b;
-            }
-            t
-        } else {
-            let mut t = 0u64;
-            let mut bits = cand;
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                t |= (values[base + b - offset] as u64) << b;
-            }
-            t
-        };
-        if let Some(g) = true_group {
-            let m = cand & tmask;
-            if m != 0 {
-                out[g].or_word(w, m);
-            }
-        }
-        if let Some(g) = false_group {
-            let m = cand & !tmask;
-            if m != 0 {
-                out[g].or_word(w, m);
-            }
-        }
-    });
-}
-
 /// Scalar reference for value grouping, numeric or string: one pass, one
 /// lookup per selected row — `group_of_row` reads the row through the
 /// column's decoding accessor (NULL rows have no group), so the reference
@@ -1210,10 +1111,10 @@ fn groups_scalar(
     });
 }
 
-/// Word-level keyed (numeric) grouping: the key lookup stays per-lane (a
-/// binary search), but selection/validity are word-masked and output words
-/// are accumulated per group — the single-pass replacement for the old
-/// one-`select_in`-per-group fallback.
+/// Word-level keyed grouping of plain lanes: the key lookup stays per-lane
+/// (a binary search for integers), but selection/validity are word-masked
+/// and output words are accumulated per group — the single-pass replacement
+/// for the old one-`select_in`-per-group fallback.
 fn groups_word_keyed<T: Copy>(
     values: &[T],
     validity: &Bitmap,
@@ -1332,24 +1233,6 @@ pub(crate) fn for_each_selected_value<T: Copy>(
         }
     });
     nulls
-}
-
-/// The selected `(true, false, NULL)` row counts of one boolean part (zeros
-/// for any other part).
-pub(crate) fn count_bools_part(
-    column: &Column,
-    offset: usize,
-    sel: &Bitmap,
-) -> (usize, usize, usize) {
-    let Column::Bool(p) = column else {
-        return (0, 0, 0);
-    };
-    let (mut trues, mut falses) = (0, 0);
-    let nulls = for_each_selected_value(p.values(), p.validity(), offset, sel, |b| {
-        trues += usize::from(b);
-        falses += usize::from(!b);
-    });
-    (trues, falses, nulls)
 }
 
 /// Per-code selected-row counts of one coded part — numeric or string: a

@@ -23,7 +23,7 @@
 //! single table-wide dictionary would have produced.
 
 use crate::bitmap::Bitmap;
-use crate::colstats::{bool_category_counts, widen, CategorySet, ColumnStats, ColumnSummary};
+use crate::colstats::{widen, CategorySet, ColumnStats, ColumnSummary};
 use crate::column::Column;
 use crate::error::{ColumnarError, Result};
 use crate::kernels;
@@ -343,15 +343,7 @@ impl<'a> ColumnView<'a> {
                 }
                 order
             }
-            DataType::Bool => {
-                let (mut t, mut f) = (0, 0);
-                for (offset, column) in self.parts() {
-                    let (trues, falses, _) = kernels::count_bools_part(column, offset, sel);
-                    t += trues;
-                    f += falses;
-                }
-                bool_category_counts(t, f)
-            }
+            DataType::Bool => self.stats(sel).category_counts.unwrap_or_default(),
             _ => Vec::new(),
         }
     }
@@ -946,6 +938,79 @@ mod tests {
                         prop_assert_eq!(&hit, &select_in_oracle(col, &sel, &values));
                     }
                 });
+            }
+        }
+    }
+
+    /// A boolean part is coded like any other few-valued primitive: sealed
+    /// at 8 rows or more it is `u8` codes, and a 5-row tail holding both
+    /// values stays plain. Either way it partitions and counts as the scalar
+    /// reference and a row-at-a-time oracle do.
+    #[test]
+    fn sealed_boolean_parts_are_codes_and_answer_as_the_scalar_reference() {
+        use crate::column::Encoding;
+        let schema = Schema::new(vec![Field::nullable("b", DataType::Bool)]).unwrap();
+        let mut builder = TableBuilder::new("t", schema).with_segment_rows(64);
+        for i in 0..133 {
+            let b = if i % 13 == 0 {
+                Value::Null
+            } else {
+                Value::Bool(i % 3 == 0)
+            };
+            builder.push_row(&[b]).unwrap();
+        }
+        let table = builder.build().unwrap();
+        let col = table.column("b").unwrap();
+        let encodings: Vec<Encoding> = col.parts().map(|(_, c)| c.encoding()).collect();
+        assert_eq!(
+            encodings,
+            [Encoding::CodedU8, Encoding::CodedU8, Encoding::Plain]
+        );
+        let group = |values: &[&str]| values.iter().map(|v| v.to_string()).collect::<Vec<_>>();
+        let group_lists = [
+            vec![group(&["true"]), group(&["false"])],
+            vec![group(&["FALSE"]), group(&["True"])],
+            vec![group(&["false", "true"])],
+            vec![group(&["true"]), group(&["TRUE", "false"])],
+        ];
+        let selections = [
+            table.full_selection(),
+            Bitmap::from_fn(133, |row| row % 4 != 1),
+            Bitmap::from_fn(133, |row| (60..131).contains(&row)),
+        ];
+        for sel in &selections {
+            let (mut trues, mut falses) = (0, 0);
+            for row in sel.iter_ones() {
+                match col.value(row) {
+                    Value::Bool(true) => trues += 1,
+                    Value::Bool(false) => falses += 1,
+                    _ => {}
+                }
+            }
+            let counts = vec![("true".to_string(), trues), ("false".to_string(), falses)];
+            for groups in &group_lists {
+                let oracle: Vec<Bitmap> = groups
+                    .iter()
+                    .enumerate()
+                    .map(|(g, group)| {
+                        // A value listed in two groups lands in the first.
+                        let earlier: Vec<&str> =
+                            groups[..g].iter().flatten().map(String::as_str).collect();
+                        let values: Vec<&str> = group
+                            .iter()
+                            .map(String::as_str)
+                            .filter(|v| !earlier.iter().any(|e| e.eq_ignore_ascii_case(v)))
+                            .collect();
+                        select_in_oracle(col, sel, &values)
+                    })
+                    .collect();
+                for path in [KernelPath::WordParallel, KernelPath::Scalar] {
+                    with_kernel_path(path, || {
+                        assert_eq!(col.select_in_groups(sel, groups), oracle, "{path:?}");
+                        assert_eq!(col.category_counts(sel), counts, "{path:?}");
+                        assert_eq!(col.stats(sel).non_null_count, trues + falses);
+                    });
+                }
             }
         }
     }

@@ -43,8 +43,9 @@ pub struct ClusteringConfig {
     /// only by `max_cluster_size`).
     pub distance_threshold: Option<f64>,
     /// Maximum number of candidate maps per cluster. Because candidate maps
-    /// are one attribute each, this bounds the number of predicates of the
-    /// merged region queries (the paper targets ≤ 3).
+    /// are one attribute each, this bounds the number of predicates a merged
+    /// region query adds to the user query: one per attribute ("we target
+    /// less than 3"; the default is 3).
     pub max_cluster_size: usize,
 }
 

@@ -42,9 +42,6 @@ pub struct AtlasConfig {
     /// Maximum number of regions per result map ("a map with more than 8
     /// regions is hard to read").
     pub max_regions_per_map: usize,
-    /// Maximum number of predicates added to the user query per region query
-    /// ("we target less than 3").
-    pub max_new_predicates: usize,
     /// Maximum number of maps returned ("less than a dozen").
     pub max_maps: usize,
     /// If set, candidate generation only considers these attributes.
@@ -78,7 +75,6 @@ impl Default for AtlasConfig {
             clustering: ClusteringConfig::default(),
             merge: MergeStrategy::Composition,
             max_regions_per_map: 8,
-            max_new_predicates: 3,
             max_maps: 10,
             attributes: None,
             drop_empty_regions: true,
@@ -106,9 +102,9 @@ impl AtlasConfig {
         self.parallelism = parallelism;
         self
     }
-    /// Validate the configuration, harmonising the readability constraints
-    /// with the clustering cap (a cluster of `k` two-way cut maps yields up to
-    /// `2^k` regions and `k` extra predicates).
+    /// Validate the configuration. The predicates a region query adds to the
+    /// user's are bounded by [`ClusteringConfig::max_cluster_size`] (one per
+    /// attribute of its cluster).
     pub fn validate(&self) -> Result<()> {
         self.cut.validate()?;
         self.clustering.validate()?;
@@ -117,21 +113,10 @@ impl AtlasConfig {
                 "max_regions_per_map must be at least 2".to_string(),
             ));
         }
-        if self.max_new_predicates == 0 {
-            return Err(AtlasError::InvalidConfig(
-                "max_new_predicates must be at least 1".to_string(),
-            ));
-        }
         if self.max_maps == 0 {
             return Err(AtlasError::InvalidConfig(
                 "max_maps must be at least 1".to_string(),
             ));
-        }
-        if self.clustering.max_cluster_size > self.max_new_predicates {
-            return Err(AtlasError::InvalidConfig(format!(
-                "max_cluster_size ({}) exceeds max_new_predicates ({}): merged queries would be too complex",
-                self.clustering.max_cluster_size, self.max_new_predicates
-            )));
         }
         if self.parallelism == 0 {
             return Err(AtlasError::InvalidConfig(
@@ -241,7 +226,7 @@ mod tests {
         assert!(cfg.validate().is_ok());
         assert_eq!(cfg.cut.num_splits, 2);
         assert_eq!(cfg.max_regions_per_map, 8);
-        assert_eq!(cfg.max_new_predicates, 3);
+        assert_eq!(cfg.clustering.max_cluster_size, 3);
         assert!(cfg.max_maps <= 12);
         assert_eq!(cfg.merge, MergeStrategy::Composition);
     }
@@ -267,15 +252,8 @@ mod tests {
         };
         assert!(cfg.validate().is_err());
 
-        let cfg = AtlasConfig {
-            max_new_predicates: 0,
-            ..AtlasConfig::default()
-        };
-        assert!(cfg.validate().is_err());
-
         let mut cfg = AtlasConfig::default();
-        cfg.clustering.max_cluster_size = 5;
-        cfg.max_new_predicates = 3;
+        cfg.clustering.max_cluster_size = 0;
         assert!(cfg.validate().is_err());
 
         let mut cfg = AtlasConfig::default();

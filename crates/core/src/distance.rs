@@ -74,71 +74,13 @@ impl DistanceMatrix {
     }
 }
 
-/// The distance between two maps under the chosen metric.
-///
-/// `table_rows` is the number of rows of the underlying table. Rows outside
-/// either map (NULLs, rows outside the working set) — and rows at index
-/// `table_rows` or beyond — are ignored, as they carry no information about
-/// dependency.
-///
-/// The contingency table between the two maps' variables is assembled with
-/// the fused columnar kernel [`ContingencyTable::from_selections`] —
-/// `regions(a) × regions(b)` word-level intersection popcounts — instead of
-/// materialising a label per table row, which makes the cost proportional to
-/// `table_rows / 64` rather than `table_rows`. Both maps must have pairwise
-/// disjoint regions (every map produced by `CUT` and the merge operators
-/// does). When the maps' region bitmaps do not share one common length at
-/// most `table_rows` (they always do for maps of a `table_rows`-row table)
-/// the label-based path is used instead, so out-of-range rows stay excluded
-/// and mixed-length maps keep working exactly as before the fused kernel.
-pub fn map_distance(a: &DataMap, b: &DataMap, table_rows: usize, metric: MapDistanceMetric) -> f64 {
-    if !fused_compatible([a, b], table_rows) {
-        let labels_a = a.region_labels(table_rows);
-        let labels_b = b.region_labels(table_rows);
-        return distance_from_labels(
-            &labels_a,
-            &labels_b,
-            a.num_regions(),
-            b.num_regions(),
-            metric,
-        );
-    }
-    let regions_a: Vec<&Bitmap> = a.regions.iter().map(|r| &r.selection).collect();
-    let regions_b: Vec<&Bitmap> = b.regions.iter().map(|r| &r.selection).collect();
-    metric_of(
-        &ContingencyTable::from_selections(&regions_a, &regions_b),
-        metric,
-    )
-}
-
-/// True when every region bitmap across the given maps shares one common
-/// length at most `table_rows` — the precondition of the fused
-/// bitmap-contingency kernel (word-level intersections need equal lengths,
-/// and the `table_rows` contract excludes rows past that index).
-fn fused_compatible<'a>(maps: impl IntoIterator<Item = &'a DataMap>, table_rows: usize) -> bool {
-    let mut common: Option<usize> = None;
-    for map in maps {
-        for region in &map.regions {
-            let len = region.selection.len();
-            if len > table_rows {
-                return false;
-            }
-            match common {
-                None => common = Some(len),
-                Some(expected) if expected == len => {}
-                Some(_) => return false,
-            }
-        }
-    }
-    true
-}
-
 /// The chosen dependency measure of a prebuilt contingency table.
 ///
-/// This is the scoring half of [`map_distance`]: callers that already hold a
+/// This is the scoring half of every map distance: the matrices below apply
+/// it to each pair's table, and callers that already hold a
 /// [`ContingencyTable`] — e.g. a distributed coordinator that summed
-/// per-shard partial counts — apply the same metric the in-process matrix
-/// uses, so identical counts give bit-identical distances.
+/// per-shard partial counts — apply the same metric, so identical counts give
+/// bit-identical distances.
 pub fn metric_of(table: &ContingencyTable, metric: MapDistanceMetric) -> f64 {
     match metric {
         MapDistanceMetric::VariationOfInformation => table.variation_of_information(),
@@ -147,26 +89,20 @@ pub fn metric_of(table: &ContingencyTable, metric: MapDistanceMetric) -> f64 {
     }
 }
 
-/// The distance between two label vectors (used internally and by the anytime
-/// engine, which compares approximate and exact maps).
-pub fn distance_from_labels(
-    labels_a: &[u32],
-    labels_b: &[u32],
-    card_a: usize,
-    card_b: usize,
-    metric: MapDistanceMetric,
-) -> f64 {
-    let table = ContingencyTable::from_labels(labels_a, labels_b, card_a, card_b);
-    metric_of(&table, metric)
-}
-
 /// Pairwise distance matrix over a set of candidate maps (sequential).
 ///
-/// Each pair is compared through the fused bitmap-contingency kernel of
-/// [`map_distance`], so the cost is `O(n² · regionsᵃ·regionsᵇ · rows/64)`
-/// word operations for `n` candidates — no label vectors are materialised.
-/// [`distance_matrix_within`] counts fewer cells when the maps' working set
-/// is known.
+/// `table_rows` is the row count of the maps' table: every region bitmap of
+/// every map has one common length, at most `table_rows` (debug builds check
+/// it), and each map's regions are pairwise disjoint, as the cut strategies
+/// and merge operators produce them. Rows outside a map (NULLs, rows outside
+/// the working set) carry no information about dependency and are ignored.
+///
+/// Each pair is compared through the fused bitmap-contingency kernel
+/// [`ContingencyTable::from_selections`] — `regions(a) × regions(b)`
+/// word-level intersection popcounts — so the cost is
+/// `O(n² · regionsᵃ·regionsᵇ · rows/64)` word operations for `n` candidates;
+/// no label vectors are materialised. [`distance_matrix_within`] counts
+/// fewer cells when the maps' working set is known.
 pub fn distance_matrix(
     maps: &[DataMap],
     table_rows: usize,
@@ -221,17 +157,17 @@ fn pairwise(
     pool: &ThreadPool,
 ) -> DistanceMatrix {
     let n = maps.len();
-    if !fused_compatible(maps, table_rows) {
-        // Out-of-range or mixed-length region bitmaps: let `map_distance`
-        // pick the right path per pair (see its docs), preserving the old
-        // `table_rows` truncation contract.
-        let rows: Vec<Vec<f64>> = pool.par_map_indexed(n, 1, |i| {
-            ((i + 1)..n)
-                .map(|j| map_distance(&maps[i], &maps[j], table_rows, metric))
-                .collect()
-        });
-        return triangle_to_matrix(n, rows);
-    }
+    debug_assert!(
+        {
+            let mut lens = maps
+                .iter()
+                .flat_map(|m| &m.regions)
+                .map(|r| r.selection.len());
+            let first = lens.next().unwrap_or(0);
+            first <= table_rows && lens.all(|len| len == first)
+        },
+        "region bitmaps share one length of at most table_rows ({table_rows})"
+    );
     let regions: Vec<Vec<&Bitmap>> = maps
         .iter()
         .map(|m| m.regions.iter().map(|r| &r.selection).collect())
@@ -280,6 +216,11 @@ mod tests {
     use atlas_columnar::Bitmap;
     use atlas_query::{ConjunctiveQuery, Predicate};
 
+    /// The distance between two maps, as the matrix computes it.
+    fn map_pair(a: &DataMap, b: &DataMap, table_rows: usize, metric: MapDistanceMetric) -> f64 {
+        distance_matrix(&[a.clone(), b.clone()], table_rows, metric).get(0, 1)
+    }
+
     /// Build a map over `n` rows whose region index for row `r` is
     /// `assign(r)`, with `k` regions.
     fn map_from_fn(n: usize, k: usize, assign: impl Fn(usize) -> usize, attr: &str) -> DataMap {
@@ -307,7 +248,7 @@ mod tests {
             MapDistanceMetric::NormalizedVI,
             MapDistanceMetric::OneMinusNmi,
         ] {
-            assert!(map_distance(&a, &b, 100, metric) < 1e-9, "{metric:?}");
+            assert!(map_pair(&a, &b, 100, metric) < 1e-9, "{metric:?}");
         }
     }
 
@@ -323,8 +264,8 @@ mod tests {
             MapDistanceMetric::NormalizedVI,
             MapDistanceMetric::OneMinusNmi,
         ] {
-            let d_ab = map_distance(&a, &b, 400, metric);
-            let d_ac = map_distance(&a, &c, 400, metric);
+            let d_ab = map_pair(&a, &b, 400, metric);
+            let d_ac = map_pair(&a, &c, 400, metric);
             assert!(d_ab < d_ac, "{metric:?}: d_ab={d_ab} d_ac={d_ac}");
         }
     }
@@ -337,7 +278,7 @@ mod tests {
             MapDistanceMetric::NormalizedVI,
             MapDistanceMetric::OneMinusNmi,
         ] {
-            let d = map_distance(&a, &c, 300, metric);
+            let d = map_pair(&a, &c, 300, metric);
             assert!((0.0..=1.0).contains(&d), "{metric:?}: {d}");
         }
     }
@@ -348,11 +289,11 @@ mod tests {
         let b = map_from_fn(240, 3, |r| r % 3, "b");
         let c = map_from_fn(240, 2, |r| usize::from(r < 120), "c");
         let metric = MapDistanceMetric::VariationOfInformation;
-        let d_ab = map_distance(&a, &b, 240, metric);
-        let d_ba = map_distance(&b, &a, 240, metric);
+        let d_ab = map_pair(&a, &b, 240, metric);
+        let d_ba = map_pair(&b, &a, 240, metric);
         assert!((d_ab - d_ba).abs() < 1e-12);
-        let d_bc = map_distance(&b, &c, 240, metric);
-        let d_ac = map_distance(&a, &c, 240, metric);
+        let d_bc = map_pair(&b, &c, 240, metric);
+        let d_ac = map_pair(&a, &c, 240, metric);
         assert!(d_ac <= d_ab + d_bc + 1e-9);
     }
 
@@ -388,8 +329,11 @@ mod tests {
             MapDistanceMetric::NormalizedVI,
             MapDistanceMetric::OneMinusNmi,
         ] {
-            let fused = map_distance(&a, &b, n, metric);
-            let reference = distance_from_labels(&labels_a, &labels_b, 3, 2, metric);
+            let fused = map_pair(&a, &b, n, metric);
+            let reference = metric_of(
+                &ContingencyTable::from_labels(&labels_a, &labels_b, 3, 2),
+                metric,
+            );
             assert_eq!(fused.to_bits(), reference.to_bits(), "{metric:?}");
         }
     }
@@ -416,32 +360,13 @@ mod tests {
     }
 
     #[test]
-    fn mixed_length_region_bitmaps_fall_back_to_the_label_path() {
-        // Map a covers a 50-row prefix (bitmaps of len 50), map b the full
-        // 100-row table: the fused kernel cannot intersect those, so the
-        // label-based path must kick in and reproduce the old behaviour.
-        let a = map_from_fn(50, 2, |r| r % 2, "a");
-        let b = map_from_fn(100, 2, |r| (r / 5) % 2, "b");
-        let labels_a = a.region_labels(100);
-        let labels_b = b.region_labels(100);
-        let reference =
-            distance_from_labels(&labels_a, &labels_b, 2, 2, MapDistanceMetric::NormalizedVI);
-        let fused = map_distance(&a, &b, 100, MapDistanceMetric::NormalizedVI);
-        assert_eq!(fused.to_bits(), reference.to_bits());
-        // The matrix path survives mixed lengths too (no panic, same values).
-        let maps = vec![a, b];
-        let matrix = distance_matrix(&maps, 100, MapDistanceMetric::NormalizedVI);
-        assert_eq!(matrix.get(0, 1).to_bits(), reference.to_bits());
-    }
-
-    #[test]
     fn rows_outside_both_maps_are_ignored() {
         // Only the first 50 rows are labelled; the rest is sentinel.
         let a = map_from_fn(50, 2, |r| r % 2, "a");
         let b = map_from_fn(50, 2, |r| r % 2, "b");
         // Distances over 100 table rows (50 unlabelled) equal distances over 50.
-        let d_100 = map_distance(&a, &b, 100, MapDistanceMetric::NormalizedVI);
-        let d_50 = map_distance(&a, &b, 50, MapDistanceMetric::NormalizedVI);
+        let d_100 = map_pair(&a, &b, 100, MapDistanceMetric::NormalizedVI);
+        let d_50 = map_pair(&a, &b, 50, MapDistanceMetric::NormalizedVI);
         assert!((d_100 - d_50).abs() < 1e-12);
     }
 }

@@ -717,7 +717,7 @@ mod tests {
             assert!(ranked.map.regions_are_disjoint());
             assert!(
                 ranked.map.max_predicates()
-                    <= atlas.config().max_new_predicates
+                    <= atlas.config().clustering.max_cluster_size
                         + ConjunctiveQuery::all("survey").num_predicates()
             );
             assert!(ranked.score >= 0.0);

@@ -74,8 +74,8 @@ pub use cut::{
     NumericCutStrategy, TableCutSource,
 };
 pub use distance::{
-    distance_matrix, distance_matrix_with_pool, distance_matrix_within, map_distance, metric_of,
-    DistanceMatrix, MapDistanceMetric,
+    distance_matrix, distance_matrix_with_pool, distance_matrix_within, metric_of, DistanceMatrix,
+    MapDistanceMetric,
 };
 pub use engine::{
     enforce_region_cap, enforce_region_cap_within, AnytimeIteration, AnytimeResult, Atlas,

@@ -79,6 +79,17 @@ pub struct Dataset {
     append_lock: Mutex<()>,
 }
 
+impl DatasetState {
+    /// The live cache's counters plus every retired generation's.
+    fn cache_stats(&self) -> CacheStats {
+        let mut total = self.retired.clone();
+        if let Some(cache) = &self.cache {
+            add_stats(&mut total, cache.stats());
+        }
+        total
+    }
+}
+
 fn add_stats(into: &mut CacheStats, from: &CacheStats) {
     into.hits += from.hits;
     into.misses += from.misses;
@@ -210,25 +221,14 @@ impl Dataset {
     /// Cumulative cache counters: the live cache plus every generation
     /// retired by appends.
     pub fn cache_stats(&self) -> CacheStats {
-        let state = self.lock();
-        let mut total = state.retired.clone();
-        if let Some(cache) = &state.cache {
-            add_stats(&mut total, cache.stats());
-        }
-        total
+        self.lock().cache_stats()
     }
 
     /// A JSON summary of the dataset (for `GET /datasets`).
     pub fn summary(&self) -> Json {
         let state = self.lock();
         let table = state.engine.table();
-        let stats = {
-            let mut total = state.retired.clone();
-            if let Some(cache) = &state.cache {
-                add_stats(&mut total, cache.stats());
-            }
-            total
-        };
+        let stats = state.cache_stats();
         Json::object(vec![
             ("name", Json::from(self.name.as_str())),
             ("rows", Json::from(table.num_rows())),

@@ -871,20 +871,9 @@ fn distributed_explore(shared: &Shared, request: &Request, deadline: Option<Dead
             );
         }
     };
-    let dataset = match &requested {
-        Some(name) => match shared.registry.get(name) {
-            Some(dataset) => dataset,
-            None => return Response::error(404, format!("no dataset named '{name}'")),
-        },
-        None => match shared.registry.datasets() {
-            [only] => only,
-            _ => {
-                return Response::error(
-                    400,
-                    "several datasets are served; pass {\"dataset\": name}",
-                );
-            }
-        },
+    let dataset = match resolve_dataset(&shared.registry, requested.as_deref()) {
+        Ok(dataset) => dataset,
+        Err(response) => return response,
     };
     let (engine, generation) = dataset.snapshot();
     let coordinator = {
@@ -939,6 +928,27 @@ fn distributed_explore(shared: &Shared, request: &Request, deadline: Option<Dead
     }
 }
 
+/// The dataset a request names, or `404`; with no name, the only one served,
+/// or `400` when there are several. Every endpoint that takes an optional
+/// `"dataset"` member resolves it here.
+pub(crate) fn resolve_dataset<'a>(
+    registry: &'a Registry,
+    requested: Option<&str>,
+) -> Result<&'a Dataset, Response> {
+    match requested {
+        Some(name) => registry
+            .get(name)
+            .ok_or_else(|| Response::error(404, format!("no dataset named '{name}'"))),
+        None => match registry.datasets() {
+            [only] => Ok(only),
+            _ => Err(Response::error(
+                400,
+                "several datasets are served; pass {\"dataset\": name}",
+            )),
+        },
+    }
+}
+
 fn create_session(shared: &Shared, request: &Request) -> Response {
     let body = request.body_text().unwrap_or("");
     let requested = if body.trim().is_empty() {
@@ -949,20 +959,9 @@ fn create_session(shared: &Shared, request: &Request) -> Response {
             Err(e) => return Response::error(400, e.to_string()),
         }
     };
-    let dataset = match &requested {
-        Some(name) => match shared.registry.get(name) {
-            Some(dataset) => dataset,
-            None => return Response::error(404, format!("no dataset named '{name}'")),
-        },
-        None => match shared.registry.datasets() {
-            [only] => only,
-            _ => {
-                return Response::error(
-                    400,
-                    "several datasets are served; pass {\"dataset\": name}",
-                );
-            }
-        },
+    let dataset = match resolve_dataset(&shared.registry, requested.as_deref()) {
+        Ok(dataset) => dataset,
+        Err(response) => return response,
     };
     let (engine, generation) = dataset.snapshot();
     let table = engine.table();

@@ -441,7 +441,8 @@ fn answer(
     body: &Json,
     span: Option<&mut atlas_obs::SpanGuard>,
 ) -> Result<Json, Response> {
-    let dataset = resolve_dataset(registry, body)?;
+    let dataset =
+        crate::server::resolve_dataset(registry, body.get("dataset").and_then(Json::str))?;
     if endpoint == Endpoint::ShardMeta {
         return Ok(meta(dataset));
     }
@@ -482,21 +483,6 @@ impl From<String> for Fail {
 impl From<AtlasError> for Fail {
     fn from(error: AtlasError) -> Fail {
         Fail::Engine(error)
-    }
-}
-
-fn resolve_dataset<'a>(registry: &'a Registry, body: &Json) -> Result<&'a Dataset, Response> {
-    match body.get("dataset").and_then(Json::str) {
-        Some(name) => registry
-            .get(name)
-            .ok_or_else(|| Response::error(404, format!("no dataset named '{name}'"))),
-        None => match registry.datasets() {
-            [only] => Ok(only),
-            _ => Err(Response::error(
-                400,
-                "several datasets are served; pass {\"dataset\": name}",
-            )),
-        },
     }
 }
 

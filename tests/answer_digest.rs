@@ -1,7 +1,9 @@
 //! The committed answer digest: one `u64` over what the engine answers across
 //! a fixed matrix, held to a committed constant.
 //!
-//! * Tables: the census and the sky survey (`photo_obj`) at 10 k rows.
+//! * Tables: the census and the sky survey (`photo_obj`) at 10 k rows, and
+//!   the census with a boolean column, `insured`, that follows `salary` —
+//!   sealed into `u8` codes like every other few-valued column.
 //! * Configurations: `default`, `fast`, product merge over median cuts, and
 //!   every cut strategy there is: each numeric cut (equi-width, k-means,
 //!   natural breaks — the quadratic one on a smaller table; `Median` is the
@@ -20,8 +22,9 @@
 //!
 //! Per answer the digest folds the score bits, each region's SQL and count,
 //! and a hash of its selection words. CI runs this suite plain and under
-//! `ATLAS_SEGMENT_ROWS=1024`, `ATLAS_FORCE_SCALAR=1` and
-//! `ATLAS_PARALLELISM=1`, so the one constant pins layout, kernel and thread
+//! `ATLAS_SEGMENT_ROWS=1024`, `ATLAS_SEGMENT_ROWS=1000`,
+//! `ATLAS_FORCE_SCALAR=1` and `ATLAS_PARALLELISM=1`, so the one constant
+//! pins layout, kernel and thread
 //! identity against the committed answers, not only within one run. A change
 //! that moves answers on purpose updates [`DIGEST`] in the same diff and says
 //! why.
@@ -33,7 +36,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// What the matrix below answered when it was committed.
-const DIGEST: u64 = 0x1598_3712_9f34_df29;
+const DIGEST: u64 = 0x3388_0c1e_0a03_8cec;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
@@ -208,6 +211,28 @@ fn census_with_nulls(digest: &mut Digest) {
     in_process(digest, &table, CENSUS_FILTER, &configs);
 }
 
+/// The census plus `insured`: true for most `>50k` rows and few `<50k` ones,
+/// NULL in every 97th row.
+fn census_with_a_flag(rows: usize) -> Arc<Table> {
+    let census = CensusGenerator::with_rows(rows, 42).generate();
+    let salary = census.column("salary").unwrap();
+    let mut fields = census.schema().fields().to_vec();
+    fields.push(Field::nullable("insured", DataType::Bool));
+    let mut builder = TableBuilder::new("census", Schema::new(fields).unwrap());
+    for row in 0..census.num_rows() {
+        let rich = salary.value(row) == Value::Str(">50k".into());
+        let insured = if rich { row % 7 != 0 } else { row % 5 == 0 };
+        let mut values = census.row(row).unwrap();
+        values.push(if row % 97 == 0 {
+            Value::Null
+        } else {
+            Value::Bool(insured)
+        });
+        builder.push_row(&values).unwrap();
+    }
+    Arc::new(builder.build().unwrap())
+}
+
 /// Two maps of equal entropy and different region counts: `x` and `y` are
 /// one attribute under two names, so their product (empty regions kept) is
 /// two halves and two empty cells — one bit, four regions — beside `a`'s two
@@ -261,6 +286,12 @@ fn answers_hash_to_the_committed_digest() {
     let mut digest = Digest(FNV_OFFSET);
     in_process(&mut digest, &census(10_000), CENSUS_FILTER, &configs());
     in_process(&mut digest, &sky(10_000), SKY_FILTER, &configs());
+    in_process(
+        &mut digest,
+        &census_with_a_flag(10_000),
+        CENSUS_FILTER,
+        &configs(),
+    );
     in_process(&mut digest, &census(1_500), CENSUS_FILTER, &natural_breaks);
     in_process(&mut digest, &sky(1_000), SKY_FILTER, &natural_breaks);
     census_with_nulls(&mut digest);

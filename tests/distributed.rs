@@ -741,6 +741,64 @@ fn census_with_a_near_unique_column(rows: usize, segment_rows: usize) -> Arc<Tab
     )
 }
 
+/// The census plus `insured`: true for most `>50k` rows and few `<50k` ones,
+/// NULL in every 97th row.
+fn census_with_a_flag(rows: usize, segment_rows: usize) -> Arc<Table> {
+    let census = census_table(rows, segment_rows);
+    let salary = census.column("salary").unwrap();
+    census_with_a_column(
+        rows,
+        segment_rows,
+        Field::nullable("insured", DataType::Bool),
+        |row| {
+            let rich = salary.value(row) == Value::Str(">50k".into());
+            let insured = if rich { row % 7 != 0 } else { row % 5 == 0 };
+            if row % 97 == 0 {
+                Value::Null
+            } else {
+                Value::Bool(insured)
+            }
+        },
+    )
+}
+
+/// A boolean column is partitioned, counted and summarised on the shards
+/// like any other coded column: with `insured` in the table, 1–3 shards are
+/// bit-identical to the local engine — whole table, a filter, a filter on
+/// the boolean itself, and a drill into the first region.
+#[test]
+fn a_boolean_column_is_bit_identical_at_1_2_3_shards() {
+    let table = census_with_a_flag(6_000, 1_000);
+    let config = product_config();
+    let reference = Atlas::new(Arc::clone(&table), config.clone()).unwrap();
+    let whole = ConjunctiveQuery::all("census");
+    let local = reference.explore(&whole).unwrap();
+    let cuts_insured = local
+        .maps
+        .iter()
+        .any(|ranked| ranked.map.source_attributes.iter().any(|a| a == "insured"));
+    assert!(cuts_insured, "insured must have been cut");
+    let drill = local.maps[0].map.regions[0].query.clone();
+    let queries = [
+        whole,
+        parse_query("SELECT * FROM census WHERE age BETWEEN 25 AND 60").unwrap(),
+        parse_query("SELECT * FROM census WHERE insured IN ('FALSE')").unwrap(),
+        drill,
+    ];
+    for shards in 1..=3 {
+        let (handles, addrs) = boot_shards("census", &table, &config, shards);
+        let coordinator =
+            Coordinator::connect(&addrs, "census", config.clone(), Duration::from_secs(30))
+                .unwrap();
+        for query in &queries {
+            assert_agree(&reference, &coordinator, query);
+        }
+        for handle in handles {
+            handle.shutdown();
+        }
+    }
+}
+
 /// How many requests the shards have served so far on the endpoint that
 /// reports as `label` (`requests_by_endpoint.<label>` of each shard's
 /// self-report, summed).

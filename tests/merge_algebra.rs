@@ -270,7 +270,6 @@ fn composition_derives_what_walking_every_region_finds() {
         let table = dependent_table(3_000, nulls);
         for members in [2usize, 3, 4] {
             let mut config = AtlasConfig {
-                max_new_predicates: members.max(3),
                 max_regions_per_map: 16,
                 ..AtlasConfig::default()
             };

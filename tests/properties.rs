@@ -139,9 +139,10 @@ proptest! {
         labels_b in proptest::collection::vec(0u32..4, 60),
         labels_c in proptest::collection::vec(0u32..4, 60),
     ) {
-        use atlas::core::distance::distance_from_labels;
+        use atlas::core::distance::metric_of;
+        use atlas::stats::ContingencyTable;
         let metric = MapDistanceMetric::VariationOfInformation;
-        let d = |a: &[u32], b: &[u32]| distance_from_labels(a, b, 4, 4, metric);
+        let d = |a: &[u32], b: &[u32]| metric_of(&ContingencyTable::from_labels(a, b, 4, 4), metric);
         let d_ab = d(&labels_a, &labels_b);
         let d_ba = d(&labels_b, &labels_a);
         let d_ac = d(&labels_a, &labels_c);
