@@ -23,8 +23,9 @@ use crate::merge::product_maps;
 use crate::pipeline::{CutStrategy, MergePolicy, PipelineContext};
 use crate::profile::TableProfile;
 use crate::region::Region;
-use atlas_columnar::{Bitmap, DataType, Table};
+use atlas_columnar::{Bitmap, ColumnStats, DataType, Table};
 use atlas_query::{ConjunctiveQuery, Predicate};
+use std::borrow::Cow;
 
 /// Configuration of the grid-density baseline.
 #[derive(Debug, Clone)]
@@ -68,12 +69,13 @@ impl CutStrategy for GridCut {
         "grid-dense-cut"
     }
 
-    fn cut(
+    fn cut<'a>(
         &self,
-        ctx: &PipelineContext<'_>,
+        ctx: &PipelineContext<'a>,
         working: &Bitmap,
         parent_query: &ConjunctiveQuery,
         attribute: &str,
+        _stats: &mut Option<Cow<'a, ColumnStats>>,
     ) -> Result<Option<DataMap>> {
         let column = ctx.table.column(attribute)?;
         if !matches!(column.data_type(), DataType::Int | DataType::Float) {
@@ -224,7 +226,7 @@ impl GridCliqueBaseline {
         // 1-dimensional dense-unit maps per attribute.
         let mut one_dim: Vec<DataMap> = Vec::new();
         for attr in &numeric {
-            if let Some(map) = cutter.cut(&ctx, working, user_query, attr)? {
+            if let Some(map) = cutter.cut(&ctx, working, user_query, attr, &mut None)? {
                 one_dim.push(map);
             }
         }

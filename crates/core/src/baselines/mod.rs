@@ -18,14 +18,15 @@
 //!   spirit of CLIQUE, standing in for the "exhaustive subspace clustering"
 //!   comparison of Section 6.
 //!
-//! None of the baselines owns a private pipeline any more: each one is
-//! expressed with the stage traits of [`crate::pipeline`] — the random and
-//! grid cutters are [`crate::pipeline::CutStrategy`] implementations
-//! ([`RandomCut`], [`GridCut`]), the density-filtered Apriori step is a
+//! None of the baselines owns a private pipeline: each one builds a
+//! [`crate::pipeline::PipelineContext`] and calls the stage traits of
+//! [`crate::pipeline`] — the random and grid cutters are
+//! [`crate::pipeline::CutStrategy`] implementations ([`RandomCut`],
+//! [`GridCut`]), the density-filtered Apriori step is a
 //! [`crate::pipeline::MergePolicy`] ([`DenseProductMerge`]), and the
-//! exhaustive/single-attribute baselines reuse the paper's own stages with
-//! steps omitted. Any of them can be plugged into a prepared engine through
-//! [`crate::engine::AtlasBuilder`].
+//! exhaustive/single-attribute baselines reuse the paper's own cut and
+//! merge with steps omitted. A cutter also plugs into a prepared engine
+//! through [`crate::engine::AtlasBuilder::cut_strategy`].
 
 pub mod full_product;
 pub mod grid_clique;
@@ -69,10 +70,19 @@ mod tests {
         };
         let query = ConjunctiveQuery::all("t");
         let nans = Bitmap::from_indices(4, [0, 2]);
-        assert!(random.cut(&ctx, &nans, &query, "x").unwrap().is_none());
-        assert!(grid.cut(&ctx, &nans, &query, "x").unwrap().is_none());
+        assert!(random
+            .cut(&ctx, &nans, &query, "x", &mut None)
+            .unwrap()
+            .is_none());
+        assert!(grid
+            .cut(&ctx, &nans, &query, "x", &mut None)
+            .unwrap()
+            .is_none());
         // With a number in reach the NaNs are ignored and the cut goes ahead.
         let mixed = Bitmap::from_indices(4, [0, 1, 3]);
-        assert!(random.cut(&ctx, &mixed, &query, "x").unwrap().is_some());
+        assert!(random
+            .cut(&ctx, &mixed, &query, "x", &mut None)
+            .unwrap()
+            .is_some());
     }
 }

@@ -12,11 +12,12 @@ use crate::map::DataMap;
 use crate::pipeline::{CompositionMerge, CutStrategy, MergePolicy, PipelineContext};
 use crate::profile::TableProfile;
 use crate::region::Region;
-use atlas_columnar::{Bitmap, DataType, Table};
+use atlas_columnar::{Bitmap, ColumnStats, DataType, Table};
 use atlas_query::{ConjunctiveQuery, Predicate};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
 use std::sync::Mutex;
 
 /// Configuration of the random baseline.
@@ -68,12 +69,13 @@ impl CutStrategy for RandomCut {
         "random-cut"
     }
 
-    fn cut(
+    fn cut<'a>(
         &self,
-        ctx: &PipelineContext<'_>,
+        ctx: &PipelineContext<'a>,
         working: &Bitmap,
         parent_query: &ConjunctiveQuery,
         attribute: &str,
+        _stats: &mut Option<Cow<'a, ColumnStats>>,
     ) -> Result<Option<DataMap>> {
         let column = ctx.table.column(attribute)?;
         let mut rng = self.rng.lock().expect("rng lock is never poisoned");
@@ -338,11 +340,14 @@ mod tests {
         };
         let working = t.full_selection();
         let query = ConjunctiveQuery::all("t");
-        let numeric = strategy.cut(&ctx, &working, &query, "x").unwrap().unwrap();
+        let numeric = strategy
+            .cut(&ctx, &working, &query, "x", &mut None)
+            .unwrap()
+            .unwrap();
         assert_eq!(numeric.num_regions(), 2);
         assert!(numeric.regions_are_disjoint());
         let categorical = strategy
-            .cut(&ctx, &working, &query, "group")
+            .cut(&ctx, &working, &query, "group", &mut None)
             .unwrap()
             .unwrap();
         assert_eq!(categorical.num_regions(), 2);

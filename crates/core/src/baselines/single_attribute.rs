@@ -1,15 +1,15 @@
 //! Single-attribute baseline: the candidate maps, ranked, nothing more.
 //!
-//! Built from the shared stage traits — [`PaperCut`] for the candidates,
-//! [`EntropyRanker`] for the ordering — with the clustering and merging
-//! steps simply omitted.
+//! Built from the shared stages — [`PaperCut`] for the candidates,
+//! [`rank_maps`] for the ordering — with the clustering and merging steps
+//! simply omitted.
 
 use crate::candidates::generate_candidates_in_context;
 use crate::cut::CutConfig;
 use crate::error::{AtlasError, Result};
-use crate::pipeline::{EntropyRanker, PaperCut, PipelineContext, Ranker};
+use crate::pipeline::{PaperCut, PipelineContext};
 use crate::profile::TableProfile;
-use crate::rank::RankedMap;
+use crate::rank::{rank_maps, RankedMap};
 use atlas_columnar::{Bitmap, Table};
 use atlas_query::ConjunctiveQuery;
 
@@ -47,7 +47,7 @@ impl SingleAttributeBaseline {
         if candidates.is_empty() {
             return Err(AtlasError::NoCuttableAttributes);
         }
-        Ok(EntropyRanker.rank(candidates.maps))
+        Ok(rank_maps(candidates.maps))
     }
 }
 

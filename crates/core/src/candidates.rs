@@ -44,8 +44,7 @@ impl CandidateSet {
 }
 
 /// Generate the candidate maps for a working set through a pipeline context:
-/// one [`crate::pipeline::CutStrategy::cut_with_stats`] call — by default
-/// [`crate::pipeline::CutStrategy::cut`] — per considered attribute.
+/// one [`crate::pipeline::CutStrategy::cut`] call per considered attribute.
 ///
 /// `attributes` restricts the candidate generation to a subset of columns; if
 /// `None`, every column of the table is considered.
@@ -64,9 +63,9 @@ pub fn generate_candidates_in_context(
     cut_candidates(ctx, working, parent_query, attributes).map(|(candidates, _)| candidates)
 }
 
-/// [`generate_candidates_in_context`] through
-/// [`crate::pipeline::CutStrategy::cut_with_stats`], also returning the
-/// statistics over `working` the cuts read, by attribute, in schema order —
+/// [`generate_candidates_in_context`], also returning the statistics over
+/// `working` the cuts read ([`crate::pipeline::CutStrategy::cut`] leaves
+/// them in its `stats`), by attribute, in schema order —
 /// what an explore hands its merge phase
 /// ([`crate::pipeline::MergePolicy::merge_with_stats`]). A strategy that
 /// reads none returns none.
@@ -94,7 +93,7 @@ pub(crate) fn cut_candidates<'a>(
         let mut stats = None;
         let cut = ctx
             .cut_strategy
-            .cut_with_stats(ctx, working, parent_query, name, &mut stats);
+            .cut(ctx, working, parent_query, name, &mut stats);
         (cut, stats)
     });
     let mut maps = Vec::with_capacity(names.len());

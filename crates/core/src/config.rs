@@ -59,11 +59,11 @@ pub struct AtlasConfig {
     /// runs inline on the calling thread, exactly as before the pool existed.
     ///
     /// **Determinism:** every parallel phase assembles its results in input
-    /// order, so with the paper's (pure) stage implementations the ranked
-    /// maps are **bit-for-bit identical** at every parallelism level. Custom
-    /// stages with order-dependent interior state (e.g. a shared RNG stream,
-    /// like [`crate::baselines::RandomCut`]) only keep run-to-run determinism
-    /// at `parallelism = 1`.
+    /// order, so with the paper's (pure) cut the ranked maps are
+    /// **bit-for-bit identical** at every parallelism level. A cut strategy
+    /// with order-dependent interior state (e.g. a shared RNG stream, like
+    /// [`crate::baselines::RandomCut`]) only keeps run-to-run determinism at
+    /// `parallelism = 1`.
     pub parallelism: usize,
 }
 

@@ -221,8 +221,7 @@ pub fn cut_attribute(
 /// [`crate::profile::TableProfile`] instead of being recomputed, so
 /// whole-table explorations never re-scan columns for metadata. Statistics
 /// the caller already holds in `stats` are read instead of the profile's;
-/// otherwise the ones read are left there
-/// ([`crate::pipeline::CutStrategy::cut_with_stats`]).
+/// otherwise the ones read are left there ([`crate::pipeline::CutStrategy::cut`]).
 pub(crate) fn cut_attribute_in_context<'a>(
     ctx: &PipelineContext<'a>,
     working: &Bitmap,

@@ -3,9 +3,13 @@
 //! [`Atlas::builder`] assembles a **prepared** engine: per-column statistics
 //! (distinct counts, null counts, value counts) are computed once at
 //! build time and shared — behind `Arc`s — across every subsequent
-//! exploration, and each of the four pipeline steps of Section 3 is a
-//! pluggable trait object ([`crate::pipeline`]). The engine is `Send + Sync`,
-//! so one `Arc<Atlas>` can serve concurrent explorations.
+//! exploration. The engine is `Send + Sync`, so one `Arc<Atlas>` can serve
+//! concurrent explorations.
+//!
+//! An explore runs the four steps of Section 3. Step 1 cuts every attribute
+//! of the working set through the engine's [`CutStrategy`]; steps 2–4 —
+//! cluster, merge, rank — are [`cluster_merge_rank`], the one post-cut body,
+//! which the distributed coordinator runs too, with its own merge closure.
 //!
 //! [`Atlas::explore`] runs the pipeline exactly; [`Atlas::explore_iter`]
 //! streams the anytime refinement of Section 5.1 (growing samples under a
@@ -16,14 +20,14 @@
 use crate::candidates::{cut_candidates, generate_candidates_in_context, CandidateSet};
 use crate::cluster::cluster_maps_with_pool;
 use crate::config::{AtlasConfig, ExploreOptions, MergeStrategy};
+use crate::distance::distance_matrix_within;
 use crate::error::{AtlasError, Result};
 use crate::map::DataMap;
 use crate::pipeline::{
-    CompositionMerge, CutStrategy, EntropyRanker, MapDistance, MergePolicy, PaperCut,
-    PipelineContext, ProductMerge, Ranker, ViDistance,
+    CompositionMerge, CutStrategy, MergePolicy, PaperCut, PipelineContext, ProductMerge,
 };
 use crate::profile::{ProfileStats, TableProfile};
-use crate::rank::RankedMap;
+use crate::rank::{rank_maps, RankedMap};
 use atlas_columnar::{Bitmap, Segment, Table};
 use atlas_query::ConjunctiveQuery;
 use minirayon::ThreadPool;
@@ -77,13 +81,13 @@ impl MapResult {
     }
 }
 
-/// Assembles a prepared [`Atlas`] engine: a table, a configuration, and one
-/// implementation per pipeline stage.
+/// Assembles a prepared [`Atlas`] engine: a table, a configuration, and a
+/// cut strategy.
 ///
-/// Stages not set explicitly default to the paper's algorithms, parameterised
-/// by the configuration: [`PaperCut`], [`ViDistance`] with the configured
-/// metric, [`ProductMerge`] or [`CompositionMerge`] per
-/// [`MergeStrategy`], and [`EntropyRanker`].
+/// The cut defaults to the paper's [`PaperCut`]. Everything else follows the
+/// configuration: distances are [`AtlasConfig::distance`], the merge is
+/// [`ProductMerge`] or [`CompositionMerge`] as [`AtlasConfig::merge`] says,
+/// and ranking is the paper's entropy order ([`rank_maps`]).
 ///
 /// ```
 /// # use atlas_core::{Atlas, AtlasConfig};
@@ -103,9 +107,6 @@ pub struct AtlasBuilder {
     table: Arc<Table>,
     config: AtlasConfig,
     cut_strategy: Option<Arc<dyn CutStrategy>>,
-    distance: Option<Arc<dyn MapDistance>>,
-    merge: Option<Arc<dyn MergePolicy>>,
-    ranker: Option<Arc<dyn Ranker>>,
 }
 
 impl AtlasBuilder {
@@ -115,9 +116,6 @@ impl AtlasBuilder {
             table,
             config: AtlasConfig::default(),
             cut_strategy: None,
-            distance: None,
-            merge: None,
-            ranker: None,
         }
     }
 
@@ -133,24 +131,6 @@ impl AtlasBuilder {
         self
     }
 
-    /// Replace the map-distance stage (step 2).
-    pub fn distance(mut self, distance: impl MapDistance + 'static) -> Self {
-        self.distance = Some(Arc::new(distance));
-        self
-    }
-
-    /// Replace the merge stage (step 3).
-    pub fn merge_policy(mut self, policy: impl MergePolicy + 'static) -> Self {
-        self.merge = Some(Arc::new(policy));
-        self
-    }
-
-    /// Replace the ranking stage (step 4).
-    pub fn ranker(mut self, ranker: impl Ranker + 'static) -> Self {
-        self.ranker = Some(Arc::new(ranker));
-        self
-    }
-
     /// Validate the configuration, profile the table (the build-once cost
     /// every later `explore` amortises; columns are profiled in parallel per
     /// [`AtlasConfig::parallelism`]), and assemble the engine.
@@ -158,19 +138,8 @@ impl AtlasBuilder {
         self.config.validate()?;
         let pool = Arc::new(ThreadPool::new(self.config.parallelism));
         let profile = Arc::new(TableProfile::build_with_pool(&self.table, &pool));
-        let merge = self.merge.unwrap_or_else(|| match self.config.merge {
-            MergeStrategy::Product => Arc::new(ProductMerge) as Arc<dyn MergePolicy>,
-            MergeStrategy::Composition => Arc::new(CompositionMerge) as Arc<dyn MergePolicy>,
-        });
         Ok(Atlas {
             cut_strategy: self.cut_strategy.unwrap_or_else(|| Arc::new(PaperCut)),
-            distance: self.distance.unwrap_or_else(|| {
-                Arc::new(ViDistance {
-                    metric: self.config.distance,
-                })
-            }),
-            merge,
-            ranker: self.ranker.unwrap_or_else(|| Arc::new(EntropyRanker)),
             table: self.table,
             config: self.config,
             profile,
@@ -180,17 +149,14 @@ impl AtlasBuilder {
 }
 
 /// The prepared Atlas engine: a table, its build-time statistics profile, and
-/// one implementation per pipeline stage. `Send + Sync`; clone it or wrap it
-/// in an `Arc` to share the (already computed) profile across threads.
+/// its cut strategy. `Send + Sync`; clone it or wrap it in an `Arc` to share
+/// the (already computed) profile across threads.
 #[derive(Debug, Clone)]
 pub struct Atlas {
     table: Arc<Table>,
     config: AtlasConfig,
     profile: Arc<TableProfile>,
     cut_strategy: Arc<dyn CutStrategy>,
-    distance: Arc<dyn MapDistance>,
-    merge: Arc<dyn MergePolicy>,
-    ranker: Arc<dyn Ranker>,
     /// Worker threads shared by every exploration of this engine (and its
     /// clones), sized by [`AtlasConfig::parallelism`].
     pool: Arc<ThreadPool>,
@@ -203,7 +169,7 @@ impl Atlas {
     }
 
     /// Create an engine over a shared table with the given configuration and
-    /// the paper's default stage implementations.
+    /// the paper's cut.
     pub fn new(table: Arc<Table>, config: AtlasConfig) -> Result<Self> {
         Atlas::builder(table).config(config).build()
     }
@@ -277,9 +243,6 @@ impl Atlas {
             config: self.config.clone(),
             profile,
             cut_strategy: Arc::clone(&self.cut_strategy),
-            distance: Arc::clone(&self.distance),
-            merge: Arc::clone(&self.merge),
-            ranker: Arc::clone(&self.ranker),
             pool: Arc::clone(&self.pool),
         })
     }
@@ -357,66 +320,33 @@ impl Atlas {
             return Err(AtlasError::NoCuttableAttributes);
         }
 
-        // Step 2: cluster dependent candidates.
-        let phase_span = atlas_obs::span("phase.clustering");
-        let matrix = self
-            .distance
-            .matrix(&ctx, &candidates.maps, working_set_size);
-        let clusters = cluster_maps_with_pool(&matrix, &self.config.clustering, &self.pool)?;
-        let clustering_ms = phase_span.finish_ms();
-
-        // Step 3: merge each cluster into a representative map, one pool task
-        // per cluster, results assembled in cluster order. Clusters partition
-        // the candidates, so each takes its maps rather than copying them.
-        let phase_span = atlas_obs::span("phase.merge");
-        let parent = atlas_obs::current();
-        let mut maps: Vec<Option<DataMap>> = candidates.maps.into_iter().map(Some).collect();
-        let cluster_members: Vec<Vec<DataMap>> = clusters
-            .iter()
-            .map(|cluster| cluster.iter().filter_map(|&idx| maps[idx].take()).collect())
-            .collect();
-        debug_assert!(
-            maps.iter().all(Option::is_none)
-                && clusters.iter().map(Vec::len).sum::<usize>() == maps.len(),
-            "every candidate belongs to exactly one cluster"
-        );
-        let merge_results = self.pool.par_map(&cluster_members, |members| {
-            let _trace = atlas_obs::with_context(parent);
-            self.merge
-                .merge_with_stats(&ctx, members, &working, &working_stats)
-        });
-        let mut merged: Vec<DataMap> = Vec::with_capacity(clusters.len());
-        for result in merge_results {
-            if let Some(map) = result? {
-                merged.push(enforce_region_cap_within(
-                    map,
-                    user_query,
-                    self.config.max_regions_per_map,
-                    self.table.num_rows(),
-                ));
-            }
-        }
-        let merge_ms = phase_span.finish_ms();
-
-        // Step 4: rank and truncate.
-        let phase_span = atlas_obs::span("phase.rank");
-        let mut ranked = self.ranker.rank(merged);
-        ranked.truncate(self.config.max_maps);
-        let rank_ms = phase_span.finish_ms();
-
+        // Steps 2–4, with the merge `config.merge` names over the working
+        // set's statistics the cuts read.
+        let merge: &dyn MergePolicy = match self.config.merge {
+            MergeStrategy::Product => &ProductMerge,
+            MergeStrategy::Composition => &CompositionMerge,
+        };
+        let mut timings = PhaseTimings {
+            query_ms,
+            candidates_ms,
+            ..PhaseTimings::default()
+        };
+        let maps = cluster_merge_rank(
+            &self.config,
+            &self.pool,
+            user_query,
+            &working,
+            candidates.maps,
+            |members| merge.merge_with_stats(&ctx, members, &working, &working_stats),
+            &mut timings,
+        )?;
+        timings.total_ms = total_span.finish_ms();
         Ok(MapResult {
-            maps: ranked,
+            maps,
             working_set_size,
             working_set: working,
             skipped_attributes: candidates.skipped,
-            timings: PhaseTimings {
-                query_ms,
-                candidates_ms,
-                clustering_ms,
-                merge_ms,
-                rank_ms,
-                total_ms: total_span.finish_ms(),
-            },
+            timings,
         })
     }
 
@@ -492,6 +422,82 @@ impl Atlas {
     }
 }
 
+/// Steps 2–4 of an explore — cluster, merge, rank — over the candidate maps
+/// cut from `working`: the one post-cut body, run by [`Atlas::explore`] and
+/// by the distributed coordinator alike.
+///
+/// The candidates are clustered by [`AtlasConfig::distance`] over the row
+/// space `working.len()` (the table's rows in the engine, the live rows at a
+/// coordinator) and the working set's `working.count()` rows. Each candidate
+/// moves into its cluster, and `merge` combines each cluster's maps, one
+/// `pool` task per cluster, with results — and the first error — taken in
+/// cluster order. Every merged map is capped against `user_query`
+/// ([`enforce_region_cap_within`]), then the maps are ranked ([`rank_maps`])
+/// and truncated to [`AtlasConfig::max_maps`]. Each phase runs under its
+/// `phase.*` span and its time lands in `timings`.
+pub fn cluster_merge_rank(
+    config: &AtlasConfig,
+    pool: &ThreadPool,
+    user_query: &ConjunctiveQuery,
+    working: &Bitmap,
+    candidates: Vec<DataMap>,
+    merge: impl Fn(&[DataMap]) -> Result<Option<DataMap>> + Sync,
+    timings: &mut PhaseTimings,
+) -> Result<Vec<RankedMap>> {
+    let phase_span = atlas_obs::span("phase.clustering");
+    let matrix = distance_matrix_within(
+        &candidates,
+        working.len(),
+        working.count(),
+        config.distance,
+        pool,
+    );
+    let clusters = cluster_maps_with_pool(&matrix, &config.clustering, pool)?;
+    timings.clustering_ms = phase_span.finish_ms();
+
+    // Pool workers inherit the dispatching thread's span context, so kernel
+    // events of a merge attach under `phase.merge`.
+    let phase_span = atlas_obs::span("phase.merge");
+    let parent = atlas_obs::current();
+    let mut candidates: Vec<Option<DataMap>> = candidates.into_iter().map(Some).collect();
+    let members: Vec<Vec<DataMap>> = clusters
+        .iter()
+        .map(|cluster| {
+            cluster
+                .iter()
+                .filter_map(|&at| candidates[at].take())
+                .collect()
+        })
+        .collect();
+    debug_assert!(
+        candidates.iter().all(Option::is_none)
+            && clusters.iter().map(Vec::len).sum::<usize>() == candidates.len(),
+        "every candidate belongs to exactly one cluster"
+    );
+    let merged = pool.par_map(&members, |members| {
+        let _trace = atlas_obs::with_context(parent);
+        merge(members)
+    });
+    let mut maps = Vec::with_capacity(merged.len());
+    for map in merged {
+        if let Some(map) = map? {
+            maps.push(enforce_region_cap_within(
+                map,
+                user_query,
+                config.max_regions_per_map,
+                working.len(),
+            ));
+        }
+    }
+    timings.merge_ms = phase_span.finish_ms();
+
+    let phase_span = atlas_obs::span("phase.rank");
+    let mut ranked = rank_maps(maps);
+    ranked.truncate(config.max_maps);
+    timings.rank_ms = phase_span.finish_ms();
+    Ok(ranked)
+}
+
 /// The readability constraint of Section 2 as a standalone transform: if the
 /// map has more than `max_regions_per_map` regions, keep the largest ones and
 /// fold the rest into a single remainder region — "other tuples" — whose
@@ -499,10 +505,9 @@ impl Atlas {
 /// working set minus the kept regions, so its query keeps the user's
 /// predicates and adds none.
 ///
-/// This is exactly the post-merge step [`Atlas::explore`] applies to every
-/// cluster's merged map; it is exposed so a remote coordinator running the
-/// merge phase locally produces bit-identical maps. `num_rows` is the number
-/// of rows of the underlying table (the length of the remainder bitmap).
+/// This is the post-merge step [`cluster_merge_rank`] applies to every
+/// cluster's merged map. `num_rows` is the length of the remainder bitmap:
+/// the rows of the underlying table.
 pub fn enforce_region_cap_within(
     mut map: DataMap,
     user_query: &ConjunctiveQuery,
@@ -945,39 +950,6 @@ mod tests {
             atlas.profile_stats().misses > 0,
             "subset working sets need fresh statistics"
         );
-    }
-
-    #[test]
-    fn custom_ranker_changes_the_presentation_order() {
-        /// Ranks maps by *increasing* entropy — the opposite of the paper.
-        #[derive(Debug)]
-        struct WorstFirst;
-        impl crate::pipeline::Ranker for WorstFirst {
-            fn name(&self) -> &str {
-                "worst-first"
-            }
-            fn rank(&self, maps: Vec<DataMap>) -> Vec<crate::rank::RankedMap> {
-                let mut ranked = crate::rank::rank_maps(maps);
-                ranked.reverse();
-                ranked
-            }
-        }
-        let table = survey(600);
-        let normal = Atlas::builder(Arc::clone(&table)).build().unwrap();
-        let reversed = Atlas::builder(Arc::clone(&table))
-            .ranker(WorstFirst)
-            .build()
-            .unwrap();
-        let query = ConjunctiveQuery::all("survey");
-        let a = normal.explore(&query).unwrap();
-        let b = reversed.explore(&query).unwrap();
-        assert!(a.num_maps() >= 2);
-        assert_eq!(a.num_maps(), b.num_maps());
-        assert!((a.maps.first().unwrap().score - b.maps.last().unwrap().score).abs() < 1e-12);
-        // Scores are non-decreasing under the custom ranker.
-        for pair in b.maps.windows(2) {
-            assert!(pair[0].score <= pair[1].score + 1e-12);
-        }
     }
 
     #[test]

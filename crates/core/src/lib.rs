@@ -24,13 +24,13 @@
 //!    of their cover distribution, so balanced, multi-region maps come first
 //!    and outlier-revealing maps come last.
 //!
-//! The [`engine::Atlas`] type drives the whole pipeline. Since the
-//! prepared-engine redesign it is assembled by [`engine::AtlasBuilder`]: the
-//! four steps are the pluggable traits of [`pipeline`]
-//! ([`pipeline::CutStrategy`], [`pipeline::MapDistance`],
-//! [`pipeline::MergePolicy`], [`pipeline::Ranker`]) with the paper's
-//! algorithms as defaults, and per-column statistics are computed **once** at
-//! build time into a shared [`profile::TableProfile`]. The engine is
+//! The [`engine::Atlas`] type drives the whole pipeline. It is assembled by
+//! [`engine::AtlasBuilder`], and per-column statistics are computed **once**
+//! at build time into a shared [`profile::TableProfile`]. Step 1 runs through
+//! a [`pipeline::CutStrategy`] (the paper's `CUT` unless the builder is given
+//! another); steps 2–4 are one function, [`engine::cluster_merge_rank`], whose
+//! merge is the [`pipeline::MergePolicy`] that [`config::AtlasConfig::merge`]
+//! names — the distributed coordinator calls the same function. The engine is
 //! `Send + Sync`, so one `Arc<Atlas>` serves concurrent explorations — and
 //! each exploration itself runs multicore: the hot phases (candidate cuts,
 //! the pairwise distance matrix, per-cluster merging, profile building) split
@@ -43,8 +43,8 @@
 //! [`engine::Atlas::explore_anytime`], driven by [`config::ExploreOptions`]).
 //! [`baselines`] provides the comparison systems used by the evaluation
 //! (exhaustive product, random maps, single-attribute maps and a grid-density
-//! subspace-clustering stand-in), each expressed as alternative stage-trait
-//! implementations rather than separate pipelines.
+//! subspace-clustering stand-in), each built from the stage traits and the
+//! paper's own stages rather than as a separate pipeline.
 
 #![warn(missing_docs)]
 
@@ -78,16 +78,16 @@ pub use distance::{
     MapDistanceMetric,
 };
 pub use engine::{
-    enforce_region_cap, enforce_region_cap_within, AnytimeIteration, AnytimeResult, Atlas,
-    AtlasBuilder, ExploreIter, MapResult, PhaseTimings,
+    cluster_merge_rank, enforce_region_cap, enforce_region_cap_within, AnytimeIteration,
+    AnytimeResult, Atlas, AtlasBuilder, ExploreIter, MapResult, PhaseTimings,
 };
 pub use error::{AtlasError, Result};
 pub use map::DataMap;
 pub use merge::{compose_maps, product_maps};
 pub use minirayon::ThreadPool;
 pub use pipeline::{
-    AttributeStats, CompositionMerge, CutStrategy, EntropyRanker, MapDistance, MergePolicy,
-    PaperCut, PipelineContext, ProductMerge, Ranker, ViDistance,
+    AttributeStats, CompositionMerge, CutStrategy, MergePolicy, PaperCut, PipelineContext,
+    ProductMerge,
 };
 pub use precompute::{CacheStats, CachedAtlas};
 pub use profile::{ColumnProfile, ProfileStats, TableProfile};

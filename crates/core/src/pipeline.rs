@@ -1,32 +1,29 @@
-//! The pluggable stage traits of the Atlas pipeline.
+//! The stage traits of the Atlas pipeline: how a working set is cut, and how
+//! the maps of one cluster are merged.
 //!
 //! The paper's framework (Section 3) is a fixed sequence of four steps —
-//! **cut**, **cluster by distance**, **merge**, **rank** — but each step
-//! admits alternative algorithms: the paper itself discusses several cutting
-//! strategies, three dependency measures, two merge operators, and the
-//! evaluation compares against baselines that are really just different
-//! choices for one of the steps. This module makes the seams explicit: every
-//! step is a trait, the paper's algorithms are the default implementations,
-//! and [`crate::engine::AtlasBuilder`] assembles any combination into one
-//! prepared engine.
+//! **cut**, **cluster by distance**, **merge**, **rank**. Two of them have
+//! more than one implementation in-tree, and those two are traits here: the
+//! evaluation's random and grid baselines are other cuts, and the paper's two
+//! merge operators (plus the grid baseline's dense product) are merges. The
+//! other two steps have one body each, run by
+//! [`crate::engine::cluster_merge_rank`]: distances are
+//! [`crate::distance_matrix_within`] under
+//! [`crate::AtlasConfig::distance`], and ranking is [`crate::rank_maps`].
 //!
-//! | step | trait | paper default | alternatives in-tree |
-//! |------|-------|---------------|----------------------|
-//! | 1. candidate cuts | [`CutStrategy`] | [`PaperCut`] | [`crate::baselines::RandomCut`], [`crate::baselines::GridCut`] |
-//! | 2. map distance | [`MapDistance`] | [`ViDistance`] | any [`MapDistanceMetric`] |
-//! | 3. merging | [`MergePolicy`] | [`CompositionMerge`] | [`ProductMerge`], [`crate::baselines::DenseProductMerge`] |
-//! | 4. ranking | [`Ranker`] | [`EntropyRanker`] | — |
+//! | step | trait | the engine runs | other implementations in-tree |
+//! |------|-------|-----------------|-------------------------------|
+//! | 1. candidate cuts | [`CutStrategy`] | [`PaperCut`], or any set with [`crate::AtlasBuilder::cut_strategy`] | [`crate::baselines::RandomCut`], [`crate::baselines::GridCut`] |
+//! | 3. merging | [`MergePolicy`] | [`ProductMerge`] or [`CompositionMerge`], as [`crate::AtlasConfig::merge`] says | [`crate::baselines::DenseProductMerge`] |
 //!
-//! All stage traits are `Send + Sync`, so a prepared engine can be shared
-//! across threads behind an `Arc`.
+//! Both traits are `Send + Sync`, so a prepared engine can be shared across
+//! threads behind an `Arc`.
 
 use crate::cut::{cut_attribute_in_context, CutConfig};
-use crate::distance::{distance_matrix_within, DistanceMatrix, MapDistanceMetric};
 use crate::error::Result;
 use crate::map::DataMap;
 use crate::merge::product_maps;
 use crate::profile::TableProfile;
-use crate::rank::{rank_maps, RankedMap};
 use crate::region::Region;
 use atlas_columnar::{Bitmap, ColumnStats, Table};
 use atlas_query::ConjunctiveQuery;
@@ -77,57 +74,29 @@ pub trait CutStrategy: fmt::Debug + Send + Sync {
     fn name(&self) -> &str;
 
     /// Cut `attribute` over `working`, extending `parent_query` per region.
-    fn cut(
-        &self,
-        ctx: &PipelineContext<'_>,
-        working: &Bitmap,
-        parent_query: &ConjunctiveQuery,
-        attribute: &str,
-    ) -> Result<Option<DataMap>>;
-
-    /// [`CutStrategy::cut`] beside the statistics of `attribute` over
-    /// `working`. When `stats` holds them — derived by a composition, or read
-    /// by an earlier cut of the same working set — they are exactly what a
-    /// walk of `working` returns, and a strategy that reads statistics uses
-    /// them instead of walking; when it is empty, such a strategy leaves the
-    /// statistics it read there, for the caller to keep for the rest of the
-    /// explore. The default ignores `stats` and calls [`CutStrategy::cut`].
-    fn cut_with_stats<'a>(
+    ///
+    /// `stats` may hold the statistics of `attribute` over `working` —
+    /// derived by a composition, or read by an earlier cut of the same
+    /// working set. They are then exactly what a walk of `working` returns,
+    /// and a strategy that reads statistics uses them instead of walking;
+    /// when it is empty, such a strategy leaves the statistics it read there,
+    /// for the caller to keep for the rest of the explore. A strategy that
+    /// reads no statistics ignores it, and a caller that holds none passes
+    /// `&mut None`.
+    fn cut<'a>(
         &self,
         ctx: &PipelineContext<'a>,
         working: &Bitmap,
         parent_query: &ConjunctiveQuery,
         attribute: &str,
         stats: &mut Option<Cow<'a, ColumnStats>>,
-    ) -> Result<Option<DataMap>> {
-        let _ = stats;
-        self.cut(ctx, working, parent_query, attribute)
-    }
+    ) -> Result<Option<DataMap>>;
 }
 
 /// The statistics of one attribute over an explore's working set, beside the
 /// attribute's name: what a candidate cut read and an explore holds until it
 /// ends ([`MergePolicy::merge_with_stats`]).
 pub type AttributeStats<'a> = (String, Cow<'a, ColumnStats>);
-
-/// Step 2 — the dependency distance between candidate maps.
-pub trait MapDistance: fmt::Debug + Send + Sync {
-    /// A short human-readable name (used in reports and benchmarks).
-    fn name(&self) -> &str;
-
-    /// The pairwise distance matrix over a set of candidate maps, each cut
-    /// by the engine's [`CutStrategy`] from a working set of `working_rows`
-    /// rows (so every region is a subset of it).
-    ///
-    /// Implementations may parallelise across `ctx.pool`; the result must not
-    /// depend on the pool's thread count.
-    fn matrix(
-        &self,
-        ctx: &PipelineContext<'_>,
-        maps: &[DataMap],
-        working_rows: usize,
-    ) -> DistanceMatrix;
-}
 
 /// Step 3 — combine the maps of one cluster into a representative map.
 ///
@@ -154,7 +123,7 @@ pub trait MergePolicy: fmt::Debug + Send + Sync {
 
     /// [`MergePolicy::merge`] inside an explore that holds `stats`: the
     /// statistics over `working` of the attributes its candidate cuts read
-    /// ([`CutStrategy::cut_with_stats`]), by attribute name. They live as
+    /// ([`CutStrategy::cut`]), by attribute name. They live as
     /// long as the explore. The default ignores them and calls
     /// [`MergePolicy::merge`].
     fn merge_with_stats(
@@ -167,15 +136,6 @@ pub trait MergePolicy: fmt::Debug + Send + Sync {
         let _ = stats;
         self.merge(ctx, members, working)
     }
-}
-
-/// Step 4 — order the merged maps for presentation.
-pub trait Ranker: fmt::Debug + Send + Sync {
-    /// A short human-readable name (used in reports and benchmarks).
-    fn name(&self) -> &str;
-
-    /// Score and order the maps, best first.
-    fn rank(&self, maps: Vec<DataMap>) -> Vec<RankedMap>;
 }
 
 /// The paper's `CUT` primitive (Definition 1): median / equi-width / k-means
@@ -191,17 +151,7 @@ impl CutStrategy for PaperCut {
         "paper-cut"
     }
 
-    fn cut(
-        &self,
-        ctx: &PipelineContext<'_>,
-        working: &Bitmap,
-        parent_query: &ConjunctiveQuery,
-        attribute: &str,
-    ) -> Result<Option<DataMap>> {
-        cut_attribute_in_context(ctx, working, parent_query, attribute, &mut None)
-    }
-
-    fn cut_with_stats<'a>(
+    fn cut<'a>(
         &self,
         ctx: &PipelineContext<'a>,
         working: &Bitmap,
@@ -210,34 +160,6 @@ impl CutStrategy for PaperCut {
         stats: &mut Option<Cow<'a, ColumnStats>>,
     ) -> Result<Option<DataMap>> {
         cut_attribute_in_context(ctx, working, parent_query, attribute, stats)
-    }
-}
-
-/// The paper's dependency measures (Definition 2): Variation of Information
-/// and its normalised variants, selected by [`MapDistanceMetric`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ViDistance {
-    /// The concrete metric.
-    pub metric: MapDistanceMetric,
-}
-
-impl MapDistance for ViDistance {
-    fn name(&self) -> &str {
-        match self.metric {
-            MapDistanceMetric::VariationOfInformation => "variation-of-information",
-            MapDistanceMetric::NormalizedVI => "normalized-vi",
-            MapDistanceMetric::OneMinusNmi => "one-minus-nmi",
-        }
-    }
-
-    fn matrix(
-        &self,
-        ctx: &PipelineContext<'_>,
-        maps: &[DataMap],
-        working_rows: usize,
-    ) -> DistanceMatrix {
-        let rows = ctx.table.num_rows();
-        distance_matrix_within(maps, rows, working_rows, self.metric, ctx.pool)
     }
 }
 
@@ -279,8 +201,8 @@ impl MergePolicy for ProductMerge {
 /// ([`MergePolicy::merge_with_stats`]). Then every region's statistics but
 /// the largest one's are walked, and the largest region's are the working
 /// set's minus the others' ([`ColumnStats::without`]) — the same statistics,
-/// bit for bit, for one walk fewer; they reach the cut through
-/// [`CutStrategy::cut_with_stats`]. A later re-cut, a first map that does not
+/// bit for bit, for one walk fewer; they reach the cut in its `stats`
+/// ([`CutStrategy::cut`]). A later re-cut, a first map that does not
 /// partition the working set, and a summary too large to subtract exactly
 /// walk every region.
 #[derive(Debug, Clone, Copy, Default)]
@@ -316,17 +238,10 @@ impl CompositionMerge {
             let cuts = ctx.pool.par_map_indexed(result.regions.len(), 1, |at| {
                 let _trace = atlas_obs::with_context(parent);
                 let region = &result.regions[at];
+                let mut held = stats.get(at).map(|stats| Cow::Borrowed(&**stats));
                 let (selection, query) = (&region.selection, &region.query);
-                match stats.get(at) {
-                    Some(stats) => ctx.cut_strategy.cut_with_stats(
-                        ctx,
-                        selection,
-                        query,
-                        &attribute,
-                        &mut Some(Cow::Borrowed(&**stats)),
-                    ),
-                    None => ctx.cut_strategy.cut(ctx, selection, query, &attribute),
-                }
+                ctx.cut_strategy
+                    .cut(ctx, selection, query, &attribute, &mut held)
             });
             let mut regions = Vec::new();
             for (region, sub) in result.regions.into_iter().zip(cuts) {
@@ -429,21 +344,6 @@ impl MergePolicy for CompositionMerge {
     }
 }
 
-/// The paper's ranking (Section 3.4): decreasing entropy of the cover
-/// distribution, with deterministic tie-breaking.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EntropyRanker;
-
-impl Ranker for EntropyRanker {
-    fn name(&self) -> &str {
-        "entropy"
-    }
-
-    fn rank(&self, maps: Vec<DataMap>) -> Vec<RankedMap> {
-        rank_maps(maps)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -496,7 +396,7 @@ mod tests {
         let query = ConjunctiveQuery::all("t");
         let via_trait = with_context(&t, &PaperCut, |ctx| {
             PaperCut
-                .cut(ctx, &working, &query, "size")
+                .cut(ctx, &working, &query, "size", &mut None)
                 .unwrap()
                 .unwrap()
         });
@@ -510,10 +410,8 @@ mod tests {
     #[test]
     fn default_stages_have_names() {
         assert_eq!(PaperCut.name(), "paper-cut");
-        assert_eq!(ViDistance::default().name(), "normalized-vi");
         assert_eq!(ProductMerge.name(), "product");
         assert_eq!(CompositionMerge.name(), "composition");
-        assert_eq!(EntropyRanker.name(), "entropy");
     }
 
     #[test]
@@ -523,11 +421,11 @@ mod tests {
         let query = ConjunctiveQuery::all("t");
         let composed = with_context(&t, &PaperCut, |ctx| {
             let m_size = PaperCut
-                .cut(ctx, &working, &query, "size")
+                .cut(ctx, &working, &query, "size", &mut None)
                 .unwrap()
                 .unwrap();
             let m_weight = PaperCut
-                .cut(ctx, &working, &query, "weight")
+                .cut(ctx, &working, &query, "weight", &mut None)
                 .unwrap()
                 .unwrap();
             CompositionMerge
@@ -549,11 +447,11 @@ mod tests {
         let query = ConjunctiveQuery::all("t");
         let product = with_context(&t, &PaperCut, |ctx| {
             let m_size = PaperCut
-                .cut(ctx, &working, &query, "size")
+                .cut(ctx, &working, &query, "size", &mut None)
                 .unwrap()
                 .unwrap();
             let m_weight = PaperCut
-                .cut(ctx, &working, &query, "weight")
+                .cut(ctx, &working, &query, "weight", &mut None)
                 .unwrap()
                 .unwrap();
             ProductMerge

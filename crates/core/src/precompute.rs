@@ -73,8 +73,8 @@ impl CachedAtlas {
     }
 
     /// Wrap an already prepared engine (built via
-    /// [`crate::engine::AtlasBuilder`], possibly with custom stages) with a
-    /// cache holding at most `capacity` results.
+    /// [`crate::engine::AtlasBuilder`], possibly with another cut strategy)
+    /// with a cache holding at most `capacity` results.
     pub fn from_engine(engine: Atlas, capacity: usize) -> Self {
         CachedAtlas {
             engine,

@@ -16,15 +16,12 @@
 //!    category counts a categorical cut reads, so a cut of a counted column
 //!    scatters one round — its partition — and an explore of `c` such
 //!    columns makes `2 + c` round trips;
-//! 3. **distances** — computed at the coordinator, not pushed down: after
+//! 3. **distances, clustering, merging, ranking** — not pushed down: after
 //!    the cut phase every candidate region is already here as a folded
-//!    bitmap over the live rows (the product merge needs them), so the
-//!    pairwise matrix is the engine's own
-//!    [`atlas_core::distance_matrix_within`] over them and the working set's
-//!    count — the call [`atlas_core::Atlas::explore`] makes, with no
-//!    round-trip;
-//! 4. **clustering, merging, ranking** — run locally on the folded inputs,
-//!    byte-for-byte the engine's own implementations.
+//!    bitmap over the live rows, so the coordinator runs the engine's own
+//!    post-cut body, [`atlas_core::cluster_merge_rank`], over them — the
+//!    call [`atlas_core::Atlas::explore`] makes, with the live rows as the
+//!    row space and the product merge as its merge — and no shard is asked.
 //!
 //! ## Replies are decoded where they land
 //!
@@ -69,7 +66,10 @@
 //! [`Deadline`] caps every wait: per-shard budgets are derived from the
 //! remaining time, the remainder is forwarded in the `X-Atlas-Deadline-Ms`
 //! header, and a blown deadline surfaces as [`AtlasError::Deadline`] with
-//! the phase that was running.
+//! the phase that was running. It is checked before every scatter and
+//! between phases up to the distances; once the last scatter is answered no
+//! shard call or wait is left, so the local cluster–merge–rank body runs to
+//! the end.
 //!
 //! In [`ExploreMode::Strict`] (the default and the historical contract) any
 //! shard failing past its retries fails the whole explore with a typed
@@ -87,15 +87,14 @@ use crate::resilience::{
     RetryPolicy,
 };
 use crate::wire::frames::{
-    dtype_from_name, get_index, get_items, get_str, hex_f64s, parse_hex_f64s,
-    select_partial_from_json, summary_from_json, working_partial_from_json,
+    get_index, get_items, get_str, hex_f64s, meta_from_json, parse_hex_f64s,
+    select_partial_from_json, summary_from_json, working_partial_from_json, MetaView,
 };
 use crate::wire::Json;
 use atlas_columnar::{merge_category_counts, Bitmap, ColumnStats, ColumnSummary, DataType};
 use atlas_core::{
-    cluster_maps_with_pool, cut_from_source, distance_matrix_within, enforce_region_cap_within,
-    product_maps, rank_maps, AtlasConfig, AtlasError, CutSource, MapResult, MergeStrategy,
-    PhaseTimings, ThreadPool,
+    cluster_merge_rank, cut_from_source, product_maps, AtlasConfig, AtlasError, CutSource,
+    MapResult, MergeStrategy, PhaseTimings, ThreadPool,
 };
 use atlas_query::{to_sql, ConjunctiveQuery};
 use rand::rngs::StdRng;
@@ -194,10 +193,6 @@ impl ShardSlot {
     }
 }
 
-/// A shard's `/shard/meta` view: (generation, total rows, per-segment row
-/// counts, schema fields) — unanimity across shards is required at connect.
-type MetaView = (usize, usize, Vec<usize>, Vec<(String, DataType)>);
-
 /// How one shard call failed, before rendering into an [`AtlasError`].
 enum CallFail {
     /// The shard failed past its retries; the message already names the
@@ -258,7 +253,6 @@ pub struct Coordinator {
     options: CoordinatorOptions,
     shards: Vec<ShardSlot>,
     generation: usize,
-    num_rows: usize,
     segment_rows: Vec<usize>,
     fields: Vec<(String, DataType)>,
     pool: ThreadPool,
@@ -419,21 +413,18 @@ impl Coordinator {
                 })
             })
             .collect::<Result<_, AtlasError>>()?;
-        let metrics = CoordinatorMetrics::new(addrs);
         let mut coordinator = Coordinator {
             dataset: dataset.to_string(),
+            pool: ThreadPool::new(config.parallelism),
             config,
             options,
             shards,
             generation: 0,
-            num_rows: 0,
             segment_rows: Vec::new(),
             fields: Vec::new(),
-            pool: ThreadPool::new(1),
-            metrics,
+            metrics: CoordinatorMetrics::new(addrs),
             jitter: Mutex::new(StdRng::seed_from_u64(options.jitter_seed)),
         };
-        coordinator.pool = ThreadPool::new(coordinator.config.parallelism);
         coordinator.fetch_meta()?;
         let num_segments = coordinator.segment_rows.len();
         let num_shards = coordinator.shards.len();
@@ -497,7 +488,7 @@ impl Coordinator {
 
     /// Total rows of the distributed table.
     pub fn num_rows(&self) -> usize {
-        self.num_rows
+        self.segment_rows.iter().sum()
     }
 
     /// The current segment assignment, one list of global segment indices
@@ -532,7 +523,9 @@ impl Coordinator {
     }
 
     /// Fetch `/shard/meta` from every shard and adopt their (unanimous) view
-    /// of the dataset.
+    /// of the dataset. A reply that does not decode — its `num_rows` not the
+    /// sum of its segments' rows included — fails the connect, naming the
+    /// shard.
     fn fetch_meta(&mut self) -> Result<(), AtlasError> {
         let body = Json::object(vec![("dataset", Json::from(self.dataset.as_str()))]);
         let mut agreed: Option<MetaView> = None;
@@ -540,24 +533,12 @@ impl Coordinator {
             let reply = self
                 .call_with(slot, "/shard/meta", &body, None)
                 .map_err(|fail| dist_err(slot.render_fail("/shard/meta", fail)))?;
-            let generation = get_index(&reply, "generation").map_err(dist_err)?;
-            let num_rows = get_index(&reply, "num_rows").map_err(dist_err)?;
-            let segments = get_items(&reply, "segments")
-                .map_err(dist_err)?
-                .iter()
-                .map(|s| s.index().ok_or_else(|| dist_err("bad segment row count")))
-                .collect::<Result<Vec<_>, _>>()?;
-            let fields = get_items(&reply, "fields")
-                .map_err(dist_err)?
-                .iter()
-                .map(|f| {
-                    let name = get_str(f, "name").map_err(dist_err)?.to_string();
-                    let dtype = dtype_from_name(get_str(f, "dtype").map_err(dist_err)?)
-                        .map_err(dist_err)?;
-                    Ok((name, dtype))
-                })
-                .collect::<Result<Vec<_>, AtlasError>>()?;
-            let view = (generation, num_rows, segments, fields);
+            let view = meta_from_json(&reply).map_err(|e| {
+                dist_err(format!(
+                    "shard {} misbehaved on /shard/meta: {e}",
+                    slot.addr
+                ))
+            })?;
             match &agreed {
                 None => agreed = Some(view),
                 Some(first) if *first == view => {}
@@ -570,10 +551,9 @@ impl Coordinator {
                 }
             }
         }
-        let (generation, num_rows, segment_rows, fields) = agreed
+        let (generation, segment_rows, fields) = agreed
             .ok_or_else(|| dist_err("no shard answered the metadata probe; none are connected"))?;
         self.generation = generation;
-        self.num_rows = num_rows;
         self.segment_rows = segment_rows;
         self.fields = fields;
         Ok(())
@@ -1080,13 +1060,14 @@ impl Coordinator {
             .iter()
             .filter_map(|&s| self.segment_rows.get(s))
             .sum();
-        let rows_answered = self.num_rows.saturating_sub(missing_rows);
+        let rows_total = self.num_rows();
+        let rows_answered = rows_total.saturating_sub(missing_rows);
         let segments_answered = self.segment_rows.len().saturating_sub(missing.len());
         Coverage {
             segments_total: self.segment_rows.len(),
             segments_answered,
             missing_segments: missing,
-            rows_total: self.num_rows,
+            rows_total,
             rows_answered,
             failed_shards: dead_slots().map(|slot| slot.addr.clone()).collect(),
             columns: self
@@ -1222,8 +1203,9 @@ impl Coordinator {
         }
     }
 
-    /// The distributed pipeline over the context's live segments —
-    /// byte-for-byte the engine's phases on the folded inputs.
+    /// The distributed pipeline over the context's live segments: the
+    /// working set and the candidates scatter to the shards, and the engine's
+    /// own [`cluster_merge_rank`] runs on what they fold into.
     fn explore_pipeline(
         &self,
         query: &ConjunctiveQuery,
@@ -1241,8 +1223,8 @@ impl Coordinator {
         let query_span = atlas_obs::span("phase.query");
         let (working, segment_working) = self.fetch_working(ctx, &sql)?;
         let query_ms = query_span.finish_ms();
-        let working_count = working.count();
-        if working_count == 0 {
+        let working_set_size = working.count();
+        if working_set_size == 0 {
             return Err(AtlasError::EmptyWorkingSet);
         }
         self.check_deadline(ctx, "candidates")?;
@@ -1276,64 +1258,31 @@ impl Coordinator {
         }
         self.check_deadline(ctx, "distances")?;
 
-        // Distances over the folded candidate bitmaps — the engine's own
-        // call on the live row space, so no shard is asked — then the
-        // engine's own clustering.
-        let clustering_span = atlas_obs::span("phase.clustering");
-        let matrix = distance_matrix_within(
-            &maps,
-            ctx.live_rows,
-            working_count,
-            self.config.distance,
+        // The engine's own steps 2–4 on the folded candidates, over the live
+        // row space, so a degraded answer matches a local explore over the
+        // surviving segments.
+        let mut timings = PhaseTimings {
+            query_ms,
+            candidates_ms,
+            ..PhaseTimings::default()
+        };
+        let drop_empty_regions = self.config.drop_empty_regions;
+        let maps = cluster_merge_rank(
+            &self.config,
             &self.pool,
-        );
-        let clusters = cluster_maps_with_pool(&matrix, &self.config.clustering, &self.pool)?;
-        let clustering_ms = clustering_span.finish_ms();
-        self.check_deadline(ctx, "merge")?;
-
-        // Product merge + region cap, the engine's own code on local data.
-        // The cap's relative threshold reads the live row count, so a
-        // degraded answer matches a local explore over the same segments.
-        let merge_span = atlas_obs::span("phase.merge");
-        let products = self.pool.par_map(&clusters, |cluster| {
-            #[expect(
-                clippy::indexing_slicing,
-                reason = "clusters partition 0..maps.len(): the matrix was built with maps.len() points"
-            )]
-            let members: Vec<atlas_core::DataMap> =
-                cluster.iter().map(|&idx| maps[idx].clone()).collect();
-            product_maps(&members, self.config.drop_empty_regions)
-        });
-        let mut merged = Vec::with_capacity(products.len());
-        for product in products.into_iter().flatten() {
-            merged.push(enforce_region_cap_within(
-                product,
-                &query,
-                self.config.max_regions_per_map,
-                ctx.live_rows,
-            ));
-        }
-        let merge_ms = merge_span.finish_ms();
-        self.check_deadline(ctx, "rank")?;
-
-        let rank_span = atlas_obs::span("phase.rank");
-        let mut ranked = rank_maps(merged);
-        ranked.truncate(self.config.max_maps);
-        let rank_ms = rank_span.finish_ms();
-
+            &query,
+            &working,
+            maps,
+            |members| Ok(product_maps(members, drop_empty_regions)),
+            &mut timings,
+        )?;
+        timings.total_ms = total_span.finish_ms();
         Ok(MapResult {
-            maps: ranked,
-            working_set_size: working_count,
+            maps,
+            working_set_size,
             working_set: working,
             skipped_attributes: skipped,
-            timings: PhaseTimings {
-                query_ms,
-                candidates_ms,
-                clustering_ms,
-                merge_ms,
-                rank_ms,
-                total_ms: total_span.finish_ms(),
-            },
+            timings,
         })
     }
 
@@ -1506,5 +1455,51 @@ impl CutSource for RemoteSource<'_> {
         );
         let partition = [("kind", Json::from("groups")), ("groups", groups_json)];
         self.regions(attribute, &partition, groups.len())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::http::{read_request, write_response, Response};
+    use std::io::BufReader;
+    use std::net::TcpListener;
+
+    /// A shard whose `/shard/meta` reply claims 100 rows over segments of 60
+    /// and 60: connecting to it fails, naming the shard, instead of adopting
+    /// a row count no fold agrees with.
+    #[test]
+    fn a_meta_reply_whose_rows_are_not_its_segments_sum_is_refused() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let shard = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let request = read_request(&mut reader, 1 << 16, None).unwrap();
+            assert_eq!(request.path, "/shard/meta");
+            let reply = crate::wire::parse(
+                r#"{"dataset": "t", "generation": 0, "num_rows": 100,
+                    "segments": [60, 60], "fields": [{"name": "x", "dtype": "int"}]}"#,
+            )
+            .unwrap();
+            write_response(&mut &stream, &Response::json(200, &reply), false).unwrap();
+        });
+        let config = AtlasConfig {
+            merge: MergeStrategy::Product,
+            ..AtlasConfig::default()
+        };
+        let error = Coordinator::connect(
+            std::slice::from_ref(&addr),
+            "t",
+            config,
+            Duration::from_secs(5),
+        )
+        .unwrap_err();
+        shard.join().unwrap();
+        let AtlasError::Distributed(message) = error else {
+            panic!("expected a Distributed error, got {error:?}");
+        };
+        assert!(message.contains(&addr), "{message}");
+        assert!(message.contains("num_rows 100"), "{message}");
     }
 }

@@ -835,24 +835,12 @@ fn distributed_explore(shared: &Shared, request: &Request, deadline: Option<Dead
             "this server coordinates no shards; start it with --shards host:port,…",
         );
     }
-    let Some(body) = request.body_text() else {
-        return Response::error(400, "body must be UTF-8 text");
+    let (sql, envelope) = match explore_body(request) {
+        Ok(body) => body,
+        Err(response) => return response,
     };
-    let (sql, requested, mode_name) = match wire::parse(body) {
-        Ok(json) => match json.get("sql").and_then(|s| s.str()) {
-            Some(sql) => (
-                sql.to_string(),
-                json.get("dataset").and_then(|d| d.str()).map(String::from),
-                json.get("mode").and_then(|m| m.str()).map(String::from),
-            ),
-            None => return Response::error(400, "JSON body must carry a \"sql\" member"),
-        },
-        Err(_) => (body.to_string(), None, None),
-    };
-    if sql.trim().is_empty() {
-        return Response::error(400, "empty query; send conjunctive SQL");
-    }
-    let mode = match mode_name.as_deref() {
+    let member = |key| envelope.as_ref()?.get(key)?.str();
+    let mode = match member("mode") {
         None | Some("strict") => ExploreMode::Strict,
         Some("degraded") => match shared.config.degraded_max_failed {
             Some(max_failed_shards) => ExploreMode::Degraded { max_failed_shards },
@@ -871,7 +859,7 @@ fn distributed_explore(shared: &Shared, request: &Request, deadline: Option<Dead
             );
         }
     };
-    let dataset = match resolve_dataset(&shared.registry, requested.as_deref()) {
+    let dataset = match resolve_dataset(&shared.registry, member("dataset")) {
         Ok(dataset) => dataset,
         Err(response) => return response,
     };
@@ -1058,22 +1046,37 @@ fn attach_trace(body: &mut Json) {
     }
 }
 
-fn explore(shared: &Shared, token: &str, request: &Request) -> Response {
+/// The query of an explore body: the conjunctive SQL itself, or a JSON
+/// envelope `{"sql": …}` for clients that prefer uniform bodies — returned
+/// too, for the other members it carries. A body that is not UTF-8, an
+/// envelope without `sql` and an empty query are each a `400`.
+fn explore_body(request: &Request) -> Result<(String, Option<Json>), Response> {
     let Some(body) = request.body_text() else {
-        return Response::error(400, "body must be UTF-8 text");
+        return Err(Response::error(400, "body must be UTF-8 text"));
     };
-    // The body is the conjunctive SQL itself; a JSON envelope {"sql": …} is
-    // also accepted for clients that prefer uniform bodies.
-    let sql = match wire::parse(body) {
-        Ok(json) => match json.get("sql").and_then(|s| s.str()) {
-            Some(sql) => sql.to_string(),
-            None => return Response::error(400, "JSON body must carry a \"sql\" member"),
+    let (sql, envelope) = match wire::parse(body) {
+        Ok(json) => match json.get("sql").and_then(Json::str) {
+            Some(sql) => (sql.to_string(), Some(json)),
+            None => {
+                return Err(Response::error(
+                    400,
+                    "JSON body must carry a \"sql\" member",
+                ))
+            }
         },
-        Err(_) => body.to_string(),
+        Err(_) => (body.to_string(), None),
     };
     if sql.trim().is_empty() {
-        return Response::error(400, "empty query; send conjunctive SQL");
+        return Err(Response::error(400, "empty query; send conjunctive SQL"));
     }
+    Ok((sql, envelope))
+}
+
+fn explore(shared: &Shared, token: &str, request: &Request) -> Response {
+    let sql = match explore_body(request) {
+        Ok((sql, _)) => sql,
+        Err(response) => return response,
+    };
     let trace_requested = wants_trace(request);
     with_session(shared, token, |wire_session, dataset| {
         let mut query = match parse_query(&sql) {

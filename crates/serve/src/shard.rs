@@ -62,8 +62,8 @@ use crate::http::{self, Request, Response};
 use crate::metrics::Endpoint;
 use crate::registry::{Dataset, Registry};
 use crate::wire::frames::{
-    get_items, get_str, hex_f64s, parse_hex_f64s, select_partial_to_json, summary_to_json,
-    working_partial_to_json,
+    get_items, get_str, hex_f64s, meta_to_json, parse_hex_f64s, select_partial_to_json,
+    summary_to_json, working_partial_to_json,
 };
 use crate::wire::{self, Json};
 use atlas_columnar::{Bitmap, SummaryParts, Table};
@@ -557,37 +557,14 @@ fn parse_fault(entry: &Json) -> Result<Fault, String> {
 fn meta(dataset: &Dataset) -> Json {
     let (engine, generation) = dataset.snapshot();
     let table = engine.table();
-    Json::object(vec![
-        ("dataset", Json::from(dataset.name())),
-        ("generation", Json::from(generation)),
-        ("num_rows", Json::from(table.num_rows())),
-        (
-            "segments",
-            Json::array(
-                table
-                    .segments()
-                    .iter()
-                    .map(|s| Json::from(s.num_rows()))
-                    .collect(),
-            ),
-        ),
-        (
-            "fields",
-            Json::array(
-                table
-                    .schema()
-                    .fields()
-                    .iter()
-                    .map(|f| {
-                        Json::object(vec![
-                            ("name", Json::from(f.name.as_str())),
-                            ("dtype", Json::from(f.dtype.name())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+    let segments = table.segments().iter().map(|s| s.num_rows()).collect();
+    let fields = table
+        .schema()
+        .fields()
+        .iter()
+        .map(|f| (f.name.clone(), f.dtype))
+        .collect();
+    meta_to_json(dataset.name(), &(generation, segments, fields))
 }
 
 /// The requested global segment indices, each resolved to its view (an index

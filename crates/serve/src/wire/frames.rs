@@ -200,6 +200,61 @@ pub fn get_items<'a>(value: &'a Json, key: &str) -> Result<&'a [Json], String> {
         .ok_or_else(|| format!("missing or non-array member \"{key}\""))
 }
 
+/// A shard's view of a dataset, as its `/shard/meta` reply states it: the
+/// generation, each segment's rows in order, and the schema's
+/// `(name, type)` fields. The coordinator requires every shard to agree.
+pub type MetaView = (usize, Vec<usize>, Vec<(String, DataType)>);
+
+/// Encode a `/shard/meta` reply for `dataset`. Its `num_rows` is the sum of
+/// the segments' rows.
+pub fn meta_to_json(dataset: &str, (generation, segments, fields): &MetaView) -> Json {
+    let fields = fields.iter().map(|(name, dtype)| {
+        Json::object(vec![
+            ("name", Json::from(name.as_str())),
+            ("dtype", Json::from(dtype.name())),
+        ])
+    });
+    Json::object(vec![
+        ("dataset", Json::from(dataset)),
+        ("generation", Json::from(*generation)),
+        ("num_rows", Json::from(segments.iter().sum::<usize>())),
+        (
+            "segments",
+            Json::array(segments.iter().map(|&rows| Json::from(rows)).collect()),
+        ),
+        ("fields", Json::array(fields.collect())),
+    ])
+}
+
+/// Decode a `/shard/meta` reply. Its `num_rows` must be the sum of its
+/// segments' rows: every fold reads the segments' rows and coverage reads
+/// the total, so a reply where the two disagree is refused.
+pub fn meta_from_json(value: &Json) -> Result<MetaView, String> {
+    let generation = get_index(value, "generation")?;
+    let num_rows = get_index(value, "num_rows")?;
+    let segments = get_items(value, "segments")?
+        .iter()
+        .map(|rows| rows.index().ok_or("non-integral segment row count"))
+        .collect::<Result<Vec<usize>, _>>()?;
+    let sum = segments
+        .iter()
+        .try_fold(0usize, |sum, &rows| sum.checked_add(rows));
+    if sum != Some(num_rows) {
+        return Err(format!(
+            "num_rows {num_rows} is not the sum of the {} segments' rows",
+            segments.len()
+        ));
+    }
+    let fields = get_items(value, "fields")?
+        .iter()
+        .map(|field| {
+            let name = get_str(field, "name")?.to_string();
+            Ok((name, dtype_from_name(get_str(field, "dtype")?)?))
+        })
+        .collect::<Result<_, String>>()?;
+    Ok((generation, segments, fields))
+}
+
 /// Encode a selection bitmap: its length plus its backing words as hex.
 pub fn bitmap_to_json(bitmap: &Bitmap) -> Json {
     Json::object(vec![
@@ -1377,6 +1432,10 @@ mod tests {
                 assert_eq!(summary_from_json(&summary_to_json(&parts)), Ok(parts));
                 accepted += 1;
             }
+            if let Ok(view) = meta_from_json(value) {
+                assert_eq!(meta_from_json(&meta_to_json("t", &view)), Ok(view));
+                accepted += 1;
+            }
             if let Ok(run) = get_str(value, "values") {
                 if let Ok(values) = parse_hex_f64s(run) {
                     assert_eq!(hex_f64s(&values), run.to_ascii_lowercase());
@@ -1418,11 +1477,19 @@ mod tests {
     }
 
     /// One valid frame of the kind `kind` picks — a bitmap, a value run, four
-    /// summaries, a select and a working partial — built from `bits` and
-    /// `values`.
+    /// summaries, a select and a working partial, a meta reply — built from
+    /// `bits` and `values`.
     fn sample_frame(kind: usize, bits: u64, values: &[u64]) -> String {
         let [working, ..] = fuzz_workings();
-        let frame = match kind % 8 {
+        let frame = match kind % 9 {
+            8 => {
+                let segments = values.iter().map(|&rows| (rows % 4096) as usize).collect();
+                let fields = vec![
+                    ("x".to_string(), DataType::Int),
+                    ("c".to_string(), DataType::Str),
+                ];
+                meta_to_json("t", &((bits % 7) as usize, segments, fields))
+            }
             6 => {
                 // Two regions by `bits`, a NULL row in neither when bit 0 is set.
                 let regions = deal(&working, 2, |row| {
@@ -1487,7 +1554,7 @@ mod tests {
     }
 
     /// Pieces of JSON and of the frames' vocabulary, for token soups.
-    const TOKENS: [&str; 34] = [
+    const TOKENS: [&str; 38] = [
         "{",
         "}",
         "[",
@@ -1511,6 +1578,10 @@ mod tests {
         "\"rest\":",
         "\"bitmap\":",
         "\"segment\":",
+        "\"segments\":",
+        "\"num_rows\":",
+        "\"generation\":",
+        "\"fields\":",
         "\"0123456789abcdef\"",
         "\"3fa999999999999A\"",
         "64",
@@ -1540,7 +1611,7 @@ mod tests {
 
         #[test]
         fn mutated_frames_get_typed_errors_from_the_wire_decoders(
-            kind in 0usize..8,
+            kind in 0usize..9,
             bits in any::<u64>(),
             values in proptest::collection::vec(any::<u64>(), 0..12),
             edits in proptest::collection::vec((0u8..=u8::MAX, 0usize..1 << 20, 0u8..=u8::MAX), 1..6),

@@ -102,36 +102,45 @@
 //!
 //! # Extending the pipeline
 //!
-//! The four steps of the paper's framework — cut, cluster, merge, rank — are
-//! the traits `CutStrategy`, `MapDistance`, `MergePolicy` and `Ranker` of
-//! [`core::pipeline`]. [`Atlas::builder`](core::engine::AtlasBuilder) accepts
-//! a custom implementation for any step; the remaining steps keep the
-//! paper's algorithms:
+//! Step 1 of the paper's framework, the cut, is the `CutStrategy` trait of
+//! [`core::pipeline`], and [`Atlas::builder`](core::engine::AtlasBuilder)
+//! accepts a custom one. Steps 2–4 — cluster, merge, rank — follow the
+//! configuration (`AtlasConfig::distance`, `AtlasConfig::merge`), and a
+//! composition re-cuts its regions through the same strategy:
 //!
 //! ```
 //! use atlas::prelude::*;
+//! use std::borrow::Cow;
 //! use std::sync::Arc;
 //!
-//! /// Rank maps by how many attributes they combine, not by entropy.
+//! /// The paper's cut, but a person's sex is never a region.
 //! #[derive(Debug)]
-//! struct WidestFirst;
+//! struct NotBySex;
 //!
-//! impl Ranker for WidestFirst {
-//!     fn name(&self) -> &str { "widest-first" }
-//!     fn rank(&self, maps: Vec<DataMap>) -> Vec<RankedMap> {
-//!         let mut ranked: Vec<RankedMap> = maps
-//!             .into_iter()
-//!             .map(|map| RankedMap { score: map.source_attributes.len() as f64, map })
-//!             .collect();
-//!         ranked.sort_by(|a, b| b.score.total_cmp(&a.score));
-//!         ranked
+//! impl CutStrategy for NotBySex {
+//!     fn name(&self) -> &str { "not-by-sex" }
+//!     fn cut<'a>(
+//!         &self,
+//!         ctx: &PipelineContext<'a>,
+//!         working: &Bitmap,
+//!         parent_query: &ConjunctiveQuery,
+//!         attribute: &str,
+//!         stats: &mut Option<Cow<'a, ColumnStats>>,
+//!     ) -> atlas::core::Result<Option<DataMap>> {
+//!         if attribute == "sex" {
+//!             return Ok(None);
+//!         }
+//!         atlas::core::PaperCut.cut(ctx, working, parent_query, attribute, stats)
 //!     }
 //! }
 //!
 //! let table = Arc::new(CensusGenerator::with_rows(2_000, 42).generate());
-//! let atlas = Atlas::builder(table).ranker(WidestFirst).build().unwrap();
+//! let atlas = Atlas::builder(table).cut_strategy(NotBySex).build().unwrap();
 //! let result = atlas.explore(&parse_query("SELECT * FROM census").unwrap()).unwrap();
-//! assert!(result.num_maps() >= 1);
+//! assert!(result.skipped_attributes.contains(&"sex".to_string()));
+//! for ranked in &result.maps {
+//!     assert!(!ranked.map.source_attributes.contains(&"sex".to_string()));
+//! }
 //! ```
 
 #![warn(missing_docs)]
@@ -162,9 +171,9 @@ pub mod prelude {
     };
     pub use atlas_core::{
         AnytimeIteration, AnytimeResult, Atlas, AtlasBuilder, AtlasConfig, CachedAtlas,
-        CategoricalCutStrategy, CutConfig, CutStrategy, DataMap, ExploreOptions, MapDistance,
-        MapDistanceMetric, MapResult, MergePolicy, MergeStrategy, NumericCutStrategy, PhaseTimings,
-        PipelineContext, ProfileStats, RankedMap, Ranker, Region, TableProfile,
+        CategoricalCutStrategy, CutConfig, CutStrategy, DataMap, ExploreOptions, MapDistanceMetric,
+        MapResult, MergePolicy, MergeStrategy, NumericCutStrategy, PhaseTimings, PipelineContext,
+        ProfileStats, RankedMap, Region, TableProfile,
     };
     pub use atlas_datagen::{CensusGenerator, MixtureGenerator, OrdersGenerator, SdssGenerator};
     pub use atlas_explorer::{render_map, render_result, MapQuality, ReadabilityReport, Session};

@@ -799,6 +799,65 @@ fn a_boolean_column_is_bit_identical_at_1_2_3_shards() {
     }
 }
 
+/// The census plus `cohort`: `"x"` for seven in eight of one sex's rows,
+/// `"y"` for every other row. Its cut refines nothing but splits one side of
+/// the `sex` cut, so the two cluster, and their product has an empty region.
+fn census_with_a_cohort(rows: usize, segment_rows: usize) -> Arc<Table> {
+    let census = census_table(rows, segment_rows);
+    let sex = census.column("sex").unwrap();
+    let first = sex.value(0);
+    census_with_a_column(
+        rows,
+        segment_rows,
+        Field::new("cohort", DataType::Str),
+        |row| {
+            let x = sex.value(row) == first && row % 8 != 0;
+            Value::Str(if x { "x" } else { "y" }.into())
+        },
+    )
+}
+
+/// The configuration the shared cluster–merge–rank body reads — `max_maps`,
+/// `drop_empty_regions` and `distance` — holds at the coordinator as in the
+/// engine: with two maps at most, empty regions kept and the plain
+/// Variation of Information, 1–3 shards are bit-identical to the local
+/// answer, which is truncated and keeps the empty cell of `sex × cohort`.
+#[test]
+fn the_post_cut_configuration_is_bit_identical_at_1_2_3_shards() {
+    let table = census_with_a_cohort(6_000, 1_000);
+    let config = AtlasConfig {
+        max_maps: 2,
+        drop_empty_regions: false,
+        distance: MapDistanceMetric::VariationOfInformation,
+        ..product_config()
+    };
+    let reference = Atlas::new(Arc::clone(&table), config.clone()).unwrap();
+    let query = parse_query("SELECT * FROM census WHERE hours_per_week BETWEEN 20 AND 60").unwrap();
+    let local = reference.explore(&query).unwrap();
+    assert_eq!(local.num_maps(), 2);
+    let untruncated = AtlasConfig {
+        max_maps: 10,
+        ..config.clone()
+    };
+    let all = Atlas::new(Arc::clone(&table), untruncated).unwrap();
+    assert!(
+        all.explore(&query).unwrap().num_maps() > 2,
+        "max_maps truncates"
+    );
+    let mut regions = local.maps.iter().flat_map(|m| &m.map.regions);
+    assert!(regions.any(|r| r.is_empty()), "an empty region is kept");
+    for shards in 1..=3 {
+        let (handles, addrs) = boot_shards("census", &table, &config, shards);
+        let coordinator =
+            Coordinator::connect(&addrs, "census", config.clone(), Duration::from_secs(30))
+                .unwrap();
+        assert_identical(&local, &coordinator.explore(&query).unwrap());
+        for handle in handles {
+            handle.shutdown();
+        }
+    }
+}
+
 /// How many requests the shards have served so far on the endpoint that
 /// reports as `label` (`requests_by_endpoint.<label>` of each shard's
 /// self-report, summed).

@@ -20,6 +20,7 @@ use atlas::core::{CutStrategy, DataMap, PaperCut, PipelineContext, ProfileStats,
 use atlas::datagen::CensusConfig;
 use atlas::prelude::*;
 use proptest::prelude::*;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Summarise one chunk of optional floats (NULLs included) through the
@@ -161,9 +162,9 @@ proptest! {
     }
 }
 
-/// `PaperCut` without its statistics-reading half: the default
-/// `cut_with_stats` ignores what a composition holds and calls `cut`, which
-/// walks every region.
+/// `PaperCut` without its statistics-reading half: it ignores what a
+/// composition holds and calls `PaperCut` with `&mut None`, which walks every
+/// region.
 #[derive(Debug)]
 struct WalkEveryRegion;
 
@@ -172,14 +173,15 @@ impl CutStrategy for WalkEveryRegion {
         "walk-every-region"
     }
 
-    fn cut(
+    fn cut<'a>(
         &self,
-        ctx: &PipelineContext<'_>,
+        ctx: &PipelineContext<'a>,
         working: &Bitmap,
         parent_query: &ConjunctiveQuery,
         attribute: &str,
+        _stats: &mut Option<Cow<'a, ColumnStats>>,
     ) -> atlas::core::Result<Option<DataMap>> {
-        PaperCut.cut(ctx, working, parent_query, attribute)
+        PaperCut.cut(ctx, working, parent_query, attribute, &mut None)
     }
 }
 

@@ -10,6 +10,7 @@
 //! not look at `pub use`; nothing looks for a test file without tests).
 
 use atlas::prelude::*;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 #[test]
@@ -68,38 +69,40 @@ fn prelude_exports_the_anytime_surface() {
 
 #[test]
 fn prelude_exports_the_pipeline_traits() {
-    // The stage traits are nameable from the prelude, so user code can write
-    // custom implementations against `use atlas::prelude::*` alone.
+    // The cut stage is nameable from the prelude, so user code can write a
+    // custom strategy against `use atlas::prelude::*` alone.
     #[derive(Debug)]
-    struct FewestRegionsFirst;
-    impl Ranker for FewestRegionsFirst {
+    struct AgeOnly;
+    impl CutStrategy for AgeOnly {
         fn name(&self) -> &str {
-            "fewest-regions-first"
+            "age-only"
         }
-        fn rank(&self, maps: Vec<DataMap>) -> Vec<RankedMap> {
-            let mut ranked: Vec<RankedMap> = maps
-                .into_iter()
-                .map(|map| RankedMap {
-                    score: -(map.num_regions() as f64),
-                    map,
-                })
-                .collect();
-            ranked.sort_by(|a, b| b.score.total_cmp(&a.score));
-            ranked
+        fn cut<'a>(
+            &self,
+            ctx: &PipelineContext<'a>,
+            working: &Bitmap,
+            parent_query: &ConjunctiveQuery,
+            attribute: &str,
+            stats: &mut Option<Cow<'a, ColumnStats>>,
+        ) -> atlas::core::Result<Option<DataMap>> {
+            if attribute != "age" {
+                return Ok(None);
+            }
+            atlas::core::PaperCut.cut(ctx, working, parent_query, attribute, stats)
         }
     }
 
     let table: Arc<Table> = Arc::new(CensusGenerator::with_rows(500, 7).generate());
     let atlas = Atlas::builder(Arc::clone(&table))
-        .ranker(FewestRegionsFirst)
+        .cut_strategy(AgeOnly)
         .build()
-        .expect("custom ranker builds");
+        .expect("custom cut builds");
     let result = atlas
         .explore(&parse_query("SELECT * FROM census").expect("query parses"))
         .expect("exploration succeeds");
-    for pair in result.maps.windows(2) {
-        assert!(pair[0].map.num_regions() <= pair[1].map.num_regions());
-    }
+    assert_eq!(result.num_maps(), 1);
+    let best = &result.best().expect("one map").map;
+    assert_eq!(best.source_attributes, vec!["age".to_string()]);
 }
 
 #[test]
