@@ -30,8 +30,17 @@
 //! frequency ranking and the dictionary order are read off it, and only a
 //! column with more values than that counter holds asks the source for the
 //! same vector ([`CutSource::category_counts`]). The rule lives in the one
-//! cut body, [`cut_from_source`], so local cuts, composition re-cuts and the
+//! cut body, [`cuts_from_source`], so local cuts, composition re-cuts and the
 //! distributed coordinator's cuts all follow it.
+//!
+//! That body runs in three steps. Each attribute is **planned** from its
+//! statistics into a [`CutPlan`]: the attribute and its [`Partition`] —
+//! range bounds or value groups. The plans are **partitioned** in one
+//! [`CutSource::partition`] call, one region bitmap per partition entry.
+//! Each map is **built** from its plan and its bitmaps. An in-process source
+//! runs one fused kernel pass per plan either way; a source that scatters
+//! to shards asks every shard once for the partitions of all the cuts of an
+//! explore ([`cut_from_source`] is the same body for one attribute).
 
 use crate::error::{AtlasError, Result};
 use crate::map::DataMap;
@@ -113,6 +122,41 @@ impl CutConfig {
     }
 }
 
+/// How a planned cut splits its attribute: the argument of the one partition
+/// kernel its regions come out of.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Partition {
+    /// First-matching inclusive `(lo, hi)` ranges, in region order (the
+    /// [`atlas_columnar::ColumnView::select_ranges`] kernel).
+    Ranges(Vec<(f64, f64)>),
+    /// Disjoint value groups, in region order (the
+    /// [`atlas_columnar::ColumnView::select_in_groups`] kernel).
+    Groups(Vec<Vec<String>>),
+}
+
+impl Partition {
+    /// How many regions the partition makes.
+    pub fn region_count(&self) -> usize {
+        match self {
+            Partition::Ranges(bounds) => bounds.len(),
+            Partition::Groups(groups) => groups.len(),
+        }
+    }
+}
+
+/// One attribute's cut as decided from the statistics, before any row is
+/// touched: the attribute and the partition whose regions become the map's.
+/// It is all the build needs to write the region queries, so every planned
+/// cut of an explore can have its rows partitioned in one batch
+/// ([`CutSource::partition`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct CutPlan {
+    /// The attribute being cut.
+    pub attribute: String,
+    /// How its rows are split.
+    pub partition: Partition,
+}
+
 /// The data-access surface of the `CUT` primitive, with the working set
 /// baked in.
 ///
@@ -121,12 +165,13 @@ impl CutConfig {
 /// the caller's [`ColumnStats`] before it asks the source: a cut calls
 /// [`CutSource::numeric_values`] and [`CutSource::category_counts`] only for
 /// a column whose statistics carry no counts, so a counted column costs its
-/// source one partition call. The two implementations are
-/// [`TableCutSource`] (an in-process table — both [`cut_attribute`] and the
-/// prepared engine route through it) and the serve crate's remote source, which scatters each call to shard servers holding
+/// source nothing but its share of one [`CutSource::partition`] call. The two
+/// implementations are [`TableCutSource`] (an in-process table — both
+/// [`cut_attribute`] and the prepared engine route through it) and the serve
+/// crate's remote source, which scatters each call to shard servers holding
 /// disjoint segment subsets and folds their answers. A source that
 /// reproduces the kernel outputs reproduces the local cut **bit for bit**,
-/// because [`cut_from_source`] is the only cut body.
+/// because [`cuts_from_source`] is the only cut body.
 ///
 /// All returned selections are bitmaps over the table's **global** rows, and
 /// every method may be called only with attributes of the table's schema
@@ -136,18 +181,16 @@ pub trait CutSource {
     fn data_type(&self, attribute: &str) -> Result<DataType>;
     /// The non-NULL numeric values of the working set, in global row order.
     fn numeric_values(&self, attribute: &str) -> Result<Vec<f64>>;
-    /// Partition the working set by first-matching range in one fused pass
-    /// (the [`atlas_columnar::ColumnView::select_ranges`] kernel).
-    fn select_ranges(&self, attribute: &str, bounds: &[(f64, f64)]) -> Result<Vec<Bitmap>>;
     /// How many working-set rows hold each categorical value of the column:
     /// one pair per distinct value in global first-appearance order, zero
     /// counts included ([`atlas_columnar::ColumnView::category_counts`]) — the
     /// vector [`ColumnStats::category_counts`] holds, asked for only when the
     /// statistics do not.
     fn category_counts(&self, attribute: &str) -> Result<Vec<(String, usize)>>;
-    /// Partition the working set by disjoint value groups in one fused pass
-    /// (the [`atlas_columnar::ColumnView::select_in_groups`] kernel).
-    fn select_in_groups(&self, attribute: &str, groups: &[Vec<String>]) -> Result<Vec<Bitmap>>;
+    /// Partition the working set once per plan, each in one fused pass over
+    /// its column: one region bitmap per entry of the plan's
+    /// [`Partition`], in order, and one list per plan, in order.
+    fn partition(&self, plans: &[CutPlan]) -> Result<Vec<Vec<Bitmap>>>;
 }
 
 /// A [`CutSource`] reading straight from an in-process [`Table`].
@@ -175,22 +218,21 @@ impl CutSource for TableCutSource<'_> {
             .numeric_values_where(self.working))
     }
 
-    fn select_ranges(&self, attribute: &str, bounds: &[(f64, f64)]) -> Result<Vec<Bitmap>> {
-        Ok(self
-            .table
-            .column(attribute)?
-            .select_ranges(self.working, bounds))
-    }
-
     fn category_counts(&self, attribute: &str) -> Result<Vec<(String, usize)>> {
         Ok(self.table.column(attribute)?.category_counts(self.working))
     }
 
-    fn select_in_groups(&self, attribute: &str, groups: &[Vec<String>]) -> Result<Vec<Bitmap>> {
-        Ok(self
-            .table
-            .column(attribute)?
-            .select_in_groups(self.working, groups))
+    fn partition(&self, plans: &[CutPlan]) -> Result<Vec<Vec<Bitmap>>> {
+        plans
+            .iter()
+            .map(|plan| {
+                let column = self.table.column(&plan.attribute)?;
+                Ok(match &plan.partition {
+                    Partition::Ranges(bounds) => column.select_ranges(self.working, bounds),
+                    Partition::Groups(groups) => column.select_in_groups(self.working, groups),
+                })
+            })
+            .collect()
     }
 }
 
@@ -237,9 +279,9 @@ pub(crate) fn cut_attribute_in_context<'a>(
     cut_from_source(&source, parent_query, attribute, ctx.cut_config, stats)
 }
 
-/// The body of the `CUT` primitive over an abstract [`CutSource`], with the
-/// per-column statistics supplied by the caller (fresh, from a profile, or
-/// folded from per-shard summaries).
+/// [`cuts_from_source`] for one attribute: the body of the `CUT` primitive
+/// over an abstract [`CutSource`], with the per-column statistics supplied
+/// by the caller (fresh, from a profile, or folded from per-shard summaries).
 pub fn cut_from_source<S: CutSource>(
     source: &S,
     parent_query: &ConjunctiveQuery,
@@ -247,7 +289,56 @@ pub fn cut_from_source<S: CutSource>(
     config: &CutConfig,
     stats: &ColumnStats,
 ) -> Result<Option<DataMap>> {
+    let mut maps = cuts_from_source(source, parent_query, &[(attribute, stats)], config)?;
+    Ok(maps.pop().flatten())
+}
+
+/// The `CUT` primitive over several attributes at once, in three steps:
+/// every attribute is **planned** from its statistics (asking the source for
+/// values or category counts only where the statistics carry none), the
+/// planned cuts are **partitioned** in one [`CutSource::partition`] call,
+/// and each map is **built** from its plan and its region bitmaps. One entry
+/// per attribute, in order: `None` for an attribute that cannot be usefully
+/// cut. A source that scatters its calls makes one round for every counted
+/// column of an explore, however many there are.
+pub fn cuts_from_source<S: CutSource>(
+    source: &S,
+    parent_query: &ConjunctiveQuery,
+    attributes: &[(&str, &ColumnStats)],
+    config: &CutConfig,
+) -> Result<Vec<Option<DataMap>>> {
     config.validate()?;
+    let mut plans = Vec::new();
+    let mut planned = Vec::with_capacity(attributes.len());
+    for &(attribute, stats) in attributes {
+        let plan = plan_cut(source, attribute, config, stats)?;
+        planned.push(plan.is_some());
+        plans.extend(plan);
+    }
+    let selections = if plans.is_empty() {
+        Vec::new()
+    } else {
+        source.partition(&plans)?
+    };
+    let mut built = plans
+        .into_iter()
+        .zip(selections)
+        .map(|(plan, regions)| build_cut(plan, parent_query, regions));
+    Ok(planned
+        .into_iter()
+        .map(|cut| if cut { built.next().flatten() } else { None })
+        .collect())
+}
+
+/// Plan the cut of one attribute from its statistics: `None` when it cannot
+/// be usefully cut (constant column, all NULL, identifier-like, too many
+/// categories, no split inside its range).
+fn plan_cut<S: CutSource>(
+    source: &S,
+    attribute: &str,
+    config: &CutConfig,
+    stats: &ColumnStats,
+) -> Result<Option<CutPlan>> {
     let dtype = source.data_type(attribute)?;
     if stats.non_null_count == 0 || stats.distinct_count < 2 {
         return Ok(None);
@@ -255,15 +346,14 @@ pub fn cut_from_source<S: CutSource>(
     if config.skip_identifiers && stats.looks_like_identifier() {
         return Ok(None);
     }
-
-    let regions = match dtype {
+    let partition = match dtype {
         DataType::Int | DataType::Float => {
             let (min, max) = (stats.min.unwrap_or(0.0), stats.max.unwrap_or(0.0));
             let splits = numeric_splits(source, attribute, config, stats)?;
             if splits.is_empty() {
                 return Ok(None);
             }
-            numeric_regions(source, parent_query, attribute, dtype, min, max, &splits)?
+            Partition::Ranges(range_bounds(dtype, min, max, &splits))
         }
         DataType::Str | DataType::Bool => {
             if stats.distinct_count > config.max_categories {
@@ -273,21 +363,51 @@ pub fn cut_from_source<S: CutSource>(
             if groups.len() < 2 {
                 return Ok(None);
             }
-            categorical_regions(source, parent_query, attribute, &groups)?
+            Partition::Groups(groups)
         }
     };
+    Ok(Some(CutPlan {
+        attribute: attribute.to_string(),
+        partition,
+    }))
+}
 
-    let mut map = DataMap::new(regions, vec![attribute.to_string()]);
+/// Build the map of a planned cut from its region bitmaps (one per entry of
+/// the partition, in order): each region's query extends the parent query
+/// with the entry's range or value-set predicate. `None` when fewer than two
+/// regions hold rows.
+fn build_cut(
+    plan: CutPlan,
+    parent_query: &ConjunctiveQuery,
+    selections: Vec<Bitmap>,
+) -> Option<DataMap> {
+    let CutPlan {
+        attribute,
+        partition,
+    } = plan;
+    let predicates: Vec<Predicate> = match partition {
+        Partition::Ranges(bounds) => bounds
+            .into_iter()
+            .map(|(lo, hi)| Predicate::range(attribute.as_str(), lo, hi))
+            .collect(),
+        Partition::Groups(groups) => groups
+            .into_iter()
+            .map(|group| Predicate::values(attribute.as_str(), group))
+            .collect(),
+    };
+    let regions = predicates
+        .into_iter()
+        .zip(selections)
+        .map(|(predicate, selection)| Region::new(parent_query.clone().and(predicate), selection))
+        .collect();
+    let mut map = DataMap::new(regions, vec![attribute]);
     map.drop_empty_regions();
-    if map.num_regions() < 2 {
-        return Ok(None);
-    }
-    Ok(Some(map))
+    (map.num_regions() >= 2).then_some(map)
 }
 
 /// Compute the interior split points for a numeric attribute from the
 /// caller's statistics of the working set (whose `min`/`max` are the bounds
-/// [`numeric_regions`] closes the outer regions with).
+/// [`range_bounds`] closes the outer regions with).
 fn numeric_splits<S: CutSource>(
     source: &S,
     attribute: &str,
@@ -351,20 +471,11 @@ fn equi_width_splits(min: f64, max: f64, k: usize) -> Vec<f64> {
     cleaned
 }
 
-/// Build the per-region range predicates and selections for a numeric cut.
-///
-/// All region extents come out of **one** fused pass over the column
-/// ([`atlas_columnar::ColumnView::select_ranges`]) instead of one scan per
-/// region.
-fn numeric_regions<S: CutSource>(
-    source: &S,
-    parent_query: &ConjunctiveQuery,
-    attribute: &str,
-    dtype: DataType,
-    min: f64,
-    max: f64,
-    splits: &[f64],
-) -> Result<Vec<Region>> {
+/// The inclusive `(lo, hi)` bounds of a numeric cut's regions between the
+/// working set's `min` and `max`, split at `splits`. Adjacent regions stay
+/// disjoint: each lower bound is the next admissible value above the
+/// previous upper bound.
+fn range_bounds(dtype: DataType, min: f64, max: f64, splits: &[f64]) -> Vec<(f64, f64)> {
     let mut bounds = Vec::with_capacity(splits.len() + 1);
     let mut lo = min;
     for (i, &split) in splits.iter().chain(std::iter::once(&max)).enumerate() {
@@ -375,18 +486,7 @@ fn numeric_regions<S: CutSource>(
         bounds.push((lo, hi));
         lo = next_lower_bound(dtype, hi);
     }
-    let selections = source.select_ranges(attribute, &bounds)?;
-    let regions = bounds
-        .into_iter()
-        .zip(selections)
-        .map(|((lo, hi), selection)| {
-            let query = parent_query
-                .clone()
-                .and(Predicate::range(attribute, lo, hi));
-            Region::new(query, selection)
-        })
-        .collect();
-    Ok(regions)
+    bounds
 }
 
 /// The smallest admissible lower bound strictly above `hi`, respecting the
@@ -479,32 +579,6 @@ fn categorical_groups<S: CutSource>(
         groups.push(current);
     }
     Ok(groups)
-}
-
-/// Build per-region set predicates and selections for a categorical cut.
-///
-/// All region extents come out of **one** fused pass over the column
-/// ([`atlas_columnar::ColumnView::select_in_groups`]): value groups are
-/// resolved to dictionary codes once, then each row does a single indexed
-/// lookup.
-fn categorical_regions<S: CutSource>(
-    source: &S,
-    parent_query: &ConjunctiveQuery,
-    attribute: &str,
-    groups: &[Vec<String>],
-) -> Result<Vec<Region>> {
-    let selections = source.select_in_groups(attribute, groups)?;
-    let regions = groups
-        .iter()
-        .zip(selections)
-        .map(|(group, selection)| {
-            let query = parent_query
-                .clone()
-                .and(Predicate::values(attribute, group.iter().cloned()));
-            Region::new(query, selection)
-        })
-        .collect();
-    Ok(regions)
 }
 
 #[cfg(test)]

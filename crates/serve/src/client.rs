@@ -8,10 +8,21 @@ use crate::http::{self, ClientResponse, HttpError};
 use crate::wire::Json;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// Largest response body the client accepts.
+/// Largest response body the client accepts (a chunked one's running
+/// total, each chunk included).
 const MAX_RESPONSE_BYTES: usize = 64 * 1024 * 1024;
+
+/// What a failed read of a reply becomes: an I/O error stays one (the
+/// receiver's own refusal of a chunk included), anything else is invalid
+/// data.
+fn into_io(error: HttpError) -> io::Error {
+    match error {
+        HttpError::Io(io) => io,
+        other => io::Error::new(io::ErrorKind::InvalidData, other.to_string()),
+    }
+}
 
 /// A client bound to one server address.
 #[derive(Debug, Clone)]
@@ -73,13 +84,41 @@ impl Client {
     }
 
     /// Issue one request. `body` is sent verbatim with the given content
-    /// type when present.
+    /// type when present. A chunked reply comes back with its chunks joined.
     pub fn request(
         &self,
         method: &str,
         path: &str,
         body: Option<(&str, &[u8])>,
     ) -> io::Result<ClientResponse> {
+        let (mut reader, deadline) = self.send(method, path, body)?;
+        http::read_response(&mut reader, MAX_RESPONSE_BYTES, Some(deadline)).map_err(into_io)
+    }
+
+    /// [`Client::request`], handing each chunk of a chunked reply to
+    /// `on_chunk` as it arrives ([`http::read_response_with`]): the returned
+    /// body is then empty, and no buffer holds more than one chunk. An error
+    /// from `on_chunk` ends the request with that error and hangs up.
+    pub fn request_with(
+        &self,
+        method: &str,
+        path: &str,
+        body: Option<(&str, &[u8])>,
+        on_chunk: &mut dyn FnMut(Vec<u8>) -> io::Result<()>,
+    ) -> io::Result<ClientResponse> {
+        let (mut reader, deadline) = self.send(method, path, body)?;
+        http::read_response_with(&mut reader, MAX_RESPONSE_BYTES, Some(deadline), on_chunk)
+            .map_err(into_io)
+    }
+
+    /// Connect, write one request, and return the reader of its reply with
+    /// the instant the whole reply must have arrived by.
+    fn send(
+        &self,
+        method: &str,
+        path: &str,
+        body: Option<(&str, &[u8])>,
+    ) -> io::Result<(BufReader<TcpStream>, Instant)> {
         let stream = TcpStream::connect_timeout(&self.addr, self.connect_timeout())?;
         stream.set_read_timeout(Some(self.timeout))?;
         stream.set_write_timeout(Some(self.timeout))?;
@@ -101,13 +140,7 @@ impl Client {
             writer.write_all(bytes)?;
         }
         writer.flush()?;
-
-        let mut reader = BufReader::new(stream);
-        let deadline = std::time::Instant::now() + self.timeout;
-        http::read_response(&mut reader, MAX_RESPONSE_BYTES, Some(deadline)).map_err(|e| match e {
-            HttpError::Io(io) => io,
-            other => io::Error::new(io::ErrorKind::InvalidData, other.to_string()),
-        })
+        Ok((BufReader::new(stream), Instant::now() + self.timeout))
     }
 
     /// `GET path`.

@@ -10,12 +10,14 @@
 //! 2. **candidates** — per-column statistics come back as mergeable
 //!    [`atlas_columnar::ColumnSummary`] parts folded in ascending segment
 //!    order, and the single shared `CUT` body
-//!    ([`atlas_core::cut_from_source`]) runs locally over a
+//!    ([`atlas_core::cuts_from_source`]) runs locally over a
 //!    [`atlas_core::CutSource`] whose kernels scatter to the shards. The
 //!    folded summaries hold the value counts a median cut reads and the
-//!    category counts a categorical cut reads, so a cut of a counted column
-//!    scatters one round — its partition — and an explore of `c` such
-//!    columns makes `2 + c` round trips;
+//!    category counts a categorical cut reads, so every counted column's
+//!    cut is planned from them alone, and the partitions of **all** the
+//!    planned cuts are one `/shard/select` round: an explore of counted
+//!    columns makes 3 round trips (2 when nothing is cut), and a column too
+//!    wide to count adds its `/shard/values` or `/shard/categories` round;
 //! 3. **distances, clustering, merging, ranking** — not pushed down: after
 //!    the cut phase every candidate region is already here as a folded
 //!    bitmap over the live rows, so the coordinator runs the engine's own
@@ -23,19 +25,34 @@
 //!    call [`atlas_core::Atlas::explore`] makes, with the live rows as the
 //!    row space and the product merge as its merge — and no shard is asked.
 //!
-//! ## Replies are decoded where they land
+//! ## Replies are folded where they land
 //!
 //! Each scatter round runs one thread per shard, and that thread does more
-//! than wait: once its shard's reply is in, it checks that the partials cover
-//! exactly the shard's segments and decodes every partial — hex runs into
-//! [`Bitmap`]s, length and region-count checks, summaries into
-//! [`ColumnSummary`]s — through the decoder the round hands
-//! `Coordinator::scatter`. So decoding runs in parallel across shards and
-//! overlaps the slower shard's wire wait, and what is left after the barrier
-//! is the ordered fold: `or_shifted` / `merge_from` in ascending global
-//! segment order. A frame that fails to decode is that shard's failure — it
-//! counts against the shard's circuit breaker, names the shard and endpoint,
-//! and in degraded mode drops the shard like any other failure.
+//! than wait. A reply read whole (`/shard/working`, `/shard/summaries`, and
+//! the per-column rounds) is checked to cover exactly the shard's segments
+//! and decoded there — hex runs into [`Bitmap`]s, length and region-count
+//! checks, summaries into [`ColumnSummary`]s — so decoding runs in parallel
+//! across shards and overlaps the slower shard's wire wait, and what is left
+//! after the barrier is the ordered fold: `or_shifted` / `merge_from` in
+//! ascending global segment order.
+//!
+//! The `/shard/select` reply goes one step further: a shard streams it as one
+//! chunk per partition, computing and writing each before it starts the next,
+//! and the thread reading it validates each partition as it arrives and ORs
+//! each segment's regions into that partition's region bitmaps at the
+//! segment's offset. A partition's bitmaps are allocated when its first
+//! chunk arrives, and no buffer on either side holds more than one
+//! partition's frame. OR is commutative and idempotent, and a shard's answer
+//! is a deterministic function of (generation, SQL, segments, partition), so
+//! this fold needs no segment order, and a retried or hedged request that
+//! folds a partition again adds the same bits. The fold is the round's: a
+//! degraded re-run without a failed shard folds into fresh bitmaps, and the
+//! round closes the fold when it returns, so a hedge still reading on its
+//! detached thread finds it closed and hangs up.
+//!
+//! A frame that fails to decode or fold is that shard's failure — it counts
+//! against the shard's circuit breaker, names the shard and endpoint, is not
+//! retried, and in degraded mode drops the shard like any other failure.
 //!
 //! The frames themselves (`crate::wire::frames`) ship no bitmap the
 //! coordinator can work out: a segment selected whole or not at all has no
@@ -44,12 +61,13 @@
 //! live segment's working rows from the `/shard/working` round for the rest
 //! of the explore and rebuilds those regions from them.
 //!
-//! Every fold is deterministic (ascending global segment order) and every
-//! pushed-down kernel reproduces its local counterpart exactly, so the ranked
-//! maps are **bit-identical** — score bits, region SQL, region counts — to a
-//! single-process [`atlas_core::Atlas::explore`] over the same table and
-//! configuration, for *any* assignment of segments to shards. The
-//! `tests/distributed.rs` property suite pins this.
+//! Every fold is deterministic (ascending global segment order, or an OR
+//! whose order cannot matter) and every pushed-down kernel reproduces its
+//! local counterpart exactly, so the ranked maps are **bit-identical** —
+//! score bits, region SQL, region counts — to a single-process
+//! [`atlas_core::Atlas::explore`] over the same table and configuration, for
+//! *any* assignment of segments to shards. The `tests/distributed.rs`
+//! property suite pins this.
 //!
 //! The coordinator assumes the engine's default pipeline stages with
 //! [`MergeStrategy::Product`]; the composition merge re-cuts every region
@@ -87,14 +105,14 @@ use crate::resilience::{
     RetryPolicy,
 };
 use crate::wire::frames::{
-    get_index, get_items, get_str, hex_f64s, meta_from_json, parse_hex_f64s,
+    get_index, get_items, get_str, meta_from_json, parse_hex_f64s, partition_to_json,
     select_partial_from_json, summary_from_json, working_partial_from_json, MetaView,
 };
 use crate::wire::Json;
 use atlas_columnar::{merge_category_counts, Bitmap, ColumnStats, ColumnSummary, DataType};
 use atlas_core::{
-    cluster_merge_rank, cut_from_source, product_maps, AtlasConfig, AtlasError, CutSource,
-    MapResult, MergeStrategy, PhaseTimings, ThreadPool,
+    cluster_merge_rank, cuts_from_source, product_maps, AtlasConfig, AtlasError, CutPlan,
+    CutSource, MapResult, MergeStrategy, PhaseTimings, ThreadPool,
 };
 use atlas_query::{to_sql, ConjunctiveQuery};
 use rand::rngs::StdRng;
@@ -103,7 +121,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Fault-policy knobs of a [`Coordinator`].
@@ -271,10 +289,14 @@ fn resolve_addr(addr: &str) -> Result<SocketAddr, AtlasError> {
         .ok_or_else(|| dist_err(format!("shard address '{addr}' resolves to nothing")))
 }
 
-/// Judge one attempt's outcome: `200` with JSON wins; transport errors,
-/// garbled bodies and 5xx (except 501/504) are retryable; 4xx and the
-/// deadline statuses are definitive.
-fn judge(addr: &str, path: &str, outcome: io::Result<ClientResponse>) -> Result<Json, AttemptFail> {
+/// Judge one attempt's outcome: `200` wins; transport errors and 5xx
+/// (except 501/504) are retryable; 4xx and the deadline statuses are
+/// definitive.
+fn judge(
+    addr: &str,
+    path: &str,
+    outcome: io::Result<ClientResponse>,
+) -> Result<ClientResponse, AttemptFail> {
     let response = match outcome {
         Ok(response) => response,
         Err(e) => {
@@ -283,14 +305,11 @@ fn judge(addr: &str, path: &str, outcome: io::Result<ClientResponse>) -> Result<
             )));
         }
     };
-    let json = response.json();
     if response.status == 200 {
-        return json.ok_or_else(|| {
-            AttemptFail::Retryable(format!("shard {addr} sent non-JSON on {path}"))
-        });
+        return Ok(response);
     }
-    let detail = json
-        .as_ref()
+    let detail = response
+        .json()
         .and_then(|j| j.get("error").and_then(Json::str).map(String::from))
         .unwrap_or_else(|| "no error body".to_string());
     let message = format!(
@@ -304,6 +323,44 @@ fn judge(addr: &str, path: &str, outcome: io::Result<ClientResponse>) -> Result<
     } else {
         Err(AttemptFail::NoRetry(message))
     }
+}
+
+/// Send one request of an attempt and take its reply in as `intake` says:
+/// a whole reply must be JSON (garbled bytes are retryable); a streamed one
+/// is folded chunk by chunk as it arrives, and a document that does not
+/// fold is the shard's definitive failure. Either way the JSON handed back
+/// is what [`adopt_shard_spans`] reads: the whole reply, or the stream's
+/// trailing spans document.
+fn exchange(
+    client: &Client,
+    addr: &str,
+    path: &str,
+    payload: &[u8],
+    intake: &Intake,
+) -> Result<Json, AttemptFail> {
+    let body = Some(("application/json", payload));
+    let Intake::Fold { fold, segments } = intake else {
+        let response = judge(addr, path, client.request("POST", path, body))?;
+        return response.json().ok_or_else(|| {
+            AttemptFail::Retryable(format!("shard {addr} sent non-JSON on {path}"))
+        });
+    };
+    let misbehaved = |message: String| {
+        AttemptFail::NoRetry(format!("shard {addr} misbehaved on {path}: {message}"))
+    };
+    let mut taker = Taker {
+        fold,
+        segments,
+        taken: 0,
+        trailer: None,
+        refused: None,
+    };
+    let outcome = client.request_with("POST", path, body, &mut |chunk| taker.chunk(chunk));
+    if let Some(message) = taker.refused.take() {
+        return Err(misbehaved(message));
+    }
+    judge(addr, path, outcome)?;
+    taker.finish().map_err(misbehaved)
 }
 
 /// Fold a shard reply's `"spans"` member (recorded under the shard's own
@@ -531,7 +588,7 @@ impl Coordinator {
         let mut agreed: Option<MetaView> = None;
         for slot in &self.shards {
             let reply = self
-                .call_with(slot, "/shard/meta", &body, None)
+                .call_with(slot, "/shard/meta", &body, None, &Intake::Whole)
                 .map_err(|fail| dist_err(slot.render_fail("/shard/meta", fail)))?;
             let view = meta_from_json(&reply).map_err(|e| {
                 dist_err(format!(
@@ -587,6 +644,7 @@ impl Coordinator {
         path: &str,
         body: &Json,
         deadline: Option<&Deadline>,
+        intake: &Intake,
     ) -> Result<Json, CallFail> {
         let shard = slot.index.get();
         if !slot.breaker.admit() {
@@ -624,7 +682,7 @@ impl Coordinator {
             call_span.attr("mode", if failures == 0 { "primary" } else { "retry" });
             // Taken inside the span: adopted shard spans are clamped to it.
             let call_started = Instant::now();
-            match self.attempt(slot, path, &payload, budget, deadline) {
+            match self.attempt(slot, path, &payload, budget, deadline, intake) {
                 Ok(mut json) => {
                     if let Some(ctx) = call_span.context() {
                         adopt_shard_spans(&mut json, ctx, call_started);
@@ -664,7 +722,10 @@ impl Coordinator {
 
     /// One attempt of one shard call. Without hedging the request runs
     /// inline; with hedging a second identical request launches once the
-    /// hedge delay passes unanswered, and the first success wins.
+    /// hedge delay passes unanswered, and the first success wins. Each
+    /// request takes its reply in on its own thread, so a streamed reply is
+    /// folded by whichever requests are still reading it — the same bits,
+    /// whichever wins.
     fn attempt(
         &self,
         slot: &ShardSlot,
@@ -672,6 +733,7 @@ impl Coordinator {
         payload: &Arc<String>,
         budget: Duration,
         deadline: Option<&Deadline>,
+        intake: &Intake,
     ) -> Result<Json, AttemptFail> {
         let mut client = slot.client.clone().with_timeout(budget);
         if let Some(d) = deadline {
@@ -684,20 +746,22 @@ impl Coordinator {
             client = client.with_header(TRACE_HEADER, ctx.trace_id.to_string());
         }
         let Some(hedge_after) = self.hedge_delay(budget) else {
-            let outcome =
-                client.request("POST", path, Some(("application/json", payload.as_bytes())));
-            return judge(&slot.addr, path, outcome);
+            return exchange(&client, &slot.addr, path, payload.as_bytes(), intake);
         };
 
         let started = Instant::now();
         let attempt_deadline = started + budget;
-        let (tx, rx) = mpsc::channel::<(bool, io::Result<ClientResponse>)>();
+        let (tx, rx) = mpsc::channel::<(bool, Result<Json, AttemptFail>)>();
         let parent = atlas_obs::current();
         let launch = |is_hedge: bool| {
             let client = client.clone();
+            let addr = slot.addr.clone();
             let path = path.to_string();
             let payload = Arc::clone(payload);
+            let intake = intake.clone();
             let tx = tx.clone();
+            // Detached: a loser may outlive the call, so it owns what it
+            // reads into (a closed fold makes it hang up).
             std::thread::spawn(move || {
                 // The primary's timing is the enclosing shard.call span; a
                 // hedge gets its own child span so the duplicate shows up
@@ -708,11 +772,7 @@ impl Coordinator {
                     span.attr("mode", "hedge");
                     span
                 });
-                let outcome = client.request(
-                    "POST",
-                    &path,
-                    Some(("application/json", payload.as_bytes())),
-                );
+                let outcome = exchange(&client, &addr, &path, payload.as_bytes(), &intake);
                 drop(hedge_span);
                 let _ = tx.send((is_hedge, outcome));
             });
@@ -741,7 +801,7 @@ impl Coordinator {
             match rx.recv_timeout(wake.duration_since(now)) {
                 Ok((is_hedge, outcome)) => {
                     outstanding -= 1;
-                    match judge(&slot.addr, path, outcome) {
+                    match outcome {
                         Ok(json) => {
                             if is_hedge {
                                 self.metrics.hedges_won.fetch_add(1, Ordering::Relaxed);
@@ -792,18 +852,15 @@ impl Coordinator {
         }
     }
 
-    /// Scatter one endpoint to every live shard with assigned segments (in
-    /// parallel, one thread per shard), decode each of a shard's partials
-    /// with `decode(segment, partial)` on the thread that received the reply,
-    /// and gather the decoded partials sorted by ascending global segment
-    /// index: exactly one per live segment, in `ctx.live` order. A partial
-    /// that does not decode fails its shard, as a failed call does.
-    fn scatter<T: Send>(
+    /// Run `call` once for every live shard with assigned segments, in
+    /// parallel (one thread per shard), and return the answers in shard
+    /// order — or the pass's failure: a blown deadline first, then the
+    /// lowest-numbered failed shard's.
+    fn fan_out<T: Send>(
         &self,
         ctx: &ExploreCtx,
         path: &str,
-        body_of: impl Fn(&[usize]) -> Json + Sync,
-        decode: impl Fn(usize, &Json) -> Result<T, String> + Sync,
+        call: impl Fn(&ShardSlot) -> Result<T, CallFail> + Sync,
     ) -> Result<Vec<T>, AtlasError> {
         if let Some(d) = ctx.deadline {
             if d.expired() {
@@ -819,16 +876,14 @@ impl Coordinator {
         // spans parent under the phase that issued them.
         let parent = atlas_obs::current();
         // One answer per entry of `live`, in its order.
-        let answers: Vec<Result<Vec<(usize, T)>, CallFail>> = std::thread::scope(|scope| {
+        let answers: Vec<Result<T, CallFail>> = std::thread::scope(|scope| {
             let handles: Vec<_> = live
                 .iter()
                 .map(|&slot| {
-                    let (body_of, decode) = (&body_of, &decode);
+                    let call = &call;
                     scope.spawn(move || {
                         let _trace = atlas_obs::with_context(parent);
-                        let body = body_of(&slot.segments);
-                        self.call_with(slot, path, &body, ctx.deadline)
-                            .and_then(|reply| Self::shard_partials(slot, path, reply, decode))
+                        call(slot)
                     })
                 })
                 .collect();
@@ -844,14 +899,14 @@ impl Coordinator {
                 })
                 .collect()
         });
-        let mut gathered: Vec<(usize, T)> = Vec::with_capacity(ctx.live.len());
+        let mut gathered = Vec::with_capacity(live.len());
         // `live` is in shard order, so the first failure met is the
         // lowest-numbered shard's.
         let mut first_fail: Option<(ShardIndex, String)> = None;
         let mut deadline_hit = false;
         for (slot, answer) in live.iter().zip(answers) {
             match answer {
-                Ok(mut list) => gathered.append(&mut list),
+                Ok(answer) => gathered.push(answer),
                 Err(CallFail::Deadline) => deadline_hit = true,
                 Err(fail) => {
                     if first_fail.is_none() {
@@ -874,6 +929,28 @@ impl Coordinator {
             };
             return Err(self.stash(ctx, fail));
         }
+        Ok(gathered)
+    }
+
+    /// Scatter one endpoint whose reply is read whole, decode each of a
+    /// shard's partials with `decode(segment, partial)` on the thread that
+    /// received the reply, and gather the decoded partials sorted by
+    /// ascending global segment index: exactly one per live segment, in
+    /// `ctx.live` order. A partial that does not decode fails its shard, as
+    /// a failed call does.
+    fn scatter<T: Send>(
+        &self,
+        ctx: &ExploreCtx,
+        path: &str,
+        body_of: impl Fn(&[usize]) -> Json + Sync,
+        decode: impl Fn(usize, &Json) -> Result<T, String> + Sync,
+    ) -> Result<Vec<T>, AtlasError> {
+        let answers = self.fan_out(ctx, path, |slot| {
+            let body = body_of(&slot.segments);
+            self.call_with(slot, path, &body, ctx.deadline, &Intake::Whole)
+                .and_then(|reply| Self::shard_partials(slot, path, reply, &decode))
+        })?;
+        let mut gathered: Vec<(usize, T)> = answers.into_iter().flatten().collect();
         gathered.sort_by_key(|(segment, _)| *segment);
         if !gathered.iter().map(|(segment, _)| segment).eq(&ctx.live) {
             let segments: Vec<usize> = gathered.iter().map(|(segment, _)| *segment).collect();
@@ -959,7 +1036,7 @@ impl Coordinator {
         &self,
         ctx: &ExploreCtx,
         sql: &str,
-    ) -> Result<(Bitmap, Vec<Bitmap>), AtlasError> {
+    ) -> Result<(Bitmap, Arc<[Bitmap]>), AtlasError> {
         let segments = self.scatter(
             ctx,
             "/shard/working",
@@ -974,7 +1051,7 @@ impl Coordinator {
         for (bitmap, &offset) in segments.iter().zip(&ctx.offsets) {
             folded.or_shifted(bitmap, offset);
         }
-        Ok((folded, segments))
+        Ok((folded, segments.into()))
     }
 
     /// One `/shard/summaries` partial: a summary per schema column, each of
@@ -1241,13 +1318,19 @@ impl Coordinator {
             coordinator: self,
             sql: &sql,
             ctx,
-            working: &segment_working,
+            working: segment_working,
         };
+        let stats = names
+            .iter()
+            .map(|name| self.stats_of(&summaries, name))
+            .collect::<Result<Vec<_>, AtlasError>>()?;
+        let attributes: Vec<(&str, &ColumnStats)> =
+            names.iter().map(String::as_str).zip(&stats).collect();
+        let cuts = cuts_from_source(&source, &query, &attributes, &self.config.cut)?;
         let mut maps = Vec::new();
         let mut skipped = Vec::new();
-        for name in &names {
-            let stats = self.stats_of(&summaries, name)?;
-            match cut_from_source(&source, &query, name, &self.config.cut, &stats)? {
+        for (name, cut) in names.iter().zip(cuts) {
+            match cut {
                 Some(map) => maps.push(map),
                 None => skipped.push(name.clone()),
             }
@@ -1322,9 +1405,10 @@ impl Coordinator {
 }
 
 /// The scattering [`CutSource`]: every kernel of the shared `CUT` body
-/// ([`atlas_core::cut_from_source`]) becomes one scatter round whose
-/// per-segment answers fold — in ascending global segment order — into
-/// exactly what the in-process [`atlas_core::TableCutSource`] computes.
+/// ([`atlas_core::cuts_from_source`]) becomes one scatter round whose
+/// per-segment answers fold into exactly what the in-process
+/// [`atlas_core::TableCutSource`] computes. The partitions of all of an
+/// explore's cuts are one round.
 struct RemoteSource<'a> {
     coordinator: &'a Coordinator,
     /// The working-set SQL, printed once per explore: every round carries
@@ -1335,7 +1419,7 @@ struct RemoteSource<'a> {
     ctx: &'a ExploreCtx<'a>,
     /// Each live segment's working rows, in `ctx.live` order: what a
     /// `/shard/select` partial's left-out last region is rebuilt from.
-    working: &'a [Bitmap],
+    working: Arc<[Bitmap]>,
 }
 
 impl RemoteSource<'_> {
@@ -1345,46 +1429,13 @@ impl RemoteSource<'_> {
         &self,
         path: &str,
         attribute: &str,
-        extra: &[(&str, Json)],
         decode: impl Fn(usize, &Json) -> Result<T, String> + Sync,
     ) -> Result<Vec<T>, AtlasError> {
         let body_of = |segments: &[usize]| {
-            let mut members = vec![("attribute", Json::from(attribute))];
-            members.extend(extra.iter().map(|(key, value)| (*key, value.clone())));
-            self.coordinator.data_body(self.sql, segments, members)
+            let attribute = vec![("attribute", Json::from(attribute))];
+            self.coordinator.data_body(self.sql, segments, attribute)
         };
         self.coordinator.scatter(self.ctx, path, body_of, decode)
-    }
-
-    /// Scatter one region-partition kernel (`select_ranges` or
-    /// `select_in_groups`) of `expected` regions, rebuild each partial's
-    /// left-out last region from its segment's working rows on arrival, and
-    /// fold the per-segment region bitmaps into ones over the live rows.
-    fn regions(
-        &self,
-        attribute: &str,
-        partition: &[(&str, Json)],
-        expected: usize,
-    ) -> Result<Vec<Bitmap>, AtlasError> {
-        let working_of = |segment: usize| {
-            let position = self.ctx.live.binary_search(&segment).ok();
-            position
-                .and_then(|i| self.working.get(i))
-                .ok_or_else(|| format!("segment {segment} is not live"))
-        };
-        let partials =
-            self.scatter("/shard/select", attribute, partition, |segment, partial| {
-                select_partial_from_json(partial, working_of(segment)?, expected)
-            })?;
-        let mut folded: Vec<Bitmap> = (0..expected)
-            .map(|_| Bitmap::new_empty(self.ctx.live_rows))
-            .collect();
-        for (regions, &offset) in partials.iter().zip(&self.ctx.offsets) {
-            for (acc, region) in folded.iter_mut().zip(regions) {
-                acc.or_shifted(region, offset);
-            }
-        }
-        Ok(folded)
     }
 }
 
@@ -1394,23 +1445,10 @@ impl CutSource for RemoteSource<'_> {
     }
 
     fn numeric_values(&self, attribute: &str) -> Result<Vec<f64>, AtlasError> {
-        let partials = self.scatter("/shard/values", attribute, &[], |_, partial| {
+        let partials = self.scatter("/shard/values", attribute, |_, partial| {
             parse_hex_f64s(get_str(partial, "values")?)
         })?;
         Ok(partials.concat())
-    }
-
-    fn select_ranges(
-        &self,
-        attribute: &str,
-        bounds: &[(f64, f64)],
-    ) -> Result<Vec<Bitmap>, AtlasError> {
-        let flat: Vec<f64> = bounds.iter().flat_map(|&(lo, hi)| [lo, hi]).collect();
-        let partition = [
-            ("kind", Json::from("ranges")),
-            ("bounds", Json::from(hex_f64s(&flat))),
-        ];
-        self.regions(attribute, &partition, bounds.len())
     }
 
     /// Scatter `/shard/categories` and fold the per-segment zero-inclusive
@@ -1418,7 +1456,7 @@ impl CutSource for RemoteSource<'_> {
     /// a column with more values than a summary counts is asked about here;
     /// for every other the folded summaries already hold the vector.
     fn category_counts(&self, attribute: &str) -> Result<Vec<(String, usize)>, AtlasError> {
-        let partials = self.scatter("/shard/categories", attribute, &[], |_, partial| {
+        let partials = self.scatter("/shard/categories", attribute, |_, partial| {
             get_items(partial, "counts")?
                 .iter()
                 .map(|pair| {
@@ -1442,19 +1480,224 @@ impl CutSource for RemoteSource<'_> {
         Ok(folded)
     }
 
-    fn select_in_groups(
-        &self,
-        attribute: &str,
-        groups: &[Vec<String>],
-    ) -> Result<Vec<Bitmap>, AtlasError> {
-        let groups_json = Json::array(
-            groups
+    /// One `/shard/select` round for every plan: each shard streams one
+    /// document per partition and the call that reads it folds each as it
+    /// arrives ([`RegionFold`]). The fold is closed when the round returns,
+    /// answered or not, so a hedge still reading finds it closed.
+    fn partition(&self, plans: &[CutPlan]) -> Result<Vec<Vec<Bitmap>>, AtlasError> {
+        let coordinator = self.coordinator;
+        let fold = Arc::new(RegionFold {
+            live: self.ctx.live.clone(),
+            offsets: self.ctx.offsets.clone(),
+            live_rows: self.ctx.live_rows,
+            working: Arc::clone(&self.working),
+            expected: plans
                 .iter()
-                .map(|group| Json::array(group.iter().map(|v| Json::from(v.as_str())).collect()))
+                .map(|plan| plan.partition.region_count())
                 .collect(),
-        );
-        let partition = [("kind", Json::from("groups")), ("groups", groups_json)];
-        self.regions(attribute, &partition, groups.len())
+            regions: Mutex::new(Some(plans.iter().map(|_| None).collect())),
+        });
+        let partitions = Json::array(plans.iter().map(partition_to_json).collect());
+        let path = "/shard/select";
+        let answered = coordinator.fan_out(self.ctx, path, |slot| {
+            let members = vec![("partitions", partitions.clone())];
+            let body = coordinator.data_body(self.sql, &slot.segments, members);
+            let into = Intake::Fold {
+                fold: Arc::clone(&fold),
+                segments: slot.segments.clone(),
+            };
+            coordinator
+                .call_with(slot, path, &body, self.ctx.deadline, &into)
+                .map(drop)
+        });
+        let regions = fold.close();
+        answered.map(|_| regions)
+    }
+}
+
+/// How one shard call takes its reply in.
+#[derive(Clone)]
+enum Intake {
+    /// Read whole and parsed as one JSON document.
+    Whole,
+    /// A streamed `/shard/select` answer, folded into the round's fold as
+    /// it arrives from a shard answering for `segments`.
+    Fold {
+        fold: Arc<RegionFold>,
+        segments: Vec<usize>,
+    },
+}
+
+/// The region bitmaps of one partition round, over the pass's live rows,
+/// folded while the shards stream their partitions in. The round owns it
+/// and every request of its calls holds it — a hedge's detached thread
+/// included, which may outlive the round — so the round closes it when it
+/// returns, and a request that finds it closed hangs up.
+///
+/// A partition's bitmaps are allocated when its first document arrives,
+/// from whichever shard. Folding is OR-ing each segment's regions in at the
+/// segment's offset, which is commutative and idempotent, so the arrival
+/// order does not matter, and a retried or hedged request that folds a
+/// document again adds the same bits.
+struct RegionFold {
+    /// The pass's live segments (ascending global indices) …
+    live: Vec<usize>,
+    /// … their offsets in the live row space …
+    offsets: Vec<usize>,
+    /// … how many live rows there are …
+    live_rows: usize,
+    /// … and each one's working rows, what a left-out last region is
+    /// rebuilt from.
+    working: Arc<[Bitmap]>,
+    /// How many regions each partition makes, in request order.
+    expected: Vec<usize>,
+    /// Per partition, its folded regions once its first document has
+    /// arrived; `None` as a whole once the round is closed.
+    regions: Mutex<Option<Vec<Option<Vec<Bitmap>>>>>,
+}
+
+impl RegionFold {
+    fn lock(&self) -> MutexGuard<'_, Option<Vec<Option<Vec<Bitmap>>>>> {
+        // A partition's bitmaps are only ever OR-ed into, so a poisoned lock
+        // still guards bits some shard sent.
+        match self.regions.lock() {
+            Ok(guard) => guard,
+            Err(poisoned) => poisoned.into_inner(),
+        }
+    }
+
+    /// Fold the document of partition `index` from a shard answering for
+    /// `segments`: its partials must cover exactly those segments and each
+    /// must decode to the partition's regions, or nothing of it is folded.
+    fn fold(&self, index: usize, segments: &[usize], document: Json) -> Result<(), String> {
+        let expected = *self
+            .expected
+            .get(index)
+            .ok_or_else(|| format!("partition {index} was not asked for"))?;
+        // The document is owned: move the partials (and the hex runs inside
+        // them) out instead of cloning each one.
+        let partials = match document {
+            Json::Obj(members) => members.into_iter().find(|(key, _)| key == "partials"),
+            _ => None,
+        };
+        let Some((_, Json::Arr(partials))) = partials else {
+            return Err("missing or non-array member \"partials\"".to_string());
+        };
+        let answered = partials
+            .iter()
+            .map(|partial| get_index(partial, "segment"))
+            .collect::<Result<Vec<_>, String>>()?;
+        let mut seen = answered.clone();
+        seen.sort_unstable();
+        if seen != segments {
+            return Err(format!(
+                "answered for segments {seen:?}, assigned {segments:?}"
+            ));
+        }
+        let mut decoded = Vec::with_capacity(partials.len());
+        for (segment, partial) in answered.into_iter().zip(&partials) {
+            let position = self
+                .live
+                .binary_search(&segment)
+                .map_err(|_| format!("segment {segment} is not live"))?;
+            let (Some(working), Some(&offset)) =
+                (self.working.get(position), self.offsets.get(position))
+            else {
+                return Err(format!("segment {segment} is not live"));
+            };
+            let regions = select_partial_from_json(partial, working, expected)
+                .map_err(|e| format!("segment {segment}: {e}"))?;
+            decoded.push((offset, regions));
+        }
+        let mut guard = self.lock();
+        let Some(partitions) = guard.as_mut() else {
+            return Err("the round is over".to_string());
+        };
+        let Some(folded) = partitions.get_mut(index) else {
+            return Err(format!("partition {index} was not asked for"));
+        };
+        let folded = folded.get_or_insert_with(|| self.empty(expected));
+        for (offset, regions) in &decoded {
+            for (acc, region) in folded.iter_mut().zip(regions) {
+                acc.or_shifted(region, *offset);
+            }
+        }
+        Ok(())
+    }
+
+    /// Close the fold and take every partition's regions (empty ones for a
+    /// partition no document arrived for, which only a round with no live
+    /// shard can leave).
+    fn close(&self) -> Vec<Vec<Bitmap>> {
+        let partitions = self.lock().take().unwrap_or_default();
+        partitions
+            .into_iter()
+            .zip(&self.expected)
+            .map(|(folded, &expected)| folded.unwrap_or_else(|| self.empty(expected)))
+            .collect()
+    }
+
+    /// `regions` empty bitmaps over the live rows.
+    fn empty(&self, regions: usize) -> Vec<Bitmap> {
+        (0..regions)
+            .map(|_| Bitmap::new_empty(self.live_rows))
+            .collect()
+    }
+}
+
+/// One request's reading of a streamed answer: the partitions it has folded
+/// so far, its trailing spans document, and why it stopped reading, if it
+/// refused a chunk.
+struct Taker<'a> {
+    fold: &'a RegionFold,
+    segments: &'a [usize],
+    taken: usize,
+    trailer: Option<Json>,
+    refused: Option<String>,
+}
+
+impl Taker<'_> {
+    /// Take one chunk in; a refusal stops the read.
+    fn chunk(&mut self, bytes: Vec<u8>) -> io::Result<()> {
+        self.take(bytes).map_err(|message| {
+            self.refused = Some(message.clone());
+            io::Error::other(message)
+        })
+    }
+
+    fn take(&mut self, bytes: Vec<u8>) -> Result<(), String> {
+        if self.trailer.is_some() {
+            return Err("a document after the spans".to_string());
+        }
+        let text = String::from_utf8(bytes).map_err(|_| "a non-UTF-8 document".to_string())?;
+        let document = crate::wire::parse(&text).map_err(|e| e.to_string())?;
+        let fold = self.fold;
+        if self.taken == fold.expected.len() {
+            if document.get("spans").is_none() {
+                return Err(format!(
+                    "more than the {} partitions asked for",
+                    fold.expected.len()
+                ));
+            }
+            self.trailer = Some(document);
+            return Ok(());
+        }
+        fold.fold(self.taken, self.segments, document)
+            .map_err(|e| format!("partition {}: {e}", self.taken))?;
+        self.taken += 1;
+        Ok(())
+    }
+
+    /// The stream ended: every partition must have arrived. Hands back the
+    /// trailing spans document (an empty one when there was none).
+    fn finish(self) -> Result<Json, String> {
+        let asked = self.fold.expected.len();
+        if self.taken != asked {
+            return Err(format!("answered {} of {asked} partitions", self.taken));
+        }
+        Ok(self
+            .trailer
+            .unwrap_or_else(|| Json::object(Vec::<(String, Json)>::new())))
     }
 }
 
@@ -1464,6 +1707,47 @@ mod tests {
     use crate::http::{read_request, write_response, Response};
     use std::io::BufReader;
     use std::net::TcpListener;
+
+    /// A two-region `/shard/select` document for `segment` of 4 working
+    /// rows: rows 0–1 in the first region, the rest in the second.
+    fn select_document(segment: usize) -> Json {
+        let working = Bitmap::new_full(4);
+        let first = Bitmap::from_indices(4, 0..2);
+        let second = Bitmap::from_indices(4, 2..4);
+        let partial =
+            crate::wire::frames::select_partial_to_json(segment, &working, &[first, second]);
+        Json::object(vec![("partials", Json::array(vec![partial]))])
+    }
+
+    /// The fold of a partition round ORs each document in at its segment's
+    /// offset, in any order and as often as it arrives; a partition no
+    /// document arrived for comes out empty; and once the round has closed
+    /// it, a late document — a hedge that outlived its round — is refused.
+    #[test]
+    fn a_region_fold_is_idempotent_and_refuses_documents_once_closed() {
+        let working: Arc<[Bitmap]> = vec![Bitmap::new_full(4), Bitmap::new_full(4)].into();
+        let fold = RegionFold {
+            live: vec![3, 7],
+            offsets: vec![0, 4],
+            live_rows: 8,
+            working,
+            expected: vec![2, 2],
+            regions: Mutex::new(Some(vec![None, None])),
+        };
+        fold.fold(0, &[7], select_document(7)).unwrap();
+        fold.fold(0, &[3], select_document(3)).unwrap();
+        fold.fold(0, &[7], select_document(7)).unwrap();
+        let error = fold.fold(0, &[3], select_document(7)).unwrap_err();
+        assert!(error.contains("assigned [3]"), "{error}");
+        let regions = fold.close();
+        assert_eq!(regions[0][0].to_indices(), vec![0, 1, 4, 5]);
+        assert_eq!(regions[0][1].to_indices(), vec![2, 3, 6, 7]);
+        assert_eq!(regions[1], vec![Bitmap::new_empty(8); 2]);
+        assert_eq!(
+            fold.fold(1, &[3], select_document(3)),
+            Err("the round is over".to_string())
+        );
+    }
 
     /// A shard whose `/shard/meta` reply claims 100 rows over segments of 60
     /// and 60: connecting to it fails, naming the shard, instead of adopting

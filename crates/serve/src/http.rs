@@ -1,11 +1,20 @@
 //! A minimal HTTP/1.1 layer over blocking streams.
 //!
 //! Just enough of the protocol for the exploration server and its clients:
-//! request/response lines, headers, `Content-Length`-bounded bodies (chunked
-//! transfer encoding is deliberately rejected — bodies stay bounded and the
-//! parser stays simple), and keep-alive. Everything is parsed defensively:
-//! line-length and header-count caps, a body-size cap, and explicit error
-//! variants so the connection loop can answer `400`/`413` instead of dying.
+//! request/response lines, headers, `Content-Length`-bounded bodies, and
+//! keep-alive. A request body always carries its length (a chunked request
+//! is refused, so requests stay bounded and their parser simple); a response
+//! body may instead stream as `Transfer-Encoding: chunked`, which is how a
+//! shard sends a reply one part at a time ([`write_chunked_head`],
+//! [`write_chunk`], [`end_chunks`]) and how a client takes each part as it
+//! arrives ([`read_response_with`]). This module is the only one that writes
+//! the framing.
+//!
+//! Everything is parsed defensively: line-length and header-count caps, a
+//! body-size cap that bounds every chunk and their running total before
+//! anything is allocated, a length that must be plain digits, no message
+//! whose headers frame its body two ways, and explicit error variants so the
+//! connection loop can answer `400`/`413` instead of dying.
 
 use crate::wire::Json;
 use std::io::{self, BufRead, Write};
@@ -233,35 +242,118 @@ fn read_headers<R: BufRead>(
     }
 }
 
-fn read_body<R: BufRead>(
+/// Longest chunk-size line a chunked body may carry: 16 hex digits spell
+/// every 64-bit size.
+const MAX_CHUNK_SIZE_DIGITS: usize = 16;
+
+/// How a message delimits its body.
+enum Framing {
+    /// This many bytes (`Content-Length`; 0 when the header is absent).
+    Length(usize),
+    /// A chunked stream.
+    Chunked,
+}
+
+/// Read a message's body framing off its headers. A length is `1*DIGIT`
+/// (no sign, no list), and several `Content-Length` headers must agree. A
+/// message that carries a length and a transfer coding both is refused, as
+/// is one with two transfer codings: either could be read two ways by two
+/// parsers, the rest of the body taken for the next message. The one coding
+/// is `chunked`.
+fn framing(headers: &[(String, String)]) -> Result<Framing, HttpError> {
+    let mut length: Option<usize> = None;
+    for (_, value) in headers.iter().filter(|(name, _)| name == "content-length") {
+        let invalid = || HttpError::Malformed(format!("invalid Content-Length: {value}"));
+        if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
+            return Err(invalid());
+        }
+        let parsed = value.parse::<usize>().map_err(|_| invalid())?;
+        if length.is_some_and(|seen| seen != parsed) {
+            return Err(HttpError::Malformed(
+                "conflicting Content-Length headers".to_string(),
+            ));
+        }
+        length = Some(parsed);
+    }
+    let mut codings = headers
+        .iter()
+        .filter(|(name, _)| name == "transfer-encoding")
+        .map(|(_, value)| value.as_str());
+    let coding = codings.next();
+    if codings.next().is_some() {
+        return Err(HttpError::Malformed(
+            "more than one Transfer-Encoding header".to_string(),
+        ));
+    }
+    match (coding, length) {
+        (None, length) => Ok(Framing::Length(length.unwrap_or(0))),
+        (Some(_), Some(_)) => Err(HttpError::Malformed(
+            "both Content-Length and Transfer-Encoding".to_string(),
+        )),
+        (Some(coding), None) if coding.eq_ignore_ascii_case("chunked") => Ok(Framing::Chunked),
+        (Some(coding), None) => Err(HttpError::Malformed(format!(
+            "unsupported transfer coding: {coding}"
+        ))),
+    }
+}
+
+/// Read a `Content-Length` body of `length` bytes, refused past `max_body`
+/// before anything is allocated.
+fn read_sized_body<R: BufRead>(
     reader: &mut R,
-    headers: &[(String, String)],
+    length: usize,
     max_body: usize,
     deadline: Option<Instant>,
 ) -> Result<Vec<u8>, HttpError> {
-    let header = |name: &str| {
-        headers
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
-    };
-    if header("transfer-encoding").is_some() {
-        return Err(HttpError::Malformed(
-            "chunked transfer encoding is not supported; send Content-Length".to_string(),
-        ));
-    }
-    let length = match header("content-length") {
-        None => return Ok(Vec::new()),
-        Some(v) => v
-            .parse::<usize>()
-            .map_err(|_| HttpError::Malformed(format!("invalid Content-Length: {v}")))?,
-    };
     if length > max_body {
         return Err(HttpError::BodyTooLarge { limit: max_body });
     }
     let mut body = vec![0u8; length];
     read_full(reader, &mut body, deadline, false)?;
     Ok(body)
+}
+
+/// Read the next chunk of a chunked body: its bytes, or `None` at the
+/// zero-size last chunk (whose trailer section must be empty). The size line
+/// is hex digits only, at most [`MAX_CHUNK_SIZE_DIGITS`], and a size past
+/// `allowance` — what is left of the `max_body` cap — is refused before
+/// anything is allocated. The data must be followed by CRLF.
+fn read_chunk<R: BufRead>(
+    reader: &mut R,
+    allowance: usize,
+    max_body: usize,
+    deadline: Option<Instant>,
+) -> Result<Option<Vec<u8>>, HttpError> {
+    let line = read_line(reader, deadline, false)?;
+    let invalid = || HttpError::Malformed("invalid chunk size line".to_string());
+    if line.is_empty()
+        || line.len() > MAX_CHUNK_SIZE_DIGITS
+        || !line.bytes().all(|b| b.is_ascii_hexdigit())
+    {
+        return Err(invalid());
+    }
+    let size = usize::from_str_radix(&line, 16).map_err(|_| invalid())?;
+    if size == 0 {
+        if !read_line(reader, deadline, false)?.is_empty() {
+            return Err(HttpError::Malformed(
+                "chunked trailer fields are not supported".to_string(),
+            ));
+        }
+        return Ok(None);
+    }
+    if size > allowance {
+        return Err(HttpError::BodyTooLarge { limit: max_body });
+    }
+    let mut chunk = vec![0u8; size];
+    read_full(reader, &mut chunk, deadline, false)?;
+    let mut crlf = [0u8; 2];
+    read_full(reader, &mut crlf, deadline, false)?;
+    if crlf != *b"\r\n" {
+        return Err(HttpError::Malformed(
+            "chunk data not followed by CRLF".to_string(),
+        ));
+    }
+    Ok(Some(chunk))
 }
 
 /// Read one request from the stream. `max_body` bounds the accepted
@@ -292,7 +384,14 @@ pub fn read_request<R: BufRead>(
         }
     }
     let headers = read_headers(reader, deadline)?;
-    let body = read_body(reader, &headers, max_body, deadline)?;
+    let body = match framing(&headers)? {
+        Framing::Length(length) => read_sized_body(reader, length, max_body, deadline)?,
+        Framing::Chunked => {
+            return Err(HttpError::Malformed(
+                "a chunked request body is not supported; send Content-Length".to_string(),
+            ))
+        }
+    };
     Ok(Request {
         method,
         path,
@@ -396,6 +495,43 @@ pub fn write_response<W: Write>(
     writer.flush()
 }
 
+/// Write the head of a response whose body follows as a chunked stream:
+/// one [`write_chunk`] per part, then [`end_chunks`]. `keep_alive` controls
+/// the `Connection` header as in [`write_response`].
+pub fn write_chunked_head<W: Write>(
+    writer: &mut W,
+    status: u16,
+    content_type: &str,
+    keep_alive: bool,
+) -> io::Result<()> {
+    let head = format!(
+        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nTransfer-Encoding: chunked\r\nConnection: {}\r\n\r\n",
+        status_text(status),
+        if keep_alive { "keep-alive" } else { "close" },
+    );
+    writer.write_all(head.as_bytes())?;
+    writer.flush()
+}
+
+/// Write one chunk of a chunked body and flush it, so the peer can take it
+/// while the next one is computed. Empty bytes write nothing: a zero-size
+/// chunk would end the body.
+pub fn write_chunk<W: Write>(writer: &mut W, bytes: &[u8]) -> io::Result<()> {
+    if bytes.is_empty() {
+        return Ok(());
+    }
+    writer.write_all(format!("{:x}\r\n", bytes.len()).as_bytes())?;
+    writer.write_all(bytes)?;
+    writer.write_all(b"\r\n")?;
+    writer.flush()
+}
+
+/// End a chunked body: the zero-size last chunk and an empty trailer.
+pub fn end_chunks<W: Write>(writer: &mut W) -> io::Result<()> {
+    writer.write_all(b"0\r\n\r\n")?;
+    writer.flush()
+}
+
 /// A parsed HTTP response (client side).
 #[derive(Debug, Clone)]
 pub struct ClientResponse {
@@ -420,12 +556,35 @@ impl ClientResponse {
 }
 
 /// Read one response from the stream. `max_body` bounds the accepted
-/// `Content-Length`; `deadline` bounds the whole read as in
-/// [`read_request`].
+/// `Content-Length`, or each chunk and their running total when the body is
+/// chunked (the chunks are then joined into `body`); `deadline` bounds the
+/// whole read as in [`read_request`].
 pub fn read_response<R: BufRead>(
     reader: &mut R,
     max_body: usize,
     deadline: Option<Instant>,
+) -> Result<ClientResponse, HttpError> {
+    let mut joined = Vec::new();
+    let mut response = read_response_with(reader, max_body, deadline, &mut |chunk| {
+        joined.extend_from_slice(&chunk);
+        Ok(())
+    })?;
+    if response.body.is_empty() {
+        response.body = joined;
+    }
+    Ok(response)
+}
+
+/// [`read_response`], handing each chunk of a chunked body to `on_chunk` as
+/// it arrives instead of joining them, so no buffer holds more than one
+/// chunk; the returned `body` is then empty. A `Content-Length` body is read
+/// whole into `body` as usual. An error from `on_chunk` stops the read and
+/// comes back as [`HttpError::Io`].
+pub fn read_response_with<R: BufRead>(
+    reader: &mut R,
+    max_body: usize,
+    deadline: Option<Instant>,
+    on_chunk: &mut dyn FnMut(Vec<u8>) -> io::Result<()>,
 ) -> Result<ClientResponse, HttpError> {
     let line = read_line(reader, deadline, true)?;
     let mut parts = line.split_whitespace();
@@ -442,7 +601,17 @@ pub fn read_response<R: BufRead>(
         .and_then(|s| s.parse::<u16>().ok())
         .ok_or_else(|| HttpError::Malformed("status line without a code".to_string()))?;
     let headers = read_headers(reader, deadline)?;
-    let body = read_body(reader, &headers, max_body, deadline)?;
+    let body = match framing(&headers)? {
+        Framing::Length(length) => read_sized_body(reader, length, max_body, deadline)?,
+        Framing::Chunked => {
+            let mut total = 0usize;
+            while let Some(chunk) = read_chunk(reader, max_body - total, max_body, deadline)? {
+                total += chunk.len();
+                on_chunk(chunk).map_err(HttpError::Io)?;
+            }
+            Vec::new()
+        }
+    };
     Ok(ClientResponse {
         status,
         headers,
@@ -612,30 +781,175 @@ mod tests {
         );
     }
 
+    /// Three chunks of a streamed reply, framed as a shard writes them.
+    fn three_chunk_response() -> Vec<u8> {
+        let mut wire = Vec::new();
+        write_chunked_head(&mut wire, 200, "application/json", true).unwrap();
+        for part in [r#"{"partials": [1]}"#, r#"{"partials": [22, 3]}"#, "{}"] {
+            write_chunk(&mut wire, part.as_bytes()).unwrap();
+        }
+        end_chunks(&mut wire).unwrap();
+        wire
+    }
+
     #[test]
     fn a_response_truncated_at_every_boundary_byte_is_an_error_never_a_hang() {
         let response = Response::json(200, &Json::object(vec![("answer", Json::from(42.0_f64))]))
             .with_header("Retry-After", "3");
-        let mut wire = Vec::new();
-        write_response(&mut wire, &response, true).unwrap();
+        let mut sized = Vec::new();
+        write_response(&mut sized, &response, true).unwrap();
 
-        // The full message parses.
-        let mut reader = BufReader::new(wire.as_slice());
-        let parsed = read_response(&mut reader, 1024, None).unwrap();
-        assert_eq!(parsed.status, 200);
+        for wire in [sized, three_chunk_response()] {
+            // The full message parses.
+            let mut reader = BufReader::new(wire.as_slice());
+            let parsed = read_response(&mut reader, 1024, None).unwrap();
+            assert_eq!(parsed.status, 200);
 
-        // Every proper prefix is a typed error: `Closed` when the peer
-        // vanished before a single byte, `Malformed` anywhere mid-message.
-        for cut in 0..wire.len() {
-            let truncated = &wire[..cut];
-            let mut reader = BufReader::new(truncated);
-            let result = read_response(&mut reader, 1024, None);
-            match (cut, result) {
-                (0, Err(HttpError::Closed)) => {}
-                (_, Err(HttpError::Closed | HttpError::Malformed(_))) => {}
-                (_, other) => panic!("truncation at byte {cut} gave {other:?}"),
+            // Every proper prefix is a typed error: `Closed` when the peer
+            // vanished before a single byte, `Malformed` anywhere
+            // mid-message — inside a chunk, its size line, its CRLF, or the
+            // last chunk.
+            for cut in 0..wire.len() {
+                let truncated = &wire[..cut];
+                let mut reader = BufReader::new(truncated);
+                let result = read_response(&mut reader, 1024, None);
+                match (cut, result) {
+                    (0, Err(HttpError::Closed)) => {}
+                    (_, Err(HttpError::Closed | HttpError::Malformed(_))) => {}
+                    (_, other) => panic!("truncation at byte {cut} gave {other:?}"),
+                }
             }
         }
+    }
+
+    fn parse_response(bytes: &[u8], max_body: usize) -> Result<ClientResponse, HttpError> {
+        read_response(&mut BufReader::new(bytes), max_body, None)
+    }
+
+    #[test]
+    fn a_signed_content_length_is_refused() {
+        let raw = b"POST / HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello";
+        assert!(
+            matches!(parse_bytes(raw), Err(HttpError::Malformed(_))),
+            "a length is 1*DIGIT"
+        );
+        for length in ["-0", "5 5", "0x5", "5,5", ""] {
+            let raw = format!("POST / HTTP/1.1\r\nContent-Length: {length}\r\n\r\nhello");
+            assert!(
+                matches!(parse_bytes(raw.as_bytes()), Err(HttpError::Malformed(_))),
+                "Content-Length: {length}"
+            );
+        }
+    }
+
+    #[test]
+    fn conflicting_content_lengths_are_refused() {
+        // Read by the first header, the request would leave `6` in the
+        // stream for the next keep-alive request to start with.
+        let raw = b"POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 6\r\n\r\nhello6";
+        assert!(matches!(parse_bytes(raw), Err(HttpError::Malformed(_))));
+        // The same length twice frames the body one way only.
+        let raw = b"POST / HTTP/1.1\r\nContent-Length: 5\r\ncontent-length: 5\r\n\r\nhello";
+        assert_eq!(parse_bytes(raw).unwrap().body_text(), Some("hello"));
+    }
+
+    #[test]
+    fn a_response_may_be_chunked_but_not_also_carry_a_length() {
+        let chunked =
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n";
+        assert_eq!(
+            parse_response(chunked, 1024).unwrap().body_text(),
+            Some("hello")
+        );
+        let both = b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n";
+        assert!(matches!(
+            parse_response(both, 1024),
+            Err(HttpError::Malformed(_))
+        ));
+        let request =
+            b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\nContent-Length: 5\r\n\r\nhello";
+        assert!(matches!(parse_bytes(request), Err(HttpError::Malformed(_))));
+        let twice = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n";
+        assert!(matches!(
+            parse_response(twice, 1024),
+            Err(HttpError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn hostile_chunk_framing_gets_typed_errors_before_any_allocation() {
+        let head = "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n";
+        let malformed = [
+            "zz\r\nhello\r\n0\r\n\r\n",                // not hex
+            "+5\r\nhello\r\n0\r\n\r\n",                // signed
+            "5;ext=1\r\nhello\r\n0\r\n\r\n",           // extensions
+            "00000000000000005\r\nhello\r\n0\r\n\r\n", // 17 digits
+            "5\r\nhelloXY0\r\n\r\n",                   // no CRLF after the data
+            "5\r\nhello\r\n",                          // no last chunk
+            "5\r\nhello\r\n0\r\n",                     // last chunk without its CRLF
+            "5\r\nhello\r\n0\r\nX-Trailer: 1\r\n\r\n", // trailer fields
+            "9\r\nhello",                              // EOF mid-chunk
+        ];
+        for body in malformed {
+            let raw = format!("{head}{body}");
+            let result = parse_response(raw.as_bytes(), 1024);
+            assert!(
+                matches!(result, Err(HttpError::Malformed(_))),
+                "{body:?} gave {result:?}"
+            );
+        }
+        // A size past the cap is refused from its size line, before any
+        // data: no buffer of `ffffffffffffffff` bytes is ever asked for, and
+        // neither is one that would take the running total past the cap
+        // (512 bytes taken, 513 more announced).
+        let half = format!("200\r\n{}\r\n", "x".repeat(0x200));
+        for body in [
+            "ffffffffffffffff\r\n".to_string(),
+            "401\r\n".to_string(),
+            format!("{half}201\r\n"),
+        ] {
+            let raw = format!("{head}{body}");
+            let result = parse_response(raw.as_bytes(), 1024);
+            assert!(
+                matches!(result, Err(HttpError::BodyTooLarge { limit: 1024 })),
+                "{body:?} gave {result:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn chunks_reach_the_receiver_one_at_a_time() {
+        let wire = three_chunk_response();
+        let mut seen = Vec::new();
+        let response = read_response_with(
+            &mut BufReader::new(wire.as_slice()),
+            1024,
+            None,
+            &mut |chunk| {
+                seen.push(String::from_utf8(chunk).unwrap());
+                Ok(())
+            },
+        )
+        .unwrap();
+        assert!(response.body.is_empty());
+        assert_eq!(
+            seen,
+            [r#"{"partials": [1]}"#, r#"{"partials": [22, 3]}"#, "{}"]
+        );
+
+        // A receiver that refuses a chunk stops the read there.
+        let mut taken = 0;
+        let result = read_response_with(
+            &mut BufReader::new(wire.as_slice()),
+            1024,
+            None,
+            &mut |_| {
+                taken += 1;
+                Err(io::Error::other("refused"))
+            },
+        );
+        assert!(matches!(result, Err(HttpError::Io(_))), "{result:?}");
+        assert_eq!(taken, 1);
     }
 
     #[test]

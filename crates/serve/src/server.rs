@@ -563,8 +563,27 @@ fn handle_connection(shared: &Shared, stream: TcpStream, admitted: Instant) {
         }
         let (endpoint, reply) = route(shared, &request, deadline);
         request_span.attr("endpoint", endpoint.label());
-        let response = match reply {
-            crate::shard::Reply::Normal(response) => response,
+        let (write_started, write_result) = match reply {
+            crate::shard::Reply::Normal(response) => {
+                request_span.attr("status", response.status);
+                shared
+                    .metrics
+                    .record(endpoint, response.status, request_span.elapsed_ms());
+                let write_started = Instant::now();
+                let written = http::write_response(&mut writer, &response, keep_alive);
+                (write_started, written)
+            }
+            // A stream is computed while it is written, so the write and
+            // the recorded latency both cover all of it.
+            crate::shard::Reply::Stream(stream) => {
+                request_span.attr("status", 200);
+                let write_started = Instant::now();
+                let written = stream.write(&mut writer, keep_alive);
+                shared
+                    .metrics
+                    .record(endpoint, 200, request_span.elapsed_ms());
+                (write_started, written)
+            }
             // Injected raw outcomes (truncated/garbled answers) are written
             // verbatim and close the connection; a hangup writes nothing.
             // Neither reaches the metrics — they exist for the chaos suite.
@@ -575,12 +594,6 @@ fn handle_connection(shared: &Shared, stream: TcpStream, admitted: Instant) {
             }
             crate::shard::Reply::Hangup => return,
         };
-        request_span.attr("status", response.status);
-        shared
-            .metrics
-            .record(endpoint, response.status, request_span.elapsed_ms());
-        let write_started = Instant::now();
-        let write_result = http::write_response(&mut writer, &response, keep_alive);
         record_past_interval(
             &request_span,
             "response.write",

@@ -11,8 +11,21 @@
 //! (Map distances are *not* pushed down: the coordinator already holds every
 //! candidate region as a folded bitmap and counts contingency tables itself.)
 //! Every answer is **per segment**, so the coordinator can fold partials in
-//! ascending global segment order and obtain bit-identical results no matter
-//! how segments were assigned to shards.
+//! ascending global segment order (or, for region bitmaps, OR them in any
+//! order) and obtain bit-identical results no matter how segments were
+//! assigned to shards.
+//!
+//! `POST /shard/select` partitions the working set for every cut of an
+//! explore at once. Its body is `{"dataset", "sql", "segments",
+//! "partitions": [{"attribute", "kind": "ranges", "bounds"} | {"attribute",
+//! "kind": "groups", "groups"}, …]}` (bounds as one hex run of `(lo, hi)`
+//! bit-pattern pairs, groups as arrays of values). The reply is a chunked
+//! `200`: one `{"partials": […]}` document per partition, in request order,
+//! each computed, encoded and written before the next is started, then —
+//! when the request is traced — one `{"spans": […]}` document. Every
+//! attribute is resolved before the first byte goes out, so a bad request is
+//! still a plain `4xx`; the request's span and its latency in `/metrics`
+//! cover the whole stream.
 //!
 //! Shards are stateless with respect to the partitioning: requests carry the
 //! segment indices and the (restricted SQL) queries, and the shard evaluates
@@ -45,13 +58,14 @@
 //! `{"plan": [{"fault": …}, …]}`, arms a deterministic fault plan where each
 //! subsequent shard request (the inject endpoint excepted) consumes the next
 //! entry: `delay`, `refuse` (hang up unanswered), `error` (a synthetic
-//! non-200), `truncate` (a prefix of the real answer), `corrupt` (the real
-//! answer with its first bitmap frame one row longer than the segment — a
-//! `200` whose frame fails validation; an answer without a bitmap passes
-//! unchanged), `garbage` (bytes that are not HTTP), `kill` (hang up on
-//! everything until the next inject), or `none` (answer normally). This is
-//! how the chaos suite drives every coordinator failure path without real
-//! packet loss — deterministically, from a seeded plan.
+//! non-200), `truncate` (a byte prefix of the real answer, a streamed one
+//! included), `corrupt` (the real answer with its first bitmap frame — a
+//! stream's: the first of its first partition — one row longer than the
+//! segment, a `200` whose frame fails validation; an answer without a
+//! bitmap passes unchanged), `garbage` (bytes that are not HTTP), `kill`
+//! (hang up on everything until the next inject), or `none` (answer
+//! normally). This is how the chaos suite drives every coordinator failure
+//! path without real packet loss — deterministically, from a seeded plan.
 //!
 //! What the frames of `/shard/working` and `/shard/select` leave out — the
 //! bitmap of a segment selected whole or not at all, the last region when it
@@ -62,29 +76,98 @@ use crate::http::{self, Request, Response};
 use crate::metrics::Endpoint;
 use crate::registry::{Dataset, Registry};
 use crate::wire::frames::{
-    get_items, get_str, hex_f64s, meta_to_json, parse_hex_f64s, select_partial_to_json,
+    get_items, get_str, hex_f64s, meta_to_json, partition_from_json, select_partial_to_json,
     summary_to_json, working_partial_to_json,
 };
 use crate::wire::{self, Json};
 use atlas_columnar::{Bitmap, SummaryParts, Table};
-use atlas_core::AtlasError;
+use atlas_core::{AtlasError, CutPlan, CutSource, TableCutSource};
 use atlas_query::parse_query;
 use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
+use std::io::{self, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
-/// How a shard endpoint answers: a normal HTTP response, raw bytes written
-/// verbatim (truncated or garbled answers), or a silent hangup. Anything but
-/// `Normal` closes the connection afterwards.
+/// How a shard endpoint answers: a normal HTTP response, a `200` whose body
+/// is computed while it is written, raw bytes written verbatim (truncated or
+/// garbled answers), or a silent hangup. `Raw` and `Hangup` close the
+/// connection afterwards.
 pub(crate) enum Reply {
     /// An ordinary HTTP response.
     Normal(Response),
+    /// A `/shard/select` answer, streamed one partition at a time.
+    Stream(Stream),
     /// Write exactly these bytes, then close.
     Raw(Vec<u8>),
     /// Close the connection without writing a byte.
     Hangup,
+}
+
+/// A `/shard/select` answer still to be computed: one `{"partials": […]}`
+/// document per requested partition, in request order — each computed,
+/// encoded and written as one chunk before the next is started, so the
+/// shard holds one partition's frame at a time and the coordinator folds it
+/// while the next is computed — then, when the request is traced, one
+/// `{"spans": […]}` document of the request's spans, recorded once the
+/// partitions are written.
+pub(crate) struct Stream {
+    views: Arc<Vec<SegmentView>>,
+    /// Each requested segment's global index and working rows.
+    sets: Vec<(usize, Working)>,
+    plans: Vec<CutPlan>,
+    /// Lengthen the first bitmap of the first partition (an injected fault).
+    corrupt: bool,
+    /// The request's `shard.request` span, which covers the whole stream.
+    span: Option<atlas_obs::SpanGuard>,
+}
+
+impl Stream {
+    /// Compute the documents one at a time and write each as one chunk of
+    /// the chunked body of a `200`.
+    pub(crate) fn write<W: Write>(self, writer: &mut W, keep_alive: bool) -> io::Result<()> {
+        let Stream {
+            views,
+            sets,
+            plans,
+            corrupt,
+            span,
+        } = self;
+        http::write_chunked_head(writer, 200, "application/json", keep_alive)?;
+        for (index, plan) in plans.iter().enumerate() {
+            let mut partials = Vec::with_capacity(sets.len());
+            for (segment, working) in &sets {
+                // Every attribute resolved on every segment when the stream
+                // was made; a failure here can only end the stream early,
+                // which the coordinator reads as a truncated answer.
+                let view = views
+                    .get(*segment)
+                    .ok_or_else(|| io::Error::other(format!("segment {segment} left the view")))?;
+                let mut regions = TableCutSource::new(&view.table, &working.rows)
+                    .partition(std::slice::from_ref(plan))
+                    .map_err(|error| io::Error::other(error.to_string()))?;
+                let regions = regions.pop().unwrap_or_default();
+                partials.push(select_partial_to_json(*segment, &working.rows, &regions));
+            }
+            let mut document = partials_reply(partials);
+            if corrupt && index == 0 {
+                lengthen_first_bitmap(&mut document);
+            }
+            http::write_chunk(writer, document.encode().as_bytes())?;
+        }
+        // Close the request's root span before snapshotting so it is in the
+        // ring.
+        let trace_id = span.and_then(|span| span.context().map(|ctx| ctx.trace_id));
+        if let Some(trace_id) = trace_id {
+            let mut trailer = Json::object(Vec::<(String, Json)>::new());
+            append_shard_spans(&mut trailer, trace_id);
+            if trailer.get("spans").is_some() {
+                http::write_chunk(writer, trailer.encode().as_bytes())?;
+            }
+        }
+        http::end_chunks(writer)
+    }
 }
 
 impl From<Response> for Reply {
@@ -344,27 +427,39 @@ pub(crate) fn handle(
     };
     let mut shard_span = shard_span(endpoint, request);
     let outcome = answer(registry, state, endpoint, &body, shard_span.as_mut());
-    // Close the request's root span before snapshotting so it is in the ring.
-    let trace_id = shard_span.and_then(|span| span.context().map(|ctx| ctx.trace_id));
-    let response = match outcome {
-        Ok(mut reply) => {
-            if let Some(Tamper::Corrupt) = tamper {
+    let corrupt = matches!(tamper, Some(Tamper::Corrupt));
+    let reply = match outcome {
+        Ok(Answer::Whole(mut reply)) => {
+            // Close the request's root span before snapshotting so it is in
+            // the ring.
+            let trace_id = shard_span.and_then(|span| span.context().map(|ctx| ctx.trace_id));
+            if corrupt {
                 lengthen_first_bitmap(&mut reply);
             }
             if let Some(trace_id) = trace_id {
                 append_shard_spans(&mut reply, trace_id);
             }
-            // The one place a data reply is encoded, spans or not.
-            Response::json(200, &reply)
+            // The one place a whole data reply is encoded, spans or not.
+            Reply::Normal(Response::json(200, &reply))
         }
-        Err(response) => response,
+        Ok(Answer::Stream(mut stream)) => {
+            stream.corrupt = corrupt;
+            stream.span = shard_span;
+            Reply::Stream(stream)
+        }
+        Err(response) => Reply::Normal(response),
     };
     match tamper {
-        None | Some(Tamper::Corrupt) => Reply::Normal(response),
+        None | Some(Tamper::Corrupt) => reply,
         Some(Tamper::Truncate(keep_per_mille)) => {
             let mut bytes = Vec::new();
-            // Writing to a Vec cannot fail.
-            let _ = http::write_response(&mut bytes, &response, false);
+            // Writing to a Vec cannot fail, and a stream that ends early is
+            // a prefix too.
+            let _ = match reply {
+                Reply::Normal(response) => http::write_response(&mut bytes, &response, false),
+                Reply::Stream(stream) => stream.write(&mut bytes, false),
+                Reply::Raw(_) | Reply::Hangup => Ok(()),
+            };
             let keep = bytes
                 .len()
                 .saturating_mul(usize::from(keep_per_mille.min(1000)))
@@ -430,35 +525,46 @@ fn append_shard_spans(reply: &mut Json, trace_id: u64) {
     }
 }
 
-/// Compute the real answer of one shard data endpoint: the reply object of
-/// a `200`, or the error response. `span` is the request's `shard.request`
-/// span when it is traced; an endpoint that works on a working set tags it
-/// with how the rows were come by.
+/// The real answer of one shard data endpoint, once its request is read and
+/// checked: a whole reply object, or a stream computed while it is written.
+enum Answer {
+    Whole(Json),
+    Stream(Stream),
+}
+
+/// Compute the real answer of one shard data endpoint, or the error
+/// response. `span` is the request's `shard.request` span when it is traced;
+/// an endpoint that works on a working set tags it with how the rows were
+/// come by.
 fn answer(
     registry: &Registry,
     state: &ShardState,
     endpoint: Endpoint,
     body: &Json,
     span: Option<&mut atlas_obs::SpanGuard>,
-) -> Result<Json, Response> {
+) -> Result<Answer, Response> {
     let dataset =
         crate::server::resolve_dataset(registry, body.get("dataset").and_then(Json::str))?;
     if endpoint == Endpoint::ShardMeta {
-        return Ok(meta(dataset));
+        return Ok(Answer::Whole(meta(dataset)));
     }
     let views = state
         .segment_views(dataset)
         .map_err(|error| crate::server::error_response(&error))?;
     // Every handler of a working set gets it from the one function.
-    let on_working_sets = |handler: fn(&[SegmentWorking], &Json) -> Result<Json, Fail>| {
-        working_sets(state, &views, body, span).and_then(|sets| handler(&sets, body))
-    };
+    let sets = || working_sets(state, &views, body, span);
     let run = match endpoint {
-        Endpoint::ShardWorking => on_working_sets(|sets, _| Ok(working(sets))),
-        Endpoint::ShardSummaries => on_working_sets(|sets, _| Ok(summaries(sets))),
-        Endpoint::ShardValues => on_working_sets(values),
-        Endpoint::ShardCategories => on_working_sets(categories),
-        Endpoint::ShardSelect => on_working_sets(select),
+        Endpoint::ShardWorking => sets().map(|sets| Answer::Whole(working(&sets))),
+        Endpoint::ShardSummaries => sets().map(|sets| Answer::Whole(summaries(&sets))),
+        Endpoint::ShardValues => sets()
+            .and_then(|sets| values(&sets, body))
+            .map(Answer::Whole),
+        Endpoint::ShardCategories => sets()
+            .and_then(|sets| categories(&sets, body))
+            .map(Answer::Whole),
+        Endpoint::ShardSelect => sets()
+            .and_then(|sets| select(&views, &sets, body))
+            .map(Answer::Stream),
         _ => return Err(Response::error(404, "unknown shard endpoint")),
     };
     run.map_err(|fail| match fail {
@@ -729,50 +835,35 @@ fn categories(sets: &[SegmentWorking], body: &Json) -> Result<Json, Fail> {
     Ok(partials_reply(partials))
 }
 
-fn select(sets: &[SegmentWorking], body: &Json) -> Result<Json, Fail> {
-    let attribute = get_str(body, "attribute")?;
-    enum Partition {
-        Ranges(Vec<(f64, f64)>),
-        Groups(Vec<Vec<String>>),
-    }
-    let partition = match get_str(body, "kind")? {
-        "ranges" => {
-            // Bounds travel as one hex run of (lo, hi) bit-pattern pairs.
-            let flat = parse_hex_f64s(get_str(body, "bounds")?)?;
-            let (pairs, rest) = flat.as_chunks::<2>();
-            if !rest.is_empty() {
-                return Err(Fail::Frame("odd number of range bounds".to_string()));
-            }
-            Partition::Ranges(pairs.iter().map(|&[lo, hi]| (lo, hi)).collect())
+/// The stream of a `/shard/select` request: `"partitions"`, one
+/// `{attribute, kind, bounds | groups}` per cut, each partitioned over every
+/// requested segment's working rows. Every attribute is resolved on every
+/// segment here, before the first byte is written: once a stream has
+/// started, no error status can be sent.
+fn select(
+    views: &Arc<Vec<SegmentView>>,
+    sets: &[SegmentWorking],
+    body: &Json,
+) -> Result<Stream, Fail> {
+    let plans = get_items(body, "partitions")?
+        .iter()
+        .map(partition_from_json)
+        .collect::<Result<Vec<_>, String>>()?;
+    for plan in &plans {
+        for (_, view, _) in sets {
+            view.table
+                .column(&plan.attribute)
+                .map_err(AtlasError::from)?;
         }
-        "groups" => {
-            let groups = get_items(body, "groups")?
-                .iter()
-                .map(|group| {
-                    group
-                        .items()
-                        .ok_or_else(|| "non-array value group".to_string())?
-                        .iter()
-                        .map(|v| {
-                            v.str()
-                                .map(String::from)
-                                .ok_or_else(|| "non-string group value".to_string())
-                        })
-                        .collect::<Result<Vec<_>, _>>()
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            Partition::Groups(groups)
-        }
-        other => return Err(Fail::Frame(format!("unknown partition kind '{other}'"))),
-    };
-    let mut partials = Vec::with_capacity(sets.len());
-    for (seg, view, working) in sets {
-        let column = view.table.column(attribute).map_err(AtlasError::from)?;
-        let regions = match &partition {
-            Partition::Ranges(bounds) => column.select_ranges(&working.rows, bounds),
-            Partition::Groups(groups) => column.select_in_groups(&working.rows, groups),
-        };
-        partials.push(select_partial_to_json(*seg, &working.rows, &regions));
     }
-    Ok(partials_reply(partials))
+    Ok(Stream {
+        views: Arc::clone(views),
+        sets: sets
+            .iter()
+            .map(|(segment, _, working)| (*segment, working.clone()))
+            .collect(),
+        plans,
+        corrupt: false,
+        span: None,
+    })
 }

@@ -40,6 +40,10 @@
 //!   segment layout; a two-way cut of a census column ships one bitmap
 //!   instead of two.
 //!
+//! A `/shard/select` request carries one partition per cut of the explore
+//! ([`partition_to_json`]), and its reply one document of such partials per
+//! partition.
+//!
 //! A coordinator that reads these partials reads the older ones too (every
 //! bitmap present, no `rest`); an older coordinator refuses the new ones with
 //! a typed error — a working partial without a bitmap, or "answered 1
@@ -68,6 +72,7 @@
 use crate::wire::json::lanes;
 use crate::wire::Json;
 use atlas_columnar::{Bitmap, DataType, DistinctValues, SummaryParts};
+use atlas_core::{CutPlan, Partition};
 use std::collections::HashSet;
 
 /// The eight lower-case hex digits of `half`, most significant first.
@@ -404,6 +409,67 @@ pub fn select_partial_from_json(
         regions.push(rest_of(working, &regions));
     }
     Ok(regions)
+}
+
+/// Encode one entry of a `/shard/select` request's `partitions`: the
+/// attribute, and either its ranges — `"kind": "ranges"`, one hex run of
+/// `(lo, hi)` bit-pattern pairs — or its value groups — `"kind": "groups"`,
+/// an array of string arrays.
+pub fn partition_to_json(plan: &CutPlan) -> Json {
+    let mut members = vec![("attribute", Json::from(plan.attribute.as_str()))];
+    match &plan.partition {
+        Partition::Ranges(bounds) => {
+            let flat: Vec<f64> = bounds.iter().flat_map(|&(lo, hi)| [lo, hi]).collect();
+            members.push(("kind", Json::from("ranges")));
+            members.push(("bounds", Json::from(hex_f64s(&flat))));
+        }
+        Partition::Groups(groups) => {
+            let groups = groups
+                .iter()
+                .map(|group| Json::array(group.iter().map(|v| Json::from(v.as_str())).collect()))
+                .collect();
+            members.push(("kind", Json::from("groups")));
+            members.push(("groups", Json::array(groups)));
+        }
+    }
+    Json::object(members)
+}
+
+/// Decode one entry of a `/shard/select` request's `partitions`.
+pub fn partition_from_json(value: &Json) -> Result<CutPlan, String> {
+    let attribute = get_str(value, "attribute")?.to_string();
+    let partition = match get_str(value, "kind")? {
+        "ranges" => {
+            let flat = parse_hex_f64s(get_str(value, "bounds")?)?;
+            let (pairs, rest) = flat.as_chunks::<2>();
+            if !rest.is_empty() {
+                return Err("odd number of range bounds".to_string());
+            }
+            Partition::Ranges(pairs.iter().map(|&[lo, hi]| (lo, hi)).collect())
+        }
+        "groups" => Partition::Groups(
+            get_items(value, "groups")?
+                .iter()
+                .map(|group| {
+                    group
+                        .items()
+                        .ok_or_else(|| "non-array value group".to_string())?
+                        .iter()
+                        .map(|v| {
+                            v.str()
+                                .map(String::from)
+                                .ok_or_else(|| "non-string group value".to_string())
+                        })
+                        .collect()
+                })
+                .collect::<Result<_, String>>()?,
+        ),
+        other => return Err(format!("unknown partition kind '{other}'")),
+    };
+    Ok(CutPlan {
+        attribute,
+        partition,
+    })
 }
 
 /// Encode the mergeable parts of a column summary: row counts as plain
@@ -1436,6 +1502,13 @@ mod tests {
                 assert_eq!(meta_from_json(&meta_to_json("t", &view)), Ok(view));
                 accepted += 1;
             }
+            if let Ok(plan) = partition_from_json(value) {
+                // Bounds may be NaN, so the round trip compares the frames.
+                let again = partition_to_json(&plan);
+                let decoded = partition_from_json(&again).map(|plan| partition_to_json(&plan));
+                assert_eq!(decoded, Ok(again));
+                accepted += 1;
+            }
             if let Ok(run) = get_str(value, "values") {
                 if let Ok(values) = parse_hex_f64s(run) {
                     assert_eq!(hex_f64s(&values), run.to_ascii_lowercase());
@@ -1481,7 +1554,30 @@ mod tests {
     /// `bits` and `values`.
     fn sample_frame(kind: usize, bits: u64, values: &[u64]) -> String {
         let [working, ..] = fuzz_workings();
-        let frame = match kind % 9 {
+        let frame = match kind % 10 {
+            9 => partition_to_json(&CutPlan {
+                attribute: "x".to_string(),
+                partition: if bits & 1 == 0 {
+                    Partition::Ranges(
+                        values
+                            .chunks(2)
+                            .map(|pair| {
+                                (
+                                    f64::from_bits(pair[0]),
+                                    f64::from_bits(pair[pair.len() - 1]),
+                                )
+                            })
+                            .collect(),
+                    )
+                } else {
+                    Partition::Groups(
+                        values
+                            .chunks(3)
+                            .map(|group| group.iter().map(|v| format!("v{v}")).collect())
+                            .collect(),
+                    )
+                },
+            }),
             8 => {
                 let segments = values.iter().map(|&rows| (rows % 4096) as usize).collect();
                 let fields = vec![
@@ -1611,7 +1707,7 @@ mod tests {
 
         #[test]
         fn mutated_frames_get_typed_errors_from_the_wire_decoders(
-            kind in 0usize..9,
+            kind in 0usize..10,
             bits in any::<u64>(),
             values in proptest::collection::vec(any::<u64>(), 0..12),
             edits in proptest::collection::vec((0u8..=u8::MAX, 0usize..1 << 20, 0u8..=u8::MAX), 1..6),

@@ -753,3 +753,111 @@ fn a_corrupt_frame_is_blamed_on_the_shard_that_sent_it() {
         handle.shutdown();
     }
 }
+
+/// The plan that truncates shard 1's `/shard/select` answer — its third
+/// call, after `/shard/working` and `/shard/summaries` — to half its bytes.
+/// The answer streams one chunk per partition: seven equal chunks of ~440
+/// bytes (every census cut is two-way, so each carries one 300-row bitmap
+/// per segment) behind a ~100-byte head, ~3.2 kB in all. Half of it holds
+/// the first three chunks whole, so the request fails after the coordinator
+/// has folded part of it.
+fn truncated_select_plan() -> [Vec<Fault>; SHARDS] {
+    [
+        Vec::new(),
+        vec![Fault::Delay(0), Fault::Delay(0), Fault::Truncate(500)],
+        Vec::new(),
+    ]
+}
+
+/// A select stream cut after its first whole chunks, and retried: the retry
+/// folds the partitions the failed request already folded again, which adds
+/// the same bits, so the answer is the engine's bit for bit.
+#[test]
+fn a_select_stream_cut_after_folded_chunks_is_retried_bit_identically() {
+    let rig = chaos_rig();
+    let query = ConjunctiveQuery::all("census");
+    let expected = rig.reference.explore(&query).unwrap();
+    let mut options = chaos_options();
+    options.shard_timeout = Duration::from_secs(5);
+    let coordinator = rig.coordinator(options);
+    rig.arm(&truncated_select_plan());
+    let result = coordinator.explore(&query).unwrap();
+    assert_identical(&expected, &result);
+    assert_eq!(coordinator.metrics().retries(), 1);
+    for handle in rig.handles {
+        handle.shutdown();
+    }
+}
+
+/// The same cut stream with no retry, in degraded mode: shard 1 is dropped
+/// and the pass re-runs over the survivors into region bitmaps of its own,
+/// so nothing the failed pass folded reaches the answer, which is the
+/// engine's over the surviving segments.
+#[test]
+fn a_select_stream_cut_in_degraded_mode_folds_only_the_survivors() {
+    let rig = chaos_rig();
+    let query = ConjunctiveQuery::all("census");
+    let mut options = chaos_options();
+    options.shard_timeout = Duration::from_secs(5);
+    options.retry = options.retry.with_max_attempts(1);
+    let coordinator = rig.coordinator(options);
+    rig.arm(&truncated_select_plan());
+    let answer = coordinator
+        .explore_resilient(
+            &query,
+            ExploreMode::Degraded {
+                max_failed_shards: 1,
+            },
+            None,
+        )
+        .unwrap();
+    assert_eq!(answer.coverage.failed_shards, vec![rig.addrs[1].clone()]);
+    assert_eq!(answer.coverage.missing_segments, vec![4, 5, 6]);
+    rig.assert_covers(&answer.result, &answer.coverage);
+    assert_eq!(coordinator.metrics().retries(), 0);
+    for handle in rig.handles {
+        handle.shutdown();
+    }
+}
+
+/// A straggling `/shard/select` is hedged: both requests fold the stream
+/// they read, the hedge's arrives first and wins, and the answer is the
+/// engine's bit for bit. The straggler reads on after the round has closed
+/// its fold and hangs up; the next explore is unaffected.
+#[test]
+fn a_hedged_select_stream_is_bit_identical() {
+    let rig = chaos_rig();
+    let query = ConjunctiveQuery::all("census");
+    let expected = rig.reference.explore(&query).unwrap();
+    let mut options = chaos_options();
+    options.shard_timeout = Duration::from_secs(5);
+    options.hedge = HedgePolicy::After(Duration::from_millis(300));
+    let coordinator = rig.coordinator(options);
+    let straggle = Duration::from_millis(2_000);
+    rig.arm(&[
+        Vec::new(),
+        vec![
+            Fault::Delay(0),
+            Fault::Delay(0),
+            Fault::Delay(straggle.as_millis() as u64),
+        ],
+        Vec::new(),
+    ]);
+    let started = Instant::now();
+    let result = coordinator.explore(&query).unwrap();
+    assert!(
+        started.elapsed() < straggle,
+        "the hedge must beat the straggler, took {:?}",
+        started.elapsed()
+    );
+    assert_identical(&expected, &result);
+    assert_eq!(coordinator.metrics().hedges_launched(), 1);
+    assert_eq!(coordinator.metrics().hedges_won(), 1);
+    assert_eq!(coordinator.metrics().retries(), 0);
+
+    std::thread::sleep(straggle);
+    assert_identical(&expected, &coordinator.explore(&query).unwrap());
+    for handle in rig.handles {
+        handle.shutdown();
+    }
+}

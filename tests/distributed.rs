@@ -1262,11 +1262,11 @@ fn working_set_calls(coordinator: &Coordinator) -> u64 {
 /// A shard evaluates the working set of an explore once per segment — on the
 /// first call that carries its SQL — and every later call of the explore
 /// finds the rows remembered. One filtered explore over 2 shards × 2 segments
-/// of the census: 9 calls to each shard (`/shard/working`, `/shard/summaries`
-/// and one `/shard/select` per cut column — the categorical cuts read their
-/// counts off the summaries, so `/shard/categories` is not among them), 4
-/// evaluations, 4 × 8 reuses, read from the shards' own `/metrics` in both
-/// formats.
+/// of the census: 3 calls to each shard (`/shard/working`, `/shard/summaries`
+/// and one `/shard/select` carrying the partitions of all 7 cut columns —
+/// the categorical cuts read their counts off the summaries, so
+/// `/shard/categories` is not among them), 4 evaluations, 4 × 2 reuses, read
+/// from the shards' own `/metrics` in both formats.
 #[test]
 fn a_shard_evaluates_a_working_set_once_per_segment_per_explore() {
     let table = census_table(4_000, 1_000);
@@ -1281,7 +1281,7 @@ fn a_shard_evaluates_a_working_set_once_per_segment_per_explore() {
     let filtered = parse_query("SELECT * FROM census WHERE age BETWEEN 25 AND 60").unwrap();
     assert_agree(&reference, &coordinator, &filtered);
     let calls_per_shard = working_set_calls(&coordinator) / 2;
-    assert_eq!(calls_per_shard, 9, "working + summaries + 7 selects");
+    assert_eq!(calls_per_shard, 3, "working + summaries + one select");
     assert_eq!(working_set_counts(&handles), (4, 4 * (calls_per_shard - 1)));
     assert_eq!(
         endpoint_requests(&handles, "shard_categories"),
@@ -1459,7 +1459,7 @@ fn interleaved_explores_of_different_sql_stay_correct() {
 /// Whole-table, filtered and drill queries over two shards are bit-identical
 /// to the local engine under every categorical strategy, and each explore
 /// calls a shard once for the working set, once for the summaries and once
-/// per column it partitions.
+/// for the partitions of every column it cuts.
 #[test]
 fn dictionary_order_cuts_make_no_round_trip_of_their_own() {
     let table = census_table(6_000, 1_000);
@@ -1488,7 +1488,7 @@ fn dictionary_order_cuts_make_no_round_trip_of_their_own() {
             assert!(partitioned >= 5, "{sql}: {:?}", local.skipped_attributes);
             assert_eq!(
                 coordinator.metrics().fan_out() - before,
-                2 * (2 + partitioned as u64),
+                2 * 3,
                 "{categorical:?}, {sql}"
             );
         }
@@ -1498,6 +1498,36 @@ fn dictionary_order_cuts_make_no_round_trip_of_their_own() {
     for handle in handles {
         handle.shutdown();
     }
+}
+
+/// An explore that plans no cut asks for no partition: over two shards it
+/// makes the working-set and summaries rounds only, and fails like the local
+/// engine, with nothing to cut.
+#[test]
+fn an_explore_that_cuts_nothing_makes_two_rounds() {
+    let table = census_table(4_000, 1_000);
+    let config = AtlasConfig {
+        attributes: Some(vec!["sex".to_string()]),
+        ..product_config()
+    };
+    let (handles, addrs) = boot_shards("census", &table, &config, 2);
+    let coordinator =
+        Coordinator::connect(&addrs, "census", config.clone(), Duration::from_secs(10)).unwrap();
+    let men = parse_query("SELECT * FROM census WHERE sex IN ('Male')").unwrap();
+    let local = Atlas::new(Arc::clone(&table), config)
+        .unwrap()
+        .explore(&men)
+        .unwrap_err();
+    assert!(matches!(local, AtlasError::NoCuttableAttributes), "{local}");
+    let before = coordinator.metrics().fan_out();
+    let remote = coordinator.explore(&men).unwrap_err();
+    assert!(
+        matches!(remote, AtlasError::NoCuttableAttributes),
+        "{remote}"
+    );
+    assert_eq!(coordinator.metrics().fan_out() - before, 2 * 2);
+    assert_eq!(endpoint_requests(&handles, "shard_select"), 0);
+    handles.into_iter().for_each(ServerHandle::shutdown);
 }
 
 /// The census plus `city`, a string column of 1 500 distinct values (four
@@ -1580,17 +1610,25 @@ fn request(table: &Table, sql: &str, extra: Vec<(&str, Json)>) -> Json {
     Json::object(members)
 }
 
-/// A `/shard/select` request partitioning `attribute` by inclusive ranges.
-fn ranges_request(table: &Table, attribute: &str, bounds: &[(f64, f64)]) -> Json {
-    let flat: Vec<f64> = bounds.iter().flat_map(|&(lo, hi)| [lo, hi]).collect();
+/// A `/shard/select` request of one partition.
+fn select_request(table: &Table, partition: Json) -> Json {
     request(
         table,
         "SELECT * FROM census",
-        vec![
+        vec![("partitions", Json::array(vec![partition]))],
+    )
+}
+
+/// A `/shard/select` request partitioning `attribute` by inclusive ranges.
+fn ranges_request(table: &Table, attribute: &str, bounds: &[(f64, f64)]) -> Json {
+    let flat: Vec<f64> = bounds.iter().flat_map(|&(lo, hi)| [lo, hi]).collect();
+    select_request(
+        table,
+        Json::object(vec![
             ("attribute", Json::from(attribute)),
             ("kind", Json::from("ranges")),
             ("bounds", Json::from(frames::hex_f64s(&flat))),
-        ],
+        ]),
     )
 }
 
@@ -1641,10 +1679,9 @@ fn shards_ship_only_what_the_coordinator_cannot_work_out() {
 
     let halves = ranges_request(&census, "age", &[(0.0, 40.0), (41.0, 200.0)]);
     let thirds = ranges_request(&census, "age", &[(0.0, 30.0), (31.0, 50.0), (51.0, 200.0)]);
-    let sexes = request(
+    let sexes = select_request(
         &census,
-        "SELECT * FROM census",
-        vec![
+        Json::object(vec![
             ("attribute", Json::from("sex")),
             ("kind", Json::from("groups")),
             (
@@ -1654,7 +1691,7 @@ fn shards_ship_only_what_the_coordinator_cannot_work_out() {
                     Json::array(vec![Json::from("Female")]),
                 ]),
             ),
-        ],
+        ]),
     );
     for (body, expected) in [
         (&halves, (1, true)),

@@ -609,7 +609,7 @@ fn shard_request_spans_say_whether_the_working_set_was_evaluated_or_reused() {
 
     let spans = obs::tracer().trace(trace_id);
     let requests: Vec<_> = spans.iter().filter(|s| s.name == "shard.request").collect();
-    assert_eq!(requests.len(), 2 * 9, "two shards, nine rounds");
+    assert_eq!(requests.len(), 2 * 3, "two shards, three rounds");
     for request in requests {
         let expected = match request.attr("endpoint") {
             Some("shard_working") => "evaluated",
