@@ -666,6 +666,44 @@ fn smoke_default_point(rows: usize, repeats: usize) -> Json {
     Json::object(pairs)
 }
 
+/// Minor page faults this process has taken so far: `minflt`, field 10 of
+/// `/proc/self/stat` (every thread's). `None` where there is no procfs.
+fn minor_faults() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // Field 2, the command name, may hold spaces; no field after it does.
+    let after_name = stat.get(stat.rfind(')')? + 1..)?;
+    after_name.split_whitespace().nth(7)?.parse().ok()
+}
+
+/// Minor page faults per warmed whole-table explore of the census at `rows`,
+/// under the default and the fast configuration: the pages an explore's
+/// full-length selections fault in. Reported, not gated; `null` off Linux.
+fn smoke_minor_faults(rows: usize, explores: usize) -> Json {
+    let table = census(rows);
+    let query = ConjunctiveQuery::all("census");
+    let mut fields = Vec::new();
+    for (name, config) in [
+        ("default", AtlasConfig::default()),
+        ("fast", AtlasConfig::fast()),
+    ] {
+        let atlas = Atlas::builder(Arc::clone(&table))
+            .config(config)
+            .build()
+            .expect("valid config");
+        let explore = || drop(atlas.explore(&query).expect("exploration succeeds"));
+        explore();
+        explore();
+        let before = minor_faults();
+        (0..explores).for_each(|_| explore());
+        let per_explore = match (before, minor_faults()) {
+            (Some(before), Some(after)) => Json::Num((after - before) as f64 / explores as f64),
+            _ => Json::Null,
+        };
+        fields.push((name, per_explore));
+    }
+    Json::object(fields)
+}
+
 /// The sky-survey scale point (ROADMAP item 1a): eight near-unique `Float`
 /// columns, the class of table no census point reaches. Both configurations,
 /// whole table and one filter, phases split like [`smoke_default_point`];
@@ -1317,6 +1355,10 @@ fn bench_smoke(path: &str, gate: Option<f64>, served: Option<&str>) {
         .map(|&(rows, repeats)| smoke_scale_point(rows, repeats))
         .collect();
     let default_config = smoke_default_point(1_000_000, 3);
+    let core = Json::object(vec![(
+        "explore_minor_faults",
+        smoke_minor_faults(1_000_000, 10),
+    )]);
     let sdss = smoke_sdss_point(1_000_000, 3);
     let ingest = smoke_ingest(200_000);
     let append = smoke_append(1_000_000);
@@ -1339,6 +1381,7 @@ fn bench_smoke(path: &str, gate: Option<f64>, served: Option<&str>) {
         ),
         ("scale", Json::array(scales)),
         ("default_config", default_config),
+        ("core", core),
         ("sdss", sdss),
         ("kernels", kernels),
         ("ingest", ingest),

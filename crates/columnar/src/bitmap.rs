@@ -8,23 +8,147 @@
 //! vector with the usual bit-twiddling kernels. The two counting kernels
 //! ([`Bitmap::count`], [`Bitmap::intersection_count`]) run a `popcnt`
 //! compilation on CPUs that have the instruction.
+//!
+//! # The buffer pool
+//!
+//! A whole-table selection is as long as the table: 122 KiB of words at 1M
+//! rows, and one explore builds a few dozen of them (one per region of every
+//! candidate cut, one per product cell). Freed, buffers that size go back to
+//! the kernel, and the next explore faults every page in again. So the word
+//! buffers of large bitmaps — at least 64 KiB, a bitmap over 524 288 rows —
+//! are recycled through one process-wide pool: [`Bitmap::new_empty`],
+//! [`Bitmap::new_full`] and `clone` (so also [`Bitmap::and`], [`Bitmap::or`]
+//! and [`Bitmap::and_not`]) take a buffer of the exact length from it and
+//! zero, fill or copy it, and dropping a bitmap returns its buffer.
+//!
+//! The pool holds buffers of **one length only**, the length of the last
+//! buffer released: releasing a buffer of another length (the table grew by
+//! an append, or another table is being explored) empties it first, so
+//! buffers of a length nothing asks for any more are never stranded. It
+//! keeps at most 48 buffers, about one explore's worth (≈ 6 MB at 1M rows).
 
 use std::fmt;
+use std::sync::Mutex;
 
 const WORD_BITS: usize = 64;
 
-/// A fixed-length bitmap over the rows `0..len` of a table.
-#[derive(Clone, PartialEq, Eq)]
+/// The shortest word buffer the pool recycles: 64 KiB, i.e. a bitmap over at
+/// least 524 288 rows. Smaller buffers are left to the allocator, which
+/// reuses them from its free lists.
+const POOL_MIN_WORDS: usize = 64 * 1024 / std::mem::size_of::<u64>();
+
+/// The most buffers the pool keeps: about the number of full-length bitmaps
+/// one explore holds at once (≈ 6 MB at 1M rows).
+const POOL_CAPACITY: usize = 48;
+
+/// Word buffers of one length, ready for reuse (see the module docs).
+struct BufferPool {
+    words: usize,
+    buffers: Vec<Vec<u64>>,
+}
+
+impl BufferPool {
+    const fn new() -> Self {
+        BufferPool {
+            words: 0,
+            buffers: Vec::new(),
+        }
+    }
+
+    /// A buffer of exactly `words` words with unspecified contents, if the
+    /// pool holds one.
+    fn take(&mut self, words: usize) -> Option<Vec<u64>> {
+        if words == self.words {
+            self.buffers.pop()
+        } else {
+            None
+        }
+    }
+
+    /// Keep `buffer` for reuse. A buffer of another length than the pooled
+    /// ones replaces them all; the displaced buffers are returned so the
+    /// caller frees them outside the lock.
+    fn give(&mut self, buffer: Vec<u64>) -> Vec<Vec<u64>> {
+        let mut displaced = Vec::new();
+        if buffer.len() != self.words {
+            displaced = std::mem::take(&mut self.buffers);
+            self.words = buffer.len();
+        }
+        if self.buffers.len() < POOL_CAPACITY {
+            self.buffers.push(buffer);
+        }
+        displaced
+    }
+}
+
+static POOL: Mutex<BufferPool> = Mutex::new(BufferPool::new());
+
+fn pool() -> std::sync::MutexGuard<'static, BufferPool> {
+    // The pool's state is valid after any panic (a take or give never
+    // leaves it half updated), so a poisoned lock is simply reused.
+    POOL.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// A pooled buffer of exactly `words` words, contents unspecified, if the
+/// length is poolable and the pool holds one.
+fn pooled(words: usize) -> Option<Vec<u64>> {
+    (words >= POOL_MIN_WORDS)
+        .then(|| pool().take(words))
+        .flatten()
+}
+
+/// A buffer of `words` words, every one `fill`: a pooled one if there is
+/// one, a fresh allocation otherwise.
+fn filled_words(words: usize, fill: u64) -> Vec<u64> {
+    match pooled(words) {
+        Some(mut buffer) => {
+            buffer.fill(fill);
+            buffer
+        }
+        None => vec![fill; words],
+    }
+}
+
+/// A bitmap over the rows `0..len` of a table.
+#[derive(PartialEq, Eq)]
 pub struct Bitmap {
     words: Vec<u64>,
     len: usize,
+}
+
+impl Clone for Bitmap {
+    fn clone(&self) -> Self {
+        let words = match pooled(self.words.len()) {
+            Some(mut buffer) => {
+                buffer.copy_from_slice(&self.words);
+                buffer
+            }
+            None => self.words.clone(),
+        };
+        Bitmap {
+            words,
+            len: self.len,
+        }
+    }
+}
+
+impl Drop for Bitmap {
+    fn drop(&mut self) {
+        if self.words.len() >= POOL_MIN_WORDS {
+            // The guard is a temporary of this statement, so the displaced
+            // buffers are freed after the lock is released.
+            let displaced = pool().give(std::mem::take(&mut self.words));
+            drop(displaced);
+        }
+    }
 }
 
 impl Bitmap {
     /// Create an empty (all-zero) bitmap over `len` rows.
     pub fn new_empty(len: usize) -> Self {
         Bitmap {
-            words: vec![0u64; len.div_ceil(WORD_BITS)],
+            words: filled_words(len.div_ceil(WORD_BITS), 0),
             len,
         }
     }
@@ -32,7 +156,7 @@ impl Bitmap {
     /// Create a full (all-one) bitmap over `len` rows.
     pub fn new_full(len: usize) -> Self {
         let mut bm = Bitmap {
-            words: vec![u64::MAX; len.div_ceil(WORD_BITS)],
+            words: filled_words(len.div_ceil(WORD_BITS), u64::MAX),
             len,
         };
         bm.mask_tail();
@@ -737,6 +861,100 @@ mod tests {
             scalar.set(idx);
         }
         assert_eq!(bm, scalar);
+    }
+
+    /// The pool is process-wide: tests that assert which buffer it hands
+    /// out hold this lock so they do not interleave.
+    static POOL_TESTS: Mutex<()> = Mutex::new(());
+
+    /// A poolable length whose last word is partial.
+    const POOLED_LEN: usize = POOL_MIN_WORDS * WORD_BITS + 37;
+
+    fn pool_tests() -> std::sync::MutexGuard<'static, ()> {
+        POOL_TESTS
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    #[test]
+    fn recycled_buffers_give_bitmaps_identical_to_fresh_ones() {
+        let _serial = pool_tests();
+        let dirty = || {
+            let mut bm = Bitmap::new_full(POOLED_LEN);
+            bm.clear(5);
+            bm
+        };
+        drop(dirty());
+        let empty = Bitmap::new_empty(POOLED_LEN);
+        assert!(empty.is_all_clear());
+        assert_eq!(empty.words().len(), POOLED_LEN.div_ceil(WORD_BITS));
+
+        drop(Bitmap::new_empty(POOLED_LEN));
+        let full = Bitmap::new_full(POOLED_LEN);
+        assert_eq!(full.count(), POOLED_LEN, "the tail word is masked");
+        assert_eq!(full, Bitmap::from_fn(POOLED_LEN, |_| true));
+
+        let source = Bitmap::from_fn(POOLED_LEN, |i| i % 3 == 1 || i % 11 == 0);
+        drop(dirty());
+        let copy = source.clone();
+        assert_eq!(copy, source);
+        drop(dirty());
+        let other = Bitmap::from_fn(POOLED_LEN, |i| i % 2 == 0);
+        assert_eq!(
+            source.and(&other).to_indices(),
+            source
+                .iter_ones()
+                .filter(|i| i % 2 == 0)
+                .collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn a_buffer_dropped_on_another_thread_is_reused() {
+        let _serial = pool_tests();
+        let bm = Bitmap::new_full(POOLED_LEN);
+        let buffer = bm.words().as_ptr() as usize;
+        std::thread::spawn(move || drop(bm)).join().unwrap();
+        let reused = Bitmap::new_empty(POOLED_LEN);
+        assert_eq!(reused.words().as_ptr() as usize, buffer);
+        assert!(reused.is_all_clear());
+    }
+
+    #[test]
+    fn small_bitmaps_bypass_the_pool() {
+        let _serial = pool_tests();
+        drop(Bitmap::new_full(POOLED_LEN));
+        drop(Bitmap::new_full(POOLED_LEN - WORD_BITS * 2));
+        let pooled = pool().take(POOLED_LEN.div_ceil(WORD_BITS));
+        assert!(pooled.is_some(), "a small buffer leaves the pool alone");
+    }
+
+    #[test]
+    fn a_length_change_empties_the_pool() {
+        let _serial = pool_tests();
+        let (short, long) = (POOL_MIN_WORDS, POOL_MIN_WORDS + 1);
+        let mut pool = BufferPool::new();
+        assert!(pool.give(vec![1; short]).is_empty());
+        assert!(pool.give(vec![2; short]).is_empty());
+        let displaced = pool.give(vec![3; long]);
+        assert_eq!(displaced.len(), 2);
+        assert!(displaced.iter().all(|buffer| buffer.len() == short));
+        assert!(pool.take(short).is_none(), "no buffer of the old length");
+        assert_eq!(pool.take(long).map(|buffer| buffer.len()), Some(long));
+        assert!(pool.take(long).is_none());
+        // The pool is bounded.
+        for _ in 0..POOL_CAPACITY + 5 {
+            pool.give(vec![0; long]);
+        }
+        assert_eq!(pool.buffers.len(), POOL_CAPACITY);
+        // Through bitmaps: after the pool switched lengths, a bitmap of the
+        // old length is still well formed.
+        drop(Bitmap::new_full(POOLED_LEN));
+        drop(Bitmap::new_full(POOLED_LEN + WORD_BITS));
+        assert!(super::pool().take(POOLED_LEN.div_ceil(WORD_BITS)).is_none());
+        let old = Bitmap::new_empty(POOLED_LEN);
+        assert!(old.is_all_clear());
+        assert_eq!(old.len(), POOLED_LEN);
     }
 
     #[test]

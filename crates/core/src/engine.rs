@@ -28,6 +28,7 @@ use crate::pipeline::{
 };
 use crate::profile::{ProfileStats, TableProfile};
 use crate::rank::{rank_maps, RankedMap};
+use crate::region::Region;
 use atlas_columnar::{Bitmap, Segment, Table};
 use atlas_query::ConjunctiveQuery;
 use minirayon::ThreadPool;
@@ -61,7 +62,8 @@ pub struct MapResult {
     /// Number of tuples selected by the user query (the working set size).
     pub working_set_size: usize,
     /// The working set itself, for callers that want to drill further without
-    /// re-evaluating the query.
+    /// re-evaluating the query. A bitmap over zero rows once the answer is
+    /// released ([`MapResult::release_rows`]).
     pub working_set: Bitmap,
     /// Attributes that were skipped during candidate generation.
     pub skipped_attributes: Vec<String>,
@@ -78,6 +80,17 @@ impl MapResult {
     /// Number of maps returned.
     pub fn num_maps(&self) -> usize {
         self.maps.len()
+    }
+
+    /// Drop the rows the answer holds — every region's selection
+    /// ([`Region::release_rows`]) and the working set — keeping the queries,
+    /// counts, scores and timings: the answer a client is shown, at a few
+    /// hundred bytes instead of one table-length bitmap per region.
+    pub fn release_rows(&mut self) {
+        for ranked in &mut self.maps {
+            ranked.map.regions.iter_mut().for_each(Region::release_rows);
+        }
+        self.working_set = Bitmap::new_empty(0);
     }
 }
 
@@ -431,10 +444,11 @@ impl Atlas {
 /// coordinator) and the working set's `working.count()` rows. Each candidate
 /// moves into its cluster, and `merge` combines each cluster's maps, one
 /// `pool` task per cluster, with results — and the first error — taken in
-/// cluster order. Every merged map is capped against `user_query`
-/// ([`enforce_region_cap_within`]), then the maps are ranked ([`rank_maps`])
-/// and truncated to [`AtlasConfig::max_maps`]. Each phase runs under its
-/// `phase.*` span and its time lands in `timings`.
+/// cluster order; a cluster of one map is that map, unmerged. Every merged
+/// map is capped against `user_query` ([`enforce_region_cap_within`]), then
+/// the maps are ranked ([`rank_maps`]) and truncated to
+/// [`AtlasConfig::max_maps`]. Each phase runs under its `phase.*` span and
+/// its time lands in `timings`.
 pub fn cluster_merge_rank(
     config: &AtlasConfig,
     pool: &ThreadPool,
@@ -474,13 +488,22 @@ pub fn cluster_merge_rank(
             && clusters.iter().map(Vec::len).sum::<usize>() == candidates.len(),
         "every candidate belongs to exactly one cluster"
     );
+    // A cluster of one map is that map: both merges return it unchanged, so
+    // it moves through instead of being copied.
     let merged = pool.par_map(&members, |members| {
         let _trace = atlas_obs::with_context(parent);
-        merge(members)
+        match members.as_slice() {
+            [_] => Ok(None),
+            _ => merge(members),
+        }
     });
     let mut maps = Vec::with_capacity(merged.len());
-    for map in merged {
-        if let Some(map) = map? {
+    for (members, map) in members.into_iter().zip(merged) {
+        let map = match <[DataMap; 1]>::try_from(members) {
+            Ok([only]) => Some(only),
+            Err(_) => map?,
+        };
+        if let Some(map) = map {
             maps.push(enforce_region_cap_within(
                 map,
                 user_query,
@@ -503,7 +526,8 @@ pub fn cluster_merge_rank(
 /// fold the rest into a single remainder region — "other tuples" — whose
 /// query is `user_query`, the query the map breaks down: the remainder is the
 /// working set minus the kept regions, so its query keeps the user's
-/// predicates and adds none.
+/// predicates and adds none. (Its rows are the folded regions' union, so a
+/// row the map leaves out — NULL in a cut attribute — is not among them.)
 ///
 /// This is the post-merge step [`cluster_merge_rank`] applies to every
 /// cluster's merged map. `num_rows` is the length of the remainder bitmap:

@@ -23,6 +23,7 @@ use crate::pipeline::{CompositionMerge, MergePolicy, PaperCut, PipelineContext};
 use crate::profile::TableProfile;
 use crate::region::Region;
 use atlas_columnar::Table;
+use std::borrow::Cow;
 
 /// The product `M1 × M2 × …` of the given maps (Definition 3).
 ///
@@ -30,11 +31,9 @@ use atlas_columnar::Table;
 /// regions whose intersection is empty are dropped when `drop_empty` is set.
 /// The order of the inputs does not affect the set of non-empty regions.
 pub fn product_maps(maps: &[DataMap], drop_empty: bool) -> Option<DataMap> {
-    if maps.is_empty() {
-        return None;
-    }
-    let mut result = maps[0].clone();
-    for other in &maps[1..] {
+    let (first, others) = maps.split_first()?;
+    let mut result = Cow::Borrowed(first);
+    for other in others {
         let mut regions = Vec::with_capacity(result.regions.len() * other.regions.len());
         for left in &result.regions {
             for right in &other.regions {
@@ -52,9 +51,9 @@ pub fn product_maps(maps: &[DataMap], drop_empty: bool) -> Option<DataMap> {
                 attributes.push(attr.clone());
             }
         }
-        result = DataMap::new(regions, attributes);
+        result = Cow::Owned(DataMap::new(regions, attributes));
     }
-    Some(result)
+    Some(result.into_owned())
 }
 
 /// The composition `M1 ∘ M2 ∘ …` of the given maps (Definition 4).

@@ -223,7 +223,10 @@ impl CompositionMerge {
         // Pool workers inherit the dispatching thread's span context, as in
         // candidate generation, so kernel events attach under `phase.merge`.
         let parent = atlas_obs::current();
-        let mut result = first.clone();
+        // The first map's regions are borrowed; only those a re-cut keeps
+        // whole are copied into the result.
+        let mut regions: Vec<Cow<'_, Region>> = first.regions.iter().map(Cow::Borrowed).collect();
+        let mut attributes = first.source_attributes.clone();
         let mut first_recut = true;
         for other in others {
             let Some(attribute) = other.source_attributes.first().cloned() else {
@@ -232,34 +235,34 @@ impl CompositionMerge {
             let whole = if first_recut { held(&attribute) } else { None };
             first_recut = false;
             let stats = match whole {
-                Some(whole) => partition_stats(ctx, &result.regions, working, &attribute, whole)?,
+                Some(whole) => partition_stats(ctx, &regions, working, &attribute, whole)?,
                 None => Vec::new(),
             };
-            let cuts = ctx.pool.par_map_indexed(result.regions.len(), 1, |at| {
+            let cuts = ctx.pool.par_map_indexed(regions.len(), 1, |at| {
                 let _trace = atlas_obs::with_context(parent);
-                let region = &result.regions[at];
+                let region = &regions[at];
                 let mut held = stats.get(at).map(|stats| Cow::Borrowed(&**stats));
                 let (selection, query) = (&region.selection, &region.query);
                 ctx.cut_strategy
                     .cut(ctx, selection, query, &attribute, &mut held)
             });
-            let mut regions = Vec::new();
-            for (region, sub) in result.regions.into_iter().zip(cuts) {
+            let mut next = Vec::new();
+            for (region, sub) in regions.into_iter().zip(cuts) {
                 match sub? {
-                    Some(sub) => regions.extend(sub.regions),
-                    None => regions.push(region),
+                    Some(sub) => next.extend(sub.regions.into_iter().map(Cow::Owned)),
+                    None => next.push(region),
                 }
             }
             if ctx.drop_empty_regions {
-                regions.retain(|r| !r.is_empty());
+                next.retain(|r| !r.is_empty());
             }
-            let mut attributes = result.source_attributes;
+            regions = next;
             if !attributes.contains(&attribute) {
                 attributes.push(attribute);
             }
-            result = DataMap::new(regions, attributes);
         }
-        Ok(Some(result))
+        let regions = regions.into_iter().map(Cow::into_owned).collect();
+        Ok(Some(DataMap::new(regions, attributes)))
     }
 }
 
@@ -271,12 +274,12 @@ impl CompositionMerge {
 /// it prove.
 fn partition_stats<'a>(
     ctx: &PipelineContext<'a>,
-    regions: &[Region],
+    regions: &[Cow<'_, Region>],
     working: &Bitmap,
     attribute: &str,
     whole: &ColumnStats,
 ) -> Result<Vec<Cow<'a, ColumnStats>>> {
-    let total: usize = regions.iter().map(Region::count).sum();
+    let total: usize = regions.iter().map(|r| r.count()).sum();
     let covered = || {
         let mut union = Bitmap::new_empty(working.len());
         regions.iter().for_each(|r| union.union_with(&r.selection));

@@ -7,6 +7,11 @@
 //! selection is never mutated after construction (nothing in the tree does),
 //! which is what keeps the stored count true; debug builds check it on every
 //! read.
+//!
+//! A served answer keeps a region's query and count but not its rows
+//! ([`Region::release_rows`]): the selection of a released region ranges over
+//! zero rows, so any bitmap operation that meets it fails on its length
+//! instead of reading an empty extent.
 
 use atlas_columnar::Bitmap;
 use atlas_query::ConjunctiveQuery;
@@ -22,9 +27,11 @@ pub struct Region {
     pub query: ConjunctiveQuery,
     /// The rows of the table covered by this region (already intersected with
     /// the working set). Read-only after construction: [`Region::count`] is
-    /// taken from it once, in [`Region::new`].
+    /// taken from it once, in [`Region::new`]. A bitmap over zero rows once
+    /// the region is released ([`Region::holds_rows`]).
     pub selection: Bitmap,
     count: usize,
+    holds_rows: bool,
 }
 
 impl Region {
@@ -36,14 +43,27 @@ impl Region {
             query,
             selection,
             count,
+            holds_rows: true,
         }
+    }
+
+    /// Drop the region's rows, keeping its query and count: what a served
+    /// answer keeps once nothing will intersect it again. The selection
+    /// becomes a bitmap over zero rows.
+    pub fn release_rows(&mut self) {
+        self.selection = Bitmap::new_empty(0);
+        self.holds_rows = false;
+    }
+
+    /// False once [`Region::release_rows`] dropped the region's rows.
+    pub fn holds_rows(&self) -> bool {
+        self.holds_rows
     }
 
     /// Number of tuples in the region (stored, not recounted).
     pub fn count(&self) -> usize {
-        debug_assert_eq!(
-            self.count,
-            self.selection.count(),
+        debug_assert!(
+            !self.holds_rows || self.count == self.selection.count(),
             "a region's selection changed after construction"
         );
         self.count
@@ -104,6 +124,27 @@ mod tests {
         let region = Region::new(ConjunctiveQuery::all("t"), Bitmap::new_empty(5));
         assert!(region.is_empty());
         assert_eq!(region.count(), 0);
+    }
+
+    #[test]
+    fn a_released_region_keeps_its_query_and_count() {
+        let query = ConjunctiveQuery::all("t").and(Predicate::values("sex", ["F"]));
+        let mut region = Region::new(query.clone(), Bitmap::from_indices(10, [1, 3, 5]));
+        assert!(region.holds_rows());
+        region.release_rows();
+        assert!(!region.holds_rows());
+        assert_eq!(region.count(), 3);
+        assert_eq!(region.query, query);
+        assert_eq!(region.selection.len(), 0);
+        assert!(region.to_string().contains("3 tuples"));
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn a_released_selection_fails_on_its_length() {
+        let mut region = Region::new(ConjunctiveQuery::all("t"), Bitmap::new_full(5));
+        region.release_rows();
+        let _ = region.selection.and(&Bitmap::new_full(5));
     }
 
     #[test]

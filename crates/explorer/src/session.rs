@@ -18,7 +18,10 @@ pub struct ExplorationStep {
     /// The query submitted at this step.
     pub query: ConjunctiveQuery,
     /// The result Atlas returned. Answers are immutable and shared: a step
-    /// holds the same allocation as the result cache that served it.
+    /// holds the same allocation as the result cache that served it. A
+    /// served answer carries queries and counts, not rows (its rows were
+    /// released, [`MapResult::release_rows`]); a [`Session`]'s own steps keep
+    /// theirs.
     pub result: Arc<MapResult>,
 }
 

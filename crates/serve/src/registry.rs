@@ -143,6 +143,12 @@ impl Dataset {
     /// outcome. Returns the shared, immutable answer — the cache's own
     /// allocation on a hit, the one the cache keeps on a miss — and whether
     /// it was served from the cache.
+    ///
+    /// A served answer carries queries and counts, not rows: a miss releases
+    /// its rows ([`MapResult::release_rows`]) before the cache or a session
+    /// history keeps it, so every region's `selection` and the
+    /// `working_set` range over zero rows. A drill re-evaluates its region's
+    /// query.
     pub fn explore_shared(&self, query: &ConjunctiveQuery) -> (Result<Arc<MapResult>>, bool) {
         let engine = {
             let mut state = self.lock();
@@ -153,7 +159,10 @@ impl Dataset {
             }
             Arc::clone(&state.engine)
         };
-        let result = engine.explore(query).map(Arc::new);
+        let result = engine.explore(query).map(|mut result| {
+            result.release_rows();
+            Arc::new(result)
+        });
         if let Ok(result) = &result {
             let mut state = self.lock();
             // An append may have swapped the engine while this miss computed;
@@ -168,7 +177,8 @@ impl Dataset {
     }
 
     /// [`Dataset::explore_shared`], answered by value: a copy of the shared
-    /// answer, for in-process callers that want to own one.
+    /// answer, for in-process callers that want to own one. Like every served
+    /// answer it carries queries and counts, not rows.
     pub fn explore(&self, query: &ConjunctiveQuery) -> (Result<MapResult>, bool) {
         let (result, cache_hit) = self.explore_shared(query);
         (result.map(Arc::unwrap_or_clone), cache_hit)
@@ -401,6 +411,36 @@ mod tests {
         let (hit_a, _) = dataset.explore_shared(&query);
         let (hit_b, _) = dataset.explore_shared(&query);
         assert!(Arc::ptr_eq(&hit_a.unwrap(), &hit_b.unwrap()));
+    }
+
+    #[test]
+    fn served_answers_hold_no_rows_and_reply_as_before() {
+        let registry = census_registry(2_000, 8);
+        let dataset = registry.get("census").unwrap();
+        let query = ConjunctiveQuery::all("census");
+        let (served, _) = dataset.explore_shared(&query);
+        let served = served.unwrap();
+        let mut history = atlas_explorer::History::new();
+        history.record(query.clone(), Arc::clone(&served));
+        let (cached, hit) = dataset.explore_shared(&query);
+        assert!(hit);
+        let recorded = &history.steps()[0].result;
+        for answer in [&cached.unwrap(), recorded] {
+            assert!(Arc::ptr_eq(answer, &served));
+            assert!(answer.num_maps() > 0);
+            assert_eq!(answer.working_set.len(), 0);
+            let mut regions = answer.maps.iter().flat_map(|m| &m.map.regions);
+            assert!(regions.all(|r| !r.holds_rows() && r.selection.is_empty()));
+        }
+
+        // The unreleased answer (the engine's own, timed differently)
+        // replies with the same bytes.
+        let mut unreleased = dataset.snapshot().0.explore(&query).unwrap();
+        assert!(unreleased.maps[0].map.regions[0].holds_rows());
+        unreleased.timings = served.timings.clone();
+        let reply =
+            |answer: &MapResult| crate::server::map_result_json("census", answer, true, 1).encode();
+        assert_eq!(reply(&served), reply(&unreleased));
     }
 
     #[test]

@@ -1207,7 +1207,12 @@ fn delete_session(shared: &Shared, token: &str) -> Response {
 /// shortest-round-trip formatting, so a client parsing the JSON recovers the
 /// exact `f64` the engine ranked with; region predicates are rendered by the
 /// query printer, whose print/parse round-trip is property-tested.
-fn map_result_json(dataset: &str, result: &MapResult, cache_hit: bool, depth: usize) -> Json {
+pub(crate) fn map_result_json(
+    dataset: &str,
+    result: &MapResult,
+    cache_hit: bool,
+    depth: usize,
+) -> Json {
     let maps: Vec<Json> = result
         .maps
         .iter()

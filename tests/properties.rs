@@ -10,6 +10,11 @@
 //!   equals the one that counts every cell, bit for bit;
 //! * the product operator's regions are exactly the non-empty pairwise
 //!   intersections, so the covered count never changes;
+//! * every region an explore returns is its query: its rows are the query
+//!   evaluated over the table (the capped remainder aside, whose rows are the
+//!   working set minus the kept regions, less the rows NULL in a cut
+//!   attribute) — what lets a served answer drop its rows and a drill
+//!   re-evaluate them;
 //! * conjunctive queries round-trip through the SQL printer and parser;
 //! * bitmap algebra behaves like set algebra.
 
@@ -29,6 +34,28 @@ fn build_table(numeric: &[f64], categories: &[u8]) -> Table {
         let c = categories[i % categories.len()] % 4;
         builder
             .push_row(&[Value::Float(x), Value::Str(format!("cat{c}"))])
+            .unwrap();
+    }
+    builder.build().unwrap()
+}
+
+/// A table whose `x` and `c` columns hold NULLs where `None`, beside a
+/// NULL-free integer column `y`.
+fn build_nullable_table(rows: &[(Option<f64>, i64, Option<u8>)]) -> Table {
+    let schema = Schema::new(vec![
+        Field::new("x", DataType::Float),
+        Field::new("y", DataType::Int),
+        Field::new("c", DataType::Str),
+    ])
+    .unwrap();
+    let mut builder = TableBuilder::new("t", schema);
+    for &(x, y, c) in rows {
+        builder
+            .push_row(&[
+                x.map_or(Value::Null, Value::Float),
+                Value::Int(y),
+                c.map_or(Value::Null, |c| Value::Str(format!("cat{c}"))),
+            ])
             .unwrap();
     }
     builder.build().unwrap()
@@ -130,6 +157,91 @@ proptest! {
                 .unwrap();
             prop_assert!(composed.regions_are_disjoint());
             prop_assert_eq!(composed.covered_count(), table.num_rows());
+        }
+    }
+
+    #[test]
+    fn every_explored_region_is_its_query(
+        rows in proptest::collection::vec(
+            (
+                proptest::option::weighted(0.85, -100.0..100.0f64),
+                0i64..4,
+                proptest::option::weighted(0.9, 0u8..5),
+            ),
+            16..160,
+        ),
+        nulls in any::<bool>(),
+        fast in any::<bool>(),
+        composition in any::<bool>(),
+        filtered in any::<bool>(),
+        max_regions_per_map in 2usize..6,
+        num_splits in 2usize..4,
+    ) {
+        // `y` and most of `c` follow `x`, so the candidate maps are alike
+        // enough to cluster and merge.
+        let rows: Vec<_> = rows
+            .into_iter()
+            .map(|(x, noise, c)| {
+                let (x, c) = if nulls { (x, c) } else { (x.or(Some(0.5)), c.or(Some(0))) };
+                let bucket = x.map_or(noise, |x| ((x + 100.0) / 17.0) as i64 + noise % 2);
+                let c = c.map(|c| if c < 3 { (bucket / 4) as u8 } else { c });
+                (x, bucket, c)
+            })
+            .collect();
+        let table = Arc::new(build_nullable_table(&rows));
+        let base = if fast { AtlasConfig::fast() } else { AtlasConfig::default() };
+        let config = AtlasConfig {
+            merge: if composition { MergeStrategy::Composition } else { MergeStrategy::Product },
+            cut: CutConfig { num_splits, skip_identifiers: false, ..base.cut.clone() },
+            max_regions_per_map,
+            max_maps: 16,
+            ..base
+        };
+        let engine = Atlas::new(Arc::clone(&table), config).unwrap();
+        let user_query = if filtered {
+            ConjunctiveQuery::all("t").and(Predicate::range("y", 1.0, 9.0))
+        } else {
+            ConjunctiveQuery::all("t")
+        };
+        // A table with nothing cuttable in the working set has no maps.
+        let Ok(result) = engine.explore(&user_query) else {
+            return;
+        };
+        let working = atlas::query::evaluate(&user_query, &table).unwrap();
+        prop_assert_eq!(&result.working_set, &working);
+        for ranked in &result.maps {
+            let map = &ranked.map;
+            for region in &map.regions {
+                prop_assert!(region.holds_rows());
+                if region.query != user_query {
+                    let evaluated = atlas::query::evaluate(&region.query, &table).unwrap();
+                    prop_assert_eq!(
+                        evaluated.to_indices(),
+                        region.selection.to_indices(),
+                        "region {}",
+                        region.query
+                    );
+                    continue;
+                }
+                // The capped remainder: the rest of the working set, less the
+                // rows the map leaves out because a cut attribute is NULL.
+                let rest = map
+                    .regions
+                    .iter()
+                    .filter(|other| other.query != user_query)
+                    .fold(working.clone(), |rest, kept| rest.and_not(&kept.selection));
+                prop_assert_eq!(region.selection.and_not(&rest).count(), 0);
+                let mut non_null = working.clone();
+                for attribute in &map.source_attributes {
+                    let column = table.column(attribute).unwrap();
+                    non_null.intersect_with(&Bitmap::from_fn(table.num_rows(), |row| {
+                        !column.is_null(row)
+                    }));
+                }
+                if non_null == working {
+                    prop_assert_eq!(&region.selection, &rest);
+                }
+            }
         }
     }
 
