@@ -24,8 +24,18 @@
 //! The pool holds buffers of **one length only**, the length of the last
 //! buffer released: releasing a buffer of another length (the table grew by
 //! an append, or another table is being explored) empties it first, so
-//! buffers of a length nothing asks for any more are never stranded. It
-//! keeps at most 48 buffers, about one explore's worth (≈ 6 MB at 1M rows).
+//! buffers of a length nothing asks for any more are never stranded. Two
+//! large tables of different lengths explored in turn therefore empty it at
+//! every switch, and their bitmaps come from the allocator, as without a
+//! pool.
+//!
+//! The pool is bounded in bytes, not buffers: it keeps at most 6 MB, about
+//! the full-length bitmaps one explore holds at once over a 1M-row table
+//! (48 buffers). A longer table keeps proportionally fewer (4 at 10M rows),
+//! and a table whose one bitmap exceeds the bound is not pooled at all. The
+//! bound was measured for one 1M-row table per process. The pool is never
+//! drained: after the last explore it keeps up to that bound until a bitmap
+//! of another length is dropped.
 
 use std::fmt;
 use std::sync::Mutex;
@@ -37,9 +47,9 @@ const WORD_BITS: usize = 64;
 /// reuses them from its free lists.
 const POOL_MIN_WORDS: usize = 64 * 1024 / std::mem::size_of::<u64>();
 
-/// The most buffers the pool keeps: about the number of full-length bitmaps
-/// one explore holds at once (≈ 6 MB at 1M rows).
-const POOL_CAPACITY: usize = 48;
+/// The most bytes of buffers the pool keeps: the 48 full-length bitmaps one
+/// explore holds at once over a 1M-row table (125 000 bytes each).
+const POOL_BYTES: usize = 6_000_000;
 
 /// Word buffers of one length, ready for reuse (see the module docs).
 struct BufferPool {
@@ -65,17 +75,21 @@ impl BufferPool {
         }
     }
 
-    /// Keep `buffer` for reuse. A buffer of another length than the pooled
-    /// ones replaces them all; the displaced buffers are returned so the
-    /// caller frees them outside the lock.
+    /// Keep `buffer` for reuse if it fits within [`POOL_BYTES`]. A buffer
+    /// of another length than the pooled ones replaces them all. The
+    /// buffers not kept are returned so the caller frees them outside the
+    /// lock.
     fn give(&mut self, buffer: Vec<u64>) -> Vec<Vec<u64>> {
         let mut displaced = Vec::new();
         if buffer.len() != self.words {
             displaced = std::mem::take(&mut self.buffers);
             self.words = buffer.len();
         }
-        if self.buffers.len() < POOL_CAPACITY {
+        let bytes = (self.buffers.len() + 1) * buffer.len() * std::mem::size_of::<u64>();
+        if bytes <= POOL_BYTES {
             self.buffers.push(buffer);
+        } else {
+            displaced.push(buffer);
         }
         displaced
     }
@@ -942,11 +956,20 @@ mod tests {
         assert!(pool.take(short).is_none(), "no buffer of the old length");
         assert_eq!(pool.take(long).map(|buffer| buffer.len()), Some(long));
         assert!(pool.take(long).is_none());
-        // The pool is bounded.
-        for _ in 0..POOL_CAPACITY + 5 {
-            pool.give(vec![0; long]);
+        // The pool is bounded in bytes: the longer the buffers, the fewer
+        // it keeps, and one longer than the bound is not kept at all.
+        for words in [long, 4 * long] {
+            for _ in 0..POOL_BYTES / (words * 8) + 5 {
+                pool.give(vec![0; words]);
+            }
+            assert_eq!(pool.buffers.len(), POOL_BYTES / (words * 8));
         }
-        assert_eq!(pool.buffers.len(), POOL_CAPACITY);
+        let too_long = POOL_BYTES / 8 + 1;
+        assert_eq!(
+            pool.give(vec![0; too_long]).len(),
+            1 + POOL_BYTES / (4 * long * 8)
+        );
+        assert!(pool.take(too_long).is_none());
         // Through bitmaps: after the pool switched lengths, a bitmap of the
         // old length is still well formed.
         drop(Bitmap::new_full(POOLED_LEN));

@@ -474,13 +474,18 @@ pub fn cluster_merge_rank(
     let phase_span = atlas_obs::span("phase.merge");
     let parent = atlas_obs::current();
     let mut candidates: Vec<Option<DataMap>> = candidates.into_iter().map(Some).collect();
-    let members: Vec<Vec<DataMap>> = clusters
+    // A cluster of one map is that map: every merge returns it unchanged
+    // (`tests/merge_algebra.rs` pins that), so it moves through as `Ok`
+    // instead of being copied, and only the clusters of two or more
+    // (`Err`) are merged.
+    let grouped: Vec<std::result::Result<DataMap, Vec<DataMap>>> = clusters
         .iter()
         .map(|cluster| {
-            cluster
+            let members: Vec<DataMap> = cluster
                 .iter()
                 .filter_map(|&at| candidates[at].take())
-                .collect()
+                .collect();
+            <[DataMap; 1]>::try_from(members).map(|[only]| only)
         })
         .collect();
     debug_assert!(
@@ -488,20 +493,18 @@ pub fn cluster_merge_rank(
             && clusters.iter().map(Vec::len).sum::<usize>() == candidates.len(),
         "every candidate belongs to exactly one cluster"
     );
-    // A cluster of one map is that map: both merges return it unchanged, so
-    // it moves through instead of being copied.
-    let merged = pool.par_map(&members, |members| {
-        let _trace = atlas_obs::with_context(parent);
-        match members.as_slice() {
-            [_] => Ok(None),
-            _ => merge(members),
-        }
-    });
-    let mut maps = Vec::with_capacity(merged.len());
-    for (members, map) in members.into_iter().zip(merged) {
-        let map = match <[DataMap; 1]>::try_from(members) {
-            Ok([only]) => Some(only),
-            Err(_) => map?,
+    let to_merge: Vec<&Vec<DataMap>> = grouped.iter().filter_map(|c| c.as_ref().err()).collect();
+    let mut merged = pool
+        .par_map(&to_merge, |members| {
+            let _trace = atlas_obs::with_context(parent);
+            merge(members)
+        })
+        .into_iter();
+    let mut maps = Vec::with_capacity(grouped.len());
+    for cluster in grouped {
+        let map = match cluster {
+            Ok(only) => Some(only),
+            Err(_) => merged.next().transpose()?.flatten(),
         };
         if let Some(map) = map {
             maps.push(enforce_region_cap_within(

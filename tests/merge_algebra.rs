@@ -12,11 +12,17 @@
 //!   region's statistics as the working set's minus the other regions'
 //!   answers bit for bit what walking every region answers, and it derives
 //!   exactly where the regions partition the working set.
+//! * Every merge returns a cluster of one map unchanged, which lets the
+//!   post-cut body move such a cluster through unmerged.
 
 use atlas::columnar::{
     Bitmap, ColumnStats, ColumnSummary, DataType, Field, Schema, TableBuilder, Value,
 };
-use atlas::core::{CutStrategy, DataMap, PaperCut, PipelineContext, ProfileStats, TableProfile};
+use atlas::core::{
+    compose_maps, generate_candidates, product_maps, AttributeStats, CompositionMerge, CutConfig,
+    CutStrategy, DataMap, MergePolicy, PaperCut, PipelineContext, ProductMerge, ProfileStats,
+    Region, TableProfile, ThreadPool,
+};
 use atlas::datagen::CensusConfig;
 use atlas::prelude::*;
 use proptest::prelude::*;
@@ -355,3 +361,81 @@ const NULLS_FIRST: [&str; 7] = [
     "salary",
     "eye_color",
 ];
+
+/// `cluster_merge_rank` moves a cluster of one map through unmerged, which
+/// is sound because every merge returns a one-map cluster unchanged: the
+/// product and the composition, as policies (the composition with and
+/// without held statistics) and in their standalone forms, with and without
+/// dropping empty regions, on a map that holds an empty region too.
+#[test]
+fn every_merge_returns_a_one_map_cluster_unchanged() {
+    let cut_config = CutConfig::default();
+    for nulls in [false, true] {
+        let table = dependent_table(3_000, nulls);
+        let working = table.full_selection();
+        let query = parse_query("SELECT * FROM t").unwrap();
+        let mut maps = generate_candidates(&table, &working, &query, None, &cut_config)
+            .unwrap()
+            .maps;
+        assert!(maps.len() >= 4, "nulls {nulls}");
+        let mut with_empty = maps[0].clone();
+        with_empty
+            .regions
+            .push(Region::new(query.clone(), table.empty_selection()));
+        maps.push(with_empty);
+        let profile = TableProfile::build(&table);
+        let stats: Vec<AttributeStats<'_>> = maps
+            .iter()
+            .map(|map| {
+                let attribute = map.source_attributes[0].clone();
+                let stats = profile.stats_for(&table, &attribute, &working).unwrap();
+                (attribute, stats)
+            })
+            .collect();
+        for drop_empty in [false, true] {
+            let ctx = PipelineContext {
+                table: &table,
+                profile: &profile,
+                cut_config: &cut_config,
+                cut_strategy: &PaperCut,
+                drop_empty_regions: drop_empty,
+                pool: ThreadPool::sequential(),
+            };
+            for map in &maps {
+                let one = std::slice::from_ref(map);
+                let merged = [
+                    ("product_maps", product_maps(one, drop_empty)),
+                    (
+                        "compose_maps",
+                        compose_maps(one, &table, &cut_config, drop_empty).unwrap(),
+                    ),
+                    (
+                        "ProductMerge",
+                        ProductMerge.merge(&ctx, one, &working).unwrap(),
+                    ),
+                    (
+                        "CompositionMerge",
+                        CompositionMerge.merge(&ctx, one, &working).unwrap(),
+                    ),
+                    (
+                        "CompositionMerge with statistics",
+                        CompositionMerge
+                            .merge_with_stats(&ctx, one, &working, &stats)
+                            .unwrap(),
+                    ),
+                ];
+                for (merge, merged) in merged {
+                    let case = format!("{merge}, nulls {nulls}, drop_empty {drop_empty}");
+                    let merged = merged.unwrap_or_else(|| panic!("{case}: no map"));
+                    assert_eq!(merged.source_attributes, map.source_attributes, "{case}");
+                    assert_eq!(merged.num_regions(), map.num_regions(), "{case}");
+                    for (a, b) in merged.regions.iter().zip(&map.regions) {
+                        assert_eq!(to_sql(&a.query), to_sql(&b.query), "{case}");
+                        assert_eq!(a.selection, b.selection, "{case}");
+                        assert_eq!(a.count(), b.count(), "{case}");
+                    }
+                }
+            }
+        }
+    }
+}
