@@ -5,18 +5,20 @@
 //! (ordinary `atlas-serve` processes answering the `POST /shard/*` endpoints)
 //! and runs the Atlas pipeline with every row-touching kernel pushed down:
 //!
-//! 1. **working set** — the user query is evaluated per shard segment and the
-//!    per-segment bitmaps are OR-folded at their global offsets;
-//! 2. **candidates** — per-column statistics come back as mergeable
-//!    [`atlas_columnar::ColumnSummary`] parts folded in ascending segment
-//!    order, and the single shared `CUT` body
+//! 1. **working set and summaries** — one `/shard/working` round: the user
+//!    query is evaluated per shard segment, the per-segment bitmaps are
+//!    OR-folded at their global offsets, and the same partials carry each
+//!    segment's per-column statistics as mergeable
+//!    [`atlas_columnar::ColumnSummary`] parts, folded in ascending segment
+//!    order;
+//! 2. **candidates** — the single shared `CUT` body
 //!    ([`atlas_core::cuts_from_source`]) runs locally over a
 //!    [`atlas_core::CutSource`] whose kernels scatter to the shards. The
 //!    folded summaries hold the value counts a median cut reads and the
 //!    category counts a categorical cut reads, so every counted column's
 //!    cut is planned from them alone, and the partitions of **all** the
 //!    planned cuts are one `/shard/select` round: an explore of counted
-//!    columns makes 3 round trips (2 when nothing is cut), and a column too
+//!    columns makes 2 round trips (1 when nothing is cut), and a column too
 //!    wide to count adds its `/shard/values` or `/shard/categories` round;
 //! 3. **distances, clustering, merging, ranking** — not pushed down: after
 //!    the cut phase every candidate region is already here as a folded
@@ -28,13 +30,13 @@
 //! ## Replies are folded where they land
 //!
 //! Each scatter round runs one thread per shard, and that thread does more
-//! than wait. A reply read whole (`/shard/working`, `/shard/summaries`, and
-//! the per-column rounds) is checked to cover exactly the shard's segments
-//! and decoded there — hex runs into [`Bitmap`]s, length and region-count
-//! checks, summaries into [`ColumnSummary`]s — so decoding runs in parallel
-//! across shards and overlaps the slower shard's wire wait, and what is left
-//! after the barrier is the ordered fold: `or_shifted` / `merge_from` in
-//! ascending global segment order.
+//! than wait. A reply read whole (`/shard/working` and the per-column
+//! rounds) is checked to cover exactly the shard's segments and decoded
+//! there — hex runs into [`Bitmap`]s, length and region-count checks,
+//! summaries into [`ColumnSummary`]s — so decoding runs in parallel across
+//! shards and overlaps the slower shard's wire wait, and what is left after
+//! the barrier is the ordered fold: `or_shifted` / `merge_from` in ascending
+//! global segment order.
 //!
 //! The `/shard/select` reply goes one step further: a shard streams it as one
 //! chunk per partition, computing and writing each before it starts the next,
@@ -84,10 +86,10 @@
 //! [`Deadline`] caps every wait: per-shard budgets are derived from the
 //! remaining time, the remainder is forwarded in the `X-Atlas-Deadline-Ms`
 //! header, and a blown deadline surfaces as [`AtlasError::Deadline`] with
-//! the phase that was running. It is checked before every scatter and
-//! between phases up to the distances; once the last scatter is answered no
-//! shard call or wait is left, so the local cluster–merge–rank body runs to
-//! the end.
+//! the phase that was running. It is checked before every scatter and once
+//! more before the distances; once the last scatter is answered no shard
+//! call or wait is left, so the local cluster–merge–rank body runs to the
+//! end.
 //!
 //! In [`ExploreMode::Strict`] (the default and the historical contract) any
 //! shard failing past its retries fails the whole explore with a typed
@@ -106,7 +108,7 @@ use crate::resilience::{
 };
 use crate::wire::frames::{
     get_index, get_items, get_str, meta_from_json, parse_hex_f64s, partition_to_json,
-    select_partial_from_json, summary_from_json, working_partial_from_json, MetaView,
+    select_partial_from_json, working_partial_from_json, MetaView,
 };
 use crate::wire::Json;
 use atlas_columnar::{merge_category_counts, Bitmap, ColumnStats, ColumnSummary, DataType};
@@ -260,6 +262,15 @@ struct ExploreCtx<'a> {
     offsets: Vec<usize>,
     deadline: Option<&'a Deadline>,
     failed: Mutex<Option<ExploreFail>>,
+}
+
+/// What the `/shard/working` round folds into: the working rows over the
+/// live rows, each live segment's own (in `ExploreCtx::live` order), and the
+/// working set's column summaries, one per schema column.
+struct Working {
+    rows: Bitmap,
+    segments: Arc<[Bitmap]>,
+    summaries: Vec<ColumnSummary>,
 }
 
 /// The merging coordinator of a distributed exploration (see the module
@@ -964,9 +975,9 @@ impl Coordinator {
     }
 
     /// Validate and decode one shard's reply: its `partials` must cover
-    /// exactly the segments assigned to it, and each must decode. Either
-    /// failure is the shard's, names it and the endpoint, and counts against
-    /// its circuit breaker.
+    /// exactly the segments assigned to it, and each must decode (the
+    /// decoder's error names the segment). Either failure is the shard's,
+    /// names it and the endpoint, and counts against its circuit breaker.
     fn shard_partials<T>(
         slot: &ShardSlot,
         path: &str,
@@ -1006,9 +1017,9 @@ impl Coordinator {
             )));
         }
         list.into_iter()
-            .map(|(segment, partial)| match decode(segment, &partial) {
-                Ok(decoded) => Ok((segment, decoded)),
-                Err(e) => Err(semantic(format!("segment {segment}: {e}"))),
+            .map(|(segment, partial)| {
+                let decoded = decode(segment, &partial).map_err(&semantic)?;
+                Ok((segment, decoded))
             })
             .collect()
     }
@@ -1027,90 +1038,49 @@ impl Coordinator {
         Json::object(members)
     }
 
-    /// Scatter the working-set evaluation. Returns the working rows folded
-    /// into one bitmap over the live rows (the whole table in strict mode,
-    /// the surviving rows renumbered contiguously in degraded mode), and
-    /// each live segment's own (in `ctx.live` order), which the rest of the
-    /// explore rebuilds left-out regions from.
-    fn fetch_working(
-        &self,
-        ctx: &ExploreCtx,
-        sql: &str,
-    ) -> Result<(Bitmap, Arc<[Bitmap]>), AtlasError> {
-        let segments = self.scatter(
+    /// Scatter the working-set evaluation, whose partials carry each
+    /// segment's column summaries too. Folds the working rows into one bitmap
+    /// over the live rows (the whole table in strict mode, the surviving rows
+    /// renumbered contiguously in degraded mode), keeps each live segment's
+    /// own, which the rest of the explore rebuilds left-out regions from, and
+    /// merges the summaries in ascending segment order — the order a local scan walks the segments in, so the
+    /// collapsed [`ColumnStats`] (value counts and category counts included,
+    /// which is what lets a median cut skip the `/shard/values` round and a
+    /// categorical cut the `/shard/categories` one) match what
+    /// [`atlas_columnar::ColumnView::summary`] and the engine's table profile
+    /// compute locally bit for bit.
+    fn fetch_working(&self, ctx: &ExploreCtx, sql: &str) -> Result<Working, AtlasError> {
+        let partials = self.scatter(
             ctx,
             "/shard/working",
             |segments| self.data_body(sql, segments, Vec::new()),
-            |segment, partial| {
-                let rows = self.segment_rows.get(segment);
-                let rows = rows.ok_or_else(|| format!("segment {segment} is out of range"))?;
-                working_partial_from_json(partial, *rows)
+            |_, partial| {
+                let (rows, columns) =
+                    working_partial_from_json(partial, &self.segment_rows, &self.fields)?;
+                let columns: Vec<ColumnSummary> =
+                    columns.into_iter().map(ColumnSummary::from_parts).collect();
+                Ok((rows, columns))
             },
         )?;
-        let mut folded = Bitmap::new_empty(ctx.live_rows);
-        for (bitmap, &offset) in segments.iter().zip(&ctx.offsets) {
-            folded.or_shifted(bitmap, offset);
-        }
-        Ok((folded, segments.into()))
-    }
-
-    /// One `/shard/summaries` partial: a summary per schema column, each of
-    /// the column's type.
-    fn summaries_from_json(&self, partial: &Json) -> Result<Vec<ColumnSummary>, String> {
-        let columns = get_items(partial, "columns")?;
-        if columns.len() != self.fields.len() {
-            return Err(format!(
-                "{} column summaries, the schema has {} columns",
-                columns.len(),
-                self.fields.len()
-            ));
-        }
-        columns
-            .iter()
-            .zip(&self.fields)
-            .map(|(column, (name, dtype))| {
-                let parts = summary_from_json(column)?;
-                if parts.dtype != *dtype {
-                    return Err(format!(
-                        "the summary of {name} is of a {} column, the schema's of a {}",
-                        parts.dtype.name(),
-                        dtype.name()
-                    ));
-                }
-                Ok(ColumnSummary::from_parts(parts))
-            })
-            .collect()
-    }
-
-    /// Scatter the per-column summaries of the working set and merge them in
-    /// ascending segment order — the order a local scan walks the segments
-    /// in, so the collapsed [`ColumnStats`] (value counts and category counts
-    /// included, which is what lets a median cut skip the `/shard/values`
-    /// round and a categorical cut the `/shard/categories` one) match what
-    /// [`atlas_columnar::ColumnView::summary`] and the engine's table profile
-    /// compute locally bit for bit.
-    fn fetch_summaries(
-        &self,
-        ctx: &ExploreCtx,
-        sql: &str,
-    ) -> Result<Vec<ColumnSummary>, AtlasError> {
-        let partials = self.scatter(
-            ctx,
-            "/shard/summaries",
-            |segments| self.data_body(sql, segments, Vec::new()),
-            |_, partial| self.summaries_from_json(partial),
-        )?;
-        let mut folded: Vec<ColumnSummary> = self
+        let mut rows = Bitmap::new_empty(ctx.live_rows);
+        let mut summaries: Vec<ColumnSummary> = self
             .fields
             .iter()
             .map(|(_, dtype)| ColumnSummary::empty(*dtype))
             .collect();
-        for partial in &partials {
-            for (acc, summary) in folded.iter_mut().zip(partial) {
+        let mut segments = Vec::with_capacity(partials.len());
+        for ((segment, columns), &offset) in partials.into_iter().zip(&ctx.offsets) {
+            rows.or_shifted(&segment, offset);
+            for (acc, summary) in summaries.iter_mut().zip(&columns) {
                 acc.merge_from(summary);
             }
+            segments.push(segment);
         }
-        Ok(folded)
+        Ok(Working {
+            rows,
+            segments: segments.into(),
+            summaries,
+        })
     }
 
     /// The live segment list (ascending global indices) once `dead` shards
@@ -1252,13 +1222,12 @@ impl Coordinator {
         }
         let mut offsets = Vec::with_capacity(live.len());
         let mut live_rows = 0usize;
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "live segments come from validated assignments"
-        )]
         for &segment in &live {
+            let rows = self.segment_rows.get(segment).ok_or_else(|| {
+                ExploreFail::Fatal(dist_err(format!("segment {segment} is out of range")))
+            })?;
             offsets.push(live_rows);
-            live_rows += self.segment_rows[segment];
+            live_rows += rows;
         }
         let ctx = ExploreCtx {
             dead,
@@ -1297,19 +1266,18 @@ impl Coordinator {
         }
         let sql = to_sql(&query);
 
+        // One round answers the working set and its column summaries.
         let query_span = atlas_obs::span("phase.query");
-        let (working, segment_working) = self.fetch_working(ctx, &sql)?;
+        let working = self.fetch_working(ctx, &sql)?;
         let query_ms = query_span.finish_ms();
-        let working_set_size = working.count();
+        let working_set_size = working.rows.count();
         if working_set_size == 0 {
             return Err(AtlasError::EmptyWorkingSet);
         }
-        self.check_deadline(ctx, "candidates")?;
 
         // Candidate generation: folded stats + the shared CUT body over the
         // scattering source.
         let candidates_span = atlas_obs::span("phase.candidates");
-        let summaries = self.fetch_summaries(ctx, &sql)?;
         let names: Vec<String> = match &self.config.attributes {
             Some(list) => list.clone(),
             None => self.fields.iter().map(|(name, _)| name.clone()).collect(),
@@ -1318,11 +1286,11 @@ impl Coordinator {
             coordinator: self,
             sql: &sql,
             ctx,
-            working: segment_working,
+            working: working.segments,
         };
         let stats = names
             .iter()
-            .map(|name| self.stats_of(&summaries, name))
+            .map(|name| self.stats_of(&working.summaries, name))
             .collect::<Result<Vec<_>, AtlasError>>()?;
         let attributes: Vec<(&str, &ColumnStats)> =
             names.iter().map(String::as_str).zip(&stats).collect();
@@ -1354,7 +1322,7 @@ impl Coordinator {
             &self.config,
             &self.pool,
             &query,
-            &working,
+            &working.rows,
             maps,
             |members| Ok(product_maps(members, drop_empty_regions)),
             &mut timings,
@@ -1363,36 +1331,26 @@ impl Coordinator {
         Ok(MapResult {
             maps,
             working_set_size,
-            working_set: working,
+            working_set: working.rows,
             skipped_attributes: skipped,
             timings,
         })
     }
 
-    /// The folded [`ColumnStats`] of one attribute (errors on attributes the
-    /// schema does not know, like the local path does).
+    /// The folded [`ColumnStats`] of one attribute, from summaries laid out
+    /// like the schema (errors on attributes the schema does not know, like
+    /// the local path does).
     fn stats_of(
         &self,
         summaries: &[ColumnSummary],
         attribute: &str,
     ) -> Result<ColumnStats, AtlasError> {
-        let idx = self
-            .fields
+        self.fields
             .iter()
-            .position(|(name, _)| name == attribute)
-            .ok_or_else(|| dist_err(format!("unknown attribute '{attribute}'")))?;
-        // Checked: the summaries arrive over the wire, so their count is not
-        // guaranteed to match the schema the metadata probe agreed on.
-        summaries
-            .get(idx)
-            .map(ColumnSummary::to_stats)
-            .ok_or_else(|| {
-                dist_err(format!(
-                    "shards sent {} column summaries, schema has {}",
-                    summaries.len(),
-                    self.fields.len()
-                ))
-            })
+            .zip(summaries)
+            .find(|((name, _), _)| name == attribute)
+            .map(|(_, summary)| summary.to_stats())
+            .ok_or_else(|| dist_err(format!("unknown attribute '{attribute}'")))
     }
 
     fn field_type(&self, attribute: &str) -> Result<DataType, AtlasError> {
@@ -1429,11 +1387,14 @@ impl RemoteSource<'_> {
         &self,
         path: &str,
         attribute: &str,
-        decode: impl Fn(usize, &Json) -> Result<T, String> + Sync,
+        decode: impl Fn(&Json) -> Result<T, String> + Sync,
     ) -> Result<Vec<T>, AtlasError> {
         let body_of = |segments: &[usize]| {
             let attribute = vec![("attribute", Json::from(attribute))];
             self.coordinator.data_body(self.sql, segments, attribute)
+        };
+        let decode = |segment, partial: &Json| {
+            decode(partial).map_err(|e| format!("segment {segment}: {e}"))
         };
         self.coordinator.scatter(self.ctx, path, body_of, decode)
     }
@@ -1445,7 +1406,7 @@ impl CutSource for RemoteSource<'_> {
     }
 
     fn numeric_values(&self, attribute: &str) -> Result<Vec<f64>, AtlasError> {
-        let partials = self.scatter("/shard/values", attribute, |_, partial| {
+        let partials = self.scatter("/shard/values", attribute, |partial| {
             parse_hex_f64s(get_str(partial, "values")?)
         })?;
         Ok(partials.concat())
@@ -1456,7 +1417,7 @@ impl CutSource for RemoteSource<'_> {
     /// a column with more values than a summary counts is asked about here;
     /// for every other the folded summaries already hold the vector.
     fn category_counts(&self, attribute: &str) -> Result<Vec<(String, usize)>, AtlasError> {
-        let partials = self.scatter("/shard/categories", attribute, |_, partial| {
+        let partials = self.scatter("/shard/categories", attribute, |partial| {
             get_items(partial, "counts")?
                 .iter()
                 .map(|pair| {

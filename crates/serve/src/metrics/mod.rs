@@ -53,10 +53,8 @@ pub enum Endpoint {
     Metrics,
     /// `POST /shard/meta`
     ShardMeta,
-    /// `POST /shard/working`
+    /// `POST /shard/working` (the working set and its column summaries)
     ShardWorking,
-    /// `POST /shard/summaries`
-    ShardSummaries,
     /// `POST /shard/values`
     ShardValues,
     /// `POST /shard/categories`
@@ -78,7 +76,7 @@ pub enum Endpoint {
 /// Every endpoint with the label it reports under, in declaration order: an
 /// endpoint's position here is its discriminant, which is what lets
 /// [`Endpoint::slot`] index any table of this length (a test pins it).
-const ENDPOINTS: [(Endpoint, &str); 21] = [
+const ENDPOINTS: [(Endpoint, &str); 20] = [
     (Endpoint::CreateSession, "create_session"),
     (Endpoint::Explore, "explore"),
     (Endpoint::Drill, "drill"),
@@ -91,7 +89,6 @@ const ENDPOINTS: [(Endpoint, &str); 21] = [
     (Endpoint::Metrics, "metrics"),
     (Endpoint::ShardMeta, "shard_meta"),
     (Endpoint::ShardWorking, "shard_working"),
-    (Endpoint::ShardSummaries, "shard_summaries"),
     (Endpoint::ShardValues, "shard_values"),
     (Endpoint::ShardCategories, "shard_categories"),
     (Endpoint::ShardSelect, "shard_select"),

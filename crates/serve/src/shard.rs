@@ -4,8 +4,9 @@
 //! A shard server is an ordinary `atlas-serve` process; every server answers
 //! the `POST /shard/*` endpoints. The coordinator assigns each shard a set of
 //! **global segment indices** and pushes the row-touching work of an explore
-//! down to them: working-set evaluation, per-column summaries (value and
-//! category counts included), region partitioning, and — for the columns
+//! down to them: working-set evaluation, answered in one `/shard/working`
+//! call together with the per-column summaries of the working rows (value
+//! and category counts included), region partitioning, and — for the columns
 //! with more values than a summary counts — numeric value runs and category
 //! counts.
 //! (Map distances are *not* pushed down: the coordinator already holds every
@@ -40,10 +41,11 @@
 //! * the **last working set**: the SQL text as it was sent, and the segment's
 //!   rows it selects. A coordinator prints the SQL of an explore once and
 //!   sends those bytes with every call, so the first call (`/shard/working`)
-//!   evaluates and every later one — the other rounds, and any retry, hedge
-//!   or repeat of a truncated answer — finds the rows already there, without
-//!   parsing the query or counting the bitmap again ([`working_sets`], the
-//!   one function every data handler gets its rows from).
+//!   evaluates and every later one — `/shard/select`, a `/shard/values` or
+//!   `/shard/categories` round, and any retry, hedge or repeat of a
+//!   truncated answer — finds the rows already there, without parsing the
+//!   query or counting the bitmap again ([`working_sets`], the one function
+//!   every data handler gets its rows from).
 //!
 //! There is no capacity and no knob: the answers live and die with the
 //! generation's views, and a working set that cuts through a segment has its
@@ -77,7 +79,7 @@ use crate::metrics::Endpoint;
 use crate::registry::{Dataset, Registry};
 use crate::wire::frames::{
     get_items, get_str, hex_f64s, meta_to_json, partition_from_json, select_partial_to_json,
-    summary_to_json, working_partial_to_json,
+    working_partial_to_json,
 };
 use crate::wire::{self, Json};
 use atlas_columnar::{Bitmap, SummaryParts, Table};
@@ -392,7 +394,6 @@ pub(crate) fn endpoint_of(action: &str) -> Option<Endpoint> {
     Some(match action {
         "meta" => Endpoint::ShardMeta,
         "working" => Endpoint::ShardWorking,
-        "summaries" => Endpoint::ShardSummaries,
         "values" => Endpoint::ShardValues,
         "categories" => Endpoint::ShardCategories,
         "select" => Endpoint::ShardSelect,
@@ -555,7 +556,6 @@ fn answer(
     let sets = || working_sets(state, &views, body, span);
     let run = match endpoint {
         Endpoint::ShardWorking => sets().map(|sets| Answer::Whole(working(&sets))),
-        Endpoint::ShardSummaries => sets().map(|sets| Answer::Whole(summaries(&sets))),
         Endpoint::ShardValues => sets()
             .and_then(|sets| values(&sets, body))
             .map(Answer::Whole),
@@ -758,10 +758,21 @@ fn partials_reply(partials: Vec<Json>) -> Json {
     Json::object(vec![("partials", Json::array(partials))])
 }
 
+/// Each segment's working rows and the summaries of every column over them —
+/// the remembered whole-segment ones when the working set covers the segment.
 fn working(sets: &[SegmentWorking]) -> Json {
-    let partials = sets
-        .iter()
-        .map(|(seg, _, working)| working_partial_to_json(*seg, &working.rows, working.count));
+    let partials = sets.iter().map(|(seg, view, working)| {
+        let columns = if view.covered_by(working) {
+            Cow::Borrowed(
+                view.summaries
+                    .get_or_init(|| summarize(&view.table, &working.rows))
+                    .as_slice(),
+            )
+        } else {
+            Cow::Owned(summarize(&view.table, &working.rows))
+        };
+        working_partial_to_json(*seg, &working.rows, working.count, &columns)
+    });
     partials_reply(partials.collect())
 }
 
@@ -773,28 +784,6 @@ fn summarize(table: &Table, sel: &Bitmap) -> Vec<SummaryParts> {
         .iter()
         .map(|view| view.summary(sel).to_parts())
         .collect()
-}
-
-fn summaries(sets: &[SegmentWorking]) -> Json {
-    let partials = sets.iter().map(|(seg, view, working)| {
-        let parts = if view.covered_by(working) {
-            Cow::Borrowed(
-                view.summaries
-                    .get_or_init(|| summarize(&view.table, &working.rows))
-                    .as_slice(),
-            )
-        } else {
-            Cow::Owned(summarize(&view.table, &working.rows))
-        };
-        Json::object(vec![
-            ("segment", Json::from(*seg)),
-            (
-                "columns",
-                Json::array(parts.iter().map(summary_to_json).collect()),
-            ),
-        ])
-    });
-    partials_reply(partials.collect())
 }
 
 fn values(sets: &[SegmentWorking], body: &Json) -> Result<Json, Fail> {
@@ -816,7 +805,7 @@ fn values(sets: &[SegmentWorking], body: &Json) -> Result<Json, Fail> {
 /// The zero-inclusive category counts of one column, in first-appearance
 /// order (so they list the dictionary too), for the columns whose
 /// summaries hold no counts (more values than a summary counts): every other
-/// categorical cut reads them off `/shard/summaries`.
+/// categorical cut reads them off the `/shard/working` summaries.
 fn categories(sets: &[SegmentWorking], body: &Json) -> Result<Json, Fail> {
     let attribute = get_str(body, "attribute")?;
     let mut partials = Vec::with_capacity(sets.len());

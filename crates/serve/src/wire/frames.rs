@@ -28,9 +28,11 @@
 //! `/shard/working` and `/shard/select` are encoded and decoded here, rule
 //! included, so neither side knows the format apart from the other:
 //!
-//! * a working partial carries its segment's `count`, and a bitmap only when
-//!   the count is neither 0 nor the segment's rows — a whole-table explore
-//!   ships no working bitmap at all;
+//! * a working partial carries its segment's `count`, a bitmap only when the
+//!   count is neither 0 nor the segment's rows — a whole-table explore ships
+//!   no working bitmap at all — and, as `"columns"`, the summary of every
+//!   column over the working rows, so one round answers both and the
+//!   decoder holds the summaries to the schema ([`working_partial_from_json`]);
 //! * a select partial carries its regions in partition order, except that
 //!   the last is left out, and `"rest": true` sent instead, when it is bit
 //!   for bit the working rows no other region holds. The coordinator keeps
@@ -44,10 +46,13 @@
 //! ([`partition_to_json`]), and its reply one document of such partials per
 //! partition.
 //!
-//! A coordinator that reads these partials reads the older ones too (every
-//! bitmap present, no `rest`); an older coordinator refuses the new ones with
-//! a typed error — a working partial without a bitmap, or "answered 1
-//! regions, expected 2" — never with a wrong map.
+//! A coordinator of this build reads older select partials too (every bitmap
+//! present, no `rest`), but refuses an older shard's working partial, which
+//! has no `"columns"`, with a typed error. An older coordinator gets a typed
+//! `404` when it asks this build's shards for the summaries on an endpoint of
+//! their own, which is deleted; one older still refuses a working partial
+//! without a bitmap, or a select partial without its last region ("answered
+//! 1 regions, expected 2"). No mix gives a wrong map.
 //!
 //! The hex run is the hot path of the whole coordinator↔shard exchange. It
 //! is handled eight digits per `u64` step (SWAR): encoding spreads a half
@@ -284,9 +289,15 @@ pub fn bitmap_from_json(value: &Json) -> Result<Bitmap, String> {
 }
 
 /// Encode one segment's `/shard/working` partial: how many of its rows the
-/// query selects and, unless that is none or all of them (the count then
-/// says which), the selection bitmap.
-pub fn working_partial_to_json(segment: usize, rows: &Bitmap, count: usize) -> Json {
+/// query selects; unless that is none or all of them (the count then says
+/// which), the selection bitmap; and the summary of every column over those
+/// rows, in schema order.
+pub fn working_partial_to_json(
+    segment: usize,
+    rows: &Bitmap,
+    count: usize,
+    columns: &[SummaryParts],
+) -> Json {
     let mut members = vec![
         ("segment", Json::from(segment)),
         ("count", Json::from(count)),
@@ -294,14 +305,39 @@ pub fn working_partial_to_json(segment: usize, rows: &Bitmap, count: usize) -> J
     if count != 0 && count != rows.len() {
         members.push(("bitmap", bitmap_to_json(rows)));
     }
+    let columns = columns.iter().map(summary_to_json).collect();
+    members.push(("columns", Json::array(columns)));
     Json::object(members)
 }
 
-/// Decode the working rows of a `/shard/working` partial of a segment of
-/// `rows` rows: the shipped bitmap, which must have the segment's length and
-/// hold `count` rows, or — without one — no rows or all of them, as the
-/// count says.
-pub fn working_partial_from_json(partial: &Json, rows: usize) -> Result<Bitmap, String> {
+/// A decoded `/shard/working` partial: the segment's working rows, and the
+/// summary of every column over them in schema order.
+pub type WorkingPartial = (Bitmap, Vec<SummaryParts>);
+
+/// Decode a `/shard/working` partial of a table whose segments hold
+/// `segment_rows` rows each and whose schema is `fields`. The working rows
+/// are the shipped bitmap, which must have the segment's length and hold
+/// `count` rows, or — without one — no rows or all of them, as the count
+/// says. The summaries must be one per schema column, each of the column's
+/// type. Every error names the segment.
+pub fn working_partial_from_json(
+    partial: &Json,
+    segment_rows: &[usize],
+    fields: &[(String, DataType)],
+) -> Result<WorkingPartial, String> {
+    let segment = get_index(partial, "segment")?;
+    let rows = *segment_rows
+        .get(segment)
+        .ok_or_else(|| format!("segment {segment} is out of range"))?;
+    let in_segment = |message: String| format!("segment {segment}: {message}");
+    let working = working_rows_from_json(partial, rows).map_err(in_segment)?;
+    let columns = columns_from_json(partial, fields).map_err(in_segment)?;
+    Ok((working, columns))
+}
+
+/// The working rows of a `/shard/working` partial of a segment of `rows`
+/// rows.
+fn working_rows_from_json(partial: &Json, rows: usize) -> Result<Bitmap, String> {
     let count = get_index(partial, "count")?;
     let Some(frame) = partial.get("bitmap") else {
         return match count {
@@ -326,6 +362,37 @@ pub fn working_partial_from_json(partial: &Json, rows: usize) -> Result<Bitmap, 
         ));
     }
     Ok(bitmap)
+}
+
+/// The column summaries of a `/shard/working` partial: one per field of
+/// `fields`, each of the field's type.
+fn columns_from_json(
+    partial: &Json,
+    fields: &[(String, DataType)],
+) -> Result<Vec<SummaryParts>, String> {
+    let columns = get_items(partial, "columns")?;
+    if columns.len() != fields.len() {
+        return Err(format!(
+            "{} column summaries, the schema has {} columns",
+            columns.len(),
+            fields.len()
+        ));
+    }
+    columns
+        .iter()
+        .zip(fields)
+        .map(|(column, (name, dtype))| {
+            let parts = summary_from_json(column).map_err(|e| format!("column {name}: {e}"))?;
+            if parts.dtype != *dtype {
+                return Err(format!(
+                    "the summary of {name} is of a {} column, the schema's of a {}",
+                    parts.dtype.name(),
+                    dtype.name()
+                ));
+            }
+            Ok(parts)
+        })
+        .collect()
 }
 
 /// The working rows that none of `others` holds.
@@ -1408,8 +1475,25 @@ mod tests {
         assert!(err.contains("\"regions\""), "{err}");
     }
 
+    /// The schema the working partials of these tests are decoded against …
+    fn working_fields() -> Vec<(String, DataType)> {
+        vec![
+            ("n".to_string(), DataType::Int),
+            ("c".to_string(), DataType::Str),
+        ]
+    }
+
+    /// … and a summary of each of its columns.
+    fn working_columns() -> Vec<SummaryParts> {
+        [counted_frame(), counted_strs_frame()]
+            .iter()
+            .map(|frame| summary_from_json(frame).unwrap())
+            .collect()
+    }
+
     #[test]
     fn working_partials_ship_a_bitmap_only_when_the_count_cannot_say() {
+        let (fields, columns) = (working_fields(), working_columns());
         let odd = Bitmap::from_fn(100, |row| row % 2 == 1);
         for (working, ships) in [
             (Bitmap::new_empty(100), false),
@@ -1417,25 +1501,27 @@ mod tests {
             (odd.clone(), true),
             (Bitmap::new_empty(0), false),
         ] {
-            let text = working_partial_to_json(2, &working, working.count()).encode();
+            let text = working_partial_to_json(2, &working, working.count(), &columns).encode();
             let json = wire::parse(&text).unwrap();
             assert_eq!(json.get("bitmap").is_some(), ships, "{text}");
-            assert_eq!(working_partial_from_json(&json, working.len()), Ok(working));
+            let layout = [working.len(); 3];
+            assert_eq!(
+                working_partial_from_json(&json, &layout, &fields),
+                Ok((working, columns.clone()))
+            );
         }
         let refuse = |partial: &Json, rows: usize, needle: &str| {
-            let err = working_partial_from_json(partial, rows).unwrap_err();
+            let err = working_partial_from_json(partial, &[rows], &fields).unwrap_err();
             assert!(err.contains(needle), "{needle}: {err}");
         };
         // An omitted bitmap whose count is neither 0 nor the segment's rows.
+        let full = working_partial_to_json(0, &Bitmap::new_full(100), 100, &columns);
         for count in [1usize, 40, 99, 101] {
-            let omitted = Json::object(vec![
-                ("segment", Json::from(0usize)),
-                ("count", Json::from(count)),
-            ]);
+            let omitted = with_top_member(&full, "count", Json::from(count));
             refuse(&omitted, 100, "no working bitmap");
         }
         // A shipped bitmap of another length, or holding another count.
-        let shipped = working_partial_to_json(0, &odd, 50);
+        let shipped = working_partial_to_json(0, &odd, 50, &columns);
         refuse(&shipped, 101, "has 100 rows");
         refuse(
             &with_top_member(&shipped, "count", Json::from(49usize)),
@@ -1452,6 +1538,72 @@ mod tests {
             100,
             "\"len\"",
         );
+    }
+
+    /// A working partial carries its segment's column summaries, and the
+    /// decoder holds them to the schema as it holds the rows to the segment:
+    /// a partial without `"columns"`, with another number of them, with a
+    /// summary of another type than its column, or with a summary that breaks
+    /// a summary's invariants is a typed error naming the segment.
+    #[test]
+    fn working_partials_carry_their_summaries_and_hold_them_to_the_schema() {
+        let (fields, columns) = (working_fields(), working_columns());
+        let layout = [100usize; 4];
+        let odd = Bitmap::from_fn(100, |row| row % 2 == 1);
+        let partial = working_partial_to_json(3, &odd, 50, &columns);
+        let decoded = wire::parse(&partial.encode()).unwrap();
+        assert_eq!(
+            working_partial_from_json(&decoded, &layout, &fields),
+            Ok((odd, columns))
+        );
+        let refuse = |partial: &Json, needle: &str| {
+            let err = working_partial_from_json(partial, &layout, &fields).unwrap_err();
+            assert!(err.starts_with("segment 3: "), "{err}");
+            assert!(err.contains(needle), "{needle}: {err}");
+        };
+        let Json::Obj(members) = &partial else {
+            panic!("partials are objects")
+        };
+        let without = members.iter().filter(|(key, _)| key != "columns");
+        refuse(&Json::Obj(without.cloned().collect()), "\"columns\"");
+        refuse(
+            &with_top_member(&partial, "columns", Json::from("n")),
+            "\"columns\"",
+        );
+        for listed in [vec![], vec![counted_frame()], vec![counted_frame(); 3]] {
+            let count = listed.len();
+            refuse(
+                &with_top_member(&partial, "columns", Json::array(listed)),
+                &format!("{count} column summaries, the schema has 2 columns"),
+            );
+        }
+        refuse(
+            &with_top_member(
+                &partial,
+                "columns",
+                Json::array(vec![counted_strs_frame(), counted_frame()]),
+            ),
+            "the summary of n is of a str column, the schema's of a int",
+        );
+        let unsummed = with_member(&counted_frame(), "counts", Json::from(hex_u64s(&[2, 1, 2])));
+        refuse(
+            &with_top_member(
+                &partial,
+                "columns",
+                Json::array(vec![unsummed, counted_strs_frame()]),
+            ),
+            "column n: value counts do not sum",
+        );
+        refuse(
+            &with_top_member(
+                &partial,
+                "columns",
+                Json::array(vec![counted_frame(), Json::Null]),
+            ),
+            "column c: missing",
+        );
+        let err = working_partial_from_json(&partial, &layout[..3], &fields).unwrap_err();
+        assert!(err.contains("segment 3 is out of range"), "{err}");
     }
 
     #[test]
@@ -1516,10 +1668,12 @@ mod tests {
                 }
             }
             for working in &fuzz_workings() {
-                let rows = working.len();
-                if let Ok(decoded) = working_partial_from_json(value, rows) {
-                    let again = working_partial_to_json(0, &decoded, decoded.count());
-                    assert_eq!(working_partial_from_json(&again, rows), Ok(decoded));
+                let layout = [working.len(); 16];
+                let fields = working_fields();
+                if let Ok((rows, columns)) = working_partial_from_json(value, &layout, &fields) {
+                    let again = working_partial_to_json(0, &rows, rows.count(), &columns);
+                    let decoded = working_partial_from_json(&again, &layout, &fields);
+                    assert_eq!(decoded, Ok((rows, columns)));
                     accepted += 1;
                 }
                 for expected in 1..=3 {
@@ -1550,11 +1704,26 @@ mod tests {
     }
 
     /// One valid frame of the kind `kind` picks — a bitmap, a value run, four
-    /// summaries, a select and a working partial, a meta reply — built from
-    /// `bits` and `values`.
+    /// summaries, a select partial, two working partials (one with a bitmap
+    /// and fixed summaries, one of a whole segment summarised from `values`),
+    /// a meta reply — built from `bits` and `values`.
     fn sample_frame(kind: usize, bits: u64, values: &[u64]) -> String {
-        let [working, ..] = fuzz_workings();
-        let frame = match kind % 10 {
+        let [working, whole, ..] = fuzz_workings();
+        let frame = match kind % 11 {
+            10 => {
+                let ints: Vec<Option<i64>> = (0..whole.len())
+                    .map(|row| (row % 7 != 3).then(|| (bits.rotate_left(row as u32) & 7) as i64))
+                    .collect();
+                let mut strs = atlas_columnar::column::DictColumn::new();
+                for row in 0..whole.len() {
+                    strs.push(Some(format!("v{}", row % (values.len() + 1)).as_str()));
+                }
+                let columns: Vec<SummaryParts> = [Column::Int(ints.into()), Column::Str(strs)]
+                    .iter()
+                    .map(|column| ColumnSummary::compute(column, &whole, 0).to_parts())
+                    .collect();
+                working_partial_to_json(values.len(), &whole, whole.len(), &columns)
+            }
             9 => partition_to_json(&CutPlan {
                 attribute: "x".to_string(),
                 partition: if bits & 1 == 0 {
@@ -1594,7 +1763,9 @@ mod tests {
                 });
                 select_partial_to_json(values.len(), &working, &regions)
             }
-            7 => working_partial_to_json(values.len(), &working, working.count()),
+            7 => {
+                working_partial_to_json(values.len(), &working, working.count(), &working_columns())
+            }
             0 => bitmap_to_json(&Bitmap::from_fn(values.len() * 23, |row| {
                 bits.rotate_left(row as u32) & 1 == 1
             })),
@@ -1650,7 +1821,7 @@ mod tests {
     }
 
     /// Pieces of JSON and of the frames' vocabulary, for token soups.
-    const TOKENS: [&str; 38] = [
+    const TOKENS: [&str; 39] = [
         "{",
         "}",
         "[",
@@ -1673,6 +1844,7 @@ mod tests {
         "\"regions\":",
         "\"rest\":",
         "\"bitmap\":",
+        "\"columns\":",
         "\"segment\":",
         "\"segments\":",
         "\"num_rows\":",
@@ -1707,7 +1879,7 @@ mod tests {
 
         #[test]
         fn mutated_frames_get_typed_errors_from_the_wire_decoders(
-            kind in 0usize..10,
+            kind in 0usize..11,
             bits in any::<u64>(),
             values in proptest::collection::vec(any::<u64>(), 0..12),
             edits in proptest::collection::vec((0u8..=u8::MAX, 0usize..1 << 20, 0u8..=u8::MAX), 1..6),

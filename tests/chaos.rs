@@ -708,11 +708,10 @@ fn a_generous_deadline_is_invisible_in_the_answer() {
 fn a_corrupt_frame_is_blamed_on_the_shard_that_sent_it() {
     let rig = chaos_rig();
     let query = ConjunctiveQuery::all("census");
-    // `/shard/working` and `/shard/summaries` pass; the first `/shard/select`
-    // is corrupted.
+    // `/shard/working` passes; the first `/shard/select` is corrupted.
     let plan = [
         Vec::new(),
-        vec![Fault::Delay(0), Fault::Delay(0), Fault::Corrupt],
+        vec![Fault::Delay(0), Fault::Corrupt],
         Vec::new(),
     ];
 
@@ -754,8 +753,8 @@ fn a_corrupt_frame_is_blamed_on_the_shard_that_sent_it() {
     }
 }
 
-/// The plan that truncates shard 1's `/shard/select` answer — its third
-/// call, after `/shard/working` and `/shard/summaries` — to half its bytes.
+/// The plan that truncates shard 1's `/shard/select` answer — its second
+/// call, after `/shard/working` — to half its bytes.
 /// The answer streams one chunk per partition: seven equal chunks of ~440
 /// bytes (every census cut is two-way, so each carries one 300-row bitmap
 /// per segment) behind a ~100-byte head, ~3.2 kB in all. Half of it holds
@@ -764,7 +763,7 @@ fn a_corrupt_frame_is_blamed_on_the_shard_that_sent_it() {
 fn truncated_select_plan() -> [Vec<Fault>; SHARDS] {
     [
         Vec::new(),
-        vec![Fault::Delay(0), Fault::Delay(0), Fault::Truncate(500)],
+        vec![Fault::Delay(0), Fault::Truncate(500)],
         Vec::new(),
     ]
 }
@@ -836,11 +835,7 @@ fn a_hedged_select_stream_is_bit_identical() {
     let straggle = Duration::from_millis(2_000);
     rig.arm(&[
         Vec::new(),
-        vec![
-            Fault::Delay(0),
-            Fault::Delay(0),
-            Fault::Delay(straggle.as_millis() as u64),
-        ],
+        vec![Fault::Delay(0), Fault::Delay(straggle.as_millis() as u64)],
         Vec::new(),
     ]);
     let started = Instant::now();

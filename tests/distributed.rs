@@ -316,11 +316,12 @@ fn killed_shard_surfaces_a_distributed_error() {
     let coordinator =
         Arc::new(Coordinator::connect(&addrs, "census", config, Duration::from_secs(2)).unwrap());
 
-    // Slow every request on shard 1 by 100 ms so the explore is still
-    // mid-scatter when the shard dies: a plan of more delays than the
-    // explore makes calls.
+    // Slow every request on shard 1 by 300 ms so the explore is still
+    // mid-scatter when the shard dies: the kill lands inside the first
+    // round, which the dying shard finishes, and the next round finds it
+    // gone. A plan of more delays than the explore makes calls.
     let armed = Client::new(handles[1].addr())
-        .post_json("/shard/inject", &delay_plan(100, 64))
+        .post_json("/shard/inject", &delay_plan(300, 64))
         .unwrap();
     assert_eq!(armed.status, 200);
 
@@ -1262,10 +1263,10 @@ fn working_set_calls(coordinator: &Coordinator) -> u64 {
 /// A shard evaluates the working set of an explore once per segment — on the
 /// first call that carries its SQL — and every later call of the explore
 /// finds the rows remembered. One filtered explore over 2 shards × 2 segments
-/// of the census: 3 calls to each shard (`/shard/working`, `/shard/summaries`
-/// and one `/shard/select` carrying the partitions of all 7 cut columns —
-/// the categorical cuts read their counts off the summaries, so
-/// `/shard/categories` is not among them), 4 evaluations, 4 × 2 reuses, read
+/// of the census: 2 calls to each shard (`/shard/working`, which carries the
+/// summaries too, and one `/shard/select` carrying the partitions of all 7
+/// cut columns — the categorical cuts read their counts off the summaries,
+/// so `/shard/categories` is not among them), 4 evaluations, 4 reuses, read
 /// from the shards' own `/metrics` in both formats.
 #[test]
 fn a_shard_evaluates_a_working_set_once_per_segment_per_explore() {
@@ -1281,7 +1282,10 @@ fn a_shard_evaluates_a_working_set_once_per_segment_per_explore() {
     let filtered = parse_query("SELECT * FROM census WHERE age BETWEEN 25 AND 60").unwrap();
     assert_agree(&reference, &coordinator, &filtered);
     let calls_per_shard = working_set_calls(&coordinator) / 2;
-    assert_eq!(calls_per_shard, 3, "working + summaries + one select");
+    assert_eq!(
+        calls_per_shard, 2,
+        "working (summaries inside) + one select"
+    );
     assert_eq!(working_set_counts(&handles), (4, 4 * (calls_per_shard - 1)));
     assert_eq!(
         endpoint_requests(&handles, "shard_categories"),
@@ -1458,8 +1462,8 @@ fn interleaved_explores_of_different_sql_stay_correct() {
 /// no shard for the dictionary — or for the counts, under any strategy.
 /// Whole-table, filtered and drill queries over two shards are bit-identical
 /// to the local engine under every categorical strategy, and each explore
-/// calls a shard once for the working set, once for the summaries and once
-/// for the partitions of every column it cuts.
+/// calls a shard once for the working set and its summaries and once for the
+/// partitions of every column it cuts.
 #[test]
 fn dictionary_order_cuts_make_no_round_trip_of_their_own() {
     let table = census_table(6_000, 1_000);
@@ -1488,7 +1492,7 @@ fn dictionary_order_cuts_make_no_round_trip_of_their_own() {
             assert!(partitioned >= 5, "{sql}: {:?}", local.skipped_attributes);
             assert_eq!(
                 coordinator.metrics().fan_out() - before,
-                2 * 3,
+                2 * 2,
                 "{categorical:?}, {sql}"
             );
         }
@@ -1501,10 +1505,10 @@ fn dictionary_order_cuts_make_no_round_trip_of_their_own() {
 }
 
 /// An explore that plans no cut asks for no partition: over two shards it
-/// makes the working-set and summaries rounds only, and fails like the local
-/// engine, with nothing to cut.
+/// makes the working-set round (summaries inside) only, and fails like the
+/// local engine, with nothing to cut.
 #[test]
-fn an_explore_that_cuts_nothing_makes_two_rounds() {
+fn an_explore_that_cuts_nothing_makes_one_round() {
     let table = census_table(4_000, 1_000);
     let config = AtlasConfig {
         attributes: Some(vec!["sex".to_string()]),
@@ -1525,9 +1529,52 @@ fn an_explore_that_cuts_nothing_makes_two_rounds() {
         matches!(remote, AtlasError::NoCuttableAttributes),
         "{remote}"
     );
-    assert_eq!(coordinator.metrics().fan_out() - before, 2 * 2);
+    assert_eq!(coordinator.metrics().fan_out() - before, 2);
     assert_eq!(endpoint_requests(&handles, "shard_select"), 0);
     handles.into_iter().for_each(ServerHandle::shutdown);
+}
+
+/// A query that selects no row fails like the local engine, with an empty
+/// working set, after the one round that found it empty: one call per shard
+/// and no `/shard/select`, at 1–3 shards, strict and degraded.
+#[test]
+fn an_empty_working_set_makes_one_round_and_fails_like_the_local_engine() {
+    let table = census_table(4_000, 1_000);
+    let config = product_config();
+    let nobody = parse_query("SELECT * FROM census WHERE age BETWEEN 200 AND 300").unwrap();
+    let local = Atlas::new(Arc::clone(&table), config.clone())
+        .unwrap()
+        .explore(&nobody)
+        .unwrap_err();
+    assert!(matches!(local, AtlasError::EmptyWorkingSet), "{local}");
+    for shards in 1..=3usize {
+        let (handles, addrs) = boot_shards("census", &table, &config, shards);
+        let coordinator =
+            Coordinator::connect(&addrs, "census", config.clone(), Duration::from_secs(10))
+                .unwrap();
+        for mode in [
+            ExploreMode::Strict,
+            ExploreMode::Degraded {
+                max_failed_shards: 1,
+            },
+        ] {
+            let before = coordinator.metrics().fan_out();
+            let remote = coordinator
+                .explore_resilient(&nobody, mode, None)
+                .unwrap_err();
+            assert!(
+                matches!(remote, AtlasError::EmptyWorkingSet),
+                "{shards} shards, {mode:?}: {remote}"
+            );
+            assert_eq!(
+                coordinator.metrics().fan_out() - before,
+                shards as u64,
+                "{shards} shards, {mode:?}"
+            );
+        }
+        assert_eq!(endpoint_requests(&handles, "shard_select"), 0);
+        handles.into_iter().for_each(ServerHandle::shutdown);
+    }
 }
 
 /// The census plus `city`, a string column of 1 500 distinct values (four

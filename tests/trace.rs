@@ -580,7 +580,7 @@ fn metrics_negotiates_prometheus_text() {
 /// A trace says which call of an explore paid for the working set: the
 /// `shard.request` span of `/shard/working` is tagged `working=evaluated`,
 /// and those of every later round — and of the repeat of a call whose first
-/// answer was an injected `500` — `working=reused`.
+/// answer was an injected `503` — `working=reused`.
 #[test]
 fn shard_request_spans_say_whether_the_working_set_was_evaluated_or_reused() {
     let _gate = gate();
@@ -590,8 +590,8 @@ fn shard_request_spans_say_whether_the_working_set_was_evaluated_or_reused() {
 
     let _traced = Traced::begin();
     let coordinator = rig.coordinator(calm_options());
-    // Shard 1 answers its second data call — `/shard/summaries` — with a
-    // synthetic 500 once; the coordinator asks again.
+    // Shard 1 answers its second data call — `/shard/select` — with a
+    // synthetic 503 once; the coordinator asks again.
     rig.arm(
         1,
         vec![
@@ -609,11 +609,11 @@ fn shard_request_spans_say_whether_the_working_set_was_evaluated_or_reused() {
 
     let spans = obs::tracer().trace(trace_id);
     let requests: Vec<_> = spans.iter().filter(|s| s.name == "shard.request").collect();
-    assert_eq!(requests.len(), 2 * 3, "two shards, three rounds");
+    assert_eq!(requests.len(), 2 * 2, "two shards, two rounds");
     for request in requests {
         let expected = match request.attr("endpoint") {
             Some("shard_working") => "evaluated",
-            Some("shard_summaries" | "shard_select") => "reused",
+            Some("shard_select") => "reused",
             other => panic!("unexpected shard endpoint {other:?}"),
         };
         assert_eq!(request.attr("working"), Some(expected));
