@@ -18,31 +18,50 @@
 //! buffers of large bitmaps — at least 64 KiB, a bitmap over 524 288 rows —
 //! are recycled through one process-wide pool: [`Bitmap::new_empty`],
 //! [`Bitmap::new_full`] and `clone` (so also [`Bitmap::and`], [`Bitmap::or`]
-//! and [`Bitmap::and_not`]) take a buffer of the exact length from it and
-//! zero, fill or copy it, and dropping a bitmap returns its buffer.
+//! and [`Bitmap::and_not`]) take a buffer from it and zero, fill or copy it,
+//! and dropping a bitmap returns its buffer.
 //!
-//! The pool holds buffers of **one length only**, the length of the last
-//! buffer released: releasing a buffer of another length (the table grew by
-//! an append, or another table is being explored) empties it first, so
-//! buffers of a length nothing asks for any more are never stranded. Two
-//! large tables of different lengths explored in turn therefore empty it at
-//! every switch, and their bitmaps come from the allocator, as without a
-//! pool.
+//! The pool serves **one length** and keeps any buffer no longer than it
+//! whose **capacity** reaches it: a table-length buffer, one a shard frame
+//! was decoded into with room to spare, a lent one coming back (below). A
+//! buffer of another length (an append grew the table, another table is
+//! being explored) replaces them all and its length becomes the pool's, so
+//! buffers of a length nothing asks for any more are never stranded —
+//! except a buffer of a length a [`PoolLease`] names, which is freed and
+//! displaces nothing. That is what a bitmap over a gathered table holds
+//! ([`crate::Table::gather`]: an explore of a working set of at most an
+//! eighth of the table runs over a compact copy of its rows, under a lease
+//! on the copy's length), and from about 4.2M rows up such a bitmap is long
+//! enough to pool: were it allowed to replace the table-length buffers,
+//! every switch between a gathered explore and a whole-table one would
+//! empty the pool.
+//!
+//! A pooled buffer is also **lent** to a shorter bitmap, but only to one of
+//! a length a [`PoolLease`] names while the lease lives: an explore over a
+//! gathered table holds a lease on the gathered table's length, whose
+//! bitmaps then live in the table-length buffers that sit idle meanwhile,
+//! instead of in fresh allocations. A lent buffer keeps its capacity and
+//! comes back to the pool when its bitmap is dropped. Lending is scoped
+//! because a short bitmap kept for long — a shard's cached per-segment
+//! working set — would hold a table-length buffer while the pool allocated
+//! others in its place (lending to every bitmap of at least 1/64 of the
+//! pool's length raised a two-shard server's peak RSS by 12 %).
 //!
 //! The pool is bounded in bytes, not buffers: it keeps at most 6 MB, about
 //! the full-length bitmaps one explore holds at once over a 1M-row table
 //! (48 buffers). A longer table keeps proportionally fewer (4 at 10M rows),
 //! and a table whose one bitmap exceeds the bound is not pooled at all. The
 //! bound was measured for one 1M-row table per process. The pool is never
-//! drained: after the last explore it keeps up to that bound until a bitmap
-//! of another length is dropped.
+//! drained: after the last explore it keeps up to that bound until a buffer
+//! of another length comes back.
 
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 const WORD_BITS: usize = 64;
 
-/// The shortest word buffer the pool recycles: 64 KiB, i.e. a bitmap over at
+/// The shortest word buffer the pool keeps: 64 KiB, i.e. a bitmap over at
 /// least 524 288 rows. Smaller buffers are left to the allocator, which
 /// reuses them from its free lists.
 const POOL_MIN_WORDS: usize = 64 * 1024 / std::mem::size_of::<u64>();
@@ -51,42 +70,70 @@ const POOL_MIN_WORDS: usize = 64 * 1024 / std::mem::size_of::<u64>();
 /// explore holds at once over a 1M-row table (125 000 bytes each).
 const POOL_BYTES: usize = 6_000_000;
 
-/// Word buffers of one length, ready for reuse (see the module docs).
+/// How many [`PoolLease`]s are alive: while there are none, a bitmap too
+/// short to pool never takes the pool's lock.
+static LEASES: AtomicUsize = AtomicUsize::new(0);
+
+/// Word buffers for bitmaps of one length, ready for reuse (see the module
+/// docs).
 struct BufferPool {
+    /// The length, in words, the pool is for: the length of the last
+    /// buffer that replaced the others. Every buffer held has at least this
+    /// capacity.
     words: usize,
+    /// The bytes of capacity the buffers held take.
+    bytes: usize,
     buffers: Vec<Vec<u64>>,
+    /// The shorter lengths, in words, the live leases lend buffers to (one
+    /// entry per lease).
+    leases: Vec<usize>,
 }
 
 impl BufferPool {
     const fn new() -> Self {
         BufferPool {
             words: 0,
+            bytes: 0,
             buffers: Vec::new(),
+            leases: Vec::new(),
         }
     }
 
     /// A buffer of exactly `words` words with unspecified contents, if the
-    /// pool holds one.
+    /// pool holds one and `words` is its length or a shorter one a lease
+    /// names.
     fn take(&mut self, words: usize) -> Option<Vec<u64>> {
-        if words == self.words {
-            self.buffers.pop()
-        } else {
-            None
+        if words != self.words && (words > self.words || !self.leases.contains(&words)) {
+            return None;
         }
+        let mut buffer = self.buffers.pop()?;
+        self.bytes -= buffer.capacity() * std::mem::size_of::<u64>();
+        // Within the buffer's capacity: no allocation.
+        buffer.resize(words, 0);
+        Some(buffer)
     }
 
-    /// Keep `buffer` for reuse if it fits within [`POOL_BYTES`]. A buffer
-    /// of another length than the pooled ones replaces them all. The
-    /// buffers not kept are returned so the caller frees them outside the
-    /// lock.
+    /// Keep `buffer` for reuse if it fits within [`POOL_BYTES`]: a buffer
+    /// no longer than the pool's length whose capacity reaches it (a
+    /// table-length one, one decoded with room to spare, a lent one coming
+    /// back). A buffer of a length a lease names is not kept and displaces
+    /// nothing; a buffer of any other length replaces every buffer held and
+    /// its length becomes the pool's. The buffers not kept are returned so
+    /// the caller frees them outside the lock.
     fn give(&mut self, buffer: Vec<u64>) -> Vec<Vec<u64>> {
         let mut displaced = Vec::new();
-        if buffer.len() != self.words {
+        let fits = buffer.capacity() >= self.words && buffer.len() <= self.words;
+        if !fits {
+            if self.leases.contains(&buffer.len()) {
+                return vec![buffer];
+            }
             displaced = std::mem::take(&mut self.buffers);
             self.words = buffer.len();
+            self.bytes = 0;
         }
-        let bytes = (self.buffers.len() + 1) * buffer.len() * std::mem::size_of::<u64>();
-        if bytes <= POOL_BYTES {
+        let bytes = buffer.capacity() * std::mem::size_of::<u64>();
+        if self.bytes + bytes <= POOL_BYTES {
+            self.bytes += bytes;
             self.buffers.push(buffer);
         } else {
             displaced.push(buffer);
@@ -105,11 +152,42 @@ fn pool() -> std::sync::MutexGuard<'static, BufferPool> {
 }
 
 /// A pooled buffer of exactly `words` words, contents unspecified, if the
-/// length is poolable and the pool holds one.
+/// length is one the pool may serve and the pool holds a buffer for it.
 fn pooled(words: usize) -> Option<Vec<u64>> {
-    (words >= POOL_MIN_WORDS)
+    (words >= POOL_MIN_WORDS || LEASES.load(Ordering::Relaxed) > 0)
         .then(|| pool().take(words))
         .flatten()
+}
+
+/// While it lives, bitmaps over exactly one number of rows borrow the
+/// pool's idle buffers (see the module docs): the bitmaps of an explore over
+/// a gathered table ([`crate::Table::gather`]), which takes a lease on the
+/// gathered table's rows for as long as it runs.
+#[derive(Debug)]
+#[must_use = "the lease ends when it is dropped"]
+pub struct PoolLease {
+    words: usize,
+}
+
+impl PoolLease {
+    /// Lend the pool's buffers to bitmaps over `len` rows until the lease is
+    /// dropped.
+    pub fn new(len: usize) -> PoolLease {
+        let words = len.div_ceil(WORD_BITS);
+        pool().leases.push(words);
+        LEASES.fetch_add(1, Ordering::Relaxed);
+        PoolLease { words }
+    }
+}
+
+impl Drop for PoolLease {
+    fn drop(&mut self) {
+        let mut pool = pool();
+        if let Some(at) = pool.leases.iter().position(|&w| w == self.words) {
+            pool.leases.swap_remove(at);
+        }
+        LEASES.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
 /// A buffer of `words` words, every one `fill`: a pooled one if there is
@@ -149,7 +227,7 @@ impl Clone for Bitmap {
 
 impl Drop for Bitmap {
     fn drop(&mut self) {
-        if self.words.len() >= POOL_MIN_WORDS {
+        if self.words.capacity() >= POOL_MIN_WORDS {
             // The guard is a temporary of this statement, so the displaced
             // buffers are freed after the lock is released.
             let displaced = pool().give(std::mem::take(&mut self.words));
@@ -506,6 +584,41 @@ impl Bitmap {
         }
     }
 
+    /// The inverse of gathering `rows`: the bitmap over `rows.len()` rows in
+    /// which the `i`-th set row of `rows` is set iff bit `i` of `self` is.
+    /// `self` ranges over `rows.count()` rows — a selection over a table
+    /// gathered by `rows` ([`crate::Table::gather`]), mapped back to the
+    /// rows of the table it was gathered from.
+    ///
+    /// One pass over the words of `rows`, without a branch: each word
+    /// deposits the next `popcount` bits of `self` at its set rows (`pdep`
+    /// on a CPU with BMI2, a loop otherwise). A walk of `self`'s bits would
+    /// need each bit's row, which takes the same pass over `rows` to rank,
+    /// so it is never the cheaper body; an empty or a full `self` takes
+    /// neither.
+    ///
+    /// # Panics
+    /// Panics if `self.len() != rows.count()`.
+    pub fn expand(&self, rows: &Bitmap) -> Bitmap {
+        assert_eq!(self.len, rows.count(), "bitmap length mismatch");
+        match self.count() {
+            0 => return Bitmap::new_empty(rows.len),
+            ones if ones == self.len => return rows.clone(),
+            _ => {}
+        }
+        let mut out = Bitmap::new_empty(rows.len);
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("bmi2") && !crate::kernels::force_scalar() {
+            // SAFETY: `expand_bmi2` is safe Rust whose only precondition is
+            // a CPU that executes BMI2 instructions, which the runtime
+            // detection above just confirmed.
+            unsafe { expand_bmi2(&self.words, &rows.words, &mut out.words) };
+            return out;
+        }
+        expand_words(&self.words, &rows.words, &mut out.words, deposit_portable);
+        out
+    }
+
     /// OR a whole 64-bit word of new bits into word `word_idx` (covering rows
     /// `word_idx * 64 ..`). Bits past `len` are masked off, so the tail
     /// invariant holds for any input. Words entirely past the end are
@@ -577,6 +690,47 @@ fn count_popcnt(words: &[u64]) -> usize {
 #[target_feature(enable = "popcnt")]
 fn intersection_count_popcnt(a: &[u64], b: &[u64]) -> usize {
     intersection_count_fold(a, b)
+}
+
+/// The deposit loop of [`Bitmap::expand`]: each word of `rows` takes the
+/// next `popcount` bits of `bits`, deposited at its set rows by `deposit`
+/// (which reads as many low bits as its mask has set). `inline(always)` so
+/// each caller stamps out a copy under its own instruction set.
+#[inline(always)]
+fn expand_words(bits: &[u64], rows: &[u64], out: &mut [u64], deposit: impl Fn(u64, u64) -> u64) {
+    let mut taken = 0;
+    for (out, &mask) in out.iter_mut().zip(rows) {
+        let (q, r) = (taken / WORD_BITS, taken % WORD_BITS);
+        let lo = bits.get(q).copied().unwrap_or(0) >> r;
+        // The next word's low bits above `lo`'s; none when `r == 0`.
+        let hi = (bits.get(q + 1).copied().unwrap_or(0) << 1) << (WORD_BITS - 1 - r);
+        *out = deposit(lo | hi, mask);
+        taken += mask.count_ones() as usize;
+    }
+}
+
+/// `pdep` in software: the low bits of `x`, in order, at the set bits of
+/// `mask`.
+#[inline(always)]
+fn deposit_portable(x: u64, mask: u64) -> u64 {
+    let (mut out, mut rest, mut from) = (0u64, mask, x);
+    while rest != 0 && from != 0 {
+        let low = rest & rest.wrapping_neg();
+        if from & 1 != 0 {
+            out |= low;
+        }
+        from >>= 1;
+        rest ^= low;
+    }
+    out
+}
+
+/// The BMI2 compilation of [`expand_words`]: one `pdep` per word.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "bmi2,popcnt")]
+fn expand_bmi2(bits: &[u64], rows: &[u64], out: &mut [u64]) {
+    use std::arch::x86_64::_pdep_u64;
+    expand_words(bits, rows, out, |x, mask| _pdep_u64(x, mask));
 }
 
 impl fmt::Debug for Bitmap {
@@ -978,6 +1132,112 @@ mod tests {
         let old = Bitmap::new_empty(POOLED_LEN);
         assert!(old.is_all_clear());
         assert_eq!(old.len(), POOLED_LEN);
+    }
+
+    #[test]
+    fn a_lease_lends_longer_buffers_and_capacity_decides_what_is_kept() {
+        let _serial = pool_tests();
+        let (short, long) = (POOL_MIN_WORDS, POOL_MIN_WORDS + 1);
+        let mut pool = BufferPool::new();
+        assert!(pool.give(vec![0; long]).is_empty());
+        // A shorter request is lent the longer buffer only under a lease,
+        // cut to its length; given back, it is kept by its capacity.
+        assert!(pool.take(short).is_none());
+        pool.leases.push(short);
+        assert!(pool.take(short - 1).is_none());
+        let lent = pool.take(short).expect("a longer buffer is lent");
+        assert_eq!((lent.len(), lent.capacity()), (short, long));
+        assert!(pool.take(long).is_none());
+        assert!(pool.give(lent).is_empty());
+        // A fresh buffer of the leased length is freed and displaces nothing.
+        assert_eq!(pool.give(vec![0; short]).len(), 1);
+        assert_eq!(pool.take(long).map(|buffer| buffer.len()), Some(long));
+        // A buffer of the pool's length with room to spare (a decoded frame)
+        // is kept.
+        let mut roomy = Vec::with_capacity(2 * long);
+        roomy.resize(long, 0);
+        assert!(pool.give(roomy).is_empty());
+        assert_eq!(pool.buffers.len(), 1);
+        // A lent buffer that comes back after its lease ended is kept too.
+        let lent = pool.take(short).expect("still leased");
+        pool.leases.clear();
+        assert!(pool.give(lent).is_empty());
+        assert_eq!(pool.buffers.len(), 1);
+        let capacity = pool.take(long).map(|buffer| buffer.capacity());
+        assert_eq!(capacity, Some(2 * long));
+    }
+
+    #[test]
+    fn a_lease_lends_pooled_buffers_to_its_length_only_while_it_lives() {
+        let _serial = pool_tests();
+        drop(Bitmap::new_full(POOLED_LEN));
+        let short = POOLED_LEN / 8;
+        let lease = PoolLease::new(short);
+        let lent = Bitmap::new_full(short);
+        assert!(lent.words.capacity() >= POOLED_LEN.div_ceil(WORD_BITS));
+        assert_eq!(
+            (lent.count(), lent.words().len()),
+            (short, short.div_ceil(WORD_BITS))
+        );
+        drop(lent);
+        drop(lease);
+        let fresh = Bitmap::new_empty(short);
+        assert_eq!(fresh.words.capacity(), short.div_ceil(WORD_BITS));
+        assert!(super::pool().take(POOLED_LEN.div_ceil(WORD_BITS)).is_some());
+    }
+
+    #[test]
+    fn a_gathered_bitmap_never_displaces_the_table_length_buffers() {
+        // From ~4.2M rows an eighth of the table is long enough to pool.
+        let table_rows: usize = 4_200_000;
+        let (table, compact) = (table_rows.div_ceil(64), (table_rows / 8).div_ceil(64));
+        assert!(compact >= POOL_MIN_WORDS);
+        let mut pool = BufferPool::new();
+        for _ in 0..3 {
+            assert!(pool.give(vec![0; table]).is_empty());
+        }
+        // The explore over the gathered table holds a lease on its length:
+        // a compact buffer of its own is freed, and the pool keeps its three.
+        pool.leases.push(compact);
+        assert_eq!(pool.give(vec![0; compact]).len(), 1);
+        assert_eq!(pool.buffers.len(), 3);
+        // A compact bitmap borrows a table-length buffer and gives it back.
+        let lent = pool.take(compact).expect("a table-length buffer is lent");
+        assert_eq!((lent.len(), lent.capacity()), (compact, table));
+        assert!(pool.give(lent).is_empty());
+        assert_eq!(pool.buffers.len(), 3);
+        assert_eq!(pool.take(table).map(|buffer| buffer.len()), Some(table));
+    }
+
+    #[test]
+    fn expand_is_the_inverse_of_gathering_on_either_path() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for (len, rows_in, bits_in) in [
+            (1000, 2, 2),
+            (1000, 2, 50),
+            (4096, 16, 1),
+            (777, 1, 3),
+            (130, 1, 1),
+            (3000, 64, 64),
+        ] {
+            let rows = Bitmap::from_fn(len, |_| next() % 64 < rows_in);
+            let count = rows.count();
+            let bits = Bitmap::from_fn(count, |_| next() % 64 < bits_in);
+            let positions = rows.to_indices();
+            let expected = Bitmap::from_indices(len, bits.iter_ones().map(|i| positions[i]));
+            for path in [crate::KernelPath::WordParallel, crate::KernelPath::Scalar] {
+                let got = crate::with_kernel_path(path, || bits.expand(&rows));
+                assert_eq!(got, expected, "{len} rows, {count} set, {path:?}");
+            }
+            assert_eq!(Bitmap::new_full(count).expand(&rows), rows);
+            assert!(Bitmap::new_empty(count).expand(&rows).is_all_clear());
+        }
     }
 
     #[test]

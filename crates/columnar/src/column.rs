@@ -45,6 +45,7 @@ use crate::value::{DataType, Value};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::mem::{size_of, size_of_val};
+use std::sync::Arc;
 
 /// The most distinct values a coded numeric column holds: the capacity of the
 /// statistics counter (`colstats`), so a coded part never degrades a counted
@@ -99,8 +100,9 @@ pub(crate) enum Lanes<T> {
     /// in the type's total order ([`Numeric::order`]), so a value range is a
     /// code span.
     Coded {
-        /// The distinct non-NULL values, sorted.
-        dict: Vec<T>,
+        /// The distinct non-NULL values, sorted; shared by the parts
+        /// gathered from this one.
+        dict: Arc<[T]>,
         /// The per-row codes.
         codes: Codes,
     },
@@ -332,6 +334,14 @@ impl<T: Copy + Default> PrimitiveColumn<T> {
         &self.lanes
     }
 
+    /// A column of exactly these lanes and validity bits, one per row: no
+    /// representation is chosen again. How a gathered part
+    /// ([`crate::Table::gather`]) keeps its source part's encoding and
+    /// dictionary.
+    pub(crate) fn from_lanes(lanes: Lanes<T>, validity: Bitmap) -> Self {
+        PrimitiveColumn { lanes, validity }
+    }
+
     /// The validity mask: bit `i` set ⇔ row `i` is non-NULL.
     pub fn validity(&self) -> &Bitmap {
         &self.validity
@@ -381,7 +391,7 @@ impl<T: Copy + Default> PrimitiveColumn<T> {
     fn heap_bytes(&self) -> usize {
         let lanes = match &self.lanes {
             Lanes::Plain(values) => size_of_val(values.as_slice()),
-            Lanes::Coded { dict, codes } => size_of_val(dict.as_slice()) + codes.heap_bytes(),
+            Lanes::Coded { dict, codes } => size_of_val(&**dict) + codes.heap_bytes(),
         };
         lanes + size_of_val(self.validity.words())
     }
@@ -436,7 +446,7 @@ fn seal_numeric<T: Numeric>(column: PrimitiveColumn<T>) -> PrimitiveColumn<T> {
     for (rank, &(_, first_seen)) in entries.iter().enumerate() {
         remap[usize::from(first_seen)] = rank as u16;
     }
-    let dict: Vec<T> = entries.into_iter().map(|(value, _)| value).collect();
+    let dict: Arc<[T]> = entries.into_iter().map(|(value, _)| value).collect();
     let codes = if dict.len() <= usize::from(u8::MAX) + 1 {
         let narrow = provisional.iter().map(|&p| remap[usize::from(p)] as u8);
         Codes::U8(narrow.collect())
@@ -488,7 +498,9 @@ impl<T: Copy + Default> From<Vec<Option<T>>> for PrimitiveColumn<T> {
 /// whatever each interned and at whatever width.
 #[derive(Debug, Clone)]
 pub struct DictColumn {
-    dict: Vec<String>,
+    /// Shared by the parts gathered from this one; a push copies it first
+    /// if it is shared.
+    dict: Arc<Vec<String>>,
     codes: Codes,
     validity: Bitmap,
     /// value → code while the column is open; `None` once sealed.
@@ -499,7 +511,7 @@ impl DictColumn {
     /// Create an empty (open) dictionary column.
     pub fn new() -> Self {
         DictColumn {
-            dict: Vec::new(),
+            dict: Arc::new(Vec::new()),
             codes: Codes::U32(Vec::new()),
             validity: Bitmap::new_empty(0),
             index: Some(HashMap::new()),
@@ -534,7 +546,13 @@ impl DictColumn {
     /// What an open column is pushed through — dictionary, `u32` lanes and
     /// lookup index — reopening a sealed one: its lanes widen and its index
     /// is rebuilt.
-    fn open(&mut self) -> (&mut Vec<String>, &mut Vec<u32>, &mut HashMap<String, u32>) {
+    fn open(
+        &mut self,
+    ) -> (
+        &mut Arc<Vec<String>>,
+        &mut Vec<u32>,
+        &mut HashMap<String, u32>,
+    ) {
         if self.index.is_none() {
             let sealed = std::mem::replace(&mut self.codes, Codes::U32(Vec::new()));
             self.codes = Codes::U32(match sealed {
@@ -578,6 +596,23 @@ impl DictColumn {
         &self.codes
     }
 
+    /// The dictionary as shared by the parts gathered from this one.
+    pub(crate) fn shared_dictionary(&self) -> &Arc<Vec<String>> {
+        &self.dict
+    }
+
+    /// A sealed column of `codes` into `dict` with these validity bits, one
+    /// per row — a gathered part ([`crate::Table::gather`]), which keeps its
+    /// source part's dictionary and lane width.
+    pub(crate) fn from_codes(dict: Arc<Vec<String>>, codes: Codes, validity: Bitmap) -> Self {
+        DictColumn {
+            dict,
+            codes,
+            validity,
+            index: None,
+        }
+    }
+
     /// The validity mask: bit `i` set ⇔ row `i` is non-NULL.
     pub fn validity(&self) -> &Bitmap {
         &self.validity
@@ -615,13 +650,15 @@ impl DictColumn {
     }
 }
 
-/// The code of `s` in an open column's dictionary, entered last if it is new.
-fn intern_in(dict: &mut Vec<String>, index: &mut HashMap<String, u32>, s: &str) -> u32 {
+/// The code of `s` in an open column's dictionary, entered last if it is new
+/// (the dictionary is copied first if a gathered part shares it; a value
+/// already entered touches nothing but the index).
+fn intern_in(dict: &mut Arc<Vec<String>>, index: &mut HashMap<String, u32>, s: &str) -> u32 {
     if let Some(&code) = index.get(s) {
         return code;
     }
     let code = dict.len() as u32;
-    dict.push(s.to_string());
+    Arc::make_mut(dict).push(s.to_string());
     index.insert(s.to_string(), code);
     code
 }
@@ -1087,7 +1124,7 @@ mod tests {
         else {
             panic!("expected u8 codes, got {:?}", p.lanes());
         };
-        assert_eq!(dict, &[-2, 7, 40]);
+        assert_eq!(**dict, [-2, 7, 40]);
         assert_eq!(codes, &[1, 0, 1, 2, 0, 1, 2, 1, 0, 1, 2, 1]);
         // Equality is logical, rows decode, and the coded form is lighter.
         assert_eq!(coded, plain);

@@ -14,7 +14,9 @@
 //! [`crate::column`]: every string column, a sealed numeric column with few
 //! distinct values, every sealed boolean part of 8 rows or more):
 //! `partition_codes` and `count_lanes` — its walk and its entry-mask count —
-//! are the only bodies that read a code lane, whatever the column's type, and
+//! are the only bodies that read a code lane, whatever the column's type
+//! (`gather_part`, which copies a part's selected rows into a part of their
+//! own for [`crate::Table::gather`], moves lanes without reading them), and
 //! no caller of [`crate::ColumnView`] can tell. A boolean is a primitive like
 //! any other, with `false < true`: no kernel body is kept for it alone. The
 //! partition kernels process **64 rows per step** instead of one:
@@ -77,11 +79,11 @@
 //! columns, both sides of the `u8`/`u16`/plain lines, every segment layout).
 
 use crate::bitmap::Bitmap;
-use crate::column::{at_each_width, Codes, Column, Lanes, PrimitiveColumn};
+use crate::column::{at_each_width, Codes, Column, DictColumn, Lanes, PrimitiveColumn};
 use crate::value::DataType;
 use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 const WORD_BITS: usize = 64;
 
@@ -209,18 +211,22 @@ fn simd_label() -> &'static str {
 /// `kernel.dispatch` event to the current span. Called once per
 /// (segment, column) partition call — not per row or per word.
 fn observe_dispatch(op: &'static str, path: KernelPath) {
-    static COUNTERS: OnceLock<[&'static atlas_obs::Counter; 4]> = OnceLock::new();
+    static COUNTERS: OnceLock<[&'static atlas_obs::Counter; 6]> = OnceLock::new();
     let counters = COUNTERS.get_or_init(|| {
         [
             atlas_obs::counter("kernel.select_ranges.word_parallel"),
             atlas_obs::counter("kernel.select_ranges.scalar"),
             atlas_obs::counter("kernel.select_in_groups.word_parallel"),
             atlas_obs::counter("kernel.select_in_groups.scalar"),
+            atlas_obs::counter("kernel.gather.word_parallel"),
+            atlas_obs::counter("kernel.gather.scalar"),
         ]
     });
     let idx = match (op, path) {
         ("select_ranges", KernelPath::WordParallel) => 0,
         ("select_ranges", KernelPath::Scalar) => 1,
+        ("gather", KernelPath::WordParallel) => 4,
+        ("gather", KernelPath::Scalar) => 5,
         (_, KernelPath::WordParallel) => 2,
         (_, KernelPath::Scalar) => 3,
     };
@@ -1425,6 +1431,262 @@ pub(crate) fn category_codes_part(column: &Column, label_of_code: &[u32], labels
     });
 }
 
+// ---------------------------------------------------------------------------
+// Gathering a part's selected rows (Table::gather)
+// ---------------------------------------------------------------------------
+
+/// The rows of one part (local row 0 at global row `offset`) that a
+/// selection selects, found once for all of the part's columns: every column
+/// of a segment is gathered by the same rows, so the selection's words are
+/// read, and its bits decoded, once per part instead of once per column — a
+/// sparse selection's per-word branches, which mispredict on random words,
+/// are paid once.
+pub(crate) struct PartRows<'s> {
+    sel: &'s Bitmap,
+    offset: usize,
+    len: usize,
+    /// The selection's words over the part, in the part's own alignment:
+    /// bit `b` of word `w` is local row `64 w + b`.
+    words: Vec<u64>,
+    /// How many rows of the part are selected.
+    selected: usize,
+    /// The selected local rows, ascending — decoded only for a part neither
+    /// wholly selected nor missed.
+    rows: Vec<u32>,
+}
+
+impl<'s> PartRows<'s> {
+    /// The selected rows of the part of `len` rows at global row `offset`.
+    pub(crate) fn new(sel: &'s Bitmap, offset: usize, len: usize) -> Self {
+        let words: Vec<u64> = (0..len.div_ceil(WORD_BITS))
+            .map(|w| {
+                let word = sel.word_at(offset + w * WORD_BITS);
+                match len - w * WORD_BITS {
+                    rest if rest < WORD_BITS => word & ((1u64 << rest) - 1),
+                    _ => word,
+                }
+            })
+            .collect();
+        let selected = words.iter().map(|w| w.count_ones() as usize).sum();
+        let mut part = PartRows {
+            sel,
+            offset,
+            len,
+            words,
+            selected,
+            rows: Vec::new(),
+        };
+        if selected != 0 && selected != len {
+            part.rows = decode_rows(&part.words, selected);
+        }
+        part
+    }
+
+    /// How many rows of the part are selected.
+    pub(crate) fn selected(&self) -> usize {
+        self.selected
+    }
+}
+
+/// The set bits of `words`, `selected` of them, as ascending row numbers.
+/// Each word writes eight rows whether it holds them or not, and a word
+/// holding more writes eight more before it loops (the slots past its count
+/// are overwritten by the next word or cut off at the end). So a word of up
+/// to eight rows — most words of a selection of at most an eighth of the
+/// rows, the ones gathered — takes no branch on its count.
+fn decode_rows(words: &[u64], selected: usize) -> Vec<u32> {
+    const UNCONDITIONAL: usize = 8;
+    let mut rows = vec![0u32; selected + 2 * UNCONDITIONAL];
+    let mut filled = 0;
+    let write = |rows: &mut [u32], base: u32, bits: &mut u64| {
+        for slot in rows {
+            *slot = base + bits.trailing_zeros();
+            *bits &= bits.wrapping_sub(1);
+        }
+    };
+    for (w, &word) in words.iter().enumerate() {
+        let base = (w * WORD_BITS) as u32;
+        let count = word.count_ones() as usize;
+        let mut bits = word;
+        write(&mut rows[filled..filled + UNCONDITIONAL], base, &mut bits);
+        if count > UNCONDITIONAL {
+            let next = filled + UNCONDITIONAL;
+            write(&mut rows[next..next + UNCONDITIONAL], base, &mut bits);
+            let mut at = next + UNCONDITIONAL;
+            while bits != 0 {
+                rows[at] = base + bits.trailing_zeros();
+                bits &= bits - 1;
+                at += 1;
+            }
+        }
+        filled += count;
+    }
+    rows.truncate(selected);
+    rows
+}
+
+/// The selected rows of one part, as a part of their own, in row order: the
+/// same type, encoding and dictionary (shared, not copied; nothing is sealed
+/// again), holding the selected rows' lanes and validity bits. A part no
+/// selected row falls in gathers to zero rows and keeps its dictionary.
+///
+/// Lanes are gathered by the part's selected rows ([`PartRows`]). Validity
+/// bits are compressed one 64-row word at a time by `pext` on a CPU with
+/// BMI2, and gathered by row otherwise; a part with no NULL has nothing to
+/// compress. The scalar reference, which `ATLAS_FORCE_SCALAR` selects,
+/// visits every selected row through [`Bitmap::for_each_one_in`] and pushes
+/// its lane and its validity bit.
+pub(crate) fn gather_part(column: &Column, part: &PartRows<'_>) -> Column {
+    let path = active_kernel_path();
+    observe_dispatch("gather", path);
+    debug_assert_eq!(column.len(), part.len);
+    match column {
+        Column::Int(p) => Column::Int(gather_primitive(p, part, path)),
+        Column::Float(p) => Column::Float(gather_primitive(p, part, path)),
+        Column::Bool(p) => Column::Bool(gather_primitive(p, part, path)),
+        Column::Str(d) => {
+            let (codes, validity) = gather_codes(d.codes(), d.validity(), part, path);
+            let dict = Arc::clone(d.shared_dictionary());
+            Column::Str(DictColumn::from_codes(dict, codes, validity))
+        }
+    }
+}
+
+/// [`gather_part`] of a numeric or boolean part.
+fn gather_primitive<T: Copy + Default>(
+    column: &PrimitiveColumn<T>,
+    part: &PartRows<'_>,
+    path: KernelPath,
+) -> PrimitiveColumn<T> {
+    let validity = column.validity();
+    let (lanes, validity) = match column.lanes() {
+        Lanes::Plain(values) => {
+            let (values, validity) = gather_lanes(values, validity, part, path);
+            (Lanes::Plain(values), validity)
+        }
+        Lanes::Coded { dict, codes } => {
+            let (codes, validity) = gather_codes(codes, validity, part, path);
+            let dict = Arc::clone(dict);
+            (Lanes::Coded { dict, codes }, validity)
+        }
+    };
+    PrimitiveColumn::from_lanes(lanes, validity)
+}
+
+/// [`gather_part`] of code lanes, at the width they are stored.
+fn gather_codes(
+    codes: &Codes,
+    validity: &Bitmap,
+    part: &PartRows<'_>,
+    path: KernelPath,
+) -> (Codes, Bitmap) {
+    match codes {
+        Codes::U8(lanes) => {
+            let (lanes, validity) = gather_lanes(lanes, validity, part, path);
+            (Codes::U8(lanes), validity)
+        }
+        Codes::U16(lanes) => {
+            let (lanes, validity) = gather_lanes(lanes, validity, part, path);
+            (Codes::U16(lanes), validity)
+        }
+        Codes::U32(lanes) => {
+            let (lanes, validity) = gather_lanes(lanes, validity, part, path);
+            (Codes::U32(lanes), validity)
+        }
+    }
+}
+
+/// The selected rows' lanes and validity bits of one part's `lanes`, through
+/// the path in effect.
+fn gather_lanes<L: Copy>(
+    lanes: &[L],
+    validity: &Bitmap,
+    part: &PartRows<'_>,
+    path: KernelPath,
+) -> (Vec<L>, Bitmap) {
+    if path == KernelPath::Scalar {
+        return gather_scalar(lanes, validity, part.sel, part.offset);
+    }
+    let gathered = if part.selected == part.len {
+        lanes.to_vec()
+    } else {
+        part.rows.iter().map(|&row| lanes[row as usize]).collect()
+    };
+    (gathered, gather_validity(validity, part))
+}
+
+/// The selected rows' validity bits: every one set for a part with no
+/// NULL, else [`compress_bmi2`] on a CPU with BMI2, one bit per selected row
+/// otherwise.
+fn gather_validity(validity: &Bitmap, part: &PartRows<'_>) -> Bitmap {
+    if validity.count() == part.len {
+        return Bitmap::new_full(part.selected);
+    }
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("bmi2") {
+        // SAFETY: `compress_bmi2` is safe Rust whose only precondition is a
+        // CPU that executes BMI2 instructions, which the runtime detection
+        // above just confirmed.
+        return unsafe { compress_bmi2(validity.words(), &part.words, part.selected) };
+    }
+    if part.selected == part.len {
+        return Bitmap::from_words(part.len, validity.words().to_vec());
+    }
+    let mut out = Bitmap::new_empty(part.selected);
+    for (at, &row) in part.rows.iter().enumerate() {
+        out.or_word(
+            at / WORD_BITS,
+            u64::from(validity.get(row as usize)) << (at % WORD_BITS),
+        );
+    }
+    out
+}
+
+/// The bits of `bits` under `mask`, word by word, packed into `selected`
+/// bits in order: one `pext` per word, appended at a running bit position.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "bmi2,popcnt")]
+fn compress_bmi2(bits: &[u64], mask: &[u64], selected: usize) -> Bitmap {
+    use std::arch::x86_64::_pext_u64;
+    let mut out: Vec<u64> = Vec::with_capacity(selected.div_ceil(WORD_BITS) + 1);
+    // The word being filled and how many of its bits are.
+    let (mut word, mut filled) = (0u64, 0u32);
+    for (&bits, &mask) in bits.iter().zip(mask) {
+        let packed = _pext_u64(bits, mask);
+        let taken = mask.count_ones();
+        word |= packed.checked_shl(filled).unwrap_or(0);
+        filled += taken;
+        if filled >= u64::BITS {
+            out.push(word);
+            filled -= u64::BITS;
+            // The packed bits that did not fit; none when the word was
+            // filled exactly.
+            word = packed.checked_shr(taken - filled).unwrap_or(0);
+        }
+    }
+    if filled > 0 {
+        out.push(word);
+    }
+    Bitmap::from_words(selected, out)
+}
+
+/// The scalar reference of [`gather_lanes`]: every selected row of the part,
+/// its lane and its validity bit pushed one at a time.
+fn gather_scalar<L: Copy>(
+    lanes: &[L],
+    validity: &Bitmap,
+    sel: &Bitmap,
+    offset: usize,
+) -> (Vec<L>, Bitmap) {
+    let mut out = Vec::new();
+    let mut valid = Bitmap::new_empty(0);
+    sel.for_each_one_in(offset, offset + lanes.len(), |row| {
+        out.push(lanes[row - offset]);
+        valid.push(validity.get(row - offset));
+    });
+    (out, valid)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1623,6 +1885,97 @@ mod tests {
         }
         check_span_masks(u64::from(u8::MAX), |x| x as u8, avx2_u8);
         check_span_masks(u64::from(u16::MAX), |x| x as u16, avx2_u16);
+    }
+
+    /// Every body of [`gather_part`] — rows and by-row validity, the BMI2
+    /// compress where the CPU has it — against the scalar reference, over
+    /// one part's lanes.
+    fn check_gather<L: Copy + PartialEq + std::fmt::Debug>(
+        lanes: &[L],
+        validity: &Bitmap,
+        offset: usize,
+        sel: &Bitmap,
+    ) {
+        let part = PartRows::new(sel, offset, lanes.len());
+        let reference = gather_scalar(lanes, validity, sel, offset);
+        assert_eq!(reference.0.len(), part.selected());
+        let fast = gather_lanes(lanes, validity, &part, KernelPath::WordParallel);
+        assert_eq!(fast, reference, "offset {offset}");
+        // The by-row validity the BMI2 compress stands in for.
+        let mut by_row = Bitmap::new_empty(part.selected);
+        for (at, &row) in part.rows.iter().enumerate() {
+            by_row.or_word(
+                at / WORD_BITS,
+                u64::from(validity.get(row as usize)) << (at % WORD_BITS),
+            );
+        }
+        if part.selected != part.len {
+            assert_eq!(by_row, reference.1, "by row, offset {offset}");
+        }
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("bmi2") {
+            // SAFETY: the CPU executes BMI2, as just detected.
+            let compressed = unsafe { compress_bmi2(validity.words(), &part.words, part.selected) };
+            assert_eq!(compressed, reference.1, "bmi2, offset {offset}");
+        }
+    }
+
+    #[test]
+    fn gather_bodies_agree_with_the_scalar_reference_on_random_words() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        // (rows, offset, candidates per 64 selected rows, NULLs per 8 rows):
+        // dense and sparse words, parts starting and ending inside a word,
+        // wholly selected and empty parts, parts with and without NULLs.
+        for (rows, offset, density, nulls) in [
+            (1000, 0, 64, 1),
+            (1000, 37, 30, 2),
+            (1000, 64, 12, 0),
+            (130, 64, 8, 3),
+            (64, 1, 63, 1),
+            (2048, 0, 1, 1),
+            (2048, 5, 64, 0),
+            (300, 5, 0, 1),
+            (0, 10, 32, 1),
+        ] {
+            let sel = Bitmap::from_fn(offset + rows + 50, |_| xorshift(&mut state) % 64 < density);
+            let validity = Bitmap::from_fn(rows, |_| xorshift(&mut state) % 8 >= nulls);
+            let words: Vec<u64> = (0..rows).map(|_| xorshift(&mut state)).collect();
+            let u8s: Vec<u8> = words.iter().map(|&w| w as u8).collect();
+            let u16s: Vec<u16> = words.iter().map(|&w| w as u16).collect();
+            let u32s: Vec<u32> = words.iter().map(|&w| w as u32).collect();
+            let i64s: Vec<i64> = words.iter().map(|&w| w as i64).collect();
+            let f64s: Vec<f64> = words.iter().map(|&w| (w % 1000) as f64 / 7.0).collect();
+            let bools: Vec<bool> = words.iter().map(|&w| w % 2 == 0).collect();
+            check_gather(&u8s, &validity, offset, &sel);
+            check_gather(&u16s, &validity, offset, &sel);
+            check_gather(&u32s, &validity, offset, &sel);
+            check_gather(&i64s, &validity, offset, &sel);
+            check_gather(&f64s, &validity, offset, &sel);
+            check_gather(&bools, &validity, offset, &sel);
+        }
+    }
+
+    #[test]
+    fn decoded_rows_are_the_set_bits_in_order() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for density in [0, 1, 4, 5, 9, 63, 64] {
+            let words: Vec<u64> = (0..40)
+                .map(|_| {
+                    (0..64).fold(0, |w, b| {
+                        w | u64::from(xorshift(&mut state) % 64 < density) << b
+                    })
+                })
+                .collect();
+            let expected: Vec<u32> = (0..40 * 64)
+                .filter(|&r| words[r / 64] >> (r % 64) & 1 == 1)
+                .map(|r| r as u32)
+                .collect();
+            assert_eq!(
+                decode_rows(&words, expected.len()),
+                expected,
+                "density {density}"
+            );
+        }
     }
 
     #[test]

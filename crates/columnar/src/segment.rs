@@ -63,6 +63,14 @@ impl Segment {
         Ok(Segment { columns, num_rows })
     }
 
+    /// A segment of columns that are already sealed and each `num_rows`
+    /// long, kept as they are: a gathered part ([`crate::Table::gather`])
+    /// keeps its source part's encodings, so it is never sealed again.
+    pub(crate) fn from_sealed(columns: Vec<Column>, num_rows: usize) -> Self {
+        debug_assert!(columns.iter().all(|c| c.len() == num_rows));
+        Segment { columns, num_rows }
+    }
+
     /// Number of rows in this segment.
     pub fn num_rows(&self) -> usize {
         self.num_rows

@@ -1,14 +1,15 @@
 //! Immutable in-memory relations, stored as ordered lists of segments.
 
 use crate::bitmap::Bitmap;
-use crate::builder::TableBuilder;
 use crate::colstats::ColumnStats;
 use crate::column::{Column, DictColumn};
 use crate::error::{ColumnarError, Result};
+use crate::kernels;
 use crate::schema::Schema;
 use crate::segment::{default_segment_rows, Segment};
 use crate::value::Value;
 use crate::view::ColumnView;
+use minirayon::ThreadPool;
 use std::fmt;
 use std::sync::Arc;
 
@@ -224,24 +225,53 @@ impl Table {
             .collect())
     }
 
-    /// Build a new, smaller table containing only the selected rows.
+    /// The rows `sel` selects, as a table of their own, in row order: the
+    /// compact table a sparse explore runs over. `sel` ranges over this
+    /// table's rows.
     ///
-    /// Atlas itself never needs this (it works with selections), but the
-    /// explorer uses it to export a region, and the anytime engine uses it to
-    /// materialise samples.
-    pub fn materialize(&self, name: impl Into<String>, sel: &Bitmap) -> Result<Table> {
-        let mut builder = TableBuilder::new(name, self.schema.clone());
-        let mut row_buf: Vec<Value> = Vec::with_capacity(self.schema.len());
-        for idx in sel.iter_ones() {
-            if idx >= self.num_rows {
-                break;
+    /// The result has this table's name and schema and **one segment per
+    /// segment of this one**, in order. Each holds its source segment's
+    /// selected rows, column by column in the source column's own encoding
+    /// and dictionary (shared, not copied; nothing is sealed again), and a
+    /// segment no selected row falls in is kept with zero rows. So every
+    /// dictionary a statistics walk visits over the selected rows of this
+    /// table it visits over the gathered one, in the same order: the
+    /// first-appearance order of categories, their zero counts and the
+    /// distinct-value counter's decisions are the same. A segment selected
+    /// whole is shared.
+    ///
+    /// Segments are gathered in parallel on `pool` (the part kernel is
+    /// [`crate::kernels`]'s gather); the result is the same at every pool
+    /// size.
+    pub fn gather(&self, sel: &Bitmap, pool: &ThreadPool) -> Table {
+        let parent = atlas_obs::current();
+        let segments = pool.par_map_indexed(self.segments.len(), 1, |at| {
+            let _trace = atlas_obs::with_context(parent);
+            let segment = &self.segments[at];
+            let part = kernels::PartRows::new(sel, self.offsets[at], segment.num_rows());
+            if part.selected() == segment.num_rows() {
+                return Arc::clone(segment);
             }
-            let (offset, segment) = self.segment_of(idx);
-            row_buf.clear();
-            row_buf.extend(segment.columns().iter().map(|c| c.value(idx - offset)));
-            builder.push_row(&row_buf)?;
+            let columns = segment
+                .columns()
+                .iter()
+                .map(|column| kernels::gather_part(column, &part))
+                .collect();
+            Arc::new(Segment::from_sealed(columns, part.selected()))
+        });
+        let mut offsets = Vec::with_capacity(segments.len());
+        let mut num_rows = 0;
+        for segment in &segments {
+            offsets.push(num_rows);
+            num_rows += segment.num_rows();
         }
-        builder.build()
+        Table {
+            name: self.name.clone(),
+            schema: self.schema.clone(),
+            segments,
+            offsets,
+            num_rows,
+        }
     }
 
     /// Wrap the table in an `Arc` for sharing.
@@ -282,6 +312,7 @@ impl fmt::Display for Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::TableBuilder;
     use crate::schema::Field;
     use crate::value::DataType;
 
@@ -352,15 +383,77 @@ mod tests {
     }
 
     #[test]
-    fn selections_and_materialize() {
+    fn selections_and_gather() {
         let t = sample_table();
         assert_eq!(t.full_selection().count(), 4);
         assert_eq!(t.empty_selection().count(), 0);
         let sel = Bitmap::from_indices(4, [1, 3]);
-        let sub = t.materialize("subset", &sel).unwrap();
+        let sub = t.gather(&sel, ThreadPool::sequential());
         assert_eq!(sub.num_rows(), 2);
+        assert_eq!(sub.name(), "people");
+        assert_eq!(sub.num_segments(), t.num_segments());
         assert_eq!(sub.value(0, "age").unwrap(), Value::Int(35));
         assert_eq!(sub.value(1, "name").unwrap(), Value::Str("dee".into()));
+        // A NULL stays NULL, and nothing selected is a table of zero rows
+        // that keeps its dictionaries.
+        let sub = t.gather(&Bitmap::from_indices(4, [2]), ThreadPool::sequential());
+        assert_eq!(sub.value(0, "age").unwrap(), Value::Null);
+        let none = t.gather(&t.empty_selection(), ThreadPool::sequential());
+        assert_eq!(
+            (none.num_rows(), none.num_segments()),
+            (0, t.num_segments())
+        );
+        let names = none.column("name").unwrap();
+        let counts = names.category_counts(&none.full_selection());
+        assert_eq!(counts.len(), 4);
+        assert!(counts.iter().all(|(_, n)| *n == 0));
+    }
+
+    #[test]
+    fn gather_keeps_every_part_its_encoding_and_dictionary_at_every_pool_size() {
+        let schema = Schema::new(vec![
+            Field::new("level", DataType::Int),
+            Field::new("size", DataType::Float),
+            Field::new("name", DataType::Str),
+        ])
+        .unwrap();
+        let mut b = TableBuilder::new("t", schema).with_segment_rows(1000);
+        for i in 0..4_500usize {
+            let size = (i % 7 != 0).then(|| (i * 37 % 1013) as f64);
+            b.push_row(&[
+                Value::Int((i % 6) as i64),
+                size.map_or(Value::Null, Value::Float),
+                Value::Str(format!("n{}", i % 9 + 10 * (i / 1000))),
+            ])
+            .unwrap();
+        }
+        let t = b.build().unwrap();
+        // Nothing of the second segment, all of the third, some of the rest.
+        let sel = Bitmap::from_fn(t.num_rows(), |i| {
+            !(1000..2000).contains(&i) && ((2000..3000).contains(&i) || i % 5 < 2)
+        });
+        let pool = ThreadPool::new(2);
+        let gathered = t.gather(&sel, &pool);
+        assert_eq!(gathered.num_rows(), sel.count());
+        assert_eq!(gathered.num_segments(), t.num_segments());
+        assert_eq!(gathered.segments()[1].num_rows(), 0);
+        assert!(Arc::ptr_eq(&gathered.segments()[2], &t.segments()[2]));
+        for (at, row) in sel.iter_ones().enumerate() {
+            assert_eq!(gathered.row(at).unwrap(), t.row(row).unwrap(), "row {row}");
+        }
+        for (part, source) in gathered.segments().iter().zip(t.segments()) {
+            for (column, from) in part.columns().iter().zip(source.columns()) {
+                assert_eq!(column.encoding(), from.encoding());
+            }
+        }
+        let sequential = t.gather(&sel, ThreadPool::sequential());
+        for (a, b) in gathered.segments().iter().zip(sequential.segments()) {
+            assert_eq!(a.columns(), b.columns());
+        }
+        // The empty part still lists its dictionary's names.
+        let names = gathered.column("name").unwrap();
+        let counts = names.category_counts(&gathered.full_selection());
+        assert!(counts.iter().any(|(name, n)| name == "n10" && *n == 0));
     }
 
     #[test]

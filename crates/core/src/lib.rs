@@ -56,6 +56,8 @@ pub mod cut;
 pub mod distance;
 pub mod engine;
 pub mod error;
+#[cfg(test)]
+mod gather_tests;
 pub mod map;
 pub mod merge;
 pub mod pipeline;

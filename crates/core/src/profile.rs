@@ -255,6 +255,16 @@ impl TableProfile {
         observe_cache("derived", attribute);
     }
 
+    /// Add `counts` to the counters: what an explore over a gathered copy of
+    /// the table's rows ([`atlas_columnar::Table::gather`]) counted on the
+    /// empty profile it ran with, so this profile's counters still tell every
+    /// walk and derivation the engine made.
+    pub(crate) fn add_counters(&self, counts: ProfileStats) {
+        self.hits.fetch_add(counts.hits, Ordering::Relaxed);
+        self.misses.fetch_add(counts.misses, Ordering::Relaxed);
+        self.derived.fetch_add(counts.derived, Ordering::Relaxed);
+    }
+
     /// A snapshot of the hit/miss/derived counters.
     pub fn counters(&self) -> ProfileStats {
         ProfileStats {

@@ -144,10 +144,11 @@ impl Dataset {
     /// allocation on a hit, the one the cache keeps on a miss — and whether
     /// it was served from the cache.
     ///
-    /// A served answer carries queries and counts, not rows: a miss releases
-    /// its rows ([`MapResult::release_rows`]) before the cache or a session
-    /// history keeps it, so every region's `selection` and the
-    /// `working_set` range over zero rows. A drill re-evaluates its region's
+    /// A served answer carries queries and counts, not rows: a miss is
+    /// answered by [`Atlas::explore_released`], so every region's
+    /// `selection` and the `working_set` the cache or a session history
+    /// keeps range over zero rows, and an explore of a gathered working set
+    /// never builds a table-length region. A drill re-evaluates its region's
     /// query.
     pub fn explore_shared(&self, query: &ConjunctiveQuery) -> (Result<Arc<MapResult>>, bool) {
         let engine = {
@@ -159,10 +160,7 @@ impl Dataset {
             }
             Arc::clone(&state.engine)
         };
-        let result = engine.explore(query).map(|mut result| {
-            result.release_rows();
-            Arc::new(result)
-        });
+        let result = engine.explore_released(query).map(Arc::new);
         if let Ok(result) = &result {
             let mut state = self.lock();
             // An append may have swapped the engine while this miss computed;

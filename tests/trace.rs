@@ -577,6 +577,46 @@ fn metrics_negotiates_prometheus_text() {
     handle.shutdown();
 }
 
+/// The `explore` span says which rows an explore ran over: `gathered_rows`
+/// is the row count of a working set of at most an eighth of the table,
+/// which the engine gathers, and 0 for one explored over the table; only
+/// the gathered explore dispatches the gather kernel.
+#[test]
+fn the_explore_span_says_whether_the_working_set_was_gathered() {
+    let _gate = gate();
+    let _traced = Traced::begin();
+    let table = census_table(20_000, 1_024);
+    let atlas = Atlas::new(Arc::clone(&table), product_config()).unwrap();
+    let gathers = || -> u64 {
+        obs::counters()
+            .into_iter()
+            .filter(|(name, _)| name.starts_with("kernel.gather."))
+            .map(|(_, count)| count)
+            .sum()
+    };
+    let sparse = ConjunctiveQuery::all("census").and(Predicate::range("age", 30.0, 32.0));
+    for (query, gathered) in [(ConjunctiveQuery::all("census"), false), (sparse, true)] {
+        let before = gathers();
+        let root = obs::span_root("test.explore");
+        let trace_id = root.context().expect("tracing is enabled").trace_id;
+        let result = atlas.explore(&query).unwrap();
+        drop(root);
+        let spans = obs::tracer().trace(trace_id);
+        let explore = spans
+            .iter()
+            .find(|s| s.name == "explore")
+            .expect("the explore is traced");
+        assert_eq!(result.working_set_size * 8 <= table.num_rows(), gathered);
+        let rows = if gathered { result.working_set_size } else { 0 };
+        assert_eq!(
+            explore.attr("gathered_rows"),
+            Some(rows.to_string().as_str())
+        );
+        // One dispatch per column of every segment the gather copied.
+        assert_eq!(gathers() > before, gathered, "{}", to_sql(&query));
+    }
+}
+
 /// A trace says which call of an explore paid for the working set: the
 /// `shard.request` span of `/shard/working` is tagged `working=evaluated`,
 /// and those of every later round — and of the repeat of a call whose first
