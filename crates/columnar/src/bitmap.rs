@@ -18,50 +18,40 @@
 //! buffers of large bitmaps — at least 64 KiB, a bitmap over 524 288 rows —
 //! are recycled through one process-wide pool: [`Bitmap::new_empty`],
 //! [`Bitmap::new_full`] and `clone` (so also [`Bitmap::and`], [`Bitmap::or`]
-//! and [`Bitmap::and_not`]) take a buffer from it and zero, fill or copy it,
-//! and dropping a bitmap returns its buffer.
+//! and [`Bitmap::and_not`]) take a buffer of the exact length from it and
+//! zero, fill or copy it, and dropping a bitmap returns its buffer.
 //!
-//! The pool serves **one length** and keeps any buffer no longer than it
-//! whose **capacity** reaches it: a table-length buffer, one a shard frame
-//! was decoded into with room to spare, a lent one coming back (below). A
-//! buffer of another length (an append grew the table, another table is
-//! being explored) replaces them all and its length becomes the pool's, so
-//! buffers of a length nothing asks for any more are never stranded —
-//! except a buffer of a length a [`PoolLease`] names, which is freed and
-//! displaces nothing. That is what a bitmap over a gathered table holds
-//! ([`crate::Table::gather`]: an explore of a working set of at most an
-//! eighth of the table runs over a compact copy of its rows, under a lease
-//! on the copy's length), and from about 4.2M rows up such a bitmap is long
-//! enough to pool: were it allowed to replace the table-length buffers,
+//! The pool holds buffers of **one length only**, the length of the last
+//! buffer released: releasing a buffer of another length (the table grew by
+//! an append, or another table is being explored) empties it first, so
+//! buffers of a length nothing asks for any more are never stranded. Two
+//! large tables of different lengths explored in turn therefore empty it at
+//! every switch, and their bitmaps come from the allocator, as without a
+//! pool.
+//!
+//! One length is exempt: that of a bitmap over a gathered table
+//! ([`crate::Table::gather`]; an explore of a working set of at most an
+//! eighth of the table runs over a compact copy of its rows). The explore
+//! holds a [`PoolBypass`] on the copy's length, and a buffer of that length
+//! is freed and displaces nothing. From about 4.2M rows up such a bitmap is
+//! long enough to pool: were it allowed to replace the table-length buffers,
 //! every switch between a gathered explore and a whole-table one would
-//! empty the pool.
-//!
-//! A pooled buffer is also **lent** to a shorter bitmap, but only to one of
-//! a length a [`PoolLease`] names while the lease lives: an explore over a
-//! gathered table holds a lease on the gathered table's length, whose
-//! bitmaps then live in the table-length buffers that sit idle meanwhile,
-//! instead of in fresh allocations. A lent buffer keeps its capacity and
-//! comes back to the pool when its bitmap is dropped. Lending is scoped
-//! because a short bitmap kept for long — a shard's cached per-segment
-//! working set — would hold a table-length buffer while the pool allocated
-//! others in its place (lending to every bitmap of at least 1/64 of the
-//! pool's length raised a two-shard server's peak RSS by 12 %).
+//! empty the pool. The compact bitmaps themselves come from the allocator.
 //!
 //! The pool is bounded in bytes, not buffers: it keeps at most 6 MB, about
 //! the full-length bitmaps one explore holds at once over a 1M-row table
 //! (48 buffers). A longer table keeps proportionally fewer (4 at 10M rows),
 //! and a table whose one bitmap exceeds the bound is not pooled at all. The
 //! bound was measured for one 1M-row table per process. The pool is never
-//! drained: after the last explore it keeps up to that bound until a buffer
-//! of another length comes back.
+//! drained: after the last explore it keeps up to that bound until a bitmap
+//! of another length is dropped.
 
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 const WORD_BITS: usize = 64;
 
-/// The shortest word buffer the pool keeps: 64 KiB, i.e. a bitmap over at
+/// The shortest word buffer the pool recycles: 64 KiB, i.e. a bitmap over at
 /// least 524 288 rows. Smaller buffers are left to the allocator, which
 /// reuses them from its free lists.
 const POOL_MIN_WORDS: usize = 64 * 1024 / std::mem::size_of::<u64>();
@@ -70,70 +60,50 @@ const POOL_MIN_WORDS: usize = 64 * 1024 / std::mem::size_of::<u64>();
 /// explore holds at once over a 1M-row table (125 000 bytes each).
 const POOL_BYTES: usize = 6_000_000;
 
-/// How many [`PoolLease`]s are alive: while there are none, a bitmap too
-/// short to pool never takes the pool's lock.
-static LEASES: AtomicUsize = AtomicUsize::new(0);
-
-/// Word buffers for bitmaps of one length, ready for reuse (see the module
-/// docs).
+/// Word buffers of one length, ready for reuse (see the module docs).
 struct BufferPool {
-    /// The length, in words, the pool is for: the length of the last
-    /// buffer that replaced the others. Every buffer held has at least this
-    /// capacity.
     words: usize,
-    /// The bytes of capacity the buffers held take.
-    bytes: usize,
     buffers: Vec<Vec<u64>>,
-    /// The shorter lengths, in words, the live leases lend buffers to (one
-    /// entry per lease).
-    leases: Vec<usize>,
+    /// The lengths, in words, the live [`PoolBypass`]es name (one entry per
+    /// bypass).
+    bypassed: Vec<usize>,
 }
 
 impl BufferPool {
     const fn new() -> Self {
         BufferPool {
             words: 0,
-            bytes: 0,
             buffers: Vec::new(),
-            leases: Vec::new(),
+            bypassed: Vec::new(),
         }
     }
 
     /// A buffer of exactly `words` words with unspecified contents, if the
-    /// pool holds one and `words` is its length or a shorter one a lease
-    /// names.
+    /// pool holds one.
     fn take(&mut self, words: usize) -> Option<Vec<u64>> {
-        if words != self.words && (words > self.words || !self.leases.contains(&words)) {
-            return None;
+        if words == self.words {
+            self.buffers.pop()
+        } else {
+            None
         }
-        let mut buffer = self.buffers.pop()?;
-        self.bytes -= buffer.capacity() * std::mem::size_of::<u64>();
-        // Within the buffer's capacity: no allocation.
-        buffer.resize(words, 0);
-        Some(buffer)
     }
 
-    /// Keep `buffer` for reuse if it fits within [`POOL_BYTES`]: a buffer
-    /// no longer than the pool's length whose capacity reaches it (a
-    /// table-length one, one decoded with room to spare, a lent one coming
-    /// back). A buffer of a length a lease names is not kept and displaces
-    /// nothing; a buffer of any other length replaces every buffer held and
-    /// its length becomes the pool's. The buffers not kept are returned so
-    /// the caller frees them outside the lock.
+    /// Keep `buffer` for reuse if it fits within [`POOL_BYTES`]. A buffer
+    /// of another length than the pooled ones replaces them all, unless a
+    /// bypass names its length: then it is not kept and displaces nothing.
+    /// The buffers not kept are returned so the caller frees them outside
+    /// the lock.
     fn give(&mut self, buffer: Vec<u64>) -> Vec<Vec<u64>> {
         let mut displaced = Vec::new();
-        let fits = buffer.capacity() >= self.words && buffer.len() <= self.words;
-        if !fits {
-            if self.leases.contains(&buffer.len()) {
+        if buffer.len() != self.words {
+            if self.bypassed.contains(&buffer.len()) {
                 return vec![buffer];
             }
             displaced = std::mem::take(&mut self.buffers);
             self.words = buffer.len();
-            self.bytes = 0;
         }
-        let bytes = buffer.capacity() * std::mem::size_of::<u64>();
-        if self.bytes + bytes <= POOL_BYTES {
-            self.bytes += bytes;
+        let bytes = (self.buffers.len() + 1) * buffer.len() * std::mem::size_of::<u64>();
+        if bytes <= POOL_BYTES {
             self.buffers.push(buffer);
         } else {
             displaced.push(buffer);
@@ -152,41 +122,39 @@ fn pool() -> std::sync::MutexGuard<'static, BufferPool> {
 }
 
 /// A pooled buffer of exactly `words` words, contents unspecified, if the
-/// length is one the pool may serve and the pool holds a buffer for it.
+/// length is poolable and the pool holds one.
 fn pooled(words: usize) -> Option<Vec<u64>> {
-    (words >= POOL_MIN_WORDS || LEASES.load(Ordering::Relaxed) > 0)
+    (words >= POOL_MIN_WORDS)
         .then(|| pool().take(words))
         .flatten()
 }
 
-/// While it lives, bitmaps over exactly one number of rows borrow the
-/// pool's idle buffers (see the module docs): the bitmaps of an explore over
-/// a gathered table ([`crate::Table::gather`]), which takes a lease on the
-/// gathered table's rows for as long as it runs.
+/// While it lives, a dropped bitmap over exactly one number of rows leaves
+/// the pool's buffers in place instead of replacing them (see the module
+/// docs): an explore over a gathered table ([`crate::Table::gather`]) holds
+/// one on the gathered table's rows for as long as it runs.
 #[derive(Debug)]
-#[must_use = "the lease ends when it is dropped"]
-pub struct PoolLease {
+#[must_use = "the bypass ends when it is dropped"]
+pub struct PoolBypass {
     words: usize,
 }
 
-impl PoolLease {
-    /// Lend the pool's buffers to bitmaps over `len` rows until the lease is
+impl PoolBypass {
+    /// Exempt bitmaps over `len` rows from the pool until the bypass is
     /// dropped.
-    pub fn new(len: usize) -> PoolLease {
+    pub fn new(len: usize) -> PoolBypass {
         let words = len.div_ceil(WORD_BITS);
-        pool().leases.push(words);
-        LEASES.fetch_add(1, Ordering::Relaxed);
-        PoolLease { words }
+        pool().bypassed.push(words);
+        PoolBypass { words }
     }
 }
 
-impl Drop for PoolLease {
+impl Drop for PoolBypass {
     fn drop(&mut self) {
         let mut pool = pool();
-        if let Some(at) = pool.leases.iter().position(|&w| w == self.words) {
-            pool.leases.swap_remove(at);
+        if let Some(at) = pool.bypassed.iter().position(|&w| w == self.words) {
+            pool.bypassed.swap_remove(at);
         }
-        LEASES.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -227,7 +195,7 @@ impl Clone for Bitmap {
 
 impl Drop for Bitmap {
     fn drop(&mut self) {
-        if self.words.capacity() >= POOL_MIN_WORDS {
+        if self.words.len() >= POOL_MIN_WORDS {
             // The guard is a temporary of this statement, so the displaced
             // buffers are freed after the lock is released.
             let displaced = pool().give(std::mem::take(&mut self.words));
@@ -1135,59 +1103,8 @@ mod tests {
     }
 
     #[test]
-    fn a_lease_lends_longer_buffers_and_capacity_decides_what_is_kept() {
-        let _serial = pool_tests();
-        let (short, long) = (POOL_MIN_WORDS, POOL_MIN_WORDS + 1);
-        let mut pool = BufferPool::new();
-        assert!(pool.give(vec![0; long]).is_empty());
-        // A shorter request is lent the longer buffer only under a lease,
-        // cut to its length; given back, it is kept by its capacity.
-        assert!(pool.take(short).is_none());
-        pool.leases.push(short);
-        assert!(pool.take(short - 1).is_none());
-        let lent = pool.take(short).expect("a longer buffer is lent");
-        assert_eq!((lent.len(), lent.capacity()), (short, long));
-        assert!(pool.take(long).is_none());
-        assert!(pool.give(lent).is_empty());
-        // A fresh buffer of the leased length is freed and displaces nothing.
-        assert_eq!(pool.give(vec![0; short]).len(), 1);
-        assert_eq!(pool.take(long).map(|buffer| buffer.len()), Some(long));
-        // A buffer of the pool's length with room to spare (a decoded frame)
-        // is kept.
-        let mut roomy = Vec::with_capacity(2 * long);
-        roomy.resize(long, 0);
-        assert!(pool.give(roomy).is_empty());
-        assert_eq!(pool.buffers.len(), 1);
-        // A lent buffer that comes back after its lease ended is kept too.
-        let lent = pool.take(short).expect("still leased");
-        pool.leases.clear();
-        assert!(pool.give(lent).is_empty());
-        assert_eq!(pool.buffers.len(), 1);
-        let capacity = pool.take(long).map(|buffer| buffer.capacity());
-        assert_eq!(capacity, Some(2 * long));
-    }
-
-    #[test]
-    fn a_lease_lends_pooled_buffers_to_its_length_only_while_it_lives() {
-        let _serial = pool_tests();
-        drop(Bitmap::new_full(POOLED_LEN));
-        let short = POOLED_LEN / 8;
-        let lease = PoolLease::new(short);
-        let lent = Bitmap::new_full(short);
-        assert!(lent.words.capacity() >= POOLED_LEN.div_ceil(WORD_BITS));
-        assert_eq!(
-            (lent.count(), lent.words().len()),
-            (short, short.div_ceil(WORD_BITS))
-        );
-        drop(lent);
-        drop(lease);
-        let fresh = Bitmap::new_empty(short);
-        assert_eq!(fresh.words.capacity(), short.div_ceil(WORD_BITS));
-        assert!(super::pool().take(POOLED_LEN.div_ceil(WORD_BITS)).is_some());
-    }
-
-    #[test]
     fn a_gathered_bitmap_never_displaces_the_table_length_buffers() {
+        let _serial = pool_tests();
         // From ~4.2M rows an eighth of the table is long enough to pool.
         let table_rows: usize = 4_200_000;
         let (table, compact) = (table_rows.div_ceil(64), (table_rows / 8).div_ceil(64));
@@ -1196,17 +1113,25 @@ mod tests {
         for _ in 0..3 {
             assert!(pool.give(vec![0; table]).is_empty());
         }
-        // The explore over the gathered table holds a lease on its length:
-        // a compact buffer of its own is freed, and the pool keeps its three.
-        pool.leases.push(compact);
+        // The explore over the gathered table bypasses the pool on its
+        // length: a compact buffer is freed, and the pool keeps its three.
+        pool.bypassed.push(compact);
         assert_eq!(pool.give(vec![0; compact]).len(), 1);
         assert_eq!(pool.buffers.len(), 3);
-        // A compact bitmap borrows a table-length buffer and gives it back.
-        let lent = pool.take(compact).expect("a table-length buffer is lent");
-        assert_eq!((lent.len(), lent.capacity()), (compact, table));
-        assert!(pool.give(lent).is_empty());
-        assert_eq!(pool.buffers.len(), 3);
-        assert_eq!(pool.take(table).map(|buffer| buffer.len()), Some(table));
+        assert!(pool.take(compact).is_none(), "nothing is lent");
+        // Once the bypass ends, a buffer of that length is an ordinary one
+        // of another length again.
+        pool.bypassed.clear();
+        assert_eq!(pool.give(vec![0; compact]).len(), 3);
+        assert_eq!(pool.take(compact).map(|buffer| buffer.len()), Some(compact));
+        // Through bitmaps: a bypass on a length lives as long as its guard.
+        let short = POOLED_LEN + WORD_BITS;
+        drop(Bitmap::new_full(POOLED_LEN));
+        let bypass = PoolBypass::new(short);
+        drop(Bitmap::new_full(short));
+        drop(bypass);
+        assert!(super::pool().take(POOLED_LEN.div_ceil(WORD_BITS)).is_some());
+        assert!(super::pool().bypassed.is_empty());
     }
 
     #[test]

@@ -1450,8 +1450,7 @@ pub(crate) struct PartRows<'s> {
     words: Vec<u64>,
     /// How many rows of the part are selected.
     selected: usize,
-    /// The selected local rows, ascending — decoded only for a part neither
-    /// wholly selected nor missed.
+    /// The selected local rows, ascending.
     rows: Vec<u32>,
 }
 
@@ -1476,7 +1475,7 @@ impl<'s> PartRows<'s> {
             selected,
             rows: Vec::new(),
         };
-        if selected != 0 && selected != len {
+        if selected != 0 {
             part.rows = decode_rows(&part.words, selected);
         }
         part
@@ -1607,11 +1606,7 @@ fn gather_lanes<L: Copy>(
     if path == KernelPath::Scalar {
         return gather_scalar(lanes, validity, part.sel, part.offset);
     }
-    let gathered = if part.selected == part.len {
-        lanes.to_vec()
-    } else {
-        part.rows.iter().map(|&row| lanes[row as usize]).collect()
-    };
+    let gathered = part.rows.iter().map(|&row| lanes[row as usize]).collect();
     (gathered, gather_validity(validity, part))
 }
 
@@ -1628,9 +1623,6 @@ fn gather_validity(validity: &Bitmap, part: &PartRows<'_>) -> Bitmap {
         // CPU that executes BMI2 instructions, which the runtime detection
         // above just confirmed.
         return unsafe { compress_bmi2(validity.words(), &part.words, part.selected) };
-    }
-    if part.selected == part.len {
-        return Bitmap::from_words(part.len, validity.words().to_vec());
     }
     let mut out = Bitmap::new_empty(part.selected);
     for (at, &row) in part.rows.iter().enumerate() {
@@ -1909,9 +1901,7 @@ mod tests {
                 u64::from(validity.get(row as usize)) << (at % WORD_BITS),
             );
         }
-        if part.selected != part.len {
-            assert_eq!(by_row, reference.1, "by row, offset {offset}");
-        }
+        assert_eq!(by_row, reference.1, "by row, offset {offset}");
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("bmi2") {
             // SAFETY: the CPU executes BMI2, as just detected.

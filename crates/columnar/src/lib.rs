@@ -68,7 +68,7 @@ pub mod table;
 pub mod value;
 pub mod view;
 
-pub use bitmap::{Bitmap, PoolLease};
+pub use bitmap::{Bitmap, PoolBypass};
 pub use builder::TableBuilder;
 pub use colstats::{ColumnStats, ColumnSummary, DistinctValues, SummaryParts};
 pub use column::{Column, Encoding, PrimitiveColumn};

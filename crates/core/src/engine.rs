@@ -49,7 +49,7 @@ use crate::pipeline::{
 use crate::profile::{ProfileStats, TableProfile};
 use crate::rank::{rank_maps, RankedMap};
 use crate::region::Region;
-use atlas_columnar::{Bitmap, PoolLease, Segment, Table};
+use atlas_columnar::{Bitmap, PoolBypass, Segment, Table};
 use atlas_query::ConjunctiveQuery;
 use minirayon::ThreadPool;
 use rand::rngs::StdRng;
@@ -369,9 +369,10 @@ impl Atlas {
             return Err(AtlasError::EmptyWorkingSet);
         }
         let gather = gathers(working_set_size, working.len());
-        // Bitmaps over the gathered rows borrow the pool's idle table-length
-        // buffers until the answer is built and the gathered table dropped.
-        let _lease = gather.then(|| PoolLease::new(working_set_size));
+        // Bitmaps over the gathered rows never displace the pool's
+        // table-length buffers, until the answer is built and the gathered
+        // table dropped.
+        let _bypass = gather.then(|| PoolBypass::new(working_set_size));
         let gathered = gather.then(|| self.table.gather(&working, &self.pool));
         let mut timings = PhaseTimings {
             query_ms: query_span.finish_ms(),
@@ -827,17 +828,35 @@ impl Iterator for ExploreIter<'_> {
     }
 }
 
+/// A sample of at most one in this many of the working set's rows is drawn
+/// without copying the row ids; a larger one shuffles a copy. Measured on a
+/// 1M-row working set (x86-64, 2 vCPUs, median of 9): the copy takes
+/// 0.7 ms at any sample up to 1 % of the rows and 6.4 ms at 90 %; the map of
+/// displaced positions draws 1 000 rows in 0.09 ms, 10 000 in 0.86 ms,
+/// 125 000 in 21 ms and 900 000 in 197 ms (and 24 MB, against the copy's
+/// 8 MB). The two cross near one row in 128, at 125 000 rows as at 1M.
+const SPARSE_DRAW_SHARE: usize = 128;
+
 /// Draw a uniform sample (without replacement) of `k` of the given row ids,
 /// returned as a bitmap over `table_rows`.
 ///
-/// A partial Fisher–Yates shuffle that copies nothing: position `p` of the
-/// shuffled ids holds `displaced[p]` once a swap moved something there, and
-/// `rows[p]` until then. Step `i` swaps positions `i` and `j` and never reads
-/// position `i` again, so only `j` is remembered — at most `k` entries, and
-/// the same `gen_range` calls in the same order as a shuffle of a copy of
-/// `rows`, so the same sample.
+/// A partial Fisher–Yates shuffle. For a sample of at most one row in
+/// [`SPARSE_DRAW_SHARE`] it copies nothing: position `p` of the shuffled ids
+/// holds `displaced[p]` once a swap moved something there, and `rows[p]`
+/// until then. Step `i` swaps positions `i` and `j` and never reads position
+/// `i` again, so only `j` is remembered — at most `k` entries. A larger
+/// sample shuffles a copy of `rows`. Both make the same `gen_range` calls in
+/// the same order, so they draw the same sample.
 pub(crate) fn sample_rows(rows: &[usize], k: usize, table_rows: usize, rng: &mut StdRng) -> Bitmap {
     let k = k.min(rows.len());
+    if k * SPARSE_DRAW_SHARE > rows.len() {
+        let mut shuffled = rows.to_vec();
+        for i in 0..k {
+            let j = rng.gen_range(i..shuffled.len());
+            shuffled.swap(i, j);
+        }
+        return Bitmap::from_indices(table_rows, shuffled[..k].iter().copied());
+    }
     let mut displaced: HashMap<usize, usize> = HashMap::with_capacity(k);
     let mut sample = Vec::with_capacity(k);
     for i in 0..k {

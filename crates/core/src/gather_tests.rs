@@ -305,7 +305,8 @@ fn a_gathered_explore_counts_its_walks_on_the_engine_profile() {
 fn sparse_sampling_draws_what_a_shuffled_copy_drew() {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    // The body `sample_rows` replaced, kept as the oracle.
+    // The body the sparse draw replaced for small samples, kept as the
+    // oracle for both of `sample_rows`' bodies.
     fn copied(rows: &[usize], k: usize, table_rows: usize, rng: &mut StdRng) -> Bitmap {
         let k = k.min(rows.len());
         let mut pool: Vec<usize> = rows.to_vec();
@@ -315,10 +316,14 @@ fn sparse_sampling_draws_what_a_shuffled_copy_drew() {
         }
         Bitmap::from_indices(table_rows, pool[..k].iter().copied())
     }
+    // 3 333 rows: the sparse draw takes up to 26 of them, a copy more.
     let rows: Vec<usize> = (0..5_000).filter(|i| i % 3 != 1).collect();
     for (seed, k) in [
         (1, 0),
         (2, 1),
+        (7, 20),
+        (8, 26),
+        (9, 27),
         (3, 100),
         (4, 3_000),
         (5, rows.len()),
