@@ -41,6 +41,13 @@
 //! runs one fused kernel pass per plan either way; a source that scatters
 //! to shards asks every shard once for the partitions of all the cuts of an
 //! explore ([`cut_from_source`] is the same body for one attribute).
+//!
+//! A caller that reads only the regions' queries and counts — the last
+//! re-cut of a served composition ([`crate::CutStrategy::cut_released`]) —
+//! may skip the partition: the statistics a plan was made from count its
+//! regions exactly ([`CutPlan::counts_from_stats`]), and such a region is
+//! built without rows ([`Region::released`]). A plan cut from statistics
+//! without counts is partitioned all the same.
 
 use crate::error::{AtlasError, Result};
 use crate::map::DataMap;
@@ -157,6 +164,39 @@ pub struct CutPlan {
     pub partition: Partition,
 }
 
+impl CutPlan {
+    /// How many rows each region of the plan holds, read off `stats` — the
+    /// attribute's statistics over the working set being cut — instead of
+    /// partitioning it: the popcounts [`CutSource::partition`] would give,
+    /// exactly. A range region counts the [`ColumnStats::value_counts`]
+    /// whose value lies in its `[lo, hi]` — the kernels' `x as f64 ∈ [lo,
+    /// hi]` test, first-matching, so NaN falls in no range — and a group
+    /// counts its values' [`ColumnStats::category_counts`]. NULLs are in
+    /// neither. `None` when the statistics carry no counts for the plan (a
+    /// column with too many distinct values to count): it must be
+    /// partitioned.
+    pub fn counts_from_stats(&self, stats: &ColumnStats) -> Option<Vec<usize>> {
+        let mut counts = vec![0; self.partition.region_count()];
+        match &self.partition {
+            Partition::Ranges(bounds) => {
+                for &(x, n) in stats.value_counts.as_deref()? {
+                    if let Some(at) = bounds.iter().position(|&(lo, hi)| x >= lo && x <= hi) {
+                        counts[at] += n as usize;
+                    }
+                }
+            }
+            Partition::Groups(groups) => {
+                for (value, n) in stats.category_counts.as_deref()? {
+                    if let Some(at) = groups.iter().position(|group| group.contains(value)) {
+                        counts[at] += n;
+                    }
+                }
+            }
+        }
+        Some(counts)
+    }
+}
+
 /// The data-access surface of the `CUT` primitive, with the working set
 /// baked in.
 ///
@@ -264,19 +304,24 @@ pub fn cut_attribute(
 /// whole-table explorations never re-scan columns for metadata. Statistics
 /// the caller already holds in `stats` are read instead of the profile's;
 /// otherwise the ones read are left there ([`crate::pipeline::CutStrategy::cut`]).
+/// With `count`, regions are counted off the statistics where they can be,
+/// and built without rows ([`CutPlan::counts_from_stats`]).
 pub(crate) fn cut_attribute_in_context<'a>(
     ctx: &PipelineContext<'a>,
     working: &Bitmap,
     parent_query: &ConjunctiveQuery,
     attribute: &str,
     stats: &mut Option<Cow<'a, ColumnStats>>,
+    count: bool,
 ) -> Result<Option<DataMap>> {
     let stats: &ColumnStats = match stats {
         Some(held) => held,
         None => stats.insert(ctx.profile.stats_for(ctx.table, attribute, working)?),
     };
     let source = TableCutSource::new(ctx.table, working);
-    cut_from_source(&source, parent_query, attribute, ctx.cut_config, stats)
+    let attributes = [(attribute, stats)];
+    let mut maps = plan_and_cut(&source, parent_query, &attributes, ctx.cut_config, count)?;
+    Ok(maps.pop().flatten())
 }
 
 /// [`cuts_from_source`] for one attribute: the body of the `CUT` primitive
@@ -307,13 +352,49 @@ pub fn cuts_from_source<S: CutSource>(
     attributes: &[(&str, &ColumnStats)],
     config: &CutConfig,
 ) -> Result<Vec<Option<DataMap>>> {
+    plan_and_cut(source, parent_query, attributes, config, false)
+}
+
+/// What became of one attribute in [`plan_and_cut`].
+enum Planned {
+    /// It cannot be usefully cut.
+    Skipped,
+    /// Its plan awaits its region bitmaps.
+    Partitioned,
+    /// Its regions were counted off its statistics.
+    Counted(Option<DataMap>),
+}
+
+/// The body of [`cuts_from_source`]. With `count`, a plan whose statistics
+/// carry counts is built from them, its regions without rows, and only the
+/// other plans are partitioned.
+fn plan_and_cut<S: CutSource>(
+    source: &S,
+    parent_query: &ConjunctiveQuery,
+    attributes: &[(&str, &ColumnStats)],
+    config: &CutConfig,
+    count: bool,
+) -> Result<Vec<Option<DataMap>>> {
     config.validate()?;
     let mut plans = Vec::new();
     let mut planned = Vec::with_capacity(attributes.len());
     for &(attribute, stats) in attributes {
-        let plan = plan_cut(source, attribute, config, stats)?;
-        planned.push(plan.is_some());
-        plans.extend(plan);
+        let Some(plan) = plan_cut(source, attribute, config, stats)? else {
+            planned.push(Planned::Skipped);
+            continue;
+        };
+        match count.then(|| plan.counts_from_stats(stats)).flatten() {
+            Some(counts) => planned.push(Planned::Counted(build_cut(
+                plan,
+                parent_query,
+                counts,
+                Region::released,
+            ))),
+            None => {
+                plans.push(plan);
+                planned.push(Planned::Partitioned);
+            }
+        }
     }
     let selections = if plans.is_empty() {
         Vec::new()
@@ -323,10 +404,14 @@ pub fn cuts_from_source<S: CutSource>(
     let mut built = plans
         .into_iter()
         .zip(selections)
-        .map(|(plan, regions)| build_cut(plan, parent_query, regions));
+        .map(|(plan, regions)| build_cut(plan, parent_query, regions, Region::new));
     Ok(planned
         .into_iter()
-        .map(|cut| if cut { built.next().flatten() } else { None })
+        .map(|cut| match cut {
+            Planned::Skipped => None,
+            Planned::Partitioned => built.next().flatten(),
+            Planned::Counted(map) => map,
+        })
         .collect())
 }
 
@@ -372,14 +457,16 @@ fn plan_cut<S: CutSource>(
     }))
 }
 
-/// Build the map of a planned cut from its region bitmaps (one per entry of
-/// the partition, in order): each region's query extends the parent query
-/// with the entry's range or value-set predicate. `None` when fewer than two
-/// regions hold rows.
-fn build_cut(
+/// Build the map of a planned cut from its region extents (one per entry of
+/// the partition, in order: bitmaps, or counts), each made a region by
+/// `region`: each region's query extends the parent query with the entry's
+/// range or value-set predicate. `None` when fewer than two regions hold
+/// rows.
+fn build_cut<E>(
     plan: CutPlan,
     parent_query: &ConjunctiveQuery,
-    selections: Vec<Bitmap>,
+    extents: Vec<E>,
+    region: fn(ConjunctiveQuery, E) -> Region,
 ) -> Option<DataMap> {
     let CutPlan {
         attribute,
@@ -397,8 +484,8 @@ fn build_cut(
     };
     let regions = predicates
         .into_iter()
-        .zip(selections)
-        .map(|(predicate, selection)| Region::new(parent_query.clone().and(predicate), selection))
+        .zip(extents)
+        .map(|(predicate, extent)| region(parent_query.clone().and(predicate), extent))
         .collect();
     let mut map = DataMap::new(regions, vec![attribute]);
     map.drop_empty_regions();

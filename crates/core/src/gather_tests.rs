@@ -3,6 +3,8 @@
 //! ([`atlas_columnar::Table::gather`]), and must answer exactly what the
 //! same explore over the table answers — score bits, region SQL, counts and
 //! selection words. `TABLE_PATH` forces the table path on this thread.
+//! The released form — a composition's last level counted, not partitioned
+//! — must answer what the expanded one does, released, on both paths.
 
 use crate::config::{AtlasConfig, ExploreOptions, MergeStrategy};
 use crate::cut::{CategoricalCutStrategy, CutConfig};
@@ -273,17 +275,91 @@ fn the_released_form_is_explore_then_release_field_for_field() {
     for config in configs() {
         let atlas = Atlas::new(Arc::clone(&table), config.clone()).unwrap();
         for query in &queries {
-            let released = atlas.explore_released(query).unwrap();
-            let mut explored = atlas.explore(query).unwrap();
-            explored.release_rows();
             let what = format!("{} under {config:?}", atlas_query::to_sql(query));
-            assert_same(&released, &explored, &what);
-            assert_eq!(released.working_set.len(), 0, "{what}");
-            assert!(released
-                .maps
-                .iter()
-                .flat_map(|m| &m.map.regions)
-                .all(|r| !r.holds_rows() && r.selection.is_empty()));
+            check_released(&atlas, query, &what);
+        }
+    }
+}
+
+/// `explore_released` is `explore` + `release_rows`, field for field, over
+/// the table and (for a working set of at most an eighth) gathered.
+fn check_released(atlas: &Atlas, query: &ConjunctiveQuery, what: &str) {
+    for table_path in [false, true] {
+        let on = |f: &dyn Fn() -> MapResult| if table_path { on_the_table(f) } else { f() };
+        let released = on(&|| atlas.explore_released(query).unwrap());
+        let mut explored = on(&|| atlas.explore(query).unwrap());
+        explored.release_rows();
+        let what = format!("{what}, table path forced: {table_path}");
+        assert_same(&released, &explored, &what);
+    }
+}
+
+/// The compositions the released form counts the last level of: clusters
+/// of two members (the last level is the first re-cut, with its derived
+/// largest region) and of three (the middle level partitioned), capped maps
+/// (the remainder counted), three-way cuts, and clusters formed at any
+/// distance (so categorical attributes end compositions too, in groups of
+/// several values), at one and two threads.
+fn composition_configs() -> Vec<AtlasConfig> {
+    let mut out = Vec::new();
+    for threads in [1, 2] {
+        let base = AtlasConfig::default().with_parallelism(threads);
+        let mut pairs = base.clone();
+        pairs.clustering.max_cluster_size = 2;
+        let mut three_way = base.clone();
+        three_way.cut.num_splits = 3;
+        let mut any_distance = three_way.clone();
+        any_distance.clustering.distance_threshold = None;
+        out.push(base.clone());
+        out.push(pairs);
+        out.push(three_way);
+        out.push(any_distance);
+        for cap in [2, 3] {
+            out.push(AtlasConfig {
+                max_regions_per_map: cap,
+                ..base.clone()
+            });
+        }
+    }
+    out
+}
+
+#[test]
+fn a_served_composition_counts_what_the_expanded_one_selects() {
+    use atlas_datagen::{CensusConfig, CensusGenerator};
+    let census = |null_fraction| {
+        let config = CensusConfig {
+            rows: 16_000,
+            seed: 5,
+            null_fraction,
+            segment_rows: Some(1_000),
+            ..CensusConfig::default()
+        };
+        Arc::new(CensusGenerator::new(config).generate())
+    };
+    let census_queries = [
+        ConjunctiveQuery::all("census"),
+        ConjunctiveQuery::all("census").and(Predicate::range("age", 25.0, 45.0)),
+        ConjunctiveQuery::all("census").and(Predicate::range("age", 30.0, 32.0)),
+    ];
+    // `size` holds ~3 000 distinct floats, too many to count: its re-cuts
+    // are partitioned on the released path too.
+    let floats = [
+        ConjunctiveQuery::all("t"),
+        ConjunctiveQuery::all("t").and(Predicate::range("id", 1_010.0, 2_005.0)),
+    ];
+    let tables = [
+        (census(0.0), &census_queries[..]),
+        (census(0.05), &census_queries[..]),
+        (Arc::new(table(8_000, 1_000)), &floats[..]),
+    ];
+    for (table, queries) in tables {
+        for config in composition_configs() {
+            let atlas = Atlas::new(Arc::clone(&table), config.clone()).unwrap();
+            for query in queries {
+                let what = format!("{} under {config:?}", atlas_query::to_sql(query));
+                check_released(&atlas, query, &what);
+            }
         }
     }
 }

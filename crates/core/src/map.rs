@@ -77,10 +77,15 @@ impl DataMap {
     /// contains it, or [`NO_REGION`] if none does.
     ///
     /// `table_rows` is the total number of rows of the table the regions'
-    /// bitmaps range over.
+    /// bitmaps range over. Every region must hold its rows
+    /// ([`Region::holds_rows`]): a released one has none to label.
     pub fn region_labels(&self, table_rows: usize) -> Vec<u32> {
         let mut labels = vec![NO_REGION; table_rows];
         for (idx, region) in self.regions.iter().enumerate() {
+            assert!(
+                region.holds_rows(),
+                "region {region} holds no rows to label"
+            );
             for row in region.selection.iter_ones() {
                 if row < table_rows {
                     labels[row] = idx as u32;
@@ -90,8 +95,15 @@ impl DataMap {
         labels
     }
 
-    /// True if the regions are pairwise disjoint.
+    /// True if the regions are pairwise disjoint. Every region must hold its
+    /// rows ([`Region::holds_rows`]): released ones have none to compare.
     pub fn regions_are_disjoint(&self) -> bool {
+        for region in &self.regions {
+            assert!(
+                region.holds_rows(),
+                "region {region} holds no rows to compare"
+            );
+        }
         for i in 0..self.regions.len() {
             for j in (i + 1)..self.regions.len() {
                 if !self.regions[i]
@@ -197,6 +209,25 @@ mod tests {
             partial.region_labels(6),
             vec![0, 0, NO_REGION, NO_REGION, NO_REGION, NO_REGION]
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "holds no rows to label")]
+    fn a_released_region_has_no_labels() {
+        let released = Region::released(ConjunctiveQuery::all("t"), 2);
+        let map = DataMap::new(vec![region(6, &[0, 1], "a"), released], vec!["a".into()]);
+        let _ = map.region_labels(6);
+    }
+
+    #[test]
+    #[should_panic(expected = "holds no rows to compare")]
+    fn released_regions_are_not_called_disjoint() {
+        let mut map = DataMap::new(
+            vec![region(6, &[0, 1], "a"), region(6, &[0, 1], "a")],
+            vec!["a".to_string()],
+        );
+        map.regions.iter_mut().for_each(Region::release_rows);
+        let _ = map.regions_are_disjoint();
     }
 
     #[test]

@@ -91,6 +91,22 @@ pub trait CutStrategy: fmt::Debug + Send + Sync {
         attribute: &str,
         stats: &mut Option<Cow<'a, ColumnStats>>,
     ) -> Result<Option<DataMap>>;
+
+    /// [`CutStrategy::cut`] for a caller that reads only the regions'
+    /// queries and counts — the last re-cut of a served composition
+    /// ([`MergePolicy::merge_released`]): the same regions, in the same
+    /// order, with the same counts, but any of them may be built without
+    /// rows ([`Region::released`]). The default is [`CutStrategy::cut`].
+    fn cut_released<'a>(
+        &self,
+        ctx: &PipelineContext<'a>,
+        working: &Bitmap,
+        parent_query: &ConjunctiveQuery,
+        attribute: &str,
+        stats: &mut Option<Cow<'a, ColumnStats>>,
+    ) -> Result<Option<DataMap>> {
+        self.cut(ctx, working, parent_query, attribute, stats)
+    }
 }
 
 /// The statistics of one attribute over an explore's working set, beside the
@@ -136,6 +152,21 @@ pub trait MergePolicy: fmt::Debug + Send + Sync {
         let _ = stats;
         self.merge(ctx, members, working)
     }
+
+    /// [`MergePolicy::merge_with_stats`] for a caller that keeps no rows
+    /// ([`crate::Atlas::explore_released`]): the same map — queries, counts,
+    /// order — but any region may be built without rows
+    /// ([`Region::released`]). The default is
+    /// [`MergePolicy::merge_with_stats`].
+    fn merge_released(
+        &self,
+        ctx: &PipelineContext<'_>,
+        members: &[DataMap],
+        working: &Bitmap,
+        stats: &[AttributeStats<'_>],
+    ) -> Result<Option<DataMap>> {
+        self.merge_with_stats(ctx, members, working, stats)
+    }
 }
 
 /// The paper's `CUT` primitive (Definition 1): median / equi-width / k-means
@@ -159,7 +190,20 @@ impl CutStrategy for PaperCut {
         attribute: &str,
         stats: &mut Option<Cow<'a, ColumnStats>>,
     ) -> Result<Option<DataMap>> {
-        cut_attribute_in_context(ctx, working, parent_query, attribute, stats)
+        cut_attribute_in_context(ctx, working, parent_query, attribute, stats, false)
+    }
+
+    /// Counts each region off the statistics the cut was planned from,
+    /// where they carry counts ([`crate::CutPlan::counts_from_stats`]).
+    fn cut_released<'a>(
+        &self,
+        ctx: &PipelineContext<'a>,
+        working: &Bitmap,
+        parent_query: &ConjunctiveQuery,
+        attribute: &str,
+        stats: &mut Option<Cow<'a, ColumnStats>>,
+    ) -> Result<Option<DataMap>> {
+        cut_attribute_in_context(ctx, working, parent_query, attribute, stats, true)
     }
 }
 
@@ -205,17 +249,27 @@ impl MergePolicy for ProductMerge {
 /// ([`CutStrategy::cut`]). A later re-cut, a first map that does not
 /// partition the working set, and a summary too large to subtract exactly
 /// walk every region.
+///
+/// The last re-cut knows its sub-regions are final. When the caller keeps no
+/// rows ([`MergePolicy::merge_released`]), nothing intersects them: ranking,
+/// the region cap and the answer read only their counts, and the statistics
+/// each region's cut was planned from count them exactly. So that re-cut
+/// goes through [`CutStrategy::cut_released`], which builds them without
+/// rows. Every earlier re-cut is partitioned, because the next one walks its
+/// sub-regions.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CompositionMerge;
 
 impl CompositionMerge {
     /// The composition, with `held(attribute)` the statistics of `attribute`
-    /// over `working` the caller holds, if any.
+    /// over `working` the caller holds, if any, and `released` whether the
+    /// caller keeps no rows.
     fn compose<'s>(
         ctx: &PipelineContext<'_>,
         members: &[DataMap],
         working: &Bitmap,
         held: impl Fn(&str) -> Option<&'s ColumnStats>,
+        released: bool,
     ) -> Result<Option<DataMap>> {
         let Some((first, others)) = members.split_first() else {
             return Ok(None);
@@ -228,10 +282,11 @@ impl CompositionMerge {
         let mut regions: Vec<Cow<'_, Region>> = first.regions.iter().map(Cow::Borrowed).collect();
         let mut attributes = first.source_attributes.clone();
         let mut first_recut = true;
-        for other in others {
+        for (level, other) in others.iter().enumerate() {
             let Some(attribute) = other.source_attributes.first().cloned() else {
                 continue;
             };
+            let counted = released && level + 1 == others.len();
             let whole = if first_recut { held(&attribute) } else { None };
             first_recut = false;
             let stats = match whole {
@@ -243,8 +298,12 @@ impl CompositionMerge {
                 let region = &regions[at];
                 let mut held = stats.get(at).map(|stats| Cow::Borrowed(&**stats));
                 let (selection, query) = (&region.selection, &region.query);
-                ctx.cut_strategy
-                    .cut(ctx, selection, query, &attribute, &mut held)
+                let strategy = ctx.cut_strategy;
+                if counted {
+                    strategy.cut_released(ctx, selection, query, &attribute, &mut held)
+                } else {
+                    strategy.cut(ctx, selection, query, &attribute, &mut held)
+                }
             });
             let mut next = Vec::new();
             for (region, sub) in regions.into_iter().zip(cuts) {
@@ -327,10 +386,11 @@ impl MergePolicy for CompositionMerge {
         working: &Bitmap,
     ) -> Result<Option<DataMap>> {
         let whole_table = ctx.profile.covers(working);
-        CompositionMerge::compose(ctx, members, working, |attribute| {
+        let held = |attribute: &str| {
             let profiled = ctx.profile.column(attribute).filter(|_| whole_table);
             profiled.map(|profile| &profile.stats)
-        })
+        };
+        CompositionMerge::compose(ctx, members, working, held, false)
     }
 
     fn merge_with_stats(
@@ -340,10 +400,25 @@ impl MergePolicy for CompositionMerge {
         working: &Bitmap,
         stats: &[AttributeStats<'_>],
     ) -> Result<Option<DataMap>> {
-        CompositionMerge::compose(ctx, members, working, |attribute| {
-            let held = stats.iter().find(|(name, _)| name == attribute);
-            held.map(|(_, stats)| &**stats)
-        })
+        CompositionMerge::compose(ctx, members, working, held_in(stats), false)
+    }
+
+    fn merge_released(
+        &self,
+        ctx: &PipelineContext<'_>,
+        members: &[DataMap],
+        working: &Bitmap,
+        stats: &[AttributeStats<'_>],
+    ) -> Result<Option<DataMap>> {
+        CompositionMerge::compose(ctx, members, working, held_in(stats), true)
+    }
+}
+
+/// The statistics of an attribute among an explore's `stats`, if held.
+fn held_in<'s>(stats: &'s [AttributeStats<'_>]) -> impl Fn(&str) -> Option<&'s ColumnStats> {
+    |attribute| {
+        let held = stats.iter().find(|(name, _)| name == attribute);
+        held.map(|(_, stats)| &**stats)
     }
 }
 
@@ -465,6 +540,52 @@ mod tests {
         assert!(product.num_regions() >= 2);
         assert!(product.regions_are_disjoint());
         assert_eq!(product.covered_count(), 100);
+    }
+
+    #[test]
+    fn a_released_composition_counts_its_last_level_where_the_statistics_count() {
+        // Every row has its own `weight`, so every region of the `size` cut
+        // holds more distinct weights than a summary counts: a re-cut on it
+        // is partitioned even when released.
+        let schema = Schema::new(vec![
+            Field::new("size", DataType::Int),
+            Field::new("weight", DataType::Float),
+        ])
+        .unwrap();
+        let mut b = TableBuilder::new("t", schema);
+        for i in 0..2_400 {
+            b.push_row(&[Value::Int(i % 9), Value::Float(i as f64 / 7.0)])
+                .unwrap();
+        }
+        let t = b.build().unwrap();
+        let working = t.full_selection();
+        let query = ConjunctiveQuery::all("t");
+        with_context(&t, &PaperCut, |ctx| {
+            let cut = |attribute| {
+                let map = PaperCut.cut(ctx, &working, &query, attribute, &mut None);
+                map.unwrap().unwrap()
+            };
+            let (size, weight) = (cut("size"), cut("weight"));
+            for (members, counted) in [([&size, &weight], false), ([&weight, &size], true)] {
+                let members = [members[0].clone(), members[1].clone()];
+                let merge = |released: bool| {
+                    let merged = if released {
+                        CompositionMerge.merge_released(ctx, &members, &working, &[])
+                    } else {
+                        CompositionMerge.merge_with_stats(ctx, &members, &working, &[])
+                    };
+                    merged.unwrap().unwrap()
+                };
+                let (expanded, released) = (merge(false), merge(true));
+                assert_eq!(expanded.region_counts(), released.region_counts());
+                assert_eq!(expanded.source_attributes, released.source_attributes);
+                for (e, r) in expanded.regions.iter().zip(&released.regions) {
+                    assert_eq!(e.query, r.query);
+                    assert!(e.holds_rows());
+                    assert_eq!(r.holds_rows(), !counted, "{r}");
+                }
+            }
+        });
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! A served answer keeps a region's query and count but not its rows
 //! ([`Region::release_rows`]): the selection of a released region ranges over
 //! zero rows, so any bitmap operation that meets it fails on its length
-//! instead of reading an empty extent.
+//! instead of reading an empty extent. A region whose count was read off
+//! statistics is born released ([`Region::released`]).
 
 use atlas_columnar::Bitmap;
 use atlas_query::ConjunctiveQuery;
@@ -47,6 +48,19 @@ impl Region {
         }
     }
 
+    /// A region that holds no rows, only its query and its `count`: one a
+    /// served answer counted instead of selecting
+    /// ([`crate::CutPlan::counts_from_stats`]), as [`Region::release_rows`]
+    /// would leave it.
+    pub fn released(query: ConjunctiveQuery, count: usize) -> Self {
+        Region {
+            query,
+            selection: Bitmap::new_empty(0),
+            count,
+            holds_rows: false,
+        }
+    }
+
     /// Drop the region's rows, keeping its query and count: what a served
     /// answer keeps once nothing will intersect it again. The selection
     /// becomes a bitmap over zero rows.
@@ -55,7 +69,8 @@ impl Region {
         self.holds_rows = false;
     }
 
-    /// False once [`Region::release_rows`] dropped the region's rows.
+    /// False once [`Region::release_rows`] dropped the region's rows, and for
+    /// a region built [`Region::released`].
     pub fn holds_rows(&self) -> bool {
         self.holds_rows
     }
@@ -137,6 +152,19 @@ mod tests {
         assert_eq!(region.query, query);
         assert_eq!(region.selection.len(), 0);
         assert!(region.to_string().contains("3 tuples"));
+    }
+
+    #[test]
+    fn a_region_born_released_is_a_released_one() {
+        let query = ConjunctiveQuery::all("t").and(Predicate::values("sex", ["F"]));
+        let born = Region::released(query.clone(), 3);
+        let mut released = Region::new(query, Bitmap::from_indices(10, [1, 3, 5]));
+        released.release_rows();
+        assert!(!born.holds_rows());
+        assert_eq!(born.count(), released.count());
+        assert_eq!(born.query, released.query);
+        assert_eq!(born.selection, released.selection);
+        assert_eq!(born.to_string(), released.to_string());
     }
 
     #[test]

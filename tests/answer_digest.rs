@@ -121,13 +121,51 @@ fn walk(
     }
 }
 
-/// The in-process part: every configuration at 1, 2 and 8 threads.
+/// The in-process part: every configuration at 1, 2 and 8 threads. Each
+/// step is also answered released, which must be the hashed answer with its
+/// rows dropped.
 fn in_process(digest: &mut Digest, table: &Arc<Table>, filter: &str, configs: &[AtlasConfig]) {
     for config in configs {
         for threads in [1, 2, 8] {
             let engine =
                 Atlas::new(Arc::clone(table), config.clone().with_parallelism(threads)).unwrap();
-            walk(digest, table.name(), filter, |query| engine.explore(query));
+            walk(digest, table.name(), filter, |query| {
+                let answer = engine.explore(query);
+                assert_released(&answer, &engine.explore_released(query), query);
+                answer
+            });
+        }
+    }
+}
+
+/// `released` is `answer` with every row dropped: the same scores, region
+/// queries and counts, no region holding rows — or the same error.
+fn assert_released(
+    answer: &atlas::core::Result<MapResult>,
+    released: &atlas::core::Result<MapResult>,
+    query: &ConjunctiveQuery,
+) {
+    let what = to_sql(query);
+    let (answer, released) = match (answer, released) {
+        (Ok(answer), Ok(released)) => (answer, released),
+        (answer, released) => {
+            let error =
+                |r: &atlas::core::Result<MapResult>| r.as_ref().err().map(|e| e.to_string());
+            assert_eq!(error(answer), error(released), "{what}");
+            assert!(answer.is_err(), "{what}");
+            return;
+        }
+    };
+    assert_eq!(answer.working_set_size, released.working_set_size, "{what}");
+    assert_eq!(released.working_set.len(), 0, "{what}");
+    assert_eq!(answer.num_maps(), released.num_maps(), "{what}");
+    for (a, r) in answer.maps.iter().zip(&released.maps) {
+        assert_eq!(a.score.to_bits(), r.score.to_bits(), "{what}");
+        assert_eq!(a.map.num_regions(), r.map.num_regions(), "{what}");
+        for (a, r) in a.map.regions.iter().zip(&r.map.regions) {
+            assert_eq!(to_sql(&a.query), to_sql(&r.query), "{what}");
+            assert_eq!(a.count(), r.count(), "{what}");
+            assert!(!r.holds_rows() && r.selection.is_empty(), "{what}");
         }
     }
 }

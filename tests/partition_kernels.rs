@@ -989,3 +989,190 @@ fn a_value_listed_in_two_groups_lands_in_the_first() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Counting a cut's plan off its statistics ≡ partitioning it
+// ---------------------------------------------------------------------------
+
+use atlas::core::{
+    cut_from_source, CutConfig, CutPlan, CutSource, NumericCutStrategy, Partition, TableCutSource,
+};
+use std::cell::RefCell;
+
+/// A [`TableCutSource`] that keeps every plan it partitions, with the
+/// popcounts of the regions it selected.
+struct Recording<'a> {
+    inner: TableCutSource<'a>,
+    partitioned: RefCell<Vec<(CutPlan, Vec<usize>)>>,
+}
+
+impl CutSource for Recording<'_> {
+    fn data_type(&self, attribute: &str) -> atlas::core::Result<DataType> {
+        self.inner.data_type(attribute)
+    }
+
+    fn numeric_values(&self, attribute: &str) -> atlas::core::Result<Vec<f64>> {
+        self.inner.numeric_values(attribute)
+    }
+
+    fn category_counts(&self, attribute: &str) -> atlas::core::Result<Vec<(String, usize)>> {
+        self.inner.category_counts(attribute)
+    }
+
+    fn partition(&self, plans: &[CutPlan]) -> atlas::core::Result<Vec<Vec<Bitmap>>> {
+        let regions = self.inner.partition(plans)?;
+        let mut seen = self.partitioned.borrow_mut();
+        for (plan, bitmaps) in plans.iter().zip(&regions) {
+            seen.push((plan.clone(), bitmaps.iter().map(Bitmap::count).collect()));
+        }
+        Ok(regions)
+    }
+}
+
+/// Cut `attribute` of `table` over `sel` at `k` ways with `numeric` and
+/// return every plan the cut partitioned, with its popcounts, beside the
+/// statistics it was planned from. `None` when the cut made no plan.
+fn partitioned_plan(
+    table: &Table,
+    sel: &Bitmap,
+    attribute: &str,
+    numeric: NumericCutStrategy,
+    k: usize,
+) -> Option<(CutPlan, Vec<usize>, ColumnStats)> {
+    let config = CutConfig {
+        num_splits: k,
+        numeric,
+        max_categories: usize::MAX,
+        skip_identifiers: false,
+        ..CutConfig::default()
+    };
+    let stats = table.column_stats(attribute, sel).unwrap();
+    let source = Recording {
+        inner: TableCutSource::new(table, sel),
+        partitioned: RefCell::new(Vec::new()),
+    };
+    let query = atlas::query::ConjunctiveQuery::all(table.name());
+    cut_from_source(&source, &query, attribute, &config, &stats).unwrap();
+    let mut seen = source.partitioned.into_inner();
+    assert!(seen.len() <= 1, "one attribute, one plan");
+    seen.pop().map(|(plan, popcounts)| (plan, popcounts, stats))
+}
+
+/// The counts a plan reads off its statistics are the popcounts of its
+/// partition; a summary without counts for it gives none.
+fn check_counts(plan: &CutPlan, popcounts: &[usize], stats: &ColumnStats, what: &str) {
+    let degraded = match &plan.partition {
+        Partition::Ranges(_) => stats.value_counts.is_none(),
+        Partition::Groups(_) => stats.category_counts.is_none(),
+    };
+    match plan.counts_from_stats(stats) {
+        Some(counts) => {
+            assert!(!degraded, "{what}: counted off a degraded summary");
+            assert_eq!(counts, popcounts, "{what}: {plan:?}");
+        }
+        None => assert!(degraded, "{what}: {plan:?} not counted"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// Every plan a `Median` or `EquiWidth` cut makes at k = 2 and 3 counts,
+    /// off the statistics it was planned from, exactly what partitioning
+    /// selects: integers sharing an `f64` past 2⁵³ (whose integer bounds
+    /// overlap, so the first range takes them), NaNs in no range, `±0.0`,
+    /// NULLs in no region, booleans and strings, over coded and plain parts
+    /// at every segment layout; a numeric column past the counter's 1 024
+    /// values has no counts and is partitioned.
+    #[test]
+    fn a_plan_counted_off_its_statistics_selects_what_its_partition_does(
+        distinct in prop_oneof![
+            Just(2usize), Just(3usize), Just(9usize), Just(10usize),
+            Just(40usize), Just(300usize), Just(1100usize)
+        ],
+        seed in any::<u64>(),
+        tail in 1usize..300,
+        null_mode in 0usize..3,
+        segment_rows in prop_oneof![
+            Just(usize::MAX), Just(7usize), Just(64usize), Just(1000usize), Just(1024usize)
+        ],
+        sel_bits in proptest::collection::vec(any::<bool>(), 1..300),
+        sel_kind in 0usize..4,
+    ) {
+        let rows = 4 * distinct + tail;
+        let null_pct = [0u64, 10, 60][null_mode];
+        let cell = |column: u64, i: usize, value: Value| {
+            if mix(seed ^ column, i as u64) % 100 < null_pct { Value::Null } else { value }
+        };
+        let pick = |i: usize| if i < distinct {
+            (i * 7919) % distinct
+        } else {
+            (mix(seed, i as u64) % distinct as u64) as usize
+        };
+        let schema = Schema::new(vec![
+            Field::new("i", DataType::Int),
+            Field::new("f", DataType::Float),
+            Field::new("s", DataType::Str),
+            Field::new("b", DataType::Bool),
+        ])
+        .unwrap();
+        let mut builder = TableBuilder::new("t", schema).with_segment_rows(segment_rows);
+        for i in 0..rows {
+            builder
+                .push_row(&[
+                    cell(1, i, pool_value(false, pick(i))),
+                    cell(2, i, pool_value(true, pick(i))),
+                    cell(3, i, Value::Str(format!("v{}", pick(i) % 12))),
+                    cell(4, i, Value::Bool(mix(seed ^ 5, i as u64).is_multiple_of(3))),
+                ])
+                .unwrap();
+        }
+        let table = builder.build().unwrap();
+        let sel = build_selection(sel_kind, &sel_bits, rows);
+        for attribute in ["i", "f", "s", "b"] {
+            for numeric in [NumericCutStrategy::Median, NumericCutStrategy::EquiWidth] {
+                for k in [2, 3] {
+                    let what = format!("{attribute}, {numeric:?}, k = {k}");
+                    if let Some((plan, popcounts, stats)) =
+                        partitioned_plan(&table, &sel, attribute, numeric, k)
+                    {
+                        check_counts(&plan, &popcounts, &stats, &what);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Summaries past the counter — 2 000 distinct floats, a string column whose
+/// dictionaries hold 1 100 values while the selected rows hold three — carry
+/// no counts, so their plans are partitioned.
+#[test]
+fn a_degraded_summary_takes_the_partition() {
+    let schema = Schema::new(vec![
+        Field::new("f", DataType::Float),
+        Field::new("s", DataType::Str),
+    ])
+    .unwrap();
+    let mut builder = TableBuilder::new("t", schema).with_segment_rows(1_200);
+    for i in 0..4_000 {
+        let s = if i < 1_100 {
+            format!("c{i}")
+        } else {
+            ["a", "b", "c"][i % 3].to_string()
+        };
+        builder
+            .push_row(&[Value::Float((i % 2_000) as f64 / 3.0), Value::Str(s)])
+            .unwrap();
+    }
+    let table = builder.build().unwrap();
+    let sel = Bitmap::from_fn(4_000, |i| i >= 1_200);
+    for attribute in ["f", "s"] {
+        let (plan, popcounts, stats) =
+            partitioned_plan(&table, &sel, attribute, NumericCutStrategy::Median, 2)
+                .expect("the cut partitions a plan");
+        assert!(stats.value_counts.is_none() && stats.category_counts.is_none());
+        assert_eq!(plan.counts_from_stats(&stats), None, "{attribute}");
+        assert_eq!(popcounts.iter().sum::<usize>(), 2_800, "{attribute}");
+    }
+}

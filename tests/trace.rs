@@ -617,6 +617,46 @@ fn the_explore_span_says_whether_the_working_set_was_gathered() {
     }
 }
 
+/// A served whole-table `default` explore counts the last level of its
+/// compositions off the statistics: its `explore` span reports the regions
+/// built without rows (`counted_regions`, 0 when expanded), and its trace
+/// holds 6 fewer partition plans than `Atlas::explore`'s — 7 instead of 13,
+/// as at 1M census rows. A plan dispatches one partition kernel per segment.
+#[test]
+fn a_served_composition_counts_its_last_level() {
+    let _gate = gate();
+    let _traced = Traced::begin();
+    let table = census_table(20_000, 1_024);
+    let atlas = Atlas::new(Arc::clone(&table), AtlasConfig::default()).unwrap();
+    let query = ConjunctiveQuery::all("census");
+    let traced = |released: bool| {
+        let root = obs::span_root("test.explore");
+        let trace_id = root.context().expect("tracing is enabled").trace_id;
+        let result = if released {
+            atlas.explore_released(&query)
+        } else {
+            atlas.explore(&query)
+        };
+        result.unwrap();
+        drop(root);
+        let spans = obs::tracer().trace(trace_id);
+        let explore = spans.iter().find(|s| s.name == "explore").unwrap();
+        let counted: usize = explore.attr("counted_regions").unwrap().parse().unwrap();
+        let dispatches = spans
+            .iter()
+            .filter(|s| s.name == "kernel.dispatch")
+            .filter(|s| matches!(s.attr("op"), Some("select_ranges" | "select_in_groups")))
+            .count();
+        assert_eq!(dispatches % table.num_segments(), 0, "whole plans");
+        (counted, dispatches / table.num_segments())
+    };
+    let (expanded_counted, expanded_plans) = traced(false);
+    let (served_counted, served_plans) = traced(true);
+    assert_eq!(expanded_counted, 0);
+    assert!(served_counted > 0);
+    assert_eq!((expanded_plans, served_plans), (13, 7));
+}
+
 /// A trace says which call of an explore paid for the working set: the
 /// `shard.request` span of `/shard/working` is tagged `working=evaluated`,
 /// and those of every later round — and of the repeat of a call whose first
