@@ -1,16 +1,24 @@
 //! # atlas-bench
 //!
-//! Fixtures of the `experiments` binary
-//! (`cargo run -p atlas-bench --bin experiments --release`).
+//! Fixtures and the bench report module of Atlas's two bench programs:
 //!
-//! The paper ("Fast Cartography for Data Explorers", VLDB 2013) is a vision
-//! paper without result tables; the experiment suite E1–E9 turns each figure
-//! and each measurable claim into a quantitative, reproducible check, and the
-//! `experiments` binary prints those quality/behaviour tables. The latency
-//! side is its `bench-smoke` report (the committed `BENCH_*.json` files) and
-//! the `benchmark/` harness.
+//! * `experiments` (`cargo run -p atlas-bench --release --bin experiments`)
+//!   prints the paper's experiment tables. The paper ("Fast Cartography for
+//!   Data Explorers", VLDB 2013) is a vision paper without result tables; the
+//!   suite E1–E9 turns each figure and each measurable claim into a
+//!   quantitative, reproducible check.
+//! * `smoke` (`cargo run -p atlas-bench --release --bin smoke -- bench-smoke`
+//!   or `-- trace-smoke`) writes the latency side: the `bench-smoke` report
+//!   (the committed `BENCH_*.json` files, gated in CI) and a traced
+//!   distributed explore as Chrome trace JSON. The served latency is the
+//!   `benchmark/` harness's.
+//!
+//! [`report`] is everything that knows what a bench report is: its figures,
+//! its file, the report it is compared with, and the gate.
 
 #![warn(missing_docs)]
+
+pub mod report;
 
 use atlas_columnar::Table;
 use atlas_datagen::{CensusGenerator, MixtureGenerator};

@@ -5,17 +5,12 @@
 //! centroid methods, and (b) a hierarchy makes it easy to control the size of
 //! the clusters and hence the complexity of the merged maps.
 //!
-//! Two implementations are provided:
-//!
-//! * [`slink`] — the classic SLINK algorithm (Sibson 1973), `O(n²)`, single
-//!   linkage only, returning the full dendrogram;
-//! * [`cluster_maps`] — a generic agglomerative algorithm supporting single,
-//!   complete and average linkage, with the stopping rules Atlas needs
-//!   (distance threshold and maximum cluster size).
-//!
-//! With at most a few dozen candidate maps, the `O(n³)` generic algorithm is
-//! never a bottleneck; SLINK exists both for fidelity to the paper and as a
-//! cross-check in the tests.
+//! [`cluster_maps`] is a generic agglomerative algorithm supporting single,
+//! complete and average linkage, with the stopping rules Atlas needs
+//! (distance threshold and maximum cluster size). With at most a few dozen
+//! candidate maps, its `O(n³)` is never a bottleneck. SLINK (Sibson 1973),
+//! `O(n²)` and single linkage only, lives in the tests as the oracle the
+//! single-linkage clustering is held to.
 
 use crate::distance::DistanceMatrix;
 use crate::error::{AtlasError, Result};
@@ -79,97 +74,6 @@ impl ClusteringConfig {
             }
         }
         Ok(())
-    }
-}
-
-/// One merge step of a dendrogram: the two clusters merged (identified by
-/// their representative item index) and the linkage distance at which the
-/// merge happened.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MergeStep {
-    /// Representative of the first cluster merged.
-    pub left: usize,
-    /// Representative of the second cluster merged.
-    pub right: usize,
-    /// Linkage distance of the merge.
-    pub distance: f64,
-}
-
-/// A single-linkage dendrogram as produced by [`slink`].
-#[derive(Debug, Clone)]
-pub struct Dendrogram {
-    /// Merge steps in order of increasing distance.
-    pub steps: Vec<MergeStep>,
-    /// Number of items clustered.
-    pub num_items: usize,
-}
-
-impl Dendrogram {
-    /// Cut the dendrogram at a distance threshold: merges with a distance
-    /// strictly greater than `threshold` are ignored. Returns the resulting
-    /// clusters as lists of item indices.
-    pub fn cut_at(&self, threshold: f64) -> Vec<Vec<usize>> {
-        let mut uf = UnionFind::new(self.num_items);
-        for step in &self.steps {
-            if step.distance <= threshold {
-                uf.union(step.left, step.right);
-            }
-        }
-        uf.clusters()
-    }
-}
-
-/// The SLINK algorithm (Sibson 1973): optimally efficient single-linkage
-/// hierarchical clustering from a distance matrix.
-///
-/// Returns the dendrogram (pointer representation converted to merge steps).
-pub fn slink(distances: &DistanceMatrix) -> Dendrogram {
-    let n = distances.len();
-    if n == 0 {
-        return Dendrogram {
-            steps: Vec::new(),
-            num_items: 0,
-        };
-    }
-    // Pointer representation: lambda[i] = distance at which i is last merged,
-    // pi[i] = the representative it merges into.
-    let mut lambda = vec![f64::INFINITY; n];
-    let mut pi = vec![0usize; n];
-    let mut m = vec![0.0f64; n];
-    for i in 0..n {
-        pi[i] = i;
-        lambda[i] = f64::INFINITY;
-        for (j, mj) in m.iter_mut().enumerate().take(i) {
-            *mj = distances.get(i, j);
-        }
-        for j in 0..i {
-            if lambda[j] >= m[j] {
-                m[pi[j]] = m[pi[j]].min(lambda[j]);
-                lambda[j] = m[j];
-                pi[j] = i;
-            } else {
-                m[pi[j]] = m[pi[j]].min(m[j]);
-            }
-        }
-        for j in 0..i {
-            if lambda[j] >= lambda[pi[j]] {
-                pi[j] = i;
-            }
-        }
-    }
-    // Convert the pointer representation into merge steps sorted by distance.
-    let mut steps: Vec<MergeStep> = (0..n)
-        .filter(|&i| lambda[i].is_finite())
-        .map(|i| MergeStep {
-            left: i,
-            right: pi[i],
-            distance: lambda[i],
-        })
-        .collect();
-    steps.sort_by(|a, b| a.distance.total_cmp(&b.distance));
-    Dendrogram {
-        steps,
-        num_items: n,
     }
 }
 
@@ -320,49 +224,143 @@ fn linkage_distance(distances: &DistanceMatrix, a: &[usize], b: &[usize], linkag
     }
 }
 
-/// Minimal union–find used to cut dendrograms.
-struct UnionFind {
-    parent: Vec<usize>,
-}
-
-impl UnionFind {
-    fn new(n: usize) -> Self {
-        UnionFind {
-            parent: (0..n).collect(),
-        }
-    }
-
-    fn find(&mut self, x: usize) -> usize {
-        if self.parent[x] != x {
-            let root = self.find(self.parent[x]);
-            self.parent[x] = root;
-        }
-        self.parent[x]
-    }
-
-    fn union(&mut self, a: usize, b: usize) {
-        let ra = self.find(a);
-        let rb = self.find(b);
-        if ra != rb {
-            self.parent[rb] = ra;
-        }
-    }
-
-    fn clusters(&mut self) -> Vec<Vec<usize>> {
-        let n = self.parent.len();
-        let mut groups: std::collections::BTreeMap<usize, Vec<usize>> =
-            std::collections::BTreeMap::new();
-        for i in 0..n {
-            let root = self.find(i);
-            groups.entry(root).or_default().push(i);
-        }
-        groups.into_values().collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // SLINK (Sibson 1973), the single-linkage algorithm the paper cites: the
+    // independent oracle `cluster_maps` under `Linkage::Single` is held to.
+
+    /// One merge step of a dendrogram: the two clusters merged (identified by
+    /// their representative item index) and the linkage distance at which the
+    /// merge happened.
+    #[derive(Debug, Clone, PartialEq)]
+    struct MergeStep {
+        /// Representative of the first cluster merged.
+        left: usize,
+        /// Representative of the second cluster merged.
+        right: usize,
+        /// Linkage distance of the merge.
+        distance: f64,
+    }
+
+    /// A single-linkage dendrogram as produced by [`slink`].
+    #[derive(Debug, Clone)]
+    struct Dendrogram {
+        /// Merge steps in order of increasing distance.
+        steps: Vec<MergeStep>,
+        /// Number of items clustered.
+        num_items: usize,
+    }
+
+    impl Dendrogram {
+        /// Cut the dendrogram at a distance threshold: merges with a distance
+        /// strictly greater than `threshold` are ignored. Returns the resulting
+        /// clusters as lists of item indices.
+        fn cut_at(&self, threshold: f64) -> Vec<Vec<usize>> {
+            let mut uf = UnionFind::new(self.num_items);
+            for step in &self.steps {
+                if step.distance <= threshold {
+                    uf.union(step.left, step.right);
+                }
+            }
+            uf.clusters()
+        }
+    }
+
+    /// The SLINK algorithm (Sibson 1973): optimally efficient single-linkage
+    /// hierarchical clustering from a distance matrix.
+    ///
+    /// Returns the dendrogram (pointer representation converted to merge steps).
+    fn slink(distances: &DistanceMatrix) -> Dendrogram {
+        let n = distances.len();
+        if n == 0 {
+            return Dendrogram {
+                steps: Vec::new(),
+                num_items: 0,
+            };
+        }
+        // Pointer representation: lambda[i] = distance at which i is last merged,
+        // pi[i] = the representative it merges into.
+        let mut lambda = vec![f64::INFINITY; n];
+        let mut pi = vec![0usize; n];
+        let mut m = vec![0.0f64; n];
+        for i in 0..n {
+            pi[i] = i;
+            lambda[i] = f64::INFINITY;
+            for (j, mj) in m.iter_mut().enumerate().take(i) {
+                *mj = distances.get(i, j);
+            }
+            for j in 0..i {
+                if lambda[j] >= m[j] {
+                    m[pi[j]] = m[pi[j]].min(lambda[j]);
+                    lambda[j] = m[j];
+                    pi[j] = i;
+                } else {
+                    m[pi[j]] = m[pi[j]].min(m[j]);
+                }
+            }
+            for j in 0..i {
+                if lambda[j] >= lambda[pi[j]] {
+                    pi[j] = i;
+                }
+            }
+        }
+        // Convert the pointer representation into merge steps sorted by distance.
+        let mut steps: Vec<MergeStep> = (0..n)
+            .filter(|&i| lambda[i].is_finite())
+            .map(|i| MergeStep {
+                left: i,
+                right: pi[i],
+                distance: lambda[i],
+            })
+            .collect();
+        steps.sort_by(|a, b| a.distance.total_cmp(&b.distance));
+        Dendrogram {
+            steps,
+            num_items: n,
+        }
+    }
+
+    /// Minimal union–find used to cut dendrograms.
+    struct UnionFind {
+        parent: Vec<usize>,
+    }
+
+    impl UnionFind {
+        fn new(n: usize) -> Self {
+            UnionFind {
+                parent: (0..n).collect(),
+            }
+        }
+
+        fn find(&mut self, x: usize) -> usize {
+            if self.parent[x] != x {
+                let root = self.find(self.parent[x]);
+                self.parent[x] = root;
+            }
+            self.parent[x]
+        }
+
+        fn union(&mut self, a: usize, b: usize) {
+            let ra = self.find(a);
+            let rb = self.find(b);
+            if ra != rb {
+                self.parent[rb] = ra;
+            }
+        }
+
+        fn clusters(&mut self) -> Vec<Vec<usize>> {
+            let n = self.parent.len();
+            let mut groups: std::collections::BTreeMap<usize, Vec<usize>> =
+                std::collections::BTreeMap::new();
+            for i in 0..n {
+                let root = self.find(i);
+                groups.entry(root).or_default().push(i);
+            }
+            groups.into_values().collect()
+        }
+    }
 
     /// A distance matrix with two tight groups {0,1,2} and {3,4}, far apart.
     fn two_group_matrix() -> DistanceMatrix {

@@ -67,9 +67,7 @@ pub mod rank;
 pub mod region;
 
 pub use candidates::{generate_candidates, generate_candidates_in_context, CandidateSet};
-pub use cluster::{
-    cluster_maps, cluster_maps_with_pool, slink, ClusteringConfig, Dendrogram, Linkage, MergeStep,
-};
+pub use cluster::{cluster_maps, cluster_maps_with_pool, ClusteringConfig, Linkage};
 pub use config::{AtlasConfig, ExploreOptions, MergeStrategy};
 pub use cut::{
     cut_attribute, cut_from_source, cuts_from_source, CategoricalCutStrategy, CutConfig, CutPlan,
