@@ -6,7 +6,8 @@
 //!   prints the paper's experiment tables. The paper ("Fast Cartography for
 //!   Data Explorers", VLDB 2013) is a vision paper without result tables; the
 //!   suite E1–E9 turns each figure and each measurable claim into a
-//!   quantitative, reproducible check.
+//!   quantitative, reproducible check. Their scores are the committed
+//!   `QUALITY.json`, which a tier-1 test holds every run to.
 //! * `smoke` (`cargo run -p atlas-bench --release --bin smoke -- bench-smoke`
 //!   or `-- trace-smoke`) writes the latency side: the `bench-smoke` report
 //!   (the committed `BENCH_*.json` files, gated in CI) and a traced

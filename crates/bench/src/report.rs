@@ -8,9 +8,15 @@
 //! files at the repo root; [`publish`] writes a run's report, compares it with
 //! the newest earlier one of the same experiment, prints a delta table of the
 //! figures at `GATED_PATHS` and, with a gate, fails on a regression beyond it.
+//!
+//! The quality report is the scores of the paper's experiments E1–E9 (an
+//! [`Experiment`] per table, its timings left out); the committed one is
+//! `QUALITY.json`, and [`quality_differences`] names the JSON path of every
+//! score that moved.
 
 use atlas_core::PhaseTimings;
 use atlas_serve::wire::{self, Json};
+use std::collections::BTreeMap;
 use std::path::Path;
 use std::time::Instant;
 
@@ -232,6 +238,141 @@ pub fn publish(dir: &Path, path: &str, report: &Json, gate: Option<f64>) -> Resu
     Ok(())
 }
 
+/// One cell of an experiment's table. Every cell but a timing is part of the
+/// quality report.
+pub enum Cell {
+    /// A label, a count or a flag.
+    Value(Json),
+    /// A score, printed with the given number of decimals.
+    Score(f64, usize),
+    /// Wall-clock milliseconds, printed with the given number of decimals
+    /// and left out of the quality report.
+    Ms(f64, usize),
+}
+
+impl<T> From<T> for Cell
+where
+    Json: From<T>,
+{
+    fn from(value: T) -> Cell {
+        Cell::Value(Json::from(value))
+    }
+}
+
+impl Cell {
+    fn render(&self) -> String {
+        match self {
+            Cell::Value(Json::Str(text)) => text.clone(),
+            Cell::Value(value) => value.encode(),
+            Cell::Score(x, decimals) | Cell::Ms(x, decimals) => format!("{x:.decimals$}"),
+        }
+    }
+
+    /// The cell's value in the quality report; `None` for a timing.
+    fn score(&self) -> Option<Json> {
+        match self {
+            Cell::Value(value) => Some(value.clone()),
+            Cell::Score(x, _) => Some(Json::Num(*x)),
+            Cell::Ms(..) => None,
+        }
+    }
+}
+
+/// A table row: its cells in column order, each with its column's name.
+pub type Row = Vec<(&'static str, Cell)>;
+
+/// What one experiment found: its table, built once, then printed and
+/// reported from the same cells.
+pub struct Experiment {
+    /// The table's heading.
+    pub title: &'static str,
+    /// The rows; the first one's names head the table.
+    pub rows: Vec<Row>,
+}
+
+impl Experiment {
+    /// The table in Markdown, headed `## <ID> — <title>`.
+    pub fn render(&self, id: &str) -> String {
+        let line = |cells: Vec<String>| format!("| {} |\n", cells.join(" | "));
+        let names: Vec<&str> = self.rows.first().map_or(Vec::new(), |row| {
+            row.iter().map(|(name, _)| *name).collect()
+        });
+        let mut out = format!("## {} — {}\n", id.to_uppercase(), self.title);
+        out += &line(names.iter().map(|name| name.to_string()).collect());
+        out += &line(names.iter().map(|name| "-".repeat(name.len())).collect());
+        for row in &self.rows {
+            out += &line(row.iter().map(|(_, cell)| cell.render()).collect());
+        }
+        out
+    }
+}
+
+/// The quality report of `experiments`, one member per id, in order: each
+/// experiment's rows, timings left out.
+pub fn quality_report(experiments: &[(&str, Experiment)]) -> Json {
+    let scores = |row: &Row| {
+        let scores = row
+            .iter()
+            .filter_map(|(name, cell)| Some((*name, cell.score()?)));
+        Json::object(scores.collect())
+    };
+    let mut members = vec![("experiment", Json::from("quality"))];
+    members.extend(experiments.iter().map(|(id, experiment)| {
+        let rows = Json::array(experiment.rows.iter().map(scores).collect());
+        (*id, Json::object(vec![("rows", rows)]))
+    }));
+    Json::object(members)
+}
+
+/// Every difference between the `committed` quality report and the
+/// `current` one, as `<JSON path>: …` lines: a value that moved, or a value
+/// only one side has (a row or an experiment shows as each of its values).
+/// Values compare as encoded, so numbers compare bit for bit.
+pub fn quality_differences(committed: &Json, current: &Json) -> Vec<String> {
+    let (committed, current) = (leaves(committed), leaves(current));
+    let mut out = Vec::new();
+    for (path, before) in &committed {
+        match current.get(path) {
+            Some(now) if now == before => {}
+            Some(now) => out.push(format!("{path}: committed {before}, now {now}")),
+            None => out.push(format!("{path}: only in the committed report")),
+        }
+    }
+    let added = current.keys().filter(|path| !committed.contains_key(*path));
+    out.extend(added.map(|path| format!("{path}: only in the current report")));
+    out
+}
+
+/// Every value of `json` that holds no other (numbers, strings, booleans,
+/// nulls, empty arrays and objects), encoded, by its path (`a.b[0].c`).
+fn leaves(json: &Json) -> BTreeMap<String, String> {
+    fn walk(path: String, json: &Json, out: &mut BTreeMap<String, String>) {
+        match json {
+            Json::Obj(members) if !members.is_empty() => {
+                for (key, value) in members {
+                    let at = if path.is_empty() {
+                        key.clone()
+                    } else {
+                        format!("{path}.{key}")
+                    };
+                    walk(at, value, out);
+                }
+            }
+            Json::Arr(items) if !items.is_empty() => {
+                for (i, item) in items.iter().enumerate() {
+                    walk(format!("{path}[{i}]"), item, out);
+                }
+            }
+            _ => {
+                out.insert(path, json.encode());
+            }
+        }
+    }
+    let mut out = BTreeMap::new();
+    walk(String::new(), json, &mut out);
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -349,6 +490,102 @@ mod tests {
             "ungated, nothing to fail"
         );
         std::fs::remove_dir_all(&dir).expect("removable");
+    }
+
+    /// An experiment whose row `i` scores `scores[i]` and took `i` ms.
+    fn experiment(scores: &[f64]) -> Experiment {
+        let rows = scores.iter().enumerate().map(|(i, &score)| {
+            vec![
+                ("strategy", Cell::from(format!("s{i}"))),
+                ("balance", Cell::Score(score, 3)),
+                ("time_ms", Cell::Ms(i as f64, 1)),
+                ("best", Cell::from(i == 0)),
+            ]
+        });
+        Experiment {
+            title: "strategies",
+            rows: rows.collect(),
+        }
+    }
+
+    #[test]
+    fn an_experiment_prints_its_timings_and_reports_only_its_scores() {
+        let e2 = experiment(&[0.5, 0.25]);
+        assert_eq!(
+            e2.render("e2"),
+            "## E2 — strategies\n| strategy | balance | time_ms | best |\n\
+             | -------- | ------- | ------- | ---- |\n\
+             | s0 | 0.500 | 0.0 | true |\n| s1 | 0.250 | 1.0 | false |\n"
+        );
+        assert_eq!(
+            quality_report(&[("e2", e2)]).encode(),
+            r#"{"experiment":"quality","e2":{"rows":[{"strategy":"s0","balance":0.5,"best":true},{"strategy":"s1","balance":0.25,"best":false}]}}"#
+        );
+    }
+
+    #[test]
+    fn an_unchanged_quality_report_passes() {
+        // Scores that need all 17 digits survive the file bit for bit.
+        let report = quality_report(&[("e2", experiment(&[0.1 + 0.2, 1.0 / 3.0, -0.0]))]);
+        let committed = wire::parse(&report.pretty()).expect("valid JSON");
+        assert_eq!(
+            quality_differences(&committed, &report),
+            Vec::<String>::new()
+        );
+    }
+
+    #[test]
+    fn a_moved_score_fails_naming_its_path() {
+        let committed = quality_report(&[("e2", experiment(&[0.5, 0.25]))]);
+        let moved = quality_report(&[("e2", experiment(&[0.5, 0.25 + f64::EPSILON]))]);
+        assert_eq!(
+            quality_differences(&committed, &moved),
+            ["e2.rows[1].balance: committed 0.25, now 0.2500000000000002"]
+        );
+        let zero = quality_report(&[("e2", experiment(&[0.0]))]);
+        let negative_zero = quality_report(&[("e2", experiment(&[-0.0]))]);
+        assert_eq!(
+            quality_differences(&zero, &negative_zero),
+            ["e2.rows[0].balance: committed 0, now -0"]
+        );
+    }
+
+    #[test]
+    fn a_row_or_experiment_only_one_side_has_fails() {
+        let two = quality_report(&[("e2", experiment(&[0.5, 0.25]))]);
+        let one = quality_report(&[("e2", experiment(&[0.5]))]);
+        let side = |side: &str| {
+            ["balance", "best", "strategy"]
+                .map(|name| format!("e2.rows[1].{name}: only in the {side} report"))
+        };
+        assert_eq!(quality_differences(&two, &one), side("committed"));
+        assert_eq!(quality_differences(&one, &two), side("current"));
+        let more = quality_report(&[("e2", experiment(&[0.5])), ("e3", experiment(&[]))]);
+        assert_eq!(
+            quality_differences(&one, &more),
+            ["e3.rows: only in the current report"]
+        );
+        assert_eq!(
+            quality_differences(&more, &one),
+            ["e3.rows: only in the committed report"]
+        );
+    }
+
+    #[test]
+    fn the_committed_quality_report_has_all_nine_experiments() {
+        let committed = wire::parse(include_str!("../../../QUALITY.json")).expect("valid JSON");
+        assert_eq!(
+            committed.get("experiment").and_then(Json::str),
+            Some("quality")
+        );
+        for id in ["e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9"] {
+            let rows = committed.get(id).and_then(|e| e.get("rows"));
+            assert!(
+                rows.and_then(Json::items)
+                    .is_some_and(|rows| !rows.is_empty()),
+                "{id}"
+            );
+        }
     }
 
     /// The committed reference: every gated path resolves, and exactly these

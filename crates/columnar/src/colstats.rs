@@ -37,8 +37,8 @@
 //! [`ColumnSummary::merge_from`] (in row order: a later part appends the
 //! values it is first to hold), travel in [`SummaryParts`], and surface as
 //! [`ColumnStats::category_counts`], from which a categorical cut reads its
-//! frequency ranking and its dictionary order instead of walking the column a
-//! second time. The same bound applies: a column whose dictionaries hold more
+//! frequency ranking (ties in first-appearance order) instead of walking the
+//! column a second time. The same bound applies: a column whose dictionaries hold more
 //! values than the counter (names, codes) keeps the plain set of the values
 //! some selected row holds, and nothing is cloned per dictionary entry.
 //!

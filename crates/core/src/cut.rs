@@ -5,14 +5,13 @@
 //! paper discusses several cutting strategies; they are implemented here and
 //! selected through [`CutConfig`]:
 //!
-//! * ordinal attributes — equi-width binning, median / equi-depth splits,
-//!   1-D k-means (the "maximise intra-cluster homogeneity" option), or exact
-//!   natural breaks. Section 5.1 proposes approximating the median with a
-//!   one-pass quantile sketch; here every median is exact, read off counts or
-//!   selected in place, so no split depends on the segment layout;
-//! * categorical attributes — grouping values in frequency order, alphabetic
-//!   order, or first-appearance ("the order in which the user gives them")
-//!   order, balanced by cover.
+//! * ordinal attributes — equi-width binning, median / equi-depth splits, or
+//!   1-D k-means (the "maximise intra-cluster homogeneity" option). Section
+//!   5.1 proposes approximating the median with a one-pass quantile sketch;
+//!   here every median is exact, read off counts or selected in place, so no
+//!   split depends on the segment layout;
+//! * categorical attributes — grouping values in decreasing frequency order
+//!   (ties in first-appearance order), balanced by cover.
 //!
 //! Following the paper's performance-over-accuracy argument, the default
 //! number of partitions is **two**.
@@ -27,9 +26,9 @@
 //! goes back to [`CutSource::numeric_values`]. A categorical cut reads the
 //! same statistics first: the walk that counted the selected rows kept the
 //! count of every category ([`ColumnStats::category_counts`]), so the
-//! frequency ranking and the dictionary order are read off it, and only a
-//! column with more values than that counter holds asks the source for the
-//! same vector ([`CutSource::category_counts`]). The rule lives in the one
+//! frequency ranking is read off it, and only a column with more values than
+//! that counter holds asks the source for the same vector
+//! ([`CutSource::category_counts`]). The rule lives in the one
 //! cut body, [`cuts_from_source`], so local cuts, composition re-cuts and the
 //! distributed coordinator's cuts all follow it.
 //!
@@ -71,22 +70,6 @@ pub enum NumericCutStrategy {
         /// Maximum Lloyd iterations.
         max_iterations: usize,
     },
-    /// Exact minimum-variance partition (Fisher–Jenks natural breaks).
-    NaturalBreaks,
-}
-
-/// How to group the values of a categorical attribute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CategoricalCutStrategy {
-    /// Order values by decreasing frequency, then group greedily so the group
-    /// covers are balanced.
-    Frequency,
-    /// Order values alphabetically (the paper's suggestion for
-    /// high-cardinality, semantics-free columns), then group contiguously.
-    Alphabetic,
-    /// Keep the dictionary (first-appearance / user-given) order, then group
-    /// contiguously.
-    DictionaryOrder,
 }
 
 /// Configuration of the `CUT` primitive.
@@ -94,10 +77,10 @@ pub enum CategoricalCutStrategy {
 pub struct CutConfig {
     /// Number of partitions per attribute (the paper fixes this to 2).
     pub num_splits: usize,
-    /// Strategy for ordinal attributes.
+    /// Strategy for ordinal attributes. Categorical attributes have one:
+    /// values in decreasing frequency order, grouped greedily so the group
+    /// covers are balanced.
     pub numeric: NumericCutStrategy,
-    /// Strategy for categorical attributes.
-    pub categorical: CategoricalCutStrategy,
     /// Categorical attributes with more distinct values than this are not cut
     /// (they are "codes, names, comments or keys" in the paper's terms).
     pub max_categories: usize,
@@ -110,7 +93,6 @@ impl Default for CutConfig {
         CutConfig {
             num_splits: 2,
             numeric: NumericCutStrategy::Median,
-            categorical: CategoricalCutStrategy::Frequency,
             max_categories: 40,
             skip_identifiers: true,
         }
@@ -505,14 +487,21 @@ fn numeric_splits<S: CutSource>(
     let (min, max) = (stats.min.unwrap_or(0.0), stats.max.unwrap_or(0.0));
     // Each strategy fetches the values only if it reads them: equi-width
     // splits depend on min/max alone, and counted statistics already hold the
-    // distribution the order statistics are read from.
-    let values = || source.numeric_values(attribute);
+    // distribution the order statistics are read from. Splits are computed
+    // over the values that are numbers: a NaN row falls in no range region
+    // (the kernels test `x ∈ [lo, hi]`), so it must not move a split either
+    // — and `min`/`max` already leave NaN out.
+    let values = || {
+        let mut values = source.numeric_values(attribute)?;
+        values.retain(|x| !x.is_nan());
+        Ok::<_, AtlasError>(values)
+    };
     let splits: Vec<f64> = match config.numeric {
         NumericCutStrategy::EquiWidth => equi_width_splits(min, max, k),
         NumericCutStrategy::Median => {
             let ps: Vec<f64> = (1..k).map(|i| i as f64 / k as f64).collect();
             match &stats.value_counts {
-                Some(counts) => quantiles_of_counts(counts, &ps),
+                Some(counts) => quantiles_of_counts(numbers_of(counts), &ps),
                 // Too many distinct values to have been counted. The buffer
                 // is this call's own, so the k−1 order statistics are
                 // selected in place: no sort, no second copy of the working
@@ -524,9 +513,6 @@ fn numeric_splits<S: CutSource>(
         NumericCutStrategy::KMeans { max_iterations } => kmeans_1d(&values()?, k, max_iterations)
             .map(|r| r.splits)
             .unwrap_or_default(),
-        NumericCutStrategy::NaturalBreaks => atlas_stats::breaks::natural_breaks(&values()?, k)
-            .map(|r| r.splits)
-            .unwrap_or_default(),
     };
     // Deduplicate and drop degenerate splits (outside the observed range).
     let mut cleaned: Vec<f64> = Vec::with_capacity(splits.len());
@@ -536,6 +522,15 @@ fn numeric_splits<S: CutSource>(
         }
     }
     Ok(cleaned)
+}
+
+/// The counted values that are numbers. Under [`f64::total_cmp`] negative
+/// NaNs sort before every number and positive ones after, so the NaNs of
+/// ascending counts are a prefix and a suffix.
+fn numbers_of(counts: &[(f64, u64)]) -> &[(f64, u64)] {
+    let start = counts.iter().take_while(|(x, _)| x.is_nan()).count();
+    let numbers = &counts[start..];
+    &numbers[..numbers.len() - numbers.iter().rev().take_while(|(x, _)| x.is_nan()).count()]
 }
 
 /// Interior equi-width split points for the observed `[min, max]` range,
@@ -597,11 +592,13 @@ fn next_lower_bound(dtype: DataType, hi: f64) -> f64 {
     }
 }
 
-/// Group the categorical values of the working set into `num_splits` groups.
+/// Group the categorical values of the working set into `num_splits` groups:
+/// in decreasing frequency order (ties in first-appearance order), each
+/// group closed once its cover reaches an even share.
 ///
-/// The frequency ranking and the dictionary order are read off one vector of
-/// category counts: the caller's statistics when they carry it (the way a
-/// median cut reads [`ColumnStats::value_counts`]), the source's otherwise.
+/// The frequency ranking is read off one vector of category counts: the
+/// caller's statistics when they carry it (the way a median cut reads
+/// [`ColumnStats::value_counts`]), the source's otherwise.
 fn categorical_groups<S: CutSource>(
     source: &S,
     attribute: &str,
@@ -616,27 +613,9 @@ fn categorical_groups<S: CutSource>(
             &asked
         }
     };
-    let mut freq = rank_categories_by_frequency(counts.to_vec());
+    let freq = rank_categories_by_frequency(counts.to_vec());
     if freq.len() < 2 {
         return Ok(Vec::new());
-    }
-    match config.categorical {
-        CategoricalCutStrategy::Frequency => {
-            // already in decreasing frequency order
-        }
-        CategoricalCutStrategy::Alphabetic => {
-            freq.sort_by(|a, b| a.0.cmp(&b.0));
-        }
-        // Boolean columns have no dictionary: the frequency order stands.
-        CategoricalCutStrategy::DictionaryOrder if stats.dtype != DataType::Str => {}
-        CategoricalCutStrategy::DictionaryOrder => {
-            // Global first-appearance order, merged across segments — the
-            // order the counts are listed in.
-            freq.sort_by_key(|(value, _)| {
-                let listed = counts.iter().position(|(d, _)| d == value);
-                listed.unwrap_or(usize::MAX)
-            });
-        }
     }
     let k = config.num_splits.min(freq.len());
     let total: usize = freq.iter().map(|(_, n)| n).sum();
@@ -748,7 +727,6 @@ mod tests {
             NumericCutStrategy::EquiWidth,
             NumericCutStrategy::Median,
             NumericCutStrategy::KMeans { max_iterations: 30 },
-            NumericCutStrategy::NaturalBreaks,
         ];
         for strategy in strategies {
             let cfg = CutConfig {
@@ -822,27 +800,6 @@ mod tests {
         assert_eq!(map.num_regions(), 2);
         let sizes = map.region_counts();
         assert_eq!(sizes, vec![100, 100]);
-    }
-
-    #[test]
-    fn alphabetic_and_dictionary_strategies_work() {
-        let t = table();
-        let working = t.full_selection();
-        for strategy in [
-            CategoricalCutStrategy::Alphabetic,
-            CategoricalCutStrategy::DictionaryOrder,
-        ] {
-            let cfg = CutConfig {
-                categorical: strategy,
-                ..CutConfig::default()
-            };
-            let map = cut_attribute(&t, &working, &base_query(), "education", &cfg)
-                .unwrap()
-                .unwrap();
-            assert_eq!(map.num_regions(), 2);
-            assert!(map.regions_are_disjoint());
-            assert_eq!(map.covered_count(), 200);
-        }
     }
 
     #[test]

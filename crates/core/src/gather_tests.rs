@@ -7,7 +7,6 @@
 //! — must answer what the expanded one does, released, on both paths.
 
 use crate::config::{AtlasConfig, ExploreOptions, MergeStrategy};
-use crate::cut::{CategoricalCutStrategy, CutConfig};
 use crate::engine::{Atlas, MapResult, TABLE_PATH};
 use atlas_columnar::{Bitmap, DataType, Field, Schema, Table, TableBuilder, Value};
 use atlas_query::{ConjunctiveQuery, Predicate};
@@ -43,25 +42,16 @@ fn assert_same(a: &MapResult, b: &MapResult, what: &str) {
 }
 
 /// The configurations every case runs under: both merges, one and two
-/// threads, and both categorical orders.
+/// threads.
 fn configs() -> Vec<AtlasConfig> {
     let mut out = Vec::new();
     for merge in [MergeStrategy::Composition, MergeStrategy::Product] {
-        for categorical in [
-            CategoricalCutStrategy::Frequency,
-            CategoricalCutStrategy::DictionaryOrder,
-        ] {
-            for threads in [1, 2] {
-                let config = AtlasConfig {
-                    merge,
-                    cut: CutConfig {
-                        categorical,
-                        ..CutConfig::default()
-                    },
-                    ..AtlasConfig::default()
-                };
-                out.push(config.with_parallelism(threads));
-            }
+        for threads in [1, 2] {
+            let config = AtlasConfig {
+                merge,
+                ..AtlasConfig::default()
+            };
+            out.push(config.with_parallelism(threads));
         }
     }
     out

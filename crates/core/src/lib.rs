@@ -70,8 +70,8 @@ pub use candidates::{generate_candidates, generate_candidates_in_context, Candid
 pub use cluster::{cluster_maps, cluster_maps_with_pool, ClusteringConfig, Linkage};
 pub use config::{AtlasConfig, ExploreOptions, MergeStrategy};
 pub use cut::{
-    cut_attribute, cut_from_source, cuts_from_source, CategoricalCutStrategy, CutConfig, CutPlan,
-    CutSource, NumericCutStrategy, Partition, TableCutSource,
+    cut_attribute, cut_from_source, cuts_from_source, CutConfig, CutPlan, CutSource,
+    NumericCutStrategy, Partition, TableCutSource,
 };
 pub use distance::{
     distance_matrix, distance_matrix_with_pool, distance_matrix_within, metric_of, DistanceMatrix,

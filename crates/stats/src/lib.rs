@@ -14,14 +14,13 @@
 //!   them on large columns; here they are exact, selected in O(n) or read off
 //!   counted values ([`quantile`]).
 //! * **One-dimensional clustering** — the alternative cutting strategy that
-//!   maximises within-partition homogeneity ([`kmeans1d`], [`breaks`]).
+//!   maximises within-partition homogeneity ([`kmeans1d`]).
 //! * **Agreement scores** — the evaluation compares recovered partitions to
 //!   planted ground truth (ARI, purity, NMI) ([`agreement`]).
 
 #![warn(missing_docs)]
 
 pub mod agreement;
-pub mod breaks;
 pub mod contingency;
 pub mod entropy;
 pub mod kmeans1d;

@@ -170,10 +170,10 @@ pub mod prelude {
         Field, Schema, Segment, Table, TableBuilder, Value,
     };
     pub use atlas_core::{
-        AnytimeIteration, AnytimeResult, Atlas, AtlasBuilder, AtlasConfig, CachedAtlas,
-        CategoricalCutStrategy, CutConfig, CutStrategy, DataMap, ExploreOptions, MapDistanceMetric,
-        MapResult, MergePolicy, MergeStrategy, NumericCutStrategy, PhaseTimings, PipelineContext,
-        ProfileStats, RankedMap, Region, TableProfile,
+        AnytimeIteration, AnytimeResult, Atlas, AtlasBuilder, AtlasConfig, CachedAtlas, CutConfig,
+        CutStrategy, DataMap, ExploreOptions, MapDistanceMetric, MapResult, MergePolicy,
+        MergeStrategy, NumericCutStrategy, PhaseTimings, PipelineContext, ProfileStats, RankedMap,
+        Region, TableProfile,
     };
     pub use atlas_datagen::{CensusGenerator, MixtureGenerator, OrdersGenerator, SdssGenerator};
     pub use atlas_explorer::{render_map, render_result, MapQuality, ReadabilityReport, Session};

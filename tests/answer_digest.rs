@@ -5,9 +5,8 @@
 //!   the census with a boolean column, `insured`, that follows `salary` —
 //!   sealed into `u8` codes like every other few-valued column.
 //! * Configurations: `default`, `fast`, product merge over median cuts, and
-//!   every cut strategy there is: each numeric cut (equi-width, k-means,
-//!   natural breaks — the quadratic one on a smaller table; `Median` is the
-//!   default's) and each categorical cut.
+//!   every cut strategy there is: each numeric cut (equi-width, k-means;
+//!   `Median` is the default's). A categorical attribute has one cut.
 //! * Steps: the whole table, a filter, and a drill into region (0, 0) of the
 //!   filtered answer.
 //! * Threads: 1, 2 and 8. Shards: `fast` through 1–3 in-process shard
@@ -26,8 +25,10 @@
 //! `ATLAS_FORCE_SCALAR=1` and `ATLAS_PARALLELISM=1`, so the one constant
 //! pins layout, kernel and thread
 //! identity against the committed answers, not only within one run. A change
-//! that moves answers on purpose updates [`DIGEST`] in the same diff and says
-//! why.
+//! that moves answers on purpose updates [`DIGEST`] in the same diff, says
+//! why, and commits the scores of the paper's experiments it moves too:
+//! `QUALITY.json`, written by a run of all nine (`experiments` in the
+//! `atlas-bench` crate) as `QUALITY_CI.json`.
 
 use atlas::datagen::CensusConfig;
 use atlas::prelude::*;
@@ -36,7 +37,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// What the matrix below answered when it was committed.
-const DIGEST: u64 = 0x3388_0c1e_0a03_8cec;
+const DIGEST: u64 = 0x6cf3_6848_33fc_0895;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
@@ -74,20 +75,18 @@ impl Digest {
     }
 }
 
-fn with_cut(numeric: NumericCutStrategy, categorical: CategoricalCutStrategy) -> AtlasConfig {
+fn with_cut(numeric: NumericCutStrategy) -> AtlasConfig {
     AtlasConfig {
         cut: CutConfig {
             numeric,
-            categorical,
             ..CutConfig::default()
         },
         ..AtlasConfig::default()
     }
 }
 
-/// Every configuration but natural breaks, which runs on smaller tables.
+/// Every configuration the matrix runs.
 fn configs() -> Vec<AtlasConfig> {
-    use CategoricalCutStrategy::{Alphabetic, DictionaryOrder, Frequency};
     vec![
         AtlasConfig::default(),
         AtlasConfig::fast(),
@@ -95,10 +94,8 @@ fn configs() -> Vec<AtlasConfig> {
             merge: MergeStrategy::Product,
             ..AtlasConfig::default()
         },
-        with_cut(NumericCutStrategy::EquiWidth, Frequency),
-        with_cut(NumericCutStrategy::KMeans { max_iterations: 50 }, Frequency),
-        with_cut(NumericCutStrategy::Median, Alphabetic),
-        with_cut(NumericCutStrategy::Median, DictionaryOrder),
+        with_cut(NumericCutStrategy::EquiWidth),
+        with_cut(NumericCutStrategy::KMeans { max_iterations: 50 }),
     ]
 }
 
@@ -316,10 +313,6 @@ const SKY_FILTER: &str = "SELECT * FROM photo_obj WHERE mag_r BETWEEN 15 AND 20"
 fn answers_hash_to_the_committed_digest() {
     let census = |rows| Arc::new(CensusGenerator::with_rows(rows, 42).generate());
     let sky = |rows| Arc::new(SdssGenerator::with_rows(rows, 2013).generate());
-    let natural_breaks = [with_cut(
-        NumericCutStrategy::NaturalBreaks,
-        CategoricalCutStrategy::Frequency,
-    )];
 
     let mut digest = Digest(FNV_OFFSET);
     in_process(&mut digest, &census(10_000), CENSUS_FILTER, &configs());
@@ -330,14 +323,13 @@ fn answers_hash_to_the_committed_digest() {
         CENSUS_FILTER,
         &configs(),
     );
-    in_process(&mut digest, &census(1_500), CENSUS_FILTER, &natural_breaks);
-    in_process(&mut digest, &sky(1_000), SKY_FILTER, &natural_breaks);
     census_with_nulls(&mut digest);
     equal_entropy(&mut digest);
     sharded(&mut digest);
     assert_eq!(
         digest.0, DIGEST,
-        "the answers moved: {:#018x} (update DIGEST only for a change that moves answers on purpose)",
+        "the answers moved: {:#018x} (update DIGEST, and QUALITY.json from an `experiments` run, \
+         only for a change that moves answers on purpose)",
         digest.0
     );
 }

@@ -320,8 +320,8 @@ fn cuts_match_the_oracle_on_a_column_that_mixes_encodings() {
 // oracle below tallies a `Vec<Option<String>>` into a `BTreeMap`, finds each
 // value's first appearance with `position`, and assigns rows to regions with
 // `contains`. The shared definition: values some working-set row holds,
-// ordered by the strategy (decreasing frequency with ties in first-appearance
-// order over the whole column; alphabetic; first appearance), grouped greedily
+// in decreasing frequency with ties in first-appearance order over the whole
+// column, grouped greedily
 // into at most `k` contiguous groups — the open group closes, unless it is
 // the last, once its cover reaches `⌈total / k⌉`, or once it is non-empty and
 // only as many values are left as groups — constant, identifier-like and
@@ -334,7 +334,6 @@ fn cuts_match_the_oracle_on_a_column_that_mixes_encodings() {
 fn oracle_categorical_cut(
     column: &[Option<String>],
     in_working: &[bool],
-    strategy: CategoricalCutStrategy,
     k: usize,
 ) -> Option<Vec<(Vec<String>, u64)>> {
     let working_rows: Vec<&String> = column
@@ -356,18 +355,8 @@ fn oracle_categorical_cut(
     }
     let first_appearance =
         |value: &String| column.iter().position(|row| row.as_ref() == Some(value));
-    // Alphabetic is the map's own order.
     let mut ordered: Vec<(&String, u64)> = tally.into_iter().collect();
-    match strategy {
-        CategoricalCutStrategy::Alphabetic => {}
-        CategoricalCutStrategy::DictionaryOrder => {
-            ordered.sort_by_key(|(value, _)| first_appearance(value));
-        }
-        CategoricalCutStrategy::Frequency => {
-            ordered
-                .sort_by_key(|(value, rows)| (std::cmp::Reverse(*rows), first_appearance(value)));
-        }
-    }
+    ordered.sort_by_key(|(value, rows)| (std::cmp::Reverse(*rows), first_appearance(value)));
     let k = k.min(ordered.len());
     let target = (n as u64).div_ceil(k as u64);
     let mut groups: Vec<Vec<String>> = vec![Vec::new()];
@@ -404,12 +393,10 @@ fn oracle_categorical_cut(
 fn engine_categorical_cut(
     table: &Table,
     working: &Bitmap,
-    strategy: CategoricalCutStrategy,
     k: usize,
 ) -> Option<Vec<(Vec<String>, u64)>> {
     let config = CutConfig {
         num_splits: k,
-        categorical: strategy,
         ..CutConfig::default()
     };
     let map = cut_attribute(table, working, &ConjunctiveQuery::all("t"), "c", &config)
@@ -437,12 +424,6 @@ fn string_table_of(column: &[Option<String>], segments: usize) -> Table {
     builder.build().unwrap()
 }
 
-const CATEGORICAL_STRATEGIES: [CategoricalCutStrategy; 3] = [
-    CategoricalCutStrategy::Frequency,
-    CategoricalCutStrategy::Alphabetic,
-    CategoricalCutStrategy::DictionaryOrder,
-];
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -458,7 +439,8 @@ proptest! {
         keep in prop_oneof![Just(usize::MAX), 2usize..60],
     ) {
         // Names whose alphabetic, first-appearance and frequency orders all
-        // differ; `keep` shortens the column so that small tallies tie.
+        // differ, so the frequency ranking and its tie-break are what decide
+        // the groups; `keep` shortens the column so that small tallies tie.
         let column: Vec<Option<String>> = rows
             .iter()
             .take(keep)
@@ -470,15 +452,13 @@ proptest! {
         let working = Bitmap::from_fn(column.len(), |row| in_working[row]);
         for segments in [1usize, 3, 16] {
             let table = string_table_of(&column, segments);
-            for strategy in CATEGORICAL_STRATEGIES {
-                for k in 2usize..=4 {
-                    prop_assert_eq!(
-                        engine_categorical_cut(&table, &working, strategy, k),
-                        oracle_categorical_cut(&column, &in_working, strategy, k),
-                        "{:?}, k = {}, {} segment(s), cardinality {}",
-                        strategy, k, segments, cardinality
-                    );
-                }
+            for k in 2usize..=4 {
+                prop_assert_eq!(
+                    engine_categorical_cut(&table, &working, k),
+                    oracle_categorical_cut(&column, &in_working, k),
+                    "k = {}, {} segment(s), cardinality {}",
+                    k, segments, cardinality
+                );
             }
         }
     }
@@ -505,16 +485,14 @@ fn categorical_cuts_agree_on_both_sides_of_the_counter_capacity() {
             let stats = table.column_stats("c", &working).unwrap();
             assert_eq!(stats.distinct_count, 5);
             assert_eq!(stats.category_counts.is_some(), values <= 1024, "{values}");
-            for strategy in CATEGORICAL_STRATEGIES {
-                for k in 2..=4 {
-                    let oracle = oracle_categorical_cut(&column, &in_working, strategy, k);
-                    assert!(oracle.is_some());
-                    assert_eq!(
-                        engine_categorical_cut(&table, &working, strategy, k),
-                        oracle,
-                        "{strategy:?}, k = {k}, {values} values, {segments} segment(s)"
-                    );
-                }
+            for k in 2..=4 {
+                let oracle = oracle_categorical_cut(&column, &in_working, k);
+                assert!(oracle.is_some());
+                assert_eq!(
+                    engine_categorical_cut(&table, &working, k),
+                    oracle,
+                    "k = {k}, {values} values, {segments} segment(s)"
+                );
             }
         }
     }
@@ -585,8 +563,7 @@ fn oracle_cut_rows(column: &OracleColumn, rows: &[usize]) -> Option<Vec<(Bound, 
             for &row in rows {
                 in_working[row] = true;
             }
-            let strategy = CategoricalCutStrategy::Frequency;
-            let regions = oracle_categorical_cut(values, &in_working, strategy, 2)?;
+            let regions = oracle_categorical_cut(values, &in_working, 2)?;
             let cut = regions.into_iter().map(|(group, count)| {
                 let inside =
                     |row: &&usize| values[**row].as_ref().is_some_and(|v| group.contains(v));

@@ -1457,15 +1457,14 @@ fn interleaved_explores_of_different_sql_stay_correct() {
     }
 }
 
-/// The `DictionaryOrder` strategy costs no round trip of its own: the folded
-/// summaries list a column's categories in dictionary order, so the cut asks
-/// no shard for the dictionary — or for the counts, under any strategy.
-/// Whole-table, filtered and drill queries over two shards are bit-identical
-/// to the local engine under every categorical strategy, and each explore
-/// calls a shard once for the working set and its summaries and once for the
-/// partitions of every column it cuts.
+/// A categorical cut costs no round trip of its own: the folded summaries
+/// carry every category's count, in first-appearance order, so the cut asks
+/// no shard for the counts or the dictionary. Whole-table, filtered and
+/// drill queries over two shards are bit-identical to the local engine, and
+/// each explore calls a shard once for the working set and its summaries and
+/// once for the partitions of every column it cuts.
 #[test]
-fn dictionary_order_cuts_make_no_round_trip_of_their_own() {
+fn categorical_cuts_make_no_round_trip_of_their_own() {
     let table = census_table(6_000, 1_000);
     let (handles, addrs) = boot_shards("census", &table, &product_config(), 2);
     let queries = [
@@ -1473,34 +1472,95 @@ fn dictionary_order_cuts_make_no_round_trip_of_their_own() {
         "SELECT * FROM census WHERE age BETWEEN 25 AND 60",
         "SELECT * FROM census WHERE age BETWEEN 25 AND 60 AND education IN ('MSc', 'PhD')",
     ];
-    for categorical in [
-        CategoricalCutStrategy::Frequency,
-        CategoricalCutStrategy::Alphabetic,
-        CategoricalCutStrategy::DictionaryOrder,
-    ] {
-        let mut config = product_config();
-        config.cut.categorical = categorical;
-        let reference = Atlas::new(Arc::clone(&table), config.clone()).unwrap();
-        let coordinator =
-            Coordinator::connect(&addrs, "census", config, Duration::from_secs(10)).unwrap();
-        for sql in queries {
-            let query = parse_query(sql).unwrap();
-            let before = coordinator.metrics().fan_out();
-            let local = reference.explore(&query).unwrap();
-            assert_identical(&local, &coordinator.explore(&query).unwrap());
-            let partitioned = table.num_columns() - local.skipped_attributes.len();
-            assert!(partitioned >= 5, "{sql}: {:?}", local.skipped_attributes);
-            assert_eq!(
-                coordinator.metrics().fan_out() - before,
-                2 * 2,
-                "{categorical:?}, {sql}"
-            );
-        }
+    let config = product_config();
+    let reference = Atlas::new(Arc::clone(&table), config.clone()).unwrap();
+    let coordinator =
+        Coordinator::connect(&addrs, "census", config, Duration::from_secs(10)).unwrap();
+    for sql in queries {
+        let query = parse_query(sql).unwrap();
+        let before = coordinator.metrics().fan_out();
+        let local = reference.explore(&query).unwrap();
+        assert_identical(&local, &coordinator.explore(&query).unwrap());
+        let partitioned = table.num_columns() - local.skipped_attributes.len();
+        assert!(partitioned >= 5, "{sql}: {:?}", local.skipped_attributes);
+        assert_eq!(coordinator.metrics().fan_out() - before, 2 * 2, "{sql}");
     }
     assert_eq!(endpoint_requests(&handles, "shard_categories"), 0);
 
     for handle in handles {
         handle.shutdown();
+    }
+}
+
+/// A NaN cell is a value no range region holds (the kernels test `x ∈ [lo,
+/// hi]`), so it moves no split: under every numeric strategy a float column
+/// cuts exactly as it does with those cells NULL — counted (`level`, 40
+/// values) or with too many values to count (`reading`) — and 1–3 shards
+/// agree with the local engine, whole table and filtered.
+#[test]
+fn nan_cells_move_no_split() {
+    type Values = fn(usize) -> f64;
+    let columns: [(&str, Values); 2] = [
+        ("level", |row| (row % 40) as f64),
+        ("reading", |row| (row * 7919 % 3_000) as f64 * 0.37),
+    ];
+    let filter = parse_query("SELECT * FROM census WHERE age BETWEEN 25 AND 60").unwrap();
+    for (name, value) in columns {
+        let with = |missing: Value| {
+            let field = Field::nullable(name, DataType::Float);
+            census_with_a_column(3_000, 1_000, field, move |row| {
+                if row % 3 == 0 {
+                    missing.clone()
+                } else {
+                    Value::Float(value(row))
+                }
+            })
+        };
+        let (nan, null) = (with(Value::Float(f64::NAN)), with(Value::Null));
+        let strategies = [
+            NumericCutStrategy::Median,
+            NumericCutStrategy::EquiWidth,
+            NumericCutStrategy::KMeans { max_iterations: 50 },
+        ];
+        for numeric in strategies {
+            let cut = CutConfig {
+                numeric,
+                ..CutConfig::default()
+            };
+            let regions = |table: &Table| {
+                let all = ConjunctiveQuery::all("census");
+                let map = atlas::core::cut::cut_attribute(
+                    table,
+                    &table.full_selection(),
+                    &all,
+                    name,
+                    &cut,
+                )
+                .unwrap()
+                .unwrap_or_else(|| panic!("{name} is not cut under {numeric:?}"));
+                let regions = map.regions.iter();
+                regions
+                    .map(|region| (to_sql(&region.query), region.count()))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(regions(&nan), regions(&null), "{name}, {numeric:?}");
+        }
+        for shards in 1..=3 {
+            let (handles, addrs) = boot_shards("census", &nan, &product_config(), shards);
+            for numeric in strategies {
+                let mut config = product_config();
+                config.cut.numeric = numeric;
+                let reference = Atlas::new(Arc::clone(&nan), config.clone()).unwrap();
+                let coordinator =
+                    Coordinator::connect(&addrs, "census", config, Duration::from_secs(10))
+                        .unwrap();
+                assert_agree(&reference, &coordinator, &ConjunctiveQuery::all("census"));
+                assert_agree(&reference, &coordinator, &filter);
+            }
+            for handle in handles {
+                handle.shutdown();
+            }
+        }
     }
 }
 
@@ -1592,10 +1652,10 @@ fn census_with_a_wide_string_column(rows: usize, segment_rows: usize) -> Arc<Tab
 /// The fallback a categorical cut keeps for a column past the counter: its
 /// statistics carry no category counts, so the cut asks the source for them
 /// — one `/shard/categories` round, whose zero-inclusive first-appearance
-/// counts are ranking and dictionary order both. The whole table holds more
+/// counts are the ranking and its tie-break both. The whole table holds more
 /// values than a cut takes (`max_categories`), so `city` is skipped without
-/// a round; drilled to 40 of its 1 500 values it is cut, and under every
-/// categorical strategy 1–3 shards are bit-identical to the local engine.
+/// a round; drilled to 40 of its 1 500 values it is cut, and 1–3 shards are
+/// bit-identical to the local engine.
 #[test]
 fn a_categorical_cut_past_the_counter_folds_shard_categories() {
     let table = census_with_a_wide_string_column(6_000, 1_000);
@@ -1604,32 +1664,25 @@ fn a_categorical_cut_past_the_counter_folds_shard_categories() {
     let drilled = whole.clone().and(Predicate::values("city", forty));
     for shards in 1..=3usize {
         let (handles, addrs) = boot_shards("census", &table, &product_config(), shards);
-        for categorical in [
-            CategoricalCutStrategy::Frequency,
-            CategoricalCutStrategy::Alphabetic,
-            CategoricalCutStrategy::DictionaryOrder,
-        ] {
-            let mut config = product_config();
-            config.cut.categorical = categorical;
-            assert_eq!(config.cut.max_categories, 40);
-            let reference = Atlas::new(Arc::clone(&table), config.clone()).unwrap();
-            let coordinator =
-                Coordinator::connect(&addrs, "census", config, Duration::from_secs(10)).unwrap();
-            for (query, rounds) in [(&whole, 0), (&drilled, shards as u64)] {
-                let before = endpoint_requests(&handles, "shard_categories");
-                let local = reference.explore(query).unwrap();
-                let cuts_city = local
-                    .maps
-                    .iter()
-                    .any(|ranked| ranked.map.source_attributes.iter().any(|a| a == "city"));
-                assert_eq!(cuts_city, rounds > 0, "{categorical:?}");
-                assert_identical(&local, &coordinator.explore(query).unwrap());
-                assert_eq!(
-                    endpoint_requests(&handles, "shard_categories") - before,
-                    rounds,
-                    "one round per explore that cuts `city` ({categorical:?})"
-                );
-            }
+        let config = product_config();
+        assert_eq!(config.cut.max_categories, 40);
+        let reference = Atlas::new(Arc::clone(&table), config.clone()).unwrap();
+        let coordinator =
+            Coordinator::connect(&addrs, "census", config, Duration::from_secs(10)).unwrap();
+        for (query, rounds) in [(&whole, 0), (&drilled, shards as u64)] {
+            let before = endpoint_requests(&handles, "shard_categories");
+            let local = reference.explore(query).unwrap();
+            let cuts_city = local
+                .maps
+                .iter()
+                .any(|ranked| ranked.map.source_attributes.iter().any(|a| a == "city"));
+            assert_eq!(cuts_city, rounds > 0);
+            assert_identical(&local, &coordinator.explore(query).unwrap());
+            assert_eq!(
+                endpoint_requests(&handles, "shard_categories") - before,
+                rounds,
+                "one round per explore that cuts `city`"
+            );
         }
         for handle in handles {
             handle.shutdown();

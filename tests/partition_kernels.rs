@@ -1044,7 +1044,6 @@ fn partitioned_plan(
         numeric,
         max_categories: usize::MAX,
         skip_identifiers: false,
-        ..CutConfig::default()
     };
     let stats = table.column_stats(attribute, sel).unwrap();
     let source = Recording {

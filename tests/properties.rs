@@ -77,7 +77,7 @@ proptest! {
         numeric in numeric_strategy(),
         categories in category_strategy(),
         splits in 2usize..5,
-        strategy_idx in 0usize..4,
+        strategy_idx in 0usize..3,
     ) {
         let table = build_table(&numeric, &categories);
         let working = table.full_selection();
@@ -85,7 +85,6 @@ proptest! {
             NumericCutStrategy::EquiWidth,
             NumericCutStrategy::Median,
             NumericCutStrategy::KMeans { max_iterations: 20 },
-            NumericCutStrategy::NaturalBreaks,
         ][strategy_idx];
         let config = CutConfig {
             num_splits: splits,
