@@ -573,22 +573,13 @@ fn range_bounds(dtype: DataType, min: f64, max: f64, splits: &[f64]) -> Vec<(f64
 
 /// The smallest admissible lower bound strictly above `hi`, respecting the
 /// column type: the next integer for integer columns, the next representable
-/// float otherwise. This keeps adjacent range regions disjoint while the
-/// queries stay human-readable (`[17, 37]`, `[38, 90]` on integer data).
+/// float otherwise (`f64::MIN` after `-inf`, the least positive float after
+/// either zero). This keeps adjacent range regions disjoint while the queries
+/// stay human-readable (`[17, 37]`, `[38, 90]` on integer data).
 fn next_lower_bound(dtype: DataType, hi: f64) -> f64 {
     match dtype {
         DataType::Int => hi.floor() + 1.0,
-        _ => {
-            if hi.is_finite() {
-                f64::from_bits(if hi >= 0.0 {
-                    hi.to_bits() + 1
-                } else {
-                    hi.to_bits() - 1
-                })
-            } else {
-                hi
-            }
-        }
+        _ => hi.next_up(),
     }
 }
 
@@ -739,6 +730,62 @@ mod tests {
             assert!(map.num_regions() >= 2, "strategy {strategy:?}");
             assert!(map.regions_are_disjoint(), "strategy {strategy:?}");
             assert_eq!(map.covered_count(), 200, "strategy {strategy:?}");
+        }
+    }
+
+    /// 60 `-inf` cells and 40 finite ones, cut at the median: the second
+    /// region starts at `f64::MIN`, so its query selects its 40 rows, not
+    /// the `-inf` ones too.
+    #[test]
+    fn a_region_after_a_negative_infinity_bound_is_its_query() {
+        let schema = Schema::new(vec![Field::new("x", DataType::Float)]).unwrap();
+        let mut b = TableBuilder::new("t", schema);
+        for i in 0..100 {
+            let x = if i < 60 {
+                f64::NEG_INFINITY
+            } else {
+                f64::from(i)
+            };
+            b.push_row(&[Value::Float(x)]).unwrap();
+        }
+        let t = b.build().unwrap();
+        let query = ConjunctiveQuery::all("t");
+        let map = cut_attribute(&t, &t.full_selection(), &query, "x", &CutConfig::default())
+            .unwrap()
+            .unwrap();
+        let bounds: Vec<_> = map
+            .regions
+            .iter()
+            .map(|region| match &region.query.predicates[0].set {
+                atlas_query::PredicateSet::Range { lo, hi } => (*lo, *hi, region.count()),
+                other => panic!("a numeric cut made {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            bounds,
+            [
+                (f64::NEG_INFINITY, f64::NEG_INFINITY, 60),
+                (f64::MIN, 99.0, 40)
+            ]
+        );
+        for region in &map.regions {
+            let selected = atlas_query::evaluate(&region.query, &t).unwrap();
+            assert_eq!(selected.count(), region.count(), "{}", region.query);
+        }
+    }
+
+    #[test]
+    fn the_next_lower_bound_is_the_least_value_above() {
+        assert_eq!(next_lower_bound(DataType::Int, 37.0), 38.0);
+        assert_eq!(next_lower_bound(DataType::Float, 1.0), 1.0f64.next_up());
+        assert_eq!(
+            next_lower_bound(DataType::Float, f64::NEG_INFINITY),
+            f64::MIN
+        );
+        // Above either zero is the least positive float: a negative one would
+        // put the zeros in both regions.
+        for zero in [0.0, -0.0] {
+            assert_eq!(next_lower_bound(DataType::Float, zero).to_bits(), 1);
         }
     }
 

@@ -39,120 +39,72 @@ impl Token {
     }
 }
 
-/// Tokenise a query string.
+/// Tokenise a query string, one `char` at a time: a literal keeps its
+/// characters and an identifier may be any alphabetic word, so the SQL of a
+/// region over a non-ASCII value or attribute parses back to that region.
+/// Error positions are byte offsets.
 pub fn tokenize(input: &str) -> Result<Vec<Token>> {
-    let bytes = input.as_bytes();
     let mut tokens = Vec::new();
-    let mut i = 0usize;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        match c {
-            ' ' | '\t' | '\n' | '\r' => i += 1,
-            '*' => {
-                tokens.push(Token::Star);
-                i += 1;
-            }
-            '(' => {
-                tokens.push(Token::LParen);
-                i += 1;
-            }
-            ')' => {
-                tokens.push(Token::RParen);
-                i += 1;
-            }
-            ',' => {
-                tokens.push(Token::Comma);
-                i += 1;
-            }
-            '=' => {
-                tokens.push(Token::Eq);
-                i += 1;
-            }
-            '<' => {
-                if i + 1 < bytes.len() && bytes[i + 1] as char == '=' {
-                    tokens.push(Token::Le);
-                    i += 2;
-                } else {
-                    tokens.push(Token::Lt);
-                    i += 1;
-                }
-            }
-            '>' => {
-                if i + 1 < bytes.len() && bytes[i + 1] as char == '=' {
-                    tokens.push(Token::Ge);
-                    i += 2;
-                } else {
-                    tokens.push(Token::Gt);
-                    i += 1;
-                }
-            }
+    let mut chars = input.char_indices().peekable();
+    while let Some((i, c)) = chars.next() {
+        let token = match c {
+            ' ' | '\t' | '\n' | '\r' => continue,
+            '*' => Token::Star,
+            '(' => Token::LParen,
+            ')' => Token::RParen,
+            ',' => Token::Comma,
+            '=' => Token::Eq,
+            '<' | '>' => match (c, chars.next_if(|&(_, next)| next == '=').is_some()) {
+                ('<', false) => Token::Lt,
+                ('<', true) => Token::Le,
+                (_, false) => Token::Gt,
+                (_, true) => Token::Ge,
+            },
             '\'' => {
                 // String literal with '' as escaped quote.
                 let mut s = String::new();
-                let mut j = i + 1;
                 loop {
-                    if j >= bytes.len() {
-                        return Err(QueryError::Lex {
-                            position: i,
-                            message: "unterminated string literal".to_string(),
-                        });
-                    }
-                    let cj = bytes[j] as char;
-                    if cj == '\'' {
-                        if j + 1 < bytes.len() && bytes[j + 1] as char == '\'' {
-                            s.push('\'');
-                            j += 2;
-                        } else {
-                            j += 1;
-                            break;
+                    match chars.next() {
+                        None => {
+                            return Err(QueryError::Lex {
+                                position: i,
+                                message: "unterminated string literal".to_string(),
+                            })
                         }
-                    } else {
-                        s.push(cj);
-                        j += 1;
+                        Some((_, '\'')) => {
+                            if chars.next_if(|&(_, next)| next == '\'').is_none() {
+                                break;
+                            }
+                            s.push('\'');
+                        }
+                        Some((_, other)) => s.push(other),
                     }
                 }
-                tokens.push(Token::StringLit(s));
-                i = j;
+                Token::StringLit(s)
             }
             c if c.is_ascii_digit() || c == '-' || c == '+' || c == '.' => {
-                let start = i;
-                let mut j = i + 1;
-                while j < bytes.len() {
-                    let cj = bytes[j] as char;
-                    let sign_in_exponent = (cj == '-' || cj == '+')
-                        && (bytes[j - 1] as char == 'e' || bytes[j - 1] as char == 'E');
-                    if cj.is_ascii_digit()
-                        || cj == '.'
-                        || cj == 'e'
-                        || cj == 'E'
-                        || sign_in_exponent
-                    {
-                        j += 1;
-                    } else {
-                        break;
-                    }
+                let (mut end, mut prev) = (i + 1, c);
+                while let Some((j, cj)) = chars.next_if(|&(_, cj)| {
+                    let sign_in_exponent = (cj == '-' || cj == '+') && (prev == 'e' || prev == 'E');
+                    cj.is_ascii_digit() || cj == '.' || cj == 'e' || cj == 'E' || sign_in_exponent
+                }) {
+                    (end, prev) = (j + 1, cj);
                 }
-                let text = &input[start..j];
+                let text = &input[i..end];
                 let value = text.parse::<f64>().map_err(|_| QueryError::Lex {
-                    position: start,
+                    position: i,
                     message: format!("invalid number: {text}"),
                 })?;
-                tokens.push(Token::Number(value));
-                i = j;
+                Token::Number(value)
             }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                let start = i;
-                let mut j = i + 1;
-                while j < bytes.len() {
-                    let cj = bytes[j] as char;
-                    if cj.is_ascii_alphanumeric() || cj == '_' || cj == '.' {
-                        j += 1;
-                    } else {
-                        break;
-                    }
+            c if c.is_alphabetic() || c == '_' => {
+                let mut end = i + c.len_utf8();
+                while let Some((j, cj)) =
+                    chars.next_if(|&(_, cj)| cj.is_alphanumeric() || cj == '_' || cj == '.')
+                {
+                    end = j + cj.len_utf8();
                 }
-                tokens.push(Token::Ident(input[start..j].to_string()));
-                i = j;
+                Token::Ident(input[i..end].to_string())
             }
             other => {
                 return Err(QueryError::Lex {
@@ -160,7 +112,8 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>> {
                     message: format!("unexpected character '{other}'"),
                 })
             }
-        }
+        };
+        tokens.push(token);
     }
     Ok(tokens)
 }
@@ -232,6 +185,30 @@ mod tests {
                 Token::Ident("t1.col".to_string())
             ]
         );
+    }
+
+    #[test]
+    fn non_ascii_literals_and_identifiers_keep_their_characters() {
+        let toks = tokenize("größe IN ('Zürich', 'Åre''s') AND ünits.ø >= 1").unwrap();
+        assert_eq!(
+            toks,
+            vec![
+                Token::Ident("größe".to_string()),
+                Token::Ident("IN".to_string()),
+                Token::LParen,
+                Token::StringLit("Zürich".to_string()),
+                Token::Comma,
+                Token::StringLit("Åre's".to_string()),
+                Token::RParen,
+                Token::Ident("AND".to_string()),
+                Token::Ident("ünits.ø".to_string()),
+                Token::Ge,
+                Token::Number(1.0),
+            ]
+        );
+        // Positions stay byte offsets.
+        let err = tokenize("größe ? 1").unwrap_err();
+        assert!(matches!(err, QueryError::Lex { position: 8, .. }));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!             | conjunction                      (bare predicate list, table = "")
 //! conjunction:= predicate ( AND predicate )*
 //! predicate  := ident BETWEEN number AND number
-//!             | ident IN '(' literal ( ',' literal )* ')'
+//!             | ident IN '(' [ literal ( ',' literal )* ] ')'
 //!             | ident '=' literal
 //!             | ident ( '<' | '<=' | '>' | '>=' ) number
 //!             | ident IS NOT NULL
@@ -15,8 +15,10 @@
 //! ```
 //!
 //! `IS NOT NULL` is the parse of the unbounded range `[-inf, inf]` the
-//! printer emits for it, so every predicate the engine can produce — region
-//! queries shipped over the wire included — round-trips through print + parse.
+//! printer emits for it, a number that overflows (`1e309`) is an infinity,
+//! and `IN ()` is the empty value set, so every predicate the engine can
+//! produce — region queries shipped over the wire included — round-trips
+//! through print + parse.
 //!
 //! Only conjunctions are accepted — that is the whole point of the language
 //! ("a restriction of SQL which can only express conjunction of predicates").
@@ -106,6 +108,12 @@ impl Parser {
                 self.next();
                 self.expect_token(&Token::LParen, "'('")?;
                 let mut values = Vec::new();
+                // `IN ()` is the empty set: what a conjunction of disjoint
+                // value sets prints as.
+                if self.peek() == Some(&Token::RParen) {
+                    self.next();
+                    return Ok(Predicate::values(attribute, values));
+                }
                 loop {
                     let (v, _) = self.literal()?;
                     values.push(v);

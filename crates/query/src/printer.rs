@@ -17,6 +17,16 @@ fn format_number(x: f64) -> String {
     }
 }
 
+/// A bound as SQL. An infinite one is a literal that overflows to it, which
+/// the lexer reads back as the same infinity.
+fn sql_number(x: f64) -> String {
+    if x.is_infinite() {
+        if x > 0.0 { "1e309" } else { "-1e309" }.to_string()
+    } else {
+        format_number(x)
+    }
+}
+
 fn escape(s: &str) -> String {
     s.replace('\'', "''")
 }
@@ -24,19 +34,18 @@ fn escape(s: &str) -> String {
 fn predicate_to_sql(p: &Predicate) -> String {
     match &p.set {
         PredicateSet::Range { lo, hi } => {
-            if lo.is_infinite() && hi.is_infinite() {
-                format!("{} IS NOT NULL", p.attribute)
-            } else if lo.is_infinite() {
-                format!("{} <= {}", p.attribute, format_number(*hi))
-            } else if hi.is_infinite() {
-                format!("{} >= {}", p.attribute, format_number(*lo))
-            } else {
-                format!(
+            // Only a bound that excludes nothing is left out: `[-inf, -inf]`
+            // holds the `-inf` cells, not every number.
+            match (*lo == f64::NEG_INFINITY, *hi == f64::INFINITY) {
+                (true, true) => format!("{} IS NOT NULL", p.attribute),
+                (true, false) => format!("{} <= {}", p.attribute, sql_number(*hi)),
+                (false, true) => format!("{} >= {}", p.attribute, sql_number(*lo)),
+                (false, false) => format!(
                     "{} BETWEEN {} AND {}",
                     p.attribute,
-                    format_number(*lo),
-                    format_number(*hi)
-                )
+                    sql_number(*lo),
+                    sql_number(*hi)
+                ),
             }
         }
         PredicateSet::Values(values) => {
@@ -152,6 +161,29 @@ mod tests {
         // Malformed variants of the clause are rejected, not misparsed.
         assert!(parse_query("x IS NULL").is_err());
         assert!(parse_query("x IS NOT").is_err());
+    }
+
+    #[test]
+    fn an_infinite_bound_that_excludes_rows_is_printed() {
+        let cases = [
+            (f64::NEG_INFINITY, f64::NEG_INFINITY, "x <= -1e309"),
+            (f64::INFINITY, f64::INFINITY, "x >= 1e309"),
+            (5.0, f64::NEG_INFINITY, "x BETWEEN 5 AND -1e309"),
+        ];
+        for (lo, hi, clause) in cases {
+            let q = ConjunctiveQuery::all("t").and(Predicate::range("x", lo, hi));
+            let sql = to_sql(&q);
+            assert!(sql.ends_with(clause), "{sql}");
+            assert_eq!(parse_query(&sql).unwrap(), q);
+        }
+    }
+
+    #[test]
+    fn disjoint_value_sets_print_as_an_empty_list_that_parses() {
+        let q = parse_query("SELECT * FROM t WHERE c IN ('a') AND c = 'b'").unwrap();
+        let sql = to_sql(&q);
+        assert_eq!(sql, "SELECT * FROM t WHERE c IN ()");
+        assert_eq!(parse_query(&sql).unwrap(), q);
     }
 
     #[test]

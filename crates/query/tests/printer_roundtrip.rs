@@ -6,14 +6,19 @@
 //! reconstruct the predicate **exactly** — bounds bit-for-bit (the printer
 //! uses shortest-round-trip float formatting), value sets verbatim
 //! (quote-escaping included), open ends (`>=`, `<=`, `IS NOT NULL`)
-//! preserved.
+//! preserved — and a query posted back as text means what it printed: a
+//! seeded token soup of `SELECT … WHERE` statements, each that parses
+//! printed to a fixed point that selects the same rows.
 
-use atlas_query::{parse_query, to_sql, ConjunctiveQuery, Predicate, PredicateSet};
+use atlas_columnar::{DataType, Field, Schema, Table, TableBuilder, Value};
+use atlas_query::{evaluate, parse_query, to_sql, ConjunctiveQuery, Predicate, PredicateSet};
 use proptest::prelude::*;
 
 /// Build one predicate from the generated raw material. Attribute names are
-/// `c{i}` so they are distinct per query and never collide with keywords.
+/// `{name}_{i}` so they are distinct per query and never collide with
+/// keywords.
 fn build_predicate(
+    name: &str,
     attr_idx: usize,
     kind: usize,
     numbers: &[f64],
@@ -21,7 +26,7 @@ fn build_predicate(
     strings: &[String],
     value_count: usize,
 ) -> Predicate {
-    let attribute = format!("c{attr_idx}");
+    let attribute = format!("{name}_{attr_idx}");
     let num = |i: usize| numbers[i % numbers.len()];
     match kind {
         // A bounded float range (the two bounds in either order — inverted
@@ -39,7 +44,10 @@ fn build_predicate(
         3 => Predicate::range(attribute, f64::NEG_INFINITY, num(attr_idx)),
         // The fully unbounded range prints as IS NOT NULL.
         4 => Predicate::range(attribute, f64::NEG_INFINITY, f64::INFINITY),
-        // A categorical value set (quotes and arbitrary printable ASCII).
+        // One-point ranges at an infinity hold the infinite cells only.
+        5 => Predicate::range(attribute, f64::NEG_INFINITY, f64::NEG_INFINITY),
+        6 => Predicate::range(attribute, f64::INFINITY, f64::INFINITY),
+        // A categorical value set (quotes, printable ASCII and beyond).
         _ => {
             let values: Vec<&str> = (0..value_count)
                 .map(|i| strings[(attr_idx + i) % strings.len()].as_str())
@@ -55,10 +63,11 @@ proptest! {
     #[test]
     fn printed_queries_reparse_to_themselves(
         table in "t_[a-z0-9_]{0,8}",
-        kinds in proptest::collection::vec(0usize..6, 1..5),
+        name in "[a-zà-öø-ÿ一-龥][a-z0-9_à-öø-ÿ]{0,6}",
+        kinds in proptest::collection::vec(0usize..8, 1..5),
         numbers in proptest::collection::vec(-1.0e15..1.0e15f64, 8),
         ints in proptest::collection::vec(-1_000_000i64..1_000_000, 8),
-        strings in proptest::collection::vec("[ -~]{0,12}", 8),
+        strings in proptest::collection::vec("[ -~à-ÿ€中😀]{0,12}", 8),
         value_count in 1usize..4,
     ) {
         let query = ConjunctiveQuery {
@@ -67,7 +76,7 @@ proptest! {
                 .iter()
                 .enumerate()
                 .map(|(i, &kind)| {
-                    build_predicate(i, kind, &numbers, &ints, &strings, value_count)
+                    build_predicate(&name, i, kind, &numbers, &ints, &strings, value_count)
                 })
                 .collect(),
         };
@@ -113,7 +122,7 @@ proptest! {
 
     #[test]
     fn value_sets_with_hostile_strings_round_trip(
-        values in proptest::collection::vec("[ -~]{0,16}", 1..5),
+        values in proptest::collection::vec("[ -~à-ÿ€中😀]{0,16}", 1..5),
     ) {
         // Single quotes, doubled quotes, backslashes, spaces — the printer
         // escapes, the lexer unescapes, nothing is lost or gained.
@@ -125,4 +134,126 @@ proptest! {
         let reparsed = parse_query(&sql).expect("printed SQL parses");
         prop_assert_eq!(&reparsed, &query, "{} did not round-trip", sql);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    #[test]
+    fn a_parsed_token_soup_prints_to_a_fixed_point_that_selects_the_same_rows(
+        soup in proptest::collection::vec(
+            (0usize..ATTRIBUTES.len(), 0usize..OPERATORS.len(), 0usize..WORDS.len(), 0usize..WORDS.len()),
+            1..5,
+        ),
+    ) {
+        let predicates: Vec<String> = soup
+            .iter()
+            .map(|&(attribute, operator, first, second)| {
+                let operator = OPERATORS[operator]
+                    .replacen("{}", WORDS[first], 1)
+                    .replacen("{}", WORDS[second], 1);
+                format!("{} {operator}", ATTRIBUTES[attribute])
+            })
+            .collect();
+        let statement = format!("SELECT * FROM t WHERE {}", predicates.join(" AND "));
+        // Many soups do not parse. (An early `return` would end the whole
+        // property, not this case.)
+        if let Ok(query) = parse_query(&statement) {
+            let printed = to_sql(&query);
+            let reparsed = parse_query(&printed).expect("printed SQL parses");
+            prop_assert_eq!(&to_sql(&reparsed), &printed, "{} is no fixed point", statement);
+            let table = soup_table();
+            let rows = |query: &ConjunctiveQuery| {
+                evaluate(query, &table)
+                    .map(|rows| rows.to_indices())
+                    .map_err(|error| error.to_string())
+            };
+            prop_assert_eq!(rows(&reparsed), rows(&query), "{} printed as {}", statement, printed);
+        }
+    }
+}
+
+/// The token soup: a conjunction of attributes (one of them not in the
+/// table) each under an operator whose operands are words drawn from numbers
+/// (infinities spelled as the literals that overflow to them), strings beyond
+/// ASCII, and tokens that break the grammar.
+const ATTRIBUTES: &[&str] = &["x", "größe", "city", "ort"];
+const OPERATORS: &[&str] = &[
+    "= {}",
+    "< {}",
+    "<= {}",
+    "> {}",
+    ">= {}",
+    "BETWEEN {} AND {}",
+    "IN ({})",
+    "IN ({}, {})",
+    "IS NOT NULL",
+    "{} {}",
+];
+const WORDS: &[&str] = &[
+    "0",
+    "-0",
+    "1",
+    "2.5",
+    "60",
+    "99",
+    "1e309",
+    "-1e309",
+    "1e-320",
+    "'Zürich'",
+    "'Genève'",
+    "'o''brien'",
+    "''",
+    "'中文'",
+    "'😀'",
+    "(",
+    "AND",
+    "IS",
+    "x",
+];
+
+/// Ten rows over the soup's attributes: `x` holds both infinities, both
+/// zeros and a subnormal; `city` holds non-ASCII values; both hold NULLs.
+fn soup_table() -> Table {
+    let schema = Schema::new(vec![
+        Field::new("x", DataType::Float),
+        Field::new("größe", DataType::Int),
+        Field::new("city", DataType::Str),
+    ])
+    .unwrap();
+    let mut builder = TableBuilder::new("t", schema);
+    let x = [
+        Some(f64::NEG_INFINITY),
+        Some(f64::NEG_INFINITY),
+        Some(60.0),
+        Some(99.0),
+        Some(2.5),
+        Some(-0.0),
+        Some(1e-320),
+        Some(f64::INFINITY),
+        None,
+        Some(0.0),
+    ];
+    let city = [
+        Some("Zürich"),
+        Some("Zürich"),
+        Some("Genève"),
+        Some("o'brien"),
+        Some(""),
+        Some("中文"),
+        Some("😀"),
+        None,
+        Some("Genève"),
+        Some("Zürich"),
+    ];
+    for (row, (x, city)) in x.into_iter().zip(city).enumerate() {
+        builder
+            .push_row(&[
+                x.map_or(Value::Null, Value::Float),
+                Value::Int(row as i64 % 3),
+                city.map_or(Value::Null, |city| Value::Str(city.to_string())),
+            ])
+            .unwrap();
+    }
+    builder.build().unwrap()
 }

@@ -61,8 +61,6 @@ pub enum Endpoint {
     ShardCategories,
     /// `POST /shard/select`
     ShardSelect,
-    /// `POST /shard/inject`
-    ShardInject,
     /// `POST /distributed/explore`
     DistExplore,
     /// `GET /debug/traces`
@@ -76,7 +74,7 @@ pub enum Endpoint {
 /// Every endpoint with the label it reports under, in declaration order: an
 /// endpoint's position here is its discriminant, which is what lets
 /// [`Endpoint::slot`] index any table of this length (a test pins it).
-const ENDPOINTS: [(Endpoint, &str); 20] = [
+const ENDPOINTS: [(Endpoint, &str); 19] = [
     (Endpoint::CreateSession, "create_session"),
     (Endpoint::Explore, "explore"),
     (Endpoint::Drill, "drill"),
@@ -92,7 +90,6 @@ const ENDPOINTS: [(Endpoint, &str); 20] = [
     (Endpoint::ShardValues, "shard_values"),
     (Endpoint::ShardCategories, "shard_categories"),
     (Endpoint::ShardSelect, "shard_select"),
-    (Endpoint::ShardInject, "shard_inject"),
     (Endpoint::DistExplore, "dist_explore"),
     (Endpoint::DebugTraces, "debug_traces"),
     (Endpoint::DebugTrace, "debug_trace"),

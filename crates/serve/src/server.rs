@@ -38,7 +38,7 @@ use crate::wire::{self, Json};
 use atlas_core::{AtlasError, MapResult};
 use atlas_query::{parse_query, to_compact, to_sql, ConjunctiveQuery};
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -584,15 +584,6 @@ fn handle_connection(shared: &Shared, stream: TcpStream, admitted: Instant) {
                     .record(endpoint, 200, request_span.elapsed_ms());
                 (write_started, written)
             }
-            // Injected raw outcomes (truncated/garbled answers) are written
-            // verbatim and close the connection; a hangup writes nothing.
-            // Neither reaches the metrics — they exist for the chaos suite.
-            crate::shard::Reply::Raw(bytes) => {
-                let _ = writer.write_all(&bytes);
-                let _ = writer.flush();
-                return;
-            }
-            crate::shard::Reply::Hangup => return,
         };
         record_past_interval(
             &request_span,

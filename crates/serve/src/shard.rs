@@ -56,18 +56,10 @@
 //! simply evaluate as often as they did before it existed — correctly, since
 //! an entry is only ever returned for the text it was evaluated from.
 //!
-//! `POST /shard/inject` is a fault-injection hook for tests. Its one form,
-//! `{"plan": [{"fault": …}, …]}`, arms a deterministic fault plan where each
-//! subsequent shard request (the inject endpoint excepted) consumes the next
-//! entry: `delay`, `refuse` (hang up unanswered), `error` (a synthetic
-//! non-200), `truncate` (a byte prefix of the real answer, a streamed one
-//! included), `corrupt` (the real answer with its first bitmap frame — a
-//! stream's: the first of its first partition — one row longer than the
-//! segment, a `200` whose frame fails validation; an answer without a
-//! bitmap passes unchanged), `garbage` (bytes that are not HTTP), `kill`
-//! (hang up on everything until the next inject), or `none` (answer
-//! normally). This is how the chaos suite drives every coordinator failure
-//! path without real packet loss — deterministically, from a seeded plan.
+//! A shard answers only this protocol: the integration suites inject their
+//! faults — delays, refusals, error statuses, cut, corrupt or garbled
+//! replies, dead shards — in a proxy between the coordinator and the shard
+//! (`tests/common/mod.rs`), where a real network would.
 //!
 //! What the frames of `/shard/working` and `/shard/select` leave out — the
 //! bitmap of a segment selected whole or not at all, the last region when it
@@ -86,25 +78,18 @@ use atlas_columnar::{Bitmap, SummaryParts, Table};
 use atlas_core::{AtlasError, CutPlan, CutSource, TableCutSource};
 use atlas_query::parse_query;
 use std::borrow::Cow;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-use std::time::Duration;
 
-/// How a shard endpoint answers: a normal HTTP response, a `200` whose body
-/// is computed while it is written, raw bytes written verbatim (truncated or
-/// garbled answers), or a silent hangup. `Raw` and `Hangup` close the
-/// connection afterwards.
+/// How an endpoint answers: a normal HTTP response, or a `200` whose body is
+/// computed while it is written.
 pub(crate) enum Reply {
     /// An ordinary HTTP response.
     Normal(Response),
     /// A `/shard/select` answer, streamed one partition at a time.
     Stream(Stream),
-    /// Write exactly these bytes, then close.
-    Raw(Vec<u8>),
-    /// Close the connection without writing a byte.
-    Hangup,
 }
 
 /// A `/shard/select` answer still to be computed: one `{"partials": […]}`
@@ -119,8 +104,6 @@ pub(crate) struct Stream {
     /// Each requested segment's global index and working rows.
     sets: Vec<(usize, Working)>,
     plans: Vec<CutPlan>,
-    /// Lengthen the first bitmap of the first partition (an injected fault).
-    corrupt: bool,
     /// The request's `shard.request` span, which covers the whole stream.
     span: Option<atlas_obs::SpanGuard>,
 }
@@ -133,11 +116,10 @@ impl Stream {
             views,
             sets,
             plans,
-            corrupt,
             span,
         } = self;
         http::write_chunked_head(writer, 200, "application/json", keep_alive)?;
-        for (index, plan) in plans.iter().enumerate() {
+        for plan in &plans {
             let mut partials = Vec::with_capacity(sets.len());
             for (segment, working) in &sets {
                 // Every attribute resolved on every segment when the stream
@@ -152,11 +134,7 @@ impl Stream {
                 let regions = regions.pop().unwrap_or_default();
                 partials.push(select_partial_to_json(*segment, &working.rows, &regions));
             }
-            let mut document = partials_reply(partials);
-            if corrupt && index == 0 {
-                lengthen_first_bitmap(&mut document);
-            }
-            http::write_chunk(writer, document.encode().as_bytes())?;
+            http::write_chunk(writer, partials_reply(partials).encode().as_bytes())?;
         }
         // Close the request's root span before snapshotting so it is in the
         // ring.
@@ -178,36 +156,13 @@ impl From<Response> for Reply {
     }
 }
 
-/// One entry of an armed fault plan, consumed by one shard request.
-enum Fault {
-    /// Answer normally (an explicit pass-through slot in a plan).
-    None,
-    /// Sleep this long, then answer normally.
-    Delay(u64),
-    /// Hang up without answering.
-    Refuse,
-    /// Answer a synthetic error with this status.
-    Error(u16),
-    /// Compute the real answer but send only `keep_per_mille`/1000 of its
-    /// bytes, then close mid-body.
-    Truncate(u16),
-    /// Compute the real answer and send it whole, its first bitmap frame
-    /// declaring one row more than it has.
-    Corrupt,
-    /// Send bytes that are not HTTP.
-    Garbage,
-    /// Hang up now and on every later request until the next inject.
-    Kill,
-}
-
-/// Per-server shard state: the single-segment view cache, the
-/// fault-injection knobs, and how often a working set was evaluated or found.
+/// Per-server shard state: the single-segment view cache, and how often a
+/// working set was evaluated or found.
 #[derive(Default)]
 pub(crate) struct ShardState {
     /// dataset name → (generation, one view per global segment, in segment
     /// order).
     tables: Mutex<HashMap<String, SegmentViews>>,
-    inject: Mutex<InjectState>,
     /// Segment-local working sets evaluated from their SQL …
     working_evaluated: AtomicU64,
     /// … and answered from the one a view remembered.
@@ -270,79 +225,7 @@ impl SegmentView {
     }
 }
 
-#[derive(Default)]
-struct InjectState {
-    /// Armed fault plan; each request pops the front entry.
-    plan: VecDeque<Fault>,
-    /// Kill switch — a consumed [`Fault::Kill`] sets it; only the next
-    /// inject clears it.
-    dead: bool,
-}
-
-/// What the fault machinery decided before any real work: pass through
-/// (possibly after a delay), preempt with a raw outcome, or tamper with the
-/// real answer once it is computed.
-enum Preamble {
-    Proceed,
-    Preempt(Reply),
-    Tamper(Tamper),
-}
-
-/// How a computed answer is spoiled on its way out.
-enum Tamper {
-    /// Send this many thousandths of its bytes.
-    Truncate(u16),
-    /// Lengthen its first bitmap frame by one row.
-    Corrupt,
-}
-
 impl ShardState {
-    /// Consume one fault-plan entry for a shard request. Called once per
-    /// request before any real work.
-    fn consume_fault(&self) -> Preamble {
-        let decision = {
-            let mut inject = match self.inject.lock() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            if inject.dead {
-                return Preamble::Preempt(Reply::Hangup);
-            }
-            inject.plan.pop_front().unwrap_or(Fault::None)
-        };
-        match decision {
-            Fault::None => Preamble::Proceed,
-            Fault::Delay(ms) => {
-                if ms > 0 {
-                    std::thread::sleep(Duration::from_millis(ms));
-                }
-                Preamble::Proceed
-            }
-            Fault::Refuse => Preamble::Preempt(Reply::Hangup),
-            Fault::Error(status) => Preamble::Preempt(Reply::Normal(Response::error(
-                status,
-                "injected fault: synthetic shard error",
-            ))),
-            Fault::Truncate(keep_per_mille) => Preamble::Tamper(Tamper::Truncate(keep_per_mille)),
-            Fault::Corrupt => Preamble::Tamper(Tamper::Corrupt),
-            Fault::Garbage => {
-                // Not an HTTP status line; the coordinator's parser must
-                // reject it with a typed error, never hang.
-                Preamble::Preempt(Reply::Raw(
-                    b"\x00\x7fatlas-chaos garbage bytes\r\n\r\n".to_vec(),
-                ))
-            }
-            Fault::Kill => {
-                let mut inject = match self.inject.lock() {
-                    Ok(guard) => guard,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-                inject.dead = true;
-                Preamble::Preempt(Reply::Hangup)
-            }
-        }
-    }
-
     /// How many segment-local working sets this server `(evaluated, reused)`
     /// so far — what `/metrics` reports.
     pub(crate) fn working_set_counts(&self) -> (u64, u64) {
@@ -397,14 +280,11 @@ pub(crate) fn endpoint_of(action: &str) -> Option<Endpoint> {
         "values" => Endpoint::ShardValues,
         "categories" => Endpoint::ShardCategories,
         "select" => Endpoint::ShardSelect,
-        "inject" => Endpoint::ShardInject,
         _ => return None,
     })
 }
 
-/// Serve one shard endpoint, applying any armed fault first (the inject
-/// endpoint itself is never faulted, so a test can always re-arm or revive
-/// a killed shard).
+/// Serve one shard endpoint.
 pub(crate) fn handle(
     registry: &Registry,
     state: &ShardState,
@@ -418,25 +298,12 @@ pub(crate) fn handle(
         },
         _ => Json::object(Vec::<(String, Json)>::new()),
     };
-    if endpoint == Endpoint::ShardInject {
-        return inject(state, &body).into();
-    }
-    let tamper = match state.consume_fault() {
-        Preamble::Preempt(reply) => return reply,
-        Preamble::Tamper(tamper) => Some(tamper),
-        Preamble::Proceed => None,
-    };
     let mut shard_span = shard_span(endpoint, request);
-    let outcome = answer(registry, state, endpoint, &body, shard_span.as_mut());
-    let corrupt = matches!(tamper, Some(Tamper::Corrupt));
-    let reply = match outcome {
+    match answer(registry, state, endpoint, &body, shard_span.as_mut()) {
         Ok(Answer::Whole(mut reply)) => {
             // Close the request's root span before snapshotting so it is in
             // the ring.
             let trace_id = shard_span.and_then(|span| span.context().map(|ctx| ctx.trace_id));
-            if corrupt {
-                lengthen_first_bitmap(&mut reply);
-            }
             if let Some(trace_id) = trace_id {
                 append_shard_spans(&mut reply, trace_id);
             }
@@ -444,55 +311,10 @@ pub(crate) fn handle(
             Reply::Normal(Response::json(200, &reply))
         }
         Ok(Answer::Stream(mut stream)) => {
-            stream.corrupt = corrupt;
             stream.span = shard_span;
             Reply::Stream(stream)
         }
         Err(response) => Reply::Normal(response),
-    };
-    match tamper {
-        None | Some(Tamper::Corrupt) => reply,
-        Some(Tamper::Truncate(keep_per_mille)) => {
-            let mut bytes = Vec::new();
-            // Writing to a Vec cannot fail, and a stream that ends early is
-            // a prefix too.
-            let _ = match reply {
-                Reply::Normal(response) => http::write_response(&mut bytes, &response, false),
-                Reply::Stream(stream) => stream.write(&mut bytes, false),
-                Reply::Raw(_) | Reply::Hangup => Ok(()),
-            };
-            let keep = bytes
-                .len()
-                .saturating_mul(usize::from(keep_per_mille.min(1000)))
-                / 1000;
-            bytes.truncate(keep);
-            Reply::Raw(bytes)
-        }
-    }
-}
-
-/// Add one row to the declared length of the first bitmap frame (an object
-/// with `len` and `words` members, depth first) in `reply`. Returns whether
-/// there was one.
-fn lengthen_first_bitmap(reply: &mut Json) -> bool {
-    match reply {
-        Json::Obj(members) => {
-            let is_bitmap = members.iter().any(|(key, _)| key == "words");
-            for (key, value) in members.iter_mut() {
-                match (key.as_str(), value.index()) {
-                    ("len", Some(len)) if is_bitmap => {
-                        *value = Json::from(len + 1);
-                        return true;
-                    }
-                    _ => {}
-                }
-            }
-            members
-                .iter_mut()
-                .any(|(_, value)| lengthen_first_bitmap(value))
-        }
-        Json::Arr(items) => items.iter_mut().any(lengthen_first_bitmap),
-        _ => false,
     }
 }
 
@@ -590,74 +412,6 @@ impl From<AtlasError> for Fail {
     fn from(error: AtlasError) -> Fail {
         Fail::Engine(error)
     }
-}
-
-/// Arm the fault machinery. Every inject call revives a killed shard and
-/// replaces whatever was armed before.
-fn inject(state: &ShardState, body: &Json) -> Response {
-    let items = match get_items(body, "plan") {
-        Ok(items) => items,
-        Err(message) => return Response::error(400, message),
-    };
-    let mut plan = VecDeque::with_capacity(items.len());
-    for entry in items {
-        match parse_fault(entry) {
-            Ok(fault) => plan.push_back(fault),
-            Err(message) => return Response::error(400, message),
-        }
-    }
-    let armed = plan.len();
-    let mut inject = match state.inject.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    inject.dead = false;
-    inject.plan = plan;
-    Response::json(
-        200,
-        &Json::object(vec![
-            ("armed", Json::from(armed)),
-            ("dead", Json::from(false)),
-        ]),
-    )
-}
-
-/// Parse one fault-plan entry.
-fn parse_fault(entry: &Json) -> Result<Fault, String> {
-    let kind = entry
-        .get("fault")
-        .and_then(Json::str)
-        .ok_or_else(|| "plan entry without a \"fault\" member".to_string())?;
-    Ok(match kind {
-        "none" => Fault::None,
-        "delay" => Fault::Delay(entry.get("ms").and_then(Json::index).unwrap_or(0) as u64),
-        "refuse" => Fault::Refuse,
-        "error" => {
-            let status = entry.get("status").and_then(Json::index).unwrap_or(500);
-            if !(400..=599).contains(&status) {
-                return Err(format!(
-                    "error fault status {status} out of range (400..=599)"
-                ));
-            }
-            Fault::Error(status as u16)
-        }
-        "truncate" => {
-            let keep = entry
-                .get("keep_per_mille")
-                .and_then(Json::index)
-                .unwrap_or(500);
-            if keep > 1000 {
-                return Err(format!(
-                    "truncate keep_per_mille {keep} out of range (0..=1000)"
-                ));
-            }
-            Fault::Truncate(keep as u16)
-        }
-        "corrupt" => Fault::Corrupt,
-        "garbage" => Fault::Garbage,
-        "kill" => Fault::Kill,
-        other => return Err(format!("unknown fault kind '{other}'")),
-    })
 }
 
 fn meta(dataset: &Dataset) -> Json {
@@ -852,7 +606,6 @@ fn select(
             .map(|(segment, _, working)| (*segment, working.clone()))
             .collect(),
         plans,
-        corrupt: false,
         span: None,
     })
 }

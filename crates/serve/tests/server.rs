@@ -359,6 +359,30 @@ fn errors_map_to_the_right_statuses() {
     handle.shutdown();
 }
 
+/// A server answers only its protocol, so nothing a client sends can fault
+/// it: a plan that would kill the shard, posted to `/shard/inject`, is a
+/// `404`, and every later shard request is answered as before.
+#[test]
+fn a_posted_fault_plan_is_a_404_and_faults_nothing() {
+    let (handle, client) = boot(600, 0, 2);
+    let kill = Json::object(vec![(
+        "plan",
+        Json::array(vec![Json::object(vec![("fault", Json::from("kill"))])]),
+    )]);
+    assert_eq!(
+        client.post_json("/shard/inject", &kill).unwrap().status,
+        404
+    );
+    let census = Json::object(vec![("dataset", Json::from("census"))]);
+    for _ in 0..2 {
+        let meta = client.post_json("/shard/meta", &census).unwrap();
+        assert_eq!(meta.status, 200);
+        let rows = meta.json().unwrap().get("num_rows").and_then(Json::num);
+        assert_eq!(rows, Some(600.0));
+    }
+    handle.shutdown();
+}
+
 #[test]
 fn appending_rows_over_the_wire_updates_live_sessions() {
     let (handle, client) = boot(1_200, 8, 2);

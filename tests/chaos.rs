@@ -1,9 +1,9 @@
-//! The deterministic chaos suite: seeded fault plans injected into live
-//! shard servers, replayed against the resilient coordinator.
+//! The deterministic chaos suite: seeded fault plans injected between the
+//! resilient coordinator and live shard servers.
 //!
 //! Every plan is generated from a seed (vendored `rand`, so a failing seed
-//! replays exactly), armed through `POST /shard/inject`, and the outcome is
-//! pinned to the resilience contract:
+//! replays exactly), armed on the [`FaultProxy`] in front of each shard, and
+//! the outcome is pinned to the resilience contract:
 //!
 //! * **Strict** mode answers bit-identically to the in-process engine or
 //!   fails with a typed [`AtlasError::Distributed`] naming a shard — never a
@@ -23,8 +23,8 @@ use atlas::datagen::CensusConfig;
 use atlas::prelude::*;
 use atlas::serve::wire::Json;
 use atlas::serve::{
-    CircuitConfig, CircuitState, Client, Coordinator, CoordinatorOptions, Coverage, Deadline,
-    ExploreMode, HedgePolicy, RetryPolicy,
+    CircuitConfig, CircuitState, Coordinator, CoordinatorOptions, Coverage, Deadline, ExploreMode,
+    HedgePolicy, RetryPolicy,
 };
 use atlas::serve::{DatasetOptions, Registry, ServeConfig, Server, ServerHandle};
 use rand::rngs::StdRng;
@@ -33,54 +33,14 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+mod common;
+use common::{Fault, FaultProxy};
+
 /// Shard servers per rig.
 const SHARDS: usize = 3;
 /// Hard wall-clock bound on any single faulted explore: far above every
 /// legitimate schedule, so tripping it means a hang.
 const WALL_CLOCK_BOUND: Duration = Duration::from_secs(30);
-
-/// One injectable fault, mirroring the `/shard/inject` plan vocabulary.
-#[derive(Debug, Clone, PartialEq)]
-enum Fault {
-    /// Stall the next answer by this many milliseconds.
-    Delay(u64),
-    /// Hang up without answering.
-    Refuse,
-    /// Answer with this HTTP status and no useful body.
-    Error(u16),
-    /// Answer with only the first `keep_per_mille`/1000 of the bytes.
-    Truncate(u16),
-    /// Answer `200` with the real reply, its first bitmap frame one row
-    /// longer than its segment.
-    Corrupt,
-    /// Answer with bytes that are not HTTP at all.
-    Garbage,
-    /// Hang up now and on every later request (until re-armed).
-    Kill,
-}
-
-impl Fault {
-    fn to_json(&self) -> Json {
-        match self {
-            Fault::Delay(ms) => Json::object(vec![
-                ("fault", Json::from("delay")),
-                ("ms", Json::from(*ms)),
-            ]),
-            Fault::Refuse => Json::object(vec![("fault", Json::from("refuse"))]),
-            Fault::Error(status) => Json::object(vec![
-                ("fault", Json::from("error")),
-                ("status", Json::from(u64::from(*status))),
-            ]),
-            Fault::Truncate(keep) => Json::object(vec![
-                ("fault", Json::from("truncate")),
-                ("keep_per_mille", Json::from(u64::from(*keep))),
-            ]),
-            Fault::Corrupt => Json::object(vec![("fault", Json::from("corrupt"))]),
-            Fault::Garbage => Json::object(vec![("fault", Json::from("garbage"))]),
-            Fault::Kill => Json::object(vec![("fault", Json::from("kill"))]),
-        }
-    }
-}
 
 /// Draw one fault. Delays dominate (they exercise timeouts and hedges),
 /// kills are rarest (they take the shard down for the rest of the seed).
@@ -155,13 +115,15 @@ fn chaos_options() -> CoordinatorOptions {
     }
 }
 
-/// Three live shard servers over one census table, a pinned segment
-/// assignment, and the in-process reference engine.
+/// Three live shard servers over one census table, a fault proxy in front of
+/// each (`addrs` are the proxies'), a pinned segment assignment, and the
+/// in-process reference engine.
 struct Chaos {
     table: Arc<Table>,
     config: AtlasConfig,
     reference: Atlas,
     handles: Vec<ServerHandle>,
+    proxies: Vec<FaultProxy>,
     addrs: Vec<String>,
     assignment: Vec<Vec<usize>>,
 }
@@ -171,7 +133,6 @@ fn chaos_rig() -> Chaos {
     let config = product_config();
     let reference = Atlas::new(Arc::clone(&table), config.clone()).unwrap();
     let mut handles = Vec::new();
-    let mut addrs = Vec::new();
     for _ in 0..SHARDS {
         let mut registry = Registry::new();
         registry
@@ -184,10 +145,9 @@ fn chaos_rig() -> Chaos {
                 },
             )
             .unwrap();
-        let handle = Server::start(registry, ServeConfig::default().with_threads(2)).unwrap();
-        addrs.push(handle.addr().to_string());
-        handles.push(handle);
+        handles.push(Server::start(registry, ServeConfig::default().with_threads(2)).unwrap());
     }
+    let (proxies, addrs) = common::proxies(&handles);
     // An uneven partition of the 10 segments, so shard loss is visible in
     // the coverage arithmetic.
     let assignment = vec![vec![0, 1, 2, 3], vec![4, 5, 6], vec![7, 8, 9]];
@@ -196,6 +156,7 @@ fn chaos_rig() -> Chaos {
         config,
         reference,
         handles,
+        proxies,
         addrs,
         assignment,
     }
@@ -209,17 +170,11 @@ impl Chaos {
             .unwrap()
     }
 
-    /// Arm one fault plan across the shards (replacing whatever was left).
+    /// Arm one fault plan across the shards' proxies (replacing whatever
+    /// was left).
     fn arm(&self, plan: &[Vec<Fault>]) {
-        for (shard, faults) in plan.iter().enumerate() {
-            let body = Json::object(vec![(
-                "plan",
-                Json::array(faults.iter().map(Fault::to_json).collect()),
-            )]);
-            let reply = Client::new(self.handles[shard].addr())
-                .post_json("/shard/inject", &body)
-                .unwrap();
-            assert_eq!(reply.status, 200, "{:?}", reply.json());
+        for (proxy, faults) in self.proxies.iter().zip(plan) {
+            proxy.arm(faults.clone());
         }
     }
 

@@ -26,6 +26,9 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+mod common;
+use common::Fault;
+
 /// Build a survey-shaped table, sealing a segment after every row index
 /// listed in `seals` (plus wherever `segment_rows` forces one).
 fn build_table(
@@ -312,7 +315,8 @@ fn composition_merge_is_rejected() {
 fn killed_shard_surfaces_a_distributed_error() {
     let table = census_table(8_000, 1_000);
     let config = product_config();
-    let (mut handles, addrs) = boot_shards("census", &table, &config, 2);
+    let (mut handles, _) = boot_shards("census", &table, &config, 2);
+    let (proxies, addrs) = common::proxies(&handles);
     let coordinator =
         Arc::new(Coordinator::connect(&addrs, "census", config, Duration::from_secs(2)).unwrap());
 
@@ -320,10 +324,7 @@ fn killed_shard_surfaces_a_distributed_error() {
     // mid-scatter when the shard dies: the kill lands inside the first
     // round, which the dying shard finishes, and the next round finds it
     // gone. A plan of more delays than the explore makes calls.
-    let armed = Client::new(handles[1].addr())
-        .post_json("/shard/inject", &delay_plan(300, 64))
-        .unwrap();
-    assert_eq!(armed.status, 200);
+    proxies[1].arm(vec![Fault::Delay(300); 64]);
 
     let worker = {
         let coordinator = Arc::clone(&coordinator);
@@ -348,13 +349,6 @@ fn killed_shard_surfaces_a_distributed_error() {
     }
 }
 
-/// A `/shard/inject` plan that delays the shard's next `times` requests by
-/// `ms` each.
-fn delay_plan(ms: u64, times: usize) -> Json {
-    let delay = Json::object(vec![("fault", Json::from("delay")), ("ms", Json::from(ms))]);
-    Json::object(vec![("plan", Json::array(vec![delay; times]))])
-}
-
 /// A shard that answers its first request after the per-request timeout is
 /// retried exactly once, and the retried explore is still bit-identical.
 #[test]
@@ -362,16 +356,14 @@ fn slow_shard_trips_timeout_and_retries_once() {
     let table = census_table(4_000, 1_000);
     let config = product_config();
     let reference = Atlas::new(Arc::clone(&table), config.clone()).unwrap();
-    let (handles, addrs) = boot_shards("census", &table, &config, 2);
+    let (handles, _) = boot_shards("census", &table, &config, 2);
+    let (proxies, addrs) = common::proxies(&handles);
     let coordinator =
         Coordinator::connect(&addrs, "census", config, Duration::from_millis(400)).unwrap();
 
     // One injected 1200 ms stall: the first data request to shard 0 times
     // out at 400 ms and the immediate retry sails through.
-    let armed = Client::new(handles[0].addr())
-        .post_json("/shard/inject", &delay_plan(1_200, 1))
-        .unwrap();
-    assert_eq!(armed.status, 200);
+    proxies[0].arm(vec![Fault::Delay(1_200)]);
 
     let query = ConjunctiveQuery::all("census");
     let local = reference.explore(&query).unwrap();
@@ -1122,7 +1114,8 @@ fn every_number_of_the_json_report_is_in_the_text_exposition() {
 fn an_open_circuit_shows_in_metrics_and_healthz() {
     let table = census_table(4_000, 1_000);
     let config = product_config();
-    let (shard_handles, addrs) = boot_shards("census", &table, &config, 2);
+    let (shard_handles, _) = boot_shards("census", &table, &config, 2);
+    let (proxies, addrs) = common::proxies(&shard_handles);
     let serve_config = ServeConfig {
         circuit: atlas::serve::CircuitConfig {
             failure_threshold: 1,
@@ -1139,18 +1132,10 @@ fn an_open_circuit_shows_in_metrics_and_healthz() {
     };
     assert_eq!(explore().status, 200, "the healthy explore connects");
 
-    // Kill shard 1 (it hangs up on everything until re-armed), then explore
-    // until its circuit is open and a call has been refused because of it.
-    let armed = Client::new(shard_handles[1].addr())
-        .post_json(
-            "/shard/inject",
-            &Json::object(vec![(
-                "plan",
-                Json::array(vec![Json::object(vec![("fault", Json::from("kill"))])]),
-            )]),
-        )
-        .unwrap();
-    assert_eq!(armed.status, 200);
+    // Kill shard 1 (its proxy hangs up on everything until re-armed), then
+    // explore until its circuit is open and a call has been refused because
+    // of it.
+    proxies[1].arm(vec![Fault::Kill]);
     let (healthy, broken) = (addrs[0].as_str(), addrs[1].as_str());
     let mut refused = false;
     for _ in 0..5 {

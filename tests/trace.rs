@@ -26,6 +26,9 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
+mod common;
+use common::{Fault, FaultProxy};
+
 /// The whole file shares one process tracer; hold this for any test body.
 fn gate() -> MutexGuard<'static, ()> {
     static GATE: OnceLock<Mutex<()>> = OnceLock::new();
@@ -97,12 +100,13 @@ fn calm_options() -> CoordinatorOptions {
     }
 }
 
-/// Two live shard servers over one census table plus the in-process
-/// reference engine.
+/// Two live shard servers over one census table, a fault proxy in front of
+/// each (`addrs` are the proxies'), plus the in-process reference engine.
 struct Rig {
     config: AtlasConfig,
     reference: Atlas,
     handles: Vec<ServerHandle>,
+    proxies: Vec<FaultProxy>,
     addrs: Vec<String>,
 }
 
@@ -111,7 +115,6 @@ fn rig() -> Rig {
     let config = product_config();
     let reference = Atlas::new(Arc::clone(&table), config.clone()).unwrap();
     let mut handles = Vec::new();
-    let mut addrs = Vec::new();
     for _ in 0..2 {
         let mut registry = Registry::new();
         registry
@@ -124,14 +127,14 @@ fn rig() -> Rig {
                 },
             )
             .unwrap();
-        let handle = Server::start(registry, ServeConfig::default().with_threads(2)).unwrap();
-        addrs.push(handle.addr().to_string());
-        handles.push(handle);
+        handles.push(Server::start(registry, ServeConfig::default().with_threads(2)).unwrap());
     }
+    let (proxies, addrs) = common::proxies(&handles);
     Rig {
         config,
         reference,
         handles,
+        proxies,
         addrs,
     }
 }
@@ -141,13 +144,9 @@ impl Rig {
         Coordinator::connect_with(&self.addrs, "census", self.config.clone(), options).unwrap()
     }
 
-    /// Arm a fault plan on one shard through `POST /shard/inject`.
-    fn arm(&self, shard: usize, faults: Vec<Json>) {
-        let body = Json::object(vec![("plan", Json::array(faults))]);
-        let reply = Client::new(self.handles[shard].addr())
-            .post_json("/shard/inject", &body)
-            .unwrap();
-        assert_eq!(reply.status, 200, "{:?}", reply.json());
+    /// Arm a fault plan on the proxy in front of one shard.
+    fn arm(&self, shard: usize, faults: Vec<Fault>) {
+        self.proxies[shard].arm(faults);
     }
 
     fn shutdown(self) {
@@ -155,21 +154,6 @@ impl Rig {
             handle.shutdown();
         }
     }
-}
-
-fn delay_fault(ms: u64) -> Json {
-    Json::object(vec![("fault", Json::from("delay")), ("ms", Json::from(ms))])
-}
-
-fn error_fault(status: u64) -> Json {
-    Json::object(vec![
-        ("fault", Json::from("error")),
-        ("status", Json::from(status)),
-    ])
-}
-
-fn kill_fault() -> Json {
-    Json::object(vec![("fault", Json::from("kill"))])
 }
 
 /// Bit-for-bit equality of two explorations: same map order, attribute
@@ -343,10 +327,10 @@ fn retried_and_hedged_calls_stay_one_labeled_tree() {
     let mut options = calm_options();
     options.hedge = HedgePolicy::After(Duration::from_millis(100));
     let coordinator = rig.coordinator(options);
-    // Shard 0 answers 500 once (consumed by the first attempt); shard 1
-    // stalls its first answer long enough for the hedge to win.
-    rig.arm(0, vec![error_fault(500)]);
-    rig.arm(1, vec![delay_fault(1_500)]);
+    // Shard 0's proxy answers 500 once (consumed by the first attempt);
+    // shard 1's stalls its first answer long enough for the hedge to win.
+    rig.arm(0, vec![Fault::Error(500)]);
+    rig.arm(1, vec![Fault::Delay(1_500)]);
 
     obs::tracer().clear();
     let root = obs::span_root("test.faulted");
@@ -393,7 +377,7 @@ fn an_open_circuit_leaves_a_skip_event_in_the_trace() {
         cool_down: Duration::from_secs(60),
     };
     let coordinator = rig.coordinator(options);
-    rig.arm(0, vec![kill_fault()]);
+    rig.arm(0, vec![Fault::Kill]);
 
     // First explore: the killed shard fails and opens its circuit.
     coordinator.explore(&query).unwrap_err();
@@ -670,15 +654,9 @@ fn shard_request_spans_say_whether_the_working_set_was_evaluated_or_reused() {
 
     let _traced = Traced::begin();
     let coordinator = rig.coordinator(calm_options());
-    // Shard 1 answers its second data call — `/shard/select` — with a
-    // synthetic 503 once; the coordinator asks again.
-    rig.arm(
-        1,
-        vec![
-            Json::object(vec![("fault", Json::from("none"))]),
-            error_fault(503),
-        ],
-    );
+    // Shard 1's proxy answers its second data call — `/shard/select` — with
+    // a synthetic 503 once; the coordinator asks again.
+    rig.arm(1, vec![Fault::None, Fault::Error(503)]);
     obs::tracer().clear();
     let root = obs::span_root("test.explore");
     let trace_id = root.context().expect("tracing is enabled").trace_id;
