@@ -102,13 +102,11 @@ impl CutStrategy for GridCut {
             let hi = if i + 1 == self.intervals {
                 max
             } else {
-                prev_float(min + width * (i + 1) as f64)
+                (min + width * (i + 1) as f64).next_down()
             };
-            // The predicate records the interval index as an integer range;
-            // exact bounds are recoverable from the selection.
             let query = parent_query
                 .clone()
-                .and(Predicate::range(attribute, i as f64, i as f64));
+                .and(Predicate::range(attribute, lo, hi));
             let region = Region::new(query, column.select_range(working, lo, hi));
             if region.count() >= min_count {
                 regions.push(region);
@@ -256,21 +254,6 @@ impl GridCliqueBaseline {
     }
 }
 
-/// The largest representable float strictly below `x` (for finite, non-zero `x`).
-fn prev_float(x: f64) -> f64 {
-    if !x.is_finite() {
-        return x;
-    }
-    if x == 0.0 {
-        return -f64::MIN_POSITIVE;
-    }
-    f64::from_bits(if x > 0.0 {
-        x.to_bits() - 1
-    } else {
-        x.to_bits() + 1
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,6 +278,24 @@ mod tests {
             b.push_row(&[Value::Float(x), Value::Float(y)]).unwrap();
         }
         b.build().unwrap()
+    }
+
+    /// A unit's query is its interval: evaluated over the table, every
+    /// region's query — 1-d units and 2-d intersections, under a filtering
+    /// user query — selects exactly the region's rows.
+    #[test]
+    fn every_grid_region_is_its_query() {
+        let t = clustered_table();
+        let user_query = ConjunctiveQuery::all("t").and(Predicate::range("y", 15.0, 95.0));
+        let working = atlas_query::evaluate(&user_query, &t).unwrap();
+        let maps = GridCliqueBaseline::default()
+            .generate(&t, &working, &user_query)
+            .unwrap();
+        assert!(maps.iter().any(|m| m.source_attributes.len() == 2));
+        for region in maps.iter().flat_map(|m| &m.regions) {
+            let selected = atlas_query::evaluate(&region.query, &t).unwrap();
+            assert_eq!(selected, region.selection, "{}", region.query);
+        }
     }
 
     #[test]

@@ -90,7 +90,7 @@ impl CutStrategy for RandomCut {
                 }
                 let split = rng.gen_range(min..max);
                 let low = column.select_range(working, min, split);
-                let high = column.select_range(working, nudge_up(split), max);
+                let high = column.select_range(working, split.next_up(), max);
                 vec![
                     Region::new(
                         parent_query
@@ -101,7 +101,7 @@ impl CutStrategy for RandomCut {
                     Region::new(
                         parent_query
                             .clone()
-                            .and(Predicate::range(attribute, nudge_up(split), max)),
+                            .and(Predicate::range(attribute, split.next_up(), max)),
                         high,
                     ),
                 ]
@@ -212,18 +212,6 @@ impl RandomMapBaseline {
             maps.push(map);
         }
         Ok(maps)
-    }
-}
-
-fn nudge_up(x: f64) -> f64 {
-    if x.is_finite() {
-        f64::from_bits(if x >= 0.0 {
-            x.to_bits() + 1
-        } else {
-            x.to_bits() - 1
-        })
-    } else {
-        x
     }
 }
 

@@ -14,7 +14,7 @@ use atlas_columnar::{Bitmap, Table};
 use atlas_query::ConjunctiveQuery;
 
 /// The set of candidate maps generated from a working set.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CandidateSet {
     /// One single-attribute map per cuttable attribute.
     pub maps: Vec<DataMap>,
@@ -67,7 +67,7 @@ pub fn generate_candidates_in_context(
 /// `working` the cuts read ([`crate::pipeline::CutStrategy::cut`] leaves
 /// them in its `stats`), by attribute, in schema order —
 /// what an explore hands its merge phase
-/// ([`crate::pipeline::MergePolicy::merge_with_stats`]). A strategy that
+/// ([`crate::pipeline::ExploreSource::candidates`]). A strategy that
 /// reads none returns none.
 pub(crate) fn cut_candidates<'a>(
     ctx: &PipelineContext<'a>,

@@ -6,10 +6,13 @@
 //! exploration. The engine is `Send + Sync`, so one `Arc<Atlas>` can serve
 //! concurrent explorations.
 //!
-//! An explore runs the four steps of Section 3. Step 1 cuts every attribute
-//! of the working set through the engine's [`CutStrategy`]; steps 2–4 —
-//! cluster, merge, rank — are [`cluster_merge_rank`], the one post-cut body,
-//! which the distributed coordinator runs too, with its own merge closure.
+//! An explore runs the four steps of Section 3. Once the working set is
+//! evaluated they are one function, [`explore_from_source`]: step 1 cuts
+//! every attribute of the working set through the engine's [`CutStrategy`],
+//! and steps 2–4 — cluster, merge, rank — follow, with the merge
+//! [`AtlasConfig::merge`] names. It reads rows through an [`ExploreSource`]:
+//! the engine's is its [`PipelineContext`], and the distributed coordinator
+//! runs the same function over its shards.
 //!
 //! [`Atlas::explore`] runs the pipeline exactly; [`Atlas::explore_iter`]
 //! streams the anytime refinement of Section 5.1 (growing samples under a
@@ -44,9 +47,9 @@
 //! attribute's statistics over the region. The sub-regions of the **last**
 //! re-cut are final: ranking, the region cap and a served reply read only
 //! their counts, and the statistics the re-cut was planned from already
-//! give them exactly ([`crate::CutPlan::counts_from_stats`]). So
-//! [`Atlas::explore_released`] merges through
-//! [`MergePolicy::merge_released`]: a composition's last re-cut builds its
+//! give them exactly ([`crate::CutPlan::counts_from_stats`]). So under
+//! [`Atlas::explore_released`] a composition's last re-cut
+//! ([`ExploreSource::recut`], `counted`) builds its
 //! sub-regions without rows ([`Region::released`]) instead of partitioning
 //! them, and a capped map folds such regions into a counted remainder
 //! ([`enforce_region_cap_within`]). Every earlier re-cut is partitioned —
@@ -57,15 +60,14 @@
 //! re-cut to count. The `explore` span's `counted_regions` attribute is the
 //! number of regions of the answer built without rows (0 when expanded).
 
-use crate::candidates::{cut_candidates, generate_candidates_in_context, CandidateSet};
+use crate::candidates::{generate_candidates_in_context, CandidateSet};
 use crate::cluster::cluster_maps_with_pool;
 use crate::config::{AtlasConfig, ExploreOptions, MergeStrategy};
 use crate::distance::distance_matrix_within;
 use crate::error::{AtlasError, Result};
 use crate::map::DataMap;
-use crate::pipeline::{
-    CompositionMerge, CutStrategy, MergePolicy, PaperCut, PipelineContext, ProductMerge,
-};
+use crate::merge::product_maps;
+use crate::pipeline::{CompositionMerge, CutStrategy, ExploreSource, PaperCut, PipelineContext};
 use crate::profile::{ProfileStats, TableProfile};
 use crate::rank::{rank_maps, RankedMap};
 use crate::region::Region;
@@ -140,7 +142,7 @@ impl MapResult {
 ///
 /// The cut defaults to the paper's [`PaperCut`]. Everything else follows the
 /// configuration: distances are [`AtlasConfig::distance`], the merge is
-/// [`ProductMerge`] or [`CompositionMerge`] as [`AtlasConfig::merge`] says,
+/// [`crate::ProductMerge`] or [`CompositionMerge`] as [`AtlasConfig::merge`] says,
 /// and ranking is the paper's entropy order ([`rank_maps`]).
 ///
 /// ```
@@ -404,6 +406,11 @@ impl Atlas {
             "gathered_rows",
             gathered.as_ref().map_or(0, Table::num_rows),
         );
+        let released = output == Output::Released;
+        let explore = |ctx: &PipelineContext<'_>, working: &Bitmap, timings: &mut PhaseTimings| {
+            let (config, pool) = (&self.config, &*self.pool);
+            explore_from_source(config, pool, ctx, user_query, working, released, timings)
+        };
         let (maps, skipped_attributes) = match &gathered {
             Some(compact) => {
                 // A partial working set never hits the profile, so the
@@ -416,14 +423,11 @@ impl Atlas {
                     ..self.context()
                 };
                 let every_row = compact.full_selection();
-                let outcome = self.explore_rows(&ctx, user_query, &every_row, &mut timings, output);
+                let outcome = explore(&ctx, &every_row, &mut timings);
                 self.profile.add_counters(profile.counters());
                 outcome?
             }
-            None => {
-                let ctx = self.context();
-                self.explore_rows(&ctx, user_query, &working, &mut timings, output)?
-            }
+            None => explore(&self.context(), &working, &mut timings)?,
         };
         let regions = maps.iter().flat_map(|ranked| &ranked.map.regions);
         let counted = regions.filter(|region| !region.holds_rows()).count();
@@ -443,49 +447,6 @@ impl Atlas {
             result.release_rows();
         }
         Ok(result)
-    }
-
-    /// Steps 1–4 over `working`, a selection over `ctx.table`: the ranked
-    /// maps and the attributes the cuts skipped. A released `output` merges
-    /// through [`MergePolicy::merge_released`].
-    fn explore_rows(
-        &self,
-        ctx: &PipelineContext<'_>,
-        user_query: &ConjunctiveQuery,
-        working: &Bitmap,
-        timings: &mut PhaseTimings,
-        output: Output,
-    ) -> Result<(Vec<RankedMap>, Vec<String>)> {
-        // Step 1: candidate maps, and the working set's statistics the cuts
-        // read, which the merge phase re-reads and which die with the
-        // explore.
-        let phase_span = atlas_obs::span("phase.candidates");
-        let (candidates, working_stats) =
-            cut_candidates(ctx, working, user_query, self.config.attributes.as_deref())?;
-        timings.candidates_ms = phase_span.finish_ms();
-        if candidates.is_empty() {
-            return Err(AtlasError::NoCuttableAttributes);
-        }
-
-        // Steps 2–4, with the merge `config.merge` names over the working
-        // set's statistics the cuts read.
-        let merge: &dyn MergePolicy = match self.config.merge {
-            MergeStrategy::Product => &ProductMerge,
-            MergeStrategy::Composition => &CompositionMerge,
-        };
-        let maps = cluster_merge_rank(
-            &self.config,
-            &self.pool,
-            user_query,
-            working,
-            candidates.maps,
-            |members| match output {
-                Output::Expanded => merge.merge_with_stats(ctx, members, working, &working_stats),
-                Output::Released => merge.merge_released(ctx, members, working, &working_stats),
-            },
-            timings,
-        )?;
-        Ok((maps, candidates.skipped))
     }
 
     /// Map every region of an explore over gathered rows back to the
@@ -621,9 +582,61 @@ enum Output {
     Released,
 }
 
+/// The explore body once the working set is known, over any
+/// [`ExploreSource`]: step 1 is the source's candidates (under
+/// `phase.candidates`), and steps 2–4 are cluster, merge and rank with the
+/// merge [`AtlasConfig::merge`] names — the product of a cluster's maps
+/// ([`product_maps`]), or their composition, re-cut through the source. The
+/// ranked maps and the attributes the cuts skipped.
+///
+/// [`Atlas::explore`] runs it over a [`PipelineContext`] and the distributed
+/// coordinator over its remote source, so the two differ only in where the
+/// rows are read. With `released`, the caller keeps no rows of the answer,
+/// so a composition's last level may be counted instead of partitioned
+/// ([`ExploreSource::recut`]).
+pub fn explore_from_source<'a>(
+    config: &AtlasConfig,
+    pool: &ThreadPool,
+    source: &impl ExploreSource<'a>,
+    user_query: &ConjunctiveQuery,
+    working: &Bitmap,
+    released: bool,
+    timings: &mut PhaseTimings,
+) -> Result<(Vec<RankedMap>, Vec<String>)> {
+    // Step 1: candidate maps, and the working set's statistics the cuts
+    // read, which the merge phase re-reads and which die with the explore.
+    let phase_span = atlas_obs::span("phase.candidates");
+    let (candidates, stats) =
+        source.candidates(working, user_query, config.attributes.as_deref())?;
+    timings.candidates_ms = phase_span.finish_ms();
+    if candidates.is_empty() {
+        return Err(AtlasError::NoCuttableAttributes);
+    }
+    let drop_empty = config.drop_empty_regions;
+    let merge = |members: &[DataMap]| match config.merge {
+        MergeStrategy::Product => Ok(product_maps(members, drop_empty)),
+        MergeStrategy::Composition => {
+            let held = |attribute: &str| {
+                let held = stats.iter().find(|(name, _)| name == attribute);
+                held.map(|(_, stats)| &**stats)
+            };
+            CompositionMerge::compose(source, members, working, held, drop_empty, released)
+        }
+    };
+    let maps = cluster_merge_rank(
+        config,
+        pool,
+        user_query,
+        working,
+        candidates.maps,
+        merge,
+        timings,
+    )?;
+    Ok((maps, candidates.skipped))
+}
+
 /// Steps 2–4 of an explore — cluster, merge, rank — over the candidate maps
-/// cut from `working`: the one post-cut body, run by [`Atlas::explore`] and
-/// by the distributed coordinator alike.
+/// cut from `working`: the post-cut half of [`explore_from_source`].
 ///
 /// The candidates are clustered by [`AtlasConfig::distance`] over the row
 /// space `working.len()` (the table's rows in the engine, the live rows at a
@@ -635,7 +648,7 @@ enum Output {
 /// the maps are ranked ([`rank_maps`]) and truncated to
 /// [`AtlasConfig::max_maps`]. Each phase runs under its `phase.*` span and
 /// its time lands in `timings`.
-pub fn cluster_merge_rank(
+fn cluster_merge_rank(
     config: &AtlasConfig,
     pool: &ThreadPool,
     user_query: &ConjunctiveQuery,
@@ -724,7 +737,7 @@ pub fn cluster_merge_rank(
 /// remainder is too, counted: its count is the sum of the folded counts,
 /// exact because a map's regions are disjoint.
 ///
-/// This is the post-merge step [`cluster_merge_rank`] applies to every
+/// This is the post-merge step [`explore_from_source`] applies to every
 /// cluster's merged map.
 pub fn enforce_region_cap_within(
     mut map: DataMap,

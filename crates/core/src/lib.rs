@@ -28,9 +28,10 @@
 //! [`engine::AtlasBuilder`], and per-column statistics are computed **once**
 //! at build time into a shared [`profile::TableProfile`]. Step 1 runs through
 //! a [`pipeline::CutStrategy`] (the paper's `CUT` unless the builder is given
-//! another); steps 2–4 are one function, [`engine::cluster_merge_rank`], whose
-//! merge is the [`pipeline::MergePolicy`] that [`config::AtlasConfig::merge`]
-//! names — the distributed coordinator calls the same function. The engine is
+//! another); steps 1–4 over an evaluated working set are one function,
+//! [`engine::explore_from_source`], whose merge is the one
+//! [`config::AtlasConfig::merge`] names, over a [`pipeline::ExploreSource`] —
+//! the engine's table, or the distributed coordinator's shards. The engine is
 //! `Send + Sync`, so one `Arc<Atlas>` serves concurrent explorations — and
 //! each exploration itself runs multicore: the hot phases (candidate cuts,
 //! the pairwise distance matrix, per-cluster merging, profile building) split
@@ -78,7 +79,7 @@ pub use distance::{
     MapDistanceMetric,
 };
 pub use engine::{
-    cluster_merge_rank, enforce_region_cap, enforce_region_cap_within, AnytimeIteration,
+    enforce_region_cap, enforce_region_cap_within, explore_from_source, AnytimeIteration,
     AnytimeResult, Atlas, AtlasBuilder, ExploreIter, MapResult, PhaseTimings,
 };
 pub use error::{AtlasError, Result};
@@ -86,8 +87,8 @@ pub use map::DataMap;
 pub use merge::{compose_maps, product_maps};
 pub use minirayon::ThreadPool;
 pub use pipeline::{
-    AttributeStats, CompositionMerge, CutStrategy, MergePolicy, PaperCut, PipelineContext,
-    ProductMerge,
+    AttributeStats, CompositionMerge, CutStrategy, ExploreSource, MergePolicy, PaperCut,
+    PipelineContext, ProductMerge,
 };
 pub use precompute::{CacheStats, CachedAtlas};
 pub use profile::{ColumnProfile, ProfileStats, TableProfile};

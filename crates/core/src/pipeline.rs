@@ -7,7 +7,7 @@
 //! evaluation's random and grid baselines are other cuts, and the paper's two
 //! merge operators (plus the grid baseline's dense product) are merges. The
 //! other two steps have one body each, run by
-//! [`crate::engine::cluster_merge_rank`]: distances are
+//! [`crate::engine::explore_from_source`]: distances are
 //! [`crate::distance_matrix_within`] under
 //! [`crate::AtlasConfig::distance`], and ranking is [`crate::rank_maps`].
 //!
@@ -19,6 +19,7 @@
 //! Both traits are `Send + Sync`, so a prepared engine can be shared across
 //! threads behind an `Arc`.
 
+use crate::candidates::{cut_candidates, CandidateSet};
 use crate::cut::{cut_attribute_in_context, CutConfig};
 use crate::error::Result;
 use crate::map::DataMap;
@@ -94,7 +95,7 @@ pub trait CutStrategy: fmt::Debug + Send + Sync {
 
     /// [`CutStrategy::cut`] for a caller that reads only the regions'
     /// queries and counts — the last re-cut of a served composition
-    /// ([`MergePolicy::merge_released`]): the same regions, in the same
+    /// ([`ExploreSource::recut`], `counted`): the same regions, in the same
     /// order, with the same counts, but any of them may be built without
     /// rows ([`Region::released`]). The default is [`CutStrategy::cut`].
     fn cut_released<'a>(
@@ -111,7 +112,7 @@ pub trait CutStrategy: fmt::Debug + Send + Sync {
 
 /// The statistics of one attribute over an explore's working set, beside the
 /// attribute's name: what a candidate cut read and an explore holds until it
-/// ends ([`MergePolicy::merge_with_stats`]).
+/// ends ([`ExploreSource::candidates`]).
 pub type AttributeStats<'a> = (String, Cow<'a, ColumnStats>);
 
 /// Step 3 — combine the maps of one cluster into a representative map.
@@ -136,37 +137,6 @@ pub trait MergePolicy: fmt::Debug + Send + Sync {
         members: &[DataMap],
         working: &Bitmap,
     ) -> Result<Option<DataMap>>;
-
-    /// [`MergePolicy::merge`] inside an explore that holds `stats`: the
-    /// statistics over `working` of the attributes its candidate cuts read
-    /// ([`CutStrategy::cut`]), by attribute name. They live as
-    /// long as the explore. The default ignores them and calls
-    /// [`MergePolicy::merge`].
-    fn merge_with_stats(
-        &self,
-        ctx: &PipelineContext<'_>,
-        members: &[DataMap],
-        working: &Bitmap,
-        stats: &[AttributeStats<'_>],
-    ) -> Result<Option<DataMap>> {
-        let _ = stats;
-        self.merge(ctx, members, working)
-    }
-
-    /// [`MergePolicy::merge_with_stats`] for a caller that keeps no rows
-    /// ([`crate::Atlas::explore_released`]): the same map — queries, counts,
-    /// order — but any region may be built without rows
-    /// ([`Region::released`]). The default is
-    /// [`MergePolicy::merge_with_stats`].
-    fn merge_released(
-        &self,
-        ctx: &PipelineContext<'_>,
-        members: &[DataMap],
-        working: &Bitmap,
-        stats: &[AttributeStats<'_>],
-    ) -> Result<Option<DataMap>> {
-        self.merge_with_stats(ctx, members, working, stats)
-    }
 }
 
 /// The paper's `CUT` primitive (Definition 1): median / equi-width / k-means
@@ -232,17 +202,20 @@ impl MergePolicy for ProductMerge {
 /// [`CutStrategy`], so split points adapt locally. Regions whose local cut
 /// fails are kept whole, so composition never loses coverage.
 ///
-/// For each further attribute the current regions are re-cut as one
-/// `ctx.pool` task each — the regions are disjoint and every cut reads only
-/// its own — and the sub-regions are assembled in region order, so the map is
-/// the same at every thread count; a one-thread pool is a plain in-order loop.
+/// The level loop — attribute order, keeping a region whole, dropping empty
+/// regions, accumulating attributes — is the one body every composition
+/// runs; how one level's regions are re-cut on one attribute is its
+/// [`ExploreSource::recut`]. In-process, that is one `ctx.pool` task per
+/// region — the regions are disjoint and every cut reads only its own — with
+/// the sub-regions assembled in region order, so the map is the same at
+/// every thread count; a one-thread pool is a plain in-order loop.
 ///
 /// The first re-cut knows more than the cut of one region does. The regions of
 /// the first map usually partition the working set (they miss only the rows
 /// whose first attribute is NULL), and the caller usually holds the working
 /// set's statistics of the attribute they are re-cut on: the profile's for a
 /// whole-table working set, the candidate cut's otherwise
-/// ([`MergePolicy::merge_with_stats`]). Then every region's statistics but
+/// ([`ExploreSource::candidates`]). Then every region's statistics but
 /// the largest one's are walked, and the largest region's are the working
 /// set's minus the others' ([`ColumnStats::without`]) — the same statistics,
 /// bit for bit, for one walk fewer; they reach the cut in its `stats`
@@ -251,32 +224,30 @@ impl MergePolicy for ProductMerge {
 /// walk every region.
 ///
 /// The last re-cut knows its sub-regions are final. When the caller keeps no
-/// rows ([`MergePolicy::merge_released`]), nothing intersects them: ranking,
-/// the region cap and the answer read only their counts, and the statistics
-/// each region's cut was planned from count them exactly. So that re-cut
-/// goes through [`CutStrategy::cut_released`], which builds them without
-/// rows. Every earlier re-cut is partitioned, because the next one walks its
-/// sub-regions.
+/// rows ([`crate::Atlas::explore_released`]), nothing intersects them:
+/// ranking, the region cap and the answer read only their counts, and the
+/// statistics each region's cut was planned from count them exactly. So that
+/// re-cut goes through [`CutStrategy::cut_released`], which builds them
+/// without rows. Every earlier re-cut is partitioned, because the next one
+/// walks its sub-regions.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CompositionMerge;
 
 impl CompositionMerge {
-    /// The composition, with `held(attribute)` the statistics of `attribute`
-    /// over `working` the caller holds, if any, and `released` whether the
-    /// caller keeps no rows.
-    fn compose<'s>(
-        ctx: &PipelineContext<'_>,
+    /// The composition over `source`, with `held(attribute)` the statistics
+    /// of `attribute` over `working` the caller holds, if any, and
+    /// `released` whether the caller keeps no rows of the last level.
+    pub(crate) fn compose<'s, 'a>(
+        source: &impl ExploreSource<'a>,
         members: &[DataMap],
         working: &Bitmap,
         held: impl Fn(&str) -> Option<&'s ColumnStats>,
+        drop_empty_regions: bool,
         released: bool,
     ) -> Result<Option<DataMap>> {
         let Some((first, others)) = members.split_first() else {
             return Ok(None);
         };
-        // Pool workers inherit the dispatching thread's span context, as in
-        // candidate generation, so kernel events attach under `phase.merge`.
-        let parent = atlas_obs::current();
         // The first map's regions are borrowed; only those a re-cut keeps
         // whole are copied into the result.
         let mut regions: Vec<Cow<'_, Region>> = first.regions.iter().map(Cow::Borrowed).collect();
@@ -289,30 +260,15 @@ impl CompositionMerge {
             let counted = released && level + 1 == others.len();
             let whole = if first_recut { held(&attribute) } else { None };
             first_recut = false;
-            let stats = match whole {
-                Some(whole) => partition_stats(ctx, &regions, working, &attribute, whole)?,
-                None => Vec::new(),
-            };
-            let cuts = ctx.pool.par_map_indexed(regions.len(), 1, |at| {
-                let _trace = atlas_obs::with_context(parent);
-                let region = &regions[at];
-                let mut held = stats.get(at).map(|stats| Cow::Borrowed(&**stats));
-                let (selection, query) = (&region.selection, &region.query);
-                let strategy = ctx.cut_strategy;
-                if counted {
-                    strategy.cut_released(ctx, selection, query, &attribute, &mut held)
-                } else {
-                    strategy.cut(ctx, selection, query, &attribute, &mut held)
-                }
-            });
+            let cuts = source.recut(&regions, working, &attribute, whole, counted)?;
             let mut next = Vec::new();
             for (region, sub) in regions.into_iter().zip(cuts) {
-                match sub? {
+                match sub {
                     Some(sub) => next.extend(sub.regions.into_iter().map(Cow::Owned)),
                     None => next.push(region),
                 }
             }
-            if ctx.drop_empty_regions {
+            if drop_empty_regions {
                 next.retain(|r| !r.is_empty());
             }
             regions = next;
@@ -322,6 +278,94 @@ impl CompositionMerge {
         }
         let regions = regions.into_iter().map(Cow::into_owned).collect();
         Ok(Some(DataMap::new(regions, attributes)))
+    }
+}
+
+/// What an explore reads its rows through once its working set is known:
+/// the candidate maps (step 1) and the re-cuts of a composition (step 3).
+/// [`crate::engine::explore_from_source`], the one explore body, runs over
+/// it. The two implementations are [`PipelineContext`] — the table in
+/// process, through the engine's [`CutStrategy`] — and the serve crate's
+/// remote source, which asks shard servers holding disjoint segment subsets.
+/// A source whose answers equal the in-process ones makes the explore equal
+/// it bit for bit, because the body around them is the same.
+///
+/// Statistics held in `'a` live as long as the explore.
+pub trait ExploreSource<'a>: Sync {
+    /// Step 1 over `working`: one candidate map per attribute of
+    /// `attributes` that can be cut (every column when `None`), in order,
+    /// and the statistics over `working` the cuts read, by attribute, for the
+    /// merge phase to re-read.
+    fn candidates(
+        &self,
+        working: &Bitmap,
+        user_query: &ConjunctiveQuery,
+        attributes: Option<&[String]>,
+    ) -> Result<(CandidateSet, Vec<AttributeStats<'a>>)>;
+
+    /// One level of a composition: each of `regions` — disjoint subsets of
+    /// `working` — re-cut on `attribute`, extending the region's query, in
+    /// region order: `None` for a region whose cut fails (it is kept
+    /// whole), and the first error in region order. `whole` is the
+    /// statistics of `attribute` over `working` when the caller holds them.
+    /// With `counted`, the sub-regions are final and only their queries and
+    /// counts are read, so a source may build them without rows
+    /// ([`Region::released`]).
+    fn recut(
+        &self,
+        regions: &[Cow<'_, Region>],
+        working: &Bitmap,
+        attribute: &str,
+        whole: Option<&ColumnStats>,
+        counted: bool,
+    ) -> Result<Vec<Option<DataMap>>>;
+}
+
+impl<'a> ExploreSource<'a> for PipelineContext<'a> {
+    /// Every attribute is cut through `self.cut_strategy`, one pool task
+    /// each ([`crate::generate_candidates_in_context`]).
+    fn candidates(
+        &self,
+        working: &Bitmap,
+        user_query: &ConjunctiveQuery,
+        attributes: Option<&[String]>,
+    ) -> Result<(CandidateSet, Vec<AttributeStats<'a>>)> {
+        cut_candidates(self, working, user_query, attributes)
+    }
+
+    /// Every region is re-cut through `self.cut_strategy`, one pool task
+    /// each. When `whole` is held and the regions partition `working`, the
+    /// largest region's statistics are derived from it instead of walked
+    /// (see [`CompositionMerge`]); a counted level cuts through
+    /// [`CutStrategy::cut_released`].
+    fn recut(
+        &self,
+        regions: &[Cow<'_, Region>],
+        working: &Bitmap,
+        attribute: &str,
+        whole: Option<&ColumnStats>,
+        counted: bool,
+    ) -> Result<Vec<Option<DataMap>>> {
+        let stats = match whole {
+            Some(whole) => partition_stats(self, regions, working, attribute, whole)?,
+            None => Vec::new(),
+        };
+        // Pool workers inherit the dispatching thread's span context, as in
+        // candidate generation, so kernel events attach under `phase.merge`.
+        let parent = atlas_obs::current();
+        let cuts = self.pool.par_map_indexed(regions.len(), 1, |at| {
+            let _trace = atlas_obs::with_context(parent);
+            let region = &regions[at];
+            let mut held = stats.get(at).map(|stats| Cow::Borrowed(&**stats));
+            let (selection, query) = (&region.selection, &region.query);
+            let strategy = self.cut_strategy;
+            if counted {
+                strategy.cut_released(self, selection, query, attribute, &mut held)
+            } else {
+                strategy.cut(self, selection, query, attribute, &mut held)
+            }
+        });
+        cuts.into_iter().collect()
     }
 }
 
@@ -390,35 +434,8 @@ impl MergePolicy for CompositionMerge {
             let profiled = ctx.profile.column(attribute).filter(|_| whole_table);
             profiled.map(|profile| &profile.stats)
         };
-        CompositionMerge::compose(ctx, members, working, held, false)
-    }
-
-    fn merge_with_stats(
-        &self,
-        ctx: &PipelineContext<'_>,
-        members: &[DataMap],
-        working: &Bitmap,
-        stats: &[AttributeStats<'_>],
-    ) -> Result<Option<DataMap>> {
-        CompositionMerge::compose(ctx, members, working, held_in(stats), false)
-    }
-
-    fn merge_released(
-        &self,
-        ctx: &PipelineContext<'_>,
-        members: &[DataMap],
-        working: &Bitmap,
-        stats: &[AttributeStats<'_>],
-    ) -> Result<Option<DataMap>> {
-        CompositionMerge::compose(ctx, members, working, held_in(stats), true)
-    }
-}
-
-/// The statistics of an attribute among an explore's `stats`, if held.
-fn held_in<'s>(stats: &'s [AttributeStats<'_>]) -> impl Fn(&str) -> Option<&'s ColumnStats> {
-    |attribute| {
-        let held = stats.iter().find(|(name, _)| name == attribute);
-        held.map(|(_, stats)| &**stats)
+        let drop_empty = ctx.drop_empty_regions;
+        CompositionMerge::compose(ctx, members, working, held, drop_empty, false)
     }
 }
 
@@ -569,11 +586,14 @@ mod tests {
             for (members, counted) in [([&size, &weight], false), ([&weight, &size], true)] {
                 let members = [members[0].clone(), members[1].clone()];
                 let merge = |released: bool| {
-                    let merged = if released {
-                        CompositionMerge.merge_released(ctx, &members, &working, &[])
-                    } else {
-                        CompositionMerge.merge_with_stats(ctx, &members, &working, &[])
-                    };
+                    let merged = CompositionMerge::compose(
+                        ctx,
+                        &members,
+                        &working,
+                        |_| None,
+                        true,
+                        released,
+                    );
                     merged.unwrap().unwrap()
                 };
                 let (expanded, released) = (merge(false), merge(true));

@@ -141,7 +141,7 @@ impl Parser {
                 let x = self.number()?;
                 Ok(Predicate {
                     attribute,
-                    set: PredicateSet::range(f64::NEG_INFINITY, prev_float(x)),
+                    set: strictly_below(x),
                 })
             }
             Some(Token::Le) => {
@@ -154,7 +154,7 @@ impl Parser {
                 let x = self.number()?;
                 Ok(Predicate {
                     attribute,
-                    set: PredicateSet::range(next_float(x), f64::INFINITY),
+                    set: strictly_above(x),
                 })
             }
             Some(Token::Ge) => {
@@ -233,32 +233,23 @@ fn format_number(x: f64) -> String {
     }
 }
 
-fn next_float(x: f64) -> f64 {
-    // Smallest representable value strictly greater than x (good enough for
-    // translating `>` into a closed range on continuous data).
-    if x.is_finite() {
-        f64::from_bits(if x >= 0.0 {
-            x.to_bits() + 1
-        } else {
-            x.to_bits() - 1
-        })
-    } else {
-        x
+/// `x < bound` as a closed range: up to the greatest float below `bound`
+/// (the negative subnormals lie below either zero, and `f64::MAX` below
+/// `inf`). Nothing lies below `-inf`: that is the empty range.
+fn strictly_below(bound: f64) -> PredicateSet {
+    if bound == f64::NEG_INFINITY {
+        return PredicateSet::range(f64::INFINITY, f64::NEG_INFINITY);
     }
+    PredicateSet::range(f64::NEG_INFINITY, bound.next_down())
 }
 
-fn prev_float(x: f64) -> f64 {
-    if x.is_finite() {
-        f64::from_bits(if x > 0.0 {
-            x.to_bits() - 1
-        } else if x == 0.0 {
-            (-f64::MIN_POSITIVE).to_bits()
-        } else {
-            x.to_bits() + 1
-        })
-    } else {
-        x
+/// `x > bound` as a closed range: from the least float above `bound`.
+/// Nothing lies above `inf`: that is the empty range.
+fn strictly_above(bound: f64) -> PredicateSet {
+    if bound == f64::INFINITY {
+        return PredicateSet::range(f64::INFINITY, f64::NEG_INFINITY);
     }
+    PredicateSet::range(bound.next_up(), f64::INFINITY)
 }
 
 /// Parse a query in the restricted SQL syntax.
@@ -300,6 +291,58 @@ mod tests {
             .unwrap()
             .set
             .contains_value("MSc"));
+    }
+
+    /// A strict comparison selects the floats strictly past its bound, and
+    /// nothing else, at the edges too: either zero, the subnormals beside
+    /// them, and either infinity — before and after a print and re-parse.
+    #[test]
+    fn strict_comparisons_are_exact_at_zeros_and_infinities() {
+        use atlas_columnar::{DataType, Field, Schema, TableBuilder, Value};
+        let cells = [
+            f64::NEG_INFINITY,
+            -1.0,
+            -5e-324,
+            -0.0,
+            0.0,
+            5e-324,
+            1.0,
+            f64::INFINITY,
+        ];
+        let schema = Schema::new(vec![Field::new("x", DataType::Float)]).unwrap();
+        let mut builder = TableBuilder::new("t", schema);
+        for x in cells {
+            builder.push_row(&[Value::Float(x)]).unwrap();
+        }
+        let table = builder.build().unwrap();
+        // (condition, its bound, whether it keeps what lies above it)
+        let cases = [
+            ("x > -0", -0.0, true),
+            ("x > 0", 0.0, true),
+            ("x < 0", 0.0, false),
+            ("x < -0", -0.0, false),
+            ("x < 1e309", f64::INFINITY, false),
+            ("x > -1e309", f64::NEG_INFINITY, true),
+            ("x < -1e309", f64::NEG_INFINITY, false),
+            ("x > 1e309", f64::INFINITY, true),
+        ];
+        for (condition, bound, above) in cases {
+            let expected: Vec<usize> = (0..cells.len())
+                .filter(|&row| {
+                    if above {
+                        cells[row] > bound
+                    } else {
+                        cells[row] < bound
+                    }
+                })
+                .collect();
+            let query = parse_query(&format!("SELECT * FROM t WHERE {condition}")).unwrap();
+            let printed = crate::to_sql(&query);
+            let reparsed = parse_query(&printed).unwrap();
+            assert_eq!(reparsed, query, "{condition} prints as {printed}");
+            let selected = crate::evaluate(&query, &table).unwrap().to_indices();
+            assert_eq!(selected, expected, "{condition} (printed {printed})");
+        }
     }
 
     #[test]

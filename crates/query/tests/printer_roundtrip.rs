@@ -156,8 +156,7 @@ proptest! {
             })
             .collect();
         let statement = format!("SELECT * FROM t WHERE {}", predicates.join(" AND "));
-        // Many soups do not parse. (An early `return` would end the whole
-        // property, not this case.)
+        // Many soups do not parse.
         if let Ok(query) = parse_query(&statement) {
             let printed = to_sql(&query);
             let reparsed = parse_query(&printed).expect("printed SQL parses");

@@ -16,9 +16,9 @@
 //!   hardware threads)
 //! * `--cache N` — shared result-cache capacity per dataset, 0 disables
 //!   (default 64)
-//! * `--fast` / `--quality` — engine preset (default: the paper's config)
-//! * `--merge product|composition` — cluster-merge operator (distributed
-//!   coordinators require `product`)
+//! * `--fast` / `--quality` — engine preset (default: the paper's config,
+//!   median cuts merged by composition; `--fast` merges by product). A
+//!   coordinator explores under the same preset as its datasets.
 //! * `--shards HOST:PORT,…` — coordinate `POST /distributed/explore` over
 //!   these shard servers (they must serve the same dataset specs)
 //! * `--shard-timeout-ms N` — per-shard request timeout (default 10000)
@@ -38,7 +38,7 @@
 //!   with `{"mode": "degraded"}` answer from the surviving shards when at
 //!   most K shards are down (default: degraded mode disabled)
 
-use atlas_core::{AtlasConfig, MergeStrategy};
+use atlas_core::AtlasConfig;
 use atlas_serve::{DatasetOptions, HedgePolicy, Registry, ServeConfig, Server};
 use std::process::exit;
 
@@ -81,13 +81,6 @@ fn main() {
             }
             "--fast" => engine_config = AtlasConfig::fast(),
             "--quality" => engine_config = AtlasConfig::quality(),
-            "--merge" => {
-                engine_config.merge = match value_of(&mut args, "--merge").as_str() {
-                    "product" => MergeStrategy::Product,
-                    "composition" => MergeStrategy::Composition,
-                    other => fail(&format!("unknown merge strategy '{other}'")),
-                };
-            }
             "--shards" => {
                 serve_config.shards = value_of(&mut args, "--shards")
                     .split(',')
@@ -149,7 +142,7 @@ fn main() {
                 println!(
                     "usage: atlas-serve [--port N] [--bind ADDR] [--dataset SPEC]... \
                      [--threads N] [--cache N] [--fast|--quality] \
-                     [--merge product|composition] [--shards HOST:PORT,...] \
+                     [--shards HOST:PORT,...] \
                      [--shard-timeout-ms N] [--shard-connect-timeout-ms N] \
                      [--retry-attempts N] [--retry-backoff-ms N] \
                      [--hedge-after-ms N] [--circuit-threshold N] \

@@ -20,12 +20,16 @@
 //!    planned cuts are one `/shard/select` round: an explore of counted
 //!    columns makes 2 round trips (1 when nothing is cut), and a column too
 //!    wide to count adds its `/shard/values` or `/shard/categories` round;
-//! 3. **distances, clustering, merging, ranking** — not pushed down: after
-//!    the cut phase every candidate region is already here as a folded
-//!    bitmap over the live rows, so the coordinator runs the engine's own
-//!    post-cut body, [`atlas_core::cluster_merge_rank`], over them — the
-//!    call [`atlas_core::Atlas::explore`] makes, with the live rows as the
-//!    row space and the product merge as its merge — and no shard is asked.
+//! 3. **distances, clustering, merging, ranking** — the engine's own body,
+//!    [`atlas_core::explore_from_source`], runs over a remote source: the
+//!    candidates of step 2 are folded bitmaps over the live rows, so the
+//!    distances, the clustering and the ranking run here and ask no shard,
+//!    and neither does a product merge, which intersects those bitmaps. A
+//!    composition (Definition 4, the paper's configuration) may scatter: it
+//!    re-cuts each region of a level from the region's query, which costs
+//!    one `/shard/working` round on the region's SQL — its folded summaries
+//!    are the region's statistics — and one `/shard/select` round for the
+//!    cut: steps 1 and 2 over a smaller working set.
 //!
 //! ## Replies are folded where they land
 //!
@@ -71,9 +75,10 @@
 //! *any* assignment of segments to shards. The `tests/distributed.rs`
 //! property suite pins this.
 //!
-//! The coordinator assumes the engine's default pipeline stages with
-//! [`MergeStrategy::Product`]; the composition merge re-cuts every region
-//! locally and is rejected at [`Coordinator::connect`] time.
+//! The coordinator runs the engine's default cut stage, [`atlas_core::PaperCut`],
+//! under either merge; a composition's every level is partitioned, so the
+//! answer holds the rows of every region, as [`atlas_core::Atlas::explore`]'s
+//! does.
 //!
 //! ## Fault model
 //!
@@ -86,10 +91,11 @@
 //! [`Deadline`] caps every wait: per-shard budgets are derived from the
 //! remaining time, the remainder is forwarded in the `X-Atlas-Deadline-Ms`
 //! header, and a blown deadline surfaces as [`AtlasError::Deadline`] with
-//! the phase that was running. It is checked before every scatter and once
-//! more before the distances; once the last scatter is answered no shard
-//! call or wait is left, so the local cluster–merge–rank body runs to the
-//! end.
+//! the phase that was running. It is checked before every scatter — a
+//! composition's re-cut rounds in the merge phase included — and once more
+//! before the distances. A shard that fails a merge-phase round fails the
+//! pass like one that fails a cut round: strict mode names it, and degraded
+//! mode drops it and re-runs the pass.
 //!
 //! In [`ExploreMode::Strict`] (the default and the historical contract) any
 //! shard failing past its retries fails the whole explore with a typed
@@ -113,17 +119,19 @@ use crate::wire::frames::{
 use crate::wire::Json;
 use atlas_columnar::{merge_category_counts, Bitmap, ColumnStats, ColumnSummary, DataType};
 use atlas_core::{
-    cluster_merge_rank, cuts_from_source, product_maps, AtlasConfig, AtlasError, CutPlan,
-    CutSource, MapResult, MergeStrategy, PhaseTimings, ThreadPool,
+    cut_from_source, cuts_from_source, explore_from_source, AtlasConfig, AtlasError,
+    AttributeStats, CandidateSet, CutPlan, CutSource, DataMap, ExploreSource, MapResult,
+    PhaseTimings, Region, ThreadPool,
 };
 use atlas_query::{to_sql, ConjunctiveQuery};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc, Mutex, MutexGuard};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Fault-policy knobs of a [`Coordinator`].
@@ -262,15 +270,6 @@ struct ExploreCtx<'a> {
     offsets: Vec<usize>,
     deadline: Option<&'a Deadline>,
     failed: Mutex<Option<ExploreFail>>,
-}
-
-/// What the `/shard/working` round folds into: the working rows over the
-/// live rows, each live segment's own (in `ExploreCtx::live` order), and the
-/// working set's column summaries, one per schema column.
-struct Working {
-    rows: Bitmap,
-    segments: Arc<[Bitmap]>,
-    summaries: Vec<ColumnSummary>,
 }
 
 /// The merging coordinator of a distributed exploration (see the module
@@ -429,11 +428,9 @@ impl Coordinator {
     /// budget; everything else uses [`CoordinatorOptions::default`].
     ///
     /// Fails with [`AtlasError::InvalidConfig`] when the configuration does
-    /// not validate or requests [`MergeStrategy::Composition`] (whose local
-    /// re-cuts the coordinator does not push down), and with
-    /// [`AtlasError::Distributed`] when a shard is unreachable or the shards
-    /// disagree about the dataset (row count, segmentation, schema, or
-    /// generation).
+    /// not validate, and with [`AtlasError::Distributed`] when a shard is
+    /// unreachable or the shards disagree about the dataset (row count,
+    /// segmentation, schema, or generation).
     pub fn connect(
         addrs: &[String],
         dataset: &str,
@@ -456,13 +453,6 @@ impl Coordinator {
         options: CoordinatorOptions,
     ) -> Result<Coordinator, AtlasError> {
         config.validate()?;
-        if config.merge == MergeStrategy::Composition {
-            return Err(AtlasError::InvalidConfig(
-                "distributed explore requires MergeStrategy::Product \
-                 (composition re-cuts regions locally)"
-                    .to_string(),
-            ));
-        }
         if addrs.is_empty() {
             return Err(dist_err("no shard addresses"));
         }
@@ -1038,22 +1028,27 @@ impl Coordinator {
         Json::object(members)
     }
 
-    /// Scatter the working-set evaluation, whose partials carry each
-    /// segment's column summaries too. Folds the working rows into one bitmap
-    /// over the live rows (the whole table in strict mode, the surviving rows
-    /// renumbered contiguously in degraded mode), keeps each live segment's
-    /// own, which the rest of the explore rebuilds left-out regions from, and
-    /// merges the summaries in ascending segment order — the order a local scan walks the segments in, so the
-    /// collapsed [`ColumnStats`] (value counts and category counts included,
-    /// which is what lets a median cut skip the `/shard/values` round and a
-    /// categorical cut the `/shard/categories` one) match what
+    /// The working set `sql` selects at the shards: one `/shard/working`
+    /// round, whose partials carry each segment's column summaries too.
+    /// Folds the working rows into one bitmap over the live rows (the whole
+    /// table in strict mode, the surviving rows renumbered contiguously in
+    /// degraded mode), keeps each live segment's own, which the cuts of the
+    /// working set rebuild left-out regions from, and merges the summaries in
+    /// ascending segment order — the order a local scan walks the segments
+    /// in, so the collapsed [`ColumnStats`] (value counts and category counts
+    /// included, which is what lets a median cut skip the `/shard/values`
+    /// round and a categorical cut the `/shard/categories` one) match what
     /// [`atlas_columnar::ColumnView::summary`] and the engine's table profile
     /// compute locally bit for bit.
-    fn fetch_working(&self, ctx: &ExploreCtx, sql: &str) -> Result<Working, AtlasError> {
+    fn remote<'a>(
+        &'a self,
+        ctx: &'a ExploreCtx<'a>,
+        sql: String,
+    ) -> Result<RemoteSource<'a>, AtlasError> {
         let partials = self.scatter(
             ctx,
             "/shard/working",
-            |segments| self.data_body(sql, segments, Vec::new()),
+            |segments| self.data_body(&sql, segments, Vec::new()),
             |_, partial| {
                 let (rows, columns) =
                     working_partial_from_json(partial, &self.segment_rows, &self.fields)?;
@@ -1076,7 +1071,10 @@ impl Coordinator {
             }
             segments.push(segment);
         }
-        Ok(Working {
+        Ok(RemoteSource {
+            coordinator: self,
+            ctx,
+            sql,
             rows,
             segments: segments.into(),
             summaries,
@@ -1237,22 +1235,17 @@ impl Coordinator {
             deadline,
             failed: Mutex::new(None),
         };
-        match self.explore_pipeline(query, &ctx) {
-            Ok(result) => Ok(result),
-            Err(error) => {
-                let stashed = match ctx.failed.into_inner() {
-                    Ok(inner) => inner,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-                Err(stashed.unwrap_or(ExploreFail::Fatal(error)))
-            }
-        }
+        self.explore_live(query, &ctx).map_err(|error| {
+            let stashed = ctx.failed.into_inner();
+            let stashed = stashed.unwrap_or_else(PoisonError::into_inner);
+            stashed.unwrap_or(ExploreFail::Fatal(error))
+        })
     }
 
-    /// The distributed pipeline over the context's live segments: the
-    /// working set and the candidates scatter to the shards, and the engine's
-    /// own [`cluster_merge_rank`] runs on what they fold into.
-    fn explore_pipeline(
+    /// The explore over the context's live segments: one `/shard/working`
+    /// round evaluates the working set, and the engine's own body,
+    /// [`explore_from_source`], runs over it at the shards.
+    fn explore_live(
         &self,
         query: &ConjunctiveQuery,
         ctx: &ExploreCtx,
@@ -1264,120 +1257,56 @@ impl Coordinator {
         if query.table.is_empty() {
             query.table = self.dataset.clone();
         }
-        let sql = to_sql(&query);
-
-        // One round answers the working set and its column summaries.
         let query_span = atlas_obs::span("phase.query");
-        let working = self.fetch_working(ctx, &sql)?;
-        let query_ms = query_span.finish_ms();
-        let working_set_size = working.rows.count();
+        let source = self.remote(ctx, to_sql(&query))?;
+        let mut timings = PhaseTimings {
+            query_ms: query_span.finish_ms(),
+            ..PhaseTimings::default()
+        };
+        let rows = &source.rows;
+        let working_set_size = rows.count();
         if working_set_size == 0 {
             return Err(AtlasError::EmptyWorkingSet);
         }
-
-        // Candidate generation: folded stats + the shared CUT body over the
-        // scattering source.
-        let candidates_span = atlas_obs::span("phase.candidates");
-        let names: Vec<String> = match &self.config.attributes {
-            Some(list) => list.clone(),
-            None => self.fields.iter().map(|(name, _)| name.clone()).collect(),
-        };
-        let source = RemoteSource {
-            coordinator: self,
-            sql: &sql,
-            ctx,
-            working: working.segments,
-        };
-        let stats = names
-            .iter()
-            .map(|name| self.stats_of(&working.summaries, name))
-            .collect::<Result<Vec<_>, AtlasError>>()?;
-        let attributes: Vec<(&str, &ColumnStats)> =
-            names.iter().map(String::as_str).zip(&stats).collect();
-        let cuts = cuts_from_source(&source, &query, &attributes, &self.config.cut)?;
-        let mut maps = Vec::new();
-        let mut skipped = Vec::new();
-        for (name, cut) in names.iter().zip(cuts) {
-            match cut {
-                Some(map) => maps.push(map),
-                None => skipped.push(name.clone()),
-            }
-        }
-        let candidates_ms = candidates_span.finish_ms();
-        if maps.is_empty() {
-            return Err(AtlasError::NoCuttableAttributes);
-        }
-        self.check_deadline(ctx, "distances")?;
-
-        // The engine's own steps 2–4 on the folded candidates, over the live
-        // row space, so a degraded answer matches a local explore over the
-        // surviving segments.
-        let mut timings = PhaseTimings {
-            query_ms,
-            candidates_ms,
-            ..PhaseTimings::default()
-        };
-        let drop_empty_regions = self.config.drop_empty_regions;
-        let maps = cluster_merge_rank(
-            &self.config,
-            &self.pool,
-            &query,
-            &working.rows,
-            maps,
-            |members| Ok(product_maps(members, drop_empty_regions)),
-            &mut timings,
-        )?;
+        // Over the live row space, so a degraded answer matches a local
+        // explore over the surviving segments.
+        let (config, pool) = (&self.config, &self.pool);
+        let (maps, skipped_attributes) =
+            explore_from_source(config, pool, &source, &query, rows, false, &mut timings)?;
         timings.total_ms = total_span.finish_ms();
         Ok(MapResult {
             maps,
             working_set_size,
-            working_set: working.rows,
-            skipped_attributes: skipped,
+            working_set: source.rows,
+            skipped_attributes,
             timings,
         })
     }
-
-    /// The folded [`ColumnStats`] of one attribute, from summaries laid out
-    /// like the schema (errors on attributes the schema does not know, like
-    /// the local path does).
-    fn stats_of(
-        &self,
-        summaries: &[ColumnSummary],
-        attribute: &str,
-    ) -> Result<ColumnStats, AtlasError> {
-        self.fields
-            .iter()
-            .zip(summaries)
-            .find(|((name, _), _)| name == attribute)
-            .map(|(_, summary)| summary.to_stats())
-            .ok_or_else(|| dist_err(format!("unknown attribute '{attribute}'")))
-    }
-
-    fn field_type(&self, attribute: &str) -> Result<DataType, AtlasError> {
-        self.fields
-            .iter()
-            .find(|(name, _)| name == attribute)
-            .map(|(_, dtype)| *dtype)
-            .ok_or_else(|| dist_err(format!("unknown attribute '{attribute}'")))
-    }
 }
 
-/// The scattering [`CutSource`]: every kernel of the shared `CUT` body
-/// ([`atlas_core::cuts_from_source`]) becomes one scatter round whose
-/// per-segment answers fold into exactly what the in-process
-/// [`atlas_core::TableCutSource`] computes. The partitions of all of an
-/// explore's cuts are one round.
+/// A working set at the shards, addressed by its SQL: the explore's, or a
+/// region's that a composition re-cuts. As a [`CutSource`], every kernel of
+/// the shared `CUT` body ([`atlas_core::cuts_from_source`]) becomes one
+/// scatter round whose per-segment answers fold into exactly what the
+/// in-process [`atlas_core::TableCutSource`] computes; the partitions of all
+/// of a working set's cuts are one round. As an [`ExploreSource`], it cuts
+/// the candidates from the folded summaries and re-cuts each region of a
+/// composition level through a source of its own.
 struct RemoteSource<'a> {
     coordinator: &'a Coordinator,
-    /// The working-set SQL, printed once per explore: every round carries
-    /// these very bytes, which is what lets a shard evaluate them on the
-    /// first round and recognise them on the others.
-    sql: &'a str,
     /// The live-set and failure context of the running explore pass.
     ctx: &'a ExploreCtx<'a>,
-    /// Each live segment's working rows, in `ctx.live` order: what a
-    /// `/shard/select` partial's left-out last region is rebuilt from.
-    working: Arc<[Bitmap]>,
+    /// The working-set SQL, printed once: every round carries these very
+    /// bytes, which is what lets a shard evaluate them on the first round
+    /// and recognise them on the others.
+    sql: String,
+    /// The working rows over the live rows …
+    rows: Bitmap,
+    /// … each live segment's own, in `ExploreCtx::live` order: what a
+    /// `/shard/select` partial's left-out last region is rebuilt from …
+    segments: Arc<[Bitmap]>,
+    /// … and the working set's column summaries, one per schema column.
+    summaries: Vec<ColumnSummary>,
 }
 
 impl RemoteSource<'_> {
@@ -1391,18 +1320,98 @@ impl RemoteSource<'_> {
     ) -> Result<Vec<T>, AtlasError> {
         let body_of = |segments: &[usize]| {
             let attribute = vec![("attribute", Json::from(attribute))];
-            self.coordinator.data_body(self.sql, segments, attribute)
+            self.coordinator.data_body(&self.sql, segments, attribute)
         };
         let decode = |segment, partial: &Json| {
             decode(partial).map_err(|e| format!("segment {segment}: {e}"))
         };
         self.coordinator.scatter(self.ctx, path, body_of, decode)
     }
+
+    /// The folded [`ColumnStats`] of one attribute over the working set
+    /// (errors on attributes the schema does not know, like the local path
+    /// does).
+    fn stats_of(&self, attribute: &str) -> Result<ColumnStats, AtlasError> {
+        let fields = &self.coordinator.fields;
+        fields
+            .iter()
+            .zip(&self.summaries)
+            .find(|((name, _), _)| name == attribute)
+            .map(|(_, summary)| summary.to_stats())
+            .ok_or_else(|| dist_err(format!("unknown attribute '{attribute}'")))
+    }
+}
+
+impl<'s> ExploreSource<'s> for RemoteSource<'_> {
+    /// Every attribute's cut is planned from the folded summaries, and the
+    /// partitions of all of them are one `/shard/select` round. The deadline
+    /// is checked once more before the distances. No statistics are held:
+    /// a re-cut reads each region's from its own round.
+    fn candidates(
+        &self,
+        _working: &Bitmap,
+        user_query: &ConjunctiveQuery,
+        attributes: Option<&[String]>,
+    ) -> Result<(CandidateSet, Vec<AttributeStats<'s>>), AtlasError> {
+        let coordinator = self.coordinator;
+        let names: Vec<String> = match attributes {
+            Some(list) => list.to_vec(),
+            None => coordinator
+                .fields
+                .iter()
+                .map(|(name, _)| name.clone())
+                .collect(),
+        };
+        let stats = names
+            .iter()
+            .map(|name| self.stats_of(name))
+            .collect::<Result<Vec<_>, AtlasError>>()?;
+        let attributes: Vec<(&str, &ColumnStats)> =
+            names.iter().map(String::as_str).zip(&stats).collect();
+        let cuts = cuts_from_source(self, user_query, &attributes, &coordinator.config.cut)?;
+        let mut candidates = CandidateSet::default();
+        for (name, cut) in names.into_iter().zip(cuts) {
+            match cut {
+                Some(map) => candidates.maps.push(map),
+                None => candidates.skipped.push(name),
+            }
+        }
+        coordinator.check_deadline(self.ctx, "distances")?;
+        Ok((candidates, Vec::new()))
+    }
+
+    /// Each region is one `/shard/working` round on its query, whose folded
+    /// summaries are its statistics, and one `/shard/select` round for its
+    /// cut — one coordinator pool task per region. Every level is
+    /// partitioned, `counted` or not: the answer keeps its rows.
+    fn recut(
+        &self,
+        regions: &[Cow<'_, Region>],
+        _working: &Bitmap,
+        attribute: &str,
+        _whole: Option<&ColumnStats>,
+        _counted: bool,
+    ) -> Result<Vec<Option<DataMap>>, AtlasError> {
+        let coordinator = self.coordinator;
+        let parent = atlas_obs::current();
+        let cuts = coordinator.pool.par_map(regions, |region| {
+            let _trace = atlas_obs::with_context(parent);
+            let query = &region.query;
+            let region = coordinator.remote(self.ctx, to_sql(query))?;
+            let stats = region.stats_of(attribute)?;
+            cut_from_source(&region, query, attribute, &coordinator.config.cut, &stats)
+        });
+        cuts.into_iter().collect()
+    }
 }
 
 impl CutSource for RemoteSource<'_> {
     fn data_type(&self, attribute: &str) -> Result<DataType, AtlasError> {
-        self.coordinator.field_type(attribute)
+        let fields = &self.coordinator.fields;
+        let field = fields.iter().find(|(name, _)| name == attribute);
+        field
+            .map(|(_, dtype)| *dtype)
+            .ok_or_else(|| dist_err(format!("unknown attribute '{attribute}'")))
     }
 
     fn numeric_values(&self, attribute: &str) -> Result<Vec<f64>, AtlasError> {
@@ -1451,7 +1460,7 @@ impl CutSource for RemoteSource<'_> {
             live: self.ctx.live.clone(),
             offsets: self.ctx.offsets.clone(),
             live_rows: self.ctx.live_rows,
-            working: Arc::clone(&self.working),
+            working: Arc::clone(&self.segments),
             expected: plans
                 .iter()
                 .map(|plan| plan.partition.region_count())
@@ -1462,7 +1471,7 @@ impl CutSource for RemoteSource<'_> {
         let path = "/shard/select";
         let answered = coordinator.fan_out(self.ctx, path, |slot| {
             let members = vec![("partitions", partitions.clone())];
-            let body = coordinator.data_body(self.sql, &slot.segments, members);
+            let body = coordinator.data_body(&self.sql, &slot.segments, members);
             let into = Intake::Fold {
                 fold: Arc::clone(&fold),
                 segments: slot.segments.clone(),
@@ -1729,14 +1738,10 @@ mod tests {
             .unwrap();
             write_response(&mut &stream, &Response::json(200, &reply), false).unwrap();
         });
-        let config = AtlasConfig {
-            merge: MergeStrategy::Product,
-            ..AtlasConfig::default()
-        };
         let error = Coordinator::connect(
             std::slice::from_ref(&addr),
             "t",
-            config,
+            AtlasConfig::default(),
             Duration::from_secs(5),
         )
         .unwrap_err();

@@ -9,6 +9,9 @@
 //!   in-process engine.
 //! * The 100k census is bit-identical at N ∈ {1, 2, 4} shards — the
 //!   acceptance bar of the distributed refactor.
+//! * The composition presets (`default`, `quality`) are bit-identical at
+//!   1–3 shards too: the coordinator re-cuts every region of a composition
+//!   level at the shards, from the region's SQL.
 //! * A shard killed mid-explore surfaces a typed [`AtlasError::Distributed`]
 //!   promptly — never a hang, never a partial map.
 //! * A slow shard trips the per-request timeout and is retried exactly once.
@@ -78,9 +81,9 @@ fn census_table(rows: usize, segment_rows: usize) -> Arc<Table> {
     )
 }
 
-/// The engine configuration every test in this suite runs: the distributed
-/// coordinator merges clusters with the product operator (composition's
-/// local re-cuts are not pushed down).
+/// The engine configuration most tests in this suite run: the product merge,
+/// which makes no round of its own after the cuts. The composition presets
+/// have tests of their own.
 fn product_config() -> AtlasConfig {
     AtlasConfig {
         merge: MergeStrategy::Product,
@@ -293,16 +296,101 @@ fn a_capped_filtered_explore_is_bit_identical_at_1_2_3_shards() {
     }
 }
 
-/// The composition operator is refused up front: its cluster merge re-cuts
-/// regions against local storage, which the coordinator cannot push down.
+/// A census of `rows` rows (seed 42) with `null_fraction` of its cells NULL,
+/// in `segment_rows`-row segments.
+fn census_with_nulls(rows: usize, segment_rows: usize, null_fraction: f64) -> Arc<Table> {
+    Arc::new(
+        CensusGenerator::new(CensusConfig {
+            rows,
+            seed: 42,
+            null_fraction,
+            segment_rows: Some(segment_rows),
+            ..CensusConfig::default()
+        })
+        .generate(),
+    )
+}
+
+/// The paper's configuration — median cuts merged by composition — and the
+/// quality preset (k-means cuts, composition) explore through 1–3 shard
+/// servers bit for bit like the local engine, selections included: the
+/// coordinator re-cuts each region of a composition level from its query at
+/// the shards. The whole table, a filter, and a drill into a composed
+/// region, on the census and on a census with NULLs.
 #[test]
-fn composition_merge_is_rejected() {
-    let table = census_table(2_000, 1_000);
+fn the_composition_presets_are_bit_identical_at_1_2_3_shards() {
+    for null_fraction in [0.0, 0.05] {
+        let table = census_with_nulls(6_000, 1_000, null_fraction);
+        for config in [AtlasConfig::default(), AtlasConfig::quality()] {
+            let config = config.with_parallelism(2);
+            assert_eq!(config.merge, MergeStrategy::Composition);
+            let reference = Atlas::new(Arc::clone(&table), config.clone()).unwrap();
+            let whole = ConjunctiveQuery::all("census");
+            let local = reference.explore(&whole).unwrap();
+            let composed = local
+                .maps
+                .iter()
+                .find(|ranked| ranked.map.source_attributes.len() > 1)
+                .expect("a whole-table explore composes a cluster");
+            let queries = [
+                whole.clone(),
+                parse_query("SELECT * FROM census WHERE hours_per_week BETWEEN 20 AND 50").unwrap(),
+                composed.map.regions[0].query.clone(),
+            ];
+            for shards in 1..=3 {
+                let (handles, addrs) = boot_shards("census", &table, &config, shards);
+                let coordinator =
+                    Coordinator::connect(&addrs, "census", config.clone(), Duration::from_secs(30))
+                        .unwrap();
+                for query in &queries {
+                    assert_agree(&reference, &coordinator, query);
+                }
+                for handle in handles {
+                    handle.shutdown();
+                }
+            }
+        }
+    }
+}
+
+/// A shard that dies during the merge phase of a `default` explore — after
+/// it answered the candidates' two rounds, on its first composition round —
+/// is dropped by a degraded explore, which re-runs without it: the answer is
+/// a local `default` explore over the surviving segments, bit for bit. A
+/// strict explore fails with an error naming the shard.
+#[test]
+fn a_shard_lost_while_composing_degrades_to_the_surviving_segments() {
+    let table = census_table(6_000, 1_000);
     let config = AtlasConfig::default().with_parallelism(2);
-    assert_eq!(config.merge, MergeStrategy::Composition);
-    let (handles, addrs) = boot_shards("census", &table, &config, 1);
-    let error = Coordinator::connect(&addrs, "census", config, Duration::from_secs(5)).unwrap_err();
-    assert!(matches!(error, AtlasError::InvalidConfig(_)), "{error}");
+    let (handles, _) = boot_shards("census", &table, &config, 3);
+    let (proxies, addrs) = common::proxies(&handles);
+    let coordinator =
+        Coordinator::connect(&addrs, "census", config.clone(), Duration::from_secs(10)).unwrap();
+    let whole = ConjunctiveQuery::all("census");
+    let dies_composing = || proxies[1].arm(vec![Fault::None, Fault::None, Fault::Kill]);
+
+    dies_composing();
+    let mode = ExploreMode::Degraded {
+        max_failed_shards: 1,
+    };
+    let degraded = coordinator.explore_resilient(&whole, mode, None).unwrap();
+    assert_eq!(degraded.coverage.missing_segments, vec![2, 3]);
+    let kept = [0, 1, 4, 5].map(|s| Arc::clone(&table.segments()[s]));
+    let survivors = Table::from_segments("census", table.schema().clone(), kept.to_vec()).unwrap();
+    let local = Atlas::new(Arc::new(survivors), config)
+        .unwrap()
+        .explore(&whole)
+        .unwrap();
+    assert!(local.maps.iter().any(|m| m.map.source_attributes.len() > 1));
+    assert_identical(&local, &degraded.result);
+
+    dies_composing();
+    match coordinator.explore(&whole) {
+        Err(AtlasError::Distributed(message)) => {
+            assert!(message.contains(&addrs[1]), "{message}")
+        }
+        other => panic!("expected a Distributed error, got {other:?}"),
+    }
     for handle in handles {
         handle.shutdown();
     }

@@ -19,9 +19,9 @@ use atlas::columnar::{
     Bitmap, ColumnStats, ColumnSummary, DataType, Field, Schema, TableBuilder, Value,
 };
 use atlas::core::{
-    compose_maps, generate_candidates, product_maps, AttributeStats, CompositionMerge, CutConfig,
-    CutStrategy, DataMap, MergePolicy, PaperCut, PipelineContext, ProductMerge, ProfileStats,
-    Region, TableProfile, ThreadPool,
+    compose_maps, generate_candidates, product_maps, CompositionMerge, CutConfig, CutStrategy,
+    DataMap, MergePolicy, PaperCut, PipelineContext, ProductMerge, ProfileStats, Region,
+    TableProfile, ThreadPool,
 };
 use atlas::datagen::CensusConfig;
 use atlas::prelude::*;
@@ -364,9 +364,9 @@ const NULLS_FIRST: [&str; 7] = [
 
 /// `cluster_merge_rank` moves a cluster of one map through unmerged, which
 /// is sound because every merge returns a one-map cluster unchanged: the
-/// product and the composition, as policies (the composition with and
-/// without held statistics) and in their standalone forms, with and without
-/// dropping empty regions, on a map that holds an empty region too.
+/// product and the composition, as policies and in their standalone forms,
+/// with and without dropping empty regions, on a map that holds an empty
+/// region too.
 #[test]
 fn every_merge_returns_a_one_map_cluster_unchanged() {
     let cut_config = CutConfig::default();
@@ -384,14 +384,6 @@ fn every_merge_returns_a_one_map_cluster_unchanged() {
             .push(Region::new(query.clone(), table.empty_selection()));
         maps.push(with_empty);
         let profile = TableProfile::build(&table);
-        let stats: Vec<AttributeStats<'_>> = maps
-            .iter()
-            .map(|map| {
-                let attribute = map.source_attributes[0].clone();
-                let stats = profile.stats_for(&table, &attribute, &working).unwrap();
-                (attribute, stats)
-            })
-            .collect();
         for drop_empty in [false, true] {
             let ctx = PipelineContext {
                 table: &table,
@@ -416,12 +408,6 @@ fn every_merge_returns_a_one_map_cluster_unchanged() {
                     (
                         "CompositionMerge",
                         CompositionMerge.merge(&ctx, one, &working).unwrap(),
-                    ),
-                    (
-                        "CompositionMerge with statistics",
-                        CompositionMerge
-                            .merge_with_stats(&ctx, one, &working, &stats)
-                            .unwrap(),
                     ),
                 ];
                 for (merge, merged) in merged {

@@ -207,8 +207,7 @@ proptest! {
         } else {
             ConjunctiveQuery::all("t")
         };
-        // A table with nothing cuttable in the working set has no maps. (An
-        // early `return` would end the whole property, not this case.)
+        // A table with nothing cuttable in the working set has no maps.
         if let Ok(result) = engine.explore(&user_query) {
             let working = atlas::query::evaluate(&user_query, &table).unwrap();
             prop_assert_eq!(&result.working_set, &working);

@@ -463,3 +463,60 @@ fn metrics_report_how_each_column_is_stored() {
     );
     handle.shutdown();
 }
+
+/// A front server whose dataset runs the paper's configuration coordinates
+/// `POST /distributed/explore` under it too: two shard servers and a front
+/// over them, all `AtlasConfig::default()` (composition). Each reply is a
+/// `200` whose maps are the in-process engine's — score bits, region SQL
+/// and counts — for the whole table, a filter and a drill.
+#[test]
+fn a_default_front_server_explores_over_its_shards_like_the_engine() {
+    let table = Arc::new(
+        CensusGenerator::new(atlas::datagen::CensusConfig {
+            rows: 6_000,
+            seed: 42,
+            segment_rows: Some(1_000),
+            ..Default::default()
+        })
+        .generate(),
+    );
+    let config = AtlasConfig::default().with_parallelism(2);
+    assert_eq!(config.merge, MergeStrategy::Composition);
+    let shards: Vec<ServerHandle> = (0..2)
+        .map(|_| serve_census(&table, config.clone(), 0))
+        .collect();
+    let mut registry = Registry::new();
+    let options = DatasetOptions {
+        config: config.clone(),
+        cache_capacity: 0,
+    };
+    registry
+        .add_table("census", Arc::clone(&table), options)
+        .unwrap();
+    let mut serve_config = ServeConfig::default().with_threads(2);
+    serve_config.shards = shards.iter().map(|s| s.addr().to_string()).collect();
+    let front = Server::start(registry, serve_config).unwrap();
+    let client = Client::new(front.addr());
+    let engine = Atlas::new(Arc::clone(&table), config).unwrap();
+    let whole = engine.explore(&ConjunctiveQuery::all("census")).unwrap();
+    let drill = to_sql(&whole.maps[0].map.regions[0].query);
+    for sql in [
+        "SELECT * FROM census".to_string(),
+        "SELECT * FROM census WHERE age >= 30".to_string(),
+        drill,
+    ] {
+        let reply = client.post_text("/distributed/explore", &sql).unwrap();
+        assert_eq!(reply.status, 200, "{sql}: {:?}", reply.body_text());
+        let local = engine.explore(&parse_query(&sql).unwrap()).unwrap();
+        let wire = reply.json().expect("a JSON reply");
+        assert_eq!(
+            signature_of_wire(&wire),
+            signature_of_result(&local),
+            "{sql}"
+        );
+    }
+    front.shutdown();
+    for shard in shards {
+        shard.shutdown();
+    }
+}

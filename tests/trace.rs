@@ -70,7 +70,8 @@ fn census_table(rows: usize, segment_rows: usize) -> Arc<Table> {
     )
 }
 
-/// Distributed explore requires the product merge.
+/// The product merge, which these tests count the spans and rounds of a
+/// distributed explore under (a composition adds rounds per region).
 fn product_config() -> AtlasConfig {
     AtlasConfig {
         merge: MergeStrategy::Product,
