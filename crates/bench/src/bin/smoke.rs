@@ -517,13 +517,7 @@ fn smoke_kernels(rows: usize, repeats: usize) -> Json {
         .collect();
     fields.extend(near_unique_points);
     let near_unique_values = near_unique_view.numeric_values_where(&sel);
-    let age_regions = age.select_ranges(&sel, &age_halves);
-    fields.extend(smoke_frames(
-        &sel,
-        &near_unique_values,
-        &age_regions,
-        repeats,
-    ));
+    fields.extend(smoke_frames(&sel, &near_unique_values, repeats));
     fields.extend(smoke_seal(&table, &near_unique, repeats));
     fields.push(("bytes_per_row".to_string(), bytes_per_row(&table)));
     Json::object(fields)
@@ -545,18 +539,10 @@ fn both_paths<T: PartialEq + std::fmt::Debug>(
 
 /// The wire frames a distributed explore moves most of, out and back: the
 /// whole-table bitmap (`bitmap_to_json(..).encode()`; `wire::parse` +
-/// `bitmap_from_json`), the `/shard/select` partial of a two-way partition of
-/// the working set `sel` (one region shipped, the other rebuilt from `sel`:
-/// `select_partial_to_json(..).encode()`; `wire::parse` +
-/// `select_partial_from_json`), and the numeric value run a `/shard/values`
-/// reply carries (`wire::parse` + `parse_hex_f64s`). The decoded frames are
+/// `bitmap_from_json`) and the numeric value run a `/shard/values` reply
+/// carries (`wire::parse` + `parse_hex_f64s`). The decoded frames are
 /// asserted equal to what was sent.
-fn smoke_frames(
-    sel: &Bitmap,
-    values: &[f64],
-    two_way: &[Bitmap],
-    repeats: usize,
-) -> Vec<(String, Json)> {
+fn smoke_frames(sel: &Bitmap, values: &[f64], repeats: usize) -> Vec<(String, Json)> {
     use atlas_serve::wire::{self, frames};
     let (encode_ms, frame) = best_of_ms(repeats, || frames::bitmap_to_json(sel).encode());
     let (decode_ms, decoded) = best_of_ms(repeats, || {
@@ -564,14 +550,6 @@ fn smoke_frames(
         frames::bitmap_from_json(&json).expect("the frame decodes")
     });
     assert_eq!(&decoded, sel, "the bitmap frame round-trips");
-    let (select_encode_ms, select) = best_of_ms(repeats, || {
-        frames::select_partial_to_json(0, sel, two_way).encode()
-    });
-    let (select_decode_ms, regions) = best_of_ms(repeats, || {
-        let json = wire::parse(&select).expect("the frame parses");
-        frames::select_partial_from_json(&json, sel, two_way.len()).expect("the frame decodes")
-    });
-    assert_eq!(regions, two_way, "the select frame round-trips");
     let run = Json::object(vec![("values", Json::from(frames::hex_f64s(values)))]).encode();
     let (run_ms, decoded) = best_of_ms(repeats, || {
         let json = wire::parse(&run).expect("the frame parses");
@@ -584,9 +562,6 @@ fn smoke_frames(
         ("frame_bitmap_bytes".to_string(), Json::from(frame.len())),
         ("frame_bitmap_encode_ms".to_string(), ms(encode_ms)),
         ("frame_bitmap_decode_ms".to_string(), ms(decode_ms)),
-        ("frame_select_bytes".to_string(), Json::from(select.len())),
-        ("frame_select_encode_ms".to_string(), ms(select_encode_ms)),
-        ("frame_select_decode_ms".to_string(), ms(select_decode_ms)),
         ("frame_f64_run_values".to_string(), Json::from(values.len())),
         ("frame_f64_run_decode_ms".to_string(), ms(run_ms)),
     ]

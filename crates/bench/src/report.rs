@@ -63,7 +63,7 @@ pub fn best_of_ms<T>(repeats: usize, mut run: impl FnMut() -> T) -> (f64, T) {
 /// survey, and the 1M-row kernel, summary-scan and wire-frame timings
 /// (`kernels[0]`). A figure one of the two reports lacks is skipped, so a
 /// report gates cleanly against one written before the figure existed.
-const GATED_PATHS: [&str; 34] = [
+const GATED_PATHS: [&str; 32] = [
     "scale[0].explore.query_ms",
     "scale[0].explore.candidates_ms",
     "scale[0].explore.clustering_ms",
@@ -95,8 +95,6 @@ const GATED_PATHS: [&str; 34] = [
     "kernels[0].median_cut_age_half_ms",
     "kernels[0].frame_bitmap_encode_ms",
     "kernels[0].frame_bitmap_decode_ms",
-    "kernels[0].frame_select_encode_ms",
-    "kernels[0].frame_select_decode_ms",
     "kernels[0].frame_f64_run_decode_ms",
 ];
 

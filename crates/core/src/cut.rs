@@ -35,11 +35,13 @@
 //! That body runs in three steps. Each attribute is **planned** from its
 //! statistics into a [`CutPlan`]: the attribute and its [`Partition`] —
 //! range bounds or value groups. The plans are **partitioned** in one
-//! [`CutSource::partition`] call, one region bitmap per partition entry.
-//! Each map is **built** from its plan and its bitmaps. An in-process source
-//! runs one fused kernel pass per plan either way; a source that scatters
-//! to shards asks every shard once for the partitions of all the cuts of an
-//! explore ([`cut_from_source`] is the same body for one attribute).
+//! [`CutSource::partition`] call, one [`Extent`] per partition entry: the
+//! region's rows for an in-process source, only how many there are for a
+//! source that scatters to shards. Each map is **built** from its plan and
+//! its extents. An in-process source runs one fused kernel pass per plan; a
+//! source that scatters to shards asks every shard once for the counts of
+//! all the cuts of an explore ([`cut_from_source`] is the same body for one
+//! attribute).
 //!
 //! A caller that reads only the regions' queries and counts — the last
 //! re-cut of a served composition ([`crate::CutStrategy::cut_released`]) —
@@ -179,6 +181,26 @@ impl CutPlan {
     }
 }
 
+/// What [`CutSource::partition`] answers for one region of a plan: its rows
+/// ([`Bitmap`]), or only how many rows it holds (`usize`).
+pub trait Extent {
+    /// The region of `query` this extent measures: [`Region::new`] over its
+    /// rows, [`Region::released`] over a count.
+    fn region(self, query: ConjunctiveQuery) -> Region;
+}
+
+impl Extent for Bitmap {
+    fn region(self, query: ConjunctiveQuery) -> Region {
+        Region::new(query, self)
+    }
+}
+
+impl Extent for usize {
+    fn region(self, query: ConjunctiveQuery) -> Region {
+        Region::released(query, self)
+    }
+}
+
 /// The data-access surface of the `CUT` primitive, with the working set
 /// baked in.
 ///
@@ -191,14 +213,18 @@ impl CutPlan {
 /// implementations are [`TableCutSource`] (an in-process table — both
 /// [`cut_attribute`] and the prepared engine route through it) and the serve
 /// crate's remote source, which scatters each call to shard servers holding
-/// disjoint segment subsets and folds their answers. A source that
-/// reproduces the kernel outputs reproduces the local cut **bit for bit**,
-/// because [`cuts_from_source`] is the only cut body.
+/// disjoint segment subsets and folds their answers — a partition as region
+/// counts. A source that reproduces the kernel outputs (or their counts)
+/// reproduces the local cut's queries and counts **bit for bit**, because
+/// [`cuts_from_source`] is the only cut body.
 ///
-/// All returned selections are bitmaps over the table's **global** rows, and
-/// every method may be called only with attributes of the table's schema
-/// (unknown attributes error).
+/// Returned bitmaps range over the table's **global** rows, and every method
+/// may be called only with attributes of the table's schema (unknown
+/// attributes error).
 pub trait CutSource {
+    /// What a partitioned region comes back as: rows, or a count, whose
+    /// regions are then built without rows.
+    type Extent: Extent;
     /// The data type of `attribute`.
     fn data_type(&self, attribute: &str) -> Result<DataType>;
     /// The non-NULL numeric values of the working set, in global row order.
@@ -210,9 +236,9 @@ pub trait CutSource {
     /// statistics do not.
     fn category_counts(&self, attribute: &str) -> Result<Vec<(String, usize)>>;
     /// Partition the working set once per plan, each in one fused pass over
-    /// its column: one region bitmap per entry of the plan's
-    /// [`Partition`], in order, and one list per plan, in order.
-    fn partition(&self, plans: &[CutPlan]) -> Result<Vec<Vec<Bitmap>>>;
+    /// its column: one extent per entry of the plan's [`Partition`], in
+    /// order, and one list per plan, in order.
+    fn partition(&self, plans: &[CutPlan]) -> Result<Vec<Vec<Self::Extent>>>;
 }
 
 /// A [`CutSource`] reading straight from an in-process [`Table`].
@@ -229,6 +255,8 @@ impl<'a> TableCutSource<'a> {
 }
 
 impl CutSource for TableCutSource<'_> {
+    type Extent = Bitmap;
+
     fn data_type(&self, attribute: &str) -> Result<DataType> {
         Ok(self.table.column(attribute)?.data_type())
     }
@@ -320,6 +348,21 @@ pub fn cut_from_source<S: CutSource>(
     Ok(maps.pop().flatten())
 }
 
+/// [`cut_from_source`] for a caller that reads only the regions' queries and
+/// counts: where `stats` count the plan's regions
+/// ([`CutPlan::counts_from_stats`]) the source is not asked at all, and every
+/// region read off them is built without rows ([`Region::released`]).
+pub fn cut_counted_from_source<S: CutSource>(
+    source: &S,
+    parent_query: &ConjunctiveQuery,
+    attribute: &str,
+    config: &CutConfig,
+    stats: &ColumnStats,
+) -> Result<Option<DataMap>> {
+    let mut maps = plan_and_cut(source, parent_query, &[(attribute, stats)], config, true)?;
+    Ok(maps.pop().flatten())
+}
+
 /// The `CUT` primitive over several attributes at once, in three steps:
 /// every attribute is **planned** from its statistics (asking the source for
 /// values or category counts only where the statistics carry none), the
@@ -366,12 +409,7 @@ fn plan_and_cut<S: CutSource>(
             continue;
         };
         match count.then(|| plan.counts_from_stats(stats)).flatten() {
-            Some(counts) => planned.push(Planned::Counted(build_cut(
-                plan,
-                parent_query,
-                counts,
-                Region::released,
-            ))),
+            Some(counts) => planned.push(Planned::Counted(build_cut(plan, parent_query, counts))),
             None => {
                 plans.push(plan);
                 planned.push(Planned::Partitioned);
@@ -386,7 +424,7 @@ fn plan_and_cut<S: CutSource>(
     let mut built = plans
         .into_iter()
         .zip(selections)
-        .map(|(plan, regions)| build_cut(plan, parent_query, regions, Region::new));
+        .map(|(plan, regions)| build_cut(plan, parent_query, regions));
     Ok(planned
         .into_iter()
         .map(|cut| match cut {
@@ -440,15 +478,13 @@ fn plan_cut<S: CutSource>(
 }
 
 /// Build the map of a planned cut from its region extents (one per entry of
-/// the partition, in order: bitmaps, or counts), each made a region by
-/// `region`: each region's query extends the parent query with the entry's
-/// range or value-set predicate. `None` when fewer than two regions hold
-/// rows.
-fn build_cut<E>(
+/// the partition, in order: bitmaps, or counts): each region's query extends
+/// the parent query with the entry's range or value-set predicate. `None`
+/// when fewer than two regions hold rows.
+fn build_cut<E: Extent>(
     plan: CutPlan,
     parent_query: &ConjunctiveQuery,
     extents: Vec<E>,
-    region: fn(ConjunctiveQuery, E) -> Region,
 ) -> Option<DataMap> {
     let CutPlan {
         attribute,
@@ -467,7 +503,7 @@ fn build_cut<E>(
     let regions = predicates
         .into_iter()
         .zip(extents)
-        .map(|(predicate, extent)| region(parent_query.clone().and(predicate), extent))
+        .map(|(predicate, extent)| extent.region(parent_query.clone().and(predicate)))
         .collect();
     let mut map = DataMap::new(regions, vec![attribute]);
     map.drop_empty_regions();

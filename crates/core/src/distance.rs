@@ -7,12 +7,15 @@
 //! out the Variation of Information (Meilă 2007) because it is a true metric.
 //!
 //! The clustering phase compares every pair of `n` candidates through the
-//! contingency table of their regions. The engine and the coordinator call
-//! [`distance_matrix_within`]: candidates cut from one working set partition
-//! it (unless their attribute has NULLs there), so of a pair's `r × c` cells
-//! only the `(r−1)(c−1)` head cells are intersected and the rest follow from
-//! the regions' stored counts — `O(n² · (r−1)(c−1) · rows/64)` word
-//! operations, one intersection per pair of two-region maps.
+//! contingency table of their regions. An explore asks its source for each
+//! pair's table ([`crate::ExploreSource::contingency`]) and scores it here
+//! ([`distance_matrix_from`]). In process, candidates cut from one working
+//! set partition it (unless their attribute has NULLs there), so of a pair's
+//! `r × c` cells only the `(r−1)(c−1)` head cells are intersected and the
+//! rest follow from the regions' stored counts ([`contingency_within`]):
+//! `O(n² · (r−1)(c−1) · rows/64)` word operations, one intersection per pair
+//! of two-region maps. A distributed coordinator holds no rows: its shards
+//! count every pair's cells in the round that partitions the candidates.
 //! [`distance_matrix_with_pool`] still counts all `r · c` cells; only the
 //! benchmark harness's staged replay reads that cost.
 
@@ -20,6 +23,7 @@ use crate::map::DataMap;
 use atlas_columnar::Bitmap;
 use atlas_stats::ContingencyTable;
 use minirayon::ThreadPool;
+use std::convert::Infallible;
 
 /// The dependency measure used as a distance between maps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -112,7 +116,8 @@ pub fn distance_matrix(
 }
 
 /// [`distance_matrix`] with the upper triangle split row-blocked across a
-/// thread pool: every cell of every pair's contingency table is counted.
+/// thread pool: every cell of every pair's contingency table is counted
+/// ([`ContingencyTable::from_selections`]).
 ///
 /// Results are written per row of the triangle and are **identical at every
 /// thread count** (each cell is a pure function of its two maps).
@@ -122,41 +127,6 @@ pub fn distance_matrix_with_pool(
     metric: MapDistanceMetric,
     pool: &ThreadPool,
 ) -> DistanceMatrix {
-    pairwise(maps, table_rows, None, metric, pool)
-}
-
-/// [`distance_matrix_with_pool`] over maps cut from a working set of
-/// `working_rows` rows — every region a subset of it, each map's regions
-/// pairwise disjoint, as the cut strategies produce them. The matrix is
-/// identical, bit for bit; the cost is `O(n² · (r−1)(c−1) · rows/64)`.
-///
-/// A map whose region counts sum to `working_rows` partitions the working
-/// set, so a pair of such maps is compared through
-/// [`ContingencyTable::from_partitions`]: only the `(r−1)(c−1)` head cells
-/// are intersected (one for two two-region maps, not four), and the rest
-/// come from the regions' stored counts. A pair with a map that misses rows
-/// of the working set — NULLs in its attribute — counts every cell.
-pub fn distance_matrix_within(
-    maps: &[DataMap],
-    table_rows: usize,
-    working_rows: usize,
-    metric: MapDistanceMetric,
-    pool: &ThreadPool,
-) -> DistanceMatrix {
-    pairwise(maps, table_rows, Some(working_rows), metric, pool)
-}
-
-/// The one body of [`distance_matrix_with_pool`] and
-/// [`distance_matrix_within`]: pairs of maps that each partition a working
-/// set of `working_rows` rows (when given) take the derived table.
-fn pairwise(
-    maps: &[DataMap],
-    table_rows: usize,
-    working_rows: Option<usize>,
-    metric: MapDistanceMetric,
-    pool: &ThreadPool,
-) -> DistanceMatrix {
-    let n = maps.len();
     debug_assert!(
         {
             let mut lens = maps
@@ -168,34 +138,89 @@ fn pairwise(
         },
         "region bitmaps share one length of at most table_rows ({table_rows})"
     );
-    let regions: Vec<Vec<&Bitmap>> = maps
-        .iter()
-        .map(|m| m.regions.iter().map(|r| &r.selection).collect())
-        .collect();
-    let counts: Vec<Vec<u64>> = maps.iter().map(DataMap::region_counts).collect();
-    let partitions: Vec<bool> = counts
-        .iter()
-        .map(|c| working_rows.is_some_and(|rows| c.iter().sum::<u64>() == rows as u64))
-        .collect();
-    // Row i of the upper triangle holds the distances (i, i+1..n).
-    let rows: Vec<Vec<f64>> = pool.par_map_indexed(n, 1, |i| {
-        ((i + 1)..n)
-            .map(|j| {
-                let table = if partitions[i] && partitions[j] {
-                    ContingencyTable::from_partitions(
-                        &regions[i],
-                        &counts[i],
-                        &regions[j],
-                        &counts[j],
-                    )
-                } else {
-                    ContingencyTable::from_selections(&regions[i], &regions[j])
-                };
-                metric_of(&table, metric)
-            })
-            .collect()
+    let regions: Vec<Vec<&Bitmap>> = maps.iter().map(selections).collect();
+    let matrix = distance_matrix_from(maps.len(), metric, pool, |i, j| {
+        Ok::<_, Infallible>(ContingencyTable::from_selections(&regions[i], &regions[j]))
     });
-    triangle_to_matrix(n, rows)
+    let Ok(matrix) = matrix;
+    matrix
+}
+
+/// [`distance_matrix_with_pool`] over maps cut from a working set of
+/// `working_rows` rows, each pair counted by [`contingency_within`]: the
+/// matrix is identical, bit for bit, and the cost is
+/// `O(n² · (r−1)(c−1) · rows/64)`. It is the matrix an in-process explore
+/// computes, pair by pair, through its source.
+pub fn distance_matrix_within(
+    maps: &[DataMap],
+    table_rows: usize,
+    working_rows: usize,
+    metric: MapDistanceMetric,
+    pool: &ThreadPool,
+) -> DistanceMatrix {
+    debug_assert!(
+        maps.iter()
+            .flat_map(|m| &m.regions)
+            .all(|r| r.selection.len() <= table_rows),
+        "region bitmaps range over at most table_rows ({table_rows})"
+    );
+    let matrix = distance_matrix_from(maps.len(), metric, pool, |i, j| {
+        Ok::<_, Infallible>(contingency_within(&maps[i], &maps[j], working_rows))
+    });
+    let Ok(matrix) = matrix;
+    matrix
+}
+
+/// The pairwise distance matrix of `n` maps under `metric`, pair `(i, j)`
+/// scored off the contingency table `table(i, j)` — the one scoring body of
+/// every matrix. The upper triangle is split row-blocked across `pool` and
+/// assembled in row order, so the matrix, and the first error in row order,
+/// are the same at every thread count.
+pub fn distance_matrix_from<E: Send>(
+    n: usize,
+    metric: MapDistanceMetric,
+    pool: &ThreadPool,
+    table: impl Fn(usize, usize) -> Result<ContingencyTable, E> + Sync,
+) -> Result<DistanceMatrix, E> {
+    // Row i of the upper triangle holds the distances (i, i+1..n).
+    let rows = pool.par_map_indexed(n, 1, |i| {
+        ((i + 1)..n)
+            .map(|j| table(i, j).map(|table| metric_of(&table, metric)))
+            .collect::<Result<Vec<f64>, E>>()
+    });
+    Ok(triangle_to_matrix(
+        n,
+        rows.into_iter().collect::<Result<_, E>>()?,
+    ))
+}
+
+/// The contingency table of two maps cut from a working set of
+/// `working_rows` rows — every region a subset of it, each map's regions
+/// pairwise disjoint, as the cut strategies produce them — counted from
+/// their rows: cell `(i, j)` holds the rows in `a`'s region `i` and `b`'s
+/// region `j`.
+///
+/// A map whose region counts sum to `working_rows` partitions the working
+/// set, so a pair of such maps is counted through
+/// [`ContingencyTable::from_partitions`]: only the `(r−1)(c−1)` head cells
+/// are intersected (one for two two-region maps, not four), and the rest
+/// come from the regions' stored counts. A pair with a map that misses rows
+/// of the working set — NULLs in its attribute — counts every cell. Either
+/// way the table is the one [`ContingencyTable::from_selections`] counts.
+pub fn contingency_within(a: &DataMap, b: &DataMap, working_rows: usize) -> ContingencyTable {
+    let (rows, cols) = (selections(a), selections(b));
+    let (row_counts, col_counts) = (a.region_counts(), b.region_counts());
+    let partitions = |counts: &[u64]| counts.iter().sum::<u64>() == working_rows as u64;
+    if partitions(&row_counts) && partitions(&col_counts) {
+        ContingencyTable::from_partitions(&rows, &row_counts, &cols, &col_counts)
+    } else {
+        ContingencyTable::from_selections(&rows, &cols)
+    }
+}
+
+/// A map's region bitmaps, in region order.
+fn selections(map: &DataMap) -> Vec<&Bitmap> {
+    map.regions.iter().map(|r| &r.selection).collect()
 }
 
 /// Assemble per-row upper-triangle distances into a symmetric matrix.

@@ -63,10 +63,9 @@
 use crate::candidates::{generate_candidates_in_context, CandidateSet};
 use crate::cluster::cluster_maps_with_pool;
 use crate::config::{AtlasConfig, ExploreOptions, MergeStrategy};
-use crate::distance::distance_matrix_within;
+use crate::distance::distance_matrix_from;
 use crate::error::{AtlasError, Result};
 use crate::map::DataMap;
-use crate::merge::product_maps;
 use crate::pipeline::{CompositionMerge, CutStrategy, ExploreSource, PaperCut, PipelineContext};
 use crate::profile::{ProfileStats, TableProfile};
 use crate::rank::{rank_maps, RankedMap};
@@ -584,15 +583,24 @@ enum Output {
 
 /// The explore body once the working set is known, over any
 /// [`ExploreSource`]: step 1 is the source's candidates (under
-/// `phase.candidates`), and steps 2–4 are cluster, merge and rank with the
-/// merge [`AtlasConfig::merge`] names — the product of a cluster's maps
-/// ([`product_maps`]), or their composition, re-cut through the source. The
-/// ranked maps and the attributes the cuts skipped.
+/// `phase.candidates`); step 2 clusters them by [`AtlasConfig::distance`]
+/// over the contingency table the source counts for each pair; step 3
+/// merges each cluster as [`AtlasConfig::merge`] names — the source's
+/// product of its maps, or their composition, re-cut through the source —
+/// one `pool` task per cluster, with results and the first error taken in
+/// cluster order (a cluster of one map is that map, unmerged), and caps
+/// every merged map against `user_query` ([`enforce_region_cap_within`]);
+/// step 4 ranks the maps ([`rank_maps`]) and truncates them to
+/// [`AtlasConfig::max_maps`]. Each phase runs under its `phase.*` span and
+/// its time lands in `timings`. The ranked maps and the attributes the cuts
+/// skipped.
 ///
-/// [`Atlas::explore`] runs it over a [`PipelineContext`] and the distributed
-/// coordinator over its remote source, so the two differ only in where the
-/// rows are read. With `released`, the caller keeps no rows of the answer,
-/// so a composition's last level may be counted instead of partitioned
+/// Region bitmaps range over `working.len()` rows (the table's in the
+/// engine, the live rows at a coordinator). [`Atlas::explore`] runs it over a
+/// [`PipelineContext`] and the distributed coordinator over its remote
+/// source, so the two differ only in where the rows are read. With
+/// `released`, the caller keeps no rows of the answer, so a composition's
+/// last level may be counted instead of partitioned
 /// ([`ExploreSource::recut`]).
 pub fn explore_from_source<'a>(
     config: &AtlasConfig,
@@ -614,7 +622,7 @@ pub fn explore_from_source<'a>(
     }
     let drop_empty = config.drop_empty_regions;
     let merge = |members: &[DataMap]| match config.merge {
-        MergeStrategy::Product => Ok(product_maps(members, drop_empty)),
+        MergeStrategy::Product => source.product(members, drop_empty),
         MergeStrategy::Composition => {
             let held = |attribute: &str| {
                 let held = stats.iter().find(|(name, _)| name == attribute);
@@ -623,48 +631,12 @@ pub fn explore_from_source<'a>(
             CompositionMerge::compose(source, members, working, held, drop_empty, released)
         }
     };
-    let maps = cluster_merge_rank(
-        config,
-        pool,
-        user_query,
-        working,
-        candidates.maps,
-        merge,
-        timings,
-    )?;
-    Ok((maps, candidates.skipped))
-}
 
-/// Steps 2–4 of an explore — cluster, merge, rank — over the candidate maps
-/// cut from `working`: the post-cut half of [`explore_from_source`].
-///
-/// The candidates are clustered by [`AtlasConfig::distance`] over the row
-/// space `working.len()` (the table's rows in the engine, the live rows at a
-/// coordinator) and the working set's `working.count()` rows. Each candidate
-/// moves into its cluster, and `merge` combines each cluster's maps, one
-/// `pool` task per cluster, with results — and the first error — taken in
-/// cluster order; a cluster of one map is that map, unmerged. Every merged
-/// map is capped against `user_query` ([`enforce_region_cap_within`]), then
-/// the maps are ranked ([`rank_maps`]) and truncated to
-/// [`AtlasConfig::max_maps`]. Each phase runs under its `phase.*` span and
-/// its time lands in `timings`.
-fn cluster_merge_rank(
-    config: &AtlasConfig,
-    pool: &ThreadPool,
-    user_query: &ConjunctiveQuery,
-    working: &Bitmap,
-    candidates: Vec<DataMap>,
-    merge: impl Fn(&[DataMap]) -> Result<Option<DataMap>> + Sync,
-    timings: &mut PhaseTimings,
-) -> Result<Vec<RankedMap>> {
     let phase_span = atlas_obs::span("phase.clustering");
-    let matrix = distance_matrix_within(
-        &candidates,
-        working.len(),
-        working.count(),
-        config.distance,
-        pool,
-    );
+    let working_rows = working.count();
+    let matrix = distance_matrix_from(candidates.len(), config.distance, pool, |i, j| {
+        source.contingency(&candidates.maps[i], &candidates.maps[j], working_rows)
+    })?;
     let clusters = cluster_maps_with_pool(&matrix, &config.clustering, pool)?;
     timings.clustering_ms = phase_span.finish_ms();
 
@@ -672,7 +644,7 @@ fn cluster_merge_rank(
     // events of a merge attach under `phase.merge`.
     let phase_span = atlas_obs::span("phase.merge");
     let parent = atlas_obs::current();
-    let mut candidates: Vec<Option<DataMap>> = candidates.into_iter().map(Some).collect();
+    let mut maps: Vec<Option<DataMap>> = candidates.maps.into_iter().map(Some).collect();
     // A cluster of one map is that map: every merge returns it unchanged
     // (`tests/merge_algebra.rs` pins that), so it moves through as `Ok`
     // instead of being copied, and only the clusters of two or more
@@ -680,16 +652,13 @@ fn cluster_merge_rank(
     let grouped: Vec<std::result::Result<DataMap, Vec<DataMap>>> = clusters
         .iter()
         .map(|cluster| {
-            let members: Vec<DataMap> = cluster
-                .iter()
-                .filter_map(|&at| candidates[at].take())
-                .collect();
+            let members: Vec<DataMap> = cluster.iter().filter_map(|&at| maps[at].take()).collect();
             <[DataMap; 1]>::try_from(members).map(|[only]| only)
         })
         .collect();
     debug_assert!(
-        candidates.iter().all(Option::is_none)
-            && clusters.iter().map(Vec::len).sum::<usize>() == candidates.len(),
+        maps.iter().all(Option::is_none)
+            && clusters.iter().map(Vec::len).sum::<usize>() == maps.len(),
         "every candidate belongs to exactly one cluster"
     );
     let to_merge: Vec<&Vec<DataMap>> = grouped.iter().filter_map(|c| c.as_ref().err()).collect();
@@ -720,7 +689,7 @@ fn cluster_merge_rank(
     let mut ranked = rank_maps(maps);
     ranked.truncate(config.max_maps);
     timings.rank_ms = phase_span.finish_ms();
-    Ok(ranked)
+    Ok((ranked, candidates.skipped))
 }
 
 /// The readability constraint of Section 2 as a standalone transform: if the

@@ -71,12 +71,12 @@ pub use candidates::{generate_candidates, generate_candidates_in_context, Candid
 pub use cluster::{cluster_maps, cluster_maps_with_pool, ClusteringConfig, Linkage};
 pub use config::{AtlasConfig, ExploreOptions, MergeStrategy};
 pub use cut::{
-    cut_attribute, cut_from_source, cuts_from_source, CutConfig, CutPlan, CutSource,
-    NumericCutStrategy, Partition, TableCutSource,
+    cut_attribute, cut_counted_from_source, cut_from_source, cuts_from_source, CutConfig, CutPlan,
+    CutSource, Extent, NumericCutStrategy, Partition, TableCutSource,
 };
 pub use distance::{
-    distance_matrix, distance_matrix_with_pool, distance_matrix_within, metric_of, DistanceMatrix,
-    MapDistanceMetric,
+    contingency_within, distance_matrix, distance_matrix_from, distance_matrix_with_pool,
+    distance_matrix_within, metric_of, DistanceMatrix, MapDistanceMetric,
 };
 pub use engine::{
     enforce_region_cap, enforce_region_cap_within, explore_from_source, AnytimeIteration,
@@ -84,7 +84,7 @@ pub use engine::{
 };
 pub use error::{AtlasError, Result};
 pub use map::DataMap;
-pub use merge::{compose_maps, product_maps};
+pub use merge::{compose_maps, product_maps, product_of_counts};
 pub use minirayon::ThreadPool;
 pub use pipeline::{
     AttributeStats, CompositionMerge, CutStrategy, ExploreSource, MergePolicy, PaperCut,

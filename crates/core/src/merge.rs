@@ -23,6 +23,7 @@ use crate::pipeline::{CompositionMerge, MergePolicy, PaperCut, PipelineContext};
 use crate::profile::TableProfile;
 use crate::region::Region;
 use atlas_columnar::Table;
+use atlas_query::ConjunctiveQuery;
 use std::borrow::Cow;
 
 /// The product `M1 × M2 × …` of the given maps (Definition 3).
@@ -32,28 +33,79 @@ use std::borrow::Cow;
 /// The order of the inputs does not affect the set of non-empty regions.
 pub fn product_maps(maps: &[DataMap], drop_empty: bool) -> Option<DataMap> {
     let (first, others) = maps.split_first()?;
-    let mut result = Cow::Borrowed(first);
+    if others.is_empty() {
+        return Some(first.clone());
+    }
+    let mut regions = Cow::Borrowed(first.regions.as_slice());
     for other in others {
-        let mut regions = Vec::with_capacity(result.regions.len() * other.regions.len());
-        for left in &result.regions {
+        let mut next = Vec::with_capacity(regions.len() * other.regions.len());
+        for left in regions.iter() {
             for right in &other.regions {
                 let selection = left.selection.and(&right.selection);
                 if drop_empty && selection.is_all_clear() {
                     continue;
                 }
-                let query = left.query.conjoin(&right.query);
-                regions.push(Region::new(query, selection));
+                next.push(Region::new(left.query.conjoin(&right.query), selection));
             }
         }
-        let mut attributes = result.source_attributes.clone();
-        for attr in &other.source_attributes {
-            if !attributes.contains(attr) {
-                attributes.push(attr.clone());
-            }
-        }
-        result = Cow::Owned(DataMap::new(regions, attributes));
+        regions = Cow::Owned(next);
     }
-    Some(result.into_owned())
+    Some(DataMap::new(regions.into_owned(), product_attributes(maps)))
+}
+
+/// [`product_maps`] for a caller that holds the maps' queries and the
+/// product's cell counts but no rows — a distributed coordinator, whose
+/// shards count the cells. `cells` holds, for every combination of one
+/// region per map in row-major order (the first map's region index most
+/// significant), how many rows the combination's conjunction selects. The
+/// regions are those of [`product_maps`] — same queries, counts and order —
+/// built without rows ([`Region::released`]): a combination is empty when
+/// any of its partial products is, so dropping empty final cells drops what
+/// [`product_maps`] drops step by step. `None` when there are no maps or
+/// `cells` does not hold one count per combination.
+pub fn product_of_counts(maps: &[DataMap], cells: &[u64], drop_empty: bool) -> Option<DataMap> {
+    let (first, others) = maps.split_first()?;
+    if others.is_empty() {
+        return Some(first.clone());
+    }
+    let mut combinations: Vec<(ConjunctiveQuery, usize)> = first
+        .regions
+        .iter()
+        .enumerate()
+        .map(|(at, region)| (region.query.clone(), at))
+        .collect();
+    for other in others {
+        let width = other.num_regions();
+        combinations = combinations
+            .iter()
+            .flat_map(|(query, at)| {
+                let right = other.regions.iter().enumerate();
+                right.map(move |(j, region)| (query.conjoin(&region.query), at * width + j))
+            })
+            .collect();
+    }
+    if cells.len() != combinations.len() {
+        return None;
+    }
+    let regions = combinations
+        .into_iter()
+        .zip(cells)
+        .filter(|(_, &count)| !drop_empty || count > 0)
+        .map(|((query, _), &count)| Region::released(query, count as usize))
+        .collect();
+    Some(DataMap::new(regions, product_attributes(maps)))
+}
+
+/// The source attributes of a product: the first map's, then each later
+/// map's that are new, in order.
+fn product_attributes(maps: &[DataMap]) -> Vec<String> {
+    let mut attributes: Vec<String> = Vec::new();
+    for attribute in maps.iter().flat_map(|map| &map.source_attributes) {
+        if !attributes.contains(attribute) {
+            attributes.push(attribute.clone());
+        }
+    }
+    attributes
 }
 
 /// The composition `M1 ∘ M2 ∘ …` of the given maps (Definition 4).

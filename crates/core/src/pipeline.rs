@@ -8,8 +8,9 @@
 //! merge operators (plus the grid baseline's dense product) are merges. The
 //! other two steps have one body each, run by
 //! [`crate::engine::explore_from_source`]: distances are
-//! [`crate::distance_matrix_within`] under
-//! [`crate::AtlasConfig::distance`], and ranking is [`crate::rank_maps`].
+//! [`crate::distance_matrix_from`] under [`crate::AtlasConfig::distance`],
+//! over the contingency tables its [`ExploreSource`] counts, and ranking is
+//! [`crate::rank_maps`].
 //!
 //! | step | trait | the engine runs | other implementations in-tree |
 //! |------|-------|-----------------|-------------------------------|
@@ -21,6 +22,7 @@
 
 use crate::candidates::{cut_candidates, CandidateSet};
 use crate::cut::{cut_attribute_in_context, CutConfig};
+use crate::distance::contingency_within;
 use crate::error::Result;
 use crate::map::DataMap;
 use crate::merge::product_maps;
@@ -28,6 +30,7 @@ use crate::profile::TableProfile;
 use crate::region::Region;
 use atlas_columnar::{Bitmap, ColumnStats, Table};
 use atlas_query::ConjunctiveQuery;
+use atlas_stats::ContingencyTable;
 use minirayon::ThreadPool;
 use std::borrow::Cow;
 use std::cmp::Reverse;
@@ -282,13 +285,17 @@ impl CompositionMerge {
 }
 
 /// What an explore reads its rows through once its working set is known:
-/// the candidate maps (step 1) and the re-cuts of a composition (step 3).
+/// the candidate maps (step 1), the contingency table of a pair of them
+/// (step 2), and the product or the re-cuts of a cluster's merge (step 3).
+/// Everything else the body reads is a region's query or count.
 /// [`crate::engine::explore_from_source`], the one explore body, runs over
 /// it. The two implementations are [`PipelineContext`] — the table in
 /// process, through the engine's [`CutStrategy`] — and the serve crate's
-/// remote source, which asks shard servers holding disjoint segment subsets.
-/// A source whose answers equal the in-process ones makes the explore equal
-/// it bit for bit, because the body around them is the same.
+/// remote source, which asks shard servers holding disjoint segment subsets
+/// for counts and builds every region without rows. A source whose answers
+/// equal the in-process ones — the same queries, counts and cells — makes
+/// the explore equal it bit for bit, because the body around them is the
+/// same.
 ///
 /// Statistics held in `'a` live as long as the explore.
 pub trait ExploreSource<'a>: Sync {
@@ -302,6 +309,21 @@ pub trait ExploreSource<'a>: Sync {
         user_query: &ConjunctiveQuery,
         attributes: Option<&[String]>,
     ) -> Result<(CandidateSet, Vec<AttributeStats<'a>>)>;
+
+    /// Step 2's input: the contingency table of two candidates `a` and `b`
+    /// cut from a working set of `working_rows` rows, cell `(i, j)` holding
+    /// the rows in `a`'s region `i` and `b`'s region `j`.
+    fn contingency(
+        &self,
+        a: &DataMap,
+        b: &DataMap,
+        working_rows: usize,
+    ) -> Result<ContingencyTable>;
+
+    /// Step 3 under the product merge: the product of one cluster's
+    /// candidates `members`, in order (Definition 3, [`product_maps`]),
+    /// regions that hold no row dropped when `drop_empty`.
+    fn product(&self, members: &[DataMap], drop_empty: bool) -> Result<Option<DataMap>>;
 
     /// One level of a composition: each of `regions` — disjoint subsets of
     /// `working` — re-cut on `attribute`, extending the region's query, in
@@ -331,6 +353,21 @@ impl<'a> ExploreSource<'a> for PipelineContext<'a> {
         attributes: Option<&[String]>,
     ) -> Result<(CandidateSet, Vec<AttributeStats<'a>>)> {
         cut_candidates(self, working, user_query, attributes)
+    }
+
+    /// Counted from the regions' rows ([`contingency_within`]).
+    fn contingency(
+        &self,
+        a: &DataMap,
+        b: &DataMap,
+        working_rows: usize,
+    ) -> Result<ContingencyTable> {
+        Ok(contingency_within(a, b, working_rows))
+    }
+
+    /// Intersects the regions' rows ([`product_maps`]).
+    fn product(&self, members: &[DataMap], drop_empty: bool) -> Result<Option<DataMap>> {
+        Ok(product_maps(members, drop_empty))
     }
 
     /// Every region is re-cut through `self.cut_strategy`, one pool task

@@ -14,9 +14,8 @@ use std::time::{Duration, Instant};
 /// total, each chunk included).
 const MAX_RESPONSE_BYTES: usize = 64 * 1024 * 1024;
 
-/// What a failed read of a reply becomes: an I/O error stays one (the
-/// receiver's own refusal of a chunk included), anything else is invalid
-/// data.
+/// What a failed read of a reply becomes: an I/O error stays one, anything
+/// else is invalid data.
 fn into_io(error: HttpError) -> io::Error {
     match error {
         HttpError::Io(io) => io,
@@ -91,34 +90,6 @@ impl Client {
         path: &str,
         body: Option<(&str, &[u8])>,
     ) -> io::Result<ClientResponse> {
-        let (mut reader, deadline) = self.send(method, path, body)?;
-        http::read_response(&mut reader, MAX_RESPONSE_BYTES, Some(deadline)).map_err(into_io)
-    }
-
-    /// [`Client::request`], handing each chunk of a chunked reply to
-    /// `on_chunk` as it arrives ([`http::read_response_with`]): the returned
-    /// body is then empty, and no buffer holds more than one chunk. An error
-    /// from `on_chunk` ends the request with that error and hangs up.
-    pub fn request_with(
-        &self,
-        method: &str,
-        path: &str,
-        body: Option<(&str, &[u8])>,
-        on_chunk: &mut dyn FnMut(Vec<u8>) -> io::Result<()>,
-    ) -> io::Result<ClientResponse> {
-        let (mut reader, deadline) = self.send(method, path, body)?;
-        http::read_response_with(&mut reader, MAX_RESPONSE_BYTES, Some(deadline), on_chunk)
-            .map_err(into_io)
-    }
-
-    /// Connect, write one request, and return the reader of its reply with
-    /// the instant the whole reply must have arrived by.
-    fn send(
-        &self,
-        method: &str,
-        path: &str,
-        body: Option<(&str, &[u8])>,
-    ) -> io::Result<(BufReader<TcpStream>, Instant)> {
         let stream = TcpStream::connect_timeout(&self.addr, self.connect_timeout())?;
         stream.set_read_timeout(Some(self.timeout))?;
         stream.set_write_timeout(Some(self.timeout))?;
@@ -140,7 +111,13 @@ impl Client {
             writer.write_all(bytes)?;
         }
         writer.flush()?;
-        Ok((BufReader::new(stream), Instant::now() + self.timeout))
+        let deadline = Instant::now() + self.timeout;
+        http::read_response(
+            &mut BufReader::new(stream),
+            MAX_RESPONSE_BYTES,
+            Some(deadline),
+        )
+        .map_err(into_io)
     }
 
     /// `GET path`.

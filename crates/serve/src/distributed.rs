@@ -16,69 +16,60 @@
 //!    [`atlas_core::CutSource`] whose kernels scatter to the shards. The
 //!    folded summaries hold the value counts a median cut reads and the
 //!    category counts a categorical cut reads, so every counted column's
-//!    cut is planned from them alone, and the partitions of **all** the
-//!    planned cuts are one `/shard/select` round: an explore of counted
-//!    columns makes 2 round trips (1 when nothing is cut), and a column too
-//!    wide to count adds its `/shard/values` or `/shard/categories` round;
+//!    cut is planned from them alone, and **all** the planned cuts are one
+//!    `/shard/select` round: an explore of counted columns makes 2 round
+//!    trips (1 when nothing is cut), and a column too wide to count adds its
+//!    `/shard/values` or `/shard/categories` round. That round ships counts,
+//!    not rows: each shard partitions its segments with the engine's kernels
+//!    and answers each cut's region counts and each pair of cuts' contingency
+//!    cells, summed over its segments;
 //! 3. **distances, clustering, merging, ranking** — the engine's own body,
-//!    [`atlas_core::explore_from_source`], runs over a remote source: the
-//!    candidates of step 2 are folded bitmaps over the live rows, so the
-//!    distances, the clustering and the ranking run here and ask no shard,
-//!    and neither does a product merge, which intersects those bitmaps. A
-//!    composition (Definition 4, the paper's configuration) may scatter: it
-//!    re-cuts each region of a level from the region's query, which costs
-//!    one `/shard/working` round on the region's SQL — its folded summaries
-//!    are the region's statistics — and one `/shard/select` round for the
-//!    cut: steps 1 and 2 over a smaller working set.
+//!    [`atlas_core::explore_from_source`], runs over a remote source that
+//!    answers from those counts: a pair's distance from its cells, a product
+//!    merge of two maps from the same cells (each cell a region, its query
+//!    the conjunction), and the ranking, the region cap and the answer from
+//!    region counts. A cluster of three or more maps asks one more
+//!    `/shard/select` round for its own cells. A composition (Definition 4,
+//!    the paper's configuration) re-cuts each region of a level from the
+//!    region's query, which costs one `/shard/working` round on the region's
+//!    SQL: its folded summaries are the region's statistics, and they count
+//!    the sub-regions ([`atlas_core::CutPlan::counts_from_stats`]) — only a
+//!    column too wide to count adds a `/shard/select` round. The next level
+//!    re-cuts from the sub-regions' SQL, so every level is counted.
 //!
-//! ## Replies are folded where they land
+//! ## Replies are decoded where they land
 //!
 //! Each scatter round runs one thread per shard, and that thread does more
-//! than wait. A reply read whole (`/shard/working` and the per-column
-//! rounds) is checked to cover exactly the shard's segments and decoded
-//! there — hex runs into [`Bitmap`]s, length and region-count checks,
-//! summaries into [`ColumnSummary`]s — so decoding runs in parallel across
-//! shards and overlaps the slower shard's wire wait, and what is left after
-//! the barrier is the ordered fold: `or_shifted` / `merge_from` in ascending
-//! global segment order.
+//! than wait. Every reply is read whole, checked to cover exactly the
+//! shard's segments and decoded there — hex runs into [`Bitmap`]s, length
+//! and region-count checks, summaries into [`ColumnSummary`]s, a count reply
+//! held to every invariant the coordinator can check (each product's arity,
+//! no cut counting more rows than the shard's working rows, a pair's sums
+//! within its cuts' counts) — so decoding runs in parallel across shards and
+//! overlaps the slower shard's wire wait, and what is left after the barrier
+//! is the fold: `or_shifted` / `merge_from` in ascending global segment
+//! order, and integer sums of the count replies, whose order cannot matter.
+//! A retried or hedged request's reply is whichever arrives first; a count
+//! reply is a deterministic function of (generation, SQL, segments, cuts),
+//! so either is the same.
 //!
-//! The `/shard/select` reply goes one step further: a shard streams it as one
-//! chunk per partition, computing and writing each before it starts the next,
-//! and the thread reading it validates each partition as it arrives and ORs
-//! each segment's regions into that partition's region bitmaps at the
-//! segment's offset. A partition's bitmaps are allocated when its first
-//! chunk arrives, and no buffer on either side holds more than one
-//! partition's frame. OR is commutative and idempotent, and a shard's answer
-//! is a deterministic function of (generation, SQL, segments, partition), so
-//! this fold needs no segment order, and a retried or hedged request that
-//! folds a partition again adds the same bits. The fold is the round's: a
-//! degraded re-run without a failed shard folds into fresh bitmaps, and the
-//! round closes the fold when it returns, so a hedge still reading on its
-//! detached thread finds it closed and hangs up.
-//!
-//! A frame that fails to decode or fold is that shard's failure — it counts
-//! against the shard's circuit breaker, names the shard and endpoint, is not
-//! retried, and in degraded mode drops the shard like any other failure.
+//! A reply that fails to decode or breaks an invariant is that shard's
+//! failure — it counts against the shard's circuit breaker, names the shard
+//! and endpoint, is not retried, and in degraded mode drops the shard like
+//! any other failure.
 //!
 //! The frames themselves (`crate::wire::frames`) ship no bitmap the
-//! coordinator can work out: a segment selected whole or not at all has no
-//! working bitmap, and the last region of a partition that is exactly the
-//! rest of the segment's working rows is left out. The coordinator keeps each
-//! live segment's working rows from the `/shard/working` round for the rest
-//! of the explore and rebuilds those regions from them.
+//! coordinator can work out — a segment selected whole or not at all has no
+//! working bitmap — and no region's rows at all.
 //!
-//! Every fold is deterministic (ascending global segment order, or an OR
-//! whose order cannot matter) and every pushed-down kernel reproduces its
+//! Every fold is deterministic and every pushed-down kernel reproduces its
 //! local counterpart exactly, so the ranked maps are **bit-identical** —
-//! score bits, region SQL, region counts — to a single-process
-//! [`atlas_core::Atlas::explore`] over the same table and configuration, for
-//! *any* assignment of segments to shards. The `tests/distributed.rs`
-//! property suite pins this.
-//!
-//! The coordinator runs the engine's default cut stage, [`atlas_core::PaperCut`],
-//! under either merge; a composition's every level is partitioned, so the
-//! answer holds the rows of every region, as [`atlas_core::Atlas::explore`]'s
-//! does.
+//! score bits, region SQL, region counts, working-set size — to a
+//! single-process [`atlas_core::Atlas::explore_released`] over the same
+//! table and configuration, for *any* assignment of segments to shards. The
+//! `tests/distributed.rs` property suite pins this. Like that answer, the
+//! coordinator's holds no rows: every region is built from its count
+//! ([`atlas_core::Region::holds_rows`] is false).
 //!
 //! ## Fault model
 //!
@@ -113,17 +104,18 @@ use crate::resilience::{
     RetryPolicy,
 };
 use crate::wire::frames::{
-    get_index, get_items, get_str, meta_from_json, parse_hex_f64s, partition_to_json,
-    select_partial_from_json, working_partial_from_json, MetaView,
+    count_reply_from_json, get_index, get_items, get_str, meta_from_json, parse_hex_f64s,
+    partition_to_json, products_to_json, working_partial_from_json, CountAsk, MetaView,
 };
 use crate::wire::Json;
 use atlas_columnar::{merge_category_counts, Bitmap, ColumnStats, ColumnSummary, DataType};
 use atlas_core::{
-    cut_from_source, cuts_from_source, explore_from_source, AtlasConfig, AtlasError,
-    AttributeStats, CandidateSet, CutPlan, CutSource, DataMap, ExploreSource, MapResult,
-    PhaseTimings, Region, ThreadPool,
+    cut_counted_from_source, cuts_from_source, explore_from_source, product_of_counts, AtlasConfig,
+    AtlasError, AttributeStats, CandidateSet, CutPlan, CutSource, DataMap, ExploreSource,
+    MapResult, PhaseTimings, Region, ThreadPool,
 };
 use atlas_query::{to_sql, ConjunctiveQuery};
+use atlas_stats::ContingencyTable;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::borrow::Cow;
@@ -131,7 +123,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{mpsc, Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Fault-policy knobs of a [`Coordinator`].
@@ -170,9 +162,10 @@ impl Default for CoordinatorOptions {
 /// A distributed answer: the ranked maps plus exactly what they cover.
 #[derive(Debug, Clone)]
 pub struct DistributedResult {
-    /// The ranked maps. Complete coverage means bit-identical to the local
-    /// engine over the whole table; degraded coverage means bit-identical
-    /// to the local engine over the surviving segments.
+    /// The ranked maps, holding no rows. Complete coverage means
+    /// bit-identical to the local engine's released answer over the whole
+    /// table; degraded coverage means bit-identical to it over the
+    /// surviving segments.
     pub result: MapResult,
     /// Exactly which segments and rows the answer covers.
     pub coverage: Coverage,
@@ -209,6 +202,16 @@ struct ShardSlot {
 }
 
 impl ShardSlot {
+    /// The failure of a call to this shard on `path` whose reply does not
+    /// decode or breaks an invariant: it names the shard and the endpoint,
+    /// is not retried, and counts against the shard's circuit breaker.
+    fn misbehaved(&self, path: &str, message: String) -> CallFail {
+        self.breaker.record_failure();
+        CallFail::Shard {
+            message: format!("shard {} misbehaved on {path}: {message}", self.addr),
+        }
+    }
+
     /// What a failed call to this shard on `path` is reported as; every
     /// message names the shard.
     fn render_fail(&self, path: &str, fail: CallFail) -> String {
@@ -335,42 +338,14 @@ fn judge(
     }
 }
 
-/// Send one request of an attempt and take its reply in as `intake` says:
-/// a whole reply must be JSON (garbled bytes are retryable); a streamed one
-/// is folded chunk by chunk as it arrives, and a document that does not
-/// fold is the shard's definitive failure. Either way the JSON handed back
-/// is what [`adopt_shard_spans`] reads: the whole reply, or the stream's
-/// trailing spans document.
-fn exchange(
-    client: &Client,
-    addr: &str,
-    path: &str,
-    payload: &[u8],
-    intake: &Intake,
-) -> Result<Json, AttemptFail> {
+/// Send one request of an attempt and read its reply whole: it must be a
+/// `200` and JSON (garbled bytes are retryable).
+fn exchange(client: &Client, addr: &str, path: &str, payload: &[u8]) -> Result<Json, AttemptFail> {
     let body = Some(("application/json", payload));
-    let Intake::Fold { fold, segments } = intake else {
-        let response = judge(addr, path, client.request("POST", path, body))?;
-        return response.json().ok_or_else(|| {
-            AttemptFail::Retryable(format!("shard {addr} sent non-JSON on {path}"))
-        });
-    };
-    let misbehaved = |message: String| {
-        AttemptFail::NoRetry(format!("shard {addr} misbehaved on {path}: {message}"))
-    };
-    let mut taker = Taker {
-        fold,
-        segments,
-        taken: 0,
-        trailer: None,
-        refused: None,
-    };
-    let outcome = client.request_with("POST", path, body, &mut |chunk| taker.chunk(chunk));
-    if let Some(message) = taker.refused.take() {
-        return Err(misbehaved(message));
-    }
-    judge(addr, path, outcome)?;
-    taker.finish().map_err(misbehaved)
+    let response = judge(addr, path, client.request("POST", path, body))?;
+    response
+        .json()
+        .ok_or_else(|| AttemptFail::Retryable(format!("shard {addr} sent non-JSON on {path}")))
 }
 
 /// Fold a shard reply's `"spans"` member (recorded under the shard's own
@@ -589,7 +564,7 @@ impl Coordinator {
         let mut agreed: Option<MetaView> = None;
         for slot in &self.shards {
             let reply = self
-                .call_with(slot, "/shard/meta", &body, None, &Intake::Whole)
+                .call_with(slot, "/shard/meta", &body, None)
                 .map_err(|fail| dist_err(slot.render_fail("/shard/meta", fail)))?;
             let view = meta_from_json(&reply).map_err(|e| {
                 dist_err(format!(
@@ -645,7 +620,6 @@ impl Coordinator {
         path: &str,
         body: &Json,
         deadline: Option<&Deadline>,
-        intake: &Intake,
     ) -> Result<Json, CallFail> {
         let shard = slot.index.get();
         if !slot.breaker.admit() {
@@ -683,7 +657,7 @@ impl Coordinator {
             call_span.attr("mode", if failures == 0 { "primary" } else { "retry" });
             // Taken inside the span: adopted shard spans are clamped to it.
             let call_started = Instant::now();
-            match self.attempt(slot, path, &payload, budget, deadline, intake) {
+            match self.attempt(slot, path, &payload, budget, deadline) {
                 Ok(mut json) => {
                     if let Some(ctx) = call_span.context() {
                         adopt_shard_spans(&mut json, ctx, call_started);
@@ -723,10 +697,7 @@ impl Coordinator {
 
     /// One attempt of one shard call. Without hedging the request runs
     /// inline; with hedging a second identical request launches once the
-    /// hedge delay passes unanswered, and the first success wins. Each
-    /// request takes its reply in on its own thread, so a streamed reply is
-    /// folded by whichever requests are still reading it — the same bits,
-    /// whichever wins.
+    /// hedge delay passes unanswered, and the first success wins.
     fn attempt(
         &self,
         slot: &ShardSlot,
@@ -734,7 +705,6 @@ impl Coordinator {
         payload: &Arc<String>,
         budget: Duration,
         deadline: Option<&Deadline>,
-        intake: &Intake,
     ) -> Result<Json, AttemptFail> {
         let mut client = slot.client.clone().with_timeout(budget);
         if let Some(d) = deadline {
@@ -747,7 +717,7 @@ impl Coordinator {
             client = client.with_header(TRACE_HEADER, ctx.trace_id.to_string());
         }
         let Some(hedge_after) = self.hedge_delay(budget) else {
-            return exchange(&client, &slot.addr, path, payload.as_bytes(), intake);
+            return exchange(&client, &slot.addr, path, payload.as_bytes());
         };
 
         let started = Instant::now();
@@ -759,10 +729,9 @@ impl Coordinator {
             let addr = slot.addr.clone();
             let path = path.to_string();
             let payload = Arc::clone(payload);
-            let intake = intake.clone();
             let tx = tx.clone();
             // Detached: a loser may outlive the call, so it owns what it
-            // reads into (a closed fold makes it hang up).
+            // sends.
             std::thread::spawn(move || {
                 // The primary's timing is the enclosing shard.call span; a
                 // hedge gets its own child span so the duplicate shows up
@@ -773,7 +742,7 @@ impl Coordinator {
                     span.attr("mode", "hedge");
                     span
                 });
-                let outcome = exchange(&client, &addr, &path, payload.as_bytes(), &intake);
+                let outcome = exchange(&client, &addr, &path, payload.as_bytes());
                 drop(hedge_span);
                 let _ = tx.send((is_hedge, outcome));
             });
@@ -948,7 +917,7 @@ impl Coordinator {
     ) -> Result<Vec<T>, AtlasError> {
         let answers = self.fan_out(ctx, path, |slot| {
             let body = body_of(&slot.segments);
-            self.call_with(slot, path, &body, ctx.deadline, &Intake::Whole)
+            self.call_with(slot, path, &body, ctx.deadline)
                 .and_then(|reply| Self::shard_partials(slot, path, reply, &decode))
         })?;
         let mut gathered: Vec<(usize, T)> = answers.into_iter().flatten().collect();
@@ -974,12 +943,7 @@ impl Coordinator {
         reply: Json,
         decode: impl Fn(usize, &Json) -> Result<T, String>,
     ) -> Result<Vec<(usize, T)>, CallFail> {
-        let semantic = |message: String| {
-            slot.breaker.record_failure();
-            CallFail::Shard {
-                message: format!("shard {} misbehaved on {path}: {message}", slot.addr),
-            }
-        };
+        let semantic = |message: String| slot.misbehaved(path, message);
         // The reply is owned: move the partials (and the hex runs inside
         // them) out instead of cloning each one.
         let items = match reply {
@@ -1032,8 +996,8 @@ impl Coordinator {
     /// round, whose partials carry each segment's column summaries too.
     /// Folds the working rows into one bitmap over the live rows (the whole
     /// table in strict mode, the surviving rows renumbered contiguously in
-    /// degraded mode), keeps each live segment's own, which the cuts of the
-    /// working set rebuild left-out regions from, and merges the summaries in
+    /// degraded mode), keeps how many each live segment holds, which a
+    /// shard's count reply is held to, and merges the summaries in
     /// ascending segment order — the order a local scan walks the segments
     /// in, so the collapsed [`ColumnStats`] (value counts and category counts
     /// included, which is what lets a median cut skip the `/shard/values`
@@ -1063,21 +1027,22 @@ impl Coordinator {
             .iter()
             .map(|(_, dtype)| ColumnSummary::empty(*dtype))
             .collect();
-        let mut segments = Vec::with_capacity(partials.len());
+        let mut counts = Vec::with_capacity(partials.len());
         for ((segment, columns), &offset) in partials.into_iter().zip(&ctx.offsets) {
             rows.or_shifted(&segment, offset);
             for (acc, summary) in summaries.iter_mut().zip(&columns) {
                 acc.merge_from(summary);
             }
-            segments.push(segment);
+            counts.push(segment.count() as u64);
         }
         Ok(RemoteSource {
             coordinator: self,
             ctx,
             sql,
             rows,
-            segments: segments.into(),
+            counts,
             summaries,
+            counted: OnceLock::new(),
         })
     }
 
@@ -1125,8 +1090,9 @@ impl Coordinator {
 
     /// Run one distributed exploration step under the strict contract.
     ///
-    /// Bit-identical to [`atlas_core::Atlas::explore`] with the same table
-    /// and configuration (see the module docs); errors exactly like it on an
+    /// Bit-identical to [`atlas_core::Atlas::explore_released`] with the
+    /// same table and configuration — the same queries, counts and scores,
+    /// no rows (see the module docs); errors exactly like it on an
     /// empty working set ([`AtlasError::EmptyWorkingSet`]) or when nothing
     /// can be cut ([`AtlasError::NoCuttableAttributes`]), and with
     /// [`AtlasError::Distributed`] when a shard misbehaves.
@@ -1269,15 +1235,15 @@ impl Coordinator {
             return Err(AtlasError::EmptyWorkingSet);
         }
         // Over the live row space, so a degraded answer matches a local
-        // explore over the surviving segments.
+        // explore over the surviving segments. The answer keeps no rows.
         let (config, pool) = (&self.config, &self.pool);
         let (maps, skipped_attributes) =
-            explore_from_source(config, pool, &source, &query, rows, false, &mut timings)?;
+            explore_from_source(config, pool, &source, &query, rows, true, &mut timings)?;
         timings.total_ms = total_span.finish_ms();
         Ok(MapResult {
             maps,
             working_set_size,
-            working_set: source.rows,
+            working_set: Bitmap::new_empty(0),
             skipped_attributes,
             timings,
         })
@@ -1288,10 +1254,13 @@ impl Coordinator {
 /// region's that a composition re-cuts. As a [`CutSource`], every kernel of
 /// the shared `CUT` body ([`atlas_core::cuts_from_source`]) becomes one
 /// scatter round whose per-segment answers fold into exactly what the
-/// in-process [`atlas_core::TableCutSource`] computes; the partitions of all
-/// of a working set's cuts are one round. As an [`ExploreSource`], it cuts
-/// the candidates from the folded summaries and re-cuts each region of a
-/// composition level through a source of its own.
+/// in-process [`atlas_core::TableCutSource`] computes — except that a
+/// partition comes back as counts, not rows: the cuts of a working set are
+/// one `/shard/select` round that counts each cut's regions and each pair of
+/// cuts' cells. As an [`ExploreSource`], it cuts the candidates from the
+/// folded summaries, answers their distances and their products from those
+/// cells, and re-cuts each region of a composition level through a source
+/// of its own. Every region it makes is built without rows.
 struct RemoteSource<'a> {
     coordinator: &'a Coordinator,
     /// The live-set and failure context of the running explore pass.
@@ -1302,11 +1271,37 @@ struct RemoteSource<'a> {
     sql: String,
     /// The working rows over the live rows …
     rows: Bitmap,
-    /// … each live segment's own, in `ExploreCtx::live` order: what a
-    /// `/shard/select` partial's left-out last region is rebuilt from …
-    segments: Arc<[Bitmap]>,
-    /// … and the working set's column summaries, one per schema column.
+    /// … how many of them each live segment holds, in `ExploreCtx::live`
+    /// order …
+    counts: Vec<u64>,
+    /// … the working set's column summaries, one per schema column …
     summaries: Vec<ColumnSummary>,
+    /// … and what the count round of its cuts answered, once it has run.
+    counted: OnceLock<Counted>,
+}
+
+/// What the count round of a working set's cuts answered, summed over the
+/// shards: the plans, in request order, and the cells of each product the
+/// round asked for — each plan alone, then every pair.
+struct Counted {
+    plans: Vec<CutPlan>,
+    products: Vec<Vec<usize>>,
+    cells: Vec<Vec<u64>>,
+}
+
+impl Counted {
+    /// The counted cells of the product of `plans`, in that order.
+    fn cells(&self, plans: &[usize]) -> Option<&[u64]> {
+        let at = self.products.iter().position(|p| p == plans)?;
+        self.cells.get(at).map(Vec::as_slice)
+    }
+
+    /// How many regions plan `plan` makes.
+    fn width(&self, plan: usize) -> usize {
+        self.plans
+            .get(plan)
+            .map_or(0, |plan| plan.partition.region_count())
+    }
 }
 
 impl RemoteSource<'_> {
@@ -1340,13 +1335,134 @@ impl RemoteSource<'_> {
             .map(|(_, summary)| summary.to_stats())
             .ok_or_else(|| dist_err(format!("unknown attribute '{attribute}'")))
     }
+
+    /// How many working rows `segments` — one shard's, all live — hold.
+    fn working_rows(&self, segments: &[usize]) -> u64 {
+        let live = &self.ctx.live;
+        let at = |segment: &usize| live.binary_search(segment).ok();
+        let count = |at: usize| self.counts.get(at).copied().unwrap_or(0);
+        segments.iter().filter_map(at).map(count).sum()
+    }
+
+    /// One `/shard/select` round: each shard partitions its segments'
+    /// working rows by `plans` and counts the cells of each of `products`
+    /// over them. Each reply is decoded and held to its invariants on the
+    /// thread that received it — a reply that breaks one is that shard's
+    /// failure — and the cells are summed over the shards, which is exact.
+    fn count(
+        &self,
+        plans: &[CutPlan],
+        products: &[Vec<usize>],
+    ) -> Result<Vec<Vec<u64>>, AtlasError> {
+        let coordinator = self.coordinator;
+        let regions: Vec<usize> = plans.iter().map(|p| p.partition.region_count()).collect();
+        let members = vec![
+            (
+                "partitions",
+                Json::array(plans.iter().map(partition_to_json).collect()),
+            ),
+            ("products", products_to_json(products)),
+        ];
+        let path = "/shard/select";
+        let replies = coordinator.fan_out(self.ctx, path, |slot| {
+            let body = coordinator.data_body(&self.sql, &slot.segments, members.clone());
+            let reply = coordinator.call_with(slot, path, &body, self.ctx.deadline)?;
+            let ask = CountAsk {
+                segments: &slot.segments,
+                regions: &regions,
+                products,
+                working_rows: self.working_rows(&slot.segments),
+            };
+            count_reply_from_json(&reply, &ask).map_err(|e| slot.misbehaved(path, e))
+        })?;
+        let mut sums: Vec<Vec<u64>> = products
+            .iter()
+            .map(|plans| vec![0; plans.iter().filter_map(|&p| regions.get(p)).product()])
+            .collect();
+        for reply in replies {
+            for (sum, cells) in sums.iter_mut().zip(reply) {
+                sum.iter_mut().zip(cells).for_each(|(sum, n)| *sum += n);
+            }
+        }
+        Ok(sums)
+    }
+
+    /// The cells of the product of `maps` — candidates cut from this working
+    /// set, in order — row-major over their regions. A map is its cut's
+    /// plan with the regions no row fell in left out, so its cells are the
+    /// plan's cells at the regions it kept: read from the candidates' round
+    /// for one map or two (a pair asked the other way round is transposed),
+    /// counted by one more round for three or more.
+    fn map_cells(&self, maps: &[&DataMap]) -> Result<Vec<u64>, AtlasError> {
+        let counted = self
+            .counted
+            .get()
+            .ok_or_else(|| dist_err("the candidates' cells were never counted"))?;
+        let plans = maps
+            .iter()
+            .map(|map| {
+                let attribute = map.source_attributes.first();
+                let plan = counted
+                    .plans
+                    .iter()
+                    .position(|p| Some(&p.attribute) == attribute);
+                plan.ok_or_else(|| dist_err(format!("no cut counted {attribute:?}")))
+            })
+            .collect::<Result<Vec<usize>, AtlasError>>()?;
+        let cells = match (counted.cells(&plans), plans.as_slice()) {
+            (Some(cells), _) => cells.to_vec(),
+            (None, &[p, q]) => {
+                let cells = counted.cells(&[q, p]).unwrap_or_default();
+                transposed(cells, counted.width(q))
+            }
+            (None, _) => {
+                let cluster: Vec<CutPlan> = plans
+                    .iter()
+                    .filter_map(|&p| counted.plans.get(p).cloned())
+                    .collect();
+                let product = vec![(0..cluster.len()).collect()];
+                self.count(&cluster, &product)?.pop().unwrap_or_default()
+            }
+        };
+        let mut kept = vec![0usize];
+        for (map, &plan) in maps.iter().zip(&plans) {
+            let counts = counted.cells(&[plan]).unwrap_or_default();
+            let held = counts.iter().enumerate().filter(|&(_, &count)| count > 0);
+            let regions: Vec<usize> = held.map(|(region, _)| region).collect();
+            if regions.len() != map.num_regions() {
+                return Err(dist_err(format!(
+                    "the cut of {:?} counted {} regions with rows, its map has {}",
+                    map.source_attributes,
+                    regions.len(),
+                    map.num_regions()
+                )));
+            }
+            let width = counted.width(plan);
+            kept = kept
+                .iter()
+                .flat_map(|&at| regions.iter().map(move |&r| at * width + r))
+                .collect();
+        }
+        kept.iter()
+            .map(|&at| cells.get(at).copied())
+            .collect::<Option<Vec<u64>>>()
+            .ok_or_else(|| dist_err("a product's cells do not cover its plans' regions"))
+    }
+}
+
+/// The `cols × rows` table, row-major, of the `rows`-row table `cells`,
+/// row-major: cell `(i, j)` of one is cell `(j, i)` of the other.
+fn transposed(cells: &[u64], rows: usize) -> Vec<u64> {
+    let cols = cells.len() / rows.max(1);
+    let at = |cell: usize| cells.get(cell % rows * cols + cell / rows);
+    (0..cells.len()).filter_map(at).copied().collect()
 }
 
 impl<'s> ExploreSource<'s> for RemoteSource<'_> {
-    /// Every attribute's cut is planned from the folded summaries, and the
-    /// partitions of all of them are one `/shard/select` round. The deadline
-    /// is checked once more before the distances. No statistics are held:
-    /// a re-cut reads each region's from its own round.
+    /// Every attribute's cut is planned from the folded summaries, and all
+    /// of them are counted in one `/shard/select` round, pairs included. The
+    /// deadline is checked once more before the distances. No statistics are
+    /// held: a re-cut reads each region's from its own round.
     fn candidates(
         &self,
         _working: &Bitmap,
@@ -1380,10 +1496,40 @@ impl<'s> ExploreSource<'s> for RemoteSource<'_> {
         Ok((candidates, Vec::new()))
     }
 
+    /// The pair's cells from the candidates' round.
+    fn contingency(
+        &self,
+        a: &DataMap,
+        b: &DataMap,
+        _working_rows: usize,
+    ) -> Result<ContingencyTable, AtlasError> {
+        let cells = self.map_cells(&[a, b])?;
+        Ok(ContingencyTable::from_counts(
+            a.num_regions(),
+            b.num_regions(),
+            cells,
+        ))
+    }
+
+    /// The cluster's cells — from the candidates' round for two maps, from
+    /// one more round for three or more — with each cell's conjunction.
+    fn product(
+        &self,
+        members: &[DataMap],
+        drop_empty: bool,
+    ) -> Result<Option<DataMap>, AtlasError> {
+        let cells = self.map_cells(&members.iter().collect::<Vec<_>>())?;
+        match product_of_counts(members, &cells, drop_empty) {
+            Some(map) => Ok(Some(map)),
+            None => Err(dist_err("a product's cells do not match its maps")),
+        }
+    }
+
     /// Each region is one `/shard/working` round on its query, whose folded
-    /// summaries are its statistics, and one `/shard/select` round for its
-    /// cut — one coordinator pool task per region. Every level is
-    /// partitioned, `counted` or not: the answer keeps its rows.
+    /// summaries are its statistics; its cut's regions are counted off them
+    /// ([`cut_counted_from_source`]), or — for a column with more values than
+    /// a summary counts — by one `/shard/select` round. One coordinator pool
+    /// task per region. Every level is counted: the next re-cuts from SQL.
     fn recut(
         &self,
         regions: &[Cow<'_, Region>],
@@ -1399,13 +1545,16 @@ impl<'s> ExploreSource<'s> for RemoteSource<'_> {
             let query = &region.query;
             let region = coordinator.remote(self.ctx, to_sql(query))?;
             let stats = region.stats_of(attribute)?;
-            cut_from_source(&region, query, attribute, &coordinator.config.cut, &stats)
+            let config = &coordinator.config.cut;
+            cut_counted_from_source(&region, query, attribute, config, &stats)
         });
         cuts.into_iter().collect()
     }
 }
 
 impl CutSource for RemoteSource<'_> {
+    type Extent = usize;
+
     fn data_type(&self, attribute: &str) -> Result<DataType, AtlasError> {
         let fields = &self.coordinator.fields;
         let field = fields.iter().find(|(name, _)| name == attribute);
@@ -1450,224 +1599,29 @@ impl CutSource for RemoteSource<'_> {
         Ok(folded)
     }
 
-    /// One `/shard/select` round for every plan: each shard streams one
-    /// document per partition and the call that reads it folds each as it
-    /// arrives ([`RegionFold`]). The fold is closed when the round returns,
-    /// answered or not, so a hedge still reading finds it closed.
-    fn partition(&self, plans: &[CutPlan]) -> Result<Vec<Vec<Bitmap>>, AtlasError> {
-        let coordinator = self.coordinator;
-        let fold = Arc::new(RegionFold {
-            live: self.ctx.live.clone(),
-            offsets: self.ctx.offsets.clone(),
-            live_rows: self.ctx.live_rows,
-            working: Arc::clone(&self.segments),
-            expected: plans
-                .iter()
-                .map(|plan| plan.partition.region_count())
-                .collect(),
-            regions: Mutex::new(Some(plans.iter().map(|_| None).collect())),
-        });
-        let partitions = Json::array(plans.iter().map(partition_to_json).collect());
-        let path = "/shard/select";
-        let answered = coordinator.fan_out(self.ctx, path, |slot| {
-            let members = vec![("partitions", partitions.clone())];
-            let body = coordinator.data_body(&self.sql, &slot.segments, members);
-            let into = Intake::Fold {
-                fold: Arc::clone(&fold),
-                segments: slot.segments.clone(),
-            };
-            coordinator
-                .call_with(slot, path, &body, self.ctx.deadline, &into)
-                .map(drop)
-        });
-        let regions = fold.close();
-        answered.map(|_| regions)
-    }
-}
-
-/// How one shard call takes its reply in.
-#[derive(Clone)]
-enum Intake {
-    /// Read whole and parsed as one JSON document.
-    Whole,
-    /// A streamed `/shard/select` answer, folded into the round's fold as
-    /// it arrives from a shard answering for `segments`.
-    Fold {
-        fold: Arc<RegionFold>,
-        segments: Vec<usize>,
-    },
-}
-
-/// The region bitmaps of one partition round, over the pass's live rows,
-/// folded while the shards stream their partitions in. The round owns it
-/// and every request of its calls holds it — a hedge's detached thread
-/// included, which may outlive the round — so the round closes it when it
-/// returns, and a request that finds it closed hangs up.
-///
-/// A partition's bitmaps are allocated when its first document arrives,
-/// from whichever shard. Folding is OR-ing each segment's regions in at the
-/// segment's offset, which is commutative and idempotent, so the arrival
-/// order does not matter, and a retried or hedged request that folds a
-/// document again adds the same bits.
-struct RegionFold {
-    /// The pass's live segments (ascending global indices) …
-    live: Vec<usize>,
-    /// … their offsets in the live row space …
-    offsets: Vec<usize>,
-    /// … how many live rows there are …
-    live_rows: usize,
-    /// … and each one's working rows, what a left-out last region is
-    /// rebuilt from.
-    working: Arc<[Bitmap]>,
-    /// How many regions each partition makes, in request order.
-    expected: Vec<usize>,
-    /// Per partition, its folded regions once its first document has
-    /// arrived; `None` as a whole once the round is closed.
-    regions: Mutex<Option<Vec<Option<Vec<Bitmap>>>>>,
-}
-
-impl RegionFold {
-    fn lock(&self) -> MutexGuard<'_, Option<Vec<Option<Vec<Bitmap>>>>> {
-        // A partition's bitmaps are only ever OR-ed into, so a poisoned lock
-        // still guards bits some shard sent.
-        match self.regions.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// Fold the document of partition `index` from a shard answering for
-    /// `segments`: its partials must cover exactly those segments and each
-    /// must decode to the partition's regions, or nothing of it is folded.
-    fn fold(&self, index: usize, segments: &[usize], document: Json) -> Result<(), String> {
-        let expected = *self
-            .expected
-            .get(index)
-            .ok_or_else(|| format!("partition {index} was not asked for"))?;
-        // The document is owned: move the partials (and the hex runs inside
-        // them) out instead of cloning each one.
-        let partials = match document {
-            Json::Obj(members) => members.into_iter().find(|(key, _)| key == "partials"),
-            _ => None,
-        };
-        let Some((_, Json::Arr(partials))) = partials else {
-            return Err("missing or non-array member \"partials\"".to_string());
-        };
-        let answered = partials
+    /// One count round for every plan: each plan's region counts and — for
+    /// the distances of the candidates — every pair's cells, which the
+    /// source keeps ([`Counted`]).
+    fn partition(&self, plans: &[CutPlan]) -> Result<Vec<Vec<usize>>, AtlasError> {
+        let n = plans.len();
+        let singles = (0..n).map(|p| vec![p]);
+        let pairs = (0..n).flat_map(|p| (p + 1..n).map(move |q| vec![p, q]));
+        let products: Vec<Vec<usize>> = singles.chain(pairs).collect();
+        let cells = self.count(plans, &products)?;
+        let counts = cells
             .iter()
-            .map(|partial| get_index(partial, "segment"))
-            .collect::<Result<Vec<_>, String>>()?;
-        let mut seen = answered.clone();
-        seen.sort_unstable();
-        if seen != segments {
-            return Err(format!(
-                "answered for segments {seen:?}, assigned {segments:?}"
-            ));
-        }
-        let mut decoded = Vec::with_capacity(partials.len());
-        for (segment, partial) in answered.into_iter().zip(&partials) {
-            let position = self
-                .live
-                .binary_search(&segment)
-                .map_err(|_| format!("segment {segment} is not live"))?;
-            let (Some(working), Some(&offset)) =
-                (self.working.get(position), self.offsets.get(position))
-            else {
-                return Err(format!("segment {segment} is not live"));
-            };
-            let regions = select_partial_from_json(partial, working, expected)
-                .map_err(|e| format!("segment {segment}: {e}"))?;
-            decoded.push((offset, regions));
-        }
-        let mut guard = self.lock();
-        let Some(partitions) = guard.as_mut() else {
-            return Err("the round is over".to_string());
+            .take(n)
+            .map(|cells| cells.iter().map(|&count| count as usize).collect())
+            .collect();
+        let counted = Counted {
+            plans: plans.to_vec(),
+            products,
+            cells,
         };
-        let Some(folded) = partitions.get_mut(index) else {
-            return Err(format!("partition {index} was not asked for"));
-        };
-        let folded = folded.get_or_insert_with(|| self.empty(expected));
-        for (offset, regions) in &decoded {
-            for (acc, region) in folded.iter_mut().zip(regions) {
-                acc.or_shifted(region, *offset);
-            }
-        }
-        Ok(())
-    }
-
-    /// Close the fold and take every partition's regions (empty ones for a
-    /// partition no document arrived for, which only a round with no live
-    /// shard can leave).
-    fn close(&self) -> Vec<Vec<Bitmap>> {
-        let partitions = self.lock().take().unwrap_or_default();
-        partitions
-            .into_iter()
-            .zip(&self.expected)
-            .map(|(folded, &expected)| folded.unwrap_or_else(|| self.empty(expected)))
-            .collect()
-    }
-
-    /// `regions` empty bitmaps over the live rows.
-    fn empty(&self, regions: usize) -> Vec<Bitmap> {
-        (0..regions)
-            .map(|_| Bitmap::new_empty(self.live_rows))
-            .collect()
-    }
-}
-
-/// One request's reading of a streamed answer: the partitions it has folded
-/// so far, its trailing spans document, and why it stopped reading, if it
-/// refused a chunk.
-struct Taker<'a> {
-    fold: &'a RegionFold,
-    segments: &'a [usize],
-    taken: usize,
-    trailer: Option<Json>,
-    refused: Option<String>,
-}
-
-impl Taker<'_> {
-    /// Take one chunk in; a refusal stops the read.
-    fn chunk(&mut self, bytes: Vec<u8>) -> io::Result<()> {
-        self.take(bytes).map_err(|message| {
-            self.refused = Some(message.clone());
-            io::Error::other(message)
-        })
-    }
-
-    fn take(&mut self, bytes: Vec<u8>) -> Result<(), String> {
-        if self.trailer.is_some() {
-            return Err("a document after the spans".to_string());
-        }
-        let text = String::from_utf8(bytes).map_err(|_| "a non-UTF-8 document".to_string())?;
-        let document = crate::wire::parse(&text).map_err(|e| e.to_string())?;
-        let fold = self.fold;
-        if self.taken == fold.expected.len() {
-            if document.get("spans").is_none() {
-                return Err(format!(
-                    "more than the {} partitions asked for",
-                    fold.expected.len()
-                ));
-            }
-            self.trailer = Some(document);
-            return Ok(());
-        }
-        fold.fold(self.taken, self.segments, document)
-            .map_err(|e| format!("partition {}: {e}", self.taken))?;
-        self.taken += 1;
-        Ok(())
-    }
-
-    /// The stream ended: every partition must have arrived. Hands back the
-    /// trailing spans document (an empty one when there was none).
-    fn finish(self) -> Result<Json, String> {
-        let asked = self.fold.expected.len();
-        if self.taken != asked {
-            return Err(format!("answered {} of {asked} partitions", self.taken));
-        }
-        Ok(self
-            .trailer
-            .unwrap_or_else(|| Json::object(Vec::<(String, Json)>::new())))
+        self.counted
+            .set(counted)
+            .map_err(|_| dist_err("a working set's cuts are counted once"))?;
+        Ok(counts)
     }
 }
 
@@ -1678,45 +1632,13 @@ mod tests {
     use std::io::BufReader;
     use std::net::TcpListener;
 
-    /// A two-region `/shard/select` document for `segment` of 4 working
-    /// rows: rows 0–1 in the first region, the rest in the second.
-    fn select_document(segment: usize) -> Json {
-        let working = Bitmap::new_full(4);
-        let first = Bitmap::from_indices(4, 0..2);
-        let second = Bitmap::from_indices(4, 2..4);
-        let partial =
-            crate::wire::frames::select_partial_to_json(segment, &working, &[first, second]);
-        Json::object(vec![("partials", Json::array(vec![partial]))])
-    }
-
-    /// The fold of a partition round ORs each document in at its segment's
-    /// offset, in any order and as often as it arrives; a partition no
-    /// document arrived for comes out empty; and once the round has closed
-    /// it, a late document — a hedge that outlived its round — is refused.
+    /// A pair's cells counted the other way round: the 2 × 3 table of rows
+    /// (0, 1) and columns (0, 1, 2) read as the 3 × 2 one.
     #[test]
-    fn a_region_fold_is_idempotent_and_refuses_documents_once_closed() {
-        let working: Arc<[Bitmap]> = vec![Bitmap::new_full(4), Bitmap::new_full(4)].into();
-        let fold = RegionFold {
-            live: vec![3, 7],
-            offsets: vec![0, 4],
-            live_rows: 8,
-            working,
-            expected: vec![2, 2],
-            regions: Mutex::new(Some(vec![None, None])),
-        };
-        fold.fold(0, &[7], select_document(7)).unwrap();
-        fold.fold(0, &[3], select_document(3)).unwrap();
-        fold.fold(0, &[7], select_document(7)).unwrap();
-        let error = fold.fold(0, &[3], select_document(7)).unwrap_err();
-        assert!(error.contains("assigned [3]"), "{error}");
-        let regions = fold.close();
-        assert_eq!(regions[0][0].to_indices(), vec![0, 1, 4, 5]);
-        assert_eq!(regions[0][1].to_indices(), vec![2, 3, 6, 7]);
-        assert_eq!(regions[1], vec![Bitmap::new_empty(8); 2]);
-        assert_eq!(
-            fold.fold(1, &[3], select_document(3)),
-            Err("the round is over".to_string())
-        );
+    fn a_pair_counted_the_other_way_round_is_transposed() {
+        assert_eq!(transposed(&[1, 2, 3, 4, 5, 6], 2), vec![1, 4, 2, 5, 3, 6]);
+        assert_eq!(transposed(&[1, 4, 2, 5, 3, 6], 3), vec![1, 2, 3, 4, 5, 6]);
+        assert_eq!(transposed(&[], 2), Vec::<u64>::new());
     }
 
     /// A shard whose `/shard/meta` reply claims 100 rows over segments of 60

@@ -3,12 +3,11 @@
 //! Just enough of the protocol for the exploration server and its clients:
 //! request/response lines, headers, `Content-Length`-bounded bodies, and
 //! keep-alive. A request body always carries its length (a chunked request
-//! is refused, so requests stay bounded and their parser simple); a response
-//! body may instead stream as `Transfer-Encoding: chunked`, which is how a
-//! shard sends a reply one part at a time ([`write_chunked_head`],
-//! [`write_chunk`], [`end_chunks`]) and how a client takes each part as it
-//! arrives ([`read_response_with`]). This module is the only one that writes
-//! the framing.
+//! is refused, so requests stay bounded and their parser simple), and so
+//! does every response this crate writes; a response read from a peer may
+//! instead stream as `Transfer-Encoding: chunked`, whose parts a reader
+//! takes as they arrive ([`read_response_with`]) or joined
+//! ([`read_response`]).
 //!
 //! Everything is parsed defensively: line-length and header-count caps, a
 //! body-size cap that bounds every chunk and their running total before
@@ -495,43 +494,6 @@ pub fn write_response<W: Write>(
     writer.flush()
 }
 
-/// Write the head of a response whose body follows as a chunked stream:
-/// one [`write_chunk`] per part, then [`end_chunks`]. `keep_alive` controls
-/// the `Connection` header as in [`write_response`].
-pub fn write_chunked_head<W: Write>(
-    writer: &mut W,
-    status: u16,
-    content_type: &str,
-    keep_alive: bool,
-) -> io::Result<()> {
-    let head = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nTransfer-Encoding: chunked\r\nConnection: {}\r\n\r\n",
-        status_text(status),
-        if keep_alive { "keep-alive" } else { "close" },
-    );
-    writer.write_all(head.as_bytes())?;
-    writer.flush()
-}
-
-/// Write one chunk of a chunked body and flush it, so the peer can take it
-/// while the next one is computed. Empty bytes write nothing: a zero-size
-/// chunk would end the body.
-pub fn write_chunk<W: Write>(writer: &mut W, bytes: &[u8]) -> io::Result<()> {
-    if bytes.is_empty() {
-        return Ok(());
-    }
-    writer.write_all(format!("{:x}\r\n", bytes.len()).as_bytes())?;
-    writer.write_all(bytes)?;
-    writer.write_all(b"\r\n")?;
-    writer.flush()
-}
-
-/// End a chunked body: the zero-size last chunk and an empty trailer.
-pub fn end_chunks<W: Write>(writer: &mut W) -> io::Result<()> {
-    writer.write_all(b"0\r\n\r\n")?;
-    writer.flush()
-}
-
 /// A parsed HTTP response (client side).
 #[derive(Debug, Clone)]
 pub struct ClientResponse {
@@ -781,14 +743,15 @@ mod tests {
         );
     }
 
-    /// Three chunks of a streamed reply, framed as a shard writes them.
+    /// Three chunks of a streamed reply, `Transfer-Encoding: chunked`.
     fn three_chunk_response() -> Vec<u8> {
-        let mut wire = Vec::new();
-        write_chunked_head(&mut wire, 200, "application/json", true).unwrap();
+        let head = "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+                    Transfer-Encoding: chunked\r\nConnection: keep-alive\r\n\r\n";
+        let mut wire = head.as_bytes().to_vec();
         for part in [r#"{"partials": [1]}"#, r#"{"partials": [22, 3]}"#, "{}"] {
-            write_chunk(&mut wire, part.as_bytes()).unwrap();
+            wire.extend_from_slice(format!("{:x}\r\n{part}\r\n", part.len()).as_bytes());
         }
-        end_chunks(&mut wire).unwrap();
+        wire.extend_from_slice(b"0\r\n\r\n");
         wire
     }
 

@@ -561,30 +561,14 @@ fn handle_connection(shared: &Shared, stream: TcpStream, admitted: Instant) {
             idle_deadline = Instant::now() + shared.config.keep_alive;
             continue;
         }
-        let (endpoint, reply) = route(shared, &request, deadline);
+        let (endpoint, response) = route(shared, &request, deadline);
         request_span.attr("endpoint", endpoint.label());
-        let (write_started, write_result) = match reply {
-            crate::shard::Reply::Normal(response) => {
-                request_span.attr("status", response.status);
-                shared
-                    .metrics
-                    .record(endpoint, response.status, request_span.elapsed_ms());
-                let write_started = Instant::now();
-                let written = http::write_response(&mut writer, &response, keep_alive);
-                (write_started, written)
-            }
-            // A stream is computed while it is written, so the write and
-            // the recorded latency both cover all of it.
-            crate::shard::Reply::Stream(stream) => {
-                request_span.attr("status", 200);
-                let write_started = Instant::now();
-                let written = stream.write(&mut writer, keep_alive);
-                shared
-                    .metrics
-                    .record(endpoint, 200, request_span.elapsed_ms());
-                (write_started, written)
-            }
-        };
+        request_span.attr("status", response.status);
+        shared
+            .metrics
+            .record(endpoint, response.status, request_span.elapsed_ms());
+        let write_started = Instant::now();
+        let write_result = http::write_response(&mut writer, &response, keep_alive);
         record_past_interval(
             &request_span,
             "response.write",
@@ -635,47 +619,29 @@ pub(crate) fn error_response(error: &AtlasError) -> Response {
     Response::error(status, error.to_string())
 }
 
-fn route(
-    shared: &Shared,
-    request: &Request,
-    deadline: Option<Deadline>,
-) -> (Endpoint, crate::shard::Reply) {
+fn route(shared: &Shared, request: &Request, deadline: Option<Deadline>) -> (Endpoint, Response) {
     let segments = request.path_segments();
     let method = request.method.as_str();
     match (method, segments.as_slice()) {
-        ("GET", ["healthz"]) => (
-            Endpoint::Healthz,
-            metrics::healthz(&components(shared)).into(),
-        ),
+        ("GET", ["healthz"]) => (Endpoint::Healthz, metrics::healthz(&components(shared))),
         ("GET", ["metrics"]) => (
             Endpoint::Metrics,
-            metrics::metrics(&components(shared), request).into(),
+            metrics::metrics(&components(shared), request),
         ),
-        ("GET", ["debug", "traces"]) => (Endpoint::DebugTraces, debug_traces().into()),
-        ("GET", ["debug", "traces", id]) => (Endpoint::DebugTrace, debug_trace(id).into()),
-        ("GET", ["datasets"]) => (Endpoint::Datasets, datasets(shared).into()),
-        ("POST", ["datasets", name, "rows"]) => (
-            Endpoint::AppendRows,
-            append_rows(shared, name, request).into(),
-        ),
-        ("POST", ["sessions"]) => (
-            Endpoint::CreateSession,
-            create_session(shared, request).into(),
-        ),
+        ("GET", ["debug", "traces"]) => (Endpoint::DebugTraces, debug_traces()),
+        ("GET", ["debug", "traces", id]) => (Endpoint::DebugTrace, debug_trace(id)),
+        ("GET", ["datasets"]) => (Endpoint::Datasets, datasets(shared)),
+        ("POST", ["datasets", name, "rows"]) => {
+            (Endpoint::AppendRows, append_rows(shared, name, request))
+        }
+        ("POST", ["sessions"]) => (Endpoint::CreateSession, create_session(shared, request)),
         ("POST", ["sessions", token, "explore"]) => {
-            (Endpoint::Explore, explore(shared, token, request).into())
+            (Endpoint::Explore, explore(shared, token, request))
         }
-        ("POST", ["sessions", token, "drill"]) => {
-            (Endpoint::Drill, drill(shared, token, request).into())
-        }
-        ("POST", ["sessions", token, "back"]) => (Endpoint::Back, back(shared, token).into()),
-        ("GET", ["sessions", token, "history"]) => {
-            (Endpoint::History, history(shared, token).into())
-        }
-        ("DELETE", ["sessions", token]) => (
-            Endpoint::DeleteSession,
-            delete_session(shared, token).into(),
-        ),
+        ("POST", ["sessions", token, "drill"]) => (Endpoint::Drill, drill(shared, token, request)),
+        ("POST", ["sessions", token, "back"]) => (Endpoint::Back, back(shared, token)),
+        ("GET", ["sessions", token, "history"]) => (Endpoint::History, history(shared, token)),
+        ("DELETE", ["sessions", token]) => (Endpoint::DeleteSession, delete_session(shared, token)),
         ("POST", ["shard", action]) => match crate::shard::endpoint_of(action) {
             Some(endpoint) => (
                 endpoint,
@@ -683,23 +649,23 @@ fn route(
             ),
             None => (
                 Endpoint::Other,
-                Response::error(404, format!("no shard endpoint '{action}'")).into(),
+                Response::error(404, format!("no shard endpoint '{action}'")),
             ),
         },
         ("POST", ["distributed", "explore"]) => (
             Endpoint::DistExplore,
-            distributed_explore(shared, request, deadline).into(),
+            distributed_explore(shared, request, deadline),
         ),
         (_, ["healthz" | "metrics" | "datasets"])
         | (_, ["sessions", ..])
         | (_, ["debug", "traces", ..])
         | (_, ["shard", ..] | ["distributed", ..]) => (
             Endpoint::Other,
-            Response::error(405, format!("method {method} not allowed here")).into(),
+            Response::error(405, format!("method {method} not allowed here")),
         ),
         _ => (
             Endpoint::Other,
-            Response::error(404, format!("no route for {method} {}", request.path)).into(),
+            Response::error(404, format!("no route for {method} {}", request.path)),
         ),
     }
 }

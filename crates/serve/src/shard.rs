@@ -6,27 +6,28 @@
 //! **global segment indices** and pushes the row-touching work of an explore
 //! down to them: working-set evaluation, answered in one `/shard/working`
 //! call together with the per-column summaries of the working rows (value
-//! and category counts included), region partitioning, and — for the columns
-//! with more values than a summary counts — numeric value runs and category
-//! counts.
-//! (Map distances are *not* pushed down: the coordinator already holds every
-//! candidate region as a folded bitmap and counts contingency tables itself.)
-//! Every answer is **per segment**, so the coordinator can fold partials in
-//! ascending global segment order (or, for region bitmaps, OR them in any
-//! order) and obtain bit-identical results no matter how segments were
-//! assigned to shards.
+//! and category counts included), region partitioning and the counts the
+//! rest of the explore reads, and — for the columns with more values than a
+//! summary counts — numeric value runs and category counts.
+//! (Map distances are counted here: a pair of cuts' contingency cells are
+//! counts like any other, taken where the rows are, and the coordinator
+//! scores them.) A `/shard/working`, `/shard/values` or `/shard/categories`
+//! answer is **per segment**, so the coordinator can fold partials in
+//! ascending global segment order; a `/shard/select` answer is integer
+//! counts summed over the shard's segments, which the coordinator sums over
+//! the shards in any order. Either way the results are bit-identical no
+//! matter how segments were assigned to shards.
 //!
 //! `POST /shard/select` partitions the working set for every cut of an
-//! explore at once. Its body is `{"dataset", "sql", "segments",
-//! "partitions": [{"attribute", "kind": "ranges", "bounds"} | {"attribute",
-//! "kind": "groups", "groups"}, …]}` (bounds as one hex run of `(lo, hi)`
-//! bit-pattern pairs, groups as arrays of values). The reply is a chunked
-//! `200`: one `{"partials": […]}` document per partition, in request order,
-//! each computed, encoded and written before the next is started, then —
-//! when the request is traced — one `{"spans": […]}` document. Every
-//! attribute is resolved before the first byte goes out, so a bad request is
-//! still a plain `4xx`; the request's span and its latency in `/metrics`
-//! cover the whole stream.
+//! explore at once and counts what the explore reads. Its body is
+//! `{"dataset", "sql", "segments", "partitions": [{"attribute", "kind":
+//! "ranges", "bounds"} | {"attribute", "kind": "groups", "groups"}, …],
+//! "products": [[0], [1], [0, 1], …]}` (bounds as one hex run of `(lo, hi)`
+//! bit-pattern pairs, groups as arrays of values, each product a list of
+//! indices into `partitions`). The reply is one `{"segments": […], "cells":
+//! […]}` document: per product, its cells summed over the segments — a cut's
+//! region counts, a pair of cuts' contingency table, a longer product's cells
+//! row-major — and no region's rows.
 //!
 //! Shards are stateless with respect to the partitioning: requests carry the
 //! segment indices and the (restricted SQL) queries, and the shard evaluates
@@ -61,100 +62,26 @@
 //! replies, dead shards — in a proxy between the coordinator and the shard
 //! (`tests/common/mod.rs`), where a real network would.
 //!
-//! What the frames of `/shard/working` and `/shard/select` leave out — the
-//! bitmap of a segment selected whole or not at all, the last region when it
-//! is the rest of the working set — is decided in [`crate::wire::frames`],
-//! next to the decoder that fills it back in.
+//! What the frames of `/shard/working` leave out — the bitmap of a segment
+//! selected whole or not at all — and what a count reply is held to are
+//! decided in [`crate::wire::frames`], next to the decoders.
 
 use crate::http::{self, Request, Response};
 use crate::metrics::Endpoint;
 use crate::registry::{Dataset, Registry};
 use crate::wire::frames::{
-    get_items, get_str, hex_f64s, meta_to_json, partition_from_json, select_partial_to_json,
-    working_partial_to_json,
+    count_reply_to_json, get_items, get_str, hex_f64s, meta_to_json, partition_from_json,
+    products_from_json, working_partial_to_json,
 };
 use crate::wire::{self, Json};
 use atlas_columnar::{Bitmap, SummaryParts, Table};
-use atlas_core::{AtlasError, CutPlan, CutSource, TableCutSource};
+use atlas_core::{AtlasError, CutSource, TableCutSource};
 use atlas_query::parse_query;
+use atlas_stats::ContingencyTable;
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::io::{self, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-
-/// How an endpoint answers: a normal HTTP response, or a `200` whose body is
-/// computed while it is written.
-pub(crate) enum Reply {
-    /// An ordinary HTTP response.
-    Normal(Response),
-    /// A `/shard/select` answer, streamed one partition at a time.
-    Stream(Stream),
-}
-
-/// A `/shard/select` answer still to be computed: one `{"partials": […]}`
-/// document per requested partition, in request order — each computed,
-/// encoded and written as one chunk before the next is started, so the
-/// shard holds one partition's frame at a time and the coordinator folds it
-/// while the next is computed — then, when the request is traced, one
-/// `{"spans": […]}` document of the request's spans, recorded once the
-/// partitions are written.
-pub(crate) struct Stream {
-    views: Arc<Vec<SegmentView>>,
-    /// Each requested segment's global index and working rows.
-    sets: Vec<(usize, Working)>,
-    plans: Vec<CutPlan>,
-    /// The request's `shard.request` span, which covers the whole stream.
-    span: Option<atlas_obs::SpanGuard>,
-}
-
-impl Stream {
-    /// Compute the documents one at a time and write each as one chunk of
-    /// the chunked body of a `200`.
-    pub(crate) fn write<W: Write>(self, writer: &mut W, keep_alive: bool) -> io::Result<()> {
-        let Stream {
-            views,
-            sets,
-            plans,
-            span,
-        } = self;
-        http::write_chunked_head(writer, 200, "application/json", keep_alive)?;
-        for plan in &plans {
-            let mut partials = Vec::with_capacity(sets.len());
-            for (segment, working) in &sets {
-                // Every attribute resolved on every segment when the stream
-                // was made; a failure here can only end the stream early,
-                // which the coordinator reads as a truncated answer.
-                let view = views
-                    .get(*segment)
-                    .ok_or_else(|| io::Error::other(format!("segment {segment} left the view")))?;
-                let mut regions = TableCutSource::new(&view.table, &working.rows)
-                    .partition(std::slice::from_ref(plan))
-                    .map_err(|error| io::Error::other(error.to_string()))?;
-                let regions = regions.pop().unwrap_or_default();
-                partials.push(select_partial_to_json(*segment, &working.rows, &regions));
-            }
-            http::write_chunk(writer, partials_reply(partials).encode().as_bytes())?;
-        }
-        // Close the request's root span before snapshotting so it is in the
-        // ring.
-        let trace_id = span.and_then(|span| span.context().map(|ctx| ctx.trace_id));
-        if let Some(trace_id) = trace_id {
-            let mut trailer = Json::object(Vec::<(String, Json)>::new());
-            append_shard_spans(&mut trailer, trace_id);
-            if trailer.get("spans").is_some() {
-                http::write_chunk(writer, trailer.encode().as_bytes())?;
-            }
-        }
-        http::end_chunks(writer)
-    }
-}
-
-impl From<Response> for Reply {
-    fn from(response: Response) -> Reply {
-        Reply::Normal(response)
-    }
-}
 
 /// Per-server shard state: the single-segment view cache, and how often a
 /// working set was evaluated or found.
@@ -290,31 +217,27 @@ pub(crate) fn handle(
     state: &ShardState,
     endpoint: Endpoint,
     request: &Request,
-) -> Reply {
+) -> Response {
     let body = match request.body_text() {
         Some(text) if !text.trim().is_empty() => match wire::parse(text) {
             Ok(json) => json,
-            Err(error) => return Response::error(400, error.to_string()).into(),
+            Err(error) => return Response::error(400, error.to_string()),
         },
         _ => Json::object(Vec::<(String, Json)>::new()),
     };
     let mut shard_span = shard_span(endpoint, request);
     match answer(registry, state, endpoint, &body, shard_span.as_mut()) {
-        Ok(Answer::Whole(mut reply)) => {
+        Ok(mut reply) => {
             // Close the request's root span before snapshotting so it is in
             // the ring.
             let trace_id = shard_span.and_then(|span| span.context().map(|ctx| ctx.trace_id));
             if let Some(trace_id) = trace_id {
                 append_shard_spans(&mut reply, trace_id);
             }
-            // The one place a whole data reply is encoded, spans or not.
-            Reply::Normal(Response::json(200, &reply))
+            // The one place a data reply is encoded, spans or not.
+            Response::json(200, &reply)
         }
-        Ok(Answer::Stream(mut stream)) => {
-            stream.span = shard_span;
-            Reply::Stream(stream)
-        }
-        Err(response) => Reply::Normal(response),
+        Err(response) => response,
     }
 }
 
@@ -348,13 +271,6 @@ fn append_shard_spans(reply: &mut Json, trace_id: u64) {
     }
 }
 
-/// The real answer of one shard data endpoint, once its request is read and
-/// checked: a whole reply object, or a stream computed while it is written.
-enum Answer {
-    Whole(Json),
-    Stream(Stream),
-}
-
 /// Compute the real answer of one shard data endpoint, or the error
 /// response. `span` is the request's `shard.request` span when it is traced;
 /// an endpoint that works on a working set tags it with how the rows were
@@ -365,11 +281,11 @@ fn answer(
     endpoint: Endpoint,
     body: &Json,
     span: Option<&mut atlas_obs::SpanGuard>,
-) -> Result<Answer, Response> {
+) -> Result<Json, Response> {
     let dataset =
         crate::server::resolve_dataset(registry, body.get("dataset").and_then(Json::str))?;
     if endpoint == Endpoint::ShardMeta {
-        return Ok(Answer::Whole(meta(dataset)));
+        return Ok(meta(dataset));
     }
     let views = state
         .segment_views(dataset)
@@ -377,16 +293,10 @@ fn answer(
     // Every handler of a working set gets it from the one function.
     let sets = || working_sets(state, &views, body, span);
     let run = match endpoint {
-        Endpoint::ShardWorking => sets().map(|sets| Answer::Whole(working(&sets))),
-        Endpoint::ShardValues => sets()
-            .and_then(|sets| values(&sets, body))
-            .map(Answer::Whole),
-        Endpoint::ShardCategories => sets()
-            .and_then(|sets| categories(&sets, body))
-            .map(Answer::Whole),
-        Endpoint::ShardSelect => sets()
-            .and_then(|sets| select(&views, &sets, body))
-            .map(Answer::Stream),
+        Endpoint::ShardWorking => sets().map(|sets| working(&sets)),
+        Endpoint::ShardValues => sets().and_then(|sets| values(&sets, body)),
+        Endpoint::ShardCategories => sets().and_then(|sets| categories(&sets, body)),
+        Endpoint::ShardSelect => sets().and_then(|sets| select(&sets, body)),
         _ => return Err(Response::error(404, "unknown shard endpoint")),
     };
     run.map_err(|fail| match fail {
@@ -578,34 +488,79 @@ fn categories(sets: &[SegmentWorking], body: &Json) -> Result<Json, Fail> {
     Ok(partials_reply(partials))
 }
 
-/// The stream of a `/shard/select` request: `"partitions"`, one
-/// `{attribute, kind, bounds | groups}` per cut, each partitioned over every
-/// requested segment's working rows. Every attribute is resolved on every
-/// segment here, before the first byte is written: once a stream has
-/// started, no error status can be sent.
-fn select(
-    views: &Arc<Vec<SegmentView>>,
-    sets: &[SegmentWorking],
-    body: &Json,
-) -> Result<Stream, Fail> {
+/// The answer of a `/shard/select` request: `"partitions"`, one
+/// `{attribute, kind, bounds | groups}` per cut, and `"products"`, the
+/// combinations of them to count. Each requested segment's working rows are
+/// partitioned once per cut by the cut's kernel, and each product's cells
+/// are counted there and summed over the segments: a one-cut product is its
+/// region counts; a pair is its contingency table — the head cells only when
+/// both cuts partition the segment's working rows
+/// ([`ContingencyTable::from_partitions`]); a longer product intersects its
+/// cuts' regions in turn. No region's rows leave the shard.
+fn select(sets: &[SegmentWorking], body: &Json) -> Result<Json, Fail> {
     let plans = get_items(body, "partitions")?
         .iter()
         .map(partition_from_json)
         .collect::<Result<Vec<_>, String>>()?;
-    for plan in &plans {
-        for (_, view, _) in sets {
-            view.table
-                .column(&plan.attribute)
-                .map_err(AtlasError::from)?;
+    let products = products_from_json(body, &plans)?;
+    let widths: Vec<usize> = plans.iter().map(|p| p.partition.region_count()).collect();
+    let mut cells: Vec<Vec<u64>> = products
+        .iter()
+        .map(|plans| vec![0; plans.iter().filter_map(|&p| widths.get(p)).product()])
+        .collect();
+    // A segment whose working set is empty adds no row to any cell.
+    for (_, view, working) in sets.iter().filter(|(_, _, working)| working.count > 0) {
+        let regions = TableCutSource::new(&view.table, &working.rows).partition(&plans)?;
+        let counts: Vec<Vec<u64>> = regions
+            .iter()
+            .map(|regions| regions.iter().map(|r| r.count() as u64).collect())
+            .collect();
+        let of = |plan: &usize| regions.get(*plan).zip(counts.get(*plan));
+        for (plans, sums) in products.iter().zip(&mut cells) {
+            let cut: Vec<(&Vec<Bitmap>, &Vec<u64>)> = plans.iter().filter_map(of).collect();
+            let segment = product_cells(&cut, working.count as u64);
+            for (sum, n) in sums.iter_mut().zip(segment) {
+                *sum += n;
+            }
         }
     }
-    Ok(Stream {
-        views: Arc::clone(views),
-        sets: sets
-            .iter()
-            .map(|(segment, _, working)| (*segment, working.clone()))
-            .collect(),
-        plans,
-        span: None,
-    })
+    let segments: Vec<usize> = sets.iter().map(|(segment, _, _)| *segment).collect();
+    Ok(count_reply_to_json(&segments, &cells))
+}
+
+/// One segment's cells of the product of `cuts` — each a cut's region
+/// bitmaps over the segment and their counts — row-major, the first cut's
+/// region index most significant; `working` is the segment's working rows.
+fn product_cells(cuts: &[(&Vec<Bitmap>, &Vec<u64>)], working: u64) -> Vec<u64> {
+    match cuts {
+        [] => Vec::new(),
+        [(_, counts)] => counts.to_vec(),
+        [(rows, row_counts), (cols, col_counts)] => {
+            let (rows, cols): (Vec<&Bitmap>, Vec<&Bitmap>) =
+                (rows.iter().collect(), cols.iter().collect());
+            let partitions = |counts: &[u64]| counts.iter().sum::<u64>() == working;
+            let table = if partitions(row_counts) && partitions(col_counts) {
+                ContingencyTable::from_partitions(&rows, row_counts, &cols, col_counts)
+            } else {
+                ContingencyTable::from_selections(&rows, &cols)
+            };
+            table.counts().to_vec()
+        }
+        [(first, _), middle @ .., (last, _)] => {
+            let mut level: Vec<Bitmap> = first.to_vec();
+            for (regions, _) in middle {
+                level = level
+                    .iter()
+                    .flat_map(|left| regions.iter().map(move |right| left.and(right)))
+                    .collect();
+            }
+            level
+                .iter()
+                .flat_map(|left| {
+                    last.iter()
+                        .map(move |right| left.intersection_count(right) as u64)
+                })
+                .collect()
+        }
+    }
 }

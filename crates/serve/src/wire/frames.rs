@@ -22,37 +22,37 @@
 //! value twice. A summary with too many distinct values travels as the plain
 //! value list it always was.
 //!
-//! An explore ships the working set and the candidate regions as bitmaps
-//! (250 kB of hex per 1M rows each), but not the ones the coordinator can
-//! work out from what it already holds. The per-segment partials of
-//! `/shard/working` and `/shard/select` are encoded and decoded here, rule
-//! included, so neither side knows the format apart from the other:
+//! An explore ships the working set as bitmaps (250 kB of hex per 1M rows),
+//! but not the ones the coordinator can work out from what it already
+//! holds, and it ships no region's rows at all. The per-segment partials of
+//! `/shard/working` and the count replies of `/shard/select` are encoded and
+//! decoded here, rules included, so neither side knows the format apart
+//! from the other:
 //!
 //! * a working partial carries its segment's `count`, a bitmap only when the
 //!   count is neither 0 nor the segment's rows — a whole-table explore ships
 //!   no working bitmap at all — and, as `"columns"`, the summary of every
 //!   column over the working rows, so one round answers both and the
 //!   decoder holds the summaries to the schema ([`working_partial_from_json`]);
-//! * a select partial carries its regions in partition order, except that
-//!   the last is left out, and `"rest": true` sent instead, when it is bit
-//!   for bit the working rows no other region holds. The coordinator keeps
-//!   every segment's working rows and rebuilds it. A partition that misses
-//!   working rows (NULLs, a value outside every bound) ships all its
-//!   regions, so the rule is exact by construction and independent of the
-//!   segment layout; a two-way cut of a census column ships one bitmap
-//!   instead of two.
+//! * a `/shard/select` request carries the explore's cuts as `"partitions"`
+//!   ([`partition_to_json`]) and, as `"products"`, which combinations of
+//!   them to count ([`products_to_json`]): each cut alone, and each pair of
+//!   cuts for the map distances, or a cluster of three or more maps for its
+//!   product merge. The reply is one document, not one per segment: the
+//!   segments it answered for and each product's cells, summed over them
+//!   ([`count_reply_to_json`]). Integer sums are exact, so the coordinator's
+//!   sum over its shards is the count a local explore takes. The decoder
+//!   holds a reply to every invariant the coordinator can check
+//!   ([`count_reply_from_json`]): the segments, each product's arity, no
+//!   more rows than the segments' working rows, and a pair's row and column
+//!   sums within — or, beside a cut that partitions the working rows, equal
+//!   to — the region counts.
 //!
-//! A `/shard/select` request carries one partition per cut of the explore
-//! ([`partition_to_json`]), and its reply one document of such partials per
-//! partition.
-//!
-//! A coordinator of this build reads older select partials too (every bitmap
-//! present, no `rest`), but refuses an older shard's working partial, which
-//! has no `"columns"`, with a typed error. An older coordinator gets a typed
-//! `404` when it asks this build's shards for the summaries on an endpoint of
-//! their own, which is deleted; one older still refuses a working partial
-//! without a bitmap, or a select partial without its last region ("answered
-//! 1 regions, expected 2"). No mix gives a wrong map.
+//! A coordinator of this build refuses an older shard's working partial,
+//! which has no `"columns"`, and an older shard's streamed `/shard/select`
+//! reply, which has no `"cells"`, with typed errors; an older coordinator
+//! refuses this build's count reply, which has no `"partials"`. No mix gives
+//! a wrong map.
 //!
 //! The hex run is the hot path of the whole coordinator↔shard exchange. It
 //! is handled eight digits per `u64` step (SWAR): encoding spreads a half
@@ -395,87 +395,206 @@ fn columns_from_json(
         .collect()
 }
 
-/// The working rows that none of `others` holds.
-fn rest_of(working: &Bitmap, others: &[Bitmap]) -> Bitmap {
-    let mut rest = working.clone();
-    for region in others {
-        rest.difference_with(region);
-    }
-    rest
+/// The most cells one `/shard/select` request may ask for, over all of its
+/// products: far above what an explore asks (a cluster of three three-way
+/// cuts is 27), so a request that would make a shard allocate more is the
+/// coordinator's mistake, refused before anything is counted.
+pub const MAX_CELLS: usize = 1 << 16;
+
+/// How many cells the product of `plans` has: one per combination of one
+/// region per plan, `regions[plan]` regions each. `None` on an index past
+/// `regions`, or past [`MAX_CELLS`].
+fn cell_count(plans: &[usize], regions: &[usize]) -> Option<usize> {
+    plans.iter().try_fold(1usize, |cells, &plan| {
+        let cells = cells.checked_mul(*regions.get(plan)?)?;
+        (cells <= MAX_CELLS).then_some(cells)
+    })
 }
 
-/// Encode one segment's `/shard/select` partial: its region bitmaps over the
-/// segment, in partition order. When there are two or more and the last is,
-/// bit for bit, the working rows no other region holds, it is left out and
-/// `"rest": true` says so; the receiver, holding the working rows, rebuilds
-/// it. A partition that misses working rows — NULLs, a value outside every
-/// bound — ships every region.
-pub fn select_partial_to_json(segment: usize, working: &Bitmap, regions: &[Bitmap]) -> Json {
-    let same_length = |region: &Bitmap| region.len() == working.len();
-    let shipped = match regions.split_last() {
-        Some((last, others))
-            if !others.is_empty()
-                && regions.iter().all(same_length)
-                && rest_of(working, others) == *last =>
-        {
-            others
-        }
-        _ => regions,
-    };
-    let mut members = vec![
-        ("segment", Json::from(segment)),
-        (
-            "regions",
-            Json::array(shipped.iter().map(bitmap_to_json).collect()),
-        ),
-    ];
-    if shipped.len() < regions.len() {
-        members.push(("rest", Json::from(true)));
-    }
-    Json::object(members)
+/// Encode a `/shard/select` request's `products`: each a list of indices
+/// into its `partitions`, whose cells the shards count.
+pub fn products_to_json(products: &[Vec<usize>]) -> Json {
+    let product = |plans: &Vec<usize>| Json::array(plans.iter().map(|&p| Json::from(p)).collect());
+    Json::array(products.iter().map(product).collect())
 }
 
-/// Decode the `expected` regions of a `/shard/select` partial of a segment
-/// whose working rows are `working`: every shipped bitmap has the segment's
-/// length, and a left-out last region (`"rest": true`, only ever beside at
-/// least one shipped region) is rebuilt as the working rows no shipped
-/// region holds.
-pub fn select_partial_from_json(
-    partial: &Json,
-    working: &Bitmap,
-    expected: usize,
-) -> Result<Vec<Bitmap>, String> {
-    let rest = match partial.get("rest") {
-        None => false,
-        Some(Json::Bool(rest)) => *rest,
-        Some(_) => return Err("member \"rest\" must be a boolean".to_string()),
-    };
-    let shipped = get_items(partial, "regions")?;
-    if rest && shipped.is_empty() {
-        return Err("\"rest\" without a shipped region".to_string());
-    }
-    let answered = shipped.len() + usize::from(rest);
-    if answered != expected {
-        return Err(format!("answered {answered} regions, expected {expected}"));
-    }
-    let mut regions = shipped
+/// Decode a `/shard/select` request's `products` against its `plans`: every
+/// product names one plan or more, each once and in range, and all of them
+/// together make at most [`MAX_CELLS`] cells.
+pub fn products_from_json(value: &Json, plans: &[CutPlan]) -> Result<Vec<Vec<usize>>, String> {
+    let regions: Vec<usize> = plans
         .iter()
-        .map(|frame| {
-            let region = bitmap_from_json(frame)?;
-            if region.len() != working.len() {
+        .map(|plan| plan.partition.region_count())
+        .collect();
+    let mut cells = 0usize;
+    get_items(value, "products")?
+        .iter()
+        .enumerate()
+        .map(|(k, product)| {
+            let items = product
+                .items()
+                .ok_or_else(|| format!("product {k} is not an array"))?;
+            let indices = items
+                .iter()
+                .map(|item| item.index().filter(|&at| at < plans.len()))
+                .collect::<Option<Vec<usize>>>()
+                .ok_or_else(|| format!("product {k} names no plan of the {}", plans.len()))?;
+            let mut distinct = indices.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            if indices.is_empty() || distinct.len() != indices.len() {
                 return Err(format!(
-                    "region bitmap has {} rows, the segment {}",
-                    region.len(),
-                    working.len()
+                    "product {k} must name each of one plan or more once"
                 ));
             }
-            Ok(region)
+            cells = cell_count(&indices, &regions)
+                .and_then(|more| cells.checked_add(more))
+                .filter(|&cells| cells <= MAX_CELLS)
+                .ok_or_else(|| format!("the products ask for more than {MAX_CELLS} cells"))?;
+            Ok(indices)
+        })
+        .collect()
+}
+
+/// Encode a shard's `/shard/select` reply: the segments it answered for,
+/// and each requested product's cells summed over them, in request order.
+/// A product's cells are row-major over its plans' regions (the first
+/// plan's region index most significant): a one-plan product is the plan's
+/// region counts, a two-plan product the pair's contingency table.
+pub fn count_reply_to_json(segments: &[usize], cells: &[Vec<u64>]) -> Json {
+    let counts = |cells: &Vec<u64>| Json::array(cells.iter().map(|&n| Json::from(n)).collect());
+    Json::object(vec![
+        (
+            "segments",
+            Json::array(segments.iter().map(|&s| Json::from(s)).collect()),
+        ),
+        ("cells", Json::array(cells.iter().map(counts).collect())),
+    ])
+}
+
+/// What a `/shard/select` reply must answer: the segments the shard was
+/// asked about (ascending), how many regions each plan of the request
+/// makes, the products asked for, and how many working rows the segments
+/// hold.
+#[derive(Debug, Clone, Copy)]
+pub struct CountAsk<'a> {
+    /// The shard's segments, ascending.
+    pub segments: &'a [usize],
+    /// How many regions each plan makes, in request order.
+    pub regions: &'a [usize],
+    /// The products asked for, as plan indices.
+    pub products: &'a [Vec<usize>],
+    /// The working rows of `segments`.
+    pub working_rows: u64,
+}
+
+/// Decode a shard's `/shard/select` reply to `ask`: one list of cells per
+/// product, in request order. The reply is held to what the asker can
+/// check: it covers exactly the asked segments; each product has one cell
+/// per combination of its plans' regions; no product counts more rows than
+/// the segments' working rows; and where the reply holds a plan's region
+/// counts beside a product of it with other plans, the product's rows in
+/// each of that plan's regions number at most the region's count — exactly
+/// it where every other plan of the product partitions the working rows.
+pub fn count_reply_from_json(reply: &Json, ask: &CountAsk) -> Result<Vec<Vec<u64>>, String> {
+    let mut answered = get_items(reply, "segments")?
+        .iter()
+        .map(|segment| segment.index().ok_or("non-integral segment index"))
+        .collect::<Result<Vec<usize>, _>>()?;
+    answered.sort_unstable();
+    if answered != ask.segments {
+        return Err(format!(
+            "answered for segments {answered:?}, assigned {:?}",
+            ask.segments
+        ));
+    }
+    let products = get_items(reply, "cells")?;
+    if products.len() != ask.products.len() {
+        return Err(format!(
+            "answered {} products, asked for {}",
+            products.len(),
+            ask.products.len()
+        ));
+    }
+    let cells = products
+        .iter()
+        .zip(ask.products)
+        .enumerate()
+        .map(|(k, (cells, plans))| {
+            let expected = cell_count(plans, ask.regions)
+                .ok_or_else(|| format!("product {k} names a plan that was not asked for"))?;
+            let cells = cells
+                .items()
+                .ok_or_else(|| format!("product {k} is not an array"))?;
+            if cells.len() != expected {
+                return Err(format!(
+                    "product {k} answered {} cells, its plans make {expected}",
+                    cells.len()
+                ));
+            }
+            cells
+                .iter()
+                .map(|n| n.index().map(|n| n as u64))
+                .collect::<Option<Vec<u64>>>()
+                .ok_or_else(|| format!("product {k} has a cell that is not a count"))
         })
         .collect::<Result<Vec<_>, String>>()?;
-    if rest {
-        regions.push(rest_of(working, &regions));
+    check_counts(ask, &cells)?;
+    Ok(cells)
+}
+
+/// The invariants of [`count_reply_from_json`] that tie products together.
+fn check_counts(ask: &CountAsk, cells: &[Vec<u64>]) -> Result<(), String> {
+    let sum = |cells: &[u64]| cells.iter().fold(0u64, |sum, &n| sum.saturating_add(n));
+    let single = |plan: usize| {
+        let at = ask.products.iter().position(|p| p.as_slice() == [plan])?;
+        cells.get(at).map(Vec::as_slice)
+    };
+    let partitions = |plan: usize| single(plan).is_some_and(|c| sum(c) == ask.working_rows);
+    for (k, (plans, cells)) in ask.products.iter().zip(cells).enumerate() {
+        let total = sum(cells);
+        if total > ask.working_rows {
+            return Err(format!(
+                "product {k} counts {total} rows, more than the {} working rows of its segments",
+                ask.working_rows
+            ));
+        }
+        if plans.len() < 2 {
+            continue;
+        }
+        for (axis, &plan) in plans.iter().enumerate() {
+            let Some(counts) = single(plan) else { continue };
+            let others = plans.iter().enumerate().filter(|&(at, _)| at != axis);
+            let exact = others.map(|(_, &other)| other).all(partitions);
+            let marginal = marginal(plans, ask.regions, cells, axis);
+            for (region, (&held, &count)) in marginal.iter().zip(counts).enumerate() {
+                if held > count || (exact && held != count) {
+                    return Err(format!(
+                        "product {k} holds {held} rows of plan {plan}'s region {region}, \
+                         which counts {count}"
+                    ));
+                }
+            }
+        }
     }
-    Ok(regions)
+    Ok(())
+}
+
+/// The cells of the product of `plans` summed onto its `axis`-th plan: how
+/// many of the product's rows each of that plan's regions holds.
+fn marginal(plans: &[usize], regions: &[usize], cells: &[u64], axis: usize) -> Vec<u64> {
+    let width = |at: usize| {
+        let plan = plans.get(at).copied().unwrap_or_default();
+        regions.get(plan).copied().unwrap_or(1).max(1)
+    };
+    let stride: usize = (axis + 1..plans.len()).map(width).product();
+    let mut held = vec![0u64; width(axis)];
+    for (at, &n) in cells.iter().enumerate() {
+        if let Some(slot) = held.get_mut(at / stride % width(axis)) {
+            *slot = slot.saturating_add(n);
+        }
+    }
+    held
 }
 
 /// Encode one entry of a `/shard/select` request's `partitions`: the
@@ -1292,126 +1411,130 @@ mod tests {
         }
     }
 
-    /// `working`'s rows dealt into `n` regions: `label(row)` names a row's
-    /// region, or none (as a NULL is in none).
-    fn deal(working: &Bitmap, n: usize, label: impl Fn(usize) -> Option<usize>) -> Vec<Bitmap> {
-        (0..n)
-            .map(|k| {
-                Bitmap::from_fn(working.len(), |row| {
-                    working.get(row) && label(row) == Some(k)
-                })
-            })
-            .collect()
+    /// The products an explore's candidates round asks for over `n` plans:
+    /// each plan alone, then every pair.
+    fn singles_and_pairs(n: usize) -> Vec<Vec<usize>> {
+        let singles = (0..n).map(|p| vec![p]);
+        let pairs = (0..n).flat_map(|p| (p + 1..n).map(move |q| vec![p, q]));
+        singles.chain(pairs).collect()
     }
 
-    /// A `/shard/select` partial through encode → JSON text → decode: the
-    /// regions it decodes to, how many bitmaps it shipped, and whether it
-    /// left the last one out.
-    fn select_round_trip(working: &Bitmap, regions: &[Bitmap]) -> (Vec<Bitmap>, usize, bool) {
-        let text = select_partial_to_json(7, working, regions).encode();
-        let json = wire::parse(&text).unwrap();
-        assert_eq!(get_index(&json, "segment"), Ok(7));
-        let shipped = get_items(&json, "regions").unwrap().len();
-        let rest = json.get("rest") == Some(&Json::Bool(true));
-        let decoded = select_partial_from_json(&json, working, regions.len()).unwrap();
-        (decoded, shipped, rest)
+    /// A count reply through encode → JSON text → decode against `ask`.
+    fn count_round_trip(cells: &[Vec<u64>], ask: &CountAsk) -> Result<Vec<Vec<u64>>, String> {
+        let text = count_reply_to_json(ask.segments, cells).encode();
+        count_reply_from_json(&wire::parse(&text).unwrap(), ask)
+    }
+
+    /// The cells of the products of two cuts of 12 rows, of 3 and 2
+    /// regions: `a` partitions the rows, `b` misses row 11 (a NULL).
+    fn two_cut_cells() -> Vec<Vec<u64>> {
+        let a = |row: u64| row % 3;
+        let b = |row: u64| (row != 11).then_some(row / 6);
+        let mut cells = vec![vec![0; 3], vec![0; 2], vec![0; 6]];
+        for row in 0..12 {
+            cells[0][a(row) as usize] += 1;
+            if let Some(b) = b(row) {
+                cells[1][b as usize] += 1;
+                cells[2][(a(row) * 2 + b) as usize] += 1;
+            }
+        }
+        cells
     }
 
     #[test]
-    fn select_partials_round_trip_and_leave_out_only_the_rest() {
-        let rows = 1_000;
-        let working = Bitmap::from_fn(rows, |row| row % 7 != 3);
-        let (empty, full) = (Bitmap::new_empty(rows), Bitmap::new_full(rows));
-        let mut beyond = deal(&working, 2, |row| Some(row % 2));
-        beyond[1].set(3); // a row outside the working set
-        let overlapping = vec![
-            deal(&working, 1, |row| (row % 2 == 0).then_some(0)).remove(0),
-            working.clone(),
-        ];
-        let cases = [
+    fn count_replies_round_trip_through_encoded_json() {
+        let cells = two_cut_cells();
+        assert_eq!(
+            cells,
+            vec![vec![4, 4, 4], vec![6, 5], vec![2, 2, 2, 2, 2, 1]]
+        );
+        let products = singles_and_pairs(2);
+        let ask = CountAsk {
+            segments: &[3, 7],
+            regions: &[3, 2],
+            products: &products,
+            working_rows: 12,
+        };
+        assert_eq!(count_round_trip(&cells, &ask), Ok(cells.clone()));
+        // The segments may come in any order; the spans a traced shard
+        // appends are not the reply's business.
+        let shuffled = Json::object(vec![
             (
-                "no NULLs",
-                &working,
-                deal(&working, 2, |row| Some(row % 2)),
-                (1, true),
+                "cells",
+                count_reply_to_json(&[], &cells)
+                    .get("cells")
+                    .unwrap()
+                    .clone(),
             ),
+            ("spans", Json::array(vec![])),
             (
-                "NULLs",
-                &working,
-                deal(&working, 2, |row| (row % 11 != 0).then_some(row % 2)),
-                (2, false),
+                "segments",
+                Json::array(vec![Json::from(7usize), Json::from(3usize)]),
             ),
-            (
-                "one region",
-                &working,
-                deal(&working, 1, |_| Some(0)),
-                (1, false),
-            ),
-            (
-                "four regions",
-                &working,
-                deal(&working, 4, |row| Some(row % 4)),
-                (3, true),
-            ),
-            (
-                "four regions, NULLs",
-                &working,
-                deal(&working, 4, |row| (row % 13 != 0).then_some(row % 4)),
-                (4, false),
-            ),
-            (
-                "an empty working set",
-                &empty,
-                deal(&empty, 2, |row| Some(row % 2)),
-                (1, true),
-            ),
-            (
-                "a working set filling its segment",
-                &full,
-                deal(&full, 3, |row| Some(row * 3 / rows)),
-                (2, true),
-            ),
-            (
-                "a last region beyond the working set",
-                &working,
-                beyond,
-                (2, false),
-            ),
-            ("overlapping regions", &working, overlapping, (2, false)),
-        ];
-        for (name, working, regions, expected) in cases {
-            let (decoded, shipped, rest) = select_round_trip(working, &regions);
-            assert_eq!(decoded, regions, "{name}");
-            assert_eq!((shipped, rest), expected, "{name}");
-        }
+        ]);
+        assert_eq!(count_reply_from_json(&shuffled, &ask), Ok(cells));
+        // A product of three plans, and a request of no product at all.
+        let triple = vec![vec![0, 1, 2]];
+        let ask = CountAsk {
+            segments: &[0],
+            regions: &[2, 2, 2],
+            products: &triple,
+            working_rows: 8,
+        };
+        let cells = vec![(0..8)
+            .collect::<Vec<u64>>()
+            .iter()
+            .map(|&n| n % 2)
+            .collect()];
+        assert_eq!(count_round_trip(&cells, &ask), Ok(cells));
+        let ask = CountAsk {
+            products: &[],
+            ..ask
+        };
+        assert_eq!(count_round_trip(&[], &ask), Ok(Vec::new()));
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Any segment, any working set, any number of regions, with or
-        /// without NULLs: the partial decodes to the regions sent, and the
-        /// last is left out exactly when it is the rest of the working set.
+        /// Any rows dealt into any cuts, NULLs or not: the singles and
+        /// pairs a shard counts decode to what it sent, and a marginal of a
+        /// pair is its cut's counts exactly when the other cut has no NULL.
         #[test]
-        fn select_partials_round_trip_at_any_density(
-            rows in 0usize..300,
+        fn count_replies_round_trip_at_any_arity(
+            rows in 0u64..200,
             seed in any::<u64>(),
-            n in 1usize..5,
+            regions in proptest::collection::vec(1usize..5, 1..5),
             nulls in any::<bool>(),
         ) {
-            let hash = |salt: u64, row: usize| {
-                ((row as u64 ^ seed ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize
+            let label = |cut: usize, row: u64| {
+                let h = ((row ^ seed ^ cut as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize;
+                (!nulls || !h.is_multiple_of(17)).then_some(h % regions[cut])
             };
-            let working = Bitmap::from_fn(rows, |row| hash(1, row) % 3 != 0);
-            let regions = deal(&working, n, |row| {
-                let h = hash(2, row);
-                (!nulls || h % 17 != 0).then_some(h % n)
-            });
-            let (decoded, shipped, rest) = select_round_trip(&working, &regions);
-            prop_assert_eq!(&decoded, &regions);
-            let derivable = n >= 2 && rest_of(&working, &regions[..n - 1]) == regions[n - 1];
-            prop_assert_eq!(rest, derivable);
-            prop_assert_eq!(shipped, n - usize::from(rest));
+            let products = singles_and_pairs(regions.len());
+            let cells: Vec<Vec<u64>> = products
+                .iter()
+                .map(|plans| {
+                    let width = |at: usize| regions[plans[at]];
+                    let mut cells = vec![0; plans.iter().map(|&p| regions[p]).product()];
+                    for row in 0..rows {
+                        let labels: Option<Vec<usize>> =
+                            plans.iter().map(|&p| label(p, row)).collect();
+                        if let Some(labels) = labels {
+                            let at = labels.iter().enumerate().fold(0, |at, (k, &l)| at * width(k) + l);
+                            cells[at] += 1;
+                        }
+                    }
+                    cells
+                })
+                .collect();
+            let ask = CountAsk {
+                segments: &[0, 1],
+                regions: &regions,
+                products: &products,
+                working_rows: rows,
+            };
+            prop_assert_eq!(count_round_trip(&cells, &ask), Ok(cells));
         }
     }
 
@@ -1428,51 +1551,144 @@ mod tests {
     }
 
     #[test]
-    fn hostile_select_partials_get_typed_errors() {
-        let working = Bitmap::from_fn(130, |row| row % 3 != 0);
-        let regions = deal(&working, 2, |row| Some(row % 2));
-        let good = select_partial_to_json(0, &working, &regions);
-        assert_eq!(good.get("rest"), Some(&Json::Bool(true)));
-        assert_eq!(select_partial_from_json(&good, &working, 2), Ok(regions));
-        let refuse = |partial: &Json, expected: usize, needle: &str| {
-            let err = select_partial_from_json(partial, &working, expected).unwrap_err();
+    fn hostile_count_replies_get_typed_errors() {
+        let cells = two_cut_cells();
+        let products = singles_and_pairs(2);
+        let ask = CountAsk {
+            segments: &[3, 7],
+            regions: &[3, 2],
+            products: &products,
+            working_rows: 12,
+        };
+        let good = count_reply_to_json(ask.segments, &cells);
+        assert_eq!(count_reply_from_json(&good, &ask), Ok(cells.clone()));
+        let refuse = |reply: &Json, ask: &CountAsk, needle: &str| {
+            let err = count_reply_from_json(reply, ask).unwrap_err();
             assert!(err.contains(needle), "{needle}: {err}");
         };
-        // `"rest": true` beside a full region count.
-        let with_null = deal(&working, 2, |row| (row != 1).then_some(row % 2));
-        let explicit = select_partial_to_json(0, &working, &with_null);
-        assert_eq!(explicit.get("rest"), None);
+        let with_cells = |cells: &[Vec<u64>]| count_reply_to_json(ask.segments, cells);
+        // Other segments than the shard's, or none named at all.
+        refuse(&count_reply_to_json(&[3], &cells), &ask, "assigned [3, 7]");
         refuse(
-            &with_top_member(&explicit, "rest", Json::Bool(true)),
-            2,
-            "answered 3 regions, expected 2",
+            &count_reply_to_json(&[3, 7, 8], &cells),
+            &ask,
+            "assigned [3, 7]",
         );
-        // A `rest` that is not a boolean.
+        refuse(
+            &with_top_member(&good, "segments", Json::array(vec![Json::from("3")])),
+            &ask,
+            "segment index",
+        );
+        refuse(
+            &Json::object(vec![("cells", Json::array(vec![]))]),
+            &ask,
+            "\"segments\"",
+        );
+        // Another number of products, or of a product's cells.
+        refuse(
+            &with_cells(&cells[..2]),
+            &ask,
+            "answered 2 products, asked for 3",
+        );
+        let mut short = cells.clone();
+        short[2].pop();
+        refuse(
+            &with_cells(&short),
+            &ask,
+            "product 2 answered 5 cells, its plans make 6",
+        );
+        refuse(
+            &with_top_member(&good, "cells", Json::array(vec![Json::from(1usize); 3])),
+            &ask,
+            "product 0 is not an array",
+        );
+        // A cell that is not a count.
         for bad in [
-            Json::from(1usize),
-            Json::from("true"),
+            Json::from(-1.0),
+            Json::from(0.5),
+            Json::from("4"),
             Json::Null,
-            Json::array(vec![]),
         ] {
-            refuse(&with_top_member(&good, "rest", bad), 2, "must be a boolean");
+            let mut items: Vec<Json> = cells[0].iter().map(|&n| Json::from(n)).collect();
+            items[1] = bad;
+            let mut products: Vec<Json> = cells
+                .iter()
+                .map(|c| Json::array(c.iter().map(|&n| Json::from(n)).collect()))
+                .collect();
+            products[0] = Json::array(items);
+            let reply = with_top_member(&good, "cells", Json::array(products));
+            refuse(&reply, &ask, "product 0 has a cell that is not a count");
         }
-        // `rest` on a one-region answer, with no region shipped or with one.
-        let bare = with_top_member(&good, "regions", Json::array(vec![]));
-        refuse(&bare, 1, "without a shipped region");
-        refuse(&good, 1, "answered 2 regions, expected 1");
-        // The wrong number of regions, and regions of another length.
-        refuse(&good, 3, "answered 2 regions, expected 3");
-        refuse(&explicit, 1, "answered 2 regions, expected 1");
-        let err = select_partial_from_json(&good, &Bitmap::new_full(129), 2).unwrap_err();
-        assert!(err.contains("130 rows"), "{err}");
-        // No regions member at all.
-        let err = select_partial_from_json(
-            &Json::object(vec![("rest", Json::Bool(false))]),
-            &working,
-            2,
-        )
-        .unwrap_err();
-        assert!(err.contains("\"regions\""), "{err}");
+        // A cut counting more rows than the segments' working rows — the
+        // first count raised past them.
+        let mut raised = cells.clone();
+        raised[0][0] += 1;
+        refuse(
+            &with_cells(&raised),
+            &ask,
+            "product 0 counts 13 rows, more than the 12 working rows",
+        );
+        // A pair whose sums onto a cut disagree with its counts: row 0 of
+        // the pair holds 5 rows of `a`'s region 0, which counts 4 …
+        let mut over = cells.clone();
+        over[2][0] += 1;
+        over[2][3] -= 1;
+        refuse(
+            &with_cells(&over),
+            &ask,
+            "holds 5 rows of plan 0's region 0, which counts 4",
+        );
+        // … or, since `a` partitions the rows, fewer of `b`'s region 0 than
+        // it counts. (`b` misses a row, so `a`'s region 2 may hold fewer than
+        // its 4 rows: the good reply's holds 3.)
+        let mut under = cells.clone();
+        under[2][0] -= 1;
+        refuse(
+            &with_cells(&under),
+            &ask,
+            "holds 5 rows of plan 1's region 0, which counts 6",
+        );
+        // A request's products are held to its plans, and so is a reply.
+        let plans = vec![
+            CutPlan {
+                attribute: "a".to_string(),
+                partition: Partition::Ranges(vec![(0.0, 1.0), (2.0, 3.0), (4.0, 5.0)]),
+            },
+            CutPlan {
+                attribute: "b".to_string(),
+                partition: Partition::Groups(vec![vec!["x".to_string()], vec!["y".to_string()]]),
+            },
+        ];
+        let request = |products: Json| Json::object(vec![("products", products)]);
+        let sent = request(products_to_json(&products));
+        assert_eq!(products_from_json(&sent, &plans), Ok(products.clone()));
+        for (bad, needle) in [
+            (vec![vec![2]], "product 0 names no plan of the 2"),
+            (
+                vec![vec![0], vec![]],
+                "product 1 must name each of one plan or more once",
+            ),
+            (
+                vec![vec![1, 1]],
+                "product 0 must name each of one plan or more once",
+            ),
+        ] {
+            let err = products_from_json(&request(products_to_json(&bad)), &plans).unwrap_err();
+            assert!(err.contains(needle), "{needle}: {err}");
+        }
+        let many = vec![vec![0, 1]; MAX_CELLS / 6 + 1];
+        let err = products_from_json(&request(products_to_json(&many)), &plans).unwrap_err();
+        assert!(err.contains("more than 65536 cells"), "{err}");
+        let unknown = vec![vec![0, 2]];
+        let ask = CountAsk {
+            products: &unknown,
+            ..ask
+        };
+        refuse(
+            &with_cells(&cells[2..]),
+            &ask,
+            "product 0 names a plan that was not asked for",
+        );
     }
 
     /// The schema the working partials of these tests are decoded against …
@@ -1676,19 +1892,31 @@ mod tests {
                     assert_eq!(decoded, Ok((rows, columns)));
                     accepted += 1;
                 }
-                for expected in 1..=3 {
-                    if let Ok(regions) = select_partial_from_json(value, working, expected) {
-                        let again = select_partial_to_json(0, working, &regions);
-                        assert_eq!(
-                            select_partial_from_json(&again, working, expected),
-                            Ok(regions)
-                        );
-                        accepted += 1;
-                    }
+            }
+            for (regions, products) in fuzz_asks() {
+                let ask = CountAsk {
+                    segments: &[0],
+                    regions: &regions,
+                    products: &products,
+                    working_rows: 92,
+                };
+                if let Ok(cells) = count_reply_from_json(value, &ask) {
+                    let again = count_reply_to_json(&[0], &cells);
+                    assert_eq!(count_reply_from_json(&again, &ask), Ok(cells));
+                    accepted += 1;
                 }
             }
         }
         accepted
+    }
+
+    /// The asks the count-reply decoder is fuzzed against: two plans of two
+    /// regions, as one pair or as an explore's singles and pair.
+    fn fuzz_asks() -> [(Vec<usize>, Vec<Vec<usize>>); 2] {
+        [
+            (vec![2, 2], vec![vec![0, 1]]),
+            (vec![2, 2], singles_and_pairs(2)),
+        ]
     }
 
     /// The working sets the partial decoders are fuzzed against: a 92-row
@@ -1704,7 +1932,7 @@ mod tests {
     }
 
     /// One valid frame of the kind `kind` picks — a bitmap, a value run, four
-    /// summaries, a select partial, two working partials (one with a bitmap
+    /// summaries, a count reply, two working partials (one with a bitmap
     /// and fixed summaries, one of a whole segment summarised from `values`),
     /// a meta reply — built from `bits` and `values`.
     fn sample_frame(kind: usize, bits: u64, values: &[u64]) -> String {
@@ -1756,12 +1984,19 @@ mod tests {
                 meta_to_json("t", &((bits % 7) as usize, segments, fields))
             }
             6 => {
-                // Two regions by `bits`, a NULL row in neither when bit 0 is set.
-                let regions = deal(&working, 2, |row| {
-                    (bits & 1 == 0 || row != 5)
-                        .then_some((bits.rotate_left(row as u32) & 1) as usize)
-                });
-                select_partial_to_json(values.len(), &working, &regions)
+                // Two two-way cuts of the 92 rows by `bits`, one missing a
+                // NULL row when bit 0 is set.
+                let a = |row: usize| (bits.rotate_left(row as u32) & 1) as usize;
+                let b = |row: usize| (bits & 1 == 0 || row != 5).then_some(row % 2);
+                let mut cells = vec![vec![0u64; 2], vec![0; 2], vec![0; 4]];
+                for row in 0..92 {
+                    cells[0][a(row)] += 1;
+                    if let Some(b) = b(row) {
+                        cells[1][b] += 1;
+                        cells[2][a(row) * 2 + b] += 1;
+                    }
+                }
+                count_reply_to_json(&[0], &cells)
             }
             7 => {
                 working_partial_to_json(values.len(), &working, working.count(), &working_columns())
@@ -1841,8 +2076,8 @@ mod tests {
         "\"strs\"",
         "\"counts\":",
         "\"count\":",
-        "\"regions\":",
-        "\"rest\":",
+        "\"cells\":",
+        "\"products\":",
         "\"bitmap\":",
         "\"columns\":",
         "\"segment\":",

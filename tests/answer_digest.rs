@@ -10,9 +10,10 @@
 //! * Steps: the whole table, a filter, and a drill into region (0, 0) of the
 //!   filtered answer.
 //! * Threads: 1, 2 and 8. Shards: `fast` through 1–3 in-process shard
-//!   servers, over the census and over the census with NULLs — the one whose
-//!   `/shard/select` answers must ship every region, because a partition of
-//!   a column with NULLs misses rows of its working set.
+//!   servers, over the census and over the census with NULLs — whose
+//!   partitions miss rows of their working set, so no cut of a column with
+//!   NULLs partitions it. The coordinator's answers are the released form of
+//!   the in-process ones, which the digest hashes.
 //! * Two gaps closed on purpose: a census with NULLs under `default`, whose
 //!   compositions can start from a map that misses the NULL rows (the one
 //!   kind of first map that does not partition its working set), and a table
@@ -169,7 +170,8 @@ fn assert_released(
 
 /// The distributed part: `fast` over 1–3 shard servers holding a census
 /// with a pinned 2 000-row segment layout, then the same census with NULLs
-/// (so some partitions miss rows of their working set).
+/// (so some partitions miss rows of their working set). Each step hashes
+/// the in-process answer, and the coordinator's must be its released form.
 fn sharded(digest: &mut Digest) {
     for null_fraction in [0.0, 0.05] {
         sharded_census(digest, null_fraction);
@@ -188,6 +190,7 @@ fn sharded_census(digest: &mut Digest, null_fraction: f64) {
         .generate(),
     );
     let config = AtlasConfig::fast();
+    let engine = Atlas::new(Arc::clone(&table), config.clone()).unwrap();
     for shards in 1..=3 {
         let handles: Vec<ServerHandle> = (0..shards)
             .map(|_| {
@@ -207,7 +210,9 @@ fn sharded_census(digest: &mut Digest, null_fraction: f64) {
             Coordinator::connect(&addrs, "census", config.clone(), Duration::from_secs(30))
                 .unwrap();
         walk(digest, "census", CENSUS_FILTER, |query| {
-            coordinator.explore(query)
+            let answer = engine.explore(query);
+            assert_released(&answer, &coordinator.explore(query), query);
+            answer
         });
         handles.into_iter().for_each(ServerHandle::shutdown);
     }

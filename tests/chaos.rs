@@ -233,14 +233,15 @@ impl Chaos {
         let survivors = Table::from_segments("census", self.table.schema().clone(), kept).unwrap();
         let local = Atlas::new(Arc::new(survivors), self.config.clone())
             .unwrap()
-            .explore(&ConjunctiveQuery::all("census"))
+            .explore_released(&ConjunctiveQuery::all("census"))
             .unwrap();
         assert_identical(&local, result);
     }
 }
 
 /// Assert two explorations are bit-for-bit identical: same map order, same
-/// attribute groups, same region queries and extents, same score bits.
+/// attribute groups, same region queries, extents and counts, same score
+/// bits.
 fn assert_identical(a: &MapResult, b: &MapResult) {
     assert_eq!(a.num_maps(), b.num_maps());
     assert_eq!(a.working_set_size, b.working_set_size);
@@ -256,6 +257,7 @@ fn assert_identical(a: &MapResult, b: &MapResult) {
         for (qa, qb) in ra.map.regions.iter().zip(rb.map.regions.iter()) {
             assert_eq!(to_sql(&qa.query), to_sql(&qb.query));
             assert_eq!(qa.selection, qb.selection);
+            assert_eq!(qa.count(), qb.count());
         }
     }
 }
@@ -293,7 +295,7 @@ fn write_journal(suite: &str, entries: Vec<Json>) {
 fn run_strict_seeds(seeds: Range<u64>, suite: &str) {
     let rig = chaos_rig();
     let query = ConjunctiveQuery::all("census");
-    let expected = rig.reference.explore(&query).unwrap();
+    let expected = rig.reference.explore_released(&query).unwrap();
     let mut journal = Vec::new();
     for seed in seeds {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -448,7 +450,7 @@ fn extra_seed_from_the_environment() {
 fn transient_errors_are_retried_and_counted_exactly() {
     let rig = chaos_rig();
     let query = ConjunctiveQuery::all("census");
-    let expected = rig.reference.explore(&query).unwrap();
+    let expected = rig.reference.explore_released(&query).unwrap();
     let mut options = chaos_options();
     options.shard_timeout = Duration::from_secs(5);
     options.retry = options.retry.with_max_attempts(3);
@@ -497,7 +499,7 @@ fn a_non_retryable_status_fails_without_retrying() {
 fn a_straggler_is_hedged_and_the_hedge_wins() {
     let rig = chaos_rig();
     let query = ConjunctiveQuery::all("census");
-    let expected = rig.reference.explore(&query).unwrap();
+    let expected = rig.reference.explore_released(&query).unwrap();
     let mut options = chaos_options();
     options.shard_timeout = Duration::from_secs(10);
     options.hedge = HedgePolicy::After(Duration::from_millis(400));
@@ -527,7 +529,7 @@ fn a_straggler_is_hedged_and_the_hedge_wins() {
 fn a_circuit_opens_refuses_and_recovers() {
     let rig = chaos_rig();
     let query = ConjunctiveQuery::all("census");
-    let expected = rig.reference.explore(&query).unwrap();
+    let expected = rig.reference.explore_released(&query).unwrap();
     let mut options = chaos_options();
     options.retry = options.retry.with_max_attempts(1);
     options.circuit = CircuitConfig {
@@ -636,7 +638,7 @@ fn an_expired_deadline_is_a_typed_error_not_a_hang() {
 fn a_generous_deadline_is_invisible_in_the_answer() {
     let rig = chaos_rig();
     let query = ConjunctiveQuery::all("census");
-    let expected = rig.reference.explore(&query).unwrap();
+    let expected = rig.reference.explore_released(&query).unwrap();
     let coordinator = rig.coordinator(chaos_options());
     let answer = coordinator
         .explore_resilient(
@@ -653,12 +655,13 @@ fn a_generous_deadline_is_invisible_in_the_answer() {
     }
 }
 
-/// A shard that answers `200` with a frame that does not decode — its first
-/// `/shard/select` region one row longer than the segment — is blamed like a
-/// shard whose call fails: in strict mode the typed error names the shard and
-/// the endpoint and the shard's breaker counts it (threshold 1: it opens),
-/// and in degraded mode the shard is dropped, the coverage names it, and the
-/// answer is the engine's over the surviving segments.
+/// A shard that answers `200` with a reply that breaks an invariant — the
+/// first cut of its `/shard/select` count reply counting 901 rows of its
+/// three segments' 900 — is blamed like a shard whose call fails: in strict
+/// mode the typed error names the shard and the endpoint and the shard's
+/// breaker counts it (threshold 1: it opens), and in degraded mode the shard
+/// is dropped, the coverage names it, and the answer is the engine's over
+/// the surviving segments.
 #[test]
 fn a_corrupt_frame_is_blamed_on_the_shard_that_sent_it() {
     let rig = chaos_rig();
@@ -681,7 +684,7 @@ fn a_corrupt_frame_is_blamed_on_the_shard_that_sent_it() {
         AtlasError::Distributed(message) => {
             assert!(message.contains(&rig.addrs[1]), "{message}");
             assert!(message.contains("/shard/select"), "{message}");
-            assert!(message.contains("301 rows"), "{message}");
+            assert!(message.contains("901 rows"), "{message}");
         }
         other => panic!("expected a Distributed error, got {other:?}"),
     }
@@ -709,12 +712,9 @@ fn a_corrupt_frame_is_blamed_on_the_shard_that_sent_it() {
 }
 
 /// The plan that truncates shard 1's `/shard/select` answer — its second
-/// call, after `/shard/working` — to half its bytes.
-/// The answer streams one chunk per partition: seven equal chunks of ~440
-/// bytes (every census cut is two-way, so each carries one 300-row bitmap
-/// per segment) behind a ~100-byte head, ~3.2 kB in all. Half of it holds
-/// the first three chunks whole, so the request fails after the coordinator
-/// has folded part of it.
+/// call, after `/shard/working` — to half its bytes: the head and part of
+/// the count reply, which is one JSON document, so the read fails on a body
+/// shorter than its length.
 fn truncated_select_plan() -> [Vec<Fault>; SHARDS] {
     [
         Vec::new(),
@@ -723,14 +723,13 @@ fn truncated_select_plan() -> [Vec<Fault>; SHARDS] {
     ]
 }
 
-/// A select stream cut after its first whole chunks, and retried: the retry
-/// folds the partitions the failed request already folded again, which adds
-/// the same bits, so the answer is the engine's bit for bit.
+/// A count reply cut in half, and retried: the retry's reply is the one
+/// the round sums, so the answer is the engine's bit for bit.
 #[test]
-fn a_select_stream_cut_after_folded_chunks_is_retried_bit_identically() {
+fn a_truncated_select_reply_is_retried_bit_identically() {
     let rig = chaos_rig();
     let query = ConjunctiveQuery::all("census");
-    let expected = rig.reference.explore(&query).unwrap();
+    let expected = rig.reference.explore_released(&query).unwrap();
     let mut options = chaos_options();
     options.shard_timeout = Duration::from_secs(5);
     let coordinator = rig.coordinator(options);
@@ -743,12 +742,12 @@ fn a_select_stream_cut_after_folded_chunks_is_retried_bit_identically() {
     }
 }
 
-/// The same cut stream with no retry, in degraded mode: shard 1 is dropped
-/// and the pass re-runs over the survivors into region bitmaps of its own,
-/// so nothing the failed pass folded reaches the answer, which is the
-/// engine's over the surviving segments.
+/// The same cut reply with no retry, in degraded mode: shard 1 is dropped
+/// and the pass re-runs over the survivors, summing only their counts, so
+/// nothing of the failed pass reaches the answer, which is the engine's
+/// over the surviving segments.
 #[test]
-fn a_select_stream_cut_in_degraded_mode_folds_only_the_survivors() {
+fn a_truncated_select_reply_in_degraded_mode_sums_only_the_survivors() {
     let rig = chaos_rig();
     let query = ConjunctiveQuery::all("census");
     let mut options = chaos_options();
@@ -774,15 +773,15 @@ fn a_select_stream_cut_in_degraded_mode_folds_only_the_survivors() {
     }
 }
 
-/// A straggling `/shard/select` is hedged: both requests fold the stream
-/// they read, the hedge's arrives first and wins, and the answer is the
-/// engine's bit for bit. The straggler reads on after the round has closed
-/// its fold and hangs up; the next explore is unaffected.
+/// A straggling `/shard/select` is hedged: the hedge's count reply arrives
+/// first and wins, and the answer is the engine's bit for bit. The
+/// straggler's reply, read on its detached thread after the round, reaches
+/// nothing; the next explore is unaffected.
 #[test]
-fn a_hedged_select_stream_is_bit_identical() {
+fn a_hedged_select_round_is_bit_identical() {
     let rig = chaos_rig();
     let query = ConjunctiveQuery::all("census");
-    let expected = rig.reference.explore(&query).unwrap();
+    let expected = rig.reference.explore_released(&query).unwrap();
     let mut options = chaos_options();
     options.shard_timeout = Duration::from_secs(5);
     options.hedge = HedgePolicy::After(Duration::from_millis(300));

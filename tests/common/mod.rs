@@ -16,7 +16,7 @@
 )]
 
 use atlas::serve::http::{self, Response};
-use atlas::serve::wire::{self, Json};
+use atlas::serve::wire::Json;
 use atlas::serve::ServerHandle;
 use std::collections::VecDeque;
 use std::io::{BufReader, Read, Write};
@@ -37,12 +37,13 @@ pub enum Fault {
     Refuse,
     /// Answer a synthetic error with this status, without asking the shard.
     Error(u16),
-    /// Relay only the first `keep_per_mille`/1000 of the shard's reply bytes
-    /// (a streamed one is cut inside its chunk framing), then close.
+    /// Relay only the first `keep_per_mille`/1000 of the shard's reply
+    /// bytes, then close.
     Truncate(u16),
-    /// Relay the shard's reply with its first bitmap frame — a stream's: the
-    /// first of its first partition — one row longer than it is, re-framed
-    /// the way the shard framed it. A reply without one passes unchanged.
+    /// Relay the shard's `/shard/select` count reply with its first count —
+    /// the first cut's first region — one higher: the cut then counts a row
+    /// more than the shard's working rows when it partitions them. A reply
+    /// without counts passes unchanged.
     Corrupt,
     /// Answer bytes that are not HTTP.
     Garbage,
@@ -238,67 +239,36 @@ fn forward(shard: SocketAddr, request: &http::Request) -> Option<Vec<u8>> {
     Some(reply)
 }
 
-/// `reply` with its first bitmap frame one row longer, re-framed: a chunked
-/// reply re-chunked with its first chunk lengthened, a whole one re-encoded.
-/// A reply without one passes unchanged.
+/// `reply` with its first count one higher (see [`Fault::Corrupt`]),
+/// re-encoded. A reply without counts passes unchanged.
 fn corrupt(reply: Vec<u8>) -> Vec<u8> {
-    let mut chunks = Vec::new();
-    let Ok(response) =
-        http::read_response_with(&mut reply.as_slice(), MAX_BODY, None, &mut |chunk| {
-            chunks.push(chunk);
-            Ok(())
-        })
-    else {
+    let Ok(response) = http::read_response(&mut reply.as_slice(), MAX_BODY, None) else {
         return reply;
     };
-    let lengthened = |bytes: &[u8]| {
-        let mut json = wire::parse(std::str::from_utf8(bytes).ok()?).ok()?;
-        lengthen_first_bitmap(&mut json).then_some(json)
+    let Some(mut json) = response.json() else {
+        return reply;
     };
-    // Writing to a Vec cannot fail.
+    let Some(first) = first_count(&mut json) else {
+        return reply;
+    };
+    *first = Json::from(first.index().unwrap_or(0) + 1);
     let mut out = Vec::new();
-    match chunks.split_first() {
-        None => {
-            let Some(json) = lengthened(&response.body) else {
-                return reply;
-            };
-            let _ = http::write_response(&mut out, &Response::json(response.status, &json), false);
-        }
-        Some((first, rest)) => {
-            let _ = http::write_chunked_head(&mut out, response.status, "application/json", false);
-            let _ = match lengthened(first) {
-                Some(json) => http::write_chunk(&mut out, json.encode().as_bytes()),
-                None => http::write_chunk(&mut out, first),
-            };
-            for chunk in rest {
-                let _ = http::write_chunk(&mut out, chunk);
-            }
-            let _ = http::end_chunks(&mut out);
-        }
-    }
+    // Writing to a Vec cannot fail.
+    let _ = http::write_response(&mut out, &Response::json(response.status, &json), false);
     out
 }
 
-/// Add one row to the declared length of the first bitmap frame (an object
-/// with `len` and `words` members, depth first) in `json`. Returns whether
-/// there was one.
-fn lengthen_first_bitmap(json: &mut Json) -> bool {
-    match json {
-        Json::Obj(members) => {
-            let is_bitmap = members.iter().any(|(key, _)| key == "words");
-            for (key, value) in members.iter_mut() {
-                if let ("len", Some(len)) = (key.as_str(), value.index()) {
-                    if is_bitmap {
-                        *value = Json::from(len + 1);
-                        return true;
-                    }
-                }
-            }
-            members
-                .iter_mut()
-                .any(|(_, value)| lengthen_first_bitmap(value))
-        }
-        Json::Arr(items) => items.iter_mut().any(lengthen_first_bitmap),
-        _ => false,
-    }
+/// The first count of a count reply: the first cell of its first product.
+fn first_count(json: &mut Json) -> Option<&mut Json> {
+    let Json::Obj(members) = json else {
+        return None;
+    };
+    let (_, cells) = members.iter_mut().find(|(key, _)| key == "cells")?;
+    let Json::Arr(products) = cells else {
+        return None;
+    };
+    let Json::Arr(first) = products.first_mut()? else {
+        return None;
+    };
+    first.first_mut()
 }

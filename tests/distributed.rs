@@ -1,8 +1,11 @@
 //! The distributed scatter-gather acceptance suite: shard servers holding
 //! subsets of a table's segments, a [`Coordinator`] that pushes candidate
-//! generation down to them (and computes map distances itself, over the
-//! folded candidate bitmaps), and the property the whole design hangs on —
-//! **the shard layout is invisible in the answer**.
+//! generation down to them (each shard counts the candidates' regions and
+//! every pair's contingency cells; the coordinator scores the distances and
+//! builds every region from its count), and the property the whole design
+//! hangs on — **the shard layout is invisible in the answer**, which is the
+//! in-process engine's released answer (`Atlas::explore_released`): the same
+//! queries, counts and score bits, no rows.
 //!
 //! * Random tables under random segment→shard assignments (empty shards and
 //!   a single mega-shard included) explore bit-for-bit identically to the
@@ -11,7 +14,9 @@
 //!   acceptance bar of the distributed refactor.
 //! * The composition presets (`default`, `quality`) are bit-identical at
 //!   1–3 shards too: the coordinator re-cuts every region of a composition
-//!   level at the shards, from the region's SQL.
+//!   level at the shards, from the region's SQL, and counts the sub-regions
+//!   off the region's summaries.
+//! * A cluster of three maps costs one more round, for its own cells.
 //! * A shard killed mid-explore surfaces a typed [`AtlasError::Distributed`]
 //!   promptly — never a hang, never a partial map.
 //! * A slow shard trips the per-request timeout and is retried exactly once.
@@ -121,11 +126,13 @@ fn boot_shards(
     (handles, addrs)
 }
 
-/// Assert two explorations are bit-for-bit identical: same map order, same
-/// attribute groups, same region queries and extents, same score bits.
+/// Assert that the coordinator's answer `b` is the in-process released
+/// answer `a` bit for bit: same map order, same attribute groups, same
+/// region queries and counts, same score bits, and neither holds a row.
 fn assert_identical(a: &atlas::core::MapResult, b: &atlas::core::MapResult) {
     assert_eq!(a.num_maps(), b.num_maps());
     assert_eq!(a.working_set_size, b.working_set_size);
+    assert_eq!((a.working_set.len(), b.working_set.len()), (0, 0));
     assert_eq!(a.skipped_attributes, b.skipped_attributes);
     for (ra, rb) in a.maps.iter().zip(b.maps.iter()) {
         assert_eq!(ra.map.source_attributes, rb.map.source_attributes);
@@ -137,15 +144,17 @@ fn assert_identical(a: &atlas::core::MapResult, b: &atlas::core::MapResult) {
         assert_eq!(ra.map.num_regions(), rb.map.num_regions());
         for (qa, qb) in ra.map.regions.iter().zip(rb.map.regions.iter()) {
             assert_eq!(to_sql(&qa.query), to_sql(&qb.query));
-            assert_eq!(qa.selection, qb.selection);
+            assert_eq!(qa.count(), qb.count());
+            assert!(!qa.holds_rows() && !qb.holds_rows());
         }
     }
 }
 
-/// Compare in-process and distributed explorations of `query`: both succeed
-/// with identical output, or both fail with the same error message.
+/// Compare the in-process released and the distributed explorations of
+/// `query`: both succeed with identical output, or both fail with the same
+/// error message.
 fn assert_agree(reference: &Atlas, coordinator: &Coordinator, query: &ConjunctiveQuery) {
-    let local = reference.explore(query);
+    let local = reference.explore_released(query);
     let distributed = coordinator.explore(query);
     match (local, distributed) {
         (Ok(a), Ok(b)) => assert_identical(&a, &b),
@@ -278,7 +287,7 @@ fn a_capped_filtered_explore_is_bit_identical_at_1_2_3_shards() {
     };
     let reference = Atlas::new(Arc::clone(&table), config.clone()).unwrap();
     let query = parse_query("SELECT * FROM census WHERE age BETWEEN 30 AND 50").unwrap();
-    let local = reference.explore(&query).unwrap();
+    let local = reference.explore_released(&query).unwrap();
     let mut regions = local.maps.iter().flat_map(|m| &m.map.regions);
     assert!(
         regions.any(|r| r.query == query),
@@ -313,7 +322,7 @@ fn census_with_nulls(rows: usize, segment_rows: usize, null_fraction: f64) -> Ar
 
 /// The paper's configuration — median cuts merged by composition — and the
 /// quality preset (k-means cuts, composition) explore through 1–3 shard
-/// servers bit for bit like the local engine, selections included: the
+/// servers bit for bit like the local engine's released answer: the
 /// coordinator re-cuts each region of a composition level from its query at
 /// the shards. The whole table, a filter, and a drill into a composed
 /// region, on the census and on a census with NULLs.
@@ -326,7 +335,7 @@ fn the_composition_presets_are_bit_identical_at_1_2_3_shards() {
             assert_eq!(config.merge, MergeStrategy::Composition);
             let reference = Atlas::new(Arc::clone(&table), config.clone()).unwrap();
             let whole = ConjunctiveQuery::all("census");
-            let local = reference.explore(&whole).unwrap();
+            let local = reference.explore_released(&whole).unwrap();
             let composed = local
                 .maps
                 .iter()
@@ -379,7 +388,7 @@ fn a_shard_lost_while_composing_degrades_to_the_surviving_segments() {
     let survivors = Table::from_segments("census", table.schema().clone(), kept.to_vec()).unwrap();
     let local = Atlas::new(Arc::new(survivors), config)
         .unwrap()
-        .explore(&whole)
+        .explore_released(&whole)
         .unwrap();
     assert!(local.maps.iter().any(|m| m.map.source_attributes.len() > 1));
     assert_identical(&local, &degraded.result);
@@ -454,7 +463,7 @@ fn slow_shard_trips_timeout_and_retries_once() {
     proxies[0].arm(vec![Fault::Delay(1_200)]);
 
     let query = ConjunctiveQuery::all("census");
-    let local = reference.explore(&query).unwrap();
+    let local = reference.explore_released(&query).unwrap();
     let distributed = coordinator.explore(&query).unwrap();
     assert_identical(&local, &distributed);
     assert_eq!(
@@ -499,7 +508,9 @@ fn distributed_explore_endpoint_matches_in_process() {
     let reply = client.post_text("/distributed/explore", sql).unwrap();
     assert_eq!(reply.status, 200, "{:?}", reply.json());
     let reply = reply.json().expect("JSON reply");
-    let local = reference.explore(&parse_query(sql).unwrap()).unwrap();
+    let local = reference
+        .explore_released(&parse_query(sql).unwrap())
+        .unwrap();
 
     let maps = reply.get("maps").unwrap().items().unwrap();
     assert_eq!(maps.len(), local.num_maps());
@@ -647,7 +658,7 @@ fn covered_and_cut_segments_fold_together() {
     .unwrap();
     let local = Atlas::new(Arc::new(survivors), config)
         .unwrap()
-        .explore(&band)
+        .explore_released(&band)
         .unwrap();
     let degraded = coordinator
         .explore_resilient(
@@ -853,7 +864,7 @@ fn a_boolean_column_is_bit_identical_at_1_2_3_shards() {
     let config = product_config();
     let reference = Atlas::new(Arc::clone(&table), config.clone()).unwrap();
     let whole = ConjunctiveQuery::all("census");
-    let local = reference.explore(&whole).unwrap();
+    let local = reference.explore_released(&whole).unwrap();
     let cuts_insured = local
         .maps
         .iter()
@@ -914,7 +925,7 @@ fn the_post_cut_configuration_is_bit_identical_at_1_2_3_shards() {
     };
     let reference = Atlas::new(Arc::clone(&table), config.clone()).unwrap();
     let query = parse_query("SELECT * FROM census WHERE hours_per_week BETWEEN 20 AND 60").unwrap();
-    let local = reference.explore(&query).unwrap();
+    let local = reference.explore_released(&query).unwrap();
     assert_eq!(local.num_maps(), 2);
     let untruncated = AtlasConfig {
         max_maps: 10,
@@ -922,7 +933,7 @@ fn the_post_cut_configuration_is_bit_identical_at_1_2_3_shards() {
     };
     let all = Atlas::new(Arc::clone(&table), untruncated).unwrap();
     assert!(
-        all.explore(&query).unwrap().num_maps() > 2,
+        all.explore_released(&query).unwrap().num_maps() > 2,
         "max_maps truncates"
     );
     let mut regions = local.maps.iter().flat_map(|m| &m.map.regions);
@@ -993,7 +1004,7 @@ fn counted_columns_are_cut_without_shipping_their_values() {
     let reference = Atlas::new(Arc::clone(&table), census_columns.clone()).unwrap();
     let coordinator = connect(&census_columns);
     for query in [&whole, &filtered] {
-        let local = reference.explore(query).unwrap();
+        let local = reference.explore_released(query).unwrap();
         for attribute in ["age", "hours_per_week", "height_cm"] {
             assert!(
                 local.maps.iter().any(|ranked| ranked
@@ -1031,7 +1042,7 @@ fn counted_columns_are_cut_without_shipping_their_values() {
     .unwrap();
     let local = Atlas::new(Arc::new(survivors), census_columns)
         .unwrap()
-        .explore(&filtered)
+        .explore_released(&filtered)
         .unwrap();
     let degraded = coordinator
         .explore_resilient(
@@ -1445,7 +1456,10 @@ fn a_remembered_working_set_does_not_outlive_its_generation() {
     let before =
         Coordinator::connect(&addrs, "census", config.clone(), Duration::from_secs(10)).unwrap();
     assert_agree(&reference, &before, &filtered);
-    let matched_before = reference.explore(&filtered).unwrap().working_set_size;
+    let matched_before = reference
+        .explore_released(&filtered)
+        .unwrap()
+        .working_set_size;
     let (evaluated, reused) = working_set_counts(&handles);
     assert_eq!(evaluated, 6, "one evaluation per segment");
     assert!(reused > 0, "the later rounds found the rows remembered");
@@ -1456,7 +1470,7 @@ fn a_remembered_working_set_does_not_outlive_its_generation() {
         Coordinator::connect(&addrs, "census", config.clone(), Duration::from_secs(10)).unwrap();
     assert_eq!(after.generation(), before.generation() + 1);
     assert_eq!(after.num_segments(), 7);
-    let local = extended.explore(&filtered).unwrap();
+    let local = extended.explore_released(&filtered).unwrap();
     assert!(
         local.working_set_size > matched_before,
         "appended rows match the filter"
@@ -1497,7 +1511,7 @@ fn interleaved_explores_of_different_sql_stay_correct() {
                 let (reference, addrs, config, start) = (&reference, &addrs, &config, &start);
                 scope.spawn(move || {
                     let query = parse_query(sql).unwrap();
-                    let expected = reference.explore(&query).unwrap();
+                    let expected = reference.explore_released(&query).unwrap();
                     let coordinator = Coordinator::connect(
                         addrs,
                         "census",
@@ -1552,7 +1566,7 @@ fn categorical_cuts_make_no_round_trip_of_their_own() {
     for sql in queries {
         let query = parse_query(sql).unwrap();
         let before = coordinator.metrics().fan_out();
-        let local = reference.explore(&query).unwrap();
+        let local = reference.explore_released(&query).unwrap();
         assert_identical(&local, &coordinator.explore(&query).unwrap());
         let partitioned = table.num_columns() - local.skipped_attributes.len();
         assert!(partitioned >= 5, "{sql}: {:?}", local.skipped_attributes);
@@ -1653,7 +1667,7 @@ fn an_explore_that_cuts_nothing_makes_one_round() {
     let men = parse_query("SELECT * FROM census WHERE sex IN ('Male')").unwrap();
     let local = Atlas::new(Arc::clone(&table), config)
         .unwrap()
-        .explore(&men)
+        .explore_released(&men)
         .unwrap_err();
     assert!(matches!(local, AtlasError::NoCuttableAttributes), "{local}");
     let before = coordinator.metrics().fan_out();
@@ -1677,7 +1691,7 @@ fn an_empty_working_set_makes_one_round_and_fails_like_the_local_engine() {
     let nobody = parse_query("SELECT * FROM census WHERE age BETWEEN 200 AND 300").unwrap();
     let local = Atlas::new(Arc::clone(&table), config.clone())
         .unwrap()
-        .explore(&nobody)
+        .explore_released(&nobody)
         .unwrap_err();
     assert!(matches!(local, AtlasError::EmptyWorkingSet), "{local}");
     for shards in 1..=3usize {
@@ -1744,7 +1758,7 @@ fn a_categorical_cut_past_the_counter_folds_shard_categories() {
             Coordinator::connect(&addrs, "census", config, Duration::from_secs(10)).unwrap();
         for (query, rounds) in [(&whole, 0), (&drilled, shards as u64)] {
             let before = endpoint_requests(&handles, "shard_categories");
-            let local = reference.explore(query).unwrap();
+            let local = reference.explore_released(query).unwrap();
             let cuts_city = local
                 .maps
                 .iter()
@@ -1783,12 +1797,15 @@ fn request(table: &Table, sql: &str, extra: Vec<(&str, Json)>) -> Json {
     Json::object(members)
 }
 
-/// A `/shard/select` request of one partition.
+/// A `/shard/select` request of one partition, counted alone.
 fn select_request(table: &Table, partition: Json) -> Json {
     request(
         table,
         "SELECT * FROM census",
-        vec![("partitions", Json::array(vec![partition]))],
+        vec![
+            ("partitions", Json::array(vec![partition])),
+            ("products", frames::products_to_json(&[vec![0]])),
+        ],
     )
 }
 
@@ -1805,19 +1822,41 @@ fn ranges_request(table: &Table, attribute: &str, bounds: &[(f64, f64)]) -> Json
     )
 }
 
-/// How a `/shard/select` partial ships its regions: the bitmaps it carries,
-/// and whether it left the last one to the coordinator.
-fn shipped(partial: &Json) -> (usize, bool) {
-    let regions = partial.get("regions").unwrap().items().unwrap().len();
-    (regions, partial.get("rest") == Some(&Json::Bool(true)))
+/// What a shard's `/shard/select` reply to `body` — one partition, counted
+/// alone — ships: the segments it answered for, the partition's region
+/// counts summed over them, and the reply's length in bytes.
+fn counted(shard: &ServerHandle, body: &Json) -> (Vec<usize>, Vec<usize>, usize) {
+    let reply = Client::new(shard.addr())
+        .post_json("/shard/select", body)
+        .unwrap();
+    assert_eq!(reply.status, 200, "{:?}", reply.json());
+    let bytes = reply.body.len();
+    let reply = reply.json().unwrap();
+    let items = |value: &Json| -> Vec<usize> {
+        value
+            .items()
+            .unwrap()
+            .iter()
+            .map(|n| n.index().unwrap())
+            .collect()
+    };
+    let cells = reply.get("cells").unwrap().items().unwrap();
+    assert_eq!(cells.len(), 1, "{reply}");
+    (
+        items(reply.get("segments").unwrap()),
+        items(&cells[0]),
+        bytes,
+    )
 }
 
-/// What the shards ship, read off real replies. On the census (no NULLs) a
-/// two-way cut ships one region and `"rest": true` per segment, a three-way
-/// cut two, and a whole-table `/shard/working` ships no bitmap at all, while
-/// a filter that cuts through the segments ships one each. A column with
-/// NULLs ships every region: its partition misses rows of the working set.
-/// Either way the coordinator rebuilds the same answer the engine computes.
+/// What the shards ship, read off real replies. A whole-table
+/// `/shard/working` ships no bitmap at all, while a filter that cuts through
+/// the segments ships one each. A `/shard/select` reply ships no rows: one
+/// count per region of the partition, summed over the shard's six segments —
+/// a few dozen bytes where a bitmap per region and segment went before — and
+/// the counts are the popcounts the engine's kernels take, NULLs (in no
+/// region) included. Either way the coordinator answers what the engine
+/// does.
 #[test]
 fn shards_ship_only_what_the_coordinator_cannot_work_out() {
     let census = census_table(6_000, 1_000);
@@ -1850,8 +1889,25 @@ fn shards_ship_only_what_the_coordinator_cannot_work_out() {
         assert!(partial.get("bitmap").is_some(), "{partial}");
     }
 
-    let halves = ranges_request(&census, "age", &[(0.0, 40.0), (41.0, 200.0)]);
-    let thirds = ranges_request(&census, "age", &[(0.0, 30.0), (31.0, 50.0), (51.0, 200.0)]);
+    // The counts a local partition takes of `table`'s rows.
+    let popcounts = |table: &Table, attribute: &str, bounds: &[(f64, f64)]| -> Vec<usize> {
+        let column = table.column(attribute).unwrap();
+        let regions = column.select_ranges(&table.full_selection(), bounds);
+        regions.iter().map(Bitmap::count).collect()
+    };
+    let halves = [(0.0, 40.0), (41.0, 200.0)];
+    let thirds = [(0.0, 30.0), (31.0, 50.0), (51.0, 200.0)];
+    for bounds in [&halves[..], &thirds[..]] {
+        let (segments, counts, bytes) = counted(shard, &ranges_request(&census, "age", bounds));
+        assert_eq!(segments, (0..6).collect::<Vec<_>>());
+        assert_eq!(counts, popcounts(&census, "age", bounds));
+        assert_eq!(
+            counts.iter().sum::<usize>(),
+            6_000,
+            "ages partition the rows"
+        );
+        assert!(bytes < 100, "{bytes} bytes");
+    }
     let sexes = select_request(
         &census,
         Json::object(vec![
@@ -1866,37 +1922,21 @@ fn shards_ship_only_what_the_coordinator_cannot_work_out() {
             ),
         ]),
     );
-    for (body, expected) in [
-        (&halves, (1, true)),
-        (&thirds, (2, true)),
-        (&sexes, (1, true)),
-    ] {
-        let partials = partials_of(shard, "/shard/select", body);
-        assert_eq!(partials.len(), 6);
-        for partial in &partials {
-            assert_eq!(shipped(partial), expected, "{body}");
-        }
-    }
+    let (_, counts, _) = counted(shard, &sexes);
+    assert_eq!(counts.iter().sum::<usize>(), 6_000);
     handles.into_iter().for_each(ServerHandle::shutdown);
 
     let (handles, _) = boot_shards("census", &with_nulls, &config, 1);
-    let heights = ranges_request(
-        &with_nulls,
-        "height_cm",
-        &[(0.0, 170.0), (170.0f64.next_up(), 1_000.0)],
+    let heights = [(0.0, 170.0), (170.0f64.next_up(), 1_000.0)];
+    let (_, counts, _) = counted(
+        &handles[0],
+        &ranges_request(&with_nulls, "height_cm", &heights),
     );
-    for partial in partials_of(&handles[0], "/shard/select", &heights) {
-        assert_eq!(
-            shipped(&partial),
-            (2, false),
-            "NULL heights are in no region"
-        );
-    }
-    // A column without NULLs in the same table still leaves its last region.
-    let ages = ranges_request(&with_nulls, "age", &[(0.0, 40.0), (41.0, 200.0)]);
-    for partial in partials_of(&handles[0], "/shard/select", &ages) {
-        assert_eq!(shipped(&partial), (1, true));
-    }
+    assert_eq!(counts, popcounts(&with_nulls, "height_cm", &heights));
+    assert!(
+        counts.iter().sum::<usize>() < 6_000,
+        "NULL heights are in no region"
+    );
     handles.into_iter().for_each(ServerHandle::shutdown);
 
     // The answers are the engine's, over both tables and at 1–3 shards.
@@ -1913,4 +1953,144 @@ fn shards_ship_only_what_the_coordinator_cannot_work_out() {
             handles.into_iter().for_each(ServerHandle::shutdown);
         }
     }
+}
+
+/// `rows` rows in 1 000-row segments of `a`, `b` and `c`, one hidden
+/// quantity read three ways (each ranks the rows the same way up to a
+/// little noise, so their median cuts all but coincide), and `d`, drawn
+/// independently of it. Every column takes at most a few hundred values, so
+/// its summaries count them and no cut asks for values.
+fn three_views_and_one_other(rows: usize) -> Arc<Table> {
+    let schema = Schema::new(vec![
+        Field::new("a", DataType::Float),
+        Field::new("b", DataType::Float),
+        Field::new("c", DataType::Float),
+        Field::new("d", DataType::Float),
+    ])
+    .unwrap();
+    let mut builder = TableBuilder::new("t", schema).with_segment_rows(1_000);
+    let hash = |salt: u64, row: usize| {
+        let h = (row as u64 ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+        h as f64 / (1u64 << 24) as f64
+    };
+    for row in 0..rows {
+        let hidden = (hash(1, row) * 100.0).floor();
+        let noise = |salt| (hash(salt, row) * 5.0).floor() - 2.0;
+        builder
+            .push_row(&[
+                Value::Float(hidden),
+                Value::Float(2.0 * hidden + noise(2)),
+                Value::Float(50.0 - hidden + noise(3)),
+                Value::Float((hash(4, row) * 100.0).floor()),
+            ])
+            .unwrap();
+    }
+    Arc::new(builder.build().unwrap())
+}
+
+/// A cluster of three maps asks the shards for its own cells: on a table
+/// whose `a`, `b` and `c` are one quantity and `d` another, the product merge
+/// with clusters of up to three forms the cluster `a`–`b`–`c`, and its
+/// product is counted in one more `/shard/select` round — three rounds per
+/// explore where clusters of at most two make two. At 1–3 shards the
+/// coordinator answers the engine's released answer bit for bit, whole table
+/// and filtered, in strict mode and in degraded mode with a shard down.
+#[test]
+fn a_cluster_of_three_maps_costs_one_round_of_its_own() {
+    let table = three_views_and_one_other(3_000);
+    let config = |max_cluster_size| {
+        let mut config = product_config();
+        config.clustering.max_cluster_size = max_cluster_size;
+        config
+    };
+    let whole = ConjunctiveQuery::all("t");
+    let filtered = whole.clone().and(Predicate::range("d", 0.0, 70.0));
+    for (max_cluster_size, rounds) in [(3, 3), (2, 2)] {
+        let config = config(max_cluster_size);
+        let reference = Atlas::new(Arc::clone(&table), config.clone()).unwrap();
+        for query in [&whole, &filtered] {
+            let local = reference.explore_released(query).unwrap();
+            let widest = local
+                .maps
+                .iter()
+                .map(|m| m.map.source_attributes.len())
+                .max();
+            assert_eq!(widest, Some(max_cluster_size), "{}", to_sql(query));
+        }
+        for shards in 1..=3usize {
+            let (handles, _) = boot_shards("t", &table, &config, shards);
+            let (proxies, addrs) = common::proxies(&handles);
+            let coordinator =
+                Coordinator::connect(&addrs, "t", config.clone(), Duration::from_secs(10)).unwrap();
+            for query in [&whole, &filtered] {
+                let before = coordinator.metrics().fan_out();
+                assert_agree(&reference, &coordinator, query);
+                let calls = coordinator.metrics().fan_out() - before;
+                assert_eq!(calls, rounds * shards as u64, "{shards} shards");
+            }
+            if shards > 1 {
+                // The last shard is down: the survivors' segments explore
+                // like a table of their own.
+                proxies[shards - 1].arm(vec![Fault::Kill]);
+                let mode = ExploreMode::Degraded {
+                    max_failed_shards: 1,
+                };
+                let assignment = coordinator.assignment();
+                let kept: Vec<_> = assignment[..shards - 1]
+                    .iter()
+                    .flatten()
+                    .map(|&s| Arc::clone(&table.segments()[s]))
+                    .collect();
+                let survivors = Table::from_segments("t", table.schema().clone(), kept).unwrap();
+                let local = Atlas::new(Arc::new(survivors), config.clone()).unwrap();
+                for query in [&whole, &filtered] {
+                    let degraded = coordinator.explore_resilient(query, mode, None).unwrap();
+                    assert_eq!(
+                        degraded.coverage.missing_segments,
+                        assignment[shards - 1],
+                        "{shards} shards"
+                    );
+                    assert_identical(&local.explore_released(query).unwrap(), &degraded.result);
+                }
+            }
+            handles.into_iter().for_each(ServerHandle::shutdown);
+        }
+    }
+}
+
+/// The paper's configuration counts every composition level off the
+/// statistics its re-cut reads, so a whole-table `default` census explore
+/// makes one round per re-cut region on top of the candidates' two — a
+/// `/shard/working` round on the region's SQL, whose summaries count the
+/// sub-regions — and no `/shard/select` round for any of them. Over two
+/// shards of three 1 000-row segments each, the census clusters into three
+/// pairs whose first maps make two regions each: 2 + 6 = 8 rounds, one
+/// `/shard/select` per shard, and the shards evaluate each of the 7 working
+/// sets once per segment and reuse the explore's once more (its
+/// `/shard/select`).
+#[test]
+fn a_default_explore_counts_every_composition_level() {
+    let table = census_table(6_000, 1_000);
+    let config = AtlasConfig::default().with_parallelism(2);
+    let reference = Atlas::new(Arc::clone(&table), config.clone()).unwrap();
+    let (handles, addrs) = boot_shards("census", &table, &config, 2);
+    let coordinator =
+        Coordinator::connect(&addrs, "census", config, Duration::from_secs(10)).unwrap();
+    let whole = ConjunctiveQuery::all("census");
+    let local = reference.explore_released(&whole).unwrap();
+    let pairs = local
+        .maps
+        .iter()
+        .filter(|m| m.map.source_attributes.len() == 2);
+    assert_eq!(pairs.count(), 3, "three clusters of two maps");
+    assert_agree(&reference, &coordinator, &whole);
+    assert_eq!(
+        working_set_calls(&coordinator),
+        8 * 2,
+        "8 rounds over 2 shards"
+    );
+    assert_eq!(endpoint_requests(&handles, "shard_select"), 2);
+    assert_eq!(endpoint_requests(&handles, "shard_values"), 0);
+    assert_eq!(working_set_counts(&handles), (7 * 6, 6));
+    handles.into_iter().for_each(ServerHandle::shutdown);
 }

@@ -1007,6 +1007,8 @@ struct Recording<'a> {
 }
 
 impl CutSource for Recording<'_> {
+    type Extent = Bitmap;
+
     fn data_type(&self, attribute: &str) -> atlas::core::Result<DataType> {
         self.inner.data_type(attribute)
     }

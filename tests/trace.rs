@@ -158,7 +158,7 @@ impl Rig {
 }
 
 /// Bit-for-bit equality of two explorations: same map order, attribute
-/// groups, region SQL and extents, score *bits*.
+/// groups, region SQL, extents and counts, score *bits*.
 fn assert_identical(a: &MapResult, b: &MapResult) {
     assert_eq!(a.num_maps(), b.num_maps());
     assert_eq!(a.working_set_size, b.working_set_size);
@@ -168,6 +168,7 @@ fn assert_identical(a: &MapResult, b: &MapResult) {
         for (qa, qb) in ra.map.regions.iter().zip(rb.map.regions.iter()) {
             assert_eq!(to_sql(&qa.query), to_sql(&qb.query));
             assert_eq!(qa.selection, qb.selection);
+            assert_eq!(qa.count(), qb.count());
         }
     }
 }
@@ -224,7 +225,7 @@ fn distributed_explore_reassembles_one_trace_tree() {
     let _gate = gate();
     let rig = rig();
     let query = ConjunctiveQuery::all("census");
-    let expected = rig.reference.explore(&query).unwrap();
+    let expected = rig.reference.explore_released(&query).unwrap();
 
     let _traced = Traced::begin();
     let coordinator = rig.coordinator(calm_options());
@@ -265,11 +266,11 @@ fn distributed_explore_reassembles_one_trace_tree() {
     rig.shutdown();
 }
 
-/// Map distances are computed at the coordinator from the folded candidate
-/// bitmaps: the push-down endpoint that used to count contingency tables is
-/// gone, and the clustering phase of a distributed explore issues no shard
-/// call at all (every `shard.call` hangs under the query or candidates
-/// phase).
+/// Map distances are scored at the coordinator from the pair cells the
+/// candidates' count round returned: the push-down endpoint that used to
+/// count contingency tables on a round of its own is gone, and the
+/// clustering phase of a distributed explore issues no shard call at all
+/// (every `shard.call` hangs under the query or candidates phase).
 #[test]
 fn the_clustering_phase_calls_no_shard() {
     let _gate = gate();
@@ -322,7 +323,7 @@ fn retried_and_hedged_calls_stay_one_labeled_tree() {
     let _gate = gate();
     let rig = rig();
     let query = ConjunctiveQuery::all("census");
-    let expected = rig.reference.explore(&query).unwrap();
+    let expected = rig.reference.explore_released(&query).unwrap();
 
     let _traced = Traced::begin();
     let mut options = calm_options();
@@ -651,7 +652,7 @@ fn shard_request_spans_say_whether_the_working_set_was_evaluated_or_reused() {
     let _gate = gate();
     let rig = rig();
     let query = parse_query("SELECT * FROM census WHERE age BETWEEN 25 AND 60").unwrap();
-    let expected = rig.reference.explore(&query).unwrap();
+    let expected = rig.reference.explore_released(&query).unwrap();
 
     let _traced = Traced::begin();
     let coordinator = rig.coordinator(calm_options());
