@@ -9,11 +9,11 @@
 //!   `Median` is the default's). A categorical attribute has one cut.
 //! * Steps: the whole table, a filter, and a drill into region (0, 0) of the
 //!   filtered answer.
-//! * Threads: 1, 2 and 8. Shards: `fast` through 1–3 in-process shard
-//!   servers, over the census and over the census with NULLs — whose
-//!   partitions miss rows of their working set, so no cut of a column with
-//!   NULLs partitions it. The coordinator's answers are the released form of
-//!   the in-process ones, which the digest hashes.
+//! * Threads: 1, 2 and 8. Shards: `fast` and `default` through 1–3
+//!   in-process shard servers, over the census and over the census with
+//!   NULLs — whose partitions miss rows of their working set, so no cut of
+//!   a column with NULLs partitions it. The coordinator's answers are the
+//!   released form of the in-process ones, which the digest hashes.
 //! * Two gaps closed on purpose: a census with NULLs under `default`, whose
 //!   compositions can start from a map that misses the NULL rows (the one
 //!   kind of first map that does not partition its working set), and a table
@@ -38,7 +38,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// What the matrix below answered when it was committed.
-const DIGEST: u64 = 0x6cf3_6848_33fc_0895;
+const DIGEST: u64 = 0xc032_51a1_cbfe_d268;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
@@ -168,10 +168,11 @@ fn assert_released(
     }
 }
 
-/// The distributed part: `fast` over 1–3 shard servers holding a census
-/// with a pinned 2 000-row segment layout, then the same census with NULLs
-/// (so some partitions miss rows of their working set). Each step hashes
-/// the in-process answer, and the coordinator's must be its released form.
+/// The distributed part: `fast` and `default` over 1–3 shard servers
+/// holding a census with a pinned 2 000-row segment layout, then the same
+/// census with NULLs (so some partitions miss rows of their working set).
+/// Each step hashes the in-process answer, and the coordinator's must be its
+/// released form.
 fn sharded(digest: &mut Digest) {
     for null_fraction in [0.0, 0.05] {
         sharded_census(digest, null_fraction);
@@ -189,32 +190,33 @@ fn sharded_census(digest: &mut Digest, null_fraction: f64) {
         })
         .generate(),
     );
-    let config = AtlasConfig::fast();
-    let engine = Atlas::new(Arc::clone(&table), config.clone()).unwrap();
-    for shards in 1..=3 {
-        let handles: Vec<ServerHandle> = (0..shards)
-            .map(|_| {
-                let mut registry = Registry::new();
-                let options = DatasetOptions {
-                    config: config.clone(),
-                    cache_capacity: 0,
-                };
-                registry
-                    .add_table("census", Arc::clone(&table), options)
+    for config in [AtlasConfig::fast(), AtlasConfig::default()] {
+        let engine = Atlas::new(Arc::clone(&table), config.clone()).unwrap();
+        for shards in 1..=3 {
+            let handles: Vec<ServerHandle> = (0..shards)
+                .map(|_| {
+                    let mut registry = Registry::new();
+                    let options = DatasetOptions {
+                        config: config.clone(),
+                        cache_capacity: 0,
+                    };
+                    registry
+                        .add_table("census", Arc::clone(&table), options)
+                        .unwrap();
+                    Server::start(registry, ServeConfig::default().with_threads(2)).unwrap()
+                })
+                .collect();
+            let addrs: Vec<String> = handles.iter().map(|h| h.addr().to_string()).collect();
+            let coordinator =
+                Coordinator::connect(&addrs, "census", config.clone(), Duration::from_secs(30))
                     .unwrap();
-                Server::start(registry, ServeConfig::default().with_threads(2)).unwrap()
-            })
-            .collect();
-        let addrs: Vec<String> = handles.iter().map(|h| h.addr().to_string()).collect();
-        let coordinator =
-            Coordinator::connect(&addrs, "census", config.clone(), Duration::from_secs(30))
-                .unwrap();
-        walk(digest, "census", CENSUS_FILTER, |query| {
-            let answer = engine.explore(query);
-            assert_released(&answer, &coordinator.explore(query), query);
-            answer
-        });
-        handles.into_iter().for_each(ServerHandle::shutdown);
+            walk(digest, "census", CENSUS_FILTER, |query| {
+                let answer = engine.explore(query);
+                assert_released(&answer, &coordinator.explore(query), query);
+                answer
+            });
+            handles.into_iter().for_each(ServerHandle::shutdown);
+        }
     }
 }
 
