@@ -1453,7 +1453,8 @@ impl RemoteSource<'_> {
 /// The `cols × rows` table, row-major, of the `rows`-row table `cells`,
 /// row-major: cell `(i, j)` of one is cell `(j, i)` of the other.
 fn transposed(cells: &[u64], rows: usize) -> Vec<u64> {
-    let cols = cells.len() / rows.max(1);
+    let rows = rows.max(1);
+    let cols = cells.len() / rows;
     let at = |cell: usize| cells.get(cell % rows * cols + cell / rows);
     (0..cells.len()).filter_map(at).copied().collect()
 }

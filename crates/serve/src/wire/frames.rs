@@ -399,7 +399,7 @@ fn columns_from_json(
 /// products: far above what an explore asks (a cluster of three three-way
 /// cuts is 27), so a request that would make a shard allocate more is the
 /// coordinator's mistake, refused before anything is counted.
-pub const MAX_CELLS: usize = 1 << 16;
+const MAX_CELLS: usize = 1 << 16;
 
 /// How many cells the product of `plans` has: one per combination of one
 /// region per plan, `regions[plan]` regions each. `None` on an index past
@@ -420,7 +420,7 @@ pub fn products_to_json(products: &[Vec<usize>]) -> Json {
 
 /// Decode a `/shard/select` request's `products` against its `plans`: every
 /// product names one plan or more, each once and in range, and all of them
-/// together make at most [`MAX_CELLS`] cells.
+/// together make at most `MAX_CELLS` (65 536) cells.
 pub fn products_from_json(value: &Json, plans: &[CutPlan]) -> Result<Vec<Vec<usize>>, String> {
     let regions: Vec<usize> = plans
         .iter()
@@ -1481,11 +1481,7 @@ mod tests {
             products: &triple,
             working_rows: 8,
         };
-        let cells = vec![(0..8)
-            .collect::<Vec<u64>>()
-            .iter()
-            .map(|&n| n % 2)
-            .collect()];
+        let cells = vec![(0..8u64).map(|n| n % 2).collect()];
         assert_eq!(count_round_trip(&cells, &ask), Ok(cells));
         let ask = CountAsk {
             products: &[],
