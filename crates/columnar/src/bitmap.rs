@@ -491,31 +491,6 @@ impl Bitmap {
         bm
     }
 
-    /// OR `other`'s bits into this bitmap starting at row `offset` (which
-    /// must leave `other` entirely inside `self`) — how a table-wide mask is
-    /// assembled from per-segment masks in **one linear pass**: word-aligned
-    /// offsets (the common case) OR whole words, unaligned offsets fall back
-    /// to per-bit sets.
-    ///
-    /// # Panics
-    /// Panics if `offset + other.len()` exceeds this bitmap's length.
-    pub fn or_shifted(&mut self, other: &Bitmap, offset: usize) {
-        assert!(
-            offset + other.len <= self.len,
-            "shifted bitmap [{offset}, {}) out of range {}",
-            offset + other.len,
-            self.len
-        );
-        if offset.is_multiple_of(WORD_BITS) {
-            let first_word = offset / WORD_BITS;
-            for (word, &o) in self.words[first_word..].iter_mut().zip(other.words.iter()) {
-                *word |= o;
-            }
-        } else {
-            other.for_each_one(|idx| self.set(offset + idx));
-        }
-    }
-
     /// Append one bit, growing the bitmap by a row.
     ///
     /// Amortised O(1): a new word is allocated only every 64 pushes. This is
@@ -933,29 +908,6 @@ mod tests {
         let mut clamped = Vec::new();
         bm.for_each_one_in(290, 10_000, |idx| clamped.push(idx));
         assert!(clamped.iter().all(|&i| (290..300).contains(&i)));
-    }
-
-    #[test]
-    fn or_shifted_assembles_masks_at_aligned_and_unaligned_offsets() {
-        let part_a = Bitmap::from_indices(64, [0, 63]);
-        let part_b = Bitmap::from_indices(70, [1, 69]);
-        // Aligned offsets OR whole words.
-        let mut assembled = Bitmap::new_empty(134);
-        assembled.or_shifted(&part_a, 0);
-        assembled.or_shifted(&part_b, 64);
-        assert_eq!(assembled.to_indices(), vec![0, 63, 65, 133]);
-        // Unaligned offset falls back to per-bit sets.
-        let mut assembled = Bitmap::new_empty(134);
-        assembled.or_shifted(&part_b, 0);
-        assembled.or_shifted(&part_a, 70);
-        assert_eq!(assembled.to_indices(), vec![1, 69, 70, 133]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn or_shifted_rejects_out_of_range_offsets() {
-        let mut target = Bitmap::new_empty(10);
-        target.or_shifted(&Bitmap::new_full(8), 5);
     }
 
     #[test]

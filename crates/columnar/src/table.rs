@@ -273,11 +273,6 @@ impl Table {
             num_rows,
         }
     }
-
-    /// Wrap the table in an `Arc` for sharing.
-    pub fn into_shared(self) -> Arc<Table> {
-        Arc::new(self)
-    }
 }
 
 /// Check a sealed segment against a table schema (column count and types;

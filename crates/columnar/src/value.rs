@@ -90,14 +90,6 @@ impl Value {
         }
     }
 
-    /// Interpret the value as an `i64` if it is an integer.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::Int(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// Interpret the value as a string slice if it is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {

@@ -10,9 +10,10 @@
 //! evaluated they are one function, [`explore_from_source`]: step 1 cuts
 //! every attribute of the working set through the engine's [`CutStrategy`],
 //! and steps 2–4 — cluster, merge, rank — follow, with the merge
-//! [`AtlasConfig::merge`] names. It reads rows through an [`ExploreSource`]:
-//! the engine's is its [`PipelineContext`], and the distributed coordinator
-//! runs the same function over its shards.
+//! [`AtlasConfig::merge`] names. It reads rows through an [`ExploreSource`],
+//! which holds the working set: the engine's pairs its [`PipelineContext`]
+//! with the working bitmap, and the distributed coordinator runs the same
+//! function over a working set at its shards, of which it holds only counts.
 //!
 //! [`Atlas::explore`] runs the pipeline exactly; [`Atlas::explore_iter`]
 //! streams the anytime refinement of Section 5.1 (growing samples under a
@@ -66,7 +67,9 @@ use crate::config::{AtlasConfig, ExploreOptions, MergeStrategy};
 use crate::distance::distance_matrix_from;
 use crate::error::{AtlasError, Result};
 use crate::map::DataMap;
-use crate::pipeline::{CompositionMerge, CutStrategy, ExploreSource, PaperCut, PipelineContext};
+use crate::pipeline::{
+    CompositionMerge, CutStrategy, ExploreSource, PaperCut, PipelineContext, TableExploreSource,
+};
 use crate::profile::{ProfileStats, TableProfile};
 use crate::rank::{rank_maps, RankedMap};
 use crate::region::Region;
@@ -407,8 +410,9 @@ impl Atlas {
         );
         let released = output == Output::Released;
         let explore = |ctx: &PipelineContext<'_>, working: &Bitmap, timings: &mut PhaseTimings| {
+            let source = TableExploreSource::new(ctx, working);
             let (config, pool) = (&self.config, &*self.pool);
-            explore_from_source(config, pool, ctx, user_query, working, released, timings)
+            explore_from_source(config, pool, &source, user_query, released, timings)
         };
         let (maps, skipped_attributes) = match &gathered {
             Some(compact) => {
@@ -595,10 +599,10 @@ enum Output {
 /// its time lands in `timings`. The ranked maps and the attributes the cuts
 /// skipped.
 ///
-/// Region bitmaps range over `working.len()` rows (the table's in the
-/// engine, the live rows at a coordinator). [`Atlas::explore`] runs it over a
-/// [`PipelineContext`] and the distributed coordinator over its remote
-/// source, so the two differ only in where the rows are read. With
+/// The working set is the source's. [`Atlas::explore`] runs it over a
+/// [`PipelineContext`] paired with a working set of its table, and the
+/// distributed coordinator over its remote source, which holds no rows, so
+/// the two differ only in where the rows are read. With
 /// `released`, the caller keeps no rows of the answer, so a composition's
 /// last level may be counted instead of partitioned
 /// ([`ExploreSource::recut`]).
@@ -607,15 +611,13 @@ pub fn explore_from_source<'a>(
     pool: &ThreadPool,
     source: &impl ExploreSource<'a>,
     user_query: &ConjunctiveQuery,
-    working: &Bitmap,
     released: bool,
     timings: &mut PhaseTimings,
 ) -> Result<(Vec<RankedMap>, Vec<String>)> {
     // Step 1: candidate maps, and the working set's statistics the cuts
     // read, which the merge phase re-reads and which die with the explore.
     let phase_span = atlas_obs::span("phase.candidates");
-    let (candidates, stats) =
-        source.candidates(working, user_query, config.attributes.as_deref())?;
+    let (candidates, stats) = source.candidates(user_query, config.attributes.as_deref())?;
     timings.candidates_ms = phase_span.finish_ms();
     if candidates.is_empty() {
         return Err(AtlasError::NoCuttableAttributes);
@@ -628,14 +630,13 @@ pub fn explore_from_source<'a>(
                 let held = stats.iter().find(|(name, _)| name == attribute);
                 held.map(|(_, stats)| &**stats)
             };
-            CompositionMerge::compose(source, members, working, held, drop_empty, released)
+            CompositionMerge::compose(source, members, held, drop_empty, released)
         }
     };
 
     let phase_span = atlas_obs::span("phase.clustering");
-    let working_rows = working.count();
     let matrix = distance_matrix_from(candidates.len(), config.distance, pool, |i, j| {
-        source.contingency(&candidates.maps[i], &candidates.maps[j], working_rows)
+        source.contingency(&candidates.maps[i], &candidates.maps[j])
     })?;
     let clusters = cluster_maps_with_pool(&matrix, &config.clustering, pool)?;
     timings.clustering_ms = phase_span.finish_ms();
@@ -679,7 +680,6 @@ pub fn explore_from_source<'a>(
                 map,
                 user_query,
                 config.max_regions_per_map,
-                working.len(),
             ));
         }
     }
@@ -701,10 +701,10 @@ pub fn explore_from_source<'a>(
 /// map leaves out — NULL in a cut attribute — is not among them.)
 ///
 /// When every folded region holds its rows, the remainder's are their union,
-/// a bitmap of `num_rows` rows — the rows of the underlying table. When one
-/// was built without rows ([`Region::released`], a served composition), the
-/// remainder is too, counted: its count is the sum of the folded counts,
-/// exact because a map's regions are disjoint.
+/// over the rows the folded regions range over. When one was built without
+/// rows ([`Region::released`], a served composition, every region at a
+/// distributed coordinator), the remainder is too, counted: its count is the
+/// sum of the folded counts, exact because a map's regions are disjoint.
 ///
 /// This is the post-merge step [`explore_from_source`] applies to every
 /// cluster's merged map.
@@ -712,7 +712,6 @@ pub fn enforce_region_cap_within(
     mut map: DataMap,
     user_query: &ConjunctiveQuery,
     max_regions_per_map: usize,
-    num_rows: usize,
 ) -> DataMap {
     if map.num_regions() <= max_regions_per_map {
         return map;
@@ -726,7 +725,7 @@ pub fn enforce_region_cap_within(
     }
     let query = user_query.clone();
     map.regions.push(if tail.iter().all(Region::holds_rows) {
-        let mut selection = Bitmap::new_empty(num_rows);
+        let mut selection = Bitmap::new_empty(tail[0].selection.len());
         tail.iter()
             .for_each(|region| selection.union_with(&region.selection));
         Region::new(query, selection)
@@ -737,11 +736,18 @@ pub fn enforce_region_cap_within(
 }
 
 /// [`enforce_region_cap_within`] for a map of the whole table: the
-/// remainder's query is the table's, with no predicate.
+/// remainder's query is the table's, with no predicate. `num_rows`, the
+/// table's rows, is what the regions range over: the remainder takes its
+/// row space from the regions it folds.
 pub fn enforce_region_cap(map: DataMap, max_regions_per_map: usize, num_rows: usize) -> DataMap {
     let table = map.regions.first().map(|r| r.query.table.clone());
     let whole_table = ConjunctiveQuery::all(table.unwrap_or_default());
-    enforce_region_cap_within(map, &whole_table, max_regions_per_map, num_rows)
+    let capped = enforce_region_cap_within(map, &whole_table, max_regions_per_map);
+    debug_assert!(capped
+        .regions
+        .iter()
+        .all(|r| !r.holds_rows() || r.selection.len() == num_rows));
+    capped
 }
 
 /// One iteration of the anytime loop.

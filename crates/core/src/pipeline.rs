@@ -238,12 +238,11 @@ pub struct CompositionMerge;
 
 impl CompositionMerge {
     /// The composition over `source`, with `held(attribute)` the statistics
-    /// of `attribute` over `working` the caller holds, if any, and
+    /// of `attribute` over its working set the caller holds, if any, and
     /// `released` whether the caller keeps no rows of the last level.
     pub(crate) fn compose<'s, 'a>(
         source: &impl ExploreSource<'a>,
         members: &[DataMap],
-        working: &Bitmap,
         held: impl Fn(&str) -> Option<&'s ColumnStats>,
         drop_empty_regions: bool,
         released: bool,
@@ -263,7 +262,7 @@ impl CompositionMerge {
             let counted = released && level + 1 == others.len();
             let whole = if first_recut { held(&attribute) } else { None };
             first_recut = false;
-            let cuts = source.recut(&regions, working, &attribute, whole, counted)?;
+            let cuts = source.recut(&regions, &attribute, whole, counted)?;
             let mut next = Vec::new();
             for (region, sub) in regions.into_iter().zip(cuts) {
                 match sub {
@@ -287,38 +286,33 @@ impl CompositionMerge {
 /// What an explore reads its rows through once its working set is known:
 /// the candidate maps (step 1), the contingency table of a pair of them
 /// (step 2), and the product or the re-cuts of a cluster's merge (step 3).
-/// Everything else the body reads is a region's query or count.
+/// Like a [`crate::CutSource`], a source has its working set built in, and
+/// everything else the body reads is a region's query or count.
 /// [`crate::engine::explore_from_source`], the one explore body, runs over
-/// it. The two implementations are [`PipelineContext`] — the table in
-/// process, through the engine's [`CutStrategy`] — and the serve crate's
-/// remote source, which asks shard servers holding disjoint segment subsets
-/// for counts and builds every region without rows. A source whose answers
-/// equal the in-process ones — the same queries, counts and cells — makes
-/// the explore equal it bit for bit, because the body around them is the
-/// same.
+/// it. The two implementations are the engine's — a [`PipelineContext`]
+/// paired with a working set of its table, cut through the engine's
+/// [`CutStrategy`] — and the serve crate's remote source, a working set at
+/// shard servers holding disjoint segment subsets, which asks them for
+/// counts and builds every region without rows. A source whose answers equal the in-process ones —
+/// the same queries, counts and cells — makes the explore equal it bit for
+/// bit, because the body around them is the same.
 ///
 /// Statistics held in `'a` live as long as the explore.
 pub trait ExploreSource<'a>: Sync {
-    /// Step 1 over `working`: one candidate map per attribute of
-    /// `attributes` that can be cut (every column when `None`), in order,
-    /// and the statistics over `working` the cuts read, by attribute, for the
-    /// merge phase to re-read.
+    /// Step 1: one candidate map per attribute of `attributes` that can be
+    /// cut (every column when `None`), in order, and the statistics over the
+    /// working set the cuts read, by attribute, for the merge phase to
+    /// re-read.
     fn candidates(
         &self,
-        working: &Bitmap,
         user_query: &ConjunctiveQuery,
         attributes: Option<&[String]>,
     ) -> Result<(CandidateSet, Vec<AttributeStats<'a>>)>;
 
-    /// Step 2's input: the contingency table of two candidates `a` and `b`
-    /// cut from a working set of `working_rows` rows, cell `(i, j)` holding
-    /// the rows in `a`'s region `i` and `b`'s region `j`.
-    fn contingency(
-        &self,
-        a: &DataMap,
-        b: &DataMap,
-        working_rows: usize,
-    ) -> Result<ContingencyTable>;
+    /// Step 2's input: the contingency table of two candidates `a` and `b`,
+    /// cell `(i, j)` holding the rows in `a`'s region `i` and `b`'s region
+    /// `j`.
+    fn contingency(&self, a: &DataMap, b: &DataMap) -> Result<ContingencyTable>;
 
     /// Step 3 under the product merge: the product of one cluster's
     /// candidates `members`, in order (Definition 3, [`product_maps`]),
@@ -326,43 +320,100 @@ pub trait ExploreSource<'a>: Sync {
     fn product(&self, members: &[DataMap], drop_empty: bool) -> Result<Option<DataMap>>;
 
     /// One level of a composition: each of `regions` — disjoint subsets of
-    /// `working` — re-cut on `attribute`, extending the region's query, in
-    /// region order: `None` for a region whose cut fails (it is kept
-    /// whole), and the first error in region order. `whole` is the
-    /// statistics of `attribute` over `working` when the caller holds them.
-    /// With `counted`, the sub-regions are final and only their queries and
-    /// counts are read, so a source may build them without rows
+    /// the working set — re-cut on `attribute`, extending the region's
+    /// query, in region order: `None` for a region whose cut fails (it is
+    /// kept whole), and the first error in region order. `whole` is the
+    /// statistics of `attribute` over the working set when the caller holds
+    /// them. With `counted`, the sub-regions are final and only their
+    /// queries and counts are read, so a source may build them without rows
     /// ([`Region::released`]).
     fn recut(
         &self,
         regions: &[Cow<'_, Region>],
-        working: &Bitmap,
         attribute: &str,
         whole: Option<&ColumnStats>,
         counted: bool,
     ) -> Result<Vec<Option<DataMap>>>;
 }
 
-impl<'a> ExploreSource<'a> for PipelineContext<'a> {
-    /// Every attribute is cut through `self.cut_strategy`, one pool task
+/// The in-process [`ExploreSource`]: the `working` rows of a
+/// [`PipelineContext`]'s table, counted once.
+pub(crate) struct TableExploreSource<'c, 'a> {
+    ctx: &'c PipelineContext<'a>,
+    working: &'c Bitmap,
+    rows: usize,
+}
+
+impl<'c, 'a> TableExploreSource<'c, 'a> {
+    /// A source over the `working` rows of `ctx.table`.
+    pub(crate) fn new(ctx: &'c PipelineContext<'a>, working: &'c Bitmap) -> Self {
+        let rows = working.count();
+        TableExploreSource { ctx, working, rows }
+    }
+
+    /// The statistics of `attribute` over each of `regions`, given `whole`,
+    /// its statistics over the working set: every region but the largest
+    /// walked (one pool task each), the largest derived as `whole` minus the
+    /// others — or walked too, should the subtraction decline. Empty unless
+    /// the regions partition the working set, which their counts summing to
+    /// its count and their union being it prove.
+    fn partition_stats(
+        &self,
+        regions: &[Cow<'_, Region>],
+        attribute: &str,
+        whole: &ColumnStats,
+    ) -> Result<Vec<Cow<'a, ColumnStats>>> {
+        let (ctx, working) = (self.ctx, self.working);
+        let total: usize = regions.iter().map(|r| r.count()).sum();
+        let covered = || {
+            let mut union = Bitmap::new_empty(working.len());
+            regions.iter().for_each(|r| union.union_with(&r.selection));
+            union == *working
+        };
+        let largest = (0..regions.len()).max_by_key(|&at| (regions[at].count(), Reverse(at)));
+        let Some(largest) = largest.filter(|_| total == self.rows && covered()) else {
+            return Ok(Vec::new());
+        };
+        let walk = |at: usize| {
+            ctx.profile
+                .stats_for(ctx.table, attribute, &regions[at].selection)
+        };
+        let parent = atlas_obs::current();
+        let walked = ctx.pool.par_map_indexed(regions.len(), 1, |at| {
+            let _trace = atlas_obs::with_context(parent);
+            (at != largest).then(|| walk(at)).transpose()
+        });
+        let mut stats: Vec<Option<Cow<'a, ColumnStats>>> =
+            walked.into_iter().collect::<Result<_>>()?;
+        let derived = stats
+            .iter()
+            .flatten()
+            .try_fold(whole.clone(), |left, part| left.without(part));
+        stats[largest] = Some(match derived {
+            Some(derived) => {
+                ctx.profile.count_derived(attribute);
+                Cow::Owned(derived)
+            }
+            None => walk(largest)?,
+        });
+        Ok(stats.into_iter().flatten().collect())
+    }
+}
+
+impl<'a> ExploreSource<'a> for TableExploreSource<'_, 'a> {
+    /// Every attribute is cut through `ctx.cut_strategy`, one pool task
     /// each ([`crate::generate_candidates_in_context`]).
     fn candidates(
         &self,
-        working: &Bitmap,
         user_query: &ConjunctiveQuery,
         attributes: Option<&[String]>,
     ) -> Result<(CandidateSet, Vec<AttributeStats<'a>>)> {
-        cut_candidates(self, working, user_query, attributes)
+        cut_candidates(self.ctx, self.working, user_query, attributes)
     }
 
     /// Counted from the regions' rows ([`contingency_within`]).
-    fn contingency(
-        &self,
-        a: &DataMap,
-        b: &DataMap,
-        working_rows: usize,
-    ) -> Result<ContingencyTable> {
-        Ok(contingency_within(a, b, working_rows))
+    fn contingency(&self, a: &DataMap, b: &DataMap) -> Result<ContingencyTable> {
+        Ok(contingency_within(a, b, self.rows))
     }
 
     /// Intersects the regions' rows ([`product_maps`]).
@@ -370,87 +421,40 @@ impl<'a> ExploreSource<'a> for PipelineContext<'a> {
         Ok(product_maps(members, drop_empty))
     }
 
-    /// Every region is re-cut through `self.cut_strategy`, one pool task
-    /// each. When `whole` is held and the regions partition `working`, the
-    /// largest region's statistics are derived from it instead of walked
-    /// (see [`CompositionMerge`]); a counted level cuts through
+    /// Every region is re-cut through `ctx.cut_strategy`, one pool task
+    /// each. When `whole` is held and the regions partition the working set,
+    /// the largest region's statistics are derived from it instead of
+    /// walked (see [`CompositionMerge`]); a counted level cuts through
     /// [`CutStrategy::cut_released`].
     fn recut(
         &self,
         regions: &[Cow<'_, Region>],
-        working: &Bitmap,
         attribute: &str,
         whole: Option<&ColumnStats>,
         counted: bool,
     ) -> Result<Vec<Option<DataMap>>> {
+        let ctx = self.ctx;
         let stats = match whole {
-            Some(whole) => partition_stats(self, regions, working, attribute, whole)?,
+            Some(whole) => self.partition_stats(regions, attribute, whole)?,
             None => Vec::new(),
         };
         // Pool workers inherit the dispatching thread's span context, as in
         // candidate generation, so kernel events attach under `phase.merge`.
         let parent = atlas_obs::current();
-        let cuts = self.pool.par_map_indexed(regions.len(), 1, |at| {
+        let cuts = ctx.pool.par_map_indexed(regions.len(), 1, |at| {
             let _trace = atlas_obs::with_context(parent);
             let region = &regions[at];
             let mut held = stats.get(at).map(|stats| Cow::Borrowed(&**stats));
             let (selection, query) = (&region.selection, &region.query);
-            let strategy = self.cut_strategy;
+            let strategy = ctx.cut_strategy;
             if counted {
-                strategy.cut_released(self, selection, query, attribute, &mut held)
+                strategy.cut_released(ctx, selection, query, attribute, &mut held)
             } else {
-                strategy.cut(self, selection, query, attribute, &mut held)
+                strategy.cut(ctx, selection, query, attribute, &mut held)
             }
         });
         cuts.into_iter().collect()
     }
-}
-
-/// The statistics of `attribute` over each of `regions`, given `whole`, its
-/// statistics over `working`: every region but the largest walked (one pool
-/// task each), the largest derived as `whole` minus the others — or walked
-/// too, should the subtraction decline. Empty unless the regions partition
-/// `working`, which their counts summing to its count and their union being
-/// it prove.
-fn partition_stats<'a>(
-    ctx: &PipelineContext<'a>,
-    regions: &[Cow<'_, Region>],
-    working: &Bitmap,
-    attribute: &str,
-    whole: &ColumnStats,
-) -> Result<Vec<Cow<'a, ColumnStats>>> {
-    let total: usize = regions.iter().map(|r| r.count()).sum();
-    let covered = || {
-        let mut union = Bitmap::new_empty(working.len());
-        regions.iter().for_each(|r| union.union_with(&r.selection));
-        union == *working
-    };
-    let largest = (0..regions.len()).max_by_key(|&at| (regions[at].count(), Reverse(at)));
-    let Some(largest) = largest.filter(|_| total == working.count() && covered()) else {
-        return Ok(Vec::new());
-    };
-    let walk = |at: usize| {
-        ctx.profile
-            .stats_for(ctx.table, attribute, &regions[at].selection)
-    };
-    let parent = atlas_obs::current();
-    let walked = ctx.pool.par_map_indexed(regions.len(), 1, |at| {
-        let _trace = atlas_obs::with_context(parent);
-        (at != largest).then(|| walk(at)).transpose()
-    });
-    let mut stats: Vec<Option<Cow<'a, ColumnStats>>> = walked.into_iter().collect::<Result<_>>()?;
-    let derived = stats
-        .iter()
-        .flatten()
-        .try_fold(whole.clone(), |left, part| left.without(part));
-    stats[largest] = Some(match derived {
-        Some(derived) => {
-            ctx.profile.count_derived(attribute);
-            Cow::Owned(derived)
-        }
-        None => walk(largest)?,
-    });
-    Ok(stats.into_iter().flatten().collect())
 }
 
 impl MergePolicy for CompositionMerge {
@@ -471,8 +475,9 @@ impl MergePolicy for CompositionMerge {
             let profiled = ctx.profile.column(attribute).filter(|_| whole_table);
             profiled.map(|profile| &profile.stats)
         };
+        let source = TableExploreSource::new(ctx, working);
         let drop_empty = ctx.drop_empty_regions;
-        CompositionMerge::compose(ctx, members, working, held, drop_empty, false)
+        CompositionMerge::compose(&source, members, held, drop_empty, false)
     }
 }
 
@@ -624,9 +629,8 @@ mod tests {
                 let members = [members[0].clone(), members[1].clone()];
                 let merge = |released: bool| {
                     let merged = CompositionMerge::compose(
-                        ctx,
+                        &TableExploreSource::new(ctx, &working),
                         &members,
-                        &working,
                         |_| None,
                         true,
                         released,

@@ -6,11 +6,11 @@
 //! and runs the Atlas pipeline with every row-touching kernel pushed down:
 //!
 //! 1. **working set and summaries** — one `/shard/working` round: the user
-//!    query is evaluated per shard segment, the per-segment bitmaps are
-//!    OR-folded at their global offsets, and the same partials carry each
-//!    segment's per-column statistics as mergeable
-//!    [`atlas_columnar::ColumnSummary`] parts, folded in ascending segment
-//!    order;
+//!    query is evaluated per shard segment, which keeps the rows for its
+//!    later rounds and answers how many it selected — the coordinator holds
+//!    those counts, never a row — and each segment's per-column statistics
+//!    as mergeable [`atlas_columnar::ColumnSummary`] parts, folded in
+//!    ascending segment order;
 //! 2. **candidates** — the single shared `CUT` body
 //!    ([`atlas_core::cuts_from_source`]) runs locally over a
 //!    [`atlas_core::CutSource`] whose kernels scatter to the shards. The
@@ -41,14 +41,15 @@
 //!
 //! Each scatter round runs one thread per shard, and that thread does more
 //! than wait. Every reply is read whole, checked to cover exactly the
-//! shard's segments and decoded there — hex runs into [`Bitmap`]s, length
-//! and region-count checks, summaries into [`ColumnSummary`]s, a count reply
-//! held to every invariant the coordinator can check (each product's arity,
-//! no cut counting more rows than the shard's working rows, a pair's sums
-//! within its cuts' counts) — so decoding runs in parallel across shards and
-//! overlaps the slower shard's wire wait, and what is left after the barrier
-//! is the fold: `or_shifted` / `merge_from` in ascending global segment
-//! order, and integer sums of the count replies, whose order cannot matter.
+//! shard's segments and decoded there — a working partial's count held to
+//! its segment's rows and its summaries into [`ColumnSummary`]s, each
+//! counting that many rows; a count reply held to every invariant the
+//! coordinator can check (each product's arity, no cut counting more rows
+//! than the shard's working rows, a pair's sums within its cuts' counts) —
+//! so decoding runs in parallel across shards and overlaps the slower
+//! shard's wire wait, and what is left after the barrier is the fold:
+//! `merge_from` of the summaries in ascending global segment order, and
+//! integer sums of the counts, whose order cannot matter.
 //! A retried or hedged request's reply is whichever arrives first; a count
 //! reply is a deterministic function of (generation, SQL, segments, cuts),
 //! so either is the same.
@@ -58,9 +59,8 @@
 //! and endpoint, is not retried, and in degraded mode drops the shard like
 //! any other failure.
 //!
-//! The frames themselves (`crate::wire::frames`) ship no bitmap the
-//! coordinator can work out — a segment selected whole or not at all has no
-//! working bitmap — and no region's rows at all.
+//! The frames themselves (`crate::wire::frames`) ship no rows at all: no
+//! working bitmap and no region's rows.
 //!
 //! Every fold is deterministic and every pushed-down kernel reproduces its
 //! local counterpart exactly, so the ranked maps are **bit-identical** —
@@ -263,14 +263,6 @@ enum ExploreFail {
 struct ExploreCtx<'a> {
     dead: &'a BTreeSet<ShardIndex>,
     live: Vec<usize>,
-    live_rows: usize,
-    /// Row offset of each live segment in the compacted (live-rows-only)
-    /// coordinate space, parallel to `live`. With nothing dead these are the
-    /// table's global offsets; in degraded mode they renumber the surviving
-    /// rows contiguously — exactly the row space of a local table built
-    /// from the surviving segments, which is what the degraded answer is
-    /// bit-compared against.
-    offsets: Vec<usize>,
     deadline: Option<&'a Deadline>,
     failed: Mutex<Option<ExploreFail>>,
 }
@@ -993,17 +985,16 @@ impl Coordinator {
     }
 
     /// The working set `sql` selects at the shards: one `/shard/working`
-    /// round, whose partials carry each segment's column summaries too.
-    /// Folds the working rows into one bitmap over the live rows (the whole
-    /// table in strict mode, the surviving rows renumbered contiguously in
-    /// degraded mode), keeps how many each live segment holds, which a
-    /// shard's count reply is held to, and merges the summaries in
-    /// ascending segment order — the order a local scan walks the segments
-    /// in, so the collapsed [`ColumnStats`] (value counts and category counts
-    /// included, which is what lets a median cut skip the `/shard/values`
-    /// round and a categorical cut the `/shard/categories` one) match what
-    /// [`atlas_columnar::ColumnView::summary`] and the engine's table profile
-    /// compute locally bit for bit.
+    /// round, whose partials carry how many rows each segment holds and
+    /// each segment's column summaries. Keeps the counts of the live
+    /// segments — the working set's size, and what a shard's count reply is
+    /// held to — and merges the summaries in ascending segment order — the
+    /// order a local scan walks the segments in, so the collapsed
+    /// [`ColumnStats`] (value counts and category counts included, which is
+    /// what lets a median cut skip the `/shard/values` round and a
+    /// categorical cut the `/shard/categories` one) match what
+    /// [`atlas_columnar::ColumnView::summary`] and the engine's table
+    /// profile compute locally bit for bit.
     fn remote<'a>(
         &'a self,
         ctx: &'a ExploreCtx<'a>,
@@ -1014,32 +1005,29 @@ impl Coordinator {
             "/shard/working",
             |segments| self.data_body(&sql, segments, Vec::new()),
             |_, partial| {
-                let (rows, columns) =
+                let (count, columns) =
                     working_partial_from_json(partial, &self.segment_rows, &self.fields)?;
                 let columns: Vec<ColumnSummary> =
                     columns.into_iter().map(ColumnSummary::from_parts).collect();
-                Ok((rows, columns))
+                Ok((count, columns))
             },
         )?;
-        let mut rows = Bitmap::new_empty(ctx.live_rows);
         let mut summaries: Vec<ColumnSummary> = self
             .fields
             .iter()
             .map(|(_, dtype)| ColumnSummary::empty(*dtype))
             .collect();
         let mut counts = Vec::with_capacity(partials.len());
-        for ((segment, columns), &offset) in partials.into_iter().zip(&ctx.offsets) {
-            rows.or_shifted(&segment, offset);
+        for (count, columns) in partials {
             for (acc, summary) in summaries.iter_mut().zip(&columns) {
                 acc.merge_from(summary);
             }
-            counts.push(segment.count() as u64);
+            counts.push(count as u64);
         }
         Ok(RemoteSource {
             coordinator: self,
             ctx,
             sql,
-            rows,
             counts,
             summaries,
             counted: OnceLock::new(),
@@ -1184,20 +1172,9 @@ impl Coordinator {
                 "no live shard holds any segment (every shard failed or is refusing)",
             )));
         }
-        let mut offsets = Vec::with_capacity(live.len());
-        let mut live_rows = 0usize;
-        for &segment in &live {
-            let rows = self.segment_rows.get(segment).ok_or_else(|| {
-                ExploreFail::Fatal(dist_err(format!("segment {segment} is out of range")))
-            })?;
-            offsets.push(live_rows);
-            live_rows += rows;
-        }
         let ctx = ExploreCtx {
             dead,
             live,
-            live_rows,
-            offsets,
             deadline,
             failed: Mutex::new(None),
         };
@@ -1229,16 +1206,14 @@ impl Coordinator {
             query_ms: query_span.finish_ms(),
             ..PhaseTimings::default()
         };
-        let rows = &source.rows;
-        let working_set_size = rows.count();
+        let working_set_size = source.counts.iter().sum::<u64>() as usize;
         if working_set_size == 0 {
             return Err(AtlasError::EmptyWorkingSet);
         }
-        // Over the live row space, so a degraded answer matches a local
-        // explore over the surviving segments. The answer keeps no rows.
+        // The answer keeps no rows.
         let (config, pool) = (&self.config, &self.pool);
         let (maps, skipped_attributes) =
-            explore_from_source(config, pool, &source, &query, rows, true, &mut timings)?;
+            explore_from_source(config, pool, &source, &query, true, &mut timings)?;
         timings.total_ms = total_span.finish_ms();
         Ok(MapResult {
             maps,
@@ -1269,9 +1244,7 @@ struct RemoteSource<'a> {
     /// bytes, which is what lets a shard evaluate them on the first round
     /// and recognise them on the others.
     sql: String,
-    /// The working rows over the live rows …
-    rows: Bitmap,
-    /// … how many of them each live segment holds, in `ExploreCtx::live`
+    /// How many working rows each live segment holds, in `ExploreCtx::live`
     /// order …
     counts: Vec<u64>,
     /// … the working set's column summaries, one per schema column …
@@ -1466,7 +1439,6 @@ impl<'s> ExploreSource<'s> for RemoteSource<'_> {
     /// held: a re-cut reads each region's from its own round.
     fn candidates(
         &self,
-        _working: &Bitmap,
         user_query: &ConjunctiveQuery,
         attributes: Option<&[String]>,
     ) -> Result<(CandidateSet, Vec<AttributeStats<'s>>), AtlasError> {
@@ -1498,12 +1470,7 @@ impl<'s> ExploreSource<'s> for RemoteSource<'_> {
     }
 
     /// The pair's cells from the candidates' round.
-    fn contingency(
-        &self,
-        a: &DataMap,
-        b: &DataMap,
-        _working_rows: usize,
-    ) -> Result<ContingencyTable, AtlasError> {
+    fn contingency(&self, a: &DataMap, b: &DataMap) -> Result<ContingencyTable, AtlasError> {
         let cells = self.map_cells(&[a, b])?;
         Ok(ContingencyTable::from_counts(
             a.num_regions(),
@@ -1534,7 +1501,6 @@ impl<'s> ExploreSource<'s> for RemoteSource<'_> {
     fn recut(
         &self,
         regions: &[Cow<'_, Region>],
-        _working: &Bitmap,
         attribute: &str,
         _whole: Option<&ColumnStats>,
         _counted: bool,

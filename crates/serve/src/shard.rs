@@ -62,9 +62,10 @@
 //! replies, dead shards — in a proxy between the coordinator and the shard
 //! (`tests/common/mod.rs`), where a real network would.
 //!
-//! What the frames of `/shard/working` leave out — the bitmap of a segment
-//! selected whole or not at all — and what a count reply is held to are
-//! decided in [`crate::wire::frames`], next to the decoders.
+//! A `/shard/working` partial answers a segment's count and summaries; the
+//! working rows stay here, for the explore's later rounds. What a partial
+//! and a count reply are held to is decided in [`crate::wire::frames`],
+//! next to the decoders.
 
 use crate::http::{self, Request, Response};
 use crate::metrics::Endpoint;
@@ -435,7 +436,7 @@ fn working(sets: &[SegmentWorking]) -> Json {
         } else {
             Cow::Owned(summarize(&view.table, &working.rows))
         };
-        working_partial_to_json(*seg, &working.rows, working.count, &columns)
+        working_partial_to_json(*seg, working.count, &columns)
     });
     partials_reply(partials.collect())
 }

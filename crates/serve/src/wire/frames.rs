@@ -6,9 +6,10 @@
 //! region SQL, tuple counts — as the in-process engine, so every
 //! floating-point value that participates in a fold (summary extremes, split
 //! bounds) travels as its IEEE-754 **bit pattern** in fixed-width hex, never
-//! as a decimal rendering. Bulk payloads (bitmap words, numeric value runs)
-//! are single concatenated hex strings: dense, allocation-friendly, and
-//! immune to JSON number precision limits (`u64` words above 2⁵³ survive).
+//! as a decimal rendering. Bulk payloads (numeric value runs, summary keys
+//! and counts) are single concatenated hex strings: dense,
+//! allocation-friendly, and immune to JSON number precision limits (`u64`
+//! words above 2⁵³ survive).
 //!
 //! Column summaries are the one frame whose exactness is integral rather
 //! than floating-point: row counts, the distinct values (numbers as 64-bit
@@ -22,18 +23,17 @@
 //! value twice. A summary with too many distinct values travels as the plain
 //! value list it always was.
 //!
-//! An explore ships the working set as bitmaps (250 kB of hex per 1M rows),
-//! but not the ones the coordinator can work out from what it already
-//! holds, and it ships no region's rows at all. The per-segment partials of
+//! An explore ships no rows: not the working set, which stays at the shards
+//! that evaluated it, and not a region's. The per-segment partials of
 //! `/shard/working` and the count replies of `/shard/select` are encoded and
 //! decoded here, rules included, so neither side knows the format apart
 //! from the other:
 //!
-//! * a working partial carries its segment's `count`, a bitmap only when the
-//!   count is neither 0 nor the segment's rows — a whole-table explore ships
-//!   no working bitmap at all — and, as `"columns"`, the summary of every
-//!   column over the working rows, so one round answers both and the
-//!   decoder holds the summaries to the schema ([`working_partial_from_json`]);
+//! * a working partial is `{"segment", "count", "columns"}`: how many of
+//!   the segment's rows the query selects and, as `"columns"`, the summary
+//!   of every column over them, so one round answers both. The decoder
+//!   holds the count to the segment's rows and the summaries to the schema
+//!   and to the count ([`working_partial_from_json`]);
 //! * a `/shard/select` request carries the explore's cuts as `"partitions"`
 //!   ([`partition_to_json`]) and, as `"products"`, which combinations of
 //!   them to count ([`products_to_json`]): each cut alone, and each pair of
@@ -50,18 +50,22 @@
 //!
 //! A coordinator of this build refuses an older shard's working partial,
 //! which has no `"columns"`, and an older shard's streamed `/shard/select`
-//! reply, which has no `"cells"`, with typed errors; an older coordinator
-//! refuses this build's count reply, which has no `"partials"`. No mix gives
-//! a wrong map.
+//! reply, which has no `"cells"`, with typed errors, and reads an older
+//! shard's partial by its count, ignoring the `"bitmap"` beside it. An
+//! older coordinator refuses this build's count reply, which has no
+//! `"partials"`, and this build's partial of a segment the query selects in
+//! part, which has no bitmap, with its typed "no working bitmap" error. No
+//! mix gives a wrong map.
 //!
-//! The hex run is the hot path of the whole coordinator↔shard exchange. It
-//! is handled eight digits per `u64` step (SWAR): encoding spreads a half
-//! word's nibbles one to a byte lane in three shift-and-mask steps and adds
-//! `'0'` plus `0x27` on the lanes above 9; decoding range-checks eight bytes
-//! at once (`'0'..='9'`, or `'a'..='f'` after `| 0x20`; any byte ≥ 0x80
-//! fails) and packs the nibbles back in three more. No formatter, no table,
-//! no `unsafe`, one allocation per run; the output is byte-identical to the
-//! per-byte codec it replaced (its tests keep that codec as the oracle).
+//! The hex run carries every bulk payload of the coordinator↔shard
+//! exchange. It is handled eight digits per `u64` step (SWAR): encoding
+//! spreads a half word's nibbles one to a byte lane in three shift-and-mask
+//! steps and adds `'0'` plus `0x27` on the lanes above 9; decoding
+//! range-checks eight bytes at once (`'0'..='9'`, or `'a'..='f'` after
+//! `| 0x20`; any byte ≥ 0x80 fails) and packs the nibbles back in three
+//! more. No formatter, no table, no `unsafe`, one allocation per run; the
+//! output is byte-identical to the per-byte codec it replaced (its tests
+//! keep that codec as the oracle).
 //! Measured on a 1M-row bitmap frame, text included, per-byte → SWAR
 //! (scratch best-of-30 runs on a 2-vCPU guest; `bench-smoke` times the same
 //! calls as `frame_bitmap_{encode,decode}_ms`): encode 0.27 → 0.08 ms,
@@ -289,37 +293,29 @@ pub fn bitmap_from_json(value: &Json) -> Result<Bitmap, String> {
 }
 
 /// Encode one segment's `/shard/working` partial: how many of its rows the
-/// query selects; unless that is none or all of them (the count then says
-/// which), the selection bitmap; and the summary of every column over those
-/// rows, in schema order.
-pub fn working_partial_to_json(
-    segment: usize,
-    rows: &Bitmap,
-    count: usize,
-    columns: &[SummaryParts],
-) -> Json {
-    let mut members = vec![
+/// query selects, and the summary of every column over those rows, in
+/// schema order. The rows themselves stay at the shard.
+pub fn working_partial_to_json(segment: usize, count: usize, columns: &[SummaryParts]) -> Json {
+    let columns = columns.iter().map(summary_to_json).collect();
+    Json::object(vec![
         ("segment", Json::from(segment)),
         ("count", Json::from(count)),
-    ];
-    if count != 0 && count != rows.len() {
-        members.push(("bitmap", bitmap_to_json(rows)));
-    }
-    let columns = columns.iter().map(summary_to_json).collect();
-    members.push(("columns", Json::array(columns)));
-    Json::object(members)
+        ("columns", Json::array(columns)),
+    ])
 }
 
-/// A decoded `/shard/working` partial: the segment's working rows, and the
-/// summary of every column over them in schema order.
-pub type WorkingPartial = (Bitmap, Vec<SummaryParts>);
+/// A decoded `/shard/working` partial: how many of the segment's rows the
+/// query selects, and the summary of every column over them in schema
+/// order.
+pub type WorkingPartial = (usize, Vec<SummaryParts>);
 
 /// Decode a `/shard/working` partial of a table whose segments hold
-/// `segment_rows` rows each and whose schema is `fields`. The working rows
-/// are the shipped bitmap, which must have the segment's length and hold
-/// `count` rows, or — without one — no rows or all of them, as the count
-/// says. The summaries must be one per schema column, each of the column's
-/// type. Every error names the segment.
+/// `segment_rows` rows each and whose schema is `fields`. The count must be
+/// at most the segment's rows. The summaries must be one per schema column,
+/// each of the column's type and each over exactly `count` rows — its
+/// non-NULL and NULL rows summing to the count — since the coordinator plans
+/// its cuts from the summaries and sizes the working set from the counts.
+/// Every error names the segment.
 pub fn working_partial_from_json(
     partial: &Json,
     segment_rows: &[usize],
@@ -330,45 +326,23 @@ pub fn working_partial_from_json(
         .get(segment)
         .ok_or_else(|| format!("segment {segment} is out of range"))?;
     let in_segment = |message: String| format!("segment {segment}: {message}");
-    let working = working_rows_from_json(partial, rows).map_err(in_segment)?;
-    let columns = columns_from_json(partial, fields).map_err(in_segment)?;
-    Ok((working, columns))
+    let count = get_index(partial, "count").map_err(in_segment)?;
+    if count > rows {
+        return Err(in_segment(format!(
+            "{count} working rows, the segment has {rows}"
+        )));
+    }
+    let columns = columns_from_json(partial, fields, count).map_err(in_segment)?;
+    Ok((count, columns))
 }
 
-/// The working rows of a `/shard/working` partial of a segment of `rows`
-/// rows.
-fn working_rows_from_json(partial: &Json, rows: usize) -> Result<Bitmap, String> {
-    let count = get_index(partial, "count")?;
-    let Some(frame) = partial.get("bitmap") else {
-        return match count {
-            0 => Ok(Bitmap::new_empty(rows)),
-            all if all == rows => Ok(Bitmap::new_full(rows)),
-            _ => Err(format!(
-                "no working bitmap for {count} of the segment's {rows} rows"
-            )),
-        };
-    };
-    let bitmap = bitmap_from_json(frame)?;
-    if bitmap.len() != rows {
-        return Err(format!(
-            "working bitmap has {} rows, the segment {rows}",
-            bitmap.len()
-        ));
-    }
-    if bitmap.count() != count {
-        return Err(format!(
-            "working bitmap holds {} rows, its count says {count}",
-            bitmap.count()
-        ));
-    }
-    Ok(bitmap)
-}
-
-/// The column summaries of a `/shard/working` partial: one per field of
-/// `fields`, each of the field's type.
+/// The column summaries of a `/shard/working` partial of `count` working
+/// rows: one per field of `fields`, each of the field's type and over
+/// `count` rows.
 fn columns_from_json(
     partial: &Json,
     fields: &[(String, DataType)],
+    count: usize,
 ) -> Result<Vec<SummaryParts>, String> {
     let columns = get_items(partial, "columns")?;
     if columns.len() != fields.len() {
@@ -388,6 +362,12 @@ fn columns_from_json(
                     "the summary of {name} is of a {} column, the schema's of a {}",
                     parts.dtype.name(),
                     dtype.name()
+                ));
+            }
+            if parts.non_null.checked_add(parts.nulls) != Some(count) {
+                return Err(format!(
+                    "the summary of {name} covers {} + {} rows, the count says {count}",
+                    parts.non_null, parts.nulls
                 ));
             }
             Ok(parts)
@@ -1695,84 +1675,104 @@ mod tests {
         ]
     }
 
-    /// … and a summary of each of its columns.
+    /// … and a summary of each of its columns, both over 7 rows.
     fn working_columns() -> Vec<SummaryParts> {
-        [counted_frame(), counted_strs_frame()]
+        let mut columns: Vec<SummaryParts> = [counted_frame(), counted_strs_frame()]
             .iter()
             .map(|frame| summary_from_json(frame).unwrap())
-            .collect()
+            .collect();
+        columns[0].nulls = 1;
+        columns
     }
 
+    /// A working partial is the segment's count and its summaries: no rows,
+    /// whether the query selects the segment in part, whole or not at all.
+    /// It decodes against any segment at least as long as its count.
     #[test]
-    fn working_partials_ship_a_bitmap_only_when_the_count_cannot_say() {
-        let (fields, columns) = (working_fields(), working_columns());
-        let odd = Bitmap::from_fn(100, |row| row % 2 == 1);
-        for (working, ships) in [
-            (Bitmap::new_empty(100), false),
-            (Bitmap::new_full(100), false),
-            (odd.clone(), true),
-            (Bitmap::new_empty(0), false),
+    fn working_partials_ship_counts_not_rows() {
+        let fields = working_fields();
+        let empty: Vec<SummaryParts> = fields
+            .iter()
+            .map(|(_, dtype)| ColumnSummary::empty(*dtype).to_parts())
+            .collect();
+        for (count, columns, rows) in [
+            (7, working_columns(), 100),
+            (7, working_columns(), 7),
+            (0, empty.clone(), 100),
+            (0, empty, 0),
         ] {
-            let text = working_partial_to_json(2, &working, working.count(), &columns).encode();
+            let text = working_partial_to_json(2, count, &columns).encode();
             let json = wire::parse(&text).unwrap();
-            assert_eq!(json.get("bitmap").is_some(), ships, "{text}");
-            let layout = [working.len(); 3];
+            let Json::Obj(members) = &json else {
+                panic!("partials are objects")
+            };
+            let keys: Vec<&str> = members.iter().map(|(key, _)| key.as_str()).collect();
+            assert_eq!(keys, ["segment", "count", "columns"], "{text}");
             assert_eq!(
-                working_partial_from_json(&json, &layout, &fields),
-                Ok((working, columns.clone()))
+                working_partial_from_json(&json, &[rows; 3], &fields),
+                Ok((count, columns))
             );
         }
-        let refuse = |partial: &Json, rows: usize, needle: &str| {
-            let err = working_partial_from_json(partial, &[rows], &fields).unwrap_err();
-            assert!(err.contains(needle), "{needle}: {err}");
-        };
-        // An omitted bitmap whose count is neither 0 nor the segment's rows.
-        let full = working_partial_to_json(0, &Bitmap::new_full(100), 100, &columns);
-        for count in [1usize, 40, 99, 101] {
-            let omitted = with_top_member(&full, "count", Json::from(count));
-            refuse(&omitted, 100, "no working bitmap");
+        let partial = working_partial_to_json(0, 7, &working_columns());
+        for count in [Json::from("7"), Json::from(-7i64), Json::Null] {
+            let err = working_partial_from_json(
+                &with_top_member(&partial, "count", count),
+                &[100],
+                &fields,
+            )
+            .unwrap_err();
+            assert!(err.starts_with("segment 0: "), "{err}");
+            assert!(err.contains("\"count\""), "{err}");
         }
-        // A shipped bitmap of another length, or holding another count.
-        let shipped = working_partial_to_json(0, &odd, 50, &columns);
-        refuse(&shipped, 101, "has 100 rows");
-        refuse(
-            &with_top_member(&shipped, "count", Json::from(49usize)),
-            100,
-            "count says 49",
-        );
-        refuse(
-            &with_top_member(&shipped, "count", Json::from("50")),
-            100,
-            "\"count\"",
-        );
-        refuse(
-            &with_top_member(&shipped, "bitmap", Json::Null),
-            100,
-            "\"len\"",
-        );
     }
 
     /// A working partial carries its segment's column summaries, and the
-    /// decoder holds them to the schema as it holds the rows to the segment:
-    /// a partial without `"columns"`, with another number of them, with a
-    /// summary of another type than its column, or with a summary that breaks
-    /// a summary's invariants is a typed error naming the segment.
+    /// decoder holds them to the schema and to the count as it holds the
+    /// count to the segment: a partial counting more rows than its segment
+    /// holds, without `"columns"`, with another number of them, with a
+    /// summary of another type than its column, of another number of rows
+    /// than the count, or that breaks a summary's invariants is a typed
+    /// error naming the segment.
     #[test]
     fn working_partials_carry_their_summaries_and_hold_them_to_the_schema() {
         let (fields, columns) = (working_fields(), working_columns());
         let layout = [100usize; 4];
-        let odd = Bitmap::from_fn(100, |row| row % 2 == 1);
-        let partial = working_partial_to_json(3, &odd, 50, &columns);
+        let partial = working_partial_to_json(3, 7, &columns);
         let decoded = wire::parse(&partial.encode()).unwrap();
         assert_eq!(
             working_partial_from_json(&decoded, &layout, &fields),
-            Ok((odd, columns))
+            Ok((7, columns))
         );
         let refuse = |partial: &Json, needle: &str| {
             let err = working_partial_from_json(partial, &layout, &fields).unwrap_err();
             assert!(err.starts_with("segment 3: "), "{err}");
             assert!(err.contains(needle), "{needle}: {err}");
         };
+        // A count above the segment's rows, summaries agreeing with it.
+        let over = |count: usize| {
+            let mut columns = working_columns();
+            columns[0].nulls = count - 6;
+            columns[1].nulls = count - 6;
+            working_partial_to_json(3, count, &columns)
+        };
+        assert_eq!(
+            working_partial_from_json(&over(100), &layout, &fields).map(|(count, _)| count),
+            Ok(100)
+        );
+        refuse(&over(101), "101 working rows, the segment has 100");
+        // Summaries of another number of rows than the count.
+        for count in [0usize, 6, 8, 100] {
+            refuse(
+                &with_top_member(&partial, "count", Json::from(count)),
+                &format!("the summary of n covers 6 + 1 rows, the count says {count}"),
+            );
+        }
+        let mut strs = working_columns();
+        strs[1].nulls = 2;
+        refuse(
+            &working_partial_to_json(3, 7, &strs),
+            "the summary of c covers 6 + 2 rows, the count says 7",
+        );
         let Json::Obj(members) = &partial else {
             panic!("partials are objects")
         };
@@ -1810,7 +1810,7 @@ mod tests {
             &with_top_member(
                 &partial,
                 "columns",
-                Json::array(vec![counted_frame(), Json::Null]),
+                Json::array(vec![summary_to_json(&working_columns()[0]), Json::Null]),
             ),
             "column c: missing",
         );
@@ -1879,15 +1879,12 @@ mod tests {
                     accepted += 1;
                 }
             }
-            for working in &fuzz_workings() {
-                let layout = [working.len(); 16];
-                let fields = working_fields();
-                if let Ok((rows, columns)) = working_partial_from_json(value, &layout, &fields) {
-                    let again = working_partial_to_json(0, &rows, rows.count(), &columns);
-                    let decoded = working_partial_from_json(&again, &layout, &fields);
-                    assert_eq!(decoded, Ok((rows, columns)));
-                    accepted += 1;
-                }
+            let (layout, fields) = ([FUZZ_SEGMENT_ROWS; 16], working_fields());
+            if let Ok((count, columns)) = working_partial_from_json(value, &layout, &fields) {
+                let again = working_partial_to_json(0, count, &columns);
+                let decoded = working_partial_from_json(&again, &layout, &fields);
+                assert_eq!(decoded, Ok((count, columns)));
+                accepted += 1;
             }
             for (regions, products) in fuzz_asks() {
                 let ask = CountAsk {
@@ -1915,24 +1912,15 @@ mod tests {
         ]
     }
 
-    /// The working sets the partial decoders are fuzzed against: a 92-row
-    /// segment selected in a pattern, whole and not at all, and a segment of
-    /// no rows.
-    fn fuzz_workings() -> [Bitmap; 4] {
-        [
-            Bitmap::from_fn(92, |row| row % 3 != 1),
-            Bitmap::new_full(92),
-            Bitmap::new_empty(92),
-            Bitmap::new_empty(0),
-        ]
-    }
+    /// The rows of every segment the partial decoder is fuzzed against.
+    const FUZZ_SEGMENT_ROWS: usize = 92;
 
     /// One valid frame of the kind `kind` picks — a bitmap, a value run, four
-    /// summaries, a count reply, two working partials (one with a bitmap
-    /// and fixed summaries, one of a whole segment summarised from `values`),
-    /// a meta reply — built from `bits` and `values`.
+    /// summaries, a count reply, two working partials (one of part of a
+    /// segment with fixed summaries, one of a whole segment summarised from
+    /// `values`), a meta reply — built from `bits` and `values`.
     fn sample_frame(kind: usize, bits: u64, values: &[u64]) -> String {
-        let [working, whole, ..] = fuzz_workings();
+        let whole = Bitmap::new_full(FUZZ_SEGMENT_ROWS);
         let frame = match kind % 11 {
             10 => {
                 let ints: Vec<Option<i64>> = (0..whole.len())
@@ -1946,7 +1934,7 @@ mod tests {
                     .iter()
                     .map(|column| ColumnSummary::compute(column, &whole, 0).to_parts())
                     .collect();
-                working_partial_to_json(values.len(), &whole, whole.len(), &columns)
+                working_partial_to_json(values.len(), whole.len(), &columns)
             }
             9 => partition_to_json(&CutPlan {
                 attribute: "x".to_string(),
@@ -1994,9 +1982,7 @@ mod tests {
                 }
                 count_reply_to_json(&[0], &cells)
             }
-            7 => {
-                working_partial_to_json(values.len(), &working, working.count(), &working_columns())
-            }
+            7 => working_partial_to_json(values.len(), 7, &working_columns()),
             0 => bitmap_to_json(&Bitmap::from_fn(values.len() * 23, |row| {
                 bits.rotate_left(row as u32) & 1 == 1
             })),

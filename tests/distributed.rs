@@ -1849,14 +1849,14 @@ fn counted(shard: &ServerHandle, body: &Json) -> (Vec<usize>, Vec<usize>, usize)
     )
 }
 
-/// What the shards ship, read off real replies. A whole-table
-/// `/shard/working` ships no bitmap at all, while a filter that cuts through
-/// the segments ships one each. A `/shard/select` reply ships no rows: one
-/// count per region of the partition, summed over the shard's six segments —
-/// a few dozen bytes where a bitmap per region and segment went before — and
-/// the counts are the popcounts the engine's kernels take, NULLs (in no
-/// region) included. Either way the coordinator answers what the engine
-/// does.
+/// What the shards ship, read off real replies. A `/shard/working` partial
+/// ships its segment's count and no bitmap, for a whole-table query and for
+/// a filter that cuts through every segment alike. A `/shard/select` reply
+/// ships no rows: one count per region of the partition, summed over the
+/// shard's six segments — a few dozen bytes where a bitmap per region and
+/// segment went before — and the counts are the popcounts the engine's
+/// kernels take, NULLs (in no region) included. Either way the coordinator
+/// answers what the engine does.
 #[test]
 fn shards_ship_only_what_the_coordinator_cannot_work_out() {
     let census = census_table(6_000, 1_000);
@@ -1884,10 +1884,19 @@ fn shards_ship_only_what_the_coordinator_cannot_work_out() {
         assert_eq!(partial.get("count").and_then(Json::index), Some(1_000));
         assert!(partial.get("bitmap").is_none(), "{partial}");
     }
+    // A segment the query selects in part ships its count, not its rows.
     let filter = "SELECT * FROM census WHERE age BETWEEN 25 AND 60";
+    let selected = atlas::query::evaluate(&parse_query(filter).unwrap(), &census).unwrap();
+    let mut counts = Vec::new();
     for partial in partials_of(shard, "/shard/working", &request(&census, filter, vec![])) {
-        assert!(partial.get("bitmap").is_some(), "{partial}");
+        assert!(partial.get("bitmap").is_none(), "{partial}");
+        counts.push(partial.get("count").and_then(Json::index).unwrap());
     }
+    assert!(
+        counts.iter().all(|&count| 0 < count && count < 1_000),
+        "{counts:?}"
+    );
+    assert_eq!(counts.iter().sum::<usize>(), selected.count());
 
     // The counts a local partition takes of `table`'s rows.
     let popcounts = |table: &Table, attribute: &str, bounds: &[(f64, f64)]| -> Vec<usize> {
