@@ -1210,7 +1210,6 @@ impl Coordinator {
         if working_set_size == 0 {
             return Err(AtlasError::EmptyWorkingSet);
         }
-        // The answer keeps no rows.
         let (config, pool) = (&self.config, &self.pool);
         let (maps, skipped_attributes) =
             explore_from_source(config, pool, &source, &query, true, &mut timings)?;
