@@ -18,7 +18,9 @@
 
 use atlas_bench::report::{self, best_of_ms, ms, timings_fields};
 use atlas_bench::{census, wide_numeric};
-use atlas_columnar::{with_kernel_path, Bitmap, Column, ColumnView, KernelPath, Table};
+use atlas_columnar::{
+    with_kernel_path, Bitmap, Column, ColumnView, DataType, KernelPath, SummaryParts, Table,
+};
 use atlas_core::cut::{cut_attribute, CutConfig};
 use atlas_core::{Atlas, AtlasConfig, MapResult};
 use atlas_query::ConjunctiveQuery;
@@ -517,7 +519,7 @@ fn smoke_kernels(rows: usize, repeats: usize) -> Json {
         .collect();
     fields.extend(near_unique_points);
     let near_unique_values = near_unique_view.numeric_values_where(&sel);
-    fields.extend(smoke_frames(&sel, &near_unique_values, repeats));
+    fields.extend(smoke_frames(&table, &near_unique_values, repeats));
     fields.extend(smoke_seal(&table, &near_unique, repeats));
     fields.push(("bytes_per_row".to_string(), bytes_per_row(&table)));
     Json::object(fields)
@@ -538,18 +540,53 @@ fn both_paths<T: PartialEq + std::fmt::Debug>(
 }
 
 /// The wire frames a distributed explore moves most of, out and back: the
-/// whole-table bitmap (`bitmap_to_json(..).encode()`; `wire::parse` +
-/// `bitmap_from_json`) and the numeric value run a `/shard/values` reply
-/// carries (`wire::parse` + `parse_hex_f64s`). The decoded frames are
-/// asserted equal to what was sent.
-fn smoke_frames(sel: &Bitmap, values: &[f64], repeats: usize) -> Vec<(String, Json)> {
+/// whole-table `/shard/working` reply over every segment of `table` (one
+/// `working_partial_to_json` partial per segment, each summarising every
+/// column over all its rows; `wire::parse` + `working_partial_from_json`),
+/// and the numeric value run a `/shard/values` reply carries (`wire::parse`,
+/// then `parse_hex_f64s`). The decoded frames are asserted equal to what was
+/// sent.
+fn smoke_frames(table: &Table, values: &[f64], repeats: usize) -> Vec<(String, Json)> {
     use atlas_serve::wire::{self, frames};
-    let (encode_ms, frame) = best_of_ms(repeats, || frames::bitmap_to_json(sel).encode());
+    let segment_rows: Vec<usize> = table.segments().iter().map(|s| s.num_rows()).collect();
+    let fields: Vec<(String, DataType)> = table
+        .schema()
+        .fields()
+        .iter()
+        .map(|field| (field.name.clone(), field.dtype))
+        .collect();
+    let sent: Vec<(usize, Vec<SummaryParts>)> = table
+        .segments()
+        .iter()
+        .map(|segment| {
+            let one = Table::from_segments(
+                table.name(),
+                table.schema().clone(),
+                vec![Arc::clone(segment)],
+            )
+            .expect("one segment of the table");
+            let all = one.full_selection();
+            let columns = one.columns();
+            let parts = columns.iter().map(|view| view.summary(&all).to_parts());
+            (segment.num_rows(), parts.collect())
+        })
+        .collect();
+    let (encode_ms, frame) = best_of_ms(repeats, || {
+        let partials = sent.iter().enumerate().map(|(segment, (count, columns))| {
+            frames::working_partial_to_json(segment, *count, columns)
+        });
+        Json::object(vec![("partials", Json::array(partials.collect()))]).encode()
+    });
     let (decode_ms, decoded) = best_of_ms(repeats, || {
         let json = wire::parse(&frame).expect("the frame parses");
-        frames::bitmap_from_json(&json).expect("the frame decodes")
+        frames::get_items(&json, "partials")
+            .expect("a working reply")
+            .iter()
+            .map(|partial| frames::working_partial_from_json(partial, &segment_rows, &fields))
+            .collect::<Result<Vec<_>, _>>()
+            .expect("the partials decode")
     });
-    assert_eq!(&decoded, sel, "the bitmap frame round-trips");
+    assert_eq!(decoded, sent, "the working reply round-trips");
     let run = Json::object(vec![("values", Json::from(frames::hex_f64s(values)))]).encode();
     let (run_ms, decoded) = best_of_ms(repeats, || {
         let json = wire::parse(&run).expect("the frame parses");
@@ -559,9 +596,9 @@ fn smoke_frames(sel: &Bitmap, values: &[f64], repeats: usize) -> Vec<(String, Js
     let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     assert_eq!(bits(&decoded), bits(values), "the value run round-trips");
     vec![
-        ("frame_bitmap_bytes".to_string(), Json::from(frame.len())),
-        ("frame_bitmap_encode_ms".to_string(), ms(encode_ms)),
-        ("frame_bitmap_decode_ms".to_string(), ms(decode_ms)),
+        ("frame_working_bytes".to_string(), Json::from(frame.len())),
+        ("frame_working_encode_ms".to_string(), ms(encode_ms)),
+        ("frame_working_decode_ms".to_string(), ms(decode_ms)),
         ("frame_f64_run_values".to_string(), Json::from(values.len())),
         ("frame_f64_run_decode_ms".to_string(), ms(run_ms)),
     ]

@@ -1,8 +1,13 @@
 //! A minimal blocking HTTP client for the exploration server.
 //!
-//! One connection per request (`Connection: close`) keeps the client fair
-//! under a single-worker server and trivially correct; it is what the
-//! integration tests and the quickstart example drive the server with.
+//! A [`Connection`] is one open TCP stream and the reader that owns whatever
+//! of it was read ahead; [`Client::send`] is the one function that writes a
+//! request on a connection and reads the whole reply. [`Client::request`]
+//! opens a fresh connection and sends `Connection: close`, which keeps the
+//! client fair under a single-worker server and trivially correct; it is
+//! what the integration tests and the quickstart example drive the server
+//! with. The distributed coordinator keeps one idle keep-alive connection
+//! per shard and sends on it while [`Connection::is_reusable`] holds.
 
 use crate::http::{self, ClientResponse, HttpError};
 use crate::wire::Json;
@@ -20,6 +25,34 @@ fn into_io(error: HttpError) -> io::Error {
     match error {
         HttpError::Io(io) => io,
         other => io::Error::new(io::ErrorKind::InvalidData, other.to_string()),
+    }
+}
+
+/// One open connection to a server: the stream, read through the buffer
+/// that holds whatever of it was read ahead.
+#[derive(Debug)]
+pub struct Connection {
+    reader: BufReader<TcpStream>,
+}
+
+impl Connection {
+    /// Whether this idle connection can carry another request: nothing was
+    /// read ahead, and a non-blocking peek finds nothing to read yet
+    /// (`WouldBlock`). EOF means the server hung up; an error, or bytes no
+    /// request asked for, mean the connection cannot be trusted.
+    pub fn is_reusable(&self) -> bool {
+        if !self.reader.buffer().is_empty() {
+            return false;
+        }
+        let stream = self.reader.get_ref();
+        if stream.set_nonblocking(true).is_err() {
+            return false;
+        }
+        let idle = matches!(
+            stream.peek(&mut [0u8; 1]),
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock
+        );
+        stream.set_nonblocking(false).is_ok() && idle
     }
 }
 
@@ -82,20 +115,50 @@ impl Client {
         self.connect_timeout.unwrap_or(self.timeout)
     }
 
-    /// Issue one request. `body` is sent verbatim with the given content
-    /// type when present. A chunked reply comes back with its chunks joined.
+    /// Open a new connection to the server within the connect timeout.
+    pub fn connect(&self) -> io::Result<Connection> {
+        let stream = TcpStream::connect_timeout(&self.addr, self.connect_timeout())?;
+        stream.set_nodelay(true)?;
+        Ok(Connection {
+            reader: BufReader::new(stream),
+        })
+    }
+
+    /// Issue one request on a fresh connection that the reply closes.
+    /// `body` is sent verbatim with the given content type when present. A
+    /// chunked reply comes back with its chunks joined.
     pub fn request(
         &self,
         method: &str,
         path: &str,
         body: Option<(&str, &[u8])>,
     ) -> io::Result<ClientResponse> {
-        let stream = TcpStream::connect_timeout(&self.addr, self.connect_timeout())?;
+        self.send(&mut self.connect()?, method, path, body, false)
+    }
+
+    /// Write one request on `connection` and read its whole reply within
+    /// this client's timeout. With `keep_alive` false the request asks the
+    /// server to close the connection after the reply; otherwise the
+    /// connection may carry another request when the reply
+    /// [keeps it alive](ClientResponse::keeps_alive).
+    pub fn send(
+        &self,
+        connection: &mut Connection,
+        method: &str,
+        path: &str,
+        body: Option<(&str, &[u8])>,
+        keep_alive: bool,
+    ) -> io::Result<ClientResponse> {
+        let stream = connection.reader.get_ref();
         stream.set_read_timeout(Some(self.timeout))?;
         stream.set_write_timeout(Some(self.timeout))?;
-        stream.set_nodelay(true)?;
-        let mut writer = BufWriter::new(stream.try_clone()?);
-        let mut head = format!("{method} {path} HTTP/1.1\r\nHost: atlas\r\nConnection: close\r\n");
+        let mut writer = BufWriter::new(stream);
+        let close = if keep_alive {
+            ""
+        } else {
+            "Connection: close\r\n"
+        };
+        let mut head = format!("{method} {path} HTTP/1.1\r\nHost: atlas\r\n{close}");
         for (name, value) in &self.headers {
             head.push_str(&format!("{name}: {value}\r\n"));
         }
@@ -111,13 +174,10 @@ impl Client {
             writer.write_all(bytes)?;
         }
         writer.flush()?;
+        drop(writer);
         let deadline = Instant::now() + self.timeout;
-        http::read_response(
-            &mut BufReader::new(stream),
-            MAX_RESPONSE_BYTES,
-            Some(deadline),
-        )
-        .map_err(into_io)
+        http::read_response(&mut connection.reader, MAX_RESPONSE_BYTES, Some(deadline))
+            .map_err(into_io)
     }
 
     /// `GET path`.

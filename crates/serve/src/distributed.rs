@@ -88,6 +88,26 @@
 //! pass like one that fails a cut round: strict mode names it, and degraded
 //! mode drops it and re-runs the pass.
 //!
+//! Each shard slot keeps at most one idle keep-alive connection, and an
+//! inline call (no hedging) sends on it, so an explore's rounds pay no
+//! connect, accept or worker hand-off at the shard. A call takes the idle
+//! connection only when a non-blocking peek finds it alive
+//! ([`Connection::is_reusable`]: nothing to read yet — EOF, an error or
+//! unread bytes close it and the call opens a new one), and a connection
+//! goes back to the slot only after a whole `200` JSON reply that keeps it
+//! alive, and only into an empty slot: concurrent calls to one shard open
+//! connections of their own and close the extras. A failed attempt — a
+//! timeout, a truncated or garbled reply, an error status — closes its
+//! connection, so a late reply is never read as the next request's; past
+//! the peek, a failure on a reused connection is an ordinary attempt failure
+//! under the retry policy and the breaker. One idle connection per slot
+//! stays below the two or more workers of every default server, and a
+//! server hangs up an idle keep-alive connection as soon as another waits,
+//! so a one-worker shard still serves other clients. Hedged attempts, whose
+//! loser outlives the call, open their own connections and close them.
+//! `connects` in the coordinator's `/metrics` counts the connections opened
+//! per shard, and each `shard.call` span says `connection=reused|fresh`.
+//!
 //! In [`ExploreMode::Strict`] (the default and the historical contract) any
 //! shard failing past its retries fails the whole explore with a typed
 //! [`AtlasError::Distributed`] naming the shard and endpoint — never a hang,
@@ -96,7 +116,7 @@
 //! tags the answer with exact [`Coverage`] metadata; the surviving-segment
 //! answer is bit-identical to a local explore over just those segments.
 
-use crate::client::Client;
+use crate::client::{Client, Connection};
 use crate::http::{ClientResponse, DEADLINE_HEADER, TRACE_HEADER};
 use crate::metrics::CoordinatorMetrics;
 use crate::resilience::{
@@ -199,9 +219,32 @@ struct ShardSlot {
     /// empty, in which case the shard is skipped by every scatter.
     segments: Vec<usize>,
     breaker: CircuitBreaker,
+    /// At most one idle keep-alive connection, which the next inline call
+    /// takes while it is still reusable.
+    idle: Mutex<Option<Connection>>,
 }
 
 impl ShardSlot {
+    /// The slot's idle connection if it can carry another request (see
+    /// [`Connection::is_reusable`]); a dead one is closed.
+    fn take_idle(&self) -> Option<Connection> {
+        let idle = self
+            .idle
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        idle.filter(Connection::is_reusable)
+    }
+
+    /// Keep `connection` as the slot's idle one, or close it when the slot
+    /// already holds one.
+    fn park(&self, connection: Connection) {
+        let mut idle = self.idle.lock().unwrap_or_else(PoisonError::into_inner);
+        if idle.is_none() {
+            *idle = Some(connection);
+        }
+    }
+
     /// The failure of a call to this shard on `path` whose reply does not
     /// decode or breaks an invariant: it names the shard and the endpoint,
     /// is not retried, and counts against the shard's circuit breaker.
@@ -294,14 +337,10 @@ fn resolve_addr(addr: &str) -> Result<SocketAddr, AtlasError> {
         .ok_or_else(|| dist_err(format!("shard address '{addr}' resolves to nothing")))
 }
 
-/// Judge one attempt's outcome: `200` wins; transport errors and 5xx
-/// (except 501/504) are retryable; 4xx and the deadline statuses are
-/// definitive.
-fn judge(
-    addr: &str,
-    path: &str,
-    outcome: io::Result<ClientResponse>,
-) -> Result<ClientResponse, AttemptFail> {
+/// Judge one attempt's outcome, its reply read whole: a `200` JSON reply
+/// wins; transport errors, garbled bytes and 5xx (except 501/504) are
+/// retryable; 4xx and the deadline statuses are definitive.
+fn judge(addr: &str, path: &str, outcome: io::Result<ClientResponse>) -> Result<Json, AttemptFail> {
     let response = match outcome {
         Ok(response) => response,
         Err(e) => {
@@ -311,7 +350,9 @@ fn judge(
         }
     };
     if response.status == 200 {
-        return Ok(response);
+        return response.json().ok_or_else(|| {
+            AttemptFail::Retryable(format!("shard {addr} sent non-JSON on {path}"))
+        });
     }
     let detail = response
         .json()
@@ -328,16 +369,6 @@ fn judge(
     } else {
         Err(AttemptFail::NoRetry(message))
     }
-}
-
-/// Send one request of an attempt and read its reply whole: it must be a
-/// `200` and JSON (garbled bytes are retryable).
-fn exchange(client: &Client, addr: &str, path: &str, payload: &[u8]) -> Result<Json, AttemptFail> {
-    let body = Some(("application/json", payload));
-    let response = judge(addr, path, client.request("POST", path, body))?;
-    response
-        .json()
-        .ok_or_else(|| AttemptFail::Retryable(format!("shard {addr} sent non-JSON on {path}")))
 }
 
 /// Fold a shard reply's `"spans"` member (recorded under the shard's own
@@ -435,6 +466,7 @@ impl Coordinator {
                         .with_connect_timeout(options.connect_timeout),
                     segments: Vec::new(),
                     breaker: CircuitBreaker::new(options.circuit),
+                    idle: Mutex::new(None),
                 })
             })
             .collect::<Result<_, AtlasError>>()?;
@@ -649,7 +681,7 @@ impl Coordinator {
             call_span.attr("mode", if failures == 0 { "primary" } else { "retry" });
             // Taken inside the span: adopted shard spans are clamped to it.
             let call_started = Instant::now();
-            match self.attempt(slot, path, &payload, budget, deadline) {
+            match self.attempt(slot, path, &payload, budget, deadline, &mut call_span) {
                 Ok(mut json) => {
                     if let Some(ctx) = call_span.context() {
                         adopt_shard_spans(&mut json, ctx, call_started);
@@ -688,8 +720,11 @@ impl Coordinator {
     }
 
     /// One attempt of one shard call. Without hedging the request runs
-    /// inline; with hedging a second identical request launches once the
-    /// hedge delay passes unanswered, and the first success wins.
+    /// inline, on the slot's idle connection when it is still reusable; with
+    /// hedging it and a second identical request, launched once the hedge
+    /// delay passes unanswered, each open their own connection, and the
+    /// first success wins. `call_span` is told which connection the request
+    /// went on.
     fn attempt(
         &self,
         slot: &ShardSlot,
@@ -697,6 +732,7 @@ impl Coordinator {
         payload: &Arc<String>,
         budget: Duration,
         deadline: Option<&Deadline>,
+        call_span: &mut atlas_obs::SpanGuard,
     ) -> Result<Json, AttemptFail> {
         let mut client = slot.client.clone().with_timeout(budget);
         if let Some(d) = deadline {
@@ -708,15 +744,43 @@ impl Coordinator {
         if let Some(ctx) = atlas_obs::current() {
             client = client.with_header(TRACE_HEADER, ctx.trace_id.to_string());
         }
+        let body = Some(("application/json", payload.as_bytes()));
         let Some(hedge_after) = self.hedge_delay(budget) else {
-            return exchange(&client, &slot.addr, path, payload.as_bytes());
+            let idle = slot.take_idle();
+            call_span.attr(
+                "connection",
+                if idle.is_some() { "reused" } else { "fresh" },
+            );
+            let connection = match idle {
+                Some(connection) => Ok(connection),
+                None => {
+                    self.metrics.record_connect(slot.index);
+                    client.connect()
+                }
+            };
+            // A connection goes back to the slot only after a whole `200`
+            // JSON reply that keeps it alive; any failure closes it, so an
+            // unread reply is never taken for the next request's.
+            let mut reusable = None;
+            let outcome = connection.and_then(|mut connection| {
+                let response = client.send(&mut connection, "POST", path, body, true)?;
+                reusable = response.keeps_alive().then_some(connection);
+                Ok(response)
+            });
+            let json = judge(&slot.addr, path, outcome)?;
+            if let Some(connection) = reusable {
+                slot.park(connection);
+            }
+            return Ok(json);
         };
+        call_span.attr("connection", "fresh");
 
         let started = Instant::now();
         let attempt_deadline = started + budget;
         let (tx, rx) = mpsc::channel::<(bool, Result<Json, AttemptFail>)>();
         let parent = atlas_obs::current();
         let launch = |is_hedge: bool| {
+            self.metrics.record_connect(slot.index);
             let client = client.clone();
             let addr = slot.addr.clone();
             let path = path.to_string();
@@ -732,9 +796,11 @@ impl Coordinator {
                     let mut span = atlas_obs::span_in(parent, "shard.call");
                     span.attr("path", path.as_str());
                     span.attr("mode", "hedge");
+                    span.attr("connection", "fresh");
                     span
                 });
-                let outcome = exchange(&client, &addr, &path, payload.as_bytes());
+                let body = Some(("application/json", payload.as_bytes()));
+                let outcome = judge(&addr, &path, client.request("POST", &path, body));
                 drop(hedge_span);
                 let _ = tx.send((is_hedge, outcome));
             });

@@ -506,6 +506,15 @@ pub struct ClientResponse {
 }
 
 impl ClientResponse {
+    /// Whether the server leaves the connection open after this reply
+    /// (HTTP/1.1 keeps it unless the reply says `Connection: close`).
+    pub fn keeps_alive(&self) -> bool {
+        !self
+            .headers
+            .iter()
+            .any(|(name, value)| name == "connection" && value.eq_ignore_ascii_case("close"))
+    }
+
     /// The body as UTF-8 text.
     pub fn body_text(&self) -> Option<&str> {
         std::str::from_utf8(&self.body).ok()

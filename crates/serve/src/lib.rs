@@ -35,7 +35,7 @@
 //!   jitter, hedged reads, per-shard circuit breakers, and the [`Coverage`]
 //!   metadata of degraded distributed answers;
 //! * [`client`] — the small blocking client the tests, example and load
-//!   generator use.
+//!   generator use, and the connection a coordinator keeps alive per shard.
 //!
 //! ```no_run
 //! use atlas_serve::{Registry, DatasetOptions, Server, ServeConfig};

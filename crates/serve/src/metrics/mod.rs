@@ -305,8 +305,9 @@ fn round3(x: f64) -> f64 {
 ///
 /// `fan_out` counts shard calls issued (one per shard with assigned
 /// segments per scatter round), `retries` counts repeat attempts after a
-/// retryable failure; all counters are monotone over the coordinator's
-/// lifetime.
+/// retryable failure, and each shard's `connects` the connections opened to
+/// it (a call reuses the shard's idle keep-alive connection when it can);
+/// all counters are monotone over the coordinator's lifetime.
 #[derive(Debug)]
 pub struct CoordinatorMetrics {
     pub(crate) fan_out: AtomicU64,
@@ -322,6 +323,8 @@ pub struct CoordinatorMetrics {
 #[derive(Debug)]
 struct ShardLatency {
     addr: String,
+    /// Connections the coordinator opened to the shard (each a TCP connect).
+    connects: AtomicU64,
     requests: AtomicU64,
     total_micros: AtomicU64,
     max_micros: AtomicU64,
@@ -342,6 +345,7 @@ impl CoordinatorMetrics {
                 .iter()
                 .map(|addr| ShardLatency {
                     addr: addr.clone(),
+                    connects: AtomicU64::new(0),
                     requests: AtomicU64::new(0),
                     total_micros: AtomicU64::new(0),
                     max_micros: AtomicU64::new(0),
@@ -353,6 +357,14 @@ impl CoordinatorMetrics {
     /// Total shard calls issued across all scatter rounds.
     pub fn fan_out(&self) -> u64 {
         self.fan_out.load(Ordering::Relaxed)
+    }
+
+    /// Total connections opened to the shards.
+    pub fn connects(&self) -> u64 {
+        self.per_shard
+            .iter()
+            .map(|lat| lat.connects.load(Ordering::Relaxed))
+            .sum()
     }
 
     /// Total repeat attempts after a retryable failure.
@@ -383,6 +395,14 @@ impl CoordinatorMetrics {
     /// Explores answered degraded (at least one shard dropped).
     pub fn degraded_explores(&self) -> u64 {
         self.degraded_explores.load(Ordering::Relaxed)
+    }
+
+    /// Record one connection opened to `shard`: every call on no idle
+    /// connection, and every hedged request.
+    pub(crate) fn record_connect(&self, shard: ShardIndex) {
+        if let Some(lat) = self.per_shard.get(shard.get()) {
+            lat.connects.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Record one finished call to `shard` (retries included). The per-shard
@@ -428,7 +448,9 @@ impl CoordinatorMetrics {
                 total as f64 / requests as f64 / 1000.0
             };
             let max_ms = lat.max_micros.load(Ordering::Relaxed) as f64 / 1000.0;
+            let connects = lat.connects.load(Ordering::Relaxed);
             for (key, family, value) in [
+                ("connects", "connects_total", Value::Counter(connects)),
                 ("requests", "requests_total", Value::Counter(requests)),
                 ("mean_ms", "mean_ms", Value::Gauge(mean_ms)),
                 ("max_ms", "max_ms", Value::Gauge(max_ms)),

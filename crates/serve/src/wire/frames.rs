@@ -67,8 +67,9 @@
 //! output is byte-identical to the per-byte codec it replaced (its tests
 //! keep that codec as the oracle).
 //! Measured on a 1M-row bitmap frame, text included, per-byte → SWAR
-//! (scratch best-of-30 runs on a 2-vCPU guest; `bench-smoke` times the same
-//! calls as `frame_bitmap_{encode,decode}_ms`): encode 0.27 → 0.08 ms,
+//! (scratch best-of-30 runs on a 2-vCPU guest; `bench-smoke` timed the same
+//! calls as `frame_bitmap_{encode,decode}_ms` until it moved to the shipped
+//! `/shard/working` reply, `frame_working_*`): encode 0.27 → 0.08 ms,
 //! `wire::parse` + [`bitmap_from_json`] 0.26 → 0.09 ms. A 250 kB copy is
 //! ~0.005 ms, so what is left is the arithmetic, ~2 ns per 8 digits each way.
 //!

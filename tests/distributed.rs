@@ -20,6 +20,11 @@
 //! * A shard killed mid-explore surfaces a typed [`AtlasError::Distributed`]
 //!   promptly — never a hang, never a partial map.
 //! * A slow shard trips the per-request timeout and is retried exactly once.
+//! * Shard calls reuse one keep-alive connection per shard (`keep_alive_*`):
+//!   ten explores open one connection a shard, a connection the shard
+//!   closed while idle is replaced without a retry, a one-worker shard held
+//!   by a coordinator still serves another client, and a timed-out attempt's
+//!   late reply is never read as the next request's.
 //! * Real `atlas-serve` processes (one per shard) agree with the in-process
 //!   engine too, and their death is detected.
 
@@ -97,6 +102,24 @@ fn product_config() -> AtlasConfig {
     .with_parallelism(2)
 }
 
+/// Boot one shard server serving `table` under `name` on an ephemeral port.
+fn boot_shard(
+    name: &str,
+    table: &Arc<Table>,
+    config: &AtlasConfig,
+    serve_config: ServeConfig,
+) -> ServerHandle {
+    let mut registry = Registry::new();
+    let options = DatasetOptions {
+        config: config.clone(),
+        cache_capacity: 0,
+    };
+    registry
+        .add_table(name, Arc::clone(table), options)
+        .unwrap();
+    Server::start(registry, serve_config).unwrap()
+}
+
 /// Boot `n` in-process shard servers, each serving the same `Arc<Table>`
 /// under `name` on an ephemeral port.
 fn boot_shards(
@@ -105,24 +128,10 @@ fn boot_shards(
     config: &AtlasConfig,
     n: usize,
 ) -> (Vec<ServerHandle>, Vec<String>) {
-    let mut handles = Vec::new();
-    let mut addrs = Vec::new();
-    for _ in 0..n {
-        let mut registry = Registry::new();
-        registry
-            .add_table(
-                name,
-                Arc::clone(table),
-                DatasetOptions {
-                    config: config.clone(),
-                    cache_capacity: 0,
-                },
-            )
-            .unwrap();
-        let handle = Server::start(registry, ServeConfig::default().with_threads(2)).unwrap();
-        addrs.push(handle.addr().to_string());
-        handles.push(handle);
-    }
+    let handles: Vec<ServerHandle> = (0..n)
+        .map(|_| boot_shard(name, table, config, ServeConfig::default().with_threads(2)))
+        .collect();
+    let addrs = handles.iter().map(|h| h.addr().to_string()).collect();
     (handles, addrs)
 }
 
@@ -471,6 +480,178 @@ fn slow_shard_trips_timeout_and_retries_once() {
         1,
         "the stalled request is retried exactly once"
     );
+    for handle in handles {
+        handle.shutdown();
+    }
+}
+
+/// Keep-alive shard calls: ten `fast` explores through a front server make
+/// each shard's proxy accept one connection — the `/shard/meta` call opens
+/// it and every later call reuses it (a connection per call would be 21) —
+/// and the front's `/metrics` counts the same one connect per shard.
+#[test]
+fn keep_alive_explores_reuse_one_connection_per_shard() {
+    let table = census_table(6_000, 1_000);
+    let config = AtlasConfig::fast().with_parallelism(2);
+    let reference = Atlas::new(Arc::clone(&table), config.clone()).unwrap();
+    let (shard_handles, _) = boot_shards("census", &table, &config, 2);
+    let (proxies, addrs) = common::proxies(&shard_handles);
+    let front = boot_front(&table, &config, &addrs, ServeConfig::default());
+    let client = Client::new(front.addr());
+    let sql = "SELECT * FROM census";
+    let local = reference
+        .explore_released(&parse_query(sql).unwrap())
+        .unwrap();
+    let mut first: Option<Json> = None;
+    for _ in 0..10 {
+        let reply = client.post_text("/distributed/explore", sql).unwrap();
+        assert_eq!(reply.status, 200, "{:?}", reply.json());
+        let maps = reply.json().unwrap().get("maps").unwrap().clone();
+        let first = first.get_or_insert_with(|| maps.clone());
+        assert_eq!(maps.encode(), first.encode(), "every reply is the first");
+    }
+    let top = first.unwrap().items().unwrap()[0]
+        .get("score")
+        .unwrap()
+        .num();
+    assert_eq!(top.map(f64::to_bits), Some(local.maps[0].score.to_bits()));
+    let (json, text) = both_reports(&front);
+    let report = json.get("distributed").unwrap().get("census").unwrap();
+    assert_eq!(report.get("retries").unwrap().num(), Some(0.0));
+    assert_eq!(report.get("fan_out").unwrap().num(), Some(2.0 + 10.0 * 4.0));
+    for (proxy, addr) in proxies.iter().zip(&addrs) {
+        assert_eq!(proxy.accepted(), 1, "one connection to {addr}");
+        let shard = report.get("shards").unwrap().get(addr).unwrap();
+        assert_eq!(shard.get("connects").unwrap().num(), Some(1.0), "{addr}");
+        let labels = [("dataset", "census"), ("shard", addr.as_str())];
+        let connects = text_value(&text, "atlas_distributed_shard_connects_total", &labels);
+        assert_eq!(connects, 1.0);
+    }
+    front.shutdown();
+    for handle in shard_handles {
+        handle.shutdown();
+    }
+}
+
+/// A shard hangs up an idle keep-alive connection after its idle timeout.
+/// The next call finds it closed before sending on it and opens a new one:
+/// the explore is bit-identical, nothing is retried, and every circuit stays
+/// closed.
+#[test]
+fn keep_alive_connection_closed_by_the_shard_is_replaced_without_a_retry() {
+    let table = census_table(4_000, 1_000);
+    let config = product_config();
+    let reference = Atlas::new(Arc::clone(&table), config.clone()).unwrap();
+    let quick = ServeConfig {
+        keep_alive: Duration::from_millis(50),
+        ..ServeConfig::default().with_threads(2)
+    };
+    let shards: Vec<ServerHandle> = (0..2)
+        .map(|_| boot_shard("census", &table, &config, quick.clone()))
+        .collect();
+    let addrs: Vec<String> = shards.iter().map(|s| s.addr().to_string()).collect();
+    let coordinator =
+        Coordinator::connect(&addrs, "census", config, Duration::from_secs(10)).unwrap();
+    let query = ConjunctiveQuery::all("census");
+    let local = reference.explore_released(&query).unwrap();
+    assert_identical(&local, &coordinator.explore(&query).unwrap());
+    assert_eq!(
+        coordinator.metrics().connects(),
+        2,
+        "one connection a shard"
+    );
+
+    // The shards check an idle connection every 150 ms: well past the 50 ms
+    // idle timeout, both have hung up.
+    std::thread::sleep(Duration::from_millis(500));
+    assert_identical(&local, &coordinator.explore(&query).unwrap());
+    assert_eq!(
+        coordinator.metrics().connects(),
+        4,
+        "each shard's was replaced"
+    );
+    assert_eq!(coordinator.metrics().retries(), 0);
+    for (_, state, opened) in coordinator.circuit_states() {
+        assert_eq!((state, opened), (atlas::serve::CircuitState::Closed, 0));
+    }
+    for shard in shards {
+        shard.shutdown();
+    }
+}
+
+/// A shard with one worker, whose worker a coordinator's idle connection
+/// holds, still answers another client promptly: the worker hangs up the
+/// idle connection once another waits. The coordinator's next explore opens
+/// a new connection without a retry, and no server answers `503`.
+#[test]
+fn keep_alive_one_worker_shard_still_serves_another_client() {
+    let table = census_table(4_000, 1_000);
+    let config = product_config();
+    let reference = Atlas::new(Arc::clone(&table), config.clone()).unwrap();
+    let shard = boot_shard(
+        "census",
+        &table,
+        &config,
+        ServeConfig::default().with_threads(1),
+    );
+    let addrs = vec![shard.addr().to_string()];
+    let coordinator =
+        Coordinator::connect(&addrs, "census", config, Duration::from_secs(10)).unwrap();
+    let query = ConjunctiveQuery::all("census");
+    let local = reference.explore_released(&query).unwrap();
+    assert_identical(&local, &coordinator.explore(&query).unwrap());
+    assert_eq!(coordinator.metrics().connects(), 1);
+
+    let started = Instant::now();
+    let health = Client::new(shard.addr()).get("/healthz").unwrap();
+    assert_eq!(health.status, 200);
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "the held worker answered another client after {:?}",
+        started.elapsed()
+    );
+
+    assert_identical(&local, &coordinator.explore(&query).unwrap());
+    assert_eq!(coordinator.metrics().connects(), 2);
+    assert_eq!(coordinator.metrics().retries(), 0);
+    assert_eq!(shard.metrics().rejected(), 0, "no 503");
+    shard.shutdown();
+}
+
+/// An attempt on a reused connection that times out drops the connection,
+/// so the shard's late reply is never read as a later request's: the retry
+/// opens a new connection and answers bit-identically, and so do the
+/// explores that follow while the late reply lands.
+#[test]
+fn keep_alive_late_reply_is_never_read_as_the_next_reply() {
+    let table = census_table(4_000, 1_000);
+    let config = product_config();
+    let reference = Atlas::new(Arc::clone(&table), config.clone()).unwrap();
+    let (handles, _) = boot_shards("census", &table, &config, 2);
+    let (proxies, addrs) = common::proxies(&handles);
+    let coordinator =
+        Coordinator::connect(&addrs, "census", config, Duration::from_millis(300)).unwrap();
+    let query = ConjunctiveQuery::all("census");
+    let local = reference.explore_released(&query).unwrap();
+    assert_identical(&local, &coordinator.explore(&query).unwrap());
+
+    // Shard 0's next `/shard/working` answers at 450 ms, on the reused
+    // connection whose attempt gave up at 300 ms.
+    proxies[0].arm(vec![Fault::Delay(450)]);
+    assert_identical(&local, &coordinator.explore(&query).unwrap());
+    assert_eq!(coordinator.metrics().retries(), 1);
+    for _ in 0..3 {
+        assert_identical(&local, &coordinator.explore(&query).unwrap());
+        std::thread::sleep(Duration::from_millis(100));
+    }
+    assert_eq!(coordinator.metrics().retries(), 1);
+    assert_eq!(
+        proxies[0].accepted(),
+        2,
+        "the retry's connection, reused since"
+    );
+    assert_eq!(proxies[1].accepted(), 1);
+    assert_eq!(coordinator.metrics().connects(), 3);
     for handle in handles {
         handle.shutdown();
     }

@@ -646,7 +646,8 @@ fn a_served_composition_counts_its_last_level() {
 /// A trace says which call of an explore paid for the working set: the
 /// `shard.request` span of `/shard/working` is tagged `working=evaluated`,
 /// and those of every later round — and of the repeat of a call whose first
-/// answer was an injected `503` — `working=reused`.
+/// answer was an injected `503` — `working=reused`. Each `shard.call` says
+/// which connection it went on: `connection=reused` or `fresh`.
 #[test]
 fn shard_request_spans_say_whether_the_working_set_was_evaluated_or_reused() {
     let _gate = gate();
@@ -677,6 +678,17 @@ fn shard_request_spans_say_whether_the_working_set_was_evaluated_or_reused() {
             other => panic!("unexpected shard endpoint {other:?}"),
         };
         assert_eq!(request.attr("working"), Some(expected));
+    }
+    // Every call goes on the connection the shard's `/shard/meta` call left
+    // open, except the repeat: the `503` closed the one it was sent on.
+    let calls: Vec<_> = spans.iter().filter(|s| s.name == "shard.call").collect();
+    assert_eq!(calls.len(), 2 * 2 + 1);
+    for call in calls {
+        let expected = match call.attr("mode") {
+            Some("retry") => "fresh",
+            _ => "reused",
+        };
+        assert_eq!(call.attr("connection"), Some(expected), "{:?}", call.attrs);
     }
     assert_single_tree(&spans);
     rig.shutdown();
