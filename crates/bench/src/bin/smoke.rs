@@ -19,7 +19,7 @@
 use atlas_bench::report::{self, best_of_ms, ms, timings_fields};
 use atlas_bench::{census, wide_numeric};
 use atlas_columnar::{
-    with_kernel_path, Bitmap, Column, ColumnView, DataType, KernelPath, SummaryParts, Table,
+    with_kernel_path, Bitmap, Column, ColumnSummary, ColumnView, DataType, KernelPath, Table,
 };
 use atlas_core::cut::{cut_attribute, CutConfig};
 use atlas_core::{Atlas, AtlasConfig, MapResult};
@@ -540,12 +540,13 @@ fn both_paths<T: PartialEq + std::fmt::Debug>(
 }
 
 /// The wire frames a distributed explore moves most of, out and back: the
-/// whole-table `/shard/working` reply over every segment of `table` (one
-/// `working_partial_to_json` partial per segment, each summarising every
-/// column over all its rows; `wire::parse` + `working_partial_from_json`),
-/// and the numeric value run a `/shard/values` reply carries (`wire::parse`,
-/// then `parse_hex_f64s`). The decoded frames are asserted equal to what was
-/// sent.
+/// whole-table `/shard/working` replies of two shards over every segment of
+/// `table`, split contiguously — each shard's reply one
+/// `working_run_to_json` partial of its run, every column summarised over
+/// all of the run's rows; `wire::parse` + `working_run_from_json` — and the
+/// numeric value run a `/shard/values` reply carries (`wire::parse`, then
+/// `parse_hex_f64s`). The decoded frames are asserted equal to what was
+/// sent, and the runs' summaries folded in order to the whole table's.
 fn smoke_frames(table: &Table, values: &[f64], repeats: usize) -> Vec<(String, Json)> {
     use atlas_serve::wire::{self, frames};
     let segment_rows: Vec<usize> = table.segments().iter().map(|s| s.num_rows()).collect();
@@ -555,38 +556,59 @@ fn smoke_frames(table: &Table, values: &[f64], repeats: usize) -> Vec<(String, J
         .iter()
         .map(|field| (field.name.clone(), field.dtype))
         .collect();
-    let sent: Vec<(usize, Vec<SummaryParts>)> = table
-        .segments()
-        .iter()
-        .map(|segment| {
-            let one = Table::from_segments(
-                table.name(),
-                table.schema().clone(),
-                vec![Arc::clone(segment)],
-            )
-            .expect("one segment of the table");
-            let all = one.full_selection();
+    let all: Vec<usize> = (0..segment_rows.len()).collect();
+    let sent: Vec<frames::WorkingRun> = all
+        .chunks(all.len().div_ceil(2).max(1))
+        .map(|run| {
+            let segments = run.iter().map(|&s| Arc::clone(&table.segments()[s]));
+            let one =
+                Table::from_segments(table.name(), table.schema().clone(), segments.collect())
+                    .expect("a run of the table's segments");
+            let every = one.full_selection();
             let columns = one.columns();
-            let parts = columns.iter().map(|view| view.summary(&all).to_parts());
-            (segment.num_rows(), parts.collect())
+            frames::WorkingRun {
+                segments: run.to_vec(),
+                counts: run.iter().map(|&s| segment_rows[s]).collect(),
+                columns: columns
+                    .iter()
+                    .map(|v| v.summary(&every).to_parts())
+                    .collect(),
+            }
         })
         .collect();
-    let (encode_ms, frame) = best_of_ms(repeats, || {
-        let partials = sent.iter().enumerate().map(|(segment, (count, columns))| {
-            frames::working_partial_to_json(segment, *count, columns)
-        });
-        Json::object(vec![("partials", Json::array(partials.collect()))]).encode()
+    let (encode_ms, replies) = best_of_ms(repeats, || {
+        let reply = |run: &frames::WorkingRun| {
+            let partial = frames::working_run_to_json(&run.segments, &run.counts, &run.columns);
+            Json::object(vec![("partials", Json::array(vec![partial]))]).encode()
+        };
+        sent.iter().map(reply).collect::<Vec<String>>()
     });
     let (decode_ms, decoded) = best_of_ms(repeats, || {
-        let json = wire::parse(&frame).expect("the frame parses");
-        frames::get_items(&json, "partials")
-            .expect("a working reply")
-            .iter()
-            .map(|partial| frames::working_partial_from_json(partial, &segment_rows, &fields))
-            .collect::<Result<Vec<_>, _>>()
-            .expect("the partials decode")
+        let mut runs = Vec::new();
+        for reply in &replies {
+            let json = wire::parse(reply).expect("the reply parses");
+            for partial in frames::get_items(&json, "partials").expect("a working reply") {
+                let run = frames::working_run_from_json(partial, &segment_rows, &fields);
+                runs.push(run.expect("the partial decodes"));
+            }
+        }
+        runs
     });
-    assert_eq!(decoded, sent, "the working reply round-trips");
+    assert_eq!(decoded, sent, "the working replies round-trip");
+    let whole = table.full_selection();
+    for (at, view) in table.columns().iter().enumerate() {
+        let mut folded = ColumnSummary::empty(view.data_type());
+        for run in &decoded {
+            folded.merge_from(&ColumnSummary::from_parts(run.columns[at].clone()));
+        }
+        let name = view.name();
+        let expected = view.summary(&whole).to_parts();
+        assert_eq!(
+            folded.to_parts(),
+            expected,
+            "the runs of {name} fold to the table's"
+        );
+    }
     let run = Json::object(vec![("values", Json::from(frames::hex_f64s(values)))]).encode();
     let (run_ms, decoded) = best_of_ms(repeats, || {
         let json = wire::parse(&run).expect("the frame parses");
@@ -595,8 +617,9 @@ fn smoke_frames(table: &Table, values: &[f64], repeats: usize) -> Vec<(String, J
     });
     let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     assert_eq!(bits(&decoded), bits(values), "the value run round-trips");
+    let bytes: usize = replies.iter().map(String::len).sum();
     vec![
-        ("frame_working_bytes".to_string(), Json::from(frame.len())),
+        ("frame_working_bytes".to_string(), Json::from(bytes)),
         ("frame_working_encode_ms".to_string(), ms(encode_ms)),
         ("frame_working_decode_ms".to_string(), ms(decode_ms)),
         ("frame_f64_run_values".to_string(), Json::from(values.len())),

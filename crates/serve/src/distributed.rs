@@ -8,9 +8,11 @@
 //! 1. **working set and summaries** — one `/shard/working` round: the user
 //!    query is evaluated per shard segment, which keeps the rows for its
 //!    later rounds and answers how many it selected — the coordinator holds
-//!    those counts, never a row — and each segment's per-column statistics
-//!    as mergeable [`atlas_columnar::ColumnSummary`] parts, folded in
-//!    ascending segment order;
+//!    those counts, never a row — and the per-column statistics as
+//!    mergeable [`atlas_columnar::ColumnSummary`] parts. A shard folds them
+//!    over each run of consecutive segments it answers for (one run under
+//!    the default contiguous assignment) and the coordinator folds the runs,
+//!    both in ascending segment order;
 //! 2. **candidates** — the single shared `CUT` body
 //!    ([`atlas_core::cuts_from_source`]) runs locally over a
 //!    [`atlas_core::CutSource`] whose kernels scatter to the shards. The
@@ -39,17 +41,24 @@
 //!
 //! ## Replies are decoded where they land
 //!
-//! Each scatter round runs one thread per shard, and that thread does more
-//! than wait. Every reply is read whole, checked to cover exactly the
-//! shard's segments and decoded there — a working partial's count held to
-//! its segment's rows and its summaries into [`ColumnSummary`]s, each
-//! counting that many rows; a count reply held to every invariant the
-//! coordinator can check (each product's arity, no cut counting more rows
-//! than the shard's working rows, a pair's sums within its cuts' counts) —
-//! so decoding runs in parallel across shards and overlaps the slower
-//! shard's wire wait, and what is left after the barrier is the fold:
-//! `merge_from` of the summaries in ascending global segment order, and
-//! integer sums of the counts, whose order cannot matter.
+//! The fold starts at the shards: a `/shard/working` partial answers a run
+//! of consecutive segments with one summary per column, folded there in
+//! ascending segment order, so a whole-table round moves one summary of
+//! each column per run, not per segment. Only adjacent segments share a
+//! run — an interleaved assignment such as `[0, 2, 4]` answers three runs —
+//! because only then is folding the runs in order the fold of their
+//! segments. Each scatter round runs one thread per shard, and that thread
+//! does more than wait. Every reply is read whole, checked to cover exactly
+//! the shard's segments and decoded there — a working partial's counts held
+//! to their segments' rows and its summaries into [`ColumnSummary`]s, each
+//! counting as many rows as the counts sum to; a count reply held to every
+//! invariant the coordinator can check (each product's arity, no cut
+//! counting more rows than the shard's working rows, a pair's sums within
+//! its cuts' counts) — so decoding runs in parallel across shards and
+//! overlaps the slower shard's wire wait, and what is left after the
+//! barrier is the fold: `merge_from` of the runs' summaries in ascending
+//! global segment order, and integer sums of the counts, whose order cannot
+//! matter.
 //! A retried or hedged request's reply is whichever arrives first; a count
 //! reply is a deterministic function of (generation, SQL, segments, cuts),
 //! so either is the same.
@@ -107,6 +116,13 @@
 //! loser outlives the call, open their own connections and close them.
 //! `connects` in the coordinator's `/metrics` counts the connections opened
 //! per shard, and each `shard.call` span says `connection=reused|fresh`.
+//! Inside a traced call, `shard.exchange` covers writing the request and
+//! reading the whole reply, and `shard.decode` the reply's JSON parse, the
+//! adoption of the shard's spans and the frame decode with its checks. The
+//! shard's `shard.request` (its body parse a `shard.parse` child) is adopted
+//! under the call, ending where the exchange ends; the shard's reply encode
+//! and the wire cannot appear in the reply that carries those spans, so
+//! they read as `shard.exchange` − `shard.request`.
 //!
 //! In [`ExploreMode::Strict`] (the default and the historical contract) any
 //! shard failing past its retries fails the whole explore with a typed
@@ -124,8 +140,8 @@ use crate::resilience::{
     RetryPolicy,
 };
 use crate::wire::frames::{
-    count_reply_from_json, get_index, get_items, get_str, meta_from_json, parse_hex_f64s,
-    partition_to_json, products_to_json, working_partial_from_json, CountAsk, MetaView,
+    count_reply_from_json, get_items, get_str, meta_from_json, parse_hex_f64s, partition_to_json,
+    products_to_json, run_segments, working_run_from_json, CountAsk, MetaView, WorkingRun,
 };
 use crate::wire::Json;
 use atlas_columnar::{merge_category_counts, Bitmap, ColumnStats, ColumnSummary, DataType};
@@ -286,6 +302,15 @@ enum AttemptFail {
     NoRetry(String),
 }
 
+/// A shard's `200` JSON reply to one attempt: when it was read whole, and
+/// the open `shard.decode` span its JSON parse started (a hedged attempt's
+/// opens when the winner arrives, its parse done on the hedge's thread).
+struct Answered {
+    json: Json,
+    exchanged: Instant,
+    decoding: atlas_obs::SpanGuard,
+}
+
 /// Why one explore pass failed — shard-attributable failures carry the
 /// shard index so degraded mode can drop it and re-run.
 enum ExploreFail {
@@ -375,10 +400,16 @@ fn judge(addr: &str, path: &str, outcome: io::Result<ClientResponse>) -> Result<
 /// local trace) into this process's trace: allocate fresh local span ids,
 /// re-parent the shard's trace roots under the enclosing `shard.call` span,
 /// and rebase the shard's monotonic timestamps into the call interval (the
-/// two processes share no clock epoch, so shard times are anchored to end at
-/// reply arrival and clamped to never precede the call). The member is
-/// stripped either way, so frame parsing sees exactly the documented reply.
-fn adopt_shard_spans(reply: &mut Json, parent: atlas_obs::SpanContext, call_started: Instant) {
+/// two processes share no clock epoch, so shard times are anchored to end
+/// when the reply was read whole, `exchanged`, and clamped to never precede
+/// the call). The member is stripped either way, so frame parsing sees
+/// exactly the documented reply.
+fn adopt_shard_spans(
+    reply: &mut Json,
+    parent: atlas_obs::SpanContext,
+    call_started: Instant,
+    exchanged: Instant,
+) {
     let Json::Obj(members) = reply else { return };
     let Some(position) = members.iter().position(|(key, _)| key == "spans") else {
         return;
@@ -401,7 +432,7 @@ fn adopt_shard_spans(reply: &mut Json, parent: atlas_obs::SpanContext, call_star
     // Anchor on the tracer clock the call span itself is recorded on, so the
     // adopted spans sit inside it to the microsecond.
     let anchor = tracer
-        .now_us()
+        .instant_us(exchanged)
         .saturating_sub(hi.saturating_sub(lo))
         .max(tracer.instant_us(call_started));
     for mut record in records {
@@ -588,7 +619,7 @@ impl Coordinator {
         let mut agreed: Option<MetaView> = None;
         for slot in &self.shards {
             let reply = self
-                .call_with(slot, "/shard/meta", &body, None)
+                .call_with(slot, "/shard/meta", &body, None, Ok)
                 .map_err(|fail| dist_err(slot.render_fail("/shard/meta", fail)))?;
             let view = meta_from_json(&reply).map_err(|e| {
                 dist_err(format!(
@@ -638,13 +669,18 @@ impl Coordinator {
     /// One shard call under the full fault policy: circuit-breaker
     /// admission, bounded retries with seeded-jitter backoff, optional
     /// hedging, and the request deadline capping every attempt and sleep.
-    fn call_with(
+    /// The answered reply goes to `decode` once the call is timed and judged,
+    /// inside the call's `shard.call` span: its `shard.decode` child holds
+    /// the reply's JSON parse and the frame decode, as its `shard.exchange`
+    /// child holds writing the request and reading the reply.
+    fn call_with<T>(
         &self,
         slot: &ShardSlot,
         path: &str,
         body: &Json,
         deadline: Option<&Deadline>,
-    ) -> Result<Json, CallFail> {
+        decode: impl FnOnce(Json) -> Result<T, CallFail>,
+    ) -> Result<T, CallFail> {
         let shard = slot.index.get();
         if !slot.breaker.admit() {
             self.metrics
@@ -682,11 +718,12 @@ impl Coordinator {
             // Taken inside the span: adopted shard spans are clamped to it.
             let call_started = Instant::now();
             match self.attempt(slot, path, &payload, budget, deadline, &mut call_span) {
-                Ok(mut json) => {
+                Ok(mut answered) => {
                     if let Some(ctx) = call_span.context() {
-                        adopt_shard_spans(&mut json, ctx, call_started);
+                        let exchanged = answered.exchanged;
+                        adopt_shard_spans(&mut answered.json, ctx, call_started, exchanged);
                     }
-                    break Ok(json);
+                    break Ok((answered, call_span));
                 }
                 Err(AttemptFail::NoRetry(message)) => break Err(CallFail::Shard { message }),
                 Err(AttemptFail::Retryable(message)) => {
@@ -716,7 +753,11 @@ impl Coordinator {
             Err(CallFail::Shard { .. }) => slot.breaker.record_failure(),
             Err(CallFail::CircuitOpen | CallFail::Deadline) => {}
         }
-        result
+        let (answered, call_span) = result?;
+        let decoded = decode(answered.json);
+        drop(answered.decoding);
+        drop(call_span);
+        decoded
     }
 
     /// One attempt of one shard call. Without hedging the request runs
@@ -733,7 +774,7 @@ impl Coordinator {
         budget: Duration,
         deadline: Option<&Deadline>,
         call_span: &mut atlas_obs::SpanGuard,
-    ) -> Result<Json, AttemptFail> {
+    ) -> Result<Answered, AttemptFail> {
         let mut client = slot.client.clone().with_timeout(budget);
         if let Some(d) = deadline {
             let left = d.remaining().unwrap_or(Duration::ZERO).as_millis();
@@ -762,16 +803,24 @@ impl Coordinator {
             // JSON reply that keeps it alive; any failure closes it, so an
             // unread reply is never taken for the next request's.
             let mut reusable = None;
+            let exchange = atlas_obs::span("shard.exchange");
             let outcome = connection.and_then(|mut connection| {
                 let response = client.send(&mut connection, "POST", path, body, true)?;
                 reusable = response.keeps_alive().then_some(connection);
                 Ok(response)
             });
+            drop(exchange);
+            let exchanged = Instant::now();
+            let decoding = atlas_obs::span("shard.decode");
             let json = judge(&slot.addr, path, outcome)?;
             if let Some(connection) = reusable {
                 slot.park(connection);
             }
-            return Ok(json);
+            return Ok(Answered {
+                json,
+                exchanged,
+                decoding,
+            });
         };
         call_span.attr("connection", "fresh");
 
@@ -834,7 +883,11 @@ impl Coordinator {
                             if is_hedge {
                                 self.metrics.hedges_won.fetch_add(1, Ordering::Relaxed);
                             }
-                            return Ok(json);
+                            return Ok(Answered {
+                                json,
+                                exchanged: Instant::now(),
+                                decoding: atlas_obs::span("shard.decode"),
+                            });
                         }
                         Err(AttemptFail::NoRetry(message)) => {
                             return Err(AttemptFail::NoRetry(message));
@@ -961,27 +1014,28 @@ impl Coordinator {
     }
 
     /// Scatter one endpoint whose reply is read whole, decode each of a
-    /// shard's partials with `decode(segment, partial)` on the thread that
-    /// received the reply, and gather the decoded partials sorted by
-    /// ascending global segment index: exactly one per live segment, in
-    /// `ctx.live` order. A partial that does not decode fails its shard, as
-    /// a failed call does.
+    /// shard's partials — one per run of consecutive segments — with
+    /// `decode`, which answers the run's segments beside what it decoded, on
+    /// the thread that received the reply, and gather the decoded runs in
+    /// ascending global segment order: together exactly `ctx.live`. A
+    /// partial that does not decode fails its shard, as a failed call does.
     fn scatter<T: Send>(
         &self,
         ctx: &ExploreCtx,
         path: &str,
         body_of: impl Fn(&[usize]) -> Json + Sync,
-        decode: impl Fn(usize, &Json) -> Result<T, String> + Sync,
+        decode: impl Fn(&Json) -> Result<(Vec<usize>, T), String> + Sync,
     ) -> Result<Vec<T>, AtlasError> {
         let answers = self.fan_out(ctx, path, |slot| {
             let body = body_of(&slot.segments);
-            self.call_with(slot, path, &body, ctx.deadline)
-                .and_then(|reply| Self::shard_partials(slot, path, reply, &decode))
+            self.call_with(slot, path, &body, ctx.deadline, |reply| {
+                Self::shard_partials(slot, path, reply, &decode)
+            })
         })?;
-        let mut gathered: Vec<(usize, T)> = answers.into_iter().flatten().collect();
-        gathered.sort_by_key(|(segment, _)| *segment);
-        if !gathered.iter().map(|(segment, _)| segment).eq(&ctx.live) {
-            let segments: Vec<usize> = gathered.iter().map(|(segment, _)| *segment).collect();
+        let mut gathered: Vec<(Vec<usize>, T)> = answers.into_iter().flatten().collect();
+        gathered.sort_by_key(|(segments, _)| segments.first().copied());
+        if !gathered.iter().flat_map(|(run, _)| run).eq(&ctx.live) {
+            let segments: Vec<&usize> = gathered.iter().flat_map(|(run, _)| run).collect();
             let fail = ExploreFail::Fatal(dist_err(format!(
                 "scatter on {path} gathered segments {segments:?}, expected {:?}",
                 ctx.live
@@ -991,49 +1045,31 @@ impl Coordinator {
         Ok(gathered.into_iter().map(|(_, partial)| partial).collect())
     }
 
-    /// Validate and decode one shard's reply: its `partials` must cover
-    /// exactly the segments assigned to it, and each must decode (the
-    /// decoder's error names the segment). Either failure is the shard's,
-    /// names it and the endpoint, and counts against its circuit breaker.
+    /// Validate and decode one shard's reply: each of its `partials` must
+    /// decode, and their runs, in the order answered, must be exactly the
+    /// segments assigned to it. Either failure is the shard's, names it and
+    /// the endpoint, and counts against its circuit breaker.
     fn shard_partials<T>(
         slot: &ShardSlot,
         path: &str,
         reply: Json,
-        decode: impl Fn(usize, &Json) -> Result<T, String>,
-    ) -> Result<Vec<(usize, T)>, CallFail> {
+        decode: impl Fn(&Json) -> Result<(Vec<usize>, T), String>,
+    ) -> Result<Vec<(Vec<usize>, T)>, CallFail> {
         let semantic = |message: String| slot.misbehaved(path, message);
-        // The reply is owned: move the partials (and the hex runs inside
-        // them) out instead of cloning each one.
-        let items = match reply {
-            Json::Obj(members) => members.into_iter().find(|(key, _)| key == "partials"),
-            _ => None,
-        };
-        let Some((_, Json::Arr(items))) = items else {
-            return Err(semantic(
-                "missing or non-array member \"partials\"".to_string(),
-            ));
-        };
-        let mut list = Vec::with_capacity(items.len());
-        for partial in items {
-            match get_index(&partial, "segment") {
-                Ok(segment) => list.push((segment, partial)),
-                Err(e) => return Err(semantic(e)),
-            }
-        }
-        let mut seen: Vec<usize> = list.iter().map(|(segment, _)| *segment).collect();
-        seen.sort_unstable();
-        if seen != slot.segments {
+        let items = get_items(&reply, "partials").map_err(semantic)?;
+        let runs = items
+            .iter()
+            .map(&decode)
+            .collect::<Result<Vec<_>, String>>()
+            .map_err(semantic)?;
+        if !runs.iter().flat_map(|(run, _)| run).eq(&slot.segments) {
+            let answered: Vec<&usize> = runs.iter().flat_map(|(run, _)| run).collect();
             return Err(semantic(format!(
-                "answered for segments {seen:?}, assigned {:?}",
+                "answered for segments {answered:?}, assigned {:?}",
                 slot.segments
             )));
         }
-        list.into_iter()
-            .map(|(segment, partial)| {
-                let decoded = decode(segment, &partial).map_err(&semantic)?;
-                Ok((segment, decoded))
-            })
-            .collect()
+        Ok(runs)
     }
 
     /// The request body shared by the per-working-set endpoints.
@@ -1051,14 +1087,15 @@ impl Coordinator {
     }
 
     /// The working set `sql` selects at the shards: one `/shard/working`
-    /// round, whose partials carry how many rows each segment holds and
-    /// each segment's column summaries. Keeps the counts of the live
-    /// segments — the working set's size, and what a shard's count reply is
-    /// held to — and merges the summaries in ascending segment order — the
-    /// order a local scan walks the segments in, so the collapsed
-    /// [`ColumnStats`] (value counts and category counts included, which is
-    /// what lets a median cut skip the `/shard/values` round and a
-    /// categorical cut the `/shard/categories` one) match what
+    /// round, whose partials — one per run of consecutive segments, folded
+    /// at the shard — carry how many rows each segment holds and the run's
+    /// column summaries. Keeps the counts of the live segments — the working
+    /// set's size, and what a shard's count reply is held to — and merges
+    /// the runs' summaries in ascending segment order — the order a local
+    /// scan walks the segments in, so the collapsed [`ColumnStats`] (value
+    /// counts and category counts included, which is what lets a median cut
+    /// skip the `/shard/values` round and a categorical cut the
+    /// `/shard/categories` one) match what
     /// [`atlas_columnar::ColumnView::summary`] and the engine's table
     /// profile compute locally bit for bit.
     fn remote<'a>(
@@ -1066,16 +1103,20 @@ impl Coordinator {
         ctx: &'a ExploreCtx<'a>,
         sql: String,
     ) -> Result<RemoteSource<'a>, AtlasError> {
-        let partials = self.scatter(
+        let runs = self.scatter(
             ctx,
             "/shard/working",
             |segments| self.data_body(&sql, segments, Vec::new()),
-            |_, partial| {
-                let (count, columns) =
-                    working_partial_from_json(partial, &self.segment_rows, &self.fields)?;
+            |partial| {
+                let run = working_run_from_json(partial, &self.segment_rows, &self.fields)?;
+                let WorkingRun {
+                    segments,
+                    counts,
+                    columns,
+                } = run;
                 let columns: Vec<ColumnSummary> =
                     columns.into_iter().map(ColumnSummary::from_parts).collect();
-                Ok((count, columns))
+                Ok((segments, (counts, columns)))
             },
         )?;
         let mut summaries: Vec<ColumnSummary> = self
@@ -1083,12 +1124,12 @@ impl Coordinator {
             .iter()
             .map(|(_, dtype)| ColumnSummary::empty(*dtype))
             .collect();
-        let mut counts = Vec::with_capacity(partials.len());
-        for (count, columns) in partials {
+        let mut counts = Vec::with_capacity(ctx.live.len());
+        for (run_counts, columns) in runs {
             for (acc, summary) in summaries.iter_mut().zip(&columns) {
                 acc.merge_from(summary);
             }
-            counts.push(count as u64);
+            counts.extend(run_counts.into_iter().map(|count| count as u64));
         }
         Ok(RemoteSource {
             coordinator: self,
@@ -1344,7 +1385,7 @@ impl Counted {
 
 impl RemoteSource<'_> {
     /// Scatter one per-attribute round over the working set and decode each
-    /// partial on arrival.
+    /// run's partial on arrival.
     fn scatter<T: Send>(
         &self,
         path: &str,
@@ -1355,8 +1396,10 @@ impl RemoteSource<'_> {
             let attribute = vec![("attribute", Json::from(attribute))];
             self.coordinator.data_body(&self.sql, segments, attribute)
         };
-        let decode = |segment, partial: &Json| {
-            decode(partial).map_err(|e| format!("segment {segment}: {e}"))
+        let decode = |partial: &Json| {
+            let segments = run_segments(partial)?;
+            let decoded = decode(partial).map_err(|e| format!("segments {segments:?}: {e}"))?;
+            Ok((segments, decoded))
         };
         self.coordinator.scatter(self.ctx, path, body_of, decode)
     }
@@ -1404,14 +1447,15 @@ impl RemoteSource<'_> {
         let path = "/shard/select";
         let replies = coordinator.fan_out(self.ctx, path, |slot| {
             let body = coordinator.data_body(&self.sql, &slot.segments, members.clone());
-            let reply = coordinator.call_with(slot, path, &body, self.ctx.deadline)?;
-            let ask = CountAsk {
-                segments: &slot.segments,
-                regions: &regions,
-                products,
-                working_rows: self.working_rows(&slot.segments),
-            };
-            count_reply_from_json(&reply, &ask).map_err(|e| slot.misbehaved(path, e))
+            coordinator.call_with(slot, path, &body, self.ctx.deadline, |reply| {
+                let ask = CountAsk {
+                    segments: &slot.segments,
+                    regions: &regions,
+                    products,
+                    working_rows: self.working_rows(&slot.segments),
+                };
+                count_reply_from_json(&reply, &ask).map_err(|e| slot.misbehaved(path, e))
+            })
         })?;
         let mut sums: Vec<Vec<u64>> = products
             .iter()
@@ -1602,7 +1646,7 @@ impl CutSource for RemoteSource<'_> {
         Ok(partials.concat())
     }
 
-    /// Scatter `/shard/categories` and fold the per-segment zero-inclusive
+    /// Scatter `/shard/categories` and fold the per-run zero-inclusive
     /// counts in segment order, which is global first-appearance order. Only
     /// a column with more values than a summary counts is asked about here;
     /// for every other the folded summaries already hold the vector.

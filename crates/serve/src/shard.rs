@@ -12,8 +12,14 @@
 //! (Map distances are counted here: a pair of cuts' contingency cells are
 //! counts like any other, taken where the rows are, and the coordinator
 //! scores them.) A `/shard/working`, `/shard/values` or `/shard/categories`
-//! answer is **per segment**, so the coordinator can fold partials in
-//! ascending global segment order; a `/shard/select` answer is integer
+//! answer is **per run**: one partial per run of consecutive global
+//! segments among those requested, folded here in ascending segment order —
+//! the summaries merged, the values concatenated, the category counts
+//! folded — so the coordinator folds one partial per run where it folded
+//! one per segment, in the same order. A shard never folds segments that
+//! are not adjacent (an interleaved assignment such as `[0, 2, 4]` answers
+//! three runs of one segment): only over adjacent segments does folding the
+//! runs give the fold of the segments. A `/shard/select` answer is integer
 //! counts summed over the shard's segments, which the coordinator sums over
 //! the shards in any order. Either way the results are bit-identical no
 //! matter how segments were assigned to shards.
@@ -49,21 +55,25 @@
 //!   every data handler gets its rows from).
 //!
 //! There is no capacity and no knob: the answers live and die with the
-//! generation's views, and a working set that cuts through a segment has its
-//! summaries computed as before, segment by segment. The working set is one
-//! entry per view on purpose and not a cache: it exists to stop one explore
-//! from asking a segment the same question on every round, it is replaced by
-//! the next different SQL, and explores that interleave with different SQL
-//! simply evaluate as often as they did before it existed — correctly, since
-//! an entry is only ever returned for the text it was evaluated from.
+//! generation's views, and a segment a working set cuts through is
+//! summarised straight into its run's summaries on every call. The working
+//! set is one entry per view on purpose and not a cache: it exists to stop
+//! one explore from asking a segment the same question on every round, it
+//! is replaced by the next different SQL, and explores that interleave with
+//! different SQL simply evaluate as often as they did before it existed —
+//! correctly, since an entry is only ever returned for the text it was
+//! evaluated from. Nothing remembers an assignment or a run: a run is read
+//! off each request's segment list.
 //!
 //! A shard answers only this protocol: the integration suites inject their
 //! faults — delays, refusals, error statuses, cut, corrupt or garbled
 //! replies, dead shards — in a proxy between the coordinator and the shard
 //! (`tests/common/mod.rs`), where a real network would.
 //!
-//! A `/shard/working` partial answers a segment's count and summaries; the
-//! working rows stay here, for the explore's later rounds. What a partial
+//! A `/shard/working` partial answers its run's per-segment counts and
+//! folded summaries; the working rows stay here, for the explore's later
+//! rounds. A traced request's `shard.request` span opens before its body is
+//! parsed, which is its `shard.parse` child. What a partial
 //! and a count reply are held to is decided in [`crate::wire::frames`],
 //! next to the decoders.
 
@@ -72,14 +82,13 @@ use crate::metrics::Endpoint;
 use crate::registry::{Dataset, Registry};
 use crate::wire::frames::{
     count_reply_to_json, get_items, get_str, hex_f64s, meta_to_json, partition_from_json,
-    products_from_json, working_partial_to_json,
+    products_from_json, working_run_to_json,
 };
 use crate::wire::{self, Json};
-use atlas_columnar::{Bitmap, SummaryParts, Table};
+use atlas_columnar::{merge_category_counts, Bitmap, ColumnSummary, Table};
 use atlas_core::{AtlasError, CutSource, TableCutSource};
 use atlas_query::parse_query;
 use atlas_stats::ContingencyTable;
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -109,7 +118,7 @@ type SegmentViews = (usize, Arc<Vec<SegmentView>>);
 struct SegmentView {
     table: Table,
     /// [`summarize`] under the all-rows selection.
-    summaries: OnceLock<Vec<SummaryParts>>,
+    summaries: OnceLock<Vec<ColumnSummary>>,
     /// The SQL text last evaluated on this segment, and its answer.
     working: Mutex<Option<(String, Working)>>,
 }
@@ -219,14 +228,21 @@ pub(crate) fn handle(
     endpoint: Endpoint,
     request: &Request,
 ) -> Response {
+    // The request's root span opens first, so parsing the body is its own
+    // child.
+    let mut shard_span = shard_span(endpoint, request);
     let body = match request.body_text() {
-        Some(text) if !text.trim().is_empty() => match wire::parse(text) {
-            Ok(json) => json,
-            Err(error) => return Response::error(400, error.to_string()),
-        },
+        Some(text) if !text.trim().is_empty() => {
+            let parse = shard_span.as_ref().map(|_| atlas_obs::span("shard.parse"));
+            let parsed = wire::parse(text);
+            drop(parse);
+            match parsed {
+                Ok(json) => json,
+                Err(error) => return Response::error(400, error.to_string()),
+            }
+        }
         _ => Json::object(Vec::<(String, Json)>::new()),
     };
-    let mut shard_span = shard_span(endpoint, request);
     match answer(registry, state, endpoint, &body, shard_span.as_mut()) {
         Ok(mut reply) => {
             // Close the request's root span before snapshotting so it is in
@@ -423,68 +439,107 @@ fn partials_reply(partials: Vec<Json>) -> Json {
     Json::object(vec![("partials", Json::array(partials))])
 }
 
-/// Each segment's working rows and the summaries of every column over them —
-/// the remembered whole-segment ones when the working set covers the segment.
+/// The requested segments split into runs of consecutive global segments,
+/// in request order: one partial answers one run. Segments that are not
+/// adjacent never share a run, so a fold over a run's segments is the fold
+/// the coordinator would have made of them (see [`crate::wire::frames`]).
+fn runs<'s, 'v>(sets: &'s [SegmentWorking<'v>]) -> impl Iterator<Item = &'s [SegmentWorking<'v>]> {
+    sets.chunk_by(|(a, _, _), (b, _, _)| a.checked_add(1) == Some(*b))
+}
+
+/// The global segment indices of a run.
+fn run_segments(run: &[SegmentWorking]) -> Vec<usize> {
+    run.iter().map(|(segment, _, _)| *segment).collect()
+}
+
+/// A run's partial of a per-attribute endpoint: its segments and `member`.
+fn run_partial(run: &[SegmentWorking], member: &str, value: Json) -> Json {
+    let segments = run_segments(run).into_iter().map(Json::from).collect();
+    Json::object(vec![("segments", Json::array(segments)), (member, value)])
+}
+
+/// Per run of consecutive segments, each segment's working-row count and
+/// the summaries of every column over the run's working rows, folded in
+/// ascending segment order: a segment the working set covers merges its
+/// remembered whole-segment summaries, and one it selects in part is
+/// summarised straight into the run's.
 fn working(sets: &[SegmentWorking]) -> Json {
-    let partials = sets.iter().map(|(seg, view, working)| {
-        let columns = if view.covered_by(working) {
-            Cow::Borrowed(
-                view.summaries
-                    .get_or_init(|| summarize(&view.table, &working.rows))
-                    .as_slice(),
-            )
-        } else {
-            Cow::Owned(summarize(&view.table, &working.rows))
-        };
-        working_partial_to_json(*seg, working.count, &columns)
+    let partials = runs(sets).map(|run| {
+        let mut folded: Option<Vec<ColumnSummary>> = None;
+        for (_, view, working) in run {
+            let views = view.table.columns();
+            let columns = folded.get_or_insert_with(|| {
+                let empty = views.iter().map(|c| ColumnSummary::empty(c.data_type()));
+                empty.collect()
+            });
+            if view.covered_by(working) {
+                let whole = view
+                    .summaries
+                    .get_or_init(|| summarize(&view.table, &working.rows));
+                for (acc, summary) in columns.iter_mut().zip(whole) {
+                    acc.merge_from(summary);
+                }
+            } else {
+                for (acc, column) in columns.iter_mut().zip(&views) {
+                    column.summarize_into(acc, &working.rows);
+                }
+            }
+        }
+        let counts: Vec<usize> = run.iter().map(|(_, _, working)| working.count).collect();
+        let parts: Vec<_> = folded
+            .iter()
+            .flatten()
+            .map(ColumnSummary::to_parts)
+            .collect();
+        working_run_to_json(&run_segments(run), &counts, &parts)
     });
     partials_reply(partials.collect())
 }
 
-/// The mergeable summary parts of every column (schema order) over the
-/// selected rows of a single-segment table.
-fn summarize(table: &Table, sel: &Bitmap) -> Vec<SummaryParts> {
+/// The summary of every column (schema order) over the selected rows of a
+/// single-segment table.
+fn summarize(table: &Table, sel: &Bitmap) -> Vec<ColumnSummary> {
     table
         .columns()
         .iter()
-        .map(|view| view.summary(sel).to_parts())
+        .map(|view| view.summary(sel))
         .collect()
 }
 
+/// Per run, the working rows' values of one numeric column, in row order.
 fn values(sets: &[SegmentWorking], body: &Json) -> Result<Json, Fail> {
     let attribute = get_str(body, "attribute")?;
-    let mut partials = Vec::with_capacity(sets.len());
-    for (seg, view, working) in sets {
-        let column = view.table.column(attribute).map_err(AtlasError::from)?;
-        partials.push(Json::object(vec![
-            ("segment", Json::from(*seg)),
-            (
-                "values",
-                Json::from(hex_f64s(&column.numeric_values_where(&working.rows))),
-            ),
-        ]));
+    let mut partials = Vec::new();
+    for run in runs(sets) {
+        let mut values = Vec::new();
+        for (_, view, working) in run {
+            let column = view.table.column(attribute).map_err(AtlasError::from)?;
+            values.extend(column.numeric_values_where(&working.rows));
+        }
+        partials.push(run_partial(run, "values", Json::from(hex_f64s(&values))));
     }
     Ok(partials_reply(partials))
 }
 
-/// The zero-inclusive category counts of one column, in first-appearance
-/// order (so they list the dictionary too), for the columns whose
-/// summaries hold no counts (more values than a summary counts): every other
-/// categorical cut reads them off the `/shard/working` summaries.
+/// Per run, the zero-inclusive category counts of one column, in
+/// first-appearance order (so they list the dictionary too), for the
+/// columns whose summaries hold no counts (more values than a summary
+/// counts): every other categorical cut reads them off the `/shard/working`
+/// summaries.
 fn categories(sets: &[SegmentWorking], body: &Json) -> Result<Json, Fail> {
     let attribute = get_str(body, "attribute")?;
-    let mut partials = Vec::with_capacity(sets.len());
-    for (seg, view, working) in sets {
-        let column = view.table.column(attribute).map_err(AtlasError::from)?;
-        let counts = column
-            .category_counts(&working.rows)
+    let mut partials = Vec::new();
+    for run in runs(sets) {
+        let mut counts = Vec::new();
+        for (_, view, working) in run {
+            let column = view.table.column(attribute).map_err(AtlasError::from)?;
+            merge_category_counts(&mut counts, &column.category_counts(&working.rows));
+        }
+        let counts = counts
             .into_iter()
             .map(|(value, count)| Json::array(vec![Json::from(value), Json::from(count)]))
             .collect();
-        partials.push(Json::object(vec![
-            ("segment", Json::from(*seg)),
-            ("counts", Json::array(counts)),
-        ]));
+        partials.push(run_partial(run, "counts", Json::array(counts)));
     }
     Ok(partials_reply(partials))
 }

@@ -24,16 +24,25 @@
 //! value list it always was.
 //!
 //! An explore ships no rows: not the working set, which stays at the shards
-//! that evaluated it, and not a region's. The per-segment partials of
+//! that evaluated it, and not a region's. The run partials of
 //! `/shard/working` and the count replies of `/shard/select` are encoded and
 //! decoded here, rules included, so neither side knows the format apart
 //! from the other:
 //!
-//! * a working partial is `{"segment", "count", "columns"}`: how many of
-//!   the segment's rows the query selects and, as `"columns"`, the summary
-//!   of every column over them, so one round answers both. The decoder
-//!   holds the count to the segment's rows and the summaries to the schema
-//!   and to the count ([`working_partial_from_json`]);
+//! * a working partial answers one **run** of consecutive global segments:
+//!   `{"segments": [s, s + 1, …], "counts": [n, …], "columns"}` — the run's
+//!   segments, how many of each one's rows the query selects and, as
+//!   `"columns"`, the summary of every column over all of the run's
+//!   selected rows, folded at the shard in ascending segment order. The
+//!   fold is exact (value counts add, distinct sets union, whether a
+//!   summary is counted depends only on the size of the union, and string
+//!   categories keep first-appearance order), so folding the runs in order
+//!   gives what folding their segments does — but only for adjacent
+//!   segments, so a shard never folds across a gap. The decoder holds the
+//!   segments to one run, each count to its segment's rows and the
+//!   summaries to the schema and to the counts' sum
+//!   ([`working_run_from_json`]). `/shard/values` and `/shard/categories`
+//!   partials answer runs too ([`run_segments`]);
 //! * a `/shard/select` request carries the explore's cuts as `"partitions"`
 //!   ([`partition_to_json`]) and, as `"products"`, which combinations of
 //!   them to count ([`products_to_json`]): each cut alone, and each pair of
@@ -48,14 +57,11 @@
 //!   sums within — or, beside a cut that partitions the working rows, equal
 //!   to — the region counts.
 //!
-//! A coordinator of this build refuses an older shard's working partial,
-//! which has no `"columns"`, and an older shard's streamed `/shard/select`
-//! reply, which has no `"cells"`, with typed errors, and reads an older
-//! shard's partial by its count, ignoring the `"bitmap"` beside it. An
-//! older coordinator refuses this build's count reply, which has no
-//! `"partials"`, and this build's partial of a segment the query selects in
-//! part, which has no bitmap, with its typed "no working bitmap" error. No
-//! mix gives a wrong map.
+//! A coordinator of this build refuses an older shard's per-segment
+//! partial, `{"segment", "count", "columns"}`, because its `"segments"` is
+//! missing, and an older coordinator refuses this build's run partial
+//! because its `"segment"` is missing: either way a typed failure of the
+//! shard, so no mix gives a wrong map.
 //!
 //! The hex run carries every bulk payload of the coordinator↔shard
 //! exchange. It is handled eight digits per `u64` step (SWAR): encoding
@@ -293,48 +299,108 @@ pub fn bitmap_from_json(value: &Json) -> Result<Bitmap, String> {
     Ok(Bitmap::from_words(len, words))
 }
 
-/// Encode one segment's `/shard/working` partial: how many of its rows the
-/// query selects, and the summary of every column over those rows, in
-/// schema order. The rows themselves stay at the shard.
-pub fn working_partial_to_json(segment: usize, count: usize, columns: &[SummaryParts]) -> Json {
-    let columns = columns.iter().map(summary_to_json).collect();
+/// The `"segments"` of a partial: one run of consecutive global segment
+/// indices, ascending and not empty. Every per-segment answer of a shard —
+/// `/shard/working`, `/shard/values`, `/shard/categories` — is one partial
+/// per run.
+pub fn run_segments(partial: &Json) -> Result<Vec<usize>, String> {
+    let segments = get_items(partial, "segments")?
+        .iter()
+        .map(|item| item.index().ok_or("non-integral segment index"))
+        .collect::<Result<Vec<usize>, _>>()?;
+    if segments.is_empty() {
+        return Err("a run of no segments".to_string());
+    }
+    let next = segments.iter().skip(1);
+    if segments
+        .iter()
+        .zip(next)
+        .any(|(segment, next)| segment.checked_add(1) != Some(*next))
+    {
+        return Err(format!("segments {segments:?} are not one run"));
+    }
+    Ok(segments)
+}
+
+/// Encode the `/shard/working` partial of one run of consecutive segments:
+/// the segments, how many rows of each the query selects, and the summary
+/// of every column over all of those rows, in schema order. The rows
+/// themselves stay at the shard.
+pub fn working_run_to_json(segments: &[usize], counts: &[usize], columns: &[SummaryParts]) -> Json {
+    let indices = |values: &[usize]| Json::array(values.iter().map(|&n| Json::from(n)).collect());
     Json::object(vec![
-        ("segment", Json::from(segment)),
-        ("count", Json::from(count)),
-        ("columns", Json::array(columns)),
+        ("segments", indices(segments)),
+        ("counts", indices(counts)),
+        (
+            "columns",
+            Json::array(columns.iter().map(summary_to_json).collect()),
+        ),
     ])
 }
 
-/// A decoded `/shard/working` partial: how many of the segment's rows the
-/// query selects, and the summary of every column over them in schema
-/// order.
-pub type WorkingPartial = (usize, Vec<SummaryParts>);
+/// A decoded `/shard/working` partial.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WorkingRun {
+    /// The run's global segment indices, consecutive and ascending.
+    pub segments: Vec<usize>,
+    /// How many of each segment's rows the query selects, in `segments`
+    /// order.
+    pub counts: Vec<usize>,
+    /// The summary of every column over the run's selected rows, in schema
+    /// order.
+    pub columns: Vec<SummaryParts>,
+}
 
 /// Decode a `/shard/working` partial of a table whose segments hold
-/// `segment_rows` rows each and whose schema is `fields`. The count must be
-/// at most the segment's rows. The summaries must be one per schema column,
-/// each of the column's type and each over exactly `count` rows — its
-/// non-NULL and NULL rows summing to the count — since the coordinator plans
-/// its cuts from the summaries and sizes the working set from the counts.
-/// Every error names the segment.
-pub fn working_partial_from_json(
+/// `segment_rows` rows each and whose schema is `fields`. The segments must
+/// be one run ([`run_segments`]) in range, with one count each, at most the
+/// segment's rows. The summaries must be one per schema column, each of the
+/// column's type and each over exactly the counts' sum of rows — its
+/// non-NULL and NULL rows summing to it — since the coordinator plans its
+/// cuts from the summaries and sizes the working set from the counts. Every
+/// error past the segments names the run.
+pub fn working_run_from_json(
     partial: &Json,
     segment_rows: &[usize],
     fields: &[(String, DataType)],
-) -> Result<WorkingPartial, String> {
-    let segment = get_index(partial, "segment")?;
-    let rows = *segment_rows
-        .get(segment)
-        .ok_or_else(|| format!("segment {segment} is out of range"))?;
-    let in_segment = |message: String| format!("segment {segment}: {message}");
-    let count = get_index(partial, "count").map_err(in_segment)?;
-    if count > rows {
-        return Err(in_segment(format!(
-            "{count} working rows, the segment has {rows}"
+) -> Result<WorkingRun, String> {
+    let segments = run_segments(partial)?;
+    let first = segments.first().copied().unwrap_or_default();
+    let last = segments.last().copied().unwrap_or_default();
+    let in_run = |message: String| format!("segments {first}..={last}: {message}");
+    let rows = segment_rows
+        .get(first..=last)
+        .ok_or_else(|| in_run(format!("out of range of {} segments", segment_rows.len())))?;
+    let counts = get_items(partial, "counts")
+        .map_err(in_run)?
+        .iter()
+        .map(|count| count.index().ok_or("non-integral member \"counts\""))
+        .collect::<Result<Vec<usize>, _>>()
+        .map_err(|message| in_run(message.to_string()))?;
+    if counts.len() != segments.len() {
+        return Err(in_run(format!(
+            "{} counts for {} segments",
+            counts.len(),
+            segments.len()
         )));
     }
-    let columns = columns_from_json(partial, fields, count).map_err(in_segment)?;
-    Ok((count, columns))
+    for ((segment, &count), &rows) in segments.iter().zip(&counts).zip(rows) {
+        if count > rows {
+            return Err(in_run(format!(
+                "segment {segment}: {count} working rows, the segment has {rows}"
+            )));
+        }
+    }
+    let total = counts
+        .iter()
+        .try_fold(0usize, |sum, &count| sum.checked_add(count))
+        .ok_or_else(|| in_run("the counts overflow".to_string()))?;
+    let columns = columns_from_json(partial, fields, total).map_err(in_run)?;
+    Ok(WorkingRun {
+        segments,
+        counts,
+        columns,
+    })
 }
 
 /// The column summaries of a `/shard/working` partial of `count` working
@@ -367,7 +433,7 @@ fn columns_from_json(
             }
             if parts.non_null.checked_add(parts.nulls) != Some(count) {
                 return Err(format!(
-                    "the summary of {name} covers {} + {} rows, the count says {count}",
+                    "the summary of {name} covers {} + {} rows, the counts sum to {count}",
                     parts.non_null, parts.nulls
                 ));
             }
@@ -1686,9 +1752,10 @@ mod tests {
         columns
     }
 
-    /// A working partial is the segment's count and its summaries: no rows,
-    /// whether the query selects the segment in part, whole or not at all.
-    /// It decodes against any segment at least as long as its count.
+    /// A working partial is its run's segments, their counts and the
+    /// summaries folded over them: no rows, whether the query selects the
+    /// segments in part, whole or not at all. It decodes against any layout
+    /// whose segments are at least as long as their counts.
     #[test]
     fn working_partials_ship_counts_not_rows() {
         let fields = working_fields();
@@ -1696,83 +1763,101 @@ mod tests {
             .iter()
             .map(|(_, dtype)| ColumnSummary::empty(*dtype).to_parts())
             .collect();
-        for (count, columns, rows) in [
-            (7, working_columns(), 100),
-            (7, working_columns(), 7),
-            (0, empty.clone(), 100),
-            (0, empty, 0),
+        for (segments, counts, columns, rows) in [
+            (vec![2], vec![7], working_columns(), 100),
+            (vec![1, 2], vec![3, 4], working_columns(), 4),
+            (vec![0, 1, 2], vec![7, 0, 0], working_columns(), 7),
+            (vec![2], vec![0], empty.clone(), 100),
+            (vec![0, 1], vec![0, 0], empty, 0),
         ] {
-            let text = working_partial_to_json(2, count, &columns).encode();
+            let text = working_run_to_json(&segments, &counts, &columns).encode();
             let json = wire::parse(&text).unwrap();
             let Json::Obj(members) = &json else {
                 panic!("partials are objects")
             };
             let keys: Vec<&str> = members.iter().map(|(key, _)| key.as_str()).collect();
-            assert_eq!(keys, ["segment", "count", "columns"], "{text}");
-            assert_eq!(
-                working_partial_from_json(&json, &[rows; 3], &fields),
-                Ok((count, columns))
-            );
+            assert_eq!(keys, ["segments", "counts", "columns"], "{text}");
+            let run = WorkingRun {
+                segments,
+                counts,
+                columns,
+            };
+            assert_eq!(working_run_from_json(&json, &[rows; 3], &fields), Ok(run));
         }
-        let partial = working_partial_to_json(0, 7, &working_columns());
-        for count in [Json::from("7"), Json::from(-7i64), Json::Null] {
-            let err = working_partial_from_json(
-                &with_top_member(&partial, "count", count),
+        let partial = working_run_to_json(&[0], &[7], &working_columns());
+        for counts in [
+            Json::from("7"),
+            Json::array(vec![Json::from(-7i64)]),
+            Json::array(vec![Json::Null]),
+            Json::Null,
+        ] {
+            let err = working_run_from_json(
+                &with_top_member(&partial, "counts", counts),
                 &[100],
                 &fields,
             )
             .unwrap_err();
-            assert!(err.starts_with("segment 0: "), "{err}");
-            assert!(err.contains("\"count\""), "{err}");
+            assert!(err.starts_with("segments 0..=0: "), "{err}");
+            assert!(err.contains("\"counts\""), "{err}");
         }
     }
 
-    /// A working partial carries its segment's column summaries, and the
-    /// decoder holds them to the schema and to the count as it holds the
-    /// count to the segment: a partial counting more rows than its segment
+    /// A working partial carries its run's column summaries, and the
+    /// decoder holds them to the schema and to the counts as it holds each
+    /// count to its segment: a partial counting more rows than a segment
     /// holds, without `"columns"`, with another number of them, with a
     /// summary of another type than its column, of another number of rows
-    /// than the count, or that breaks a summary's invariants is a typed
-    /// error naming the segment.
+    /// than the counts sum to, or that breaks a summary's invariants is a
+    /// typed error naming the run.
     #[test]
     fn working_partials_carry_their_summaries_and_hold_them_to_the_schema() {
         let (fields, columns) = (working_fields(), working_columns());
-        let layout = [100usize; 4];
-        let partial = working_partial_to_json(3, 7, &columns);
+        let layout = [100usize; 5];
+        let partial = working_run_to_json(&[3, 4], &[5, 2], &columns);
         let decoded = wire::parse(&partial.encode()).unwrap();
-        assert_eq!(
-            working_partial_from_json(&decoded, &layout, &fields),
-            Ok((7, columns))
-        );
+        let run = WorkingRun {
+            segments: vec![3, 4],
+            counts: vec![5, 2],
+            columns,
+        };
+        assert_eq!(working_run_from_json(&decoded, &layout, &fields), Ok(run));
         let refuse = |partial: &Json, needle: &str| {
-            let err = working_partial_from_json(partial, &layout, &fields).unwrap_err();
-            assert!(err.starts_with("segment 3: "), "{err}");
+            let err = working_run_from_json(partial, &layout, &fields).unwrap_err();
+            assert!(err.starts_with("segments 3..=4: "), "{err}");
             assert!(err.contains(needle), "{needle}: {err}");
         };
-        // A count above the segment's rows, summaries agreeing with it.
+        // A count above its segment's rows, summaries agreeing with the sum.
         let over = |count: usize| {
             let mut columns = working_columns();
-            columns[0].nulls = count - 6;
-            columns[1].nulls = count - 6;
-            working_partial_to_json(3, count, &columns)
+            columns[0].nulls = count - 6 + 2;
+            columns[1].nulls = count - 6 + 2;
+            working_run_to_json(&[3, 4], &[count, 2], &columns)
         };
         assert_eq!(
-            working_partial_from_json(&over(100), &layout, &fields).map(|(count, _)| count),
-            Ok(100)
+            working_run_from_json(&over(100), &layout, &fields).map(|run| run.counts),
+            Ok(vec![100, 2])
         );
-        refuse(&over(101), "101 working rows, the segment has 100");
-        // Summaries of another number of rows than the count.
-        for count in [0usize, 6, 8, 100] {
+        refuse(
+            &over(101),
+            "segment 3: 101 working rows, the segment has 100",
+        );
+        // Summaries of another number of rows than the counts sum to.
+        for counts in [[0usize, 0], [6, 0], [4, 4], [100, 100]] {
+            let sum = counts[0] + counts[1];
             refuse(
-                &with_top_member(&partial, "count", Json::from(count)),
-                &format!("the summary of n covers 6 + 1 rows, the count says {count}"),
+                &with_top_member(
+                    &partial,
+                    "counts",
+                    Json::array(counts.iter().map(|&n| Json::from(n)).collect()),
+                ),
+                &format!("the summary of n covers 6 + 1 rows, the counts sum to {sum}"),
             );
         }
         let mut strs = working_columns();
         strs[1].nulls = 2;
         refuse(
-            &working_partial_to_json(3, 7, &strs),
-            "the summary of c covers 6 + 2 rows, the count says 7",
+            &working_run_to_json(&[3, 4], &[5, 2], &strs),
+            "the summary of c covers 6 + 2 rows, the counts sum to 7",
         );
         let Json::Obj(members) = &partial else {
             panic!("partials are objects")
@@ -1815,8 +1900,81 @@ mod tests {
             ),
             "column c: missing",
         );
-        let err = working_partial_from_json(&partial, &layout[..3], &fields).unwrap_err();
-        assert!(err.contains("segment 3 is out of range"), "{err}");
+        let err = working_run_from_json(&partial, &layout[..4], &fields).unwrap_err();
+        assert!(err.contains("out of range of 4 segments"), "{err}");
+    }
+
+    /// What a hostile or outdated shard could send as a run partial gets a
+    /// typed error: segments that are no run (none, a gap, a repeat, a
+    /// descent, an index past `usize`), counts of another length than the
+    /// segments, a count above its segment's rows, summaries of another
+    /// number of rows than the counts sum to, and the per-segment partial an
+    /// older shard sends, refused for the member it lacks.
+    #[test]
+    fn hostile_run_partials_get_typed_errors() {
+        let (fields, columns) = (working_fields(), working_columns());
+        let layout = [6usize; 4];
+        let good = working_run_to_json(&[1, 2], &[6, 1], &columns);
+        assert!(working_run_from_json(&good, &layout, &fields).is_ok());
+        let refuse = |partial: &Json, needle: &str| {
+            let err = working_run_from_json(partial, &layout, &fields).unwrap_err();
+            assert!(err.contains(needle), "{needle}: {err}");
+            // The per-attribute partials read their runs the same way.
+            if needle.contains("run") {
+                assert_eq!(run_segments(partial), Err(err));
+            }
+        };
+        let listed = |items: &[u64]| Json::array(items.iter().map(|&n| Json::from(n)).collect());
+        refuse(
+            &with_top_member(&good, "segments", listed(&[])),
+            "a run of no segments",
+        );
+        for segments in [&[1u64, 3][..], &[2, 2], &[2, 1], &[0, 1, 3]] {
+            refuse(
+                &with_top_member(&good, "segments", listed(segments)),
+                "are not one run",
+            );
+        }
+        let last = Json::from(usize::MAX);
+        refuse(
+            &with_top_member(&good, "segments", Json::array(vec![last.clone(), last])),
+            "are not one run",
+        );
+        refuse(
+            &with_top_member(&good, "segments", Json::array(vec![Json::from("1")])),
+            "non-integral segment index",
+        );
+        for counts in [&[7u64][..], &[6, 1, 0], &[]] {
+            refuse(
+                &with_top_member(&good, "counts", listed(counts)),
+                &format!("{} counts for 2 segments", counts.len()),
+            );
+        }
+        // Seven rows either way, but six is all a segment holds.
+        refuse(
+            &with_top_member(&good, "counts", listed(&[0, 7])),
+            "segment 2: 7 working rows, the segment has 6",
+        );
+        refuse(
+            &with_top_member(&good, "counts", listed(&[6, 2])),
+            "covers 6 + 1 rows, the counts sum to 8",
+        );
+        refuse(
+            &working_run_to_json(&[3, 4], &[6, 1], &columns),
+            "segments 3..=4: out of range of 4 segments",
+        );
+        // An older shard's partial of one segment: every member but the run.
+        let old = Json::object(vec![
+            ("segment", Json::from(1usize)),
+            ("count", Json::from(7usize)),
+            (
+                "columns",
+                Json::array(columns.iter().map(summary_to_json).collect()),
+            ),
+        ]);
+        let err = working_run_from_json(&old, &layout, &fields).unwrap_err();
+        assert_eq!(err, "missing or non-array member \"segments\"");
+        assert_eq!(run_segments(&old), Err(err));
     }
 
     #[test]
@@ -1881,10 +2039,9 @@ mod tests {
                 }
             }
             let (layout, fields) = ([FUZZ_SEGMENT_ROWS; 16], working_fields());
-            if let Ok((count, columns)) = working_partial_from_json(value, &layout, &fields) {
-                let again = working_partial_to_json(0, count, &columns);
-                let decoded = working_partial_from_json(&again, &layout, &fields);
-                assert_eq!(decoded, Ok((count, columns)));
+            if let Ok(run) = working_run_from_json(value, &layout, &fields) {
+                let again = working_run_to_json(&run.segments, &run.counts, &run.columns);
+                assert_eq!(working_run_from_json(&again, &layout, &fields), Ok(run));
                 accepted += 1;
             }
             for (regions, products) in fuzz_asks() {
@@ -1917,9 +2074,9 @@ mod tests {
     const FUZZ_SEGMENT_ROWS: usize = 92;
 
     /// One valid frame of the kind `kind` picks — a bitmap, a value run, four
-    /// summaries, a count reply, two working partials (one of part of a
-    /// segment with fixed summaries, one of a whole segment summarised from
-    /// `values`), a meta reply — built from `bits` and `values`.
+    /// summaries, a count reply, two working partials (one of a run of two to
+    /// four segments with fixed summaries, one of a whole segment summarised
+    /// from `values`), a meta reply — built from `bits` and `values`.
     fn sample_frame(kind: usize, bits: u64, values: &[u64]) -> String {
         let whole = Bitmap::new_full(FUZZ_SEGMENT_ROWS);
         let frame = match kind % 11 {
@@ -1935,7 +2092,7 @@ mod tests {
                     .iter()
                     .map(|column| ColumnSummary::compute(column, &whole, 0).to_parts())
                     .collect();
-                working_partial_to_json(values.len(), whole.len(), &columns)
+                working_run_to_json(&[values.len()], &[whole.len()], &columns)
             }
             9 => partition_to_json(&CutPlan {
                 attribute: "x".to_string(),
@@ -1983,7 +2140,15 @@ mod tests {
                 }
                 count_reply_to_json(&[0], &cells)
             }
-            7 => working_partial_to_json(values.len(), 7, &working_columns()),
+            7 => {
+                // A run of two or more segments, its seven rows spread over them.
+                let segments: Vec<usize> =
+                    (values.len()..values.len() + 2 + bits as usize % 3).collect();
+                let mut counts = vec![0; segments.len()];
+                counts[0] = 7 - bits as usize % 8;
+                counts[1] = bits as usize % 8;
+                working_run_to_json(&segments, &counts, &working_columns())
+            }
             0 => bitmap_to_json(&Bitmap::from_fn(values.len() * 23, |row| {
                 bits.rotate_left(row as u32) & 1 == 1
             })),

@@ -2030,16 +2030,20 @@ fn counted(shard: &ServerHandle, body: &Json) -> (Vec<usize>, Vec<usize>, usize)
     )
 }
 
-/// What the shards ship, read off real replies. A `/shard/working` partial
-/// ships its segment's count and no bitmap, for a whole-table query and for
-/// a filter that cuts through every segment alike. A `/shard/select` reply
-/// ships no rows: one count per region of the partition, summed over the
-/// shard's six segments — a few dozen bytes where a bitmap per region and
-/// segment went before — and the counts are the popcounts the engine's
-/// kernels take, NULLs (in no region) included. Either way the coordinator
-/// answers what the engine does.
+/// What the shards ship, read off real replies. A `/shard/working` reply
+/// answers one partial per run of consecutive requested segments: a shard
+/// asked for all six segments answers one, whose `counts` are each
+/// segment's working rows and whose summaries are the six segments' fold —
+/// the table's own — for a whole-table query and for a filter that cuts
+/// through every segment alike; asked for `[0, 2, 4]` it answers three, and
+/// for `[0, 1, 3, 4]` two, never folding across a gap. No partial ships a
+/// bitmap. A `/shard/select` reply ships no rows: one count per region of
+/// the partition, summed over the shard's six segments — a few dozen bytes
+/// where a bitmap per region and segment went before — and the counts are
+/// the popcounts the engine's kernels take, NULLs (in no region) included.
+/// Either way the coordinator answers what the engine does.
 #[test]
-fn shards_ship_only_what_the_coordinator_cannot_work_out() {
+fn shards_fold_each_run_of_segments_and_ship_only_counts() {
     let census = census_table(6_000, 1_000);
     let with_nulls = Arc::new(
         CensusGenerator::new(CensusConfig {
@@ -2054,25 +2058,79 @@ fn shards_ship_only_what_the_coordinator_cannot_work_out() {
     let config = AtlasConfig::fast();
     let (handles, _) = boot_shards("census", &census, &config, 1);
     let shard = &handles[0];
-
-    let whole = partials_of(
-        shard,
-        "/shard/working",
-        &request(&census, "SELECT * FROM census", vec![]),
-    );
-    assert_eq!(whole.len(), 6);
-    for partial in &whole {
-        assert_eq!(partial.get("count").and_then(Json::index), Some(1_000));
-        assert!(partial.get("bitmap").is_none(), "{partial}");
-    }
-    // A segment the query selects in part ships its count, not its rows.
+    let segment_rows = vec![1_000; 6];
+    let fields: Vec<(String, DataType)> = census
+        .schema()
+        .fields()
+        .iter()
+        .map(|field| (field.name.clone(), field.dtype))
+        .collect();
+    // The runs a shard answers for `segments` of the working set `sql`,
+    // decoded and checked like the coordinator's.
+    let runs = |sql: &str, segments: &[usize]| -> Vec<frames::WorkingRun> {
+        let listed = segments.iter().map(|&s| Json::from(s)).collect();
+        let mut body = request(&census, sql, vec![]);
+        if let Json::Obj(members) = &mut body {
+            members.retain(|(key, _)| key != "segments");
+            members.push(("segments".to_string(), Json::array(listed)));
+        }
+        partials_of(shard, "/shard/working", &body)
+            .iter()
+            .map(|partial| {
+                assert!(partial.get("bitmap").is_none(), "{partial}");
+                frames::working_run_from_json(partial, &segment_rows, &fields).unwrap()
+            })
+            .collect()
+    };
     let filter = "SELECT * FROM census WHERE age BETWEEN 25 AND 60";
     let selected = atlas::query::evaluate(&parse_query(filter).unwrap(), &census).unwrap();
-    let mut counts = Vec::new();
-    for partial in partials_of(shard, "/shard/working", &request(&census, filter, vec![])) {
-        assert!(partial.get("bitmap").is_none(), "{partial}");
-        counts.push(partial.get("count").and_then(Json::index).unwrap());
+    // Each segment's working rows under `selection`, and every column's
+    // summary over the rows of `selection` in a run of segments — what a
+    // table of just those segments summarises.
+    let per_segment = |selection: &Bitmap| -> Vec<usize> {
+        (0..6)
+            .map(|s| {
+                (s * 1_000..(s + 1) * 1_000)
+                    .filter(|&row| selection.get(row))
+                    .count()
+            })
+            .collect()
+    };
+    let folded = |selection: &Bitmap, run: &[usize]| -> Vec<atlas::columnar::SummaryParts> {
+        let segments = run.iter().map(|&s| Arc::clone(&census.segments()[s]));
+        let table = Table::from_segments("census", census.schema().clone(), segments.collect());
+        let table = table.unwrap();
+        let offset = run[0] * 1_000;
+        let rows = Bitmap::from_fn(table.num_rows(), |row| selection.get(offset + row));
+        table
+            .columns()
+            .iter()
+            .map(|c| c.summary(&rows).to_parts())
+            .collect()
+    };
+    let whole = census.full_selection();
+    for (sql, selection) in [("SELECT * FROM census", &whole), (filter, &selected)] {
+        let counts = per_segment(selection);
+        let all: Vec<usize> = (0..6).collect();
+        let one = runs(sql, &all);
+        assert_eq!(one.len(), 1, "six consecutive segments are one run");
+        assert_eq!(one[0].segments, all);
+        assert_eq!(one[0].counts, counts);
+        assert_eq!(one[0].columns, folded(selection, &all));
+        let apart = runs(sql, &[0, 2, 4]);
+        assert_eq!(apart.len(), 3, "no two of [0, 2, 4] are adjacent");
+        for (run, segment) in apart.iter().zip([0, 2, 4]) {
+            assert_eq!(run.segments, vec![segment]);
+            assert_eq!(run.counts, vec![counts[segment]]);
+            assert_eq!(run.columns, folded(selection, &[segment]));
+        }
+        let two: Vec<Vec<usize>> = runs(sql, &[0, 1, 3, 4])
+            .into_iter()
+            .map(|run| run.segments)
+            .collect();
+        assert_eq!(two, vec![vec![0, 1], vec![3, 4]]);
     }
+    let counts = per_segment(&selected);
     assert!(
         counts.iter().all(|&count| 0 < count && count < 1_000),
         "{counts:?}"

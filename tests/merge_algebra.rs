@@ -12,6 +12,9 @@
 //!   region's statistics as the working set's minus the other regions'
 //!   answers bit for bit what walking every region answers, and it derives
 //!   exactly where the regions partition the working set.
+//! * Folding runs of consecutive segments, then the runs in order — what a
+//!   shard and the coordinator split between them — is folding the
+//!   segments, summary parts and all.
 //! * Every merge returns a cluster of one map unchanged, which lets the
 //!   post-cut body move such a cluster through unmerged.
 
@@ -166,6 +169,124 @@ proptest! {
             prop_assert_eq!(&a.stats, &b.stats, "stats of '{}' must be bit-equal", column);
         }
     }
+
+    /// What a shard and the coordinator fold between them: each run of
+    /// consecutive segments folded at the shard — a segment's own summary
+    /// merged in, or the segment summarised straight into the run's, as a
+    /// shard does for a segment selected whole or in part — shipped as
+    /// parts, and the runs folded in order, is the left fold of the
+    /// segments' own summaries, parts for parts. The tables mix NULLs into
+    /// every column, strings from per-segment dictionaries under a
+    /// selection (so dictionary values no selected row holds count zero),
+    /// booleans, and numbers and strings drawn from up to 2 500 values, so
+    /// some folds cross the 1 024 values a summary counts (on a segment, in
+    /// a run, or only across runs) and some do not.
+    #[test]
+    fn folding_runs_of_segments_folds_the_segments(
+        rows in 1usize..3_000,
+        segment_rows in 64usize..1_400,
+        spread in 1u64..2_500,
+        null_pct in 0u64..30,
+        keep_pct in 1u64..101,
+        cuts in proptest::collection::vec(0usize..48, 0..6),
+        seed in any::<u64>(),
+    ) {
+        let table = spread_table(rows, segment_rows, spread, null_pct, seed);
+        let selected = |row: usize| mix(row as u64, seed ^ 7) % 100 < keep_pct;
+        // One single-segment table per segment, and its selected rows.
+        let segments: Vec<(Table, Bitmap)> = table
+            .segments()
+            .iter()
+            .scan(0, |offset, segment| {
+                let one = Table::from_segments("t", table.schema().clone(), vec![Arc::clone(segment)])
+                    .unwrap();
+                let start = *offset;
+                *offset += one.num_rows();
+                let sel = Bitmap::from_fn(one.num_rows(), |row| selected(start + row));
+                Some((one, sel))
+            })
+            .collect();
+        let summaries = |(one, sel): &(Table, Bitmap)| -> Vec<ColumnSummary> {
+            one.columns().iter().map(|column| column.summary(sel)).collect()
+        };
+        let empty = || -> Vec<ColumnSummary> {
+            table.columns().iter().map(|c| ColumnSummary::empty(c.data_type())).collect()
+        };
+        let fold = |acc: &mut Vec<ColumnSummary>, next: &[ColumnSummary]| {
+            acc.iter_mut().zip(next).for_each(|(acc, next)| acc.merge_from(next));
+        };
+        // The reference: every segment's summary, merged in segment order.
+        let mut by_segment = empty();
+        for segment in &segments {
+            fold(&mut by_segment, &summaries(segment));
+        }
+        // The runs: consecutive segments between sorted cut points.
+        let indices: Vec<usize> = (0..segments.len()).collect();
+        let mut by_run = empty();
+        for run in chunks_of(&indices, &cuts) {
+            let mut folded = empty();
+            for &at in &run {
+                if at % 2 == 0 {
+                    fold(&mut folded, &summaries(&segments[at]));
+                } else {
+                    let (one, sel) = &segments[at];
+                    for (acc, column) in folded.iter_mut().zip(one.columns()) {
+                        column.summarize_into(acc, sel);
+                    }
+                }
+            }
+            let shipped: Vec<ColumnSummary> = folded
+                .iter()
+                .map(|summary| ColumnSummary::from_parts(summary.to_parts()))
+                .collect();
+            fold(&mut by_run, &shipped);
+        }
+        for (a, b) in by_run.iter().zip(&by_segment) {
+            prop_assert_eq!(a.to_parts(), b.to_parts());
+        }
+    }
+}
+
+/// A 64-bit mix of `x` under `salt` (splitmix64's finaliser).
+fn mix(x: u64, salt: u64) -> u64 {
+    let mut z = x ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// `rows` rows in `segment_rows`-row segments of a float, an integer and a
+/// string drawn from `spread` values each and a boolean, every column NULL
+/// on about `null_pct` % of the rows; `seed` picks the draws.
+fn spread_table(
+    rows: usize,
+    segment_rows: usize,
+    spread: u64,
+    null_pct: u64,
+    seed: u64,
+) -> Arc<Table> {
+    let schema = Schema::new(vec![
+        Field::nullable("x", DataType::Float),
+        Field::nullable("n", DataType::Int),
+        Field::nullable("s", DataType::Str),
+        Field::nullable("b", DataType::Bool),
+    ])
+    .unwrap();
+    let mut builder = TableBuilder::new("t", schema).with_segment_rows(segment_rows);
+    for row in 0..rows as u64 {
+        let draw = |column: u64| mix(row, seed ^ column) % spread;
+        let null = |column: u64| mix(row, seed ^ (column << 32)) % 100 < null_pct;
+        let value = |column: u64, value: Value| if null(column) { Value::Null } else { value };
+        builder
+            .push_row(&[
+                value(1, Value::Float(draw(1) as f64 / 4.0 - 100.0)),
+                value(2, Value::Int(draw(2) as i64 - 50)),
+                value(3, Value::Str(format!("v{}", draw(3)))),
+                value(4, Value::Bool(draw(4) % 2 == 0)),
+            ])
+            .unwrap();
+    }
+    Arc::new(builder.build().unwrap())
 }
 
 /// `PaperCut` without its statistics-reading half: it ignores what a

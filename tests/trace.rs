@@ -218,8 +218,9 @@ fn names_present(spans: &[obs::SpanRecord], names: &[&str]) {
 
 /// The PR's acceptance shape: a traced distributed explore over two shards
 /// yields one tree holding all five pipeline phases, kernel-path events,
-/// and a labeled `shard.call` child per shard — and the answer is still
-/// bit-identical to the in-process engine.
+/// and a labeled `shard.call` child per shard, each holding its exchange and
+/// its decode, and the shard's body parse under its request — and the answer
+/// is still bit-identical to the in-process engine.
 #[test]
 fn distributed_explore_reassembles_one_trace_tree() {
     let _gate = gate();
@@ -248,8 +249,26 @@ fn distributed_explore_reassembles_one_trace_tree() {
             "phase.merge",
             "phase.rank",
             "shard.request",
+            "shard.parse",
+            "shard.exchange",
+            "shard.decode",
         ],
     );
+    // A shard call is named end to end: the coordinator's exchange and
+    // decode under each call, the shard's body parse under its request.
+    let by_id: HashMap<u64, &obs::SpanRecord> = spans.iter().map(|s| (s.span_id, s)).collect();
+    for span in &spans {
+        let parent = match span.name.as_str() {
+            "shard.exchange" | "shard.decode" => "shard.call",
+            "shard.parse" => "shard.request",
+            _ => continue,
+        };
+        assert_eq!(by_id[&span.parent_id].name, parent, "{}", span.name);
+    }
+    let calls = spans.iter().filter(|s| s.name == "shard.call").count();
+    for child in ["shard.exchange", "shard.decode"] {
+        assert_eq!(spans.iter().filter(|s| s.name == child).count(), calls);
+    }
     assert!(
         spans.iter().any(|s| s.name == "kernel.dispatch"),
         "no kernel-path event crossed the wire"
