@@ -302,9 +302,10 @@ enum AttemptFail {
     NoRetry(String),
 }
 
-/// A shard's `200` JSON reply to one attempt: when it was read whole, and
-/// the open `shard.decode` span its JSON parse started (a hedged attempt's
-/// opens when the winner arrives, its parse done on the hedge's thread).
+/// A shard's `200` JSON reply to one attempt, the instant it was read
+/// whole, and the `shard.decode` span opened before its JSON parse (for a
+/// hedged attempt, once the winner arrives: its parse ran on the hedge's
+/// thread).
 struct Answered {
     json: Json,
     exchanged: Instant,

@@ -448,13 +448,13 @@ fn runs<'s, 'v>(sets: &'s [SegmentWorking<'v>]) -> impl Iterator<Item = &'s [Seg
 }
 
 /// The global segment indices of a run.
-fn run_segments(run: &[SegmentWorking]) -> Vec<usize> {
+fn segments_of(run: &[SegmentWorking]) -> Vec<usize> {
     run.iter().map(|(segment, _, _)| *segment).collect()
 }
 
 /// A run's partial of a per-attribute endpoint: its segments and `member`.
 fn run_partial(run: &[SegmentWorking], member: &str, value: Json) -> Json {
-    let segments = run_segments(run).into_iter().map(Json::from).collect();
+    let segments = segments_of(run).into_iter().map(Json::from).collect();
     Json::object(vec![("segments", Json::array(segments)), (member, value)])
 }
 
@@ -491,7 +491,7 @@ fn working(sets: &[SegmentWorking]) -> Json {
             .flatten()
             .map(ColumnSummary::to_parts)
             .collect();
-        working_run_to_json(&run_segments(run), &counts, &parts)
+        working_run_to_json(&segments_of(run), &counts, &parts)
     });
     partials_reply(partials.collect())
 }
