@@ -166,17 +166,10 @@ impl<'a> ColumnView<'a> {
     /// summaries in that order gives, without the per-segment value sets.
     pub fn summary(&self, sel: &Bitmap) -> ColumnSummary {
         let mut acc = ColumnSummary::empty(self.dtype);
-        self.summarize_into(&mut acc, sel);
-        acc
-    }
-
-    /// [`ColumnView::summary`] straight into `acc`, a summary of rows that
-    /// come before these: what merging this view's summary into it gives,
-    /// without building that summary.
-    pub fn summarize_into(&self, acc: &mut ColumnSummary, sel: &Bitmap) {
         for (offset, column) in self.parts() {
             acc.accumulate(column, sel, offset);
         }
+        acc
     }
 
     /// [`ColumnView::summary`] collapsed into the public statistics form —

@@ -481,7 +481,9 @@ fn working(sets: &[SegmentWorking]) -> Json {
                 }
             } else {
                 for (acc, column) in columns.iter_mut().zip(&views) {
-                    column.summarize_into(acc, &working.rows);
+                    for (offset, part) in column.parts() {
+                        acc.accumulate(part, &working.rows, offset);
+                    }
                 }
             }
         }

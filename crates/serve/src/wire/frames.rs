@@ -365,12 +365,7 @@ pub fn working_run_from_json(
     fields: &[(String, DataType)],
 ) -> Result<WorkingRun, String> {
     let segments = run_segments(partial)?;
-    let first = segments.first().copied().unwrap_or_default();
-    let last = segments.last().copied().unwrap_or_default();
-    let in_run = |message: String| format!("segments {first}..={last}: {message}");
-    let rows = segment_rows
-        .get(first..=last)
-        .ok_or_else(|| in_run(format!("out of range of {} segments", segment_rows.len())))?;
+    let in_run = |message: String| format!("segments {segments:?}: {message}");
     let counts = get_items(partial, "counts")
         .map_err(in_run)?
         .iter()
@@ -378,23 +373,22 @@ pub fn working_run_from_json(
         .collect::<Result<Vec<usize>, _>>()
         .map_err(|message| in_run(message.to_string()))?;
     if counts.len() != segments.len() {
-        return Err(in_run(format!(
-            "{} counts for {} segments",
-            counts.len(),
-            segments.len()
-        )));
+        return Err(in_run(format!("{} counts", counts.len())));
     }
-    for ((segment, &count), &rows) in segments.iter().zip(&counts).zip(rows) {
+    let mut total = 0usize;
+    for (&segment, &count) in segments.iter().zip(&counts) {
+        let Some(&rows) = segment_rows.get(segment) else {
+            return Err(in_run(format!("segment {segment} is out of range")));
+        };
         if count > rows {
             return Err(in_run(format!(
                 "segment {segment}: {count} working rows, the segment has {rows}"
             )));
         }
+        total = total
+            .checked_add(count)
+            .ok_or_else(|| in_run("the counts overflow".to_string()))?;
     }
-    let total = counts
-        .iter()
-        .try_fold(0usize, |sum, &count| sum.checked_add(count))
-        .ok_or_else(|| in_run("the counts overflow".to_string()))?;
     let columns = columns_from_json(partial, fields, total).map_err(in_run)?;
     Ok(WorkingRun {
         segments,
@@ -1797,7 +1791,7 @@ mod tests {
                 &fields,
             )
             .unwrap_err();
-            assert!(err.starts_with("segments 0..=0: "), "{err}");
+            assert!(err.starts_with("segments [0]: "), "{err}");
             assert!(err.contains("\"counts\""), "{err}");
         }
     }
@@ -1823,7 +1817,7 @@ mod tests {
         assert_eq!(working_run_from_json(&decoded, &layout, &fields), Ok(run));
         let refuse = |partial: &Json, needle: &str| {
             let err = working_run_from_json(partial, &layout, &fields).unwrap_err();
-            assert!(err.starts_with("segments 3..=4: "), "{err}");
+            assert!(err.starts_with("segments [3, 4]: "), "{err}");
             assert!(err.contains(needle), "{needle}: {err}");
         };
         // A count above its segment's rows, summaries agreeing with the sum.
@@ -1901,7 +1895,7 @@ mod tests {
             "column c: missing",
         );
         let err = working_run_from_json(&partial, &layout[..4], &fields).unwrap_err();
-        assert!(err.contains("out of range of 4 segments"), "{err}");
+        assert_eq!(err, "segments [3, 4]: segment 4 is out of range");
     }
 
     /// What a hostile or outdated shard could send as a run partial gets a
@@ -1947,7 +1941,7 @@ mod tests {
         for counts in [&[7u64][..], &[6, 1, 0], &[]] {
             refuse(
                 &with_top_member(&good, "counts", listed(counts)),
-                &format!("{} counts for 2 segments", counts.len()),
+                &format!("segments [1, 2]: {} counts", counts.len()),
             );
         }
         // Seven rows either way, but six is all a segment holds.
@@ -1961,7 +1955,7 @@ mod tests {
         );
         refuse(
             &working_run_to_json(&[3, 4], &[6, 1], &columns),
-            "segments 3..=4: out of range of 4 segments",
+            "segments [3, 4]: segment 4 is out of range",
         );
         // An older shard's partial of one segment: every member but the run.
         let old = Json::object(vec![

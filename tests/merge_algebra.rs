@@ -231,7 +231,9 @@ proptest! {
                 } else {
                     let (one, sel) = &segments[at];
                     for (acc, column) in folded.iter_mut().zip(one.columns()) {
-                        column.summarize_into(acc, sel);
+                        for (offset, part) in column.parts() {
+                            acc.accumulate(part, sel, offset);
+                        }
                     }
                 }
             }
