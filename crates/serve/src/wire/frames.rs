@@ -373,7 +373,11 @@ pub fn working_run_from_json(
         .collect::<Result<Vec<usize>, _>>()
         .map_err(|message| in_run(message.to_string()))?;
     if counts.len() != segments.len() {
-        return Err(in_run(format!("{} counts", counts.len())));
+        return Err(in_run(format!(
+            "{} counts for {} segments",
+            counts.len(),
+            segments.len()
+        )));
     }
     let mut total = 0usize;
     for (&segment, &count) in segments.iter().zip(&counts) {
@@ -1941,7 +1945,7 @@ mod tests {
         for counts in [&[7u64][..], &[6, 1, 0], &[]] {
             refuse(
                 &with_top_member(&good, "counts", listed(counts)),
-                &format!("segments [1, 2]: {} counts", counts.len()),
+                &format!("segments [1, 2]: {} counts for 2 segments", counts.len()),
             );
         }
         // Seven rows either way, but six is all a segment holds.
