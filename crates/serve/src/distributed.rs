@@ -141,7 +141,7 @@ use crate::resilience::{
 };
 use crate::wire::frames::{
     count_reply_from_json, get_items, get_str, meta_from_json, parse_hex_f64s, partition_to_json,
-    products_to_json, run_segments, working_run_from_json, CountAsk, MetaView, WorkingRun,
+    products_to_json, run_segments, working_run_from_json, CountAsk, MetaView,
 };
 use crate::wire::Json;
 use atlas_columnar::{merge_category_counts, Bitmap, ColumnStats, ColumnSummary, DataType};
@@ -1110,14 +1110,12 @@ impl Coordinator {
             |segments| self.data_body(&sql, segments, Vec::new()),
             |partial| {
                 let run = working_run_from_json(partial, &self.segment_rows, &self.fields)?;
-                let WorkingRun {
-                    segments,
-                    counts,
-                    columns,
-                } = run;
-                let columns: Vec<ColumnSummary> =
-                    columns.into_iter().map(ColumnSummary::from_parts).collect();
-                Ok((segments, (counts, columns)))
+                let columns: Vec<ColumnSummary> = run
+                    .columns
+                    .into_iter()
+                    .map(ColumnSummary::from_parts)
+                    .collect();
+                Ok((run.segments, (run.counts, columns)))
             },
         )?;
         let mut summaries: Vec<ColumnSummary> = self
@@ -1335,7 +1333,7 @@ impl Coordinator {
 /// A working set at the shards, addressed by its SQL: the explore's, or a
 /// region's that a composition re-cuts. As a [`CutSource`], every kernel of
 /// the shared `CUT` body ([`atlas_core::cuts_from_source`]) becomes one
-/// scatter round whose per-segment answers fold into exactly what the
+/// scatter round whose per-run answers fold into exactly what the
 /// in-process [`atlas_core::TableCutSource`] computes — except that a
 /// partition comes back as counts, not rows: the cuts of a working set are
 /// one `/shard/select` round that counts each cut's regions and each pair of
@@ -1750,5 +1748,56 @@ mod tests {
         };
         assert!(message.contains(&addr), "{message}");
         assert!(message.contains("num_rows 100"), "{message}");
+    }
+
+    /// A shard whose `/shard/working` reply is a valid run of other segments
+    /// than it was assigned — `[1]` of its `[0, 1]` — fails the explore,
+    /// naming the shard, instead of folding a working set that lacks a
+    /// segment.
+    #[test]
+    fn a_reply_for_other_segments_than_assigned_is_refused() {
+        use crate::wire::frames::working_run_to_json;
+        use atlas_columnar::{DistinctValues, SummaryParts};
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let shard = std::thread::spawn(move || {
+            let meta = crate::wire::parse(
+                r#"{"dataset": "t", "generation": 0, "num_rows": 100,
+                    "segments": [50, 50], "fields": [{"name": "x", "dtype": "int"}]}"#,
+            )
+            .unwrap();
+            let summary = SummaryParts {
+                dtype: DataType::Int,
+                non_null: 50,
+                nulls: 0,
+                distinct: DistinctValues::Numbers(vec![7]),
+                counts: Some(vec![50]),
+            };
+            let run = working_run_to_json(&[1], &[50], &[summary]);
+            let working = Json::object(vec![("partials", Json::array(vec![run]))]);
+            for reply in [meta, working] {
+                let (stream, _) = listener.accept().unwrap();
+                let mut reader = BufReader::new(stream.try_clone().unwrap());
+                read_request(&mut reader, 1 << 16, None).unwrap();
+                write_response(&mut &stream, &Response::json(200, &reply), false).unwrap();
+            }
+        });
+        let coordinator = Coordinator::connect(
+            std::slice::from_ref(&addr),
+            "t",
+            AtlasConfig::fast(),
+            Duration::from_secs(5),
+        )
+        .unwrap();
+        let error = coordinator
+            .explore(&ConjunctiveQuery::all("t"))
+            .unwrap_err();
+        shard.join().unwrap();
+        let AtlasError::Distributed(message) = error else {
+            panic!("expected a Distributed error, got {error:?}");
+        };
+        assert!(message.contains(&addr), "{message}");
+        let refusal = "misbehaved on /shard/working: answered for segments [1], assigned [0, 1]";
+        assert!(message.contains(refusal), "{message}");
     }
 }

@@ -799,9 +799,10 @@ fn whole_segment_answers_do_not_outlive_their_generation() {
 }
 
 /// A working set that covers some segments entirely and cuts through others
-/// folds remembered whole-segment partials and freshly computed ones in one
-/// pass — bit-identical to the local engine, in strict mode and in degraded
-/// mode with one shard dropped.
+/// folds remembered whole-segment summaries and freshly computed ones in one
+/// pass — bit-identical to the local engine with the segments interleaved
+/// across the shards (runs of one) or contiguous (one run a shard, folded
+/// there), in strict mode and in degraded mode with one shard dropped.
 #[test]
 fn covered_and_cut_segments_fold_together() {
     // x runs −150..150 over six 50-row segments, so `x BETWEEN −75 AND 75`
@@ -825,6 +826,14 @@ fn covered_and_cut_segments_fold_together() {
     assert_agree(&reference, &coordinator, &whole);
     assert_agree(&reference, &coordinator, &band);
     assert_agree(&reference, &coordinator, &band);
+    // The default contiguous assignment gives each shard one run holding a
+    // missed, a cut and a covered segment, folded at the shard.
+    let contiguous =
+        Coordinator::connect(&addrs, "t", config.clone(), Duration::from_secs(10)).unwrap();
+    assert_eq!(contiguous.assignment(), vec![vec![0, 1, 2], vec![3, 4, 5]]);
+    for query in [&band, &whole, &band] {
+        assert_agree(&reference, &contiguous, query);
+    }
 
     // Drop shard 1: segments 0 (missed), 2 (covered) and 4 (cut) survive.
     handles.remove(1).shutdown();
