@@ -17,8 +17,8 @@
 //! the kernel, and the next explore faults every page in again. So the word
 //! buffers of large bitmaps — at least 64 KiB, a bitmap over 524 288 rows —
 //! are recycled through one process-wide pool: [`Bitmap::new_empty`],
-//! [`Bitmap::new_full`] and `clone` (so also [`Bitmap::and`], [`Bitmap::or`]
-//! and [`Bitmap::and_not`]) take a buffer of the exact length from it and
+//! [`Bitmap::new_full`] and `clone` (so also [`Bitmap::and`] and
+//! [`Bitmap::or`]) take a buffer of the exact length from it and
 //! zero, fill or copy it, and dropping a bitmap returns its buffer.
 //!
 //! The pool holds buffers of **one length only**, the length of the last
@@ -341,17 +341,6 @@ impl Bitmap {
         }
     }
 
-    /// In-place difference (`self AND NOT other`).
-    ///
-    /// # Panics
-    /// Panics if the two bitmaps range over different numbers of rows.
-    pub fn difference_with(&mut self, other: &Bitmap) {
-        assert_eq!(self.len, other.len, "bitmap length mismatch");
-        for (w, o) in self.words.iter_mut().zip(other.words.iter()) {
-            *w &= !*o;
-        }
-    }
-
     /// Returns the intersection of two bitmaps as a new bitmap.
     pub fn and(&self, other: &Bitmap) -> Bitmap {
         let mut out = self.clone();
@@ -363,13 +352,6 @@ impl Bitmap {
     pub fn or(&self, other: &Bitmap) -> Bitmap {
         let mut out = self.clone();
         out.union_with(other);
-        out
-    }
-
-    /// Returns `self AND NOT other` as a new bitmap.
-    pub fn and_not(&self, other: &Bitmap) -> Bitmap {
-        let mut out = self.clone();
-        out.difference_with(other);
         out
     }
 
@@ -775,7 +757,7 @@ mod tests {
         let b = Bitmap::from_indices(200, [2, 3, 4, 150, 199]);
         assert_eq!(a.and(&b).to_indices(), vec![2, 3, 150]);
         assert_eq!(a.or(&b).to_indices(), vec![1, 2, 3, 4, 100, 150, 199]);
-        assert_eq!(a.and_not(&b).to_indices(), vec![1, 100]);
+        assert_eq!(a.and(&b.not()).to_indices(), vec![1, 100]);
         assert_eq!(a.intersection_count(&b), 3);
         assert!(!a.is_disjoint(&b));
         assert!(a.is_disjoint(&Bitmap::new_empty(200)));

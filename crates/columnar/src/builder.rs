@@ -70,11 +70,6 @@ impl TableBuilder {
         self.num_rows
     }
 
-    /// Number of segments sealed so far (excluding the open one).
-    pub fn num_sealed_segments(&self) -> usize {
-        self.segments.len()
-    }
-
     /// Append one row. The slice must have exactly one value per column, in
     /// schema order. Reaching the segment size seals the open segment.
     pub fn push_row(&mut self, values: &[Value]) -> Result<()> {
@@ -136,15 +131,6 @@ impl TableBuilder {
     pub fn build(mut self) -> Result<Table> {
         self.seal_segment()?;
         Table::from_segments(self.name, self.schema, self.segments)
-    }
-
-    /// Finish building and hand back the sealed segments themselves (with the
-    /// schema), for callers that feed an incremental consumer — e.g.
-    /// streaming segments into an engine's `append` — instead of assembling
-    /// one table.
-    pub fn build_segments(mut self) -> Result<(Schema, Vec<Arc<Segment>>)> {
-        self.seal_segment()?;
-        Ok((self.schema, self.segments))
     }
 }
 
@@ -214,12 +200,12 @@ mod tests {
             b.push_row(&[Value::Int(i), Value::Float(0.0), Value::Null])
                 .unwrap();
         }
-        assert_eq!(b.num_sealed_segments(), 2, "two full segments of 3");
+        assert_eq!(b.segments.len(), 2, "two full segments of 3");
         let t = b.build().unwrap();
         assert_eq!(t.num_segments(), 3, "plus the 2-row tail");
         assert_eq!(t.segments()[0].num_rows(), 3);
         assert_eq!(t.segments()[2].num_rows(), 2);
-        assert_eq!(t.segment_offset(2), 6);
+        assert_eq!(t.offsets[2], 6);
         assert_eq!(t.value(7, "age").unwrap(), Value::Int(7));
     }
 
@@ -244,10 +230,11 @@ mod tests {
             b.push_row(&[Value::Int(i), Value::Float(0.0), Value::Null])
                 .unwrap();
         }
-        let (schema, segments) = b.build_segments().unwrap();
+        let built = b.build().unwrap();
+        let segments = built.segments().to_vec();
         assert_eq!(segments.len(), 3);
         assert_eq!(segments.iter().map(|s| s.num_rows()).sum::<usize>(), 5);
-        let t = Table::from_segments("t", schema, segments).unwrap();
+        let t = Table::from_segments("t", built.schema().clone(), segments).unwrap();
         assert_eq!(t.num_rows(), 5);
     }
 }

@@ -1150,7 +1150,7 @@ mod tests {
             let table = mixed_table(&rows, cardinality, segments);
             let outer = Bitmap::from_fn(rows.len(), |row| rows[row].2 != 0);
             let inner = Bitmap::from_fn(rows.len(), |row| rows[row].2 != 0 && rows[row].3 == 0);
-            let left = outer.and_not(&inner);
+            let left = outer.and(&inner.not());
             for col in table.columns() {
                 let (whole, part) = (col.stats(&outer), col.stats(&inner));
                 let counted = whole.value_counts.is_some() || whole.category_counts.is_some();

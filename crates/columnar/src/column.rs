@@ -536,13 +536,6 @@ impl DictColumn {
         self.validity.push(value.is_some());
     }
 
-    /// Intern a string, returning its code (without appending a row). A
-    /// sealed column is reopened first.
-    pub fn intern(&mut self, s: &str) -> u32 {
-        let (dict, _, index) = self.open();
-        intern_in(dict, index, s)
-    }
-
     /// What an open column is pushed through — dictionary, `u32` lanes and
     /// lookup index — reopening a sealed one: its lanes widen and its index
     /// is rebuilt.
@@ -924,7 +917,7 @@ mod tests {
         };
         assert_eq!(codes, &[0, 1, 0, 0]);
         assert_eq!(d.validity().to_indices(), vec![0, 1, 2]);
-        assert_eq!(d.intern("b"), 1);
+        assert_eq!(intern(&mut d, "b"), 1);
         assert_eq!(d.dictionary(), &["a".to_string(), "b".to_string()]);
     }
 
@@ -1189,6 +1182,12 @@ mod tests {
     }
 
     /// A string column over `values` (`None` = NULL), open.
+    /// Intern a string without appending a row, returning its code.
+    fn intern(column: &mut DictColumn, s: &str) -> u32 {
+        let (dict, _, index) = column.open();
+        intern_in(dict, index, s)
+    }
+
     fn str_col<'a>(values: impl IntoIterator<Item = Option<&'a str>>) -> DictColumn {
         let mut d = DictColumn::new();
         for value in values {
@@ -1210,8 +1209,8 @@ mod tests {
         assert!(sealed.heap_bytes() < open.heap_bytes());
         // A value no row holds, interned first: other codes, the same rows.
         let mut other = DictColumn::new();
-        other.intern("zzz");
-        other.intern("a");
+        intern(&mut other, "zzz");
+        intern(&mut other, "a");
         for value in rows {
             other.push(value);
         }

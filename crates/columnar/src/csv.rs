@@ -278,16 +278,6 @@ pub fn read_csv_path<P: AsRef<Path>>(
     read_csv(name, file, schema, opts)
 }
 
-/// Parse a CSV given as a string (used heavily in tests and examples).
-pub fn read_csv_str(
-    name: &str,
-    text: &str,
-    schema: Option<Schema>,
-    opts: &CsvOptions,
-) -> Result<Table> {
-    read_csv(name, text.as_bytes(), schema, opts)
-}
-
 /// Write a table as CSV (header + rows) to any writer.
 pub fn write_csv<W: Write>(table: &Table, mut writer: W) -> Result<()> {
     let names = table.schema().names();
@@ -338,7 +328,7 @@ mod tests {
 
     #[test]
     fn inference_and_parsing() {
-        let t = read_csv_str("survey", SAMPLE, None, &CsvOptions::default()).unwrap();
+        let t = read_csv("survey", SAMPLE.as_bytes(), None, &CsvOptions::default()).unwrap();
         assert_eq!(t.num_rows(), 3);
         assert_eq!(t.schema().field("age").unwrap().dtype, DataType::Int);
         assert_eq!(t.schema().field("sex").unwrap().dtype, DataType::Str);
@@ -356,7 +346,13 @@ mod tests {
             Field::new("score", DataType::Float),
         ])
         .unwrap();
-        let t = read_csv_str("survey", SAMPLE, Some(schema), &CsvOptions::default()).unwrap();
+        let t = read_csv(
+            "survey",
+            SAMPLE.as_bytes(),
+            Some(schema),
+            &CsvOptions::default(),
+        )
+        .unwrap();
         assert_eq!(t.schema().field("age").unwrap().dtype, DataType::Float);
         assert_eq!(t.value(0, "age").unwrap(), Value::Float(25.0));
     }
@@ -364,7 +360,7 @@ mod tests {
     #[test]
     fn ragged_rows_are_rejected() {
         let bad = "a,b\n1,2\n3\n";
-        let err = read_csv_str("t", bad, None, &CsvOptions::default()).unwrap_err();
+        let err = read_csv("t", bad.as_bytes(), None, &CsvOptions::default()).unwrap_err();
         assert!(matches!(err, ColumnarError::Csv { line: 3, .. }));
     }
 
@@ -372,7 +368,7 @@ mod tests {
     fn unparseable_field_is_rejected_with_line_number() {
         let schema = Schema::new(vec![Field::new("x", DataType::Int)]).unwrap();
         let bad = "x\n1\nnot-a-number\n";
-        let err = read_csv_str("t", bad, Some(schema), &CsvOptions::default()).unwrap_err();
+        let err = read_csv("t", bad.as_bytes(), Some(schema), &CsvOptions::default()).unwrap_err();
         match err {
             ColumnarError::Csv { line, message } => {
                 assert_eq!(line, 3);
@@ -388,16 +384,16 @@ mod tests {
             has_header: false,
             ..CsvOptions::default()
         };
-        let t = read_csv_str("t", "1,a\n2,b\n", None, &opts).unwrap();
+        let t = read_csv("t", "1,a\n2,b\n".as_bytes(), None, &opts).unwrap();
         assert_eq!(t.schema().names(), vec!["col0", "col1"]);
         assert_eq!(t.num_rows(), 2);
     }
 
     #[test]
     fn bool_inference() {
-        let t = read_csv_str(
+        let t = read_csv(
             "t",
-            "flag\ntrue\nfalse\nyes\n",
+            "flag\ntrue\nfalse\nyes\n".as_bytes(),
             None,
             &CsvOptions::default(),
         )
@@ -408,21 +404,21 @@ mod tests {
 
     #[test]
     fn round_trip_write_read() {
-        let t = read_csv_str("survey", SAMPLE, None, &CsvOptions::default()).unwrap();
+        let t = read_csv("survey", SAMPLE.as_bytes(), None, &CsvOptions::default()).unwrap();
         let mut out = Vec::new();
         write_csv(&t, &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
-        let t2 = read_csv_str("survey2", &text, None, &CsvOptions::default()).unwrap();
+        let t2 = read_csv("survey2", text.as_bytes(), None, &CsvOptions::default()).unwrap();
         assert_eq!(t2.num_rows(), t.num_rows());
         assert_eq!(t2.value(1, "sex").unwrap(), Value::Str("F".into()));
     }
 
     #[test]
     fn empty_input_is_an_error() {
-        let err = read_csv_str("t", "", None, &CsvOptions::default()).unwrap_err();
+        let err = read_csv("t", "".as_bytes(), None, &CsvOptions::default()).unwrap_err();
         assert!(matches!(err, ColumnarError::Csv { .. }));
         // Whitespace-only input is empty too.
-        let err = read_csv_str("t", "\n  \n", None, &CsvOptions::default()).unwrap_err();
+        let err = read_csv("t", "\n  \n".as_bytes(), None, &CsvOptions::default()).unwrap_err();
         assert!(matches!(err, ColumnarError::Csv { line: 0, .. }));
     }
 
@@ -440,11 +436,11 @@ mod tests {
             segment_rows: Some(3),
             ..CsvOptions::default()
         };
-        let t = read_csv_str("t", &text, None, &opts).unwrap();
+        let t = read_csv("t", text.as_bytes(), None, &opts).unwrap();
         assert_eq!(t.num_rows(), 10);
         assert_eq!(t.num_segments(), 4, "3+3+3+1");
         assert_eq!(t.schema().field("id").unwrap().dtype, DataType::Int);
-        let whole = read_csv_str("t", &text, None, &CsvOptions::default()).unwrap();
+        let whole = read_csv("t", text.as_bytes(), None, &CsvOptions::default()).unwrap();
         for row in 0..10 {
             assert_eq!(t.row(row).unwrap(), whole.row(row).unwrap());
         }
@@ -453,7 +449,7 @@ mod tests {
         // pinning the bounded-memory contract (nothing past the prefix is
         // buffered for inference).
         let text = String::from("v\n1\n2\n2.5\n");
-        let err = read_csv_str("t", &text, None, &opts).unwrap_err();
+        let err = read_csv("t", text.as_bytes(), None, &opts).unwrap_err();
         assert!(matches!(err, ColumnarError::Csv { line: 4, .. }));
     }
 
@@ -489,7 +485,7 @@ mod tests {
             segment_rows: Some(1_700),
             ..CsvOptions::default()
         };
-        let table = read_csv_str("t", &text, Some(schema), &opts).unwrap();
+        let table = read_csv("t", text.as_bytes(), Some(schema), &opts).unwrap();
         let encodings = |name: &str| -> Vec<Encoding> {
             let column = table.column(name).unwrap();
             column.parts().map(|(_, part)| part.encoding()).collect()

@@ -60,7 +60,6 @@ pub mod colstats;
 pub mod column;
 pub mod csv;
 pub mod error;
-pub mod join;
 pub mod kernels;
 pub mod schema;
 pub mod segment;
@@ -73,7 +72,6 @@ pub use builder::TableBuilder;
 pub use colstats::{ColumnStats, ColumnSummary, DistinctValues, SummaryParts};
 pub use column::{Column, Encoding, PrimitiveColumn};
 pub use error::{ColumnarError, Result};
-pub use join::hash_join;
 pub use kernels::{active_kernel_path, force_scalar, with_kernel_path, KernelPath};
 pub use schema::{Field, Schema};
 pub use segment::{default_segment_rows, Segment};

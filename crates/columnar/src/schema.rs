@@ -95,11 +95,6 @@ impl Schema {
         Ok(&self.fields[idx])
     }
 
-    /// The field at the given index, if any.
-    pub fn field_at(&self, idx: usize) -> Option<&Field> {
-        self.fields.get(idx)
-    }
-
     /// The names of all columns, in order.
     pub fn names(&self) -> Vec<&str> {
         self.fields.iter().map(|f| f.name.as_str()).collect()
@@ -145,8 +140,6 @@ mod tests {
         ));
         assert_eq!(schema.field("age").unwrap().dtype, DataType::Int);
         assert_eq!(schema.names(), vec!["age", "education"]);
-        assert!(schema.field_at(0).is_some());
-        assert!(schema.field_at(9).is_none());
     }
 
     #[test]

@@ -142,23 +142,10 @@ impl Table {
         &self.segments
     }
 
-    /// Global row index of the first row of segment `idx`.
-    ///
-    /// # Panics
-    /// Panics if `idx` is out of range.
-    pub fn segment_offset(&self, idx: usize) -> usize {
-        self.offsets[idx]
-    }
-
     /// A view of the column with the given name, spanning every segment.
     pub fn column(&self, name: &str) -> Result<ColumnView<'_>> {
         let idx = self.schema.index_of(name)?;
         Ok(ColumnView::new(self, idx))
-    }
-
-    /// A view of the column at the given schema position, if any.
-    pub fn column_at(&self, idx: usize) -> Option<ColumnView<'_>> {
-        (idx < self.schema.len()).then(|| ColumnView::new(self, idx))
     }
 
     /// Views of all columns, in schema order.
@@ -196,11 +183,6 @@ impl Table {
     /// A full selection over this table (all rows).
     pub fn full_selection(&self) -> Bitmap {
         Bitmap::new_full(self.num_rows)
-    }
-
-    /// An empty selection over this table (no rows).
-    pub fn empty_selection(&self) -> Bitmap {
-        Bitmap::new_empty(self.num_rows)
     }
 
     /// Compute summary statistics for the named column over the selected rows
@@ -340,8 +322,6 @@ mod tests {
         assert!(t.column("salary").is_err());
         assert_eq!(t.row(0).unwrap().len(), 2);
         assert!(t.row(10).is_err());
-        assert!(t.column_at(0).is_some());
-        assert!(t.column_at(5).is_none());
         assert_eq!(t.to_string(), "people(age int, name str) [4 rows]");
     }
 
@@ -381,7 +361,6 @@ mod tests {
     fn selections_and_gather() {
         let t = sample_table();
         assert_eq!(t.full_selection().count(), 4);
-        assert_eq!(t.empty_selection().count(), 0);
         let sel = Bitmap::from_indices(4, [1, 3]);
         let sub = t.gather(&sel, ThreadPool::sequential());
         assert_eq!(sub.num_rows(), 2);
@@ -393,7 +372,7 @@ mod tests {
         // that keeps its dictionaries.
         let sub = t.gather(&Bitmap::from_indices(4, [2]), ThreadPool::sequential());
         assert_eq!(sub.value(0, "age").unwrap(), Value::Null);
-        let none = t.gather(&t.empty_selection(), ThreadPool::sequential());
+        let none = t.gather(&Bitmap::new_empty(t.num_rows()), ThreadPool::sequential());
         assert_eq!(
             (none.num_rows(), none.num_segments()),
             (0, t.num_segments())
@@ -475,7 +454,7 @@ mod tests {
             assert!(Arc::ptr_eq(a, b));
         }
         assert_eq!(extended.value(4, "name").unwrap(), Value::Str("eve".into()));
-        assert_eq!(extended.segment_offset(extended.num_segments() - 1), 4);
+        assert_eq!(extended.offsets.last(), Some(&4));
         // The original table is untouched.
         assert_eq!(t.num_rows(), 4);
         // A segment of the wrong shape is rejected.
@@ -501,8 +480,7 @@ mod tests {
         .unwrap();
         assert_eq!(t.num_rows(), 3);
         assert_eq!(t.num_segments(), 2);
-        assert_eq!(t.segment_offset(0), 0);
-        assert_eq!(t.segment_offset(1), 2);
+        assert_eq!(t.offsets, [0, 2]);
         assert_eq!(t.value(2, "x").unwrap(), Value::Int(3));
     }
 }

@@ -27,11 +27,6 @@ impl DataType {
         matches!(self, DataType::Int | DataType::Float)
     }
 
-    /// Whether the type is treated as categorical (set predicates).
-    pub fn is_categorical(self) -> bool {
-        matches!(self, DataType::Str | DataType::Bool)
-    }
-
     /// A short lowercase name, used in error messages and schema printing.
     pub fn name(self) -> &'static str {
         match self {
@@ -81,27 +76,10 @@ impl Value {
         matches!(self, Value::Null)
     }
 
-    /// Interpret the value as an `f64` if it is numeric.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Int(v) => Some(*v as f64),
-            Value::Float(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// Interpret the value as a string slice if it is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Value::Str(s) => Some(s.as_str()),
-            _ => None,
-        }
-    }
-
-    /// Interpret the value as a boolean if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -192,18 +170,12 @@ mod tests {
         assert!(DataType::Int.is_ordinal());
         assert!(DataType::Float.is_ordinal());
         assert!(!DataType::Str.is_ordinal());
-        assert!(DataType::Str.is_categorical());
-        assert!(DataType::Bool.is_categorical());
-        assert!(!DataType::Float.is_categorical());
     }
 
     #[test]
     fn value_accessors() {
-        assert_eq!(Value::Int(3).as_f64(), Some(3.0));
-        assert_eq!(Value::Float(2.5).as_f64(), Some(2.5));
-        assert_eq!(Value::Str("a".into()).as_f64(), None);
+        assert_eq!(Value::Int(3).as_str(), None);
         assert_eq!(Value::Str("a".into()).as_str(), Some("a"));
-        assert_eq!(Value::Bool(true).as_bool(), Some(true));
         assert!(Value::Null.is_null());
         assert_eq!(Value::Null.data_type(), None);
         assert_eq!(Value::Int(1).data_type(), Some(DataType::Int));

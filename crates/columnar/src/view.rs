@@ -602,7 +602,7 @@ mod tests {
             let whole = table.column(name).unwrap();
             let mut folded: Vec<(String, usize)> = Vec::new();
             for (seg_idx, segment) in table.segments().iter().enumerate() {
-                let offset = table.segment_offset(seg_idx);
+                let offset = table.offsets[seg_idx];
                 let single = Table::from_segments(
                     table.name(),
                     table.schema().clone(),
@@ -718,7 +718,12 @@ mod tests {
             assert_eq!(bits(zeros), bits(Some((-0.0, 0.0))));
             let mixed = Bitmap::from_indices(8, [0, 2, 6, 7]);
             assert_eq!(col.numeric_min_max(&mixed), Some((-1.0, 2.0)));
-            for sel in [nan_only, mixed, t.full_selection(), t.empty_selection()] {
+            for sel in [
+                nan_only,
+                mixed,
+                t.full_selection(),
+                Bitmap::new_empty(t.num_rows()),
+            ] {
                 let stats = col.stats(&sel);
                 assert_eq!(
                     bits(col.numeric_min_max(&sel)),

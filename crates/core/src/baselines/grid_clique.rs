@@ -359,7 +359,11 @@ mod tests {
         let t = clustered_table();
         let baseline = GridCliqueBaseline::default();
         assert!(matches!(
-            baseline.generate(&t, &t.empty_selection(), &ConjunctiveQuery::all("t")),
+            baseline.generate(
+                &t,
+                &Bitmap::new_empty(t.num_rows()),
+                &ConjunctiveQuery::all("t")
+            ),
             Err(AtlasError::EmptyWorkingSet)
         ));
         let bad = GridCliqueBaseline::new(GridCliqueConfig {

@@ -209,7 +209,7 @@ mod tests {
     #[test]
     fn empty_working_set_produces_no_candidates() {
         let t = table();
-        let working = t.empty_selection();
+        let working = Bitmap::new_empty(t.num_rows());
         let q = ConjunctiveQuery::all("t");
         let candidates =
             generate_candidates(&t, &working, &q, None, &CutConfig::default()).unwrap();

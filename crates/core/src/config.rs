@@ -192,14 +192,6 @@ impl ExploreOptions {
         }
     }
 
-    /// Options with the given wall-clock budget.
-    pub fn budgeted(budget: Duration) -> Self {
-        ExploreOptions {
-            budget: Some(budget),
-            ..ExploreOptions::default()
-        }
-    }
-
     /// Validate the options.
     pub fn validate(&self) -> Result<()> {
         // NaN compares false both ways: reject anything not above 1.
@@ -281,10 +273,6 @@ mod tests {
     fn explore_options_validate() {
         assert!(ExploreOptions::default().validate().is_ok());
         assert!(ExploreOptions::exhaustive().budget.is_none());
-        assert_eq!(
-            ExploreOptions::budgeted(Duration::from_millis(20)).budget,
-            Some(Duration::from_millis(20))
-        );
         for growth_factor in [1.0, f64::NAN] {
             let bad_growth = ExploreOptions {
                 growth_factor,

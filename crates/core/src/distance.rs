@@ -105,8 +105,8 @@ pub fn metric_of(table: &ContingencyTable, metric: MapDistanceMetric) -> f64 {
 /// [`ContingencyTable::from_selections`] — `regions(a) × regions(b)`
 /// word-level intersection popcounts — so the cost is
 /// `O(n² · regionsᵃ·regionsᵇ · rows/64)` word operations for `n` candidates;
-/// no label vectors are materialised. [`distance_matrix_within`] counts
-/// fewer cells when the maps' working set is known.
+/// no label vectors are materialised. [`contingency_within`] counts fewer
+/// cells of a pair when the maps' working set is known.
 pub fn distance_matrix(
     maps: &[DataMap],
     table_rows: usize,
@@ -141,31 +141,6 @@ pub fn distance_matrix_with_pool(
     let regions: Vec<Vec<&Bitmap>> = maps.iter().map(selections).collect();
     let matrix = distance_matrix_from(maps.len(), metric, pool, |i, j| {
         Ok::<_, Infallible>(ContingencyTable::from_selections(&regions[i], &regions[j]))
-    });
-    let Ok(matrix) = matrix;
-    matrix
-}
-
-/// [`distance_matrix_with_pool`] over maps cut from a working set of
-/// `working_rows` rows, each pair counted by [`contingency_within`]: the
-/// matrix is identical, bit for bit, and the cost is
-/// `O(n² · (r−1)(c−1) · rows/64)`. It is the matrix an in-process explore
-/// computes, pair by pair, through its source.
-pub fn distance_matrix_within(
-    maps: &[DataMap],
-    table_rows: usize,
-    working_rows: usize,
-    metric: MapDistanceMetric,
-    pool: &ThreadPool,
-) -> DistanceMatrix {
-    debug_assert!(
-        maps.iter()
-            .flat_map(|m| &m.regions)
-            .all(|r| r.selection.len() <= table_rows),
-        "region bitmaps range over at most table_rows ({table_rows})"
-    );
-    let matrix = distance_matrix_from(maps.len(), metric, pool, |i, j| {
-        Ok::<_, Infallible>(contingency_within(&maps[i], &maps[j], working_rows))
     });
     let Ok(matrix) = matrix;
     matrix

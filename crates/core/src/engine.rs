@@ -1236,8 +1236,9 @@ mod tests {
     fn zero_budget_still_produces_one_iteration() {
         let atlas = Atlas::with_defaults(survey(2_000)).unwrap();
         let options = ExploreOptions {
+            budget: Some(Duration::ZERO),
             initial_sample: 64,
-            ..ExploreOptions::budgeted(Duration::ZERO)
+            ..ExploreOptions::default()
         };
         let outcome = atlas
             .explore_anytime(&ConjunctiveQuery::all("survey"), options)

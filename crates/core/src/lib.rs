@@ -76,7 +76,7 @@ pub use cut::{
 };
 pub use distance::{
     contingency_within, distance_matrix, distance_matrix_from, distance_matrix_with_pool,
-    distance_matrix_within, metric_of, DistanceMatrix, MapDistanceMetric,
+    metric_of, DistanceMatrix, MapDistanceMetric,
 };
 pub use engine::{
     enforce_region_cap, enforce_region_cap_within, explore_from_source, AnytimeIteration,
@@ -84,7 +84,7 @@ pub use engine::{
 };
 pub use error::{AtlasError, Result};
 pub use map::DataMap;
-pub use merge::{compose_maps, product_maps, product_of_counts};
+pub use merge::{product_maps, product_of_counts};
 pub use minirayon::ThreadPool;
 pub use pipeline::{
     AttributeStats, CompositionMerge, CutStrategy, ExploreSource, MergePolicy, PaperCut,

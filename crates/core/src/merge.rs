@@ -16,13 +16,8 @@
 //! Both operators are associative enough for Atlas's purposes: clusters are
 //! merged by folding the operator over the cluster's maps in order.
 
-use crate::cut::CutConfig;
-use crate::error::Result;
 use crate::map::DataMap;
-use crate::pipeline::{CompositionMerge, MergePolicy, PaperCut, PipelineContext};
-use crate::profile::TableProfile;
 use crate::region::Region;
-use atlas_columnar::Table;
 use atlas_query::ConjunctiveQuery;
 use std::borrow::Cow;
 
@@ -108,45 +103,32 @@ fn product_attributes(maps: &[DataMap]) -> Vec<String> {
     attributes
 }
 
-/// The composition `M1 ∘ M2 ∘ …` of the given maps (Definition 4).
-///
-/// The first map's regions are taken as-is; every subsequent map contributes
-/// its *attribute*, on which each current region is re-cut locally (with the
-/// same cut configuration that produced the candidates). Regions whose local
-/// cut fails (constant attribute within the region, all NULL…) are kept
-/// uncut, so the result always covers at least as much as the first map.
-///
-/// This is the standalone form of
-/// [`crate::pipeline::CompositionMerge`] (to which it delegates), fixed to
-/// the paper's `CUT` strategy with on-the-fly statistics.
-pub fn compose_maps(
-    maps: &[DataMap],
-    table: &Table,
-    config: &CutConfig,
-    drop_empty: bool,
-) -> Result<Option<DataMap>> {
-    let profile = TableProfile::empty(table.num_rows());
-    let strategy = PaperCut;
-    let ctx = PipelineContext {
-        table,
-        profile: &profile,
-        cut_config: config,
-        cut_strategy: &strategy,
-        drop_empty_regions: drop_empty,
-        pool: minirayon::ThreadPool::sequential(),
-    };
-    // The working set is unknown here. Composition reads it only to derive a
-    // region's statistics from the working set's, which an empty profile
-    // never holds, so an empty selection makes it walk every region.
-    CompositionMerge.merge(&ctx, maps, &table.empty_selection())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cut::{cut_attribute, NumericCutStrategy};
-    use atlas_columnar::{Bitmap, DataType, Field, Schema, TableBuilder, Value};
+    use crate::cut::{cut_attribute, CutConfig, NumericCutStrategy};
+    use crate::pipeline::{CompositionMerge, MergePolicy, PaperCut, PipelineContext};
+    use crate::profile::TableProfile;
+    use atlas_columnar::{Bitmap, DataType, Field, Schema, Table, TableBuilder, Value};
     use atlas_query::{ConjunctiveQuery, Predicate};
+
+    /// The composition (Definition 4) of `maps` cut from the whole table, run
+    /// by [`CompositionMerge`] with no profile and no pool: every region's
+    /// statistics are walked.
+    fn compose(maps: &[DataMap], table: &Table, config: &CutConfig) -> Option<DataMap> {
+        let profile = TableProfile::empty(table.num_rows());
+        let ctx = PipelineContext {
+            table,
+            profile: &profile,
+            cut_config: config,
+            cut_strategy: &PaperCut,
+            drop_empty_regions: true,
+            pool: minirayon::ThreadPool::sequential(),
+        };
+        CompositionMerge
+            .merge(&ctx, maps, &table.full_selection())
+            .unwrap()
+    }
 
     /// A table with two numeric attributes holding 4 well-separated clusters
     /// arranged so that neither attribute alone separates them all, plus a
@@ -262,9 +244,7 @@ mod tests {
         let p = product_maps(std::slice::from_ref(&m1), true).unwrap();
         assert_eq!(p.num_regions(), m1.num_regions());
         assert!(product_maps(&[], true).is_none());
-        assert!(compose_maps(&[], &t, &CutConfig::default(), true)
-            .unwrap()
-            .is_none());
+        assert!(compose(&[], &t, &CutConfig::default()).is_none());
     }
 
     #[test]
@@ -284,9 +264,7 @@ mod tests {
             "weight",
             NumericCutStrategy::KMeans { max_iterations: 50 },
         );
-        let composed = compose_maps(&[m_size, m_weight], &t, &cfg, true)
-            .unwrap()
-            .unwrap();
+        let composed = compose(&[m_size, m_weight], &t, &cfg).unwrap();
         assert_eq!(composed.num_regions(), 4);
         assert!(composed.regions_are_disjoint());
         assert_eq!(composed.covered_count(), 100);
@@ -319,9 +297,7 @@ mod tests {
             NumericCutStrategy::KMeans { max_iterations: 50 },
         );
 
-        let composed = compose_maps(&[m_size.clone(), m_weight.clone()], &t, &cfg, true)
-            .unwrap()
-            .unwrap();
+        let composed = compose(&[m_size.clone(), m_weight.clone()], &t, &cfg).unwrap();
         let product = product_maps(&[m_size, m_weight], true).unwrap();
 
         let ari_composed = atlas_stats::adjusted_rand_index(&composed.region_labels(100), &labels);
@@ -357,9 +333,7 @@ mod tests {
         let degenerate = DataMap::new(vec![constant_region], vec!["size".to_string()]);
         // Composing label-map with a map whose attribute cannot be cut further
         // inside tiny regions must not lose coverage.
-        let composed = compose_maps(&[m_label.clone(), degenerate], &t, &cfg, true)
-            .unwrap()
-            .unwrap();
+        let composed = compose(&[m_label.clone(), degenerate], &t, &cfg).unwrap();
         assert_eq!(composed.covered_count(), 100);
         assert!(composed.num_regions() >= m_label.num_regions());
     }

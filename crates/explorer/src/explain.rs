@@ -344,7 +344,7 @@ mod tests {
     #[test]
     fn empty_selection_produces_no_insights() {
         let table = census();
-        let empty = table.empty_selection();
+        let empty = Bitmap::new_empty(table.num_rows());
         let all = table.full_selection();
         assert!(explain_selection(&table, &empty, &all).is_empty());
     }

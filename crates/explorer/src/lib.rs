@@ -12,7 +12,7 @@
 //!   the next user query), go *back*, or ask for the next-best map. Its
 //!   [`session::History`] — the steps and the answers they showed — also
 //!   stands alone, for front-ends that answer steps elsewhere.
-//! * [`render`] — plain-text and Markdown rendering of maps and results, in
+//! * [`render`] — plain-text rendering of maps and results, in
 //!   the style of the paper's figures.
 //! * [`metrics`] — readability and quality metrics used by the evaluation:
 //!   region counts, predicates per query, balance, and cluster recovery
@@ -29,5 +29,5 @@ pub mod session;
 
 pub use explain::{explain_region, explain_selection, AttributeInsight, InsightKind};
 pub use metrics::{MapQuality, ReadabilityReport};
-pub use render::{render_map, render_result, render_result_markdown};
+pub use render::{render_map, render_result};
 pub use session::{ExplorationStep, History, Session};

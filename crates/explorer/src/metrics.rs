@@ -51,12 +51,6 @@ impl ReadabilityReport {
             within_constraints: max_regions <= region_limit && max_predicates <= predicate_limit,
         }
     }
-
-    /// Compute the report for ranked maps (convenience overload).
-    pub fn compute_ranked(maps: &[RankedMap], region_limit: usize, predicate_limit: usize) -> Self {
-        let plain: Vec<DataMap> = maps.iter().map(|m| m.map.clone()).collect();
-        Self::compute(&plain, region_limit, predicate_limit)
-    }
 }
 
 /// Cluster-recovery quality of one map against planted ground-truth labels.
@@ -121,17 +115,25 @@ impl MapQuality {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atlas_core::{Atlas, AtlasConfig, MergeStrategy};
+    use atlas_core::{Atlas, AtlasConfig, MapResult, MergeStrategy};
     use atlas_datagen::MixtureGenerator;
     use atlas_query::ConjunctiveQuery;
     use std::sync::Arc;
+
+    fn maps_of(result: &MapResult) -> Vec<DataMap> {
+        result
+            .maps
+            .iter()
+            .map(|ranked| ranked.map.clone())
+            .collect()
+    }
 
     #[test]
     fn readability_report_on_atlas_output_is_within_constraints() {
         let ds = MixtureGenerator::with_shape(2000, 3, 2, 2, 21).generate();
         let atlas = Atlas::new(Arc::new(ds.table), AtlasConfig::default()).unwrap();
         let result = atlas.explore(&ConjunctiveQuery::all("mixture")).unwrap();
-        let report = ReadabilityReport::compute_ranked(&result.maps, 8, 3);
+        let report = ReadabilityReport::compute(&maps_of(&result), 8, 3);
         assert!(report.within_constraints, "{report:?}");
         assert!(report.num_maps >= 1);
         assert!(report.max_regions >= 2);
@@ -155,7 +157,7 @@ mod tests {
         };
         let atlas = Atlas::new(table, config).unwrap();
         let result = atlas.explore(&ConjunctiveQuery::all("mixture")).unwrap();
-        let report = ReadabilityReport::compute_ranked(&result.maps, 2, 3);
+        let report = ReadabilityReport::compute(&maps_of(&result), 2, 3);
         assert!(!report.within_constraints);
         // Empty input edge case.
         let empty = ReadabilityReport::compute(&[], 8, 3);

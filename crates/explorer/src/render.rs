@@ -1,10 +1,10 @@
-//! Plain-text and Markdown rendering of data maps.
+//! Plain-text rendering of data maps.
 //!
 //! The renderings follow the style of the paper's figures: one block per
 //! region, listing the region's predicates in `Attribute: set` form, plus the
 //! cover so the user can see at a glance how the working set is distributed.
 
-use atlas_core::{DataMap, MapResult, RankedMap};
+use atlas_core::{DataMap, MapResult};
 use atlas_query::to_compact;
 use std::fmt::Write as _;
 
@@ -57,33 +57,6 @@ pub fn render_result(result: &MapResult) -> String {
     out
 }
 
-/// Render a result as a Markdown table (one row per region of each map).
-pub fn render_result_markdown(result: &MapResult) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "| map | score | region | cover | query |");
-    let _ = writeln!(out, "|-----|-------|--------|-------|-------|");
-    for (rank, ranked) in result.maps.iter().enumerate() {
-        for (i, region) in ranked.map.regions.iter().enumerate() {
-            let query_text = to_compact(&region.query).replace('\n', "; ");
-            let _ = writeln!(
-                out,
-                "| {rank} | {:.3} | {i} | {:.1}% | {} |",
-                ranked.score,
-                region.cover(result.working_set_size) * 100.0,
-                query_text
-            );
-        }
-    }
-    out
-}
-
-/// Render only the top map of a result, as plain text (the quick look).
-pub fn render_best(result: &MapResult) -> Option<String> {
-    result
-        .best()
-        .map(|ranked: &RankedMap| render_map(&ranked.map, result.working_set_size))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,19 +88,9 @@ mod tests {
     }
 
     #[test]
-    fn markdown_rendering_has_one_row_per_region() {
-        let r = result();
-        let md = render_result_markdown(&r);
-        let expected_rows: usize = r.maps.iter().map(|m| m.map.num_regions()).sum();
-        let data_rows = md.lines().count() - 2; // header + separator
-        assert_eq!(data_rows, expected_rows);
-        assert!(md.starts_with("| map |"));
-    }
-
-    #[test]
     fn best_map_rendering() {
         let r = result();
-        let best = render_best(&r).unwrap();
+        let best = render_map(&r.best().unwrap().map, r.working_set_size);
         assert!(best.contains("regions"));
         // Rendering a single map agrees with rendering through the result.
         assert!(render_result(&r).contains(best.lines().next().unwrap()));

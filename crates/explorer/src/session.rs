@@ -172,15 +172,6 @@ impl Session {
         Ok(self.history.record(query, result))
     }
 
-    /// Submit a query written in the restricted SQL syntax.
-    pub fn submit_sql(&mut self, sql: &str) -> Result<&ExplorationStep> {
-        let mut query = atlas_query::parse_query(sql).map_err(AtlasError::Query)?;
-        if query.table.is_empty() {
-            query.table = self.engine.table().name().to_string();
-        }
-        self.submit(query)
-    }
-
     /// Record a step whose result was computed elsewhere (a shared result
     /// cache such as `atlas_core::CachedAtlas`, a remote worker); see
     /// [`History::record`].
@@ -259,11 +250,11 @@ mod tests {
         for row in 0..batch.num_rows() {
             b.push_row(&batch.row(row).unwrap()).unwrap();
         }
-        let (_, segments) = b.build_segments().unwrap();
-        assert_eq!(segments.len(), 1);
+        let built = b.build().unwrap();
+        assert_eq!(built.num_segments(), 1);
         session
             .engine()
-            .append(segments.into_iter().next().unwrap())
+            .append(Arc::clone(&built.segments()[0]))
             .unwrap()
     }
 
@@ -278,17 +269,6 @@ mod tests {
         assert_eq!(session.depth(), 1);
         assert!(session.current().is_some());
         assert_eq!(session.history().steps().len(), 1);
-    }
-
-    #[test]
-    fn submit_sql_fills_in_the_table_name() {
-        let mut session = census_session();
-        let step = session
-            .submit_sql("age BETWEEN 17 AND 40 AND sex IN ('Male')")
-            .unwrap();
-        assert!(step.query.table == "census");
-        assert!(step.working_set_size() < 2000);
-        assert!(step.working_set_size() > 0);
     }
 
     #[test]
@@ -484,7 +464,9 @@ mod tests {
     #[test]
     fn bad_sql_is_reported() {
         let mut session = census_session();
-        assert!(session.submit_sql("SELECT age FROM census").is_err());
+        // A query over a column the table does not have.
+        let query = atlas_query::parse_query("SELECT * FROM census WHERE agee BETWEEN 1 AND 2");
+        assert!(session.submit(query.unwrap()).is_err());
         assert_eq!(session.depth(), 0);
     }
 

@@ -213,12 +213,6 @@ impl ConjunctiveQuery {
         }
         out
     }
-
-    /// True if any predicate set is trivially empty (the region cannot match
-    /// anything).
-    pub fn is_trivially_empty(&self) -> bool {
-        self.predicates.iter().any(|p| p.set.is_empty())
-    }
 }
 
 impl fmt::Display for ConjunctiveQuery {
@@ -286,7 +280,7 @@ mod tests {
         assert_eq!(age.set, PredicateSet::range(40.0, 90.0));
         assert_eq!(q.attributes(), vec!["age", "education"]);
         assert!(q.predicate_on("salary").is_none());
-        assert!(!q.is_trivially_empty());
+        assert!(q.predicates.iter().all(|p| !p.set.is_empty()));
     }
 
     #[test]
@@ -308,7 +302,7 @@ mod tests {
     fn conjoin_disjoint_ranges_is_trivially_empty() {
         let q1 = ConjunctiveQuery::all("t").and(Predicate::range("x", 0.0, 1.0));
         let q2 = ConjunctiveQuery::all("t").and(Predicate::range("x", 5.0, 9.0));
-        assert!(q1.conjoin(&q2).is_trivially_empty());
+        assert!(q1.conjoin(&q2).predicate_on("x").unwrap().set.is_empty());
     }
 
     #[test]

@@ -203,11 +203,6 @@ impl Client {
         )
     }
 
-    /// `DELETE path`.
-    pub fn delete(&self, path: &str) -> io::Result<ClientResponse> {
-        self.request("DELETE", path, None)
-    }
-
     /// Create a session over `dataset` and return its token.
     pub fn create_session(&self, dataset: &str) -> io::Result<String> {
         let response = self.post_json(

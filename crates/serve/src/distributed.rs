@@ -117,12 +117,13 @@
 //! `connects` in the coordinator's `/metrics` counts the connections opened
 //! per shard, and each `shard.call` span says `connection=reused|fresh`.
 //! Inside a traced call, `shard.exchange` covers writing the request and
-//! reading the whole reply, and `shard.decode` the reply's JSON parse, the
-//! adoption of the shard's spans and the frame decode with its checks. The
-//! shard's `shard.request` (its body parse a `shard.parse` child) is adopted
-//! under the call, ending where the exchange ends; the shard's reply encode
-//! and the wire cannot appear in the reply that carries those spans, so
-//! they read as `shard.exchange` − `shard.request`.
+//! reading the whole reply, `shard.decode` the reply's JSON parse and the
+//! frame decode with its checks, and `shard.adopt`, after them, the
+//! adoption of the shard's spans. The shard's `shard.request` (its body
+//! parse a `shard.parse` child) is adopted under the call, ending where the
+//! exchange ends; the shard's reply encode and the wire cannot appear in
+//! the reply that carries those spans, so they read as `shard.exchange` −
+//! `shard.request`.
 //!
 //! In [`ExploreMode::Strict`] (the default and the historical contract) any
 //! shard failing past its retries fails the whole explore with a typed
@@ -397,29 +398,33 @@ fn judge(addr: &str, path: &str, outcome: io::Result<ClientResponse>) -> Result<
     }
 }
 
-/// Fold a shard reply's `"spans"` member (recorded under the shard's own
-/// local trace) into this process's trace: allocate fresh local span ids,
-/// re-parent the shard's trace roots under the enclosing `shard.call` span,
-/// and rebase the shard's monotonic timestamps into the call interval (the
-/// two processes share no clock epoch, so shard times are anchored to end
-/// when the reply was read whole, `exchanged`, and clamped to never precede
-/// the call). The member is stripped either way, so frame parsing sees
+/// Take a shard reply's `"spans"` member out of it, so frame parsing sees
 /// exactly the documented reply.
+fn take_spans(reply: &mut Json) -> Option<Json> {
+    let Json::Obj(members) = reply else {
+        return None;
+    };
+    let position = members.iter().position(|(key, _)| key == "spans")?;
+    Some(members.remove(position).1)
+}
+
+/// Fold a shard reply's `"spans"` member (recorded under the shard's own
+/// local trace, taken out by [`take_spans`]) into this process's trace:
+/// allocate fresh local span ids, re-parent the shard's trace roots under
+/// the enclosing `shard.call` span, and rebase the shard's monotonic
+/// timestamps into the call interval (the two processes share no clock
+/// epoch, so shard times are anchored to end when the reply was read whole,
+/// `exchanged`, and clamped to never precede the call).
 fn adopt_shard_spans(
-    reply: &mut Json,
+    spans_json: &Json,
     parent: atlas_obs::SpanContext,
     call_started: Instant,
     exchanged: Instant,
 ) {
-    let Json::Obj(members) = reply else { return };
-    let Some(position) = members.iter().position(|(key, _)| key == "spans") else {
-        return;
-    };
-    let (_, spans_json) = members.remove(position);
     if !atlas_obs::enabled() {
         return;
     }
-    let records = crate::trace::spans_from_json(&spans_json);
+    let records = crate::trace::spans_from_json(spans_json);
     if records.is_empty() {
         return;
     }
@@ -673,7 +678,9 @@ impl Coordinator {
     /// The answered reply goes to `decode` once the call is timed and judged,
     /// inside the call's `shard.call` span: its `shard.decode` child holds
     /// the reply's JSON parse and the frame decode, as its `shard.exchange`
-    /// child holds writing the request and reading the reply.
+    /// child holds writing the request and reading the reply. A traced
+    /// reply's spans are adopted after the decode, in a `shard.adopt` child
+    /// of their own.
     fn call_with<T>(
         &self,
         slot: &ShardSlot,
@@ -719,13 +726,7 @@ impl Coordinator {
             // Taken inside the span: adopted shard spans are clamped to it.
             let call_started = Instant::now();
             match self.attempt(slot, path, &payload, budget, deadline, &mut call_span) {
-                Ok(mut answered) => {
-                    if let Some(ctx) = call_span.context() {
-                        let exchanged = answered.exchanged;
-                        adopt_shard_spans(&mut answered.json, ctx, call_started, exchanged);
-                    }
-                    break Ok((answered, call_span));
-                }
+                Ok(answered) => break Ok((answered, call_span, call_started)),
                 Err(AttemptFail::NoRetry(message)) => break Err(CallFail::Shard { message }),
                 Err(AttemptFail::Retryable(message)) => {
                     // Close the attempt span before any backoff sleep.
@@ -754,9 +755,22 @@ impl Coordinator {
             Err(CallFail::Shard { .. }) => slot.breaker.record_failure(),
             Err(CallFail::CircuitOpen | CallFail::Deadline) => {}
         }
-        let (answered, call_span) = result?;
-        let decoded = decode(answered.json);
-        drop(answered.decoding);
+        let (answered, call_span, call_started) = result?;
+        let Answered {
+            mut json,
+            exchanged,
+            decoding,
+        } = answered;
+        let mut spans = None;
+        if let Some(ctx) = call_span.context() {
+            spans = take_spans(&mut json).map(|spans| (ctx, spans));
+        }
+        let decoded = decode(json);
+        drop(decoding);
+        if let Some((ctx, spans)) = spans {
+            let _adopt = atlas_obs::span("shard.adopt");
+            adopt_shard_spans(&spans, ctx, call_started, exchanged);
+        }
         drop(call_span);
         decoded
     }

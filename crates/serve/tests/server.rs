@@ -179,7 +179,10 @@ fn the_full_exploration_loop_works_over_the_wire() {
 
     // Delete ends the session.
     assert_eq!(
-        client.delete(&format!("/sessions/{token}")).unwrap().status,
+        client
+            .request("DELETE", &format!("/sessions/{token}"), None)
+            .unwrap()
+            .status,
         200
     );
     let reply = client

@@ -2,40 +2,13 @@
 //!
 //! The evaluation experiments compare the region assignment produced by a map
 //! against planted ground-truth clusters (experiment E4) or planted attribute
-//! groups (E3). The standard scores are the (adjusted) Rand index, purity, and
+//! groups (E3). The standard scores are the adjusted Rand index, purity, and
 //! normalised mutual information.
 
 use crate::contingency::ContingencyTable;
 
 fn cardinality(labels: &[u32]) -> usize {
     labels.iter().map(|&l| l as usize + 1).max().unwrap_or(0)
-}
-
-/// The Rand index between two labelings, in `[0, 1]`.
-///
-/// Fraction of item pairs on which the two partitions agree (both together or
-/// both apart). Returns 1.0 for fewer than two items.
-pub fn rand_index(a: &[u32], b: &[u32]) -> f64 {
-    assert_eq!(a.len(), b.len(), "label vectors must have equal length");
-    let n = a.len();
-    if n < 2 {
-        return 1.0;
-    }
-    let table = ContingencyTable::from_labels(a, b, cardinality(a), cardinality(b));
-    let choose2 = |x: u64| -> f64 { (x as f64) * (x as f64 - 1.0) / 2.0 };
-    let total_pairs = choose2(n as u64);
-    let mut sum_cells = 0.0;
-    for i in 0..table.num_rows() {
-        for j in 0..table.num_cols() {
-            sum_cells += choose2(table.count(i, j));
-        }
-    }
-    let sum_rows: f64 = table.row_marginals().iter().map(|&x| choose2(x)).sum();
-    let sum_cols: f64 = table.col_marginals().iter().map(|&x| choose2(x)).sum();
-    // agreements = pairs together in both + pairs apart in both
-    let together_both = sum_cells;
-    let apart_both = total_pairs - sum_rows - sum_cols + sum_cells;
-    ((together_both + apart_both) / total_pairs).clamp(0.0, 1.0)
 }
 
 /// The Adjusted Rand Index (Hubert & Arabie) between two labelings.
@@ -110,7 +83,6 @@ mod tests {
     #[test]
     fn identical_partitions_are_perfect() {
         let a = [0u32, 0, 1, 1, 2, 2];
-        assert!((rand_index(&a, &a) - 1.0).abs() < 1e-12);
         assert!((adjusted_rand_index(&a, &a) - 1.0).abs() < 1e-12);
         assert!((purity(&a, &a) - 1.0).abs() < 1e-12);
         assert!((normalized_mutual_information(&a, &a) - 1.0).abs() < 1e-12);
@@ -158,13 +130,11 @@ mod tests {
         let b = [0u32, 0, 1, 1, 1, 1, 0, 0];
         let ari = adjusted_rand_index(&a, &b);
         assert!(ari > 0.0 && ari < 1.0);
-        let ri = rand_index(&a, &b);
-        assert!(ri > 0.5 && ri < 1.0);
     }
 
     #[test]
     fn degenerate_inputs() {
-        assert_eq!(rand_index(&[0], &[0]), 1.0);
+        assert_eq!(adjusted_rand_index(&[0], &[0]), 1.0);
         assert_eq!(adjusted_rand_index(&[], &[]), 1.0);
         assert_eq!(purity(&[], &[]), 1.0);
         // all-in-one vs all-in-one
@@ -175,6 +145,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "equal length")]
     fn mismatched_lengths_panic() {
-        rand_index(&[0, 1], &[0]);
+        adjusted_rand_index(&[0, 1], &[0]);
     }
 }

@@ -26,7 +26,7 @@ pub mod entropy;
 pub mod kmeans1d;
 pub mod quantile;
 
-pub use agreement::{adjusted_rand_index, normalized_mutual_information, purity, rand_index};
+pub use agreement::{adjusted_rand_index, normalized_mutual_information, purity};
 pub use contingency::ContingencyTable;
 pub use entropy::{
     entropy_of_counts, joint_entropy, mutual_information, normalized_vi, variation_of_information,

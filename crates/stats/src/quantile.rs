@@ -6,9 +6,8 @@
 //! by selection in O(n) per rank instead of sorting. They are what every
 //! median-based `CUT` splits on: the one median is the exact one.
 //!
-//! The borrowing forms ([`quantile`], [`quantiles`], [`median`],
-//! [`equi_depth_splits`]) leave their input slice untouched (they select on a
-//! copy); [`quantiles_in_place`] permutes the caller's buffer instead of
+//! The borrowing forms ([`quantile`], [`quantiles`], [`median`]) leave their
+//! input slice untouched (they select on a copy); [`quantiles_in_place`] permutes the caller's buffer instead of
 //! copying it, and [`quantiles_of_counts`] reads the same order statistics
 //! off a table of distinct values and their counts, without the values.
 
@@ -134,26 +133,6 @@ fn select_quantiles(values: &mut [f64], ps: &[f64]) -> Vec<f64> {
     out
 }
 
-/// Equally spaced interior split points that partition `values` into `k`
-/// roughly equally populated parts (the equi-depth / k-quantile cut).
-///
-/// Returns `k - 1` split values; duplicates are removed so the result may be
-/// shorter when the data is heavily tied. Returns `None` for empty input or
-/// `k < 2`.
-pub fn equi_depth_splits(values: &[f64], k: usize) -> Option<Vec<f64>> {
-    if k < 2 {
-        return None;
-    }
-    let ps: Vec<f64> = (1..k).map(|i| i as f64 / k as f64).collect();
-    let mut splits = Vec::with_capacity(k - 1);
-    for q in quantiles(values, &ps)? {
-        if splits.last().is_none_or(|&last: &f64| q > last) {
-            splits.push(q);
-        }
-    }
-    Some(splits)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,16 +228,6 @@ mod tests {
         ) {
             let ps: Vec<f64> = (1..k).map(|i| i as f64 / k as f64).collect();
             assert_matches_the_sort(&values, &ps);
-            let mut expected: Vec<f64> = Vec::new();
-            for q in sorted_reference(&values, &ps) {
-                if expected.last().is_none_or(|&last| q > last) {
-                    expected.push(q);
-                }
-            }
-            prop_assert_eq!(
-                bits(&equi_depth_splits(&values, k).unwrap()),
-                bits(&expected)
-            );
         }
     }
 
@@ -311,8 +280,6 @@ mod tests {
         assert!(median(&[]).is_none());
         assert!(quantiles(&[], &[0.5]).is_none());
         assert!(quantiles_in_place(&mut [], &[0.5]).is_none());
-        assert!(equi_depth_splits(&[], 2).is_none());
-        assert!(equi_depth_splits(&[1.0], 1).is_none());
     }
 
     #[test]
@@ -342,22 +309,5 @@ mod tests {
         assert_eq!(qs[0], quantile(&v, 0.25).unwrap());
         assert_eq!(qs[1], quantile(&v, 0.5).unwrap());
         assert_eq!(qs[2], quantile(&v, 0.75).unwrap());
-    }
-
-    #[test]
-    fn equi_depth_splits_partition_evenly() {
-        let v: Vec<f64> = (0..100).map(|x| x as f64).collect();
-        let splits = equi_depth_splits(&v, 4).unwrap();
-        assert_eq!(splits.len(), 3);
-        assert!((splits[0] - 24.75).abs() < 1.0);
-        assert!((splits[1] - 49.5).abs() < 1.0);
-        assert!((splits[2] - 74.25).abs() < 1.0);
-    }
-
-    #[test]
-    fn equi_depth_splits_dedupe_on_ties() {
-        let v = vec![1.0; 50];
-        let splits = equi_depth_splits(&v, 4).unwrap();
-        assert!(splits.len() <= 1);
     }
 }

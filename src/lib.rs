@@ -47,7 +47,10 @@
 //!
 //! // 4. In a hurry? Stream the anytime refinement of Section 5.1: growing
 //! //    samples under a time budget, through the very same engine.
-//! let options = ExploreOptions::budgeted(std::time::Duration::from_millis(200));
+//! let options = ExploreOptions {
+//!     budget: Some(std::time::Duration::from_millis(200)),
+//!     ..ExploreOptions::default()
+//! };
 //! for step in atlas.explore_iter(&query, options).unwrap() {
 //!     let iteration = step.unwrap();
 //!     println!("{} rows sampled -> {} maps",

@@ -512,8 +512,10 @@ fn categorical_cuts_agree_on_both_sides_of_the_counter_capacity() {
 // value set — the same terms the two `CUT` oracles above compare in; lower
 // bounds are the engine's rendering of a split and are not modelled here
 // either. It is compared with `CompositionMerge` region for region: bounds,
-// rows (so counts too) and order, through `compose_maps` (no profile, no
-// pool) and through a pooled context, where regions are re-cut as pool tasks.
+// rows (so counts too) and order, through a context with no profile and no
+// pool, where every region's statistics are walked, and through a pooled
+// context over the table's profile, where regions are re-cut as pool tasks
+// and a region's statistics may be derived from the working set's.
 
 enum OracleColumn {
     Numeric {
@@ -728,18 +730,19 @@ proptest! {
                 prop_assert_eq!(cut.is_some(), member_attributes.contains(&attribute), "{}", name);
                 members.extend(cut);
             }
-            let sequential = atlas::core::compose_maps(&members, &table, &config, true).unwrap();
-            let profile = TableProfile::build(&table);
-            let ctx = PipelineContext {
+            let (no_profile, profile) = (TableProfile::empty(table.num_rows()), TableProfile::build(&table));
+            let context = |profile, pool| PipelineContext {
                 table: &table,
-                profile: &profile,
+                profile,
                 cut_config: &config,
                 cut_strategy: &atlas::core::PaperCut,
                 drop_empty_regions: true,
-                pool: &pool,
+                pool,
             };
-            let pooled = atlas::core::CompositionMerge.merge(&ctx, &members, &working).unwrap();
-            for (path, composed) in [("compose_maps", sequential), ("pooled", pooled)] {
+            let walked = context(&no_profile, atlas::core::ThreadPool::sequential());
+            let pooled = context(&profile, &pool);
+            let merge = |ctx| atlas::core::CompositionMerge.merge(ctx, &members, &working).unwrap();
+            for (path, composed) in [("no profile", merge(&walked)), ("pooled", merge(&pooled))] {
                 prop_assert_eq!(
                     composed.as_ref().map(|map| engine_regions(map, columns.len())),
                     oracle.clone(),

@@ -76,7 +76,7 @@ fn the_remainder_region_keeps_the_users_filter() {
             if region.query == query {
                 remainders += 1;
                 assert_eq!(selected, result.working_set, "{sql}");
-                assert!(region.selection.and_not(&selected).is_all_clear());
+                assert!(region.selection.and(&selected.not()).is_all_clear());
             } else {
                 assert_eq!(selected, region.selection, "{sql}");
             }
@@ -197,9 +197,9 @@ fn csv_ingestion_feeds_the_engine() {
 age,sex,salary\n\
 25,M,low\n29,F,low\n31,F,high\n45,M,high\n52,F,high\n61,M,low\n\
 23,F,low\n36,M,high\n41,F,high\n58,M,low\n33,F,high\n27,M,low\n";
-    let table = atlas::columnar::csv::read_csv_str(
+    let table = atlas::columnar::csv::read_csv(
         "people",
-        csv,
+        csv.as_bytes(),
         None,
         &atlas::columnar::csv::CsvOptions::default(),
     )

@@ -1,65 +1,49 @@
-//! Integration tests for the Section-5 extensions: join materialisation,
-//! anticipative caching, and region explanations, used together the way a
-//! real exploration front-end would.
+//! Integration tests for the Section-5 extensions: exploring a denormalised
+//! join, anticipative caching, and region explanations, used together the way
+//! a real exploration front-end would.
 
-use atlas::columnar::hash_join;
 use atlas::core::CachedAtlas;
 use atlas::explorer::{explain_region, InsightKind};
 use atlas::prelude::*;
 use std::sync::Arc;
 
-/// Build a tiny star schema: a fact table of orders and a customer dimension,
-/// with the planted rule that corporate customers place large orders.
-fn star_schema() -> (Table, Table) {
-    let orders_schema = Schema::new(vec![
+/// Section 5.2's "materialize the join into one large temporary table",
+/// done before Atlas sees the data: a fact table of orders joined with its
+/// customer dimension on `customer_id`, one row per order, with the planted
+/// rule that corporate customers place large orders.
+fn denormalised_orders() -> Table {
+    let schema = Schema::new(vec![
         Field::new("order_id", DataType::Int),
         Field::new("customer_id", DataType::Int),
         Field::new("quantity", DataType::Int),
-    ])
-    .unwrap();
-    let mut orders = TableBuilder::new("orders", orders_schema);
-    for i in 0..600i64 {
-        let customer_id = i % 30;
-        let corporate = customer_id < 10;
-        let quantity = if corporate { 40 + i % 10 } else { 1 + i % 10 };
-        orders
-            .push_row(&[Value::Int(i), Value::Int(customer_id), Value::Int(quantity)])
-            .unwrap();
-    }
-    let customers_schema = Schema::new(vec![
-        Field::new("customer_id", DataType::Int),
         Field::new("segment", DataType::Str),
         Field::new("region", DataType::Str),
     ])
     .unwrap();
-    let mut customers = TableBuilder::new("customers", customers_schema);
-    for c in 0..30i64 {
-        let segment = if c < 10 { "corporate" } else { "retail" };
-        let region = ["north", "south", "east"][(c % 3) as usize];
-        customers
+    let mut orders = TableBuilder::new("orders_denorm", schema);
+    for i in 0..600i64 {
+        let customer_id = i % 30;
+        let corporate = customer_id < 10;
+        let quantity = if corporate { 40 + i % 10 } else { 1 + i % 10 };
+        let segment = if corporate { "corporate" } else { "retail" };
+        let region = ["north", "south", "east"][(customer_id % 3) as usize];
+        orders
             .push_row(&[
-                Value::Int(c),
+                Value::Int(i),
+                Value::Int(customer_id),
+                Value::Int(quantity),
                 Value::Str(segment.into()),
                 Value::Str(region.into()),
             ])
             .unwrap();
     }
-    (orders.build().unwrap(), customers.build().unwrap())
+    orders.build().unwrap()
 }
 
 #[test]
 fn join_then_map_then_explain() {
-    // Section 5.2's "materialize the join into one large temporary table",
-    // followed by the normal Atlas pipeline on the denormalised view.
-    let (orders, customers) = star_schema();
-    let denormalised = hash_join(
-        "orders_denorm",
-        &orders,
-        "customer_id",
-        &customers,
-        "customer_id",
-    )
-    .unwrap();
+    // The normal Atlas pipeline on the denormalised view.
+    let denormalised = denormalised_orders();
     assert_eq!(denormalised.num_rows(), 600);
     assert!(denormalised.schema().contains("segment"));
 

@@ -22,9 +22,9 @@ use atlas::columnar::{
     Bitmap, ColumnStats, ColumnSummary, DataType, Field, Schema, TableBuilder, Value,
 };
 use atlas::core::{
-    compose_maps, generate_candidates, product_maps, CompositionMerge, CutConfig, CutStrategy,
-    DataMap, MergePolicy, PaperCut, PipelineContext, ProductMerge, ProfileStats, Region,
-    TableProfile, ThreadPool,
+    generate_candidates, product_maps, CompositionMerge, CutConfig, CutStrategy, DataMap,
+    MergePolicy, PaperCut, PipelineContext, ProductMerge, ProfileStats, Region, TableProfile,
+    ThreadPool,
 };
 use atlas::datagen::CensusConfig;
 use atlas::prelude::*;
@@ -487,9 +487,9 @@ const NULLS_FIRST: [&str; 7] = [
 
 /// `cluster_merge_rank` moves a cluster of one map through unmerged, which
 /// is sound because every merge returns a one-map cluster unchanged: the
-/// product and the composition, as policies and in their standalone forms,
-/// with and without dropping empty regions, on a map that holds an empty
-/// region too.
+/// product as a policy and in its standalone form, and the composition with
+/// and without a profile, with and without dropping empty regions, on a map
+/// that holds an empty region too.
 #[test]
 fn every_merge_returns_a_one_map_cluster_unchanged() {
     let cut_config = CutConfig::default();
@@ -502,27 +502,32 @@ fn every_merge_returns_a_one_map_cluster_unchanged() {
             .maps;
         assert!(maps.len() >= 4, "nulls {nulls}");
         let mut with_empty = maps[0].clone();
-        with_empty
-            .regions
-            .push(Region::new(query.clone(), table.empty_selection()));
+        with_empty.regions.push(Region::new(
+            query.clone(),
+            Bitmap::new_empty(table.num_rows()),
+        ));
         maps.push(with_empty);
-        let profile = TableProfile::build(&table);
+        let (no_profile, profile) = (
+            TableProfile::empty(table.num_rows()),
+            TableProfile::build(&table),
+        );
         for drop_empty in [false, true] {
-            let ctx = PipelineContext {
+            let context = |profile| PipelineContext {
                 table: &table,
-                profile: &profile,
+                profile,
                 cut_config: &cut_config,
                 cut_strategy: &PaperCut,
                 drop_empty_regions: drop_empty,
                 pool: ThreadPool::sequential(),
             };
+            let (ctx, walked) = (context(&profile), context(&no_profile));
             for map in &maps {
                 let one = std::slice::from_ref(map);
                 let merged = [
                     ("product_maps", product_maps(one, drop_empty)),
                     (
-                        "compose_maps",
-                        compose_maps(one, &table, &cut_config, drop_empty).unwrap(),
+                        "CompositionMerge, no profile",
+                        CompositionMerge.merge(&walked, one, &working).unwrap(),
                     ),
                     (
                         "ProductMerge",

@@ -151,7 +151,18 @@ proptest! {
         let mx = atlas::core::cut::cut_attribute(&table, &working, &q, "x", &config).unwrap();
         let mc = atlas::core::cut::cut_attribute(&table, &working, &q, "c", &config).unwrap();
         if let (Some(mx), Some(mc)) = (mx, mc) {
-            let composed = atlas::core::compose_maps(&[mx, mc], &table, &config, true)
+            // No profile and no pool: every region's statistics are walked.
+            let profile = TableProfile::empty(table.num_rows());
+            let ctx = PipelineContext {
+                table: &table,
+                profile: &profile,
+                cut_config: &config,
+                cut_strategy: &atlas::core::PaperCut,
+                drop_empty_regions: true,
+                pool: atlas::core::ThreadPool::sequential(),
+            };
+            let composed = atlas::core::CompositionMerge
+                .merge(&ctx, &[mx, mc], &working)
                 .unwrap()
                 .unwrap();
             prop_assert!(composed.regions_are_disjoint());
@@ -235,8 +246,8 @@ proptest! {
                         .regions
                         .iter()
                         .filter(|other| other.query != user_query)
-                        .fold(working.clone(), |rest, kept| rest.and_not(&kept.selection));
-                    prop_assert_eq!(region.selection.and_not(&rest).count(), 0);
+                        .fold(working.clone(), |rest, kept| rest.and(&kept.selection.not()));
+                    prop_assert_eq!(region.selection.and(&rest.not()).count(), 0);
                     let mut non_null = working.clone();
                     for attribute in &map.source_attributes {
                         let column = table.column(attribute).unwrap();
@@ -289,7 +300,7 @@ proptest! {
         median in any::<bool>(),
     ) {
         use atlas::columnar::{with_kernel_path, KernelPath};
-        use atlas::core::{distance_matrix_with_pool, distance_matrix_within, ThreadPool};
+        use atlas::core::{contingency_within, distance_matrix_from, distance_matrix_with_pool, ThreadPool};
         // `n` holds NULLs, so its map misses rows of the working set and
         // every pair it is in counts every cell.
         let schema = Schema::new(vec![
@@ -332,7 +343,10 @@ proptest! {
             for path in [KernelPath::WordParallel, KernelPath::Scalar] {
                 let (derived, every_cell) = with_kernel_path(path, || {
                     (
-                        distance_matrix_within(&maps, num_rows, working_rows, metric, &pool),
+                        distance_matrix_from(maps.len(), metric, &pool, |i, j| {
+                            Ok::<_, std::convert::Infallible>(contingency_within(&maps[i], &maps[j], working_rows))
+                        })
+                        .unwrap(),
                         distance_matrix_with_pool(&maps, num_rows, metric, &pool),
                     )
                 });
@@ -375,7 +389,7 @@ proptest! {
         let expected_diff: Vec<usize> = a.difference(&b).copied().collect();
         prop_assert_eq!(bm_a.and(&bm_b).to_indices(), expected_and);
         prop_assert_eq!(bm_a.or(&bm_b).to_indices(), expected_or);
-        prop_assert_eq!(bm_a.and_not(&bm_b).to_indices(), expected_diff);
+        prop_assert_eq!(bm_a.and(&bm_b.not()).to_indices(), expected_diff);
         prop_assert_eq!(bm_a.intersection_count(&bm_b), a.intersection(&b).count());
         prop_assert_eq!(bm_a.not().count(), 300 - a.len());
     }

@@ -198,10 +198,10 @@ fn streamed_csv_explores_identically() {
     let text = String::from_utf8(csv).unwrap();
 
     let opts = atlas::columnar::csv::CsvOptions::default();
-    let one_gulp = atlas::columnar::csv::read_csv_str("census", &text, None, &opts).unwrap();
-    let streamed = atlas::columnar::csv::read_csv_str(
+    let one_gulp = atlas::columnar::csv::read_csv("census", text.as_bytes(), None, &opts).unwrap();
+    let streamed = atlas::columnar::csv::read_csv(
         "census",
-        &text,
+        text.as_bytes(),
         None,
         &atlas::columnar::csv::CsvOptions {
             segment_rows: Some(301),

@@ -252,14 +252,16 @@ fn distributed_explore_reassembles_one_trace_tree() {
             "shard.parse",
             "shard.exchange",
             "shard.decode",
+            "shard.adopt",
         ],
     );
-    // A shard call is named end to end: the coordinator's exchange and
-    // decode under each call, the shard's body parse under its request.
+    // A shard call is named end to end: the coordinator's exchange, decode
+    // and adoption of the shard's spans under each call, the shard's body
+    // parse under its request.
     let by_id: HashMap<u64, &obs::SpanRecord> = spans.iter().map(|s| (s.span_id, s)).collect();
     for span in &spans {
         let parent = match span.name.as_str() {
-            "shard.exchange" | "shard.decode" => "shard.call",
+            "shard.exchange" | "shard.decode" | "shard.adopt" => "shard.call",
             "shard.parse" => "shard.request",
             _ => continue,
         };
@@ -268,6 +270,23 @@ fn distributed_explore_reassembles_one_trace_tree() {
     let calls = spans.iter().filter(|s| s.name == "shard.call").count();
     for child in ["shard.exchange", "shard.decode"] {
         assert_eq!(spans.iter().filter(|s| s.name == child).count(), calls);
+    }
+    // Every reply carries its shard's spans, and they are adopted once, after
+    // the decode, not inside it.
+    for call in spans.iter().filter(|s| s.name == "shard.call") {
+        let children = |name: &str| -> Vec<&obs::SpanRecord> {
+            spans
+                .iter()
+                .filter(|s| s.parent_id == call.span_id && s.name == name)
+                .collect()
+        };
+        let (requests, decodes, adopts) = (
+            children("shard.request"),
+            children("shard.decode"),
+            children("shard.adopt"),
+        );
+        assert_eq!((requests.len(), adopts.len()), (1, 1), "{call:?}");
+        assert!(adopts[0].start_us >= decodes[0].end_us(), "{call:?}");
     }
     assert!(
         spans.iter().any(|s| s.name == "kernel.dispatch"),
