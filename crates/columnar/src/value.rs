@@ -174,7 +174,6 @@ mod tests {
 
     #[test]
     fn value_accessors() {
-        assert_eq!(Value::Int(3).as_str(), None);
         assert_eq!(Value::Str("a".into()).as_str(), Some("a"));
         assert!(Value::Null.is_null());
         assert_eq!(Value::Null.data_type(), None);

@@ -7,9 +7,10 @@
 //! median-based `CUT` splits on: the one median is the exact one.
 //!
 //! The borrowing forms ([`quantile`], [`quantiles`], [`median`]) leave their
-//! input slice untouched (they select on a copy); [`quantiles_in_place`] permutes the caller's buffer instead of
-//! copying it, and [`quantiles_of_counts`] reads the same order statistics
-//! off a table of distinct values and their counts, without the values.
+//! input slice untouched (they select on a copy); [`quantiles_in_place`]
+//! permutes the caller's buffer instead of copying it, and
+//! [`quantiles_of_counts`] reads the same order statistics off a table of
+//! distinct values and their counts, without the values.
 
 /// The `p`-quantile (0 ≤ p ≤ 1) of `values`, using linear interpolation
 /// between order statistics. Returns `None` for an empty slice.
