@@ -768,17 +768,6 @@ impl Column {
         }
     }
 
-    /// Checked version of [`Column::value`].
-    pub fn try_value(&self, row: usize) -> Result<Value> {
-        if row >= self.len() {
-            return Err(ColumnarError::RowOutOfBounds {
-                row,
-                len: self.len(),
-            });
-        }
-        Ok(self.value(row))
-    }
-
     /// True if the value at `row` is NULL.
     pub fn is_null(&self, row: usize) -> bool {
         match self {
@@ -948,16 +937,6 @@ mod tests {
         let mut col = Column::new_empty(DataType::Int);
         let err = col.push(&Value::Str("x".into())).unwrap_err();
         assert!(matches!(err, ColumnarError::TypeMismatch { .. }));
-    }
-
-    #[test]
-    fn try_value_bounds() {
-        let col = int_col(&[Some(1)]);
-        assert!(col.try_value(0).is_ok());
-        assert!(matches!(
-            col.try_value(5),
-            Err(ColumnarError::RowOutOfBounds { .. })
-        ));
     }
 
     #[test]

@@ -25,7 +25,6 @@
 use crate::bitmap::Bitmap;
 use crate::colstats::{widen, CategorySet, ColumnStats, ColumnSummary};
 use crate::column::Column;
-use crate::error::{ColumnarError, Result};
 use crate::kernels;
 use crate::table::Table;
 use crate::value::{DataType, Value};
@@ -128,17 +127,6 @@ impl<'a> ColumnView<'a> {
     pub fn value(&self, row: usize) -> Value {
         let (offset, column) = self.part_of(row);
         column.value(row - offset)
-    }
-
-    /// Checked version of [`ColumnView::value`].
-    pub fn try_value(&self, row: usize) -> Result<Value> {
-        if row >= self.len() {
-            return Err(ColumnarError::RowOutOfBounds {
-                row,
-                len: self.len(),
-            });
-        }
-        Ok(self.value(row))
     }
 
     /// True if the value at `row` is NULL.
@@ -633,11 +621,6 @@ mod tests {
         assert_eq!(x.data_type(), DataType::Int);
         assert_eq!(x.len(), 20);
         assert!(!x.is_empty());
-        assert!(x.try_value(19).is_ok());
-        assert!(matches!(
-            x.try_value(20),
-            Err(ColumnarError::RowOutOfBounds { .. })
-        ));
         assert!(format!("{x:?}").contains("ColumnView"));
         // Non-string columns have no dictionary or category codes.
         assert!(x.dictionary().is_empty());

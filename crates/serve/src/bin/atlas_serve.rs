@@ -37,6 +37,10 @@
 //! * `--degraded-max-failed K` — let a distributed explore that opts in
 //!   with `{"mode": "degraded"}` answer from the surviving shards when at
 //!   most K shards are down (default: degraded mode disabled)
+//!
+//! The fault-policy flags, `--shard-timeout-ms` through
+//! `--circuit-cooldown-ms`, set the fields of `serve_config.coordinator`,
+//! the coordinator's `CoordinatorOptions`.
 
 use atlas_core::AtlasConfig;
 use atlas_serve::{DatasetOptions, HedgePolicy, Registry, ServeConfig, Server};
@@ -93,25 +97,27 @@ fn main() {
                 let ms: u64 = value_of(&mut args, "--shard-timeout-ms")
                     .parse()
                     .unwrap_or_else(|_| fail("--shard-timeout-ms needs a number"));
-                serve_config.shard_timeout = std::time::Duration::from_millis(ms);
+                serve_config.coordinator.shard_timeout = std::time::Duration::from_millis(ms);
             }
             "--shard-connect-timeout-ms" => {
                 let ms: u64 = value_of(&mut args, "--shard-connect-timeout-ms")
                     .parse()
                     .unwrap_or_else(|_| fail("--shard-connect-timeout-ms needs a number"));
-                serve_config.shard_connect_timeout = std::time::Duration::from_millis(ms);
+                serve_config.coordinator.connect_timeout = std::time::Duration::from_millis(ms);
             }
             "--retry-attempts" => {
                 let n: u32 = value_of(&mut args, "--retry-attempts")
                     .parse()
                     .unwrap_or_else(|_| fail("--retry-attempts needs a number"));
-                serve_config.retry = serve_config.retry.with_max_attempts(n);
+                serve_config.coordinator.retry =
+                    serve_config.coordinator.retry.with_max_attempts(n);
             }
             "--retry-backoff-ms" => {
                 let ms: u64 = value_of(&mut args, "--retry-backoff-ms")
                     .parse()
                     .unwrap_or_else(|_| fail("--retry-backoff-ms needs a number"));
-                serve_config.retry = serve_config
+                serve_config.coordinator.retry = serve_config
+                    .coordinator
                     .retry
                     .with_base_backoff(std::time::Duration::from_millis(ms));
             }
@@ -119,18 +125,20 @@ fn main() {
                 let ms: u64 = value_of(&mut args, "--hedge-after-ms")
                     .parse()
                     .unwrap_or_else(|_| fail("--hedge-after-ms needs a number"));
-                serve_config.hedge = HedgePolicy::After(std::time::Duration::from_millis(ms));
+                serve_config.coordinator.hedge =
+                    HedgePolicy::After(std::time::Duration::from_millis(ms));
             }
             "--circuit-threshold" => {
-                serve_config.circuit.failure_threshold = value_of(&mut args, "--circuit-threshold")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--circuit-threshold needs a number"));
+                serve_config.coordinator.circuit.failure_threshold =
+                    value_of(&mut args, "--circuit-threshold")
+                        .parse()
+                        .unwrap_or_else(|_| fail("--circuit-threshold needs a number"));
             }
             "--circuit-cooldown-ms" => {
                 let ms: u64 = value_of(&mut args, "--circuit-cooldown-ms")
                     .parse()
                     .unwrap_or_else(|_| fail("--circuit-cooldown-ms needs a number"));
-                serve_config.circuit.cool_down = std::time::Duration::from_millis(ms);
+                serve_config.coordinator.circuit.cool_down = std::time::Duration::from_millis(ms);
             }
             "--degraded-max-failed" => {
                 let k: usize = value_of(&mut args, "--degraded-max-failed")

@@ -5,9 +5,8 @@
 //! keep-alive. A request body always carries its length (a chunked request
 //! is refused, so requests stay bounded and their parser simple), and so
 //! does every response this crate writes; a response read from a peer may
-//! instead stream as `Transfer-Encoding: chunked`, whose parts a reader
-//! takes as they arrive ([`read_response_with`]) or joined
-//! ([`read_response`]).
+//! instead come as `Transfer-Encoding: chunked`, whose parts
+//! [`read_response`] joins.
 //!
 //! Everything is parsed defensively: line-length and header-count caps, a
 //! body-size cap that bounds every chunk and their running total before
@@ -535,28 +534,6 @@ pub fn read_response<R: BufRead>(
     max_body: usize,
     deadline: Option<Instant>,
 ) -> Result<ClientResponse, HttpError> {
-    let mut joined = Vec::new();
-    let mut response = read_response_with(reader, max_body, deadline, &mut |chunk| {
-        joined.extend_from_slice(&chunk);
-        Ok(())
-    })?;
-    if response.body.is_empty() {
-        response.body = joined;
-    }
-    Ok(response)
-}
-
-/// [`read_response`], handing each chunk of a chunked body to `on_chunk` as
-/// it arrives instead of joining them, so no buffer holds more than one
-/// chunk; the returned `body` is then empty. A `Content-Length` body is read
-/// whole into `body` as usual. An error from `on_chunk` stops the read and
-/// comes back as [`HttpError::Io`].
-pub fn read_response_with<R: BufRead>(
-    reader: &mut R,
-    max_body: usize,
-    deadline: Option<Instant>,
-    on_chunk: &mut dyn FnMut(Vec<u8>) -> io::Result<()>,
-) -> Result<ClientResponse, HttpError> {
     let line = read_line(reader, deadline, true)?;
     let mut parts = line.split_whitespace();
     match parts.next() {
@@ -575,12 +552,11 @@ pub fn read_response_with<R: BufRead>(
     let body = match framing(&headers)? {
         Framing::Length(length) => read_sized_body(reader, length, max_body, deadline)?,
         Framing::Chunked => {
-            let mut total = 0usize;
-            while let Some(chunk) = read_chunk(reader, max_body - total, max_body, deadline)? {
-                total += chunk.len();
-                on_chunk(chunk).map_err(HttpError::Io)?;
+            let mut body = Vec::new();
+            while let Some(chunk) = read_chunk(reader, max_body - body.len(), max_body, deadline)? {
+                body.extend_from_slice(&chunk);
             }
-            Vec::new()
+            body
         }
     };
     Ok(ClientResponse {
@@ -833,6 +809,12 @@ mod tests {
             parse_response(chunked, 1024).unwrap().body_text(),
             Some("hello")
         );
+        assert_eq!(
+            parse_response(&three_chunk_response(), 1024)
+                .unwrap()
+                .body_text(),
+            Some(r#"{"partials": [1]}{"partials": [22, 3]}{}"#)
+        );
         let both = b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n";
         assert!(matches!(
             parse_response(both, 1024),
@@ -887,41 +869,6 @@ mod tests {
                 "{body:?} gave {result:?}"
             );
         }
-    }
-
-    #[test]
-    fn chunks_reach_the_receiver_one_at_a_time() {
-        let wire = three_chunk_response();
-        let mut seen = Vec::new();
-        let response = read_response_with(
-            &mut BufReader::new(wire.as_slice()),
-            1024,
-            None,
-            &mut |chunk| {
-                seen.push(String::from_utf8(chunk).unwrap());
-                Ok(())
-            },
-        )
-        .unwrap();
-        assert!(response.body.is_empty());
-        assert_eq!(
-            seen,
-            [r#"{"partials": [1]}"#, r#"{"partials": [22, 3]}"#, "{}"]
-        );
-
-        // A receiver that refuses a chunk stops the read there.
-        let mut taken = 0;
-        let result = read_response_with(
-            &mut BufReader::new(wire.as_slice()),
-            1024,
-            None,
-            &mut |_| {
-                taken += 1;
-                Err(io::Error::other("refused"))
-            },
-        );
-        assert!(matches!(result, Err(HttpError::Io(_))), "{result:?}");
-        assert_eq!(taken, 1);
     }
 
     #[test]

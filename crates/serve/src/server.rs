@@ -32,7 +32,7 @@ use crate::distributed::{Coordinator, CoordinatorOptions};
 use crate::http::{self, HttpError, Request, Response};
 use crate::metrics::{self, Endpoint, ServerMetrics};
 use crate::registry::{Dataset, Registry};
-use crate::resilience::{CircuitConfig, Deadline, ExploreMode, HedgePolicy, RetryPolicy};
+use crate::resilience::{Deadline, ExploreMode};
 use crate::sessions::{SessionManager, WireSession};
 use crate::wire::{self, Json};
 use atlas_core::{AtlasError, MapResult};
@@ -81,19 +81,10 @@ pub struct ServeConfig {
     /// Shard servers (`host:port`) this server coordinates over for
     /// `POST /distributed/explore`. Empty means the endpoint answers `400`.
     pub shards: Vec<String>,
-    /// Per-shard request timeout for distributed exploration (the read/write
-    /// budget of one attempt; retries are governed by [`ServeConfig::retry`]).
-    pub shard_timeout: Duration,
-    /// TCP connect budget towards a shard, split from [`ServeConfig::shard_timeout`]
-    /// so an unreachable host fails fast instead of consuming the full
-    /// request budget.
-    pub shard_connect_timeout: Duration,
-    /// Retry schedule of one shard call.
-    pub retry: RetryPolicy,
-    /// When the coordinator duplicates a straggling shard read.
-    pub hedge: HedgePolicy,
-    /// Per-shard circuit-breaker tuning.
-    pub circuit: CircuitConfig,
+    /// The fault policy of the coordinator over [`ServeConfig::shards`]:
+    /// per-attempt and connect timeouts, retries, hedging and circuit
+    /// breakers.
+    pub coordinator: CoordinatorOptions,
     /// Degraded partial answers: `Some(k)` lets a request that opts in with
     /// `{"mode": "degraded"}` fold the surviving segments when at most `k`
     /// shards are down (the answer carries exact coverage); `None` answers
@@ -113,11 +104,7 @@ impl Default for ServeConfig {
             max_sessions: 1024,
             max_history_depth: 256,
             shards: Vec::new(),
-            shard_timeout: Duration::from_secs(10),
-            shard_connect_timeout: Duration::from_secs(2),
-            retry: RetryPolicy::default(),
-            hedge: HedgePolicy::Off,
-            circuit: CircuitConfig::default(),
+            coordinator: CoordinatorOptions::default(),
             degraded_max_failed: None,
         }
     }
@@ -147,14 +134,7 @@ impl ServeConfig {
     /// The fault-policy knobs this configuration hands the distributed
     /// coordinator.
     pub fn coordinator_options(&self) -> CoordinatorOptions {
-        CoordinatorOptions {
-            shard_timeout: self.shard_timeout,
-            connect_timeout: self.shard_connect_timeout,
-            retry: self.retry,
-            hedge: self.hedge,
-            circuit: self.circuit,
-            ..CoordinatorOptions::default()
-        }
+        self.coordinator
     }
 }
 

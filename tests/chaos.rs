@@ -111,7 +111,6 @@ fn chaos_options() -> CoordinatorOptions {
             failure_threshold: 0,
             cool_down: Duration::ZERO,
         },
-        ..CoordinatorOptions::default()
     }
 }
 

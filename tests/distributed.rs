@@ -681,7 +681,7 @@ fn distributed_explore_endpoint_matches_in_process() {
         .unwrap();
     let mut serve_config = ServeConfig::default().with_threads(2);
     serve_config.shards = addrs.clone();
-    serve_config.shard_timeout = Duration::from_secs(10);
+    serve_config.coordinator.shard_timeout = Duration::from_secs(10);
     let front = Server::start(registry, serve_config).unwrap();
     let client = Client::new(front.addr());
 
@@ -1405,12 +1405,10 @@ fn an_open_circuit_shows_in_metrics_and_healthz() {
     let config = product_config();
     let (shard_handles, _) = boot_shards("census", &table, &config, 2);
     let (proxies, addrs) = common::proxies(&shard_handles);
-    let serve_config = ServeConfig {
-        circuit: atlas::serve::CircuitConfig {
-            failure_threshold: 1,
-            cool_down: Duration::from_secs(60),
-        },
-        ..ServeConfig::default()
+    let mut serve_config = ServeConfig::default();
+    serve_config.coordinator.circuit = atlas::serve::CircuitConfig {
+        failure_threshold: 1,
+        cool_down: Duration::from_secs(60),
     };
     let front = boot_front(&table, &config, &addrs, serve_config);
     let client = Client::new(front.addr());

@@ -97,7 +97,6 @@ fn calm_options() -> CoordinatorOptions {
             failure_threshold: 0,
             cool_down: Duration::ZERO,
         },
-        ..CoordinatorOptions::default()
     }
 }
 
@@ -397,6 +396,77 @@ fn retried_and_hedged_calls_stay_one_labeled_tree() {
     );
     // The faulted attempts are still part of the one tree.
     assert_single_tree(&spans);
+    rig.shutdown();
+}
+
+/// A hedged call runs the exchange an inline call runs: its primary goes on
+/// the slot's idle keep-alive connection (`connection=reused`), only the
+/// hedge opens a fresh one, and both attempts carry a `shard.exchange`. The
+/// hedge wins and its connection is parked, so the next round reuses it:
+/// the explore opens one connection more than the two the metadata probe
+/// left idle, the hedge's.
+#[test]
+fn a_hedged_primary_reuses_the_idle_connection_and_only_the_hedge_opens_one() {
+    let _gate = gate();
+    let rig = rig();
+    let query = ConjunctiveQuery::all("census");
+    let expected = rig.reference.explore_released(&query).unwrap();
+
+    let _traced = Traced::begin();
+    let mut options = calm_options();
+    options.hedge = HedgePolicy::After(Duration::from_millis(300));
+    let coordinator = rig.coordinator(options);
+    assert_eq!(coordinator.metrics().connects(), 2);
+    let accepted: Vec<usize> = rig.proxies.iter().map(FaultProxy::accepted).collect();
+    // Shard 1's proxy stalls its next answer, the primary of its
+    // `/shard/working` call, until long after the hedge has won.
+    let straggle = Duration::from_millis(1_500);
+    rig.arm(1, vec![Fault::Delay(straggle.as_millis() as u64)]);
+
+    obs::tracer().clear();
+    let root = obs::span_root("test.hedged");
+    let trace_id = root.context().expect("tracing is enabled").trace_id;
+    let result = coordinator.explore(&query).unwrap();
+    drop(root);
+
+    assert_identical(&expected, &result);
+    assert_eq!(coordinator.metrics().hedges_launched(), 1);
+    assert_eq!(coordinator.metrics().hedges_won(), 1);
+    assert_eq!(
+        coordinator.metrics().connects(),
+        3,
+        "only the hedge connects"
+    );
+    assert_eq!(rig.proxies[0].accepted(), accepted[0]);
+    assert_eq!(rig.proxies[1].accepted(), accepted[1] + 1);
+
+    // The losing primary's exchange ends with the straggler's reply.
+    std::thread::sleep(straggle);
+    let spans = obs::tracer().trace(trace_id);
+    let calls: Vec<&obs::SpanRecord> = spans.iter().filter(|s| s.name == "shard.call").collect();
+    let hedge = calls
+        .iter()
+        .find(|s| s.attr("mode") == Some("hedge"))
+        .expect("the hedge is labeled mode=hedge");
+    assert_eq!(hedge.attr("connection"), Some("fresh"));
+    let primary = calls
+        .iter()
+        .find(|s| s.span_id == hedge.parent_id)
+        .expect("the hedge is a child of its primary");
+    assert_eq!(primary.attr("shard"), Some("1"));
+    assert_eq!(primary.attr("path"), Some("/shard/working"));
+    for call in &calls {
+        let expected = if call.attr("mode") == Some("hedge") {
+            "fresh"
+        } else {
+            "reused"
+        };
+        assert_eq!(call.attr("connection"), Some(expected), "{call:?}");
+        let exchanges = spans
+            .iter()
+            .filter(|s| s.name == "shard.exchange" && s.parent_id == call.span_id);
+        assert_eq!(exchanges.count(), 1, "{call:?}");
+    }
     rig.shutdown();
 }
 
