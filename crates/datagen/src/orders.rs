@@ -22,8 +22,6 @@ pub const SEGMENTS: [&str; 5] = [
     "HOUSEHOLD",
     "MACHINERY",
 ];
-/// Order priorities.
-pub const PRIORITIES: [&str; 3] = ["HIGH", "MEDIUM", "LOW"];
 /// Shipping modes.
 pub const SHIP_MODES: [&str; 4] = ["AIR", "RAIL", "SHIP", "TRUCK"];
 /// Sales regions.

@@ -466,26 +466,37 @@ impl SpanGuard {
         drop(self);
         ms
     }
+
+    /// Close the span now and hand back its record instead of recording it
+    /// (`None` when it does not record): the holder records it with
+    /// [`Tracer::record`], or drops it and the span never shows.
+    pub fn into_record(mut self) -> Option<SpanRecord> {
+        self.close()
+    }
+
+    fn close(&mut self) -> Option<SpanRecord> {
+        let active = self.active.take()?;
+        pop_current(active.span_id);
+        // Both ends come from the tracer clock: a duration floored on its
+        // own (`Instant::elapsed`) can put a parent's recorded end 1 µs
+        // before its child's.
+        let end_us = tracer().now_us();
+        Some(SpanRecord {
+            trace_id: active.trace_id,
+            span_id: active.span_id,
+            parent_id: active.parent_id,
+            name: active.name.to_string(),
+            start_us: active.start_us,
+            duration_us: end_us.saturating_sub(active.start_us),
+            attrs: active.attrs,
+        })
+    }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if let Some(active) = self.active.take() {
-            pop_current(active.span_id);
-            let t = tracer();
-            // Both ends come from the tracer clock: a duration floored on its
-            // own (`Instant::elapsed`) can put a parent's recorded end 1 µs
-            // before its child's.
-            let end_us = t.now_us();
-            t.push(SpanRecord {
-                trace_id: active.trace_id,
-                span_id: active.span_id,
-                parent_id: active.parent_id,
-                name: active.name.to_string(),
-                start_us: active.start_us,
-                duration_us: end_us.saturating_sub(active.start_us),
-                attrs: active.attrs,
-            });
+        if let Some(record) = self.close() {
+            tracer().push(record);
         }
     }
 }

@@ -39,6 +39,9 @@
 //! and a hedge launched once the delay passes unanswered runs it over a
 //! fresh one. The first reply judged a success wins, and the calling thread
 //! parks its connection; a loser's connection closes with its thread.
+//! An exchange's spans are recorded when the calling thread judges it, so a
+//! loser still out when the race returns records nothing: no span of it can
+//! outlast the `shard.call` it would hang under.
 //! `connects` in the coordinator's `/metrics` counts the connections opened
 //! per shard, and each `shard.call` span says `connection=reused|fresh`.
 //!
@@ -194,11 +197,13 @@ enum AttemptFail {
 }
 
 /// What one [`exchange`] read: the reply, or why there is none; the instant
-/// the exchange ended; and the connection when the reply keeps it alive.
+/// the exchange ended; the connection when the reply keeps it alive; and the
+/// exchange's closed spans, which [`answer`] records.
 struct Exchanged {
     outcome: io::Result<ClientResponse>,
     at: Instant,
     reusable: Option<Connection>,
+    spans: Vec<atlas_obs::SpanRecord>,
 }
 
 /// A shard's `200` JSON reply to one attempt, the instant it was read
@@ -234,11 +239,12 @@ fn exchange(
         reusable = response.keeps_alive().then_some(connection);
         Ok(response)
     });
-    drop(span);
+    let spans = span.into_record().into_iter().collect();
     Exchanged {
         outcome,
         at: Instant::now(),
         reusable,
+        spans,
     }
 }
 
@@ -246,8 +252,11 @@ fn exchange(
 /// that the answer carries on: a `200` JSON reply wins and its connection,
 /// when the reply keeps it alive, goes back to the slot; any other outcome
 /// closes the connection, so an unread reply is never taken for the next
-/// request's.
+/// request's. The exchange's spans are recorded here, inside the call.
 fn answer(slot: &ShardSlot, path: &str, exchanged: Exchanged) -> Result<Answered, AttemptFail> {
+    for span in exchanged.spans {
+        atlas_obs::tracer().record(span);
+    }
     let decoding = atlas_obs::span("shard.decode");
     let json = judge(&slot.addr, path, exchanged.outcome)?;
     if let Some(connection) = exchanged.reusable {
@@ -512,7 +521,7 @@ impl Coordinator {
     /// `hedge_after` passes unanswered a hedge runs it over a fresh
     /// connection. The first reply [`answer`] judges a success wins. A loser
     /// may outlive the call: its thread owns what it sends, and its
-    /// connection closes when nothing receives its reply.
+    /// connection and spans go when nothing receives its reply.
     fn race(
         &self,
         slot: &ShardSlot,
@@ -542,8 +551,10 @@ impl Coordinator {
                     span.attr("connection", "fresh");
                     span
                 });
-                let exchanged = request(connection);
-                drop(hedge_span);
+                let mut exchanged = request(connection);
+                exchanged
+                    .spans
+                    .extend(hedge_span.and_then(atlas_obs::SpanGuard::into_record));
                 let _ = tx.send((is_hedge, exchanged));
             });
         };

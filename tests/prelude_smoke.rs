@@ -3,11 +3,8 @@
 //! The README and the crate docs promise that `use atlas::prelude::*` is
 //! enough to run the whole pipeline. This test uses each promised name
 //! directly from the prelude, so any future re-export regression fails to
-//! compile rather than surfacing as a broken doc example.
-//!
-//! The last two tests read the sources instead: they hold the two hygiene
-//! rules about this facade that no compiler lint states (`missing_docs` does
-//! not look at `pub use`; nothing looks for a test file without tests).
+//! compile rather than surfacing as a broken doc example. That every facade
+//! export is documented is a source fact, held in `tests/structure.rs`.
 
 use atlas::prelude::*;
 use std::borrow::Cow;
@@ -138,60 +135,4 @@ fn prelude_exports_the_serving_surface() {
     let client = atlas::serve::Client::new(handle.addr());
     assert_eq!(client.get("/healthz").expect("healthz answers").status, 200);
     handle.shutdown();
-}
-
-/// An integration-test file without a `#[test]` (or a `proptest!` block)
-/// compiles, asserts nothing and rots: every `tests/*.rs` of the facade and
-/// of each crate holds one.
-#[test]
-fn every_integration_test_file_holds_a_test() {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut dirs = vec![root.join("tests")];
-    for member in std::fs::read_dir(root.join("crates")).expect("crates/ is readable") {
-        dirs.push(member.expect("crates/ entry").path().join("tests"));
-    }
-    let mut seen = 0;
-    for dir in dirs {
-        let Ok(files) = std::fs::read_dir(&dir) else {
-            continue; // a crate without integration tests
-        };
-        for file in files {
-            let path = file.expect("tests/ entry").path();
-            if path.extension().is_some_and(|ext| ext == "rs") {
-                let text = std::fs::read_to_string(&path).expect("test file is UTF-8");
-                assert!(
-                    text.contains("#[test]") || text.contains("proptest!"),
-                    "{} holds no #[test] and no proptest! block",
-                    path.display()
-                );
-                seen += 1;
-            }
-        }
-    }
-    assert!(seen > 0, "no integration-test file was found");
-}
-
-/// The facade is the workspace's documented surface: every top-level `pub`
-/// item of `src/lib.rs` — the `pub use` re-exports `missing_docs` skips
-/// included — has a `///` comment above it (attributes may sit between).
-#[test]
-fn every_facade_export_is_documented() {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src/lib.rs");
-    let text = std::fs::read_to_string(path).expect("src/lib.rs is readable");
-    let lines: Vec<&str> = text.lines().collect();
-    let mut exports = 0;
-    for (at, line) in lines.iter().enumerate() {
-        // rustfmt keeps top-level items, and only those, at column 0.
-        if !line.starts_with("pub ") {
-            continue;
-        }
-        let above = lines[..at].iter().rev().find(|l| !l.starts_with("#["));
-        assert!(
-            above.is_some_and(|l| l.starts_with("///")),
-            "src/lib.rs:{}: `{line}` has no doc comment",
-            at + 1
-        );
-        exports += 1;
-    }
-    assert!(exports > 0, "no facade export was found");
 }

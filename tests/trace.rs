@@ -400,11 +400,12 @@ fn retried_and_hedged_calls_stay_one_labeled_tree() {
 }
 
 /// A hedged call runs the exchange an inline call runs: its primary goes on
-/// the slot's idle keep-alive connection (`connection=reused`), only the
-/// hedge opens a fresh one, and both attempts carry a `shard.exchange`. The
-/// hedge wins and its connection is parked, so the next round reuses it:
-/// the explore opens one connection more than the two the metadata probe
-/// left idle, the hedge's.
+/// the slot's idle keep-alive connection (`connection=reused`), and only the
+/// hedge opens a fresh one. The hedge wins and its connection is parked, so
+/// the next round reuses it: the explore opens one connection more than the
+/// two the metadata probe left idle, the hedge's. The losing primary's
+/// exchange, still out when the race returned, records nothing, so the
+/// trace read after the straggler's reply is still one tree.
 #[test]
 fn a_hedged_primary_reuses_the_idle_connection_and_only_the_hedge_opens_one() {
     let _gate = gate();
@@ -443,6 +444,7 @@ fn a_hedged_primary_reuses_the_idle_connection_and_only_the_hedge_opens_one() {
     // The losing primary's exchange ends with the straggler's reply.
     std::thread::sleep(straggle);
     let spans = obs::tracer().trace(trace_id);
+    assert_single_tree(&spans);
     let calls: Vec<&obs::SpanRecord> = spans.iter().filter(|s| s.name == "shard.call").collect();
     let hedge = calls
         .iter()
@@ -465,7 +467,8 @@ fn a_hedged_primary_reuses_the_idle_connection_and_only_the_hedge_opens_one() {
         let exchanges = spans
             .iter()
             .filter(|s| s.name == "shard.exchange" && s.parent_id == call.span_id);
-        assert_eq!(exchanges.count(), 1, "{call:?}");
+        let judged = usize::from(call.span_id != primary.span_id);
+        assert_eq!(exchanges.count(), judged, "{call:?}");
     }
     rig.shutdown();
 }
